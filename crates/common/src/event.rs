@@ -29,8 +29,17 @@
 //! from the reference clocking. The oracle harness in `tests/event_skip.rs`
 //! and the conformance skip axis exist to catch exactly that.
 //!
-//! Skipping is gated by `EMERALD_SKIP` (default on); the per-cycle
-//! reference clocking is preserved forever as the oracle's ground truth.
+//! # The kernel
+//!
+//! Every top-level loop (the SoC clock, `Gpu::run_to_idle`, the renderer's
+//! frame loop) advances time the same way: tick once, then ask
+//! [`next_wake`] how far the clock may jump. `next_wake` is the only
+//! min-pin search in the tree — callers hand it their components'
+//! `next_event` answers, cheapest first, and it bails at the first one
+//! that pins `now + 1`, so an unskippable cycle costs a few flag reads.
+//! Whether a loop jumps at all is a per-instance gate
+//! (`GpuConfig::event_skip`); with the gate off the loop is the per-cycle
+//! reference clocking, which the lockstep oracles run as ground truth.
 
 use crate::types::Cycle;
 
@@ -63,30 +72,36 @@ pub fn earliest(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
     }
 }
 
-/// Reads the `EMERALD_SKIP` knob: event-driven time skipping is on by
-/// default; `0`, `off` or `false` (case-insensitive) select the per-cycle
-/// reference clocking.
-pub fn skip_from_env() -> bool {
-    match std::env::var("EMERALD_SKIP") {
-        Ok(v) => {
-            let v = v.trim();
-            !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false"))
+/// The cycle a loop that last ticked `now` must tick next: the earliest
+/// of `pins` (lazily evaluated `next_event` answers), clamped to
+/// `now + 1 ..= cap`. `None` answers never pin, so a fully passive system
+/// wakes at `cap` (a watchdog or an idle-stretch end).
+///
+/// Evaluation stops at the first answer that pins `now + 1`: order the
+/// iterator cheapest-pin-first and a busy cycle never pays for the
+/// expensive searches behind it.
+///
+/// ```
+/// # use emerald_common::event::next_wake;
+/// assert_eq!(next_wake(10, 500, [None, Some(40), Some(25)]), 25);
+/// assert_eq!(next_wake(10, 20, [Some(40)]), 20);
+/// assert_eq!(next_wake(10, 500, [None, None]), 500);
+/// // A pin at `now + 1` ends the search; later answers are never asked.
+/// let asked = std::cell::Cell::new(0);
+/// let lazy = [Some(11), Some(99)].into_iter().inspect(|_| asked.set(asked.get() + 1));
+/// assert_eq!(next_wake(10, 500, lazy), 11);
+/// assert_eq!(asked.get(), 1);
+/// ```
+pub fn next_wake(now: Cycle, cap: Cycle, pins: impl IntoIterator<Item = Option<Cycle>>) -> Cycle {
+    let pin = now + 1;
+    let mut wake = cap.max(pin);
+    for t in pins.into_iter().flatten() {
+        wake = wake.min(t);
+        if wake <= pin {
+            return pin;
         }
-        Err(_) => true,
     }
-}
-
-/// Reads the `EMERALD_CPU_BATCH` knob: batched CPU `Work`-phase execution
-/// (run-until-interaction) is on by default; `0`, `off` or `false`
-/// (case-insensitive) select the per-cycle reference CPU clocking.
-pub fn cpu_batch_from_env() -> bool {
-    match std::env::var("EMERALD_CPU_BATCH") {
-        Ok(v) => {
-            let v = v.trim();
-            !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false"))
-        }
-        Err(_) => true,
-    }
+    wake
 }
 
 #[cfg(test)]
@@ -100,5 +115,17 @@ mod tests {
         assert_eq!(earliest(None, Some(3)), Some(3));
         assert_eq!(earliest(Some(9), Some(3)), Some(3));
         assert_eq!(earliest(Some(3), Some(9)), Some(3));
+    }
+
+    #[test]
+    fn next_wake_clamps_to_pin_and_cap() {
+        assert_eq!(next_wake(7, 100, []), 100);
+        assert_eq!(next_wake(7, 100, [Some(8)]), 8);
+        assert_eq!(next_wake(7, 100, [Some(300), None, Some(50)]), 50);
+        // An answer at or before `now` violates the contract; the clock
+        // still never moves backwards or stalls.
+        assert_eq!(next_wake(7, 100, [Some(3)]), 8);
+        // A cap at or before `now` (watchdog already due) still advances.
+        assert_eq!(next_wake(7, 5, [None]), 8);
     }
 }

@@ -31,7 +31,11 @@ pub const MAGIC: [u8; 8] = *b"EMSNAP\0\0";
 /// Current snapshot format version. Bump on any incompatible layout
 /// change; old snapshots then fail with [`SnapError::VersionSkew`]
 /// instead of being misinterpreted.
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// * 2 — the CPU cluster's run-ahead state (`ran_until` / `pending` /
+///   `end_at`) moved out of the mid-frame cursor into the cluster's own
+///   record and is written for between-frame snapshots too.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Bytes of fixed container overhead: magic + version + config hash +
 /// trailing checksum.

@@ -239,8 +239,8 @@ pub fn config_matrix() -> Vec<(&'static str, GpuConfig)> {
     let mut small_l2 = base.clone();
     small_l2.l2.size_bytes /= 4;
     out.push(("quarter_l2", small_l2));
-    // Event-skip axis, pinned explicitly (the other entries inherit
-    // `EMERALD_SKIP`, so CI covers them under both modes).
+    // Event-skip gate, both positions pinned explicitly (the other
+    // entries run the preset's value).
     let mut skip_off = base.clone();
     skip_off.event_skip = false;
     out.push(("skip_off", skip_off));

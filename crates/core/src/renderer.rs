@@ -681,37 +681,26 @@ impl GpuRenderer {
     ///
     /// Panics if the pipeline fails to drain within `max_cycles`.
     pub fn run_frame(&mut self, port: &mut dyn MemPort, max_cycles: Cycle) -> FrameStats {
+        struct Run<'a>(&'a mut GpuRenderer, &'a mut dyn MemPort);
+        impl emerald_gpu::gpu::Drain for Run<'_> {
+            fn is_idle(&self) -> bool {
+                self.0.is_idle()
+            }
+            fn cycle(&mut self, now: Cycle) {
+                self.0.cycle(now, self.1);
+            }
+            fn next_events(&self, now: Cycle) -> [Option<Cycle>; 2] {
+                [
+                    emerald_common::event::NextEvent::next_event(&*self.0, now),
+                    self.1.next_event(now),
+                ]
+            }
+        }
         self.begin_frame();
         let start = self.clock;
         let skip = self.gpu.config().event_skip;
-        let prof_loop = emerald_obs::prof::loop_enter();
-        while !self.is_idle() {
-            emerald_obs::prof::tick();
-            self.cycle(self.clock, port);
-            self.clock += 1;
-            assert!(
-                self.clock - start < max_cycles,
-                "frame did not drain in {max_cycles} cycles"
-            );
-            if skip && !self.is_idle() {
-                // `is_idle` guard: the frame can drain while writes are
-                // still in flight; jumping to their completions after the
-                // last real event would inflate the frame's cycle count
-                // relative to the per-cycle reference.
-                let wake = emerald_common::event::earliest(
-                    emerald_common::event::NextEvent::next_event(self, self.clock - 1),
-                    port.next_event(self.clock - 1),
-                );
-                if let Some(t) = wake {
-                    if t > self.clock {
-                        let jump = (t - self.clock).min(start + max_cycles - self.clock);
-                        emerald_obs::prof::record_gpu_skip(jump);
-                        self.clock += jump;
-                    }
-                }
-            }
-        }
-        emerald_obs::prof::loop_exit(prof_loop);
+        self.clock =
+            emerald_gpu::gpu::drain_loop(&mut Run(self, port), "frame", start, max_cycles, skip);
         emerald_obs::trace::span(
             emerald_obs::TraceCat::Frame,
             "render_frame",

@@ -66,14 +66,13 @@ pub struct GpuConfig {
     /// are bit-identical at any value. Preset constructors seed this from
     /// the `EMERALD_PAR_THRESHOLD` environment variable.
     pub parallel_threshold: usize,
-    /// Event-driven time skipping: when true, the top-level loops
+    /// Clock-jump gate: when true, the top-level loops
     /// (`Gpu::run_to_idle`, the renderer's frame loop and the SoC clock)
     /// jump over provably idle stretches using the
     /// `emerald_common::event::NextEvent` contract instead of ticking
-    /// every cycle. Results are bit-identical either way — the per-cycle
-    /// clocking is kept forever as the reference, and the oracle /
-    /// conformance suites cross-check the two. Preset constructors seed
-    /// this from the `EMERALD_SKIP` environment variable (default on).
+    /// every cycle. Presets turn it on; results are bit-identical either
+    /// way, and the oracle / conformance suites flip it off to get the
+    /// per-cycle reference clocking they compare against.
     pub event_skip: bool,
 }
 
@@ -120,12 +119,6 @@ impl GpuConfig {
         }
     }
 
-    /// Event-skip gate from `EMERALD_SKIP`; see
-    /// [`emerald_common::event::skip_from_env`].
-    pub fn event_skip_from_env() -> bool {
-        emerald_common::event::skip_from_env()
-    }
-
     /// Case study I GPU (Table 5): 4 SIMT cores @128 CUDA cores, 16 KB L1D,
     /// 64 KB L1T, 32 KB L1Z, 128 KB shared L2.
     pub fn case_study_1() -> Self {
@@ -159,7 +152,7 @@ impl GpuConfig {
             icnt_per_cycle: 8,
             threads: Self::threads_from_env(),
             parallel_threshold: Self::parallel_threshold_from_env(),
-            event_skip: Self::event_skip_from_env(),
+            event_skip: true,
         }
     }
 
@@ -197,7 +190,7 @@ impl GpuConfig {
             icnt_per_cycle: 12,
             threads: Self::threads_from_env(),
             parallel_threshold: Self::parallel_threshold_from_env(),
-            event_skip: Self::event_skip_from_env(),
+            event_skip: true,
         }
     }
 

@@ -619,16 +619,20 @@ impl Gpu {
 
     /// One-line internal state summary (diagnostics).
     pub fn debug_snapshot(&self) -> String {
+        let cores: Vec<String> = self
+            .cores
+            .iter()
+            .map(|c| format!("{}[{}]", c.id, c.debug_snapshot()))
+            .collect();
         format!(
-            "c2l={} l2c={} backlog={} to_mem={} dram_pend={} l2_q={} core0[{}] core2[{}]",
+            "c2l={} l2c={} backlog={} to_mem={} dram_pend={} l2_q={} {}",
             self.core_to_l2.len(),
             self.l2_to_core.len(),
             self.fill_backlog.len(),
             self.to_mem.len(),
             self.dram_inflight,
             self.l2.queued(),
-            self.cores[0].debug_snapshot(),
-            self.cores[2].debug_snapshot(),
+            cores.join(" "),
         )
     }
 
@@ -645,41 +649,83 @@ impl Gpu {
         ctx: &mut C,
         port: &mut dyn MemPort,
     ) -> Cycle {
-        let mut now = start;
-        let skip = self.cfg.event_skip;
-        let prof_loop = emerald_obs::prof::loop_enter();
-        while !self.is_idle() {
-            emerald_obs::prof::tick();
-            self.cycle(now, ctx, port);
-            now += 1;
-            assert!(
-                now - start < max_cycles,
-                "GPU did not drain within {max_cycles} cycles"
-            );
-            if skip && !self.is_idle() {
-                // Quiescent stretch with only known-time port events ahead
-                // (e.g. in-service DRAM completions): jump to the earliest.
-                // The `is_idle` guard keeps the jump from overshooting the
-                // loop exit — the drain condition can become true while
-                // writes are still in flight (their completions are events,
-                // but not ones this loop waits for), and jumping to them
-                // would inflate the cycle count vs. the reference clocking.
-                let wake = emerald_common::event::earliest(
-                    emerald_common::event::NextEvent::next_event(self, now - 1),
-                    port.next_event(now - 1),
-                );
-                if let Some(t) = wake {
-                    if t > now {
-                        let jump = (t - now).min(start + max_cycles - now);
-                        emerald_obs::prof::record_gpu_skip(jump);
-                        now += jump;
-                    }
-                }
+        struct Run<'a, C>(&'a mut Gpu, &'a mut C, &'a mut dyn MemPort);
+        impl<C: CycleCtx> Drain for Run<'_, C> {
+            fn is_idle(&self) -> bool {
+                self.0.is_idle()
+            }
+            fn cycle(&mut self, now: Cycle) {
+                self.0.cycle(now, self.1, self.2);
+            }
+            fn next_events(&self, now: Cycle) -> [Option<Cycle>; 2] {
+                [
+                    emerald_common::event::NextEvent::next_event(&*self.0, now),
+                    self.2.next_event(now),
+                ]
             }
         }
-        emerald_obs::prof::loop_exit(prof_loop);
-        now - start
+        let skip = self.cfg.event_skip;
+        drain_loop(&mut Run(self, ctx, port), "GPU", start, max_cycles, skip) - start
     }
+}
+
+/// A simulation [`drain_loop`] can clock to completion: the bare [`Gpu`]
+/// with its execution context and memory port, or the graphics renderer
+/// with its port.
+pub trait Drain {
+    /// Nothing left in flight — the loop's exit condition.
+    fn is_idle(&self) -> bool;
+
+    /// Executes cycle `now`.
+    fn cycle(&mut self, now: Cycle);
+
+    /// The `next_event(now)` answers of everything that can act on its
+    /// own: the model first (it usually pins), then its memory port.
+    fn next_events(&self, now: Cycle) -> [Option<Cycle>; 2];
+}
+
+/// The one drain loop: clocks `sim` from cycle `start` until it is idle
+/// and returns the first cycle not executed. With `skip` on, stretches in
+/// which only known-time events lie ahead (e.g. in-service DRAM
+/// completions) are jumped instead of ticked; cycle counts and state are
+/// bit-identical either way.
+///
+/// # Panics
+///
+/// Panics if `sim` fails to drain within `max_cycles` (a deadlock in the
+/// model, which tests should catch loudly).
+pub fn drain_loop(
+    sim: &mut impl Drain,
+    what: &str,
+    start: Cycle,
+    max_cycles: Cycle,
+    skip: bool,
+) -> Cycle {
+    let cap = start + max_cycles;
+    let mut next = start;
+    let prof_loop = emerald_obs::prof::loop_enter();
+    while !sim.is_idle() {
+        emerald_obs::prof::tick();
+        sim.cycle(next);
+        next += 1;
+        assert!(
+            next < cap,
+            "{what} did not drain within {max_cycles} cycles"
+        );
+        // Never jump past the drain point: the loop can go idle while
+        // writes are still in flight (their completions are events, but
+        // not ones this loop waits for), and jumping to them would inflate
+        // the cycle count relative to the per-cycle clocking.
+        if skip && !sim.is_idle() {
+            let wake = emerald_common::event::next_wake(next - 1, cap, sim.next_events(next - 1));
+            if wake > next {
+                emerald_obs::prof::record_gpu_skip(wake - next);
+                next = wake;
+            }
+        }
+    }
+    emerald_obs::prof::loop_exit(prof_loop);
+    next
 }
 
 impl emerald_common::snap::Snapshot for Gpu {
@@ -810,6 +856,13 @@ mod tests {
             DramConfig::lpddr3_1600(),
         )));
         (gpu, ctx, port)
+    }
+
+    #[test]
+    fn debug_snapshot_covers_every_core() {
+        // Two cores: a summary that indexed a fixed core 2 panicked here.
+        let s = Gpu::new(GpuConfig::tiny()).debug_snapshot();
+        assert!(s.contains("core0[") && s.contains("core1[") && !s.contains("core2["));
     }
 
     #[test]

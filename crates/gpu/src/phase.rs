@@ -126,6 +126,15 @@ struct PoolShared {
     shutdown: AtomicBool,
     /// A worker panicked during the phase.
     poisoned: AtomicBool,
+    /// Whether the dispatching thread is self-profiling this phase; set
+    /// before the generation bump that publishes it, like `task`.
+    timed: AtomicBool,
+    /// Per-shard busy nanoseconds of a timed phase (slot 0 unused: shard 0
+    /// is the dispatcher). A worker's relaxed store is published by its
+    /// `done` count (Release/Acquire, or the `state` mutex), after which
+    /// the dispatcher folds the slots into its own thread's profile —
+    /// workers own no profiler state.
+    busy_ns: Vec<AtomicU64>,
     /// Number of spawned workers (`threads - 1`); the `done` target.
     workers: usize,
 }
@@ -174,6 +183,8 @@ impl CorePool {
             done: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
+            timed: AtomicBool::new(false),
+            busy_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             workers: threads - 1,
         });
         let workers = (1..threads)
@@ -207,6 +218,8 @@ impl CorePool {
         unsafe {
             *shared.task.get() = Some(std::mem::transmute::<Task<'_>, Task<'static>>(task));
         }
+        let timed = emerald_obs::prof::enabled();
+        shared.timed.store(timed, Ordering::Relaxed);
         {
             let mut st = shared.state.lock().unwrap();
             st.generation += 1;
@@ -219,13 +232,10 @@ impl CorePool {
         }
         // Shard 0 runs on the caller; when the self-profiler is on, its
         // busy time is recorded like any worker shard's.
-        if emerald_obs::prof::enabled() {
-            let t0 = std::time::Instant::now();
-            task(0);
+        let t0 = timed.then(std::time::Instant::now);
+        task(0);
+        if let Some(t0) = t0 {
             emerald_obs::prof::pool_add_busy(0, t0.elapsed().as_nanos() as u64);
-            emerald_obs::prof::pool_record_run(workers + 1);
-        } else {
-            task(0);
         }
         // Wait for the workers: brief spin (they usually finish within
         // microseconds of shard 0), then park on `finish`.
@@ -246,6 +256,12 @@ impl CorePool {
         }
         unsafe {
             *shared.task.get() = None;
+        }
+        if timed {
+            for (shard, ns) in shared.busy_ns.iter().enumerate().skip(1) {
+                emerald_obs::prof::pool_add_busy(shard, ns.load(Ordering::Relaxed));
+            }
+            emerald_obs::prof::pool_record_run(workers + 1);
         }
         assert!(
             !shared.poisoned.swap(false, Ordering::Relaxed),
@@ -306,16 +322,15 @@ fn worker_loop(shared: &PoolShared, shard: usize) {
         let task = unsafe { (*shared.task.get()).expect("task set before generation bump") };
         // Busy-time accounting only times the task itself, never the wait
         // for the next phase — utilization is work over wall, not liveness.
-        let t0 = if emerald_obs::prof::enabled() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+        let t0 = shared
+            .timed
+            .load(Ordering::Relaxed)
+            .then(std::time::Instant::now);
         if catch_unwind(AssertUnwindSafe(|| task(shard))).is_err() {
             shared.poisoned.store(true, Ordering::Relaxed);
         }
         if let Some(t0) = t0 {
-            emerald_obs::prof::pool_add_busy(shard, t0.elapsed().as_nanos() as u64);
+            shared.busy_ns[shard].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
         let mut st = shared.state.lock().unwrap();
         st.done += 1;

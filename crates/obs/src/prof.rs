@@ -17,7 +17,7 @@
 //! # Design constraints
 //!
 //! * **Zero-cost when disabled.** Profiling is off by default and gated
-//!   on [`enabled`] (one relaxed atomic load). No `Instant::now` call is
+//!   on [`enabled`] (one thread-local load). No `Instant::now` call is
 //!   ever made on the hot path while disabled.
 //! * **Never touches simulated state.** The profiler only *reads* the
 //!   simulation and the host clock; bit-identity of results with
@@ -27,13 +27,16 @@
 //!   (1 in [`SAMPLE_STRIDE`]) and extrapolated, which keeps the measured
 //!   overhead well under the 5 % budget `emerald_bench` asserts.
 //!
-//! Counters and phase accumulators are thread-local to the simulation
-//! thread; only the pool-shard busy counters are process-global atomics
-//! (worker threads write them). [`take`] drains everything into a
-//! [`HostProfile`] snapshot.
+//! **All profiler state is scoped to the simulation thread**: the enable
+//! flag, the timestamp calibration and every accumulator are
+//! thread-locals, so simulations profiled on different threads (tests in
+//! one binary, sweep sessions) neither see nor silence each other.
+//! `CorePool` worker threads never touch this module: the dispatching
+//! thread tells them whether to time their shard and folds the shard
+//! times into its own accumulator ([`pool_add_busy`]). [`take`] drains
+//! the calling thread's state into a [`HostProfile`] snapshot.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Host phases the simulation loop is attributed to. GPU phases are the
@@ -135,16 +138,6 @@ pub fn active_bucket_label(bucket: usize) -> &'static str {
     ["0", "1", "2", "3", "4-7", "8-15", "16-31", "32-63", "64+"][bucket]
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Calibrated cost of one `Instant::now` call, in nanoseconds. Every
-/// [`PhaseClock::lap`] interval includes the acquisition cost of its own
-/// closing timestamp; left uncorrected, that cost is extrapolated by the
-/// sampling stride and inflates phase sums by tens of percent on cheap
-/// cycles. [`set_enabled`] measures it once per enable and `lap`
-/// subtracts it (saturating) from every interval.
-static TIMESTAMP_COST_NS: AtomicU64 = AtomicU64::new(0);
-
 /// Measures the average cost of an `Instant::now` call. Timestamps are
 /// interleaved with a little scalar work — back-to-back calls run from a
 /// hot branch predictor and measure several ns below the in-loop cost
@@ -179,13 +172,6 @@ fn calibrate_timestamp_ns() -> u64 {
     with_ts.saturating_sub(work_only) / N
 }
 
-/// Pool-shard busy counters are process-global (worker threads write
-/// them); widths beyond this are clamped and the tail shards unsampled.
-const MAX_POOL_SHARDS: usize = 64;
-static POOL_BUSY: [AtomicU64; MAX_POOL_SHARDS] = [const { AtomicU64::new(0) }; MAX_POOL_SHARDS];
-static POOL_RUNS: AtomicU64 = AtomicU64::new(0);
-static POOL_WIDTH: AtomicUsize = AtomicUsize::new(0);
-
 /// Thread-local accumulators for the simulation thread.
 #[derive(Debug, Clone)]
 struct Accum {
@@ -202,6 +188,9 @@ struct Accum {
     cpu_batches: u64,
     cpu_batch_cycles: u64,
     active_hist: [u64; ACTIVE_BUCKETS],
+    pool_width: usize,
+    pool_runs: u64,
+    pool_busy_ns: Vec<u64>,
 }
 
 impl Accum {
@@ -220,11 +209,22 @@ impl Accum {
             cpu_batches: 0,
             cpu_batch_cycles: 0,
             active_hist: [0; ACTIVE_BUCKETS],
+            pool_width: 0,
+            pool_runs: 0,
+            pool_busy_ns: Vec::new(),
         }
     }
 }
 
 thread_local! {
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    /// Calibrated cost of one `Instant::now` call, in nanoseconds. Every
+    /// [`PhaseClock::lap`] interval includes the acquisition cost of its
+    /// own closing timestamp; left uncorrected, that cost is extrapolated
+    /// by the sampling stride and inflates phase sums by tens of percent
+    /// on cheap cycles. [`set_enabled`] measures it once per enable and
+    /// `lap` subtracts it (saturating) from every interval.
+    static TIMESTAMP_COST_NS: Cell<u64> = const { Cell::new(0) };
     /// Whether the current top-level cycle is wall-clock sampled.
     static SAMPLING: Cell<bool> = const { Cell::new(false) };
     /// Whether an outermost-loop measurement is open (see [`loop_enter`]).
@@ -232,20 +232,20 @@ thread_local! {
     static ACC: RefCell<Accum> = const { RefCell::new(Accum::new()) };
 }
 
-/// Whether profiling is globally enabled. One relaxed atomic load — this
-/// is the whole cost of a disabled emit site.
+/// Whether profiling is enabled on this thread. One thread-local load —
+/// this is the whole cost of a disabled emit site.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.with(|e| e.get())
 }
 
-/// Turns profiling on or off (tests and harnesses; binaries usually use
-/// [`init_from_env`]).
+/// Turns profiling on or off for simulations run on the calling thread
+/// (tests and harnesses; binaries usually use [`init_from_env`]).
 pub fn set_enabled(on: bool) {
     if on {
-        TIMESTAMP_COST_NS.store(calibrate_timestamp_ns(), Ordering::Relaxed);
+        TIMESTAMP_COST_NS.with(|c| c.set(calibrate_timestamp_ns()));
     }
-    ENABLED.store(on, Ordering::Relaxed);
+    ENABLED.with(|e| e.set(on));
     if !on {
         SAMPLING.with(|s| s.set(false));
     }
@@ -272,8 +272,7 @@ pub fn init_from_env() -> bool {
 #[inline]
 pub fn tick() {
     if !enabled() {
-        SAMPLING.with(|s| s.set(false));
-        return;
+        return; // `set_enabled(false)` already cleared `SAMPLING`
     }
     let sample = ACC.with(|a| {
         let a = &mut *a.borrow_mut();
@@ -422,20 +421,30 @@ pub fn record_cpu_batch(cycles: u64) {
     });
 }
 
-/// Adds busy nanoseconds for a pool shard (worker threads call this; the
-/// counters are global atomics, not thread-locals).
+/// Adds busy nanoseconds for a pool shard. Called by the *dispatching*
+/// thread after the phase barrier, once per shard, with the times the
+/// workers measured — worker threads have no profiler state of their own.
+/// Caller must check [`enabled`] first.
 #[inline]
 pub fn pool_add_busy(shard: usize, ns: u64) {
-    if shard < MAX_POOL_SHARDS {
-        POOL_BUSY[shard].fetch_add(ns, Ordering::Relaxed);
-    }
+    ACC.with(|a| {
+        let busy = &mut a.borrow_mut().pool_busy_ns;
+        if busy.len() <= shard {
+            busy.resize(shard + 1, 0);
+        }
+        busy[shard] += ns;
+    });
 }
 
-/// Records one pool dispatch at the given width.
+/// Records one pool dispatch at the given width. Caller must check
+/// [`enabled`] first.
 #[inline]
 pub fn pool_record_run(width: usize) {
-    POOL_RUNS.fetch_add(1, Ordering::Relaxed);
-    POOL_WIDTH.fetch_max(width, Ordering::Relaxed);
+    ACC.with(|a| {
+        let a = &mut *a.borrow_mut();
+        a.pool_runs += 1;
+        a.pool_width = a.pool_width.max(width);
+    });
 }
 
 /// A lap timer over the phases of one sampled cycle. `start` takes a
@@ -467,7 +476,7 @@ impl PhaseClock {
         if let Some(t) = &mut self.0 {
             let now = Instant::now();
             let raw = now.duration_since(*t).as_nanos() as u64;
-            let cal = TIMESTAMP_COST_NS.load(Ordering::Relaxed);
+            let cal = TIMESTAMP_COST_NS.with(|c| c.get());
             add_phase_ns(phase, raw.saturating_sub(cal));
             *t = now;
         }
@@ -583,13 +592,13 @@ impl HostProfile {
     }
 }
 
-/// Drains all accumulators (thread-local and pool atomics) into a
-/// snapshot and resets them. Phase times are rescaled so they sum to the
+/// Drains the calling thread's accumulators into a snapshot and resets
+/// them. Phase times are rescaled so they sum to the
 /// measured loop total when one exists (sampling sets proportions, the
 /// loop brackets set the denominator); without one they are
 /// extrapolated by `ticks / sampled`.
 pub fn take() -> HostProfile {
-    let acc = ACC.with(|a| std::mem::replace(&mut *a.borrow_mut(), Accum::new()));
+    let mut acc = ACC.with(|a| std::mem::replace(&mut *a.borrow_mut(), Accum::new()));
     SAMPLING.with(|s| s.set(false));
     let raw_sum: u64 = acc.phase_ns.iter().sum();
     let scale = if acc.loop_ns > 0 && raw_sum > 0 {
@@ -603,15 +612,7 @@ pub fn take() -> HostProfile {
     for (out, raw) in phase_ns.iter_mut().zip(acc.phase_ns) {
         *out = (raw as f64 * scale) as u64;
     }
-    let pool_threads = POOL_WIDTH.swap(0, Ordering::Relaxed).min(MAX_POOL_SHARDS);
-    let pool_runs = POOL_RUNS.swap(0, Ordering::Relaxed);
-    let mut pool_busy_ns = Vec::with_capacity(pool_threads);
-    for slot in POOL_BUSY.iter().take(pool_threads) {
-        pool_busy_ns.push(slot.swap(0, Ordering::Relaxed));
-    }
-    for slot in POOL_BUSY.iter().skip(pool_threads) {
-        slot.store(0, Ordering::Relaxed);
-    }
+    acc.pool_busy_ns.resize(acc.pool_width, 0);
     HostProfile {
         ticks: acc.ticks,
         sampled: acc.sampled,
@@ -625,9 +626,9 @@ pub fn take() -> HostProfile {
         cpu_batches: acc.cpu_batches,
         cpu_batch_cycles: acc.cpu_batch_cycles,
         active_hist: acc.active_hist,
-        pool_threads,
-        pool_runs,
-        pool_busy_ns,
+        pool_threads: acc.pool_width,
+        pool_runs: acc.pool_runs,
+        pool_busy_ns: acc.pool_busy_ns,
     }
 }
 
@@ -640,17 +641,11 @@ pub fn reset() {
 mod tests {
     use super::*;
 
-    // Profiling state is process-global; every test serializes on this
-    // lock so toggling `ENABLED` cannot race a sibling test.
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    // Profiler state is thread-scoped and every test runs on its own
+    // thread, so tests toggle and drain it freely without serializing.
 
     #[test]
     fn disabled_path_records_nothing() {
-        let _g = locked();
         set_enabled(false);
         reset();
         tick();
@@ -665,7 +660,6 @@ mod tests {
 
     #[test]
     fn sampling_cadence_is_strided() {
-        let _g = locked();
         set_enabled(true);
         reset();
         let mut sampled = 0u64;
@@ -685,7 +679,6 @@ mod tests {
 
     #[test]
     fn phase_clock_attributes_and_extrapolates() {
-        let _g = locked();
         set_enabled(true);
         reset();
         // Tick up to the first sampled cycle (mid-stride, not tick 1).
@@ -721,7 +714,6 @@ mod tests {
 
     #[test]
     fn loop_total_rescales_phase_sums() {
-        let _g = locked();
         set_enabled(true);
         reset();
         let outer = loop_enter();
@@ -754,7 +746,6 @@ mod tests {
 
     #[test]
     fn gpu_and_soc_counters_accumulate() {
-        let _g = locked();
         set_enabled(true);
         reset();
         record_gpu_cycle(0, true);
@@ -778,7 +769,6 @@ mod tests {
 
     #[test]
     fn skip_records_match_per_cycle_clocking() {
-        let _g = locked();
         set_enabled(true);
         reset();
         for _ in 0..5 {
@@ -802,7 +792,6 @@ mod tests {
 
     #[test]
     fn cpu_batch_counters_accumulate_and_reset() {
-        let _g = locked();
         set_enabled(true);
         reset();
         record_cpu_batch(100);
@@ -816,7 +805,6 @@ mod tests {
 
     #[test]
     fn pool_counters_drain_and_reset() {
-        let _g = locked();
         reset();
         pool_add_busy(0, 100);
         pool_add_busy(1, 300);
@@ -830,6 +818,27 @@ mod tests {
         let p2 = take();
         assert_eq!(p2.pool_runs, 0);
         assert!(p2.pool_busy_ns.is_empty());
+    }
+
+    #[test]
+    fn state_is_scoped_to_the_thread() {
+        set_enabled(true);
+        reset();
+        record_soc_cycle(true);
+        // A sibling thread starts disabled, sees none of our counters, and
+        // neither its enabling nor its disabling reaches back here.
+        std::thread::spawn(|| {
+            assert!(!enabled());
+            set_enabled(true);
+            record_soc_cycle(false);
+            record_soc_cycle(false);
+            assert_eq!(take().soc_cycles, 2);
+            set_enabled(false);
+        })
+        .join()
+        .unwrap();
+        assert!(enabled());
+        assert_eq!(take().soc_cycles, 1);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use emerald_common::types::{AccessKind, Addr, Cycle, TrafficSource};
 use emerald_mem::cache::{Access, Cache, CacheConfig, WritePolicy};
 use emerald_mem::image::SharedMem;
 use emerald_mem::req::{MemRequest, ReqIdGen};
+use emerald_mem::system::MemorySystem;
 
 /// One step of a CPU core's per-frame script.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -453,8 +454,7 @@ impl CpuCoreModel {
     ///
     /// Callers must drain requests before batching (the output buffer must
     /// be empty at entry) and must hold `gpu_frame_done` constant across
-    /// the window, exactly as the [`CpuCoreModel::next_event`] contract
-    /// already requires for skipping.
+    /// the window ([`CpuCluster::run_ahead`] is the one caller that does).
     pub fn run_batch(
         &mut self,
         now: Cycle,
@@ -540,7 +540,7 @@ impl CpuCoreModel {
                     let left = budget - consumed;
                     if to_poll > left {
                         // The next poll lies beyond the window: bump the
-                        // counter analytically, as `fast_forward` does.
+                        // counter analytically.
                         self.poll_counter += left as u32;
                         return (budget, CpuEvent::None);
                     }
@@ -555,59 +555,6 @@ impl CpuCoreModel {
                     }
                 }
             }
-        }
-    }
-
-    /// Earliest cycle `> now` at which ticking this core is *not* a state
-    /// no-op, given the current `gpu_frame_done` level (the SoC re-queries
-    /// whenever that input changes, so it is part of the component's
-    /// observable environment rather than a future event to predict).
-    ///
-    /// The only phase with a computable quiet stretch is an unsatisfied
-    /// `WaitGpu`: every tick bumps `poll_counter` (replayed analytically
-    /// by [`CpuCoreModel::fast_forward`]) and the next observable action
-    /// is the fence poll when the counter reaches [`POLL_INTERVAL`].
-    /// `Work`/`IssueDraw` phases act every cycle, a stalled core burns a
-    /// `stall_cycles` counter every cycle, and pending output must drain —
-    /// all of those pin the clock to `now + 1`. A core at frame end is
-    /// fully passive.
-    pub fn next_event(&self, now: Cycle, gpu_frame_done: bool) -> Option<Cycle> {
-        if self.at_frame_end {
-            return None;
-        }
-        if !self.out.is_empty() || self.outstanding >= self.max_outstanding {
-            return Some(now + 1);
-        }
-        match self.workload.phases.get(self.phase_idx) {
-            Some(Phase::WaitGpu) if !gpu_frame_done => {
-                Some(now + (POLL_INTERVAL - self.poll_counter) as Cycle)
-            }
-            _ => Some(now + 1),
-        }
-    }
-
-    /// Replays `cycles` consecutive no-op ticks analytically. Callers must
-    /// only skip up to (not across) the cycle reported by
-    /// [`CpuCoreModel::next_event`]; within that window the only state the
-    /// per-cycle reference clocking would touch is the `WaitGpu` poll
-    /// counter.
-    pub fn fast_forward(&mut self, cycles: Cycle) {
-        if cycles == 0 || self.at_frame_end {
-            return;
-        }
-        debug_assert!(
-            self.out.is_empty() && self.outstanding < self.max_outstanding,
-            "skipped across a busy/stalled core"
-        );
-        match self.workload.phases.get(self.phase_idx) {
-            Some(Phase::WaitGpu) => {
-                self.poll_counter += cycles as u32;
-                debug_assert!(
-                    self.poll_counter < POLL_INTERVAL,
-                    "skipped across a fence poll"
-                );
-            }
-            _ => debug_assert!(false, "skipped across an active phase"),
         }
     }
 }
@@ -668,6 +615,324 @@ impl emerald_common::snap::Restore for CpuCoreModel {
             stall_cycles: r.get_u64()?,
             frames: r.get_u64()?,
         };
+        Ok(())
+    }
+}
+
+/// Forwards `reqs` to the memory system in issue order. On backpressure
+/// the rejected request and everything behind it go back to their source
+/// through `requeue` — dropping one would lose its response forever.
+pub(crate) fn forward_requests(
+    reqs: Vec<MemRequest>,
+    memsys: &mut MemorySystem,
+    now: Cycle,
+    mut requeue: impl FnMut(MemRequest),
+) {
+    let mut reqs = reqs.into_iter();
+    for req in reqs.by_ref() {
+        if let Err(back) = memsys.enqueue(req, now) {
+            requeue(back);
+            break;
+        }
+    }
+    reqs.for_each(requeue);
+}
+
+/// The SoC's CPU cores and the one mechanism by which they advance: a
+/// per-cycle [`CpuCluster::step`], plus — behind the `batch` gate
+/// (`SocConfig::cpu_batch`) — [`CpuCluster::run_ahead`], which executes
+/// cores through a window the SoC proved quiet and parks whatever they
+/// produce until the clock catches up.
+///
+/// Relative to the SoC clock `now` every core is in exactly one state:
+///
+/// * **due** — last executed cycle is `now`; owed a tick at `now + 1`.
+/// * **ahead** — already executed through `ran_until > now`; `step` is a
+///   no-op for it until the clock passes `ran_until`.
+/// * **parked** — ran ahead to an observable interaction (`IssueDraw`, a
+///   memory request) at cycle `s`; `pending` holds it and `step(s)`
+///   delivers it. Requests a parked core issued *at* `s` stay in its
+///   output buffer until then — draining them sooner would leak them into
+///   the memory system early (the first bug lockstep caught).
+/// * **done** — frame-end flag raised; `end_at` records the cycle it
+///   flipped, because a core that ran ahead raises the flag before the
+///   clock gets there and the frame barrier must read the clock's view.
+///
+/// With the gate off no core ever leaves due/done and the cluster is the
+/// per-cycle reference clocking.
+#[derive(Debug)]
+pub struct CpuCluster {
+    cores: Vec<CpuCoreModel>,
+    batch: bool,
+    /// Last cycle each core has executed.
+    ran_until: Vec<Cycle>,
+    /// Undelivered interaction of each parked core, at its exact cycle.
+    pending: Vec<Option<(Cycle, CpuEvent)>>,
+    /// Cycle each core's frame-end flag flipped (`Cycle::MAX` = not yet).
+    end_at: Vec<Cycle>,
+}
+
+impl CpuCluster {
+    /// Wraps `cores`; `batch` is the run-ahead gate.
+    pub fn new(cores: Vec<CpuCoreModel>, batch: bool) -> Self {
+        let n = cores.len();
+        Self {
+            cores,
+            batch,
+            ran_until: vec![0; n],
+            pending: vec![None; n],
+            end_at: vec![Cycle::MAX; n],
+        }
+    }
+
+    /// The cores, in index order.
+    pub fn cores(&self) -> &[CpuCoreModel] {
+        &self.cores
+    }
+
+    /// Mutable access to the cores (response delivery, stats resets).
+    pub fn cores_mut(&mut self) -> &mut [CpuCoreModel] {
+        &mut self.cores
+    }
+
+    /// Releases the frame barrier at cycle `now`: every core restarts its
+    /// script and is due at `now + 1`.
+    pub fn begin_frame(&mut self, now: Cycle) {
+        for c in &mut self.cores {
+            c.begin_frame();
+        }
+        self.ran_until.fill(now);
+        self.pending.fill(None);
+        self.end_at.fill(Cycle::MAX);
+    }
+
+    /// Clock cycle `now`: delivers interactions parked at `now`, ticks
+    /// every due core, and forwards the cores' requests to `memsys`.
+    /// Returns [`CpuEvent::IssueDraw`] if a core submitted the frame's
+    /// draws at this cycle.
+    pub fn step(
+        &mut self,
+        now: Cycle,
+        gpu_done: bool,
+        ids: &mut ReqIdGen,
+        memsys: &mut MemorySystem,
+    ) -> CpuEvent {
+        let mut event = CpuEvent::None;
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            let ev = match self.pending[i] {
+                Some((s, ev)) if s == now => {
+                    self.pending[i] = None;
+                    ev
+                }
+                _ if self.ran_until[i] >= now => CpuEvent::None,
+                _ => {
+                    let was_end = core.at_frame_end();
+                    let ev = core.tick(now, gpu_done, ids);
+                    self.ran_until[i] = now;
+                    if !was_end && core.at_frame_end() {
+                        self.end_at[i] = now;
+                    }
+                    ev
+                }
+            };
+            if ev == CpuEvent::IssueDraw {
+                event = ev;
+            }
+            // Still parked at a future cycle: hold its requests.
+            if self.pending[i].is_some() {
+                continue;
+            }
+            forward_requests(core.drain_requests(), memsys, now, |r| core.requeue(r));
+        }
+        event
+    }
+
+    /// Whether a quiet window past `now` is worth searching for: some due
+    /// core could run ahead through it, or — when the clock may jump
+    /// (`skip`) — no due core is stuck needing its tick at `now + 1`.
+    pub fn wants_window(&self, now: Cycle, skip: bool) -> bool {
+        let (mut runnable, mut stuck) = (false, false);
+        for (i, c) in self.cores.iter().enumerate() {
+            if self.pending[i].is_some() || c.at_frame_end() || self.ran_until[i] > now {
+                continue;
+            }
+            if self.batch && !c.has_pending_out() {
+                runnable = true;
+            } else {
+                stuck = true;
+            }
+        }
+        runnable || (skip && !stuck)
+    }
+
+    /// Runs every unparked core through the quiet window `(now, w)` —
+    /// cycles in which, per their `next_event` contracts, no non-CPU
+    /// component can act, so `gpu_done` is frozen and no response can
+    /// arrive. A core stops at its first observable interaction (parked at
+    /// that exact cycle) or at frame end. No-op with the gate off.
+    ///
+    /// `fence_open` says the frame's draws are still undelivered and the
+    /// GPU has not finished: `gpu_done` can then flip *inside* the window
+    /// (a parked `IssueDraw` submits, the GPU completes), so an
+    /// unsatisfied fence wait must not pre-burn polls past the earliest
+    /// possible submission cycle — the second bug lockstep caught, with
+    /// unbounded non-DASH windows. Cores that may still submit therefore
+    /// run first, with no fence pre-burn at all; their progress bounds
+    /// everyone else's: a submitter parked on `IssueDraw` at `s` submits at
+    /// `s` (polls are safe through `s - 1`), one parked on anything else
+    /// at `p` cannot submit before `p + 1`, and one that ran to `r` without
+    /// reaching `IssueDraw` cannot submit before `r + 1`.
+    pub fn run_ahead(
+        &mut self,
+        now: Cycle,
+        w: Cycle,
+        fence_open: bool,
+        gpu_done: bool,
+        ids: &mut ReqIdGen,
+    ) {
+        if !self.batch {
+            return;
+        }
+        let quiet_end = w - 1;
+        let submitter: Vec<bool> = self.cores.iter().map(|c| c.may_issue_draw()).collect();
+        let mut fence_end = if fence_open { now } else { quiet_end };
+        for i in (0..self.cores.len()).filter(|&i| submitter[i]) {
+            self.run_core_ahead(i, now, quiet_end, fence_end, gpu_done, ids);
+        }
+        fence_end = quiet_end;
+        if fence_open {
+            for i in (0..self.cores.len()).filter(|&i| submitter[i]) {
+                if !self.cores[i].at_frame_end() {
+                    fence_end = fence_end.min(match self.pending[i] {
+                        Some((s, CpuEvent::IssueDraw)) => s.saturating_sub(1),
+                        Some((p, _)) => p,
+                        None => self.ran_until[i],
+                    });
+                }
+            }
+        }
+        for i in (0..self.cores.len()).filter(|&i| !submitter[i]) {
+            self.run_core_ahead(i, now, quiet_end, fence_end, gpu_done, ids);
+        }
+    }
+
+    /// Batches core `i` up to `quiet_end`, or only to `fence_end` while it
+    /// sits in a fence wait.
+    fn run_core_ahead(
+        &mut self,
+        i: usize,
+        now: Cycle,
+        quiet_end: Cycle,
+        fence_end: Cycle,
+        gpu_done: bool,
+        ids: &mut ReqIdGen,
+    ) {
+        let core = &mut self.cores[i];
+        if self.pending[i].is_some() || core.has_pending_out() {
+            return;
+        }
+        let mut base = self.ran_until[i].max(now);
+        loop {
+            let stop = if core.in_wait_gpu() {
+                fence_end
+            } else {
+                quiet_end
+            };
+            if base >= stop {
+                break;
+            }
+            let was_end = core.at_frame_end();
+            let (used, ev) = core.run_batch(base, stop - base, gpu_done, ids);
+            base += used;
+            emerald_obs::prof::record_cpu_batch(used);
+            if ev != CpuEvent::None || core.has_pending_out() {
+                self.pending[i] = Some((base, ev));
+                break;
+            }
+            if !was_end && core.at_frame_end() {
+                self.end_at[i] = base;
+                break;
+            }
+        }
+        self.ran_until[i] = base;
+    }
+
+    /// The cycle the clock must visit next, given the non-CPU wake `w`:
+    /// every parked interaction and every pre-applied frame-end flip at
+    /// its exact cycle, and the cycle after the last one a still-running
+    /// core executed (a due core pins `now + 1`). Everything before the
+    /// minimum is dead time.
+    pub fn wake(&self, now: Cycle, w: Cycle) -> Cycle {
+        let mut wake = w;
+        for (i, c) in self.cores.iter().enumerate() {
+            match self.pending[i] {
+                Some((s, _)) => wake = wake.min(s),
+                None if !c.at_frame_end() => wake = wake.min(self.ran_until[i] + 1),
+                None => {}
+            }
+            if self.end_at[i] > now {
+                wake = wake.min(self.end_at[i]);
+            }
+        }
+        wake
+    }
+
+    /// The frame barrier as the clock sees it at `now`: every core's
+    /// frame-end flag flipped at or before this cycle.
+    pub fn all_done(&self, now: Cycle) -> bool {
+        self.end_at.iter().all(|&t| t <= now)
+    }
+}
+
+impl emerald_common::snap::Snapshot for CpuCluster {
+    /// Serializes every core plus the run-ahead bookkeeping, so a
+    /// mid-frame checkpoint resumes with cores exactly as far ahead of the
+    /// clock as they were.
+    fn snapshot(&self, w: &mut SnapWriter) {
+        w.put_usize(self.cores.len());
+        for c in &self.cores {
+            w.section(5, |w| c.snapshot(w));
+        }
+        w.put_seq(self.ran_until.iter(), |w, &t| w.put_u64(t));
+        w.put_seq(self.pending.iter(), |w, p| {
+            w.put_opt(p, |w, &(cycle, ev)| {
+                w.put_u64(cycle);
+                w.put_bool(ev == CpuEvent::IssueDraw);
+            });
+        });
+        w.put_seq(self.end_at.iter(), |w, &t| w.put_u64(t));
+    }
+}
+
+impl emerald_common::snap::Restore for CpuCluster {
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = self.cores.len();
+        if r.get_usize()? != n {
+            return Err(SnapError::BadValue {
+                what: "CPU core count mismatch",
+            });
+        }
+        for c in &mut self.cores {
+            r.section(5, |r| c.restore(r))?;
+        }
+        self.ran_until = r.get_seq(8, |r| r.get_u64())?;
+        self.pending = r.get_seq(1, |r| {
+            r.get_opt(|r| {
+                let cycle = r.get_u64()?;
+                let ev = if r.get_bool()? {
+                    CpuEvent::IssueDraw
+                } else {
+                    CpuEvent::None
+                };
+                Ok((cycle, ev))
+            })
+        })?;
+        self.end_at = r.get_seq(8, |r| r.get_u64())?;
+        if self.ran_until.len() != n || self.pending.len() != n || self.end_at.len() != n {
+            return Err(SnapError::BadValue {
+                what: "CPU run-ahead state core count mismatch",
+            });
+        }
         Ok(())
     }
 }
@@ -767,46 +1032,6 @@ mod tests {
             heavy.stats().mem_requests,
             light.stats().mem_requests
         );
-    }
-
-    #[test]
-    fn fence_poll_wake_is_exact() {
-        let m = mem();
-        let mut ids = ReqIdGen::new();
-        let wl = CpuWorkload {
-            phases: vec![Phase::WaitGpu],
-        };
-        let mut cpu = CpuCoreModel::new(0, wl.clone(), &m, 6);
-
-        // A fresh waiting core announces the fence poll exactly.
-        let t = cpu.next_event(0, false).unwrap();
-        assert_eq!(t, POLL_INTERVAL as Cycle);
-        for now in 1..t {
-            cpu.tick(now, false, &mut ids);
-            assert!(
-                cpu.drain_requests().is_empty(),
-                "request before announced poll at {now}"
-            );
-        }
-        cpu.tick(t, false, &mut ids);
-        let reqs = cpu.drain_requests();
-        assert_eq!(reqs.len(), 1, "the poll cycle issues the fence read");
-        cpu.on_response();
-
-        // A twin that fast-forwards the announced-dead gap lands in the
-        // identical state: the tick at `t` issues the same fence read.
-        let mut twin = CpuCoreModel::new(0, wl, &m, 7);
-        twin.fast_forward(t - 1);
-        twin.tick(t, false, &mut ids);
-        assert_eq!(twin.drain_requests().len(), 1);
-        twin.on_response();
-
-        // Once the GPU signals done the script advances, the core reaches
-        // frame end, and it goes fully passive (no more wakes).
-        cpu.tick(t + 1, true, &mut ids);
-        cpu.tick(t + 2, true, &mut ids);
-        assert!(cpu.at_frame_end());
-        assert_eq!(cpu.next_event(t + 2, true), None);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The assembled SoC: CPU cluster + GPU renderer + display controller +
 //! multi-channel DRAM behind the system NoC (Fig. 1).
 
-use crate::cpu::{CpuCoreModel, CpuEvent, CpuWorkload};
+use crate::cpu::{forward_requests, CpuCluster, CpuCoreModel, CpuEvent, CpuWorkload};
 use crate::display::DisplayController;
+use emerald_common::event::{next_wake, NextEvent};
 use emerald_common::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use emerald_common::types::{AccessKind, Cycle, TrafficSource};
 use emerald_core::renderer::FrameStats;
@@ -37,11 +38,11 @@ pub struct SocConfig {
     pub cpu_workloads: Vec<CpuWorkload>,
     /// Cycles between DASH deadline-feedback updates.
     pub feedback_interval: Cycle,
-    /// Batched CPU `Work`-phase execution (run-until-interaction). The
-    /// per-cycle CPU clocking is kept forever as the reference semantics;
-    /// this flag (default from `EMERALD_CPU_BATCH`, on) selects the
-    /// batched twin, which is bit-identical by contract and gated by the
-    /// lockstep suites in `tests/` and the conformance canary.
+    /// Run-ahead gate: may CPU cores execute ahead of the clock through
+    /// windows the SoC proved quiet (see [`CpuCluster`])? Presets turn it
+    /// on; results are bit-identical either way, and the lockstep suites
+    /// in `tests/` and the conformance canary flip it off to get the
+    /// per-cycle CPU clocking they compare against.
     pub cpu_batch: bool,
 }
 
@@ -69,7 +70,7 @@ impl SocConfig {
                 CpuWorkload::mixed(),
             ],
             feedback_interval: 1_000,
-            cpu_batch: emerald_common::event::cpu_batch_from_env(),
+            cpu_batch: true,
         }
     }
 }
@@ -102,8 +103,8 @@ impl MemPort for SocPort<'_> {
     }
 }
 
-/// Where a frame's execution stands. [`Soc::run_frame`] historically kept
-/// this on its stack; it is externalized so a mid-frame checkpoint can
+/// Where a frame's execution stands (the CPU side of it lives in
+/// [`CpuCluster`]). Kept off the stack so a mid-frame checkpoint can
 /// serialize the frame's progress and a restored SoC can resume driving
 /// the same frame.
 #[derive(Debug, Clone)]
@@ -113,25 +114,16 @@ struct FrameCursor {
     gpu_cycles: Cycle,
     gpu_active: bool,
     gpu_done: bool,
-    /// Batch-mode bookkeeping: last cycle each core has executed.
-    ran_until: Vec<Cycle>,
-    /// Undelivered core interactions parked at their exact cycles.
-    pending: Vec<Option<(Cycle, CpuEvent)>>,
-    /// Cycle each core's frame-end flag flipped (`Cycle::MAX` = not yet).
-    end_at: Vec<Cycle>,
 }
 
 impl FrameCursor {
-    fn new(now: Cycle, n_cpus: usize) -> Self {
+    fn new(now: Cycle) -> Self {
         Self {
             frame_start: now,
             gpu_start: now,
             gpu_cycles: 0,
             gpu_active: false,
             gpu_done: false,
-            ran_until: vec![now; n_cpus],
-            pending: vec![None; n_cpus],
-            end_at: vec![Cycle::MAX; n_cpus],
         }
     }
 
@@ -141,55 +133,22 @@ impl FrameCursor {
         w.put_u64(self.gpu_cycles);
         w.put_bool(self.gpu_active);
         w.put_bool(self.gpu_done);
-        w.put_seq(self.ran_until.iter(), |w, &t| w.put_u64(t));
-        w.put_seq(self.pending.iter(), |w, p| {
-            w.put_opt(p, |w, &(cycle, ev)| {
-                w.put_u64(cycle);
-                w.put_u8(match ev {
-                    CpuEvent::None => 0,
-                    CpuEvent::IssueDraw => 1,
-                });
-            });
-        });
-        w.put_seq(self.end_at.iter(), |w, &t| w.put_u64(t));
     }
 
-    fn snap_read(r: &mut SnapReader<'_>, n_cpus: usize) -> Result<Self, SnapError> {
-        let cur = Self {
+    fn snap_read(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Self {
             frame_start: r.get_u64()?,
             gpu_start: r.get_u64()?,
             gpu_cycles: r.get_u64()?,
             gpu_active: r.get_bool()?,
             gpu_done: r.get_bool()?,
-            ran_until: r.get_seq(8, |r| r.get_u64())?,
-            pending: r.get_seq(1, |r| {
-                r.get_opt(|r| {
-                    let cycle = r.get_u64()?;
-                    let ev = match r.get_u8()? {
-                        0 => CpuEvent::None,
-                        1 => CpuEvent::IssueDraw,
-                        _ => {
-                            return Err(SnapError::BadValue {
-                                what: "CPU event tag",
-                            })
-                        }
-                    };
-                    Ok((cycle, ev))
-                })
-            })?,
-            end_at: r.get_seq(8, |r| r.get_u64())?,
-        };
-        if cur.ran_until.len() != n_cpus
-            || cur.pending.len() != n_cpus
-            || cur.end_at.len() != n_cpus
-        {
-            return Err(SnapError::BadValue {
-                what: "frame cursor CPU count mismatch",
-            });
-        }
-        Ok(cur)
+        })
     }
 }
+
+/// The frame a clock step belongs to: its cursor and the draws the driver
+/// core has yet to submit (`None` once submitted).
+type Frame<'a> = (&'a mut FrameCursor, &'a mut Option<Vec<DrawCall>>);
 
 /// The full SoC.
 #[derive(Debug)]
@@ -203,7 +162,7 @@ pub struct Soc {
     pub renderer: GpuRenderer,
     /// The render target the app draws into and the display scans.
     pub rt: RenderTarget,
-    cpus: Vec<CpuCoreModel>,
+    cpus: CpuCluster,
     display: DisplayController,
     ids: ReqIdGen,
     gpu_resp: VecDeque<MemResponse>,
@@ -229,6 +188,7 @@ impl Soc {
             .enumerate()
             .map(|(i, w)| CpuCoreModel::new(i, w.clone(), &mem, 0x50C0 + i as u64))
             .collect();
+        let cpus = CpuCluster::new(cpus, cfg.cpu_batch);
         let fb_bytes = cfg.width as u64 * cfg.height as u64 * 4;
         let display = DisplayController::new(rt.color_base, fb_bytes, cfg.display_period);
         Self {
@@ -270,7 +230,7 @@ impl Soc {
     /// [`CpuCoreModel::debug_reset_rng`].
     #[doc(hidden)]
     pub fn debug_reset_cpu_rng(&mut self, core: usize) {
-        self.cpus[core].debug_reset_rng();
+        self.cpus.cores_mut()[core].debug_reset_rng();
     }
 
     /// Display statistics.
@@ -280,7 +240,7 @@ impl Soc {
 
     /// CPU statistics per core.
     pub fn cpu_stats(&self) -> Vec<crate::cpu::CpuStats> {
-        self.cpus.iter().map(|c| c.stats()).collect()
+        self.cpus.cores().iter().map(|c| c.stats()).collect()
     }
 
     /// Publishes the whole SoC's statistics into `reg`: the renderer under
@@ -290,7 +250,7 @@ impl Soc {
         self.renderer.publish(reg, "gfx");
         self.memsys.publish(reg, "mem.dram");
         self.display.stats().publish(reg, "soc.display");
-        for cpu in &self.cpus {
+        for cpu in self.cpus.cores() {
             cpu.stats().publish(reg, &format!("soc.cpu{}", cpu.id));
         }
         reg.set_counter("soc.frames_rendered", self.frames_rendered);
@@ -304,7 +264,7 @@ impl Soc {
     pub fn reset_stats(&mut self) {
         self.memsys.reset_stats();
         self.display.reset_stats();
-        for cpu in &mut self.cpus {
+        for cpu in self.cpus.cores_mut() {
             cpu.reset_stats();
         }
     }
@@ -319,7 +279,7 @@ impl Soc {
                 }
                 TrafficSource::Cpu(i) => {
                     if r.kind == AccessKind::Read {
-                        if let Some(c) = self.cpus.get_mut(i) {
+                        if let Some(c) = self.cpus.cores_mut().get_mut(i) {
                             c.on_response();
                         }
                     }
@@ -334,14 +294,16 @@ impl Soc {
         }
     }
 
-    fn dash_feedback(&mut self, gpu_active: bool, gpu_start: Cycle) {
+    /// DASH deadline feedback; `rendering_since` is the cycle the GPU
+    /// started the frame it is still rendering, if any.
+    fn dash_feedback(&mut self, rendering_since: Option<Cycle>) {
         if !self.now.is_multiple_of(self.cfg.feedback_interval) {
             return;
         }
         let Some(dash) = self.memsys.dash() else {
             return;
         };
-        if gpu_active {
+        if let Some(gpu_start) = rendering_since {
             let done = if self.expected_frags == 0 {
                 1.0
             } else {
@@ -385,11 +347,9 @@ impl Soc {
         // Per-frame clear, as the app would issue (functionally instant;
         // real hardware fast-clears via metadata, which we do not model).
         self.rt.clear(&self.mem, [0.05, 0.05, 0.08, 1.0], 1.0);
-        for c in &mut self.cpus {
-            c.begin_frame();
-        }
+        self.cpus.begin_frame(self.now);
         self.renderer.begin_frame();
-        let mut cur = FrameCursor::new(self.now, self.cpus.len());
+        let mut cur = FrameCursor::new(self.now);
         let mut draws = Some(draws);
         let snap = self.drive_frame(&mut cur, &mut draws, max_cycles, checkpoint_at);
         (self.finish_frame(&cur), snap)
@@ -422,8 +382,116 @@ impl Soc {
         self.resume.is_some()
     }
 
+    /// One clock cycle of the whole SoC, in the fixed component order the
+    /// reference clocking defines: memory system, display, CPU cluster,
+    /// renderer, DASH feedback. With `frame` absent the CPU cluster stays
+    /// parked at the frame barrier ([`Soc::idle_until`]).
+    fn step(&mut self, mut frame: Option<Frame<'_>>) {
+        use emerald_obs::prof::{self, HostPhase};
+        prof::tick();
+        let mut clk = prof::PhaseClock::start();
+        self.now += 1;
+        let now = self.now;
+
+        self.memsys.tick(now);
+        self.route_responses();
+        clk.lap(HostPhase::SocMem);
+
+        self.display.tick(now, &mut self.ids);
+        let display = &mut self.display;
+        forward_requests(display.drain_requests(), &mut self.memsys, now, |r| {
+            display.requeue(r)
+        });
+        clk.lap(HostPhase::SocDisplay);
+
+        if let Some((cur, draws)) = &mut frame {
+            let ev = self
+                .cpus
+                .step(now, cur.gpu_done, &mut self.ids, &mut self.memsys);
+            if ev == CpuEvent::IssueDraw {
+                if let Some(ds) = draws.take() {
+                    for d in ds {
+                        self.renderer.draw(d);
+                    }
+                    cur.gpu_start = now;
+                    cur.gpu_active = true;
+                }
+            }
+            clk.lap(HostPhase::SocCpu);
+        }
+
+        // The renderer attributes its own host time (don't double-count).
+        // Between frames it is idle but must still consume straggler
+        // responses from its last frame's writes.
+        let mut port = SocPort {
+            memsys: &mut self.memsys,
+            resp: &mut self.gpu_resp,
+        };
+        self.renderer.cycle(now, &mut port);
+        clk.skip();
+        let rendering_since = frame.and_then(|(cur, _)| {
+            if cur.gpu_active && !cur.gpu_done && self.renderer.is_idle() {
+                cur.gpu_done = true;
+                cur.gpu_cycles = now - cur.gpu_start;
+            }
+            (cur.gpu_active && !cur.gpu_done).then_some(cur.gpu_start)
+        });
+        self.dash_feedback(rendering_since);
+
+        // Skip-opportunity accounting: a cycle is skippable when the GPU
+        // has nothing in flight, the display engine has nothing pending
+        // and no memory request awaits a scheduling decision. In-service
+        // DRAM accesses complete at precomputed cycles and CPU scripts
+        // advance analytically, so neither pins a cycle.
+        if prof::enabled() {
+            let skippable = self.renderer.gpu.is_quiescent()
+                && !self.display.has_pending()
+                && self.memsys.queued() == 0;
+            prof::record_soc_cycle(skippable);
+        }
+        clk.lap(HostPhase::SocOther);
+    }
+
+    /// The earliest cycle after `now` (at most `cap`) at which a non-CPU
+    /// component can act without new input; every cycle before it is, per
+    /// the [`NextEvent`] contract, a bit-for-bit no-op for all of them —
+    /// in particular the renderer cannot finish and no response can
+    /// arrive. The one non-CPU pin search: cheapest pin first, bailing at
+    /// the first `now + 1`, so a cycle with the GPU busy costs a few flag
+    /// reads.
+    fn quiet_until(&self, now: Cycle, cap: Cycle) -> Cycle {
+        use std::iter::once_with;
+        let pins = once_with(|| (!self.gpu_resp.is_empty()).then_some(now + 1))
+            .chain(once_with(|| self.renderer.next_event(now)))
+            .chain(once_with(|| self.display.next_event(now)))
+            .chain(once_with(|| self.memsys.next_event(now)))
+            // DASH deadline feedback fires at interval multiples and
+            // mutates scheduler state, so boundaries are mandatory events.
+            .chain(once_with(|| {
+                let fi = self.cfg.feedback_interval;
+                self.memsys.dash().map(|_| (now / fi + 1) * fi)
+            }));
+        next_wake(now, cap, pins)
+    }
+
+    /// Jumps the clock so the next step executes cycle `wake`, booking the
+    /// dead cycles in between exactly as the per-cycle clocking would
+    /// have: all skippable, the renderer quiescent across them.
+    fn jump_to(&mut self, wake: Cycle) {
+        if wake > self.now + 1 {
+            let delta = wake - 1 - self.now;
+            self.now += delta;
+            emerald_obs::prof::record_soc_skip(delta);
+            emerald_obs::prof::record_gpu_skip(delta);
+        }
+    }
+
     /// The frame loop, shared by [`Soc::run_frame`],
-    /// [`Soc::run_frame_checkpoint`] and [`Soc::resume_frame`].
+    /// [`Soc::run_frame_checkpoint`] and [`Soc::resume_frame`]: one body,
+    /// two gates. `GpuConfig::event_skip` only decides whether the clock
+    /// may jump; `SocConfig::cpu_batch` only decides whether cores may run
+    /// ahead ([`CpuCluster::run_ahead`] is a no-op without it). With both
+    /// off this is the per-cycle reference clocking.
     fn drive_frame(
         &mut self,
         cur: &mut FrameCursor,
@@ -431,9 +499,10 @@ impl Soc {
         max_cycles: Cycle,
         checkpoint_at: Option<Cycle>,
     ) -> Option<Vec<u8>> {
-        let frame_start = cur.frame_start;
         let skip = self.cfg.gpu.event_skip;
-        let cpu_batch = self.cfg.cpu_batch;
+        // The watchdog cycle caps every window and jump, so a deadlocked
+        // frame panics at the same simulated time under every gating.
+        let cap = cur.frame_start + max_cycles;
         let mut snap = None;
 
         let prof_loop = emerald_obs::prof::loop_enter();
@@ -451,369 +520,35 @@ impl Soc {
                     snap = Some(self.encode_checkpoint(Some((cur, draws.is_none()))));
                 }
             }
-            emerald_obs::prof::tick();
-            let mut clk = emerald_obs::prof::PhaseClock::start();
-            self.now += 1;
+            self.step(Some((cur, draws)));
             let now = self.now;
-
-            // Memory system and response routing.
-            self.memsys.tick(now);
-            self.route_responses();
-            clk.lap(emerald_obs::prof::HostPhase::SocMem);
-
-            // Display scanout. On backpressure every drained request is
-            // re-queued — dropping one would lose its response forever.
-            self.display.tick(now, &mut self.ids);
-            let mut blocked = false;
-            for req in self.display.drain_requests() {
-                if blocked {
-                    self.display.requeue(req);
-                } else if let Err(back) = self.memsys.enqueue(req, now) {
-                    self.display.requeue(back);
-                    blocked = true;
-                }
-            }
-            clk.lap(emerald_obs::prof::HostPhase::SocDisplay);
-
-            // CPU cores. In batch mode a core is either *ahead* (it
-            // already executed this cycle inside a batch window; any
-            // interaction it produced is delivered exactly when the clock
-            // reaches its recorded cycle) or it is ticked per-cycle as in
-            // the reference clocking.
-            for i in 0..self.cpus.len() {
-                let ev = match cur.pending[i] {
-                    Some((s, ev)) if s == now => {
-                        cur.pending[i] = None;
-                        ev
-                    }
-                    _ if cpu_batch && cur.ran_until[i] >= now => CpuEvent::None,
-                    _ => {
-                        let was_end = self.cpus[i].at_frame_end();
-                        let ev = self.cpus[i].tick(now, cur.gpu_done, &mut self.ids);
-                        cur.ran_until[i] = now;
-                        if !was_end && self.cpus[i].at_frame_end() {
-                            cur.end_at[i] = now;
-                        }
-                        ev
-                    }
-                };
-                if ev == CpuEvent::IssueDraw {
-                    if let Some(ds) = draws.take() {
-                        for d in ds {
-                            self.renderer.draw(d);
-                        }
-                        cur.gpu_start = now;
-                        cur.gpu_active = true;
-                    }
-                }
-                // A core parked at a future cycle holds requests it issued
-                // *at that cycle*; draining them before the clock arrives
-                // would leak them into the memory system early.
-                if matches!(cur.pending[i], Some((s, _)) if s > now) {
-                    continue;
-                }
-                let mut blocked = false;
-                for req in self.cpus[i].drain_requests() {
-                    if blocked {
-                        self.cpus[i].requeue(req);
-                    } else if let Err(back) = self.memsys.enqueue(req, now) {
-                        self.cpus[i].requeue(back);
-                        blocked = true;
-                    }
-                }
-            }
-            clk.lap(emerald_obs::prof::HostPhase::SocCpu);
-
-            // GPU renderer (self-attributing; don't double-count).
-            {
-                let mut port = SocPort {
-                    memsys: &mut self.memsys,
-                    resp: &mut self.gpu_resp,
-                };
-                self.renderer.cycle(now, &mut port);
-            }
-            clk.skip();
-            if cur.gpu_active && !cur.gpu_done && self.renderer.is_idle() {
-                cur.gpu_done = true;
-                cur.gpu_cycles = now - cur.gpu_start;
-            }
-
-            // DASH deadline feedback.
-            self.dash_feedback(cur.gpu_active && !cur.gpu_done, cur.gpu_start);
-
-            // Skip-opportunity accounting: a cycle is skippable when no
-            // modeled agent with cycle-accurate state has work in flight —
-            // only CPU scripts tick, and those advance analytically.
-            if emerald_obs::prof::enabled() {
-                // Skippable: the GPU has nothing in flight, the display
-                // engine has nothing cur.pending, and no memory request is
-                // waiting on a scheduling decision. In-service DRAM
-                // accesses complete at precomputed cycles, so an
-                // event-driven scheduler could jump straight to the next
-                // known-time event across such a cycle.
-                let skippable = self.renderer.gpu.is_quiescent()
-                    && !self.display.has_pending()
-                    && self.memsys.queued() == 0;
-                emerald_obs::prof::record_soc_cycle(skippable);
-            }
-            clk.lap(emerald_obs::prof::HostPhase::SocOther);
-
-            // Frame barrier. In batch mode a core's flag may have been
-            // pre-applied by a batch that ran ahead of the clock, so the
-            // barrier compares against the recorded flip cycles instead.
-            let cpus_done = if cpu_batch {
-                cur.end_at.iter().all(|&t| t <= now)
-            } else {
-                self.cpus.iter().all(|c| c.at_frame_end())
-            };
-            if cur.gpu_done && cpus_done {
+            if cur.gpu_done && self.cpus.all_done(now) {
                 break;
             }
-            if std::env::var_os("EMERALD_SOC_DEBUG").is_some()
-                && (now - frame_start).is_multiple_of(500_000)
-            {
-                eprintln!(
-                    "[soc dbg] t={} gpu_active={} gpu_done={} cpu_end={:?} rend: {}",
-                    now - frame_start,
-                    cur.gpu_active,
-                    cur.gpu_done,
-                    self.cpus
-                        .iter()
-                        .map(|c| c.at_frame_end())
-                        .collect::<Vec<_>>(),
-                    self.renderer.debug_snapshot()
-                );
-            }
             assert!(
-                now - frame_start < max_cycles,
-                "SoC frame exceeded {max_cycles} cycles"
+                now < cap,
+                "SoC frame exceeded {max_cycles} cycles (gpu_active={} gpu_done={} cpus_done={:?}) \
+                 renderer: {} gpu: {}",
+                cur.gpu_active,
+                cur.gpu_done,
+                self.cpus
+                    .cores()
+                    .iter()
+                    .map(|c| c.at_frame_end())
+                    .collect::<Vec<_>>(),
+                self.renderer.debug_snapshot(),
+                self.renderer.gpu.debug_snapshot(),
             );
-
-            if cpu_batch {
-                // Batched CPU advance: find the window `(now, w)` inside
-                // which no non-CPU component can act (their `next_event`
-                // contracts guarantee bit-for-bit no-op ticks), run every
-                // quiet core's script through it in bulk, then — skip mode
-                // only — jump the clock to the earliest cycle anything
-                // needs service. The window also freezes `cur.gpu_done`: the
-                // renderer cannot finish inside a stretch where it cannot
-                // act, so batching with the current level is exact.
-                let horizon = frame_start + max_cycles;
-                let need_runway = skip
-                    || self.cpus.iter().enumerate().any(|(i, c)| {
-                        cur.pending[i].is_none()
-                            && !c.has_pending_out()
-                            && !c.at_frame_end()
-                            && cur.ran_until[i] <= now
-                    });
-                let w = if need_runway {
-                    'window: {
-                        let pin = now + 1;
-                        if !self.gpu_resp.is_empty() {
-                            break 'window pin;
-                        }
-                        let mut w =
-                            emerald_common::event::NextEvent::next_event(&self.renderer, now);
-                        if w == Some(pin) {
-                            break 'window pin;
-                        }
-                        w = emerald_common::event::earliest(
-                            w,
-                            emerald_common::event::NextEvent::next_event(&self.display, now),
-                        );
-                        if w == Some(pin) {
-                            break 'window pin;
-                        }
-                        w = emerald_common::event::earliest(
-                            w,
-                            emerald_common::event::NextEvent::next_event(&self.memsys, now),
-                        );
-                        if self.memsys.dash().is_some() {
-                            // DASH deadline feedback fires at interval
-                            // multiples and mutates scheduler state, so
-                            // boundaries are mandatory events.
-                            let fi = self.cfg.feedback_interval;
-                            w = emerald_common::event::earliest(w, Some((now / fi + 1) * fi));
-                        }
-                        w.unwrap_or(horizon).min(horizon).max(pin)
-                    }
-                } else {
-                    now + 1
-                };
-                let draws_pending = draws.is_some();
-                if w > now + 1 {
-                    // While the frame's draws are undelivered, `cur.gpu_done`
-                    // can flip inside the window (draw submission at a
-                    // parked IssueDraw, GPU completion after it), so an
-                    // *unsatisfied* fence wait must not pre-burn polls
-                    // past the earliest possible submission cycle. Cores
-                    // that may still submit batch first (pass 0); their
-                    // progress then bounds the fence-waiting cores in
-                    // pass 1: a submitter parked on IssueDraw at `s`
-                    // submits at `s` (polls safe through `s - 1`), one
-                    // parked on anything else at `p` cannot submit before
-                    // `p + 1`, and one that batched to `r` without
-                    // reaching IssueDraw cannot submit before `r + 1`.
-                    let capable: Vec<bool> = self.cpus.iter().map(|c| c.may_issue_draw()).collect();
-                    let mut fence_bound = w - 1;
-                    for pass in 0..2usize {
-                        if pass == 1 && draws_pending && !cur.gpu_done {
-                            for (i, &cap) in capable.iter().enumerate() {
-                                if !cap || self.cpus[i].at_frame_end() {
-                                    continue;
-                                }
-                                fence_bound = fence_bound.min(match cur.pending[i] {
-                                    Some((s, CpuEvent::IssueDraw)) => s.saturating_sub(1),
-                                    Some((p, _)) => p,
-                                    None => cur.ran_until[i],
-                                });
-                            }
-                        }
-                        for (i, &cap) in capable.iter().enumerate() {
-                            if cap != (pass == 0) {
-                                continue;
-                            }
-                            if cur.pending[i].is_some() || self.cpus[i].has_pending_out() {
-                                continue;
-                            }
-                            let mut base = cur.ran_until[i].max(now);
-                            loop {
-                                let stop =
-                                    if draws_pending && !cur.gpu_done && self.cpus[i].in_wait_gpu()
-                                    {
-                                        // A submitter stuck in its own
-                                        // fence wait (script quirk) gets
-                                        // no pre-burn at all.
-                                        if pass == 0 {
-                                            base
-                                        } else {
-                                            fence_bound
-                                        }
-                                    } else {
-                                        w - 1
-                                    };
-                                if base >= stop {
-                                    break;
-                                }
-                                let was_end = self.cpus[i].at_frame_end();
-                                let (used, ev) = self.cpus[i].run_batch(
-                                    base,
-                                    stop - base,
-                                    cur.gpu_done,
-                                    &mut self.ids,
-                                );
-                                base += used;
-                                emerald_obs::prof::record_cpu_batch(used);
-                                if ev != CpuEvent::None || self.cpus[i].has_pending_out() {
-                                    // Observable interaction at `base`:
-                                    // park it until the clock arrives
-                                    // there.
-                                    cur.pending[i] = Some((base, ev));
-                                    break;
-                                }
-                                if !was_end && self.cpus[i].at_frame_end() {
-                                    cur.end_at[i] = base;
-                                    break;
-                                }
-                            }
-                            cur.ran_until[i] = base;
-                        }
-                    }
-                }
-                if skip {
-                    // The clock must visit `w`, every parked interaction
-                    // and every pre-applied frame-end flip at its exact
-                    // cycle; everything before the minimum is dead time.
-                    // A core that did not run ahead (blocked from batching
-                    // above, or re-queued output) still needs its per-cycle
-                    // ticks, so it pins the wake to the cycle after its
-                    // last executed one.
-                    let mut wake = w;
-                    for p in cur.pending.iter().flatten() {
-                        wake = wake.min(p.0);
-                    }
-                    for &t in &cur.end_at {
-                        if t > now {
-                            wake = wake.min(t);
-                        }
-                    }
-                    for i in 0..self.cpus.len() {
-                        if cur.pending[i].is_none() && !self.cpus[i].at_frame_end() {
-                            wake = wake.min(cur.ran_until[i] + 1);
-                        }
-                    }
-                    if wake > now + 1 {
-                        let delta = wake - 1 - now;
-                        self.now += delta;
-                        emerald_obs::prof::record_soc_skip(delta);
-                        // The renderer is quiescent across the window, so
-                        // the reference would book these as idle GPU
-                        // cycles too.
-                        emerald_obs::prof::record_gpu_skip(delta);
-                    }
-                }
+            if !self.cpus.wants_window(now, skip) {
                 continue;
             }
-
-            // Event-driven skip: jump the clock to the earliest cycle at
-            // which *any* component can act without new input. Every
-            // component's `next_event` obeys the contract in
-            // `emerald_common::event` (ticking it sooner is a bit-for-bit
-            // no-op), so the jump is invisible to simulated state. The
-            // per-cycle path above remains the reference clocking
-            // (EMERALD_SKIP=0).
-            // Components are queried cheapest-pin-first and the whole
-            // check bails as soon as anything pins `now + 1`, so the
-            // per-cycle cost of an unskippable cycle (the common case in
-            // dense frames) is a few flag reads.
-            'skip: {
-                if !skip {
-                    break 'skip;
-                }
-                let pin = Some(now + 1);
-                let mut wake = emerald_common::event::NextEvent::next_event(&self.renderer, now);
-                if wake == pin || !self.gpu_resp.is_empty() {
-                    // In-flight draw / GPU work, or responses the GPU must
-                    // consume next cycle.
-                    break 'skip;
-                }
-                for c in &self.cpus {
-                    wake = emerald_common::event::earliest(wake, c.next_event(now, cur.gpu_done));
-                    if wake == pin {
-                        break 'skip;
-                    }
-                }
-                wake = emerald_common::event::earliest(
-                    wake,
-                    emerald_common::event::NextEvent::next_event(&self.display, now),
-                );
-                if wake == pin {
-                    break 'skip;
-                }
-                wake = emerald_common::event::earliest(
-                    wake,
-                    emerald_common::event::NextEvent::next_event(&self.memsys, now),
-                );
-                if self.memsys.dash().is_some() {
-                    // DASH deadline feedback fires at interval multiples
-                    // and mutates scheduler state, so boundaries are
-                    // mandatory events.
-                    let fi = self.cfg.feedback_interval;
-                    wake = emerald_common::event::earliest(wake, Some((now / fi + 1) * fi));
-                }
-                // Cap at the watchdog cycle so a deadlocked frame still
-                // panics at the same simulated time as the reference.
-                let wake = wake
-                    .unwrap_or(frame_start + max_cycles)
-                    .min(frame_start + max_cycles);
-                if wake > now + 1 {
-                    let delta = wake - 1 - now;
-                    for c in &mut self.cpus {
-                        c.fast_forward(delta);
-                    }
-                    self.now += delta;
-                    emerald_obs::prof::record_soc_skip(delta);
-                    emerald_obs::prof::record_gpu_skip(delta);
+            let w = self.quiet_until(now, cap);
+            if w > now + 1 {
+                let fence_open = draws.is_some() && !cur.gpu_done;
+                self.cpus
+                    .run_ahead(now, w, fence_open, cur.gpu_done, &mut self.ids);
+                if skip {
+                    self.jump_to(self.cpus.wake(now, w));
                 }
             }
         }
@@ -861,10 +596,7 @@ impl Soc {
             w.section(2, |w| self.memsys.snapshot(w));
             w.section(3, |w| self.renderer.snapshot(w));
             w.section(4, |w| self.display.snapshot(w));
-            w.put_usize(self.cpus.len());
-            for c in &self.cpus {
-                w.section(5, |w| c.snapshot(w));
-            }
+            self.cpus.snapshot(w);
             self.ids.snapshot(w);
             w.put_u64(self.now);
             w.put_u64(self.expected_frags);
@@ -933,15 +665,7 @@ impl Soc {
         r.section(2, |r| soc.memsys.restore(r))?;
         r.section(3, |r| soc.renderer.restore(r))?;
         r.section(4, |r| soc.display.restore(r))?;
-        let n = r.get_usize()?;
-        if n != soc.cpus.len() {
-            return Err(SnapError::BadValue {
-                what: "CPU core count mismatch",
-            });
-        }
-        for c in &mut soc.cpus {
-            r.section(5, |r| c.restore(r))?;
-        }
+        soc.cpus.restore(&mut r)?;
         soc.ids.restore(&mut r)?;
         soc.now = r.get_u64()?;
         soc.expected_frags = r.get_u64()?;
@@ -962,7 +686,7 @@ impl Soc {
         }
         soc.resume = if r.get_bool()? {
             let submitted = r.get_bool()?;
-            let cur = FrameCursor::snap_read(&mut r, soc.cpus.len())?;
+            let cur = FrameCursor::snap_read(&mut r)?;
             Some((cur, submitted))
         } else {
             None
@@ -976,85 +700,17 @@ impl Soc {
     /// system keeps draining in-flight traffic and DASH feedback stays on
     /// its boundary grid. This models the vsync gap of a paced app (30 FPS
     /// submission against a faster render) between [`Soc::run_frame`]
-    /// calls; with `EMERALD_SKIP` on the gap collapses to its handful of
-    /// display-DMA and period-boundary events. No-op if `target <= now`.
+    /// calls; with `GpuConfig::event_skip` on the gap collapses to its
+    /// handful of display-DMA and period-boundary events. It is the frame
+    /// loop minus the CPU cluster, ending at `target` regardless of
+    /// events. No-op if `target <= now`.
     pub fn idle_until(&mut self, target: Cycle) {
         let skip = self.cfg.gpu.event_skip;
         let prof_loop = emerald_obs::prof::loop_enter();
         while self.now < target {
-            emerald_obs::prof::tick();
-            let mut clk = emerald_obs::prof::PhaseClock::start();
-            self.now += 1;
-            let now = self.now;
-
-            self.memsys.tick(now);
-            self.route_responses();
-            clk.lap(emerald_obs::prof::HostPhase::SocMem);
-
-            self.display.tick(now, &mut self.ids);
-            let mut blocked = false;
-            for req in self.display.drain_requests() {
-                if blocked {
-                    self.display.requeue(req);
-                } else if let Err(back) = self.memsys.enqueue(req, now) {
-                    self.display.requeue(back);
-                    blocked = true;
-                }
-            }
-            clk.lap(emerald_obs::prof::HostPhase::SocDisplay);
-
-            // The renderer is idle between frames but must still consume
-            // straggler responses from its last frame's writes.
-            {
-                let mut port = SocPort {
-                    memsys: &mut self.memsys,
-                    resp: &mut self.gpu_resp,
-                };
-                self.renderer.cycle(now, &mut port);
-            }
-            clk.skip();
-            self.dash_feedback(false, now);
-
-            if emerald_obs::prof::enabled() {
-                let skippable = self.renderer.gpu.is_quiescent()
-                    && !self.display.has_pending()
-                    && self.memsys.queued() == 0;
-                emerald_obs::prof::record_soc_cycle(skippable);
-            }
-            clk.lap(emerald_obs::prof::HostPhase::SocOther);
-
-            'skip: {
-                if !skip {
-                    break 'skip;
-                }
-                let pin = Some(now + 1);
-                let mut wake = emerald_common::event::NextEvent::next_event(&self.renderer, now);
-                if wake == pin || !self.gpu_resp.is_empty() {
-                    break 'skip;
-                }
-                wake = emerald_common::event::earliest(
-                    wake,
-                    emerald_common::event::NextEvent::next_event(&self.display, now),
-                );
-                if wake == pin {
-                    break 'skip;
-                }
-                wake = emerald_common::event::earliest(
-                    wake,
-                    emerald_common::event::NextEvent::next_event(&self.memsys, now),
-                );
-                if self.memsys.dash().is_some() {
-                    let fi = self.cfg.feedback_interval;
-                    wake = emerald_common::event::earliest(wake, Some((now / fi + 1) * fi));
-                }
-                // The idle stretch ends at `target` regardless of events.
-                let wake = wake.unwrap_or(target).min(target);
-                if wake > now + 1 {
-                    let delta = wake - 1 - now;
-                    self.now += delta;
-                    emerald_obs::prof::record_soc_skip(delta);
-                    emerald_obs::prof::record_gpu_skip(delta);
-                }
+            self.step(None);
+            if skip {
+                self.jump_to(self.quiet_until(self.now, target));
             }
         }
         emerald_obs::prof::loop_exit(prof_loop);
@@ -1135,6 +791,14 @@ mod tests {
             .filter(|&&p| p != emerald_common::math::pack_rgba8(0.05, 0.05, 0.08, 1.0))
             .count();
         assert!(lit > 100, "only {lit} pixels differ from clear color");
+    }
+
+    #[test]
+    #[should_panic(expected = "SoC frame exceeded 2000 cycles (gpu_active=false")]
+    fn watchdog_panic_reports_frame_and_renderer_state() {
+        let mut soc = small_soc(MemorySystemConfig::baseline(2, DramConfig::lpddr3_1333()));
+        let d = cube_draw(&soc, 0);
+        soc.run_frame(vec![d], 2_000);
     }
 
     /// Everything externally observable about a SoC at a frame barrier:

@@ -16,14 +16,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test (EMERALD_SKIP=1, event-driven clocking — the default)"
-EMERALD_SKIP=1 cargo test --workspace -q
-
-echo "==> cargo test (EMERALD_SKIP=0, per-cycle reference clocking)"
-EMERALD_SKIP=0 cargo test --workspace -q
-
-echo "==> cargo test (EMERALD_CPU_BATCH=0, per-cycle CPU reference)"
-EMERALD_CPU_BATCH=0 cargo test --workspace -q
+echo "==> cargo test (once: the clocking gates are covered by lockstep tests, not by re-runs)"
+cargo test --workspace -q
 
 echo "==> determinism suite at EMERALD_THREADS=4"
 EMERALD_THREADS=4 cargo test --release --test determinism -q
@@ -40,17 +34,17 @@ EMERALD_CONF_CASES=32 cargo test --release --test conformance -q
 echo "==> event-skip oracle suite (skip-on vs skip-off lockstep + gap oracles)"
 cargo test --release --test event_skip -q
 
-echo "==> event-skip oracle suite under per-cycle CPU reference (EMERALD_CPU_BATCH=0)"
-EMERALD_CPU_BATCH=0 cargo test --release --test event_skip -q
-
 echo "==> cpu-batch oracle suite (batch-axis lockstep + matrix + stall path)"
 cargo test --release --test cpu_batch -q
 
-echo "==> snapshot lockstep suite (checkpoint/restore invisibility, event-driven clocking)"
+echo "==> snapshot lockstep suite (checkpoint/restore invisibility across both gates)"
 cargo test --release --test snapshot -q
 
-echo "==> snapshot lockstep suite under per-cycle reference clocking (EMERALD_SKIP=0)"
-EMERALD_SKIP=0 cargo test --release --test snapshot -q
+echo "==> benchmark package: unit tests + golden gate (cycles and digests vs benchmark/golden.json)"
+cargo test --manifest-path benchmark/Cargo.toml -q
+for w in soc_dense soc_paced gpgpu_mix; do
+  cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- one "$w" --seed 1 --seconds 0 >/dev/null
+done
 
 echo "==> examples smoke test"
 cargo run --release --example trace_export >/dev/null
@@ -98,17 +92,5 @@ cargo run --release --quiet --bin bench_diff -- scripts/bench_baseline.json BENC
 
 echo "==> bench_diff: profiled vs unprofiled smoke (cycles must be identical)"
 cargo run --release --quiet --bin bench_diff -- BENCH_frame.json BENCH_profile.json --no-wall
-
-echo "==> bench_diff: skip-off vs skip-on smoke (simulated cycles must be identical)"
-EMERALD_SKIP=0 ./scripts/bench.sh --smoke --out BENCH_skipoff.json >/dev/null 2>&1
-cargo run --release --quiet --bin bench_diff -- BENCH_frame.json BENCH_skipoff.json --no-wall
-
-echo "==> bench_diff: batch-off vs batch-on smoke (simulated cycles must be identical)"
-EMERALD_CPU_BATCH=0 ./scripts/bench.sh --smoke --out BENCH_batchoff.json >/dev/null 2>&1
-cargo run --release --quiet --bin bench_diff -- BENCH_frame.json BENCH_batchoff.json --no-wall
-
-echo "==> bench_diff: per-cycle reference (skip+batch off) vs default (cycles identical)"
-EMERALD_SKIP=0 EMERALD_CPU_BATCH=0 ./scripts/bench.sh --smoke --out BENCH_percycle.json >/dev/null 2>&1
-cargo run --release --quiet --bin bench_diff -- BENCH_frame.json BENCH_percycle.json --no-wall
 
 echo "CI gate passed."

@@ -203,8 +203,7 @@ fn main() {
     // 4. Idle-rich SoC workloads: vsync-paced multi-frame rendering and
     // fence-parked cores. Most of their simulated time is quiet — these
     // are the workloads where the event skipper and the batched CPU
-    // scheduler pay off, so their wall-clock (and bit-identical cycles)
-    // are tracked across the EMERALD_SKIP / EMERALD_CPU_BATCH axes.
+    // scheduler pay off.
     type SocBench = fn(usize, bool) -> Run;
     let idle_benches: [(&'static str, SocBench); 2] = [
         ("soc_vsync", bench_soc_vsync),
@@ -325,14 +324,7 @@ fn main() {
         eprintln!("wrote {trace_path} ({} events)", events.len());
     }
 
-    // The 5 % budget is a property of the profiler under the *default*
-    // clocking. Per-cycle reference modes (EMERALD_SKIP=0 /
-    // EMERALD_CPU_BATCH=0) tick many near-empty cycles where the fixed
-    // per-lap timestamp cost is legitimately a larger fraction of the
-    // work, so those runs record the overhead but don't hard-fail on it.
-    let default_clocking =
-        emerald::common::event::skip_from_env() && emerald::common::event::cpu_batch_from_env();
-    if smoke && default_clocking && overhead_pct > 5.0 {
+    if smoke && overhead_pct > 5.0 {
         eprintln!("FAIL: profiler overhead {overhead_pct:.2} % exceeds the 5 % budget");
         std::process::exit(1);
     }

@@ -16,8 +16,8 @@ fn render_with_dispatch(
     render_full(threads, parallel_threshold, None)
 }
 
-/// Like [`render_with_dispatch`], but with the event-skip axis pinned
-/// explicitly (`None` inherits `EMERALD_SKIP` like every preset does).
+/// Like [`render_with_dispatch`], but with the event-skip gate pinned
+/// explicitly (`None` keeps the preset's value: on).
 fn render_full(
     threads: usize,
     parallel_threshold: usize,
@@ -119,8 +119,8 @@ fn render_is_identical_across_dispatch_policies() {
 /// with `EMERALD_PROFILE` effectively on, every determinism axis above
 /// (thread count × pool forced-on/forced-off) still matches the
 /// unprofiled reference bit for bit. Profiling is enabled via the same
-/// global the env knob sets, so this is exactly the `EMERALD_PROFILE=1`
-/// vs. unset comparison.
+/// thread-scoped switch the env knob sets, so this is exactly the
+/// `EMERALD_PROFILE=1` vs. unset comparison.
 #[test]
 fn render_is_identical_with_profiling_enabled() {
     let reference = render_with_dispatch(1, 2);
@@ -133,6 +133,17 @@ fn render_is_identical_with_profiling_enabled() {
             profile.ticks > 0 && profile.gpu_cycles > 0,
             "profiler saw no cycles at t={threads} thr={thr}"
         );
+        // A forced pool reports every shard's busy time to *this* thread.
+        if (threads, thr) == (4, 0) {
+            assert_eq!(profile.pool_threads, 4);
+            assert_eq!(profile.pool_busy_ns.len(), 4);
+            assert!(profile.pool_runs > 0);
+            // Shard 0 is this thread, shard 1 a worker that always has a
+            // core to run whenever two or more are active.
+            assert!(profile.pool_busy_ns[0] > 0 && profile.pool_busy_ns[1] > 0);
+        } else if thr == usize::MAX {
+            assert_eq!(profile.pool_runs, 0);
+        }
         assert_eq!(
             reference.0, profiled.0,
             "cycle count differs with profiling at t={threads} thr={thr}"
@@ -218,54 +229,96 @@ fn profiler_accounts_every_simulated_cycle_across_skip() {
     }
 }
 
-/// SoC companion to the profiler-agreement test: one frame on a small SoC
-/// with profiling on, under both clocking modes — `soc_cycles` equals the
-/// frame's simulated length, and the two modes' profiles agree on every
-/// simulated-cycle counter (wall-time attribution legitimately differs).
-#[test]
-fn soc_profiler_agrees_with_skipped_time() {
+/// One profiled frame on a small SoC under the given gates: the frame
+/// record plus the thread's profile. Profiling starts at `start`, so a
+/// sibling thread sharing the barrier is profiling at the same time.
+fn profiled_soc_frame(
+    skip: bool,
+    batch: bool,
+    instr_div: u64,
+    start: &std::sync::Barrier,
+) -> (emerald::soc::SocFrameRecord, emerald::obs::HostProfile) {
     use emerald::soc::cpu::{CpuWorkload, Phase};
     use emerald::soc::{MemCfgKind, Soc, SocConfig};
 
-    fn small_cfg(skip: bool) -> SocConfig {
-        let mut cfg = SocConfig::case_study_1(
-            MemCfgKind::Dcb.build(DramConfig::lpddr3_1333()),
-            48,
-            32,
-            200_000,
-        );
-        cfg.cpu_workloads = vec![CpuWorkload::driver(), CpuWorkload::compute()];
-        for w in &mut cfg.cpu_workloads {
-            for p in &mut w.phases {
-                if let Phase::Work { instrs, .. } = p {
-                    *instrs /= 8;
-                }
+    let mut cfg = SocConfig::case_study_1(
+        MemCfgKind::Dcb.build(DramConfig::lpddr3_1333()),
+        48,
+        32,
+        200_000,
+    );
+    cfg.cpu_workloads = vec![CpuWorkload::driver(), CpuWorkload::compute()];
+    for w in &mut cfg.cpu_workloads {
+        for p in &mut w.phases {
+            if let Phase::Work { instrs, .. } = p {
+                *instrs /= instr_div;
             }
         }
-        cfg.gpu.event_skip = skip;
-        cfg
     }
+    cfg.gpu.event_skip = skip;
+    cfg.cpu_batch = batch;
+    let mut soc = Soc::new(cfg);
+    let wl = emerald::scene::workloads::w_models().swap_remove(1);
+    let binding = SceneBinding::new(&soc.mem, &wl);
+    let draw = binding.draw_for_frame(0, 48.0 / 32.0, false);
+    emerald::obs::prof::set_enabled(true);
+    emerald::obs::prof::reset();
+    start.wait();
+    let rec = soc.run_frame(vec![draw], 60_000_000);
+    // The vsync gap is clocked by the same kernel and must be accounted
+    // the same way.
+    let gap = 20_000 - soc.now() % 20_000;
+    soc.idle_until(soc.now() + gap);
+    let mut profile = emerald::obs::prof::take();
+    emerald::obs::prof::set_enabled(false);
+    profile.soc_cycles -= gap;
+    profile.gpu_cycles -= gap;
+    (rec, profile)
+}
 
-    let mut totals = Vec::new();
-    for skip in [false, true] {
-        let mut soc = Soc::new(small_cfg(skip));
-        let wl = emerald::scene::workloads::w_models().swap_remove(1);
-        let binding = SceneBinding::new(&soc.mem, &wl);
-        let draw = binding.draw_for_frame(0, 48.0 / 32.0, false);
-        emerald::obs::prof::set_enabled(true);
-        emerald::obs::prof::reset();
-        let rec = soc.run_frame(vec![draw], 60_000_000);
-        let profile = emerald::obs::prof::take();
-        emerald::obs::prof::set_enabled(false);
-        assert_eq!(
-            profile.soc_cycles, rec.total_cycles,
-            "profiler soc_cycles disagree with the frame length (skip={skip})"
-        );
-        totals.push((rec.total_cycles, profile.soc_cycles, profile.gpu_cycles));
+/// SoC companion to the profiler-agreement test, and the regression test
+/// for the profiler's thread scoping: two SoCs with different frame
+/// lengths are profiled *concurrently* on two threads, under all four
+/// `event_skip × cpu_batch` gate combinations. Every profile must account
+/// exactly its own SoC's simulated cycles — the skip accounting is emitted
+/// from one place in the clocking kernel, so ticked + jumped cycles always
+/// sum to simulated time — and must not see the sibling's counters (with
+/// process-global profiler state the thread that finished first silenced
+/// the other mid-frame with its `set_enabled(false)`; the deterministic
+/// form of that interleaving is `prof`'s `state_is_scoped_to_the_thread`).
+#[test]
+fn soc_profiler_agrees_with_skipped_time() {
+    const GATES: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
+    let start = std::sync::Barrier::new(2);
+    // Both threads rendezvous before every frame, so checks wait until
+    // both are through: a thread that stopped early would strand the other.
+    let run_all = |instr_div: u64| GATES.map(|(s, b)| profiled_soc_frame(s, b, instr_div, &start));
+    let (mine, theirs) = std::thread::scope(|s| {
+        let sibling = s.spawn(|| run_all(4));
+        (run_all(8), sibling.join().expect("sibling thread panicked"))
+    });
+    for (who, runs) in [("mine", &mine), ("theirs", &theirs)] {
+        for ((skip, batch), (rec, profile)) in GATES.iter().zip(runs) {
+            assert_eq!(
+                profile.soc_cycles, rec.total_cycles,
+                "profiler soc_cycles disagree with the frame length \
+                 ({who}, skip={skip} batch={batch})"
+            );
+            assert_eq!(
+                *batch,
+                profile.cpu_batches > 0,
+                "run-ahead gate leaked ({who}, skip={skip} batch={batch})"
+            );
+            assert_eq!(
+                (rec.total_cycles, profile.gpu_cycles),
+                (runs[0].0.total_cycles, runs[0].1.gpu_cycles),
+                "profiles diverge across the gates ({who}, skip={skip} batch={batch})"
+            );
+        }
     }
-    assert_eq!(
-        totals[0], totals[1],
-        "profiles diverge across the skip axis"
+    assert_ne!(
+        mine[0].0.total_cycles, theirs[0].0.total_cycles,
+        "the two SoCs must differ to tell their counters apart"
     );
 }
 

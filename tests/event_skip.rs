@@ -22,9 +22,9 @@ use emerald::scene::mesh::unit_cube;
 use emerald::soc::cpu::{CpuWorkload, Phase};
 
 /// Case count for the (expensive) lockstep SoC oracle; override with
-/// `EMERALD_SKIP_CASES`.
+/// `EMERALD_EVENT_SKIP_CASES`.
 fn skip_cases() -> u32 {
-    env_cases("EMERALD_SKIP_CASES", 3)
+    env_cases("EMERALD_EVENT_SKIP_CASES", 3)
 }
 
 fn registry_json(soc: &Soc) -> String {
@@ -73,7 +73,9 @@ fn cube_draw(soc: &Soc, frame: u32, aspect: f32) -> DrawCall {
 }
 
 /// Draws a random SoC scenario from `rng`: memory-system kind, DRAM
-/// timing, resolution, frame deadline and CPU-core mix all vary.
+/// timing, resolution, frame deadline, CPU-core mix and the CPU run-ahead
+/// gate all vary — so the skip contract is proven with cores running
+/// ahead of the clock and with cores ticked per cycle.
 fn random_config(rng: &mut Xorshift64, event_skip: bool) -> SocConfig {
     let kind = [MemCfgKind::Bas, MemCfgKind::Dcb, MemCfgKind::Hmc][rng.below(3) as usize];
     let dram = if rng.chance(0.5) {
@@ -96,6 +98,7 @@ fn random_config(rng: &mut Xorshift64, event_skip: bool) -> SocConfig {
         }
     }
     cfg.cpu_workloads = workloads;
+    cfg.cpu_batch = rng.chance(0.5);
     cfg.gpu.event_skip = event_skip;
     cfg
 }
@@ -112,6 +115,7 @@ fn random_soc_scenarios_are_skip_invariant() {
         let cfg_off = random_config(&mut Xorshift64::new(scenario), false);
         let cfg_on = random_config(&mut Xorshift64::new(scenario), true);
         assert!(!cfg_off.gpu.event_skip && cfg_on.gpu.event_skip);
+        assert_eq!(cfg_off.cpu_batch, cfg_on.cpu_batch);
         let frames = 1 + rng.below(2) as u32;
         let aspect = cfg_off.width as f32 / cfg_off.height as f32;
         let mut off = Soc::new(cfg_off);
@@ -161,7 +165,7 @@ fn memsys_never_acts_before_next_event() {
     use emerald::mem::req::{MemRequest, ReqIdGen};
     check_n(
         "memsys_next_event_oracle",
-        env_cases("EMERALD_SKIP_CASES", 8),
+        env_cases("EMERALD_EVENT_SKIP_CASES", 8),
         |rng| {
             let kind = [MemCfgKind::Bas, MemCfgKind::Dcb, MemCfgKind::Hmc][rng.below(3) as usize];
             let dram = if rng.chance(0.5) {
