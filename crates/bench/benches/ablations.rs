@@ -39,12 +39,47 @@ fn main() {
     let base_cfg = GfxConfig::case_study_2();
     let variants: Vec<(&str, GfxConfig, bool)> = vec![
         ("baseline", base_cfg.clone(), false),
-        ("hiz off", GfxConfig { hiz_enabled: false, ..base_cfg.clone() }, false),
+        (
+            "hiz off",
+            GfxConfig {
+                hiz_enabled: false,
+                ..base_cfg.clone()
+            },
+            false,
+        ),
         ("late-Z", base_cfg.clone(), true),
-        ("TC off", GfxConfig { tc_enabled: false, ..base_cfg.clone() }, false),
-        ("no vtx overlap", GfxConfig { vertex_overlap: false, ..base_cfg.clone() }, false),
-        ("credits 6", GfxConfig { max_vertex_warps: 6, ..base_cfg.clone() }, false),
-        ("ooo prims", GfxConfig { ooo_prims: true, ..base_cfg.clone() }, false),
+        (
+            "TC off",
+            GfxConfig {
+                tc_enabled: false,
+                ..base_cfg.clone()
+            },
+            false,
+        ),
+        (
+            "no vtx overlap",
+            GfxConfig {
+                vertex_overlap: false,
+                ..base_cfg.clone()
+            },
+            false,
+        ),
+        (
+            "credits 6",
+            GfxConfig {
+                max_vertex_warps: 6,
+                ..base_cfg.clone()
+            },
+            false,
+        ),
+        (
+            "ooo prims",
+            GfxConfig {
+                ooo_prims: true,
+                ..base_cfg.clone()
+            },
+            false,
+        ),
     ];
     for wl in [&w_models()[0], &w_models()[3]] {
         let mut rows = Vec::new();
@@ -62,7 +97,14 @@ fn main() {
         }
         print_table(
             &format!("Ablations — {} (time normalized to baseline)", wl.id),
-            &["variant", "time", "fragments", "hiz killed", "tc tiles", "vertices"],
+            &[
+                "variant",
+                "time",
+                "fragments",
+                "hiz killed",
+                "tc tiles",
+                "vertices",
+            ],
             &rows,
         );
     }

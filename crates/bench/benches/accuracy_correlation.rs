@@ -13,9 +13,7 @@ fn main() {
     let rows: Vec<Vec<String>> = rep
         .rows
         .iter()
-        .map(|(n, a, s)| {
-            vec![n.clone(), format!("{a:.0}"), format!("{s:.0}")]
-        })
+        .map(|(n, a, s)| vec![n.clone(), format!("{a:.0}"), format!("{s:.0}")])
         .collect();
     print_table(
         "§3.4 — simulated cycles vs analytic estimate (14 microbenchmarks)",

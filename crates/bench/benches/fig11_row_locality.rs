@@ -5,13 +5,13 @@
 //! ~60% (GPU traffic is not the sequential stream HMC assumed).
 
 use emerald_bench::report::{norm, print_table};
+use emerald_core::session::SceneBinding;
 use emerald_mem::dram::DramConfig;
 use emerald_mem::system::SourceClass;
 use emerald_scene::workloads::m_models;
 use emerald_soc::experiment::{calibrate_period, run_cell, MemCfgKind, RunParams};
 use emerald_soc::soc::{Soc, SocConfig};
 use emerald_soc::trace::{filter_trace, replay_trace};
-use emerald_core::session::SceneBinding;
 
 fn main() {
     let (w, h) = (160u32, 120u32);
@@ -76,8 +76,7 @@ fn main() {
         emerald_mem::system::MemorySystemConfig::baseline(1, DramConfig::lpddr3_1333()),
     );
     let striped = replay_trace(&gpu_trace, {
-        let mut c =
-            emerald_mem::system::MemorySystemConfig::baseline(1, DramConfig::lpddr3_1333());
+        let mut c = emerald_mem::system::MemorySystemConfig::baseline(1, DramConfig::lpddr3_1333());
         c.steering = emerald_mem::system::Steering::Interleaved {
             mapping: emerald_mem::mapping::AddressMapping::ip_parallel(1),
         };

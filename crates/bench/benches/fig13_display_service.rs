@@ -34,7 +34,10 @@ fn main() {
         for c in &cells {
             row.push(norm(c.display_serviced_bytes as f64 / base));
         }
-        row.push(format!("aborts:{}", cells.iter().map(|c| c.display_aborts).sum::<u64>()));
+        row.push(format!(
+            "aborts:{}",
+            cells.iter().map(|c| c.display_aborts).sum::<u64>()
+        ));
         rows.push(row);
     }
     print_table(

@@ -26,7 +26,14 @@ fn main() {
     }
     print_table(
         "Fig. 18 — W1: execution time and L1 misses vs WT (normalized to WT1)",
-        &["WT", "exec time", "color miss", "texture miss", "depth miss", "total miss"],
+        &[
+            "WT",
+            "exec time",
+            "color miss",
+            "texture miss",
+            "depth miss",
+            "total miss",
+        ],
         &rows,
     );
     let t: Vec<f64> = sweep.iter().map(|s| s.cycles as f64).collect();

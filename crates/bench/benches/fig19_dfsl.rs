@@ -7,11 +7,11 @@
 //! report both the all-frame mean (includes the 10-frame evaluation
 //! overhead) and the run-phase mean (steady state).
 
+use emerald_bench::report::geomean_or_one;
 use emerald_bench::report::{norm, print_table};
 use emerald_bench::standalone::{
     find_sopt, run_policy, wt_sweep, Policy, DEFAULT_HEIGHT, DEFAULT_WIDTH,
 };
-use emerald_bench::report::geomean_or_one;
 use emerald_core::DfslConfig;
 use emerald_scene::workloads::w_models;
 
@@ -73,7 +73,14 @@ fn main() {
     rows.push(mean_row);
     print_table(
         "Fig. 19 — speedup vs MLB (all-frames / run-phase; paper: DFSL 1.19 vs MLB, 1.073 vs SOPT)",
-        &["model", "MLB", "MLC", &format!("SOPT(wt{sopt})"), "DFSL", "notes"],
+        &[
+            "model",
+            "MLB",
+            "MLC",
+            &format!("SOPT(wt{sopt})"),
+            "DFSL",
+            "notes",
+        ],
         &rows,
     );
 }

@@ -8,12 +8,12 @@
 //! execution-driven one — the paper's core argument for building Emerald.
 
 use emerald_bench::report::{norm, print_table};
+use emerald_core::session::SceneBinding;
 use emerald_mem::dram::DramConfig;
 use emerald_scene::workloads::m_models;
 use emerald_soc::experiment::{calibrate_period, MemCfgKind, RunParams};
 use emerald_soc::soc::{Soc, SocConfig};
 use emerald_soc::trace::replay_trace;
-use emerald_core::session::SceneBinding;
 
 fn main() {
     let (w, h) = (128u32, 96u32);
@@ -78,11 +78,7 @@ fn main() {
     );
     println!(
         "  trace-driven read-latency ratio (HMC/BAS): {:.2}",
-        hmc_replay
-            .avg_read_latency
-            .values()
-            .sum::<f64>()
-            .max(1e-9)
+        hmc_replay.avg_read_latency.values().sum::<f64>().max(1e-9)
             / bas_replay.avg_read_latency.values().sum::<f64>().max(1e-9)
     );
     println!(

@@ -20,12 +20,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
         println!("  {}", parts.join("  "));
     };
     line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
-    line(
-        &widths
-            .iter()
-            .map(|w| "-".repeat(*w))
-            .collect::<Vec<_>>(),
-    );
+    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
     for row in rows {
         line(row);
     }

@@ -193,15 +193,11 @@ pub fn compare(label: &str, got: &RunResult, want: &RunResult) -> Result<(), Div
     }
 }
 
-/// The baseline fuzzing configuration: the tiny two-core GPU, single
-/// host thread for bitwise-reproducible failures. The parallel threshold
-/// is pinned (not inherited from `EMERALD_PAR_THRESHOLD`) so the matrix
-/// axes below control dispatch policy explicitly.
+/// The baseline fuzzing configuration: the tiny two-core GPU as the
+/// preset ships it — single host thread, default parallel threshold — so
+/// the matrix axes below are the only thing that varies dispatch policy.
 pub fn base_config() -> GpuConfig {
-    let mut cfg = GpuConfig::tiny();
-    cfg.threads = 1;
-    cfg.parallel_threshold = emerald_gpu::config::DEFAULT_PARALLEL_THRESHOLD;
-    cfg
+    GpuConfig::tiny()
 }
 
 /// The deterministic metamorphic configuration matrix: functional output

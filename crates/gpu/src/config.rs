@@ -54,8 +54,8 @@ pub struct GpuConfig {
     pub icnt_per_cycle: usize,
     /// Host worker threads for the parallel core-execution phase; 1 runs
     /// the phase on the calling thread. Results are bit-identical at any
-    /// value (see `Gpu::cycle`). Preset constructors seed this from the
-    /// `EMERALD_THREADS` environment variable.
+    /// value (see `Gpu::cycle`). Presets set 1; callers that want the
+    /// pool set the field.
     pub threads: usize,
     /// Minimum number of *active* cores in a cycle before the worker pool
     /// is engaged; below it the phase runs inline on the caller, which is
@@ -63,8 +63,8 @@ pub struct GpuConfig {
     /// costs more than the work). `0` forces the pool on every non-empty
     /// cycle regardless of host CPU count (used by conformance to exercise
     /// the parallel path); `usize::MAX` disables the pool entirely. Results
-    /// are bit-identical at any value. Preset constructors seed this from
-    /// the `EMERALD_PAR_THRESHOLD` environment variable.
+    /// are bit-identical at any value. Presets set
+    /// [`DEFAULT_PARALLEL_THRESHOLD`].
     pub parallel_threshold: usize,
     /// Clock-jump gate: when true, the top-level loops
     /// (`Gpu::run_to_idle`, the renderer's frame loop and the SoC clock)
@@ -94,31 +94,6 @@ fn l1(name: &str, size: usize, ways: usize, policy: WritePolicy) -> CacheConfig 
 }
 
 impl GpuConfig {
-    /// Worker-thread count from `EMERALD_THREADS` (clamped to ≥ 1);
-    /// defaults to 1 when unset or unparsable.
-    pub fn threads_from_env() -> usize {
-        std::env::var("EMERALD_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1)
-            .max(1)
-    }
-
-    /// Pool-engagement threshold from `EMERALD_PAR_THRESHOLD`: a core
-    /// count, or `max` (case-insensitive) for "never engage the pool".
-    /// Defaults to [`DEFAULT_PARALLEL_THRESHOLD`] when unset or
-    /// unparsable.
-    pub fn parallel_threshold_from_env() -> usize {
-        match std::env::var("EMERALD_PAR_THRESHOLD") {
-            Ok(v) if v.trim().eq_ignore_ascii_case("max") => usize::MAX,
-            Ok(v) => v
-                .trim()
-                .parse::<usize>()
-                .unwrap_or(DEFAULT_PARALLEL_THRESHOLD),
-            Err(_) => DEFAULT_PARALLEL_THRESHOLD,
-        }
-    }
-
     /// Case study I GPU (Table 5): 4 SIMT cores @128 CUDA cores, 16 KB L1D,
     /// 64 KB L1T, 32 KB L1Z, 128 KB shared L2.
     pub fn case_study_1() -> Self {
@@ -150,8 +125,8 @@ impl GpuConfig {
             l2_banks: 2,
             icnt_latency: 8,
             icnt_per_cycle: 8,
-            threads: Self::threads_from_env(),
-            parallel_threshold: Self::parallel_threshold_from_env(),
+            threads: 1,
+            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             event_skip: true,
         }
     }
@@ -188,8 +163,8 @@ impl GpuConfig {
             l2_banks: 4,
             icnt_latency: 8,
             icnt_per_cycle: 12,
-            threads: Self::threads_from_env(),
-            parallel_threshold: Self::parallel_threshold_from_env(),
+            threads: 1,
+            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             event_skip: true,
         }
     }

@@ -16,7 +16,7 @@
 //!   sampler that produces a timeline for any instrument.
 //! * [`prof`] — host-side self-profiling: wall-clock attribution of the
 //!   simulator's own hot loop (GPU/SoC phases), worker-pool utilization
-//!   and skip-opportunity accounting. Off by default (`EMERALD_PROFILE`),
+//!   and skip-opportunity accounting. Off by default ([`prof::set_enabled`]),
 //!   zero-cost when disabled, and forbidden from touching simulated state.
 //!
 //! The hot simulation loop pays nothing for any of this until a sink is

@@ -2,7 +2,7 @@
 //!
 //! The registry/trace/timeline pillars observe the simulated hardware;
 //! this module observes the simulation loop itself. It answers three
-//! questions the bench report alone cannot:
+//! questions a wall-clock total alone cannot:
 //!
 //! 1. **Phase attribution** — how much host time `Gpu::cycle` spends in
 //!    dispatch / execute / commit / L2 / DRAM, and the SoC tick in CPU,
@@ -24,8 +24,8 @@
 //!   profiling on vs. off is enforced by `tests/determinism.rs`.
 //! * **Cheap when enabled.** Per-cycle work is counter arithmetic only;
 //!   wall-clock timestamps are taken on a strided *sample* of cycles
-//!   (1 in [`SAMPLE_STRIDE`]) and extrapolated, which keeps the measured
-//!   overhead well under the 5 % budget `emerald_bench` asserts.
+//!   (1 in [`SAMPLE_STRIDE`]) and extrapolated; `tests/determinism.rs`
+//!   pins the sample count of a real frame to that stride.
 //!
 //! **All profiler state is scoped to the simulation thread**: the enable
 //! flag, the timestamp calibration and every accumulator are
@@ -133,11 +133,6 @@ pub fn active_bucket(n: usize) -> usize {
     }
 }
 
-/// Human-readable label of a histogram bucket.
-pub fn active_bucket_label(bucket: usize) -> &'static str {
-    ["0", "1", "2", "3", "4-7", "8-15", "16-31", "32-63", "64+"][bucket]
-}
-
 /// Measures the average cost of an `Instant::now` call. Timestamps are
 /// interleaved with a little scalar work — back-to-back calls run from a
 /// hot branch predictor and measure several ns below the in-loop cost
@@ -239,8 +234,7 @@ pub fn enabled() -> bool {
     ENABLED.with(|e| e.get())
 }
 
-/// Turns profiling on or off for simulations run on the calling thread
-/// (tests and harnesses; binaries usually use [`init_from_env`]).
+/// Turns profiling on or off for simulations run on the calling thread.
 pub fn set_enabled(on: bool) {
     if on {
         TIMESTAMP_COST_NS.with(|c| c.set(calibrate_timestamp_ns()));
@@ -249,19 +243,6 @@ pub fn set_enabled(on: bool) {
     if !on {
         SAMPLING.with(|s| s.set(false));
     }
-}
-
-/// Enables profiling when `EMERALD_PROFILE` is set to `1`/`true`/`on`
-/// (case-insensitive); returns the resulting state. Never *disables*, so
-/// a harness that called [`set_enabled`] first keeps its setting.
-pub fn init_from_env() -> bool {
-    if let Some(v) = std::env::var_os("EMERALD_PROFILE") {
-        let v = v.to_string_lossy().to_ascii_lowercase();
-        if v == "1" || v == "true" || v == "on" {
-            set_enabled(true);
-        }
-    }
-    enabled()
 }
 
 /// Marks the start of one top-level simulation cycle: bumps the tick
@@ -537,15 +518,6 @@ impl HostProfile {
         self.phase_ns.iter().sum()
     }
 
-    /// Fraction of GPU cycles that were skippable (0 when none observed).
-    pub fn gpu_skippable_frac(&self) -> f64 {
-        if self.gpu_cycles == 0 {
-            0.0
-        } else {
-            self.gpu_skippable as f64 / self.gpu_cycles as f64
-        }
-    }
-
     /// Fraction of SoC cycles that were skippable (0 when none observed).
     pub fn soc_skippable_frac(&self) -> f64 {
         if self.soc_cycles == 0 {
@@ -553,18 +525,6 @@ impl HostProfile {
         } else {
             self.soc_skippable as f64 / self.soc_cycles as f64
         }
-    }
-
-    /// Shard imbalance: max over mean of per-shard busy time (1.0 =
-    /// perfectly balanced; 0 when the pool never engaged).
-    pub fn pool_imbalance(&self) -> f64 {
-        let busy: Vec<u64> = self.pool_busy_ns.clone();
-        if busy.is_empty() || busy.iter().all(|&b| b == 0) {
-            return 0.0;
-        }
-        let max = *busy.iter().max().expect("non-empty") as f64;
-        let mean = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
-        max / mean
     }
 
     /// Lays the extrapolated phases end-to-end as host-thread spans on the
@@ -814,7 +774,6 @@ mod tests {
         assert_eq!(p.pool_threads, 2);
         assert_eq!(p.pool_runs, 2);
         assert_eq!(p.pool_busy_ns, vec![100, 300]);
-        assert!((p.pool_imbalance() - 1.5).abs() < 1e-12);
         let p2 = take();
         assert_eq!(p2.pool_runs, 0);
         assert!(p2.pool_busy_ns.is_empty());
@@ -851,6 +810,5 @@ mod tests {
         assert_eq!(active_bucket(63), 7);
         assert_eq!(active_bucket(64), 8);
         assert_eq!(active_bucket(10_000), 8);
-        assert_eq!(active_bucket_label(8), "64+");
     }
 }

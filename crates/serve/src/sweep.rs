@@ -146,13 +146,16 @@ impl JobParams {
     }
 
     /// Builds the [`SocConfig`] for this job. The GPU simulates
-    /// single-threaded regardless of `EMERALD_THREADS`: host parallelism
-    /// is spent across sessions, and sessions must not race on the env.
+    /// single-threaded (the preset's `threads = 1`): host parallelism is
+    /// spent across sessions.
     pub fn soc_config(&self) -> Result<SocConfig, String> {
         let memsys = self.mem_kind()?.build(self.dram_config()?);
-        let mut cfg = SocConfig::case_study_1(memsys, self.width, self.height, self.period);
-        cfg.gpu.threads = 1;
-        Ok(cfg)
+        Ok(SocConfig::case_study_1(
+            memsys,
+            self.width,
+            self.height,
+            self.period,
+        ))
     }
 
     /// Key identifying the warmed prefix this job can fork from: every

@@ -4,13 +4,18 @@
 //! * `emerald_trace.json` — a Chrome trace-event file; load it at
 //!   <https://ui.perfetto.dev> (or `chrome://tracing`) to see the frame
 //!   span, per-core warp launches/retirements, draw-call spans, DRAM row
-//!   conflicts and display scanout events on a shared timeline, and
+//!   conflicts and display scanout events on a shared timeline, plus a
+//!   `host.prof` track laying out where the *simulator's* wall-clock went
+//!   (the `obs::prof` host phases of the same frame), and
 //! * `emerald_stats.json` / `emerald_stats.csv` — the hierarchical
 //!   metrics registry for the same frame.
 //!
+//! The per-phase host profile is also printed as a table. Everything but
+//! the `host.prof` track and that table is bit-identical run to run.
+//!
 //! Run with: `cargo run --release --example trace_export`
 
-use emerald::obs::{trace, Registry, TraceCat};
+use emerald::obs::{prof, trace, HostPhase, Registry, TraceCat};
 use emerald::prelude::*;
 use emerald::soc::CpuWorkload;
 
@@ -27,8 +32,10 @@ fn main() {
     let mut soc = Soc::new(cfg);
     soc.memsys.enable_probes(2_000);
 
-    // Record everything: warps, draws, DRAM, caches, display, DFSL, frame.
+    // Record everything: warps, draws, DRAM, caches, display, DFSL, frame
+    // — and profile the host loop that simulates them.
     trace::set_enabled(TraceCat::ALL);
+    prof::set_enabled(true);
 
     let m2 = &emerald::scene::workloads::m_models()[1];
     let binding = SceneBinding::new(&soc.mem, m2);
@@ -36,6 +43,9 @@ fn main() {
         vec![binding.draw_for_frame(0, w as f32 / h as f32, false)],
         60_000_000,
     );
+    let profile = prof::take();
+    prof::set_enabled(false);
+    profile.emit_trace(0);
     println!(
         "frame rendered: {} GPU cycles, {} total cycles, {} fragments",
         rec.gpu_cycles, rec.total_cycles, rec.gfx.fragments
@@ -52,6 +62,27 @@ fn main() {
     let chrome = trace::export_chrome(&events);
     std::fs::write("emerald_trace.json", &chrome).expect("write trace");
     println!("wrote emerald_trace.json — open it at https://ui.perfetto.dev");
+
+    // Host profile: where the simulator's own wall-clock went.
+    let total_ns = profile.total_phase_ns().max(1);
+    println!(
+        "host profile: {:.1} ms in the frame loop, {} loop iterations for {} simulated cycles \
+         ({:.1}% skippable), {} CPU batches",
+        profile.loop_ns as f64 / 1e6,
+        profile.ticks,
+        profile.soc_cycles,
+        100.0 * profile.soc_skippable_frac(),
+        profile.cpu_batches
+    );
+    for p in HostPhase::all() {
+        let ns = profile.phase_ns[p as usize];
+        println!(
+            "  {:<12} {:>9.3} ms {:>5.1}%",
+            p.name(),
+            ns as f64 / 1e6,
+            100.0 * ns as f64 / total_ns as f64
+        );
+    }
 
     // Metrics registry → hierarchical JSON + long-format CSV.
     let mut reg = Registry::new();

@@ -20,6 +20,11 @@
 
 use std::io::{self, BufReader};
 
+fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("emerald_serve: {msg}");
+    std::process::exit(1)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let spec_path = args
@@ -27,21 +32,21 @@ fn main() {
         .position(|a| a == "--spec")
         .and_then(|i| args.get(i + 1).cloned());
     let check_only = args.iter().any(|a| a == "--check");
-    let workers = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .map(|w| w.parse::<usize>().expect("--workers wants an integer"))
-        .unwrap_or(1);
+    let workers = match args.iter().position(|a| a == "--workers") {
+        None => 1,
+        Some(i) => args
+            .get(i + 1)
+            .and_then(|w| w.parse::<usize>().ok())
+            .unwrap_or_else(|| die("--workers wants an integer")),
+    };
 
-    if let Some(path) = spec_path {
+    let served = if let Some(path) = spec_path {
         // One-shot mode: synthesize a single sweep request from the file.
         let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read sweep spec {path}: {e}"));
-        let spec = emerald_serve::SweepSpec::parse(&text).unwrap_or_else(|e| {
-            eprintln!("invalid sweep spec {path}: {e}");
-            std::process::exit(1);
-        });
+            .unwrap_or_else(|e| die(format_args!("cannot read sweep spec {path}: {e}")));
+        // Validated here for the early, readable error.
+        let spec = emerald_serve::SweepSpec::parse(&text)
+            .unwrap_or_else(|e| die(format_args!("invalid sweep spec {path}: {e}")));
         if check_only {
             println!("{path}: ok ({} jobs)", spec.job_count());
             return;
@@ -50,13 +55,15 @@ fn main() {
             "{{\"op\":\"sweep\",\"workers\":{workers},\"spec\":{}}}\n",
             text.replace('\n', " ")
         );
-        let _ = spec; // validated above for the early, readable error
         emerald_serve::proto::serve(request.as_bytes(), io::stdout())
-            .expect("serve one-shot sweep");
-        return;
+    } else {
+        let stdin = io::stdin();
+        emerald_serve::proto::serve(BufReader::new(stdin.lock()), io::stdout())
+    };
+    match served {
+        Ok(()) => {}
+        // The reader went away (`| head -1`): nobody is left to tell.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {}
+        Err(e) => die(format_args!("i/o error: {e}")),
     }
-
-    let stdin = io::stdin();
-    emerald_serve::proto::serve(BufReader::new(stdin.lock()), io::stdout())
-        .expect("serve protocol loop");
 }

@@ -45,9 +45,6 @@
 //! assert!(stats.fragments > 0);
 //! ```
 
-pub mod bench_diff;
-pub mod bench_report;
-
 pub use emerald_common as common;
 pub use emerald_core as core;
 pub use emerald_gpu as gpu;

@@ -3,6 +3,7 @@
 //! simulator's experiments trustworthy.
 
 use emerald::core::session::SceneBinding;
+use emerald::gpu::config::DEFAULT_PARALLEL_THRESHOLD;
 use emerald::prelude::*;
 
 /// Renders one canonical frame with the given worker-thread count and
@@ -56,10 +57,10 @@ fn render_full(
     )
 }
 
-/// Threshold inherited from `EMERALD_PAR_THRESHOLD` so `scripts/ci.sh`
-/// can re-run the whole suite with the pool forced on or off.
+/// The preset's dispatch policy; the forced-on / forced-off thresholds
+/// are covered by `render_is_identical_across_dispatch_policies`.
 fn render_with_threads(threads: usize) -> (u64, Vec<u32>, u64, u64, String) {
-    render_with_dispatch(threads, GpuConfig::parallel_threshold_from_env())
+    render_with_dispatch(threads, DEFAULT_PARALLEL_THRESHOLD)
 }
 
 fn render_once() -> (u64, Vec<u32>, u64) {
@@ -116,11 +117,10 @@ fn render_is_identical_across_dispatch_policies() {
 }
 
 /// The host self-profiler reads the simulation but must never perturb it:
-/// with `EMERALD_PROFILE` effectively on, every determinism axis above
-/// (thread count × pool forced-on/forced-off) still matches the
-/// unprofiled reference bit for bit. Profiling is enabled via the same
-/// thread-scoped switch the env knob sets, so this is exactly the
-/// `EMERALD_PROFILE=1` vs. unset comparison.
+/// with profiling on, every determinism axis above (thread count × pool
+/// forced-on/forced-off) still matches the unprofiled reference bit for
+/// bit. It must also stay cheap: wall-clock timestamps are taken on at
+/// most one loop iteration in `SAMPLE_STRIDE`, on the real frame.
 #[test]
 fn render_is_identical_with_profiling_enabled() {
     let reference = render_with_dispatch(1, 2);
@@ -132,6 +132,12 @@ fn render_is_identical_with_profiling_enabled() {
         assert!(
             profile.ticks > 0 && profile.gpu_cycles > 0,
             "profiler saw no cycles at t={threads} thr={thr}"
+        );
+        assert!(
+            profile.sampled <= profile.ticks / emerald::obs::prof::SAMPLE_STRIDE + 1,
+            "profiler timed {} of {} iterations at t={threads} thr={thr}",
+            profile.sampled,
+            profile.ticks
         );
         // A forced pool reports every shard's busy time to *this* thread.
         if (threads, thr) == (4, 0) {
@@ -174,16 +180,8 @@ fn render_is_identical_with_profiling_enabled() {
 #[test]
 fn render_is_identical_across_skip_axis() {
     for threads in [1usize, 4] {
-        let off = render_full(
-            threads,
-            GpuConfig::parallel_threshold_from_env(),
-            Some(false),
-        );
-        let on = render_full(
-            threads,
-            GpuConfig::parallel_threshold_from_env(),
-            Some(true),
-        );
+        let off = render_full(threads, DEFAULT_PARALLEL_THRESHOLD, Some(false));
+        let on = render_full(threads, DEFAULT_PARALLEL_THRESHOLD, Some(true));
         assert!(off.3 > 0, "reference run retired no warps");
         assert_eq!(
             off.0, on.0,
@@ -214,8 +212,7 @@ fn profiler_accounts_every_simulated_cycle_across_skip() {
     for skip in [false, true] {
         emerald::obs::prof::set_enabled(true);
         emerald::obs::prof::reset();
-        let (cycles, _, _, _, _) =
-            render_full(1, GpuConfig::parallel_threshold_from_env(), Some(skip));
+        let (cycles, _, _, _, _) = render_full(1, DEFAULT_PARALLEL_THRESHOLD, Some(skip));
         let profile = emerald::obs::prof::take();
         emerald::obs::prof::set_enabled(false);
         assert_eq!(
@@ -229,13 +226,15 @@ fn profiler_accounts_every_simulated_cycle_across_skip() {
     }
 }
 
-/// One profiled frame on a small SoC under the given gates: the frame
-/// record plus the thread's profile. Profiling starts at `start`, so a
-/// sibling thread sharing the barrier is profiling at the same time.
+/// One profiled frame on a small SoC under the given gates and GPU
+/// worker-thread count: the frame record plus the thread's profile.
+/// Profiling starts at `start`, so a sibling thread sharing the barrier is
+/// profiling at the same time.
 fn profiled_soc_frame(
     skip: bool,
     batch: bool,
     instr_div: u64,
+    threads: usize,
     start: &std::sync::Barrier,
 ) -> (emerald::soc::SocFrameRecord, emerald::obs::HostProfile) {
     use emerald::soc::cpu::{CpuWorkload, Phase};
@@ -256,6 +255,7 @@ fn profiled_soc_frame(
         }
     }
     cfg.gpu.event_skip = skip;
+    cfg.gpu.threads = threads;
     cfg.cpu_batch = batch;
     let mut soc = Soc::new(cfg);
     let wl = emerald::scene::workloads::w_models().swap_remove(1);
@@ -292,10 +292,18 @@ fn soc_profiler_agrees_with_skipped_time() {
     let start = std::sync::Barrier::new(2);
     // Both threads rendezvous before every frame, so checks wait until
     // both are through: a thread that stopped early would strand the other.
-    let run_all = |instr_div: u64| GATES.map(|(s, b)| profiled_soc_frame(s, b, instr_div, &start));
+    let run_all = |instr_div: u64, threads: usize| {
+        GATES.map(|(s, b)| profiled_soc_frame(s, b, instr_div, threads, &start))
+    };
+    // The sibling's GPU shards its cores over a 4-thread pool: pool workers
+    // hand their shard times to the dispatching thread and must not leak
+    // into (or out of) the other SoC's profile either.
     let (mine, theirs) = std::thread::scope(|s| {
-        let sibling = s.spawn(|| run_all(4));
-        (run_all(8), sibling.join().expect("sibling thread panicked"))
+        let sibling = s.spawn(|| run_all(4, 4));
+        (
+            run_all(8, 1),
+            sibling.join().expect("sibling thread panicked"),
+        )
     });
     for (who, runs) in [("mine", &mine), ("theirs", &theirs)] {
         for ((skip, batch), (rec, profile)) in GATES.iter().zip(runs) {

@@ -96,3 +96,43 @@ fn forked_sweep_is_bit_identical_to_cold_sweep() {
     assert!(cold.results.iter().all(|r| r.start == StartMode::Cold));
     assert!(forked.results.iter().all(|r| r.start == StartMode::Forked));
 }
+
+/// Runs the built `emerald_serve` binary — the only sweep CLI — with its
+/// stdout closed straight away, returning the exit code and stderr.
+fn serve_cli(args: &[&str]) -> (Option<i32>, String) {
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_emerald_serve"))
+        .args(args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn emerald_serve");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for emerald_serve");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Bad command lines are the user's mistake, not a bug: one line on
+/// stderr and exit 1, never a panic backtrace. A reader that hangs up
+/// mid-sweep (`| head -1`) is not an error at all.
+#[test]
+fn cli_reports_bad_arguments_without_panicking() {
+    for args in [
+        &["--spec", "/nonexistent.json"][..],
+        &["--workers", "x"],
+        &["--spec", "sweeps/ci_smoke.json", "--workers"],
+    ] {
+        let (code, stderr) = serve_cli(args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    }
+    let (code, stderr) = serve_cli(&["--spec", "sweeps/ci_smoke.json"]);
+    assert_eq!(code, Some(0), "closed stdout: {stderr}");
+    assert!(!stderr.contains("panicked"), "closed stdout: {stderr}");
+}
