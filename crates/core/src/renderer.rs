@@ -441,11 +441,10 @@ impl GpuRenderer {
                 self.launch_tile_ids[cluster] = tile_id;
             }
         }
-        let fs = ds.dc.fs.clone();
         if let Some((tile, cursor)) = self.launching[cluster].take() {
             let mut cursor = cursor;
             // One warp launch attempt per cycle.
-            if self.gpu.core(cluster).can_accept(&fs) {
+            if self.gpu.core(cluster).can_accept(&ds.dc.fs) {
                 let chunk: Vec<ThreadState> = tile.frags
                     [cursor..(cursor + 32).min(tile.frags.len())]
                     .iter()
@@ -463,7 +462,7 @@ impl GpuRenderer {
                 let count = chunk.len();
                 let id = self.next_id;
                 self.next_id += 1;
-                let warp = Warp::new(chunk, fs, Vec::new(), WarpTag::External(id));
+                let warp = Warp::new(chunk, ds.dc.fs.clone(), Vec::new(), WarpTag::External(id));
                 self.gpu
                     .core_mut(cluster)
                     .launch(warp)
@@ -536,19 +535,11 @@ impl GpuRenderer {
         self.dispatch_vertex_warps();
 
         // 4. VPO bounding-box units.
-        let any_vpo_work = self.vpos.iter().any(|v| !v.is_idle());
-        let completed: FxHashSet<u32> = if any_vpo_work {
-            self.cur
-                .as_ref()
-                .map(|d| d.completed.clone())
-                .unwrap_or_default()
-        } else {
-            FxHashSet::default()
-        };
-        let mem = self.mem.clone();
+        let completed = self.cur.as_ref().map(|d| &d.completed);
+        let mem = &self.mem;
         let ovb_base = self.ovb_base;
         let ovb_slots = self.ovb_slots;
-        let read_pos = move |c: CornerRef| {
+        let read_pos = |c: CornerRef| {
             let slot = (c.0 as u64 * 32 + c.1 as u64) % ovb_slots;
             let addr = ovb_base + slot * OVB_STRIDE;
             Vec4::new(
@@ -558,7 +549,7 @@ impl GpuRenderer {
                 mem.read_f32(addr + 12),
             )
         };
-        let warp_done = |s: u32| completed.contains(&s);
+        let warp_done = |s: u32| completed.is_some_and(|c| c.contains(&s));
         for cl in 0..self.vpos.len() {
             if let Some(masks) =
                 self.vpos[cl].tick(&self.tcmap, width, height, &warp_done, &read_pos)
@@ -603,10 +594,10 @@ impl GpuRenderer {
 
         // 6. Cluster raster pipelines.
         let flush_tc = self.geometry_done();
-        let mem = self.mem.clone();
-        let read_vert = move |c: CornerRef| {
+        let mem = &self.mem;
+        let read_vert = |c: CornerRef| {
             let slot = (c.0 as u64 * 32 + c.1 as u64) % ovb_slots;
-            Self::read_clip_vert(&mem, ovb_base + slot * OVB_STRIDE)
+            Self::read_clip_vert(mem, ovb_base + slot * OVB_STRIDE)
         };
         for cl in 0..self.pipes.len() {
             self.pipes[cl].tick(

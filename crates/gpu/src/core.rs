@@ -8,15 +8,18 @@
 //! hierarchy.
 
 use crate::config::{GpuConfig, WarpSched};
+use crate::deferred::Deferred;
 use crate::warp::{Warp, WarpTag};
 use emerald_common::hash::FxHashMap;
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::{AccessKind, Addr, CoreId, Cycle};
 use emerald_isa::exec::Surface;
 use emerald_isa::op::{LatencyClass, Op};
+use emerald_isa::reg::MAX_REGS;
 use emerald_isa::{execute, ExecCtx, Outcome};
 use emerald_mem::cache::{Access, Cache};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 /// A coalesced line access waiting for an L1 port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +50,8 @@ pub struct L1Miss {
 #[derive(Debug)]
 struct MemToken {
     slot: usize,
-    regs: Vec<u8>,
+    /// Destination-register mask released when the last line returns.
+    regs: u64,
     remaining: u32,
 }
 
@@ -95,6 +99,14 @@ pub struct SimtCore {
     seq: Vec<u64>,
     next_seq: u64,
     last_greedy: Vec<Option<usize>>,
+    /// The readiness memo. Whether a warp can issue, and whether one can
+    /// retire, changes only through a writeback, a completed memory
+    /// token, the LSU dropping below capacity, a launch, a restore or an
+    /// issue. Each of those sets this flag; a scheduler-and-retire scan
+    /// that issues nothing clears it, and until it is set again the scan
+    /// would find nothing, so `cycle` skips it (debug builds run it
+    /// anyway and assert exactly that).
+    rescan: bool,
     l1d: Cache,
     l1t: Cache,
     l1z: Cache,
@@ -102,8 +114,11 @@ pub struct SimtCore {
     lsu: VecDeque<PendingLine>,
     tokens: FxHashMap<u64, MemToken>,
     next_token: u64,
-    reg_release: BTreeMap<Cycle, Vec<(usize, Vec<u8>)>>,
-    token_done: BTreeMap<Cycle, Vec<u64>>,
+    /// Scheduled writebacks: `(slot, destination-register mask)`.
+    reg_release: Deferred<(usize, u64)>,
+    token_done: Deferred<u64>,
+    /// Scratch for coalescing one instruction's accesses into lines.
+    coalesce: Vec<PendingLine>,
     miss_out: VecDeque<L1Miss>,
     finished: Vec<WarpTag>,
     used_regs: usize,
@@ -124,6 +139,7 @@ impl SimtCore {
             seq: vec![0; cfg.max_warps_per_core],
             next_seq: 0,
             last_greedy: vec![None; cfg.schedulers_per_core],
+            rescan: true,
             l1d: Cache::new(cfg.l1d.clone()),
             l1t: Cache::new(cfg.l1t.clone()),
             l1z: Cache::new(cfg.l1z.clone()),
@@ -131,8 +147,9 @@ impl SimtCore {
             lsu: VecDeque::new(),
             tokens: FxHashMap::default(),
             next_token: 1, // 0 is the untracked-write sentinel
-            reg_release: BTreeMap::new(),
-            token_done: BTreeMap::new(),
+            reg_release: Deferred::new(),
+            token_done: Deferred::new(),
+            coalesce: Vec::new(),
             miss_out: VecDeque::new(),
             finished: Vec::new(),
             used_regs: 0,
@@ -151,7 +168,7 @@ impl SimtCore {
     /// True when `program`'s warp would fit right now (free slot and
     /// register-file space).
     pub fn can_accept(&self, program: &emerald_isa::Program) -> bool {
-        self.warps.iter().any(Option::is_none)
+        self.resident < self.warps.len()
             && self.used_regs + Self::reg_demand(program) <= self.cfg.regs_per_core
     }
 
@@ -173,6 +190,7 @@ impl SimtCore {
         self.next_seq += 1;
         self.warps[slot] = Some(warp);
         self.resident += 1;
+        self.rescan = true;
         self.stats.warps_launched += 1;
         emerald_obs::trace::instant_args(
             emerald_obs::TraceCat::Warp,
@@ -201,7 +219,7 @@ impl SimtCore {
     /// would be bumping `stats.cycles`, and the active-set scan in
     /// `Gpu::cycle` depends on that equivalence.
     pub fn is_active(&self) -> bool {
-        self.resident > 0
+        self.occupancy() > 0
             || !self.lsu.is_empty()
             || !self.tokens.is_empty()
             || !self.reg_release.is_empty()
@@ -297,23 +315,31 @@ impl SimtCore {
         let tokens = self.cache_mut(surface).fill(line);
         for t in tokens {
             if t != 0 {
-                self.token_done.entry(now + lat).or_default().push(t);
+                self.token_done.push(now + lat, t);
             }
         }
     }
 
-    fn complete_token_part(&mut self, token: u64) {
-        let Some(tok) = self.tokens.get_mut(&token) else {
-            return;
+    /// Accounts one returned line of `token`; true when it was the last
+    /// and the owning warp got its registers back.
+    fn complete_token_part(
+        tokens: &mut FxHashMap<u64, MemToken>,
+        warps: &mut [Option<Warp>],
+        token: u64,
+    ) -> bool {
+        let Entry::Occupied(mut e) = tokens.entry(token) else {
+            return false;
         };
-        tok.remaining -= 1;
-        if tok.remaining == 0 {
-            let tok = self.tokens.remove(&token).expect("token exists");
-            if let Some(w) = self.warps[tok.slot].as_mut() {
-                w.release_regs(&tok.regs);
-                w.outstanding_mem -= 1;
-            }
+        e.get_mut().remaining -= 1;
+        if e.get().remaining > 0 {
+            return false;
         }
+        let tok = e.remove();
+        if let Some(w) = warps[tok.slot].as_mut() {
+            w.release_regs(tok.regs);
+            w.outstanding_mem -= 1;
+        }
+        true
     }
 
     /// One core clock cycle. `ctx` provides functional memory and graphics
@@ -323,22 +349,19 @@ impl SimtCore {
         self.stats.cycles += 1;
 
         // 1. Writebacks due this cycle.
-        let due: Vec<Cycle> = self.reg_release.range(..=now).map(|(c, _)| *c).collect();
-        for c in due {
-            for (slot, regs) in self.reg_release.remove(&c).expect("key exists") {
-                if let Some(w) = self.warps[slot].as_mut() {
-                    w.release_regs(&regs);
-                }
+        let (warps, tokens, rescan) = (&mut self.warps, &mut self.tokens, &mut self.rescan);
+        self.reg_release.drain(now, |(slot, regs)| {
+            if let Some(w) = warps[slot].as_mut() {
+                w.release_regs(regs);
             }
-        }
-        let due: Vec<Cycle> = self.token_done.range(..=now).map(|(c, _)| *c).collect();
-        for c in due {
-            for t in self.token_done.remove(&c).expect("key exists") {
-                self.complete_token_part(t);
-            }
-        }
+            *rescan = true;
+        });
+        self.token_done.drain(now, |t| {
+            *rescan |= Self::complete_token_part(tokens, warps, t);
+        });
 
         // 2. LSU: one line access per cycle per LSU port (2 ports).
+        let lsu_was_full = self.lsu.len() >= self.cfg.lsu_entries;
         for _ in 0..2 {
             let Some(p) = self.lsu.front().copied() else {
                 break;
@@ -348,9 +371,7 @@ impl SimtCore {
                     self.lsu.pop_front();
                     if p.token != 0 {
                         self.token_done
-                            .entry(now + self.cfg.smem_latency as Cycle)
-                            .or_default()
-                            .push(p.token);
+                            .push(now + self.cfg.smem_latency as Cycle, p.token);
                     }
                 }
                 surface => {
@@ -358,19 +379,12 @@ impl SimtCore {
                     let cache = self.cache_mut(surface);
                     let hit_lat = cache.config().hit_latency as Cycle;
                     match cache.access(p.line, p.kind, p.token, now) {
+                        // A tracked read returns its data, a tracked write
+                        // completes, after the hit latency.
                         Access::Hit => {
                             self.lsu.pop_front();
-                            if p.kind == AccessKind::Read && p.token != 0 {
-                                self.token_done
-                                    .entry(now + hit_lat)
-                                    .or_default()
-                                    .push(p.token);
-                            } else if p.token != 0 {
-                                // Tracked write that hit: complete now.
-                                self.token_done
-                                    .entry(now + hit_lat)
-                                    .or_default()
-                                    .push(p.token);
+                            if p.token != 0 {
+                                self.token_done.push(now + hit_lat, p.token);
                             }
                         }
                         Access::Miss { writeback } => {
@@ -402,10 +416,7 @@ impl SimtCore {
                                 kind: AccessKind::Write,
                             });
                             if p.token != 0 {
-                                self.token_done
-                                    .entry(now + hit_lat)
-                                    .or_default()
-                                    .push(p.token);
+                                self.token_done.push(now + hit_lat, p.token);
                             }
                         }
                         Access::Stall(_) => {
@@ -415,6 +426,17 @@ impl SimtCore {
                     }
                 }
             }
+        }
+        // Memory instructions wait for LSU space (`warp_ready`).
+        if lsu_was_full && self.lsu.len() < self.cfg.lsu_entries {
+            self.rescan = true;
+        }
+
+        if !self.rescan {
+            if cfg!(debug_assertions) {
+                self.assert_scan_finds_nothing();
+            }
+            return;
         }
 
         // 3. Issue from each scheduler.
@@ -450,6 +472,21 @@ impl SimtCore {
                 );
             }
         }
+        self.rescan = issued_any;
+    }
+
+    /// The memo's oracle: the scans `cycle` is about to skip, run anyway.
+    /// They must pick nothing, retire nothing, and leave `last_greedy` as
+    /// it already is.
+    fn assert_scan_finds_nothing(&self) {
+        for s in 0..self.cfg.schedulers_per_core {
+            assert_eq!(self.last_greedy[s], None, "memo left a greedy warp");
+            assert_eq!(self.pick_warp(s), None, "memo skipped a ready warp");
+        }
+        assert!(
+            !self.warps.iter().flatten().any(Warp::is_finished),
+            "memo skipped a finished warp"
+        );
     }
 
     fn warp_ready(&self, slot: usize) -> bool {
@@ -460,11 +497,8 @@ impl SimtCore {
             return false;
         }
         // Memory instructions need LSU space (worst case one line/lane ×4).
-        let instr = w.program.instr(w.stack.pc());
-        if instr.op.latency_class() == LatencyClass::Mem && self.lsu.len() >= self.cfg.lsu_entries {
-            return false;
-        }
-        true
+        let class = w.program.decoded(w.stack.pc()).class;
+        !(class == LatencyClass::Mem && self.lsu.len() >= self.cfg.lsu_entries)
     }
 
     /// Warp selection for scheduler `s` per the configured policy.
@@ -507,13 +541,22 @@ impl SimtCore {
         }
     }
 
+    fn line_bytes(&self, surface: Surface) -> u64 {
+        match surface {
+            Surface::Shared => 128,
+            Surface::Data => self.l1d.config().line_bytes as u64,
+            Surface::Texture => self.l1t.config().line_bytes as u64,
+            Surface::Depth => self.l1z.config().line_bytes as u64,
+            Surface::ConstVertex => self.l1c.config().line_bytes as u64,
+        }
+    }
+
     fn issue(&mut self, slot: usize, now: Cycle, ctx: &mut dyn ExecCtx) {
         let w = self.warps[slot].as_mut().expect("warp in slot");
         let pc = w.stack.pc();
         let mask = w.stack.active_mask();
-        let program = w.program.clone();
-        let instr = program.instr(pc);
-        let res = execute(&program, pc, mask, &mut w.threads, &w.params.clone(), ctx);
+        let decoded = w.program.decoded(pc);
+        let res = execute(&w.program, pc, mask, &mut w.threads, &w.params, ctx);
         w.instrs_issued += 1;
         self.stats.issued += 1;
 
@@ -528,7 +571,7 @@ impl SimtCore {
                 }
             }
             Outcome::Branch { taken } => {
-                if let Op::Bra { target, reconv } = instr.op {
+                if let Op::Bra { target, reconv } = w.program.instr(pc).op {
                     w.stack.branch(taken, target, reconv);
                 } else {
                     unreachable!("branch outcome from non-branch op");
@@ -556,47 +599,30 @@ impl SimtCore {
         }
 
         // Timing: destination registers and memory tokens.
-        let dsts = instr.op.dst_regs();
-        match instr.op.latency_class() {
-            LatencyClass::Alu | LatencyClass::Control => {
-                if !dsts.is_empty() {
+        match decoded.class {
+            LatencyClass::Alu | LatencyClass::Control | LatencyClass::Sfu => {
+                if decoded.dst != 0 {
+                    let latency = if decoded.class == LatencyClass::Sfu {
+                        self.cfg.sfu_latency
+                    } else {
+                        self.cfg.alu_latency
+                    };
                     let w = self.warps[slot].as_mut().expect("warp in slot");
-                    w.acquire_regs(&dsts);
+                    w.acquire_regs(decoded.dst);
                     self.reg_release
-                        .entry(now + self.cfg.alu_latency as Cycle)
-                        .or_default()
-                        .push((slot, dsts.iter().map(|r| r.0).collect()));
-                }
-            }
-            LatencyClass::Sfu => {
-                if !dsts.is_empty() {
-                    let w = self.warps[slot].as_mut().expect("warp in slot");
-                    w.acquire_regs(&dsts);
-                    self.reg_release
-                        .entry(now + self.cfg.sfu_latency as Cycle)
-                        .or_default()
-                        .push((slot, dsts.iter().map(|r| r.0).collect()));
+                        .push(now + latency as Cycle, (slot, decoded.dst));
                 }
             }
             LatencyClass::Mem => {
                 self.stats.mem_instrs += 1;
                 // Coalesce per-lane accesses into unique line accesses.
-                let mut lines: Vec<PendingLine> = Vec::new();
+                self.coalesce.clear();
                 let mut tracked = 0u32;
-                let line_of = |surface: Surface, addr: Addr| -> Addr {
-                    let lb = match surface {
-                        Surface::Shared => 128u64,
-                        Surface::Data => self.l1d.config().line_bytes as u64,
-                        Surface::Texture => self.l1t.config().line_bytes as u64,
-                        Surface::Depth => self.l1z.config().line_bytes as u64,
-                        Surface::ConstVertex => self.l1c.config().line_bytes as u64,
-                    };
-                    addr & !(lb - 1)
-                };
                 let token = self.next_token;
                 for a in &res.accesses {
-                    let line = line_of(a.surface, a.addr);
-                    if let Some(existing) = lines
+                    let line = a.addr & !(self.line_bytes(a.surface) - 1);
+                    if let Some(existing) = self
+                        .coalesce
                         .iter_mut()
                         .find(|l| l.surface == a.surface && l.line == line)
                     {
@@ -610,7 +636,7 @@ impl SimtCore {
                         continue;
                     }
                     let is_read = a.kind == AccessKind::Read;
-                    lines.push(PendingLine {
+                    self.coalesce.push(PendingLine {
                         token: if is_read { token } else { 0 },
                         surface: a.surface,
                         line,
@@ -623,18 +649,18 @@ impl SimtCore {
                 if tracked > 0 {
                     self.next_token += 1;
                     let w = self.warps[slot].as_mut().expect("warp in slot");
-                    w.acquire_regs(&dsts);
+                    w.acquire_regs(decoded.dst);
                     w.outstanding_mem += 1;
                     self.tokens.insert(
                         token,
                         MemToken {
                             slot,
-                            regs: dsts.iter().map(|r| r.0).collect(),
+                            regs: decoded.dst,
                             remaining: tracked,
                         },
                     );
                 }
-                self.lsu.extend(lines);
+                self.lsu.extend(self.coalesce.drain(..));
             }
         }
 
@@ -706,7 +732,7 @@ impl emerald_common::snap::Snapshot for SimtCore {
     /// (a checkpoint-placement bug).
     fn snapshot(&self, w: &mut SnapWriter) {
         assert!(
-            self.resident == 0 && self.tokens.is_empty() && self.lsu.is_empty(),
+            self.occupancy() == 0 && self.tokens.is_empty() && self.lsu.is_empty(),
             "SIMT core must be drained at a checkpoint"
         );
         assert!(
@@ -723,14 +749,19 @@ impl emerald_common::snap::Snapshot for SimtCore {
         w.section(3, |w| self.l1z.snapshot(w));
         w.section(4, |w| self.l1c.snapshot(w));
         w.put_u64(self.next_token);
-        w.put_seq(self.reg_release.iter(), |w, (&cycle, rels)| {
+        w.put_seq(self.reg_release.ordered().iter(), |w, (&cycle, rels)| {
             w.put_u64(cycle);
-            w.put_seq(rels.iter(), |w, (slot, regs)| {
-                w.put_usize(*slot);
-                w.put_bytes(regs);
+            w.put_seq(rels.iter(), |w, &(slot, regs)| {
+                w.put_usize(slot);
+                // The mask as the byte string of register indices, in
+                // ascending order, that format 2 has always carried.
+                w.put_usize(regs.count_ones() as usize);
+                (0..64u8)
+                    .filter(|r| regs >> r & 1 != 0)
+                    .for_each(|r| w.put_u8(r));
             });
         });
-        w.put_seq(self.token_done.iter(), |w, (&cycle, toks)| {
+        w.put_seq(self.token_done.ordered().iter(), |w, (&cycle, toks)| {
             w.put_u64(cycle);
             w.put_seq(toks.iter(), |w, &t| w.put_u64(t));
         });
@@ -777,19 +808,32 @@ impl emerald_common::snap::Restore for SimtCore {
         r.section(3, |r| self.l1z.restore(r))?;
         r.section(4, |r| self.l1c.restore(r))?;
         self.next_token = r.get_u64()?;
-        self.reg_release = r
-            .get_seq(9, |r| {
-                Ok((
-                    r.get_u64()?,
-                    r.get_seq(9, |r| Ok((r.get_usize()?, r.get_bytes()?.to_vec())))?,
-                ))
-            })?
-            .into_iter()
-            .collect();
-        self.token_done = r
-            .get_seq(9, |r| Ok((r.get_u64()?, r.get_seq(8, |r| r.get_u64())?)))?
-            .into_iter()
-            .collect();
+        let slots = self.warps.len();
+        let releases = r.get_seq(9, |r| {
+            let cycle = r.get_u64()?;
+            let rels = r.get_seq(9, |r| {
+                let slot = r.get_usize()?;
+                let regs = r.get_bytes()?;
+                if slot >= slots || regs.iter().any(|&reg| reg as usize >= MAX_REGS) {
+                    return Err(SnapError::BadValue {
+                        what: "writeback slot or register out of range",
+                    });
+                }
+                Ok((slot, regs.iter().fold(0u64, |m, &reg| m | 1 << reg)))
+            })?;
+            Ok((cycle, rels))
+        })?;
+        let completions = r.get_seq(9, |r| Ok((r.get_u64()?, r.get_seq(8, |r| r.get_u64())?)))?;
+        self.reg_release.clear();
+        for (cycle, rels) in releases {
+            rels.into_iter()
+                .for_each(|rel| self.reg_release.push(cycle, rel));
+        }
+        self.token_done.clear();
+        for (cycle, toks) in completions {
+            toks.into_iter()
+                .for_each(|t| self.token_done.push(cycle, t));
+        }
         self.miss_out = r.get_seq(18, L1Miss::snap_read)?.into();
         self.used_regs = r.get_usize()?;
         self.barriers = r
@@ -811,6 +855,7 @@ impl emerald_common::snap::Restore for SimtCore {
         // across a checkpoint.
         self.warps.iter_mut().for_each(|w| *w = None);
         self.resident = 0;
+        self.rescan = true;
         self.tokens.clear();
         self.lsu.clear();
         self.finished.clear();
@@ -986,6 +1031,39 @@ mod tests {
         assert!(c.launch(mk()).is_ok());
         assert!(c.launch(mk()).is_err(), "register file exhausted");
         assert!(!c.can_accept(&p));
+    }
+
+    #[test]
+    fn restore_rejects_out_of_range_writeback_registers() {
+        use emerald_common::snap::{Restore as _, Snapshot as _};
+        // Stop right after `exit` retires the warp: the core is drained
+        // but the `mov`'s writeback of r37 is still scheduled.
+        let mut c = core();
+        let mem = SharedMem::with_capacity(1 << 16);
+        let mut ctx = GlobalMemCtx::new(mem);
+        launch_simple(&mut c, "mov.b32 r37, 1\nexit", 32);
+        run(&mut c, &mut ctx, 100);
+        c.pop_finished();
+        assert!(c.is_active(), "writeback still pending");
+        let mut w = SnapWriter::new();
+        c.snapshot(&mut w);
+        let enc = w.into_bytes();
+        let mut twin = core();
+        twin.restore(&mut SnapReader::new(&enc)).unwrap();
+        assert!(twin.is_active());
+
+        // Corrupt each byte that could be the register index in turn: no
+        // variant may panic, and the real one is refused by name.
+        let mut refused = false;
+        for at in (0..enc.len()).filter(|&i| enc[i] == 37) {
+            let mut bad = enc.clone();
+            bad[at] = 64;
+            refused |= core().restore(&mut SnapReader::new(&bad))
+                == Err(SnapError::BadValue {
+                    what: "writeback slot or register out of range",
+                });
+        }
+        assert!(refused);
     }
 
     #[test]

@@ -308,12 +308,9 @@ impl Gpu {
                 let mut placed = false;
                 for off in 0..n {
                     let ci = (self.cta_cursor + off) % n;
-                    let program = self.kernels[ki].kernel.program.clone();
-                    let fits = {
-                        let core = &self.cores[ci];
-                        core.occupancy() + warps_per_cta <= self.cfg.max_warps_per_core
-                            && core.can_accept(&program)
-                    };
+                    let core = &self.cores[ci];
+                    let fits = core.occupancy() + warps_per_cta <= self.cfg.max_warps_per_core
+                        && core.can_accept(&self.kernels[ki].kernel.program);
                     if !fits {
                         continue;
                     }

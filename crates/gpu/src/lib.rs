@@ -33,6 +33,7 @@
 pub mod config;
 pub mod core;
 pub mod ctx;
+mod deferred;
 pub mod gpu;
 pub mod kernel;
 pub mod l2;

@@ -1,7 +1,6 @@
 //! Resident warp state.
 
 use crate::simt::SimtStack;
-use emerald_common::hash::FxHashMap;
 use emerald_isa::{Program, ThreadState};
 use std::sync::Arc;
 
@@ -30,13 +29,15 @@ pub struct Warp {
     pub stack: SimtStack,
     /// The shader/kernel this warp runs.
     pub program: Arc<Program>,
-    /// Uniform launch parameters (shared: cloning per issue is a refcount
-    /// bump, not a heap allocation).
+    /// Uniform launch parameters.
     pub params: Arc<[u32]>,
     /// Owner bookkeeping tag.
     pub tag: WarpTag,
-    /// Registers with in-flight writes → number of outstanding producers.
-    pub pending_regs: FxHashMap<u8, u32>,
+    /// Registers with a write in flight (bit `i` = `ri`). One bit each is
+    /// exact: [`Warp::has_hazard`] holds an instruction back while any of
+    /// its *destinations* is pending, so a register never has two
+    /// producers in flight.
+    pub pending_regs: u64,
     /// Outstanding memory tokens (LSU completions we still wait on before
     /// the warp may fully retire).
     pub outstanding_mem: u32,
@@ -71,7 +72,7 @@ impl Warp {
             program,
             params: params.into(),
             tag,
-            pending_regs: FxHashMap::default(),
+            pending_regs: 0,
             outstanding_mem: 0,
             at_barrier: false,
             exited: false,
@@ -90,45 +91,32 @@ impl Warp {
         !self.exited && !self.at_barrier && !self.stack.is_done()
     }
 
-    /// Scoreboard check: does the instruction at the current pc depend on a
-    /// register still being produced?
+    /// Scoreboard check: does the instruction at the current pc read or
+    /// write a register still being produced?
     pub fn has_hazard(&self) -> bool {
-        if self.pending_regs.is_empty() {
-            return false;
-        }
-        let instr = self.program.instr(self.stack.pc());
-        instr
-            .op
-            .src_regs()
-            .iter()
-            .chain(instr.op.dst_regs().iter())
-            .any(|r| self.pending_regs.contains_key(&r.0))
+        self.pending_regs & self.program.decoded(self.stack.pc()).hazard != 0
     }
 
-    /// Marks `regs` as having one more in-flight producer each.
-    pub fn acquire_regs(&mut self, regs: &[emerald_isa::Reg]) {
-        for r in regs {
-            *self.pending_regs.entry(r.0).or_insert(0) += 1;
-        }
+    /// Marks the registers in `mask` as having a write in flight.
+    pub fn acquire_regs(&mut self, mask: u64) {
+        debug_assert_eq!(
+            self.pending_regs & mask,
+            0,
+            "a pending register gained a second producer"
+        );
+        self.pending_regs |= mask;
     }
 
-    /// Releases one producer for each of `regs` (writeback).
-    pub fn release_regs(&mut self, regs: &[u8]) {
-        for r in regs {
-            if let Some(n) = self.pending_regs.get_mut(r) {
-                *n -= 1;
-                if *n == 0 {
-                    self.pending_regs.remove(r);
-                }
-            }
-        }
+    /// Clears the registers in `mask` (writeback).
+    pub fn release_regs(&mut self, mask: u64) {
+        self.pending_regs &= !mask;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emerald_isa::{assemble, Reg, ThreadState};
+    use emerald_isa::{assemble, ThreadState};
 
     fn warp(src: &str) -> Warp {
         Warp::new(
@@ -156,24 +144,49 @@ mod tests {
     fn scoreboard_hazard_detection() {
         let mut w = warp("add.f32 r2, r1, r0\nexit");
         assert!(!w.has_hazard());
-        w.acquire_regs(&[Reg(1)]);
+        w.acquire_regs(1 << 1);
         assert!(w.has_hazard()); // r1 is a source
-        w.release_regs(&[1]);
+        w.release_regs(1 << 1);
         assert!(!w.has_hazard());
         // WAW: pending r2 blocks too.
-        w.acquire_regs(&[Reg(2)]);
+        w.acquire_regs(1 << 2);
         assert!(w.has_hazard());
+        // Unrelated registers do not.
+        w.release_regs(1 << 2);
+        w.acquire_regs(1 << 3 | 1 << 63);
+        assert!(!w.has_hazard());
     }
 
+    /// The invariant the one-bit scoreboard rests on: whatever an
+    /// instruction would acquire, `has_hazard` refuses while any of it is
+    /// still pending — so a second acquire of a pending register cannot be
+    /// reached through issue (and `acquire_regs` asserts as much).
     #[test]
-    fn release_is_counted() {
-        let mut w = warp("add.f32 r2, r1, r0\nexit");
-        w.acquire_regs(&[Reg(1)]);
-        w.acquire_regs(&[Reg(1)]);
-        w.release_regs(&[1]);
-        assert!(w.has_hazard(), "second producer still pending");
-        w.release_regs(&[1]);
+    fn pending_destination_is_never_reacquired() {
+        // WAW on a single register.
+        let mut w = warp("mov.b32 r5, 1\nexit");
+        let dst = w.program.decoded(0).dst;
+        assert_eq!(dst, 1 << 5);
+        w.acquire_regs(dst);
+        assert!(w.has_hazard(), "second write to r5 must wait");
+        w.release_regs(dst);
         assert!(!w.has_hazard());
+
+        // A tex2d quad: any one pending register of r8..r11 blocks it.
+        let mut w = warp("tex2d r8, [r0, r1], s0\nexit");
+        let quad = w.program.decoded(0).dst;
+        assert_eq!(quad, 0xf << 8);
+        for r in 8..12 {
+            w.acquire_regs(1 << r);
+            assert!(w.has_hazard(), "r{r} pending");
+            w.release_regs(1 << r);
+        }
+        w.acquire_regs(quad);
+        assert!(w.has_hazard());
+        // A stale release (a retired warp's writeback landing on the slot's
+        // next tenant) clears bits without underflow.
+        w.release_regs(quad | 1 << 40);
+        assert_eq!(w.pending_regs, 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Instruction opcodes, address spaces and latency classes.
 
-use crate::reg::{DType, Operand, PReg, Reg};
+use crate::reg::{DType, Operand, PReg, Reg, MAX_REGS};
 use std::fmt;
 
 /// Two-operand ALU operation kinds.
@@ -294,59 +294,45 @@ impl Op {
         }
     }
 
-    /// Destination general-purpose registers written by this op (for the
-    /// scoreboard). `Tex2d` and `Blend` write four consecutive registers.
-    pub fn dst_regs(&self) -> Vec<Reg> {
-        match self {
-            Op::Mov { d, .. }
-            | Op::Alu { d, .. }
-            | Op::Mad { d, .. }
-            | Op::Unary { d, .. }
-            | Op::Cvt { d, .. }
-            | Op::Sel { d, .. }
-            | Op::Ld { d, .. } => vec![*d],
-            Op::Tex2d { d, .. } => (0..4).map(|i| Reg(d.0 + i)).collect(),
-            Op::Blend { c } => (0..4).map(|i| Reg(c.0 + i)).collect(),
-            _ => Vec::new(),
+    /// General-purpose registers this op reads and writes, as bit masks
+    /// over `r0..r63` (bit `i` = `ri`): `(src, dst)`. `Tex2d` writes and
+    /// `Blend`/`FbWrite` read four consecutive registers; `Blend` writes
+    /// its quad back. This is the one definition the scoreboard masks and
+    /// the register demand in [`crate::Program`] derive from.
+    ///
+    /// `None` when any register — the tail of a four-wide group included —
+    /// lies at or past [`MAX_REGS`]: a mask cannot name it, and the group
+    /// end is formed in `usize` so `r253..` is an answer, not an overflow.
+    pub fn reg_masks(&self) -> Option<(u64, u64)> {
+        fn group(first: Reg, n: usize) -> Option<u64> {
+            (first.0 as usize + n <= MAX_REGS).then(|| ((1u64 << n) - 1) << first.0)
         }
-    }
-
-    /// Source general-purpose registers read by this op (for the scoreboard).
-    pub fn src_regs(&self) -> Vec<Reg> {
-        fn op_reg(o: &Operand, out: &mut Vec<Reg>) {
-            if let Operand::Reg(r) = o {
-                out.push(*r);
+        fn reg(r: Reg) -> Option<u64> {
+            group(r, 1)
+        }
+        fn operand(o: &Operand) -> Option<u64> {
+            match o {
+                Operand::Reg(r) => reg(*r),
+                _ => Some(0),
             }
         }
-        let mut out = Vec::new();
-        match self {
-            Op::Mov { a, .. } => op_reg(a, &mut out),
-            Op::Alu { a, b, .. } | Op::SetP { a, b, .. } | Op::Sel { a, b, .. } => {
-                op_reg(a, &mut out);
-                op_reg(b, &mut out);
+        Some(match self {
+            Op::Mov { d, a } | Op::Unary { d, a, .. } | Op::Cvt { d, a, .. } => {
+                (operand(a)?, reg(*d)?)
             }
-            Op::Mad { a, b, c, .. } => {
-                op_reg(a, &mut out);
-                op_reg(b, &mut out);
-                op_reg(c, &mut out);
+            Op::Alu { d, a, b, .. } | Op::Sel { d, a, b, .. } => {
+                (operand(a)? | operand(b)?, reg(*d)?)
             }
-            Op::Unary { a, .. } | Op::Cvt { a, .. } => op_reg(a, &mut out),
-            Op::Ld { addr, .. } => out.push(*addr),
-            Op::St { a, addr, .. } => {
-                op_reg(a, &mut out);
-                out.push(*addr);
-            }
-            Op::Tex2d { u, v, .. } => {
-                out.push(*u);
-                out.push(*v);
-            }
-            Op::Ztest { z, .. } => out.push(*z),
-            Op::Blend { c } | Op::FbWrite { c } => {
-                out.extend((0..4).map(|i| Reg(c.0 + i)));
-            }
-            _ => {}
-        }
-        out
+            Op::Mad { d, a, b, c, .. } => (operand(a)? | operand(b)? | operand(c)?, reg(*d)?),
+            Op::SetP { a, b, .. } => (operand(a)? | operand(b)?, 0),
+            Op::Ld { d, addr, .. } => (reg(*addr)?, reg(*d)?),
+            Op::St { a, addr, .. } => (operand(a)? | reg(*addr)?, 0),
+            Op::Tex2d { d, u, v, .. } => (reg(*u)? | reg(*v)?, group(*d, 4)?),
+            Op::Ztest { z, .. } => (reg(*z)?, 0),
+            Op::Blend { c } => (group(*c, 4)?, group(*c, 4)?),
+            Op::FbWrite { c } => (group(*c, 4)?, 0),
+            Op::Bra { .. } | Op::Bar | Op::Exit | Op::Nop => (0, 0),
+        })
     }
 
     /// True when the op accesses memory (and therefore goes down the
@@ -477,7 +463,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dst_and_src_regs() {
+    fn reg_masks_name_sources_and_destinations() {
         let op = Op::Mad {
             ty: DType::F32,
             d: Reg(1),
@@ -485,17 +471,22 @@ mod tests {
             b: Operand::ImmF(3.0),
             c: Operand::Reg(Reg(4)),
         };
-        assert_eq!(op.dst_regs(), vec![Reg(1)]);
-        assert_eq!(op.src_regs(), vec![Reg(2), Reg(4)]);
+        assert_eq!(op.reg_masks(), Some((0b1_0100, 0b10)));
 
-        let tex = Op::Tex2d {
-            d: Reg(8),
+        let tex = |d| Op::Tex2d {
+            d: Reg(d),
             u: Reg(0),
             v: Reg(1),
             sampler: 0,
         };
-        assert_eq!(tex.dst_regs(), vec![Reg(8), Reg(9), Reg(10), Reg(11)]);
-        assert_eq!(tex.src_regs(), vec![Reg(0), Reg(1)]);
+        assert_eq!(tex(8).reg_masks(), Some((0b11, 0xf << 8)));
+        // The quad's tail decides: r60..r63 fits, r61.. and r253.. do not.
+        assert_eq!(tex(60).reg_masks(), Some((0b11, 0xf << 60)));
+        assert_eq!(tex(61).reg_masks(), None);
+        assert_eq!(tex(253).reg_masks(), None);
+        assert_eq!(Op::Blend { c: Reg(4) }.reg_masks(), Some((0xf0, 0xf0)));
+        assert_eq!(Op::FbWrite { c: Reg(4) }.reg_masks(), Some((0xf0, 0)));
+        assert_eq!(Op::Exit.reg_masks(), Some((0, 0)));
     }
 
     #[test]

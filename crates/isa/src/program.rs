@@ -1,8 +1,21 @@
 //! Shader/kernel programs and static validation.
 
-use crate::op::{Instr, Op};
-use crate::reg::{MAX_REGS, NUM_PARAMS, NUM_PREDS};
+use crate::op::{Instr, LatencyClass, Op};
+use crate::reg::{NUM_PARAMS, NUM_PREDS};
 use std::fmt;
+
+/// What the timing model asks about an instruction every cycle, decoded
+/// once when the [`Program`] is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decoded {
+    /// Registers the instruction reads or writes (bit `i` = `ri`): it may
+    /// not issue while any of them has a write in flight.
+    pub hazard: u64,
+    /// Registers the instruction writes.
+    pub dst: u64,
+    /// Functional-unit latency class.
+    pub class: LatencyClass,
+}
 
 /// A validated, executable instruction sequence.
 ///
@@ -12,6 +25,9 @@ use std::fmt;
 pub struct Program {
     name: String,
     instrs: Vec<Instr>,
+    /// Per-pc decode, parallel to `instrs`.
+    decoded: Vec<Decoded>,
+    regs_used: usize,
 }
 
 /// Error produced when validating a [`Program`].
@@ -58,25 +74,30 @@ impl Program {
     /// out-of-range register/predicate/parameter, any branch index is out of
     /// bounds, the program is empty, or no `exit` exists.
     pub fn new(name: impl Into<String>, instrs: Vec<Instr>) -> Result<Self, ProgramError> {
-        let p = Self {
+        let decoded = Self::decode(&instrs)?;
+        let touched = decoded.iter().fold(0, |m, d| m | d.hazard);
+        Ok(Self {
             name: name.into(),
             instrs,
-        };
-        p.validate()?;
-        Ok(p)
+            decoded,
+            regs_used: (u64::BITS - touched.leading_zeros()) as usize,
+        })
     }
 
-    fn validate(&self) -> Result<(), ProgramError> {
+    /// Validates every instruction and returns the per-pc decode. An
+    /// instruction's masks are formed only once [`Op::reg_masks`] has
+    /// vouched for its registers, so no shift ever sees an index ≥ 64.
+    fn decode(instrs: &[Instr]) -> Result<Vec<Decoded>, ProgramError> {
         use crate::reg::{Operand, Special};
-        if self.instrs.is_empty() {
+        if instrs.is_empty() {
             return Err(ProgramError::Empty);
         }
-        if !self.instrs.iter().any(|i| i.op == Op::Exit) {
+        if !instrs.iter().any(|i| i.op == Op::Exit) {
             return Err(ProgramError::NoExit);
         }
+        let mut decoded = Vec::with_capacity(instrs.len());
         let check_operand = |o: &Operand, idx: usize| -> Result<(), ProgramError> {
             match o {
-                Operand::Reg(r) if r.0 as usize >= MAX_REGS => Err(ProgramError::BadReg(idx)),
                 Operand::Special(Special::Param(k)) if *k as usize >= NUM_PARAMS => {
                     Err(ProgramError::BadParam(idx))
                 }
@@ -86,17 +107,13 @@ impl Program {
                 _ => Ok(()),
             }
         };
-        for (idx, instr) in self.instrs.iter().enumerate() {
+        for (idx, instr) in instrs.iter().enumerate() {
             if let Some((p, _)) = instr.guard {
                 if p.0 as usize >= NUM_PREDS {
                     return Err(ProgramError::BadPred(idx));
                 }
             }
-            for r in instr.op.dst_regs().iter().chain(instr.op.src_regs().iter()) {
-                if r.0 as usize >= MAX_REGS {
-                    return Err(ProgramError::BadReg(idx));
-                }
-            }
+            let (src, dst) = instr.op.reg_masks().ok_or(ProgramError::BadReg(idx))?;
             match &instr.op {
                 Op::Mov { a, .. } | Op::Unary { a, .. } | Op::Cvt { a, .. } => {
                     check_operand(a, idx)?
@@ -111,9 +128,7 @@ impl Program {
                     check_operand(c, idx)?;
                 }
                 Op::St { a, .. } => check_operand(a, idx)?,
-                Op::Bra { target, reconv }
-                    if *target >= self.instrs.len() || *reconv > self.instrs.len() =>
-                {
+                Op::Bra { target, reconv } if *target >= instrs.len() || *reconv > instrs.len() => {
                     return Err(ProgramError::BadBranch(idx));
                 }
                 Op::Exit if instr.guard.is_some() => {
@@ -131,8 +146,13 @@ impl Program {
                     return Err(ProgramError::BadPred(idx));
                 }
             }
+            decoded.push(Decoded {
+                hazard: src | dst,
+                dst,
+                class: instr.op.latency_class(),
+            });
         }
-        Ok(())
+        Ok(decoded)
     }
 
     /// The program's name (for stats and debugging).
@@ -165,19 +185,19 @@ impl Program {
         &self.instrs
     }
 
+    /// The scoreboard masks and latency class of the instruction at `pc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` is out of range.
+    pub fn decoded(&self, pc: usize) -> Decoded {
+        self.decoded[pc]
+    }
+
     /// Highest general-purpose register index used, plus one (the per-thread
     /// register demand used for occupancy limits).
     pub fn regs_used(&self) -> usize {
-        self.instrs
-            .iter()
-            .flat_map(|i| {
-                i.op.dst_regs()
-                    .into_iter()
-                    .chain(i.op.src_regs())
-                    .map(|r| r.0 as usize + 1)
-            })
-            .max()
-            .unwrap_or(0)
+        self.regs_used
     }
 }
 
@@ -194,7 +214,7 @@ impl fmt::Display for Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reg::{DType, Operand, Reg};
+    use crate::reg::{DType, Operand, Reg, MAX_REGS};
 
     fn exit() -> Instr {
         Instr::new(Op::Exit)
@@ -251,6 +271,163 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.regs_used(), 12); // r8..r11 -> 12
+    }
+
+    #[test]
+    fn decode_matches_the_instruction() {
+        let p = crate::assemble("ld.global.b32 r3, [r1+0]\nblend r4\nexit").unwrap();
+        let ld = p.decoded(0);
+        assert_eq!((ld.hazard, ld.dst), (0b1010, 0b1000));
+        assert_eq!(ld.class, LatencyClass::Mem);
+        let blend = p.decoded(1);
+        assert_eq!((blend.hazard, blend.dst), (0xf0, 0xf0));
+        let exit = p.decoded(2);
+        assert_eq!((exit.hazard, exit.dst), (0, 0));
+        assert_eq!(exit.class, LatencyClass::Control);
+        assert_eq!(p.regs_used(), 8);
+    }
+
+    /// Every register slot of every op, set to `r`; everything else in
+    /// range. Pairs each op with the width of the group the slot starts.
+    fn ops_with_register(r: u8) -> Vec<(Op, usize)> {
+        use crate::op::{AluKind, CmpOp, MemSpace, UnaryKind};
+        let (x, ok) = (Reg(r), Reg(0));
+        let (xo, oko) = (Operand::Reg(x), Operand::Reg(ok));
+        let (ty, p) = (DType::F32, crate::reg::PReg(0));
+        let alu = |d, a, b| Op::Alu {
+            kind: AluKind::Add,
+            ty,
+            d,
+            a,
+            b,
+        };
+        let mad = |d, a, b, c| Op::Mad { ty, d, a, b, c };
+        let unary = |d, a| Op::Unary {
+            kind: UnaryKind::Neg,
+            ty,
+            d,
+            a,
+        };
+        let cvt = |d, a| Op::Cvt {
+            d,
+            a,
+            from: ty,
+            to: DType::S32,
+        };
+        let setp = |a, b| Op::SetP {
+            p,
+            cmp: CmpOp::Lt,
+            ty,
+            a,
+            b,
+        };
+        let ld = |d, addr| Op::Ld {
+            space: MemSpace::Global,
+            d,
+            addr,
+            offset: 0,
+        };
+        let st = |a, addr| Op::St {
+            space: MemSpace::Global,
+            a,
+            addr,
+            offset: 0,
+        };
+        let tex = |d, u, v| Op::Tex2d {
+            d,
+            u,
+            v,
+            sampler: 0,
+        };
+        vec![
+            (Op::Mov { d: x, a: oko }, 1),
+            (Op::Mov { d: ok, a: xo }, 1),
+            (alu(x, oko, oko), 1),
+            (alu(ok, xo, oko), 1),
+            (alu(ok, oko, xo), 1),
+            (mad(x, oko, oko, oko), 1),
+            (mad(ok, xo, oko, oko), 1),
+            (mad(ok, oko, xo, oko), 1),
+            (mad(ok, oko, oko, xo), 1),
+            (unary(x, oko), 1),
+            (unary(ok, xo), 1),
+            (cvt(x, oko), 1),
+            (cvt(ok, xo), 1),
+            (setp(xo, oko), 1),
+            (setp(oko, xo), 1),
+            (
+                Op::Sel {
+                    d: x,
+                    p,
+                    a: oko,
+                    b: oko,
+                },
+                1,
+            ),
+            (
+                Op::Sel {
+                    d: ok,
+                    p,
+                    a: xo,
+                    b: oko,
+                },
+                1,
+            ),
+            (
+                Op::Sel {
+                    d: ok,
+                    p,
+                    a: oko,
+                    b: xo,
+                },
+                1,
+            ),
+            (ld(x, ok), 1),
+            (ld(ok, x), 1),
+            (st(xo, ok), 1),
+            (st(oko, x), 1),
+            (tex(x, ok, ok), 4),
+            (tex(ok, x, ok), 1),
+            (tex(ok, ok, x), 1),
+            (Op::Ztest { z: x, write: true }, 1),
+            (Op::Blend { c: x }, 4),
+            (Op::FbWrite { c: x }, 4),
+        ]
+    }
+
+    #[test]
+    fn out_of_range_register_is_an_error_in_every_slot() {
+        for r in 60..=255u8 {
+            for (op, width) in ops_with_register(r) {
+                let shown = op.to_string();
+                let got = Program::new("t", vec![Instr::new(op), exit()]).map(|_| ());
+                let want = if r as usize + width <= MAX_REGS {
+                    Ok(())
+                } else {
+                    Err(ProgramError::BadReg(0))
+                };
+                assert_eq!(got, want, "`{shown}`");
+            }
+        }
+    }
+
+    #[test]
+    fn assembler_reports_bad_register_groups() {
+        use crate::asm::AsmError;
+        for src in [
+            "tex2d r253, [r0, r1], s0\nexit",
+            "tex2d r61, [r0, r1], s0\nexit",
+            "blend r254\nexit",
+            "blend r62\nexit",
+            "fbwrite r255\nexit",
+        ] {
+            assert_eq!(
+                crate::assemble(src).unwrap_err(),
+                AsmError::Invalid(ProgramError::BadReg(0)),
+                "{src}"
+            );
+        }
+        assert!(crate::assemble("tex2d r60, [r0, r1], s0\nblend r60\nexit").is_ok());
     }
 
     #[test]

@@ -33,7 +33,10 @@ cargo test --release --test snapshot -q
 
 echo "==> benchmark package: unit tests + golden gate (cycles and digests vs benchmark/golden.json)"
 cargo test --manifest-path benchmark/Cargo.toml -q
-for w in soc_dense soc_paced gpgpu_mix; do
+# All five: render_cs2 is the only gate on case_study_2 (64 warp slots, 6
+# cores, tex2d/blend register quads), sweep_fork the only one that restores
+# a SimtCore's deferred queues from a snapshot.
+for w in soc_dense soc_paced gpgpu_mix render_cs2 sweep_fork; do
   cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- one "$w" --seed 1 --seconds 0 >/dev/null
 done
 
