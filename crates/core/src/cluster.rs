@@ -126,6 +126,14 @@ pub struct TcStage {
     in_q: VecDeque<RasterTile>,
     flush_q: VecDeque<TcTile>,
     busy: FxHashSet<(u32, u32)>,
+    /// The ready-scan memo. Which tile [`TcStage::pop_ready`] returns is a
+    /// pure function of `(flush_q, busy)`, and those change only where a
+    /// tile is queued, in [`TcStage::complete`], on restore and in
+    /// `pop_ready`'s own successful pop. Each of those sets this flag; a
+    /// scan that finds nothing clears it, and until it is set again the
+    /// scan would find nothing (debug builds run it anyway and assert
+    /// exactly that).
+    rescan: bool,
     timeout: Cycle,
     enabled: bool,
 }
@@ -138,6 +146,7 @@ impl TcStage {
             in_q: VecDeque::new(),
             flush_q: VecDeque::new(),
             busy: FxHashSet::default(),
+            rescan: true,
             timeout: cfg.tc_timeout,
             enabled: cfg.tc_enabled,
         }
@@ -152,6 +161,7 @@ impl TcStage {
                 tc_pos: tile.tc_pos,
                 frags: tile.frags,
             });
+            self.rescan = true;
         }
     }
 
@@ -186,6 +196,7 @@ impl TcStage {
                         stats.tc_tiles += 1;
                         stats.tc_conflict_flushes += 1;
                         self.flush_q.push_back(t);
+                        self.rescan = true;
                     }
                 }
             } else if let Some(ei) = self.engines.iter().position(|e| e.pos.is_none()) {
@@ -207,6 +218,7 @@ impl TcStage {
                     stats.tc_tiles += 1;
                     stats.tc_conflict_flushes += 1;
                     self.flush_q.push_back(t);
+                    self.rescan = true;
                 }
             }
         }
@@ -219,6 +231,7 @@ impl TcStage {
                     stats.tc_tiles += 1;
                     stats.tc_timeout_flushes += 1;
                     self.flush_q.push_back(t);
+                    self.rescan = true;
                 }
             }
         }
@@ -229,23 +242,33 @@ impl TcStage {
     /// marking it busy. Tiles for *other* positions may overtake a blocked
     /// one; tiles for the *same* position stay in order.
     pub fn pop_ready(&mut self) -> Option<TcTile> {
-        let mut blocked: FxHashSet<(u32, u32)> = FxHashSet::default();
-        for i in 0..self.flush_q.len() {
-            let pos = self.flush_q[i].tc_pos;
-            if self.busy.contains(&pos) || blocked.contains(&pos) {
-                blocked.insert(pos);
-                continue;
-            }
-            let t = self.flush_q.remove(i).expect("index in range");
-            self.busy.insert(pos);
-            return Some(t);
+        if !self.rescan {
+            debug_assert_eq!(self.first_ready(), None, "memo skipped a ready TC tile");
+            return None;
         }
-        None
+        let Some(i) = self.first_ready() else {
+            self.rescan = false;
+            return None;
+        };
+        let t = self.flush_q.remove(i).expect("index in range");
+        self.busy.insert(t.tc_pos);
+        Some(t)
+    }
+
+    /// Queue index of the oldest tile whose position is not being shaded.
+    /// Tiles skipped on the way need no set of their own: a tile is only
+    /// ever skipped because its position is busy, so any later tile for
+    /// the same position fails the same test.
+    fn first_ready(&self) -> Option<usize> {
+        self.flush_q
+            .iter()
+            .position(|t| !self.busy.contains(&t.tc_pos))
     }
 
     /// Marks a TC position's shading complete.
     pub fn complete(&mut self, pos: (u32, u32)) {
         self.busy.remove(&pos);
+        self.rescan = true;
     }
 
     /// Anything still staged or waiting to issue?
@@ -399,6 +422,7 @@ impl ClusterPipe {
         self.tc.in_q.clear();
         self.tc.flush_q.clear();
         self.tc.busy.clear();
+        self.tc.rescan = true;
         Ok(())
     }
 
@@ -747,5 +771,83 @@ mod tests {
         assert_eq!(tc.busy_count(), 1);
         tc.complete((1, 1));
         assert!(tc.pop_ready().is_some());
+    }
+
+    /// `pop_ready` as it was before the memo: every call walks the whole
+    /// queue and keeps its own set of the positions it passed over.
+    fn unmemoised_pop(tc: &mut TcStage) -> Option<TcTile> {
+        let mut blocked: FxHashSet<(u32, u32)> = FxHashSet::default();
+        for i in 0..tc.flush_q.len() {
+            let pos = tc.flush_q[i].tc_pos;
+            if tc.busy.contains(&pos) || blocked.contains(&pos) {
+                blocked.insert(pos);
+                continue;
+            }
+            let t = tc.flush_q.remove(i).expect("index in range");
+            tc.busy.insert(pos);
+            return Some(t);
+        }
+        None
+    }
+
+    /// Random raster-tile pushes, ticks (conflict, eviction, timeout and
+    /// end-of-draw flushes), completions and pops: the memoised scan hands
+    /// out the same tiles in the same order as the unmemoised one, and in
+    /// debug builds every skipped scan is re-run by `pop_ready`'s oracle.
+    #[test]
+    fn memoised_ready_scan_matches_unmemoised_scan() {
+        emerald_common::check::check("tc_ready_scan_memo", |rng| {
+            let mut cfg = full_cfg();
+            cfg.tc_engines = 2;
+            cfg.tc_timeout = 3;
+            cfg.tc_enabled = rng.chance(0.8);
+            let mut memo = TcStage::new(&cfg);
+            let mut plain = TcStage::new(&cfg);
+            let (mut stats_m, mut stats_p) = (ClusterStats::default(), ClusterStats::default());
+            let mut shading: Vec<(u32, u32)> = Vec::new();
+            let (mut popped, mut skipped) = (0, 0);
+            for now in 0..400u64 {
+                match rng.below(8) {
+                    0..=2 => {
+                        // The fragment's x is the tile's identity.
+                        let tile = RasterTile {
+                            tc_pos: (rng.below(3) as u32, 0),
+                            slot: rng.below(4) as usize,
+                            mask: 1 << rng.below(16),
+                            frags: vec![Frag {
+                                x: now as u32,
+                                y: 0,
+                                z: 0.5,
+                                attrs: [0.0; NUM_VARYINGS],
+                            }],
+                        };
+                        memo.push(tile.clone());
+                        plain.push(tile);
+                    }
+                    3 if !shading.is_empty() => {
+                        let pos = shading.swap_remove(rng.below(shading.len() as u64) as usize);
+                        memo.complete(pos);
+                        plain.complete(pos);
+                    }
+                    _ => {}
+                }
+                let flush_all = rng.chance(0.05);
+                memo.tick(now, flush_all, &mut stats_m);
+                plain.tick(now, flush_all, &mut stats_p);
+                // Like `launch_fragments`: at most one pop per cycle, and
+                // most cycles find every queued position busy.
+                skipped += u32::from(!memo.rescan);
+                let got = memo.pop_ready();
+                assert_eq!(got, unmemoised_pop(&mut plain), "cycle {now}");
+                if let Some(t) = got {
+                    shading.push(t.tc_pos);
+                    popped += 1;
+                }
+            }
+            assert_eq!(stats_m, stats_p);
+            assert_eq!(memo.flush_q, plain.flush_q);
+            assert!(popped > 0, "the sequence never popped a tile");
+            assert!(skipped > 40, "only {skipped} scans were skipped");
+        });
     }
 }

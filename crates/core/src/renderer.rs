@@ -436,8 +436,6 @@ impl GpuRenderer {
                     },
                 );
                 self.launching[cluster] = Some((tile, 0));
-                // Stash the tile id in the cursor's high bits? No — keep a
-                // side map keyed by cluster instead.
                 self.launch_tile_ids[cluster] = tile_id;
             }
         }
@@ -499,14 +497,13 @@ impl GpuRenderer {
         clk.skip();
 
         // 2. Completed warps feed the pipeline.
-        for (core, payload) in self.gpu.drain_external_finished() {
+        for (_, payload) in self.gpu.drain_external_finished() {
             match self.jobs.remove(&payload) {
                 Some(WarpJob::Vertex { cluster, warp }) => {
                     if let Some(ds) = self.cur.as_mut() {
                         ds.completed.insert(warp.seq);
                     }
                     self.vpos[cluster].push_warp(warp);
-                    let _ = core;
                 }
                 Some(WarpJob::Fragment { tile }) => {
                     let done = {

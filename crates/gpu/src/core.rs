@@ -16,7 +16,7 @@ use emerald_common::types::{AccessKind, Addr, CoreId, Cycle};
 use emerald_isa::exec::Surface;
 use emerald_isa::op::{LatencyClass, Op};
 use emerald_isa::reg::MAX_REGS;
-use emerald_isa::{execute, ExecCtx, Outcome};
+use emerald_isa::{execute_into, ExecCtx, Outcome, StepResult};
 use emerald_mem::cache::{Access, Cache};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -117,6 +117,8 @@ pub struct SimtCore {
     /// Scheduled writebacks: `(slot, destination-register mask)`.
     reg_release: Deferred<(usize, u64)>,
     token_done: Deferred<u64>,
+    /// The executor's result buffer, reused by every issue.
+    step: StepResult,
     /// Scratch for coalescing one instruction's accesses into lines.
     coalesce: Vec<PendingLine>,
     miss_out: VecDeque<L1Miss>,
@@ -149,6 +151,7 @@ impl SimtCore {
             next_token: 1, // 0 is the untracked-write sentinel
             reg_release: Deferred::new(),
             token_done: Deferred::new(),
+            step: StepResult::new(),
             coalesce: Vec::new(),
             miss_out: VecDeque::new(),
             finished: Vec::new(),
@@ -493,12 +496,16 @@ impl SimtCore {
         let Some(w) = self.warps[slot].as_ref() else {
             return false;
         };
-        if !w.can_issue() || w.has_hazard() {
-            return false;
+        let next = w.issuable();
+        if cfg!(debug_assertions) {
+            // The cached view's oracle: the definitions it caches.
+            let slow = (w.can_issue() && !w.has_hazard()).then(|| w.program.decoded(w.stack.pc()));
+            assert_eq!(next, slow, "stale scheduler view in slot {slot}");
         }
         // Memory instructions need LSU space (worst case one line/lane ×4).
-        let class = w.program.decoded(w.stack.pc()).class;
-        !(class == LatencyClass::Mem && self.lsu.len() >= self.cfg.lsu_entries)
+        next.is_some_and(|d| {
+            !(d.class == LatencyClass::Mem && self.lsu.len() >= self.cfg.lsu_entries)
+        })
     }
 
     /// Warp selection for scheduler `s` per the configured policy.
@@ -556,7 +563,9 @@ impl SimtCore {
         let pc = w.stack.pc();
         let mask = w.stack.active_mask();
         let decoded = w.program.decoded(pc);
-        let res = execute(&w.program, pc, mask, &mut w.threads, &w.params, ctx);
+        let (threads, params) = (&mut w.threads, &w.params);
+        execute_into(&w.program, pc, mask, threads, params, ctx, &mut self.step);
+        let res = &self.step;
         w.instrs_issued += 1;
         self.stats.issued += 1;
 
@@ -664,11 +673,12 @@ impl SimtCore {
             }
         }
 
-        // Exit bookkeeping.
+        // Exit bookkeeping, and the scheduler's view of the new pc.
         let w = self.warps[slot].as_mut().expect("warp in slot");
         if w.stack.is_done() {
             w.exited = true;
         }
+        w.refresh_next();
     }
 }
 
@@ -1012,6 +1022,49 @@ mod tests {
             assert!(now < 10_000);
         }
         assert_eq!(fills, 1, "perfectly coalesced load = one line fill");
+    }
+
+    #[test]
+    fn wrapped_addresses_read_zero_and_drop_writes() {
+        // r0 is the lane id, so `[r0+-4]` covers u64::MAX-3 ..= u64::MAX
+        // across the four lanes, in both spaces; each lane then reports
+        // the sum of what it loaded.
+        let mem = SharedMem::with_capacity(1 << 16);
+        for lane in 0..4 {
+            mem.write_u32(0x100 + 4 * lane, 99);
+        }
+        let mut ctx = GlobalMemCtx::new(mem);
+        let mut c = core();
+        launch_simple(
+            &mut c,
+            "mov.b32 r0, %laneid
+             mov.b32 r1, 7
+             st.global.b32 [r0+-4], r1
+             st.shared.b32 [r0+-4], r1
+             ld.global.b32 r2, [r0+-4]
+             ld.shared.b32 r3, [r0+-4]
+             add.u32 r4, r2, r3
+             shl.u32 r5, r0, 2
+             add.u32 r5, r5, 0x100
+             st.global.b32 [r5+0], r4
+             exit",
+            4,
+        );
+        let mut now = 0;
+        while !c.is_idle() {
+            c.cycle(now, &mut ctx);
+            while let Some(m) = c.pop_miss() {
+                if m.kind == AccessKind::Read {
+                    c.fill_l1(m.surface, m.line, now);
+                }
+            }
+            now += 1;
+            assert!(now < 10_000);
+        }
+        assert_eq!(c.pop_finished(), Some(WarpTag::External(7)));
+        for lane in 0..4 {
+            assert_eq!(ctx.mem().read_u32(0x100 + 4 * lane), 0, "lane {lane}");
+        }
     }
 
     #[test]

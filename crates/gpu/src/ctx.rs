@@ -56,25 +56,26 @@ impl GlobalMemCtx {
 
     fn scratch_write_u32(&mut self, addr: Addr, v: u32) {
         let i = addr as usize;
-        if i + 4 > self.scratch.len() {
+        // A word that would wrap the address space is out of range too.
+        let Some(end) = i.checked_add(4) else {
+            return;
+        };
+        if end > self.scratch.len() {
             // Grow geometrically but never past the declared limit — a
             // pathological address must not allocate gigabytes.
-            if i + 4 > self.shared_limit {
+            if end > self.shared_limit {
                 return;
             }
-            let target = (i + 4).next_power_of_two().min(self.shared_limit);
+            let target = end.next_power_of_two().min(self.shared_limit);
             self.scratch.resize(target, 0);
         }
-        self.scratch[i..i + 4].copy_from_slice(&v.to_le_bytes());
+        self.scratch[i..end].copy_from_slice(&v.to_le_bytes());
     }
 }
 
 fn scratch_read(scratch: &[u8], addr: Addr) -> u32 {
-    let i = addr as usize;
-    if i + 4 > scratch.len() {
-        return 0;
-    }
-    u32::from_le_bytes([scratch[i], scratch[i + 1], scratch[i + 2], scratch[i + 3]])
+    let word = scratch.get(addr as usize..).and_then(<[u8]>::first_chunk);
+    word.map_or(0, |w| u32::from_le_bytes(*w))
 }
 
 impl ExecCtx for GlobalMemCtx {
@@ -254,6 +255,35 @@ mod tests {
         ctx.store(MemSpace::Shared, (1 << 16) - 4, 9);
         assert_eq!(ctx.load(MemSpace::Shared, (1 << 16) - 4), 9);
         assert_eq!(ctx.scratch.len(), 1 << 16);
+    }
+
+    #[test]
+    fn wrapped_addresses_read_zero_and_drop_writes() {
+        // `[r0+-4]` with `r0 = 0..3`: loads return 0, stores are ignored,
+        // directly and through a core's buffered view and its commit.
+        let mut ctx = GlobalMemCtx::new(SharedMem::with_capacity(4096));
+        ctx.store(MemSpace::Shared, 0, 5); // a scratchpad to run off the end of
+        let mut bufs = vec![StoreBuffer::default()];
+        for addr in Addr::MAX - 3..=Addr::MAX {
+            for space in [MemSpace::Global, MemSpace::Shared] {
+                ctx.store(space, addr, 7);
+                assert_eq!(ctx.load(space, addr), 0, "{space:?} {addr:#x}");
+                let frozen = GlobalMemCtx::freeze(&ctx);
+                let mut core = GlobalMemCtx::core(&frozen, &mut bufs[0]);
+                assert_eq!(core.load(space, addr), 0, "{space:?} {addr:#x} frozen");
+                core.store(space, addr, 9);
+            }
+        }
+        ctx.commit(&mut bufs);
+        assert_eq!(ctx.load(MemSpace::Shared, 0), 5);
+        assert!(
+            ctx.scratch.len() <= 8,
+            "scratch grew to {}",
+            ctx.scratch.len()
+        );
+        assert!(ctx
+            .mem()
+            .read(|m| m.read_bytes(0, 4096).iter().all(|&b| b == 0)));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::config::GpuConfig;
 use crate::core::{L1Miss, SimtCore};
-use crate::kernel::{Kernel, KernelState, INPUT_SHARED_BASE};
+use crate::kernel::{Kernel, KernelState};
 use crate::l2::{L1Target, L2};
 use crate::phase::{host_parallelism, CorePool, CycleCtx, SendPtr};
 use crate::warp::{Warp, WarpTag};
@@ -346,7 +346,6 @@ impl Gpu {
                 }
             }
         }
-        let _ = INPUT_SHARED_BASE; // convention documented in kernel.rs
     }
 
     /// Rebuilds the active-core list from simulation state. The list is a

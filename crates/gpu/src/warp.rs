@@ -1,6 +1,7 @@
 //! Resident warp state.
 
 use crate::simt::SimtStack;
+use emerald_isa::program::Decoded;
 use emerald_isa::{Program, ThreadState};
 use std::sync::Arc;
 
@@ -50,6 +51,12 @@ pub struct Warp {
     pub cta_group: Option<(usize, usize, usize)>,
     /// Dynamic instructions issued (stats).
     pub instrs_issued: u64,
+    /// The scheduler's view of the warp: the decode of the instruction at
+    /// the current pc, `None` once every path has retired. Cached here so
+    /// a readiness test reads this struct alone instead of chasing
+    /// `stack` and `program`; [`Warp::refresh_next`] re-reads it wherever
+    /// `stack` moves.
+    next: Option<Decoded>,
 }
 
 impl Warp {
@@ -66,7 +73,7 @@ impl Warp {
         } else {
             (1u32 << threads.len()) - 1
         };
-        Self {
+        let mut warp = Self {
             threads,
             stack: SimtStack::new(mask),
             program,
@@ -78,7 +85,24 @@ impl Warp {
             exited: false,
             cta_group: None,
             instrs_issued: 0,
-        }
+            next: None,
+        };
+        warp.refresh_next();
+        warp
+    }
+
+    /// Re-reads the cached decode of the next instruction; call after
+    /// anything moves `stack`.
+    pub fn refresh_next(&mut self) {
+        self.next = self.stack.top().map(|e| self.program.decoded(e.pc));
+    }
+
+    /// The next instruction's decode if the warp may issue it now:
+    /// [`Warp::can_issue`] and not [`Warp::has_hazard`], answered from the
+    /// cached view.
+    pub fn issuable(&self) -> Option<Decoded> {
+        self.next
+            .filter(|d| !self.exited && !self.at_barrier && self.pending_regs & d.hazard == 0)
     }
 
     /// True when the warp has fully retired (no paths, no pending memory).

@@ -6,10 +6,10 @@
 //! the test binary's global allocator bumps a thread-local counter, so
 //! each test reads only the allocations its own thread made.
 
-use emerald_common::types::CoreId;
+use emerald_common::types::{AccessKind, CoreId};
 use emerald_gpu::core::SimtCore;
 use emerald_gpu::{GlobalMemCtx, GpuConfig, Warp, WarpTag};
-use emerald_isa::{assemble, execute, Program, ThreadState};
+use emerald_isa::{assemble, Program, ThreadState};
 use emerald_mem::image::SharedMem;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -138,66 +138,88 @@ fn can_accept_does_not_allocate() {
     assert_eq!(allocs, 0);
 }
 
-/// ALU, SFU and control instructions through issue, scoreboard and
-/// writeback. `isa::execute` itself still collects each instruction's lane
-/// list into a `Vec` (the executor is the next item on the roadmap, not
-/// this test's subject), so the bar is differential: after one warm-up
-/// pass the core performs exactly the allocations the executor performs
-/// for the same instructions — none of its own per issued instruction.
-#[test]
-fn alu_stream_issues_without_allocating() {
-    let program = Arc::new(
-        assemble(
-            "mov.b32 r0, %laneid
-             add.u32 r1, r0, 1
-             mul.u32 r2, r1, r1
-             cvt.f32.u32 r3, r2
-             mad.f32 r4, r3, 0.5, r3
-             div.f32 r5, r4, 3.0
-             rsqrt.f32 r6, r5
-             setp.lt.u32 p0, r0, 16
-             sel.b32 r7, p0, r5, r6
-             @p0 neg.f32 r7, r7
-             max.f32 r0, r7, r4
-             nop
-             exit",
-        )
-        .unwrap(),
-    );
-    const WARPS: u64 = 6;
-    let mut ctx = ctx();
-
-    // What the executor alone allocates for one warp's pass (the program
-    // is straight-line, so each pc runs once under the full mask).
-    let mut threads = vec![ThreadState::new(); 32];
-    let executor = allocs_during(|| {
-        for pc in 0..program.len() {
-            black_box(execute(&program, pc, u32::MAX, &mut threads, &[], &mut ctx));
+/// Runs `warps` on `core` until it drains, answering every L1 read miss
+/// on the spot; returns the number of misses answered.
+fn pass(core: &mut SimtCore, ctx: &mut GlobalMemCtx, now: &mut u64, warps: Vec<Warp>) -> u64 {
+    let mut fills = 0;
+    for w in warps {
+        core.launch(w).unwrap();
+    }
+    while !core.is_idle() {
+        core.cycle(*now, ctx);
+        while let Some(m) = core.pop_miss() {
+            if m.kind == AccessKind::Read {
+                core.fill_l1(m.surface, m.line, *now);
+                fills += 1;
+            }
         }
-    });
+        *now += 1;
+    }
+    while core.pop_finished().is_some() {}
+    fills
+}
 
+/// After one warm-up pass (queues at their peak capacity, lines resident),
+/// a second batch of warps running `src` issues every instruction without
+/// a single allocation in the executor, the core or the LSU.
+fn assert_steady_state_is_allocation_free(src: &str, params: impl Fn(u64) -> Vec<u32>) {
+    const WARPS: u64 = 6;
+    let program = Arc::new(assemble(src).unwrap());
+    let mut ctx = ctx();
     let mut core = SimtCore::new(CoreId(0), &GpuConfig::case_study_1());
     let mut now = 0;
-    let mut pass = |core: &mut SimtCore, warps: Vec<Warp>| {
-        for w in warps {
-            core.launch(w).unwrap();
-        }
-        while !core.is_idle() {
-            core.cycle(now, &mut ctx);
-            now += 1;
-        }
-        while core.pop_finished().is_some() {}
-    };
-    let batch = || (0..WARPS).map(|i| warp(&program, Vec::new(), i)).collect();
+    let batch = || (0..WARPS).map(|i| warp(&program, params(i), i)).collect();
 
-    pass(&mut core, batch()); // warm-up: queues reach their peak capacity
+    pass(&mut core, &mut ctx, &mut now, batch());
     let issued = core.stats().issued;
     let warps = batch();
-    let allocs = allocs_during(|| pass(&mut core, warps));
+    let mut fills = 0;
+    let allocs = allocs_during(|| fills = pass(&mut core, &mut ctx, &mut now, warps));
     assert_eq!(core.stats().issued - issued, WARPS * program.len() as u64);
-    assert_eq!(
-        allocs,
-        WARPS * executor,
-        "the core allocated beyond what isa::execute does for {WARPS} warps"
+    assert_eq!(fills, 0, "the warm-up pass left every line resident");
+    assert_eq!(allocs, 0, "allocations across {WARPS} warps' instructions");
+}
+
+/// ALU, SFU and control instructions through the executor, issue, the
+/// scoreboard and writeback.
+#[test]
+fn alu_stream_issues_without_allocating() {
+    assert_steady_state_is_allocation_free(
+        "mov.b32 r0, %laneid
+         add.u32 r1, r0, 1
+         mul.u32 r2, r1, r1
+         cvt.f32.u32 r3, r2
+         mad.f32 r4, r3, 0.5, r3
+         div.f32 r5, r4, 3.0
+         rsqrt.f32 r6, r5
+         setp.lt.u32 p0, r0, 16
+         sel.b32 r7, p0, r5, r6
+         @p0 neg.f32 r7, r7
+         max.f32 r0, r7, r4
+         nop
+         exit",
+        |_| Vec::new(),
+    );
+}
+
+/// Shared and global loads and stores through the executor's access list,
+/// coalescing, the LSU and L1D hits. (A *missing* line still allocates its
+/// MSHR target list and `fill`'s result, which is why the stream hits.)
+#[test]
+fn memory_stream_issues_without_allocating() {
+    assert_steady_state_is_allocation_free(
+        "mov.b32 r0, %laneid
+         shl.u32 r1, r0, 2
+         add.u32 r2, r1, %param0
+         ld.global.b32 r3, [r2+0]
+         ld.global.b32 r4, [r2+128]
+         add.u32 r3, r3, r4
+         st.shared.b32 [r1+0], r3
+         ld.shared.b32 r5, [r1+0]
+         st.global.b32 [r2+0], r5
+         st.global.b32 [r2+128], r0
+         exit",
+        // Two lines of its own per warp.
+        |i| vec![0x1000 + 256 * i as u32],
     );
 }

@@ -9,7 +9,7 @@
 
 use crate::op::{AluKind, CmpOp, Instr, MemSpace, Op, UnaryKind};
 use crate::program::Program;
-use crate::reg::{input, DType, Operand, Special, ThreadState};
+use crate::reg::{input, DType, Operand, Reg, Special, ThreadState};
 use emerald_common::types::{AccessKind, Addr, WARP_SIZE};
 
 /// Which hardware surface/cache a memory access targets (Table 2 of the
@@ -61,7 +61,11 @@ pub enum Outcome {
 }
 
 /// Result of executing one instruction warp-wide.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The vectors keep their capacity across [`execute_into`] calls, so a
+/// caller that reuses one `StepResult` stops allocating once it has seen
+/// its widest instruction.
+#[derive(Debug, Clone)]
 pub struct StepResult {
     /// Per-lane memory accesses for the timing model (pre-coalescing).
     pub accesses: Vec<MemAccess>,
@@ -70,15 +74,34 @@ pub struct StepResult {
     /// Lanes killed by this instruction (fragment `ztest` failures); the
     /// core removes them from the active mask permanently.
     pub killed: u32,
+    /// Scratch for one lane's `tex2d` texel addresses; not part of the
+    /// result.
+    texels: Vec<Addr>,
 }
 
 impl StepResult {
-    fn fall_through() -> Self {
+    /// An empty fall-through result, ready to be filled by
+    /// [`execute_into`].
+    pub fn new() -> Self {
         Self {
             accesses: Vec::new(),
             outcome: Outcome::Next,
             killed: 0,
+            texels: Vec::new(),
         }
+    }
+}
+
+impl Default for StepResult {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl PartialEq for StepResult {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.accesses, self.outcome, self.killed)
+            == (&other.accesses, other.outcome, other.killed)
     }
 }
 
@@ -145,14 +168,54 @@ fn surface_for(space: MemSpace) -> Surface {
     }
 }
 
-fn read_operand(o: &Operand, t: &ThreadState, lane: usize, params: &[u32]) -> u32 {
-    match o {
-        Operand::Reg(r) => t.reg(*r),
-        Operand::ImmF(v) => v.to_bits(),
-        Operand::ImmI(v) => *v,
-        Operand::Special(Special::LaneId) => lane as u32,
-        Operand::Special(Special::Input(k)) => t.inputs[*k as usize],
-        Operand::Special(Special::Param(k)) => params.get(*k as usize).copied().unwrap_or(0),
+/// A source operand with everything that is uniform across the warp
+/// already resolved, so the lane loop reads a register, an input or a
+/// constant.
+#[derive(Clone, Copy)]
+enum Src {
+    Reg(usize),
+    Input(usize),
+    LaneId,
+    Const(u32),
+}
+
+impl Src {
+    fn new(o: &Operand, params: &[u32]) -> Self {
+        match *o {
+            Operand::Reg(r) => Src::Reg(r.0 as usize),
+            Operand::ImmF(v) => Src::Const(v.to_bits()),
+            Operand::ImmI(v) => Src::Const(v),
+            Operand::Special(Special::LaneId) => Src::LaneId,
+            Operand::Special(Special::Input(k)) => Src::Input(k as usize),
+            Operand::Special(Special::Param(k)) => {
+                Src::Const(params.get(k as usize).copied().unwrap_or(0))
+            }
+        }
+    }
+
+    fn read(self, t: &ThreadState, lane: usize) -> u32 {
+        match self {
+            Src::Reg(r) => t.regs[r],
+            Src::Input(k) => t.inputs[k],
+            Src::LaneId => lane as u32,
+            Src::Const(v) => v,
+        }
+    }
+}
+
+/// The set lanes of a mask, lowest first.
+struct Lanes(u32);
+
+impl Iterator for Lanes {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let lane = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(lane)
     }
 }
 
@@ -306,22 +369,14 @@ fn convert(from: DType, to: DType, a: u32) -> u32 {
     }
 }
 
-#[allow(clippy::needless_range_loop)] // lane index doubles as the mask bit
+/// The lanes of `active` (already clamped to `threads.len()`) whose guard
+/// predicate lets them execute.
 fn guard_mask(instr: &Instr, threads: &[ThreadState], active: u32) -> u32 {
     match instr.guard {
         None => active,
-        Some((p, neg)) => {
-            let mut m = 0u32;
-            for lane in 0..WARP_SIZE.min(threads.len()) {
-                if active & (1 << lane) != 0 {
-                    let v = threads[lane].preds[p.0 as usize];
-                    if v != neg {
-                        m |= 1 << lane;
-                    }
-                }
-            }
-            m
-        }
+        Some((p, neg)) => Lanes(active)
+            .filter(|&lane| threads[lane].preds[p.0 as usize] != neg)
+            .fold(0, |m, lane| m | 1 << lane),
     }
 }
 
@@ -329,7 +384,8 @@ fn guard_mask(instr: &Instr, threads: &[ThreadState], active: u32) -> u32 {
 ///
 /// Mutates `threads` (register state, and memory via `ctx`) and reports
 /// memory accesses plus the control-flow outcome. `params` are the uniform
-/// launch parameters.
+/// launch parameters. Bits of `active` at or beyond `threads.len()` are
+/// ignored.
 ///
 /// # Panics
 ///
@@ -343,65 +399,82 @@ pub fn execute(
     params: &[u32],
     ctx: &mut dyn ExecCtx,
 ) -> StepResult {
+    let mut res = StepResult::new();
+    execute_into(program, pc, active, threads, params, ctx, &mut res);
+    res
+}
+
+/// [`execute`] into a caller-owned result: whatever `res` held is
+/// overwritten, and its buffers are reused rather than reallocated.
+pub fn execute_into(
+    program: &Program,
+    pc: usize,
+    active: u32,
+    threads: &mut [ThreadState],
+    params: &[u32],
+    ctx: &mut dyn ExecCtx,
+    res: &mut StepResult,
+) {
     let instr = program.instr(pc);
+    let absent = WARP_SIZE.saturating_sub(threads.len()) as u32;
+    let active = active & u32::MAX.checked_shr(absent).unwrap_or(0);
     let mask = guard_mask(instr, threads, active);
-    let mut res = StepResult::fall_through();
-    let lanes = || (0..WARP_SIZE.min(threads.len())).filter(|l| mask & (1 << l) != 0);
+    res.accesses.clear();
+    res.outcome = Outcome::Next;
+    res.killed = 0;
+    let src = |o: &Operand| Src::new(o, params);
 
     match &instr.op {
         Op::Nop => {}
         Op::Mov { d, a } => {
-            for (lane, t) in threads.iter_mut().enumerate().take(WARP_SIZE) {
-                if mask & (1 << lane) != 0 {
-                    let v = read_operand(a, t, lane, params);
-                    t.set_reg(*d, v);
-                }
+            let a = src(a);
+            for lane in Lanes(mask) {
+                let t = &mut threads[lane];
+                t.set_reg(*d, a.read(t, lane));
             }
         }
         Op::Alu { kind, ty, d, a, b } => {
-            for lane in lanes().collect::<Vec<_>>() {
-                let x = read_operand(a, &threads[lane], lane, params);
-                let y = read_operand(b, &threads[lane], lane, params);
-                threads[lane].set_reg(*d, alu(*kind, *ty, x, y));
+            let (a, b) = (src(a), src(b));
+            for lane in Lanes(mask) {
+                let t = &mut threads[lane];
+                t.set_reg(*d, alu(*kind, *ty, a.read(t, lane), b.read(t, lane)));
             }
         }
         Op::Mad { ty, d, a, b, c } => {
-            for lane in lanes().collect::<Vec<_>>() {
-                let x = read_operand(a, &threads[lane], lane, params);
-                let y = read_operand(b, &threads[lane], lane, params);
-                let z = read_operand(c, &threads[lane], lane, params);
-                let prod = alu(AluKind::Mul, *ty, x, y);
-                threads[lane].set_reg(*d, alu(AluKind::Add, *ty, prod, z));
+            let (a, b, c) = (src(a), src(b), src(c));
+            for lane in Lanes(mask) {
+                let t = &mut threads[lane];
+                let prod = alu(AluKind::Mul, *ty, a.read(t, lane), b.read(t, lane));
+                t.set_reg(*d, alu(AluKind::Add, *ty, prod, c.read(t, lane)));
             }
         }
         Op::Unary { kind, ty, d, a } => {
-            for lane in lanes().collect::<Vec<_>>() {
-                let x = read_operand(a, &threads[lane], lane, params);
-                threads[lane].set_reg(*d, unary(*kind, *ty, x));
+            let a = src(a);
+            for lane in Lanes(mask) {
+                let t = &mut threads[lane];
+                t.set_reg(*d, unary(*kind, *ty, a.read(t, lane)));
             }
         }
         Op::Cvt { d, a, from, to } => {
-            for lane in lanes().collect::<Vec<_>>() {
-                let x = read_operand(a, &threads[lane], lane, params);
-                threads[lane].set_reg(*d, convert(*from, *to, x));
+            let a = src(a);
+            for lane in Lanes(mask) {
+                let t = &mut threads[lane];
+                t.set_reg(*d, convert(*from, *to, a.read(t, lane)));
             }
         }
         Op::SetP { p, cmp, ty, a, b } => {
-            for lane in lanes().collect::<Vec<_>>() {
-                let x = read_operand(a, &threads[lane], lane, params);
-                let y = read_operand(b, &threads[lane], lane, params);
-                threads[lane].preds[p.0 as usize] = compare(*cmp, *ty, x, y);
+            let (a, b) = (src(a), src(b));
+            for lane in Lanes(mask) {
+                let t = &mut threads[lane];
+                t.preds[p.0 as usize] = compare(*cmp, *ty, a.read(t, lane), b.read(t, lane));
             }
         }
         Op::Sel { d, p, a, b } => {
-            for lane in lanes().collect::<Vec<_>>() {
-                let t = &threads[lane];
-                let v = if t.preds[p.0 as usize] {
-                    read_operand(a, t, lane, params)
-                } else {
-                    read_operand(b, t, lane, params)
-                };
-                threads[lane].set_reg(*d, v);
+            let (a, b) = (src(a), src(b));
+            for lane in Lanes(mask) {
+                let t = &mut threads[lane];
+                let pick = if t.preds[p.0 as usize] { a } else { b };
+                t.set_reg(*d, pick.read(t, lane));
             }
         }
         Op::Ld {
@@ -410,15 +483,15 @@ pub fn execute(
             addr,
             offset,
         } => {
-            for lane in lanes().collect::<Vec<_>>() {
-                let base = threads[lane].reg(*addr) as i64;
-                let a = (base + *offset as i64) as Addr;
-                let v = ctx.load(*space, a);
-                threads[lane].set_reg(*d, v);
+            let surface = surface_for(*space);
+            for lane in Lanes(mask) {
+                let t = &mut threads[lane];
+                let a = (t.reg(*addr) as i64 + *offset as i64) as Addr;
+                t.set_reg(*d, ctx.load(*space, a));
                 res.accesses.push(MemAccess {
                     lane: lane as u8,
                     kind: AccessKind::Read,
-                    surface: surface_for(*space),
+                    surface,
                     addr: a,
                     size: 4,
                 });
@@ -430,15 +503,15 @@ pub fn execute(
             addr,
             offset,
         } => {
-            for lane in lanes().collect::<Vec<_>>() {
-                let base = threads[lane].reg(*addr) as i64;
-                let ad = (base + *offset as i64) as Addr;
-                let v = read_operand(a, &threads[lane], lane, params);
-                ctx.store(*space, ad, v);
+            let (a, surface) = (src(a), surface_for(*space));
+            for lane in Lanes(mask) {
+                let t = &threads[lane];
+                let ad = (t.reg(*addr) as i64 + *offset as i64) as Addr;
+                ctx.store(*space, ad, a.read(t, lane));
                 res.accesses.push(MemAccess {
                     lane: lane as u8,
                     kind: AccessKind::Write,
-                    surface: surface_for(*space),
+                    surface,
                     addr: ad,
                     size: 4,
                 });
@@ -454,16 +527,14 @@ pub fn execute(
             res.outcome = Outcome::Exit;
         }
         Op::Tex2d { d, u, v, sampler } => {
-            let mut texels = Vec::new();
-            for lane in lanes().collect::<Vec<_>>() {
-                let uu = threads[lane].reg_f32(*u);
-                let vv = threads[lane].reg_f32(*v);
-                texels.clear();
-                let rgba = ctx.tex2d(*sampler, uu, vv, &mut texels);
+            for lane in Lanes(mask) {
+                let t = &mut threads[lane];
+                res.texels.clear();
+                let rgba = ctx.tex2d(*sampler, t.reg_f32(*u), t.reg_f32(*v), &mut res.texels);
                 for (i, c) in rgba.iter().enumerate() {
-                    threads[lane].set_reg_f32(crate::reg::Reg(d.0 + i as u8), *c);
+                    t.set_reg_f32(Reg(d.0 + i as u8), *c);
                 }
-                for &ta in &texels {
+                for &ta in &res.texels {
                     res.accesses.push(MemAccess {
                         lane: lane as u8,
                         kind: AccessKind::Read,
@@ -475,12 +546,11 @@ pub fn execute(
             }
         }
         Op::Ztest { z, write } => {
-            for lane in lanes().collect::<Vec<_>>() {
+            for lane in Lanes(mask) {
                 let t = &threads[lane];
                 let x = t.inputs[input::FRAG_X];
                 let y = t.inputs[input::FRAG_Y];
-                let zv = t.reg_f32(*z);
-                let (pass, addr) = ctx.ztest(x, y, zv, *write);
+                let (pass, addr) = ctx.ztest(x, y, t.reg_f32(*z), *write);
                 res.accesses.push(MemAccess {
                     lane: lane as u8,
                     kind: AccessKind::Read,
@@ -504,19 +574,13 @@ pub fn execute(
             }
         }
         Op::Blend { c } => {
-            for lane in lanes().collect::<Vec<_>>() {
-                let t = &threads[lane];
+            for lane in Lanes(mask) {
+                let t = &mut threads[lane];
                 let x = t.inputs[input::FRAG_X];
                 let y = t.inputs[input::FRAG_Y];
-                let src = [
-                    t.reg_f32(crate::reg::Reg(c.0)),
-                    t.reg_f32(crate::reg::Reg(c.0 + 1)),
-                    t.reg_f32(crate::reg::Reg(c.0 + 2)),
-                    t.reg_f32(crate::reg::Reg(c.0 + 3)),
-                ];
-                let (out, addr) = ctx.blend(x, y, src);
+                let (out, addr) = ctx.blend(x, y, rgba_at(t, *c));
                 for (i, v) in out.iter().enumerate() {
-                    threads[lane].set_reg_f32(crate::reg::Reg(c.0 + i as u8), *v);
+                    t.set_reg_f32(Reg(c.0 + i as u8), *v);
                 }
                 res.accesses.push(MemAccess {
                     lane: lane as u8,
@@ -528,17 +592,11 @@ pub fn execute(
             }
         }
         Op::FbWrite { c } => {
-            for lane in lanes().collect::<Vec<_>>() {
+            for lane in Lanes(mask) {
                 let t = &threads[lane];
                 let x = t.inputs[input::FRAG_X];
                 let y = t.inputs[input::FRAG_Y];
-                let rgba = [
-                    t.reg_f32(crate::reg::Reg(c.0)),
-                    t.reg_f32(crate::reg::Reg(c.0 + 1)),
-                    t.reg_f32(crate::reg::Reg(c.0 + 2)),
-                    t.reg_f32(crate::reg::Reg(c.0 + 3)),
-                ];
-                let addr = ctx.fb_write(x, y, rgba);
+                let addr = ctx.fb_write(x, y, rgba_at(t, *c));
                 res.accesses.push(MemAccess {
                     lane: lane as u8,
                     kind: AccessKind::Write,
@@ -549,7 +607,11 @@ pub fn execute(
             }
         }
     }
-    res
+}
+
+/// The colour held in the register quad starting at `c`.
+fn rgba_at(t: &ThreadState, c: Reg) -> [f32; 4] {
+    [0, 1, 2, 3].map(|i| t.reg_f32(Reg(c.0 + i)))
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ pub mod program;
 pub mod reg;
 
 pub use asm::{assemble, assemble_named, ProgramBuilder};
-pub use exec::{execute, ExecCtx, MemAccess, Outcome, StepResult};
+pub use exec::{execute, execute_into, ExecCtx, MemAccess, Outcome, StepResult};
 pub use op::{AluKind, CmpOp, MemSpace, Op, UnaryKind};
 pub use program::Program;
 pub use reg::{DType, Operand, PReg, Reg, Special, ThreadState};

@@ -121,8 +121,23 @@ struct Mshr {
     targets: Vec<(ReqId, AccessKind)>,
 }
 
+/// What [`Cache::access`] decided, before it acts on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lookup {
+    /// The line is valid in this way.
+    Present(usize),
+    /// A write-through write to an absent line: forwarded, never allocated.
+    WriteAround,
+    /// The line is already being fetched and its MSHR has a free target.
+    Merge,
+    /// A new miss that takes a free MSHR and this victim way.
+    Allocate(usize),
+    /// Structural hazard.
+    Stall(StallReason),
+}
+
 /// Per-cache statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Hit ratio over all non-stalled accesses.
     pub hits: Ratio,
@@ -166,6 +181,13 @@ pub struct Cache {
     mshrs: FxHashMap<Addr, Mshr>,
     lru_tick: u64,
     stats: CacheStats,
+    /// The stall memo: the `(line, kind)` of the last access that stalled
+    /// and why. A stall is decided from tag and MSHR state alone and
+    /// changes none of it, so until a non-stalled access, a fill, a flush
+    /// or a restore clears this, the same access stalls for the same
+    /// reason and [`Cache::access`] only has to count it. Derived state:
+    /// never serialized.
+    last_stall: Option<(Addr, AccessKind, StallReason)>,
 }
 
 impl Cache {
@@ -186,6 +208,7 @@ impl Cache {
             lru_tick: 0,
             cfg,
             stats: CacheStats::default(),
+            last_stall: None,
         }
     }
 
@@ -233,108 +256,132 @@ impl Cache {
     /// access-order LRU.
     pub fn access(&mut self, addr: Addr, kind: AccessKind, id: ReqId, _now: Cycle) -> Access {
         let line = self.line_addr(addr);
-        let si = self.set_index(line);
-        let tag = self.tag(line);
         self.lru_tick += 1;
-        let tick = self.lru_tick;
-
         match kind {
             AccessKind::Read => self.stats.reads += 1,
             AccessKind::Write => self.stats.writes += 1,
         }
 
-        // Hit?
-        if let Some(l) = self.sets[si].iter_mut().find(|l| l.valid && l.tag == tag) {
-            l.lru = tick;
-            if kind == AccessKind::Write {
+        // A blocked owner retries the same access every cycle.
+        if let Some((l, k, reason)) = self.last_stall {
+            if (l, k) == (line, kind) {
+                debug_assert_eq!(
+                    self.lookup(self.set_index(line), self.tag(line), line, kind),
+                    Lookup::Stall(reason),
+                    "stall memo outlived the state it was decided on"
+                );
+                self.stats.stalls += 1;
+                return Access::Stall(reason);
+            }
+        }
+
+        let si = self.set_index(line);
+        let tag = self.tag(line);
+        let tick = self.lru_tick;
+        let found = self.lookup(si, tag, line, kind);
+        self.last_stall = None;
+        match found {
+            Lookup::Stall(reason) => {
+                self.stats.stalls += 1;
+                self.last_stall = Some((line, kind, reason));
+                Access::Stall(reason)
+            }
+            Lookup::Present(way) => {
+                let l = &mut self.sets[si][way];
+                l.lru = tick;
+                self.stats.hits.record(true);
+                if kind == AccessKind::Read {
+                    return Access::Hit;
+                }
                 match self.cfg.write_policy {
                     WritePolicy::WriteBackAllocate => {
                         l.dirty = true;
-                        self.stats.hits.record(true);
-                        return Access::Hit;
+                        Access::Hit
                     }
-                    WritePolicy::WriteThroughNoAllocate => {
-                        self.stats.hits.record(true);
-                        return Access::WriteForward;
-                    }
+                    WritePolicy::WriteThroughNoAllocate => Access::WriteForward,
                 }
             }
-            self.stats.hits.record(true);
-            return Access::Hit;
+            Lookup::WriteAround => {
+                self.stats.hits.record(false);
+                Access::WriteForward
+            }
+            Lookup::Merge => {
+                let m = self.mshrs.get_mut(&line).expect("lookup found the MSHR");
+                m.targets.push((id, kind));
+                self.stats.hits.record(false);
+                Access::MergedMiss
+            }
+            Lookup::Allocate(way) => {
+                let victim = &self.sets[si][way];
+                let writeback = if victim.valid && victim.dirty {
+                    self.stats.writebacks += 1;
+                    // Reconstruct the victim's line address.
+                    let va = (victim.tag * self.sets.len() as u64 + si as u64)
+                        * self.cfg.line_bytes as u64;
+                    Some(va)
+                } else {
+                    None
+                };
+                self.sets[si][way] = Line {
+                    tag,
+                    valid: false,
+                    dirty: false,
+                    pending: true,
+                    lru: tick,
+                };
+                self.mshrs.insert(
+                    line,
+                    Mshr {
+                        targets: vec![(id, kind)],
+                    },
+                );
+                self.stats.hits.record(false);
+                Access::Miss { writeback }
+            }
         }
+    }
 
-        // Write-through caches never allocate on writes.
+    /// What an access of `kind` to `line` (set `si`, tag `tag`) would do,
+    /// decided without changing anything.
+    fn lookup(&self, si: usize, tag: u64, line: Addr, kind: AccessKind) -> Lookup {
+        let set = &self.sets[si];
+        if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
+            return Lookup::Present(way);
+        }
         if kind == AccessKind::Write && self.cfg.write_policy == WritePolicy::WriteThroughNoAllocate
         {
-            self.stats.hits.record(false);
-            return Access::WriteForward;
+            return Lookup::WriteAround;
         }
-
-        // Merge into an existing MSHR?
-        if let Some(m) = self.mshrs.get_mut(&line) {
-            if m.targets.len() >= self.cfg.targets_per_mshr {
-                self.stats.stalls += 1;
-                return Access::Stall(StallReason::MshrTargetsFull);
-            }
-            m.targets.push((id, kind));
-            self.stats.hits.record(false);
-            return Access::MergedMiss;
+        if let Some(m) = self.mshrs.get(&line) {
+            return if m.targets.len() >= self.cfg.targets_per_mshr {
+                Lookup::Stall(StallReason::MshrTargetsFull)
+            } else {
+                Lookup::Merge
+            };
         }
-
         // New miss: need an MSHR and a victim way.
         if self.mshrs.len() >= self.cfg.mshrs {
-            self.stats.stalls += 1;
-            return Access::Stall(StallReason::MshrFull);
+            return Lookup::Stall(StallReason::MshrFull);
         }
-        let victim = {
-            let set = &self.sets[si];
-            let mut best: Option<usize> = None;
-            for (i, l) in set.iter().enumerate() {
-                if l.pending {
-                    continue;
-                }
-                if !l.valid {
-                    best = Some(i);
-                    break;
-                }
-                best = match best {
-                    None => Some(i),
-                    Some(b) if set[i].lru < set[b].lru => Some(i),
-                    b => b,
-                };
+        let mut best: Option<usize> = None;
+        for (i, l) in set.iter().enumerate() {
+            if l.pending {
+                continue;
             }
-            best
-        };
-        let Some(vi) = victim else {
-            self.stats.stalls += 1;
-            return Access::Stall(StallReason::SetReserved);
-        };
-
-        let victim_line = &self.sets[si][vi];
-        let writeback = if victim_line.valid && victim_line.dirty {
-            self.stats.writebacks += 1;
-            // Reconstruct the victim's line address.
-            let va =
-                (victim_line.tag * self.sets.len() as u64 + si as u64) * self.cfg.line_bytes as u64;
-            Some(va)
-        } else {
-            None
-        };
-        self.sets[si][vi] = Line {
-            tag,
-            valid: false,
-            dirty: false,
-            pending: true,
-            lru: tick,
-        };
-        self.mshrs.insert(
-            line,
-            Mshr {
-                targets: vec![(id, kind)],
-            },
-        );
-        self.stats.hits.record(false);
-        Access::Miss { writeback }
+            if !l.valid {
+                best = Some(i);
+                break;
+            }
+            best = match best {
+                None => Some(i),
+                Some(b) if set[i].lru < set[b].lru => Some(i),
+                b => b,
+            };
+        }
+        match best {
+            Some(way) => Lookup::Allocate(way),
+            None => Lookup::Stall(StallReason::SetReserved),
+        }
     }
 
     /// Completes a fill for `line` (line-aligned). Returns the ids of read
@@ -347,6 +394,7 @@ impl Cache {
         let Some(m) = self.mshrs.remove(&line) else {
             return Vec::new();
         };
+        self.last_stall = None;
         self.stats.fills += 1;
         let si = self.set_index(line);
         let tag = self.tag(line);
@@ -372,6 +420,7 @@ impl Cache {
             }
         }
         self.mshrs.clear();
+        self.last_stall = None;
     }
 
     /// Number of in-flight missed lines.
@@ -415,6 +464,7 @@ impl emerald_common::snap::Snapshot for Cache {
 
 impl emerald_common::snap::Restore for Cache {
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.last_stall = None;
         if r.get_usize()? != self.sets.len() {
             return Err(SnapError::BadValue {
                 what: "cache set count mismatch",
@@ -681,5 +731,79 @@ mod tests {
         }
         assert!((c.stats().hits.value() - 0.9).abs() < 1e-9);
         assert_eq!(c.stats().misses(), 1);
+    }
+
+    /// Random access / fill / flush / restore traffic on a cache small
+    /// enough to hit all three stall reasons, with most accesses repeating
+    /// the previous one the way a blocked LSU head does: the cache that
+    /// keeps its stall memo and a twin that forgets it before every access
+    /// return the same outcomes and end in the same bytes.
+    #[test]
+    fn stall_memo_is_invisible() {
+        use emerald_common::snap::{Restore as _, Snapshot as _};
+        fn bytes(c: &Cache) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            c.snapshot(&mut w);
+            w.into_bytes()
+        }
+        emerald_common::check::check("cache_stall_memo", |rng| {
+            let cfg = CacheConfig {
+                size_bytes: 2 * 2 * 128, // 2 sets x 2 ways
+                ways: 2,
+                mshrs: 3,
+                targets_per_mshr: 2,
+                write_policy: if rng.chance(0.5) {
+                    WritePolicy::WriteBackAllocate
+                } else {
+                    WritePolicy::WriteThroughNoAllocate
+                },
+                ..CacheConfig::small("p")
+            };
+            let mut memo = Cache::new(cfg.clone());
+            let mut plain = Cache::new(cfg);
+            let mut last = (0, AccessKind::Read);
+            let mut stalls = [0u32; 3];
+            for id in 0..600u64 {
+                match rng.below(20) {
+                    0..=2 => {
+                        let line = rng.below(12) * 128;
+                        assert_eq!(memo.fill(line), plain.fill(line));
+                    }
+                    3 if rng.chance(0.1) => {
+                        memo.flush();
+                        plain.flush();
+                    }
+                    4 if rng.chance(0.2) => {
+                        let enc = bytes(&plain);
+                        memo.restore(&mut SnapReader::new(&enc)).unwrap();
+                    }
+                    n => {
+                        if n >= 12 {
+                            let kind = if rng.chance(0.3) {
+                                AccessKind::Write
+                            } else {
+                                AccessKind::Read
+                            };
+                            last = (rng.below(12) * 128 + rng.below(128), kind);
+                        }
+                        plain.last_stall = None;
+                        let got = memo.access(last.0, last.1, id, id);
+                        assert_eq!(got, plain.access(last.0, last.1, id, id), "access {id}");
+                        match got {
+                            Access::Stall(StallReason::MshrFull) => stalls[0] += 1,
+                            Access::Stall(StallReason::MshrTargetsFull) => stalls[1] += 1,
+                            Access::Stall(StallReason::SetReserved) => stalls[2] += 1,
+                            _ => {}
+                        }
+                    }
+                }
+                assert_eq!(memo.stats(), plain.stats());
+            }
+            assert_eq!(bytes(&memo), bytes(&plain));
+            assert!(
+                stalls.iter().sum::<u32>() > 20,
+                "stalls by reason: {stalls:?}"
+            );
+        });
     }
 }

@@ -56,27 +56,19 @@ impl MemImage {
     }
 
     /// Reads a little-endian `u32`. Out-of-range reads return 0 (useful for
-    /// speculative/masked lanes).
+    /// speculative/masked lanes) — including a word that would run past
+    /// the end of the address space.
     pub fn read_u32(&self, addr: Addr) -> u32 {
-        let i = addr as usize;
-        if i + 4 > self.data.len() {
-            return 0;
-        }
-        u32::from_le_bytes([
-            self.data[i],
-            self.data[i + 1],
-            self.data[i + 2],
-            self.data[i + 3],
-        ])
+        let word = self.data.get(addr as usize..).and_then(<[u8]>::first_chunk);
+        word.map_or(0, |w| u32::from_le_bytes(*w))
     }
 
     /// Writes a little-endian `u32`; out-of-range writes are ignored.
     pub fn write_u32(&mut self, addr: Addr, value: u32) {
-        let i = addr as usize;
-        if i + 4 > self.data.len() {
-            return;
+        let word = self.data.get_mut(addr as usize..);
+        if let Some(w) = word.and_then(<[u8]>::first_chunk_mut) {
+            *w = value.to_le_bytes();
         }
-        self.data[i..i + 4].copy_from_slice(&value.to_le_bytes());
     }
 
     /// Reads an `f32` stored by [`MemImage::write_f32`].
@@ -92,7 +84,7 @@ impl MemImage {
     /// Copies a byte slice into memory at `addr` (clipped to capacity).
     pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) {
         let i = addr as usize;
-        let end = (i + bytes.len()).min(self.data.len());
+        let end = i.saturating_add(bytes.len()).min(self.data.len());
         if i < end {
             self.data[i..end].copy_from_slice(&bytes[..end - i]);
         }
@@ -101,7 +93,7 @@ impl MemImage {
     /// Borrows `len` bytes starting at `addr` (clipped to capacity).
     pub fn read_bytes(&self, addr: Addr, len: usize) -> &[u8] {
         let i = (addr as usize).min(self.data.len());
-        let end = (i + len).min(self.data.len());
+        let end = i.saturating_add(len).min(self.data.len());
         &self.data[i..end]
     }
 
@@ -308,6 +300,27 @@ mod tests {
         let mut m = MemImage::new(64);
         m.write_f32(0, -2.5);
         assert_eq!(m.read_f32(0), -2.5);
+    }
+
+    #[test]
+    fn accesses_that_would_wrap_the_address_space_are_out_of_range() {
+        // What `[r0+-4]` with `r0 = 0..3` computes: the last four addresses.
+        let mut m = MemImage::new(64);
+        for addr in Addr::MAX - 3..=Addr::MAX {
+            m.write_u32(addr, 0xdead_beef);
+            m.write_f32(addr, 1.0);
+            m.write_bytes(addr, &[1, 2, 3, 4, 5]);
+            assert_eq!(m.read_u32(addr), 0);
+            assert_eq!(m.read_f32(addr), 0.0);
+            assert!(m.read_bytes(addr, usize::MAX).is_empty());
+        }
+        assert!(m.read_bytes(0, 64).iter().all(|&b| b == 0));
+        // The last whole word is still in range; one byte further is not.
+        m.write_u32(60, 7);
+        m.write_u32(61, 9);
+        assert_eq!((m.read_u32(60), m.read_u32(61)), (7, 0));
+        // An empty image has no word to bound against.
+        assert_eq!(MemImage::new(0).read_u32(0), 0);
     }
 
     #[test]

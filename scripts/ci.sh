@@ -39,6 +39,12 @@ cargo test --manifest-path benchmark/Cargo.toml -q
 for w in soc_dense soc_paced gpgpu_mix render_cs2 sweep_fork; do
   cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- one "$w" --seed 1 --seconds 0 >/dev/null
 done
+# A second seed for the three BENCHMARK.json workloads (no golden entry:
+# exit 0 means every repetition agrees and the numeric checks hold), so a
+# memo that is only right for seed 1's traffic cannot pass.
+for w in soc_dense soc_paced gpgpu_mix; do
+  cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- one "$w" --seed 2 --seconds 0 >/dev/null
+done
 
 echo "==> examples smoke test (telemetry + host profile; checkpoint -> file -> restore == straight run)"
 cargo run --release --example trace_export >/dev/null

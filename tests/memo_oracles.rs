@@ -1,0 +1,304 @@
+//! The change-driven memos on the paths the benchmark times.
+//!
+//! In a debug build every memo carries its own oracle: a skipped
+//! `TcStage::pop_ready` scan runs anyway and must find nothing, a
+//! memoised `Cache::access` stall re-runs the lookup and must get the same
+//! reason, `SimtCore::warp_ready` recomputes the scheduler view it cached
+//! in the warp, and `SimtCore::cycle` re-runs the scans its readiness memo
+//! skips. These tests only have to drive the benchmark's workload shapes
+//! through them (release builds compile the oracles out, so there they
+//! check the numeric results alone), plus the one property that needs the
+//! conformance program generator.
+
+use emerald::common::check::check;
+use emerald::common::types::Addr;
+use emerald::gpu::simt::SimtStack;
+use emerald::gpu::GlobalMemCtx;
+use emerald::isa::op::{MemSpace, Op};
+use emerald::isa::{execute, execute_into, ExecCtx, Outcome, StepResult, ThreadState};
+use emerald::prelude::*;
+use emerald_conformance::gen_program;
+use std::sync::Arc;
+
+fn sum_of(reg: &Registry, suffix: &str) -> f64 {
+    reg.iter()
+        .filter(|(path, _)| path.ends_with(suffix))
+        .map(|(_, v)| v.scalar())
+        .sum()
+}
+
+/// `soc_dense` in miniature: M1 on the case-study-I SoC under DASH (DCB),
+/// the regime where the TC stage and the LSU heads are blocked in almost
+/// every cycle.
+#[test]
+fn soc_frame_runs_every_oracle() {
+    let (w, h) = (64, 48);
+    let model = workloads::m_models().swap_remove(0);
+    let memsys = MemCfgKind::Dcb.build(DramConfig::lpddr3_1333());
+    let mut soc = Soc::new(SocConfig::case_study_1(memsys, w, h, 200_000));
+    let binding = SceneBinding::new(&soc.mem, &model);
+    let draw = binding.draw_for_frame(0, w as f32 / h as f32, false);
+    let frame = soc.run_frame(vec![draw], 600_000_000);
+    assert!(frame.gfx.fragments > 0 && frame.gpu_cycles > 0);
+
+    let mut reg = Registry::new();
+    soc.publish(&mut reg);
+    assert!(sum_of(&reg, ".tc_tiles") > 0.0, "no TC tile was shaded");
+    assert!(
+        sum_of(&reg, ".stalls") > 1_000.0,
+        "the frame never blocked an LSU head: {} stalls",
+        sum_of(&reg, ".stalls")
+    );
+}
+
+/// The three `gpgpu_mix` kernel shapes (streaming `saxpy`, a divergent
+/// clamp, a `bar.sync` reduction tree) at n = 4096 on the case-study-I
+/// GPU, checked against the host.
+#[test]
+fn compute_kernels_run_every_oracle() {
+    const N: usize = 4096;
+    const CTA: usize = 64;
+    let mem = SharedMem::with_capacity(1 << 24);
+    let mut gpu = Gpu::new(GpuConfig::case_study_1());
+    let mut ctx = GlobalMemCtx::new(mem.clone());
+    let mut port = SimpleMemPort::new(MemorySystem::new(MemorySystemConfig::baseline(
+        2,
+        DramConfig::lpddr3_1600(),
+    )));
+    let words = |n: usize| mem.alloc((n * 4) as u64, 128);
+    let (x, y, v, r_in, r_out) = (words(N), words(N), words(N), words(N), words(N / CTA));
+    for i in 0..N {
+        let at = (i * 4) as u64;
+        mem.write_f32(x + at, i as f32);
+        mem.write_f32(y + at, 1.0);
+        mem.write_f32(v + at, i as f32 - 2048.0);
+        mem.write_u32(r_in + at, 1 + (i % 7) as u32);
+    }
+    let kernel = |src: &str, params: Vec<u32>| {
+        Kernel::linear(Arc::new(assemble(src).unwrap()), N, CTA, params)
+    };
+    let saxpy = kernel(
+        "mov.b32 r0, %input0
+         shl.u32 r1, r0, 2
+         add.u32 r2, r1, %param0
+         add.u32 r3, r1, %param1
+         ld.global.b32 r4, [r2+0]
+         ld.global.b32 r5, [r3+0]
+         mov.b32 r6, %param2
+         mad.f32 r7, r6, r4, r5
+         st.global.b32 [r3+0], r7
+         exit",
+        vec![x as u32, y as u32, 2.0f32.to_bits()],
+    );
+    let clamp = kernel(
+        "mov.b32 r0, %input0
+         shl.u32 r1, r0, 2
+         add.u32 r1, r1, %param0
+         ld.global.b32 r2, [r1+0]
+         setp.lt.f32 p0, r2, 0.0
+         @p0 bra NEG, reconv=JOIN
+         mul.f32 r3, r2, 2.0
+         bra JOIN, reconv=JOIN
+         NEG:
+         mov.b32 r3, 0.0
+         JOIN:
+         st.global.b32 [r1+0], r3
+         exit",
+        vec![v as u32],
+    );
+    let mut reduce = kernel(
+        "mov.b32 r0, %input2
+         mov.b32 r1, %input0
+         shl.u32 r2, r1, 2
+         add.u32 r2, r2, %param0
+         ld.global.b32 r3, [r2+0]
+         shl.u32 r4, r0, 2
+         add.u32 r4, r4, %input3
+         st.shared.b32 [r4+0], r3
+         bar.sync
+         mov.b32 r5, 32
+         LOOP:
+         setp.lt.u32 p0, r0, r5
+         @p0 add.u32 r6, r0, r5
+         @p0 shl.u32 r6, r6, 2
+         @p0 add.u32 r6, r6, %input3
+         @p0 ld.shared.b32 r7, [r6+0]
+         @p0 ld.shared.b32 r8, [r4+0]
+         @p0 add.u32 r8, r8, r7
+         @p0 st.shared.b32 [r4+0], r8
+         bar.sync
+         shr.u32 r5, r5, 1
+         setp.ge.u32 p1, r5, 1
+         @p1 bra LOOP, reconv=DONE
+         DONE:
+         setp.eq.u32 p2, r0, 0
+         @p2 mov.b32 r9, %input1
+         @p2 shl.u32 r9, r9, 2
+         @p2 add.u32 r9, r9, %param1
+         @p2 ld.shared.b32 r10, [r4+0]
+         @p2 st.global.b32 [r9+0], r10
+         exit",
+        vec![r_in as u32, r_out as u32],
+    );
+    reduce.shared_bytes = (CTA * 4) as u32;
+
+    let mut now = 0;
+    for k in [saxpy, clamp, reduce] {
+        gpu.launch_kernel(k);
+        now += gpu.run_to_idle(now, 50_000_000, &mut ctx, &mut port);
+    }
+    for i in 0..N {
+        let at = (i * 4) as u64;
+        assert_eq!(mem.read_f32(y + at), 2.0 * i as f32 + 1.0, "saxpy {i}");
+        let x = i as f32 - 2048.0;
+        let want = if x < 0.0 { 0.0 } else { x * 2.0 };
+        assert_eq!(mem.read_f32(v + at), want, "clamp {i}");
+    }
+    for cta in 0..N / CTA {
+        let want: u32 = (cta * CTA..(cta + 1) * CTA)
+            .map(|i| 1 + (i % 7) as u32)
+            .sum();
+        assert_eq!(mem.read_u32(r_out + (cta * 4) as u64), want, "reduce {cta}");
+    }
+    let mut reg = Registry::new();
+    gpu.publish(&mut reg, "gpu");
+    assert!(
+        sum_of(&reg, ".stalls") > 1_000.0,
+        "no LSU head ever blocked"
+    );
+}
+
+/// A context that answers every call from the arguments alone and keeps a
+/// log of the calls, so two executions can be compared call for call.
+#[derive(Default, PartialEq, Debug)]
+struct LogCtx(Vec<(u64, u64)>);
+
+impl LogCtx {
+    fn note(&mut self, a: u64, b: u64) -> u32 {
+        self.0.push((a, b));
+        (a ^ b.rotate_left(17)).wrapping_mul(0x9e37_79b9_7f4a_7c15) as u32
+    }
+}
+
+impl ExecCtx for LogCtx {
+    fn load(&mut self, space: MemSpace, addr: Addr) -> u32 {
+        self.note(space as u64, addr)
+    }
+    fn store(&mut self, space: MemSpace, addr: Addr, value: u32) {
+        self.note(space as u64 | 8, addr ^ (value as u64) << 32);
+    }
+    fn tex2d(&mut self, s: u8, u: f32, v: f32, texels: &mut Vec<Addr>) -> [f32; 4] {
+        let h = self.note(
+            s as u64 | 16,
+            (u.to_bits() as u64) << 32 | v.to_bits() as u64,
+        );
+        // One to four texel lines, appended as the real samplers do.
+        texels.extend((0..1 + h % 4).map(|i| (h as Addr + i as Addr) * 64));
+        [h as f32, 1.0, 2.0, 3.0]
+    }
+    fn ztest(&mut self, x: u32, y: u32, z: f32, write: bool) -> (bool, Addr) {
+        let h = self.note(
+            32 | write as u64,
+            (x as u64) << 40 | (y as u64) << 20 | z.to_bits() as u64,
+        );
+        (!h.is_multiple_of(3), h as Addr * 4)
+    }
+    fn blend(&mut self, x: u32, y: u32, src: [f32; 4]) -> ([f32; 4], Addr) {
+        let h = self.note(64, (x as u64) << 32 | y as u64);
+        (src.map(|c| c * 0.5), h as Addr * 4)
+    }
+    fn fb_write(&mut self, x: u32, y: u32, rgba: [f32; 4]) -> Addr {
+        self.note(128, (x as u64) << 32 | y as u64 ^ rgba[0].to_bits() as u64) as Addr * 4
+    }
+}
+
+/// Walks one warp through `program` twice in lockstep — `execute` with a
+/// fresh result per instruction, `execute_into` with one result reused
+/// (and deliberately left dirty) throughout — passing both `stray` mask
+/// bits beyond the warp's threads. Returns instructions stepped.
+fn lockstep(program: &Program, threads: Vec<ThreadState>, params: &[u32], stray: u32) -> u64 {
+    let lanes = (1u64 << threads.len()) - 1;
+    let mut stack = SimtStack::new(lanes as u32);
+    let (mut fresh_t, mut reused_t) = (threads.clone(), threads);
+    let (mut fresh_ctx, mut reused_ctx) = (LogCtx::default(), LogCtx::default());
+    let mut reused = StepResult::new();
+    let mut steps = 0;
+    while !stack.is_done() && steps < 20_000 {
+        let (pc, mask) = (stack.pc(), stack.active_mask() | stray);
+        let fresh = execute(program, pc, mask, &mut fresh_t, params, &mut fresh_ctx);
+        reused.killed = u32::MAX;
+        reused.outcome = Outcome::Exit;
+        execute_into(
+            program,
+            pc,
+            mask,
+            &mut reused_t,
+            params,
+            &mut reused_ctx,
+            &mut reused,
+        );
+        assert_eq!(reused, fresh, "pc {pc}");
+        assert_eq!(reused_t, fresh_t, "pc {pc}");
+        assert!(fresh.accesses.iter().all(|a| lanes >> a.lane & 1 != 0));
+        steps += 1;
+        if fresh.killed != 0 {
+            stack.retire_lanes(fresh.killed);
+        }
+        match fresh.outcome {
+            Outcome::Next if !stack.is_done() && stack.pc() == pc => stack.advance(),
+            Outcome::Next => {}
+            Outcome::Branch { taken } => {
+                let Op::Bra { target, reconv } = program.instr(pc).op else {
+                    unreachable!("branch outcome from non-branch op");
+                };
+                stack.branch(taken, target, reconv);
+            }
+            Outcome::Exit => stack.exit_path(),
+            Outcome::Barrier => stack.advance(),
+        }
+    }
+    assert!(stack.is_done(), "still running after {steps} instructions");
+    assert_eq!(reused_ctx, fresh_ctx);
+    steps
+}
+
+/// `execute_into` with a reused, dirty `StepResult` is `execute`: over
+/// random compute programs (loads, stores, divergence, barriers) on a full
+/// warp and on a 5-thread warp called with stray high mask bits, and over
+/// a fragment shader that samples, depth-tests, blends and writes.
+#[test]
+fn execute_into_reused_result_matches_execute() {
+    let fragment = assemble(
+        "mov.b32 r0, %input3
+         mov.b32 r1, %input4
+         tex2d r4, [r0, r1], s0
+         mov.b32 r2, %input2
+         ztest.w r2
+         mul.f32 r4, r4, %input5
+         tex2d r8, [r1, r0], s1
+         add.f32 r5, r5, r8
+         blend r4
+         fbwrite r4
+         ztest r2
+         exit",
+    )
+    .unwrap();
+    check("execute_into_reuse", |rng| {
+        let gp = gen_program(rng);
+        let params: Vec<u32> = (0..8).map(|_| rng.next_u32() & 0xffff).collect();
+        for (n, stray) in [(32, 0), (5, 0xffff_ff00)] {
+            let threads: Vec<ThreadState> = (0..n)
+                .map(|lane| {
+                    let mut t = ThreadState::new();
+                    t.inputs[0] = lane;
+                    t.inputs[2] = lane;
+                    t.inputs[3..8].fill_with(|| rng.next_u32() >> 12);
+                    t
+                })
+                .collect();
+            assert!(lockstep(&gp.program(), threads.clone(), &params, stray) > 0);
+            // Everything up to the first depth test runs whoever survives it.
+            assert!(lockstep(&fragment, threads, &params, stray) >= 5);
+        }
+    });
+}
