@@ -69,9 +69,7 @@ impl SimpleMemPort {
 impl MemPort for SimpleMemPort {
     fn tick(&mut self, now: Cycle) {
         self.mem.tick(now);
-        for r in self.mem.drain_finished(now) {
-            self.responses.push_back(r);
-        }
+        self.responses.extend(self.mem.drain_finished(now));
     }
 
     fn try_send(&mut self, req: MemRequest, now: Cycle) -> Result<(), MemRequest> {

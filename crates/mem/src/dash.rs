@@ -18,12 +18,11 @@
 //! show they misbehave in different ways, reproducing Figures 9 and 12–14.
 
 use crate::req::MemRequest;
-use crate::sched::{BankState, DramScheduler, FrFcfs, QueuedReq};
+use crate::sched::{row_miss, BankState, DramScheduler, QueuedReq};
 use emerald_common::rng::Xorshift64;
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::{Cycle, TrafficSource};
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
 
 /// Which traffic the TCM clustering threshold is computed over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,15 +76,20 @@ impl DashConfig {
     }
 }
 
-/// State shared between the per-channel DASH scheduler instances (the
-/// clustering and switching decisions are global, not per channel).
+/// The DASH scheduler: one instance serves every channel of a memory
+/// system (the clustering and switching decisions are global, not per
+/// channel). The [`MemorySystem`](crate::system::MemorySystem) owns it and
+/// lends it to each channel in turn, so there is nothing to lock; the SoC
+/// feeds it deadline progress through `MemorySystem::dash_mut`.
 #[derive(Debug)]
 pub struct DashShared {
     cfg: DashConfig,
     cpu_bytes: BTreeMap<usize, u64>,
     ip_bytes: u64,
-    intensive: BTreeSet<usize>,
-    urgent: BTreeSet<TrafficSource>,
+    /// Memory-intensive CPU threads, ascending.
+    intensive: Vec<usize>,
+    /// Urgent sources, ascending.
+    urgent: Vec<TrafficSource>,
     next_quantum: Cycle,
     next_switch: Cycle,
     /// Probability that memory-intensive CPU wins the probabilistic slot.
@@ -95,6 +99,8 @@ pub struct DashShared {
     /// interval so no intensive thread permanently outranks the others.
     shuffle_offset: usize,
     next_shuffle: Cycle,
+    /// Earliest of the three rollovers; [`DashShared::roll`] keeps it.
+    next_boundary: Cycle,
     serviced_cpu_intensive: u64,
     serviced_ip_nonurgent: u64,
     rng: Xorshift64,
@@ -103,28 +109,43 @@ pub struct DashShared {
 }
 
 impl DashShared {
-    fn new(cfg: DashConfig) -> Self {
+    /// Creates the scheduler in its initial window.
+    pub fn new(cfg: DashConfig) -> Self {
         let mut rng = Xorshift64::new(cfg.seed);
         let window_prefers_cpu = rng.chance(0.5);
-        Self {
+        let mut s = Self {
             next_quantum: cfg.quantum,
             next_switch: cfg.switching_unit,
             shuffle_offset: 0,
             next_shuffle: cfg.shuffling_interval,
+            next_boundary: 0,
             cfg,
             cpu_bytes: BTreeMap::new(),
             ip_bytes: 0,
-            intensive: BTreeSet::new(),
-            urgent: BTreeSet::new(),
+            intensive: Vec::new(),
+            urgent: Vec::new(),
             p_cpu: 0.5,
             window_prefers_cpu,
             serviced_cpu_intensive: 0,
             serviced_ip_nonurgent: 0,
             rng,
             quanta: 0,
-        }
+        };
+        s.rearm();
+        s
     }
 
+    fn rearm(&mut self) {
+        self.next_boundary = self
+            .next_shuffle
+            .min(self.next_switch)
+            .min(self.next_quantum);
+    }
+
+    /// Rolls every window whose boundary `now` has reached. Each rollover
+    /// re-arms at `now + interval`, so afterwards all three boundaries lie
+    /// beyond `now` and a second `roll(now)` changes nothing — which is why
+    /// [`DramScheduler::tick`] may gate the call on `next_boundary`.
     fn roll(&mut self, now: Cycle) {
         if now >= self.next_shuffle {
             self.next_shuffle = now + self.cfg.shuffling_interval;
@@ -149,6 +170,7 @@ impl DashShared {
             self.cpu_bytes.clear();
             self.ip_bytes = 0;
         }
+        self.rearm();
     }
 
     fn recluster(&mut self) {
@@ -166,31 +188,23 @@ impl DashShared {
         for (id, b) in by_usage {
             acc += b as f64;
             if acc > threshold {
-                self.intensive.insert(id);
+                self.intensive.push(id);
             }
         }
+        self.intensive.sort_unstable();
     }
 
-    /// Priority class of a request source; lower is more important.
-    fn class(&self, source: TrafficSource) -> u8 {
+    /// Scheduling priority of a source, lower first: its DASH class and,
+    /// within the memory-intensive CPU class, its TCM shuffled rank.
+    fn priority(&self, source: TrafficSource) -> (u8, usize) {
         match source {
-            s if s.is_ip() && self.urgent.contains(&s) => 0,
-            TrafficSource::Cpu(id) if !self.intensive.contains(&id) => 1,
-            TrafficSource::Cpu(_) => {
-                if self.window_prefers_cpu {
-                    2
-                } else {
-                    3
-                }
-            }
-            _ => {
-                // Non-urgent IP.
-                if self.window_prefers_cpu {
-                    3
-                } else {
-                    2
-                }
-            }
+            TrafficSource::Cpu(id) if !self.is_intensive(id) => (1, 0),
+            TrafficSource::Cpu(id) => (
+                if self.window_prefers_cpu { 2 } else { 3 },
+                self.shuffled_rank(id),
+            ),
+            ip if self.is_urgent(ip) => (0, 0),
+            _ => (if self.window_prefers_cpu { 3 } else { 2 }, 0),
         }
     }
 
@@ -213,94 +227,22 @@ impl DashShared {
 
     /// The next shuffle/switch/quantum rollover. These boundaries *drift*
     /// (each rollover re-arms at `now + interval`) and the switch rollover
-    /// draws from the shared RNG, so the event-driven clock must execute
-    /// the cycle each one lands on — skipping past a boundary would shift
+    /// draws from the RNG, so the event-driven clock must execute the
+    /// cycle each one lands on — skipping past a boundary would shift
     /// every later boundary and desynchronize the RNG stream from the
     /// per-cycle reference clocking.
     pub fn next_boundary(&self) -> Cycle {
-        self.next_shuffle
-            .min(self.next_switch)
-            .min(self.next_quantum)
-    }
-}
-
-impl emerald_common::snap::Snapshot for DashHandle {
-    /// Serializes the entire shared scheduler state (clustering, windows,
-    /// fairness counters, and the RNG stream) exactly once — per-channel
-    /// `DashScheduler` instances are stateless views over this handle.
-    fn snapshot(&self, w: &mut SnapWriter) {
-        let s = self.0.lock().expect("dash state poisoned");
-        w.put_seq(s.cpu_bytes.iter(), |w, (&id, &b)| {
-            w.put_usize(id);
-            w.put_u64(b);
-        });
-        w.put_u64(s.ip_bytes);
-        w.put_seq(s.intensive.iter(), |w, &id| w.put_usize(id));
-        w.put_seq(s.urgent.iter(), |w, &src| src.snap_write(w));
-        w.put_u64(s.next_quantum);
-        w.put_u64(s.next_switch);
-        w.put_f64(s.p_cpu);
-        w.put_bool(s.window_prefers_cpu);
-        w.put_usize(s.shuffle_offset);
-        w.put_u64(s.next_shuffle);
-        w.put_u64(s.serviced_cpu_intensive);
-        w.put_u64(s.serviced_ip_nonurgent);
-        w.put_u64(s.rng.state());
-        w.put_u64(s.quanta);
-    }
-}
-
-impl emerald_common::snap::Restore for DashHandle {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let mut s = self.0.lock().expect("dash state poisoned");
-        s.cpu_bytes = r
-            .get_seq(9, |r| Ok((r.get_usize()?, r.get_u64()?)))?
-            .into_iter()
-            .collect();
-        s.ip_bytes = r.get_u64()?;
-        s.intensive = r.get_seq(1, |r| r.get_usize())?.into_iter().collect();
-        s.urgent = r
-            .get_seq(1, TrafficSource::snap_read)?
-            .into_iter()
-            .collect();
-        s.next_quantum = r.get_u64()?;
-        s.next_switch = r.get_u64()?;
-        s.p_cpu = r.get_f64()?;
-        s.window_prefers_cpu = r.get_bool()?;
-        s.shuffle_offset = r.get_usize()?;
-        s.next_shuffle = r.get_u64()?;
-        s.serviced_cpu_intensive = r.get_u64()?;
-        s.serviced_ip_nonurgent = r.get_u64()?;
-        s.rng = Xorshift64::from_state(r.get_u64()?);
-        s.quanta = r.get_u64()?;
-        Ok(())
-    }
-}
-
-/// Handle owned by the SoC for feeding DASH its deadline information.
-#[derive(Debug, Clone)]
-pub struct DashHandle(Arc<Mutex<DashShared>>);
-
-impl DashHandle {
-    /// Creates the shared state and returns a handle to it.
-    pub fn new(cfg: DashConfig) -> Self {
-        Self(Arc::new(Mutex::new(DashShared::new(cfg))))
-    }
-
-    /// Builds a per-channel scheduler sharing this state.
-    pub fn scheduler(&self) -> DashScheduler {
-        DashScheduler {
-            shared: Arc::clone(&self.0),
-        }
+        self.next_boundary
     }
 
     /// Marks `source` urgent or not directly.
-    pub fn set_urgent(&self, source: TrafficSource, urgent: bool) {
-        let mut s = self.0.lock().expect("dash state poisoned");
-        if urgent {
-            s.urgent.insert(source);
-        } else {
-            s.urgent.remove(&source);
+    pub fn set_urgent(&mut self, source: TrafficSource, urgent: bool) {
+        match (self.urgent.binary_search(&source), urgent) {
+            (Err(at), true) => self.urgent.insert(at, source),
+            (Ok(at), false) => {
+                self.urgent.remove(at);
+            }
+            _ => {}
         }
     }
 
@@ -308,37 +250,72 @@ impl DashHandle {
     /// (frame) is finished after `elapsed_frac` of its period. The IP turns
     /// urgent when its progress rate falls below the emergent threshold
     /// (0.9 for the GPU, 0.8 for other IPs, per Table 3).
-    pub fn update_progress(&self, source: TrafficSource, done_frac: f64, elapsed_frac: f64) {
-        let mut s = self.0.lock().expect("dash state poisoned");
+    pub fn update_progress(&mut self, source: TrafficSource, done_frac: f64, elapsed_frac: f64) {
         let threshold = match source {
-            TrafficSource::Gpu => s.cfg.emergent_threshold_gpu,
-            _ => s.cfg.emergent_threshold_ip,
+            TrafficSource::Gpu => self.cfg.emergent_threshold_gpu,
+            _ => self.cfg.emergent_threshold_ip,
         };
-        let urgent = if elapsed_frac <= 1e-9 {
-            false
-        } else {
-            (done_frac / elapsed_frac) < threshold
-        };
-        if urgent {
-            s.urgent.insert(source);
-        } else {
-            s.urgent.remove(&source);
-        }
-    }
-
-    /// Runs `f` against the shared state (stats, tests).
-    pub fn inspect<R>(&self, f: impl FnOnce(&DashShared) -> R) -> R {
-        f(&self.0.lock().expect("dash state poisoned"))
+        let urgent = elapsed_frac > 1e-9 && (done_frac / elapsed_frac) < threshold;
+        self.set_urgent(source, urgent);
     }
 }
 
-/// Per-channel DASH scheduler; all instances share one [`DashShared`].
-#[derive(Debug)]
-pub struct DashScheduler {
-    shared: Arc<Mutex<DashShared>>,
+impl emerald_common::snap::Snapshot for DashShared {
+    /// Serializes the whole scheduler state (clustering, windows, fairness
+    /// counters, and the RNG stream); the sets go out in ascending order.
+    fn snapshot(&self, w: &mut SnapWriter) {
+        w.put_seq(self.cpu_bytes.iter(), |w, (&id, &b)| {
+            w.put_usize(id);
+            w.put_u64(b);
+        });
+        w.put_u64(self.ip_bytes);
+        w.put_seq(self.intensive.iter(), |w, &id| w.put_usize(id));
+        w.put_seq(self.urgent.iter(), |w, &src| src.snap_write(w));
+        w.put_u64(self.next_quantum);
+        w.put_u64(self.next_switch);
+        w.put_f64(self.p_cpu);
+        w.put_bool(self.window_prefers_cpu);
+        w.put_usize(self.shuffle_offset);
+        w.put_u64(self.next_shuffle);
+        w.put_u64(self.serviced_cpu_intensive);
+        w.put_u64(self.serviced_ip_nonurgent);
+        w.put_u64(self.rng.state());
+        w.put_u64(self.quanta);
+    }
 }
 
-impl DramScheduler for DashScheduler {
+impl emerald_common::snap::Restore for DashShared {
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.cpu_bytes = r
+            .get_seq(9, |r| Ok((r.get_usize()?, r.get_u64()?)))?
+            .into_iter()
+            .collect();
+        self.ip_bytes = r.get_u64()?;
+        self.intensive = r.get_seq(1, |r| r.get_usize())?;
+        self.intensive.sort_unstable();
+        self.intensive.dedup();
+        self.urgent = r.get_seq(1, TrafficSource::snap_read)?;
+        self.urgent.sort_unstable();
+        self.urgent.dedup();
+        self.next_quantum = r.get_u64()?;
+        self.next_switch = r.get_u64()?;
+        self.p_cpu = r.get_f64()?;
+        self.window_prefers_cpu = r.get_bool()?;
+        self.shuffle_offset = r.get_usize()?;
+        self.next_shuffle = r.get_u64()?;
+        self.serviced_cpu_intensive = r.get_u64()?;
+        self.serviced_ip_nonurgent = r.get_u64()?;
+        self.rng = Xorshift64::from_state(r.get_u64()?);
+        self.quanta = r.get_u64()?;
+        self.rearm();
+        Ok(())
+    }
+}
+
+impl DramScheduler for DashShared {
+    /// The minimum of (class, shuffled rank within the intensive class,
+    /// row miss, `arrived`, queue index) in one pass: FR-FCFS among the
+    /// best-ranked requests of the best class present.
     fn pick(
         &mut self,
         queue: &[QueuedReq],
@@ -346,63 +323,51 @@ impl DramScheduler for DashScheduler {
         banks_per_rank: usize,
         _now: Cycle,
     ) -> Option<usize> {
-        if queue.is_empty() {
-            return None;
-        }
-        let shared = self.shared.lock().expect("dash state poisoned");
-        let best_class = queue
+        // A queue holds long runs of few sources: resolve each run once.
+        let mut run: Option<(TrafficSource, (u8, usize))> = None;
+        // `min_by_key` keeps the first of equal keys: the lowest index.
+        queue
             .iter()
-            .map(|q| shared.class(q.req.source))
-            .min()
-            .expect("non-empty queue");
-        let mut candidates: Vec<usize> = (0..queue.len())
-            .filter(|&i| shared.class(queue[i].req.source) == best_class)
-            .collect();
-        // TCM intra-cluster shuffling: among memory-intensive CPU threads,
-        // restrict to the best shuffled rank present (rotates over time).
-        let intensive_class = if shared.window_prefers_cpu { 2 } else { 3 };
-        if best_class == intensive_class {
-            let rank_of = |i: usize| match queue[i].req.source {
-                TrafficSource::Cpu(id) => shared.shuffled_rank(id),
-                _ => usize::MAX,
-            };
-            if let Some(best_rank) = candidates.iter().map(|&i| rank_of(i)).min() {
-                candidates.retain(|&i| rank_of(i) == best_rank);
-            }
-        }
-        FrFcfs::pick_among(queue, banks, banks_per_rank, &candidates)
+            .enumerate()
+            .min_by_key(|(_, q)| {
+                let (class, rank) = match run {
+                    Some((source, priority)) if source == q.req.source => priority,
+                    _ => {
+                        let priority = self.priority(q.req.source);
+                        run = Some((q.req.source, priority));
+                        priority
+                    }
+                };
+                (class, rank, row_miss(q, banks, banks_per_rank), q.arrived)
+            })
+            .map(|(i, _)| i)
     }
 
     fn on_service(&mut self, req: &MemRequest, _row_hit: bool, _now: Cycle) {
-        let mut s = self.shared.lock().expect("dash state poisoned");
         match req.source {
             TrafficSource::Cpu(id) => {
-                *s.cpu_bytes.entry(id).or_insert(0) += req.bytes as u64;
-                if s.intensive.contains(&id) {
-                    s.serviced_cpu_intensive += 1;
+                *self.cpu_bytes.entry(id).or_insert(0) += req.bytes as u64;
+                if self.is_intensive(id) {
+                    self.serviced_cpu_intensive += 1;
                 }
             }
             src => {
-                s.ip_bytes += req.bytes as u64;
-                if !s.urgent.contains(&src) {
-                    s.serviced_ip_nonurgent += 1;
+                self.ip_bytes += req.bytes as u64;
+                if !self.is_urgent(src) {
+                    self.serviced_ip_nonurgent += 1;
                 }
             }
         }
     }
 
     fn tick(&mut self, now: Cycle) {
-        self.shared.lock().expect("dash state poisoned").roll(now);
+        if now >= self.next_boundary {
+            self.roll(now);
+        }
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        Some(
-            self.shared
-                .lock()
-                .expect("dash state poisoned")
-                .next_boundary()
-                .max(now + 1),
-        )
+        Some(self.next_boundary.max(now + 1))
     }
 }
 
@@ -410,6 +375,8 @@ impl DramScheduler for DashScheduler {
 mod tests {
     use super::*;
     use crate::mapping::DramLocation;
+    use crate::sched::bank_index;
+    use emerald_common::snap::{Restore, Snapshot};
     use emerald_common::types::AccessKind;
 
     fn qreq(id: u64, source: TrafficSource, arrived: Cycle) -> QueuedReq {
@@ -437,40 +404,35 @@ mod tests {
         vec![BankState::idle(); 8]
     }
 
+    fn snap_bytes(s: &DashShared) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        s.snapshot(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
     fn snapshot_round_trip_keeps_rng_and_windows_in_lockstep() {
-        use emerald_common::snap::{Restore, SnapReader, SnapWriter, Snapshot};
         let cfg = DashConfig::paper(Clustering::CpuOnly);
-        let h = DashHandle::new(cfg.clone());
-        h.set_urgent(TrafficSource::Display, true);
-        {
-            // Accumulate bandwidth and cross several rollover boundaries so
-            // every field diverges from its initial value.
-            let mut s = h.0.lock().expect("dash state poisoned");
-            s.cpu_bytes.insert(0, 4096);
-            s.cpu_bytes.insert(3, 128);
-            s.ip_bytes = 9000;
-            s.serviced_cpu_intensive = 7;
-            s.serviced_ip_nonurgent = 3;
-            let boundary = s.next_boundary();
-            s.roll(boundary);
-            let boundary = s.next_boundary();
-            s.roll(boundary);
-        }
+        let mut a = DashShared::new(cfg.clone());
+        a.set_urgent(TrafficSource::Display, true);
+        // Accumulate bandwidth and cross several rollover boundaries so
+        // every field diverges from its initial value.
+        a.cpu_bytes.insert(0, 4096);
+        a.cpu_bytes.insert(3, 128);
+        a.ip_bytes = 9000;
+        a.serviced_cpu_intensive = 7;
+        a.serviced_ip_nonurgent = 3;
+        a.roll(a.next_boundary());
+        a.roll(a.next_boundary());
 
-        let mut w = SnapWriter::new();
-        Snapshot::snapshot(&h, &mut w);
-        let enc = w.into_bytes();
-
-        let mut twin = DashHandle::new(cfg);
+        let enc = snap_bytes(&a);
+        let mut b = DashShared::new(cfg);
         let mut r = SnapReader::new(&enc);
-        Restore::restore(&mut twin, &mut r).unwrap();
+        b.restore(&mut r).unwrap();
         r.finish().unwrap();
 
-        // Both handles must draw the same future RNG stream and agree on
-        // every scheduling decision input.
-        let mut a = h.0.lock().expect("dash state poisoned");
-        let mut b = twin.0.lock().expect("dash state poisoned");
+        // Both must draw the same future RNG stream and agree on every
+        // scheduling decision input.
         assert_eq!(a.rng.state(), b.rng.state());
         assert_eq!(a.next_boundary(), b.next_boundary());
         assert_eq!(a.p_cpu, b.p_cpu);
@@ -479,17 +441,16 @@ mod tests {
         assert_eq!(a.urgent, b.urgent);
         assert_eq!(a.quanta, b.quanta);
         let boundary = a.next_boundary();
-        a.roll(boundary);
-        b.roll(boundary);
+        a.tick(boundary);
+        b.tick(boundary);
         assert_eq!(a.rng.state(), b.rng.state());
         assert_eq!(a.window_prefers_cpu, b.window_prefers_cpu);
     }
 
     #[test]
     fn urgent_ip_beats_everyone() {
-        let h = DashHandle::new(DashConfig::paper(Clustering::CpuOnly));
-        h.set_urgent(TrafficSource::Display, true);
-        let mut s = h.scheduler();
+        let mut s = DashShared::new(DashConfig::paper(Clustering::CpuOnly));
+        s.set_urgent(TrafficSource::Display, true);
         let queue = vec![
             qreq(1, TrafficSource::Cpu(0), 0),
             qreq(2, TrafficSource::Display, 5),
@@ -500,8 +461,7 @@ mod tests {
 
     #[test]
     fn non_intensive_cpu_beats_non_urgent_gpu() {
-        let h = DashHandle::new(DashConfig::paper(Clustering::CpuOnly));
-        let mut s = h.scheduler();
+        let mut s = DashShared::new(DashConfig::paper(Clustering::CpuOnly));
         // No clustering has happened, so every CPU is non-intensive.
         let queue = vec![
             qreq(1, TrafficSource::Gpu, 0),
@@ -512,24 +472,24 @@ mod tests {
 
     #[test]
     fn progress_feedback_toggles_urgency() {
-        let h = DashHandle::new(DashConfig::paper(Clustering::CpuOnly));
+        let mut s = DashShared::new(DashConfig::paper(Clustering::CpuOnly));
         // GPU at 50% of work through 80% of its period: behind → urgent.
-        h.update_progress(TrafficSource::Gpu, 0.5, 0.8);
-        assert!(h.inspect(|s| s.is_urgent(TrafficSource::Gpu)));
+        s.update_progress(TrafficSource::Gpu, 0.5, 0.8);
+        assert!(s.is_urgent(TrafficSource::Gpu));
         // Caught up → not urgent.
-        h.update_progress(TrafficSource::Gpu, 0.95, 0.8);
-        assert!(h.inspect(|s| !s.is_urgent(TrafficSource::Gpu)));
+        s.update_progress(TrafficSource::Gpu, 0.95, 0.8);
+        assert!(!s.is_urgent(TrafficSource::Gpu));
     }
 
     #[test]
     fn gpu_threshold_is_stricter_than_ip() {
-        let h = DashHandle::new(DashConfig::paper(Clustering::CpuOnly));
+        let mut s = DashShared::new(DashConfig::paper(Clustering::CpuOnly));
         // Progress rate 0.85: below the GPU's 0.9 threshold but above the
         // generic IP threshold of 0.8.
-        h.update_progress(TrafficSource::Gpu, 0.85, 1.0);
-        h.update_progress(TrafficSource::Display, 0.85, 1.0);
-        assert!(h.inspect(|s| s.is_urgent(TrafficSource::Gpu)));
-        assert!(h.inspect(|s| !s.is_urgent(TrafficSource::Display)));
+        s.update_progress(TrafficSource::Gpu, 0.85, 1.0);
+        s.update_progress(TrafficSource::Display, 0.85, 1.0);
+        assert!(s.is_urgent(TrafficSource::Gpu));
+        assert!(!s.is_urgent(TrafficSource::Display));
     }
 
     #[test]
@@ -538,8 +498,7 @@ mod tests {
             quantum: 100,
             ..DashConfig::paper(Clustering::CpuOnly)
         };
-        let h = DashHandle::new(cfg);
-        let mut s = h.scheduler();
+        let mut s = DashShared::new(cfg);
         // CPU 0 light, CPU 1 heavy.
         for i in 0..2u64 {
             s.on_service(&qreq(i, TrafficSource::Cpu(0), 0).req, false, 0);
@@ -548,8 +507,8 @@ mod tests {
             s.on_service(&qreq(10 + i, TrafficSource::Cpu(1), 0).req, false, 0);
         }
         s.tick(150); // quantum rollover
-        assert!(h.inspect(|st| st.is_intensive(1)));
-        assert!(h.inspect(|st| !st.is_intensive(0)));
+        assert!(s.is_intensive(1));
+        assert!(!s.is_intensive(0));
     }
 
     #[test]
@@ -558,8 +517,7 @@ mod tests {
             quantum: 100,
             ..DashConfig::paper(Clustering::System)
         };
-        let h = DashHandle::new(cfg);
-        let mut s = h.scheduler();
+        let mut s = DashShared::new(cfg);
         // Same CPU traffic as above, but with massive GPU traffic in the
         // total: the 15% threshold now covers all CPU threads.
         for i in 0..2u64 {
@@ -572,8 +530,8 @@ mod tests {
             s.on_service(&qreq(100 + i, TrafficSource::Gpu, 0).req, false, 0);
         }
         s.tick(150);
-        assert!(h.inspect(|st| !st.is_intensive(0)));
-        assert!(h.inspect(|st| !st.is_intensive(1)));
+        assert!(!s.is_intensive(0));
+        assert!(!s.is_intensive(1));
     }
 
     #[test]
@@ -582,12 +540,11 @@ mod tests {
             switching_unit: 10,
             ..DashConfig::paper(Clustering::CpuOnly)
         };
-        let h = DashHandle::new(cfg);
-        let mut s = h.scheduler();
+        let mut s = DashShared::new(cfg);
         let mut seen = std::collections::HashSet::new();
         for t in 0..2000 {
             s.tick(t);
-            seen.insert(h.inspect(|st| st.window_prefers_cpu));
+            seen.insert(s.window_prefers_cpu);
         }
         assert_eq!(seen.len(), 2, "both window preferences should occur");
     }
@@ -599,8 +556,7 @@ mod tests {
             shuffling_interval: 50,
             ..DashConfig::paper(Clustering::CpuOnly)
         };
-        let h = DashHandle::new(cfg);
-        let mut s = h.scheduler();
+        let mut s = DashShared::new(cfg);
         // Make CPUs 1 and 2 intensive.
         for i in 0..40u64 {
             s.on_service(&qreq(i, TrafficSource::Cpu(1), 0).req, false, 0);
@@ -608,8 +564,8 @@ mod tests {
         }
         s.on_service(&qreq(990, TrafficSource::Cpu(0), 0).req, false, 0);
         s.tick(150);
-        assert!(h.inspect(|st| st.is_intensive(1) && st.is_intensive(2)));
-        let r0 = h.inspect(|st| st.shuffled_rank(1));
+        assert!(s.is_intensive(1) && s.is_intensive(2));
+        let r0 = s.shuffled_rank(1);
         // Advance a few shuffling intervals, keeping the same traffic mix
         // flowing so re-clustering preserves the intensive set.
         for t in 151..=400 {
@@ -619,15 +575,14 @@ mod tests {
             }
             s.tick(t);
         }
-        assert!(h.inspect(|st| st.is_intensive(1) && st.is_intensive(2)));
-        let r1 = h.inspect(|st| st.shuffled_rank(1));
+        assert!(s.is_intensive(1) && s.is_intensive(2));
+        let r1 = s.shuffled_rank(1);
         assert_ne!(r0, r1, "shuffling must rotate ranks");
     }
 
     #[test]
     fn within_class_uses_frfcfs() {
-        let h = DashHandle::new(DashConfig::paper(Clustering::CpuOnly));
-        let mut s = h.scheduler();
+        let mut s = DashShared::new(DashConfig::paper(Clustering::CpuOnly));
         let mut bs = banks();
         // Two GPU requests; the one with an open-row hit should win even
         // though it arrived later.
@@ -637,5 +592,159 @@ mod tests {
         q2.loc.row = 42;
         bs[3].open_row = Some(42);
         assert_eq!(s.pick(&[q1, q2], &bs, 8, 10), Some(1));
+    }
+
+    /// The selection `pick` replaced, as it was written: the best class
+    /// present, its candidate list, the best shuffled rank among them when
+    /// that class is the intensive one, then the oldest row hit or else
+    /// the oldest request.
+    fn pick_two_pass(
+        s: &DashShared,
+        queue: &[QueuedReq],
+        banks: &[BankState],
+        banks_per_rank: usize,
+    ) -> Option<usize> {
+        let class = |source: TrafficSource| match source {
+            src if src.is_ip() && s.urgent.contains(&src) => 0,
+            TrafficSource::Cpu(id) if !s.intensive.contains(&id) => 1,
+            TrafficSource::Cpu(_) => {
+                if s.window_prefers_cpu {
+                    2
+                } else {
+                    3
+                }
+            }
+            _ => {
+                if s.window_prefers_cpu {
+                    3
+                } else {
+                    2
+                }
+            }
+        };
+        let best_class = queue.iter().map(|q| class(q.req.source)).min()?;
+        let mut candidates: Vec<usize> = (0..queue.len())
+            .filter(|&i| class(queue[i].req.source) == best_class)
+            .collect();
+        let intensive_class = if s.window_prefers_cpu { 2 } else { 3 };
+        if best_class == intensive_class {
+            let rank_of = |i: usize| match queue[i].req.source {
+                TrafficSource::Cpu(id) => s.shuffled_rank(id),
+                _ => usize::MAX,
+            };
+            if let Some(best_rank) = candidates.iter().map(|&i| rank_of(i)).min() {
+                candidates.retain(|&i| rank_of(i) == best_rank);
+            }
+        }
+        let mut best_hit: Option<usize> = None;
+        let mut best_any: Option<usize> = None;
+        for &i in &candidates {
+            let q = &queue[i];
+            let hit = banks[bank_index(&q.loc, banks_per_rank)].open_row == Some(q.loc.row);
+            if hit && best_hit.is_none_or(|j| q.arrived < queue[j].arrived) {
+                best_hit = Some(i);
+            }
+            if best_any.is_none_or(|j| q.arrived < queue[j].arrived) {
+                best_any = Some(i);
+            }
+        }
+        best_hit.or(best_any)
+    }
+
+    #[test]
+    fn single_pass_pick_equals_two_pass_selection() {
+        const SOURCES: [TrafficSource; 8] = [
+            TrafficSource::Cpu(0),
+            TrafficSource::Cpu(1),
+            TrafficSource::Cpu(2),
+            TrafficSource::Cpu(5),
+            TrafficSource::Gpu,
+            TrafficSource::Display,
+            TrafficSource::OtherIp(0),
+            TrafficSource::OtherIp(4),
+        ];
+        emerald_common::check::check("dash_pick_equals_two_pass", |rng| {
+            let mut s = DashShared::new(DashConfig::paper(Clustering::CpuOnly));
+            for _ in 0..40 {
+                s.window_prefers_cpu = rng.chance(0.5);
+                s.shuffle_offset = rng.below(9) as usize;
+                s.intensive = [0, 1, 2, 5]
+                    .into_iter()
+                    .filter(|_| rng.chance(0.5))
+                    .collect();
+                // CPU sources in `urgent` are legal and must stay inert.
+                for src in SOURCES {
+                    s.set_urgent(src, rng.chance(0.25));
+                }
+                let mut banks = vec![BankState::idle(); 16];
+                for b in &mut banks {
+                    b.open_row = rng.chance(0.7).then(|| rng.below(3));
+                }
+                // Few distinct arrival cycles and rows: ties everywhere.
+                let queue: Vec<QueuedReq> = (0..rng.below(65))
+                    .map(|id| {
+                        let mut q = qreq(id, SOURCES[rng.below(8) as usize], rng.below(4));
+                        q.loc.rank = rng.below(2) as usize;
+                        q.loc.bank = rng.below(8) as usize;
+                        q.loc.row = rng.below(3);
+                        q
+                    })
+                    .collect();
+                assert_eq!(
+                    s.pick(&queue, &banks, 8, 10),
+                    pick_two_pass(&s, &queue, &banks, 8),
+                    "prefers_cpu={} offset={} intensive={:?} urgent={:?} queue={queue:?}",
+                    s.window_prefers_cpu,
+                    s.shuffle_offset,
+                    s.intensive,
+                    s.urgent
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn boundary_gated_roll_equals_rolling_every_cycle() {
+        // Three quanta of the paper's constants: 3.1 M cycles, ~10 000
+        // rollovers, every one of which draws from the RNG or re-clusters.
+        emerald_common::check::check_n("dash_gated_roll_equals_per_cycle", 3, |rng| {
+            let cfg = DashConfig::paper(if rng.chance(0.5) {
+                Clustering::CpuOnly
+            } else {
+                Clustering::System
+            });
+            let mut every_cycle = DashShared::new(cfg.clone());
+            let mut gated = DashShared::new(cfg);
+            let mut rolls = 0u64;
+            for now in 0..3_100_000 {
+                if now == gated.next_boundary() {
+                    rolls += 1;
+                }
+                every_cycle.roll(now);
+                gated.tick(now);
+                if rng.chance(0.05) {
+                    let source = match rng.below(6) {
+                        0 => TrafficSource::Gpu,
+                        1 => TrafficSource::Display,
+                        n => TrafficSource::Cpu(n as usize - 2),
+                    };
+                    let req = qreq(now, source, now).req;
+                    every_cycle.on_service(&req, false, now);
+                    gated.on_service(&req, false, now);
+                }
+                if rng.chance(0.001) {
+                    let urgent = rng.chance(0.5);
+                    every_cycle.set_urgent(TrafficSource::Display, urgent);
+                    gated.set_urgent(TrafficSource::Display, urgent);
+                }
+                if now % 4096 == 0 {
+                    assert_eq!(snap_bytes(&gated), snap_bytes(&every_cycle), "cycle {now}");
+                }
+            }
+            assert_eq!(snap_bytes(&gated), snap_bytes(&every_cycle));
+            assert_eq!(gated.rng.state(), every_cycle.rng.state());
+            assert_eq!(gated.quanta, 3);
+            assert!(rolls > 9_000, "only {rolls} boundaries were crossed");
+        });
     }
 }

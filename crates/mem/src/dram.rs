@@ -181,24 +181,26 @@ impl ChannelStats {
     }
 }
 
-/// One DRAM channel with its scheduler.
+/// One DRAM channel. It holds no scheduler: whoever ticks it lends it one
+/// (see [`DramChannel::tick`]).
 #[derive(Debug)]
 pub struct DramChannel {
     cfg: DramConfig,
     banks: Vec<BankState>,
     queue: Vec<QueuedReq>,
     bus_free_at: Cycle,
-    /// Requests in service: (completion_cycle, request, row_hit).
+    /// Requests in service: (completion_cycle, request).
     in_service: Vec<(Cycle, MemRequest)>,
-    scheduler: Box<dyn DramScheduler>,
+    /// Earliest completion cycle in `in_service`; `Cycle::MAX` when empty.
+    next_done: Cycle,
     stats: ChannelStats,
     /// Trace track id (the owning system sets this to the channel index).
     track: u32,
 }
 
 impl DramChannel {
-    /// Creates a channel driven by `scheduler`.
-    pub fn new(cfg: DramConfig, scheduler: Box<dyn DramScheduler>) -> Self {
+    /// Creates an idle channel.
+    pub fn new(cfg: DramConfig) -> Self {
         let banks = vec![BankState::idle(); cfg.total_banks()];
         Self {
             cfg,
@@ -206,7 +208,7 @@ impl DramChannel {
             queue: Vec::new(),
             bus_free_at: 0,
             in_service: Vec::new(),
-            scheduler,
+            next_done: Cycle::MAX,
             stats: ChannelStats::default(),
             track: 0,
         }
@@ -242,11 +244,6 @@ impl DramChannel {
         self.queue.len() >= self.cfg.queue_cap
     }
 
-    /// Mutable access to the scheduler (for DASH feedback updates).
-    pub fn scheduler_mut(&mut self) -> &mut dyn DramScheduler {
-        self.scheduler.as_mut()
-    }
-
     /// Enqueues a request already decoded to `loc`; fails when full.
     pub fn enqueue(
         &mut self,
@@ -265,9 +262,11 @@ impl DramChannel {
         Ok(())
     }
 
-    /// Advances the channel one cycle: possibly issues one request.
-    pub fn tick(&mut self, now: Cycle) {
-        self.scheduler.tick(now);
+    /// Advances the channel one cycle: possibly issues one request, chosen
+    /// by `sched`. The caller runs the scheduler's own
+    /// [`DramScheduler::tick`] (once per cycle, however many channels
+    /// share it) before this.
+    pub fn tick(&mut self, now: Cycle, sched: &mut impl DramScheduler) {
         if self.queue.is_empty() {
             return;
         }
@@ -276,10 +275,7 @@ impl DramChannel {
         if self.bus_free_at > now + self.cfg.burst_cycles as Cycle {
             return;
         }
-        let Some(idx) = self
-            .scheduler
-            .pick(&self.queue, &self.banks, self.cfg.banks, now)
-        else {
+        let Some(idx) = sched.pick(&self.queue, &self.banks, self.cfg.banks, now) else {
             return;
         };
         let q = self.queue.swap_remove(idx);
@@ -318,38 +314,52 @@ impl DramChannel {
             self.stats.reads_serviced += 1;
             self.stats.read_latency_sum += done.saturating_sub(q.req.issued);
         }
-        self.scheduler.on_service(&q.req, row_hit, now);
+        sched.on_service(&q.req, row_hit, now);
         self.in_service.push((done, q.req));
+        self.next_done = self.next_done.min(done);
     }
 
-    /// Pops all accesses that completed by `now` (reads and writes; the
-    /// caller filters for responses).
-    pub fn pop_finished(&mut self, now: Cycle) -> Vec<MemResponse> {
-        let mut out = Vec::new();
+    /// Appends to `out` all accesses that completed by `now` (reads and
+    /// writes; the caller filters for responses). One compare when nothing
+    /// is due.
+    pub fn pop_finished(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
+        if now < self.next_done {
+            return;
+        }
+        self.next_done = Cycle::MAX;
         let mut i = 0;
         while i < self.in_service.len() {
-            if self.in_service[i].0 <= now {
+            let done = self.in_service[i].0;
+            if done <= now {
                 let (done, req) = self.in_service.swap_remove(i);
                 out.push(req.response(done));
             } else {
+                self.next_done = self.next_done.min(done);
                 i += 1;
             }
         }
-        out
     }
 
     /// True when no request is queued or in flight.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.in_service.is_empty()
     }
+
+    /// What `next_done` caches, by scan.
+    fn earliest_done(&self) -> Cycle {
+        self.in_service
+            .iter()
+            .map(|&(done, _)| done)
+            .min()
+            .unwrap_or(Cycle::MAX)
+    }
 }
 
 impl emerald_common::snap::Snapshot for DramChannel {
     /// Serializes bank timing, the scheduling queue (in exact order —
     /// `tick` uses `swap_remove`, so the physical order is semantic
-    /// state), the in-service slab, and statistics. The scheduler box is
-    /// not serialized: FR-FCFS is stateless and DASH state lives in the
-    /// shared handle snapshotted once at the memory-system level.
+    /// state), the in-service slab, and statistics. Scheduler state is
+    /// the memory system's to serialize.
     fn snapshot(&self, w: &mut SnapWriter) {
         w.put_seq(self.banks.iter(), |w, b| {
             w.put_opt(&b.open_row, |w, &row| w.put_u64(row));
@@ -408,6 +418,7 @@ impl emerald_common::snap::Restore for DramChannel {
         self.queue = queue;
         self.bus_free_at = r.get_u64()?;
         self.in_service = r.get_seq(41, |r| Ok((r.get_u64()?, MemRequest::snap_read(r)?)))?;
+        self.next_done = self.earliest_done();
         self.stats = ChannelStats::snap_read(r)?;
         Ok(())
     }
@@ -415,19 +426,18 @@ impl emerald_common::snap::Restore for DramChannel {
 
 impl emerald_common::event::NextEvent for DramChannel {
     /// A channel with a non-empty scheduling queue makes a decision every
-    /// cycle, so it pins the clock to `now + 1`. Otherwise the only
-    /// things that can happen are in-service accesses completing (their
-    /// cycles were precomputed at issue) and scheduler housekeeping
-    /// rollovers — both known in advance.
+    /// cycle, so it pins the clock to `now + 1`. Otherwise the only thing
+    /// that can happen is an in-service access completing, at a cycle
+    /// precomputed at issue. (Scheduler housekeeping rollovers are the
+    /// scheduler owner's events.)
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         if !self.queue.is_empty() {
-            return Some(now + 1);
+            Some(now + 1)
+        } else if self.in_service.is_empty() {
+            None
+        } else {
+            Some(self.next_done.max(now + 1))
         }
-        let mut ev = self.scheduler.next_event(now);
-        for &(done, _) in &self.in_service {
-            ev = emerald_common::event::earliest(ev, Some(done.max(now + 1)));
-        }
-        ev
     }
 }
 
@@ -451,16 +461,22 @@ mod tests {
 
     fn channel() -> (DramChannel, AddressMapping) {
         (
-            DramChannel::new(DramConfig::lpddr3_1333(), Box::new(FrFcfs::new())),
+            DramChannel::new(DramConfig::lpddr3_1333()),
             AddressMapping::baseline(1),
         )
+    }
+
+    fn pop(ch: &mut DramChannel, now: Cycle) -> Vec<MemResponse> {
+        let mut out = Vec::new();
+        ch.pop_finished(now, &mut out);
+        out
     }
 
     fn run_until_idle(ch: &mut DramChannel, mut now: Cycle) -> (Vec<MemResponse>, Cycle) {
         let mut out = Vec::new();
         while !ch.is_idle() {
-            ch.tick(now);
-            out.extend(ch.pop_finished(now));
+            ch.tick(now, &mut FrFcfs);
+            ch.pop_finished(now, &mut out);
             now += 1;
             assert!(now < 1_000_000, "channel never drained");
         }
@@ -536,8 +552,8 @@ mod tests {
     #[test]
     fn low_bandwidth_preset_is_slower() {
         let map = AddressMapping::baseline(1);
-        let mut fast = DramChannel::new(DramConfig::lpddr3_1333(), Box::new(FrFcfs::new()));
-        let mut slow = DramChannel::new(DramConfig::low_bandwidth(), Box::new(FrFcfs::new()));
+        let mut fast = DramChannel::new(DramConfig::lpddr3_1333());
+        let mut slow = DramChannel::new(DramConfig::low_bandwidth());
         for ch in [&mut fast, &mut slow] {
             for i in 0..16u64 {
                 ch.enqueue(req(i, i * 128), map.decode(i * 128), 0).unwrap();
@@ -595,19 +611,19 @@ mod tests {
         ch.enqueue(req(1, 0x1000), map.decode(0x1000), 0).unwrap();
         // A queued request pins the clock: the scheduler decides next cycle.
         assert_eq!(NextEvent::next_event(&ch, 0), Some(1));
-        ch.tick(0); // enters service; completion cycle is precomputed
+        ch.tick(0, &mut FrFcfs); // enters service; completion cycle is precomputed
         let done = NextEvent::next_event(&ch, 0).expect("in-service access is a known event");
         let cfg = DramConfig::lpddr3_1333();
         assert_eq!(done, (cfg.t_rcd + cfg.t_cl + cfg.burst_cycles) as Cycle);
         // The whole gap up to the announced wake is dead...
         for c in 1..done {
-            ch.tick(c);
-            assert!(ch.pop_finished(c).is_empty(), "completed early at {c}");
+            ch.tick(c, &mut FrFcfs);
+            assert!(pop(&mut ch, c).is_empty(), "completed early at {c}");
             assert_eq!(NextEvent::next_event(&ch, c), Some(done));
         }
         // ...and the wake cycle delivers exactly on time.
-        ch.tick(done);
-        assert_eq!(ch.pop_finished(done).len(), 1);
+        ch.tick(done, &mut FrFcfs);
+        assert_eq!(pop(&mut ch, done).len(), 1);
         assert!(ch.is_idle());
         assert_eq!(
             NextEvent::next_event(&ch, done),
@@ -628,8 +644,8 @@ mod tests {
         ch.enqueue(req(99, 8 * 32 * 128), map.decode(8 * 32 * 128), 0)
             .unwrap();
         for c in 0..10 {
-            ch.tick(c);
-            ch.pop_finished(c);
+            ch.tick(c, &mut FrFcfs);
+            pop(&mut ch, c);
         }
 
         let mut w = SnapWriter::new();
@@ -663,7 +679,7 @@ mod tests {
             banks: 4,
             ..DramConfig::lpddr3_1333()
         };
-        let mut other = DramChannel::new(half_banks, Box::new(FrFcfs::new()));
+        let mut other = DramChannel::new(half_banks);
         let mut r = SnapReader::new(&enc);
         assert!(Restore::restore(&mut other, &mut r).is_err());
     }
@@ -675,8 +691,8 @@ mod tests {
         let (mut b, _) = channel();
         a.enqueue(req(1, 0x1000), map.decode(0x1000), 0).unwrap();
         b.enqueue(req(2, 0x1000), map.decode(0x1000), 0).unwrap();
-        a.tick(0);
-        b.tick(0);
+        a.tick(0, &mut FrFcfs);
+        b.tick(0, &mut FrFcfs);
         // Identical requests on identical channels complete at the same
         // cycle, so the combined wake is a single shared event.
         let ta = NextEvent::next_event(&a, 0).unwrap();
@@ -684,16 +700,55 @@ mod tests {
         assert_eq!(ta, tb);
         let wake = earliest(NextEvent::next_event(&a, 0), NextEvent::next_event(&b, 0)).unwrap();
         for c in 1..wake {
-            a.tick(c);
-            b.tick(c);
-            assert!(a.pop_finished(c).is_empty() && b.pop_finished(c).is_empty());
+            a.tick(c, &mut FrFcfs);
+            b.tick(c, &mut FrFcfs);
+            assert!(pop(&mut a, c).is_empty() && pop(&mut b, c).is_empty());
         }
-        a.tick(wake);
-        b.tick(wake);
+        a.tick(wake, &mut FrFcfs);
+        b.tick(wake, &mut FrFcfs);
         assert_eq!(
-            a.pop_finished(wake).len() + b.pop_finished(wake).len(),
+            pop(&mut a, wake).len() + pop(&mut b, wake).len(),
             2,
             "both components act at the shared wake cycle"
         );
+    }
+
+    #[test]
+    fn cached_earliest_completion_equals_a_scan() {
+        use emerald_common::snap::{Restore, SnapReader, SnapWriter, Snapshot};
+        emerald_common::check::check("dram_next_done_equals_scan", |rng| {
+            let (mut ch, map) = channel();
+            let mut out = Vec::new();
+            let mut now = 0;
+            for step in 0..600u64 {
+                match rng.below(8) {
+                    0..=2 => {
+                        let addr = rng.below(1 << 12) * 128;
+                        let _ = ch.enqueue(req(step, addr), map.decode(addr), now);
+                    }
+                    3..=5 => {
+                        ch.tick(now, &mut FrFcfs);
+                        now += rng.below(40);
+                    }
+                    6 => {
+                        let due = ch.in_service.iter().filter(|e| e.0 <= now).count();
+                        out.clear();
+                        ch.pop_finished(now, &mut out);
+                        assert_eq!(out.len(), due, "step {step}");
+                        assert!(ch.in_service.iter().all(|e| e.0 > now));
+                    }
+                    _ => {
+                        let mut w = SnapWriter::new();
+                        Snapshot::snapshot(&ch, &mut w);
+                        let enc = w.into_bytes();
+                        (ch, _) = channel();
+                        let mut r = SnapReader::new(&enc);
+                        Restore::restore(&mut ch, &mut r).unwrap();
+                        r.finish().unwrap();
+                    }
+                }
+                assert_eq!(ch.next_done, ch.earliest_done(), "step {step}");
+            }
+        });
     }
 }

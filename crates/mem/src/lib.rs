@@ -18,7 +18,8 @@
 //! * [`dash`] — the DASH deadline-aware scheduler with TCM clustering
 //!   (both the DCB and DTB clustering variants studied in the paper).
 //! * [`system`] — the memory system façade: channel steering (interleaved
-//!   vs. HMC source-partitioned), per-channel schedulers, statistics.
+//!   vs. HMC source-partitioned), the scheduler every channel is ticked
+//!   with, statistics.
 //! * [`link`] — fixed-latency, bounded-bandwidth links (NoC edges).
 //! * [`view`] — frozen-image views and per-core store buffers for the
 //!   bulk-synchronous parallel core phase.

@@ -40,10 +40,19 @@ pub fn bank_index(loc: &DramLocation, banks_per_rank: usize) -> usize {
     loc.rank * banks_per_rank + loc.bank
 }
 
-/// A DRAM request scheduler for one channel.
+/// True when servicing `q` would have to open a row: its bank's row buffer
+/// holds another row, or none.
+pub fn row_miss(q: &QueuedReq, banks: &[BankState], banks_per_rank: usize) -> bool {
+    banks[bank_index(&q.loc, banks_per_rank)].open_row != Some(q.loc.row)
+}
+
+/// A DRAM request scheduler.
 ///
-/// Implementations see the whole queue plus bank states and return the
-/// index of the request to issue this cycle.
+/// Implementations see a channel's whole queue plus its bank states and
+/// return the index of the request to issue this cycle. The memory system
+/// owns one scheduler and lends it to each channel for the duration of
+/// that channel's tick, so state that spans channels (DASH's clustering
+/// and switching decisions) needs no sharing mechanism.
 pub trait DramScheduler: fmt::Debug + Send {
     /// Picks the queue index to service next, or `None` to idle.
     fn pick(
@@ -60,14 +69,15 @@ pub trait DramScheduler: fmt::Debug + Send {
         let _ = (req, row_hit, now);
     }
 
-    /// Per-cycle housekeeping (quantum/window rollovers). Default: none.
+    /// Housekeeping (quantum/window rollovers), called once per memory-
+    /// system tick before any channel is ticked. Default: none.
     fn tick(&mut self, now: Cycle) {
         let _ = now;
     }
 
     /// Earliest cycle `> now` at which [`DramScheduler::tick`] does
-    /// something even with an empty queue (quantum/window rollovers), or
-    /// `None` when ticking an idle channel is a no-op. Part of the
+    /// something even with empty queues (quantum/window rollovers), or
+    /// `None` when ticking an idle system is a no-op. Part of the
     /// `emerald_common::event::NextEvent` contract: returning a cycle
     /// *later* than the true rollover would let the event-driven clock
     /// skip over it and diverge from the reference clocking. Default:
@@ -88,40 +98,10 @@ impl FrFcfs {
     pub fn new() -> Self {
         Self
     }
-
-    /// FR-FCFS selection among an arbitrary candidate subset, reused by
-    /// DASH within each priority class. `candidates` holds queue indices.
-    pub fn pick_among(
-        queue: &[QueuedReq],
-        banks: &[BankState],
-        banks_per_rank: usize,
-        candidates: &[usize],
-    ) -> Option<usize> {
-        // Oldest row hit first.
-        let mut best_hit: Option<usize> = None;
-        let mut best_any: Option<usize> = None;
-        for &i in candidates {
-            let q = &queue[i];
-            let b = &banks[bank_index(&q.loc, banks_per_rank)];
-            let hit = b.open_row == Some(q.loc.row);
-            if hit {
-                best_hit = match best_hit {
-                    None => Some(i),
-                    Some(j) if queue[i].arrived < queue[j].arrived => Some(i),
-                    j => j,
-                };
-            }
-            best_any = match best_any {
-                None => Some(i),
-                Some(j) if queue[i].arrived < queue[j].arrived => Some(i),
-                j => j,
-            };
-        }
-        best_hit.or(best_any)
-    }
 }
 
 impl DramScheduler for FrFcfs {
+    /// The minimum of (row miss, `arrived`, queue index) in one pass.
     fn pick(
         &mut self,
         queue: &[QueuedReq],
@@ -129,8 +109,12 @@ impl DramScheduler for FrFcfs {
         banks_per_rank: usize,
         _now: Cycle,
     ) -> Option<usize> {
-        let candidates: Vec<usize> = (0..queue.len()).collect();
-        Self::pick_among(queue, banks, banks_per_rank, &candidates)
+        // `min_by_key` keeps the first of equal keys: the lowest index.
+        queue
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, q)| (row_miss(q, banks, banks_per_rank), q.arrived))
+            .map(|(i, _)| i)
     }
 }
 

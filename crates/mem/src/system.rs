@@ -9,11 +9,11 @@
 //! * **HMC** — channels partitioned by traffic source: CPU channels use
 //!   the locality mapping, IP channels the bank-parallel mapping (Table 4).
 
-use crate::dash::{DashConfig, DashHandle};
+use crate::dash::{DashConfig, DashShared};
 use crate::dram::{ChannelStats, DramChannel, DramConfig};
 use crate::mapping::AddressMapping;
 use crate::req::{MemRequest, MemResponse};
-use crate::sched::FrFcfs;
+use crate::sched::{DramScheduler, FrFcfs};
 use emerald_common::event::NextEvent;
 use emerald_common::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use emerald_common::types::{Cycle, TrafficSource};
@@ -189,9 +189,14 @@ impl Probes {
 pub struct MemorySystem {
     cfg: MemorySystemConfig,
     channels: Vec<DramChannel>,
-    dash: Option<DashHandle>,
+    /// The one scheduler every channel is ticked with; FR-FCFS when absent.
+    /// Owned, not shared: a memory system lives inside one `Soc` (or one
+    /// GPU port), which moves between threads whole.
+    dash: Option<DashShared>,
     probes: Option<Probes>,
     trace: Option<Vec<(Cycle, MemRequest)>>,
+    /// What the last [`MemorySystem::drain_finished`] returned (reused).
+    finished: Vec<MemResponse>,
 }
 
 impl MemorySystem {
@@ -225,16 +230,11 @@ impl MemorySystem {
         }
         let dash = match &cfg.scheduler {
             SchedulerKind::FrFcfs => None,
-            SchedulerKind::Dash(d) => Some(DashHandle::new(d.clone())),
+            SchedulerKind::Dash(d) => Some(DashShared::new(d.clone())),
         };
         let channels = (0..cfg.channels)
             .map(|i| {
-                let sched: Box<dyn crate::sched::DramScheduler> = match (&cfg.scheduler, &dash) {
-                    (SchedulerKind::FrFcfs, _) => Box::new(FrFcfs::new()),
-                    (SchedulerKind::Dash(_), Some(h)) => Box::new(h.scheduler()),
-                    _ => unreachable!(),
-                };
-                let mut ch = DramChannel::new(cfg.dram.clone(), sched);
+                let mut ch = DramChannel::new(cfg.dram.clone());
                 ch.set_trace_track(i as u32);
                 ch
             })
@@ -245,6 +245,7 @@ impl MemorySystem {
             dash,
             probes: None,
             trace: None,
+            finished: Vec::new(),
         }
     }
 
@@ -259,9 +260,14 @@ impl MemorySystem {
         self.trace.take().unwrap_or_default()
     }
 
-    /// The DASH feedback handle, when DASH is the active scheduler.
-    pub fn dash(&self) -> Option<&DashHandle> {
+    /// The DASH scheduler state, when DASH is the active scheduler.
+    pub fn dash(&self) -> Option<&DashShared> {
         self.dash.as_ref()
+    }
+
+    /// Mutable access to the DASH scheduler (deadline feedback).
+    pub fn dash_mut(&mut self) -> Option<&mut DashShared> {
+        self.dash.as_mut()
     }
 
     /// Starts recording per-class bandwidth over `window`-cycle windows.
@@ -323,33 +329,50 @@ impl MemorySystem {
         r
     }
 
+    /// The channel that serves `req`: the one [`MemorySystem::enqueue`]
+    /// would put it in and [`MemorySystem::can_accept`] asks about.
+    pub fn channel_of(&self, req: &MemRequest) -> usize {
+        self.route(req).0
+    }
+
     /// True when the channel that would serve `req` has queue space.
     pub fn can_accept(&self, req: &MemRequest) -> bool {
-        let (ch, _) = self.route(req);
-        !self.channels[ch].is_full()
+        !self.channels[self.channel_of(req)].is_full()
     }
 
-    /// Advances every channel one cycle.
+    /// Advances the scheduler's windows, then every channel, one cycle.
     pub fn tick(&mut self, now: Cycle) {
-        for ch in &mut self.channels {
-            ch.tick(now);
+        match &mut self.dash {
+            Some(dash) => {
+                dash.tick(now);
+                for ch in &mut self.channels {
+                    ch.tick(now, dash);
+                }
+            }
+            None => {
+                for ch in &mut self.channels {
+                    ch.tick(now, &mut FrFcfs);
+                }
+            }
         }
     }
 
-    /// Collects all accesses finished by `now`. Reads need routing back to
-    /// their requesters; writes are returned too for completeness.
-    pub fn drain_finished(&mut self, now: Cycle) -> Vec<MemResponse> {
-        let mut out = Vec::new();
+    /// Collects all accesses finished by `now`, channel by channel. Reads
+    /// need routing back to their requesters; writes are returned too for
+    /// completeness. The slice is valid until the next call, which reuses
+    /// its storage.
+    pub fn drain_finished(&mut self, now: Cycle) -> &[MemResponse] {
+        self.finished.clear();
         for ch in &mut self.channels {
-            out.extend(ch.pop_finished(now));
+            ch.pop_finished(now, &mut self.finished);
         }
         if let Some(p) = &mut self.probes {
-            for r in &out {
+            for r in &self.finished {
                 p.probe_mut(SourceClass::of(r.source))
                     .record(r.finished, r.bytes as u64);
             }
         }
-        out
+        &self.finished
     }
 
     /// Aggregated statistics across channels.
@@ -479,11 +502,11 @@ impl emerald_common::snap::Restore for MemorySystem {
 }
 
 impl NextEvent for MemorySystem {
-    /// Earliest event across all channels: the next in-service completion
-    /// or scheduler rollover, or `now + 1` while any scheduling queue is
-    /// non-empty (see [`DramChannel`]'s impl).
+    /// Earliest event across the scheduler and all channels: the next
+    /// scheduler rollover or in-service completion, or `now + 1` while any
+    /// scheduling queue is non-empty (see [`DramChannel`]'s impl).
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut ev = None;
+        let mut ev = self.dash.as_ref().and_then(|d| d.next_event(now));
         for ch in &self.channels {
             ev = emerald_common::event::earliest(ev, ch.next_event(now));
         }
@@ -704,7 +727,7 @@ mod tests {
                 .unwrap();
             id += 1;
         }
-        let mut resp_a = Vec::new();
+        let mut resp_a: Vec<MemResponse> = Vec::new();
         for c in 0..50 {
             ms.tick(c);
             resp_a.extend(ms.drain_finished(c));

@@ -48,7 +48,7 @@ fn urgent_display_overtakes_cpu_backlog() {
         if urgent {
             // Display at 10% of its frame through 90% of its refresh
             // period: hopelessly behind deadline.
-            ms.dash()
+            ms.dash_mut()
                 .unwrap()
                 .update_progress(TrafficSource::Display, 0.1, 0.9);
         }
@@ -98,40 +98,40 @@ fn urgent_display_overtakes_cpu_backlog() {
 /// while the same completed fraction late in a short period promotes it.
 #[test]
 fn long_vs_short_deadline_promotion() {
-    let ms = MemorySystem::new(MemorySystemConfig::dash(
+    let mut ms = MemorySystem::new(MemorySystemConfig::dash(
         1,
         DramConfig::lpddr3_1600(),
         DashConfig::paper(Clustering::CpuOnly),
     ));
-    let dash = ms.dash().unwrap();
+    let dash = ms.dash_mut().unwrap();
 
     // Long deadline, just started: 4% done after 3% of the period.
     dash.update_progress(TrafficSource::OtherIp(0), 0.04, 0.03);
     assert!(
-        !dash.inspect(|s| s.is_urgent(TrafficSource::OtherIp(0))),
+        !dash.is_urgent(TrafficSource::OtherIp(0)),
         "ahead of schedule early in a long period"
     );
 
     // Short deadline nearly expired with half the work left.
     dash.update_progress(TrafficSource::OtherIp(0), 0.5, 0.95);
     assert!(
-        dash.inspect(|s| s.is_urgent(TrafficSource::OtherIp(0))),
+        dash.is_urgent(TrafficSource::OtherIp(0)),
         "behind schedule near a short deadline"
     );
 
     // Deadline feedback is live: catching up demotes again.
     dash.update_progress(TrafficSource::OtherIp(0), 0.99, 0.95);
-    assert!(!dash.inspect(|s| s.is_urgent(TrafficSource::OtherIp(0))));
+    assert!(!dash.is_urgent(TrafficSource::OtherIp(0)));
 
     // Degenerate zero-elapsed report never promotes.
     dash.update_progress(TrafficSource::OtherIp(0), 0.0, 0.0);
-    assert!(!dash.inspect(|s| s.is_urgent(TrafficSource::OtherIp(0))));
+    assert!(!dash.is_urgent(TrafficSource::OtherIp(0)));
 
     // The GPU's threshold (0.9) is stricter than the generic IP's (0.8).
     dash.update_progress(TrafficSource::Gpu, 0.85, 1.0);
     dash.update_progress(TrafficSource::Display, 0.85, 1.0);
-    assert!(dash.inspect(|s| s.is_urgent(TrafficSource::Gpu)));
-    assert!(!dash.inspect(|s| s.is_urgent(TrafficSource::Display)));
+    assert!(dash.is_urgent(TrafficSource::Gpu));
+    assert!(!dash.is_urgent(TrafficSource::Display));
 }
 
 /// DCB vs. DTB clustering through the full system: identical traffic
@@ -187,14 +187,8 @@ fn dcb_and_dtb_clustering_diverge_on_identical_traffic() {
             now += 1;
         }
         let dash = ms.dash().unwrap();
-        assert!(
-            dash.inspect(|s| s.quanta) >= 2,
-            "several quanta must have elapsed"
-        );
-        (
-            dash.inspect(|s| s.is_intensive(1)),
-            dash.inspect(|s| s.is_intensive(0)),
-        )
+        assert!(dash.quanta >= 2, "several quanta must have elapsed");
+        (dash.is_intensive(1), dash.is_intensive(0))
     };
 
     let (dcb_heavy, dcb_light) = run(Clustering::CpuOnly);

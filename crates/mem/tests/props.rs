@@ -101,7 +101,7 @@ fn cache_invariants() {
 fn dram_drains_and_services_all() {
     check("dram_drains_and_services_all", |rng| {
         let map = AddressMapping::baseline(1);
-        let mut ch = DramChannel::new(DramConfig::lpddr3_1600(), Box::new(FrFcfs::new()));
+        let mut ch = DramChannel::new(DramConfig::lpddr3_1600());
         let mut sent = 0u64;
         let n = rng.range(1, 40);
         for i in 0..n {
@@ -117,15 +117,15 @@ fn dram_drains_and_services_all() {
                 sent += 1;
             }
         }
-        let mut done = 0u64;
+        let mut done = Vec::new();
         let mut now = 0;
         while !ch.is_idle() {
-            ch.tick(now);
-            done += ch.pop_finished(now).len() as u64;
+            ch.tick(now, &mut FrFcfs);
+            ch.pop_finished(now, &mut done);
             now += 1;
             assert!(now < 2_000_000, "channel failed to drain");
         }
-        assert_eq!(done, sent);
+        assert_eq!(done.len() as u64, sent);
         let st = ch.stats();
         assert_eq!(st.serviced, sent);
         assert!(st.row_hits.num <= st.row_hits.den);

@@ -264,16 +264,10 @@ impl CpuCoreModel {
         self.stats.frames += 1;
     }
 
-    /// Drains requests generated this cycle (the SoC forwards them to the
-    /// memory system, re-queueing on backpressure via
-    /// [`CpuCoreModel::requeue`]).
+    /// Takes the requests generated so far (standalone drivers; the SoC
+    /// forwards them in place, see [`CpuCluster::step`]).
     pub fn drain_requests(&mut self) -> Vec<MemRequest> {
         std::mem::take(&mut self.out)
-    }
-
-    /// Puts a rejected request back (memory-system backpressure).
-    pub fn requeue(&mut self, req: MemRequest) {
-        self.out.push(req);
     }
 
     /// Delivers a memory response for one of this core's loads.
@@ -619,23 +613,18 @@ impl emerald_common::snap::Restore for CpuCoreModel {
     }
 }
 
-/// Forwards `reqs` to the memory system in issue order. On backpressure
-/// the rejected request and everything behind it go back to their source
-/// through `requeue` — dropping one would lose its response forever.
-pub(crate) fn forward_requests(
-    reqs: Vec<MemRequest>,
-    memsys: &mut MemorySystem,
-    now: Cycle,
-    mut requeue: impl FnMut(MemRequest),
-) {
-    let mut reqs = reqs.into_iter();
-    for req in reqs.by_ref() {
-        if let Err(back) = memsys.enqueue(req, now) {
-            requeue(back);
-            break;
-        }
+/// Forwards a source's output buffer to the memory system in issue order,
+/// in place. On backpressure the rejected request and everything behind it
+/// stay where they are — dropping one would lose its response forever.
+pub(crate) fn forward_requests(reqs: &mut Vec<MemRequest>, memsys: &mut MemorySystem, now: Cycle) {
+    if reqs.is_empty() {
+        return;
     }
-    reqs.for_each(requeue);
+    let sent = reqs
+        .iter()
+        .position(|&req| memsys.enqueue(req, now).is_err())
+        .unwrap_or(reqs.len());
+    reqs.drain(..sent);
 }
 
 /// The SoC's CPU cores and the one mechanism by which they advance: a
@@ -742,7 +731,7 @@ impl CpuCluster {
             if self.pending[i].is_some() {
                 continue;
             }
-            forward_requests(core.drain_requests(), memsys, now, |r| core.requeue(r));
+            forward_requests(&mut core.out, memsys, now);
         }
         event
     }

@@ -110,14 +110,15 @@ impl DisplayController {
         self.inflight > 0 || !self.out.is_empty()
     }
 
-    /// Drains requests generated this cycle.
+    /// Takes the requests generated so far (standalone drivers).
     pub fn drain_requests(&mut self) -> Vec<MemRequest> {
         std::mem::take(&mut self.out)
     }
 
-    /// Re-queues a request rejected by the memory system.
-    pub fn requeue(&mut self, req: MemRequest) {
-        self.out.push(req);
+    /// The output buffer, for the SoC to forward in place: whatever the
+    /// memory system does not accept stays in it.
+    pub(crate) fn requests_mut(&mut self) -> &mut Vec<MemRequest> {
+        &mut self.out
     }
 
     /// Credits a returned read.

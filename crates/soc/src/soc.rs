@@ -169,6 +169,9 @@ pub struct Soc {
     now: Cycle,
     expected_frags: u64,
     frames_rendered: u64,
+    /// First cycle at which [`Soc::dash_feedback`] has to look at the
+    /// clock again; derived from `now`, so not part of a snapshot.
+    next_feedback: Cycle,
     /// A mid-frame checkpoint waiting for [`Soc::resume_frame`]; the bool
     /// records whether the frame's draws were already submitted.
     resume: Option<(FrameCursor, bool)>,
@@ -203,6 +206,7 @@ impl Soc {
             now: 0,
             expected_frags: 0,
             frames_rendered: 0,
+            next_feedback: 0,
             resume: None,
             cfg,
         }
@@ -270,7 +274,7 @@ impl Soc {
     }
 
     fn route_responses(&mut self) {
-        for r in self.memsys.drain_finished(self.now) {
+        for &r in self.memsys.drain_finished(self.now) {
             match r.source {
                 TrafficSource::Gpu => {
                     if r.kind == AccessKind::Read {
@@ -297,12 +301,22 @@ impl Soc {
     /// DASH deadline feedback; `rendering_since` is the cycle the GPU
     /// started the frame it is still rendering, if any.
     fn dash_feedback(&mut self, rendering_since: Option<Cycle>) {
-        if !self.now.is_multiple_of(self.cfg.feedback_interval) {
+        if self.now < self.next_feedback {
             return;
         }
-        let Some(dash) = self.memsys.dash() else {
+        let Some(dash) = self.memsys.dash_mut() else {
+            self.next_feedback = Cycle::MAX;
             return;
         };
+        // Feedback fires on multiples of the interval. Re-deriving the
+        // next one from the clock, rather than adding the interval, makes
+        // a clock that arrives past it (fresh or restored SoC, whose
+        // `next_feedback` is 0) land back on the grid.
+        let fi = self.cfg.feedback_interval;
+        self.next_feedback = (self.now / fi + 1) * fi;
+        if !self.now.is_multiple_of(fi) {
+            return;
+        }
         if let Some(gpu_start) = rendering_since {
             let done = if self.expected_frags == 0 {
                 1.0
@@ -398,10 +412,7 @@ impl Soc {
         clk.lap(HostPhase::SocMem);
 
         self.display.tick(now, &mut self.ids);
-        let display = &mut self.display;
-        forward_requests(display.drain_requests(), &mut self.memsys, now, |r| {
-            display.requeue(r)
-        });
+        forward_requests(self.display.requests_mut(), &mut self.memsys, now);
         clk.lap(HostPhase::SocDisplay);
 
         if let Some((cur, draws)) = &mut frame {
@@ -456,21 +467,25 @@ impl Soc {
     /// component can act without new input; every cycle before it is, per
     /// the [`NextEvent`] contract, a bit-for-bit no-op for all of them —
     /// in particular the renderer cannot finish and no response can
-    /// arrive. The one non-CPU pin search: cheapest pin first, bailing at
-    /// the first `now + 1`, so a cycle with the GPU busy costs a few flag
-    /// reads.
+    /// arrive. The one non-CPU pin search: the two pins a rendering GPU
+    /// trips are flag reads and answer first, so a cycle with the GPU busy
+    /// builds no pin list at all.
     fn quiet_until(&self, now: Cycle, cap: Cycle) -> Cycle {
-        use std::iter::once_with;
-        let pins = once_with(|| (!self.gpu_resp.is_empty()).then_some(now + 1))
-            .chain(once_with(|| self.renderer.next_event(now)))
-            .chain(once_with(|| self.display.next_event(now)))
-            .chain(once_with(|| self.memsys.next_event(now)))
-            // DASH deadline feedback fires at interval multiples and
-            // mutates scheduler state, so boundaries are mandatory events.
-            .chain(once_with(|| {
-                let fi = self.cfg.feedback_interval;
-                self.memsys.dash().map(|_| (now / fi + 1) * fi)
-            }));
+        if !self.gpu_resp.is_empty() {
+            return now + 1;
+        }
+        let renderer = self.renderer.next_event(now);
+        if renderer.is_some_and(|t| t <= now + 1) {
+            return now + 1;
+        }
+        let pins = [
+            renderer,
+            self.display.next_event(now),
+            self.memsys.next_event(now),
+            // DASH deadline feedback mutates scheduler state, so its next
+            // firing is a mandatory event (`Cycle::MAX` without DASH).
+            Some(self.next_feedback),
+        ];
         next_wake(now, cap, pins)
     }
 

@@ -14,7 +14,7 @@ use emerald_common::event::{next_wake, NextEvent as _};
 use emerald_common::types::Cycle;
 use emerald_mem::req::MemRequest;
 use emerald_mem::system::{MemorySystem, MemorySystemConfig, SourceClass};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// A recorded memory trace: `(arrival cycle, request)` in arrival order.
 pub type MemTrace = Vec<(Cycle, MemRequest)>;
@@ -58,8 +58,11 @@ impl ReplayResult {
 pub fn replay_trace(trace: &MemTrace, cfg: MemorySystemConfig) -> ReplayResult {
     let mut mem = MemorySystem::new(cfg);
     let mut idx = 0usize;
-    // Requests the queues pushed back, oldest first; retried every cycle.
-    let mut backlog: Vec<MemRequest> = Vec::new();
+    // Requests waiting for queue space, oldest first, by the channel that
+    // serves them: a channel that refuses its oldest has no room for the
+    // ones behind it either, so each cycle offers until the first refusal.
+    let mut backlog: Vec<VecDeque<MemRequest>> = vec![VecDeque::new(); mem.num_channels()];
+    let drained = |backlog: &[VecDeque<MemRequest>]| backlog.iter().all(VecDeque::is_empty);
     let mut last_completion: BTreeMap<SourceClass, Cycle> = BTreeMap::new();
     let mut read_classes: std::collections::BTreeSet<SourceClass> = Default::default();
     let mut now: Cycle = 0;
@@ -67,15 +70,26 @@ pub fn replay_trace(trace: &MemTrace, cfg: MemorySystemConfig) -> ReplayResult {
     // Normalize arrival times to start at 0.
     let t0 = trace.first().map(|(t, _)| *t).unwrap_or(0);
 
-    while idx < trace.len() || !backlog.is_empty() || !mem.is_idle() {
+    while idx < trace.len() || !drained(&backlog) || !mem.is_idle() {
         // Inject due requests (open loop).
         while idx < trace.len() && trace[idx].0 - t0 <= now {
             let mut req = trace[idx].1;
             req.issued = now;
-            backlog.push(req);
             idx += 1;
+            // Straight in while no request waits ahead of it; behind a
+            // backlog it queues up on its channel.
+            if !(drained(&backlog) && mem.enqueue(req, now).is_ok()) {
+                backlog[mem.channel_of(&req)].push_back(req);
+            }
         }
-        backlog.retain(|&req| mem.enqueue(req, now).is_err());
+        for waiting in &mut backlog {
+            while let Some(&req) = waiting.front() {
+                if mem.enqueue(req, now).is_err() {
+                    break;
+                }
+                waiting.pop_front();
+            }
+        }
 
         mem.tick(now);
         for resp in mem.drain_finished(now) {
@@ -90,7 +104,7 @@ pub fn replay_trace(trace: &MemTrace, cfg: MemorySystemConfig) -> ReplayResult {
         // With nothing waiting to be retried, the cycles up to the next
         // arrival or memory event are no-ops: jump them. Never past the
         // drain point — the loop's exit cycle is `total_cycles`.
-        if backlog.is_empty() && (idx < trace.len() || !mem.is_idle()) {
+        if drained(&backlog) && (idx < trace.len() || !mem.is_idle()) {
             let arrival = trace.get(idx).map(|(t, _)| t - t0);
             now = next_wake(now - 1, budget, [arrival, mem.next_event(now - 1)]);
         }

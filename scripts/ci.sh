@@ -22,6 +22,9 @@ cargo test --workspace -q
 echo "==> conformance suite (32 random programs/draws, differential + metamorphic)"
 EMERALD_CONF_CASES=32 cargo test --release --test conformance -q
 
+echo "==> memory-system allocation bars on the optimised build (0 per saturated DASH / FR-FCFS cycle)"
+cargo test --release -p emerald-mem --test alloc -q
+
 echo "==> event-skip oracle suite (skip-on vs skip-off lockstep + gap oracles)"
 cargo test --release --test event_skip -q
 

@@ -9,13 +9,23 @@
 //! through them (release builds compile the oracles out, so there they
 //! check the numeric results alone), plus the one property that needs the
 //! conformance program generator.
+//!
+//! The memory system's memos (the single-pass `pick`, the boundary-gated
+//! DASH roll, each channel's cached earliest completion) carry no debug
+//! oracle — its allocation bars must hold under plain `cargo test` — and
+//! are property-tested against their references inside `crates/mem`,
+//! where the state they need is visible; the check that they left the
+//! snapshot bytes alone is here.
 
 use emerald::common::check::check;
-use emerald::common::types::Addr;
+use emerald::common::rng::Xorshift64;
+use emerald::common::types::{AccessKind, Addr};
 use emerald::gpu::simt::SimtStack;
 use emerald::gpu::GlobalMemCtx;
 use emerald::isa::op::{MemSpace, Op};
 use emerald::isa::{execute, execute_into, ExecCtx, Outcome, StepResult, ThreadState};
+use emerald::mem::dash::{Clustering, DashConfig};
+use emerald::mem::MemRequest;
 use emerald::prelude::*;
 use emerald_conformance::gen_program;
 use std::sync::Arc;
@@ -301,4 +311,141 @@ fn execute_into_reused_result_matches_execute() {
             assert!(lockstep(&fragment, threads, &params, stray) >= 5);
         }
     });
+}
+
+/// What the parent of the owned-DASH change (PR 19, `0ebbf1e`) writes for
+/// the memory system [`dcb_snapshot_scenario`] builds, as hex: 1 992 bytes
+/// with three CPU threads in `cpu_bytes`, two of them `intensive`, two
+/// `urgent` IPs and both channels mid-burst.
+const PARENT_DCB_SNAPSHOT: &str = "\
+    0200000000000000010000006d0300000000000008000000000000000105000000000000001b020000000000\
+    00010700000000000000db030000000000000103000000000000001704000000000000010400000000000000\
+    9b030000000000000101000000000000005702000000000000010300000000000000cf020000000000000100\
+    00000000000000c701000000000000010200000000000000b303000000000000060000000000000032000000\
+    0000000000690200000000008000000001000000000000000000a30300000000000000000000000000000000\
+    000000000000030000000000000002000000000000000900000000000000a303000000000000300000000000\
+    000000de03000000000080000000000001000000000000006103000000000000000000000000000000000000\
+    00000000060000000000000003000000000000001e0000000000000061030000000000002200000000000000\
+    00880700000000008000000000011d0200000000000000000000000000000000000000000000040000000000\
+    0000070000000000000008000000000000001d02000000000000270000000000000000960700000000008000\
+    0000000001000000000000009502000000000000000000000000000000000000000000000400000000000000\
+    0700000000000000160000000000000095020000000000002b0000000000000000fd00000000000080000000\
+    00000100000000000000ee020000000000000000000000000000000000000000000007000000000000000000\
+    0000000000001d00000000000000ee02000000000000360000000000000000d9060000000000800000000002\
+    dc03000000000000000000000000000000000000000000000600000000000000060000000000000019000000\
+    00000000dc030000000000002f040000000000000200000000000000f3030000000000001800000000000000\
+    00210700000000008000000000013d010000000000002f040000000000003300000000000000004b03000000\
+    0000800000000002b403000000000000040000000000000016000000000000001200000000000000000b0000\
+    000000001600000000000000fd0f0000000000000f0000000000000005000000000000000000000000000000\
+    0080010000000000000001000000000000008005000000000000000200000000000000000100000000000001\
+    8002000000000000028000000000000000010000008503000000000000080000000000000001040000000000\
+    0000b9030000000000000104000000000000000d040000000000000105000000000000004501000000000000\
+    010000000000000000d101000000000000010400000000000000b102000000000000010200000000000000d1\
+    03000000000000010500000000000000ed020000000000000102000000000000004103000000000000060000\
+    00000000002c00000000000000804f0000000000008000000001000100000000000000fc0200000000000001\
+    000000000000000000000000000000020000000000000000000000000000000f00000000000000fc02000000\
+    0000002d00000000000000802d06000000000080000000000001000000000000003003000000000000010000\
+    00000000000000000000000000010000000000000006000000000000000d0000000000000030030000000000\
+    002800000000000000804e030000000000800000000001a00200000000000001000000000000000000000000\
+    000000020000000000000003000000000000000e00000000000000a002000000000000240000000000000080\
+    5907000000000080000000000001000000000000003902000000000000010000000000000000000000000000\
+    0002000000000000000700000000000000190000000000000039020000000000003400000000000000809105\
+    00000000008000000001000100000000000000bb030000000000000100000000000000000000000000000004\
+    0000000000000005000000000000001100000000000000bb0300000000000035000000000000008027060000\
+    0000008000000000000000000000000000d70300000000000001000000000000000000000000000000010000\
+    000000000006000000000000000700000000000000d703000000000000250400000000000002000000000000\
+    0025040000000000002f00000000000000803104000000000080000000000000000000000000004303000000\
+    000000e903000000000000310000000000000080b40200000000008000000000000100000000000000940300\
+    0000000000030000000000000015000000000000001200000000000000800a00000000000015000000000000\
+    00920f0000000000001100000000000000050000000000000000000000000000000080010000000000000001\
+    0000000000000080040000000000000002000000000000000001000000000000010002000000000000028001\
+    0000000000000103000000000000000000000000000000800000000000000001000000000000000002000000\
+    0000000200000000000000000100000000000080010000000000000200000000000000000000000000000001\
+    00000000000000020000000000000002030300000000000000b004000000000000e803000000000000343333\
+    333333d33f010c000000000000001004000000000000020000000000000000000000000000008230f43c6365\
+    f28802000000000000000000\
+";
+
+/// A DCB memory system 1 000 cycles into mixed CPU/GPU/display traffic:
+/// two quanta rolled, windows switched twenty times, queues and
+/// in-service slabs populated.
+fn dcb_snapshot_scenario() -> MemorySystem {
+    let dash = DashConfig {
+        quantum: 400,
+        switching_unit: 50,
+        shuffling_interval: 80,
+        ..DashConfig::paper(Clustering::CpuOnly)
+    };
+    let dram = DramConfig {
+        queue_cap: 6,
+        ..DramConfig::lpddr3_1333()
+    };
+    let mut ms = MemorySystem::new(MemorySystemConfig::dash(2, dram, dash));
+    let mut rng = Xorshift64::new(0x5EED);
+    let mut id = 0u64;
+    for now in 0..1_000u64 {
+        if now == 300 {
+            let dash = ms.dash_mut().unwrap();
+            dash.update_progress(TrafficSource::Display, 0.1, 0.9);
+        }
+        if now == 700 {
+            let dash = ms.dash_mut().unwrap();
+            dash.update_progress(TrafficSource::OtherIp(3), 0.5, 0.95);
+        }
+        if rng.chance(0.12) {
+            let source = match rng.below(8) {
+                0 => TrafficSource::Cpu(0),
+                1..=3 => TrafficSource::Cpu(1),
+                4 => TrafficSource::Cpu(2),
+                5 => TrafficSource::Display,
+                _ => TrafficSource::Gpu,
+            };
+            let req = MemRequest {
+                id,
+                addr: rng.below(1 << 12) * 128,
+                bytes: 128,
+                kind: if rng.chance(0.8) {
+                    AccessKind::Read
+                } else {
+                    AccessKind::Write
+                },
+                source,
+                issued: now,
+            };
+            if ms.enqueue(req, now).is_ok() {
+                id += 1;
+            }
+        }
+        ms.tick(now);
+        ms.drain_finished(now);
+    }
+    ms
+}
+
+/// The snapshot format did not move (`snap::FORMAT_VERSION` stays 2): the
+/// change writes the parent's bytes, and restores them to a system that
+/// writes them again.
+#[test]
+fn dcb_memory_system_snapshots_to_the_parents_bytes() {
+    use emerald::common::snap::{Restore, SnapReader, SnapWriter, Snapshot, FORMAT_VERSION};
+    assert_eq!(FORMAT_VERSION, 2);
+    let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    let snapshot = |ms: &MemorySystem| {
+        let mut w = SnapWriter::new();
+        ms.snapshot(&mut w);
+        w.into_bytes()
+    };
+
+    let ms = dcb_snapshot_scenario();
+    let dash = ms.dash().unwrap();
+    assert!(dash.is_intensive(0) && dash.is_intensive(1) && dash.quanta == 2);
+    assert!(dash.is_urgent(TrafficSource::Display) && dash.is_urgent(TrafficSource::OtherIp(3)));
+    let bytes = snapshot(&ms);
+    assert_eq!(hex(&bytes), PARENT_DCB_SNAPSHOT);
+
+    let mut twin = MemorySystem::new(ms.config().clone());
+    let mut r = SnapReader::new(&bytes);
+    twin.restore(&mut r).unwrap();
+    r.finish().unwrap();
+    assert_eq!(hex(&snapshot(&twin)), PARENT_DCB_SNAPSHOT);
 }
