@@ -18,7 +18,15 @@
 //! invariant:
 //!
 //! > Ticking the component at every cycle in `(now, t)` with no new
-//! > input must be a state no-op — bit-for-bit, including statistics.
+//! > input changes nothing but time-linear counters, which the owner
+//! > books.
+//!
+//! A blocked unit that retries every cycle counts its retries and an
+//! active core counts its cycles; both grow by exactly the length of the
+//! gap, so such a component offers a `skip(delta)` beside `next_event`
+//! (`Gpu::skip` is the one in this tree) and whoever jumps the clock calls
+//! it. For a component without such counters — the memory system, the
+//! display — the gap is a bit-for-bit no-op, statistics included.
 //!
 //! A component that cannot cheaply prove a quiet stretch simply returns
 //! `Some(now + 1)`, which disables skipping past it; that is always

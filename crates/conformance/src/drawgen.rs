@@ -15,7 +15,7 @@ use emerald_core::shaders::{self, FsOptions};
 use emerald_core::state::{DrawCall, RenderTarget, TextureDesc, Topology, VertexBuffer};
 use emerald_core::GfxConfig;
 use emerald_gpu::{GpuConfig, SimpleMemPort};
-use emerald_mem::{DramConfig, MemorySystem, MemorySystemConfig, SharedMem};
+use emerald_mem::SharedMem;
 use emerald_scene::mesh::Mesh;
 use emerald_scene::texture::TextureData;
 
@@ -180,16 +180,27 @@ pub fn run_draw_case(case: &DrawCase, gpu_cfg: &GpuConfig) -> usize {
     run_draw_case_timed(case, gpu_cfg).0
 }
 
-/// Like [`run_draw_case`] but also returns the simulated frame cycle
-/// count, so the event-skip axis can assert cycle identity in addition
-/// to pixel identity.
-pub fn run_draw_case_timed(case: &DrawCase, gpu_cfg: &GpuConfig) -> (usize, u64) {
+/// `case` uploaded and queued on a fresh standalone renderer.
+pub(crate) struct DrawRig {
+    pub mem: SharedMem,
+    pub rt: RenderTarget,
+    /// A second, identically cleared target for the reference renderer.
+    pub ref_rt: RenderTarget,
+    pub renderer: GpuRenderer,
+    pub port: SimpleMemPort,
+    /// The queued draw call, for the reference renderer.
+    pub dc: DrawCall,
+}
+
+/// Uploads `case` into a fresh image, clears a target and queues the draw
+/// on a renderer built from `gpu_cfg`. Deterministic: two rigs of the same
+/// case are twins.
+pub(crate) fn draw_rig(case: &DrawCase, gpu_cfg: &GpuConfig) -> DrawRig {
     let mem = SharedMem::with_capacity(1 << 26);
     let rt = RenderTarget::alloc(&mem, RT_SIZE, RT_SIZE);
     rt.clear(&mem, [0.05, 0.05, 0.08, 1.0], 1.0);
     let ref_rt = RenderTarget::alloc(&mem, RT_SIZE, RT_SIZE);
     ref_rt.clear(&mem, [0.05, 0.05, 0.08, 1.0], 1.0);
-
     let mut vb = VertexBuffer::upload(&mem, &case.mesh);
     vb.indices = case.indices.clone();
     let texture = case.tex.data().map(|d| TextureDesc::upload(&mem, &d));
@@ -204,21 +215,29 @@ pub fn run_draw_case_timed(case: &DrawCase, gpu_cfg: &GpuConfig) -> (usize, u64)
         blend: case.fso.blend,
         texture,
     };
+    let mut renderer =
+        GpuRenderer::new(gpu_cfg.clone(), GfxConfig::case_study_2(), mem.clone(), rt);
+    let port = crate::isadiff::two_channel_port();
+    renderer.draw(dc.clone());
+    DrawRig {
+        mem,
+        rt,
+        ref_rt,
+        renderer,
+        port,
+        dc,
+    }
+}
 
-    render_reference(&mem, ref_rt, &dc, case.fso);
-
-    let mut r = GpuRenderer::new(gpu_cfg.clone(), GfxConfig::case_study_2(), mem.clone(), rt);
-    let mut port = SimpleMemPort::new(MemorySystem::new(MemorySystemConfig::baseline(
-        2,
-        DramConfig::lpddr3_1600(),
-    )));
-    r.draw(dc);
-    let stats = r.run_frame(&mut port, MAX_FRAME_CYCLES);
-
-    (
-        diff_pixels(&rt.read_color(&mem), &ref_rt.read_color(&mem)),
-        stats.cycles,
-    )
+/// Like [`run_draw_case`] but also returns the simulated frame cycle
+/// count, so the event-skip axis can assert cycle identity in addition
+/// to pixel identity.
+pub fn run_draw_case_timed(case: &DrawCase, gpu_cfg: &GpuConfig) -> (usize, u64) {
+    let mut rig = draw_rig(case, gpu_cfg);
+    render_reference(&rig.mem, rig.ref_rt, &rig.dc, case.fso);
+    let stats = rig.renderer.run_frame(&mut rig.port, MAX_FRAME_CYCLES);
+    let (hw, sw) = (rig.rt.read_color(&rig.mem), rig.ref_rt.read_color(&rig.mem));
+    (diff_pixels(&hw, &sw), stats.cycles)
 }
 
 /// Shrink candidates for a failing draw: drop the last triangle, simplify

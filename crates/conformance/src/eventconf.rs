@@ -4,17 +4,34 @@
 //! The one unsafe direction of the contract is reporting *later* than the
 //! truth: a skip loop would jump past a cycle where the component acts,
 //! silently changing simulated time while every individual run still looks
-//! healthy. The gap oracle here drives a real component (the memory
-//! system) and ticks cycle by cycle through every stretch its `next_event`
-//! declared dead; any response completing inside such a stretch is a
-//! violation. The canary re-runs the same oracle with the reports
-//! artificially delayed by `lag` cycles — an injected under-reporting bug
-//! — which the oracle must catch and the shrinker must minimize.
+//! healthy. Two oracles aim at it:
+//!
+//! - The **gap oracle** drives the memory system and ticks cycle by cycle
+//!   through every stretch its `next_event` declared dead; any response
+//!   completing inside such a stretch is a violation.
+//! - The **twin gap oracle** drives two identical instances of a model
+//!   whose dead stretches still move time-linear counters — a bare GPU, a
+//!   standalone renderer. After every shared cycle it asks for the next
+//!   event; one twin is cycled through the announced gap, the other jumps
+//!   it and books it (`skip`), and everything observable must agree at the
+//!   far side: the published registry and in-flight summary after every
+//!   gap, snapshot bytes and output memory once drained.
+//!
+//! Each has a canary that re-runs it with the reports artificially delayed
+//! by `lag` cycles — an injected under-reporting bug — which the oracle
+//! must catch and the shrinker must minimize.
 
+use crate::drawgen::{draw_rig, DrawCase, DrawRig};
+use crate::isadiff::{init_mem, kernel_for, Layout};
+use crate::proggen::{shrink_candidates, GenProgram};
 use emerald_common::event::NextEvent;
+use emerald_common::snap::{SnapWriter, Snapshot};
 use emerald_common::types::{AccessKind, Cycle, TrafficSource};
+use emerald_gpu::gpu::{Drain, MemPort};
+use emerald_gpu::{GlobalMemCtx, Gpu, GpuConfig, SimpleMemPort};
 use emerald_mem::req::{MemRequest, ReqIdGen};
 use emerald_mem::{DramConfig, MemorySystem, MemorySystemConfig};
+use emerald_obs::Registry;
 
 /// A gap-oracle scenario: a burst of `reqs` read requests at `stride`-byte
 /// spacing enters the memory system at cycle 0, after which there is no
@@ -119,6 +136,256 @@ pub fn shrink_gap_candidates(sc: &GapScenario) -> Vec<GapScenario> {
     out
 }
 
+/// What the twin gap oracle compares, on top of what [`Drain`] lets it
+/// clock — it walks exactly what `drain_loop` would. Two values built the
+/// same way must be twins: identical in every observable.
+pub trait GapSim: Drain {
+    /// Everything observable mid-run: the published registry plus the
+    /// model's in-flight summary.
+    fn digest(&self) -> String;
+
+    /// Everything checkpoint-able once drained: snapshot bytes of the
+    /// model and its memory system, then the output memory.
+    fn drained_bytes(&self) -> Vec<u8>;
+}
+
+/// Where the twins stopped agreeing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TwinViolation {
+    /// Last cycle both twins executed before the disagreement.
+    pub after: Cycle,
+    /// The cycle the jumping twin was told it could sleep until.
+    pub announced: Cycle,
+    /// First line of the digests (or which final bytes) that differ.
+    pub detail: String,
+}
+
+fn first_difference(a: &str, b: &str) -> String {
+    a.lines().zip(b.lines()).find(|(x, y)| x != y).map_or_else(
+        || "digests differ in length".into(),
+        |(x, y)| format!("{x}  vs  {y}"),
+    )
+}
+
+/// Walks twins `stepped` and `jumped` to idle. After each shared cycle the
+/// jumping twin's earliest `next_events` answer, delayed by `lag` (0 =
+/// honest), names a gap: `stepped` is cycled through it, `jumped` skips
+/// it, and their digests must agree; once both drain, so must their
+/// drained bytes.
+/// Returns the number of gaps walked.
+pub fn twin_gap_oracle<S: GapSim>(
+    stepped: &mut S,
+    jumped: &mut S,
+    lag: Cycle,
+    max_cycles: Cycle,
+) -> Result<u32, TwinViolation> {
+    let (mut now, mut gaps) = (0, 0);
+    let differ = |after, announced, detail| TwinViolation {
+        after,
+        announced,
+        detail,
+    };
+    while !jumped.is_idle() {
+        stepped.cycle(now);
+        jumped.cycle(now);
+        // As `drain_loop`: never jump past the drain point.
+        let wake = match jumped.next_events(now).into_iter().flatten().min() {
+            Some(t) if !jumped.is_idle() => (t + lag).min(max_cycles),
+            _ => now + 1,
+        };
+        if wake > now + 1 {
+            (now + 1..wake).for_each(|c| stepped.cycle(c));
+            jumped.skip(wake - 1 - now);
+            gaps += 1;
+            let (a, b) = (stepped.digest(), jumped.digest());
+            if a != b {
+                return Err(differ(now, wake, first_difference(&a, &b)));
+            }
+        }
+        now = wake;
+        if now >= max_cycles {
+            return Err(differ(now, wake, "did not drain".into()));
+        }
+    }
+    if !stepped.is_idle() || stepped.drained_bytes() != jumped.drained_bytes() {
+        return Err(differ(now, now, "drained state differs".into()));
+    }
+    Ok(gaps)
+}
+
+/// A bare GPU running one generated kernel against a two-channel port.
+pub struct GpuSim {
+    gpu: Gpu,
+    ctx: GlobalMemCtx,
+    port: SimpleMemPort,
+    layout: Layout,
+    out_bytes: usize,
+}
+
+impl GpuSim {
+    /// Launches `gp` (inputs seeded from `data_seed`) on a GPU built from
+    /// `cfg`.
+    pub fn new(gp: &GenProgram, data_seed: u64, cfg: &GpuConfig) -> Self {
+        let layout = init_mem(gp, data_seed);
+        let mut gpu = Gpu::new(cfg.clone());
+        gpu.launch_kernel(kernel_for(gp, &layout));
+        Self {
+            gpu,
+            ctx: GlobalMemCtx::new(layout.mem.clone()),
+            port: crate::isadiff::two_channel_port(),
+            out_bytes: gp.out_bytes(),
+            layout,
+        }
+    }
+}
+
+fn port_json(port: &SimpleMemPort, mut reg: Registry) -> String {
+    port.mem.publish(&mut reg, "mem.dram");
+    reg.to_json()
+}
+
+impl Drain for GpuSim {
+    fn is_idle(&self) -> bool {
+        self.gpu.is_idle()
+    }
+
+    fn cycle(&mut self, now: Cycle) {
+        self.gpu.cycle(now, &mut self.ctx, &mut self.port);
+    }
+
+    fn next_events(&self, now: Cycle) -> [Option<Cycle>; 2] {
+        [self.gpu.next_event(now), self.port.next_event(now)]
+    }
+
+    fn skip(&mut self, delta: Cycle) {
+        self.gpu.skip(delta);
+    }
+}
+
+impl GapSim for GpuSim {
+    fn digest(&self) -> String {
+        let mut reg = Registry::new();
+        self.gpu.publish(&mut reg, "gpu");
+        format!(
+            "{}\n{}",
+            port_json(&self.port, reg),
+            self.gpu.debug_snapshot()
+        )
+    }
+
+    fn drained_bytes(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        self.gpu.snapshot(&mut w);
+        self.port.mem.snapshot(&mut w);
+        let mut bytes = w.into_bytes();
+        let out = self.layout.out_base;
+        (self.layout.mem).read(|m| bytes.extend_from_slice(m.read_bytes(out, self.out_bytes)));
+        bytes
+    }
+}
+
+/// A standalone renderer drawing one generated case.
+pub struct RendererSim(DrawRig);
+
+impl RendererSim {
+    /// Uploads `case` and queues it on a renderer built from `cfg`.
+    pub fn new(case: &DrawCase, cfg: &GpuConfig) -> Self {
+        let mut rig = draw_rig(case, cfg);
+        rig.renderer.begin_frame();
+        Self(rig)
+    }
+}
+
+impl Drain for RendererSim {
+    fn is_idle(&self) -> bool {
+        self.0.renderer.is_idle()
+    }
+
+    fn cycle(&mut self, now: Cycle) {
+        self.0.renderer.cycle(now, &mut self.0.port);
+    }
+
+    fn next_events(&self, now: Cycle) -> [Option<Cycle>; 2] {
+        [self.0.renderer.next_event(now), self.0.port.next_event(now)]
+    }
+
+    fn skip(&mut self, delta: Cycle) {
+        self.0.renderer.skip(delta);
+    }
+}
+
+impl GapSim for RendererSim {
+    fn digest(&self) -> String {
+        let rig = &self.0;
+        let mut reg = Registry::new();
+        rig.renderer.publish(&mut reg, "gfx");
+        format!(
+            "{}\n{}\n{}",
+            port_json(&rig.port, reg),
+            rig.renderer.debug_snapshot(),
+            rig.renderer.gpu.debug_snapshot()
+        )
+    }
+
+    fn drained_bytes(&self) -> Vec<u8> {
+        let rig = &self.0;
+        let mut w = SnapWriter::new();
+        rig.renderer.snapshot(&mut w);
+        rig.port.mem.snapshot(&mut w);
+        let mut bytes = w.into_bytes();
+        let pixels = rig.rt.read_color(&rig.mem);
+        bytes.extend(pixels.iter().flat_map(|p| p.to_le_bytes()));
+        bytes
+    }
+}
+
+/// The GPU canary's scenario: a generated kernel walked by the twin
+/// oracle with every `next_event` answer delayed by `lag`.
+#[derive(Debug, Clone)]
+pub struct GpuGapScenario {
+    /// The kernel.
+    pub gp: GenProgram,
+    /// Seed of its input data.
+    pub data_seed: u64,
+    /// Injected under-report in cycles (0 = honest).
+    pub lag: Cycle,
+}
+
+/// Cycle budget for one twin walk; generated kernels and draws finish in
+/// well under a million cycles.
+const TWIN_MAX_CYCLES: Cycle = 20_000_000;
+
+/// Walks `sc`'s kernel on twin GPUs built from `cfg`.
+pub fn gpu_gap_oracle(sc: &GpuGapScenario, cfg: &GpuConfig) -> Result<u32, TwinViolation> {
+    let mut stepped = GpuSim::new(&sc.gp, sc.data_seed, cfg);
+    let mut jumped = GpuSim::new(&sc.gp, sc.data_seed, cfg);
+    twin_gap_oracle(&mut stepped, &mut jumped, sc.lag, TWIN_MAX_CYCLES)
+}
+
+/// Walks `case` on twin standalone renderers built from `cfg`.
+pub fn renderer_gap_oracle(case: &DrawCase, cfg: &GpuConfig) -> Result<u32, TwinViolation> {
+    let mut stepped = RendererSim::new(case, cfg);
+    let mut jumped = RendererSim::new(case, cfg);
+    twin_gap_oracle(&mut stepped, &mut jumped, 0, TWIN_MAX_CYCLES)
+}
+
+/// Shrink candidates for a failing [`GpuGapScenario`]: a smaller program,
+/// or half the lag. The minimizer keeps only candidates that still
+/// violate, so the lag never shrinks to the honest 0.
+pub fn shrink_gpu_gap_candidates(sc: &GpuGapScenario) -> Vec<GpuGapScenario> {
+    let mut out: Vec<_> = shrink_candidates(&sc.gp)
+        .into_iter()
+        .map(|gp| GpuGapScenario { gp, ..sc.clone() })
+        .collect();
+    if sc.lag > 1 {
+        out.push(GpuGapScenario {
+            lag: sc.lag / 2,
+            ..sc.clone()
+        });
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,5 +411,28 @@ mod tests {
         })
         .expect_err("lagged next_event must be caught");
         assert!(v.acted < v.announced);
+    }
+
+    fn kernel(seed: u64, lag: Cycle) -> GpuGapScenario {
+        let mut rng = emerald_common::rng::Xorshift64::new(seed);
+        GpuGapScenario {
+            data_seed: rng.next_u64(),
+            gp: crate::proggen::gen_program(&mut rng),
+            lag,
+        }
+    }
+
+    #[test]
+    fn honest_gpu_twins_agree_and_walk_gaps() {
+        let cfg = crate::isadiff::base_config();
+        let gaps = gpu_gap_oracle(&kernel(7, 0), &cfg).expect("honest next_event must conform");
+        assert!(gaps > 0, "a kernel that loads from DRAM waits somewhere");
+    }
+
+    #[test]
+    fn lagged_gpu_twins_disagree() {
+        let cfg = crate::isadiff::base_config();
+        let v = gpu_gap_oracle(&kernel(7, 3), &cfg).expect_err("lagged next_event must be caught");
+        assert!(v.announced > v.after + 1, "{v:?}");
     }
 }

@@ -58,15 +58,15 @@ impl std::fmt::Display for Divergence {
 }
 
 /// The memory layout both sides build identically.
-struct Layout {
-    mem: SharedMem,
-    in_base: u64,
-    out_base: u64,
+pub(crate) struct Layout {
+    pub mem: SharedMem,
+    pub in_base: u64,
+    pub out_base: u64,
 }
 
 /// Allocates and seeds the input/output regions deterministically from
 /// `data_seed`. Called once per side so the two images start identical.
-fn init_mem(gp: &GenProgram, data_seed: u64) -> Layout {
+pub(crate) fn init_mem(gp: &GenProgram, data_seed: u64) -> Layout {
     let mem = SharedMem::with_capacity(1 << 22);
     let in_base = mem.alloc(gp.in_words as u64 * 4, 256);
     let out_base = mem.alloc(gp.out_bytes() as u64, 256);
@@ -83,7 +83,7 @@ fn init_mem(gp: &GenProgram, data_seed: u64) -> Layout {
     }
 }
 
-fn kernel_for(gp: &GenProgram, layout: &Layout) -> Kernel {
+pub(crate) fn kernel_for(gp: &GenProgram, layout: &Layout) -> Kernel {
     let mut k = Kernel::linear(
         Arc::new(gp.program()),
         gp.threads,
@@ -92,6 +92,15 @@ fn kernel_for(gp: &GenProgram, layout: &Layout) -> Kernel {
     );
     k.shared_bytes = gp.shared_bytes();
     k
+}
+
+/// The memory every conformance GPU and renderer runs against: two
+/// channels of LPDDR3-1600 under FR-FCFS.
+pub(crate) fn two_channel_port() -> SimpleMemPort {
+    SimpleMemPort::new(MemorySystem::new(MemorySystemConfig::baseline(
+        2,
+        DramConfig::lpddr3_1600(),
+    )))
 }
 
 /// Runs `gp` on the full timing model under `cfg` and returns the
@@ -108,10 +117,7 @@ pub fn run_timing(
     let layout = init_mem(gp, data_seed);
     let mut gpu = Gpu::new(cfg.clone());
     let mut ctx = GlobalMemCtx::new(layout.mem.clone());
-    let mut port = SimpleMemPort::new(MemorySystem::new(MemorySystemConfig::baseline(
-        2,
-        DramConfig::lpddr3_1600(),
-    )));
+    let mut port = two_channel_port();
     let id = gpu.launch_kernel(kernel_for(gp, &layout));
     let cycles = gpu.run_to_idle(0, MAX_CYCLES, &mut ctx, &mut port);
     if !gpu.kernel_done(id) {

@@ -16,7 +16,9 @@
 //! - [`drawgen`] generates random draw calls / render state and diffs
 //!   hardware frames pixel-exact against `emerald_core::reference`.
 //! - [`eventconf`] checks the `NextEvent` event-skip contract with a gap
-//!   oracle and an injected under-reporting canary.
+//!   oracle (memory system), a twin gap oracle (bare GPU, standalone
+//!   renderer: one twin cycled through every announced gap, the other
+//!   jumping and booking it) and injected under-reporting canaries.
 //! - [`batchconf`] checks the batched CPU execution contract
 //!   (`run_batch`) with a twin-core oracle and an injected
 //!   window-overrun canary.
@@ -45,7 +47,10 @@ pub mod snapconf;
 pub use batchconf::{batch_oracle, shrink_batch_candidates, BatchScenario, BatchViolation};
 pub use budget::{dump_snapshot_to, FrameBudget};
 pub use drawgen::{gen_draw, run_draw_case, run_draw_case_timed, shrink_draw_candidates, DrawCase};
-pub use eventconf::{gap_oracle, shrink_gap_candidates, GapScenario, GapViolation};
+pub use eventconf::{
+    gap_oracle, gpu_gap_oracle, renderer_gap_oracle, shrink_gap_candidates,
+    shrink_gpu_gap_candidates, GapScenario, GapViolation, GpuGapScenario, TwinViolation,
+};
 pub use isadiff::{
     base_config, bug_site, check_case, check_case_matrix, check_with_injected_bug, config_matrix,
     mutate_at, run_ref, run_timing, skip_dispatch_points, Divergence, RunResult,

@@ -6,6 +6,7 @@ use crate::batch::{CornerRef, PrimRef};
 use crate::config::GfxConfig;
 use crate::geom::{setup_prim, ClipVert, ScreenPrim, NUM_VARYINGS};
 use crate::tcmap::TcMap;
+use emerald_common::event::earliest;
 use emerald_common::hash::{FxHashMap, FxHashSet};
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::Cycle;
@@ -265,6 +266,13 @@ impl TcStage {
             .position(|t| !self.busy.contains(&t.tc_pos))
     }
 
+    /// True while [`TcStage::pop_ready`] still has a scan to run; false
+    /// once a scan found every queued tile blocked on a position being
+    /// shaded, until one completes or a tile is queued.
+    pub fn wants_scan(&self) -> bool {
+        self.rescan
+    }
+
     /// Marks a TC position's shading complete.
     pub fn complete(&mut self, pos: (u32, u32)) {
         self.busy.remove(&pos);
@@ -348,6 +356,27 @@ impl ClusterPipe {
     /// shading positions are tracked separately by the renderer).
     pub fn is_drained(&self) -> bool {
         self.upstream_empty() && !self.tc.has_work()
+    }
+
+    /// Earliest cycle `> now` at which [`ClusterPipe::tick`] changes
+    /// anything, given the `flush_tc` it will be called with: `now + 1`
+    /// while any stage queue holds work or an end-of-draw flush is due,
+    /// else the setup pipe's next completion or the first occupied TC
+    /// engine to time out. Tiles in `flush_q` are the renderer's to pop.
+    pub fn next_event(&self, now: Cycle, flush_tc: bool) -> Option<Cycle> {
+        let occupied = || self.tc.engines.iter().filter(|e| e.pos.is_some());
+        let queued = !(self.setup_in.is_empty()
+            && self.coarse_q.is_empty()
+            && self.coarse.is_none()
+            && self.hiz_q.is_empty()
+            && self.fine_q.is_empty()
+            && self.tc.in_q.is_empty());
+        if queued || (flush_tc && self.setup_wip.is_empty() && occupied().next().is_some()) {
+            return Some(now + 1);
+        }
+        let setup = self.setup_wip.front().map(|p| p.ready_at);
+        let timeout = occupied().map(|e| e.last_new + self.tc.timeout + 1).min();
+        earliest(setup, timeout).map(|t| t.max(now + 1))
     }
 
     /// Serializes the persistent pipeline state. Checkpoints sit at a

@@ -22,6 +22,7 @@ use crate::shaders::{abi, vs_params};
 use crate::state::{DrawCall, RenderTarget, OVB_STRIDE};
 use crate::tcmap::TcMap;
 use crate::vpo::{Pmrb, PrimMask, VpoStats, VpoUnit};
+use emerald_common::event::earliest;
 use emerald_common::hash::{FxHashMap, FxHashSet};
 use emerald_common::math::Vec4;
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
@@ -397,6 +398,15 @@ impl GpuRenderer {
         }
     }
 
+    /// Whether the current draw lets PMRBs consume masks out of order.
+    fn allow_ooo(&self) -> bool {
+        self.cfg.ooo_prims
+            && self
+                .cur
+                .as_ref()
+                .is_some_and(|d| d.dc.depth_test && !d.dc.blend)
+    }
+
     fn geometry_done(&self) -> bool {
         let Some(ds) = self.cur.as_ref() else {
             return true;
@@ -567,11 +577,7 @@ impl GpuRenderer {
         }
 
         // 5. PMRBs feed setup queues; track credit releases.
-        let allow_ooo = self.cfg.ooo_prims
-            && self
-                .cur
-                .as_ref()
-                .is_some_and(|d| d.dc.depth_test && !d.dc.blend);
+        let allow_ooo = self.allow_ooo();
         for cl in 0..self.pmrbs.len() {
             self.pmrbs[cl].tick_ordered(allow_ooo);
             if let Some(p) = self.pmrbs[cl].pop_prim() {
@@ -683,6 +689,9 @@ impl GpuRenderer {
                     self.1.next_event(now),
                 ]
             }
+            fn skip(&mut self, delta: Cycle) {
+                self.0.skip(delta);
+            }
         }
         self.begin_frame();
         let start = self.clock;
@@ -697,6 +706,14 @@ impl GpuRenderer {
             self.clock,
         );
         self.frame_stats(self.clock - start)
+    }
+
+    /// Books `delta` cycles the clock jumped over, none of them at or past
+    /// this renderer's `next_event`. The fixed-function pipe keeps no
+    /// per-cycle counters; the time-linear ones are the GPU's
+    /// ([`Gpu::skip`]).
+    pub fn skip(&mut self, delta: Cycle) {
+        self.gpu.skip(delta);
     }
 
     /// Fragments launched for shading so far this frame (mid-frame
@@ -844,17 +861,54 @@ impl emerald_common::snap::Restore for GpuRenderer {
 }
 
 impl emerald_common::event::NextEvent for GpuRenderer {
-    /// The renderer's fixed-function stages (VPO, PMRB, raster, TC
-    /// flush timers, warp launch) make per-cycle decisions whenever a
-    /// draw is current or queued, so the clock is pinned to `now + 1`
-    /// for the whole draw; between draws the GPU's own contract
-    /// decides. Draw submission itself is an external input and is the
-    /// caller's event to account for.
+    /// Between draws the GPU's own contract decides (a queued draw starts
+    /// next cycle; submission itself is an external input and the
+    /// caller's event to account for). With a draw current, `now + 1` if
+    /// any step of [`GpuRenderer::cycle`] would move: a vertex warp can be
+    /// placed, a VPO holds a warp, a PMRB can advance, a raster stage
+    /// queue holds work, a TC ready-scan is owed, or a fragment warp can
+    /// launch. Otherwise the pipe is blocked on a warp retiring — the
+    /// GPU's event — or on a known-time one: the setup pipe's next
+    /// completion, a mask crossing the interconnect, a TC engine's
+    /// timeout.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.cur.is_some() || !self.queue.is_empty() {
-            return Some(now + 1);
+        let pin = Some(now + 1);
+        let gpu = &self.gpu;
+        let Some(ds) = self.cur.as_ref() else {
+            return if self.queue.is_empty() {
+                gpu.next_event(now)
+            } else {
+                pin
+            };
+        };
+        let can_place = ds.next_warp < ds.warps.len()
+            && ds.credits > 0
+            && (0..gpu.num_cores()).any(|c| gpu.core(c).can_accept(&ds.dc.vs));
+        let allow_ooo = self.allow_ooo();
+        if can_place
+            || self.vpos.iter().any(|v| !v.is_idle())
+            || self.pmrbs.iter().any(|p| p.can_advance(allow_ooo))
+        {
+            return pin;
         }
-        emerald_common::event::NextEvent::next_event(&self.gpu, now)
+        let flush_tc = self.geometry_done();
+        let mut wake = self.mask_link.next_arrival();
+        for (cl, pipe) in self.pipes.iter().enumerate() {
+            // `launch_fragments`: continue a tile if the core has room,
+            // else look for the next one.
+            let launch = match self.launching[cl] {
+                Some(_) => gpu.core(cl).can_accept(&ds.dc.fs),
+                None => pipe.tc.wants_scan(),
+            };
+            if launch {
+                return pin;
+            }
+            match pipe.next_event(now, flush_tc) {
+                Some(t) if t <= now + 1 => return pin,
+                t => wake = earliest(wake, t),
+            }
+        }
+        earliest(wake, gpu.next_event(now)).map(|t| t.max(now + 1))
     }
 }
 

@@ -263,6 +263,16 @@ impl Pmrb {
         std::mem::take(&mut self.consumed)
     }
 
+    /// True when a cycle would move this PMRB: a primitive waits for
+    /// setup, or [`Pmrb::tick_ordered`] has a mask to scan.
+    pub fn can_advance(&self, allow_ooo: bool) -> bool {
+        !self.out.is_empty()
+            || (self.consumed_count < self.total_warps
+                && (self.cur.is_some()
+                    || self.pending.contains_key(&self.expected)
+                    || (allow_ooo && !self.pending.is_empty())))
+    }
+
     /// True when all warps' masks have been processed and drained.
     pub fn is_done(&self) -> bool {
         self.consumed_count >= self.total_warps && self.out.is_empty()

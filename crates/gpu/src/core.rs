@@ -10,6 +10,7 @@
 use crate::config::{GpuConfig, WarpSched};
 use crate::deferred::Deferred;
 use crate::warp::{Warp, WarpTag};
+use emerald_common::event::earliest;
 use emerald_common::hash::FxHashMap;
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::{AccessKind, Addr, CoreId, Cycle};
@@ -314,12 +315,63 @@ impl SimtCore {
 
     /// Delivers an L2→L1 fill for `(surface, line)`.
     pub fn fill_l1(&mut self, surface: Surface, line: Addr, now: Cycle) {
-        let lat = self.cache_mut(surface).config().hit_latency as Cycle;
-        let tokens = self.cache_mut(surface).fill(line);
-        for t in tokens {
+        // Borrowed by field: the waiters are read out of the cache while
+        // `token_done` takes them.
+        let cache = match surface {
+            Surface::Data => &mut self.l1d,
+            Surface::Texture => &mut self.l1t,
+            Surface::Depth => &mut self.l1z,
+            Surface::ConstVertex => &mut self.l1c,
+            Surface::Shared => unreachable!("shared memory bypasses caches"),
+        };
+        let due = now + cache.config().hit_latency as Cycle;
+        for &t in cache.fill(line) {
             if t != 0 {
-                self.token_done.push(now + lat, t);
+                self.token_done.push(due, t);
             }
+        }
+    }
+
+    /// Earliest cycle `> now` at which [`SimtCore::cycle`] does more than
+    /// count itself (the `emerald_common::event::NextEvent` contract), or
+    /// `None` while only a launch or a fill can wake the core. A parked
+    /// core — nothing to scan for, no miss waiting to leave, an LSU that
+    /// is empty or blocked on its cache's memoised stall — wakes at its
+    /// next scheduled writeback or token completion; [`SimtCore::skip`]
+    /// books the cycles in between.
+    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        if !self.miss_out.is_empty() {
+            return Some(now + 1);
+        }
+        if !self.is_active() {
+            return None;
+        }
+        if self.rescan || !self.lsu_is_parked() {
+            return Some(now + 1);
+        }
+        let due = earliest(self.reg_release.next_due(), self.token_done.next_due())?;
+        Some(due.max(now + 1))
+    }
+
+    /// True when the LSU has nothing to do next cycle but count a retry:
+    /// it is empty, or its head is its cache's memoised stall.
+    fn lsu_is_parked(&self) -> bool {
+        self.lsu.front().is_none_or(|p| {
+            self.l1(p.surface)
+                .is_some_and(|c| c.is_stalled_on(p.line, p.kind))
+        })
+    }
+
+    /// Books `delta` cycles this core was active through without being
+    /// cycled, none of them at or past its [`SimtCore::next_event`]: the
+    /// cycle count, and a blocked LSU head's retries.
+    pub fn skip(&mut self, delta: Cycle) {
+        self.stats.cycles += delta;
+        match self.lsu.front().copied() {
+            Some(p) if p.surface != Surface::Shared => {
+                self.cache_mut(p.surface).book_stalls(p.line, p.kind, delta);
+            }
+            _ => {}
         }
     }
 

@@ -28,6 +28,11 @@ impl<T: Copy> Deferred<T> {
         self.queue.is_empty()
     }
 
+    /// Cycle the earliest pending event falls due.
+    pub(crate) fn next_due(&self) -> Option<Cycle> {
+        self.queue.front().map(|e| e.0)
+    }
+
     /// Schedules `item` for cycle `due`, behind everything already due
     /// then or earlier.
     pub(crate) fn push(&mut self, due: Cycle, item: T) {

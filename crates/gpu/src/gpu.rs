@@ -8,6 +8,7 @@ use crate::kernel::{Kernel, KernelState};
 use crate::l2::{L1Target, L2};
 use crate::phase::{host_parallelism, CorePool, CycleCtx, SendPtr};
 use crate::warp::{Warp, WarpTag};
+use emerald_common::event::{earliest, next_wake};
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::{AccessKind, Addr, CoreId, Cycle, TrafficSource};
 use emerald_mem::link::Link;
@@ -37,11 +38,12 @@ pub trait MemPort {
     /// Receives the next completed read response, if any.
     fn recv(&mut self, now: Cycle) -> Option<MemResponse>;
 
-    /// Earliest cycle `> now` at which the port can deliver a response or
-    /// otherwise change state on its own (the
-    /// `emerald_common::event::NextEvent` contract). The default pins the
-    /// clock to `now + 1`, which is always safe: ports that cannot prove
-    /// a quiet stretch simply disable skipping past them.
+    /// Earliest cycle `> now` at which the port can deliver a response,
+    /// accept a request it refused at `now`, or otherwise change state on
+    /// its own (the `emerald_common::event::NextEvent` contract). The
+    /// default pins the clock to `now + 1`, which is always safe: ports
+    /// that cannot prove a quiet stretch simply disable skipping past
+    /// them.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now + 1)
     }
@@ -259,89 +261,75 @@ impl Gpu {
         std::mem::take(&mut self.finished_external)
     }
 
-    /// True when *nothing at all* is in flight this cycle: no active
-    /// core, no queued interconnect/L2 traffic, no outstanding DRAM read.
-    /// Unlike [`Gpu::is_idle`] this is O(1) (it trusts the active list
-    /// rebuilt by the last `cycle`) and ignores undispatched kernels, so
-    /// the self-profiler can call it every cycle to count the skippable
-    /// cycles an event-driven scheduler could fast-forward.
-    pub fn is_quiescent(&self) -> bool {
-        self.active.is_empty()
-            && self.core_to_l2.is_empty()
+    /// True when nothing is queued or in flight between the cores and
+    /// external memory: interconnect, L2 queues, DRAM requests.
+    fn no_traffic(&self) -> bool {
+        self.core_to_l2.is_empty()
             && self.l2_to_core.is_empty()
             && self.fill_backlog.is_empty()
             && self.to_mem.is_empty()
             && self.dram_inflight == 0
             && self.l2.queued() == 0
+    }
+
+    /// True when *nothing at all* is in flight this cycle: no active
+    /// core, no queued interconnect/L2 traffic, no outstanding DRAM read.
+    /// Unlike [`Gpu::is_idle`] this is O(1) (it trusts the active list
+    /// rebuilt by the last `cycle` or `skip`) and ignores undispatched
+    /// kernels, so the self-profiler can call it every cycle to count the
+    /// cycles in which the GPU had nothing to wait for.
+    pub fn is_quiescent(&self) -> bool {
+        self.active.is_empty() && self.no_traffic()
     }
 
     /// True when every core, link and kernel is drained.
     pub fn is_idle(&self) -> bool {
         self.cores.iter().all(|c| c.is_idle())
-            && self.core_to_l2.is_empty()
-            && self.l2_to_core.is_empty()
-            && self.fill_backlog.is_empty()
-            && self.to_mem.is_empty()
-            && self.dram_inflight == 0
-            && self.l2.queued() == 0
+            && self.no_traffic()
             && self.kernels.iter().all(|k| k.is_done())
     }
 
+    /// The core — round-robin from the dispatch cursor — with room for
+    /// one whole CTA of kernel `ki`, if the kernel has one left to place.
+    fn core_for_cta(&self, ki: usize) -> Option<usize> {
+        let kernel = &self.kernels[ki].kernel;
+        if self.kernels[ki].next_cta >= kernel.grid_ctas {
+            return None;
+        }
+        let n = self.cores.len();
+        (0..n).map(|off| (self.cta_cursor + off) % n).find(|&ci| {
+            let core = &self.cores[ci];
+            core.occupancy() + kernel.warps_per_cta() <= self.cfg.max_warps_per_core
+                && core.can_accept(&kernel.program)
+        })
+    }
+
     fn dispatch_ctas(&mut self) {
-        for ki in 0..self.kernels.len() {
-            loop {
-                let (grid, warps_per_cta, shared_bytes) = {
+        'kernels: for ki in 0..self.kernels.len() {
+            while let Some(ci) = self.core_for_cta(ki) {
+                let ks = &self.kernels[ki];
+                let (cta, shared_base) = (ks.next_cta, ks.next_shared_base);
+                let warps_per_cta = ks.kernel.warps_per_cta();
+                for w in 0..warps_per_cta {
                     let ks = &self.kernels[ki];
-                    (
-                        ks.kernel.grid_ctas,
-                        ks.kernel.warps_per_cta(),
-                        ks.kernel.shared_bytes,
-                    )
-                };
-                if self.kernels[ki].next_cta >= grid {
-                    break;
-                }
-                // Find a core with room for the whole CTA.
-                let n = self.cores.len();
-                let mut placed = false;
-                for off in 0..n {
-                    let ci = (self.cta_cursor + off) % n;
-                    let core = &self.cores[ci];
-                    let fits = core.occupancy() + warps_per_cta <= self.cfg.max_warps_per_core
-                        && core.can_accept(&self.kernels[ki].kernel.program);
-                    if !fits {
-                        continue;
+                    let threads = ks.kernel.threads_for_warp(cta, w, shared_base);
+                    let mut warp = Warp::new(
+                        threads,
+                        ks.kernel.program.clone(),
+                        ks.kernel.params.clone(),
+                        WarpTag::Compute { kernel: ki, cta },
+                    );
+                    warp.cta_group = Some((ki, cta, warps_per_cta));
+                    if self.cores[ci].launch(warp).is_err() {
+                        // Register file exhausted mid-CTA: retry next cycle.
+                        continue 'kernels;
                     }
-                    let cta = self.kernels[ki].next_cta;
-                    let shared_base = self.kernels[ki].next_shared_base;
-                    let mut all_ok = true;
-                    for w in 0..warps_per_cta {
-                        let ks = &self.kernels[ki];
-                        let threads = ks.kernel.threads_for_warp(cta, w, shared_base);
-                        let mut warp = Warp::new(
-                            threads,
-                            ks.kernel.program.clone(),
-                            ks.kernel.params.clone(),
-                            WarpTag::Compute { kernel: ki, cta },
-                        );
-                        warp.cta_group = Some((ki, cta, warps_per_cta));
-                        if self.cores[ci].launch(warp).is_err() {
-                            all_ok = false;
-                            break;
-                        }
-                        self.kernels[ki].warps_outstanding += 1;
-                    }
-                    if all_ok {
-                        self.kernels[ki].next_cta += 1;
-                        self.kernels[ki].next_shared_base += (shared_bytes + 255) & !255;
-                        self.cta_cursor = (ci + 1) % n;
-                        placed = true;
-                    }
-                    break;
+                    self.kernels[ki].warps_outstanding += 1;
                 }
-                if !placed {
-                    break;
-                }
+                let ks = &mut self.kernels[ki];
+                ks.next_cta += 1;
+                ks.next_shared_base += (ks.kernel.shared_bytes + 255) & !255;
+                self.cta_cursor = (ci + 1) % self.cores.len();
             }
         }
     }
@@ -657,9 +645,30 @@ impl Gpu {
                     self.2.next_event(now),
                 ]
             }
+            fn skip(&mut self, delta: Cycle) {
+                self.0.skip(delta);
+            }
         }
         let skip = self.cfg.event_skip;
         drain_loop(&mut Run(self, ctx, port), "GPU", start, max_cycles, skip) - start
+    }
+
+    /// Books `delta` cycles the clock jumped over, none of them at or past
+    /// this GPU's `next_event`: what cycling through them would have
+    /// changed is time-linear — each active core's cycle count, and one
+    /// counted retry per cycle at every LSU head and L2 bank blocked on a
+    /// memoised cache stall — plus the profiler's per-cycle occupancy.
+    /// The one booking site for a parked GPU; the clocking kernel calls it
+    /// where it jumps.
+    pub fn skip(&mut self, delta: Cycle) {
+        self.collect_active();
+        for &i in &self.active {
+            self.cores[i].skip(delta);
+        }
+        self.l2.skip(delta);
+        if emerald_obs::prof::enabled() {
+            emerald_obs::prof::record_gpu_skip(delta, self.active.len(), self.is_quiescent());
+        }
     }
 }
 
@@ -676,13 +685,16 @@ pub trait Drain {
     /// The `next_event(now)` answers of everything that can act on its
     /// own: the model first (it usually pins), then its memory port.
     fn next_events(&self, now: Cycle) -> [Option<Cycle>; 2];
+
+    /// Books `delta` cycles the loop jumped over (see [`Gpu::skip`]).
+    fn skip(&mut self, delta: Cycle);
 }
 
 /// The one drain loop: clocks `sim` from cycle `start` until it is idle
 /// and returns the first cycle not executed. With `skip` on, stretches in
-/// which only known-time events lie ahead (e.g. in-service DRAM
-/// completions) are jumped instead of ticked; cycle counts and state are
-/// bit-identical either way.
+/// which the model only waits (for an in-service DRAM completion, a
+/// scheduled writeback, an interconnect arrival) are jumped instead of
+/// ticked; cycle counts and state are bit-identical either way.
 ///
 /// # Panics
 ///
@@ -711,9 +723,9 @@ pub fn drain_loop(
         // not ones this loop waits for), and jumping to them would inflate
         // the cycle count relative to the per-cycle clocking.
         if skip && !sim.is_idle() {
-            let wake = emerald_common::event::next_wake(next - 1, cap, sim.next_events(next - 1));
+            let wake = next_wake(next - 1, cap, sim.next_events(next - 1));
             if wake > next {
-                emerald_obs::prof::record_gpu_skip(wake - next);
+                sim.skip(wake - next);
                 next = wake;
             }
         }
@@ -813,21 +825,39 @@ impl emerald_common::snap::Restore for Gpu {
 }
 
 impl emerald_common::event::NextEvent for Gpu {
-    /// The GPU has no cheaply-predictable internal events: any in-flight
-    /// work (active cores, interconnect/L2 traffic, outstanding DRAM
-    /// reads, undispatched CTAs, undrained finished warps) pins the clock
-    /// to `now + 1`. Only a fully quiescent GPU is passive — it can do
-    /// nothing until the owner pushes new work or the memory port delivers
-    /// a response, both of which are external inputs tracked by their own
-    /// `NextEvent` implementations.
+    /// The minimum over everything that can act on its own. `now + 1` if
+    /// anything would move next cycle: a fill waiting out interconnect
+    /// backpressure, an undrained finished warp, a CTA some core has room
+    /// for, a write at the head of `to_mem` (each retry takes a fresh
+    /// write id), an L2 bank whose head is not its memoised stall, a core
+    /// with a scan to run, a miss to send or a ready LSU head. Otherwise
+    /// the earlier interconnect arrival and the earliest writeback or
+    /// token completion of any core. Everything else waits on an outside
+    /// event: a *read* at the head of `to_mem` was refused this cycle and
+    /// stays refused until the port's channel issues (the port's event),
+    /// and an outstanding DRAM read returns through the port. The cycles
+    /// before the answer change only what [`Gpu::skip`] books.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.is_quiescent()
+        let pin = Some(now + 1);
+        if !self.fill_backlog.is_empty()
             || !self.finished_external.is_empty()
-            || self.kernels.iter().any(|k| !k.is_done())
+            || matches!(self.to_mem.front(), Some((_, AccessKind::Write)))
+            || (0..self.kernels.len()).any(|ki| self.core_for_cta(ki).is_some())
+            || self.l2.has_ready_head()
         {
-            return Some(now + 1);
+            return pin;
         }
-        None
+        let mut wake = earliest(
+            self.core_to_l2.next_arrival(),
+            self.l2_to_core.next_arrival(),
+        );
+        for core in &self.cores {
+            match core.next_event(now) {
+                Some(t) if t <= now + 1 => return pin,
+                t => wake = earliest(wake, t),
+            }
+        }
+        wake.map(|t| t.max(now + 1))
     }
 }
 

@@ -168,15 +168,31 @@ impl L2 {
         out
     }
 
-    /// Completes a DRAM fill for `line`; returns the L1s to notify.
-    pub fn fill(&mut self, line: Addr) -> Vec<(L1Target, Addr)> {
+    /// Completes a DRAM fill for `line`; yields the L1s to notify.
+    pub fn fill(&mut self, line: Addr) -> impl Iterator<Item = (L1Target, Addr)> + '_ {
         let b = self.bank_of(line);
-        self.banks[b]
-            .cache
-            .fill(line)
-            .into_iter()
-            .map(|id| (unpack(id), line))
-            .collect()
+        let waiting = self.banks[b].cache.fill(line);
+        waiting.iter().map(move |&id| (unpack(id), line))
+    }
+
+    /// True when some bank's next access is not its cache's memoised
+    /// stall, so [`L2::cycle`] would do more than count a retry.
+    pub fn has_ready_head(&self) -> bool {
+        self.banks.iter().any(|b| {
+            b.queue
+                .front()
+                .is_some_and(|m| !b.cache.is_stalled_on(m.line, m.kind))
+        })
+    }
+
+    /// Books `delta` cycles in which no bank had a ready head: each
+    /// blocked bank retried its memoised stall every cycle.
+    pub fn skip(&mut self, delta: Cycle) {
+        for b in &mut self.banks {
+            if let Some(m) = b.queue.front() {
+                b.cache.book_stalls(m.line, m.kind, delta);
+            }
+        }
     }
 
     /// Aggregated statistics across banks.
@@ -269,7 +285,7 @@ mod tests {
         let out = l2.cycle(0);
         assert_eq!(out.to_mem, vec![(0x1000, AccessKind::Read)]);
         assert!(out.to_cores.is_empty());
-        let fills = l2.fill(0x1000);
+        let fills: Vec<_> = l2.fill(0x1000).collect();
         assert_eq!(fills.len(), 1);
         assert_eq!(fills[0].0.core, 1);
         assert_eq!(fills[0].0.surface, Surface::Texture);
@@ -280,7 +296,7 @@ mod tests {
         let mut l2 = l2();
         l2.enqueue(miss(0, Surface::Data, 0x2000, AccessKind::Read));
         l2.cycle(0);
-        l2.fill(0x2000);
+        l2.fill(0x2000).count();
         l2.enqueue(miss(2, Surface::Data, 0x2000, AccessKind::Read));
         let out = l2.cycle(1);
         assert!(out.to_mem.is_empty());
@@ -298,8 +314,7 @@ mod tests {
         assert_eq!(out.to_mem.len(), 1);
         let out2 = l2.cycle(1);
         assert!(out2.to_mem.is_empty());
-        let fills = l2.fill(0x3000);
-        let cores: Vec<usize> = fills.iter().map(|(t, _)| t.core).collect();
+        let cores: Vec<usize> = l2.fill(0x3000).map(|(t, _)| t.core).collect();
         assert_eq!(cores, vec![0, 1]);
     }
 
@@ -325,7 +340,7 @@ mod tests {
         l2.enqueue(miss(0, Surface::Data, 0x100, AccessKind::Write));
         let out = l2.cycle(0);
         assert_eq!(out.to_mem, vec![(0x100, AccessKind::Read)]); // allocate
-        l2.fill(0x100);
+        l2.fill(0x100).count();
         // Re-write hits.
         l2.enqueue(miss(0, Surface::Data, 0x100, AccessKind::Write));
         let out = l2.cycle(1);

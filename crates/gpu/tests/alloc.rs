@@ -159,32 +159,37 @@ fn pass(core: &mut SimtCore, ctx: &mut GlobalMemCtx, now: &mut u64, warps: Vec<W
     fills
 }
 
-/// After one warm-up pass (queues at their peak capacity, lines resident),
-/// a second batch of warps running `src` issues every instruction without
-/// a single allocation in the executor, the core or the LSU.
-fn assert_steady_state_is_allocation_free(src: &str, params: impl Fn(u64) -> Vec<u32>) {
+/// After one warm-up pass (queues at their peak capacity), a second batch
+/// of warps running `src` issues every instruction without a single
+/// allocation in the executor, the core, the LSU or the L1. `params`
+/// gives warp `i` of pass `p` its parameters; a stream that reads the same
+/// lines in both passes hits in the second, one that moves on misses.
+fn steady_state_allocs(src: &str, params: impl Fn(u64, u64) -> Vec<u32>) -> (u64, u64) {
     const WARPS: u64 = 6;
     let program = Arc::new(assemble(src).unwrap());
     let mut ctx = ctx();
     let mut core = SimtCore::new(CoreId(0), &GpuConfig::case_study_1());
     let mut now = 0;
-    let batch = || (0..WARPS).map(|i| warp(&program, params(i), i)).collect();
+    let batch = |p| {
+        (0..WARPS)
+            .map(|i| warp(&program, params(p, i), i))
+            .collect()
+    };
 
-    pass(&mut core, &mut ctx, &mut now, batch());
+    pass(&mut core, &mut ctx, &mut now, batch(0));
     let issued = core.stats().issued;
-    let warps = batch();
+    let warps = batch(1);
     let mut fills = 0;
     let allocs = allocs_during(|| fills = pass(&mut core, &mut ctx, &mut now, warps));
     assert_eq!(core.stats().issued - issued, WARPS * program.len() as u64);
-    assert_eq!(fills, 0, "the warm-up pass left every line resident");
-    assert_eq!(allocs, 0, "allocations across {WARPS} warps' instructions");
+    (allocs, fills)
 }
 
 /// ALU, SFU and control instructions through the executor, issue, the
 /// scoreboard and writeback.
 #[test]
 fn alu_stream_issues_without_allocating() {
-    assert_steady_state_is_allocation_free(
+    let (allocs, _) = steady_state_allocs(
         "mov.b32 r0, %laneid
          add.u32 r1, r0, 1
          mul.u32 r2, r1, r1
@@ -198,28 +203,40 @@ fn alu_stream_issues_without_allocating() {
          max.f32 r0, r7, r4
          nop
          exit",
-        |_| Vec::new(),
+        |_, _| Vec::new(),
     );
+    assert_eq!(allocs, 0);
 }
 
+const MEMORY_STREAM: &str = "mov.b32 r0, %laneid
+     shl.u32 r1, r0, 2
+     add.u32 r2, r1, %param0
+     ld.global.b32 r3, [r2+0]
+     ld.global.b32 r4, [r2+128]
+     add.u32 r3, r3, r4
+     st.shared.b32 [r1+0], r3
+     ld.shared.b32 r5, [r1+0]
+     st.global.b32 [r2+0], r5
+     st.global.b32 [r2+128], r0
+     exit";
+
 /// Shared and global loads and stores through the executor's access list,
-/// coalescing, the LSU and L1D hits. (A *missing* line still allocates its
-/// MSHR target list and `fill`'s result, which is why the stream hits.)
+/// coalescing, the LSU and L1D hits: each warp re-reads its own two lines.
 #[test]
 fn memory_stream_issues_without_allocating() {
-    assert_steady_state_is_allocation_free(
-        "mov.b32 r0, %laneid
-         shl.u32 r1, r0, 2
-         add.u32 r2, r1, %param0
-         ld.global.b32 r3, [r2+0]
-         ld.global.b32 r4, [r2+128]
-         add.u32 r3, r3, r4
-         st.shared.b32 [r1+0], r3
-         ld.shared.b32 r5, [r1+0]
-         st.global.b32 [r2+0], r5
-         st.global.b32 [r2+128], r0
-         exit",
-        // Two lines of its own per warp.
-        |i| vec![0x1000 + 256 * i as u32],
-    );
+    let (allocs, fills) = steady_state_allocs(MEMORY_STREAM, |_, i| vec![0x1000 + 256 * i as u32]);
+    assert_eq!(fills, 0, "the warm-up pass left every line resident");
+    assert_eq!(allocs, 0);
+}
+
+/// The same stream over lines no pass has touched: every load allocates an
+/// MSHR and is answered by a fill, and neither builds a vector — target
+/// lists are recycled and `fill` reports into a buffer it keeps.
+#[test]
+fn missing_lines_stream_without_allocating() {
+    let (allocs, fills) = steady_state_allocs(MEMORY_STREAM, |pass, i| {
+        vec![0x1000 + 256 * (6 * pass + i) as u32]
+    });
+    assert_eq!(fills, 12, "two fresh lines per warp");
+    assert_eq!(allocs, 0);
 }

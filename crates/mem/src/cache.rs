@@ -188,6 +188,10 @@ pub struct Cache {
     /// reason and [`Cache::access`] only has to count it. Derived state:
     /// never serialized.
     last_stall: Option<(Addr, AccessKind, StallReason)>,
+    /// Target vectors of retired MSHRs, kept for the next allocated miss.
+    spare_targets: Vec<Vec<(ReqId, AccessKind)>>,
+    /// The readers the last [`Cache::fill`] released; storage reused.
+    filled: Vec<ReqId>,
 }
 
 impl Cache {
@@ -209,6 +213,8 @@ impl Cache {
             cfg,
             stats: CacheStats::default(),
             last_stall: None,
+            spare_targets: Vec::new(),
+            filled: Vec::new(),
         }
     }
 
@@ -329,16 +335,39 @@ impl Cache {
                     pending: true,
                     lru: tick,
                 };
-                self.mshrs.insert(
-                    line,
-                    Mshr {
-                        targets: vec![(id, kind)],
-                    },
-                );
+                let mut targets = self.spare_targets.pop().unwrap_or_default();
+                targets.push((id, kind));
+                self.mshrs.insert(line, Mshr { targets });
                 self.stats.hits.record(false);
                 Access::Miss { writeback }
             }
         }
+    }
+
+    /// True when an access of `kind` to `addr`'s line is the memoised
+    /// stall: retried, it stalls again and changes nothing but the
+    /// counters [`Cache::book_stalls`] adds, until a fill, a flush, a
+    /// restore or a different access clears the memo. An owner blocked on
+    /// such an access has no event of its own.
+    pub fn is_stalled_on(&self, addr: Addr, kind: AccessKind) -> bool {
+        self.last_stall
+            .is_some_and(|(l, k, _)| (l, k) == (self.line_addr(addr), kind))
+    }
+
+    /// Books `n` retries of the access `(addr, kind)` without making them,
+    /// if it is the memoised stall: what `n` calls of [`Cache::access`]
+    /// would have counted. Any other access is not a known no-op and books
+    /// nothing.
+    pub fn book_stalls(&mut self, addr: Addr, kind: AccessKind, n: u64) {
+        if !self.is_stalled_on(addr, kind) {
+            return;
+        }
+        self.lru_tick += n;
+        match kind {
+            AccessKind::Read => self.stats.reads += n,
+            AccessKind::Write => self.stats.writes += n,
+        }
+        self.stats.stalls += n;
     }
 
     /// What an access of `kind` to `line` (set `si`, tag `tag`) would do,
@@ -385,14 +414,16 @@ impl Cache {
     }
 
     /// Completes a fill for `line` (line-aligned). Returns the ids of read
-    /// requests waiting on it. If any merged target was a write, the line
-    /// becomes dirty (write-back caches).
+    /// requests waiting on it, in a buffer the next fill reuses. If any
+    /// merged target was a write, the line becomes dirty (write-back
+    /// caches).
     ///
     /// Fills for lines with no MSHR (e.g. after a flush) are ignored and
     /// return an empty list.
-    pub fn fill(&mut self, line: Addr) -> Vec<ReqId> {
-        let Some(m) = self.mshrs.remove(&line) else {
-            return Vec::new();
+    pub fn fill(&mut self, line: Addr) -> &[ReqId] {
+        self.filled.clear();
+        let Some(mut m) = self.mshrs.remove(&line) else {
+            return &self.filled;
         };
         self.last_stall = None;
         self.stats.fills += 1;
@@ -404,11 +435,11 @@ impl Cache {
             l.pending = false;
             l.dirty = any_write;
         }
-        m.targets
-            .into_iter()
-            .filter(|(_, k)| *k == AccessKind::Read)
-            .map(|(id, _)| id)
-            .collect()
+        let readers = m.targets.iter().filter(|(_, k)| *k == AccessKind::Read);
+        self.filled.extend(readers.map(|(id, _)| *id));
+        m.targets.clear();
+        self.spare_targets.push(m.targets);
+        &self.filled
     }
 
     /// Invalidates everything (writebacks are *not* generated; used between

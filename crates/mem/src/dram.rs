@@ -425,19 +425,22 @@ impl emerald_common::snap::Restore for DramChannel {
 }
 
 impl emerald_common::event::NextEvent for DramChannel {
-    /// A channel with a non-empty scheduling queue makes a decision every
-    /// cycle, so it pins the clock to `now + 1`. Otherwise the only thing
-    /// that can happen is an in-service access completing, at a cycle
-    /// precomputed at issue. (Scheduler housekeeping rollovers are the
-    /// scheduler owner's events.)
+    /// A channel with a non-empty scheduling queue decides at the first
+    /// cycle [`DramChannel::tick`]'s bus gate lets the scheduler run —
+    /// `bus_free_at - burst_cycles`; before it `tick` returns without
+    /// asking, and a refused `enqueue` changes nothing. Otherwise the only
+    /// thing that can happen is an in-service access completing, at a
+    /// cycle precomputed at issue. (Scheduler housekeeping rollovers are
+    /// the scheduler owner's events.)
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        let mut wake = self.next_done;
         if !self.queue.is_empty() {
-            Some(now + 1)
-        } else if self.in_service.is_empty() {
-            None
-        } else {
-            Some(self.next_done.max(now + 1))
+            let gate = self
+                .bus_free_at
+                .saturating_sub(self.cfg.burst_cycles as Cycle);
+            wake = wake.min(gate);
         }
+        (wake != Cycle::MAX).then_some(wake.max(now + 1))
     }
 }
 

@@ -71,6 +71,12 @@ impl<T> Link<T> {
         }
     }
 
+    /// Delivery cycle of the oldest item in flight: the first cycle
+    /// [`Link::pop`] returns it.
+    pub fn next_arrival(&self) -> Option<Cycle> {
+        self.in_flight.front().map(|(t, _)| *t)
+    }
+
     /// Items currently in flight.
     pub fn len(&self) -> usize {
         self.in_flight.len()
@@ -125,9 +131,11 @@ mod tests {
     fn delivers_after_latency() {
         let mut l = Link::new(5, 1, 8);
         l.push(10, "x").unwrap();
+        assert_eq!(l.next_arrival(), Some(15));
         assert_eq!(l.pop(14), None);
         assert_eq!(l.pop(15), Some("x"));
         assert_eq!(l.pop(16), None);
+        assert_eq!(l.next_arrival(), None);
     }
 
     #[test]

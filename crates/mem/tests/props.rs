@@ -2,13 +2,16 @@
 //! harness (`emerald_common::check`); the offline build has no proptest.
 
 use emerald_common::check::check;
+use emerald_common::event::NextEvent;
 use emerald_common::rng::Xorshift64;
+use emerald_common::types::Cycle;
 use emerald_common::types::{AccessKind, TrafficSource};
 use emerald_mem::cache::{Access, Cache, CacheConfig};
+use emerald_mem::dash::{Clustering, DashConfig, DashShared};
 use emerald_mem::dram::{DramChannel, DramConfig};
 use emerald_mem::mapping::{AddressMapping, MappingScheme};
 use emerald_mem::req::MemRequest;
-use emerald_mem::sched::FrFcfs;
+use emerald_mem::sched::{DramScheduler, FrFcfs};
 
 fn arbitrary_mapping(rng: &mut Xorshift64) -> AddressMapping {
     let scheme = if rng.chance(0.5) {
@@ -130,5 +133,105 @@ fn dram_drains_and_services_all() {
         assert_eq!(st.serviced, sent);
         assert!(st.row_hits.num <= st.row_hits.den);
         assert!(st.activations <= sent);
+    });
+}
+
+/// A channel whose queue a producer keeps full — every executed cycle it
+/// offers its next requests until one is refused — ticked every cycle
+/// against a twin that jumps to `next_event`: same completions at the same
+/// cycles, same statistics, same bytes. The jumping twin must find the
+/// bus-gated stretches (a non-empty queue no longer pins `now + 1`).
+fn backlogged_channel_jumps_like_it_ticks<S: DramScheduler>(name: &str, sched: impl Fn() -> S) {
+    use emerald_common::snap::{SnapWriter, Snapshot};
+    const SOURCES: [TrafficSource; 3] = [
+        TrafficSource::Gpu,
+        TrafficSource::Cpu(0),
+        TrafficSource::Display,
+    ];
+    check(name, |rng| {
+        let map = AddressMapping::baseline(1);
+        let cfg = DramConfig {
+            queue_cap: rng.range(2, 17) as usize,
+            ..DramConfig::lpddr3_1333()
+        };
+        let reqs: Vec<MemRequest> = (0..rng.range(40, 160))
+            .map(|id| MemRequest {
+                id,
+                addr: rng.below(1 << 18) & !127,
+                bytes: 128,
+                kind: if rng.chance(0.3) {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
+                source: SOURCES[rng.below(3) as usize],
+                issued: 0,
+            })
+            .collect();
+        // One executed cycle: tick, collect, then refill until refused.
+        let cycle = |ch: &mut DramChannel, s: &mut S, fed: &mut usize, now: Cycle, out: &mut _| {
+            s.tick(now);
+            ch.tick(now, s);
+            ch.pop_finished(now, out);
+            while *fed < reqs.len() {
+                let req = MemRequest {
+                    issued: now,
+                    ..reqs[*fed]
+                };
+                if ch.enqueue(req, map.decode(req.addr), now).is_err() {
+                    break;
+                }
+                *fed += 1;
+            }
+        };
+        let (mut ticked, mut jumped) = (DramChannel::new(cfg.clone()), DramChannel::new(cfg));
+        let (mut s_t, mut s_j) = (sched(), sched());
+        let (mut fed_t, mut fed_j) = (0, 0);
+        let (mut done_t, mut done_j) = (Vec::new(), Vec::new());
+        let (mut now, mut next, mut jumps) = (0, 0, 0u32);
+        while fed_t < reqs.len() || !ticked.is_idle() {
+            cycle(&mut ticked, &mut s_t, &mut fed_t, now, &mut done_t);
+            if now == next {
+                cycle(&mut jumped, &mut s_j, &mut fed_j, now, &mut done_j);
+                let wake = [jumped.next_event(now), s_j.next_event(now)];
+                next = wake.into_iter().flatten().min().unwrap_or(now + 1);
+                assert!(next > now);
+                jumps += (next > now + 1 && jumped.queue_len() > 0) as u32;
+                assert_eq!(done_t, done_j, "completions diverged by cycle {now}");
+            }
+            now += 1;
+            assert!(now < 2_000_000, "channel failed to drain");
+        }
+        assert!(jumped.is_idle() && fed_j == reqs.len());
+        let bytes = |ch: &DramChannel| {
+            let mut w = SnapWriter::new();
+            ch.snapshot(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(
+            bytes(&ticked),
+            bytes(&jumped),
+            "statistics or bank state diverged"
+        );
+        assert_eq!(
+            format!("{s_t:?}"),
+            format!("{s_j:?}"),
+            "scheduler state diverged"
+        );
+        assert!(jumps > 0, "a backlogged queue never let the clock jump");
+    });
+}
+
+#[test]
+fn backlogged_fr_fcfs_channel_jumps_like_it_ticks() {
+    backlogged_channel_jumps_like_it_ticks("dram_backlog_frfcfs", || FrFcfs);
+}
+
+#[test]
+fn backlogged_dash_channel_jumps_like_it_ticks() {
+    backlogged_channel_jumps_like_it_ticks("dram_backlog_dash", || {
+        let mut dash = DashShared::new(DashConfig::paper(Clustering::CpuOnly));
+        dash.set_urgent(TrafficSource::Display, true);
+        dash
     });
 }

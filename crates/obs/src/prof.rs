@@ -350,38 +350,45 @@ pub fn record_soc_cycle(skippable: bool) {
     });
 }
 
-/// Batch GPU accounting for `n` event-skipped cycles. A skipped GPU
-/// cycle is by construction quiescent with an empty active set, so this
-/// books exactly what `n` calls to `record_gpu_cycle(0, true)` would
-/// have — profiles stay bit-identical whether time was ticked or
-/// jumped. Checks [`enabled`] internally (skips are batched, so the
-/// extra check is off the per-cycle path).
+/// Batch GPU accounting for `n` event-skipped cycles. Nothing changes
+/// across a skipped stretch, so every cycle of it has the same
+/// `active_cores` and is or is not `quiescent` alike: this books exactly
+/// what `n` calls to `record_gpu_cycle(active_cores, quiescent)` would
+/// have — profiles stay bit-identical whether time was ticked or jumped.
+/// Checks [`enabled`] internally (skips are batched, so the extra check
+/// is off the per-cycle path).
 #[inline]
-pub fn record_gpu_skip(n: u64) {
+pub fn record_gpu_skip(n: u64, active_cores: usize, quiescent: bool) {
     if !enabled() {
         return;
     }
     ACC.with(|a| {
         let a = &mut *a.borrow_mut();
         a.gpu_cycles += n;
-        a.active_hist[0] += n;
-        a.gpu_zero_active += n;
-        a.gpu_skippable += n;
+        a.active_hist[active_bucket(active_cores)] += n;
+        if active_cores == 0 {
+            a.gpu_zero_active += n;
+        }
+        if quiescent {
+            a.gpu_skippable += n;
+        }
     });
 }
 
 /// Batch SoC accounting for `n` event-skipped cycles: what `n` calls to
-/// `record_soc_cycle(true)` would have booked (a cycle is only skipped
-/// when it is skippable). Checks [`enabled`] internally.
+/// `record_soc_cycle(skippable)` would have booked. Checks [`enabled`]
+/// internally.
 #[inline]
-pub fn record_soc_skip(n: u64) {
+pub fn record_soc_skip(n: u64, skippable: bool) {
     if !enabled() {
         return;
     }
     ACC.with(|a| {
         let a = &mut *a.borrow_mut();
         a.soc_cycles += n;
-        a.soc_skippable += n;
+        if skippable {
+            a.soc_skippable += n;
+        }
     });
 }
 
@@ -731,15 +738,22 @@ mod tests {
     fn skip_records_match_per_cycle_clocking() {
         set_enabled(true);
         reset();
+        // A quiescent stretch, then a parked one (three cores waiting).
         for _ in 0..5 {
             record_gpu_cycle(0, true);
         }
+        for _ in 0..4 {
+            record_gpu_cycle(3, false);
+        }
         record_soc_cycle(true);
         record_soc_cycle(true);
+        record_soc_cycle(false);
         let ticked = take();
         reset();
-        record_gpu_skip(5);
-        record_soc_skip(2);
+        record_gpu_skip(5, 0, true);
+        record_gpu_skip(4, 3, false);
+        record_soc_skip(2, true);
+        record_soc_skip(1, false);
         let skipped = take();
         set_enabled(false);
         assert_eq!(ticked.gpu_cycles, skipped.gpu_cycles);

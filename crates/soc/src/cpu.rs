@@ -663,8 +663,13 @@ pub struct CpuCluster {
 
 impl CpuCluster {
     /// Wraps `cores`; `batch` is the run-ahead gate.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than 64 cores (`run_ahead` keeps a bit per core).
     pub fn new(cores: Vec<CpuCoreModel>, batch: bool) -> Self {
         let n = cores.len();
+        assert!(n <= 64, "CpuCluster supports at most 64 cores");
         Self {
             cores,
             batch,
@@ -783,14 +788,18 @@ impl CpuCluster {
             return;
         }
         let quiet_end = w - 1;
-        let submitter: Vec<bool> = self.cores.iter().map(|c| c.may_issue_draw()).collect();
+        // Bit `i`: core `i` may still submit the frame's draws.
+        let submitters = (0..self.cores.len())
+            .filter(|&i| self.cores[i].may_issue_draw())
+            .fold(0u64, |mask, i| mask | 1 << i);
+        let is_submitter = |i: &usize| submitters >> i & 1 != 0;
         let mut fence_end = if fence_open { now } else { quiet_end };
-        for i in (0..self.cores.len()).filter(|&i| submitter[i]) {
+        for i in (0..self.cores.len()).filter(is_submitter) {
             self.run_core_ahead(i, now, quiet_end, fence_end, gpu_done, ids);
         }
         fence_end = quiet_end;
         if fence_open {
-            for i in (0..self.cores.len()).filter(|&i| submitter[i]) {
+            for i in (0..self.cores.len()).filter(is_submitter) {
                 if !self.cores[i].at_frame_end() {
                     fence_end = fence_end.min(match self.pending[i] {
                         Some((s, CpuEvent::IssueDraw)) => s.saturating_sub(1),
@@ -800,7 +809,7 @@ impl CpuCluster {
                 }
             }
         }
-        for i in (0..self.cores.len()).filter(|&i| !submitter[i]) {
+        for i in (0..self.cores.len()).filter(|i| !is_submitter(i)) {
             self.run_core_ahead(i, now, quiet_end, fence_end, gpu_done, ids);
         }
     }
@@ -817,7 +826,10 @@ impl CpuCluster {
         ids: &mut ReqIdGen,
     ) {
         let core = &mut self.cores[i];
-        if self.pending[i].is_some() || core.has_pending_out() {
+        // A core at the barrier has nothing left to run; leaving its
+        // `ran_until` to `step` keeps the bookkeeping (and with it the
+        // checkpoint bytes) the same whether or not the clock jumps.
+        if self.pending[i].is_some() || core.has_pending_out() || core.at_frame_end() {
             return;
         }
         let mut base = self.ran_until[i].max(now);

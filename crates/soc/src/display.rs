@@ -262,38 +262,43 @@ impl emerald_common::snap::Restore for DisplayController {
 }
 
 impl emerald_common::event::NextEvent for DisplayController {
-    /// With requests pending the controller is pinned to `now + 1` (it
-    /// prefetches or re-issues every cycle). Otherwise the next things
-    /// that can happen without external input are (a) the abort-retry
-    /// point, (b) the period boundary, and (c) the beam advancing far
-    /// enough to unlock the next prefetch — all computable in closed form
-    /// from the uniform-beam equation `beam = fb_bytes * elapsed / period`.
-    /// An underrun cannot occur while nothing is pending: with no reads in
-    /// flight, `returned` has caught up with `fetch_pos`, which
-    /// contradicts the underrun condition (`fetch_pos >= beam` and
-    /// `beam > returned + fifo_bytes`).
+    /// Everything the controller does of its own accord follows from the
+    /// uniform-beam equation `beam = fb_bytes * elapsed / period`, so each
+    /// has a closed form: (a) the abort-retry point; (b) the period
+    /// boundary; (c) with the request FIFO drained, the beam advancing far
+    /// enough to unlock the next prefetch; (d) the beam overrunning what
+    /// memory has returned plus the FIFO depth while fetches are at or
+    /// ahead of it — the underrun. Reads in flight and requests the memory
+    /// system has yet to accept are not events of the controller's:
+    /// responses and acceptance are inputs ([`DisplayController::tick`]
+    /// changes nothing while it waits for either).
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.has_pending() {
-            return Some(now + 1);
-        }
         if let Some(t) = self.aborted_until {
             return Some(t.max(now + 1));
         }
-        let mut ev = self.frame_start + self.period;
-        if self.fetch_pos < self.fb_bytes {
-            // Prefetch unlocks when `fetch_pos < beam + fifo_bytes`, i.e.
-            // `beam >= fetch_pos - fifo_bytes + 1`; the smallest elapsed
-            // with `floor(fb_bytes * elapsed / period) >= target` is
-            // `ceil(target * period / fb_bytes)`.
-            let target = (self.fetch_pos + 1).saturating_sub(self.fifo_bytes);
-            let unlock = if target == 0 {
-                now + 1
-            } else {
-                self.frame_start + (target * self.period).div_ceil(self.fb_bytes)
-            };
-            ev = ev.min(unlock);
+        // In 128 bits: a calibration run's period is a placeholder near
+        // `Cycle::MAX`, and these look further ahead than `tick` does.
+        let (fb, period) = (self.fb_bytes as u128, self.period as u128);
+        let narrow = |v: u128| u64::try_from(v).unwrap_or(u64::MAX);
+        let beam_at = |elapsed: Cycle| narrow(fb * elapsed as u128 / period);
+        // Smallest `elapsed` with `beam_at(elapsed) >= bytes`.
+        let reaches = |bytes: u64| narrow((bytes as u128 * period).div_ceil(fb));
+        let mut ev = self.period;
+        if self.out.is_empty() && self.fetch_pos < self.fb_bytes {
+            // Prefetch unlocks when `fetch_pos < beam + fifo_bytes`.
+            ev = ev.min(reaches(
+                (self.fetch_pos + 1).saturating_sub(self.fifo_bytes),
+            ));
         }
-        Some(ev.max(now + 1))
+        // Underrun needs `returned + fifo_bytes < beam <= fetch_pos`: the
+        // first cycle past the lower bound decides, later ones only move
+        // the beam further past `fetch_pos`.
+        let elapsed = now.saturating_sub(self.frame_start);
+        let under = reaches(self.returned + self.fifo_bytes + 1).max(elapsed + 1);
+        if beam_at(under) <= self.fetch_pos {
+            ev = ev.min(under);
+        }
+        Some(self.frame_start.saturating_add(ev).max(now + 1))
     }
 }
 

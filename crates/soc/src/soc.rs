@@ -449,55 +449,59 @@ impl Soc {
         });
         self.dash_feedback(rendering_since);
 
-        // Skip-opportunity accounting: a cycle is skippable when the GPU
-        // has nothing in flight, the display engine has nothing pending
-        // and no memory request awaits a scheduling decision. In-service
-        // DRAM accesses complete at precomputed cycles and CPU scripts
-        // advance analytically, so neither pins a cycle.
         if prof::enabled() {
-            let skippable = self.renderer.gpu.is_quiescent()
-                && !self.display.has_pending()
-                && self.memsys.queued() == 0;
-            prof::record_soc_cycle(skippable);
+            prof::record_soc_cycle(self.nothing_pending());
         }
         clk.lap(HostPhase::SocOther);
     }
 
+    /// The profiler's skip-opportunity test: the GPU has nothing in
+    /// flight, the display engine has nothing pending and no memory
+    /// request awaits a scheduling decision. In-service DRAM accesses
+    /// complete at precomputed cycles and CPU scripts advance
+    /// analytically, so neither counts.
+    fn nothing_pending(&self) -> bool {
+        self.renderer.gpu.is_quiescent() && !self.display.has_pending() && self.memsys.queued() == 0
+    }
+
     /// The earliest cycle after `now` (at most `cap`) at which a non-CPU
-    /// component can act without new input; every cycle before it is, per
-    /// the [`NextEvent`] contract, a bit-for-bit no-op for all of them —
-    /// in particular the renderer cannot finish and no response can
-    /// arrive. The one non-CPU pin search: the two pins a rendering GPU
-    /// trips are flag reads and answer first, so a cycle with the GPU busy
-    /// builds no pin list at all.
+    /// component can act without new input; every cycle before it changes
+    /// nothing for any of them but the time-linear counters
+    /// [`Soc::jump_to`] books, per the [`NextEvent`] contract — in
+    /// particular the renderer cannot finish and no response can arrive.
+    /// The one non-CPU pin search, cheapest answer first: a flag, a stored
+    /// cycle, two closed forms, and last the renderer's scan of its
+    /// pipeline and cores. A request the display or the GPU still holds
+    /// because its channel's queue was full this cycle is the memory
+    /// system's pin: only that channel issuing makes room.
     fn quiet_until(&self, now: Cycle, cap: Cycle) -> Cycle {
         if !self.gpu_resp.is_empty() {
             return now + 1;
         }
-        let renderer = self.renderer.next_event(now);
-        if renderer.is_some_and(|t| t <= now + 1) {
-            return now + 1;
-        }
-        let pins = [
-            renderer,
-            self.display.next_event(now),
-            self.memsys.next_event(now),
+        let pins = (0..4).map(|pin| match pin {
             // DASH deadline feedback mutates scheduler state, so its next
             // firing is a mandatory event (`Cycle::MAX` without DASH).
-            Some(self.next_feedback),
-        ];
+            0 => Some(self.next_feedback),
+            1 => self.display.next_event(now),
+            2 => self.memsys.next_event(now),
+            _ => self.renderer.next_event(now),
+        });
         next_wake(now, cap, pins)
     }
 
     /// Jumps the clock so the next step executes cycle `wake`, booking the
-    /// dead cycles in between exactly as the per-cycle clocking would
-    /// have: all skippable, the renderer quiescent across them.
+    /// cycles in between exactly as the per-cycle clocking would have:
+    /// nothing moved in them, so the renderer books its parked cores'
+    /// time-linear counters and the profiler gets the same per-cycle
+    /// verdict for each.
     fn jump_to(&mut self, wake: Cycle) {
         if wake > self.now + 1 {
             let delta = wake - 1 - self.now;
             self.now += delta;
-            emerald_obs::prof::record_soc_skip(delta);
-            emerald_obs::prof::record_gpu_skip(delta);
+            self.renderer.skip(delta);
+            if emerald_obs::prof::enabled() {
+                emerald_obs::prof::record_soc_skip(delta, self.nothing_pending());
+            }
         }
     }
 

@@ -25,8 +25,8 @@ EMERALD_CONF_CASES=32 cargo test --release --test conformance -q
 echo "==> memory-system allocation bars on the optimised build (0 per saturated DASH / FR-FCFS cycle)"
 cargo test --release -p emerald-mem --test alloc -q
 
-echo "==> event-skip oracle suite (skip-on vs skip-off lockstep + gap oracles)"
-cargo test --release --test event_skip -q
+echo "==> event-skip oracle suite (skip-on vs skip-off lockstep + gap oracles + twin gap walks, 16 cases each: the axis carries in-draw jumps)"
+EMERALD_EVENT_SKIP_CASES=16 cargo test --release --test event_skip -q
 
 echo "==> cpu-batch oracle suite (batch-axis lockstep + matrix + stall path)"
 cargo test --release --test cpu_batch -q

@@ -11,9 +11,10 @@ use emerald::common::rng::Xorshift64;
 use emerald_conformance::isadiff::{self, shrink_failing};
 use emerald_conformance::{
     batch_oracle, check_case, check_case_matrix, check_with_injected_bug, conf_cases, gap_oracle,
-    gen_draw, gen_program, run_draw_case, run_draw_case_timed, shrink_batch_candidates,
-    shrink_draw_candidates, shrink_gap_candidates, shrink_snap_candidates, skip_dispatch_points,
-    snap_oracle, BatchScenario, GapScenario, SnapBug, SnapScenario,
+    gen_draw, gen_program, gpu_gap_oracle, run_draw_case, run_draw_case_timed,
+    shrink_batch_candidates, shrink_draw_candidates, shrink_gap_candidates,
+    shrink_gpu_gap_candidates, shrink_snap_candidates, skip_dispatch_points, snap_oracle,
+    BatchScenario, GapScenario, GpuGapScenario, SnapBug, SnapScenario,
 };
 
 /// Shrink-step budget. Generated programs have < 40 instructions, so this
@@ -185,6 +186,32 @@ fn under_reported_next_event_is_caught_and_shrunk() {
             "shrunk scenario still fails: {}",
             small.describe()
         ));
+    });
+    // The same canary on the GPU's pins, whose gaps are not dead but
+    // booked: the twin that sleeps `lag` cycles too long must disagree
+    // with the one cycled through the gap.
+    let cfg = isadiff::base_config();
+    check_n("gpu_under_report_canary", 8, |rng| {
+        let sc = GpuGapScenario {
+            data_seed: rng.next_u64(),
+            gp: gen_program(rng),
+            lag: rng.range(1, 32),
+        };
+        let honest = GpuGapScenario {
+            lag: 0,
+            ..sc.clone()
+        };
+        gpu_gap_oracle(&honest, &cfg).expect("honest GPU next_event reports conform");
+        gpu_gap_oracle(&sc, &cfg).expect_err("lagged GPU next_event must be caught");
+        let (small, _steps) = minimize(
+            sc.clone(),
+            shrink_gpu_gap_candidates,
+            |c| gpu_gap_oracle(c, &cfg).is_err(),
+            64,
+        );
+        assert!(small.lag >= 1, "shrinking never reaches the honest lag 0");
+        assert!(small.gp.live_instrs() <= sc.gp.live_instrs() && small.lag <= sc.lag);
+        gpu_gap_oracle(&small, &cfg).expect_err("shrunk scenario still fails");
     });
 }
 

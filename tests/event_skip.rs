@@ -1,18 +1,23 @@
 //! Oracle tests for the event-driven clocking contract
 //! (`emerald_common::event::NextEvent`).
 //!
-//! Two independent oracles, both driven by the in-tree property harness:
+//! Three independent oracles, all driven by the in-tree property harness:
 //!
 //! 1. **Lockstep skip axis** — seeded random SoC scenarios run twice,
 //!    identical in every respect except `GpuConfig::event_skip`, and must
-//!    agree bit-for-bit on the clock, the framebuffer and the full stats
-//!    registry at every CPU-phase (frame-barrier) boundary.
+//!    agree bit-for-bit on the clock, the framebuffer, the full stats
+//!    registry and the checkpoint bytes at every CPU-phase (frame-barrier)
+//!    boundary.
 //! 2. **No early transitions** — components queried for `next_event(now)`
 //!    are ticked cycle by cycle through the reported gap and must not
-//!    produce a request, a response or a statistics change before the
-//!    cycle they announced. Reporting *later* than the truth is the one
-//!    unsafe direction of the contract; this oracle is how it would be
-//!    caught.
+//!    produce a request, a response or a state change before the cycle
+//!    they announced. Reporting *later* than the truth is the one unsafe
+//!    direction of the contract; this oracle is how it would be caught.
+//! 3. **Twin gap walks** — a bare GPU and a standalone renderer, whose
+//!    announced gaps still move time-linear counters: one twin is cycled
+//!    through every gap, the other jumps it and books it, and registry,
+//!    in-flight state, snapshot bytes and output memory must agree
+//!    (`emerald_conformance::eventconf`).
 
 use emerald::common::check::{check_n, env_cases};
 use emerald::common::event::NextEvent;
@@ -31,6 +36,15 @@ fn registry_json(soc: &Soc) -> String {
     let mut reg = Registry::new();
     soc.publish(&mut reg);
     reg.to_json()
+}
+
+/// The SoC's checkpoint without the container's header and checksum:
+/// the header stamps a hash of the configuration, and the two sides of the
+/// skip axis differ in exactly one configuration field.
+fn checkpoint_body(soc: &Soc) -> Vec<u8> {
+    use emerald::common::snap::CONTAINER_OVERHEAD;
+    let bytes = soc.checkpoint();
+    bytes[CONTAINER_OVERHEAD - 8..bytes.len() - 8].to_vec()
 }
 
 /// Shrinks every `Work` phase so a frame stays test-sized, with an
@@ -143,6 +157,12 @@ fn random_soc_scenarios_are_skip_invariant() {
                 registry_json(&off),
                 registry_json(&on),
                 "registry diverged at frame {f}"
+            );
+            // What the registry does not carry: LRU clocks, write-id
+            // streams, each core's last cycle.
+            assert!(
+                checkpoint_body(&off) == checkpoint_body(&on),
+                "checkpoint bytes diverged at frame {f}"
             );
         }
     });
@@ -313,4 +333,183 @@ fn display_never_acts_before_next_event() {
         assert_eq!(d.stats().frames_aborted, 0, "instant memory underran");
         assert!(d.stats().frames_completed >= 2);
     });
+}
+
+/// Oracle 3a: twin bare GPUs running random kernels. Every gap the GPU
+/// and its port announce is cycled on one twin and jumped-and-booked on
+/// the other; they must agree after each gap and, drained, byte for byte.
+#[test]
+fn gpu_gaps_change_only_what_skip_books() {
+    use emerald_conformance::eventconf::{gpu_gap_oracle, GpuGapScenario};
+    use emerald_conformance::{base_config, gen_program};
+    let mut gaps = 0;
+    check_n(
+        "gpu_gap_twins",
+        env_cases("EMERALD_EVENT_SKIP_CASES", 8),
+        |rng| {
+            let sc = GpuGapScenario {
+                data_seed: rng.next_u64(),
+                gp: gen_program(rng),
+                lag: 0,
+            };
+            match gpu_gap_oracle(&sc, &base_config()) {
+                Ok(n) => gaps += n,
+                Err(v) => panic!("{v:?}\n{}", sc.gp.dump()),
+            }
+        },
+    );
+    assert!(gaps > 0, "no gap was ever announced");
+}
+
+/// Oracle 3b: the same walk over twin standalone renderers drawing random
+/// cases, so the gaps are the ones a draw blocked on its warps announces.
+#[test]
+fn renderer_gaps_change_only_what_skip_books() {
+    use emerald_conformance::eventconf::renderer_gap_oracle;
+    use emerald_conformance::{base_config, gen_draw};
+    let mut gaps = 0;
+    check_n(
+        "renderer_gap_twins",
+        env_cases("EMERALD_EVENT_SKIP_CASES", 6),
+        |rng| {
+            let case = gen_draw(rng);
+            match renderer_gap_oracle(&case, &base_config()) {
+                Ok(n) => gaps += n,
+                Err(v) => panic!("{v:?}\n{}", case.describe()),
+            }
+        },
+    );
+    assert!(gaps > 0, "no gap was ever announced");
+}
+
+/// Oracle 2c: the display controller behind a memory with latency, so it
+/// spends its time with reads in flight — which no longer pins `now + 1`.
+/// Every stretch up to the earlier of its announced wake and the next
+/// response is ticked and must leave the controller's snapshot bytes
+/// untouched; latencies range past what the scanout FIFO covers, so the
+/// underrun's closed form is exercised as well as prefetch unlocks.
+#[test]
+fn display_waiting_on_memory_never_acts_before_next_event() {
+    use emerald::common::snap::{SnapWriter, Snapshot};
+    use emerald::mem::req::ReqIdGen;
+    use emerald::soc::display::DisplayController;
+    use std::collections::VecDeque;
+    let bytes = |d: &DisplayController| {
+        let mut w = SnapWriter::new();
+        d.snapshot(&mut w);
+        w.into_bytes()
+    };
+    let (mut gaps, mut aborted, mut completed) = (0u32, 0, 0);
+    check_n("display_waiting_oracle", 16, |rng| {
+        let fb_bytes = [16u64 << 10, 64 << 10][rng.below(2) as usize];
+        let period = rng.range(4_000, 40_000);
+        let latency = rng.range(20, 6_000);
+        let mut d = DisplayController::new(0x1000, fb_bytes, period);
+        let mut ids = ReqIdGen::new();
+        let mut in_flight: VecDeque<(u64, u32)> = VecDeque::new();
+        let mut now = 0u64;
+        while now < 4 * period {
+            while in_flight.front().is_some_and(|r| r.0 <= now) {
+                d.on_response(in_flight.pop_front().expect("front").1);
+            }
+            d.tick(now, &mut ids);
+            in_flight.extend(d.drain_requests().iter().map(|r| (now + latency, r.bytes)));
+            let wake = d.next_event(now).expect("a period boundary lies ahead");
+            assert!(wake > now, "next_event must be in the future");
+            let quiet = wake.min(in_flight.front().map_or(wake, |r| r.0));
+            if quiet > now + 1 {
+                let before = bytes(&d);
+                for c in now + 1..quiet {
+                    d.tick(c, &mut ids);
+                }
+                assert!(
+                    before == bytes(&d),
+                    "display acted inside ({now}, {quiet}), announced {wake}"
+                );
+                gaps += 1;
+            }
+            now = quiet.max(now + 1);
+        }
+        aborted += d.stats().frames_aborted;
+        completed += d.stats().frames_completed;
+    });
+    assert!(
+        gaps > 0 && aborted > 0 && completed > 0,
+        "{gaps} {aborted} {completed}"
+    );
+}
+
+/// Lockstep passes just as well with pins that always answer `now + 1`.
+/// What shows the clock really jumps is the loop-iteration count
+/// (`HostProfile::ticks`, exact): on a `soc_dense`-shaped frame — DRAM
+/// saturated, the GPU issuing a warp instruction every ~90 cycles — the
+/// SoC loop runs for at most 0.40 of the simulated cycles (0.94 before the
+/// DRAM, display, GPU and renderer pins were exact; 0.24 when written).
+#[test]
+fn a_waiting_soc_is_not_ticked() {
+    use emerald::obs::prof;
+    let (w, h) = (128, 96);
+    let model = emerald::scene::workloads::m_models().swap_remove(0);
+    let period = emerald::soc::experiment::calibrate_period(&model, w, h);
+    let dcb = MemCfgKind::Dcb.build(DramConfig::lpddr3_1333());
+    let mut soc = Soc::new(SocConfig::case_study_1(dcb, w, h, period));
+    let binding = SceneBinding::new(&soc.mem, &model);
+    let aspect = w as f32 / h as f32;
+    soc.run_frame(vec![binding.draw_for_frame(5, aspect, false)], 500_000_000);
+    prof::set_enabled(true);
+    prof::reset();
+    let rec = soc.run_frame(vec![binding.draw_for_frame(6, aspect, false)], 500_000_000);
+    let profile = prof::take();
+    prof::set_enabled(false);
+    assert_eq!(profile.soc_cycles, rec.total_cycles);
+    assert!(
+        profile.ticks * 100 <= rec.total_cycles * 40,
+        "{} loop iterations for {} simulated cycles",
+        profile.ticks,
+        rec.total_cycles
+    );
+}
+
+/// The same on the bare GPU: a `gpgpu_mix`-shaped `saxpy` launch (more
+/// CTAs than the cores hold, every warp waiting on DRAM most of the time)
+/// drains in at most 0.6 `drain_loop` iterations per simulated cycle (1.0
+/// while a busy GPU pinned `now + 1`; 0.44 when written).
+#[test]
+fn a_waiting_gpu_is_not_ticked() {
+    use emerald::gpu::GlobalMemCtx;
+    use emerald::obs::prof;
+    let n = 1 << 13;
+    let mem = SharedMem::with_capacity(1 << 22);
+    let (x, y) = (mem.alloc(n * 4, 128), mem.alloc(n * 4, 128));
+    let saxpy = "
+        mov.b32 r0, %input0
+        shl.u32 r1, r0, 2
+        add.u32 r2, r1, %param0
+        add.u32 r3, r1, %param1
+        ld.global.b32 r4, [r2+0]
+        ld.global.b32 r5, [r3+0]
+        mov.b32 r6, %param2
+        mad.f32 r7, r6, r4, r5
+        st.global.b32 [r3+0], r7
+        exit";
+    let program = std::sync::Arc::new(assemble(saxpy).unwrap());
+    let params = vec![x as u32, y as u32, 2.0f32.to_bits()];
+    let mut gpu = Gpu::new(GpuConfig::case_study_1());
+    let mut ctx = GlobalMemCtx::new(mem);
+    let mut port = SimpleMemPort::new(MemorySystem::new(MemorySystemConfig::baseline(
+        2,
+        DramConfig::lpddr3_1600(),
+    )));
+    gpu.launch_kernel(Kernel::linear(program, n as usize, 64, params));
+    prof::set_enabled(true);
+    prof::reset();
+    let cycles = gpu.run_to_idle(0, 10_000_000, &mut ctx, &mut port);
+    let profile = prof::take();
+    prof::set_enabled(false);
+    assert_eq!(profile.gpu_cycles, cycles);
+    assert!(
+        profile.ticks * 10 <= cycles * 6,
+        "{} loop iterations for {cycles} simulated cycles",
+        profile.ticks
+    );
 }
