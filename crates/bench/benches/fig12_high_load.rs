@@ -14,7 +14,6 @@ fn main() {
     let mut rows = Vec::new();
     for m in m_models() {
         eprintln!("[fig12] {} ...", m.id);
-        eprintln!("[fig12] {} ...", m.id);
         // Deadline calibrated at regular load: under high load the system
         // genuinely struggles to meet it, as in the paper.
         let period = calibrate_period(&m, w, h);

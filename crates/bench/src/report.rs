@@ -31,11 +31,6 @@ pub fn norm(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Formats a percentage with sign ("+7.3%", "-12.0%").
-pub fn pct(x: f64) -> String {
-    format!("{:+.1}%", x * 100.0)
-}
-
 /// Prints a `(x, y)` series as compact columns (time-line figures).
 pub fn print_series(title: &str, unit: &str, series: &[(String, Vec<f64>)], x_labels: &[String]) {
     println!("\n== {title} ({unit}) ==");
@@ -71,8 +66,6 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(norm(1.0), "1.00");
         assert_eq!(norm(0.854), "0.85");
-        assert_eq!(pct(0.073), "+7.3%");
-        assert_eq!(pct(-0.12), "-12.0%");
         assert_eq!(geomean_or_one(&[]), 1.0);
         assert!((geomean_or_one(&[2.0, 8.0]) - 4.0).abs() < 1e-9);
     }

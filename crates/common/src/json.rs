@@ -114,26 +114,30 @@ pub fn escape_into(out: &mut String, s: &str) {
 /// representation and serialize as `null`.
 pub fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
-        let s = format!("{v}");
         // `Display` omits the fraction for integral values ("3"); that is
         // already valid JSON, so keep it.
-        s
+        format!("{v}")
     } else {
-        debug_assert!(v.is_finite(), "non-finite number has no JSON encoding");
         "null".to_string()
     }
 }
 
-/// A single-line, escape-correct JSON builder.
+/// The one escape-correct JSON builder every emitter in the workspace
+/// goes through.
 ///
 /// The writer tracks nesting and inserts commas, so call sites only state
-/// structure: `begin_obj` / `key` / value / `end_obj`. Output contains no
-/// newlines — one finished document is one JSONL record. Misuse (a value
-/// where a key is required, unbalanced `end_*`) panics: the writer is an
-/// in-process serializer, not a parser of untrusted input.
+/// structure: `begin_obj` / `key` / value / `end_obj`. [`JsonWriter::new`]
+/// output contains no newlines — one finished document is one JSONL
+/// record; [`JsonWriter::pretty`] puts each element on its own line,
+/// indented two spaces per level, for files a person reads. The two parse
+/// to equal values. Misuse (a value where a key is required, unbalanced
+/// `end_*`) panics: the writer is an in-process serializer, not a parser
+/// of untrusted input.
 #[derive(Debug, Default)]
 pub struct JsonWriter {
     out: String,
+    /// One element per line, indented by depth.
+    pretty: bool,
     /// One frame per open container: `true` = object (expects keys).
     stack: Vec<bool>,
     /// Whether the current container already holds an element.
@@ -143,9 +147,35 @@ pub struct JsonWriter {
 }
 
 impl JsonWriter {
-    /// Creates an empty writer.
+    /// Creates an empty single-line writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty writer that breaks and indents every element.
+    pub fn pretty() -> Self {
+        Self {
+            pretty: true,
+            ..Self::default()
+        }
+    }
+
+    /// Starts the line of an element (or of a closing bracket) at `depth`.
+    fn newline(&mut self, depth: usize) {
+        if self.pretty {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n("  ", depth));
+        }
+    }
+
+    /// Separates the next element of the innermost container from the
+    /// previous one.
+    fn next_elem(&mut self) {
+        let h = self.has_elem.last_mut().expect("container");
+        if std::mem::replace(h, true) {
+            self.out.push(',');
+        }
+        self.newline(self.stack.len());
     }
 
     fn comma(&mut self) {
@@ -153,16 +183,20 @@ impl JsonWriter {
             self.pending_key = false;
             return;
         }
-        if let Some(h) = self.has_elem.last_mut() {
+        if let Some(is_obj) = self.stack.last() {
             assert!(
-                !*self.stack.last().expect("container"),
+                !is_obj,
                 "JsonWriter: value in object position requires a key"
             );
-            if *h {
-                self.out.push(',');
-            }
-            *h = true;
+            self.next_elem();
         }
+    }
+
+    fn end(&mut self, close: char) {
+        if self.has_elem.pop().expect("container") {
+            self.newline(self.stack.len());
+        }
+        self.out.push(close);
     }
 
     /// Opens an object (as a value or the document root).
@@ -177,8 +211,7 @@ impl JsonWriter {
     /// Closes the innermost object.
     pub fn end_obj(&mut self) -> &mut Self {
         assert_eq!(self.stack.pop(), Some(true), "end_obj without begin_obj");
-        self.has_elem.pop();
-        self.out.push('}');
+        self.end('}');
         self
     }
 
@@ -194,8 +227,7 @@ impl JsonWriter {
     /// Closes the innermost array.
     pub fn end_arr(&mut self) -> &mut Self {
         assert_eq!(self.stack.pop(), Some(false), "end_arr without begin_arr");
-        self.has_elem.pop();
-        self.out.push(']');
+        self.end(']');
         self
     }
 
@@ -205,13 +237,10 @@ impl JsonWriter {
             matches!(self.stack.last(), Some(true)) && !self.pending_key,
             "JsonWriter: key outside an object"
         );
-        if *self.has_elem.last().expect("object") {
-            self.out.push(',');
-        }
-        *self.has_elem.last_mut().expect("object") = true;
+        self.next_elem();
         self.out.push('"');
         escape_into(&mut self.out, k);
-        self.out.push_str("\":");
+        self.out.push_str(if self.pretty { "\": " } else { "\":" });
         self.pending_key = true;
         self
     }
@@ -235,15 +264,9 @@ impl JsonWriter {
 
     /// Writes an unsigned integer exactly (no float round-trip).
     pub fn num_u64(&mut self, v: u64) -> &mut Self {
+        use std::fmt::Write as _;
         self.comma();
-        self.out.push_str(&v.to_string());
-        self
-    }
-
-    /// Writes a signed integer exactly.
-    pub fn num_i64(&mut self, v: i64) -> &mut Self {
-        self.comma();
-        self.out.push_str(&v.to_string());
+        let _ = write!(self.out, "{v}");
         self
     }
 
@@ -539,7 +562,6 @@ mod tests {
         w.begin_obj();
         w.key("name").str("line\none \"quoted\"");
         w.key("n").num_u64(42);
-        w.key("neg").num_i64(-7);
         w.key("pi").num(3.25);
         w.key("flag").bool(true);
         w.key("none").null();
@@ -551,10 +573,23 @@ mod tests {
         let text = w.finish();
         assert_eq!(
             text,
-            r#"{"name":"line\none \"quoted\"","n":42,"neg":-7,"pi":3.25,"flag":true,"none":null,"arr":[1,2,{"k":"v"}]}"#
+            r#"{"name":"line\none \"quoted\"","n":42,"pi":3.25,"flag":true,"none":null,"arr":[1,2,{"k":"v"}]}"#
         );
         assert!(!text.contains('\n'));
         Json::parse(&text).expect("writer output parses");
+    }
+
+    #[test]
+    fn pretty_writer_indents_and_parses_equal_to_compact() {
+        let doc = Json::parse(r#"{"a":[1,{"k":"v"},[]],"b":{},"c":null}"#).unwrap();
+        let mut w = JsonWriter::pretty();
+        w.value(&doc);
+        let text = w.finish();
+        assert_eq!(
+            text,
+            "{\n  \"a\": [\n    1,\n    {\n      \"k\": \"v\"\n    },\n    []\n  ],\n  \"b\": {},\n  \"c\": null\n}"
+        );
+        assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 
     #[test]

@@ -4,15 +4,14 @@
 //!
 //! * [`types`] — cycle counters, addresses, component identifiers and the
 //!   traffic-source tags that the SoC memory controllers schedule by.
-//! * [`stats`] — counters, ratios, histograms and time-series probes used to
-//!   produce the paper's figures.
+//! * [`stats`] — ratios, running summaries and the series statistics
+//!   (Pearson, geomean, relative error) behind the paper's figures.
 //! * [`rng`] — a small deterministic PRNG (`xorshift64*`); simulators must be
 //!   reproducible, so no ambient OS entropy is ever used.
 //! * [`math`] — vectors, matrices and geometric helpers for the graphics
-//!   pipeline (3D transforms, bounding boxes, barycentrics).
+//!   pipeline (3D transforms, bounding boxes, signed areas).
 //! * [`hash`] — a deterministic FxHash-style hasher for per-cycle maps
 //!   (no SipHash overhead, no per-map random seed, platform-stable).
-//! * [`fifo`] — bounded queues, the basic plumbing of the timing model.
 //! * [`check`] — a tiny deterministic property-test harness, so randomized
 //!   tests need no external crates (the build must work offline).
 //! * [`event`] — the [`event::NextEvent`] discrete-event clocking contract
@@ -38,7 +37,6 @@
 
 pub mod check;
 pub mod event;
-pub mod fifo;
 pub mod hash;
 pub mod json;
 pub mod math;
@@ -47,7 +45,6 @@ pub mod snap;
 pub mod stats;
 pub mod types;
 
-pub use fifo::Fifo;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::Xorshift64;
-pub use types::{Addr, ClusterId, CoreId, Cycle, TrafficSource, WarpId};
+pub use types::{Addr, CoreId, Cycle, TrafficSource};

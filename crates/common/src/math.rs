@@ -245,17 +245,6 @@ impl Mat4 {
         )
     }
 
-    /// Rotation of `angle` radians about the Y axis.
-    pub fn rotate_y(angle: f32) -> Self {
-        let (s, c) = angle.sin_cos();
-        Self::from_cols(
-            Vec4::new(c, 0.0, -s, 0.0),
-            Vec4::new(0.0, 1.0, 0.0, 0.0),
-            Vec4::new(s, 0.0, c, 0.0),
-            Vec4::new(0.0, 0.0, 0.0, 1.0),
-        )
-    }
-
     /// Rotation of `angle` radians about the Z axis.
     pub fn rotate_z(angle: f32) -> Self {
         let (s, c) = angle.sin_cos();
@@ -334,16 +323,6 @@ impl Mat4 {
         }
         out
     }
-
-    /// Rebuilds a matrix from [`Mat4::to_array`] output.
-    pub fn from_array(a: &[f32; 16]) -> Self {
-        Self::from_cols(
-            Vec4::new(a[0], a[1], a[2], a[3]),
-            Vec4::new(a[4], a[5], a[6], a[7]),
-            Vec4::new(a[8], a[9], a[10], a[11]),
-            Vec4::new(a[12], a[13], a[14], a[15]),
-        )
-    }
 }
 
 impl Default for Mat4 {
@@ -408,21 +387,6 @@ impl IRect {
     }
 }
 
-/// Barycentric coordinates of point `p` with respect to triangle `(a, b, c)`
-/// in 2D, or `None` for degenerate triangles.
-pub fn barycentric(a: Vec2, b: Vec2, c: Vec2, p: Vec2) -> Option<[f32; 3]> {
-    let v0 = b - a;
-    let v1 = c - a;
-    let v2 = p - a;
-    let den = v0.x * v1.y - v1.x * v0.y;
-    if den.abs() < 1e-12 {
-        return None;
-    }
-    let w1 = (v2.x * v1.y - v1.x * v2.y) / den;
-    let w2 = (v0.x * v2.y - v2.x * v0.y) / den;
-    Some([1.0 - w1 - w2, w1, w2])
-}
-
 /// Twice the signed area of triangle `(a, b, c)`; positive when
 /// counter-clockwise in a y-up coordinate system.
 pub fn signed_area2(a: Vec2, b: Vec2, c: Vec2) -> f32 {
@@ -477,7 +441,7 @@ mod tests {
     fn identity_is_neutral() {
         let v = Vec4::new(1.0, -2.0, 3.0, 1.0);
         assert_eq!(Mat4::IDENTITY.mul_vec4(v), v);
-        let m = Mat4::rotate_y(0.7);
+        let m = Mat4::rotate_x(0.7);
         let i = Mat4::IDENTITY.mul_mat4(&m);
         for c in 0..4 {
             assert!(approx(i.cols[c].x, m.cols[c].x));
@@ -526,29 +490,6 @@ mod tests {
         assert!(approx(c.x, 0.0));
         assert!(approx(c.y, 0.0));
         assert!(approx(c.z, -5.0)); // 5 units in front of the camera
-    }
-
-    #[test]
-    fn matrix_array_roundtrip() {
-        let m = Mat4::perspective(1.0, 1.5, 0.5, 50.0).mul_mat4(&Mat4::rotate_y(0.3));
-        let m2 = Mat4::from_array(&m.to_array());
-        assert_eq!(m, m2);
-    }
-
-    #[test]
-    fn barycentric_vertices_and_centroid() {
-        let a = Vec2::new(0.0, 0.0);
-        let b = Vec2::new(4.0, 0.0);
-        let c = Vec2::new(0.0, 4.0);
-        let w = barycentric(a, b, c, a).unwrap();
-        assert!(approx(w[0], 1.0) && approx(w[1], 0.0) && approx(w[2], 0.0));
-        let centroid = Vec2::new(4.0 / 3.0, 4.0 / 3.0);
-        let w = barycentric(a, b, c, centroid).unwrap();
-        for wi in w {
-            assert!(approx(wi, 1.0 / 3.0));
-        }
-        // Degenerate triangle
-        assert!(barycentric(a, a, b, c).is_none());
     }
 
     #[test]

@@ -192,11 +192,6 @@ impl SnapWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `usize` as `u64` (portable across word sizes).
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
@@ -221,11 +216,6 @@ impl SnapWriter {
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_usize(v.len());
         self.buf.extend_from_slice(v);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_bytes(v.as_bytes());
     }
 
     /// Appends an `Option` as a presence byte plus the value.
@@ -353,13 +343,6 @@ impl<'a> SnapReader<'a> {
         ))
     }
 
-    /// Reads a little-endian `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, SnapError> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
     /// Reads a `usize` stored as `u64`.
     pub fn get_usize(&mut self) -> Result<usize, SnapError> {
         usize::try_from(self.get_u64()?).map_err(|_| SnapError::BadValue {
@@ -405,13 +388,6 @@ impl<'a> SnapReader<'a> {
     pub fn get_bytes(&mut self) -> Result<&'a [u8], SnapError> {
         let n = self.get_len(1)?;
         self.take(n)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<&'a str, SnapError> {
-        std::str::from_utf8(self.get_bytes()?).map_err(|_| SnapError::BadValue {
-            what: "string is not UTF-8",
-        })
     }
 
     /// Reads an `Option` written by [`SnapWriter::put_opt`].
@@ -648,7 +624,7 @@ mod tests {
         let full = write_container(0xC0FFEE, |w| {
             w.section(3, |w| {
                 w.put_u64(99);
-                w.put_str("shared");
+                w.put_bytes(b"shared");
             });
         });
         let shared = SharedSnapshot::new(full.clone()).unwrap();
@@ -659,7 +635,7 @@ mod tests {
             let mut r = shared.reader(0xC0FFEE).unwrap();
             r.section(3, |r| {
                 assert_eq!(r.get_u64()?, 99);
-                assert_eq!(r.get_str()?, "shared");
+                assert_eq!(r.get_bytes()?, b"shared");
                 Ok(())
             })
             .unwrap();
@@ -705,7 +681,6 @@ mod tests {
             let u8v = rng.next_u64() as u8;
             let u32v = rng.next_u32();
             let u64v = rng.next_u64();
-            let i64v = rng.next_u64() as i64;
             let usv = rng.next_u64() as usize;
             let boolv = rng.chance(0.5);
             let f32v = f32::from_bits(rng.next_u32());
@@ -723,13 +698,11 @@ mod tests {
             w.put_u8(u8v);
             w.put_u32(u32v);
             w.put_u64(u64v);
-            w.put_i64(i64v);
             w.put_usize(usv);
             w.put_bool(boolv);
             w.put_f32(f32v);
             w.put_f64(f64v);
             w.put_bytes(&bytes);
-            w.put_str("emerald");
             w.put_opt(&optv, |w, v| w.put_u64(*v));
             w.put_seq(seq.iter(), |w, v| w.put_u32(*v));
             let enc = w.into_bytes();
@@ -738,13 +711,11 @@ mod tests {
             assert_eq!(r.get_u8().unwrap(), u8v);
             assert_eq!(r.get_u32().unwrap(), u32v);
             assert_eq!(r.get_u64().unwrap(), u64v);
-            assert_eq!(r.get_i64().unwrap(), i64v);
             assert_eq!(r.get_usize().unwrap(), usv);
             assert_eq!(r.get_bool().unwrap(), boolv);
             assert_eq!(r.get_f32().unwrap().to_bits(), f32v.to_bits());
             assert_eq!(r.get_f64().unwrap().to_bits(), f64v.to_bits());
             assert_eq!(r.get_bytes().unwrap(), &bytes[..]);
-            assert_eq!(r.get_str().unwrap(), "emerald");
             assert_eq!(r.get_opt(|r| r.get_u64()).unwrap(), optv);
             assert_eq!(r.get_seq(4, |r| r.get_u32()).unwrap(), seq);
             r.finish().unwrap();

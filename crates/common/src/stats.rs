@@ -1,7 +1,5 @@
-//! Statistics collection: ratios, running summaries, histograms and
-//! windowed time series (used for the paper's bandwidth-vs-time figures).
-
-use crate::types::Cycle;
+//! Statistics collection: ratios, running summaries and the series
+//! statistics (correlation, geomean, relative error) the figures report.
 
 /// A hit/total style ratio counter (cache hit rates, row-buffer hit rates…).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -147,158 +145,6 @@ impl Summary {
     }
 }
 
-/// A fixed-width-bucket histogram over `[0, bucket_width * buckets)`, with an
-/// overflow bucket at the end.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    bucket_width: u64,
-    counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` regular buckets of `bucket_width`
-    /// plus one overflow bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width == 0` or `buckets == 0`.
-    pub fn new(bucket_width: u64, buckets: usize) -> Self {
-        assert!(bucket_width > 0 && buckets > 0);
-        Self {
-            bucket_width,
-            counts: vec![0; buckets + 1],
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = ((value / self.bucket_width) as usize).min(self.counts.len() - 1);
-        self.counts[idx] += 1;
-    }
-
-    /// Reconstructs a histogram from previously-exported parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width == 0` or `counts` is empty.
-    pub fn from_counts(bucket_width: u64, counts: Vec<u64>) -> Self {
-        assert!(bucket_width > 0 && !counts.is_empty());
-        Self {
-            bucket_width,
-            counts,
-        }
-    }
-
-    /// Per-bucket counts; the last entry is the overflow bucket.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Width of each regular bucket.
-    pub fn bucket_width(&self) -> u64 {
-        self.bucket_width
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Merges another histogram's counts into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket widths differ. When the bucket counts differ the
-    /// shorter histogram is widened first and overflow samples stay in the
-    /// (new) overflow bucket — an approximation, since their exact values are
-    /// unknown.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bucket_width, other.bucket_width,
-            "cannot merge histograms with different bucket widths"
-        );
-        if other.counts.len() > self.counts.len() {
-            // Keep the overflow bucket last: move our old overflow count into
-            // the bucket range it now falls inside of.
-            let old_overflow_idx = self.counts.len() - 1;
-            self.counts.resize(other.counts.len(), 0);
-            let moved = self.counts[old_overflow_idx];
-            self.counts[old_overflow_idx] = 0;
-            *self.counts.last_mut().unwrap() += moved;
-        }
-        let last = self.counts.len() - 1;
-        for (i, &c) in other.counts.iter().enumerate() {
-            let idx = if i == other.counts.len() - 1 { last } else { i };
-            self.counts[idx] += c;
-        }
-    }
-}
-
-/// Windowed byte-rate probe producing a bandwidth-over-time series, as used
-/// by Figures 10 and 14 of the paper.
-#[derive(Debug, Clone)]
-pub struct BandwidthProbe {
-    window: Cycle,
-    cur_window: Cycle,
-    cur_bytes: u64,
-    total_bytes: u64,
-    samples: Vec<(Cycle, u64)>,
-}
-
-impl BandwidthProbe {
-    /// Creates a probe aggregating bytes over `window`-cycle windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn new(window: Cycle) -> Self {
-        assert!(window > 0, "window must be positive");
-        Self {
-            window,
-            cur_window: 0,
-            cur_bytes: 0,
-            total_bytes: 0,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Records `bytes` transferred at `cycle`. Cycles must be non-decreasing.
-    pub fn record(&mut self, cycle: Cycle, bytes: u64) {
-        let w = cycle / self.window;
-        while w > self.cur_window {
-            self.samples
-                .push((self.cur_window * self.window, self.cur_bytes));
-            self.cur_bytes = 0;
-            self.cur_window += 1;
-        }
-        self.cur_bytes += bytes;
-        self.total_bytes += bytes;
-    }
-
-    /// Flushes the current partial window and returns `(window_start_cycle,
-    /// bytes_in_window)` samples.
-    pub fn finish(mut self) -> Vec<(Cycle, u64)> {
-        self.samples
-            .push((self.cur_window * self.window, self.cur_bytes));
-        self.samples
-    }
-
-    /// Completed-window samples observed so far (excludes the open window).
-    pub fn samples(&self) -> &[(Cycle, u64)] {
-        &self.samples
-    }
-
-    /// All bytes ever recorded.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Window width in cycles.
-    pub fn window(&self) -> Cycle {
-        self.window
-    }
-}
-
 /// Pearson correlation coefficient of paired samples, or `None` when either
 /// series is constant or the lengths differ / are < 2.
 pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
@@ -377,31 +223,6 @@ mod tests {
         assert_eq!(s.min(), -1.0);
         assert_eq!(s.max(), 10.0);
         assert!((s.mean() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(10, 3);
-        for v in [0, 9, 10, 25, 29, 30, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.counts(), &[2, 1, 2, 2]);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    fn bandwidth_probe_windows() {
-        let mut p = BandwidthProbe::new(100);
-        p.record(10, 64);
-        p.record(50, 64);
-        p.record(150, 128);
-        p.record(420, 32);
-        let s = p.finish();
-        assert_eq!(s[0], (0, 128));
-        assert_eq!(s[1], (100, 128));
-        assert_eq!(s[2], (200, 0));
-        assert_eq!(s[3], (300, 0));
-        assert_eq!(s[4], (400, 32));
     }
 
     #[test]

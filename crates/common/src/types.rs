@@ -11,33 +11,13 @@ pub type Addr = u64;
 /// Number of threads in a warp (the paper, like NVIDIA hardware, uses 32).
 pub const WARP_SIZE: usize = 32;
 
-/// Identifier of a GPU SIMT cluster (the paper's "SIMT core cluster").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct ClusterId(pub usize);
-
 /// Identifier of a SIMT core within the whole GPU (global index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CoreId(pub usize);
 
-/// Identifier of a warp slot within one SIMT core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct WarpId(pub usize);
-
-impl fmt::Display for ClusterId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cluster{}", self.0)
-    }
-}
-
 impl fmt::Display for CoreId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "core{}", self.0)
-    }
-}
-
-impl fmt::Display for WarpId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "warp{}", self.0)
     }
 }
 
@@ -142,19 +122,6 @@ impl AccessKind {
     }
 }
 
-/// Aligns `addr` down to a `block` boundary. `block` must be a power of two.
-///
-/// # Examples
-///
-/// ```
-/// # use emerald_common::types::align_down;
-/// assert_eq!(align_down(0x1234, 128), 0x1200);
-/// ```
-pub fn align_down(addr: Addr, block: u64) -> Addr {
-    debug_assert!(block.is_power_of_two());
-    addr & !(block - 1)
-}
-
 /// Integer ceiling division.
 ///
 /// ```
@@ -181,18 +148,8 @@ mod tests {
     }
 
     #[test]
-    fn align_down_powers_of_two() {
-        assert_eq!(align_down(0, 64), 0);
-        assert_eq!(align_down(63, 64), 0);
-        assert_eq!(align_down(64, 64), 64);
-        assert_eq!(align_down(0xffff_ffff, 128), 0xffff_ff80);
-    }
-
-    #[test]
     fn display_formats() {
-        assert_eq!(ClusterId(2).to_string(), "cluster2");
         assert_eq!(CoreId(5).to_string(), "core5");
-        assert_eq!(WarpId(7).to_string(), "warp7");
         assert_eq!(TrafficSource::Cpu(1).to_string(), "cpu1");
         assert_eq!(TrafficSource::Gpu.to_string(), "gpu");
     }

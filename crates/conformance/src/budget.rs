@@ -29,14 +29,6 @@ pub struct FrameBudget {
 }
 
 impl FrameBudget {
-    /// Starts a budget clock with an explicit limit (tests).
-    pub fn with_limit_ms(budget_ms: u64) -> FrameBudget {
-        FrameBudget {
-            start: Instant::now(),
-            budget_ms: Some(budget_ms),
-        }
-    }
-
     /// Starts a budget clock from `EMERALD_CONF_FRAME_BUDGET_MS`
     /// (disarmed when unset or unparsable).
     pub fn from_env() -> FrameBudget {
@@ -119,7 +111,10 @@ mod tests {
         let d = crate::snapconf::cube_draw(&soc, 0);
         soc.run_frame(vec![d], 60_000_000);
 
-        let budget = FrameBudget::with_limit_ms(0);
+        let budget = FrameBudget {
+            start: Instant::now(),
+            budget_ms: Some(0),
+        };
         assert!(budget.exceeded(), "zero budget is immediately spent");
         let dir = std::env::temp_dir().join(format!("emerald_timeout_snap_{}", std::process::id()));
         let path = dump_snapshot_to(&dir, "budget_test", &soc).expect("dump snapshot");

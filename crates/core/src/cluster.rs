@@ -337,11 +337,6 @@ impl ClusterPipe {
         self.setup_in.push_back(p);
     }
 
-    /// Clears the Hi-Z buffer (start of frame).
-    pub fn clear_hiz(&mut self) {
-        self.hiz.clear();
-    }
-
     /// True when every stage before fragment shading is drained.
     pub fn upstream_empty(&self) -> bool {
         self.setup_in.is_empty()

@@ -61,11 +61,6 @@ impl<M: FuncMem> GfxCtx<M> {
         self.textures[slot] = tex;
     }
 
-    /// Switches the render target.
-    pub fn set_render_target(&mut self, rt: RenderTarget) {
-        self.rt = rt;
-    }
-
     /// The current render target.
     pub fn render_target(&self) -> &RenderTarget {
         &self.rt

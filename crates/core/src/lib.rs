@@ -32,7 +32,7 @@
 //!   [`emerald_gpu::Gpu`].
 //! * [`dfsl`] — dynamic fragment-shading load balancing (case study II,
 //!   Algorithm 1).
-//! * [`reference`] — a pure-software reference rasterizer used to validate
+//! * [`mod@reference`] — a pure-software reference rasterizer used to validate
 //!   the hardware model's output images.
 
 #![warn(missing_docs)]
@@ -42,7 +42,6 @@ pub mod cluster;
 pub mod config;
 pub mod ctx;
 pub mod dfsl;
-pub mod energy;
 pub mod geom;
 pub mod reference;
 pub mod renderer;

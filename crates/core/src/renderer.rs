@@ -637,13 +637,6 @@ impl GpuRenderer {
         clk.lap(emerald_obs::prof::HostPhase::GfxPipe);
     }
 
-    /// Advances one cycle using the internal monotonic clock (diagnostic
-    /// convenience mirroring what `run_frame` does).
-    pub fn cycle_dbg(&mut self, port: &mut dyn MemPort) {
-        self.cycle(self.clock, port);
-        self.clock += 1;
-    }
-
     /// One-line internal state summary (diagnostics).
     pub fn debug_snapshot(&self) -> String {
         let ds = self.cur.as_ref();

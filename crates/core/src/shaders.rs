@@ -17,24 +17,12 @@
 use emerald_isa::{assemble_named, Program};
 use std::sync::Arc;
 
-/// Parameter/input slot assignments for the standard shaders.
+/// Input slot assignments for the standard vertex shader.
 pub mod abi {
-    /// `%param0`: vertex buffer base address.
-    pub const PARAM_VB_BASE: usize = 0;
-    /// `%param1`: output vertex buffer base address.
-    pub const PARAM_OVB_BASE: usize = 1;
-    /// `%param2..=17`: column-major MVP matrix (f32 bits).
-    pub const PARAM_MVP0: usize = 2;
     /// Vertex shader `%input0`: vertex index.
     pub const INPUT_VTX_INDEX: usize = 0;
     /// Vertex shader `%input1`: OVB slot index.
     pub const INPUT_OVB_SLOT: usize = 1;
-    /// Fragment varying `%input3`: texture u.
-    pub const ATTR_U: usize = 3;
-    /// Fragment varying `%input4`: texture v.
-    pub const ATTR_V: usize = 4;
-    /// Fragment varying `%input5`: diffuse lighting term.
-    pub const ATTR_DIFFUSE: usize = 5;
 }
 
 /// Builds the uniform parameter vector for [`vertex_transform`].
@@ -213,6 +201,11 @@ mod tests {
     use emerald_scene::mesh::unit_cube;
     use emerald_scene::texture::TextureData;
 
+    // The interpolated varyings, in the order the vertex shader writes them.
+    const ATTR_U: usize = input::FRAG_ATTR0;
+    const ATTR_V: usize = input::FRAG_ATTR0 + 1;
+    const ATTR_DIFFUSE: usize = input::FRAG_ATTR0 + 2;
+
     /// Runs a straight-line (branch-free) program functionally.
     fn run_straightline(
         program: &Program,
@@ -289,7 +282,7 @@ mod tests {
                 t.inputs[input::FRAG_X] = x;
                 t.inputs[input::FRAG_Y] = 1;
                 t.set_input_f32(input::FRAG_Z, z);
-                t.set_input_f32(abi::ATTR_DIFFUSE, 1.0);
+                t.set_input_f32(ATTR_DIFFUSE, 1.0);
                 t
             })
             .collect();
@@ -323,9 +316,9 @@ mod tests {
         t.inputs[input::FRAG_X] = 3;
         t.inputs[input::FRAG_Y] = 3;
         t.set_input_f32(input::FRAG_Z, 0.5);
-        t.set_input_f32(abi::ATTR_U, 0.5);
-        t.set_input_f32(abi::ATTR_V, 0.5);
-        t.set_input_f32(abi::ATTR_DIFFUSE, 0.5);
+        t.set_input_f32(ATTR_U, 0.5);
+        t.set_input_f32(ATTR_V, 0.5);
+        t.set_input_f32(ATTR_DIFFUSE, 0.5);
         let mut threads = vec![t];
         run_straightline(&fs, &mut threads, &[], &mut ctx);
         let px = mem.read_u32(rt.color_addr(3, 3));
@@ -351,7 +344,7 @@ mod tests {
             t.inputs[input::FRAG_X] = 2;
             t.inputs[input::FRAG_Y] = 2;
             t.set_input_f32(input::FRAG_Z, 0.5);
-            t.set_input_f32(abi::ATTR_DIFFUSE, 1.0);
+            t.set_input_f32(ATTR_DIFFUSE, 1.0);
             vec![t]
         };
         let mut threads = mk();

@@ -88,18 +88,6 @@ impl TcMap {
         ((wx + wy * skew) % cores) as usize
     }
 
-    /// Pixel rectangle of TC tile `(tx, ty)`, clamped to the target.
-    pub fn tile_rect(&self, tx: u32, ty: u32) -> IRect {
-        let x0 = (tx * self.tc_px) as i32;
-        let y0 = (ty * self.tc_px) as i32;
-        IRect::new(
-            x0,
-            y0,
-            (x0 + self.tc_px as i32 - 1).min(self.width as i32 - 1),
-            (y0 + self.tc_px as i32 - 1).min(self.height as i32 - 1),
-        )
-    }
-
     /// TC-tile index range (inclusive) covering a pixel rectangle.
     pub fn tiles_overlapping(&self, bbox: &IRect) -> (u32, u32, u32, u32) {
         let (tiles_x, tiles_y) = self.tiles();
@@ -171,13 +159,6 @@ mod tests {
         let min = *counts.iter().min().unwrap();
         let max = *counts.iter().max().unwrap();
         assert!(max - min <= ty, "imbalance {min}..{max}");
-    }
-
-    #[test]
-    fn tile_rect_clamps_at_edges() {
-        let m = TcMap::new(100, 50, 8, 1, 4);
-        let r = m.tile_rect(12, 6);
-        assert_eq!(r, IRect::new(96, 48, 99, 49));
     }
 
     #[test]

@@ -7,10 +7,12 @@ use emerald_isa::ExecCtx;
 use emerald_mem::image::{MemImage, MemReadGuard, SharedMem};
 use emerald_mem::view::{StoreBuffer, WClass};
 
-/// Upper bound on scratchpad growth when no explicit limit is set. Big
-/// enough for any realistic grid's shared-memory footprint, small enough
-/// that a stray huge shared-space address cannot allocate gigabytes.
-pub const DEFAULT_SHARED_LIMIT: usize = 64 << 20;
+/// Upper bound on scratchpad growth (a power of two). Big enough for any
+/// realistic grid's shared-memory footprint, small enough that a stray
+/// huge shared-space address cannot allocate gigabytes. Accesses beyond it
+/// behave like out-of-range image accesses: writes are dropped, reads
+/// return 0.
+const SHARED_LIMIT: usize = 64 << 20;
 
 /// An [`ExecCtx`] backed by the shared memory image, with a flat scratchpad
 /// for `MemSpace::Shared`. Graphics instructions are inert (they return
@@ -20,7 +22,6 @@ pub const DEFAULT_SHARED_LIMIT: usize = 64 << 20;
 pub struct GlobalMemCtx {
     mem: SharedMem,
     scratch: Vec<u8>,
-    shared_limit: usize,
 }
 
 impl GlobalMemCtx {
@@ -29,25 +30,12 @@ impl GlobalMemCtx {
         Self {
             mem,
             scratch: Vec::new(),
-            shared_limit: DEFAULT_SHARED_LIMIT,
         }
     }
 
     /// The underlying shared memory image.
     pub fn mem(&self) -> &SharedMem {
         &self.mem
-    }
-
-    /// Caps scratchpad growth at `bytes` (e.g. the launched kernels'
-    /// declared shared size). Accesses beyond the cap behave like
-    /// out-of-range image accesses: writes are dropped, reads return 0.
-    pub fn set_shared_limit(&mut self, bytes: usize) {
-        self.shared_limit = bytes;
-    }
-
-    /// Current scratchpad growth cap in bytes.
-    pub fn shared_limit(&self) -> usize {
-        self.shared_limit
     }
 
     fn scratch_u32(&self, addr: Addr) -> u32 {
@@ -61,13 +49,12 @@ impl GlobalMemCtx {
             return;
         };
         if end > self.scratch.len() {
-            // Grow geometrically but never past the declared limit — a
+            // Grow geometrically but never past the limit — a
             // pathological address must not allocate gigabytes.
-            if end > self.shared_limit {
+            if end > SHARED_LIMIT {
                 return;
             }
-            let target = end.next_power_of_two().min(self.shared_limit);
-            self.scratch.resize(target, 0);
+            self.scratch.resize(end.next_power_of_two(), 0);
         }
         self.scratch[i..end].copy_from_slice(&v.to_le_bytes());
     }
@@ -247,11 +234,11 @@ mod tests {
     fn pathological_shared_address_does_not_balloon_scratch() {
         let mem = SharedMem::with_capacity(4096);
         let mut ctx = GlobalMemCtx::new(mem);
-        ctx.set_shared_limit(1 << 16);
         ctx.store(MemSpace::Shared, 1 << 40, 7); // dropped, no resize
-        assert!(ctx.scratch.len() <= 1 << 16);
+        ctx.store(MemSpace::Shared, SHARED_LIMIT as Addr, 7); // first word past the cap
+        assert!(ctx.scratch.is_empty());
         assert_eq!(ctx.load(MemSpace::Shared, 1 << 40), 0);
-        // In-limit accesses still work, and growth stops at the cap.
+        // In-limit accesses still work and grow only to what they need.
         ctx.store(MemSpace::Shared, (1 << 16) - 4, 9);
         assert_eq!(ctx.load(MemSpace::Shared, (1 << 16) - 4), 9);
         assert_eq!(ctx.scratch.len(), 1 << 16);

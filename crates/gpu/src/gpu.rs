@@ -276,8 +276,8 @@ impl Gpu {
     /// core, no queued interconnect/L2 traffic, no outstanding DRAM read.
     /// Unlike [`Gpu::is_idle`] this is O(1) (it trusts the active list
     /// rebuilt by the last `cycle` or `skip`) and ignores undispatched
-    /// kernels, so the self-profiler can call it every cycle to count the
-    /// cycles in which the GPU had nothing to wait for.
+    /// kernels: it is the cheap first test of the quiescent fast path in
+    /// [`Gpu::cycle`].
     pub fn is_quiescent(&self) -> bool {
         self.active.is_empty() && self.no_traffic()
     }
@@ -454,7 +454,7 @@ impl Gpu {
             port.tick(now);
             while port.recv(now).is_some() {}
             if emerald_obs::prof::enabled() {
-                emerald_obs::prof::record_gpu_cycle(0, true);
+                emerald_obs::prof::record_gpu_cycle();
             }
             clk.lap(emerald_obs::prof::HostPhase::GpuDram);
             return;
@@ -465,7 +465,7 @@ impl Gpu {
         self.dispatch_ctas();
         self.collect_active();
         if emerald_obs::prof::enabled() {
-            emerald_obs::prof::record_gpu_cycle(self.active.len(), self.is_quiescent());
+            emerald_obs::prof::record_gpu_cycle();
         }
         clk.lap(emerald_obs::prof::HostPhase::GpuDispatch);
 
@@ -657,7 +657,7 @@ impl Gpu {
     /// this GPU's `next_event`: what cycling through them would have
     /// changed is time-linear — each active core's cycle count, and one
     /// counted retry per cycle at every LSU head and L2 bank blocked on a
-    /// memoised cache stall — plus the profiler's per-cycle occupancy.
+    /// memoised cache stall — plus the profiler's cycle count.
     /// The one booking site for a parked GPU; the clocking kernel calls it
     /// where it jumps.
     pub fn skip(&mut self, delta: Cycle) {
@@ -666,9 +666,7 @@ impl Gpu {
             self.cores[i].skip(delta);
         }
         self.l2.skip(delta);
-        if emerald_obs::prof::enabled() {
-            emerald_obs::prof::record_gpu_skip(delta, self.active.len(), self.is_quiescent());
-        }
+        emerald_obs::prof::record_gpu_skip(delta);
     }
 }
 

@@ -60,11 +60,11 @@ enum PendingOp {
 /// # Examples
 ///
 /// ```
-/// use emerald_isa::{ProgramBuilder, Reg, Special};
+/// use emerald_isa::{AluKind, DType, ProgramBuilder, Reg, Special};
 ///
 /// let mut b = ProgramBuilder::new("double");
 /// b.mov(Reg(0), Special::Input(0));
-/// b.mul_f32(Reg(1), Reg(0), 2.0f32);
+/// b.alu(AluKind::Mul, DType::F32, Reg(1), Reg(0), 2.0f32);
 /// b.exit();
 /// let program = b.build().unwrap();
 /// assert_eq!(program.len(), 3);
@@ -136,43 +136,6 @@ impl ProgramBuilder {
             d,
             a: a.into(),
             b: b.into(),
-        })
-    }
-
-    /// `add.f32`.
-    pub fn add_f32(&mut self, d: Reg, a: impl Into<Operand>, b: impl Into<Operand>) -> &mut Self {
-        self.alu(AluKind::Add, DType::F32, d, a, b)
-    }
-
-    /// `sub.f32`.
-    pub fn sub_f32(&mut self, d: Reg, a: impl Into<Operand>, b: impl Into<Operand>) -> &mut Self {
-        self.alu(AluKind::Sub, DType::F32, d, a, b)
-    }
-
-    /// `mul.f32`.
-    pub fn mul_f32(&mut self, d: Reg, a: impl Into<Operand>, b: impl Into<Operand>) -> &mut Self {
-        self.alu(AluKind::Mul, DType::F32, d, a, b)
-    }
-
-    /// `add.u32`.
-    pub fn add_u32(&mut self, d: Reg, a: impl Into<Operand>, b: impl Into<Operand>) -> &mut Self {
-        self.alu(AluKind::Add, DType::U32, d, a, b)
-    }
-
-    /// `mad.f32 d = a*b + c`.
-    pub fn mad_f32(
-        &mut self,
-        d: Reg,
-        a: impl Into<Operand>,
-        b: impl Into<Operand>,
-        c: impl Into<Operand>,
-    ) -> &mut Self {
-        self.push(Op::Mad {
-            ty: DType::F32,
-            d,
-            a: a.into(),
-            b: b.into(),
-            c: c.into(),
         })
     }
 
@@ -766,7 +729,7 @@ mod tests {
     fn builder_matches_assembler() {
         let mut b = ProgramBuilder::new("t");
         b.mov(Reg(0), Special::LaneId);
-        b.add_f32(Reg(1), Reg(0), 1.0);
+        b.alu(AluKind::Add, DType::F32, Reg(1), Reg(0), 1.0);
         b.label("L");
         b.guard(PReg(0), true);
         b.bra("L", "L");

@@ -334,12 +334,6 @@ impl Op {
             Op::Bra { .. } | Op::Bar | Op::Exit | Op::Nop => (0, 0),
         })
     }
-
-    /// True when the op accesses memory (and therefore goes down the
-    /// load/store pipeline of the core).
-    pub fn is_mem(&self) -> bool {
-        self.latency_class() == LatencyClass::Mem
-    }
 }
 
 impl fmt::Display for Op {
@@ -513,13 +507,16 @@ mod tests {
             .latency_class(),
             LatencyClass::Sfu
         );
-        assert!(Op::Ld {
-            space: MemSpace::Global,
-            d: Reg(0),
-            addr: Reg(1),
-            offset: 0
-        }
-        .is_mem());
+        assert_eq!(
+            Op::Ld {
+                space: MemSpace::Global,
+                d: Reg(0),
+                addr: Reg(1),
+                offset: 0
+            }
+            .latency_class(),
+            LatencyClass::Mem
+        );
         assert_eq!(Op::Exit.latency_class(), LatencyClass::Control);
     }
 

@@ -192,11 +192,6 @@ impl ThreadState {
     pub fn set_input_f32(&mut self, k: usize, v: f32) {
         self.inputs[k] = v.to_bits();
     }
-
-    /// Reads input slot `k` as `f32`.
-    pub fn input_f32(&self, k: usize) -> f32 {
-        f32::from_bits(self.inputs[k])
-    }
 }
 
 impl Default for ThreadState {
@@ -221,7 +216,7 @@ mod tests {
     fn input_f32_roundtrip() {
         let mut t = ThreadState::new();
         t.set_input_f32(input::FRAG_Z, 0.5);
-        assert_eq!(t.input_f32(input::FRAG_Z), 0.5);
+        assert_eq!(f32::from_bits(t.inputs[input::FRAG_Z]), 0.5);
     }
 
     #[test]

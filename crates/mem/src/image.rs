@@ -32,11 +32,6 @@ impl MemImage {
         self.data.len()
     }
 
-    /// Bytes allocated so far.
-    pub fn allocated(&self) -> u64 {
-        self.next
-    }
-
     /// Allocates `size` bytes aligned to `align` (power of two); returns the
     /// base address.
     ///
@@ -378,7 +373,7 @@ mod tests {
         b.restore(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(b.read_u32(base), 0xDEAD_BEEF);
-        assert_eq!(b.allocated(), a.allocated());
+        assert_eq!(b.next, a.next);
         assert_eq!(
             b.read_u32(dirt),
             0,

@@ -284,15 +284,6 @@ impl MemorySystem {
         }
     }
 
-    /// Total bytes ever recorded for `class`, including the still-open
-    /// window (0 when probes are disabled).
-    pub fn probe_total_bytes(&self, class: SourceClass) -> u64 {
-        match &self.probes {
-            None => 0,
-            Some(p) => p.probe(class).total(),
-        }
-    }
-
     /// Decodes a request's channel and partition-relative location.
     fn route(&self, req: &MemRequest) -> (usize, crate::mapping::DramLocation) {
         match &self.cfg.steering {
@@ -531,6 +522,11 @@ mod tests {
         }
     }
 
+    /// Bytes the probes recorded for `class`, open window included.
+    fn probe_total_bytes(ms: &MemorySystem, class: SourceClass) -> u64 {
+        ms.probes.as_ref().map_or(0, |p| p.probe(class).total())
+    }
+
     fn drain_all(ms: &mut MemorySystem) -> Vec<MemResponse> {
         let mut out = Vec::new();
         let mut now = 0;
@@ -661,9 +657,9 @@ mod tests {
             ms.drain_finished(now);
             now += 1;
         }
-        assert_eq!(ms.probe_total_bytes(SourceClass::Gpu), 128);
-        assert_eq!(ms.probe_total_bytes(SourceClass::Display), 128);
-        assert_eq!(ms.probe_total_bytes(SourceClass::Cpu), 0);
+        assert_eq!(probe_total_bytes(&ms, SourceClass::Gpu), 128);
+        assert_eq!(probe_total_bytes(&ms, SourceClass::Display), 128);
+        assert_eq!(probe_total_bytes(&ms, SourceClass::Cpu), 0);
     }
 
     #[test]
@@ -758,8 +754,8 @@ mod tests {
         assert_eq!(tail_a, &resp_b[..]);
         assert_eq!(ms.stats().serviced, twin.stats().serviced);
         assert_eq!(
-            ms.probe_total_bytes(SourceClass::Gpu),
-            twin.probe_total_bytes(SourceClass::Gpu)
+            probe_total_bytes(&ms, SourceClass::Gpu),
+            probe_total_bytes(&twin, SourceClass::Gpu)
         );
         assert_eq!(ms.take_trace(), twin.take_trace());
         // Every single-byte truncation of the raw section stream is a

@@ -41,7 +41,7 @@ const SMALL_SCAN: usize = 16;
 /// Writes are kept in program order (`writes`, replayed verbatim at
 /// commit so later stores win exactly as they would have sequentially).
 /// Read-your-own-writes lookups use a small-buffer backward linear scan;
-/// once the log outgrows [`SMALL_SCAN`] entries, a coalescing
+/// once the log outgrows `SMALL_SCAN` (16) entries, a coalescing
 /// [`FxHashMap`] takes over for O(1) lookup. Both the log and the map
 /// keep their capacity across `drain` calls, so steady-state cycles never
 /// reallocate.

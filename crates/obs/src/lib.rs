@@ -1,9 +1,9 @@
 //! Observability layer for the Emerald-rs simulator.
 //!
-//! Three pillars, shared by every simulated component:
+//! Four pillars, shared by every simulated component:
 //!
 //! * [`registry`] — a hierarchical metrics registry. Components publish
-//!   `Counter`/`Gauge`/`Ratio`/`Summary`/`Histogram` instruments under
+//!   `Counter`/`Gauge`/`Ratio`/`Summary` instruments under
 //!   dotted paths (`gpu.core3.l1t.hits`, `mem.dram.ch0.row_hits`), and the
 //!   registry provides snapshot/delta, cross-core merging and JSON/CSV
 //!   dumps at end of run.
@@ -12,11 +12,10 @@
 //!   decisions) behind per-category enable masks, exportable as Chrome
 //!   trace-event JSON that Perfetto renders as a frame timeline.
 //! * [`timeline`] — windowed time-series sampling: fixed-window
-//!   accumulators (the paper's bandwidth-vs-time figures) and a registry
-//!   sampler that produces a timeline for any instrument.
+//!   accumulators (the paper's bandwidth-vs-time figures).
 //! * [`prof`] — host-side self-profiling: wall-clock attribution of the
 //!   simulator's own hot loop (GPU/SoC phases), worker-pool utilization
-//!   and skip-opportunity accounting. Off by default ([`prof::set_enabled`]),
+//!   and loop-iteration accounting. Off by default ([`prof::set_enabled`]),
 //!   zero-cost when disabled, and forbidden from touching simulated state.
 //!
 //! The hot simulation loop pays nothing for any of this until a sink is
@@ -47,5 +46,5 @@ pub mod trace;
 
 pub use prof::{HostPhase, HostProfile};
 pub use registry::{Registry, Snapshot, Value};
-pub use timeline::{Timeline, WindowedSampler};
+pub use timeline::Timeline;
 pub use trace::{TraceCat, TraceEvent};

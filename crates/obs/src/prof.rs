@@ -9,10 +9,10 @@
 //!    display and memory-system work ([`HostPhase`]).
 //! 2. **Pool utilization** — how busy each `CorePool` shard is, and how
 //!    imbalanced the shards are ([`HostProfile::pool_busy_ns`]).
-//! 3. **Skip opportunity** — how many cycles had no GPU work in flight,
-//!    no display DMA pending and no memory request awaiting a scheduling
-//!    decision, i.e. the cycles an event-driven scheduler could
-//!    fast-forward to the next known-time event (ROADMAP item 1).
+//! 3. **Loop iterations per simulated cycle** — how many simulated
+//!    cycles the clocking kernel covered (`gpu_cycles`, `soc_cycles`:
+//!    ticked plus jumped) against how many host loop iterations it took
+//!    (`ticks`), and how much CPU time was advanced inside batch calls.
 //!
 //! # Design constraints
 //!
@@ -72,9 +72,6 @@ pub enum HostPhase {
 /// Number of [`HostPhase`] variants.
 pub const PHASE_COUNT: usize = 10;
 
-/// Number of active-set occupancy histogram buckets (see [`active_bucket`]).
-pub const ACTIVE_BUCKETS: usize = 9;
-
 /// 1 in `SAMPLE_STRIDE` cycles is wall-clock timed; phase totals are
 /// extrapolated by the realized sampling ratio. Prime, so the sample grid
 /// cannot alias against the model's power-of-two periodicities.
@@ -117,19 +114,6 @@ impl HostPhase {
             HostPhase::SocCpu,
             HostPhase::SocOther,
         ]
-    }
-}
-
-/// Histogram bucket for an active-set size: exact 0–3, then power-of-two
-/// ranges 4–7, 8–15, 16–31, 32–63, 64+.
-pub fn active_bucket(n: usize) -> usize {
-    match n {
-        0..=3 => n,
-        4..=7 => 4,
-        8..=15 => 5,
-        16..=31 => 6,
-        32..=63 => 7,
-        _ => 8,
     }
 }
 
@@ -176,13 +160,9 @@ struct Accum {
     loop_ns: u64,
     phase_ns: [u64; PHASE_COUNT],
     gpu_cycles: u64,
-    gpu_zero_active: u64,
-    gpu_skippable: u64,
     soc_cycles: u64,
-    soc_skippable: u64,
     cpu_batches: u64,
     cpu_batch_cycles: u64,
-    active_hist: [u64; ACTIVE_BUCKETS],
     pool_width: usize,
     pool_runs: u64,
     pool_busy_ns: Vec<u64>,
@@ -197,13 +177,9 @@ impl Accum {
             loop_ns: 0,
             phase_ns: [0; PHASE_COUNT],
             gpu_cycles: 0,
-            gpu_zero_active: 0,
-            gpu_skippable: 0,
             soc_cycles: 0,
-            soc_skippable: 0,
             cpu_batches: 0,
             cpu_batch_cycles: 0,
-            active_hist: [0; ACTIVE_BUCKETS],
             pool_width: 0,
             pool_runs: 0,
             pool_busy_ns: Vec::new(),
@@ -314,82 +290,36 @@ fn add_phase_ns(phase: HostPhase, ns: u64) {
     ACC.with(|a| a.borrow_mut().phase_ns[phase as usize] += ns);
 }
 
-/// Per-cycle GPU accounting: active-set occupancy histogram, zero-active
-/// count and GPU-local skip opportunity (quiescent: nothing in flight
-/// anywhere in the GPU). Caller must check [`enabled`] first.
+/// Books one executed `Gpu::cycle`. Caller must check [`enabled`] first.
 #[inline]
-pub fn record_gpu_cycle(active_cores: usize, quiescent: bool) {
-    ACC.with(|a| {
-        let a = &mut *a.borrow_mut();
-        a.gpu_cycles += 1;
-        a.active_hist[active_bucket(active_cores)] += 1;
-        if active_cores == 0 {
-            a.gpu_zero_active += 1;
-        }
-        if quiescent {
-            a.gpu_skippable += 1;
-        }
-    });
+pub fn record_gpu_cycle() {
+    ACC.with(|a| a.borrow_mut().gpu_cycles += 1);
 }
 
-/// Per-cycle SoC accounting: a cycle is *skippable* when the GPU is
-/// quiescent, the display has nothing pending, and no memory request is
-/// queued for a scheduling decision. In-service DRAM accesses complete
-/// at precomputed cycles and CPU script phases are analytically
-/// fast-forwardable, so neither pins a cycle — an event-driven scheduler
-/// could jump to the next known-time event. Caller must check
-/// [`enabled`] first.
+/// Books one executed SoC step. Caller must check [`enabled`] first.
 #[inline]
-pub fn record_soc_cycle(skippable: bool) {
-    ACC.with(|a| {
-        let a = &mut *a.borrow_mut();
-        a.soc_cycles += 1;
-        if skippable {
-            a.soc_skippable += 1;
-        }
-    });
+pub fn record_soc_cycle() {
+    ACC.with(|a| a.borrow_mut().soc_cycles += 1);
 }
 
-/// Batch GPU accounting for `n` event-skipped cycles. Nothing changes
-/// across a skipped stretch, so every cycle of it has the same
-/// `active_cores` and is or is not `quiescent` alike: this books exactly
-/// what `n` calls to `record_gpu_cycle(active_cores, quiescent)` would
-/// have — profiles stay bit-identical whether time was ticked or jumped.
-/// Checks [`enabled`] internally (skips are batched, so the extra check
-/// is off the per-cycle path).
+/// Books `n` event-skipped GPU cycles: exactly what `n` calls to
+/// [`record_gpu_cycle`] would have, so `gpu_cycles` equals simulated time
+/// whether it was ticked or jumped. Checks [`enabled`] internally (skips
+/// are batched, so the extra check is off the per-cycle path).
 #[inline]
-pub fn record_gpu_skip(n: u64, active_cores: usize, quiescent: bool) {
-    if !enabled() {
-        return;
+pub fn record_gpu_skip(n: u64) {
+    if enabled() {
+        ACC.with(|a| a.borrow_mut().gpu_cycles += n);
     }
-    ACC.with(|a| {
-        let a = &mut *a.borrow_mut();
-        a.gpu_cycles += n;
-        a.active_hist[active_bucket(active_cores)] += n;
-        if active_cores == 0 {
-            a.gpu_zero_active += n;
-        }
-        if quiescent {
-            a.gpu_skippable += n;
-        }
-    });
 }
 
-/// Batch SoC accounting for `n` event-skipped cycles: what `n` calls to
-/// `record_soc_cycle(skippable)` would have booked. Checks [`enabled`]
-/// internally.
+/// Books `n` event-skipped SoC cycles: what `n` calls to
+/// [`record_soc_cycle`] would have. Checks [`enabled`] internally.
 #[inline]
-pub fn record_soc_skip(n: u64, skippable: bool) {
-    if !enabled() {
-        return;
+pub fn record_soc_skip(n: u64) {
+    if enabled() {
+        ACC.with(|a| a.borrow_mut().soc_cycles += n);
     }
-    ACC.with(|a| {
-        let a = &mut *a.borrow_mut();
-        a.soc_cycles += n;
-        if skippable {
-            a.soc_skippable += n;
-        }
-    });
 }
 
 /// Records one `CpuCoreModel::run_batch` call that advanced a core by
@@ -494,23 +424,14 @@ pub struct HostProfile {
     /// loop total was measured, sampled sums are rescaled so they sum to
     /// it; otherwise they are stride-extrapolated.
     pub phase_ns: [u64; PHASE_COUNT],
-    /// `Gpu::cycle` invocations observed.
+    /// Simulated GPU cycles covered, executed or jumped.
     pub gpu_cycles: u64,
-    /// GPU cycles with an empty active set.
-    pub gpu_zero_active: u64,
-    /// GPU cycles with nothing in flight anywhere in the GPU.
-    pub gpu_skippable: u64,
-    /// SoC tick-loop cycles observed.
+    /// Simulated SoC cycles covered, executed or jumped.
     pub soc_cycles: u64,
-    /// SoC cycles with no GPU work, display DMA, or queued memory
-    /// request — only known-time events remain (see [`record_soc_cycle`]).
-    pub soc_skippable: u64,
     /// `CpuCoreModel::run_batch` calls observed.
     pub cpu_batches: u64,
     /// Simulated CPU-core cycles advanced inside those batch calls.
     pub cpu_batch_cycles: u64,
-    /// Active-set occupancy histogram (see [`active_bucket`]).
-    pub active_hist: [u64; ACTIVE_BUCKETS],
     /// Widest pool observed (0 when the pool never engaged).
     pub pool_threads: usize,
     /// Pool dispatches observed.
@@ -523,15 +444,6 @@ impl HostProfile {
     /// Sum of all extrapolated phase times.
     pub fn total_phase_ns(&self) -> u64 {
         self.phase_ns.iter().sum()
-    }
-
-    /// Fraction of SoC cycles that were skippable (0 when none observed).
-    pub fn soc_skippable_frac(&self) -> f64 {
-        if self.soc_cycles == 0 {
-            0.0
-        } else {
-            self.soc_skippable as f64 / self.soc_cycles as f64
-        }
     }
 
     /// Lays the extrapolated phases end-to-end as host-thread spans on the
@@ -586,13 +498,9 @@ pub fn take() -> HostProfile {
         loop_ns: acc.loop_ns,
         phase_ns,
         gpu_cycles: acc.gpu_cycles,
-        gpu_zero_active: acc.gpu_zero_active,
-        gpu_skippable: acc.gpu_skippable,
         soc_cycles: acc.soc_cycles,
-        soc_skippable: acc.soc_skippable,
         cpu_batches: acc.cpu_batches,
         cpu_batch_cycles: acc.cpu_batch_cycles,
-        active_hist: acc.active_hist,
         pool_threads: acc.pool_width,
         pool_runs: acc.pool_runs,
         pool_busy_ns: acc.pool_busy_ns,
@@ -712,56 +620,24 @@ mod tests {
     }
 
     #[test]
-    fn gpu_and_soc_counters_accumulate() {
+    fn jumped_cycles_book_what_ticked_cycles_would() {
         set_enabled(true);
         reset();
-        record_gpu_cycle(0, true);
-        record_gpu_cycle(3, false);
-        record_gpu_cycle(12, false);
-        record_soc_cycle(true);
-        record_soc_cycle(false);
-        record_soc_cycle(true);
-        let p = take();
-        set_enabled(false);
-        assert_eq!(p.gpu_cycles, 3);
-        assert_eq!(p.gpu_zero_active, 1);
-        assert_eq!(p.gpu_skippable, 1);
-        assert_eq!(p.active_hist[0], 1);
-        assert_eq!(p.active_hist[3], 1);
-        assert_eq!(p.active_hist[5], 1); // 12 → 8-15
-        assert_eq!(p.soc_cycles, 3);
-        assert_eq!(p.soc_skippable, 2);
-        assert!((p.soc_skippable_frac() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn skip_records_match_per_cycle_clocking() {
-        set_enabled(true);
-        reset();
-        // A quiescent stretch, then a parked one (three cores waiting).
-        for _ in 0..5 {
-            record_gpu_cycle(0, true);
+        for _ in 0..9 {
+            record_gpu_cycle();
         }
-        for _ in 0..4 {
-            record_gpu_cycle(3, false);
+        for _ in 0..3 {
+            record_soc_cycle();
         }
-        record_soc_cycle(true);
-        record_soc_cycle(true);
-        record_soc_cycle(false);
         let ticked = take();
-        reset();
-        record_gpu_skip(5, 0, true);
-        record_gpu_skip(4, 3, false);
-        record_soc_skip(2, true);
-        record_soc_skip(1, false);
+        record_gpu_skip(5);
+        record_gpu_skip(4);
+        record_soc_skip(2);
+        record_soc_skip(1);
         let skipped = take();
         set_enabled(false);
-        assert_eq!(ticked.gpu_cycles, skipped.gpu_cycles);
-        assert_eq!(ticked.gpu_zero_active, skipped.gpu_zero_active);
-        assert_eq!(ticked.gpu_skippable, skipped.gpu_skippable);
-        assert_eq!(ticked.active_hist, skipped.active_hist);
-        assert_eq!(ticked.soc_cycles, skipped.soc_cycles);
-        assert_eq!(ticked.soc_skippable, skipped.soc_skippable);
+        assert_eq!((ticked.gpu_cycles, ticked.soc_cycles), (9, 3));
+        assert_eq!(ticked, skipped);
     }
 
     #[test]
@@ -797,14 +673,14 @@ mod tests {
     fn state_is_scoped_to_the_thread() {
         set_enabled(true);
         reset();
-        record_soc_cycle(true);
+        record_soc_cycle();
         // A sibling thread starts disabled, sees none of our counters, and
         // neither its enabling nor its disabling reaches back here.
         std::thread::spawn(|| {
             assert!(!enabled());
             set_enabled(true);
-            record_soc_cycle(false);
-            record_soc_cycle(false);
+            record_soc_cycle();
+            record_soc_cycle();
             assert_eq!(take().soc_cycles, 2);
             set_enabled(false);
         })
@@ -812,17 +688,5 @@ mod tests {
         .unwrap();
         assert!(enabled());
         assert_eq!(take().soc_cycles, 1);
-    }
-
-    #[test]
-    fn bucket_boundaries() {
-        assert_eq!(active_bucket(0), 0);
-        assert_eq!(active_bucket(3), 3);
-        assert_eq!(active_bucket(4), 4);
-        assert_eq!(active_bucket(7), 4);
-        assert_eq!(active_bucket(8), 5);
-        assert_eq!(active_bucket(63), 7);
-        assert_eq!(active_bucket(64), 8);
-        assert_eq!(active_bucket(10_000), 8);
     }
 }

@@ -5,10 +5,11 @@
 //! merging (aggregate across cores/channels by publishing to the same path),
 //! snapshots with delta-since-snapshot (windowed measurement without
 //! resetting live counters), and machine-readable JSON/CSV dumps at end of
-//! run. Everything is hand-rolled: the offline build has no serde.
+//! run. The JSON forms are walks over [`JsonWriter`], the workspace's one
+//! emitter: the offline build has no serde.
 
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
-use emerald_common::stats::{Histogram, Ratio, Summary};
+use emerald_common::json::{fmt_f64, JsonWriter};
+use emerald_common::stats::{Ratio, Summary};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -24,8 +25,6 @@ pub enum Value {
     Ratio(Ratio),
     /// Streaming count/sum/min/max summary.
     Summary(Summary),
-    /// Fixed-width-bucket histogram.
-    Histogram(Histogram),
 }
 
 impl Value {
@@ -36,23 +35,21 @@ impl Value {
             Value::Gauge(_) => "gauge",
             Value::Ratio(_) => "ratio",
             Value::Summary(_) => "summary",
-            Value::Histogram(_) => "histogram",
         }
     }
 
-    /// A representative scalar: the count/level, the ratio value, the
-    /// summary mean, or the histogram total.
+    /// A representative scalar: the count/level, the ratio value or the
+    /// summary mean.
     pub fn scalar(&self) -> f64 {
         match self {
             Value::Counter(c) | Value::Gauge(c) => *c as f64,
             Value::Ratio(r) => r.value(),
             Value::Summary(s) => s.mean(),
-            Value::Histogram(h) => h.total() as f64,
         }
     }
 
-    /// Merges `other` into `self` (sum counters, combine ratio/summary/
-    /// histogram contributions, keep the larger gauge).
+    /// Merges `other` into `self` (sum counters, combine ratio/summary
+    /// contributions, keep the larger gauge).
     ///
     /// # Panics
     ///
@@ -63,14 +60,13 @@ impl Value {
             (Value::Gauge(a), Value::Gauge(b)) => *a = (*a).max(*b),
             (Value::Ratio(a), Value::Ratio(b)) => a.merge(b),
             (Value::Summary(a), Value::Summary(b)) => a.merge(b),
-            (Value::Histogram(a), Value::Histogram(b)) => a.merge(b),
             (a, b) => panic!("cannot merge {} into {}", b.kind(), a.kind()),
         }
     }
 
     /// The change from `earlier` to `self`.
     ///
-    /// Counters and ratio/summary/histogram components subtract
+    /// Counters and ratio/summary components subtract
     /// (saturating, so a component reset between snapshots yields zeros
     /// rather than wrapping); gauges keep the later value. For summaries the
     /// windowed min/max are unknowable from endpoints, so the later
@@ -89,16 +85,7 @@ impl Value {
                 a.min(),
                 a.max(),
             )),
-            (Value::Histogram(a), Value::Histogram(b)) if a.bucket_width() == b.bucket_width() => {
-                let counts = a
-                    .counts()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| c.saturating_sub(b.counts().get(i).copied().unwrap_or(0)))
-                    .collect();
-                Value::Histogram(Histogram::from_counts(a.bucket_width(), counts))
-            }
-            // Kind or geometry changed between snapshots: the instrument was
+            // Kind changed between snapshots: the instrument was
             // re-registered, so the later value IS the delta.
             (a, _) => a.clone(),
         }
@@ -163,11 +150,6 @@ impl Registry {
     /// Inserts or replaces a summary.
     pub fn set_summary(&mut self, path: impl Into<String>, summary: Summary) {
         self.set(path, Value::Summary(summary));
-    }
-
-    /// Inserts or replaces a histogram.
-    pub fn set_histogram(&mut self, path: impl Into<String>, histogram: Histogram) {
-        self.set(path, Value::Histogram(histogram));
     }
 
     /// Merges `value` into the instrument at `path`, inserting if absent.
@@ -240,16 +222,7 @@ impl Registry {
     /// numbers for counters/gauges). A node that is both a leaf and a parent
     /// stores its own value under `"_self"`.
     pub fn to_json(&self) -> String {
-        let mut root = Node::default();
-        for (path, value) in &self.entries {
-            let mut node = &mut root;
-            for seg in path.split('.') {
-                node = node.children.entry(seg).or_default();
-            }
-            node.value = Some(value);
-        }
-        let mut out = String::new();
-        write_node(&mut out, &root, 0);
+        let mut out = self.render(JsonWriter::pretty());
         out.push('\n');
         out
     }
@@ -259,6 +232,10 @@ impl Registry {
     /// dump can be embedded in a JSONL protocol record. Parsing the two
     /// forms yields equal values.
     pub fn to_json_compact(&self) -> String {
+        self.render(JsonWriter::new())
+    }
+
+    fn render(&self, mut w: JsonWriter) -> String {
         let mut root = Node::default();
         for (path, value) in &self.entries {
             let mut node = &mut root;
@@ -267,9 +244,8 @@ impl Registry {
             }
             node.value = Some(value);
         }
-        let mut out = String::new();
-        write_node_compact(&mut out, &root);
-        out
+        write_node(&mut w, &root);
+        w.finish()
     }
 
     /// Renders the registry as long-format CSV with header
@@ -296,101 +272,9 @@ impl Registry {
                     row("max", fmt_f64(s.max()));
                     row("mean", fmt_f64(s.mean()));
                 }
-                Value::Histogram(h) => {
-                    row("bucket_width", h.bucket_width().to_string());
-                    for (i, &c) in h.counts().iter().enumerate() {
-                        if i == h.counts().len() - 1 {
-                            row("bucket_overflow", c.to_string());
-                        } else {
-                            row(&format!("bucket{i}"), c.to_string());
-                        }
-                    }
-                }
             }
         }
         out
-    }
-}
-
-fn write_value(w: &mut SnapWriter, v: &Value) {
-    match v {
-        Value::Counter(c) => {
-            w.put_u8(0);
-            w.put_u64(*c);
-        }
-        Value::Gauge(g) => {
-            w.put_u8(1);
-            w.put_u64(*g);
-        }
-        Value::Ratio(r) => {
-            w.put_u8(2);
-            r.snap_write(w);
-        }
-        Value::Summary(s) => {
-            w.put_u8(3);
-            w.put_u64(s.count());
-            w.put_f64(s.sum());
-            w.put_f64(s.min());
-            w.put_f64(s.max());
-        }
-        Value::Histogram(h) => {
-            w.put_u8(4);
-            w.put_u64(h.bucket_width());
-            w.put_seq(h.counts().iter(), |w, &c| w.put_u64(c));
-        }
-    }
-}
-
-fn read_value(r: &mut SnapReader<'_>) -> Result<Value, SnapError> {
-    Ok(match r.get_u8()? {
-        0 => Value::Counter(r.get_u64()?),
-        1 => Value::Gauge(r.get_u64()?),
-        2 => Value::Ratio(Ratio::snap_read(r)?),
-        3 => {
-            let count = r.get_u64()?;
-            let sum = r.get_f64()?;
-            let min = r.get_f64()?;
-            let max = r.get_f64()?;
-            Value::Summary(Summary::from_parts(count, sum, min, max))
-        }
-        4 => {
-            let width = r.get_u64()?;
-            let counts = r.get_seq(8, |r| r.get_u64())?;
-            if width == 0 || counts.is_empty() {
-                return Err(SnapError::BadValue {
-                    what: "histogram geometry",
-                });
-            }
-            Value::Histogram(Histogram::from_counts(width, counts))
-        }
-        _ => {
-            return Err(SnapError::BadValue {
-                what: "registry value tag",
-            })
-        }
-    })
-}
-
-impl emerald_common::snap::Snapshot for Registry {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_seq(self.entries.iter(), |w, (path, value)| {
-            w.put_str(path);
-            write_value(w, value);
-        });
-    }
-}
-
-impl emerald_common::snap::Restore for Registry {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.get_len(1)?;
-        let mut entries = BTreeMap::new();
-        for _ in 0..n {
-            let path = r.get_str()?.to_string();
-            let value = read_value(r)?;
-            entries.insert(path, value);
-        }
-        self.entries = entries;
-        Ok(())
     }
 }
 
@@ -400,179 +284,41 @@ struct Node<'a> {
     children: BTreeMap<&'a str, Node<'a>>,
 }
 
-fn write_node(out: &mut String, node: &Node<'_>, depth: usize) {
-    if node.children.is_empty() {
-        if let Some(v) = node.value {
-            write_leaf(out, v, depth);
-        } else {
-            out.push_str("{}");
+fn write_node(w: &mut JsonWriter, node: &Node<'_>) {
+    match (node.value, node.children.is_empty()) {
+        (Some(v), true) => write_leaf(w, v),
+        (own, _) => {
+            w.begin_obj();
+            if let Some(v) = own {
+                w.key("_self");
+                write_leaf(w, v);
+            }
+            for (name, child) in &node.children {
+                w.key(name);
+                write_node(w, child);
+            }
+            w.end_obj();
         }
-        return;
     }
-    out.push_str("{\n");
-    let pad = "  ".repeat(depth + 1);
-    let mut first = true;
-    if let Some(v) = node.value {
-        let _ = write!(out, "{pad}\"_self\": ");
-        write_leaf(out, v, depth + 1);
-        first = false;
-    }
-    for (name, child) in &node.children {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(out, "{pad}\"{}\": ", escape_json(name));
-        write_node(out, child, depth + 1);
-    }
-    let _ = write!(out, "\n{}}}", "  ".repeat(depth));
 }
 
-fn write_node_compact(out: &mut String, node: &Node<'_>) {
-    if node.children.is_empty() {
-        if let Some(v) = node.value {
-            write_leaf_compact(out, v);
-        } else {
-            out.push_str("{}");
-        }
-        return;
-    }
-    out.push('{');
-    let mut first = true;
-    if let Some(v) = node.value {
-        out.push_str("\"_self\":");
-        write_leaf_compact(out, v);
-        first = false;
-    }
-    for (name, child) in &node.children {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\"{}\":", escape_json(name));
-        write_node_compact(out, child);
-    }
-    out.push('}');
-}
-
-fn write_leaf_compact(out: &mut String, value: &Value) {
+fn write_leaf(w: &mut JsonWriter, value: &Value) {
     match value {
         Value::Counter(c) | Value::Gauge(c) => {
-            let _ = write!(out, "{c}");
+            w.num_u64(*c);
         }
         Value::Ratio(r) => {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"ratio\",\"num\":{},\"den\":{},\"value\":{}}}",
-                r.num,
-                r.den,
-                fmt_f64(r.value())
-            );
+            w.begin_obj().key("kind").str("ratio");
+            w.key("num").num_u64(r.num).key("den").num_u64(r.den);
+            w.key("value").num(r.value()).end_obj();
         }
         Value::Summary(s) => {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"summary\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{}}}",
-                s.count(),
-                fmt_f64(s.sum()),
-                fmt_f64(s.min()),
-                fmt_f64(s.max()),
-                fmt_f64(s.mean())
-            );
-        }
-        Value::Histogram(h) => {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"histogram\",\"bucket_width\":{},\"counts\":[",
-                h.bucket_width()
-            );
-            for (i, c) in h.counts().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{c}");
-            }
-            out.push_str("]}");
+            w.begin_obj().key("kind").str("summary");
+            w.key("count").num_u64(s.count()).key("sum").num(s.sum());
+            w.key("min").num(s.min()).key("max").num(s.max());
+            w.key("mean").num(s.mean()).end_obj();
         }
     }
-}
-
-fn write_leaf(out: &mut String, value: &Value, depth: usize) {
-    match value {
-        Value::Counter(c) | Value::Gauge(c) => {
-            let _ = write!(out, "{c}");
-        }
-        Value::Ratio(r) => {
-            let _ = write!(
-                out,
-                "{{\"kind\": \"ratio\", \"num\": {}, \"den\": {}, \"value\": {}}}",
-                r.num,
-                r.den,
-                fmt_f64(r.value())
-            );
-        }
-        Value::Summary(s) => {
-            let _ = write!(
-                out,
-                "{{\"kind\": \"summary\", \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}}}",
-                s.count(),
-                fmt_f64(s.sum()),
-                fmt_f64(s.min()),
-                fmt_f64(s.max()),
-                fmt_f64(s.mean())
-            );
-        }
-        Value::Histogram(h) => {
-            let pad = "  ".repeat(depth + 1);
-            let _ = write!(
-                out,
-                "{{\n{pad}\"kind\": \"histogram\",\n{pad}\"bucket_width\": {},\n{pad}\"counts\": [",
-                h.bucket_width()
-            );
-            for (i, c) in h.counts().iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{c}");
-            }
-            let _ = write!(out, "]\n{}}}", "  ".repeat(depth));
-        }
-    }
-}
-
-/// Formats an `f64` as a JSON-safe token (`null` for non-finite values).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` prints integral floats without a dot; keep them typed as
-        // floats so JSON consumers don't flip between int and float.
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -638,10 +384,6 @@ mod tests {
         s.add(1.5);
         s.add(-2.0);
         reg.set_summary("mem.lat", s);
-        let mut h = Histogram::new(8, 4);
-        h.record(3);
-        h.record(100);
-        reg.set_histogram("mem.q.occ", h);
         // A path that is both a leaf and a parent exercises "_self".
         reg.set_counter("gpu.core0", 1);
 
@@ -651,6 +393,33 @@ mod tests {
             Json::parse(&compact).expect("compact parses"),
             Json::parse(&reg.to_json()).expect("pretty parses"),
         );
+    }
+
+    #[test]
+    fn hostile_paths_and_non_finite_values_stay_valid_json() {
+        use emerald_common::json::Json;
+        let mut reg = Registry::new();
+        // A quote and a control character inside a path segment.
+        reg.set_counter("gpu.\"odd\u{1}\".issued", 3);
+        // A summary whose sum, max and mean have no JSON number.
+        let mut s = Summary::new();
+        s.add(f64::INFINITY);
+        s.add(1.0);
+        reg.set_summary("mem.lat", s);
+
+        let compact = Json::parse(&reg.to_json_compact()).expect("compact parses");
+        assert_eq!(compact, Json::parse(&reg.to_json()).expect("pretty parses"));
+        let gpu = compact.get("gpu").expect("gpu node");
+        assert_eq!(
+            gpu.get("\"odd\u{1}\"").and_then(|n| n.get("issued")),
+            Some(&Json::Num(3.0)),
+            "the segment must round-trip through the escape"
+        );
+        let lat = compact.get("mem").and_then(|m| m.get("lat")).expect("leaf");
+        assert_eq!(lat.get("min"), Some(&Json::Num(1.0)));
+        for field in ["sum", "max", "mean"] {
+            assert_eq!(lat.get(field), Some(&Json::Null), "{field}");
+        }
     }
 
     #[test]
@@ -691,53 +460,10 @@ mod tests {
     fn csv_long_format() {
         let mut reg = Registry::new();
         reg.set_ratio("r", Ratio { num: 1, den: 2 });
-        reg.set_histogram("h", Histogram::new(10, 2));
         let csv = reg.to_csv();
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some("path,kind,field,value"));
-        assert!(csv.contains("h,histogram,bucket_width,10"));
-        assert!(csv.contains("h,histogram,bucket_overflow,0"));
         assert!(csv.contains("r,ratio,num,1"));
         assert!(csv.contains("r,ratio,value,0.5"));
-    }
-
-    #[test]
-    fn snapshot_codec_round_trips_every_value_kind() {
-        use emerald_common::snap::{Restore as _, SnapReader, SnapWriter};
-        let mut reg = Registry::new();
-        reg.set_counter("c", 42);
-        reg.set_gauge("g", 7);
-        reg.set_ratio("r", Ratio { num: 3, den: 9 });
-        let mut s = Summary::new();
-        s.add(1.5);
-        s.add(-2.0);
-        reg.set_summary("s", s);
-        let mut h = Histogram::new(10, 3);
-        h.record(5);
-        h.record(99);
-        reg.set_histogram("h", h);
-
-        let mut w = SnapWriter::new();
-        // Fully qualified: `Registry::snapshot()` (the delta-window API)
-        // shadows the trait method.
-        emerald_common::snap::Snapshot::snapshot(&reg, &mut w);
-        let enc = w.into_bytes();
-
-        let mut restored = Registry::new();
-        restored.set_counter("stale", 1); // must be replaced, not merged
-        let mut rd = SnapReader::new(&enc);
-        restored.restore(&mut rd).unwrap();
-        rd.finish().unwrap();
-        assert!(restored.get("stale").is_none());
-        assert_eq!(restored.to_json(), reg.to_json());
-        assert_eq!(restored.to_csv(), reg.to_csv());
-    }
-
-    #[test]
-    fn fmt_f64_is_json_safe() {
-        assert_eq!(fmt_f64(1.5), "1.5");
-        assert_eq!(fmt_f64(2.0), "2.0");
-        assert_eq!(fmt_f64(f64::NAN), "null");
-        assert_eq!(fmt_f64(f64::INFINITY), "null");
     }
 }

@@ -1,18 +1,12 @@
 //! Windowed time-series sampling.
 //!
-//! [`Timeline`] generalizes the old `BandwidthProbe`: it accumulates an
-//! integer quantity (bytes, events, cycles) into fixed-width cycle windows
-//! and keeps one `(window_start, amount)` sample per window — the shape of
-//! the paper's bandwidth-vs-time figures (Figs. 10, 14). [`WindowedSampler`]
-//! lifts the same idea to whole registries: it snapshots a [`Registry`]
-//! every `window` cycles and records each instrument's per-window delta, so
-//! a Fig. 14-style timeline falls out for *any* instrument without bespoke
-//! probe plumbing.
+//! [`Timeline`] accumulates an integer quantity (bytes, events, cycles)
+//! into fixed-width cycle windows and keeps one `(window_start, amount)`
+//! sample per window — the shape of the paper's bandwidth-vs-time figures
+//! (Figs. 10, 14).
 
-use crate::registry::{Registry, Snapshot};
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::Cycle;
-use std::collections::BTreeMap;
 
 /// Accumulates an integer quantity into fixed-width cycle windows.
 #[derive(Debug, Clone)]
@@ -109,83 +103,12 @@ impl Timeline {
     }
 }
 
-/// Samples every instrument of a [`Registry`] on a fixed cycle cadence,
-/// recording per-window deltas as `(window_end_cycle, value)` series.
-///
-/// Counters and ratio/summary/histogram instruments contribute their
-/// windowed change (the [`crate::registry::Value::delta`] scalar); gauges
-/// contribute their level at the sample point.
-#[derive(Debug, Clone)]
-pub struct WindowedSampler {
-    window: Cycle,
-    next_due: Cycle,
-    last: Snapshot,
-    series: BTreeMap<String, Vec<(Cycle, f64)>>,
-}
-
-impl WindowedSampler {
-    /// Creates a sampler firing every `window` cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn new(window: Cycle) -> Self {
-        assert!(window > 0, "window must be positive");
-        Self {
-            window,
-            next_due: window,
-            last: Snapshot::default(),
-            series: BTreeMap::new(),
-        }
-    }
-
-    /// Samples `reg` if `now` has reached the next window boundary. Call
-    /// once per cycle (or per batch of cycles) from the simulation loop;
-    /// returns `true` when a sample was taken.
-    pub fn maybe_sample(&mut self, now: Cycle, reg: &Registry) -> bool {
-        if now < self.next_due {
-            return false;
-        }
-        self.sample(now, reg);
-        // Skip boundaries the caller coasted past; don't backfill.
-        self.next_due = (now / self.window + 1) * self.window;
-        true
-    }
-
-    /// Unconditionally samples `reg` at `now`.
-    pub fn sample(&mut self, now: Cycle, reg: &Registry) {
-        let delta = reg.delta_since(&self.last);
-        for (path, value) in delta.iter() {
-            self.series
-                .entry(path.to_string())
-                .or_default()
-                .push((now, value.scalar()));
-        }
-        self.last = reg.snapshot();
-    }
-
-    /// The recorded series for one instrument path, if any.
-    pub fn series(&self, path: &str) -> Option<&[(Cycle, f64)]> {
-        self.series.get(path).map(|v| v.as_slice())
-    }
-
-    /// Iterates all recorded series in path order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &[(Cycle, f64)])> {
-        self.series.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
-    }
-
-    /// Window width in cycles.
-    pub fn window(&self) -> Cycle {
-        self.window
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn timeline_matches_bandwidth_probe_semantics() {
+    fn timeline_closes_every_window_including_empty_ones() {
         let mut t = Timeline::new(100);
         t.record(10, 64);
         t.record(50, 64);
@@ -213,39 +136,5 @@ mod tests {
         t2.record(420, 32);
         assert_eq!(t.total(), t2.total());
         assert_eq!(t.finish(), t2.finish());
-    }
-
-    #[test]
-    fn sampler_records_deltas_and_gauge_levels() {
-        let mut reg = Registry::new();
-        let mut sampler = WindowedSampler::new(100);
-
-        reg.set_counter("mem.bytes", 500);
-        reg.set_gauge("mem.q", 4);
-        assert!(!sampler.maybe_sample(99, &reg));
-        assert!(sampler.maybe_sample(100, &reg));
-
-        reg.set_counter("mem.bytes", 800);
-        reg.set_gauge("mem.q", 2);
-        assert!(sampler.maybe_sample(200, &reg));
-        assert!(!sampler.maybe_sample(201, &reg));
-
-        assert_eq!(
-            sampler.series("mem.bytes"),
-            Some(&[(100, 500.0), (200, 300.0)][..])
-        );
-        assert_eq!(sampler.series("mem.q"), Some(&[(100, 4.0), (200, 2.0)][..]));
-    }
-
-    #[test]
-    fn sampler_skips_missed_boundaries() {
-        let mut reg = Registry::new();
-        reg.set_counter("c", 1);
-        let mut sampler = WindowedSampler::new(10);
-        assert!(sampler.maybe_sample(35, &reg));
-        // Next boundary is 40, not 20.
-        assert!(!sampler.maybe_sample(39, &reg));
-        assert!(sampler.maybe_sample(40, &reg));
-        assert_eq!(sampler.series("c").unwrap().len(), 2);
     }
 }

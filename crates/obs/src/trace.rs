@@ -13,12 +13,10 @@
 //! global sink means no component needs a tracer threaded through its
 //! constructor.
 
-use crate::registry::escape_json;
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::json::JsonWriter;
 use emerald_common::types::Cycle;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 /// Event categories, one bit each, used both to gate recording and as the
 /// Perfetto process grouping on export.
@@ -104,7 +102,8 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, u64)>,
 }
 
-const DEFAULT_CAPACITY: usize = 1 << 16;
+/// Events each thread's ring holds before the oldest are evicted.
+const CAPACITY: usize = 1 << 16;
 
 struct Ring {
     events: VecDeque<TraceEvent>,
@@ -114,13 +113,6 @@ struct Ring {
 
 impl Ring {
     fn push(&mut self, ev: TraceEvent) {
-        // A zero-capacity ring records nothing but still counts drops —
-        // `events.len() >= capacity` alone would pop from an empty deque
-        // and then push anyway, growing a "ring" of capacity 0 forever.
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
         while self.events.len() >= self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -134,7 +126,7 @@ thread_local! {
     static RING: RefCell<Ring> = const {
         RefCell::new(Ring {
             events: VecDeque::new(),
-            capacity: DEFAULT_CAPACITY,
+            capacity: CAPACITY,
             dropped: 0,
         })
     };
@@ -146,16 +138,6 @@ pub fn set_enabled(mask: u32) {
     MASK.with(|m| m.set(mask));
 }
 
-/// Enables one category, leaving the others unchanged.
-pub fn enable(cat: TraceCat) {
-    MASK.with(|m| m.set(m.get() | cat.bit()));
-}
-
-/// Disables all recording.
-pub fn disable_all() {
-    set_enabled(0);
-}
-
 /// The current enable mask.
 pub fn enabled_mask() -> u32 {
     MASK.with(|m| m.get())
@@ -164,20 +146,6 @@ pub fn enabled_mask() -> u32 {
 /// Whether `cat` is currently recorded.
 pub fn is_enabled(cat: TraceCat) -> bool {
     enabled_mask() & cat.bit() != 0
-}
-
-/// Resizes the ring buffer (oldest events are dropped if shrinking) and
-/// clears the dropped-event counter. A capacity of `0` is valid: nothing
-/// is buffered and every subsequent emit counts as dropped.
-pub fn set_capacity(capacity: usize) {
-    RING.with(|r| {
-        let mut ring = r.borrow_mut();
-        ring.capacity = capacity;
-        while ring.events.len() > ring.capacity {
-            ring.events.pop_front();
-        }
-        ring.dropped = 0;
-    });
 }
 
 /// Records an instant event (no duration).
@@ -251,11 +219,6 @@ pub fn len() -> usize {
     RING.with(|r| r.borrow().events.len())
 }
 
-/// Events evicted since the last [`set_capacity`]/[`take_dropped`].
-pub fn dropped() -> u64 {
-    RING.with(|r| r.borrow().dropped)
-}
-
 /// Returns and clears the dropped-event counter.
 pub fn take_dropped() -> u64 {
     RING.with(|r| {
@@ -264,167 +227,58 @@ pub fn take_dropped() -> u64 {
     })
 }
 
-/// Interns a string so restored trace events can carry `&'static str`
-/// names. A global dedup pool bounds the leak to one copy per distinct
-/// string ever restored.
-fn intern(s: &str) -> &'static str {
-    use std::collections::BTreeSet;
-    use std::sync::Mutex;
-    static POOL: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    let mut pool = POOL.lock().unwrap();
-    if let Some(&existing) = pool.get(s) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    pool.insert(leaked);
-    leaked
-}
-
-fn cat_from_bit(bit: u32) -> Option<TraceCat> {
-    TraceCat::all().into_iter().find(|c| c.bit() == bit)
-}
-
-/// Serializes the current thread's ring buffer — events in **record
-/// order** (oldest first, even after the ring has wrapped), capacity, and
-/// the dropped-event counter. The enable mask is host configuration and is
-/// not captured.
-pub fn snapshot_ring(w: &mut SnapWriter) {
-    RING.with(|r| {
-        let ring = r.borrow();
-        w.put_usize(ring.capacity);
-        w.put_u64(ring.dropped);
-        // VecDeque iteration is logical (front-to-back) order, not slab
-        // order: a wrapped ring must restore with its oldest event first,
-        // not whichever event happens to sit at slab index 0.
-        w.put_seq(ring.events.iter(), |w, ev| {
-            w.put_u32(ev.cat.bit());
-            w.put_str(ev.name);
-            w.put_u32(ev.track);
-            w.put_u64(ev.ts);
-            w.put_opt(&ev.dur, |w, &d| w.put_u64(d));
-            w.put_seq(ev.args.iter(), |w, &(k, v)| {
-                w.put_str(k);
-                w.put_u64(v);
-            });
-        });
-    });
-}
-
-/// Restores the current thread's ring buffer from
-/// [`snapshot_ring`] bytes, replacing its contents. Event order is the
-/// recorded order; names are re-interned.
-pub fn restore_ring(r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-    let capacity = r.get_usize()?;
-    let dropped = r.get_u64()?;
-    let n = r.get_len(1)?;
-    let mut events = VecDeque::with_capacity(n.min(capacity));
-    for _ in 0..n {
-        let cat = cat_from_bit(r.get_u32()?).ok_or(SnapError::BadValue {
-            what: "trace category bit",
-        })?;
-        let name = intern(r.get_str()?);
-        let track = r.get_u32()?;
-        let ts = r.get_u64()?;
-        let dur = r.get_opt(|r| r.get_u64())?;
-        let args = r.get_seq(9, |r| {
-            let k = intern(r.get_str()?);
-            Ok((k, r.get_u64()?))
-        })?;
-        events.push_back(TraceEvent {
-            cat,
-            name,
-            track,
-            ts,
-            dur,
-            args,
-        });
-    }
-    if events.len() > capacity {
-        return Err(SnapError::BadValue {
-            what: "trace ring holds more events than its capacity",
-        });
-    }
-    RING.with(|r| {
-        let mut ring = r.borrow_mut();
-        ring.events = events;
-        ring.capacity = capacity;
-        ring.dropped = dropped;
-    });
-    Ok(())
-}
-
 /// Serializes events to Chrome trace-event JSON (the `{"traceEvents": []}`
 /// object form). Categories become processes (via `process_name` metadata),
 /// tracks become thread ids, spans use phase `"X"`, instants phase `"i"`.
 /// Cycles map 1:1 to the viewer's microsecond timestamps, so one second of
 /// Perfetto timeline is one million simulated cycles.
 pub fn export_chrome(events: &[TraceEvent]) -> String {
-    let mut out = String::from("{\"traceEvents\": [\n");
-    let mut first = true;
-    let mut emit = |line: String, first: &mut bool| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-        out.push_str("  ");
-        out.push_str(&line);
-    };
+    // One record per line: each is built compact and spliced into the
+    // indented array, so a trace diffs and greps by event.
+    let mut w = JsonWriter::pretty();
+    w.begin_obj().key("traceEvents").begin_arr();
 
     // Name one process per category that actually has events.
-    let mut used: u32 = 0;
-    for ev in events {
-        used |= ev.cat.bit();
-    }
+    let used = events.iter().fold(0u32, |m, ev| m | ev.cat.bit());
     for cat in TraceCat::all() {
         if used & cat.bit() != 0 {
-            emit(
-                format!(
-                    "{{\"ph\": \"M\", \"pid\": {}, \"tid\": 0, \"name\": \"process_name\", \
-                     \"args\": {{\"name\": \"{}\"}}}}",
-                    cat.bit(),
-                    escape_json(cat.name())
-                ),
-                &mut first,
-            );
+            let mut rec = JsonWriter::new();
+            rec.begin_obj().key("ph").str("M");
+            rec.key("pid").num_u64(cat.bit().into());
+            rec.key("tid").num_u64(0);
+            rec.key("name").str("process_name");
+            rec.key("args").begin_obj().key("name").str(cat.name());
+            rec.end_obj().end_obj();
+            w.raw(&rec.finish());
         }
     }
 
     for ev in events {
-        let mut line = String::new();
-        let ph = if ev.dur.is_some() { "X" } else { "i" };
-        let _ = write!(
-            line,
-            "{{\"ph\": \"{ph}\", \"pid\": {}, \"tid\": {}, \"ts\": {}, ",
-            ev.cat.bit(),
-            ev.track,
-            ev.ts
-        );
-        if let Some(dur) = ev.dur {
-            let _ = write!(line, "\"dur\": {dur}, ");
-        } else {
+        let mut rec = JsonWriter::new();
+        rec.begin_obj().key("ph");
+        rec.str(if ev.dur.is_some() { "X" } else { "i" });
+        rec.key("pid").num_u64(ev.cat.bit().into());
+        rec.key("tid").num_u64(ev.track.into());
+        rec.key("ts").num_u64(ev.ts);
+        match ev.dur {
+            Some(dur) => rec.key("dur").num_u64(dur),
             // Thread-scoped instant: renders as an arrow on the track.
-            line.push_str("\"s\": \"t\", ");
-        }
-        let _ = write!(
-            line,
-            "\"name\": \"{}\", \"cat\": \"{}\"",
-            escape_json(ev.name),
-            escape_json(ev.cat.name())
-        );
+            None => rec.key("s").str("t"),
+        };
+        rec.key("name").str(ev.name).key("cat").str(ev.cat.name());
         if !ev.args.is_empty() {
-            line.push_str(", \"args\": {");
-            for (i, (k, v)) in ev.args.iter().enumerate() {
-                if i > 0 {
-                    line.push_str(", ");
-                }
-                let _ = write!(line, "\"{}\": {v}", escape_json(k));
+            rec.key("args").begin_obj();
+            for (k, v) in &ev.args {
+                rec.key(k).num_u64(*v);
             }
-            line.push('}');
+            rec.end_obj();
         }
-        line.push('}');
-        emit(line, &mut first);
+        rec.end_obj();
+        w.raw(&rec.finish());
     }
-    out.push_str("\n]}\n");
+    w.end_arr().end_obj();
+    let mut out = w.finish();
+    out.push('\n');
     out
 }
 
@@ -433,9 +287,32 @@ mod tests {
     use super::*;
 
     fn reset() {
-        disable_all();
-        set_capacity(DEFAULT_CAPACITY);
+        set_enabled(0);
         drain();
+    }
+
+    /// A ring small enough to wrap in a test, and the timestamps it holds.
+    fn small_ring(capacity: usize) -> Ring {
+        Ring {
+            events: VecDeque::new(),
+            capacity,
+            dropped: 0,
+        }
+    }
+
+    fn push_ts(ring: &mut Ring, ts: Cycle) {
+        ring.push(TraceEvent {
+            cat: TraceCat::Warp,
+            name: "w",
+            track: 0,
+            ts,
+            dur: None,
+            args: Vec::new(),
+        });
+    }
+
+    fn drain_ts(ring: &mut Ring) -> Vec<Cycle> {
+        ring.events.drain(..).map(|e| e.ts).collect()
     }
 
     #[test]
@@ -457,18 +334,20 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest() {
-        reset();
-        set_enabled(TraceCat::ALL);
-        set_capacity(3);
-        for i in 0..5u64 {
-            instant(TraceCat::Warp, "w", 0, i);
+        let mut ring = small_ring(3);
+        for i in 0..5 {
+            push_ts(&mut ring, i);
         }
-        assert_eq!(dropped(), 2);
-        let evs = drain();
-        assert_eq!(evs.iter().map(|e| e.ts).collect::<Vec<_>>(), vec![2, 3, 4]);
-        assert_eq!(take_dropped(), 2);
-        assert_eq!(dropped(), 0);
+        assert_eq!(ring.dropped, 2);
+        assert_eq!(drain_ts(&mut ring), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn dropped_counter_is_taken_once() {
         reset();
+        RING.with(|r| r.borrow_mut().dropped = 2);
+        assert_eq!(take_dropped(), 2);
+        assert_eq!(take_dropped(), 0);
     }
 
     #[test]
@@ -482,112 +361,20 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_buffers_nothing_but_counts_drops() {
-        reset();
-        set_enabled(TraceCat::ALL);
-        set_capacity(0);
-        for i in 0..4u64 {
-            instant(TraceCat::Host, "h", 0, i);
-        }
-        assert_eq!(len(), 0);
-        assert_eq!(dropped(), 4);
-        assert!(drain().is_empty());
-        // Restoring a real capacity records again.
-        set_capacity(2);
-        instant(TraceCat::Host, "h", 0, 9);
-        assert_eq!(len(), 1);
-        reset();
-    }
-
-    #[test]
     fn wraparound_preserves_record_order_across_many_wraps() {
-        reset();
-        set_enabled(TraceCat::ALL);
-        set_capacity(4);
+        let mut ring = small_ring(4);
         // 10 full revolutions of the ring: the survivors must always be
         // the newest `capacity` events, in emit order.
-        for i in 0..40u64 {
-            instant(TraceCat::Warp, "w", 0, i);
+        for i in 0..40 {
+            push_ts(&mut ring, i);
         }
-        let ts: Vec<u64> = drain().iter().map(|e| e.ts).collect();
-        assert_eq!(ts, vec![36, 37, 38, 39]);
-        assert_eq!(take_dropped(), 36);
+        assert_eq!(drain_ts(&mut ring), vec![36, 37, 38, 39]);
+        assert_eq!(ring.dropped, 36);
         // Interleaved drains restart cleanly mid-wrap.
-        for i in 0..6u64 {
-            instant(TraceCat::Warp, "w", 0, 100 + i);
+        for i in 0..6 {
+            push_ts(&mut ring, 100 + i);
         }
-        let ts: Vec<u64> = drain().iter().map(|e| e.ts).collect();
-        assert_eq!(ts, vec![102, 103, 104, 105]);
-        reset();
-    }
-
-    #[test]
-    fn restored_wrapped_ring_preserves_event_order() {
-        reset();
-        set_enabled(TraceCat::ALL);
-        set_capacity(4);
-        // Wrap the ring almost twice: survivors are 7..=10, in emit order.
-        for i in 0..11u64 {
-            instant_args(TraceCat::Warp, "w", 0, i, &[("lane", i)]);
-        }
-        let mut w = SnapWriter::new();
-        snapshot_ring(&mut w);
-        let enc = w.into_bytes();
-        let reference = drain();
-        assert_eq!(
-            reference.iter().map(|e| e.ts).collect::<Vec<_>>(),
-            vec![7, 8, 9, 10]
-        );
-
-        let mut r = SnapReader::new(&enc);
-        restore_ring(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(dropped(), 7, "drop counter restores");
-        let restored = drain();
-        assert_eq!(
-            restored, reference,
-            "wrap-around order must survive restore"
-        );
-
-        // The restored ring still behaves as a capacity-4 ring.
-        for i in 0..6u64 {
-            instant(TraceCat::Warp, "w", 0, 100 + i);
-        }
-        let ts: Vec<u64> = drain().iter().map(|e| e.ts).collect();
-        assert_eq!(ts, vec![102, 103, 104, 105]);
-        reset();
-    }
-
-    #[test]
-    fn truncated_ring_snapshot_is_a_typed_error() {
-        reset();
-        set_enabled(TraceCat::ALL);
-        instant(TraceCat::Frame, "f", 0, 1);
-        let mut w = SnapWriter::new();
-        snapshot_ring(&mut w);
-        let enc = w.into_bytes();
-        drain();
-        for cut in 0..enc.len() {
-            let mut r = SnapReader::new(&enc[..cut]);
-            let res = restore_ring(&mut r).and_then(|()| r.finish());
-            assert!(res.is_err(), "{cut}-byte prefix accepted");
-        }
-        reset();
-    }
-
-    #[test]
-    fn shrinking_capacity_keeps_newest_events() {
-        reset();
-        set_enabled(TraceCat::ALL);
-        set_capacity(8);
-        for i in 0..6u64 {
-            instant(TraceCat::Frame, "f", 0, i);
-        }
-        set_capacity(2);
-        let ts: Vec<u64> = drain().iter().map(|e| e.ts).collect();
-        assert_eq!(ts, vec![4, 5]);
-        assert_eq!(dropped(), 0, "set_capacity clears the drop counter");
-        reset();
+        assert_eq!(drain_ts(&mut ring), vec![102, 103, 104, 105]);
     }
 
     #[test]
@@ -601,9 +388,9 @@ mod tests {
             args: vec![("ns", 1_200_000)],
         }];
         let json = export_chrome(&events);
-        assert!(json.contains("\"name\": \"host.prof\""));
-        assert!(json.contains(&format!("\"pid\": {}", TraceCat::Host.bit())));
-        assert!(json.contains("\"dur\": 1200"));
+        assert!(json.contains("\"name\":\"host.prof\""));
+        assert!(json.contains(&format!("\"pid\":{}", TraceCat::Host.bit())));
+        assert!(json.contains("\"dur\":1200"));
     }
 
     #[test]
@@ -637,13 +424,14 @@ mod tests {
             },
         ];
         let json = export_chrome(&events);
-        assert!(json.starts_with("{\"traceEvents\": ["));
-        assert!(json.contains("\"ph\": \"M\""));
-        assert!(json.contains("\"name\": \"gfx.draw\""));
-        assert!(json.contains("\"ph\": \"X\""));
-        assert!(json.contains("\"dur\": 90"));
-        assert!(json.contains("\"args\": {\"prims\": 12}"));
-        assert!(json.contains("\"ph\": \"i\""));
-        assert!(json.contains("\"s\": \"t\""));
+        // Four records (two process names, two events), one per line.
+        assert_eq!(json.lines().filter(|l| l.contains("\"ph\":")).count(), 4);
+        assert!(json.contains("\"ph\":\"M\""));
+        assert!(json.contains("\"name\":\"gfx.draw\""));
+        assert!(json.contains("\"ph\":\"X\""));
+        assert!(json.contains("\"dur\":90"));
+        assert!(json.contains("\"args\":{\"prims\":12}"));
+        assert!(json.contains("\"ph\":\"i\""));
+        assert!(json.contains("\"s\":\"t\""));
     }
 }

@@ -3,7 +3,7 @@
 
 use emerald_common::check::{check, check_n};
 use emerald_common::rng::Xorshift64;
-use emerald_common::stats::{Histogram, Ratio, Summary};
+use emerald_common::stats::{Ratio, Summary};
 use emerald_obs::{Registry, Value};
 
 fn ratio(rng: &mut Xorshift64) -> Ratio {
@@ -20,15 +20,6 @@ fn summary(rng: &mut Xorshift64) -> Summary {
         s.add(rng.below(1_000) as f64);
     }
     s
-}
-
-fn histogram(rng: &mut Xorshift64, bucket_width: u64) -> Histogram {
-    let buckets = 1 + rng.below(4) as usize;
-    let mut h = Histogram::new(bucket_width, buckets);
-    for _ in 0..rng.below(16) {
-        h.record(rng.below(bucket_width * (buckets as u64 + 2)));
-    }
-    h
 }
 
 fn assert_associative(a: &Value, b: &Value, c: &Value) {
@@ -74,23 +65,9 @@ fn summary_merge_is_associative() {
     });
 }
 
-#[test]
-fn histogram_merge_is_associative() {
-    check("histogram_assoc", |rng| {
-        // Same bucket width (merge asserts it), bucket counts free to
-        // differ: the merge widens the shorter side.
-        let w = 1 + rng.below(64);
-        assert_associative(
-            &Value::Histogram(histogram(rng, w)),
-            &Value::Histogram(histogram(rng, w)),
-            &Value::Histogram(histogram(rng, w)),
-        );
-    });
-}
-
 /// Builds a registry with one instrument of every kind under random
 /// dotted paths, returning the paths used.
-fn seed_registry(rng: &mut Xorshift64, reg: &mut Registry) -> [String; 5] {
+fn seed_registry(rng: &mut Xorshift64, reg: &mut Registry) -> [String; 4] {
     let seg = |rng: &mut Xorshift64| ["gpu", "mem", "soc", "core0", "l1"][rng.below(5) as usize];
     let path = |rng: &mut Xorshift64, leaf: &str| format!("{}.{}.{leaf}", seg(rng), seg(rng));
     let paths = [
@@ -98,13 +75,11 @@ fn seed_registry(rng: &mut Xorshift64, reg: &mut Registry) -> [String; 5] {
         path(rng, "depth"),
         path(rng, "hits"),
         path(rng, "latency"),
-        path(rng, "sizes"),
     ];
     reg.set_counter(paths[0].clone(), rng.below(1 << 30));
     reg.set_gauge(paths[1].clone(), rng.below(100));
     reg.set_ratio(paths[2].clone(), ratio(rng));
     reg.set_summary(paths[3].clone(), summary(rng));
-    reg.set_histogram(paths[4].clone(), histogram(rng, 16));
     paths
 }
 
@@ -137,14 +112,6 @@ fn snapshot_plus_delta_reconstructs_the_registry() {
             s2.add(rng.below(1_000) as f64);
         }
         reg.set_summary(paths[3].clone(), s2);
-        let mut h2 = match reg.get(&paths[4]).cloned() {
-            Some(Value::Histogram(h)) => h,
-            _ => unreachable!(),
-        };
-        for _ in 0..rng.below(8) {
-            h2.record(rng.below(200));
-        }
-        reg.set_histogram(paths[4].clone(), h2);
         // An instrument born after the snapshot appears verbatim.
         reg.set_counter("late.arrival", 7);
 
@@ -188,11 +155,6 @@ fn delta_of_unchanged_registry_is_all_zeros() {
             assert_eq!(s.sum(), 0.0);
         } else {
             panic!("summary path missing from delta");
-        }
-        if let Some(Value::Histogram(h)) = delta.get(&paths[4]) {
-            assert_eq!(h.total(), 0);
-        } else {
-            panic!("histogram path missing from delta");
         }
     });
 }

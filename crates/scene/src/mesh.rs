@@ -79,18 +79,6 @@ impl Mesh {
             self.normals[c] = n;
         }
     }
-
-    /// Axis-aligned bounds `(min, max)`; `None` for empty meshes.
-    pub fn bounds(&self) -> Option<(Vec3, Vec3)> {
-        let first = *self.positions.first()?;
-        let mut lo = first;
-        let mut hi = first;
-        for p in &self.positions {
-            lo = Vec3::new(lo.x.min(p.x), lo.y.min(p.y), lo.z.min(p.z));
-            hi = Vec3::new(hi.x.max(p.x), hi.y.max(p.y), hi.z.max(p.z));
-        }
-        Some((lo, hi))
-    }
 }
 
 fn push_quad(m: &mut Mesh, a: u32, b: u32, c: u32, d: u32) {
@@ -446,6 +434,17 @@ pub fn mask() -> Mesh {
 mod tests {
     use super::*;
 
+    /// Axis-aligned bounds `(min, max)` of a non-empty mesh.
+    fn bounds(m: &Mesh) -> (Vec3, Vec3) {
+        let first = m.positions[0];
+        m.positions.iter().fold((first, first), |(lo, hi), p| {
+            (
+                Vec3::new(lo.x.min(p.x), lo.y.min(p.y), lo.z.min(p.z)),
+                Vec3::new(hi.x.max(p.x), hi.y.max(p.y), hi.z.max(p.z)),
+            )
+        })
+    }
+
     #[test]
     fn all_generators_validate() {
         for (name, m) in [
@@ -470,7 +469,7 @@ mod tests {
         let c = unit_cube();
         assert_eq!(c.tri_count(), 12);
         assert_eq!(c.vertex_count(), 24);
-        let (lo, hi) = c.bounds().unwrap();
+        let (lo, hi) = bounds(&c);
         assert_eq!(lo, Vec3::new(-0.5, -0.5, -0.5));
         assert_eq!(hi, Vec3::new(0.5, 0.5, 0.5));
     }
@@ -495,7 +494,7 @@ mod tests {
     fn transform_moves_bounds() {
         let mut c = unit_cube();
         c.transform(&Mat4::translate(Vec3::new(10.0, 0.0, 0.0)));
-        let (lo, hi) = c.bounds().unwrap();
+        let (lo, hi) = bounds(&c);
         assert_eq!(lo.x, 9.5);
         assert_eq!(hi.x, 10.5);
     }
@@ -522,7 +521,7 @@ mod tests {
     #[test]
     fn room_is_bigger_than_cube() {
         let r = room_with_columns(4.0, 2.0, 6.0, 4);
-        let (lo, hi) = r.bounds().unwrap();
+        let (lo, hi) = bounds(&r);
         assert!(hi.x - lo.x >= 4.0 - 1e-3);
         assert!(r.tri_count() > 12);
     }

@@ -9,11 +9,12 @@
 //!   [`emerald_soc::Soc`] plus its resolved sweep parameters and a frame
 //!   cursor. Each [`session::Session::step`] advances exactly one frame
 //!   (a commit boundary), which is the scheduler's time-slice unit.
-//! * [`sched`] — a work-stealing scheduler over host threads. Sessions ×
+//! * [`sched`] — one shared task queue over host threads. Sessions ×
 //!   threads, not cores × threads: intra-sim scaling is weak, so each
 //!   session simulates single-threaded and the host cores are spent on
 //!   session-level parallelism. Re-enqueueing after every slice keeps one
-//!   slow configuration from starving the queue.
+//!   slow configuration from starving the queue; idle workers park; a
+//!   session that panics is reported and the sweep goes on.
 //! * [`sweep`] — a declarative sweep spec (axes over config / workload /
 //!   seed) expanded into a job set, with jobs that share a warmed prefix
 //!   grouped so the prefix simulates **once**, is checkpointed into an
@@ -33,6 +34,6 @@ pub mod sched;
 pub mod session;
 pub mod sweep;
 
-pub use sched::{run_sweep, SweepOutcome};
+pub use sched::{run_sweep, FailedSession, SweepOutcome};
 pub use session::{SessionResult, StartMode};
 pub use sweep::{JobParams, SweepSpec};

@@ -13,14 +13,15 @@
 //! Every response carries `"ok"` and an `"ev"` tag. A sweep streams
 //! incrementally: a `sweep_start` record, then one `session` record *as
 //! each session completes* (with its registry dump embedded compactly),
-//! then a `sweep_done` aggregate. Errors are `{"ok": false, "error":
-//! ...}` and never kill the connection; only `shutdown` (or EOF) ends the
-//! loop.
+//! then one `{"ok": false, "ev": "session", "error": ...}` record per
+//! session that panicked, then a `sweep_done` aggregate. Request errors
+//! are `{"ok": false, "error": ...}` and never kill the connection; only
+//! `shutdown` (or EOF) ends the loop.
 //!
 //! Framebuffer digests are 64-bit and may exceed 2^53, so they travel as
 //! hex strings, not JSON numbers.
 
-use crate::sched;
+use crate::sched::{self, FailedSession};
 use crate::session::SessionResult;
 use crate::sweep::SweepSpec;
 use emerald_common::json::{Json, JsonWriter};
@@ -42,6 +43,19 @@ pub fn session_record(r: &SessionResult) -> String {
     w.key("slices").num_u64(r.slices as u64);
     w.key("fb_digest").str(&format!("{:#018x}", r.fb_digest));
     w.key("registry").raw(&r.registry_json);
+    w.end_obj();
+    w.finish()
+}
+
+/// Formats one panicked session as a protocol record.
+fn failed_session_record(f: &FailedSession) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_obj();
+    w.key("ok").bool(false);
+    w.key("ev").str("session");
+    w.key("id").num_u64(f.id as u64);
+    w.key("label").str(&f.label);
+    w.key("error").str(&f.error);
     w.end_obj();
     w.finish()
 }
@@ -147,12 +161,16 @@ fn run_sweep_streaming(
     if let Some(e) = io_err.into_inner().expect("io error latch") {
         return Err(e);
     }
+    for f in &outcome.failed {
+        writeln_record(out, &failed_session_record(f))?;
+    }
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     writeln_record(
         out,
         &event_record("sweep_done", |w| {
             w.key("name").str(&spec.name);
             w.key("sessions").num_u64(outcome.results.len() as u64);
+            w.key("failed").num_u64(outcome.failed.len() as u64);
             w.key("prefixes").num_u64(outcome.prefixes as u64);
             w.key("total_cycles").num_u64(outcome.total_cycles);
             w.key("wall_ms").num(wall_ms);
@@ -233,6 +251,23 @@ mod tests {
         assert_eq!(done.get("ev").and_then(Json::as_str), Some("sweep_done"));
         assert_eq!(done.get("sessions").and_then(Json::as_num), Some(2.0));
         assert_eq!(done.get("prefixes").and_then(Json::as_num), Some(1.0));
+    }
+
+    #[test]
+    fn failed_session_is_a_session_record_with_ok_false() {
+        let rec = failed_session_record(&FailedSession {
+            id: 3,
+            label: "width=16384".to_string(),
+            error: "memory image \"exhausted\"".to_string(),
+        });
+        let doc = Json::parse(&rec).expect("record is valid JSON");
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(doc.get("ev").and_then(Json::as_str), Some("session"));
+        assert_eq!(doc.get("id").and_then(Json::as_num), Some(3.0));
+        assert_eq!(
+            doc.get("error").and_then(Json::as_str),
+            Some("memory image \"exhausted\"")
+        );
     }
 
     #[test]

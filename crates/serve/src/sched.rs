@@ -1,9 +1,11 @@
-//! Work-stealing scheduler for concurrent sessions.
+//! Shared-queue scheduler for concurrent sessions.
 //!
-//! Each worker owns a deque of tasks. Owners pop from the front and
+//! One FIFO of tasks behind one mutex: workers pop from the front and
 //! re-enqueue sliced sessions at the back (round-robin fairness: one slow
-//! configuration cannot starve the queue); idle workers steal from the
-//! back of a victim's deque. Tasks are *whole sessions* — the simulator
+//! configuration cannot starve the queue), and a worker that finds the
+//! queue empty parks on a condvar until a task arrives or the last
+//! session ends. A slice is a whole frame — tens of milliseconds — so the
+//! one lock is uncontended. Tasks are *whole sessions* — the simulator
 //! inside each stays single-threaded, so host cores scale across
 //! sessions, sidestepping the weak intra-sim scaling.
 //!
@@ -16,14 +18,19 @@
 //! share nothing mutable, and the determinism tests run the same job set
 //! at 1/2/4 workers with shuffled submission and require identical
 //! output.
+//!
+//! Every slice runs under `catch_unwind`: a session that panics (a
+//! configuration the simulator cannot build, a frame past its cycle
+//! budget) is dropped, reported in [`SweepOutcome::failed`] and counted
+//! as finished, so one bad job can neither hang nor kill the sweep.
 
 use crate::session::{Session, SessionResult};
 use crate::sweep::{self, JobSpec, SweepSpec};
 use emerald_common::snap::SharedSnapshot;
 use emerald_core::session::SceneBinding;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// One schedulable unit.
 enum Task {
@@ -56,23 +63,58 @@ enum Task {
     },
 }
 
+impl Task {
+    /// The `(id, label)` of every job that ends if this task does.
+    fn jobs(&self) -> Vec<(usize, String)> {
+        let job = |spec: &JobSpec| (spec.id, spec.label.clone());
+        match self {
+            Task::Cold(spec) | Task::Fork { spec, .. } => vec![job(spec)],
+            Task::Run(session) => vec![job(session.spec())],
+            Task::Prefix { members, .. } | Task::PrefixRun { members, .. } => {
+                members.iter().map(job).collect()
+            }
+        }
+    }
+}
+
+/// A session that panicked instead of finishing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FailedSession {
+    /// Job id from the sweep expansion.
+    pub id: usize,
+    /// Axis-coordinate label.
+    pub label: String,
+    /// The panic message.
+    pub error: String,
+}
+
 /// Aggregate outcome of one sweep run.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
-    /// Per-session results in job-id order.
+    /// Results of the sessions that completed, in job-id order.
     pub results: Vec<SessionResult>,
-    /// Summed final cycles across sessions.
+    /// Sessions that panicked, in job-id order.
+    pub failed: Vec<FailedSession>,
+    /// Summed final cycles across completed sessions.
     pub total_cycles: u64,
     /// Warmed prefixes simulated (0 when forking is off).
     pub prefixes: usize,
 }
 
+/// Everything the workers share, behind the one lock: the task FIFO, the
+/// number of sessions not yet finished (workers exit at zero) and what
+/// the finished ones left.
+struct State {
+    tasks: VecDeque<Task>,
+    unfinished: usize,
+    results: Vec<SessionResult>,
+    failed: Vec<FailedSession>,
+}
+
 struct Shared<'a> {
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Sessions finished so far; workers exit at `expected`.
-    completed: AtomicUsize,
-    expected: usize,
-    results: Mutex<Vec<SessionResult>>,
+    state: Mutex<State>,
+    /// Signalled when a task is pushed and when the last session ends.
+    wake: Condvar,
     on_result: Option<&'a (dyn Fn(&SessionResult) + Sync)>,
 }
 
@@ -81,43 +123,78 @@ impl Shared<'_> {
         if let Some(f) = self.on_result {
             f(&result);
         }
-        self.results.lock().expect("results").push(result);
-        self.completed.fetch_add(1, Ordering::Release);
+        let mut s = self.state.lock().expect("scheduler state");
+        s.results.push(result);
+        self.finished(&mut s, 1);
     }
 
-    fn push(&self, worker: usize, task: Task) {
-        self.deques[worker].lock().expect("deque").push_back(task);
-    }
-
-    /// Own front first (FIFO fairness), then steal from victims' backs.
-    fn next_task(&self, worker: usize) -> Option<Task> {
-        if let Some(t) = self.deques[worker].lock().expect("deque").pop_front() {
-            return Some(t);
+    fn finished(&self, s: &mut State, sessions: usize) {
+        s.unfinished -= sessions;
+        if s.unfinished == 0 {
+            self.wake.notify_all();
         }
-        let n = self.deques.len();
-        for i in 1..n {
-            let victim = (worker + i) % n;
-            if let Some(t) = self.deques[victim].lock().expect("deque").pop_back() {
+    }
+
+    fn push(&self, task: Task) {
+        let mut s = self.state.lock().expect("scheduler state");
+        s.tasks.push_back(task);
+        self.wake.notify_one();
+    }
+
+    /// The next task in FIFO order, parking while the queue is empty;
+    /// `None` once every session has finished.
+    fn next_task(&self) -> Option<Task> {
+        let mut s = self.state.lock().expect("scheduler state");
+        loop {
+            if let Some(t) = s.tasks.pop_front() {
                 return Some(t);
             }
+            if s.unfinished == 0 {
+                return None;
+            }
+            s = self.wake.wait(s).expect("scheduler state");
         }
-        None
+    }
+
+    /// Runs one slice of `task`; a panic inside it fails the task's jobs
+    /// instead of the worker.
+    fn run_guarded(&self, task: Task) {
+        let jobs = task.jobs();
+        // The task is consumed either way and sessions share nothing
+        // mutable, so no broken state outlives an unwound slice.
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run_slice(self, task))) {
+            let error = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("session panicked")
+                .to_string();
+            let mut s = self.state.lock().expect("scheduler state");
+            let sessions = jobs.len();
+            s.failed
+                .extend(jobs.into_iter().map(|(id, label)| FailedSession {
+                    id,
+                    label,
+                    error: error.clone(),
+                }));
+            self.finished(&mut s, sessions);
+        }
     }
 }
 
 /// Runs one task for one slice, re-enqueueing whatever work remains.
-fn run_slice(shared: &Shared<'_>, worker: usize, task: Task) {
+fn run_slice(shared: &Shared<'_>, task: Task) {
     match task {
         Task::Cold(spec) => {
             let session = Session::new_cold(spec).expect("spec validated at parse");
-            advance(shared, worker, session);
+            advance(shared, session);
         }
-        Task::Run(session) => advance(shared, worker, *session),
+        Task::Run(session) => advance(shared, *session),
         Task::Prefix { prefix, members } => {
             let session = Session::new_cold(prefix).expect("spec validated at parse");
-            advance_prefix(shared, worker, session, members);
+            advance_prefix(shared, session, members);
         }
-        Task::PrefixRun { session, members } => advance_prefix(shared, worker, *session, members),
+        Task::PrefixRun { session, members } => advance_prefix(shared, *session, members),
         Task::Fork {
             spec,
             snapshot,
@@ -125,112 +202,96 @@ fn run_slice(shared: &Shared<'_>, worker: usize, task: Task) {
         } => {
             let session =
                 Session::new_forked(spec, &snapshot, binding).expect("fork from own prefix");
-            advance(shared, worker, session);
+            advance(shared, session);
         }
     }
 }
 
-fn advance(shared: &Shared<'_>, worker: usize, mut session: Session) {
+fn advance(shared: &Shared<'_>, mut session: Session) {
     if !session.is_done() && session.step() {
-        shared.push(worker, Task::Run(Box::new(session)));
+        shared.push(Task::Run(Box::new(session)));
     } else {
         shared.record(session.finish());
     }
 }
 
-fn advance_prefix(shared: &Shared<'_>, worker: usize, mut session: Session, members: Vec<JobSpec>) {
+fn advance_prefix(shared: &Shared<'_>, mut session: Session, members: Vec<JobSpec>) {
     if !session.warmup_complete() {
         session.step();
     }
     if !session.warmup_complete() {
-        shared.push(
-            worker,
-            Task::PrefixRun {
-                session: Box::new(session),
-                members,
-            },
-        );
+        shared.push(Task::PrefixRun {
+            session: Box::new(session),
+            members,
+        });
         return;
     }
-    // Warm: snapshot once, then one fork task per member. The members go
-    // on this worker's deque back where idle workers steal them.
+    // Warm: snapshot once, then one fork task per member.
     let snapshot = session.checkpoint_shared();
     let binding = session.binding();
     for spec in members {
-        shared.push(
-            worker,
-            Task::Fork {
-                spec,
-                snapshot: snapshot.clone(),
-                binding: Arc::clone(&binding),
-            },
-        );
+        shared.push(Task::Fork {
+            spec,
+            snapshot: snapshot.clone(),
+            binding: Arc::clone(&binding),
+        });
     }
 }
 
 /// Runs a job set on `workers` threads. `fork` enables snapshot-fork warm
 /// starts for jobs sharing a prefix; submission order is the order of
 /// `jobs` (results are still returned in id order). `on_result` streams
-/// each session's result as it completes, from the completing worker's
-/// thread.
+/// each completed session's result, from the completing worker's thread.
 pub fn run_jobs(
     jobs: Vec<JobSpec>,
     fork: bool,
     workers: usize,
     on_result: Option<&(dyn Fn(&SessionResult) + Sync)>,
 ) -> SweepOutcome {
-    let workers = workers.max(1);
-    let expected = jobs.len();
+    let unfinished = jobs.len();
     let plan = sweep::plan(jobs, fork);
     let prefixes = plan.groups.len();
-    let mut tasks: Vec<Task> = Vec::new();
-    for job in plan.cold {
-        tasks.push(Task::Cold(job));
-    }
-    for group in plan.groups {
-        tasks.push(Task::Prefix {
-            prefix: JobSpec {
-                id: usize::MAX,
-                label: format!("prefix:{}", group.prefix.prefix_key()),
-                params: group.prefix,
-            },
-            members: group.members,
-        });
-    }
+    let mut tasks: VecDeque<Task> = plan.cold.into_iter().map(Task::Cold).collect();
+    tasks.extend(plan.groups.into_iter().map(|group| Task::Prefix {
+        prefix: JobSpec {
+            id: usize::MAX,
+            label: format!("prefix:{}", group.prefix.prefix_key()),
+            params: group.prefix,
+        },
+        members: group.members,
+    }));
 
     let shared = Shared {
-        deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        completed: AtomicUsize::new(0),
-        expected,
-        results: Mutex::new(Vec::with_capacity(expected)),
+        state: Mutex::new(State {
+            tasks,
+            unfinished,
+            results: Vec::with_capacity(unfinished),
+            failed: Vec::new(),
+        }),
+        wake: Condvar::new(),
         on_result,
     };
-    for (i, task) in tasks.into_iter().enumerate() {
-        shared.deques[i % workers]
-            .lock()
-            .expect("deque")
-            .push_back(task);
-    }
-
     std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let shared = &shared;
-            scope.spawn(move || {
-                while shared.completed.load(Ordering::Acquire) < shared.expected {
-                    match shared.next_task(worker) {
-                        Some(task) => run_slice(shared, worker, task),
-                        None => std::thread::yield_now(),
-                    }
+        for _ in 0..workers.max(1) {
+            scope.spawn(|| {
+                while let Some(task) = shared.next_task() {
+                    shared.run_guarded(task);
                 }
             });
         }
     });
 
-    let mut results = shared.results.into_inner().expect("results");
+    let State {
+        mut results,
+        mut failed,
+        ..
+    } = shared.state.into_inner().expect("scheduler state");
     results.sort_by_key(|r| r.id);
+    failed.sort_by_key(|f| f.id);
     let total_cycles = results.iter().map(|r| r.cycles).sum();
     SweepOutcome {
         results,
+        failed,
         total_cycles,
         prefixes,
     }

@@ -1,6 +1,6 @@
 //! One simulation as a `Send` state machine.
 //!
-//! A [`Session`] owns a [`Soc`], its resolved [`JobParams`], and a frame
+//! A [`Session`] owns a [`Soc`], its resolved [`crate::JobParams`], and a frame
 //! cursor. [`Session::step`] advances exactly one frame — the commit
 //! boundary the snapshot layer already uses — which is also the
 //! scheduler's time-slice: after every step the session goes back in the

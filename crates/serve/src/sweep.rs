@@ -40,7 +40,8 @@ pub struct JobParams {
     pub model: String,
     /// Memory-system kind (`"bas"`, `"dcb"`, `"dtb"`, `"hmc"`).
     pub mem: String,
-    /// DRAM timing preset (`"lpddr3_1333"` or `"lpddr3_1600"`).
+    /// DRAM timing preset (`"lpddr3_1333"`, `"lpddr3_1600"`, or the
+    /// reduced-bandwidth stressors `"high_load"` and `"low_bandwidth"`).
     pub dram: String,
     /// Render-target width in pixels.
     pub width: u32,
@@ -141,6 +142,8 @@ impl JobParams {
         match self.dram.as_str() {
             "lpddr3_1333" => Ok(DramConfig::lpddr3_1333()),
             "lpddr3_1600" => Ok(DramConfig::lpddr3_1600()),
+            "high_load" => Ok(DramConfig::high_load()),
+            "low_bandwidth" => Ok(DramConfig::low_bandwidth()),
             other => Err(format!("unknown dram preset {other:?}")),
         }
     }
@@ -437,6 +440,18 @@ mod tests {
         let plan = super::plan(spec.expand().unwrap(), true);
         assert_eq!(plan.cold.len(), 2);
         assert!(plan.groups.is_empty());
+    }
+
+    #[test]
+    fn fig12_spec_runs_the_high_load_dram() {
+        let text = include_str!("../../../sweeps/fig12_high_load.json");
+        let jobs = SweepSpec::parse(text).unwrap().expand().unwrap();
+        assert_eq!(jobs.len(), 16);
+        for job in jobs {
+            let dram = job.params.soc_config().unwrap().memsys.dram;
+            assert_eq!(dram.burst_cycles, 144, "{}", job.label);
+            assert_eq!(dram, DramConfig::high_load(), "{}", job.label);
+        }
     }
 
     #[test]

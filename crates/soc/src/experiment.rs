@@ -105,21 +105,6 @@ pub struct RunParams {
     pub max_cycles_per_frame: Cycle,
 }
 
-impl RunParams {
-    /// Default experiment scale (256×192, 4 profiled frames).
-    pub fn default_scale(dram: DramConfig, gpu_frame_period: Cycle) -> Self {
-        Self {
-            width: 256,
-            height: 192,
-            frames: 4,
-            dram,
-            gpu_frame_period,
-            probe_window: None,
-            max_cycles_per_frame: 400_000_000,
-        }
-    }
-}
-
 /// Measures the BAS GPU frame time for `workload` and derives the frame
 /// period used across all configurations (the paper's app meets 60 FPS
 /// under the baseline, so the deadline sits above the BAS render time).

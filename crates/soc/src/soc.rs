@@ -14,6 +14,7 @@ use emerald_gpu::GpuConfig;
 use emerald_mem::image::SharedMem;
 use emerald_mem::req::{MemRequest, MemResponse, ReqIdGen};
 use emerald_mem::system::{MemorySystem, MemorySystemConfig};
+use emerald_obs::prof::{self, HostPhase, PhaseClock};
 use std::collections::VecDeque;
 
 /// SoC configuration.
@@ -237,11 +238,6 @@ impl Soc {
         self.cpus.cores_mut()[core].debug_reset_rng();
     }
 
-    /// Display statistics.
-    pub fn display_stats(&self) -> crate::display::DisplayStats {
-        self.display.stats()
-    }
-
     /// CPU statistics per core.
     pub fn cpu_stats(&self) -> Vec<crate::cpu::CpuStats> {
         self.cpus.cores().iter().map(|c| c.stats()).collect()
@@ -399,9 +395,11 @@ impl Soc {
     /// One clock cycle of the whole SoC, in the fixed component order the
     /// reference clocking defines: memory system, display, CPU cluster,
     /// renderer, DASH feedback. With `frame` absent the CPU cluster stays
-    /// parked at the frame barrier ([`Soc::idle_until`]).
-    fn step(&mut self, mut frame: Option<Frame<'_>>) {
-        use emerald_obs::prof::{self, HostPhase};
+    /// parked at the frame barrier ([`Soc::idle_until`]). Returns the
+    /// step's phase clock, re-armed at its last lap, so the loop that
+    /// called it can attribute its own between-step work — pin search,
+    /// run-ahead, jump — under the same sampling decision.
+    fn step(&mut self, mut frame: Option<Frame<'_>>) -> PhaseClock {
         prof::tick();
         let mut clk = prof::PhaseClock::start();
         self.now += 1;
@@ -450,18 +448,10 @@ impl Soc {
         self.dash_feedback(rendering_since);
 
         if prof::enabled() {
-            prof::record_soc_cycle(self.nothing_pending());
+            prof::record_soc_cycle();
         }
         clk.lap(HostPhase::SocOther);
-    }
-
-    /// The profiler's skip-opportunity test: the GPU has nothing in
-    /// flight, the display engine has nothing pending and no memory
-    /// request awaits a scheduling decision. In-service DRAM accesses
-    /// complete at precomputed cycles and CPU scripts advance
-    /// analytically, so neither counts.
-    fn nothing_pending(&self) -> bool {
-        self.renderer.gpu.is_quiescent() && !self.display.has_pending() && self.memsys.queued() == 0
+        clk
     }
 
     /// The earliest cycle after `now` (at most `cap`) at which a non-CPU
@@ -492,16 +482,13 @@ impl Soc {
     /// Jumps the clock so the next step executes cycle `wake`, booking the
     /// cycles in between exactly as the per-cycle clocking would have:
     /// nothing moved in them, so the renderer books its parked cores'
-    /// time-linear counters and the profiler gets the same per-cycle
-    /// verdict for each.
+    /// time-linear counters and the profiler gets the cycle count.
     fn jump_to(&mut self, wake: Cycle) {
         if wake > self.now + 1 {
             let delta = wake - 1 - self.now;
             self.now += delta;
             self.renderer.skip(delta);
-            if emerald_obs::prof::enabled() {
-                emerald_obs::prof::record_soc_skip(delta, self.nothing_pending());
-            }
+            prof::record_soc_skip(delta);
         }
     }
 
@@ -524,7 +511,7 @@ impl Soc {
         let cap = cur.frame_start + max_cycles;
         let mut snap = None;
 
-        let prof_loop = emerald_obs::prof::loop_enter();
+        let prof_loop = prof::loop_enter();
         loop {
             // Checkpoint capture sits at loop entry — the end-of-cycle
             // commit point of the previous iteration — so a restored SoC
@@ -539,7 +526,7 @@ impl Soc {
                     snap = Some(self.encode_checkpoint(Some((cur, draws.is_none()))));
                 }
             }
-            self.step(Some((cur, draws)));
+            let mut clk = self.step(Some((cur, draws)));
             let now = self.now;
             if cur.gpu_done && self.cpus.all_done(now) {
                 break;
@@ -562,16 +549,19 @@ impl Soc {
                 continue;
             }
             let w = self.quiet_until(now, cap);
+            clk.lap(HostPhase::SocOther);
             if w > now + 1 {
                 let fence_open = draws.is_some() && !cur.gpu_done;
                 self.cpus
                     .run_ahead(now, w, fence_open, cur.gpu_done, &mut self.ids);
+                clk.lap(HostPhase::SocCpu);
                 if skip {
                     self.jump_to(self.cpus.wake(now, w));
+                    clk.lap(HostPhase::SocOther);
                 }
             }
         }
-        emerald_obs::prof::loop_exit(prof_loop);
+        prof::loop_exit(prof_loop);
         snap
     }
 
@@ -660,8 +650,9 @@ impl Soc {
         Self::restore_body(r, cfg)
     }
 
-    /// Rebuilds a SoC from a validated [`SharedSnapshot`] without copying
-    /// or re-checksumming the container. This is the fork path of the
+    /// Rebuilds a SoC from a validated
+    /// [`SharedSnapshot`](emerald_common::snap::SharedSnapshot) without
+    /// copying or re-checksumming the container. This is the fork path of the
     /// sweep engine: N sessions diverge from one warmed snapshot, each
     /// borrowing the shared bytes for the duration of its own decode.
     pub fn restore_shared(
@@ -725,14 +716,15 @@ impl Soc {
     /// events. No-op if `target <= now`.
     pub fn idle_until(&mut self, target: Cycle) {
         let skip = self.cfg.gpu.event_skip;
-        let prof_loop = emerald_obs::prof::loop_enter();
+        let prof_loop = prof::loop_enter();
         while self.now < target {
-            self.step(None);
+            let mut clk = self.step(None);
             if skip {
                 self.jump_to(self.quiet_until(self.now, target));
+                clk.lap(HostPhase::SocOther);
             }
         }
-        emerald_obs::prof::loop_exit(prof_loop);
+        prof::loop_exit(prof_loop);
     }
 }
 

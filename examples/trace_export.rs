@@ -67,11 +67,11 @@ fn main() {
     let total_ns = profile.total_phase_ns().max(1);
     println!(
         "host profile: {:.1} ms in the frame loop, {} loop iterations for {} simulated cycles \
-         ({:.1}% skippable), {} CPU batches",
+         ({:.3} per cycle), {} CPU batches",
         profile.loop_ns as f64 / 1e6,
         profile.ticks,
         profile.soc_cycles,
-        100.0 * profile.soc_skippable_frac(),
+        profile.ticks as f64 / profile.soc_cycles.max(1) as f64,
         profile.cpu_batches
     );
     for p in HostPhase::all() {

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use emerald_mem::dram::DramConfig;
     pub use emerald_mem::image::{MemImage, SharedMem};
     pub use emerald_mem::system::{MemorySystem, MemorySystemConfig};
-    pub use emerald_obs::{Registry, Snapshot, TraceCat, WindowedSampler};
+    pub use emerald_obs::{Registry, Snapshot, TraceCat};
     pub use emerald_scene::{mesh, texture, workloads, Mesh, OrbitCamera, TextureData};
     pub use emerald_soc::{MemCfgKind, Soc, SocConfig};
 }

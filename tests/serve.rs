@@ -1,5 +1,5 @@
-//! Sweep-engine determinism: the work-stealing scheduler's interleaving
-//! must be invisible in simulated results. The same job set is run at
+//! Sweep-engine determinism: the scheduler's interleaving must be
+//! invisible in simulated results. The same job set is run at
 //! 1/2/4 workers with shuffled submission orders, cold and forked, and
 //! every per-session observable (cycles, framebuffer digest, compact
 //! registry dump) must be bit-identical across all of them. A sweep is
@@ -95,6 +95,52 @@ fn forked_sweep_is_bit_identical_to_cold_sweep() {
     assert_eq!(cold.total_cycles, forked.total_cycles);
     assert!(cold.results.iter().all(|r| r.start == StartMode::Cold));
     assert!(forked.results.iter().all(|r| r.start == StartMode::Forked));
+}
+
+/// One job the simulator cannot build (a 16384×16384 target exhausts the
+/// memory image, which panics in `MemImage::alloc`) among seven healthy
+/// ones: the sweep must end — on a watchdog, because the failure mode
+/// being guarded against is a hang — with the bad job reported and the
+/// other seven bit-identical to a sweep that never contained it.
+#[test]
+fn poisoned_session_neither_hangs_nor_kills_the_sweep() {
+    let mut rng = Xorshift64::new(0xBAD5_E551_0000_0001);
+    let healthy = random_jobs(&mut rng, 7);
+    let clean = signature(&run_jobs(healthy.clone(), true, 2, None));
+    assert_eq!(clean.len(), 7);
+
+    let mut jobs = healthy;
+    jobs.insert(
+        3,
+        JobSpec {
+            id: 7,
+            label: "poisoned".to_string(),
+            params: JobParams {
+                width: 16384,
+                height: 16384,
+                ..JobParams::default()
+            },
+        },
+    );
+    for workers in [1usize, 2, 4] {
+        let (done, finished) = std::sync::mpsc::channel();
+        let set = jobs.clone();
+        std::thread::spawn(move || done.send(run_jobs(set, true, workers, None)));
+        let out = finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .unwrap_or_else(|_| panic!("sweep did not end at {workers} workers"));
+        assert_eq!(signature(&out), clean, "workers={workers}");
+        assert_eq!(out.failed.len(), 1, "workers={workers}");
+        assert_eq!(
+            (out.failed[0].id, &out.failed[0].label[..]),
+            (7, "poisoned")
+        );
+        assert!(
+            out.failed[0].error.contains("memory image exhausted"),
+            "{}",
+            out.failed[0].error
+        );
+    }
 }
 
 /// Runs the built `emerald_serve` binary — the only sweep CLI — with its
