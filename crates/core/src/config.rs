@@ -3,18 +3,16 @@
 /// Fixed-function pipeline parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GfxConfig {
-    /// Raster tile edge in pixels (Table 7: 4×4).
+    /// Raster tile edge in pixels (Table 7: 4×4). Coarse and fine raster
+    /// each emit one raster tile per cycle (Table 7's raster throughput).
     pub raster_tile: u32,
-    /// TC tile edge in raster tiles (Table 7: 2×2 ⇒ 8×8 pixels).
+    /// TC tile edge in raster tiles (Table 7: 2×2 ⇒ 8×8 pixels). Each TC
+    /// engine stages `tc_tile_raster²` raster tiles (Table 7's 4 bins).
     pub tc_tile_raster: u32,
     /// TC engines per cluster (Table 7: 2).
     pub tc_engines: usize,
-    /// Staged raster-tile bins per TC engine (Table 7: 4).
-    pub tc_bins: usize,
     /// Cycles a TCE waits without new raster tiles before flushing.
     pub tc_timeout: u64,
-    /// Coarse/fine raster throughput in raster tiles per cycle (Table 7: 1).
-    pub raster_throughput: u32,
     /// Hierarchical-Z enabled.
     pub hiz_enabled: bool,
     /// Pipeline latency of primitive setup, cycles.
@@ -25,8 +23,6 @@ pub struct GfxConfig {
     pub max_vertex_warps: usize,
     /// Work-tile (WT) size in TC tiles for core assignment (Fig. 15).
     pub wt_size: u32,
-    /// Force late-Z even for shaders that allow early-Z (ablation).
-    pub force_late_z: bool,
     /// Use tile coalescing; when off, each raster tile dispatches its own
     /// fragment warps immediately (ablation).
     pub tc_enabled: bool,
@@ -54,14 +50,11 @@ impl GfxConfig {
             raster_tile: 4,
             tc_tile_raster: 2,
             tc_engines: 2,
-            tc_bins: 4,
             tc_timeout: 64,
-            raster_throughput: 1,
             hiz_enabled: true,
             setup_latency: 10,
             max_vertex_warps: 36,
             wt_size: 1,
-            force_late_z: false,
             tc_enabled: true,
             vertex_overlap: true,
             ooo_prims: false,
@@ -74,7 +67,6 @@ impl GfxConfig {
     pub fn case_study_1() -> Self {
         Self {
             tc_engines: 1,
-            tc_bins: 4,
             max_vertex_warps: 9,
             ..Self::case_study_2()
         }
@@ -96,8 +88,6 @@ mod tests {
         assert_eq!(c.raster_tile, 4);
         assert_eq!(c.tc_tile_raster, 2);
         assert_eq!(c.tc_engines, 2);
-        assert_eq!(c.tc_bins, 4);
-        assert_eq!(c.raster_throughput, 1);
         assert_eq!(c.tc_tile_px(), 8);
     }
 

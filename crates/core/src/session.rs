@@ -34,12 +34,12 @@ impl SceneBinding {
     }
 
     /// Fragment-shader options implied by the workload's render state.
-    pub fn fs_options(&self, force_late_z: bool) -> FsOptions {
+    pub fn fs_options(&self, late_z: bool) -> FsOptions {
         FsOptions {
             textured: self.texture.is_some(),
             depth_test: true,
             depth_write: !self.workload.translucent,
-            early_z: !force_late_z,
+            early_z: !late_z,
             blend: self.workload.translucent,
             alpha: if self.workload.translucent {
                 Some(0.55)
@@ -50,8 +50,8 @@ impl SceneBinding {
     }
 
     /// Builds the draw call for `frame` at the given aspect ratio.
-    pub fn draw_for_frame(&self, frame: u32, aspect: f32, force_late_z: bool) -> DrawCall {
-        let fso = self.fs_options(force_late_z);
+    pub fn draw_for_frame(&self, frame: u32, aspect: f32, late_z: bool) -> DrawCall {
+        let fso = self.fs_options(late_z);
         let mvp = self.workload.camera.view_proj(frame, aspect);
         DrawCall {
             vb: self.vb.clone(),

@@ -37,7 +37,8 @@ pub enum Clustering {
 /// DASH configuration (Table 3 of the paper).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DashConfig {
-    /// Scheduling unit in cycles.
+    /// Scheduling unit in cycles: the SoC reports GPU and display deadline
+    /// progress to DASH once per unit.
     pub scheduling_unit: Cycle,
     /// Probabilistic switching window in cycles.
     pub switching_unit: Cycle,

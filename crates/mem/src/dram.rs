@@ -60,8 +60,8 @@ impl DramConfig {
     }
 
     /// A milder high-load preset (6× reduced bandwidth) used by the
-    /// high-load benches: saturates the system like `low_bandwidth` but
-    /// keeps single-core simulation times tractable.
+    /// high-load figures (12–14): saturates the system like
+    /// `low_bandwidth` but keeps single-core simulation times tractable.
     pub fn high_load() -> Self {
         Self {
             burst_cycles: 144,

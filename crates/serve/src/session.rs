@@ -24,7 +24,8 @@ use emerald_soc::Soc;
 use std::hash::Hasher;
 use std::sync::Arc;
 
-/// Per-frame simulation budget; matches the bench harness bound.
+/// Per-frame simulation budget before a frame counts as hung; the same
+/// bound `emerald_figures` gives a standalone-GPU frame.
 const MAX_CYCLES_PER_FRAME: u64 = 500_000_000;
 
 /// How a session obtained its initial state.

@@ -12,8 +12,8 @@
 //! * [`display`] — a scanout DMA engine with deadline tracking and
 //!   underrun→abort-and-retry behaviour (the mechanism behind Fig. 13/14).
 //! * [`soc`] — the assembled system and its frame loop.
-//! * [`experiment`] — the BAS/DCB/DTB/HMC configurations and the
-//!   regular/high-load scenarios of §5.2.
+//! * [`experiment`] — the BAS/DCB/DTB/HMC configurations of §5.2 and
+//!   the calibrated GPU frame period they share.
 
 #![warn(missing_docs)]
 
@@ -25,5 +25,5 @@ pub mod trace;
 
 pub use cpu::{CpuCoreModel, CpuWorkload, Phase};
 pub use display::DisplayController;
-pub use experiment::{CaseStudyResult, MemCfgKind};
+pub use experiment::MemCfgKind;
 pub use soc::{Soc, SocConfig, SocFrameRecord};

@@ -13,7 +13,7 @@ use emerald_gpu::gpu::MemPort;
 use emerald_gpu::GpuConfig;
 use emerald_mem::image::SharedMem;
 use emerald_mem::req::{MemRequest, MemResponse, ReqIdGen};
-use emerald_mem::system::{MemorySystem, MemorySystemConfig};
+use emerald_mem::system::{MemorySystem, MemorySystemConfig, SchedulerKind};
 use emerald_obs::prof::{self, HostPhase, PhaseClock};
 use std::collections::VecDeque;
 
@@ -37,8 +37,6 @@ pub struct SocConfig {
     pub display_period: Cycle,
     /// Per-core CPU scripts (core 0 must be the driver).
     pub cpu_workloads: Vec<CpuWorkload>,
-    /// Cycles between DASH deadline-feedback updates.
-    pub feedback_interval: Cycle,
     /// Run-ahead gate: may CPU cores execute ahead of the clock through
     /// windows the SoC proved quiet (see [`CpuCluster`])? Presets turn it
     /// on; results are bit-identical either way, and the lockstep suites
@@ -70,7 +68,6 @@ impl SocConfig {
                 CpuWorkload::compute(),
                 CpuWorkload::mixed(),
             ],
-            feedback_interval: 1_000,
             cpu_batch: true,
         }
     }
@@ -300,19 +297,23 @@ impl Soc {
         if self.now < self.next_feedback {
             return;
         }
-        let Some(dash) = self.memsys.dash_mut() else {
+        let SchedulerKind::Dash(dash_cfg) = &self.memsys.config().scheduler else {
             self.next_feedback = Cycle::MAX;
             return;
         };
-        // Feedback fires on multiples of the interval. Re-deriving the
-        // next one from the clock, rather than adding the interval, makes
-        // a clock that arrives past it (fresh or restored SoC, whose
-        // `next_feedback` is 0) land back on the grid.
-        let fi = self.cfg.feedback_interval;
+        // Feedback fires on multiples of DASH's scheduling unit.
+        // Re-deriving the next one from the clock, rather than adding the
+        // unit, makes a clock that arrives past it (fresh or restored SoC,
+        // whose `next_feedback` is 0) land back on the grid.
+        let fi = dash_cfg.scheduling_unit;
         self.next_feedback = (self.now / fi + 1) * fi;
         if !self.now.is_multiple_of(fi) {
             return;
         }
+        let dash = self
+            .memsys
+            .dash_mut()
+            .expect("a DASH memory system owns DASH state");
         if let Some(gpu_start) = rendering_since {
             let done = if self.expected_frags == 0 {
                 1.0

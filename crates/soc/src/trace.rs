@@ -8,7 +8,7 @@
 //! paper says traces lose — inter-IP dependencies and feedback (a slower
 //! memory system cannot slow down the *generation* of future requests) —
 //! so conclusions drawn from replay understate configuration effects. The
-//! `trace_vs_execution` bench quantifies that gap.
+//! `emerald_figures` program quantifies that gap (§5.2.3).
 
 use emerald_common::event::{next_wake, NextEvent as _};
 use emerald_common::types::Cycle;
@@ -125,7 +125,7 @@ pub fn replay_trace(trace: &MemTrace, cfg: MemorySystemConfig) -> ReplayResult {
 }
 
 /// Splits a trace, keeping only requests from the given source class
-/// (lets the bench replay e.g. the GPU's traffic alone).
+/// (lets fig. 11 replay the GPU's traffic alone).
 pub fn filter_trace(trace: &MemTrace, class: SourceClass) -> MemTrace {
     trace
         .iter()

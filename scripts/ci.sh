@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Offline-safe CI gate: format, lint, build, test.
 #
-# The workspace (the paper-figure crate `crates/bench` included) has zero
-# external dependencies, so everything here runs without network access.
-# Nothing here measures wall time: timing is `benchmark/run.sh`'s job.
+# The workspace has zero external dependencies, so everything here runs
+# without network access. Nothing here measures wall time: timing is
+# `benchmark/run.sh`'s job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,6 +55,9 @@ done
 echo "==> examples smoke test (telemetry + host profile; checkpoint -> file -> restore == straight run)"
 cargo run --release --example trace_export >/dev/null
 cargo run --release --example checkpoint_restore >/dev/null
+
+echo "==> paper figures (every table once; exits 1 naming any shape EXPERIMENTS.md claims that fails)"
+cargo run --release --quiet --bin emerald_figures | sed -n '/^# Summary/,$p'
 
 echo "==> sweep engine smoke (emerald_serve ping + one-shot spec: 2 axes x 2 values, 2 fork groups, 4 workers)"
 echo '{"op":"ping"}' | cargo run --release --quiet --bin emerald_serve | grep -q '"ev":"pong"'

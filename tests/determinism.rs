@@ -6,6 +6,11 @@ use emerald::core::session::SceneBinding;
 use emerald::gpu::config::DEFAULT_PARALLEL_THRESHOLD;
 use emerald::prelude::*;
 
+// The figures program's case-study-I cell runner.
+#[allow(dead_code)]
+#[path = "../src/bin/emerald_figures/cell.rs"]
+mod cell;
+
 /// Renders one canonical frame with the given worker-thread count and
 /// pool-engagement threshold, returning everything a determinism check
 /// cares about: cycle count, framebuffer contents, instruction count,
@@ -332,8 +337,9 @@ fn soc_profiler_agrees_with_skipped_time() {
 
 #[test]
 fn soc_frames_identical_with_profiling_enabled() {
+    use cell::{run_cell, RunParams};
     use emerald::mem::dram::DramConfig as Dram;
-    use emerald::soc::experiment::{run_cell, MemCfgKind, RunParams};
+    use emerald::soc::MemCfgKind;
     let m2 = &emerald::scene::workloads::m_models()[1];
     let params = RunParams {
         width: 48,
@@ -343,6 +349,7 @@ fn soc_frames_identical_with_profiling_enabled() {
         gpu_frame_period: 200_000,
         probe_window: None,
         max_cycles_per_frame: 100_000_000,
+        trace: false,
     };
     let plain = run_cell(m2, MemCfgKind::Dcb, &params);
     emerald::obs::prof::set_enabled(true);
@@ -351,18 +358,19 @@ fn soc_frames_identical_with_profiling_enabled() {
     let profile = emerald::obs::prof::take();
     emerald::obs::prof::set_enabled(false);
     assert!(profile.soc_cycles > 0, "profiler saw no SoC cycles");
-    assert_eq!(plain.avg_gpu_cycles, profiled.avg_gpu_cycles);
-    assert_eq!(plain.avg_total_cycles, profiled.avg_total_cycles);
+    assert_eq!(plain.avg_gpu_cycles(), profiled.avg_gpu_cycles());
+    assert_eq!(plain.avg_total_cycles(), profiled.avg_total_cycles());
     assert_eq!(
-        plain.display_serviced_bytes,
-        profiled.display_serviced_bytes
+        plain.display_serviced_bytes(),
+        profiled.display_serviced_bytes()
     );
 }
 
 #[test]
 fn soc_frames_are_bit_reproducible() {
+    use cell::{run_cell, RunParams};
     use emerald::mem::dram::DramConfig as Dram;
-    use emerald::soc::experiment::{run_cell, MemCfgKind, RunParams};
+    use emerald::soc::MemCfgKind;
     let m2 = &emerald::scene::workloads::m_models()[1];
     let params = RunParams {
         width: 48,
@@ -372,10 +380,11 @@ fn soc_frames_are_bit_reproducible() {
         gpu_frame_period: 200_000,
         probe_window: None,
         max_cycles_per_frame: 100_000_000,
+        trace: false,
     };
     let a = run_cell(m2, MemCfgKind::Dcb, &params);
     let b = run_cell(m2, MemCfgKind::Dcb, &params);
-    assert_eq!(a.avg_gpu_cycles, b.avg_gpu_cycles);
-    assert_eq!(a.avg_total_cycles, b.avg_total_cycles);
-    assert_eq!(a.display_serviced_bytes, b.display_serviced_bytes);
+    assert_eq!(a.avg_gpu_cycles(), b.avg_gpu_cycles());
+    assert_eq!(a.avg_total_cycles(), b.avg_total_cycles());
+    assert_eq!(a.display_serviced_bytes(), b.display_serviced_bytes());
 }

@@ -2,8 +2,14 @@
 //! hold on miniature configurations.
 
 use emerald::mem::dram::DramConfig as Dram;
+use emerald::soc::experiment::{calibrate_period, MemCfgKind};
 
-use emerald::soc::experiment::{calibrate_period, run_cell, MemCfgKind, RunParams};
+// The figures program's cell runner, so these miniatures run the same code
+// as the figures they stand for.
+#[allow(dead_code)]
+#[path = "../src/bin/emerald_figures/cell.rs"]
+mod cell;
+use cell::{run_cell, RunParams};
 
 fn params(period: u64, dram: Dram) -> RunParams {
     RunParams {
@@ -14,6 +20,7 @@ fn params(period: u64, dram: Dram) -> RunParams {
         gpu_frame_period: period,
         probe_window: Some(4_000),
         max_cycles_per_frame: 600_000_000,
+        trace: false,
     }
 }
 
@@ -29,10 +36,10 @@ fn hmc_partitioning_slows_the_gpu() {
     let bas = run_cell(m2, MemCfgKind::Bas, &p);
     let hmc = run_cell(m2, MemCfgKind::Hmc, &p);
     assert!(
-        hmc.avg_gpu_cycles > 1.2 * bas.avg_gpu_cycles,
+        hmc.avg_gpu_cycles() > 1.2 * bas.avg_gpu_cycles(),
         "HMC {} vs BAS {}",
-        hmc.avg_gpu_cycles,
-        bas.avg_gpu_cycles
+        hmc.avg_gpu_cycles(),
+        bas.avg_gpu_cycles()
     );
 }
 
@@ -46,10 +53,10 @@ fn dash_deprioritizes_a_deadline_meeting_gpu() {
     let bas = run_cell(m3, MemCfgKind::Bas, &p);
     let dcb = run_cell(m3, MemCfgKind::Dcb, &p);
     assert!(
-        dcb.avg_gpu_cycles > bas.avg_gpu_cycles,
+        dcb.avg_gpu_cycles() > bas.avg_gpu_cycles(),
         "DASH should stretch GPU frames: DCB {} vs BAS {}",
-        dcb.avg_gpu_cycles,
-        bas.avg_gpu_cycles
+        dcb.avg_gpu_cycles(),
+        bas.avg_gpu_cycles()
     );
 }
 
@@ -58,9 +65,9 @@ fn all_sources_reach_dram_and_probes_record_them() {
     let m4 = &emerald::scene::workloads::m_models()[3];
     let p = params(300_000, Dram::lpddr3_1333());
     let cell = run_cell(m4, MemCfgKind::Bas, &p);
-    assert!(cell.row_hit_rate > 0.0);
-    assert!(cell.bytes_per_activation > 0.0);
-    assert!(cell.display_serviced_bytes > 0);
+    assert!(cell.row_hit_rate() > 0.0);
+    assert!(cell.bytes_per_activation() > 0.0);
+    assert!(cell.display_serviced_bytes() > 0);
     let total: u64 = cell
         .probes
         .iter()
@@ -76,9 +83,9 @@ fn low_bandwidth_dram_stretches_frames() {
     let fast = run_cell(m2, MemCfgKind::Bas, &params(period, Dram::lpddr3_1333()));
     let slow = run_cell(m2, MemCfgKind::Bas, &params(period, Dram::low_bandwidth()));
     assert!(
-        slow.avg_gpu_cycles > 2.0 * fast.avg_gpu_cycles,
+        slow.avg_gpu_cycles() > 2.0 * fast.avg_gpu_cycles(),
         "slow {} vs fast {}",
-        slow.avg_gpu_cycles,
-        fast.avg_gpu_cycles
+        slow.avg_gpu_cycles(),
+        fast.avg_gpu_cycles()
     );
 }
