@@ -17,13 +17,18 @@
 //!   far side: the published registry and in-flight summary after every
 //!   gap, snapshot bytes and output memory once drained.
 //!
-//! Each has a canary that re-runs it with the reports artificially delayed
-//! by `lag` cycles — an injected under-reporting bug — which the oracle
-//! must catch and the shrinker must minimize.
+//! - The **cached-pin oracle** runs a whole SoC with `Soc`'s own audit
+//!   armed: after every loop iteration each component's cached wake pin
+//!   must be no later than a fresh `next_event` answer.
+//!
+//! Each has a canary — reports artificially delayed by `lag` cycles, or a
+//! CPU request that fails to invalidate the memory system's cached pin —
+//! which the oracle must catch and the shrinker must minimize.
 
 use crate::drawgen::{draw_rig, DrawCase, DrawRig};
 use crate::isadiff::{init_mem, kernel_for, Layout};
 use crate::proggen::{shrink_candidates, GenProgram};
+use crate::snapconf::{cube_draw, two_core_config, MAX};
 use emerald_common::event::NextEvent;
 use emerald_common::snap::{SnapWriter, Snapshot};
 use emerald_common::types::{AccessKind, Cycle, TrafficSource};
@@ -32,6 +37,8 @@ use emerald_gpu::{GlobalMemCtx, Gpu, GpuConfig, SimpleMemPort};
 use emerald_mem::req::{MemRequest, ReqIdGen};
 use emerald_mem::{DramConfig, MemorySystem, MemorySystemConfig};
 use emerald_obs::Registry;
+use emerald_soc::experiment::MemCfgKind;
+use emerald_soc::soc::Soc;
 
 /// A gap-oracle scenario: a burst of `reqs` read requests at `stride`-byte
 /// spacing enters the memory system at cycle 0, after which there is no
@@ -380,6 +387,88 @@ pub fn shrink_gpu_gap_candidates(sc: &GpuGapScenario) -> Vec<GpuGapScenario> {
     if sc.lag > 1 {
         out.push(GpuGapScenario {
             lag: sc.lag / 2,
+            ..sc.clone()
+        });
+    }
+    out
+}
+
+/// A cached-pin scenario: the two-core SoC of the snapshot canary
+/// (`Work` phases cut to `1 / work_div`) on memory system `mem` renders
+/// `frames` cube frames with the clock-jump gate on.
+/// `forget_cpu_enqueues` is the injected bug: a CPU request entering the
+/// memory system no longer invalidates the memory system's cached pin.
+#[derive(Debug, Clone)]
+pub struct PinScenario {
+    /// Frames rendered.
+    pub frames: u32,
+    /// Divisor of the cores' `Work` phase lengths.
+    pub work_div: u64,
+    /// Memory-system configuration.
+    pub mem: MemCfgKind,
+    /// The injected bug (`false` = honest).
+    pub forget_cpu_enqueues: bool,
+}
+
+impl PinScenario {
+    /// One-line summary for failure reports.
+    pub fn describe(&self) -> String {
+        format!(
+            "{} frames, work / {}, {}, CPU enqueues {}",
+            self.frames,
+            self.work_div,
+            self.mem.label(),
+            if self.forget_cpu_enqueues {
+                "forgotten"
+            } else {
+                "invalidate"
+            }
+        )
+    }
+}
+
+/// Runs `sc` with the SoC's cached-pin audit armed; a pin found later
+/// than its component's `next_event` is the violation, reported with the
+/// audit's message.
+pub fn pin_oracle(sc: &PinScenario) -> Result<(), String> {
+    let mut cfg = two_core_config(sc.mem.build(DramConfig::lpddr3_1600()), sc.work_div);
+    cfg.gpu.event_skip = true;
+    let mut soc = Soc::new(cfg);
+    soc.debug_audit_pins(sc.forget_cpu_enqueues);
+    let frames = std::panic::AssertUnwindSafe(|| {
+        for f in 0..sc.frames {
+            let d = cube_draw(&soc, f);
+            soc.run_frame(vec![d], MAX);
+        }
+    });
+    std::panic::catch_unwind(frames).map_err(|e| {
+        e.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    })
+}
+
+/// Shrink candidates for a failing [`PinScenario`]: one frame fewer, a
+/// quarter of the CPU work, the baseline memory system. The bug is never
+/// removed.
+pub fn shrink_pin_candidates(sc: &PinScenario) -> Vec<PinScenario> {
+    let mut out = Vec::new();
+    if sc.frames > 1 {
+        out.push(PinScenario {
+            frames: sc.frames - 1,
+            ..sc.clone()
+        });
+    }
+    if sc.work_div < 256 {
+        out.push(PinScenario {
+            work_div: sc.work_div * 4,
+            ..sc.clone()
+        });
+    }
+    if sc.mem != MemCfgKind::Bas {
+        out.push(PinScenario {
+            mem: MemCfgKind::Bas,
             ..sc.clone()
         });
     }

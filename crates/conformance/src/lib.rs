@@ -18,7 +18,8 @@
 //! - [`eventconf`] checks the `NextEvent` event-skip contract with a gap
 //!   oracle (memory system), a twin gap oracle (bare GPU, standalone
 //!   renderer: one twin cycled through every announced gap, the other
-//!   jumping and booking it) and injected under-reporting canaries.
+//!   jumping and booking it), the SoC's cached-pin audit, and injected
+//!   under-reporting and forgotten-invalidation canaries.
 //! - [`batchconf`] checks the batched CPU execution contract
 //!   (`run_batch`) with a twin-core oracle and an injected
 //!   window-overrun canary.
@@ -48,8 +49,9 @@ pub use batchconf::{batch_oracle, shrink_batch_candidates, BatchScenario, BatchV
 pub use budget::{dump_snapshot_to, FrameBudget};
 pub use drawgen::{gen_draw, run_draw_case, run_draw_case_timed, shrink_draw_candidates, DrawCase};
 pub use eventconf::{
-    gap_oracle, gpu_gap_oracle, renderer_gap_oracle, shrink_gap_candidates,
-    shrink_gpu_gap_candidates, GapScenario, GapViolation, GpuGapScenario, TwinViolation,
+    gap_oracle, gpu_gap_oracle, pin_oracle, renderer_gap_oracle, shrink_gap_candidates,
+    shrink_gpu_gap_candidates, shrink_pin_candidates, GapScenario, GapViolation, GpuGapScenario,
+    PinScenario, TwinViolation,
 };
 pub use isadiff::{
     base_config, bug_site, check_case, check_case_matrix, check_with_injected_bug, config_matrix,

@@ -75,27 +75,30 @@ impl SnapScenario {
     }
 
     pub(crate) fn config(&self) -> SocConfig {
-        let mut cfg = SocConfig::case_study_1(
-            MemorySystemConfig::baseline(2, DramConfig::lpddr3_1600()),
-            48,
-            32,
-            150_000,
-        );
-        // Two shrunk cores keep the oracle fast enough for the shrinker.
-        let mut driver = CpuWorkload::driver();
-        let mut mixed = CpuWorkload::mixed();
-        for w in [&mut driver, &mut mixed] {
-            for p in &mut w.phases {
-                if let Phase::Work { instrs, .. } = p {
-                    *instrs = (*instrs / 16).max(64);
-                }
-            }
-        }
-        cfg.cpu_workloads = vec![driver, mixed];
+        let memsys = MemorySystemConfig::baseline(2, DramConfig::lpddr3_1600());
+        let mut cfg = two_core_config(memsys, 16);
         cfg.gpu.event_skip = self.event_skip;
         cfg.cpu_batch = self.cpu_batch;
         cfg
     }
+}
+
+/// A 48×32 case-study-I SoC with two cores — the driver and `mixed` —
+/// whose `Work` phases are cut to `1 / work_div`: small enough for a
+/// shrinker to re-run it many times.
+pub(crate) fn two_core_config(memsys: MemorySystemConfig, work_div: u64) -> SocConfig {
+    let mut cfg = SocConfig::case_study_1(memsys, 48, 32, 150_000);
+    let mut driver = CpuWorkload::driver();
+    let mut mixed = CpuWorkload::mixed();
+    for w in [&mut driver, &mut mixed] {
+        for p in &mut w.phases {
+            if let Phase::Work { instrs, .. } = p {
+                *instrs = (*instrs / work_div).max(64);
+            }
+        }
+    }
+    cfg.cpu_workloads = vec![driver, mixed];
+    cfg
 }
 
 /// A detected violation: the restored run's observables diverged from the
@@ -106,7 +109,7 @@ pub struct SnapViolation {
     pub detail: String,
 }
 
-const MAX: u64 = 60_000_000;
+pub(crate) const MAX: u64 = 60_000_000;
 
 pub(crate) fn cube_draw(soc: &Soc, frame: u32) -> DrawCall {
     let a = 0.4 + frame as f32 * 0.08;

@@ -618,6 +618,13 @@ impl Gpu {
         )
     }
 
+    /// True while a request the port refused waits at the head of the
+    /// DRAM queue. A refused read is not in [`Gpu`]'s `next_event`: it is
+    /// retried when the port's channel issues, which is the port's event.
+    pub fn holds_refused(&self) -> bool {
+        !self.to_mem.is_empty()
+    }
+
     /// Runs until idle or `max_cycles`, returning the cycles consumed.
     ///
     /// # Panics

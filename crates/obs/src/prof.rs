@@ -12,7 +12,8 @@
 //! 3. **Loop iterations per simulated cycle** — how many simulated
 //!    cycles the clocking kernel covered (`gpu_cycles`, `soc_cycles`:
 //!    ticked plus jumped) against how many host loop iterations it took
-//!    (`ticks`), and how much CPU time was advanced inside batch calls.
+//!    (`ticks`) and how many of them cycled the GPU (`gpu_ticks`), and
+//!    how much CPU time was advanced inside batch calls.
 //!
 //! # Design constraints
 //!
@@ -160,6 +161,7 @@ struct Accum {
     loop_ns: u64,
     phase_ns: [u64; PHASE_COUNT],
     gpu_cycles: u64,
+    gpu_ticks: u64,
     soc_cycles: u64,
     cpu_batches: u64,
     cpu_batch_cycles: u64,
@@ -177,6 +179,7 @@ impl Accum {
             loop_ns: 0,
             phase_ns: [0; PHASE_COUNT],
             gpu_cycles: 0,
+            gpu_ticks: 0,
             soc_cycles: 0,
             cpu_batches: 0,
             cpu_batch_cycles: 0,
@@ -293,7 +296,11 @@ fn add_phase_ns(phase: HostPhase, ns: u64) {
 /// Books one executed `Gpu::cycle`. Caller must check [`enabled`] first.
 #[inline]
 pub fn record_gpu_cycle() {
-    ACC.with(|a| a.borrow_mut().gpu_cycles += 1);
+    ACC.with(|a| {
+        let a = &mut *a.borrow_mut();
+        a.gpu_cycles += 1;
+        a.gpu_ticks += 1;
+    });
 }
 
 /// Books one executed SoC step. Caller must check [`enabled`] first.
@@ -426,6 +433,9 @@ pub struct HostProfile {
     pub phase_ns: [u64; PHASE_COUNT],
     /// Simulated GPU cycles covered, executed or jumped.
     pub gpu_cycles: u64,
+    /// `Gpu::cycle` calls executed; the rest of `gpu_cycles` was booked by
+    /// `Gpu::skip`.
+    pub gpu_ticks: u64,
     /// Simulated SoC cycles covered, executed or jumped.
     pub soc_cycles: u64,
     /// `CpuCoreModel::run_batch` calls observed.
@@ -498,6 +508,7 @@ pub fn take() -> HostProfile {
         loop_ns: acc.loop_ns,
         phase_ns,
         gpu_cycles: acc.gpu_cycles,
+        gpu_ticks: acc.gpu_ticks,
         soc_cycles: acc.soc_cycles,
         cpu_batches: acc.cpu_batches,
         cpu_batch_cycles: acc.cpu_batch_cycles,
@@ -637,7 +648,14 @@ mod tests {
         let skipped = take();
         set_enabled(false);
         assert_eq!((ticked.gpu_cycles, ticked.soc_cycles), (9, 3));
-        assert_eq!(ticked, skipped);
+        assert_eq!((ticked.gpu_ticks, skipped.gpu_ticks), (9, 0));
+        assert_eq!(
+            HostProfile {
+                gpu_ticks: 9,
+                ..skipped
+            },
+            ticked
+        );
     }
 
     #[test]

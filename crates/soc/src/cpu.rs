@@ -385,8 +385,9 @@ impl CpuCoreModel {
     }
 
     /// True while requests wait in the output buffer (issued but not yet
-    /// accepted by the memory system). The SoC's batch scheduler must not
-    /// advance a core past a cycle with undelivered output.
+    /// accepted by the memory system). Once the cycle that issued them has
+    /// passed, the head was refused: its channel's queue was full, and it
+    /// stays full until that channel picks.
     pub fn has_pending_out(&self) -> bool {
         !self.out.is_empty()
     }
@@ -431,10 +432,10 @@ impl CpuCoreModel {
     /// the first *observable interaction* — anything the SoC must act on
     /// at its exact cycle:
     ///
-    /// * a memory request entering the output buffer (delivery cycle
+    /// * a memory request entering an empty output buffer (delivery cycle
     ///   matters to the memory system),
-    /// * reaching the outstanding-miss limit (the filling request is
-    ///   itself in the output buffer, so this folds into the case above),
+    /// * reaching the outstanding-miss limit (the next cycle is a stall,
+    ///   which the next call burns in bulk),
     /// * `IssueDraw` (the SoC starts the GPU at that cycle),
     /// * a phase transition (the next phase may interact differently),
     /// * the end-of-script tick that raises `at_frame_end` (the SoC's
@@ -446,9 +447,12 @@ impl CpuCoreModel {
     /// core waiting on an unsatisfied fence replays the sparse poll loop,
     /// stopping only when a poll misses the private caches.
     ///
-    /// Callers must drain requests before batching (the output buffer must
-    /// be empty at entry) and must hold `gpu_frame_done` constant across
-    /// the window ([`CpuCluster::run_ahead`] is the one caller that does).
+    /// Requests already in the output buffer at entry are ones the memory
+    /// system refused: their head stays refused until its channel picks,
+    /// so a request issued behind them cannot be delivered any sooner, and
+    /// the batch runs on past it. Callers must end the window before that
+    /// pick and must hold `gpu_frame_done` constant across it
+    /// ([`CpuCluster::run_ahead`] is the one caller that does).
     pub fn run_batch(
         &mut self,
         now: Cycle,
@@ -456,7 +460,6 @@ impl CpuCoreModel {
         gpu_frame_done: bool,
         ids: &mut ReqIdGen,
     ) -> (Cycle, CpuEvent) {
-        debug_assert!(self.out.is_empty(), "batched a core with pending output");
         if budget == 0 {
             return (0, CpuEvent::None);
         }
@@ -474,6 +477,11 @@ impl CpuCoreModel {
             self.at_frame_end = true;
             return (1, CpuEvent::None);
         };
+        // A request must stop the batch only if nothing refused is ahead
+        // of it in the output buffer.
+        let behind_refused = !self.out.is_empty();
+        let interacts =
+            |c: &Self| (!behind_refused && !c.out.is_empty()) || c.outstanding >= c.max_outstanding;
         match phase {
             Phase::Work {
                 instrs,
@@ -508,7 +516,7 @@ impl CpuCoreModel {
                         self.instr_in_phase = 0;
                         return (consumed, CpuEvent::None);
                     }
-                    if !self.out.is_empty() || self.outstanding >= self.max_outstanding {
+                    if interacts(self) {
                         return (consumed, CpuEvent::None);
                     }
                 }
@@ -541,7 +549,7 @@ impl CpuCoreModel {
                     consumed += to_poll;
                     self.poll_counter = 0;
                     self.issue_access(self.arena, AccessKind::Read, ids, now + consumed);
-                    if !self.out.is_empty() || self.outstanding >= self.max_outstanding {
+                    if interacts(self) {
                         return (consumed, CpuEvent::None);
                     }
                     if consumed == budget {
@@ -616,15 +624,21 @@ impl emerald_common::snap::Restore for CpuCoreModel {
 /// Forwards a source's output buffer to the memory system in issue order,
 /// in place. On backpressure the rejected request and everything behind it
 /// stay where they are — dropping one would lose its response forever.
-pub(crate) fn forward_requests(reqs: &mut Vec<MemRequest>, memsys: &mut MemorySystem, now: Cycle) {
+/// Returns whether the memory system accepted anything.
+pub(crate) fn forward_requests(
+    reqs: &mut Vec<MemRequest>,
+    memsys: &mut MemorySystem,
+    now: Cycle,
+) -> bool {
     if reqs.is_empty() {
-        return;
+        return false;
     }
     let sent = reqs
         .iter()
         .position(|&req| memsys.enqueue(req, now).is_err())
         .unwrap_or(reqs.len());
     reqs.drain(..sent);
+    sent > 0
 }
 
 /// The SoC's CPU cores and the one mechanism by which they advance: a
@@ -703,15 +717,15 @@ impl CpuCluster {
     /// Clock cycle `now`: delivers interactions parked at `now`, ticks
     /// every due core, and forwards the cores' requests to `memsys`.
     /// Returns [`CpuEvent::IssueDraw`] if a core submitted the frame's
-    /// draws at this cycle.
+    /// draws at this cycle, and whether `memsys` accepted a request.
     pub fn step(
         &mut self,
         now: Cycle,
         gpu_done: bool,
         ids: &mut ReqIdGen,
         memsys: &mut MemorySystem,
-    ) -> CpuEvent {
-        let mut event = CpuEvent::None;
+    ) -> (CpuEvent, bool) {
+        let (mut event, mut sent) = (CpuEvent::None, false);
         for (i, core) in self.cores.iter_mut().enumerate() {
             let ev = match self.pending[i] {
                 Some((s, ev)) if s == now => {
@@ -736,27 +750,25 @@ impl CpuCluster {
             if self.pending[i].is_some() {
                 continue;
             }
-            forward_requests(&mut core.out, memsys, now);
+            sent |= forward_requests(&mut core.out, memsys, now);
         }
-        event
+        (event, sent)
     }
 
-    /// Whether a quiet window past `now` is worth searching for: some due
-    /// core could run ahead through it, or — when the clock may jump
-    /// (`skip`) — no due core is stuck needing its tick at `now + 1`.
+    /// Whether a quiet window past `now` is worth searching for: some core
+    /// is due and may run ahead through it, or — when the clock may jump
+    /// (`skip`) — no core is due. A due core holding a request the memory
+    /// system refused runs ahead like any other: the request is retried
+    /// at every step, and the window ends before its channel can pick.
     pub fn wants_window(&self, now: Cycle, skip: bool) -> bool {
-        let (mut runnable, mut stuck) = (false, false);
-        for (i, c) in self.cores.iter().enumerate() {
-            if self.pending[i].is_some() || c.at_frame_end() || self.ran_until[i] > now {
-                continue;
-            }
-            if self.batch && !c.has_pending_out() {
-                runnable = true;
-            } else {
-                stuck = true;
-            }
+        let due = (0..self.cores.len()).any(|i| {
+            self.pending[i].is_none() && !self.cores[i].at_frame_end() && self.ran_until[i] <= now
+        });
+        if due {
+            self.batch
+        } else {
+            skip
         }
-        runnable || (skip && !stuck)
     }
 
     /// Runs every unparked core through the quiet window `(now, w)` —
@@ -783,6 +795,7 @@ impl CpuCluster {
         fence_open: bool,
         gpu_done: bool,
         ids: &mut ReqIdGen,
+        memsys: &MemorySystem,
     ) {
         if !self.batch {
             return;
@@ -795,7 +808,7 @@ impl CpuCluster {
         let is_submitter = |i: &usize| submitters >> i & 1 != 0;
         let mut fence_end = if fence_open { now } else { quiet_end };
         for i in (0..self.cores.len()).filter(is_submitter) {
-            self.run_core_ahead(i, now, quiet_end, fence_end, gpu_done, ids);
+            self.run_core_ahead(i, now, quiet_end, fence_end, gpu_done, ids, memsys);
         }
         fence_end = quiet_end;
         if fence_open {
@@ -810,12 +823,19 @@ impl CpuCluster {
             }
         }
         for i in (0..self.cores.len()).filter(|i| !is_submitter(i)) {
-            self.run_core_ahead(i, now, quiet_end, fence_end, gpu_done, ids);
+            self.run_core_ahead(i, now, quiet_end, fence_end, gpu_done, ids, memsys);
         }
     }
 
     /// Batches core `i` up to `quiet_end`, or only to `fence_end` while it
     /// sits in a fence wait.
+    ///
+    /// A request refused until its channel picks is not an interaction:
+    /// the window ends before that pick, so the core runs on past it and
+    /// everything it issues queues behind it. That covers what `step` left
+    /// in the output buffer, and a request issued into a channel whose
+    /// queue is full already — enqueues only fill it.
+    #[allow(clippy::too_many_arguments)]
     fn run_core_ahead(
         &mut self,
         i: usize,
@@ -824,14 +844,16 @@ impl CpuCluster {
         fence_end: Cycle,
         gpu_done: bool,
         ids: &mut ReqIdGen,
+        memsys: &MemorySystem,
     ) {
         let core = &mut self.cores[i];
         // A core at the barrier has nothing left to run; leaving its
         // `ran_until` to `step` keeps the bookkeeping (and with it the
         // checkpoint bytes) the same whether or not the clock jumps.
-        if self.pending[i].is_some() || core.has_pending_out() || core.at_frame_end() {
+        if self.pending[i].is_some() || core.at_frame_end() {
             return;
         }
+        let mut behind_refused = core.has_pending_out();
         let mut base = self.ran_until[i].max(now);
         loop {
             let stop = if core.in_wait_gpu() {
@@ -846,7 +868,10 @@ impl CpuCluster {
             let (used, ev) = core.run_batch(base, stop - base, gpu_done, ids);
             base += used;
             emerald_obs::prof::record_cpu_batch(used);
-            if ev != CpuEvent::None || core.has_pending_out() {
+            if !behind_refused && core.has_pending_out() {
+                behind_refused = !memsys.can_accept(&core.out[0]);
+            }
+            if ev != CpuEvent::None || (!behind_refused && core.has_pending_out()) {
                 self.pending[i] = Some((base, ev));
                 break;
             }

@@ -121,6 +121,12 @@ impl DisplayController {
         &mut self.out
     }
 
+    /// True while the output buffer holds requests the memory system
+    /// refused — they are retried whenever it ticks.
+    pub(crate) fn holds_refused(&self) -> bool {
+        !self.out.is_empty()
+    }
+
     /// Credits a returned read.
     pub fn on_response(&mut self, bytes: u32) {
         self.inflight = self.inflight.saturating_sub(1);

@@ -87,13 +87,17 @@ pub struct SocFrameRecord {
 struct SocPort<'a> {
     memsys: &'a mut MemorySystem,
     resp: &'a mut VecDeque<MemResponse>,
+    /// Whether the memory system accepted a request this cycle.
+    sent: bool,
 }
 
 impl MemPort for SocPort<'_> {
     fn tick(&mut self, _now: Cycle) {}
 
     fn try_send(&mut self, req: MemRequest, now: Cycle) -> Result<(), MemRequest> {
-        self.memsys.enqueue(req, now)
+        let r = self.memsys.enqueue(req, now);
+        self.sent |= r.is_ok();
+        r
     }
 
     fn recv(&mut self, _now: Cycle) -> Option<MemResponse> {
@@ -148,6 +152,24 @@ impl FrameCursor {
 /// core has yet to submit (`None` once submitted).
 type Frame<'a> = (&'a mut FrameCursor, &'a mut Option<Vec<DrawCall>>);
 
+/// The last `next_event` answer of each non-CPU component (`Cycle::MAX`
+/// for `None`): the SoC's wake calendar. A pin is recomputed only where
+/// it can have moved — after its component ticked, or, for the memory
+/// system, after a request entered it or DASH feedback fired. Derived from
+/// the components, so not part of a snapshot: every clocking loop starts
+/// from 0, which makes every component due at its first step — the
+/// public components may have been touched since the last loop.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pins {
+    mem: Cycle,
+    display: Cycle,
+    renderer: Cycle,
+}
+
+fn pin(next_event: Option<Cycle>) -> Cycle {
+    next_event.unwrap_or(Cycle::MAX)
+}
+
 /// The full SoC.
 #[derive(Debug)]
 pub struct Soc {
@@ -170,6 +192,17 @@ pub struct Soc {
     /// First cycle at which [`Soc::dash_feedback`] has to look at the
     /// clock again; derived from `now`, so not part of a snapshot.
     next_feedback: Cycle,
+    pins: Pins,
+    /// Cycles the renderer was not cycled in and has not yet booked
+    /// ([`Soc::settle_renderer`]); always 0 outside the clocking loops.
+    owed: Cycle,
+    /// Run the cached-pin oracle ([`Soc::audit_pins`]) every loop
+    /// iteration: always in debug builds, otherwise only once
+    /// [`Soc::debug_audit_pins`] armed it.
+    audit: bool,
+    /// The oracle's canary: CPU requests stop invalidating the memory
+    /// system's pin.
+    forget_cpu_enqueues: bool,
     /// A mid-frame checkpoint waiting for [`Soc::resume_frame`]; the bool
     /// records whether the frame's draws were already submitted.
     resume: Option<(FrameCursor, bool)>,
@@ -205,6 +238,10 @@ impl Soc {
             expected_frags: 0,
             frames_rendered: 0,
             next_feedback: 0,
+            pins: Pins::default(),
+            owed: 0,
+            audit: cfg!(debug_assertions),
+            forget_cpu_enqueues: false,
             resume: None,
             cfg,
         }
@@ -233,6 +270,16 @@ impl Soc {
     #[doc(hidden)]
     pub fn debug_reset_cpu_rng(&mut self, core: usize) {
         self.cpus.cores_mut()[core].debug_reset_rng();
+    }
+
+    /// Test-only hook for the cached-pin canary: arms the cached-pin
+    /// oracle in any build, and with `forget_cpu_enqueues` injects the bug
+    /// it must catch — a CPU request entering the memory system no longer
+    /// invalidates the memory system's pin.
+    #[doc(hidden)]
+    pub fn debug_audit_pins(&mut self, forget_cpu_enqueues: bool) {
+        self.audit = true;
+        self.forget_cpu_enqueues = forget_cpu_enqueues;
     }
 
     /// CPU statistics per core.
@@ -266,12 +313,16 @@ impl Soc {
         }
     }
 
-    fn route_responses(&mut self) {
+    /// Hands each finished read to its requester. Returns whether the
+    /// renderer and the display received one.
+    fn route_responses(&mut self) -> (bool, bool) {
+        let mut got = (false, false);
         for &r in self.memsys.drain_finished(self.now) {
             match r.source {
                 TrafficSource::Gpu => {
                     if r.kind == AccessKind::Read {
                         self.gpu_resp.push_back(r);
+                        got.0 = true;
                     }
                 }
                 TrafficSource::Cpu(i) => {
@@ -284,22 +335,25 @@ impl Soc {
                 TrafficSource::Display => {
                     if r.kind == AccessKind::Read {
                         self.display.on_response(r.bytes);
+                        got.1 = true;
                     }
                 }
                 TrafficSource::OtherIp(_) => {}
             }
         }
+        got
     }
 
     /// DASH deadline feedback; `rendering_since` is the cycle the GPU
-    /// started the frame it is still rendering, if any.
-    fn dash_feedback(&mut self, rendering_since: Option<Cycle>) {
+    /// started the frame it is still rendering, if any. Returns whether it
+    /// fired (it then changed the memory system's scheduler state).
+    fn dash_feedback(&mut self, rendering_since: Option<Cycle>) -> bool {
         if self.now < self.next_feedback {
-            return;
+            return false;
         }
         let SchedulerKind::Dash(dash_cfg) = &self.memsys.config().scheduler else {
             self.next_feedback = Cycle::MAX;
-            return;
+            return false;
         };
         // Feedback fires on multiples of DASH's scheduling unit.
         // Re-deriving the next one from the clock, rather than adding the
@@ -308,7 +362,7 @@ impl Soc {
         let fi = dash_cfg.scheduling_unit;
         self.next_feedback = (self.now / fi + 1) * fi;
         if !self.now.is_multiple_of(fi) {
-            return;
+            return false;
         }
         let dash = self
             .memsys
@@ -327,6 +381,7 @@ impl Soc {
         }
         let (done, elapsed) = self.display.progress(self.now);
         dash.update_progress(TrafficSource::Display, done, elapsed);
+        true
     }
 
     /// Runs one application frame: releases the CPU frame barrier, submits
@@ -393,31 +448,56 @@ impl Soc {
         self.resume.is_some()
     }
 
-    /// One clock cycle of the whole SoC, in the fixed component order the
-    /// reference clocking defines: memory system, display, CPU cluster,
-    /// renderer, DASH feedback. With `frame` absent the CPU cluster stays
-    /// parked at the frame barrier ([`Soc::idle_until`]). Returns the
-    /// step's phase clock, re-armed at its last lap, so the loop that
-    /// called it can attribute its own between-step work — pin search,
+    /// One clock cycle of the whole SoC: the components due at `now`, in
+    /// the fixed order the reference clocking defines — memory system,
+    /// display, CPU cluster, renderer, DASH feedback. With `frame` absent
+    /// the CPU cluster stays parked at the frame barrier
+    /// ([`Soc::idle_until`]).
+    ///
+    /// A component is due when its cached pin is `<= now`, or when an
+    /// input reached it: a routed response (renderer, display), a
+    /// submitted draw (renderer), or — while it holds a request the memory
+    /// system refused — a memory-system tick, the only thing that can make
+    /// room. Everything else skips the cycle: the memory system and the
+    /// display have nothing to book (their gaps are dead), the renderer
+    /// owes the cycle to [`Soc::settle_renderer`]. With the clock-jump gate
+    /// off every component is due every cycle: the per-cycle reference.
+    ///
+    /// Returns the step's phase clock, re-armed at its last lap, so the
+    /// loop that called it can attribute its own between-step work —
     /// run-ahead, jump — under the same sampling decision.
     fn step(&mut self, mut frame: Option<Frame<'_>>) -> PhaseClock {
         prof::tick();
         let mut clk = prof::PhaseClock::start();
         self.now += 1;
         let now = self.now;
+        let every = !self.cfg.gpu.event_skip;
+        let mem_due = every || self.pins.mem <= now;
+        let mut display_due = every || self.pins.display <= now;
+        let mut renderer_due = every || self.pins.renderer <= now;
+        // Whether the memory system's pin can have moved this cycle.
+        let mut mem_moved = mem_due;
 
-        self.memsys.tick(now);
-        self.route_responses();
+        if mem_due {
+            self.memsys.tick(now);
+            let (to_renderer, to_display) = self.route_responses();
+            renderer_due |= to_renderer || self.renderer.gpu.holds_refused();
+            display_due |= to_display || self.display.holds_refused();
+        }
         clk.lap(HostPhase::SocMem);
 
-        self.display.tick(now, &mut self.ids);
-        forward_requests(self.display.requests_mut(), &mut self.memsys, now);
+        if display_due {
+            self.display.tick(now, &mut self.ids);
+            mem_moved |= forward_requests(self.display.requests_mut(), &mut self.memsys, now);
+            self.pins.display = pin(self.display.next_event(now));
+        }
         clk.lap(HostPhase::SocDisplay);
 
         if let Some((cur, draws)) = &mut frame {
-            let ev = self
+            let (ev, sent) = self
                 .cpus
                 .step(now, cur.gpu_done, &mut self.ids, &mut self.memsys);
+            mem_moved |= sent && !self.forget_cpu_enqueues;
             if ev == CpuEvent::IssueDraw {
                 if let Some(ds) = draws.take() {
                     for d in ds {
@@ -425,6 +505,7 @@ impl Soc {
                     }
                     cur.gpu_start = now;
                     cur.gpu_active = true;
+                    renderer_due = true;
                 }
             }
             clk.lap(HostPhase::SocCpu);
@@ -433,12 +514,32 @@ impl Soc {
         // The renderer attributes its own host time (don't double-count).
         // Between frames it is idle but must still consume straggler
         // responses from its last frame's writes.
-        let mut port = SocPort {
-            memsys: &mut self.memsys,
-            resp: &mut self.gpu_resp,
-        };
-        self.renderer.cycle(now, &mut port);
-        clk.skip();
+        if renderer_due {
+            self.settle_renderer();
+            let mut port = SocPort {
+                memsys: &mut self.memsys,
+                resp: &mut self.gpu_resp,
+                sent: false,
+            };
+            self.renderer.cycle(now, &mut port);
+            mem_moved |= port.sent;
+            clk.skip();
+            self.pins.renderer = pin(self.renderer.next_event(now));
+        } else {
+            self.owed += 1;
+        }
+        debug_assert!(
+            mem_due || self.pins.mem > now,
+            "memory system skipped while due"
+        );
+        debug_assert!(
+            display_due || self.pins.display > now,
+            "display skipped while due"
+        );
+        debug_assert!(
+            renderer_due || self.pins.renderer > now,
+            "renderer skipped while due"
+        );
         let rendering_since = frame.and_then(|(cur, _)| {
             if cur.gpu_active && !cur.gpu_done && self.renderer.is_idle() {
                 cur.gpu_done = true;
@@ -446,7 +547,10 @@ impl Soc {
             }
             (cur.gpu_active && !cur.gpu_done).then_some(cur.gpu_start)
         });
-        self.dash_feedback(rendering_since);
+        mem_moved |= self.dash_feedback(rendering_since);
+        if mem_moved {
+            self.pins.mem = pin(self.memsys.next_event(now));
+        }
 
         if prof::enabled() {
             prof::record_soc_cycle();
@@ -456,40 +560,72 @@ impl Soc {
     }
 
     /// The earliest cycle after `now` (at most `cap`) at which a non-CPU
-    /// component can act without new input; every cycle before it changes
-    /// nothing for any of them but the time-linear counters
-    /// [`Soc::jump_to`] books, per the [`NextEvent`] contract — in
-    /// particular the renderer cannot finish and no response can arrive.
-    /// The one non-CPU pin search, cheapest answer first: a flag, a stored
-    /// cycle, two closed forms, and last the renderer's scan of its
-    /// pipeline and cores. A request the display or the GPU still holds
-    /// because its channel's queue was full this cycle is the memory
-    /// system's pin: only that channel issuing makes room.
+    /// component can act without new input: the minimum of the cached
+    /// pins and the next DASH feedback cycle. Every cycle before it
+    /// changes nothing for any of them but the time-linear counters the
+    /// renderer owes, per the [`NextEvent`] contract — in particular the
+    /// renderer cannot finish and no response can arrive. A request the
+    /// display, the GPU or a CPU core still holds because its channel's
+    /// queue was full is the memory system's pin: only that channel
+    /// issuing makes room.
     fn quiet_until(&self, now: Cycle, cap: Cycle) -> Cycle {
-        if !self.gpu_resp.is_empty() {
-            return now + 1;
-        }
-        let pins = (0..4).map(|pin| match pin {
-            // DASH deadline feedback mutates scheduler state, so its next
-            // firing is a mandatory event (`Cycle::MAX` without DASH).
-            0 => Some(self.next_feedback),
-            1 => self.display.next_event(now),
-            2 => self.memsys.next_event(now),
-            _ => self.renderer.next_event(now),
-        });
-        next_wake(now, cap, pins)
+        debug_assert!(
+            self.gpu_resp.is_empty(),
+            "a routed response makes the renderer due"
+        );
+        let p = self.pins;
+        next_wake(
+            now,
+            cap,
+            [self.next_feedback, p.display, p.mem, p.renderer].map(Some),
+        )
     }
 
-    /// Jumps the clock so the next step executes cycle `wake`, booking the
-    /// cycles in between exactly as the per-cycle clocking would have:
-    /// nothing moved in them, so the renderer books its parked cores'
-    /// time-linear counters and the profiler gets the cycle count.
+    /// Jumps the clock so the next step executes cycle `wake`. Nothing
+    /// moves in the cycles in between, so the renderer owes them (booked
+    /// by [`Soc::settle_renderer`]) and the profiler gets the cycle count.
     fn jump_to(&mut self, wake: Cycle) {
         if wake > self.now + 1 {
             let delta = wake - 1 - self.now;
             self.now += delta;
-            self.renderer.skip(delta);
+            self.owed += delta;
             prof::record_soc_skip(delta);
+        }
+    }
+
+    /// Books the cycles the renderer was not cycled in
+    /// (`GpuRenderer::skip` → `Gpu::skip`: its parked cores' time-linear
+    /// counters), before anything can observe them — its next cycle, a
+    /// checkpoint, the watchdog's state dump, and the end of every loop,
+    /// after which `publish`, `frame_stats` and the public fields read it.
+    fn settle_renderer(&mut self) {
+        if self.owed > 0 {
+            self.renderer.skip(std::mem::take(&mut self.owed));
+        }
+    }
+
+    /// The cached-pin oracle (see the `audit` field for when it runs):
+    /// after every step each cached pin must be no later than a fresh
+    /// `next_event` answer — a pin that is too late is the one way the due
+    /// set or `quiet_until` could skip a component that has work.
+    fn audit_pins(&self) {
+        if !self.audit {
+            return;
+        }
+        let now = self.now;
+        for (what, cached, fresh) in [
+            ("memory system", self.pins.mem, self.memsys.next_event(now)),
+            ("display", self.pins.display, self.display.next_event(now)),
+            (
+                "renderer",
+                self.pins.renderer,
+                self.renderer.next_event(now),
+            ),
+        ] {
+            assert!(
+                cached <= pin(fresh),
+                "cached {what} pin {cached} is later than its next_event {fresh:?} after cycle {now}"
+            );
         }
     }
 
@@ -511,6 +647,7 @@ impl Soc {
         // frame panics at the same simulated time under every gating.
         let cap = cur.frame_start + max_cycles;
         let mut snap = None;
+        self.pins = Pins::default();
 
         let prof_loop = prof::loop_enter();
         loop {
@@ -524,28 +661,32 @@ impl Soc {
                     && self.renderer.is_idle()
                     && ((draws.is_some() && !cur.gpu_active) || (draws.is_none() && cur.gpu_done))
                 {
+                    self.settle_renderer();
                     snap = Some(self.encode_checkpoint(Some((cur, draws.is_none()))));
                 }
             }
             let mut clk = self.step(Some((cur, draws)));
+            self.audit_pins();
             let now = self.now;
             if cur.gpu_done && self.cpus.all_done(now) {
                 break;
             }
-            assert!(
-                now < cap,
-                "SoC frame exceeded {max_cycles} cycles (gpu_active={} gpu_done={} cpus_done={:?}) \
-                 renderer: {} gpu: {}",
-                cur.gpu_active,
-                cur.gpu_done,
-                self.cpus
-                    .cores()
-                    .iter()
-                    .map(|c| c.at_frame_end())
-                    .collect::<Vec<_>>(),
-                self.renderer.debug_snapshot(),
-                self.renderer.gpu.debug_snapshot(),
-            );
+            if now >= cap {
+                self.settle_renderer();
+                panic!(
+                    "SoC frame exceeded {max_cycles} cycles (gpu_active={} gpu_done={} \
+                     cpus_done={:?}) renderer: {} gpu: {}",
+                    cur.gpu_active,
+                    cur.gpu_done,
+                    self.cpus
+                        .cores()
+                        .iter()
+                        .map(|c| c.at_frame_end())
+                        .collect::<Vec<_>>(),
+                    self.renderer.debug_snapshot(),
+                    self.renderer.gpu.debug_snapshot(),
+                );
+            }
             if !self.cpus.wants_window(now, skip) {
                 continue;
             }
@@ -553,8 +694,14 @@ impl Soc {
             clk.lap(HostPhase::SocOther);
             if w > now + 1 {
                 let fence_open = draws.is_some() && !cur.gpu_done;
-                self.cpus
-                    .run_ahead(now, w, fence_open, cur.gpu_done, &mut self.ids);
+                self.cpus.run_ahead(
+                    now,
+                    w,
+                    fence_open,
+                    cur.gpu_done,
+                    &mut self.ids,
+                    &self.memsys,
+                );
                 clk.lap(HostPhase::SocCpu);
                 if skip {
                     self.jump_to(self.cpus.wake(now, w));
@@ -562,6 +709,7 @@ impl Soc {
                 }
             }
         }
+        self.settle_renderer();
         prof::loop_exit(prof_loop);
         snap
     }
@@ -717,14 +865,17 @@ impl Soc {
     /// events. No-op if `target <= now`.
     pub fn idle_until(&mut self, target: Cycle) {
         let skip = self.cfg.gpu.event_skip;
+        self.pins = Pins::default();
         let prof_loop = prof::loop_enter();
         while self.now < target {
             let mut clk = self.step(None);
+            self.audit_pins();
             if skip {
                 self.jump_to(self.quiet_until(self.now, target));
                 clk.lap(HostPhase::SocOther);
             }
         }
+        self.settle_renderer();
         prof::loop_exit(prof_loop);
     }
 }

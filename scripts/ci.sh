@@ -28,11 +28,14 @@ EMERALD_CONF_CASES=32 cargo test --release --test conformance -q
 echo "==> memory-system allocation bars on the optimised build (0 per saturated DASH / FR-FCFS cycle)"
 cargo test --release -p emerald-mem --test alloc -q
 
-echo "==> event-skip oracle suite (skip-on vs skip-off lockstep + gap oracles + twin gap walks, 16 cases each: the axis carries in-draw jumps)"
+echo "==> event-skip oracle suite, release (skip-on vs skip-off lockstep incl. checkpoint bytes, 16 cases; gap oracles; twin gap walks; loop-iteration and renderer-cycle bounds)"
 EMERALD_EVENT_SKIP_CASES=16 cargo test --release --test event_skip -q
 
-echo "==> cpu-batch oracle suite (batch-axis lockstep + matrix + stall path)"
+echo "==> cpu-batch oracle suite, release (batch-axis lockstep + gate matrix + stall path + a stuck core parked until its channel picks)"
 cargo test --release --test cpu_batch -q
+
+echo "==> event-skip + cpu-batch suites, dev profile (8 cases; every loop iteration audits the SoC's cached wake pins against fresh next_event answers)"
+EMERALD_EVENT_SKIP_CASES=8 cargo test --test event_skip --test cpu_batch -q
 
 echo "==> snapshot lockstep suite (checkpoint/restore invisibility across both gates)"
 cargo test --release --test snapshot -q

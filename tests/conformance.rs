@@ -11,10 +11,10 @@ use emerald::common::rng::Xorshift64;
 use emerald_conformance::isadiff::{self, shrink_failing};
 use emerald_conformance::{
     batch_oracle, check_case, check_case_matrix, check_with_injected_bug, conf_cases, gap_oracle,
-    gen_draw, gen_program, gpu_gap_oracle, run_draw_case, run_draw_case_timed,
+    gen_draw, gen_program, gpu_gap_oracle, pin_oracle, run_draw_case, run_draw_case_timed,
     shrink_batch_candidates, shrink_draw_candidates, shrink_gap_candidates,
-    shrink_gpu_gap_candidates, shrink_snap_candidates, skip_dispatch_points, snap_oracle,
-    BatchScenario, GapScenario, GpuGapScenario, SnapBug, SnapScenario,
+    shrink_gpu_gap_candidates, shrink_pin_candidates, shrink_snap_candidates, skip_dispatch_points,
+    snap_oracle, BatchScenario, GapScenario, GpuGapScenario, PinScenario, SnapBug, SnapScenario,
 };
 
 /// Shrink-step budget. Generated programs have < 40 instructions, so this
@@ -212,6 +212,49 @@ fn under_reported_next_event_is_caught_and_shrunk() {
         assert!(small.lag >= 1, "shrinking never reaches the honest lag 0");
         assert!(small.gp.live_instrs() <= sc.gp.live_instrs() && small.lag <= sc.lag);
         gpu_gap_oracle(&small, &cfg).expect_err("shrunk scenario still fails");
+    });
+}
+
+/// The cached-pin canary: a CPU request that enters the memory system
+/// without invalidating its cached wake pin (an interaction the due set
+/// would then sleep through) must be caught by the SoC's pin audit for
+/// every seed, and shrink to a still-failing scenario that keeps the bug.
+#[test]
+fn forgotten_pin_invalidation_is_caught_and_shrunk() {
+    use emerald::soc::experiment::MemCfgKind;
+    // The honest SoC passes...
+    let honest = PinScenario {
+        frames: 2,
+        work_div: 16,
+        mem: MemCfgKind::Dcb,
+        forget_cpu_enqueues: false,
+    };
+    pin_oracle(&honest).expect("honest cached pins conform");
+    // ...and the forgotten invalidation is always caught, then minimized.
+    check_n("pin_invalidation_canary", 4, |rng| {
+        let sc = PinScenario {
+            frames: rng.range(1, 4) as u32,
+            work_div: 1 << rng.range(2, 7),
+            // Not HMC: its CPU channel, which nothing else shares, stays
+            // backlogged in these frames, so no CPU request lands before
+            // the pin there and a forgotten invalidation does no harm.
+            mem: MemCfgKind::ALL[rng.below(3) as usize],
+            forget_cpu_enqueues: true,
+        };
+        let v = pin_oracle(&sc).expect_err("a forgotten invalidation must be caught");
+        assert!(v.contains("memory system pin"), "caught by the audit: {v}");
+        let (small, _steps) = minimize(
+            sc.clone(),
+            shrink_pin_candidates,
+            |c| pin_oracle(c).is_err(),
+            16,
+        );
+        assert!(small.forget_cpu_enqueues, "shrinking never removes the bug");
+        assert!(small.frames <= sc.frames && small.work_div >= sc.work_div);
+        pin_oracle(&small).expect_err(&format!(
+            "shrunk scenario still fails: {}",
+            small.describe()
+        ));
     });
 }
 

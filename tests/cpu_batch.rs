@@ -6,7 +6,7 @@
 //! to land in exactly the state `n` individual `tick` calls produce, and
 //! the SoC's batch scheduler must deliver every interaction (requests,
 //! draw submission, frame-end flips) at the same simulated cycle the
-//! per-cycle reference clocking would. Three oracles enforce this:
+//! per-cycle reference clocking would. Four oracles enforce this:
 //!
 //! 1. **Lockstep batch axis** — seeded random SoC scenarios run twice,
 //!    identical except `SocConfig::cpu_batch`, and must agree bit-for-bit
@@ -19,6 +19,9 @@
 //! 3. **Stall path** — a scenario built to saturate the per-core
 //!    outstanding-miss limit; `stall_cycles` (bulk-burned by `run_batch`
 //!    on stalled entry) must match the reference exactly.
+//! 4. **Refused requests** — a streamer against a one-deep channel queue
+//!    holds refused requests all frame: lockstep across both gates, and
+//!    the clock visits the stuck core only where its channel picks.
 
 use emerald::common::check::{check_n, env_cases};
 use emerald::common::rng::Xorshift64;
@@ -283,5 +286,99 @@ fn stalled_cores_batch_identically() {
     assert!(
         stalls_ref.iter().any(|&s| s > 1_000),
         "scenario failed to stall: {stalls_ref:?}"
+    );
+}
+
+/// A streamer against a channel whose scheduling queue holds one request:
+/// the core spends the frame holding requests the memory system refused.
+/// The DRAM timings keep the channel bus-bound (`t_rp + t_rcd + t_cl <=
+/// burst_cycles`), so every completion lands on a pick; an 8×8 framebuffer
+/// keeps the display's own prefetch wakes out of the way. The draw list
+/// is empty, so the frame is the core's script and nothing else.
+fn one_deep_streamer(instrs: u64, cpu_batch: bool, event_skip: bool) -> SocConfig {
+    let dram = DramConfig {
+        queue_cap: 1,
+        t_rp: 0,
+        t_rcd: 0,
+        ..DramConfig::lpddr3_1333()
+    };
+    let mut cfg = SocConfig::case_study_1(MemorySystemConfig::baseline(1, dram), 8, 8, 400_000);
+    let Phase::Work {
+        mem_ratio,
+        footprint,
+        sequential,
+        ..
+    } = CpuWorkload::streamer().phases[0]
+    else {
+        unreachable!("the streamer opens with its Work phase")
+    };
+    cfg.cpu_workloads = vec![CpuWorkload {
+        phases: vec![
+            Phase::Work {
+                instrs,
+                mem_ratio,
+                footprint,
+                sequential,
+            },
+            Phase::IssueDraw,
+            Phase::WaitGpu,
+        ],
+    }];
+    cfg.cpu_batch = cpu_batch;
+    cfg.gpu.event_skip = event_skip;
+    cfg
+}
+
+/// A core stuck on a refused request parks until its channel picks: the
+/// request stays refused until then, so the core runs ahead behind it
+/// instead of pinning the clock per cycle. All four `cpu_batch ×
+/// event_skip` cells agree, and with both gates on, the loop iterations a
+/// longer backlog adds are at most the channel picks it adds, plus one.
+/// Per-cycle clocking of the stuck core would add one per cycle.
+#[test]
+fn stuck_core_parks_until_its_channel_picks() {
+    use emerald::obs::prof;
+    let run = |instrs: u64, cpu_batch: bool, event_skip: bool| {
+        let mut soc = Soc::new(one_deep_streamer(instrs, cpu_batch, event_skip));
+        prof::set_enabled(true);
+        prof::reset();
+        let rec = soc.run_frame(vec![], 60_000_000);
+        let ticks = prof::take().ticks;
+        prof::set_enabled(false);
+        let picks = soc.memsys.stats().serviced;
+        let state = (
+            rec.total_cycles,
+            soc.cpu_stats()[0].stall_cycles,
+            registry_json(&soc),
+        );
+        (state, ticks, picks)
+    };
+    let mut backlog = Vec::new();
+    for instrs in [4_000, 8_000] {
+        let (want, _, _) = run(instrs, false, false);
+        for (cpu_batch, event_skip) in [(false, true), (true, false), (true, true)] {
+            let (got, ticks, picks) = run(instrs, cpu_batch, event_skip);
+            assert_eq!(
+                want, got,
+                "diverged at {instrs} instrs, batch={cpu_batch} skip={event_skip}"
+            );
+            if cpu_batch && event_skip {
+                backlog.push((ticks, picks, got.0));
+            }
+        }
+    }
+    let [(t1, p1, c1), (t2, p2, c2)] = backlog[..] else {
+        unreachable!("one run per length")
+    };
+    assert!(
+        c2 - c1 > 10 * (p2 - p1),
+        "the backlog did not stretch the frame"
+    );
+    assert!(
+        t2 - t1 <= p2 - p1 + 1,
+        "{} more loop iterations for {} more picks over {} more cycles",
+        t2 - t1,
+        p2 - p1,
+        c2 - c1
     );
 }
