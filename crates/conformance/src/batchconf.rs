@@ -6,12 +6,13 @@
 //! event was due (here: a memory response that would unstall it) delivers
 //! that event late, silently shifting simulated time while every
 //! individual run still looks healthy. The oracle here drives twin cores
-//! — one per-cycle, one batched — against the same fixed-latency memory
-//! and diffs the full request stream (addresses, kinds and *issue
-//! cycles*) plus retired/stall statistics. The canary re-runs the batched
-//! twin with its windows artificially extended `overrun` cycles past each
-//! response delivery — an injected overrun bug — which the oracle must
-//! catch and the shrinker must minimize.
+//! — one run a cycle per call (budget 1, the per-cycle clocking), one
+//! batched — against the same fixed-latency memory and diffs the full
+//! request stream (addresses, kinds and *issue cycles*) plus
+//! retired/stall statistics. The canary re-runs the batched twin with its
+//! windows artificially extended `overrun` cycles past each response
+//! delivery — an injected overrun bug — which the oracle must catch and
+//! the shrinker must minimize.
 
 use emerald_common::types::{AccessKind, Cycle};
 use emerald_mem::image::SharedMem;
@@ -75,7 +76,8 @@ type Req = (u64, AccessKind, Cycle);
 
 const HORIZON: Cycle = 2_000_000;
 
-/// Runs the per-cycle reference twin: deliver due responses, tick, drain.
+/// Runs the per-cycle reference twin: deliver due responses, run one
+/// cycle, drain.
 fn run_reference(sc: &BatchScenario) -> (Vec<Req>, u64, u64, u64) {
     let mem = SharedMem::with_capacity(32 << 20);
     let mut ids = ReqIdGen::new();
@@ -90,7 +92,7 @@ fn run_reference(sc: &BatchScenario) -> (Vec<Req>, u64, u64, u64) {
         for _ in 0..due {
             core.on_response();
         }
-        core.tick(now, false, &mut ids);
+        core.run_batch(now - 1, 1, false, &mut ids);
         for r in core.drain_requests() {
             if r.kind == AccessKind::Read {
                 inflight.push(r.issued + sc.latency);

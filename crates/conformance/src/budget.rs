@@ -84,7 +84,8 @@ pub fn dump_snapshot_to(dir: &std::path::Path, case: &str, soc: &Soc) -> std::io
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapconf::{SnapBug, SnapScenario};
+    use crate::socconf::{cube_draw, Cell, SocScenario};
+    use emerald_mem::{DramConfig, MemorySystemConfig};
 
     #[test]
     fn disarmed_budget_never_fires() {
@@ -99,16 +100,13 @@ mod tests {
     fn timeout_dump_restores_into_lockstep() {
         // A zero budget fires at the first barrier; the dumped snapshot
         // must revive into a Soc that matches the original bit for bit.
-        let sc = SnapScenario {
-            frames: 2,
-            offset_pct: 0,
-            event_skip: true,
-            cpu_batch: false,
-            bug: SnapBug::None,
-        };
-        let cfg = sc.config();
+        let sc = SocScenario::two_core(
+            MemorySystemConfig::baseline(2, DramConfig::lpddr3_1600()),
+            16,
+        );
+        let cfg = sc.config(Cell::PRESET);
         let mut soc = Soc::new(cfg.clone());
-        let d = crate::snapconf::cube_draw(&soc, 0);
+        let d = cube_draw(&soc, 0);
         soc.run_frame(vec![d], 60_000_000);
 
         let budget = FrameBudget {

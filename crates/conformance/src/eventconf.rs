@@ -28,7 +28,7 @@
 use crate::drawgen::{draw_rig, DrawCase, DrawRig};
 use crate::isadiff::{init_mem, kernel_for, Layout};
 use crate::proggen::{shrink_candidates, GenProgram};
-use crate::snapconf::{cube_draw, two_core_config, MAX};
+use crate::socconf::{cube_draw, Cell, SocScenario, MAX};
 use emerald_common::event::NextEvent;
 use emerald_common::snap::{SnapWriter, Snapshot};
 use emerald_common::types::{AccessKind, Cycle, TrafficSource};
@@ -393,9 +393,9 @@ pub fn shrink_gpu_gap_candidates(sc: &GpuGapScenario) -> Vec<GpuGapScenario> {
     out
 }
 
-/// A cached-pin scenario: the two-core SoC of the snapshot canary
-/// (`Work` phases cut to `1 / work_div`) on memory system `mem` renders
-/// `frames` cube frames with the clock-jump gate on.
+/// A cached-pin scenario: [`SocScenario::two_core`] (`Work` phases cut to
+/// `1 / work_div`) on memory system `mem` renders `frames` cube frames
+/// with both clocking gates on.
 /// `forget_cpu_enqueues` is the injected bug: a CPU request entering the
 /// memory system no longer invalidates the memory system's cached pin.
 #[derive(Debug, Clone)]
@@ -431,9 +431,8 @@ impl PinScenario {
 /// than its component's `next_event` is the violation, reported with the
 /// audit's message.
 pub fn pin_oracle(sc: &PinScenario) -> Result<(), String> {
-    let mut cfg = two_core_config(sc.mem.build(DramConfig::lpddr3_1600()), sc.work_div);
-    cfg.gpu.event_skip = true;
-    let mut soc = Soc::new(cfg);
+    let soc_sc = SocScenario::two_core(sc.mem.build(DramConfig::lpddr3_1600()), sc.work_div);
+    let mut soc = Soc::new(soc_sc.config(Cell::PRESET));
     soc.debug_audit_pins(sc.forget_cpu_enqueues);
     let frames = std::panic::AssertUnwindSafe(|| {
         for f in 0..sc.frames {

@@ -23,9 +23,11 @@
 //! - [`batchconf`] checks the batched CPU execution contract
 //!   (`run_batch`) with a twin-core oracle and an injected
 //!   window-overrun canary.
-//! - [`snapconf`] checks checkpoint/restore snapshot invisibility with a
-//!   straight-vs-restored twin oracle and injected byte-corruption and
-//!   stale-RNG-stream canaries.
+//! - [`socconf`] is the one SoC lockstep harness: a scenario type, the
+//!   cube draw, the frame-barrier digest, the gate matrix (every
+//!   `event_skip × cpu_batch` cell, threads optional, agree at every
+//!   barrier) and the checkpoint/restore oracle with its injected
+//!   byte-corruption and stale-RNG-stream canaries.
 //! - [`budget`] arms SoC-running oracles with a wall-clock frame budget
 //!   (`EMERALD_CONF_FRAME_BUDGET_MS`); a case that blows it checkpoints
 //!   its `Soc` into `EMERALD_TIMEOUT_SNAP_DIR` for CI artifact upload.
@@ -43,7 +45,7 @@ pub mod eventconf;
 pub mod isadiff;
 pub mod proggen;
 pub mod refmodel;
-pub mod snapconf;
+pub mod socconf;
 
 pub use batchconf::{batch_oracle, shrink_batch_candidates, BatchScenario, BatchViolation};
 pub use budget::{dump_snapshot_to, FrameBudget};
@@ -59,7 +61,10 @@ pub use isadiff::{
 };
 pub use proggen::{gen_program, shrink_candidates, GenProgram};
 pub use refmodel::{run_reference, RefResult};
-pub use snapconf::{shrink_snap_candidates, snap_oracle, SnapBug, SnapScenario, SnapViolation};
+pub use socconf::{
+    cells, checkpoint_body, gate_matrix, registry_json, shrink_snap_candidates, snap_oracle,
+    Barrier, Cell, SnapBug, SnapRun, SnapScenario, SnapViolation, SocScenario,
+};
 
 /// Number of random ISA programs / draws the conformance tests run,
 /// overridable via `EMERALD_CONF_CASES` (CI runs 32 per push and 512 in

@@ -66,13 +66,15 @@ pub struct GpuConfig {
     /// are bit-identical at any value. Presets set
     /// [`DEFAULT_PARALLEL_THRESHOLD`].
     pub parallel_threshold: usize,
-    /// Clock-jump gate: when true, the top-level loops
-    /// (`Gpu::run_to_idle`, the renderer's frame loop and the SoC clock)
+    /// Clock-jump gate: when true, the loops that schedule cycles
+    /// (`Gpu::run_to_idle`, `GpuRenderer::run_frame` and the SoC clock)
     /// jump over provably idle stretches using the
     /// `emerald_common::event::NextEvent` contract instead of ticking
-    /// every cycle. Presets turn it on; results are bit-identical either
-    /// way, and the oracle / conformance suites flip it off to get the
-    /// per-cycle reference clocking they compare against.
+    /// every cycle. It picks a schedule, never a code path: nothing inside
+    /// a model (`Gpu::cycle`, a core, the renderer's stages) reads it, so
+    /// a cycle that runs is the same cycle either way. Presets turn it on;
+    /// results are bit-identical either way, and the lockstep oracles flip
+    /// it off to get the per-cycle reference clocking they compare against.
     pub event_skip: bool,
 }
 

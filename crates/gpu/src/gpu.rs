@@ -261,31 +261,17 @@ impl Gpu {
         std::mem::take(&mut self.finished_external)
     }
 
-    /// True when nothing is queued or in flight between the cores and
-    /// external memory: interconnect, L2 queues, DRAM requests.
-    fn no_traffic(&self) -> bool {
-        self.core_to_l2.is_empty()
+    /// True when every core, link and kernel is drained: nothing is queued
+    /// or in flight between the cores and external memory either
+    /// (interconnect, L2 queues, DRAM requests).
+    pub fn is_idle(&self) -> bool {
+        self.cores.iter().all(|c| c.is_idle())
+            && self.core_to_l2.is_empty()
             && self.l2_to_core.is_empty()
             && self.fill_backlog.is_empty()
             && self.to_mem.is_empty()
             && self.dram_inflight == 0
             && self.l2.queued() == 0
-    }
-
-    /// True when *nothing at all* is in flight this cycle: no active
-    /// core, no queued interconnect/L2 traffic, no outstanding DRAM read.
-    /// Unlike [`Gpu::is_idle`] this is O(1) (it trusts the active list
-    /// rebuilt by the last `cycle` or `skip`) and ignores undispatched
-    /// kernels: it is the cheap first test of the quiescent fast path in
-    /// [`Gpu::cycle`].
-    pub fn is_quiescent(&self) -> bool {
-        self.active.is_empty() && self.no_traffic()
-    }
-
-    /// True when every core, link and kernel is drained.
-    pub fn is_idle(&self) -> bool {
-        self.cores.iter().all(|c| c.is_idle())
-            && self.no_traffic()
             && self.kernels.iter().all(|k| k.is_done())
     }
 
@@ -431,34 +417,6 @@ impl Gpu {
     /// it (misses, fills, finished warps) — in core-index order on the
     /// calling thread. See `crate::phase` for why this is deterministic.
     pub fn cycle<C: CycleCtx>(&mut self, now: Cycle, ctx: &mut C, port: &mut dyn MemPort) {
-        // Quiescent fast path (event-skip only; skip-off keeps the full
-        // per-cycle walk as the reference): with nothing in flight
-        // anywhere and every kernel retired, the whole body below is a
-        // state no-op — cores are inactive (their `is_active` contract),
-        // `miss_out` queues are empty (a stranded miss implies interconnect
-        // backpressure, which implies a non-empty link and thus
-        // non-quiescence), the L2 walk services empty queues, and with no
-        // outstanding read the response loop discards everything it
-        // receives, exactly as the slab lookup would. Only the port still
-        // ticks and drains — it owns real state. `is_quiescent` trusts the
-        // active list from the *last* cycle, but owners (the renderer)
-        // launch warps between cycles, so core activity is re-checked
-        // directly here — a freshly launched warp must take the full path
-        // so `collect_active` sees it.
-        if self.cfg.event_skip
-            && self.is_quiescent()
-            && self.cores.iter().all(|c| !c.is_active())
-            && self.kernels.iter().all(|k| k.is_done())
-        {
-            let mut clk = emerald_obs::prof::PhaseClock::start();
-            port.tick(now);
-            while port.recv(now).is_some() {}
-            if emerald_obs::prof::enabled() {
-                emerald_obs::prof::record_gpu_cycle();
-            }
-            clk.lap(emerald_obs::prof::HostPhase::GpuDram);
-            return;
-        }
         let mut clk = emerald_obs::prof::PhaseClock::start();
         port.tick(now);
         clk.lap(emerald_obs::prof::HostPhase::GpuDram);

@@ -229,11 +229,6 @@ impl DramChannel {
         &self.stats
     }
 
-    /// Clears statistics (not queue/bank state).
-    pub fn reset_stats(&mut self) {
-        self.stats = ChannelStats::default();
-    }
-
     /// Requests waiting to be scheduled.
     pub fn queue_len(&self) -> usize {
         self.queue.len()

@@ -380,13 +380,6 @@ impl MemorySystem {
         self.channels.iter().map(|c| c.stats()).collect()
     }
 
-    /// Resets statistics on every channel.
-    pub fn reset_stats(&mut self) {
-        for ch in &mut self.channels {
-            ch.reset_stats();
-        }
-    }
-
     /// Publishes per-channel instruments under `{prefix}.chN.*` and the
     /// cross-channel aggregate directly under `{prefix}.*`.
     pub fn publish(&self, reg: &mut Registry, prefix: &str) {

@@ -139,7 +139,7 @@ impl CpuStats {
 /// Cycles between fence polls while a core sits in [`Phase::WaitGpu`].
 const POLL_INTERVAL: u32 = 256;
 
-/// State the SoC reads after ticking a core.
+/// State the SoC reads after running a core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuEvent {
     /// Nothing notable.
@@ -245,11 +245,6 @@ impl CpuCoreModel {
         self.stats
     }
 
-    /// Clears statistics (script position and cache state survive).
-    pub fn reset_stats(&mut self) {
-        self.stats = CpuStats::default();
-    }
-
     /// True when the core reached the end of its per-frame script.
     pub fn at_frame_end(&self) -> bool {
         self.at_frame_end
@@ -316,74 +311,6 @@ impl CpuCoreModel {
         }
     }
 
-    /// Advances the core one cycle. `gpu_frame_done` reports whether the
-    /// GPU finished this frame's rendering (for `WaitGpu`).
-    pub fn tick(&mut self, now: Cycle, gpu_frame_done: bool, ids: &mut ReqIdGen) -> CpuEvent {
-        if self.at_frame_end {
-            return CpuEvent::None;
-        }
-        if self.outstanding >= self.max_outstanding {
-            self.stats.stall_cycles += 1;
-            return CpuEvent::None;
-        }
-        let Some(phase) = self.workload.phases.get(self.phase_idx).copied() else {
-            self.at_frame_end = true;
-            return CpuEvent::None;
-        };
-        match phase {
-            Phase::Work {
-                instrs,
-                mem_ratio,
-                footprint,
-                sequential,
-            } => {
-                self.stats.instrs += 1;
-                self.instr_in_phase += 1;
-                if self.rng.chance(mem_ratio) {
-                    let offset = if sequential {
-                        self.stream_pos = (self.stream_pos + 64) % footprint;
-                        self.stream_pos
-                    } else {
-                        self.rng.below(footprint.max(128))
-                    };
-                    let kind = if self.rng.chance(0.3) {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    };
-                    self.issue_access(self.arena + (offset & !127), kind, ids, now);
-                }
-                if self.instr_in_phase >= instrs {
-                    self.phase_idx += 1;
-                    self.instr_in_phase = 0;
-                }
-                CpuEvent::None
-            }
-            Phase::IssueDraw => {
-                self.phase_idx += 1;
-                if self.issued_draw_this_frame {
-                    CpuEvent::None
-                } else {
-                    self.issued_draw_this_frame = true;
-                    CpuEvent::IssueDraw
-                }
-            }
-            Phase::WaitGpu => {
-                if gpu_frame_done {
-                    self.phase_idx += 1;
-                } else {
-                    // Sparse fence polling.
-                    self.poll_counter += 1;
-                    if self.poll_counter >= POLL_INTERVAL {
-                        self.poll_counter = 0;
-                        self.issue_access(self.arena, AccessKind::Read, ids, now);
-                    }
-                }
-                CpuEvent::None
-            }
-        }
-    }
-
     /// True while requests wait in the output buffer (issued but not yet
     /// accepted by the memory system). Once the cycle that issued them has
     /// passed, the head was refused: its channel's queue was full, and it
@@ -422,12 +349,14 @@ impl CpuCoreModel {
 
     /// Advances the core by up to `budget` cycles in one call, executing
     /// cycles `now + 1 ..= now + consumed` and returning
-    /// `(consumed, event)`.
+    /// `(consumed, event)`. `gpu_frame_done` reports whether the GPU
+    /// finished this frame's rendering (for `WaitGpu`).
     ///
-    /// This is the batched twin of [`CpuCoreModel::tick`]: the per-core
-    /// state evolution (RNG draw sequence, cache state, statistics, script
-    /// position) is bit-for-bit the sequence `budget` individual ticks
-    /// would produce, but `Work` instructions retire in a tight inner loop
+    /// This is the core's one execution path: per-cycle clocking is a
+    /// budget of 1 ([`CpuCluster::step`]), and a window of `n` cycles
+    /// evolves the core (RNG draw sequence, cache state, statistics,
+    /// script position, fence-poll counter) exactly as `n` budget-1 calls
+    /// would — `Work` instructions just retire in a tight inner loop
     /// instead of one SoC loop iteration each. The batch stops early at
     /// the first *observable interaction* — anything the SoC must act on
     /// at its exact cycle:
@@ -438,12 +367,12 @@ impl CpuCoreModel {
     ///   which the next call burns in bulk),
     /// * `IssueDraw` (the SoC starts the GPU at that cycle),
     /// * a phase transition (the next phase may interact differently),
-    /// * the end-of-script tick that raises `at_frame_end` (the SoC's
+    /// * the end-of-script cycle that raises `at_frame_end` (the SoC's
     ///   frame barrier reads the flag at that cycle).
     ///
     /// A core that is already stalled at entry burns the whole budget as
     /// `stall_cycles` analytically — within a caller-chosen window no
-    /// response can arrive, so no tick in it could unstall the core. A
+    /// response can arrive, so no cycle in it could unstall the core. A
     /// core waiting on an unsatisfied fence replays the sparse poll loop,
     /// stopping only when a poll misses the private caches.
     ///
@@ -464,7 +393,7 @@ impl CpuCoreModel {
             return (0, CpuEvent::None);
         }
         if self.at_frame_end {
-            // Fully passive: the reference ticks are no-ops.
+            // Fully passive: every cycle of the window is a no-op.
             return (budget, CpuEvent::None);
         }
         if self.outstanding >= self.max_outstanding {
@@ -649,7 +578,8 @@ pub(crate) fn forward_requests(
 ///
 /// Relative to the SoC clock `now` every core is in exactly one state:
 ///
-/// * **due** — last executed cycle is `now`; owed a tick at `now + 1`.
+/// * **due** — last executed cycle is `now`; `step(now + 1)` runs the
+///   next one.
 /// * **ahead** — already executed through `ran_until > now`; `step` is a
 ///   no-op for it until the clock passes `ran_until`.
 /// * **parked** — ran ahead to an observable interaction (`IssueDraw`, a
@@ -698,7 +628,7 @@ impl CpuCluster {
         &self.cores
     }
 
-    /// Mutable access to the cores (response delivery, stats resets).
+    /// Mutable access to the cores (response delivery).
     pub fn cores_mut(&mut self) -> &mut [CpuCoreModel] {
         &mut self.cores
     }
@@ -714,8 +644,10 @@ impl CpuCluster {
         self.end_at.fill(Cycle::MAX);
     }
 
-    /// Clock cycle `now`: delivers interactions parked at `now`, ticks
-    /// every due core, and forwards the cores' requests to `memsys`.
+    /// Clock cycle `now`: delivers interactions parked at `now`, executes
+    /// cycle `now` on every due core (a budget-1
+    /// [`CpuCoreModel::run_batch`]), and forwards the cores' requests to
+    /// `memsys`.
     /// Returns [`CpuEvent::IssueDraw`] if a core submitted the frame's
     /// draws at this cycle, and whether `memsys` accepted a request.
     pub fn step(
@@ -735,7 +667,7 @@ impl CpuCluster {
                 _ if self.ran_until[i] >= now => CpuEvent::None,
                 _ => {
                     let was_end = core.at_frame_end();
-                    let ev = core.tick(now, gpu_done, ids);
+                    let (_, ev) = core.run_batch(now - 1, 1, gpu_done, ids);
                     self.ran_until[i] = now;
                     if !was_end && core.at_frame_end() {
                         self.end_at[i] = now;
@@ -801,9 +733,14 @@ impl CpuCluster {
             return;
         }
         let quiet_end = w - 1;
-        // Bit `i`: core `i` may still submit the frame's draws.
+        // Bit `i`: core `i` may still submit the frame's draws. A core
+        // parked on its `IssueDraw` has fired it already, but the clock
+        // has not delivered it: it bounds the fence until then.
         let submitters = (0..self.cores.len())
-            .filter(|&i| self.cores[i].may_issue_draw())
+            .filter(|&i| {
+                self.cores[i].may_issue_draw()
+                    || matches!(self.pending[i], Some((_, CpuEvent::IssueDraw)))
+            })
             .fold(0u64, |mask, i| mask | 1 << i);
         let is_submitter = |i: &usize| submitters >> i & 1 != 0;
         let mut fence_end = if fence_open { now } else { quiet_end };
@@ -978,7 +915,7 @@ mod tests {
         let mut cpu = CpuCoreModel::new(0, CpuWorkload::driver(), &m, 1);
         let mut draws = 0;
         for now in 0..100_000 {
-            if cpu.tick(now, true, &mut ids) == CpuEvent::IssueDraw {
+            if cpu.run_batch(now, 1, true, &mut ids).1 == CpuEvent::IssueDraw {
                 draws += 1;
             }
             cpu.drain_requests();
@@ -1006,13 +943,13 @@ mod tests {
             2,
         );
         for now in 0..10_000 {
-            cpu.tick(now, false, &mut ids);
+            cpu.run_batch(now, 1, false, &mut ids);
             cpu.drain_requests();
             cpu.on_response();
         }
         assert!(!cpu.at_frame_end(), "must wait for the GPU");
         for now in 10_000..10_010 {
-            cpu.tick(now, true, &mut ids);
+            cpu.run_batch(now, 1, true, &mut ids);
         }
         assert!(cpu.at_frame_end());
     }
@@ -1024,7 +961,7 @@ mod tests {
         let mut cpu = CpuCoreModel::new(1, CpuWorkload::streamer(), &m, 3);
         let mut reqs = 0;
         for now in 0..40_000 {
-            cpu.tick(now, false, &mut ids);
+            cpu.run_batch(now, 1, false, &mut ids);
             let r = cpu.drain_requests();
             reqs += r.len();
             for _ in r {
@@ -1046,7 +983,7 @@ mod tests {
         let mut light = CpuCoreModel::new(2, CpuWorkload::compute(), &m, 4);
         for now in 0..30_000 {
             for cpu in [&mut heavy, &mut light] {
-                cpu.tick(now, false, &mut ids);
+                cpu.run_batch(now, 1, false, &mut ids);
                 for _ in cpu.drain_requests() {
                     cpu.on_response();
                 }
@@ -1079,37 +1016,38 @@ mod tests {
         );
         // Never respond: the core must stall after max_outstanding reads.
         for now in 0..10_000 {
-            cpu.tick(now, false, &mut ids);
+            cpu.run_batch(now, 1, false, &mut ids);
             cpu.drain_requests();
         }
         assert!(cpu.stats().stall_cycles > 5_000);
         assert!(cpu.stats().instrs < 5_000);
     }
 
-    /// Drives `cpu` with per-cycle ticks and `twin` with `run_batch` under
+    /// Drives `single` with budget-1 `run_batch` calls (the per-cycle
+    /// clocking) and `batch` with windows of up to `budget` cycles under
     /// identical response schedules, asserting bit-identical state
-    /// evolution. Responses arrive every `resp_every` requests' worth of
-    /// cycles, crude but deterministic.
-    fn batch_equals_ticks(workload: CpuWorkload, seed: u64, budget: Cycle, horizon: Cycle) {
+    /// evolution: an n-cycle batch is n single-cycle ones. Responses
+    /// arrive at window boundaries, crude but deterministic.
+    fn batch_equals_single_cycles(workload: CpuWorkload, seed: u64, budget: Cycle, horizon: Cycle) {
         // Separate images so both twins get the same arena address.
         let (ma, mb) = (mem(), mem());
         let mut ids_a = ReqIdGen::new();
         let mut ids_b = ReqIdGen::new();
-        let mut tickd = CpuCoreModel::new(0, workload.clone(), &ma, seed);
+        let mut single = CpuCoreModel::new(0, workload.clone(), &ma, seed);
         let mut batch = CpuCoreModel::new(0, workload, &mb, seed);
         let mut now: Cycle = 0;
-        while now < horizon && !tickd.at_frame_end() {
-            // Reference side: per-cycle ticks through the window.
+        while now < horizon && !single.at_frame_end() {
+            // Reference side: one cycle per call through the window.
             let mut ref_reqs = Vec::new();
             let mut ref_draws = 0;
             let window_end = now + budget;
             let mut t = now;
             while t < window_end {
-                t += 1;
-                if tickd.tick(t, false, &mut ids_a) == CpuEvent::IssueDraw {
+                if single.run_batch(t, 1, false, &mut ids_a).1 == CpuEvent::IssueDraw {
                     ref_draws += 1;
                 }
-                let r = tickd.drain_requests();
+                t += 1;
+                let r = single.drain_requests();
                 if !r.is_empty() {
                     ref_reqs.extend(r.iter().map(|q| (q.addr, q.kind, q.issued)));
                     break; // the batch twin stops here; realign
@@ -1141,26 +1079,29 @@ mod tests {
                 .filter(|(_, k, _)| *k == AccessKind::Read)
                 .count()
             {
-                tickd.on_response();
+                single.on_response();
                 batch.on_response();
             }
             now = t;
         }
-        let (a, b) = (tickd.stats(), batch.stats());
+        let (a, b) = (single.stats(), batch.stats());
         assert_eq!(a.instrs, b.instrs);
         assert_eq!(a.mem_requests, b.mem_requests);
         assert_eq!(a.stall_cycles, b.stall_cycles);
-        assert_eq!(tickd.at_frame_end(), batch.at_frame_end());
-        assert_eq!(tickd.rng, batch.rng, "RNG streams diverged");
+        assert_eq!(single.at_frame_end(), batch.at_frame_end());
+        assert_eq!(single.poll_counter, batch.poll_counter);
+        assert_eq!(single.rng, batch.rng, "RNG streams diverged");
     }
 
+    /// Over the `Work`, stall and (the driver's unsatisfied `WaitGpu`)
+    /// fence-poll paths.
     #[test]
-    fn run_batch_matches_per_cycle_ticks() {
+    fn run_batch_matches_single_cycle_batches() {
         for (seed, budget) in [(11u64, 1u64), (12, 7), (13, 64), (14, 1000)] {
-            batch_equals_ticks(CpuWorkload::driver(), seed, budget, 200_000);
-            batch_equals_ticks(CpuWorkload::streamer(), seed, budget, 120_000);
-            batch_equals_ticks(CpuWorkload::compute(), seed, budget, 120_000);
-            batch_equals_ticks(CpuWorkload::mixed(), seed, budget, 120_000);
+            batch_equals_single_cycles(CpuWorkload::driver(), seed, budget, 200_000);
+            batch_equals_single_cycles(CpuWorkload::streamer(), seed, budget, 120_000);
+            batch_equals_single_cycles(CpuWorkload::compute(), seed, budget, 120_000);
+            batch_equals_single_cycles(CpuWorkload::mixed(), seed, budget, 120_000);
         }
     }
 
@@ -1177,15 +1118,14 @@ mod tests {
         let (ma, mb) = (mem(), mem());
         let mut ids_a = ReqIdGen::new();
         let mut ids_b = ReqIdGen::new();
-        let mut tickd = CpuCoreModel::new(0, wl.clone(), &ma, 5);
+        let mut single = CpuCoreModel::new(0, wl.clone(), &ma, 5);
         let mut batch = CpuCoreModel::new(0, wl, &mb, 5);
         // Never respond: both twins hit the outstanding limit and must burn
-        // the same stall_cycles whether ticked singly or in bulk windows.
-        let mut now: Cycle = 0;
-        while now < 10_000 {
-            tickd.tick(now + 1, false, &mut ids_a);
-            tickd.drain_requests();
-            now += 1;
+        // the same stall_cycles whether run one cycle at a time or in bulk
+        // windows.
+        for now in 0..10_000 {
+            single.run_batch(now, 1, false, &mut ids_a);
+            single.drain_requests();
         }
         let mut b: Cycle = 0;
         while b < 10_000 {
@@ -1193,9 +1133,9 @@ mod tests {
             batch.drain_requests();
             b += used;
         }
-        assert!(tickd.stats().stall_cycles > 5_000);
-        assert_eq!(tickd.stats().stall_cycles, batch.stats().stall_cycles);
-        assert_eq!(tickd.stats().instrs, batch.stats().instrs);
-        assert_eq!(tickd.stats().mem_requests, batch.stats().mem_requests);
+        assert!(single.stats().stall_cycles > 5_000);
+        assert_eq!(single.stats().stall_cycles, batch.stats().stall_cycles);
+        assert_eq!(single.stats().instrs, batch.stats().instrs);
+        assert_eq!(single.stats().mem_requests, batch.stats().mem_requests);
     }
 }

@@ -83,11 +83,6 @@ impl DisplayController {
         self.stats
     }
 
-    /// Clears statistics (scanout position and FIFO state survive).
-    pub fn reset_stats(&mut self) {
-        self.stats = DisplayStats::default();
-    }
-
     /// The refresh period in cycles.
     pub fn period(&self) -> Cycle {
         self.period

@@ -300,19 +300,6 @@ impl Soc {
         reg.set_counter("soc.frames_rendered", self.frames_rendered);
     }
 
-    /// Clears the cumulative counters of every component (memory system,
-    /// display, CPU cores) so a fresh [`Soc::publish`] reflects only work
-    /// from this point on. Windowed measurement should prefer
-    /// [`emerald_obs::Registry::delta_since`] over resetting, but steady-
-    /// state experiments use this to discard warm-up frames.
-    pub fn reset_stats(&mut self) {
-        self.memsys.reset_stats();
-        self.display.reset_stats();
-        for cpu in self.cpus.cores_mut() {
-            cpu.reset_stats();
-        }
-    }
-
     /// Hands each finished read to its requester. Returns whether the
     /// renderer and the display received one.
     fn route_responses(&mut self) -> (bool, bool) {

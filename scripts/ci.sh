@@ -28,17 +28,11 @@ EMERALD_CONF_CASES=32 cargo test --release --test conformance -q
 echo "==> memory-system allocation bars on the optimised build (0 per saturated DASH / FR-FCFS cycle)"
 cargo test --release -p emerald-mem --test alloc -q
 
-echo "==> event-skip oracle suite, release (skip-on vs skip-off lockstep incl. checkpoint bytes, 16 cases; gap oracles; twin gap walks; loop-iteration and renderer-cycle bounds)"
-EMERALD_EVENT_SKIP_CASES=16 cargo test --release --test event_skip -q
+echo "==> clocking-gate lockstep suites, release (16 random SoC scenarios drawing a cube and 16 drawing nothing, each in all four event_skip x cpu_batch cells, equal at every frame barrier; random-cycle restores; the 12-cell gate x thread matrix, and a restore in each of its cells; gap oracles; twin gap walks; run-ahead corner scenarios; loop-iteration and renderer-cycle bounds)"
+EMERALD_CONF_CASES=16 cargo test --release --test event_skip --test cpu_batch --test snapshot -q
 
-echo "==> cpu-batch oracle suite, release (batch-axis lockstep + gate matrix + stall path + a stuck core parked until its channel picks)"
-cargo test --release --test cpu_batch -q
-
-echo "==> event-skip + cpu-batch suites, dev profile (8 cases; every loop iteration audits the SoC's cached wake pins against fresh next_event answers)"
-EMERALD_EVENT_SKIP_CASES=8 cargo test --test event_skip --test cpu_batch -q
-
-echo "==> snapshot lockstep suite (checkpoint/restore invisibility across both gates)"
-cargo test --release --test snapshot -q
+echo "==> the random gate and restore oracles again, dev profile (8 cases; every loop iteration audits the SoC's cached wake pins against fresh next_event answers; the workspace step above already ran every suite in this profile)"
+EMERALD_CONF_CASES=8 cargo test --test event_skip --test snapshot -q random_
 
 echo "==> benchmark package: unit tests + golden gate (cycles and digests vs benchmark/golden.json)"
 cargo test --manifest-path benchmark/Cargo.toml -q

@@ -14,7 +14,8 @@ use emerald_conformance::{
     gen_draw, gen_program, gpu_gap_oracle, pin_oracle, run_draw_case, run_draw_case_timed,
     shrink_batch_candidates, shrink_draw_candidates, shrink_gap_candidates,
     shrink_gpu_gap_candidates, shrink_pin_candidates, shrink_snap_candidates, skip_dispatch_points,
-    snap_oracle, BatchScenario, GapScenario, GpuGapScenario, PinScenario, SnapBug, SnapScenario,
+    snap_oracle, BatchScenario, Cell, GapScenario, GpuGapScenario, PinScenario, SnapBug,
+    SnapScenario, SocScenario,
 };
 
 /// Shrink-step budget. Generated programs have < 40 instructions, so this
@@ -307,12 +308,18 @@ fn overrun_batch_window_is_caught_and_shrunk() {
 /// still-failing scenario that keeps the injected bug alive.
 #[test]
 fn corrupted_or_partial_restore_is_caught_and_shrunk() {
+    use emerald::prelude::{DramConfig, MemCfgKind};
+    let soc = SocScenario::two_core(MemCfgKind::Bas.build(DramConfig::lpddr3_1600()), 16);
     // The honest implementation passes...
     snap_oracle(&SnapScenario {
+        soc: soc.clone(),
+        cell: Cell {
+            cpu_batch: false,
+            ..Cell::PRESET
+        },
         frames: 2,
+        at_frame: 1,
         offset_pct: 40,
-        event_skip: true,
-        cpu_batch: false,
         bug: SnapBug::None,
     })
     .expect("honest checkpoint/restore conforms");
@@ -328,10 +335,15 @@ fn corrupted_or_partial_restore_is_caught_and_shrunk() {
             SnapBug::StaleRng
         };
         let sc = SnapScenario {
+            soc: soc.clone(),
             frames: 2 + rng.below(2) as u32,
+            at_frame: 1,
             offset_pct: rng.range(0, 120) as u32,
-            event_skip: rng.chance(0.5),
-            cpu_batch: rng.chance(0.5),
+            cell: Cell {
+                event_skip: rng.chance(0.5),
+                cpu_batch: rng.chance(0.5),
+                threads: 1,
+            },
             bug,
         };
         let v = snap_oracle(&sc).expect_err("injected snapshot bug must be caught");

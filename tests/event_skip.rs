@@ -1,13 +1,15 @@
 //! Oracle tests for the event-driven clocking contract
-//! (`emerald_common::event::NextEvent`).
+//! (`emerald_common::event::NextEvent`) and the gate lockstep built on it.
 //!
 //! Three independent oracles, all driven by the in-tree property harness:
 //!
-//! 1. **Lockstep skip axis** — seeded random SoC scenarios run twice,
-//!    identical in every respect except `GpuConfig::event_skip`, and must
-//!    agree bit-for-bit on the clock, the framebuffer, the full stats
-//!    registry and the checkpoint bytes at every CPU-phase (frame-barrier)
-//!    boundary.
+//! 1. **Lockstep gate matrix** — seeded random SoC scenarios, each frame
+//!    drawing a cube, run in all four `event_skip × cpu_batch` cells and
+//!    must agree bit-for-bit on the frame records, the clock, the
+//!    framebuffer, the full stats registry and — within one `cpu_batch`
+//!    value — the checkpoint bytes at every frame barrier
+//!    (`emerald_conformance::gate_matrix`). Its CPU-only twin lives in
+//!    `tests/cpu_batch.rs`.
 //! 2. **No early transitions** — components queried for `next_event(now)`
 //!    are ticked cycle by cycle through the reported gap and must not
 //!    produce a request, a response or a state change before the cycle
@@ -18,157 +20,35 @@
 //!    through every gap, the other jumps it and books it, and registry,
 //!    in-flight state, snapshot bytes and output memory must agree
 //!    (`emerald_conformance::eventconf`).
+//!
+//! Case counts scale with `EMERALD_CONF_CASES`; each oracle keeps its own
+//! default.
 
 use emerald::common::check::{check_n, env_cases};
 use emerald::common::event::NextEvent;
-use emerald::common::rng::Xorshift64;
 use emerald::prelude::*;
-use emerald::scene::mesh::unit_cube;
-use emerald::soc::cpu::{CpuWorkload, Phase};
+use emerald::soc::cpu::CpuWorkload;
+use emerald_conformance::{gate_matrix, SocScenario};
 
-/// Case count for the (expensive) lockstep SoC oracle; override with
-/// `EMERALD_EVENT_SKIP_CASES`.
-fn skip_cases() -> u32 {
-    env_cases("EMERALD_EVENT_SKIP_CASES", 3)
-}
-
-fn registry_json(soc: &Soc) -> String {
-    let mut reg = Registry::new();
-    soc.publish(&mut reg);
-    reg.to_json()
-}
-
-/// A checkpoint without the container's header and checksum: the header
-/// stamps a hash of the configuration, and the two sides of the skip axis
-/// differ in exactly one configuration field.
-fn body(bytes: &[u8]) -> Vec<u8> {
-    use emerald::common::snap::CONTAINER_OVERHEAD;
-    bytes[CONTAINER_OVERHEAD - 8..bytes.len() - 8].to_vec()
-}
-
-fn checkpoint_body(soc: &Soc) -> Vec<u8> {
-    body(&soc.checkpoint())
-}
-
-/// Shrinks every `Work` phase so a frame stays test-sized, with an
-/// rng-chosen divisor so different cases exercise different phase shapes.
-fn shrink(mut w: CpuWorkload, rng: &mut Xorshift64) -> CpuWorkload {
-    let div = rng.range(6, 14);
-    for p in &mut w.phases {
-        if let Phase::Work { instrs, .. } = p {
-            *instrs = (*instrs / div).max(64);
-        }
-    }
-    w
-}
-
-/// A deterministic cube draw (same construction as the SoC unit tests,
-/// parameterized by frame index so multi-frame cases differ per frame).
-fn cube_draw(soc: &Soc, frame: u32, aspect: f32) -> DrawCall {
-    use emerald::common::math::{Mat4, Vec3};
-    let a = 0.4 + frame as f32 * 0.08;
-    let mvp = Mat4::perspective(60f32.to_radians(), aspect, 0.1, 50.0).mul_mat4(&Mat4::look_at(
-        Vec3::new(2.0 * a.cos(), 1.0, 2.0 * a.sin()),
-        Vec3::splat(0.0),
-        Vec3::new(0.0, 1.0, 0.0),
-    ));
-    let fso = FsOptions {
-        textured: false,
-        ..FsOptions::default()
-    };
-    DrawCall {
-        vb: VertexBuffer::upload(&soc.mem, &unit_cube()),
-        topology: Topology::Triangles,
-        vs: shaders::vertex_transform(),
-        fs: shaders::fragment_shader(fso),
-        mvp: mvp.to_array(),
-        depth_test: true,
-        depth_write: true,
-        blend: false,
-        texture: None,
-    }
-}
-
-/// Draws a random SoC scenario from `rng`: memory-system kind, DRAM
-/// timing, resolution, frame deadline, CPU-core mix and the CPU run-ahead
-/// gate all vary — so the skip contract is proven with cores running
-/// ahead of the clock and with cores ticked per cycle.
-fn random_config(rng: &mut Xorshift64, event_skip: bool) -> SocConfig {
-    let kind = [MemCfgKind::Bas, MemCfgKind::Dcb, MemCfgKind::Hmc][rng.below(3) as usize];
-    let dram = if rng.chance(0.5) {
-        DramConfig::lpddr3_1333()
-    } else {
-        DramConfig::lpddr3_1600()
-    };
-    let (w, h) = if rng.chance(0.5) { (48, 32) } else { (64, 48) };
-    let period = rng.range(150_000, 400_000);
-    let mut cfg = SocConfig::case_study_1(kind.build(dram), w, h, period);
-    let extras = [
-        CpuWorkload::streamer(),
-        CpuWorkload::compute(),
-        CpuWorkload::mixed(),
-    ];
-    let mut workloads = vec![shrink(CpuWorkload::driver(), rng)];
-    for e in extras {
-        if rng.chance(0.5) {
-            workloads.push(shrink(e, rng));
-        }
-    }
-    cfg.cpu_workloads = workloads;
-    cfg.cpu_batch = rng.chance(0.5);
-    cfg.gpu.event_skip = event_skip;
-    cfg
-}
-
-/// Oracle 1: skip-off and skip-on instances of the *same* random scenario
-/// advance in lockstep — identical clock, identical per-frame records,
-/// identical framebuffer and registry snapshot at every frame barrier.
+/// Oracle 1: one random scenario, every gate cell, every frame barrier.
+/// The debug build also audits the SoC's cached wake pins every loop
+/// iteration (`Soc::audit_pins`), so random scenarios reach the audit.
 #[test]
 fn random_soc_scenarios_are_skip_invariant() {
-    check_n("soc_skip_axis", skip_cases(), |rng| {
-        // Sample once, then instantiate twice so both sides see the exact
-        // same scenario. The rng is re-seeded per case by the harness.
-        let scenario = rng.next_u64();
-        let cfg_off = random_config(&mut Xorshift64::new(scenario), false);
-        let cfg_on = random_config(&mut Xorshift64::new(scenario), true);
-        assert!(!cfg_off.gpu.event_skip && cfg_on.gpu.event_skip);
-        assert_eq!(cfg_off.cpu_batch, cfg_on.cpu_batch);
-        let frames = 1 + rng.below(2) as u32;
-        let aspect = cfg_off.width as f32 / cfg_off.height as f32;
-        let mut off = Soc::new(cfg_off);
-        let mut on = Soc::new(cfg_on);
-        for f in 0..frames {
-            let d_off = cube_draw(&off, f, aspect);
-            let d_on = cube_draw(&on, f, aspect);
-            let r_off = off.run_frame(vec![d_off], 60_000_000);
-            let r_on = on.run_frame(vec![d_on], 60_000_000);
-            assert_eq!(
-                r_off.gpu_cycles, r_on.gpu_cycles,
-                "gpu_cycles diverged at frame {f}"
-            );
-            assert_eq!(
-                r_off.total_cycles, r_on.total_cycles,
-                "total_cycles diverged at frame {f}"
-            );
-            assert_eq!(off.now(), on.now(), "clock diverged at frame {f}");
-            assert_eq!(
-                off.rt.read_color(&off.mem),
-                on.rt.read_color(&on.mem),
-                "framebuffer diverged at frame {f}"
-            );
-            assert_eq!(
-                registry_json(&off),
-                registry_json(&on),
-                "registry diverged at frame {f}"
-            );
-            // What the registry does not carry: LRU clocks, write-id
-            // streams, each core's last cycle.
-            assert!(
-                checkpoint_body(&off) == checkpoint_body(&on),
-                "checkpoint bytes diverged at frame {f}"
-            );
-        }
-    });
+    check_n(
+        "soc_gate_matrix",
+        env_cases("EMERALD_CONF_CASES", 3),
+        |rng| {
+            let sc = SocScenario::random(rng);
+            let frames = 1 + rng.below(2) as u32;
+            if let Err(e) = gate_matrix(&sc, frames, &[1]) {
+                panic!(
+                    "{e}
+{sc:?}"
+                );
+            }
+        },
+    );
 }
 
 fn memsys_stats_json(ms: &MemorySystem) -> String {
@@ -188,7 +68,7 @@ fn memsys_never_acts_before_next_event() {
     use emerald::mem::req::{MemRequest, ReqIdGen};
     check_n(
         "memsys_next_event_oracle",
-        env_cases("EMERALD_EVENT_SKIP_CASES", 8),
+        env_cases("EMERALD_CONF_CASES", 8),
         |rng| {
             let kind = [MemCfgKind::Bas, MemCfgKind::Dcb, MemCfgKind::Hmc][rng.below(3) as usize];
             let dram = if rng.chance(0.5) {
@@ -346,21 +226,17 @@ fn gpu_gaps_change_only_what_skip_books() {
     use emerald_conformance::eventconf::{gpu_gap_oracle, GpuGapScenario};
     use emerald_conformance::{base_config, gen_program};
     let mut gaps = 0;
-    check_n(
-        "gpu_gap_twins",
-        env_cases("EMERALD_EVENT_SKIP_CASES", 8),
-        |rng| {
-            let sc = GpuGapScenario {
-                data_seed: rng.next_u64(),
-                gp: gen_program(rng),
-                lag: 0,
-            };
-            match gpu_gap_oracle(&sc, &base_config()) {
-                Ok(n) => gaps += n,
-                Err(v) => panic!("{v:?}\n{}", sc.gp.dump()),
-            }
-        },
-    );
+    check_n("gpu_gap_twins", env_cases("EMERALD_CONF_CASES", 8), |rng| {
+        let sc = GpuGapScenario {
+            data_seed: rng.next_u64(),
+            gp: gen_program(rng),
+            lag: 0,
+        };
+        match gpu_gap_oracle(&sc, &base_config()) {
+            Ok(n) => gaps += n,
+            Err(v) => panic!("{v:?}\n{}", sc.gp.dump()),
+        }
+    });
     assert!(gaps > 0, "no gap was ever announced");
 }
 
@@ -373,7 +249,7 @@ fn renderer_gaps_change_only_what_skip_books() {
     let mut gaps = 0;
     check_n(
         "renderer_gap_twins",
-        env_cases("EMERALD_EVENT_SKIP_CASES", 6),
+        env_cases("EMERALD_CONF_CASES", 6),
         |rng| {
             let case = gen_draw(rng);
             match renderer_gap_oracle(&case, &base_config()) {
@@ -496,30 +372,36 @@ fn a_waiting_soc_is_not_ticked() {
 #[test]
 fn owed_renderer_booking_is_invisible() {
     use emerald::obs::prof;
-    let cfg = |event_skip: bool| {
-        let dram = DramConfig::high_load();
-        let mut cfg = SocConfig::case_study_1(MemCfgKind::Dcb.build(dram), 48, 32, 300_000);
-        let mut rng = Xorshift64::new(0x0B3D);
-        cfg.cpu_workloads = vec![
-            shrink(CpuWorkload::driver(), &mut rng),
-            shrink(CpuWorkload::streamer(), &mut rng),
-            shrink(CpuWorkload::mixed(), &mut rng),
-        ];
-        // Cores stepping per cycle keep their bookkeeping off the axis.
-        cfg.cpu_batch = false;
-        cfg.gpu.event_skip = event_skip;
-        cfg
+    use emerald_conformance::{checkpoint_body, registry_json, Cell};
+    let sc = SocScenario {
+        memsys: MemCfgKind::Dcb.build(DramConfig::high_load()),
+        width: 48,
+        height: 32,
+        period: 300_000,
+        cpus: vec![
+            CpuWorkload::driver(),
+            CpuWorkload::streamer(),
+            CpuWorkload::mixed(),
+        ],
+        work_div: 8,
+        cube: true,
     };
-    let aspect = 1.5;
+    // Cores stepping per cycle keep their bookkeeping off the axis.
+    let cfg = |event_skip: bool| {
+        sc.config(Cell {
+            event_skip,
+            cpu_batch: false,
+            threads: 1,
+        })
+    };
     // Frame 1, captured at `at`; returns the bytes and the frame's end.
     let capture = |event_skip: bool, at: Option<Cycle>| {
         let mut soc = Soc::new(cfg(event_skip));
-        let d = cube_draw(&soc, 0, aspect);
-        soc.run_frame(vec![d], 60_000_000);
-        let d = cube_draw(&soc, 1, aspect);
+        soc.run_frame(sc.draws(&soc, 0), 60_000_000);
+        let d = sc.draws(&soc, 1);
         prof::set_enabled(true);
         prof::reset();
-        let (rec, snap) = soc.run_frame_checkpoint(vec![d], 60_000_000, at);
+        let (rec, snap) = soc.run_frame_checkpoint(d, 60_000_000, at);
         let profile = prof::take();
         prof::set_enabled(false);
         let start = soc.now() - rec.total_cycles;
@@ -539,8 +421,7 @@ fn owed_renderer_booking_is_invisible() {
     );
     let (on, ..) = capture(true, Some(at));
     let on = on.expect("the tail is a commit boundary");
-    let cfg_on = cfg(true);
-    let restored_on = Soc::restore(&on, &cfg_on).expect("restore jump-on");
+    let restored_on = Soc::restore(&on, &cfg(true)).expect("restore jump-on");
     let captured_at = restored_on.now();
     assert!(captured_at >= at && captured_at < start + rec.total_cycles);
     let (off, ..) = capture(false, Some(captured_at));
@@ -551,7 +432,10 @@ fn owed_renderer_booking_is_invisible() {
         captured_at,
         "captured at different cycles"
     );
-    assert!(body(&on) == body(&off), "checkpoint bytes diverged");
+    assert!(
+        checkpoint_body(&on) == checkpoint_body(&off),
+        "checkpoint bytes diverged"
+    );
     assert_eq!(registry_json(&restored_on), registry_json(&restored_off));
 }
 

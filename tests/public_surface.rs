@@ -12,6 +12,13 @@
 //! The scan is textual (std only), so it can only err towards leniency:
 //! a common name (`new`, `len`) is always "referenced". That is fine —
 //! it is a floor under the public surface, not a dead-code proof.
+//!
+//! The blind spot that follows: names are matched, not paths, so a dead
+//! method passes while any other type has a live method of the same name.
+//! `Soc::reset_stats` and the four methods only it called (memory system,
+//! DRAM channel, display, CPU core) passed this scan, uncalled, because
+//! `reset_stats` is also live on `Gpu`, `SimtCore`, `L2`, `Cache` and
+//! `GfxCtx`.
 
 use std::collections::BTreeMap;
 use std::fs;

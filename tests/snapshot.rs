@@ -4,215 +4,48 @@
 //! A checkpoint taken at a commit boundary and restored into a fresh SoC
 //! must be *invisible* to simulated state: the restored instance has to
 //! agree bit-for-bit with the straight run on every per-frame record, the
-//! framebuffer and the stats registry — at the resumed frame's barrier and
-//! at every later one. Two oracles enforce this:
+//! framebuffer, the stats registry and the checkpoint bytes — at the
+//! resumed frame's barrier and at every later one
+//! (`emerald_conformance::snap_oracle`). Two oracles drive it:
 //!
-//! 1. **Randomized lockstep** — seeded random SoC scenarios (memory
-//!    topology, workload mix, event-skip and cpu-batch axes all drawn from
-//!    the case seed) run straight while a checkpoint is captured at a
-//!    random cycle; the checkpoint is revived into a fresh SoC which must
-//!    then shadow the straight run to the end of the scenario. When the
-//!    random cycle falls past the frame's last commit boundary the case
+//! 1. **Randomized lockstep** — seeded random SoC scenarios, in a random
+//!    gate cell, capture a checkpoint at a random cycle of frame 0 or 1.
+//!    When the cycle falls past the frame's last commit boundary the case
 //!    falls back to an inter-frame checkpoint, so every case verifies a
 //!    restore either way.
 //! 2. **Full matrix** — one fixed scenario across
-//!    `cpu_batch × event_skip × GPU threads {1,2,4}`: in all twelve cells
-//!    the restored run must match its straight run bit-for-bit, proving
-//!    the snapshot format is invisible under every clocking and
-//!    host-parallelism mode.
+//!    `cpu_batch × event_skip × GPU threads {1,2,4}`: every cell's
+//!    restored run equals its own straight run (that the straight runs
+//!    agree across cells is
+//!    `tests/cpu_batch.rs::batch_skip_thread_matrix_is_bit_identical`).
 
 use emerald::common::check::{check_n, env_cases};
-use emerald::common::rng::Xorshift64;
 use emerald::prelude::*;
-use emerald::scene::mesh::unit_cube;
-use emerald::soc::cpu::{CpuWorkload, Phase};
+use emerald_conformance::{cells, snap_oracle, Cell, SnapBug, SnapScenario, SocScenario};
 
-/// Case count for the lockstep oracle; override with
-/// `EMERALD_SNAPSHOT_CASES`.
-fn snapshot_cases() -> u32 {
-    env_cases("EMERALD_SNAPSHOT_CASES", 3)
-}
-
-fn registry_json(soc: &Soc) -> String {
-    let mut reg = Registry::new();
-    soc.publish(&mut reg);
-    reg.to_json()
-}
-
-/// Everything externally observable about a SoC at a frame barrier.
-fn digest(soc: &Soc) -> (u64, Vec<u32>, String) {
-    (soc.now(), soc.rt.read_color(&soc.mem), registry_json(soc))
-}
-
-/// Shrinks every `Work` phase so a frame stays test-sized (same scheme as
-/// the event-skip and cpu-batch lockstep oracles).
-fn shrink(mut w: CpuWorkload, rng: &mut Xorshift64) -> CpuWorkload {
-    let div = rng.range(6, 14);
-    for p in &mut w.phases {
-        if let Phase::Work { instrs, .. } = p {
-            *instrs = (*instrs / div).max(64);
-        }
-    }
-    w
-}
-
-/// A deterministic cube draw, parameterized by frame index.
-fn cube_draw(soc: &Soc, frame: u32, aspect: f32) -> DrawCall {
-    use emerald::common::math::{Mat4, Vec3};
-    let a = 0.4 + frame as f32 * 0.08;
-    let mvp = Mat4::perspective(60f32.to_radians(), aspect, 0.1, 50.0).mul_mat4(&Mat4::look_at(
-        Vec3::new(2.0 * a.cos(), 1.0, 2.0 * a.sin()),
-        Vec3::splat(0.0),
-        Vec3::new(0.0, 1.0, 0.0),
-    ));
-    let fso = FsOptions {
-        textured: false,
-        ..FsOptions::default()
-    };
-    DrawCall {
-        vb: VertexBuffer::upload(&soc.mem, &unit_cube()),
-        topology: Topology::Triangles,
-        vs: shaders::vertex_transform(),
-        fs: shaders::fragment_shader(fso),
-        mvp: mvp.to_array(),
-        depth_test: true,
-        depth_write: true,
-        blend: false,
-        texture: None,
-    }
-}
-
-/// Draws a random SoC scenario. The event-skip and cpu-batch axes are part
-/// of the scenario, so snapshots are exercised under every clocking.
-fn random_config(rng: &mut Xorshift64) -> SocConfig {
-    let kind = [MemCfgKind::Bas, MemCfgKind::Dcb, MemCfgKind::Hmc][rng.below(3) as usize];
-    let dram = if rng.chance(0.5) {
-        DramConfig::lpddr3_1333()
-    } else {
-        DramConfig::lpddr3_1600()
-    };
-    let (w, h) = if rng.chance(0.5) { (48, 32) } else { (64, 48) };
-    let period = rng.range(150_000, 400_000);
-    let mut cfg = SocConfig::case_study_1(kind.build(dram), w, h, period);
-    let extras = [
-        CpuWorkload::streamer(),
-        CpuWorkload::compute(),
-        CpuWorkload::mixed(),
-    ];
-    let mut workloads = vec![shrink(CpuWorkload::driver(), rng)];
-    for e in extras {
-        if rng.chance(0.5) {
-            workloads.push(shrink(e, rng));
-        }
-    }
-    cfg.cpu_workloads = workloads;
-    cfg.gpu.event_skip = rng.chance(0.5);
-    cfg.cpu_batch = rng.chance(0.5);
-    cfg
-}
-
-const MAX: u64 = 60_000_000;
-
-/// Runs the straight instance through `target_frame` while capturing a
-/// checkpoint, restores it into a fresh SoC, shadows the straight run to
-/// `frames`, and asserts bit-identical observables at every barrier.
-///
-/// `offset` positions the capture inside `target_frame` relative to the
-/// frame's start; the commit-boundary scan makes any offset legal. Returns
-/// `true` when the capture happened mid-frame (as opposed to the
-/// inter-frame fallback), so callers can assert coverage of that path.
-fn lockstep(cfg: SocConfig, frames: u32, target_frame: u32, offset: u64, label: &str) -> bool {
-    let aspect = cfg.width as f32 / cfg.height as f32;
-    let mut straight = Soc::new(cfg);
-    for f in 0..target_frame {
-        let d = cube_draw(&straight, f, aspect);
-        straight.run_frame(vec![d], MAX);
-    }
-
-    let d = cube_draw(&straight, target_frame, aspect);
-    let at = straight.now() + offset;
-    let (rec, snap) = straight.run_frame_checkpoint(vec![d.clone()], MAX, Some(at));
-
-    let mut restored = match &snap {
-        Some(bytes) => {
-            // Mid-frame capture: revive and finish the interrupted frame.
-            // The draw's uploads are part of the restored memory image, so
-            // the straight run's DrawCall is valid as-is.
-            let mut soc = Soc::restore(bytes, straight.config())
-                .unwrap_or_else(|e| panic!("{label}: restore failed: {e:?}"));
-            assert!(soc.has_pending_frame(), "{label}: cursor lost");
-            let r = soc.resume_frame(vec![d], MAX);
-            assert_eq!(
-                (rec.gpu_cycles, rec.total_cycles, &rec.gfx),
-                (r.gpu_cycles, r.total_cycles, &r.gfx),
-                "{label}: resumed frame record diverged"
-            );
-            soc
-        }
-        None => {
-            // The random cycle fell past the frame's last commit boundary;
-            // verify an inter-frame checkpoint instead.
-            let bytes = straight.checkpoint();
-            Soc::restore(&bytes, straight.config())
-                .unwrap_or_else(|e| panic!("{label}: restore failed: {e:?}"))
-        }
-    };
-    assert_eq!(
-        digest(&straight),
-        digest(&restored),
-        "{label}: state diverged right after restore"
-    );
-
-    // The restored SoC must shadow the straight run for the remaining
-    // frames, including identical upload addresses (allocator cursor).
-    for f in target_frame + 1..frames {
-        let ds = cube_draw(&straight, f, aspect);
-        let dr = cube_draw(&restored, f, aspect);
-        assert_eq!(ds.vb.base, dr.vb.base, "{label}: frame {f} upload diverged");
-        let rs = straight.run_frame(vec![ds], MAX);
-        let rr = restored.run_frame(vec![dr], MAX);
-        assert_eq!(
-            (rs.gpu_cycles, rs.total_cycles, &rs.gfx),
-            (rr.gpu_cycles, rr.total_cycles, &rr.gfx),
-            "{label}: frame {f} record diverged"
-        );
-        assert_eq!(
-            digest(&straight),
-            digest(&restored),
-            "{label}: frame {f} state diverged"
-        );
-    }
-    // Total-state equality: re-snapshotting both instances must produce
-    // byte-identical containers, covering state the frame digests cannot
-    // see (RNG streams, warm cache contents, allocator cursors).
-    assert_eq!(
-        straight.checkpoint(),
-        restored.checkpoint(),
-        "{label}: final state snapshots diverged"
-    );
-    snap.is_some()
-}
-
-/// Oracle 1: random scenarios, random checkpoint cycle. The capture cycle
-/// is drawn from the span of the scenario's first frame, which keeps most
-/// cases mid-frame while still exercising the inter-frame fallback.
+/// Oracle 1: random scenarios, random cell, random checkpoint cycle. The
+/// capture cycle is drawn from 1.25 frame spans, which keeps most cases
+/// mid-frame while still exercising the inter-frame fallback.
 #[test]
 fn random_cycle_restore_is_invisible() {
     let mut mid_frame = 0u32;
-    let cases = snapshot_cases();
+    let cases = env_cases("EMERALD_CONF_CASES", 3);
     check_n("soc_snapshot_axis", cases, |rng| {
-        let cfg = random_config(rng);
-        // Estimate a frame's cycle span from a probe frame of the same
-        // scenario so the random capture cycle lands inside the frame.
-        let aspect = cfg.width as f32 / cfg.height as f32;
-        let mut probe = Soc::new(cfg.clone());
-        let d = cube_draw(&probe, 0, aspect);
-        let span = probe.run_frame(vec![d], MAX).total_cycles;
-        let offset = rng.below(span + span / 4);
-        let frames = 2 + rng.below(2) as u32;
-        let target = rng.below(2) as u32;
-        if lockstep(cfg, frames, target, offset, "random") {
-            mid_frame += 1;
+        let sc = SnapScenario {
+            soc: SocScenario::random(rng),
+            cell: Cell {
+                event_skip: rng.chance(0.5),
+                cpu_batch: rng.chance(0.5),
+                threads: 1,
+            },
+            frames: 2 + rng.below(2) as u32,
+            at_frame: rng.below(2) as u32,
+            offset_pct: rng.below(125) as u32,
+            bug: SnapBug::None,
+        };
+        match snap_oracle(&sc) {
+            Ok(run) => mid_frame += run.mid_frame as u32,
+            Err(v) => panic!("{}: {}\n{:?}", sc.describe(), v.detail, sc.soc),
         }
     });
     // The axis is vacuous if every case degraded to the inter-frame
@@ -223,49 +56,25 @@ fn random_cycle_restore_is_invisible() {
     );
 }
 
-/// A fixed two-core scenario for the matrix oracle (same shape as the
-/// cpu-batch matrix).
-fn fixed_config(cpu_batch: bool, event_skip: bool, threads: usize) -> SocConfig {
-    let mut cfg = SocConfig::case_study_1(
-        MemCfgKind::Dcb.build(DramConfig::lpddr3_1600()),
-        48,
-        32,
-        200_000,
-    );
-    let mut rng = Xorshift64::new(0xBA7C);
-    cfg.cpu_workloads = vec![
-        shrink(CpuWorkload::driver(), &mut rng),
-        shrink(CpuWorkload::mixed(), &mut rng),
-    ];
-    cfg.cpu_batch = cpu_batch;
-    cfg.gpu.event_skip = event_skip;
-    cfg.gpu.threads = threads;
-    cfg
-}
-
-/// Oracle 2: snapshot invisibility across the full
-/// `cpu_batch × event_skip × threads` matrix. Each cell checkpoints its
-/// second frame mid-flight and requires the restored run to match its own
-/// straight run bit-for-bit (cross-cell equality of straight runs is the
-/// cpu-batch matrix oracle's job).
+/// Oracle 2: the full `cpu_batch × event_skip × threads` matrix. Each cell
+/// runs three frames straight, checkpointing inside frame 1 at a fifth of
+/// frame 0's span (frame 1 runs warm, in under half of frame 0's cycles),
+/// and restores: its restored run must equal its own straight run.
 #[test]
 fn restore_matrix_is_bit_identical() {
+    let soc = SocScenario::two_core(MemCfgKind::Dcb.build(DramConfig::lpddr3_1600()), 10);
     let mut mid_frame = 0u32;
-    for cpu_batch in [false, true] {
-        for event_skip in [false, true] {
-            for threads in [1usize, 2, 4] {
-                let label = format!("batch={cpu_batch} skip={event_skip} threads={threads}");
-                // Mid-frame by construction: half a frame into frame 1.
-                let probe_cfg = fixed_config(cpu_batch, event_skip, threads);
-                let aspect = probe_cfg.width as f32 / probe_cfg.height as f32;
-                let mut probe = Soc::new(probe_cfg.clone());
-                let d = cube_draw(&probe, 0, aspect);
-                let span = probe.run_frame(vec![d], MAX).total_cycles;
-                if lockstep(probe_cfg, 3, 1, span / 2, &label) {
-                    mid_frame += 1;
-                }
-            }
-        }
+    for cell in cells(&[1, 2, 4]) {
+        let sc = SnapScenario {
+            soc: soc.clone(),
+            cell,
+            frames: 3,
+            at_frame: 1,
+            offset_pct: 20,
+            bug: SnapBug::None,
+        };
+        let run = snap_oracle(&sc).unwrap_or_else(|v| panic!("{cell:?}: {}", v.detail));
+        mid_frame += run.mid_frame as u32;
     }
     assert!(
         mid_frame >= 6,
