@@ -35,7 +35,10 @@ pub const MAGIC: [u8; 8] = *b"EMSNAP\0\0";
 /// * 2 — the CPU cluster's run-ahead state (`ran_until` / `pending` /
 ///   `end_at`) moved out of the mid-frame cursor into the cluster's own
 ///   record and is written for between-frame snapshots too.
-pub const FORMAT_VERSION: u32 = 2;
+/// * 3 — the SoC's and the GPU's request-id generators are gone (each
+///   requester stamps ids from a counter it already snapshots): two u64s
+///   fewer.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Bytes of fixed container overhead: magic + version + config hash +
 /// trailing checksum.

@@ -16,7 +16,6 @@
 
 use emerald_common::types::{AccessKind, Cycle};
 use emerald_mem::image::SharedMem;
-use emerald_mem::req::ReqIdGen;
 use emerald_soc::cpu::{CpuCoreModel, CpuWorkload, Phase};
 
 /// A batch-boundary scenario: one core runs a single `Work` phase against
@@ -80,7 +79,6 @@ const HORIZON: Cycle = 2_000_000;
 /// cycle, drain.
 fn run_reference(sc: &BatchScenario) -> (Vec<Req>, u64, u64, u64) {
     let mem = SharedMem::with_capacity(32 << 20);
-    let mut ids = ReqIdGen::new();
     let mut core = CpuCoreModel::new(0, sc.workload(), &mem, 0xBA7C);
     let mut inflight: Vec<Cycle> = Vec::new();
     let mut trace = Vec::new();
@@ -92,7 +90,7 @@ fn run_reference(sc: &BatchScenario) -> (Vec<Req>, u64, u64, u64) {
         for _ in 0..due {
             core.on_response();
         }
-        core.run_batch(now - 1, 1, false, &mut ids);
+        core.run_batch(now - 1, 1, false);
         for r in core.drain_requests() {
             if r.kind == AccessKind::Read {
                 inflight.push(r.issued + sc.latency);
@@ -110,7 +108,6 @@ fn run_reference(sc: &BatchScenario) -> (Vec<Req>, u64, u64, u64) {
 /// every window `sc.overrun` cycles past that boundary.
 fn run_batched(sc: &BatchScenario) -> (Vec<Req>, u64, u64, u64) {
     let mem = SharedMem::with_capacity(32 << 20);
-    let mut ids = ReqIdGen::new();
     let mut core = CpuCoreModel::new(0, sc.workload(), &mem, 0xBA7C);
     let mut inflight: Vec<Cycle> = Vec::new();
     let mut trace = Vec::new();
@@ -136,7 +133,7 @@ fn run_batched(sc: &BatchScenario) -> (Vec<Req>, u64, u64, u64) {
         let mut stop = next_stop(&inflight);
         let mut b = now;
         while b < stop && !core.at_frame_end() {
-            let (used, _ev) = core.run_batch(b, stop - b, false, &mut ids);
+            let (used, _ev) = core.run_batch(b, stop - b, false);
             assert!(used >= 1, "run_batch made no progress at {b}");
             b += used;
             for r in core.drain_requests() {

@@ -34,7 +34,7 @@ use emerald_common::snap::{SnapWriter, Snapshot};
 use emerald_common::types::{AccessKind, Cycle, TrafficSource};
 use emerald_gpu::gpu::{Drain, MemPort};
 use emerald_gpu::{GlobalMemCtx, Gpu, GpuConfig, SimpleMemPort};
-use emerald_mem::req::{MemRequest, ReqIdGen};
+use emerald_mem::req::MemRequest;
 use emerald_mem::{DramConfig, MemorySystem, MemorySystemConfig};
 use emerald_obs::Registry;
 use emerald_soc::experiment::MemCfgKind;
@@ -81,10 +81,9 @@ pub struct GapViolation {
 /// first violation.
 pub fn gap_oracle(sc: &GapScenario) -> Result<(), GapViolation> {
     let mut ms = MemorySystem::new(MemorySystemConfig::baseline(2, DramConfig::lpddr3_1600()));
-    let mut ids = ReqIdGen::new();
     for i in 0..sc.reqs {
         let req = MemRequest {
-            id: ids.next_id(),
+            id: i,
             addr: (i * sc.stride) & !127,
             bytes: 128,
             kind: AccessKind::Read,

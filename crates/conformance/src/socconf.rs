@@ -10,7 +10,9 @@
 //!
 //! - [`gate_matrix`] runs one scenario in all four `event_skip ×
 //!   cpu_batch` cells (threads are an optional third axis) and compares
-//!   every barrier across them.
+//!   every barrier across them, checkpoint bytes included: each requester
+//!   stamps its request ids from its own counter, so no schedule shows in
+//!   them.
 //! - [`snap_oracle`] runs one scenario in one cell straight while
 //!   capturing a checkpoint, revives it into a fresh SoC and compares
 //!   every later barrier. Its canary ([`SnapBug`]) aims at the two unsafe
@@ -240,84 +242,46 @@ impl Barrier {
         }
     }
 
-    /// The first part of `other` that differs from `self`, if any; the
-    /// checkpoint bytes only if `bytes`.
-    fn diff(&self, other: &Barrier, bytes: bool) -> Option<&'static str> {
+    /// The first part of `other` that differs from `self`, if any.
+    fn diff(&self, other: &Barrier) -> Option<&'static str> {
         [
             ("frame record", self.record != other.record),
             ("renderer frame stats", self.gfx != other.gfx),
             ("clock", self.now != other.now),
             ("framebuffer", self.framebuffer != other.framebuffer),
             ("registry", self.registry != other.registry),
-            (
-                "checkpoint bytes",
-                bytes && self.checkpoint != other.checkpoint,
-            ),
+            ("checkpoint bytes", self.checkpoint != other.checkpoint),
         ]
         .into_iter()
         .find_map(|(what, differs)| differs.then_some(what))
     }
 }
 
-/// The reference runs of a gate matrix, collected in [`cells`] order: the
-/// first cell of each `cpu_batch` value.
-///
-/// Every cell must match every reference at every frame barrier, except
-/// that checkpoint bytes are compared only within one `cpu_batch` value.
-/// The SoC's one request-id generator is shared by the display and every
-/// core, and a core that runs ahead draws its ids before the components it
-/// passed draw theirs; the ids reach the checkpoint through the cores'
-/// MSHR targets, while timing never reads them.
-#[derive(Debug, Default)]
-struct GateRefs(Vec<(Cell, Vec<Barrier>)>);
-
-impl GateRefs {
-    /// Compares `cell`'s barriers with the references so far, then keeps
-    /// them if `cell` is the first of its `cpu_batch` value.
-    fn check(&mut self, cell: Cell, got: Vec<Barrier>) -> Result<(), String> {
-        for (rc, want) in &self.0 {
-            let bytes = rc.cpu_batch == cell.cpu_batch;
-            if want.len() != got.len() {
-                return Err(format!(
-                    "{cell:?}: {} frames, {rc:?}: {}",
-                    got.len(),
-                    want.len()
-                ));
-            }
-            for (f, (w, g)) in want.iter().zip(&got).enumerate() {
-                if let Some(what) = w.diff(g, bytes) {
-                    return Err(format!("{cell:?} vs {rc:?}: frame {f}: {what} diverged"));
-                }
-            }
-        }
-        if self.0.iter().all(|(rc, _)| rc.cpu_batch != cell.cpu_batch) {
-            self.0.push((cell, got));
-        }
-        Ok(())
-    }
-}
-
 /// Runs `sc` for `frames` frames in every cell of [`cells`]`(threads)`
-/// and checks every frame barrier against the first cell of each
-/// `cpu_batch` value: all of a barrier across all cells, except the
-/// checkpoint bytes, which only within one `cpu_batch` value (a core that
-/// runs ahead draws its request ids early). Returns the per-cycle reference cell's SoC at its last
-/// barrier, for the caller's own assertions.
+/// and checks every frame barrier, checkpoint bytes included, against the
+/// first cell's: the per-cycle reference. Returns that cell's SoC at its
+/// last barrier, for the caller's own assertions.
 pub fn gate_matrix(sc: &SocScenario, frames: u32, threads: &[usize]) -> Result<Soc, String> {
-    let mut refs = GateRefs::default();
-    let mut reference = None;
+    let mut reference: Option<(Cell, Vec<Barrier>, Soc)> = None;
     for cell in cells(threads) {
         let mut soc = Soc::new(sc.config(cell));
-        let got = (0..frames)
+        let got: Vec<Barrier> = (0..frames)
             .map(|f| {
                 let rec = soc.run_frame(sc.draws(&soc, f), MAX);
                 Barrier::at(&soc, &rec)
             })
             .collect();
-        refs.check(cell, got)?;
-        reference.get_or_insert(soc);
+        let Some((rc, want, _)) = &reference else {
+            reference = Some((cell, got, soc));
+            continue;
+        };
+        for (f, (w, g)) in want.iter().zip(&got).enumerate() {
+            if let Some(what) = w.diff(g) {
+                return Err(format!("{cell:?} vs {rc:?}: frame {f}: {what} diverged"));
+            }
+        }
     }
-    Ok(reference.expect("at least one cell"))
+    Ok(reference.expect("at least one cell").2)
 }
 
 /// The injected bug, if any. `None` is the honest implementation and must
@@ -439,7 +403,7 @@ pub fn snap_oracle(sc: &SnapScenario) -> Result<SnapRun, SnapViolation> {
     } else {
         Barrier::at(&restored, &rec)
     };
-    if let Some(what) = want.diff(&got, true) {
+    if let Some(what) = want.diff(&got) {
         return Err(violation(format!("restore barrier: {what} diverged")));
     }
     barriers.push(want);
@@ -459,7 +423,7 @@ pub fn snap_oracle(sc: &SnapScenario) -> Result<SnapRun, SnapViolation> {
         let rs = straight.run_frame(ds, MAX);
         let rr = restored.run_frame(dr, MAX);
         let want = Barrier::at(&straight, &rs);
-        if let Some(what) = want.diff(&Barrier::at(&restored, &rr), true) {
+        if let Some(what) = want.diff(&Barrier::at(&restored, &rr)) {
             return Err(violation(format!("frame {f}: {what} diverged")));
         }
         barriers.push(want);

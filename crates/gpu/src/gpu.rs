@@ -12,7 +12,7 @@ use emerald_common::event::{earliest, next_wake};
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::{AccessKind, Addr, CoreId, Cycle, TrafficSource};
 use emerald_mem::link::Link;
-use emerald_mem::req::{MemRequest, MemResponse, ReqIdGen};
+use emerald_mem::req::{MemRequest, MemResponse};
 use emerald_mem::system::MemorySystem;
 use emerald_mem::view::StoreBuffer;
 use std::collections::VecDeque;
@@ -121,10 +121,6 @@ pub struct Gpu {
     dram_pending: Vec<Option<Addr>>,
     dram_free: Vec<u64>,
     dram_inflight: usize,
-    /// Ids for write requests only; writes are never matched against the
-    /// read slab (responses are filtered by kind), so collisions with slab
-    /// indices are harmless.
-    write_ids: ReqIdGen,
     kernels: Vec<KernelState>,
     cta_cursor: usize,
     finished_external: Vec<(CoreId, u64)>,
@@ -159,7 +155,6 @@ impl Gpu {
             dram_pending: Vec::with_capacity(cfg.l2.mshrs * cfg.l2_banks),
             dram_free: Vec::with_capacity(cfg.l2.mshrs * cfg.l2_banks),
             dram_inflight: 0,
-            write_ids: ReqIdGen::new(),
             kernels: Vec::new(),
             cta_cursor: 0,
             finished_external: Vec::new(),
@@ -474,8 +469,9 @@ impl Gpu {
         }
         clk.lap(emerald_obs::prof::HostPhase::GpuL2);
 
-        // 4. L2 ↔ DRAM. Read ids are slab slots; write ids come from a
-        // plain counter and are never matched against the slab.
+        // 4. L2 ↔ DRAM. Read ids are slab slots; a write's id is the count
+        // of writes sent before it, never matched against the slab
+        // (responses are filtered by kind), so a refused try takes none.
         while let Some((line, kind)) = self.to_mem.front().copied() {
             let id = if kind == AccessKind::Read {
                 match self.dram_free.pop() {
@@ -486,7 +482,7 @@ impl Gpu {
                     }
                 }
             } else {
-                self.write_ids.next_id()
+                self.stats.mem_writes
             };
             let req = MemRequest {
                 id,
@@ -577,8 +573,8 @@ impl Gpu {
     }
 
     /// True while a request the port refused waits at the head of the
-    /// DRAM queue. A refused read is not in [`Gpu`]'s `next_event`: it is
-    /// retried when the port's channel issues, which is the port's event.
+    /// DRAM queue. A refused request is not in [`Gpu`]'s `next_event`: it
+    /// is retried when the port's channel issues, which is the port's event.
     pub fn holds_refused(&self) -> bool {
         !self.to_mem.is_empty()
     }
@@ -728,7 +724,6 @@ impl emerald_common::snap::Snapshot for Gpu {
         // The read-slab geometry and free list steer future request ids.
         w.put_usize(self.dram_pending.len());
         w.put_seq(self.dram_free.iter(), |w, &id| w.put_u64(id));
-        self.write_ids.snapshot(w);
         w.put_usize(self.kernels.len());
         w.put_usize(self.cta_cursor);
         w.put_u64(self.stats.issued);
@@ -761,7 +756,6 @@ impl emerald_common::snap::Restore for Gpu {
         self.dram_pending = vec![None; slab];
         self.dram_free = free;
         self.dram_inflight = 0;
-        self.write_ids.restore(r)?;
         let kernel_count = r.get_usize()?;
         if kernel_count != self.kernels.len() || self.kernels.iter().any(|k| !k.is_done()) {
             return Err(SnapError::BadValue {
@@ -791,12 +785,11 @@ impl emerald_common::event::NextEvent for Gpu {
     /// The minimum over everything that can act on its own. `now + 1` if
     /// anything would move next cycle: a fill waiting out interconnect
     /// backpressure, an undrained finished warp, a CTA some core has room
-    /// for, a write at the head of `to_mem` (each retry takes a fresh
-    /// write id), an L2 bank whose head is not its memoised stall, a core
-    /// with a scan to run, a miss to send or a ready LSU head. Otherwise
-    /// the earlier interconnect arrival and the earliest writeback or
-    /// token completion of any core. Everything else waits on an outside
-    /// event: a *read* at the head of `to_mem` was refused this cycle and
+    /// for, an L2 bank whose head is not its memoised stall, a core with a
+    /// scan to run, a miss to send or a ready LSU head. Otherwise the
+    /// earlier interconnect arrival and the earliest writeback or token
+    /// completion of any core. Everything else waits on an outside event:
+    /// a request at the head of `to_mem` was refused this cycle and
     /// stays refused until the port's channel issues (the port's event),
     /// and an outstanding DRAM read returns through the port. The cycles
     /// before the answer change only what [`Gpu::skip`] books.
@@ -804,7 +797,6 @@ impl emerald_common::event::NextEvent for Gpu {
         let pin = Some(now + 1);
         if !self.fill_backlog.is_empty()
             || !self.finished_external.is_empty()
-            || matches!(self.to_mem.front(), Some((_, AccessKind::Write)))
             || (0..self.kernels.len()).any(|ki| self.core_for_cta(ki).is_some())
             || self.l2.has_ready_head()
         {

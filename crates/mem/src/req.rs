@@ -3,13 +3,15 @@
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::{AccessKind, Addr, Cycle, TrafficSource};
 
-/// Globally unique request identifier.
+/// A request identifier, stamped by its requester from a counter of its
+/// own: `(source, id)` identifies a request. GPU read ids are slots of the
+/// GPU's in-flight read slab; nothing outside the GPU reads an id.
 pub type ReqId = u64;
 
 /// A cache-line-granularity memory request traveling down the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
-    /// Unique id used to match responses to requesters.
+    /// Requester-local id; `(source, id)` identifies the request.
     pub id: ReqId,
     /// Line-aligned byte address.
     pub addr: Addr,
@@ -106,39 +108,6 @@ impl MemResponse {
     }
 }
 
-/// Monotonic generator for [`ReqId`]s.
-#[derive(Debug, Default, Clone)]
-pub struct ReqIdGen {
-    next: ReqId,
-}
-
-impl ReqIdGen {
-    /// Creates a generator starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns a fresh id.
-    pub fn next_id(&mut self) -> ReqId {
-        let id = self.next;
-        self.next += 1;
-        id
-    }
-}
-
-impl emerald_common::snap::Snapshot for ReqIdGen {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_u64(self.next);
-    }
-}
-
-impl emerald_common::snap::Restore for ReqIdGen {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.next = r.get_u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,13 +132,5 @@ mod tests {
             ..r
         };
         assert!(!w.needs_response());
-    }
-
-    #[test]
-    fn id_gen_is_monotonic() {
-        let mut g = ReqIdGen::new();
-        let a = g.next_id();
-        let b = g.next_id();
-        assert!(b > a);
     }
 }

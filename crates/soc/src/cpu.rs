@@ -11,7 +11,7 @@ use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::{AccessKind, Addr, Cycle, TrafficSource};
 use emerald_mem::cache::{Access, Cache, CacheConfig, WritePolicy};
 use emerald_mem::image::SharedMem;
-use emerald_mem::req::{MemRequest, ReqIdGen};
+use emerald_mem::req::MemRequest;
 use emerald_mem::system::MemorySystem;
 
 /// One step of a CPU core's per-frame script.
@@ -272,17 +272,18 @@ impl CpuCoreModel {
         self.outstanding = self.outstanding.saturating_sub(1);
     }
 
-    fn issue_access(&mut self, addr: Addr, kind: AccessKind, ids: &mut ReqIdGen, now: Cycle) {
+    /// Ids are the core's request count before this access: the id the
+    /// request gets if it leaves the private caches.
+    fn issue_access(&mut self, addr: Addr, kind: AccessKind, now: Cycle) {
         let line = self.l1.line_addr(addr);
-        let id = ids.next_id();
+        let id = self.stats.mem_requests;
         match self.l1.access(line, kind, id, now) {
             Access::Hit => {}
             Access::MergedMiss => {}
             Access::Stall(_) => {} // drop: the slot retries as a new access
             Access::WriteForward | Access::Miss { .. } => {
                 // L1 miss (or writeback) → L2.
-                let id2 = ids.next_id();
-                match self.l2.access(line, kind, id2, now) {
+                match self.l2.access(line, kind, id, now) {
                     Access::Hit | Access::MergedMiss | Access::Stall(_) => {
                         if kind == AccessKind::Read {
                             // L2 hit: data returns quickly; modelled as a
@@ -387,7 +388,6 @@ impl CpuCoreModel {
         now: Cycle,
         budget: Cycle,
         gpu_frame_done: bool,
-        ids: &mut ReqIdGen,
     ) -> (Cycle, CpuEvent) {
         if budget == 0 {
             return (0, CpuEvent::None);
@@ -435,7 +435,7 @@ impl CpuCoreModel {
                         } else {
                             AccessKind::Read
                         };
-                        self.issue_access(self.arena + (offset & !127), kind, ids, now + consumed);
+                        self.issue_access(self.arena + (offset & !127), kind, now + consumed);
                     }
                     if self.instr_in_phase >= instrs {
                         // Phase transition; a request issued this same
@@ -477,7 +477,7 @@ impl CpuCoreModel {
                     }
                     consumed += to_poll;
                     self.poll_counter = 0;
-                    self.issue_access(self.arena, AccessKind::Read, ids, now + consumed);
+                    self.issue_access(self.arena, AccessKind::Read, now + consumed);
                     if interacts(self) {
                         return (consumed, CpuEvent::None);
                     }
@@ -654,7 +654,6 @@ impl CpuCluster {
         &mut self,
         now: Cycle,
         gpu_done: bool,
-        ids: &mut ReqIdGen,
         memsys: &mut MemorySystem,
     ) -> (CpuEvent, bool) {
         let (mut event, mut sent) = (CpuEvent::None, false);
@@ -667,7 +666,7 @@ impl CpuCluster {
                 _ if self.ran_until[i] >= now => CpuEvent::None,
                 _ => {
                     let was_end = core.at_frame_end();
-                    let (_, ev) = core.run_batch(now - 1, 1, gpu_done, ids);
+                    let (_, ev) = core.run_batch(now - 1, 1, gpu_done);
                     self.ran_until[i] = now;
                     if !was_end && core.at_frame_end() {
                         self.end_at[i] = now;
@@ -726,7 +725,6 @@ impl CpuCluster {
         w: Cycle,
         fence_open: bool,
         gpu_done: bool,
-        ids: &mut ReqIdGen,
         memsys: &MemorySystem,
     ) {
         if !self.batch {
@@ -745,7 +743,7 @@ impl CpuCluster {
         let is_submitter = |i: &usize| submitters >> i & 1 != 0;
         let mut fence_end = if fence_open { now } else { quiet_end };
         for i in (0..self.cores.len()).filter(is_submitter) {
-            self.run_core_ahead(i, now, quiet_end, fence_end, gpu_done, ids, memsys);
+            self.run_core_ahead(i, now, quiet_end, fence_end, gpu_done, memsys);
         }
         fence_end = quiet_end;
         if fence_open {
@@ -760,7 +758,7 @@ impl CpuCluster {
             }
         }
         for i in (0..self.cores.len()).filter(|i| !is_submitter(i)) {
-            self.run_core_ahead(i, now, quiet_end, fence_end, gpu_done, ids, memsys);
+            self.run_core_ahead(i, now, quiet_end, fence_end, gpu_done, memsys);
         }
     }
 
@@ -772,7 +770,6 @@ impl CpuCluster {
     /// everything it issues queues behind it. That covers what `step` left
     /// in the output buffer, and a request issued into a channel whose
     /// queue is full already — enqueues only fill it.
-    #[allow(clippy::too_many_arguments)]
     fn run_core_ahead(
         &mut self,
         i: usize,
@@ -780,7 +777,6 @@ impl CpuCluster {
         quiet_end: Cycle,
         fence_end: Cycle,
         gpu_done: bool,
-        ids: &mut ReqIdGen,
         memsys: &MemorySystem,
     ) {
         let core = &mut self.cores[i];
@@ -802,7 +798,7 @@ impl CpuCluster {
                 break;
             }
             let was_end = core.at_frame_end();
-            let (used, ev) = core.run_batch(base, stop - base, gpu_done, ids);
+            let (used, ev) = core.run_batch(base, stop - base, gpu_done);
             base += used;
             emerald_obs::prof::record_cpu_batch(used);
             if !behind_refused && core.has_pending_out() {
@@ -911,11 +907,10 @@ mod tests {
     #[test]
     fn driver_emits_issue_draw_once_per_frame() {
         let m = mem();
-        let mut ids = ReqIdGen::new();
         let mut cpu = CpuCoreModel::new(0, CpuWorkload::driver(), &m, 1);
         let mut draws = 0;
         for now in 0..100_000 {
-            if cpu.run_batch(now, 1, true, &mut ids).1 == CpuEvent::IssueDraw {
+            if cpu.run_batch(now, 1, true).1 == CpuEvent::IssueDraw {
                 draws += 1;
             }
             cpu.drain_requests();
@@ -933,7 +928,6 @@ mod tests {
     #[test]
     fn wait_gpu_blocks_until_done() {
         let m = mem();
-        let mut ids = ReqIdGen::new();
         let mut cpu = CpuCoreModel::new(
             0,
             CpuWorkload {
@@ -943,13 +937,13 @@ mod tests {
             2,
         );
         for now in 0..10_000 {
-            cpu.run_batch(now, 1, false, &mut ids);
+            cpu.run_batch(now, 1, false);
             cpu.drain_requests();
             cpu.on_response();
         }
         assert!(!cpu.at_frame_end(), "must wait for the GPU");
         for now in 10_000..10_010 {
-            cpu.run_batch(now, 1, true, &mut ids);
+            cpu.run_batch(now, 1, true);
         }
         assert!(cpu.at_frame_end());
     }
@@ -957,11 +951,10 @@ mod tests {
     #[test]
     fn streaming_worker_generates_memory_traffic() {
         let m = mem();
-        let mut ids = ReqIdGen::new();
         let mut cpu = CpuCoreModel::new(1, CpuWorkload::streamer(), &m, 3);
         let mut reqs = 0;
         for now in 0..40_000 {
-            cpu.run_batch(now, 1, false, &mut ids);
+            cpu.run_batch(now, 1, false);
             let r = cpu.drain_requests();
             reqs += r.len();
             for _ in r {
@@ -978,12 +971,11 @@ mod tests {
     #[test]
     fn compute_worker_is_light_on_memory() {
         let m = mem();
-        let mut ids = ReqIdGen::new();
         let mut heavy = CpuCoreModel::new(1, CpuWorkload::streamer(), &m, 3);
         let mut light = CpuCoreModel::new(2, CpuWorkload::compute(), &m, 4);
         for now in 0..30_000 {
             for cpu in [&mut heavy, &mut light] {
-                cpu.run_batch(now, 1, false, &mut ids);
+                cpu.run_batch(now, 1, false);
                 for _ in cpu.drain_requests() {
                     cpu.on_response();
                 }
@@ -1000,7 +992,6 @@ mod tests {
     #[test]
     fn outstanding_misses_stall_the_core() {
         let m = mem();
-        let mut ids = ReqIdGen::new();
         let mut cpu = CpuCoreModel::new(
             0,
             CpuWorkload {
@@ -1016,7 +1007,7 @@ mod tests {
         );
         // Never respond: the core must stall after max_outstanding reads.
         for now in 0..10_000 {
-            cpu.run_batch(now, 1, false, &mut ids);
+            cpu.run_batch(now, 1, false);
             cpu.drain_requests();
         }
         assert!(cpu.stats().stall_cycles > 5_000);
@@ -1026,13 +1017,12 @@ mod tests {
     /// Drives `single` with budget-1 `run_batch` calls (the per-cycle
     /// clocking) and `batch` with windows of up to `budget` cycles under
     /// identical response schedules, asserting bit-identical state
-    /// evolution: an n-cycle batch is n single-cycle ones. Responses
-    /// arrive at window boundaries, crude but deterministic.
+    /// evolution: an n-cycle batch is n single-cycle ones, down to the
+    /// request ids. Responses arrive at window boundaries, crude but
+    /// deterministic.
     fn batch_equals_single_cycles(workload: CpuWorkload, seed: u64, budget: Cycle, horizon: Cycle) {
         // Separate images so both twins get the same arena address.
         let (ma, mb) = (mem(), mem());
-        let mut ids_a = ReqIdGen::new();
-        let mut ids_b = ReqIdGen::new();
         let mut single = CpuCoreModel::new(0, workload.clone(), &ma, seed);
         let mut batch = CpuCoreModel::new(0, workload, &mb, seed);
         let mut now: Cycle = 0;
@@ -1043,13 +1033,12 @@ mod tests {
             let window_end = now + budget;
             let mut t = now;
             while t < window_end {
-                if single.run_batch(t, 1, false, &mut ids_a).1 == CpuEvent::IssueDraw {
+                if single.run_batch(t, 1, false).1 == CpuEvent::IssueDraw {
                     ref_draws += 1;
                 }
                 t += 1;
-                let r = single.drain_requests();
-                if !r.is_empty() {
-                    ref_reqs.extend(r.iter().map(|q| (q.addr, q.kind, q.issued)));
+                ref_reqs.extend(single.drain_requests());
+                if !ref_reqs.is_empty() {
                     break; // the batch twin stops here; realign
                 }
             }
@@ -1058,27 +1047,18 @@ mod tests {
             let mut got_draws = 0;
             let mut b = now;
             while b < t {
-                let (used, ev) = batch.run_batch(b, t - b, false, &mut ids_b);
+                let (used, ev) = batch.run_batch(b, t - b, false);
                 assert!(used >= 1, "no progress at {b}");
                 b += used;
                 if ev == CpuEvent::IssueDraw {
                     got_draws += 1;
                 }
-                got_reqs.extend(
-                    batch
-                        .drain_requests()
-                        .iter()
-                        .map(|q| (q.addr, q.kind, q.issued)),
-                );
+                got_reqs.extend(batch.drain_requests());
             }
             assert_eq!(ref_reqs, got_reqs, "requests diverged in window at {now}");
             assert_eq!(ref_draws, got_draws, "draw events diverged at {now}");
             // Unstall both sides identically at the window boundary.
-            for _ in 0..ref_reqs
-                .iter()
-                .filter(|(_, k, _)| *k == AccessKind::Read)
-                .count()
-            {
+            for _ in ref_reqs.iter().filter(|q| q.needs_response()) {
                 single.on_response();
                 batch.on_response();
             }
@@ -1116,20 +1096,18 @@ mod tests {
             }],
         };
         let (ma, mb) = (mem(), mem());
-        let mut ids_a = ReqIdGen::new();
-        let mut ids_b = ReqIdGen::new();
         let mut single = CpuCoreModel::new(0, wl.clone(), &ma, 5);
         let mut batch = CpuCoreModel::new(0, wl, &mb, 5);
         // Never respond: both twins hit the outstanding limit and must burn
         // the same stall_cycles whether run one cycle at a time or in bulk
         // windows.
         for now in 0..10_000 {
-            single.run_batch(now, 1, false, &mut ids_a);
+            single.run_batch(now, 1, false);
             single.drain_requests();
         }
         let mut b: Cycle = 0;
         while b < 10_000 {
-            let (used, _) = batch.run_batch(b, (10_000 - b).min(333), false, &mut ids_b);
+            let (used, _) = batch.run_batch(b, (10_000 - b).min(333), false);
             batch.drain_requests();
             b += used;
         }

@@ -7,7 +7,7 @@
 
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::{AccessKind, Addr, Cycle, TrafficSource};
-use emerald_mem::req::{MemRequest, ReqIdGen};
+use emerald_mem::req::MemRequest;
 
 /// Display statistics.
 #[derive(Debug, Default, Clone, Copy)]
@@ -46,7 +46,7 @@ pub struct DisplayController {
     frame_start: Cycle,
     /// How many bytes the beam may lead confirmed data before underrun.
     fifo_bytes: u64,
-    /// In-flight request ids (to credit `returned` on response).
+    /// Reads in flight (each response credits `returned`).
     inflight: u64,
     aborted_until: Option<Cycle>,
     stats: DisplayStats,
@@ -130,7 +130,7 @@ impl DisplayController {
     }
 
     /// Advances one cycle.
-    pub fn tick(&mut self, now: Cycle, ids: &mut ReqIdGen) {
+    pub fn tick(&mut self, now: Cycle) {
         // Waiting out an abort?
         if let Some(t) = self.aborted_until {
             if now < t {
@@ -189,7 +189,7 @@ impl DisplayController {
         while self.fetch_pos < self.fb_bytes && self.fetch_pos < beam + self.fifo_bytes {
             let addr = self.fb_base + self.fetch_pos;
             self.out.push(MemRequest {
-                id: ids.next_id(),
+                id: self.stats.requests,
                 addr,
                 bytes: self.line_bytes as u32,
                 kind: AccessKind::Read,
@@ -310,9 +310,8 @@ mod tests {
     #[test]
     fn completes_frames_with_fast_memory() {
         let mut d = DisplayController::new(0x1000, 64 << 10, 10_000);
-        let mut ids = ReqIdGen::new();
         for now in 0..50_000 {
-            d.tick(now, &mut ids);
+            d.tick(now);
             for r in d.drain_requests() {
                 d.on_response(r.bytes); // instant memory
             }
@@ -326,9 +325,8 @@ mod tests {
     #[test]
     fn starved_display_aborts_frames() {
         let mut d = DisplayController::new(0x1000, 64 << 10, 10_000);
-        let mut ids = ReqIdGen::new();
         for now in 0..50_000 {
-            d.tick(now, &mut ids);
+            d.tick(now);
             d.drain_requests(); // never answered
         }
         let s = d.stats();
@@ -340,10 +338,9 @@ mod tests {
     fn requests_cover_whole_framebuffer() {
         let fb = 16 << 10;
         let mut d = DisplayController::new(0x0, fb, 4_000);
-        let mut ids = ReqIdGen::new();
         let mut addrs = std::collections::HashSet::new();
         for now in 0..4_000 {
-            d.tick(now, &mut ids);
+            d.tick(now);
             for r in d.drain_requests() {
                 addrs.insert(r.addr);
                 d.on_response(r.bytes);
@@ -356,11 +353,10 @@ mod tests {
     fn next_event_wakes_exactly_at_next_action() {
         use emerald_common::event::NextEvent;
         let mut d = DisplayController::new(0x1000, 64 << 10, 10_000);
-        let mut ids = ReqIdGen::new();
         let mut now = 0;
         let mut exact_wakes = 0;
         while now < 25_000 {
-            d.tick(now, &mut ids);
+            d.tick(now);
             for r in d.drain_requests() {
                 d.on_response(r.bytes); // instant memory
             }
@@ -370,7 +366,7 @@ mod tests {
             if t > now + 1 {
                 // The announced gap is dead...
                 for c in now + 1..t {
-                    d.tick(c, &mut ids);
+                    d.tick(c);
                     assert!(
                         d.drain_requests().is_empty(),
                         "issued at {c} before announced wake {t}"
@@ -379,7 +375,7 @@ mod tests {
                 // ...and the wake cycle itself performs a visible action
                 // (a prefetch batch or a period rollover) — the closed
                 // form is exact, not merely conservative.
-                d.tick(t, &mut ids);
+                d.tick(t);
                 let reqs = d.drain_requests();
                 let after = d.stats();
                 assert!(
@@ -404,9 +400,8 @@ mod tests {
     #[test]
     fn progress_tracks_beam_and_data() {
         let mut d = DisplayController::new(0x0, 64 << 10, 10_000);
-        let mut ids = ReqIdGen::new();
         for now in 0..5_000 {
-            d.tick(now, &mut ids);
+            d.tick(now);
             for r in d.drain_requests() {
                 d.on_response(r.bytes);
             }

@@ -12,7 +12,7 @@ use emerald_core::{GfxConfig, GpuRenderer};
 use emerald_gpu::gpu::MemPort;
 use emerald_gpu::GpuConfig;
 use emerald_mem::image::SharedMem;
-use emerald_mem::req::{MemRequest, MemResponse, ReqIdGen};
+use emerald_mem::req::{MemRequest, MemResponse};
 use emerald_mem::system::{MemorySystem, MemorySystemConfig, SchedulerKind};
 use emerald_obs::prof::{self, HostPhase, PhaseClock};
 use std::collections::VecDeque;
@@ -184,7 +184,6 @@ pub struct Soc {
     pub rt: RenderTarget,
     cpus: CpuCluster,
     display: DisplayController,
-    ids: ReqIdGen,
     gpu_resp: VecDeque<MemResponse>,
     now: Cycle,
     expected_frags: u64,
@@ -232,7 +231,6 @@ impl Soc {
             rt,
             cpus,
             display,
-            ids: ReqIdGen::new(),
             gpu_resp: VecDeque::new(),
             now: 0,
             expected_frags: 0,
@@ -474,16 +472,14 @@ impl Soc {
         clk.lap(HostPhase::SocMem);
 
         if display_due {
-            self.display.tick(now, &mut self.ids);
+            self.display.tick(now);
             mem_moved |= forward_requests(self.display.requests_mut(), &mut self.memsys, now);
             self.pins.display = pin(self.display.next_event(now));
         }
         clk.lap(HostPhase::SocDisplay);
 
         if let Some((cur, draws)) = &mut frame {
-            let (ev, sent) = self
-                .cpus
-                .step(now, cur.gpu_done, &mut self.ids, &mut self.memsys);
+            let (ev, sent) = self.cpus.step(now, cur.gpu_done, &mut self.memsys);
             mem_moved |= sent && !self.forget_cpu_enqueues;
             if ev == CpuEvent::IssueDraw {
                 if let Some(ds) = draws.take() {
@@ -681,14 +677,8 @@ impl Soc {
             clk.lap(HostPhase::SocOther);
             if w > now + 1 {
                 let fence_open = draws.is_some() && !cur.gpu_done;
-                self.cpus.run_ahead(
-                    now,
-                    w,
-                    fence_open,
-                    cur.gpu_done,
-                    &mut self.ids,
-                    &self.memsys,
-                );
+                self.cpus
+                    .run_ahead(now, w, fence_open, cur.gpu_done, &self.memsys);
                 clk.lap(HostPhase::SocCpu);
                 if skip {
                     self.jump_to(self.cpus.wake(now, w));
@@ -742,7 +732,6 @@ impl Soc {
             w.section(3, |w| self.renderer.snapshot(w));
             w.section(4, |w| self.display.snapshot(w));
             self.cpus.snapshot(w);
-            self.ids.snapshot(w);
             w.put_u64(self.now);
             w.put_u64(self.expected_frags);
             w.put_u64(self.frames_rendered);
@@ -812,7 +801,6 @@ impl Soc {
         r.section(3, |r| soc.renderer.restore(r))?;
         r.section(4, |r| soc.display.restore(r))?;
         soc.cpus.restore(&mut r)?;
-        soc.ids.restore(&mut r)?;
         soc.now = r.get_u64()?;
         soc.expected_frags = r.get_u64()?;
         soc.frames_rendered = r.get_u64()?;

@@ -4,7 +4,6 @@
 //! framebuffer, and recover cleanly once memory keeps up — with every
 //! transition visible in [`DisplayStats`].
 
-use emerald_mem::req::ReqIdGen;
 use emerald_soc::display::DisplayController;
 
 const FB_BASE: u64 = 0x10_0000;
@@ -16,13 +15,12 @@ const PERIOD: u64 = 10_000;
 #[test]
 fn underrun_aborts_then_retries_and_completes() {
     let mut d = DisplayController::new(FB_BASE, FB_BYTES, PERIOD);
-    let mut ids = ReqIdGen::new();
 
     // Phase 1 (one full period): requests leave but memory never answers.
     // The beam outruns the 16 KiB FIFO mid-frame → underrun abort.
     let mut first_abort_at = None;
     for now in 0..PERIOD {
-        d.tick(now, &mut ids);
+        d.tick(now);
         d.drain_requests();
         if first_abort_at.is_none() && d.stats().frames_aborted > 0 {
             first_abort_at = Some(now);
@@ -41,7 +39,7 @@ fn underrun_aborts_then_retries_and_completes() {
     // Between the abort and the boundary the controller stays quiet.
     let quiet_reqs = s.requests;
     for now in first_abort_at + 1..PERIOD {
-        d.tick(now, &mut ids);
+        d.tick(now);
         assert!(
             d.drain_requests().is_empty(),
             "no fetches while waiting out the aborted frame (cycle {now})"
@@ -53,7 +51,7 @@ fn underrun_aborts_then_retries_and_completes() {
     // scan from the framebuffer base.
     let mut first_retry_addr = None;
     for now in PERIOD..3 * PERIOD {
-        d.tick(now, &mut ids);
+        d.tick(now);
         for r in d.drain_requests() {
             if first_retry_addr.is_none() {
                 first_retry_addr = Some(r.addr);
@@ -85,9 +83,8 @@ fn underrun_aborts_then_retries_and_completes() {
 #[test]
 fn progress_collapses_during_abort_window() {
     let mut d = DisplayController::new(FB_BASE, FB_BYTES, PERIOD);
-    let mut ids = ReqIdGen::new();
     for now in 0..PERIOD - 1 {
-        d.tick(now, &mut ids);
+        d.tick(now);
         d.drain_requests(); // starved
     }
     assert!(d.stats().frames_aborted >= 1);
@@ -101,14 +98,13 @@ fn progress_collapses_during_abort_window() {
 #[test]
 fn stats_publish_exports_all_counters() {
     let mut d = DisplayController::new(FB_BASE, FB_BYTES, PERIOD);
-    let mut ids = ReqIdGen::new();
     // One starved frame (aborts), then two healthy periods.
     for now in 0..PERIOD {
-        d.tick(now, &mut ids);
+        d.tick(now);
         d.drain_requests();
     }
     for now in PERIOD..3 * PERIOD {
-        d.tick(now, &mut ids);
+        d.tick(now);
         for r in d.drain_requests() {
             d.on_response(r.bytes);
         }

@@ -28,7 +28,7 @@ EMERALD_CONF_CASES=32 cargo test --release --test conformance -q
 echo "==> memory-system allocation bars on the optimised build (0 per saturated DASH / FR-FCFS cycle)"
 cargo test --release -p emerald-mem --test alloc -q
 
-echo "==> clocking-gate lockstep suites, release (16 random SoC scenarios drawing a cube and 16 drawing nothing, each in all four event_skip x cpu_batch cells, equal at every frame barrier; random-cycle restores; the 12-cell gate x thread matrix, and a restore in each of its cells; gap oracles; twin gap walks; run-ahead corner scenarios; loop-iteration and renderer-cycle bounds)"
+echo "==> clocking-gate lockstep suites, release (16 random SoC scenarios drawing a cube and 16 drawing nothing, each in all four event_skip x cpu_batch cells, equal at every frame barrier, checkpoint bytes included, across all four cells; random-cycle restores; the 12-cell gate x thread matrix, and a restore in each of its cells; gap oracles; twin gap walks; run-ahead corner scenarios; loop-iteration and renderer-cycle bounds)"
 EMERALD_CONF_CASES=16 cargo test --release --test event_skip --test cpu_batch --test snapshot -q
 
 echo "==> the random gate and restore oracles again, dev profile (8 cases; every loop iteration audits the SoC's cached wake pins against fresh next_event answers; the workspace step above already ran every suite in this profile)"

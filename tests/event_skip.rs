@@ -6,8 +6,8 @@
 //! 1. **Lockstep gate matrix** — seeded random SoC scenarios, each frame
 //!    drawing a cube, run in all four `event_skip × cpu_batch` cells and
 //!    must agree bit-for-bit on the frame records, the clock, the
-//!    framebuffer, the full stats registry and — within one `cpu_batch`
-//!    value — the checkpoint bytes at every frame barrier
+//!    framebuffer, the full stats registry and the checkpoint bytes at
+//!    every frame barrier
 //!    (`emerald_conformance::gate_matrix`). Its CPU-only twin lives in
 //!    `tests/cpu_batch.rs`.
 //! 2. **No early transitions** — components queried for `next_event(now)`
@@ -65,7 +65,7 @@ fn memsys_stats_json(ms: &MemorySystem) -> String {
 #[test]
 fn memsys_never_acts_before_next_event() {
     use emerald::common::types::{AccessKind, TrafficSource};
-    use emerald::mem::req::{MemRequest, ReqIdGen};
+    use emerald::mem::req::MemRequest;
     check_n(
         "memsys_next_event_oracle",
         env_cases("EMERALD_CONF_CASES", 8),
@@ -77,7 +77,6 @@ fn memsys_never_acts_before_next_event() {
                 DramConfig::lpddr3_1600()
             };
             let mut ms = MemorySystem::new(kind.build(dram));
-            let mut ids = ReqIdGen::new();
             let sources = [
                 TrafficSource::Gpu,
                 TrafficSource::Cpu(0),
@@ -103,7 +102,7 @@ fn memsys_never_acts_before_next_event() {
                 // Trickle the burst in (external input), a few per cycle.
                 while let Some(&(addr, kind, source)) = pending.last() {
                     let req = MemRequest {
-                        id: ids.next_id(),
+                        id: pending.len() as u64,
                         addr,
                         bytes: 128,
                         kind,
@@ -171,18 +170,16 @@ fn memsys_never_acts_before_next_event() {
 /// period — must tick as a pure no-op: no requests, no stat changes.
 #[test]
 fn display_never_acts_before_next_event() {
-    use emerald::mem::req::ReqIdGen;
     use emerald::soc::display::DisplayController;
     check_n("display_next_event_oracle", 16, |rng| {
         let fb_bytes = [16u64 << 10, 64 << 10][rng.below(2) as usize];
         let period = rng.range(4_000, 40_000);
         let mut d = DisplayController::new(0x1000, fb_bytes, period);
-        let mut ids = ReqIdGen::new();
         let mut now = 0u64;
         let mut gaps_checked = 0u32;
         let horizon = 3 * period;
         while now < horizon {
-            d.tick(now, &mut ids);
+            d.tick(now);
             for r in d.drain_requests() {
                 d.on_response(r.bytes); // instant memory
             }
@@ -193,7 +190,7 @@ fn display_never_acts_before_next_event() {
             if t > now + 1 {
                 let snap = d.stats();
                 for c in now + 1..t {
-                    d.tick(c, &mut ids);
+                    d.tick(c);
                     assert!(
                         d.drain_requests().is_empty() && !d.has_pending(),
                         "display issued work at {c}, before announced wake {t}"
@@ -270,7 +267,6 @@ fn renderer_gaps_change_only_what_skip_books() {
 #[test]
 fn display_waiting_on_memory_never_acts_before_next_event() {
     use emerald::common::snap::{SnapWriter, Snapshot};
-    use emerald::mem::req::ReqIdGen;
     use emerald::soc::display::DisplayController;
     use std::collections::VecDeque;
     let bytes = |d: &DisplayController| {
@@ -284,14 +280,13 @@ fn display_waiting_on_memory_never_acts_before_next_event() {
         let period = rng.range(4_000, 40_000);
         let latency = rng.range(20, 6_000);
         let mut d = DisplayController::new(0x1000, fb_bytes, period);
-        let mut ids = ReqIdGen::new();
         let mut in_flight: VecDeque<(u64, u32)> = VecDeque::new();
         let mut now = 0u64;
         while now < 4 * period {
             while in_flight.front().is_some_and(|r| r.0 <= now) {
                 d.on_response(in_flight.pop_front().expect("front").1);
             }
-            d.tick(now, &mut ids);
+            d.tick(now);
             in_flight.extend(d.drain_requests().iter().map(|r| (now + latency, r.bytes)));
             let wake = d.next_event(now).expect("a period boundary lies ahead");
             assert!(wake > now, "next_event must be in the future");
@@ -299,7 +294,7 @@ fn display_waiting_on_memory_never_acts_before_next_event() {
             if quiet > now + 1 {
                 let before = bytes(&d);
                 for c in now + 1..quiet {
-                    d.tick(c, &mut ids);
+                    d.tick(c);
                 }
                 assert!(
                     before == bytes(&d),
