@@ -346,7 +346,7 @@ impl GpuRenderer {
             let mut placed = false;
             for off in 0..n_cores {
                 let core = (ds.core_cursor + off) % n_cores;
-                if !self.gpu.core(core).can_accept(&ds.dc.vs) {
+                if !self.gpu.core(core).can_accept(&ds.dc.vs, 1) {
                     continue;
                 }
                 let threads: Vec<ThreadState> = vw
@@ -452,7 +452,7 @@ impl GpuRenderer {
         if let Some((tile, cursor)) = self.launching[cluster].take() {
             let mut cursor = cursor;
             // One warp launch attempt per cycle.
-            if self.gpu.core(cluster).can_accept(&ds.dc.fs) {
+            if self.gpu.core(cluster).can_accept(&ds.dc.fs, 1) {
                 let chunk: Vec<ThreadState> = tile.frags
                     [cursor..(cursor + 32).min(tile.frags.len())]
                     .iter()
@@ -876,7 +876,7 @@ impl emerald_common::event::NextEvent for GpuRenderer {
         };
         let can_place = ds.next_warp < ds.warps.len()
             && ds.credits > 0
-            && (0..gpu.num_cores()).any(|c| gpu.core(c).can_accept(&ds.dc.vs));
+            && (0..gpu.num_cores()).any(|c| gpu.core(c).can_accept(&ds.dc.vs, 1));
         let allow_ooo = self.allow_ooo();
         if can_place
             || self.vpos.iter().any(|v| !v.is_idle())
@@ -890,7 +890,7 @@ impl emerald_common::event::NextEvent for GpuRenderer {
             // `launch_fragments`: continue a tile if the core has room,
             // else look for the next one.
             let launch = match self.launching[cl] {
-                Some(_) => gpu.core(cl).can_accept(&ds.dc.fs),
+                Some(_) => gpu.core(cl).can_accept(&ds.dc.fs, 1),
                 None => pipe.tc.wants_scan(),
             };
             if launch {

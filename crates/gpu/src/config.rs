@@ -20,7 +20,8 @@ pub struct GpuConfig {
     pub clusters: usize,
     /// SIMT cores per cluster (32 lanes each).
     pub cores_per_cluster: usize,
-    /// Maximum resident warps per core.
+    /// Maximum resident warps per core, at most 64: a core keeps warp
+    /// readiness as `u64` slot masks.
     pub max_warps_per_core: usize,
     /// Register file size per core (32-bit registers).
     pub regs_per_core: usize,

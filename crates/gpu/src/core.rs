@@ -85,6 +85,44 @@ impl CoreStats {
     }
 }
 
+/// Warp readiness as slot masks (bit `i` = warp slot `i`), so the
+/// schedulers and retire read three words instead of walking every slot.
+/// A slot's bits are a function of its warp alone; [`SlotMasks::mark`]
+/// re-reads them wherever that warp's state moves, and debug builds
+/// rebuild all three from the definitions every cycle.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct SlotMasks {
+    /// [`Warp::issuable`] is `Some`.
+    ready: u64,
+    /// Ready with a memory-class instruction, which also needs LSU room.
+    mem: u64,
+    /// [`Warp::is_finished`].
+    done: u64,
+}
+
+impl SlotMasks {
+    /// Re-reads `slot`'s bits from `warp` (`None`: the slot is empty).
+    fn mark(&mut self, slot: usize, warp: Option<&Warp>) {
+        let bit = 1u64 << slot;
+        let set = |on: bool| if on { bit } else { 0 };
+        let next = warp.and_then(Warp::issuable);
+        self.ready = self.ready & !bit | set(next.is_some());
+        self.mem = self.mem & !bit | set(next.is_some_and(|d| d.class == LatencyClass::Mem));
+        self.done = self.done & !bit | set(warp.is_some_and(Warp::is_finished));
+    }
+}
+
+/// The set bits of `mask`, lowest first.
+fn slots(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let slot = mask.trailing_zeros() as usize;
+        (mask != 0).then(|| {
+            mask &= mask - 1;
+            slot
+        })
+    })
+}
+
 /// One SIMT core (32 lanes).
 #[derive(Debug)]
 pub struct SimtCore {
@@ -100,14 +138,7 @@ pub struct SimtCore {
     seq: Vec<u64>,
     next_seq: u64,
     last_greedy: Vec<Option<usize>>,
-    /// The readiness memo. Whether a warp can issue, and whether one can
-    /// retire, changes only through a writeback, a completed memory
-    /// token, the LSU dropping below capacity, a launch, a restore or an
-    /// issue. Each of those sets this flag; a scheduler-and-retire scan
-    /// that issues nothing clears it, and until it is set again the scan
-    /// would find nothing, so `cycle` skips it (debug builds run it
-    /// anyway and assert exactly that).
-    rescan: bool,
+    masks: SlotMasks,
     l1d: Cache,
     l1t: Cache,
     l1z: Cache,
@@ -135,6 +166,7 @@ pub struct SimtCore {
 impl SimtCore {
     /// Builds a core with the given global index.
     pub fn new(id: CoreId, cfg: &GpuConfig) -> Self {
+        assert!(cfg.max_warps_per_core <= 64, "warp slots are u64 mask bits");
         Self {
             id,
             warps: (0..cfg.max_warps_per_core).map(|_| None).collect(),
@@ -142,7 +174,7 @@ impl SimtCore {
             seq: vec![0; cfg.max_warps_per_core],
             next_seq: 0,
             last_greedy: vec![None; cfg.schedulers_per_core],
-            rescan: true,
+            masks: SlotMasks::default(),
             l1d: Cache::new(cfg.l1d.clone()),
             l1t: Cache::new(cfg.l1t.clone()),
             l1z: Cache::new(cfg.l1z.clone()),
@@ -169,11 +201,11 @@ impl SimtCore {
         program.regs_used().max(1) * 32
     }
 
-    /// True when `program`'s warp would fit right now (free slot and
-    /// register-file space).
-    pub fn can_accept(&self, program: &emerald_isa::Program) -> bool {
-        self.resident < self.warps.len()
-            && self.used_regs + Self::reg_demand(program) <= self.cfg.regs_per_core
+    /// True when `warps` warps of `program` would fit right now (free
+    /// slots and register-file space for all of them).
+    pub fn can_accept(&self, program: &emerald_isa::Program, warps: usize) -> bool {
+        self.resident + warps <= self.warps.len()
+            && self.used_regs + warps * Self::reg_demand(program) <= self.cfg.regs_per_core
     }
 
     /// Launches a warp; hands it back if the core cannot take it.
@@ -193,8 +225,8 @@ impl SimtCore {
         self.seq[slot] = self.next_seq;
         self.next_seq += 1;
         self.warps[slot] = Some(warp);
+        self.masks.mark(slot, self.warps[slot].as_ref());
         self.resident += 1;
-        self.rescan = true;
         self.stats.warps_launched += 1;
         emerald_obs::trace::instant_args(
             emerald_obs::TraceCat::Warp,
@@ -335,10 +367,10 @@ impl SimtCore {
     /// Earliest cycle `> now` at which [`SimtCore::cycle`] does more than
     /// count itself (the `emerald_common::event::NextEvent` contract), or
     /// `None` while only a launch or a fill can wake the core. A parked
-    /// core — nothing to scan for, no miss waiting to leave, an LSU that
-    /// is empty or blocked on its cache's memoised stall — wakes at its
-    /// next scheduled writeback or token completion; [`SimtCore::skip`]
-    /// books the cycles in between.
+    /// core — no warp to issue or retire, no scheduler holding a greedy
+    /// warp, no miss waiting to leave, an LSU that is empty or blocked on
+    /// its cache's memoised stall — wakes at its next scheduled writeback
+    /// or token completion; [`SimtCore::skip`] books the cycles in between.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         if !self.miss_out.is_empty() {
             return Some(now + 1);
@@ -346,7 +378,11 @@ impl SimtCore {
         if !self.is_active() {
             return None;
         }
-        if self.rescan || !self.lsu_is_parked() {
+        if self.pickable() != 0
+            || self.masks.done != 0
+            || self.last_greedy.iter().any(Option::is_some)
+            || !self.lsu_is_parked()
+        {
             return Some(now + 1);
         }
         let due = earliest(self.reg_release.next_due(), self.token_done.next_due())?;
@@ -375,26 +411,26 @@ impl SimtCore {
         }
     }
 
-    /// Accounts one returned line of `token`; true when it was the last
-    /// and the owning warp got its registers back.
+    /// Accounts one returned line of `token`; the owning warp's slot when
+    /// it was the last and that warp got its registers back.
     fn complete_token_part(
         tokens: &mut FxHashMap<u64, MemToken>,
         warps: &mut [Option<Warp>],
         token: u64,
-    ) -> bool {
+    ) -> Option<usize> {
         let Entry::Occupied(mut e) = tokens.entry(token) else {
-            return false;
+            return None;
         };
         e.get_mut().remaining -= 1;
         if e.get().remaining > 0 {
-            return false;
+            return None;
         }
         let tok = e.remove();
         if let Some(w) = warps[tok.slot].as_mut() {
             w.release_regs(tok.regs);
             w.outstanding_mem -= 1;
         }
-        true
+        Some(tok.slot)
     }
 
     /// One core clock cycle. `ctx` provides functional memory and graphics
@@ -404,19 +440,20 @@ impl SimtCore {
         self.stats.cycles += 1;
 
         // 1. Writebacks due this cycle.
-        let (warps, tokens, rescan) = (&mut self.warps, &mut self.tokens, &mut self.rescan);
+        let (warps, tokens, masks) = (&mut self.warps, &mut self.tokens, &mut self.masks);
         self.reg_release.drain(now, |(slot, regs)| {
             if let Some(w) = warps[slot].as_mut() {
                 w.release_regs(regs);
+                masks.mark(slot, Some(w));
             }
-            *rescan = true;
         });
         self.token_done.drain(now, |t| {
-            *rescan |= Self::complete_token_part(tokens, warps, t);
+            if let Some(slot) = Self::complete_token_part(tokens, warps, t) {
+                masks.mark(slot, warps[slot].as_ref());
+            }
         });
 
         // 2. LSU: one line access per cycle per LSU port (2 ports).
-        let lsu_was_full = self.lsu.len() >= self.cfg.lsu_entries;
         for _ in 0..2 {
             let Some(p) = self.lsu.front().copied() else {
                 break;
@@ -482,120 +519,94 @@ impl SimtCore {
                 }
             }
         }
-        // Memory instructions wait for LSU space (`warp_ready`).
-        if lsu_was_full && self.lsu.len() < self.cfg.lsu_entries {
-            self.rescan = true;
-        }
-
-        if !self.rescan {
-            if cfg!(debug_assertions) {
-                self.assert_scan_finds_nothing();
-            }
-            return;
+        if cfg!(debug_assertions) {
+            self.assert_masks();
         }
 
         // 3. Issue from each scheduler.
         let mut issued_any = false;
         for s in 0..self.cfg.schedulers_per_core {
-            if let Some(slot) = self.pick_warp(s) {
+            let pick = self.pick_warp(s);
+            if let Some(slot) = pick {
                 self.issue(slot, now, ctx);
-                self.last_greedy[s] = Some(slot);
                 issued_any = true;
-            } else {
-                self.last_greedy[s] = None;
             }
+            self.last_greedy[s] = pick;
         }
         if issued_any {
             self.stats.active_cycles += 1;
         }
 
-        // 4. Retire finished warps.
-        for slot in 0..self.warps.len() {
-            let retire = self.warps[slot].as_ref().is_some_and(|w| w.is_finished());
-            if retire {
-                let w = self.warps[slot].take().expect("warp exists");
-                self.resident -= 1;
-                self.used_regs -= Self::reg_demand(&w.program);
-                self.finished.push(w.tag);
-                self.stats.warps_retired += 1;
-                emerald_obs::trace::instant_args(
-                    emerald_obs::TraceCat::Warp,
-                    "warp_retire",
-                    self.id.0 as u32,
-                    now,
-                    &[("slot", slot as u64)],
-                );
+        // 4. Retire finished warps, in slot order.
+        for slot in slots(self.masks.done) {
+            let w = self.warps[slot].take().expect("a done bit marks a warp");
+            self.masks.mark(slot, None);
+            self.resident -= 1;
+            self.used_regs -= Self::reg_demand(&w.program);
+            self.finished.push(w.tag);
+            self.stats.warps_retired += 1;
+            emerald_obs::trace::instant_args(
+                emerald_obs::TraceCat::Warp,
+                "warp_retire",
+                self.id.0 as u32,
+                now,
+                &[("slot", slot as u64)],
+            );
+        }
+    }
+
+    /// The masks' oracle: all three rebuilt from the definitions the
+    /// warp's cached view stands for (`can_issue`, `has_hazard`, the
+    /// decode at the pc, `is_finished`) must equal the maintained ones.
+    fn assert_masks(&self) {
+        let mut slow = SlotMasks::default();
+        for (slot, w) in self.warps.iter().enumerate() {
+            let Some(w) = w else { continue };
+            let bit = 1u64 << slot;
+            if w.can_issue() && !w.has_hazard() {
+                slow.ready |= bit;
+                if w.program.decoded(w.stack.pc()).class == LatencyClass::Mem {
+                    slow.mem |= bit;
+                }
+            }
+            if w.is_finished() {
+                slow.done |= bit;
             }
         }
-        self.rescan = issued_any;
+        assert_eq!(self.masks, slow, "stale slot mask on {}", self.id);
     }
 
-    /// The memo's oracle: the scans `cycle` is about to skip, run anyway.
-    /// They must pick nothing, retire nothing, and leave `last_greedy` as
-    /// it already is.
-    fn assert_scan_finds_nothing(&self) {
-        for s in 0..self.cfg.schedulers_per_core {
-            assert_eq!(self.last_greedy[s], None, "memo left a greedy warp");
-            assert_eq!(self.pick_warp(s), None, "memo skipped a ready warp");
+    /// Slots a scheduler may pick now: the ready ones, less memory
+    /// instructions while the LSU is full (worst case one line/lane ×4).
+    fn pickable(&self) -> u64 {
+        if self.lsu.len() >= self.cfg.lsu_entries {
+            self.masks.ready & !self.masks.mem
+        } else {
+            self.masks.ready
         }
-        assert!(
-            !self.warps.iter().flatten().any(Warp::is_finished),
-            "memo skipped a finished warp"
-        );
-    }
-
-    fn warp_ready(&self, slot: usize) -> bool {
-        let Some(w) = self.warps[slot].as_ref() else {
-            return false;
-        };
-        let next = w.issuable();
-        if cfg!(debug_assertions) {
-            // The cached view's oracle: the definitions it caches.
-            let slow = (w.can_issue() && !w.has_hazard()).then(|| w.program.decoded(w.stack.pc()));
-            assert_eq!(next, slow, "stale scheduler view in slot {slot}");
-        }
-        // Memory instructions need LSU space (worst case one line/lane ×4).
-        next.is_some_and(|d| {
-            !(d.class == LatencyClass::Mem && self.lsu.len() >= self.cfg.lsu_entries)
-        })
     }
 
     /// Warp selection for scheduler `s` per the configured policy.
     fn pick_warp(&self, s: usize) -> Option<usize> {
+        let ready = self.pickable();
+        // Not taken by an earlier scheduler this cycle.
+        let free = ready
+            & !self.last_greedy[..s]
+                .iter()
+                .flatten()
+                .fold(0u64, |m, &slot| m | 1 << slot);
         match self.cfg.warp_sched {
-            WarpSched::Gto => {
+            WarpSched::Gto => match self.last_greedy[s] {
                 // Greedy: stick with the last warp while it stays ready.
-                if let Some(slot) = self.last_greedy[s] {
-                    if self.warp_ready(slot) {
-                        return Some(slot);
-                    }
-                }
-                // Fallback: the oldest ready warp not taken by an earlier
-                // scheduler this cycle.
-                let mut best: Option<usize> = None;
-                for slot in 0..self.warps.len() {
-                    if !self.warp_ready(slot) || self.last_greedy[..s].contains(&Some(slot)) {
-                        continue;
-                    }
-                    best = match best {
-                        None => Some(slot),
-                        Some(b) if self.seq[slot] < self.seq[b] => Some(slot),
-                        b => b,
-                    };
-                }
-                best
-            }
+                Some(slot) if ready >> slot & 1 != 0 => Some(slot),
+                // Fallback: the oldest free ready warp.
+                _ => slots(free).min_by_key(|&slot| self.seq[slot]),
+            },
             WarpSched::Lrr => {
-                // Rotate: first ready slot after the last issued one.
-                let n = self.warps.len();
-                let start = self.last_greedy[s].map_or(0, |x| x + 1);
-                for off in 0..n {
-                    let slot = (start + off) % n;
-                    if self.warp_ready(slot) && !self.last_greedy[..s].contains(&Some(slot)) {
-                        return Some(slot);
-                    }
-                }
-                None
+                // Rotate: first free ready slot after the last issued one.
+                let start = self.last_greedy[s].map_or(0, |x| (x + 1) % self.warps.len());
+                let after = free & u64::MAX << start;
+                slots(if after != 0 { after } else { free }).next()
             }
         }
     }
@@ -649,9 +660,11 @@ impl SimtCore {
                     *count += 1;
                     if *count >= warps_in_cta {
                         self.barriers.remove(&(k, cta));
-                        for other in self.warps.iter_mut().flatten() {
+                        for (i, other) in self.warps.iter_mut().enumerate() {
+                            let Some(other) = other else { continue };
                             if other.cta_group.map(|(ok, oc, _)| (ok, oc)) == Some((k, cta)) {
                                 other.at_barrier = false;
+                                self.masks.mark(i, Some(other));
                             }
                         }
                     }
@@ -731,6 +744,7 @@ impl SimtCore {
             w.exited = true;
         }
         w.refresh_next();
+        self.masks.mark(slot, Some(w));
     }
 }
 
@@ -917,7 +931,7 @@ impl emerald_common::snap::Restore for SimtCore {
         // across a checkpoint.
         self.warps.iter_mut().for_each(|w| *w = None);
         self.resident = 0;
-        self.rescan = true;
+        self.masks = SlotMasks::default();
         self.tokens.clear();
         self.lsu.clear();
         self.finished.clear();
@@ -1135,7 +1149,35 @@ mod tests {
         };
         assert!(c.launch(mk()).is_ok());
         assert!(c.launch(mk()).is_err(), "register file exhausted");
-        assert!(!c.can_accept(&p));
+        assert!(!c.can_accept(&p, 1));
+    }
+
+    /// The mask oracle catches a mask nobody re-marked: a ready bit on an
+    /// empty slot, and a done bit on a warp still waiting on a writeback.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn stale_slot_masks_are_caught() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let corruptions: [fn(&mut SlotMasks); 2] = [|m| m.ready ^= 1 << 5, |m| m.done ^= 1];
+        for corrupt in corruptions {
+            let mut c = core();
+            let mut ctx = GlobalMemCtx::new(SharedMem::with_capacity(1 << 16));
+            // r0's writeback lands at cycle 4, so nothing re-marks slot 0
+            // in cycle 3.
+            launch_simple(
+                &mut c,
+                "add.f32 r0, 1.0, 2.0\nadd.f32 r1, r0, 1.0\nexit",
+                32,
+            );
+            for now in 0..3 {
+                c.cycle(now, &mut ctx);
+            }
+            corrupt(&mut c.masks);
+            let err = catch_unwind(AssertUnwindSafe(|| c.cycle(3, &mut ctx)))
+                .expect_err("the oracle must catch a stale mask");
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains("stale slot mask on core0"), "{msg}");
+        }
     }
 
     #[test]

@@ -278,15 +278,13 @@ impl Gpu {
             return None;
         }
         let n = self.cores.len();
-        (0..n).map(|off| (self.cta_cursor + off) % n).find(|&ci| {
-            let core = &self.cores[ci];
-            core.occupancy() + kernel.warps_per_cta() <= self.cfg.max_warps_per_core
-                && core.can_accept(&kernel.program)
-        })
+        (0..n)
+            .map(|off| (self.cta_cursor + off) % n)
+            .find(|&ci| self.cores[ci].can_accept(&kernel.program, kernel.warps_per_cta()))
     }
 
     fn dispatch_ctas(&mut self) {
-        'kernels: for ki in 0..self.kernels.len() {
+        for ki in 0..self.kernels.len() {
             while let Some(ci) = self.core_for_cta(ki) {
                 let ks = &self.kernels[ki];
                 let (cta, shared_base) = (ks.next_cta, ks.next_shared_base);
@@ -301,10 +299,9 @@ impl Gpu {
                         WarpTag::Compute { kernel: ki, cta },
                     );
                     warp.cta_group = Some((ki, cta, warps_per_cta));
-                    if self.cores[ci].launch(warp).is_err() {
-                        // Register file exhausted mid-CTA: retry next cycle.
-                        continue 'kernels;
-                    }
+                    self.cores[ci]
+                        .launch(warp)
+                        .expect("core_for_cta found room for the whole CTA");
                     self.kernels[ki].warps_outstanding += 1;
                 }
                 let ks = &mut self.kernels[ki];
@@ -786,9 +783,10 @@ impl emerald_common::event::NextEvent for Gpu {
     /// anything would move next cycle: a fill waiting out interconnect
     /// backpressure, an undrained finished warp, a CTA some core has room
     /// for, an L2 bank whose head is not its memoised stall, a core with a
-    /// scan to run, a miss to send or a ready LSU head. Otherwise the
-    /// earlier interconnect arrival and the earliest writeback or token
-    /// completion of any core. Everything else waits on an outside event:
+    /// warp to pick or retire, a miss to send or a ready LSU head.
+    /// Otherwise the earlier interconnect arrival and the earliest
+    /// writeback or token completion of any core. Everything else waits on
+    /// an outside event:
     /// a request at the head of `to_mem` was refused this cycle and
     /// stays refused until the port's channel issues (the port's event),
     /// and an outstanding DRAM read returns through the port. The cycles
@@ -925,6 +923,34 @@ mod tests {
                 gpu.core(ci).stats().warps_launched > 0,
                 "core {ci} never used"
             );
+        }
+    }
+
+    #[test]
+    fn a_cta_is_placed_only_where_all_its_warps_fit() {
+        // 64 registers a warp: a case-study-I core's register file holds
+        // 16 warps, five 3-warp CTAs and one warp more. A sixth CTA placed
+        // on the strength of that one warp ran it, was refused the rest,
+        // and later ran again in full.
+        let (_, mut ctx, mut port) = setup();
+        let mut gpu = Gpu::new(GpuConfig::case_study_1());
+        let src = "
+            mov.b32 r63, %input0
+            shl.u32 r1, r63, 2
+            add.u32 r1, r1, %param0
+            ld.global.b32 r2, [r1+0]
+            add.u32 r2, r2, 1
+            st.global.b32 [r1+0], r2
+            exit";
+        let prog = Arc::new(assemble(src).unwrap());
+        let n = 6144u64;
+        let out = ctx.mem().alloc(n * 4, 128);
+        let id = gpu.launch_kernel(Kernel::linear(prog, n as usize, 96, vec![out as u32]));
+        gpu.run_to_idle(0, 10_000_000, &mut ctx, &mut port);
+        assert!(gpu.kernel_done(id));
+        assert_eq!(gpu.stats().warps_retired, 192);
+        for i in 0..n {
+            assert_eq!(ctx.mem().read_u32(out + i * 4), 1, "thread {i}");
         }
     }
 

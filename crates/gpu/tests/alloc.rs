@@ -128,11 +128,11 @@ fn can_accept_does_not_allocate() {
     // program's register demand: both answers are O(1) reads.
     let (full, _, program) = stalled_core();
     let roomy = SimtCore::new(CoreId(1), &GpuConfig::case_study_1());
-    assert!(!full.can_accept(&program) && roomy.can_accept(&program));
+    assert!(!full.can_accept(&program, 1) && roomy.can_accept(&program, 1));
     let allocs = allocs_during(|| {
         for _ in 0..1_000 {
-            black_box(full.can_accept(black_box(&program)));
-            black_box(roomy.can_accept(black_box(&program)));
+            black_box(full.can_accept(black_box(&program), 1));
+            black_box(roomy.can_accept(black_box(&program), 1));
         }
     });
     assert_eq!(allocs, 0);

@@ -25,8 +25,9 @@ cargo test --workspace -q
 echo "==> conformance suite (32 random programs/draws, differential + metamorphic)"
 EMERALD_CONF_CASES=32 cargo test --release --test conformance -q
 
-echo "==> memory-system allocation bars on the optimised build (0 per saturated DASH / FR-FCFS cycle)"
+echo "==> allocation bars on the optimised build (memory system: 0 per saturated DASH / FR-FCFS cycle; SIMT core and renderer steady states, the stalled 48-warp core included)"
 cargo test --release -p emerald-mem --test alloc -q
+cargo test --release -p emerald-gpu --test alloc -p emerald-core --test alloc -q
 
 echo "==> clocking-gate lockstep suites, release (16 random SoC scenarios drawing a cube and 16 drawing nothing, each in all four event_skip x cpu_batch cells, equal at every frame barrier, checkpoint bytes included, across all four cells; random-cycle restores; the 12-cell gate x thread matrix, and a restore in each of its cells; gap oracles; twin gap walks; run-ahead corner scenarios; loop-iteration and renderer-cycle bounds)"
 EMERALD_CONF_CASES=16 cargo test --release --test event_skip --test cpu_batch --test snapshot -q
@@ -37,8 +38,9 @@ EMERALD_CONF_CASES=8 cargo test --test event_skip --test snapshot -q random_
 echo "==> benchmark package: unit tests + golden gate (cycles and digests vs benchmark/golden.json)"
 cargo test --manifest-path benchmark/Cargo.toml -q
 # All five: render_cs2 is the only gate on case_study_2 (64 warp slots, 6
-# cores, tex2d/blend register quads), sweep_fork the only one that restores
-# a SimtCore's deferred queues from a snapshot.
+# cores, tex2d/blend register quads) and so the only one that fills every
+# bit of the SIMT core's u64 slot masks; sweep_fork the only one that
+# restores a SimtCore's deferred queues from a snapshot.
 for w in soc_dense soc_paced gpgpu_mix render_cs2 sweep_fork; do
   cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- one "$w" --seed 1 --seconds 0 >/dev/null
 done

@@ -3,9 +3,9 @@
 //! In a debug build every memo carries its own oracle: a skipped
 //! `TcStage::pop_ready` scan runs anyway and must find nothing, a
 //! memoised `Cache::access` stall re-runs the lookup and must get the same
-//! reason, `SimtCore::warp_ready` recomputes the scheduler view it cached
-//! in the warp, and `SimtCore::cycle` re-runs the scans its readiness memo
-//! skips. These tests only have to drive the benchmark's workload shapes
+//! reason, and `SimtCore::cycle` rebuilds its warp-readiness slot masks
+//! from the definitions the warps' cached scheduler views stand for and
+//! asserts them equal. These tests only have to drive the benchmark's workload shapes
 //! through them (release builds compile the oracles out, so there they
 //! check the numeric results alone), plus the one property that needs the
 //! conformance program generator.
