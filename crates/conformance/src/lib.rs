@@ -10,6 +10,12 @@
 //!   with an independently implemented IPDOM stack and no timing model;
 //!   registers (as an epilogue checksum), the output memory image and
 //!   retired-instruction counts must match the pipeline bit for bit.
+//!   `execute` is a per-thread adapter over the cores' own
+//!   `execute_warp`, so the walk shares the functional executor and
+//!   differs from the pipeline only in timing: this leg checks the timing
+//!   model (issue, reconvergence, scoreboard, memory ordering, warp
+//!   launch), not the lane arithmetic. The executor's own references are
+//!   the scalar oracles and lane-wise properties in `emerald-isa`.
 //! - [`isadiff`] runs the differential comparison, the metamorphic
 //!   configuration matrix (host threads, warp scheduler, cache sizes)
 //!   and the injected-ALU-bug canary.

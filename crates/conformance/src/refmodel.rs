@@ -9,12 +9,19 @@
 //! retired-warp count must match the timing model bit for bit; any
 //! difference is a bug in the pipeline, not in the program.
 //!
-//! The stack here deliberately re-states the IPDOM rules rather than
-//! importing `emerald_gpu::simt::SimtStack`, so a regression there shows
-//! up as a divergence instead of cancelling out.
+//! The walk shares the functional executor with the cores:
+//! `emerald_isa::execute` is a gather/scatter adapter over the one
+//! `execute_warp`, so the two sides differ only in timing. What it
+//! re-states instead is everything around the executor. Its lanes are
+//! per-thread `ThreadState`s, and their launch inputs are filled here from
+//! the input conventions rather than by `Kernel::warp_regs`. The stack
+//! re-states the IPDOM rules rather than importing
+//! `emerald_gpu::simt::SimtStack`. A regression in either shows up as a
+//! divergence instead of cancelling out.
 
 use emerald_gpu::kernel::{Kernel, INPUT_SHARED_BASE};
 use emerald_isa::op::Op;
+use emerald_isa::reg::input;
 use emerald_isa::{execute, ExecCtx, Outcome, ThreadState};
 
 /// Aggregate results of a reference walk.
@@ -140,8 +147,17 @@ pub fn run_reference(kernel: &Kernel, ctx: &mut dyn ExecCtx) -> RefResult {
         let shared_base = cta as u32 * shared_stride;
         let mut warps: Vec<RefWarp> = (0..kernel.warps_per_cta())
             .map(|w| {
-                let threads = kernel.threads_for_warp(cta, w, shared_base);
-                debug_assert_eq!(threads[0].inputs[INPUT_SHARED_BASE], shared_base);
+                let first = w * 32;
+                let threads: Vec<ThreadState> = (first..kernel.threads_per_cta.min(first + 32))
+                    .map(|tid_in_cta| {
+                        let mut t = ThreadState::new();
+                        t.inputs[input::ID] = (cta * kernel.threads_per_cta + tid_in_cta) as u32;
+                        t.inputs[input::CTA_ID] = cta as u32;
+                        t.inputs[input::TID_IN_CTA] = tid_in_cta as u32;
+                        t.inputs[INPUT_SHARED_BASE] = shared_base;
+                        t
+                    })
+                    .collect();
                 let mask = if threads.len() >= 32 {
                     u32::MAX
                 } else {

@@ -303,6 +303,33 @@ mod tests {
         assert!(with > without, "overlap re-shades boundary vertices");
     }
 
+    /// Every builder gives every warp 1..=32 vertices, whatever the index
+    /// count: `chunks(32)` yields no empty chunk, an overlapped list warp
+    /// holds at least one whole primitive, and an overlapped strip warp
+    /// starts only while `start + 2 < n_positions`. The renderer launches
+    /// each warp as built, and `Warp::new` refuses one without a lane.
+    #[test]
+    fn every_vertex_warp_has_a_lane() {
+        let mut dc = draw(Topology::Triangles, None);
+        emerald_common::check::check("every_vertex_warp_has_a_lane", |rng| {
+            dc.vb.indices = (0..rng.below(200) as u32).collect();
+            for topology in [Topology::Triangles, Topology::TriangleStrip] {
+                dc.topology = topology;
+                for overlap in [true, false] {
+                    for w in build_vertex_warps(&dc, overlap) {
+                        let n = w.vertex_indices.len();
+                        assert!(
+                            (1..=32).contains(&n),
+                            "{topology:?}, overlap {overlap}, {} indices: warp {} has {n} lanes",
+                            dc.vb.indices.len(),
+                            w.seq
+                        );
+                    }
+                }
+            }
+        });
+    }
+
     #[test]
     fn empty_draw_produces_no_warps() {
         let dc = draw(Topology::Triangles, Some(vec![]));

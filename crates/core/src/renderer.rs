@@ -17,7 +17,7 @@ use crate::batch::{build_vertex_warps, CornerRef, VertexWarp};
 use crate::cluster::{ClusterPipe, ClusterStats, TcTile};
 use crate::config::GfxConfig;
 use crate::ctx::GfxCtx;
-use crate::geom::{ClipVert, NUM_VARYINGS};
+use crate::geom::ClipVert;
 use crate::shaders::{abi, vs_params};
 use crate::state::{DrawCall, RenderTarget, OVB_STRIDE};
 use crate::tcmap::TcMap;
@@ -31,10 +31,11 @@ use emerald_gpu::gpu::MemPort;
 use emerald_gpu::warp::{Warp, WarpTag};
 use emerald_gpu::{Gpu, GpuConfig};
 use emerald_isa::reg::input;
-use emerald_isa::ThreadState;
+use emerald_isa::WarpRegs;
 use emerald_mem::image::SharedMem;
 use emerald_mem::link::Link;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Per-frame measurement results.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -135,7 +136,9 @@ struct DrawState {
     /// seq → clusters yet to consume its mask.
     consumptions: FxHashMap<u32, usize>,
     core_cursor: usize,
-    vs_params: Vec<u32>,
+    vs_params: Arc<[u32]>,
+    /// Fragment shaders take no parameters; one empty list per draw.
+    fs_params: Arc<[u32]>,
 }
 
 /// The Emerald renderer.
@@ -321,7 +324,7 @@ impl GpuRenderer {
         self.pmrbs = (0..n).map(|_| Pmrb::new(total)).collect();
         self.ctx.bind_texture(0, dc.texture);
         let consumptions = (0..total).map(|s| (s, n)).collect();
-        let vs_params = vs_params(dc.vb.base, self.ovb_base, &dc.mvp);
+        let vs_params = vs_params(dc.vb.base, self.ovb_base, &dc.mvp).into();
         self.cur = Some(DrawState {
             dc,
             started_at: now,
@@ -332,6 +335,7 @@ impl GpuRenderer {
             consumptions,
             core_cursor: 0,
             vs_params,
+            fs_params: Arc::from([]),
         });
     }
 
@@ -349,26 +353,19 @@ impl GpuRenderer {
                 if !self.gpu.core(core).can_accept(&ds.dc.vs, 1) {
                     continue;
                 }
-                let threads: Vec<ThreadState> = vw
-                    .vertex_indices
-                    .iter()
-                    .enumerate()
-                    .map(|(lane, &vi)| {
-                        let mut t = ThreadState::new();
-                        t.inputs[abi::INPUT_VTX_INDEX] = vi;
-                        t.inputs[abi::INPUT_OVB_SLOT] =
-                            ((vw.seq as u64 * 32 + lane as u64) % self.ovb_slots) as u32;
-                        t
-                    })
-                    .collect();
-                if threads.is_empty() {
-                    // Zero-lane warp (empty draw tail): complete instantly.
-                    break;
+                // Every builder gives a warp at least one vertex
+                // (`batch.rs`), and `Warp::new` asserts it.
+                let mut regs = WarpRegs::new(&ds.dc.vs);
+                for (lane, &vi) in vw.vertex_indices.iter().enumerate() {
+                    let slot = (vw.seq as u64 * 32 + lane as u64) % self.ovb_slots;
+                    regs.set_input(abi::INPUT_VTX_INDEX, lane, vi);
+                    regs.set_input(abi::INPUT_OVB_SLOT, lane, slot as u32);
                 }
                 let id = self.next_id;
                 self.next_id += 1;
                 let warp = Warp::new(
-                    threads,
+                    regs,
+                    vw.vertex_indices.len(),
                     ds.dc.vs.clone(),
                     ds.vs_params.clone(),
                     WarpTag::External(id),
@@ -453,24 +450,21 @@ impl GpuRenderer {
             let mut cursor = cursor;
             // One warp launch attempt per cycle.
             if self.gpu.core(cluster).can_accept(&ds.dc.fs, 1) {
-                let chunk: Vec<ThreadState> = tile.frags
-                    [cursor..(cursor + 32).min(tile.frags.len())]
-                    .iter()
-                    .map(|f| {
-                        let mut t = ThreadState::new();
-                        t.inputs[input::FRAG_X] = f.x;
-                        t.inputs[input::FRAG_Y] = f.y;
-                        t.set_input_f32(input::FRAG_Z, f.z);
-                        for k in 0..NUM_VARYINGS {
-                            t.set_input_f32(input::FRAG_ATTR0 + k, f.attrs[k]);
-                        }
-                        t
-                    })
-                    .collect();
+                let chunk = &tile.frags[cursor..(cursor + 32).min(tile.frags.len())];
+                let mut regs = WarpRegs::new(&ds.dc.fs);
+                for (lane, f) in chunk.iter().enumerate() {
+                    regs.set_input(input::FRAG_X, lane, f.x);
+                    regs.set_input(input::FRAG_Y, lane, f.y);
+                    regs.set_input(input::FRAG_Z, lane, f.z.to_bits());
+                    for (k, a) in f.attrs.iter().enumerate() {
+                        regs.set_input(input::FRAG_ATTR0 + k, lane, a.to_bits());
+                    }
+                }
                 let count = chunk.len();
                 let id = self.next_id;
                 self.next_id += 1;
-                let warp = Warp::new(chunk, ds.dc.fs.clone(), Vec::new(), WarpTag::External(id));
+                let (fs, params) = (ds.dc.fs.clone(), ds.fs_params.clone());
+                let warp = Warp::new(regs, count, fs, params, WarpTag::External(id));
                 self.gpu
                     .core_mut(cluster)
                     .launch(warp)

@@ -17,7 +17,7 @@ use emerald_common::types::{AccessKind, Addr, CoreId, Cycle};
 use emerald_isa::exec::Surface;
 use emerald_isa::op::{LatencyClass, Op};
 use emerald_isa::reg::MAX_REGS;
-use emerald_isa::{execute_into, ExecCtx, Outcome, StepResult};
+use emerald_isa::{execute_warp, ExecCtx, Outcome, StepResult};
 use emerald_mem::cache::{Access, Cache};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -626,8 +626,8 @@ impl SimtCore {
         let pc = w.stack.pc();
         let mask = w.stack.active_mask();
         let decoded = w.program.decoded(pc);
-        let (threads, params) = (&mut w.threads, &w.params);
-        execute_into(&w.program, pc, mask, threads, params, ctx, &mut self.step);
+        let (regs, params) = (&mut w.regs, &w.params);
+        execute_warp(&w.program, pc, mask, regs, params, ctx, &mut self.step);
         let res = &self.step;
         w.instrs_issued += 1;
         self.stats.issued += 1;
@@ -943,7 +943,7 @@ impl emerald_common::snap::Restore for SimtCore {
 mod tests {
     use super::*;
     use crate::ctx::GlobalMemCtx;
-    use emerald_isa::{assemble, ThreadState};
+    use emerald_isa::{assemble, WarpRegs};
     use emerald_mem::image::SharedMem;
     use std::sync::Arc;
 
@@ -964,9 +964,10 @@ mod tests {
     fn launch_simple(core: &mut SimtCore, src: &str, n_threads: usize) {
         let p = Arc::new(assemble(src).unwrap());
         let w = Warp::new(
-            vec![ThreadState::new(); n_threads],
+            WarpRegs::new(&p),
+            n_threads,
             p,
-            vec![],
+            Arc::from([]),
             WarpTag::External(7),
         );
         core.launch(w).unwrap();
@@ -1141,9 +1142,10 @@ mod tests {
         let p = Arc::new(assemble("mov.b32 r1, 0\nexit").unwrap());
         let mk = || {
             Warp::new(
-                vec![ThreadState::new(); 32],
+                WarpRegs::new(&p),
+                32,
                 p.clone(),
-                vec![],
+                Arc::from([]),
                 WarpTag::External(0),
             )
         };

@@ -291,9 +291,10 @@ impl Gpu {
                 let warps_per_cta = ks.kernel.warps_per_cta();
                 for w in 0..warps_per_cta {
                     let ks = &self.kernels[ki];
-                    let threads = ks.kernel.threads_for_warp(cta, w, shared_base);
+                    let (regs, lanes) = ks.kernel.warp_regs(cta, w, shared_base);
                     let mut warp = Warp::new(
-                        threads,
+                        regs,
+                        lanes,
                         ks.kernel.program.clone(),
                         ks.kernel.params.clone(),
                         WarpTag::Compute { kernel: ki, cta },
@@ -818,7 +819,7 @@ impl emerald_common::event::NextEvent for Gpu {
 mod tests {
     use super::*;
     use crate::ctx::GlobalMemCtx;
-    use emerald_isa::assemble;
+    use emerald_isa::{assemble, WarpRegs};
     use emerald_mem::dram::DramConfig;
     use emerald_mem::image::SharedMem;
     use emerald_mem::system::MemorySystemConfig;
@@ -959,9 +960,10 @@ mod tests {
         let (mut gpu, mut ctx, mut port) = setup();
         let prog = Arc::new(assemble("mov.b32 r0, %laneid\nexit").unwrap());
         let w = Warp::new(
-            vec![emerald_isa::ThreadState::new(); 32],
+            WarpRegs::new(&prog),
+            32,
             prog,
-            vec![],
+            Arc::from([]),
             WarpTag::External(0xBEEF),
         );
         gpu.core_mut(1).launch(w).unwrap();
@@ -988,9 +990,10 @@ mod tests {
         assert_eq!(base, base_b);
         let warp = |tag: u64| {
             Warp::new(
-                vec![emerald_isa::ThreadState::new(); 32],
+                WarpRegs::new(&prog),
+                32,
                 prog.clone(),
-                vec![base as u32],
+                Arc::from([base as u32]),
                 WarpTag::External(tag),
             )
         };

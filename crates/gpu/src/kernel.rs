@@ -2,7 +2,7 @@
 //! SIMT cores — the GPGPU half of Emerald's unified model.
 
 use emerald_isa::reg::input;
-use emerald_isa::{Program, ThreadState};
+use emerald_isa::{Program, WarpRegs};
 use std::sync::Arc;
 
 /// A compute kernel launch description.
@@ -14,8 +14,8 @@ pub struct Kernel {
     pub grid_ctas: usize,
     /// Threads per CTA (rounded up to whole warps at dispatch).
     pub threads_per_cta: usize,
-    /// Uniform parameters (`%paramN`).
-    pub params: Vec<u32>,
+    /// Uniform parameters (`%paramN`), shared by every warp of the launch.
+    pub params: Arc<[u32]>,
     /// Scratchpad bytes per CTA (carved from the shared space; the base is
     /// delivered in `%input3`).
     pub shared_bytes: u32,
@@ -34,14 +34,14 @@ impl Kernel {
         program: Arc<Program>,
         threads: usize,
         cta_size: usize,
-        params: Vec<u32>,
+        params: impl Into<Arc<[u32]>>,
     ) -> Self {
         assert!(cta_size > 0 && cta_size <= 1024);
         Self {
             program,
             grid_ctas: threads.div_ceil(cta_size),
             threads_per_cta: cta_size,
-            params,
+            params: params.into(),
             shared_bytes: 0,
         }
     }
@@ -56,30 +56,24 @@ impl Kernel {
         self.grid_ctas * self.warps_per_cta()
     }
 
-    /// Builds the per-lane thread states for warp `warp_in_cta` of CTA
+    /// The register file and lane count of warp `warp_in_cta` of CTA
     /// `cta`, following the input conventions: `%input0` = global thread
     /// id, `%input1` = CTA id, `%input2` = thread id within the CTA,
-    /// `%input3` = this CTA's shared-memory base.
-    pub fn threads_for_warp(
-        &self,
-        cta: usize,
-        warp_in_cta: usize,
-        shared_base: u32,
-    ) -> Vec<ThreadState> {
+    /// `%input3` = this CTA's shared-memory base (slots the program never
+    /// reads are not stored).
+    pub fn warp_regs(&self, cta: usize, warp_in_cta: usize, shared_base: u32) -> (WarpRegs, usize) {
         let first = warp_in_cta * 32;
-        let count = (self.threads_per_cta - first).min(32);
-        (0..count)
-            .map(|lane| {
-                let tid_in_cta = first + lane;
-                let gid = cta * self.threads_per_cta + tid_in_cta;
-                let mut t = ThreadState::new();
-                t.inputs[input::ID] = gid as u32;
-                t.inputs[input::CTA_ID] = cta as u32;
-                t.inputs[input::TID_IN_CTA] = tid_in_cta as u32;
-                t.inputs[INPUT_SHARED_BASE] = shared_base;
-                t
-            })
-            .collect()
+        let lanes = (self.threads_per_cta - first).min(32);
+        let mut regs = WarpRegs::new(&self.program);
+        for lane in 0..lanes {
+            let tid_in_cta = first + lane;
+            let gid = cta * self.threads_per_cta + tid_in_cta;
+            regs.set_input(input::ID, lane, gid as u32);
+            regs.set_input(input::CTA_ID, lane, cta as u32);
+            regs.set_input(input::TID_IN_CTA, lane, tid_in_cta as u32);
+            regs.set_input(INPUT_SHARED_BASE, lane, shared_base);
+        }
+        (regs, lanes)
     }
 }
 
@@ -116,10 +110,18 @@ impl KernelState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emerald_isa::assemble;
+    use emerald_isa::{assemble, ThreadState};
 
     fn prog() -> Arc<Program> {
         Arc::new(assemble("mov.b32 r0, %input0\nexit").unwrap())
+    }
+
+    /// The launch inputs of a warp, lane by lane.
+    fn lane_inputs(k: &Kernel, cta: usize, warp_in_cta: usize, base: u32) -> Vec<ThreadState> {
+        let (regs, lanes) = k.warp_regs(cta, warp_in_cta, base);
+        let mut ts = vec![ThreadState::new(); lanes];
+        regs.scatter(&mut ts);
+        ts
     }
 
     #[test]
@@ -132,8 +134,9 @@ mod tests {
 
     #[test]
     fn thread_inputs_follow_convention() {
-        let k = Kernel::linear(prog(), 512, 128, vec![]);
-        let ts = k.threads_for_warp(2, 1, 0x40);
+        let reads_all = "add.u32 r0, %input0, %input1\nadd.u32 r0, %input2, %input3\nexit";
+        let k = Kernel::linear(Arc::new(assemble(reads_all).unwrap()), 512, 128, vec![]);
+        let ts = lane_inputs(&k, 2, 1, 0x40);
         assert_eq!(ts.len(), 32);
         // CTA 2, warp 1 → tid_in_cta 32..64, gid 288..320.
         assert_eq!(ts[0].inputs[input::ID], 288);
@@ -141,14 +144,17 @@ mod tests {
         assert_eq!(ts[0].inputs[input::TID_IN_CTA], 32);
         assert_eq!(ts[0].inputs[INPUT_SHARED_BASE], 0x40);
         assert_eq!(ts[31].inputs[input::ID], 319);
+        // A program that reads only `%input0` gets only that slot.
+        let ts = lane_inputs(&Kernel::linear(prog(), 512, 128, vec![]), 2, 1, 0x40);
+        assert_eq!(ts[0].inputs[..4], [288, 0, 0, 0]);
     }
 
     #[test]
     fn ragged_final_warp() {
         let k = Kernel::linear(prog(), 40, 40, vec![]);
         assert_eq!(k.warps_per_cta(), 2);
-        let ts = k.threads_for_warp(0, 1, 0);
-        assert_eq!(ts.len(), 8); // 40 - 32
+        let (_, lanes) = k.warp_regs(0, 1, 0);
+        assert_eq!(lanes, 8); // 40 - 32
     }
 
     #[test]

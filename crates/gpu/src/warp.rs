@@ -2,7 +2,7 @@
 
 use crate::simt::SimtStack;
 use emerald_isa::program::Decoded;
-use emerald_isa::{Program, ThreadState};
+use emerald_isa::{Program, WarpRegs};
 use std::sync::Arc;
 
 /// Identifies what a finished warp belonged to, so the launcher (compute
@@ -24,8 +24,8 @@ pub enum WarpTag {
 /// A warp resident in a SIMT core.
 #[derive(Debug)]
 pub struct Warp {
-    /// Per-lane architectural state.
-    pub threads: Vec<ThreadState>,
+    /// Architectural state of every lane, register-major.
+    pub regs: WarpRegs,
     /// Reconvergence stack.
     pub stack: SimtStack,
     /// The shader/kernel this warp runs.
@@ -60,24 +60,29 @@ pub struct Warp {
 }
 
 impl Warp {
-    /// Creates a warp whose lanes `0..threads.len()` are active.
+    /// Creates a warp running `program` on `regs` (built for it) whose
+    /// lanes `0..lanes` are active.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= lanes <= 32`: a warp without a lane would never
+    /// retire.
     pub fn new(
-        threads: Vec<ThreadState>,
+        regs: WarpRegs,
+        lanes: usize,
         program: Arc<Program>,
-        params: Vec<u32>,
+        params: Arc<[u32]>,
         tag: WarpTag,
     ) -> Self {
-        assert!(!threads.is_empty() && threads.len() <= 32);
-        let mask = if threads.len() == 32 {
-            u32::MAX
-        } else {
-            (1u32 << threads.len()) - 1
-        };
+        assert!(
+            (1..=32).contains(&lanes),
+            "a warp has 1..=32 lanes, not {lanes}"
+        );
         let mut warp = Self {
-            threads,
-            stack: SimtStack::new(mask),
+            regs,
+            stack: SimtStack::new(u32::MAX >> (32 - lanes)),
             program,
-            params: params.into(),
+            params,
             tag,
             pending_regs: 0,
             outstanding_mem: 0,
@@ -140,28 +145,24 @@ impl Warp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emerald_isa::{assemble, ThreadState};
+    use emerald_isa::assemble;
+
+    fn warp_of(src: &str, lanes: usize) -> Warp {
+        let program = Arc::new(assemble(src).unwrap());
+        let regs = WarpRegs::new(&program);
+        Warp::new(regs, lanes, program, Arc::from([]), WarpTag::External(0))
+    }
 
     fn warp(src: &str) -> Warp {
-        Warp::new(
-            vec![ThreadState::new(); 4],
-            Arc::new(assemble(src).unwrap()),
-            vec![],
-            WarpTag::External(0),
-        )
+        warp_of(src, 4)
     }
 
     #[test]
     fn partial_warp_mask() {
         let w = warp("exit");
         assert_eq!(w.stack.active_mask(), 0xf);
-        let full = Warp::new(
-            vec![ThreadState::new(); 32],
-            Arc::new(assemble("exit").unwrap()),
-            vec![],
-            WarpTag::External(1),
-        );
-        assert_eq!(full.stack.active_mask(), u32::MAX);
+        assert_eq!(warp_of("exit", 1).stack.active_mask(), 1);
+        assert_eq!(warp_of("exit", 32).stack.active_mask(), u32::MAX);
     }
 
     #[test]
@@ -226,11 +227,12 @@ mod tests {
     #[test]
     #[should_panic]
     fn oversized_warp_rejected() {
-        let _ = Warp::new(
-            vec![ThreadState::new(); 33],
-            Arc::new(assemble("exit").unwrap()),
-            vec![],
-            WarpTag::External(0),
-        );
+        let _ = warp_of("exit", 33);
+    }
+
+    #[test]
+    #[should_panic]
+    fn empty_warp_rejected() {
+        let _ = warp_of("exit", 0);
     }
 }

@@ -9,7 +9,7 @@
 use emerald_common::types::{AccessKind, CoreId};
 use emerald_gpu::core::SimtCore;
 use emerald_gpu::{GlobalMemCtx, GpuConfig, Warp, WarpTag};
-use emerald_isa::{assemble, Program, ThreadState};
+use emerald_isa::{assemble, Program, WarpRegs};
 use emerald_mem::image::SharedMem;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -67,9 +67,10 @@ fn ctx() -> GlobalMemCtx {
 
 fn warp(program: &Arc<Program>, params: Vec<u32>, tag: u64) -> Warp {
     Warp::new(
-        vec![ThreadState::new(); 32],
+        WarpRegs::new(program),
+        32,
         program.clone(),
-        params,
+        params.into(),
         WarpTag::External(tag),
     )
 }

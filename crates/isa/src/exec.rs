@@ -2,14 +2,14 @@
 //!
 //! The timing model (in `emerald-gpu`) decides *when* an instruction issues;
 //! this module decides *what it does*: it executes one instruction across
-//! all active lanes, mutating the per-thread register state, and reports the
+//! all active lanes, mutating the warp's register file, and reports the
 //! raw per-lane memory accesses so the timing model can replay them through
 //! the coalescer and cache hierarchy (the classic functional/timing split
 //! used by GPGPU-Sim, which Emerald builds on).
 
-use crate::op::{AluKind, CmpOp, Instr, MemSpace, Op, UnaryKind};
+use crate::op::{AluKind, CmpOp, MemSpace, Op, UnaryKind};
 use crate::program::Program;
-use crate::reg::{input, DType, Operand, Reg, Special, ThreadState};
+use crate::reg::{input, DType, Operand, Reg, Row, Special, ThreadState, WarpRegs};
 use emerald_common::types::{AccessKind, Addr, WARP_SIZE};
 
 /// Which hardware surface/cache a memory access targets (Table 2 of the
@@ -179,6 +179,17 @@ enum Src {
     Const(u32),
 }
 
+/// `%laneid` as a row.
+const LANE_IDS: Row = {
+    let mut row = [0; WARP_SIZE];
+    let mut lane = 0;
+    while lane < WARP_SIZE {
+        row[lane] = lane as u32;
+        lane += 1;
+    }
+    row
+};
+
 impl Src {
     fn new(o: &Operand, params: &[u32]) -> Self {
         match *o {
@@ -193,10 +204,21 @@ impl Src {
         }
     }
 
-    fn read(self, t: &ThreadState, lane: usize) -> u32 {
+    /// The operand across the warp.
+    fn row(self, w: &WarpRegs) -> Row {
         match self {
-            Src::Reg(r) => t.regs[r],
-            Src::Input(k) => t.inputs[k],
+            Src::Reg(r) => w.rows[r],
+            Src::Input(k) => w.rows[w.n_regs + k],
+            Src::LaneId => LANE_IDS,
+            Src::Const(v) => [v; WARP_SIZE],
+        }
+    }
+
+    /// The operand in one lane.
+    fn at(self, w: &WarpRegs, lane: usize) -> u32 {
+        match self {
+            Src::Reg(r) => w.rows[r][lane],
+            Src::Input(k) => w.rows[w.n_regs + k][lane],
             Src::LaneId => lane as u32,
             Src::Const(v) => v,
         }
@@ -219,6 +241,55 @@ impl Iterator for Lanes {
     }
 }
 
+/// Lane-wise maps over whole rows. Each is inlined into a call site whose
+/// operation is fixed, so every site compiles to its own lane loop.
+#[inline(always)]
+fn map1(a: &Row, f: impl Fn(u32) -> u32) -> Row {
+    let mut out = [0; WARP_SIZE];
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = f(x);
+    }
+    out
+}
+
+#[inline(always)]
+fn map2(a: &Row, b: &Row, f: impl Fn(u32, u32) -> u32) -> Row {
+    let mut out = [0; WARP_SIZE];
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
+    out
+}
+
+#[inline(always)]
+fn map3(a: &Row, b: &Row, c: &Row, f: impl Fn(u32, u32, u32) -> u32) -> Row {
+    let mut out = [0; WARP_SIZE];
+    for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
+        *o = f(x, y, z);
+    }
+    out
+}
+
+/// The lanes where `f` holds, as a mask.
+#[inline(always)]
+fn test2(a: &Row, b: &Row, f: impl Fn(u32, u32) -> bool) -> u32 {
+    let mut mask = 0;
+    for (lane, (&x, &y)) in a.iter().zip(b).enumerate() {
+        mask |= (f(x, y) as u32) << lane;
+    }
+    mask
+}
+
+/// `dst` takes `val` in the lanes of `mask` and keeps its own elsewhere,
+/// without a branch per lane.
+fn merge(dst: &mut Row, val: &Row, mask: u32) {
+    for (lane, (d, &v)) in dst.iter_mut().zip(val).enumerate() {
+        let take = 0u32.wrapping_sub(mask >> lane & 1);
+        *d = v & take | *d & !take;
+    }
+}
+
+#[inline(always)]
 fn alu(kind: AluKind, ty: DType, a: u32, b: u32) -> u32 {
     match ty {
         DType::F32 => {
@@ -278,6 +349,40 @@ fn alu(kind: AluKind, ty: DType, a: u32, b: u32) -> u32 {
     }
 }
 
+/// [`alu`] over whole rows. The (type, kind) pair is matched once, and
+/// each arm's loop sees constants, so it folds to one operation.
+fn alu_row(kind: AluKind, ty: DType, a: &Row, b: &Row) -> Row {
+    macro_rules! kinds {
+        ($ty:expr; $($k:ident)*) => {
+            match kind {
+                $(AluKind::$k => map2(a, b, |x, y| alu(AluKind::$k, $ty, x, y)),)*
+            }
+        };
+    }
+    macro_rules! types {
+        ($($t:ident)*) => {
+            match ty {
+                $(DType::$t => kinds!(DType::$t; Add Sub Mul Div Min Max And Or Xor Shl Shr),)*
+            }
+        };
+    }
+    types!(F32 S32 U32)
+}
+
+/// `a * b + c` over whole rows (two roundings for `f32`, not fused).
+fn mad_row(ty: DType, a: &Row, b: &Row, c: &Row) -> Row {
+    macro_rules! types {
+        ($($t:ident)*) => {
+            match ty {
+                $(DType::$t => map3(a, b, c, |x, y, z| {
+                    alu(AluKind::Add, DType::$t, alu(AluKind::Mul, DType::$t, x, y), z)
+                }),)*
+            }
+        };
+    }
+    types!(F32 S32 U32)
+}
+
 fn unary(kind: UnaryKind, ty: DType, a: u32) -> u32 {
     match ty {
         DType::F32 => {
@@ -310,6 +415,7 @@ fn unary(kind: UnaryKind, ty: DType, a: u32) -> u32 {
     }
 }
 
+#[inline(always)]
 fn compare(cmp: CmpOp, ty: DType, a: u32, b: u32) -> bool {
     match ty {
         DType::F32 => {
@@ -345,6 +451,26 @@ fn compare(cmp: CmpOp, ty: DType, a: u32, b: u32) -> bool {
     }
 }
 
+/// [`compare`] over whole rows, as the mask of lanes where it holds.
+fn compare_rows(cmp: CmpOp, ty: DType, a: &Row, b: &Row) -> u32 {
+    macro_rules! cmps {
+        ($ty:expr; $($c:ident)*) => {
+            match cmp {
+                $(CmpOp::$c => test2(a, b, |x, y| compare(CmpOp::$c, $ty, x, y)),)*
+            }
+        };
+    }
+    macro_rules! types {
+        ($($t:ident)*) => {
+            match ty {
+                $(DType::$t => cmps!(DType::$t; Eq Ne Lt Le Gt Ge),)*
+            }
+        };
+    }
+    types!(F32 S32 U32)
+}
+
+#[inline(always)]
 fn convert(from: DType, to: DType, a: u32) -> u32 {
     match (from, to) {
         (DType::F32, DType::S32) => {
@@ -369,15 +495,17 @@ fn convert(from: DType, to: DType, a: u32) -> u32 {
     }
 }
 
-/// The lanes of `active` (already clamped to `threads.len()`) whose guard
-/// predicate lets them execute.
-fn guard_mask(instr: &Instr, threads: &[ThreadState], active: u32) -> u32 {
-    match instr.guard {
-        None => active,
-        Some((p, neg)) => Lanes(active)
-            .filter(|&lane| threads[lane].preds[p.0 as usize] != neg)
-            .fold(0, |m, lane| m | 1 << lane),
+/// [`convert`] over a whole row.
+fn convert_row(from: DType, to: DType, a: &Row) -> Row {
+    macro_rules! pairs {
+        ($(($f:ident, $t:ident))*) => {
+            match (from, to) {
+                $((DType::$f, DType::$t) => map1(a, |x| convert(DType::$f, DType::$t, x)),)*
+                _ => *a,
+            }
+        };
     }
+    pairs!((F32, S32)(F32, U32)(S32, F32)(U32, F32))
 }
 
 /// Executes the instruction at `pc` of `program` for the lanes in `active`.
@@ -386,6 +514,11 @@ fn guard_mask(instr: &Instr, threads: &[ThreadState], active: u32) -> u32 {
 /// memory accesses plus the control-flow outcome. `params` are the uniform
 /// launch parameters. Bits of `active` at or beyond `threads.len()` are
 /// ignored.
+///
+/// This is [`execute_warp`] behind a gather/scatter adapter for callers
+/// that keep per-lane [`ThreadState`]s: it builds a [`WarpRegs`] sized by
+/// `program` on every call, so the simulator's cores call
+/// [`execute_warp`] on the file they keep instead.
 ///
 /// # Panics
 ///
@@ -415,10 +548,46 @@ pub fn execute_into(
     ctx: &mut dyn ExecCtx,
     res: &mut StepResult,
 ) {
-    let instr = program.instr(pc);
     let absent = WARP_SIZE.saturating_sub(threads.len()) as u32;
     let active = active & u32::MAX.checked_shr(absent).unwrap_or(0);
-    let mask = guard_mask(instr, threads, active);
+    let mut regs = WarpRegs::gather(program, threads);
+    execute_warp(program, pc, active, &mut regs, params, ctx, res);
+    regs.scatter(threads);
+}
+
+/// Executes the instruction at `pc` of `program` for the lanes in
+/// `active`, on a warp's register-major file: the one executor behind
+/// every entry point.
+///
+/// A lane outside `active`, or whose guard predicate is false, keeps
+/// every register and predicate bit. Register- and predicate-writing ALU
+/// instructions (`mov`, the two-operand ALU, `mad`, `cvt`, `setp`, `sel`)
+/// compute all [`WARP_SIZE`] lanes from whole-row operands and merge the
+/// result into the destination by mask; each lane's result depends on its
+/// own operands alone, and no lane's value can panic (integer division by
+/// zero yields 0, integer arithmetic wraps). Unary (SFU) instructions,
+/// memory and graphics instructions run per executing lane, lowest first.
+/// Results go to `res` as in [`execute_into`].
+///
+/// # Panics
+///
+/// Panics if `pc` is out of range, or if `regs` was sized for another
+/// program and the instruction names a row it lacks.
+pub fn execute_warp(
+    program: &Program,
+    pc: usize,
+    active: u32,
+    regs: &mut WarpRegs,
+    params: &[u32],
+    ctx: &mut dyn ExecCtx,
+    res: &mut StepResult,
+) {
+    let instr = program.instr(pc);
+    let mask = active
+        & match instr.guard {
+            None => u32::MAX,
+            Some((p, neg)) => regs.preds[p.0 as usize] ^ 0u32.wrapping_sub(neg as u32),
+        };
     res.accesses.clear();
     res.outcome = Outcome::Next;
     res.killed = 0;
@@ -427,55 +596,40 @@ pub fn execute_into(
     match &instr.op {
         Op::Nop => {}
         Op::Mov { d, a } => {
-            let a = src(a);
-            for lane in Lanes(mask) {
-                let t = &mut threads[lane];
-                t.set_reg(*d, a.read(t, lane));
-            }
+            let v = src(a).row(regs);
+            merge(&mut regs.rows[d.0 as usize], &v, mask);
         }
         Op::Alu { kind, ty, d, a, b } => {
-            let (a, b) = (src(a), src(b));
-            for lane in Lanes(mask) {
-                let t = &mut threads[lane];
-                t.set_reg(*d, alu(*kind, *ty, a.read(t, lane), b.read(t, lane)));
-            }
+            let v = alu_row(*kind, *ty, &src(a).row(regs), &src(b).row(regs));
+            merge(&mut regs.rows[d.0 as usize], &v, mask);
         }
         Op::Mad { ty, d, a, b, c } => {
-            let (a, b, c) = (src(a), src(b), src(c));
-            for lane in Lanes(mask) {
-                let t = &mut threads[lane];
-                let prod = alu(AluKind::Mul, *ty, a.read(t, lane), b.read(t, lane));
-                t.set_reg(*d, alu(AluKind::Add, *ty, prod, c.read(t, lane)));
-            }
+            let (a, b, c) = (src(a).row(regs), src(b).row(regs), src(c).row(regs));
+            merge(
+                &mut regs.rows[d.0 as usize],
+                &mad_row(*ty, &a, &b, &c),
+                mask,
+            );
         }
         Op::Unary { kind, ty, d, a } => {
             let a = src(a);
             for lane in Lanes(mask) {
-                let t = &mut threads[lane];
-                t.set_reg(*d, unary(*kind, *ty, a.read(t, lane)));
+                regs.rows[d.0 as usize][lane] = unary(*kind, *ty, a.at(regs, lane));
             }
         }
         Op::Cvt { d, a, from, to } => {
-            let a = src(a);
-            for lane in Lanes(mask) {
-                let t = &mut threads[lane];
-                t.set_reg(*d, convert(*from, *to, a.read(t, lane)));
-            }
+            let v = convert_row(*from, *to, &src(a).row(regs));
+            merge(&mut regs.rows[d.0 as usize], &v, mask);
         }
         Op::SetP { p, cmp, ty, a, b } => {
-            let (a, b) = (src(a), src(b));
-            for lane in Lanes(mask) {
-                let t = &mut threads[lane];
-                t.preds[p.0 as usize] = compare(*cmp, *ty, a.read(t, lane), b.read(t, lane));
-            }
+            let hit = compare_rows(*cmp, *ty, &src(a).row(regs), &src(b).row(regs));
+            let pred = &mut regs.preds[p.0 as usize];
+            *pred = hit & mask | *pred & !mask;
         }
         Op::Sel { d, p, a, b } => {
-            let (a, b) = (src(a), src(b));
-            for lane in Lanes(mask) {
-                let t = &mut threads[lane];
-                let pick = if t.preds[p.0 as usize] { a } else { b };
-                t.set_reg(*d, pick.read(t, lane));
-            }
+            let mut v = src(b).row(regs);
+            merge(&mut v, &src(a).row(regs), regs.preds[p.0 as usize]);
+            merge(&mut regs.rows[d.0 as usize], &v, mask);
         }
         Op::Ld {
             space,
@@ -485,9 +639,8 @@ pub fn execute_into(
         } => {
             let surface = surface_for(*space);
             for lane in Lanes(mask) {
-                let t = &mut threads[lane];
-                let a = (t.reg(*addr) as i64 + *offset as i64) as Addr;
-                t.set_reg(*d, ctx.load(*space, a));
+                let a = (regs.rows[addr.0 as usize][lane] as i64 + *offset as i64) as Addr;
+                regs.rows[d.0 as usize][lane] = ctx.load(*space, a);
                 res.accesses.push(MemAccess {
                     lane: lane as u8,
                     kind: AccessKind::Read,
@@ -505,9 +658,8 @@ pub fn execute_into(
         } => {
             let (a, surface) = (src(a), surface_for(*space));
             for lane in Lanes(mask) {
-                let t = &threads[lane];
-                let ad = (t.reg(*addr) as i64 + *offset as i64) as Addr;
-                ctx.store(*space, ad, a.read(t, lane));
+                let ad = (regs.rows[addr.0 as usize][lane] as i64 + *offset as i64) as Addr;
+                ctx.store(*space, ad, a.at(regs, lane));
                 res.accesses.push(MemAccess {
                     lane: lane as u8,
                     kind: AccessKind::Write,
@@ -528,11 +680,11 @@ pub fn execute_into(
         }
         Op::Tex2d { d, u, v, sampler } => {
             for lane in Lanes(mask) {
-                let t = &mut threads[lane];
                 res.texels.clear();
-                let rgba = ctx.tex2d(*sampler, t.reg_f32(*u), t.reg_f32(*v), &mut res.texels);
+                let f = |r: &Reg| f32::from_bits(regs.rows[r.0 as usize][lane]);
+                let rgba = ctx.tex2d(*sampler, f(u), f(v), &mut res.texels);
                 for (i, c) in rgba.iter().enumerate() {
-                    t.set_reg_f32(Reg(d.0 + i as u8), *c);
+                    regs.rows[d.0 as usize + i][lane] = c.to_bits();
                 }
                 for &ta in &res.texels {
                     res.accesses.push(MemAccess {
@@ -547,10 +699,9 @@ pub fn execute_into(
         }
         Op::Ztest { z, write } => {
             for lane in Lanes(mask) {
-                let t = &threads[lane];
-                let x = t.inputs[input::FRAG_X];
-                let y = t.inputs[input::FRAG_Y];
-                let (pass, addr) = ctx.ztest(x, y, t.reg_f32(*z), *write);
+                let (x, y) = frag_xy(regs, lane);
+                let z = f32::from_bits(regs.rows[z.0 as usize][lane]);
+                let (pass, addr) = ctx.ztest(x, y, z, *write);
                 res.accesses.push(MemAccess {
                     lane: lane as u8,
                     kind: AccessKind::Read,
@@ -575,12 +726,10 @@ pub fn execute_into(
         }
         Op::Blend { c } => {
             for lane in Lanes(mask) {
-                let t = &mut threads[lane];
-                let x = t.inputs[input::FRAG_X];
-                let y = t.inputs[input::FRAG_Y];
-                let (out, addr) = ctx.blend(x, y, rgba_at(t, *c));
+                let (x, y) = frag_xy(regs, lane);
+                let (out, addr) = ctx.blend(x, y, rgba_at(regs, *c, lane));
                 for (i, v) in out.iter().enumerate() {
-                    t.set_reg_f32(Reg(c.0 + i as u8), *v);
+                    regs.rows[c.0 as usize + i][lane] = v.to_bits();
                 }
                 res.accesses.push(MemAccess {
                     lane: lane as u8,
@@ -593,10 +742,8 @@ pub fn execute_into(
         }
         Op::FbWrite { c } => {
             for lane in Lanes(mask) {
-                let t = &threads[lane];
-                let x = t.inputs[input::FRAG_X];
-                let y = t.inputs[input::FRAG_Y];
-                let addr = ctx.fb_write(x, y, rgba_at(t, *c));
+                let (x, y) = frag_xy(regs, lane);
+                let addr = ctx.fb_write(x, y, rgba_at(regs, *c, lane));
                 res.accesses.push(MemAccess {
                     lane: lane as u8,
                     kind: AccessKind::Write,
@@ -609,9 +756,15 @@ pub fn execute_into(
     }
 }
 
-/// The colour held in the register quad starting at `c`.
-fn rgba_at(t: &ThreadState, c: Reg) -> [f32; 4] {
-    [0, 1, 2, 3].map(|i| t.reg_f32(Reg(c.0 + i)))
+/// A fragment lane's screen position, from its launch inputs.
+fn frag_xy(w: &WarpRegs, lane: usize) -> (u32, u32) {
+    let inputs = &w.rows[w.n_regs..];
+    (inputs[input::FRAG_X][lane], inputs[input::FRAG_Y][lane])
+}
+
+/// The colour held in one lane of the register quad starting at `c`.
+fn rgba_at(w: &WarpRegs, c: Reg, lane: usize) -> [f32; 4] {
+    [0, 1, 2, 3].map(|i| f32::from_bits(w.rows[c.0 as usize + i][lane]))
 }
 
 #[cfg(test)]

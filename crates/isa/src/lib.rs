@@ -12,7 +12,8 @@
 //! * memory instructions routed by address space to the matching L1 cache
 //!   (global→L1D, constant/vertex→L1C, texture→L1T, depth→L1Z, per Table 2
 //!   of the paper),
-//! * a warp-wide functional executor ([`exec::execute`]) that returns the
+//! * a warp-wide functional executor ([`exec::execute_warp`]) over a
+//!   register-major warp register file ([`reg::WarpRegs`]) that returns the
 //!   per-lane memory accesses for the timing model to replay,
 //! * a [text assembler](asm::assemble) and a [builder](asm::ProgramBuilder)
 //!   for writing shaders and kernels.
@@ -42,7 +43,7 @@ pub mod program;
 pub mod reg;
 
 pub use asm::{assemble, assemble_named, ProgramBuilder};
-pub use exec::{execute, execute_into, ExecCtx, MemAccess, Outcome, StepResult};
+pub use exec::{execute, execute_into, execute_warp, ExecCtx, MemAccess, Outcome, StepResult};
 pub use op::{AluKind, CmpOp, MemSpace, Op, UnaryKind};
 pub use program::Program;
-pub use reg::{DType, Operand, PReg, Reg, Special, ThreadState};
+pub use reg::{DType, Operand, PReg, Reg, Special, ThreadState, WarpRegs};

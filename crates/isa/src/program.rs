@@ -28,6 +28,7 @@ pub struct Program {
     /// Per-pc decode, parallel to `instrs`.
     decoded: Vec<Decoded>,
     regs_used: usize,
+    inputs_used: usize,
 }
 
 /// Error produced when validating a [`Program`].
@@ -74,21 +75,23 @@ impl Program {
     /// out-of-range register/predicate/parameter, any branch index is out of
     /// bounds, the program is empty, or no `exit` exists.
     pub fn new(name: impl Into<String>, instrs: Vec<Instr>) -> Result<Self, ProgramError> {
-        let decoded = Self::decode(&instrs)?;
+        let (decoded, inputs) = Self::decode(&instrs)?;
         let touched = decoded.iter().fold(0, |m, d| m | d.hazard);
         Ok(Self {
             name: name.into(),
             instrs,
             decoded,
             regs_used: (u64::BITS - touched.leading_zeros()) as usize,
+            inputs_used: (u32::BITS - inputs.leading_zeros()) as usize,
         })
     }
 
-    /// Validates every instruction and returns the per-pc decode. An
+    /// Validates every instruction and returns the per-pc decode plus the
+    /// launch inputs the program reads (bit `k` = `%inputk`). An
     /// instruction's masks are formed only once [`Op::reg_masks`] has
     /// vouched for its registers, so no shift ever sees an index ≥ 64.
-    fn decode(instrs: &[Instr]) -> Result<Vec<Decoded>, ProgramError> {
-        use crate::reg::{Operand, Special};
+    fn decode(instrs: &[Instr]) -> Result<(Vec<Decoded>, u32), ProgramError> {
+        use crate::reg::{input, Operand, Special, NUM_INPUTS};
         if instrs.is_empty() {
             return Err(ProgramError::Empty);
         }
@@ -96,17 +99,9 @@ impl Program {
             return Err(ProgramError::NoExit);
         }
         let mut decoded = Vec::with_capacity(instrs.len());
-        let check_operand = |o: &Operand, idx: usize| -> Result<(), ProgramError> {
-            match o {
-                Operand::Special(Special::Param(k)) if *k as usize >= NUM_PARAMS => {
-                    Err(ProgramError::BadParam(idx))
-                }
-                Operand::Special(Special::Input(k)) if *k as usize >= crate::reg::NUM_INPUTS => {
-                    Err(ProgramError::BadParam(idx))
-                }
-                _ => Ok(()),
-            }
-        };
+        // `ztest`, `blend` and `fbwrite` address the fragment's pixel.
+        let frag_xy = 1 << input::FRAG_X | 1 << input::FRAG_Y;
+        let mut inputs = 0u32;
         for (idx, instr) in instrs.iter().enumerate() {
             if let Some((p, _)) = instr.guard {
                 if p.0 as usize >= NUM_PREDS {
@@ -114,20 +109,31 @@ impl Program {
                 }
             }
             let (src, dst) = instr.op.reg_masks().ok_or(ProgramError::BadReg(idx))?;
+            let operands: &[&Operand] = match &instr.op {
+                Op::Mov { a, .. } | Op::Unary { a, .. } | Op::Cvt { a, .. } | Op::St { a, .. } => {
+                    &[a]
+                }
+                Op::Alu { a, b, .. } | Op::SetP { a, b, .. } | Op::Sel { a, b, .. } => &[a, b],
+                Op::Mad { a, b, c, .. } => &[a, b, c],
+                Op::Ztest { .. } | Op::Blend { .. } | Op::FbWrite { .. } => {
+                    inputs |= frag_xy;
+                    &[]
+                }
+                _ => &[],
+            };
+            for o in operands {
+                match o {
+                    Operand::Special(Special::Param(k)) if *k as usize >= NUM_PARAMS => {
+                        return Err(ProgramError::BadParam(idx))
+                    }
+                    Operand::Special(Special::Input(k)) if *k as usize >= NUM_INPUTS => {
+                        return Err(ProgramError::BadParam(idx))
+                    }
+                    Operand::Special(Special::Input(k)) => inputs |= 1 << k,
+                    _ => {}
+                }
+            }
             match &instr.op {
-                Op::Mov { a, .. } | Op::Unary { a, .. } | Op::Cvt { a, .. } => {
-                    check_operand(a, idx)?
-                }
-                Op::Alu { a, b, .. } | Op::SetP { a, b, .. } | Op::Sel { a, b, .. } => {
-                    check_operand(a, idx)?;
-                    check_operand(b, idx)?;
-                }
-                Op::Mad { a, b, c, .. } => {
-                    check_operand(a, idx)?;
-                    check_operand(b, idx)?;
-                    check_operand(c, idx)?;
-                }
-                Op::St { a, .. } => check_operand(a, idx)?,
                 Op::Bra { target, reconv } if *target >= instrs.len() || *reconv > instrs.len() => {
                     return Err(ProgramError::BadBranch(idx));
                 }
@@ -152,7 +158,7 @@ impl Program {
                 class: instr.op.latency_class(),
             });
         }
-        Ok(decoded)
+        Ok((decoded, inputs))
     }
 
     /// The program's name (for stats and debugging).
@@ -198,6 +204,14 @@ impl Program {
     /// register demand used for occupancy limits).
     pub fn regs_used(&self) -> usize {
         self.regs_used
+    }
+
+    /// Highest launch-input slot the program reads, plus one: every
+    /// `%inputN` operand, and the fragment position that `ztest`, `blend`
+    /// and `fbwrite` read implicitly. A warp's register file holds this
+    /// many input rows; a launcher's write to a later slot is dropped.
+    pub fn inputs_used(&self) -> usize {
+        self.inputs_used
     }
 }
 
@@ -428,6 +442,40 @@ mod tests {
             );
         }
         assert!(crate::assemble("tex2d r60, [r0, r1], s0\nblend r60\nexit").is_ok());
+    }
+
+    #[test]
+    fn inputs_used_counts_every_read() {
+        let used = |src: &str| crate::assemble(src).unwrap().inputs_used();
+        assert_eq!(
+            used("mov.b32 r0, %laneid\nadd.u32 r1, r0, %param3\nexit"),
+            0
+        );
+        // Implicit fragment-position reads: x and y are slots 0 and 1.
+        assert_eq!(used("ztest r0\nexit"), 2);
+        assert_eq!(used("blend r0\nexit"), 2);
+        assert_eq!(used("fbwrite r0\nexit"), 2);
+        // `%inputN` in each operand slot of each operand-reading op.
+        for src in [
+            "mov.b32 r0, %input5",
+            "neg.f32 r0, %input5",
+            "cvt.f32.s32 r0, %input5",
+            "st.global.b32 [r0+0], %input5",
+            "add.u32 r0, %input5, 1",
+            "add.u32 r0, 1, %input5",
+            "setp.lt.u32 p0, %input5, r1",
+            "setp.lt.u32 p0, r1, %input5",
+            "sel.b32 r0, p0, %input5, 1",
+            "sel.b32 r0, p0, 1, %input5",
+            "mad.f32 r0, %input5, 1.0, 2.0",
+            "mad.f32 r0, 1.0, %input5, 2.0",
+            "mad.f32 r0, 1.0, 2.0, %input5",
+        ] {
+            assert_eq!(used(&format!("{src}\nexit")), 6, "{src}");
+        }
+        // The highest slot counts, wherever it sits.
+        assert_eq!(used("mov.b32 r0, %input15\nmov.b32 r1, %input2\nexit"), 16);
+        assert_eq!(used("mov.b32 r0, %input3\nfbwrite r0\nexit"), 4);
     }
 
     #[test]

@@ -1,5 +1,8 @@
-//! Registers, operands, special inputs and per-thread architectural state.
+//! Registers, operands, special inputs, and architectural state: per
+//! thread ([`ThreadState`]) and per warp, register-major ([`WarpRegs`]).
 
+use crate::program::Program;
+use emerald_common::types::WARP_SIZE;
 use std::fmt;
 
 /// Maximum general-purpose registers addressable per thread.
@@ -79,7 +82,7 @@ impl fmt::Display for Special {
 /// Well-known launch-input slot assignments.
 ///
 /// The work launchers (`emerald-gpu` CTA dispatch, `emerald-core` vertex and
-/// fragment warp launchers) populate [`ThreadState::inputs`] using these
+/// fragment warp launchers) populate [`WarpRegs::set_input`] using these
 /// conventions; shaders read them via `%inputN`.
 pub mod input {
     /// Compute: global thread index. Vertex: vertex index within the draw.
@@ -178,16 +181,6 @@ impl ThreadState {
         f32::from_bits(self.regs[r.0 as usize])
     }
 
-    /// Writes raw bits to register `r`.
-    pub fn set_reg(&mut self, r: Reg, v: u32) {
-        self.regs[r.0 as usize] = v;
-    }
-
-    /// Writes an `f32` to register `r`.
-    pub fn set_reg_f32(&mut self, r: Reg, v: f32) {
-        self.regs[r.0 as usize] = v.to_bits();
-    }
-
     /// Stores an `f32` into input slot `k` (launcher-side helper).
     pub fn set_input_f32(&mut self, k: usize, v: f32) {
         self.inputs[k] = v.to_bits();
@@ -200,6 +193,85 @@ impl Default for ThreadState {
     }
 }
 
+/// One register (or input) across a warp: lane `l` at index `l`.
+pub(crate) type Row = [u32; WARP_SIZE];
+
+/// The architectural state of a whole warp, register-major: register `r`
+/// of every lane is one contiguous [`WARP_SIZE`]-word row, so one
+/// instruction reads and writes whole rows, and each predicate register is
+/// one lane mask, so a guard is one load.
+///
+/// Sized by its [`Program`]: `regs_used()` register rows then
+/// `inputs_used()` input rows, in one heap allocation. A resident warp of
+/// a 12-register kernel that reads 3 inputs holds 1 920 bytes, where 32
+/// [`ThreadState`]s hold 10 368.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WarpRegs {
+    /// Register rows, then input rows.
+    pub(crate) rows: Box<[Row]>,
+    /// How many of `rows` are registers.
+    pub(crate) n_regs: usize,
+    /// Predicate registers, bit `l` = lane `l`.
+    pub(crate) preds: [u32; NUM_PREDS],
+}
+
+impl WarpRegs {
+    /// A zeroed register file sized for `program`.
+    pub fn new(program: &Program) -> Self {
+        let n_regs = program.regs_used();
+        Self {
+            rows: vec![[0; WARP_SIZE]; n_regs + program.inputs_used()].into_boxed_slice(),
+            n_regs,
+            preds: [0; NUM_PREDS],
+        }
+    }
+
+    /// Sets launch input `k` of `lane` (see [`input`]). A slot the
+    /// program never reads has no row, and the write is dropped.
+    pub fn set_input(&mut self, k: usize, lane: usize, v: u32) {
+        if let Some(row) = self.rows[self.n_regs..].get_mut(k) {
+            row[lane] = v;
+        }
+    }
+
+    /// The register file of `threads` (lane `l` = `threads[l]`, at most
+    /// [`WARP_SIZE`] of them), holding what `program` can read or write.
+    pub fn gather(program: &Program, threads: &[ThreadState]) -> Self {
+        let mut w = Self::new(program);
+        let n_regs = w.n_regs;
+        for (lane, t) in threads.iter().enumerate().take(WARP_SIZE) {
+            let (regs, inputs) = w.rows.split_at_mut(n_regs);
+            for (row, &v) in regs.iter_mut().zip(&t.regs) {
+                row[lane] = v;
+            }
+            for (row, &v) in inputs.iter_mut().zip(&t.inputs) {
+                row[lane] = v;
+            }
+            for (mask, &p) in w.preds.iter_mut().zip(&t.preds) {
+                *mask |= (p as u32) << lane;
+            }
+        }
+        w
+    }
+
+    /// Writes every slot this file holds back into `threads`, the inverse
+    /// of [`WarpRegs::gather`]; slots it does not hold are left alone.
+    pub fn scatter(&self, threads: &mut [ThreadState]) {
+        let (regs, inputs) = self.rows.split_at(self.n_regs);
+        for (lane, t) in threads.iter_mut().enumerate().take(WARP_SIZE) {
+            for (v, row) in t.regs.iter_mut().zip(regs) {
+                *v = row[lane];
+            }
+            for (v, row) in t.inputs.iter_mut().zip(inputs) {
+                *v = row[lane];
+            }
+            for (p, &mask) in t.preds.iter_mut().zip(&self.preds) {
+                *p = mask >> lane & 1 != 0;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,9 +279,39 @@ mod tests {
     #[test]
     fn reg_f32_roundtrip() {
         let mut t = ThreadState::new();
-        t.set_reg_f32(Reg(3), -1.25);
+        t.regs[3] = (-1.25f32).to_bits();
         assert_eq!(t.reg_f32(Reg(3)), -1.25);
         assert_eq!(t.reg(Reg(3)), (-1.25f32).to_bits());
+    }
+
+    #[test]
+    fn warp_regs_are_sized_by_the_program() {
+        let p = crate::assemble("add.u32 r2, %input1, 1\nexit").unwrap();
+        let mut w = WarpRegs::new(&p);
+        assert_eq!((w.rows.len(), w.n_regs), (3 + 2, 3));
+        w.set_input(1, 7, 42);
+        w.set_input(5, 7, 43); // never read: dropped
+        assert_eq!(w.rows[3 + 1][7], 42);
+        assert_eq!(w.rows.iter().flatten().sum::<u32>(), 42);
+    }
+
+    #[test]
+    fn gather_then_scatter_round_trips() {
+        let p = crate::assemble("mov.b32 r4, %input2\nexit").unwrap();
+        let threads: Vec<ThreadState> = (0..5u32)
+            .map(|lane| {
+                let mut t = ThreadState::new();
+                t.regs[..5].fill(lane * 10);
+                t.inputs[..3].fill(lane + 100);
+                t.preds = [lane % 2 == 0, lane == 3, false, true];
+                t
+            })
+            .collect();
+        let w = WarpRegs::gather(&p, &threads);
+        assert_eq!(w.preds, [0b10101, 0b01000, 0, 0b11111]);
+        let mut back = vec![ThreadState::new(); 5];
+        w.scatter(&mut back);
+        assert_eq!(back, threads);
     }
 
     #[test]

@@ -23,7 +23,9 @@ use emerald::common::types::{AccessKind, Addr};
 use emerald::gpu::simt::SimtStack;
 use emerald::gpu::GlobalMemCtx;
 use emerald::isa::op::{MemSpace, Op};
-use emerald::isa::{execute, execute_into, ExecCtx, Outcome, StepResult, ThreadState};
+use emerald::isa::{
+    execute, execute_into, execute_warp, ExecCtx, Outcome, StepResult, ThreadState, WarpRegs,
+};
 use emerald::mem::dash::{Clustering, DashConfig};
 use emerald::mem::MemRequest;
 use emerald::prelude::*;
@@ -222,19 +224,27 @@ impl ExecCtx for LogCtx {
     }
 }
 
-/// Walks one warp through `program` twice in lockstep — `execute` with a
-/// fresh result per instruction, `execute_into` with one result reused
-/// (and deliberately left dirty) throughout — passing both `stray` mask
-/// bits beyond the warp's threads. Returns instructions stepped.
+/// Walks one warp through `program` three times in lockstep — `execute`
+/// with a fresh result per instruction, `execute_into` with one result
+/// reused (and deliberately left dirty) throughout, both passing `stray`
+/// mask bits beyond the warp's threads, and `execute_warp`, the cores'
+/// entry point, on one `WarpRegs` carried across the walk under the
+/// warp's own lanes, with its own dirty result. The results, the context
+/// logs and the per-lane state (the register file scattered back) must
+/// agree at every pc. Returns instructions stepped.
 fn lockstep(program: &Program, threads: Vec<ThreadState>, params: &[u32], stray: u32) -> u64 {
     let lanes = (1u64 << threads.len()) - 1;
     let mut stack = SimtStack::new(lanes as u32);
+    let mut regs = WarpRegs::gather(program, &threads);
+    let mut scattered = threads.clone();
     let (mut fresh_t, mut reused_t) = (threads.clone(), threads);
     let (mut fresh_ctx, mut reused_ctx) = (LogCtx::default(), LogCtx::default());
-    let mut reused = StepResult::new();
+    let mut warp_ctx = LogCtx::default();
+    let (mut reused, mut warp_res) = (StepResult::new(), StepResult::new());
     let mut steps = 0;
     while !stack.is_done() && steps < 20_000 {
         let (pc, mask) = (stack.pc(), stack.active_mask() | stray);
+        let logged = fresh_ctx.0.len();
         let fresh = execute(program, pc, mask, &mut fresh_t, params, &mut fresh_ctx);
         reused.killed = u32::MAX;
         reused.outcome = Outcome::Exit;
@@ -249,6 +259,22 @@ fn lockstep(program: &Program, threads: Vec<ThreadState>, params: &[u32], stray:
         );
         assert_eq!(reused, fresh, "pc {pc}");
         assert_eq!(reused_t, fresh_t, "pc {pc}");
+        warp_res.killed = u32::MAX;
+        warp_res.outcome = Outcome::Exit;
+        let mask = stack.active_mask();
+        execute_warp(
+            program,
+            pc,
+            mask,
+            &mut regs,
+            params,
+            &mut warp_ctx,
+            &mut warp_res,
+        );
+        assert_eq!(warp_res, fresh, "pc {pc}");
+        assert_eq!(warp_ctx.0[logged..], fresh_ctx.0[logged..], "pc {pc}");
+        regs.scatter(&mut scattered);
+        assert_eq!(scattered, fresh_t, "pc {pc}");
         assert!(fresh.accesses.iter().all(|a| lanes >> a.lane & 1 != 0));
         steps += 1;
         if fresh.killed != 0 {
@@ -269,13 +295,15 @@ fn lockstep(program: &Program, threads: Vec<ThreadState>, params: &[u32], stray:
     }
     assert!(stack.is_done(), "still running after {steps} instructions");
     assert_eq!(reused_ctx, fresh_ctx);
+    assert_eq!(warp_ctx, fresh_ctx);
     steps
 }
 
-/// `execute_into` with a reused, dirty `StepResult` is `execute`: over
-/// random compute programs (loads, stores, divergence, barriers) on a full
-/// warp and on a 5-thread warp called with stray high mask bits, and over
-/// a fragment shader that samples, depth-tests, blends and writes.
+/// `execute_into` with a reused, dirty `StepResult` is `execute`, and
+/// both are `execute_warp` on a carried register file: over random compute
+/// programs (loads, stores, divergence, barriers) on a full warp and on a
+/// 5-thread warp called with stray high mask bits, and over a fragment
+/// shader that samples, depth-tests, blends and writes.
 #[test]
 fn execute_into_reused_result_matches_execute() {
     let fragment = assemble(
