@@ -10,14 +10,14 @@ use crate::rng::Xorshift64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Default number of cases for [`check`].
-pub const DEFAULT_CASES: u32 = 64;
+pub(crate) const DEFAULT_CASES: u32 = 64;
 
 /// Environment variable overriding the case count used by [`check`].
-pub const CASES_ENV: &str = "EMERALD_CHECK_CASES";
+pub(crate) const CASES_ENV: &str = "EMERALD_CHECK_CASES";
 
 /// The case count [`check`] will use: [`CASES_ENV`] if set to a positive
 /// integer, [`DEFAULT_CASES`] otherwise.
-pub fn default_cases() -> u32 {
+fn default_cases() -> u32 {
     env_cases(CASES_ENV, DEFAULT_CASES)
 }
 
@@ -36,7 +36,7 @@ pub fn env_cases(var: &str, default: u32) -> u32 {
 
 /// Runs `prop` against `cases` deterministic RNG streams. On failure the
 /// panic is re-raised annotated with the property name, case index and seed,
-/// so the exact case can be replayed with [`replay`].
+/// so a failing case can be reproduced from its seed.
 pub fn check_n<F>(name: &str, cases: u32, mut prop: F)
 where
     F: FnMut(&mut Xorshift64),
@@ -54,7 +54,7 @@ where
     }
 }
 
-/// [`check_n`] with [`default_cases`] cases ([`DEFAULT_CASES`] unless the
+/// [`check_n`] with `default_cases` cases (`DEFAULT_CASES` unless the
 /// `EMERALD_CHECK_CASES` environment variable overrides it).
 pub fn check<F>(name: &str, prop: F)
 where
@@ -63,26 +63,8 @@ where
     check_n(name, default_cases(), prop);
 }
 
-/// Re-runs a single failing case by seed (as printed by [`check_n`]). The
-/// property name is threaded through so the replayed failure is annotated
-/// the same way the original run was — a bare downstream panic message no
-/// longer loses which property it belonged to.
-pub fn replay<F>(name: &str, seed: u64, mut prop: F)
-where
-    F: FnMut(&mut Xorshift64),
-{
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut rng = Xorshift64::new(seed);
-        prop(&mut rng);
-    }));
-    if let Err(payload) = result {
-        let msg = panic_message(&*payload);
-        panic!("property '{name}' failed on replay (seed {seed:#x}): {msg}");
-    }
-}
-
 /// Extracts a printable message from a panic payload.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -133,7 +115,7 @@ where
 
 /// The seed used for a given case index. SplitMix64-style scrambling keeps
 /// neighbouring cases' streams uncorrelated.
-pub fn case_seed(case: u32) -> u64 {
+fn case_seed(case: u32) -> u64 {
     let mut z = (case as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -171,27 +153,6 @@ mod tests {
         assert!(msg.contains("always_fails"), "got: {msg}");
         assert!(msg.contains("case 0"), "got: {msg}");
         assert!(msg.contains("boom"), "got: {msg}");
-    }
-
-    #[test]
-    fn replay_reproduces_stream() {
-        let mut a = Vec::new();
-        check_n("record", 1, |rng| a.push(rng.next_u64()));
-        let mut b = Vec::new();
-        replay("record", case_seed(0), |rng| b.push(rng.next_u64()));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn replay_failure_names_the_property() {
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            replay("shader_prop", 0x1234, |_| panic!("kaboom"));
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("shader_prop"), "got: {msg}");
-        assert!(msg.contains("0x1234"), "got: {msg}");
-        assert!(msg.contains("kaboom"), "got: {msg}");
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl Json {
 /// sequence. The short forms `\n`, `\r`, `\t`, `\b`, `\f` are preferred;
 /// remaining controls use `\u00XX`. All other characters — including
 /// non-ASCII — pass through verbatim (the output is UTF-8).
-pub fn escape_into(out: &mut String, s: &str) {
+fn escape_into(out: &mut String, s: &str) {
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),

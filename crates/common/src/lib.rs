@@ -45,6 +45,6 @@ pub mod snap;
 pub mod stats;
 pub mod types;
 
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use rng::Xorshift64;
 pub use types::{Addr, CoreId, Cycle, TrafficSource};

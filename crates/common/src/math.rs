@@ -45,16 +45,6 @@ impl Vec2 {
     pub const fn new(x: f32, y: f32) -> Self {
         Self { x, y }
     }
-
-    /// Dot product.
-    pub fn dot(self, o: Self) -> f32 {
-        self.x * o.x + self.y * o.y
-    }
-
-    /// Euclidean length.
-    pub fn length(self) -> f32 {
-        self.dot(self).sqrt()
-    }
 }
 
 impl Vec3 {
@@ -107,11 +97,6 @@ impl Vec4 {
     /// Constructs a vector from components.
     pub const fn new(x: f32, y: f32, z: f32, w: f32) -> Self {
         Self { x, y, z, w }
-    }
-
-    /// Dot product.
-    pub fn dot(self, o: Self) -> f32 {
-        self.x * o.x + self.y * o.y + self.z * o.z + self.w * o.w
     }
 
     /// Drops the `w` component.
@@ -202,7 +187,7 @@ pub struct Mat4 {
 
 impl Mat4 {
     /// The identity matrix.
-    pub const IDENTITY: Mat4 = Mat4 {
+    pub(crate) const IDENTITY: Mat4 = Mat4 {
         cols: [
             Vec4::new(1.0, 0.0, 0.0, 0.0),
             Vec4::new(0.0, 1.0, 0.0, 0.0),
@@ -212,7 +197,7 @@ impl Mat4 {
     };
 
     /// Builds a matrix from columns.
-    pub const fn from_cols(c0: Vec4, c1: Vec4, c2: Vec4, c3: Vec4) -> Self {
+    const fn from_cols(c0: Vec4, c1: Vec4, c2: Vec4, c3: Vec4) -> Self {
         Self {
             cols: [c0, c1, c2, c3],
         }
@@ -298,20 +283,6 @@ impl Mat4 {
         }
     }
 
-    /// Row `r` of the matrix (useful for clip-plane extraction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r > 3`.
-    pub fn row(&self, r: usize) -> Vec4 {
-        Vec4::new(
-            self.cols[0].get(r),
-            self.cols[1].get(r),
-            self.cols[2].get(r),
-            self.cols[3].get(r),
-        )
-    }
-
     /// Flat column-major array of the 16 elements.
     pub fn to_array(&self) -> [f32; 16] {
         let mut out = [0.0; 16];
@@ -362,15 +333,6 @@ impl IRect {
         self.x1 < self.x0 || self.y1 < self.y0
     }
 
-    /// Number of covered integer cells (0 when empty).
-    pub fn area(&self) -> u64 {
-        if self.is_empty() {
-            0
-        } else {
-            (self.x1 - self.x0 + 1) as u64 * (self.y1 - self.y0 + 1) as u64
-        }
-    }
-
     /// Intersection with another rectangle (may be empty).
     pub fn intersect(&self, o: &IRect) -> IRect {
         IRect::new(
@@ -379,11 +341,6 @@ impl IRect {
             self.x1.min(o.x1),
             self.y1.min(o.y1),
         )
-    }
-
-    /// True when the point lies inside the rectangle.
-    pub fn contains(&self, x: i32, y: i32) -> bool {
-        x >= self.x0 && x <= self.x1 && y >= self.y0 && y <= self.y1
     }
 }
 
@@ -495,13 +452,9 @@ mod tests {
     #[test]
     fn irect_basics() {
         let r = IRect::new(0, 0, 3, 1);
-        assert_eq!(r.area(), 8);
-        assert!(r.contains(3, 1));
-        assert!(!r.contains(4, 1));
         let s = r.intersect(&IRect::new(2, 1, 10, 10));
         assert_eq!(s, IRect::new(2, 1, 3, 1));
         assert!(r.intersect(&IRect::new(5, 5, 6, 6)).is_empty());
-        assert_eq!(r.intersect(&IRect::new(5, 5, 6, 6)).area(), 0);
     }
 
     #[test]

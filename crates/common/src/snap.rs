@@ -26,7 +26,7 @@ use std::fmt;
 use std::hash::Hasher;
 
 /// Leading magic bytes of every snapshot container.
-pub const MAGIC: [u8; 8] = *b"EMSNAP\0\0";
+pub(crate) const MAGIC: [u8; 8] = *b"EMSNAP\0\0";
 
 /// Current snapshot format version. Bump on any incompatible layout
 /// change; old snapshots then fail with [`SnapError::VersionSkew`]
@@ -48,7 +48,7 @@ pub const CONTAINER_OVERHEAD: usize = 8 + 4 + 8 + 8;
 /// these.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
-    /// The container does not start with [`MAGIC`].
+    /// The container does not start with `MAGIC`.
     BadMagic,
     /// The container was written by an incompatible format version.
     VersionSkew {
@@ -170,16 +170,6 @@ impl SnapWriter {
         Self::default()
     }
 
-    /// Bytes written so far (diagnostics).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends a `u8`.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -246,7 +236,7 @@ impl SnapWriter {
 
     /// Opens a tagged section; its length is patched on
     /// [`SnapWriter::end_section`].
-    pub fn begin_section(&mut self, tag: u32) {
+    fn begin_section(&mut self, tag: u32) {
         self.put_u32(tag);
         self.open.push(self.buf.len());
         self.put_u64(0); // placeholder length
@@ -257,7 +247,7 @@ impl SnapWriter {
     /// # Panics
     ///
     /// Panics if no section is open (an encoder bug, not a data error).
-    pub fn end_section(&mut self) {
+    fn end_section(&mut self) {
         let at = self.open.pop().expect("end_section without begin_section");
         let len = (self.buf.len() - at - 8) as u64;
         self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
@@ -306,13 +296,8 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Bytes left before the current section (or input) ends.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.limit() - self.pos
-    }
-
-    /// Current byte offset (diagnostics).
-    pub fn offset(&self) -> usize {
-        self.pos
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
@@ -421,7 +406,7 @@ impl<'a> SnapReader<'a> {
 
     /// Enters a section, verifying its tag. Reads inside are bounded by
     /// the section's recorded length.
-    pub fn begin_section(&mut self, tag: u32) -> Result<(), SnapError> {
+    fn begin_section(&mut self, tag: u32) -> Result<(), SnapError> {
         let found = self.get_u32()?;
         if found != tag {
             return Err(SnapError::SectionMismatch {
@@ -441,7 +426,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Leaves the innermost section, requiring it was consumed exactly.
-    pub fn end_section(&mut self) -> Result<(), SnapError> {
+    fn end_section(&mut self) -> Result<(), SnapError> {
         let limit = self
             .limits
             .pop()
@@ -546,9 +531,8 @@ pub struct SharedSnapshot {
 
 impl SharedSnapshot {
     /// Validates the container once (magic, checksum, version) and wraps
-    /// it for sharing. The stamped config hash is recorded, not checked —
-    /// callers compare it via [`SharedSnapshot::cfg_hash`] or let
-    /// `reader` enforce it.
+    /// it for sharing. The stamped config hash is recorded, not checked:
+    /// [`SharedSnapshot::reader`] enforces it.
     pub fn new(bytes: Vec<u8>) -> Result<Self, SnapError> {
         if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
             return Err(SnapError::BadMagic);
@@ -577,26 +561,6 @@ impl SharedSnapshot {
             cfg_hash,
             body_end,
         })
-    }
-
-    /// Config hash stamped into the container header at snapshot time.
-    pub fn cfg_hash(&self) -> u64 {
-        self.cfg_hash
-    }
-
-    /// Total container size in bytes (diagnostics).
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// True if the container is empty (never — kept for clippy symmetry).
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// The raw container bytes (e.g. for writing to disk).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
     }
 
     /// A reader positioned over the body, after checking the stamped
@@ -630,9 +594,7 @@ mod tests {
                 w.put_bytes(b"shared");
             });
         });
-        let shared = SharedSnapshot::new(full.clone()).unwrap();
-        assert_eq!(shared.cfg_hash(), 0xC0FFEE);
-        assert_eq!(shared.as_bytes(), &full[..]);
+        let shared = SharedSnapshot::new(full).unwrap();
         // Many readers off one validated container decode identically.
         for _ in 0..3 {
             let mut r = shared.reader(0xC0FFEE).unwrap();

@@ -122,18 +122,6 @@ impl AccessKind {
     }
 }
 
-/// Integer ceiling division.
-///
-/// ```
-/// # use emerald_common::types::div_ceil;
-/// assert_eq!(div_ceil(10, 4), 3);
-/// assert_eq!(div_ceil(8, 4), 2);
-/// assert_eq!(div_ceil(0, 4), 0);
-/// ```
-pub fn div_ceil(a: usize, b: usize) -> usize {
-    a.div_ceil(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

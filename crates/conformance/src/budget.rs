@@ -3,7 +3,7 @@
 //!
 //! The deep-fuzz job runs hundreds of random scenarios; a case that hangs
 //! or degenerates into a pathological slow path used to burn the whole
-//! job's timeout and leave nothing to debug. A [`FrameBudget`] is checked
+//! job's timeout and leave nothing to debug. A `FrameBudget` is checked
 //! at frame barriers (the simulator cannot be preempted mid-frame); when
 //! the budget is exceeded the oracle checkpoints its `Soc` into
 //! `EMERALD_TIMEOUT_SNAP_DIR` before failing, so CI uploads a restorable
@@ -22,7 +22,7 @@ use std::time::Instant;
 /// A wall-clock budget for one oracle scenario, armed from the
 /// environment.
 #[derive(Debug)]
-pub struct FrameBudget {
+pub(crate) struct FrameBudget {
     start: Instant,
     /// Budget in milliseconds; `None` disarms the check entirely.
     budget_ms: Option<u64>,
@@ -31,7 +31,7 @@ pub struct FrameBudget {
 impl FrameBudget {
     /// Starts a budget clock from `EMERALD_CONF_FRAME_BUDGET_MS`
     /// (disarmed when unset or unparsable).
-    pub fn from_env() -> FrameBudget {
+    pub(crate) fn from_env() -> FrameBudget {
         FrameBudget {
             start: Instant::now(),
             budget_ms: std::env::var("EMERALD_CONF_FRAME_BUDGET_MS")
@@ -74,7 +74,11 @@ impl FrameBudget {
 /// Checkpoints `soc` as `<dir>/<case>.snap`, creating the directory. The
 /// written container restores with `Soc::restore` under the scenario's
 /// own config.
-pub fn dump_snapshot_to(dir: &std::path::Path, case: &str, soc: &Soc) -> std::io::Result<PathBuf> {
+pub(crate) fn dump_snapshot_to(
+    dir: &std::path::Path,
+    case: &str,
+    soc: &Soc,
+) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{case}.snap"));
     std::fs::write(&path, soc.checkpoint())?;

@@ -21,7 +21,7 @@ use emerald_scene::texture::TextureData;
 
 /// Render-target size for conformance draws: small enough to keep a case
 /// under a second, big enough for real rasterizer coverage.
-pub const RT_SIZE: u32 = 64;
+pub(crate) const RT_SIZE: u32 = 64;
 
 /// Cycle budget per frame; tiny draws finish far sooner.
 const MAX_FRAME_CYCLES: u64 = 200_000_000;

@@ -145,7 +145,7 @@ pub fn shrink_gap_candidates(sc: &GapScenario) -> Vec<GapScenario> {
 /// What the twin gap oracle compares, on top of what [`Drain`] lets it
 /// clock — it walks exactly what `drain_loop` would. Two values built the
 /// same way must be twins: identical in every observable.
-pub trait GapSim: Drain {
+pub(crate) trait GapSim: Drain {
     /// Everything observable mid-run: the published registry plus the
     /// model's in-flight summary.
     fn digest(&self) -> String;
@@ -179,7 +179,7 @@ fn first_difference(a: &str, b: &str) -> String {
 /// it, and their digests must agree; once both drain, so must their
 /// drained bytes.
 /// Returns the number of gaps walked.
-pub fn twin_gap_oracle<S: GapSim>(
+pub(crate) fn twin_gap_oracle<S: GapSim>(
     stepped: &mut S,
     jumped: &mut S,
     lag: Cycle,
@@ -220,7 +220,7 @@ pub fn twin_gap_oracle<S: GapSim>(
 }
 
 /// A bare GPU running one generated kernel against a two-channel port.
-pub struct GpuSim {
+pub(crate) struct GpuSim {
     gpu: Gpu,
     ctx: GlobalMemCtx,
     port: SimpleMemPort,
@@ -291,7 +291,7 @@ impl GapSim for GpuSim {
 }
 
 /// A standalone renderer drawing one generated case.
-pub struct RendererSim(DrawRig);
+pub(crate) struct RendererSim(DrawRig);
 
 impl RendererSim {
     /// Uploads `case` and queues it on a renderer built from `cfg`.

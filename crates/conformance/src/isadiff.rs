@@ -108,7 +108,7 @@ pub(crate) fn two_channel_port() -> SimpleMemPort {
 /// [`Divergence::Hang`]. The cycle count is not part of [`RunResult`]
 /// because the scalar reference has no clock; it is compared *within* the
 /// timing model across the event-skip axis, where it must be identical.
-pub fn run_timing(
+pub(crate) fn run_timing(
     gp: &GenProgram,
     data_seed: u64,
     cfg: &GpuConfig,
@@ -140,7 +140,7 @@ pub fn run_timing(
 
 /// Runs `gp` through the scalar reference walk on an identically seeded
 /// memory image.
-pub fn run_ref(gp: &GenProgram, data_seed: u64) -> RunResult {
+pub(crate) fn run_ref(gp: &GenProgram, data_seed: u64) -> RunResult {
     let layout = init_mem(gp, data_seed);
     let mut ctx = GlobalMemCtx::new(layout.mem.clone());
     let r = run_reference(&kernel_for(gp, &layout), &mut ctx);
@@ -306,7 +306,7 @@ pub fn check_case_matrix(gp: &GenProgram, data_seed: u64) -> Result<(), Divergen
     Ok(())
 }
 
-/// Index of the instruction [`mutate_at`] will corrupt: the first
+/// Index of the instruction `mutate_at` will corrupt: the first
 /// unsigned-integer `add`. Generated programs always have one (the output
 /// address computation in the prologue).
 pub fn bug_site(gp: &GenProgram) -> Option<usize> {
@@ -326,7 +326,7 @@ pub fn bug_site(gp: &GenProgram) -> Option<usize> {
 /// simulating a timing-pipeline execution bug. Returns the program
 /// unchanged when `idx` is not an unsigned add (the mutation is then the
 /// identity, so a differential check passes).
-pub fn mutate_at(gp: &GenProgram, idx: usize) -> GenProgram {
+pub(crate) fn mutate_at(gp: &GenProgram, idx: usize) -> GenProgram {
     let mut m = gp.clone();
     if let Some(instr) = m.instrs.get_mut(idx) {
         if let Op::Alu {

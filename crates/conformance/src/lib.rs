@@ -53,23 +53,20 @@ pub mod proggen;
 pub mod refmodel;
 pub mod socconf;
 
-pub use batchconf::{batch_oracle, shrink_batch_candidates, BatchScenario, BatchViolation};
-pub use budget::{dump_snapshot_to, FrameBudget};
-pub use drawgen::{gen_draw, run_draw_case, run_draw_case_timed, shrink_draw_candidates, DrawCase};
+pub use batchconf::{batch_oracle, shrink_batch_candidates, BatchScenario};
+pub use drawgen::{gen_draw, run_draw_case, run_draw_case_timed, shrink_draw_candidates};
 pub use eventconf::{
     gap_oracle, gpu_gap_oracle, pin_oracle, renderer_gap_oracle, shrink_gap_candidates,
-    shrink_gpu_gap_candidates, shrink_pin_candidates, GapScenario, GapViolation, GpuGapScenario,
-    PinScenario, TwinViolation,
+    shrink_gpu_gap_candidates, shrink_pin_candidates, GapScenario, GpuGapScenario, PinScenario,
 };
 pub use isadiff::{
     base_config, bug_site, check_case, check_case_matrix, check_with_injected_bug, config_matrix,
-    mutate_at, run_ref, run_timing, skip_dispatch_points, Divergence, RunResult,
+    skip_dispatch_points,
 };
-pub use proggen::{gen_program, shrink_candidates, GenProgram};
-pub use refmodel::{run_reference, RefResult};
+pub use proggen::gen_program;
 pub use socconf::{
     cells, checkpoint_body, gate_matrix, registry_json, shrink_snap_candidates, snap_oracle,
-    Barrier, Cell, SnapBug, SnapRun, SnapScenario, SnapViolation, SocScenario,
+    Barrier, Cell, SnapBug, SnapScenario, SocScenario,
 };
 
 /// Number of random ISA programs / draws the conformance tests run,

@@ -17,9 +17,9 @@ use emerald_isa::Program;
 
 /// Per-thread output slots in the global out region (the last one holds
 /// the register checksum).
-pub const OUT_SLOTS: usize = 8;
+pub(crate) const OUT_SLOTS: usize = 8;
 /// Bytes of shared scratchpad per thread (two words).
-pub const SHARED_STRIDE: u32 = 8;
+pub(crate) const SHARED_STRIDE: u32 = 8;
 
 // Fixed register allocation. r0–r7 hold the prologue-computed context,
 // r8..r8+SCRATCH are the random ops' working set, TMP/ACC serve address
@@ -60,7 +60,7 @@ impl GenProgram {
     }
 
     /// Bytes of the per-thread output region.
-    pub fn out_bytes(&self) -> usize {
+    pub(crate) fn out_bytes(&self) -> usize {
         self.threads * OUT_SLOTS * 4
     }
 
@@ -598,7 +598,7 @@ pub fn gen_program(rng: &mut Xorshift64) -> GenProgram {
 /// instruction replaced by `Nop` (keeping branch indices stable), plus
 /// reduced launch geometry (one CTA fewer, or a halved CTA). Every
 /// candidate is still a valid, schedule-independent program.
-pub fn shrink_candidates(gp: &GenProgram) -> Vec<GenProgram> {
+pub(crate) fn shrink_candidates(gp: &GenProgram) -> Vec<GenProgram> {
     let mut out = Vec::new();
     if gp.threads > gp.cta_size {
         let mut c = gp.clone();

@@ -26,7 +26,7 @@ use emerald_isa::{execute, ExecCtx, Outcome, ThreadState};
 
 /// Aggregate results of a reference walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RefResult {
+pub(crate) struct RefResult {
     /// Warp-instructions executed (one per `execute` call), the analogue
     /// of the timing model's `issued` counter.
     pub instructions: u64,
@@ -140,7 +140,7 @@ struct RefWarp {
 ///
 /// Panics if the kernel deadlocks at a barrier (some warps exit while
 /// others wait), which generated conformance programs never do.
-pub fn run_reference(kernel: &Kernel, ctx: &mut dyn ExecCtx) -> RefResult {
+pub(crate) fn run_reference(kernel: &Kernel, ctx: &mut dyn ExecCtx) -> RefResult {
     let mut res = RefResult::default();
     let shared_stride = (kernel.shared_bytes + 255) & !255;
     for cta in 0..kernel.grid_ctas {

@@ -26,7 +26,7 @@ pub struct PrimRef {
 /// which primitives are anchored to this warp (a primitive is anchored to
 /// the warp holding its *last* corner).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VertexWarp {
+pub(crate) struct VertexWarp {
     /// Warp sequence number within the draw.
     pub seq: u32,
     /// Vertex index shaded by each lane.
@@ -40,7 +40,7 @@ pub struct VertexWarp {
 /// With `overlap`, list topologies use 30 lanes (10 whole triangles) per
 /// warp and strips repeat 2 boundary vertices so all corners are local.
 /// Without it, warps are packed to 32 lanes and corners may cross warps.
-pub fn build_vertex_warps(dc: &DrawCall, overlap: bool) -> Vec<VertexWarp> {
+pub(crate) fn build_vertex_warps(dc: &DrawCall, overlap: bool) -> Vec<VertexWarp> {
     match (dc.topology, overlap) {
         (Topology::Triangles, true) => lists_overlapped(dc),
         (Topology::Triangles, false) => lists_packed(dc),

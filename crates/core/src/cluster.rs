@@ -28,7 +28,7 @@ pub struct Frag {
 
 /// A rasterized tile of fragments from one primitive.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RasterTile {
+pub(crate) struct RasterTile {
     /// TC tile position this raster tile belongs to.
     pub tc_pos: (u32, u32),
     /// Raster-tile slot within the TC tile.
@@ -269,7 +269,7 @@ impl TcStage {
     /// True while [`TcStage::pop_ready`] still has a scan to run; false
     /// once a scan found every queued tile blocked on a position being
     /// shaded, until one completes or a tile is queued.
-    pub fn wants_scan(&self) -> bool {
+    pub(crate) fn wants_scan(&self) -> bool {
         self.rescan
     }
 
@@ -358,7 +358,7 @@ impl ClusterPipe {
     /// while any stage queue holds work or an end-of-draw flush is due,
     /// else the setup pipe's next completion or the first occupied TC
     /// engine to time out. Tiles in `flush_q` are the renderer's to pop.
-    pub fn next_event(&self, now: Cycle, flush_tc: bool) -> Option<Cycle> {
+    pub(crate) fn next_event(&self, now: Cycle, flush_tc: bool) -> Option<Cycle> {
         let occupied = || self.tc.engines.iter().filter(|e| e.pos.is_some());
         let queued = !(self.setup_in.is_empty()
             && self.coarse_q.is_empty()
@@ -383,7 +383,7 @@ impl ClusterPipe {
     ///
     /// Panics if the pipe still has work in flight or TC positions are
     /// still being shaded.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
+    pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
         assert!(
             self.is_drained() && self.tc.busy.is_empty(),
             "cluster pipe must be drained at a checkpoint"
@@ -407,7 +407,7 @@ impl ClusterPipe {
 
     /// Restores a [`snapshot`](Self::snapshot), clearing any transient
     /// state left from construction.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    pub(crate) fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let hiz = r.get_seq(12, |r| {
             let x = r.get_u32()?;
             let y = r.get_u32()?;

@@ -73,7 +73,7 @@ impl GfxConfig {
     }
 
     /// TC tile edge in pixels.
-    pub fn tc_tile_px(&self) -> u32 {
+    pub(crate) fn tc_tile_px(&self) -> u32 {
         self.raster_tile * self.tc_tile_raster
     }
 }

@@ -18,7 +18,7 @@ use emerald_mem::view::{FuncMem, ImageView, StoreBuffer, WClass};
 
 /// Functional statistics from shader-side graphics operations.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct GfxCtxStats {
+pub(crate) struct GfxCtxStats {
     /// Depth tests that passed.
     pub ztest_pass: u64,
     /// Depth tests that failed (fragment killed).
@@ -34,7 +34,7 @@ pub struct GfxCtxStats {
 /// [`SharedMem`] (sequential host code) and against a frozen
 /// [`ImageView`] during the parallel core phase.
 #[derive(Debug, Clone)]
-pub struct GfxCtx<M: FuncMem = SharedMem> {
+pub(crate) struct GfxCtx<M: FuncMem = SharedMem> {
     mem: M,
     rt: RenderTarget,
     textures: [Option<TextureDesc>; 4],
@@ -43,7 +43,7 @@ pub struct GfxCtx<M: FuncMem = SharedMem> {
 
 impl<M: FuncMem> GfxCtx<M> {
     /// Creates a context rendering into `rt`.
-    pub fn new(mem: M, rt: RenderTarget) -> Self {
+    pub(crate) fn new(mem: M, rt: RenderTarget) -> Self {
         Self {
             mem,
             rt,
@@ -57,27 +57,22 @@ impl<M: FuncMem> GfxCtx<M> {
     /// # Panics
     ///
     /// Panics if `slot >= 4`.
-    pub fn bind_texture(&mut self, slot: usize, tex: Option<TextureDesc>) {
+    pub(crate) fn bind_texture(&mut self, slot: usize, tex: Option<TextureDesc>) {
         self.textures[slot] = tex;
     }
 
     /// The current render target.
-    pub fn render_target(&self) -> &RenderTarget {
+    pub(crate) fn render_target(&self) -> &RenderTarget {
         &self.rt
     }
 
-    /// The backing functional memory.
-    pub fn mem(&self) -> &M {
-        &self.mem
-    }
-
     /// Functional statistics so far.
-    pub fn stats(&self) -> GfxCtxStats {
+    pub(crate) fn stats(&self) -> GfxCtxStats {
         self.stats
     }
 
     /// Resets statistics.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = GfxCtxStats::default();
     }
 
@@ -231,7 +226,7 @@ impl<M: FuncMem> emerald_common::snap::Restore for GfxCtx<M> {
 /// Frozen snapshot of a [`GfxCtx`] for one parallel phase: a read guard
 /// on the image plus copies of the (small, `Copy`) pipeline bindings.
 #[derive(Debug)]
-pub struct GfxFrozen<'s> {
+pub(crate) struct GfxFrozen<'s> {
     img: MemReadGuard<'s>,
     rt: RenderTarget,
     textures: [Option<TextureDesc>; 4],
@@ -318,7 +313,7 @@ mod tests {
         let mut c = ctx();
         let (pass, addr) = c.ztest(3, 4, 0.5, true);
         assert!(pass);
-        assert_eq!(c.mem().read_f32(addr), 0.5);
+        assert_eq!(c.mem.read_f32(addr), 0.5);
         // Farther fragment fails.
         let (pass, _) = c.ztest(3, 4, 0.7, true);
         assert!(!pass);
@@ -328,7 +323,7 @@ mod tests {
         // Nearer passes without write when write=false.
         let (pass, addr) = c.ztest(3, 4, 0.2, false);
         assert!(pass);
-        assert_eq!(c.mem().read_f32(addr), 0.5);
+        assert_eq!(c.mem.read_f32(addr), 0.5);
         assert_eq!(c.stats().ztest_pass, 2);
         assert_eq!(c.stats().ztest_fail, 2);
     }
@@ -344,7 +339,7 @@ mod tests {
     fn fb_write_and_blend() {
         let mut c = ctx();
         let addr = c.fb_write(2, 2, [1.0, 0.0, 0.0, 1.0]);
-        assert_eq!(c.mem().read_u32(addr), 0xff0000ff);
+        assert_eq!(c.mem.read_u32(addr), 0xff0000ff);
         // 50% green over red.
         let (out, _) = c.blend(2, 2, [0.0, 1.0, 0.0, 0.5]);
         assert!((out[0] - 0.5).abs() < 0.01);
@@ -355,7 +350,7 @@ mod tests {
     #[test]
     fn tex2d_center_sampling_and_addresses() {
         let mut c = ctx();
-        let tex = TextureDesc::upload(c.mem(), &TextureData::gradient(16));
+        let tex = TextureDesc::upload(&c.mem, &TextureData::gradient(16));
         c.bind_texture(0, Some(tex));
         let mut addrs = Vec::new();
         // Sampling exactly at a texel center hits one texel value.
@@ -377,7 +372,7 @@ mod tests {
                 [1.0, 1.0, 1.0, 1.0]
             }
         });
-        let tex = TextureDesc::upload(c.mem(), &data);
+        let tex = TextureDesc::upload(&c.mem, &data);
         c.bind_texture(0, Some(tex));
         let mut addrs = Vec::new();
         // u halfway between texel 0 and 1 centers.
@@ -399,7 +394,7 @@ mod tests {
     #[test]
     fn texture_wraps() {
         let mut c = ctx();
-        let tex = TextureDesc::upload(c.mem(), &TextureData::gradient(16));
+        let tex = TextureDesc::upload(&c.mem, &TextureData::gradient(16));
         c.bind_texture(0, Some(tex));
         let mut a1 = Vec::new();
         let mut a2 = Vec::new();

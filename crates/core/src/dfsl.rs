@@ -139,14 +139,6 @@ impl DfslController {
         }
         self.frame += 1;
     }
-
-    /// Publishes controller state into `reg` under `prefix` (e.g.
-    /// `gfx.dfsl` yields `gfx.dfsl.best_wt`, `.evaluations`, `.frames`).
-    pub fn publish(&self, reg: &mut emerald_obs::Registry, prefix: &str) {
-        reg.set_gauge(format!("{prefix}.best_wt"), self.best_wt as u64);
-        reg.set_counter(format!("{prefix}.evaluations"), self.evaluations as u64);
-        reg.set_counter(format!("{prefix}.frames"), self.frame as u64);
-    }
 }
 
 /// Draw-call-level DFSL (§6.3: "DFSL can be extended to also track WTBest

@@ -212,7 +212,7 @@ impl ScreenPrim {
     /// Conservative tile-coverage test for a pixel-space tile rectangle
     /// (used by coarse rasterization): true when the tile may contain
     /// covered pixels.
-    pub fn overlaps_tile(&self, tile: &IRect) -> bool {
+    pub(crate) fn overlaps_tile(&self, tile: &IRect) -> bool {
         let t = self.bbox.intersect(tile);
         if t.is_empty() {
             return false;

@@ -52,7 +52,6 @@ pub mod tcmap;
 pub mod vpo;
 
 pub use config::GfxConfig;
-pub use ctx::GfxCtx;
 pub use dfsl::{DfslConfig, DfslController};
 pub use renderer::{FrameStats, GpuRenderer};
 pub use state::{DrawCall, RenderTarget, TextureDesc, Topology};

@@ -3,7 +3,7 @@
 //!
 //! The reference mirrors the standard shaders' arithmetic instruction for
 //! instruction (same rounding behaviour: separate multiply and add, no
-//! fused operations) and reuses [`GfxCtx`]'s functional texture/depth/
+//! fused operations) and reuses `GfxCtx`'s functional texture/depth/
 //! blend operations, so a correct timing pipeline must produce
 //! **bit-identical** images.
 

@@ -82,34 +82,6 @@ impl FrameStats {
     pub fn l1_misses_total(&self) -> u64 {
         self.l1d_misses + self.l1t_misses + self.l1z_misses + self.l1c_misses
     }
-
-    /// Publishes the frame's counters into `reg` under `prefix` (e.g.
-    /// `gfx.frame` yields `gfx.frame.fragments`, `gfx.frame.core2.fragments`,
-    /// …).
-    pub fn publish(&self, reg: &mut emerald_obs::Registry, prefix: &str) {
-        reg.set_counter(format!("{prefix}.cycles"), self.cycles);
-        reg.set_counter(format!("{prefix}.vertex_warps"), self.vertex_warps);
-        reg.set_counter(format!("{prefix}.vertices_shaded"), self.vertices_shaded);
-        reg.set_counter(
-            format!("{prefix}.prims_distributed"),
-            self.prims_distributed,
-        );
-        reg.set_counter(format!("{prefix}.prims_culled"), self.prims_culled);
-        reg.set_counter(format!("{prefix}.fragments"), self.fragments);
-        reg.set_counter(format!("{prefix}.hiz_killed"), self.hiz_killed);
-        reg.set_counter(format!("{prefix}.tc_tiles"), self.tc_tiles);
-        reg.set_counter(format!("{prefix}.l1d_misses"), self.l1d_misses);
-        reg.set_counter(format!("{prefix}.l1t_misses"), self.l1t_misses);
-        reg.set_counter(format!("{prefix}.l1z_misses"), self.l1z_misses);
-        reg.set_counter(format!("{prefix}.l1c_misses"), self.l1c_misses);
-        reg.set_counter(format!("{prefix}.l2_misses"), self.l2_misses);
-        reg.set_counter(format!("{prefix}.dram_reads"), self.dram_reads);
-        reg.set_counter(format!("{prefix}.dram_writes"), self.dram_writes);
-        reg.set_counter(format!("{prefix}.instructions"), self.instructions);
-        for (i, f) in self.per_core_fragments.iter().enumerate() {
-            reg.set_counter(format!("{prefix}.core{i}.fragments"), *f);
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -221,16 +193,6 @@ impl GpuRenderer {
             draw_times: Vec::new(),
             cfg,
         }
-    }
-
-    /// The render target.
-    pub fn render_target(&self) -> &RenderTarget {
-        &self.rt
-    }
-
-    /// The functional graphics context (texture bindings, stats).
-    pub fn ctx(&self) -> &GfxCtx {
-        &self.ctx
     }
 
     /// Publishes the renderer's instruments: the GPU (cores, L1s, L2) under

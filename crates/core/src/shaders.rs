@@ -7,7 +7,7 @@
 //! output-vertex-buffer (OVB) slot to write, and parameters
 //! `%param0` = vertex buffer base, `%param1` = OVB base, `%param2..17` =
 //! column-major MVP. They must write clip position + varyings
-//! (u, v, diffuse) to their OVB slot ([`crate::state::OVB_STRIDE`] bytes).
+//! (u, v, diffuse) to their OVB slot (`crate::state::OVB_STRIDE` bytes).
 //!
 //! **Fragment shaders** receive `%input0/1` = pixel x/y, `%input2` = depth
 //! and `%input3..5` = interpolated (u, v, diffuse), and are responsible
@@ -20,13 +20,13 @@ use std::sync::Arc;
 /// Input slot assignments for the standard vertex shader.
 pub mod abi {
     /// Vertex shader `%input0`: vertex index.
-    pub const INPUT_VTX_INDEX: usize = 0;
+    pub(crate) const INPUT_VTX_INDEX: usize = 0;
     /// Vertex shader `%input1`: OVB slot index.
-    pub const INPUT_OVB_SLOT: usize = 1;
+    pub(crate) const INPUT_OVB_SLOT: usize = 1;
 }
 
 /// Builds the uniform parameter vector for [`vertex_transform`].
-pub fn vs_params(vb_base: u64, ovb_base: u64, mvp: &[f32; 16]) -> Vec<u32> {
+pub(crate) fn vs_params(vb_base: u64, ovb_base: u64, mvp: &[f32; 16]) -> Vec<u32> {
     let mut p = vec![vb_base as u32, ovb_base as u32];
     p.extend(mvp.iter().map(|f| f.to_bits()));
     p

@@ -11,11 +11,11 @@ use std::sync::Arc;
 
 /// Vertex record layout in memory: position (3×f32), normal (3×f32),
 /// uv (2×f32) — 32 bytes, interleaved.
-pub const VERTEX_STRIDE: u64 = 32;
+pub(crate) const VERTEX_STRIDE: u64 = 32;
 
 /// Output-vertex-buffer record: clip position (4×f32) + varyings
 /// (u, v, diffuse) + padding — 32 bytes.
-pub const OVB_STRIDE: u64 = 32;
+pub(crate) const OVB_STRIDE: u64 = 32;
 
 /// The color+depth render target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,12 +45,12 @@ impl RenderTarget {
     }
 
     /// Address of pixel `(x, y)` in the color buffer.
-    pub fn color_addr(&self, x: u32, y: u32) -> Addr {
+    pub(crate) fn color_addr(&self, x: u32, y: u32) -> Addr {
         self.color_base + (y as u64 * self.width as u64 + x as u64) * 4
     }
 
     /// Address of pixel `(x, y)` in the depth buffer.
-    pub fn depth_addr(&self, x: u32, y: u32) -> Addr {
+    pub(crate) fn depth_addr(&self, x: u32, y: u32) -> Addr {
         self.depth_base + (y as u64 * self.width as u64 + x as u64) * 4
     }
 
@@ -119,7 +119,7 @@ impl TextureDesc {
     }
 
     /// Address of texel `(x, y)` (already wrapped by the caller).
-    pub fn texel_addr(&self, x: u32, y: u32) -> Addr {
+    pub(crate) fn texel_addr(&self, x: u32, y: u32) -> Addr {
         self.base + (y as u64 * self.width as u64 + x as u64) * 4
     }
 }
@@ -137,7 +137,7 @@ pub struct VertexBuffer {
 
 impl VertexBuffer {
     /// Uploads a mesh: positions, normals and uvs interleaved at
-    /// [`VERTEX_STRIDE`].
+    /// `VERTEX_STRIDE`.
     pub fn upload(mem: &SharedMem, mesh: &Mesh) -> Self {
         assert!(mesh.validate(), "invalid mesh");
         let n = mesh.vertex_count() as u64;

@@ -37,7 +37,7 @@ impl TcMap {
     }
 
     /// Number of TC tiles in x and y.
-    pub fn tiles(&self) -> (u32, u32) {
+    fn tiles(&self) -> (u32, u32) {
         (
             self.width.div_ceil(self.tc_px),
             self.height.div_ceil(self.tc_px),
@@ -45,7 +45,7 @@ impl TcMap {
     }
 
     /// Current WT size.
-    pub fn wt(&self) -> u32 {
+    pub(crate) fn wt(&self) -> u32 {
         self.wt
     }
 
@@ -54,19 +54,9 @@ impl TcMap {
     /// # Panics
     ///
     /// Panics if `wt == 0`.
-    pub fn set_wt(&mut self, wt: u32) {
+    pub(crate) fn set_wt(&mut self, wt: u32) {
         assert!(wt > 0);
         self.wt = wt;
-    }
-
-    /// TC tile edge in pixels.
-    pub fn tc_px(&self) -> u32 {
-        self.tc_px
-    }
-
-    /// Number of cores the screen is distributed over.
-    pub fn cores(&self) -> usize {
-        self.cores
     }
 
     /// Owning core of TC tile `(tx, ty)` — round-robin over WT work tiles
@@ -74,7 +64,7 @@ impl TcMap {
     /// column onto the same core (the paper validated a "complex hashing
     /// function" on real hardware, §3.4; a skewed modular hash is our
     /// stand-in).
-    pub fn owner(&self, tx: u32, ty: u32) -> usize {
+    pub(crate) fn owner(&self, tx: u32, ty: u32) -> usize {
         let wx = tx / self.wt;
         let wy = ty / self.wt;
         let (tiles_x, _) = self.tiles();
@@ -89,7 +79,7 @@ impl TcMap {
     }
 
     /// TC-tile index range (inclusive) covering a pixel rectangle.
-    pub fn tiles_overlapping(&self, bbox: &IRect) -> (u32, u32, u32, u32) {
+    fn tiles_overlapping(&self, bbox: &IRect) -> (u32, u32, u32, u32) {
         let (tiles_x, tiles_y) = self.tiles();
         let tx0 = (bbox.x0.max(0) as u32) / self.tc_px;
         let ty0 = (bbox.y0.max(0) as u32) / self.tc_px;
@@ -100,7 +90,7 @@ impl TcMap {
 
     /// The set of cores whose tiles a pixel bbox overlaps, as a bitmask
     /// (used by the VPO to build per-cluster primitive masks).
-    pub fn owner_mask(&self, bbox: &IRect) -> u64 {
+    pub(crate) fn owner_mask(&self, bbox: &IRect) -> u64 {
         let (tx0, ty0, tx1, ty1) = self.tiles_overlapping(bbox);
         let mut mask = 0u64;
         // Iterate work tiles, not TC tiles, for efficiency.

@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 
 /// A per-destination-cluster primitive mask for one vertex warp.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PrimMask {
+pub(crate) struct PrimMask {
     /// Vertex warp sequence number (global draw order).
     pub seq: u32,
     /// All primitives anchored to the warp, in draw order.
@@ -32,7 +32,7 @@ pub struct PrimMask {
 
 /// VPO culling/coverage statistics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct VpoStats {
+pub(crate) struct VpoStats {
     /// Primitives processed.
     pub prims_in: u64,
     /// Culled: behind the near plane.
@@ -49,14 +49,14 @@ pub struct VpoStats {
 
 impl VpoStats {
     /// Total culled primitives.
-    pub fn culled(&self) -> u64 {
+    pub(crate) fn culled(&self) -> u64 {
         self.cull_near + self.cull_frustum + self.cull_backface + self.cull_degenerate
     }
 }
 
 /// One cluster's VPO unit.
 #[derive(Debug)]
-pub struct VpoUnit {
+pub(crate) struct VpoUnit {
     input: VecDeque<VertexWarp>,
     cur_prim: usize,
     masks_wip: Vec<u32>,
@@ -66,7 +66,7 @@ pub struct VpoUnit {
 
 impl VpoUnit {
     /// Creates a VPO distributing over `n_clusters` clusters.
-    pub fn new(n_clusters: usize) -> Self {
+    pub(crate) fn new(n_clusters: usize) -> Self {
         Self {
             input: VecDeque::new(),
             cur_prim: 0,
@@ -77,22 +77,22 @@ impl VpoUnit {
     }
 
     /// Queues a completed vertex warp (its shaded positions are in the OVB).
-    pub fn push_warp(&mut self, warp: VertexWarp) {
+    pub(crate) fn push_warp(&mut self, warp: VertexWarp) {
         self.input.push_back(warp);
     }
 
     /// Warps waiting or in progress.
-    pub fn backlog(&self) -> usize {
+    pub(crate) fn backlog(&self) -> usize {
         self.input.len()
     }
 
     /// True when nothing is queued.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.input.is_empty()
     }
 
     /// Statistics so far.
-    pub fn stats(&self) -> VpoStats {
+    pub(crate) fn stats(&self) -> VpoStats {
         self.stats
     }
 
@@ -102,7 +102,7 @@ impl VpoUnit {
     /// shading (needed for cross-warp corners in the non-overlapped
     /// ablation); `read_pos(corner)` fetches a shaded clip position from
     /// the OVB. Returns the per-cluster masks when a warp completes.
-    pub fn tick(
+    pub(crate) fn tick(
         &mut self,
         tcmap: &TcMap,
         width: u32,
@@ -211,7 +211,7 @@ impl emerald_common::snap::Restore for VpoUnit {
 /// the PMRB may consume whichever mask has arrived — a late vertex warp no
 /// longer head-of-line-blocks the cluster's raster pipeline.
 #[derive(Debug)]
-pub struct Pmrb {
+pub(crate) struct Pmrb {
     /// Smallest sequence number not yet fully consumed.
     expected: u32,
     total_warps: u32,
@@ -229,7 +229,7 @@ pub struct Pmrb {
 
 impl Pmrb {
     /// Creates a PMRB for a draw of `total_warps` vertex warps.
-    pub fn new(total_warps: u32) -> Self {
+    pub(crate) fn new(total_warps: u32) -> Self {
         Self {
             expected: 0,
             total_warps,
@@ -244,28 +244,28 @@ impl Pmrb {
     }
 
     /// Receives a mask from some VPO (possibly out of order).
-    pub fn receive(&mut self, mask: PrimMask) {
+    pub(crate) fn receive(&mut self, mask: PrimMask) {
         self.pending.insert(mask.seq, mask);
     }
 
     /// Pops the next covered primitive for the setup stage.
-    pub fn pop_prim(&mut self) -> Option<PrimRef> {
+    pub(crate) fn pop_prim(&mut self) -> Option<PrimRef> {
         self.out.pop_front()
     }
 
     /// Primitives ready for setup.
-    pub fn ready(&self) -> usize {
+    pub(crate) fn ready(&self) -> usize {
         self.out.len()
     }
 
     /// Warps whose masks were fully consumed since the last call.
-    pub fn take_consumed(&mut self) -> Vec<u32> {
+    pub(crate) fn take_consumed(&mut self) -> Vec<u32> {
         std::mem::take(&mut self.consumed)
     }
 
     /// True when a cycle would move this PMRB: a primitive waits for
     /// setup, or [`Pmrb::tick_ordered`] has a mask to scan.
-    pub fn can_advance(&self, allow_ooo: bool) -> bool {
+    pub(crate) fn can_advance(&self, allow_ooo: bool) -> bool {
         !self.out.is_empty()
             || (self.consumed_count < self.total_warps
                 && (self.cur.is_some()
@@ -274,14 +274,14 @@ impl Pmrb {
     }
 
     /// True when all warps' masks have been processed and drained.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.consumed_count >= self.total_warps && self.out.is_empty()
     }
 
     /// Processes mask bits (one covered primitive per cycle; uncovered
     /// bits skip for free). In draw-order mode only the `expected` mask is
     /// eligible; with `allow_ooo` any arrived mask is.
-    pub fn tick_ordered(&mut self, allow_ooo: bool) {
+    pub(crate) fn tick_ordered(&mut self, allow_ooo: bool) {
         if self.consumed_count >= self.total_warps {
             return;
         }
@@ -325,11 +325,6 @@ impl Pmrb {
         while self.done_seqs.remove(&self.expected) {
             self.expected += 1;
         }
-    }
-
-    /// Draw-order processing (the paper's baseline behaviour).
-    pub fn tick(&mut self) {
-        self.tick_ordered(false);
     }
 }
 
@@ -436,7 +431,7 @@ mod tests {
             entries: vec![pref(10, 1)],
             bits: 0b1,
         });
-        pmrb.tick();
+        pmrb.tick_ordered(false);
         assert_eq!(pmrb.ready(), 0, "must wait for warp 0");
         pmrb.receive(PrimMask {
             seq: 0,
@@ -444,9 +439,9 @@ mod tests {
             bits: 0b10,
         });
         // Warp 0: bit0 clear (skipped free), bit1 emits prim 1.
-        pmrb.tick();
+        pmrb.tick_ordered(false);
         assert_eq!(pmrb.pop_prim().unwrap().prim_id, 1);
-        pmrb.tick();
+        pmrb.tick_ordered(false);
         assert_eq!(pmrb.pop_prim().unwrap().prim_id, 10);
         assert_eq!(pmrb.take_consumed(), vec![0, 1]);
         assert!(pmrb.is_done());
@@ -460,11 +455,11 @@ mod tests {
             entries: vec![pref(0, 0), pref(1, 0), pref(2, 0)],
             bits: 0b111,
         });
-        pmrb.tick();
+        pmrb.tick_ordered(false);
         assert_eq!(pmrb.ready(), 1);
-        pmrb.tick();
+        pmrb.tick_ordered(false);
         assert_eq!(pmrb.ready(), 2);
-        pmrb.tick();
+        pmrb.tick_ordered(false);
         assert_eq!(pmrb.ready(), 3);
         assert!(!pmrb.is_done());
         while pmrb.pop_prim().is_some() {}
@@ -479,7 +474,7 @@ mod tests {
             entries: vec![pref(0, 0), pref(1, 0)],
             bits: 0,
         });
-        pmrb.tick();
+        pmrb.tick_ordered(false);
         assert!(pmrb.is_done());
         assert_eq!(pmrb.take_consumed(), vec![0]);
     }

@@ -1,6 +1,6 @@
 //! GPU configuration presets (Tables 5 and 7 of the paper).
 
-use emerald_mem::cache::{CacheConfig, WritePolicy};
+use emerald_mem::cache::CacheConfig;
 
 /// Warp scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +83,7 @@ pub struct GpuConfig {
 /// least this many cores have work in the same cycle.
 pub const DEFAULT_PARALLEL_THRESHOLD: usize = 2;
 
-fn l1(name: &str, size: usize, ways: usize, policy: WritePolicy) -> CacheConfig {
+fn l1(name: &str, size: usize, ways: usize) -> CacheConfig {
     CacheConfig {
         name: name.to_string(),
         size_bytes: size,
@@ -92,7 +92,6 @@ fn l1(name: &str, size: usize, ways: usize, policy: WritePolicy) -> CacheConfig 
         hit_latency: 1,
         mshrs: 16,
         targets_per_mshr: 16,
-        write_policy: policy,
     }
 }
 
@@ -111,10 +110,10 @@ impl GpuConfig {
             sfu_latency: 16,
             smem_latency: 20,
             lsu_entries: 64,
-            l1d: l1("L1D", 16 << 10, 4, WritePolicy::WriteBackAllocate),
-            l1t: l1("L1T", 64 << 10, 4, WritePolicy::WriteBackAllocate),
-            l1z: l1("L1Z", 32 << 10, 4, WritePolicy::WriteBackAllocate),
-            l1c: l1("L1C", 32 << 10, 4, WritePolicy::WriteBackAllocate),
+            l1d: l1("L1D", 16 << 10, 4),
+            l1t: l1("L1T", 64 << 10, 4),
+            l1z: l1("L1Z", 32 << 10, 4),
+            l1c: l1("L1C", 32 << 10, 4),
             l2: CacheConfig {
                 name: "L2".to_string(),
                 size_bytes: 128 << 10,
@@ -123,7 +122,6 @@ impl GpuConfig {
                 hit_latency: 8,
                 mshrs: 32,
                 targets_per_mshr: 16,
-                write_policy: WritePolicy::WriteBackAllocate,
             },
             l2_banks: 2,
             icnt_latency: 8,
@@ -149,10 +147,10 @@ impl GpuConfig {
             sfu_latency: 16,
             smem_latency: 20,
             lsu_entries: 64,
-            l1d: l1("L1D", 32 << 10, 8, WritePolicy::WriteBackAllocate),
-            l1t: l1("L1T", 48 << 10, 24, WritePolicy::WriteBackAllocate),
-            l1z: l1("L1Z", 32 << 10, 8, WritePolicy::WriteBackAllocate),
-            l1c: l1("L1C", 32 << 10, 8, WritePolicy::WriteBackAllocate),
+            l1d: l1("L1D", 32 << 10, 8),
+            l1t: l1("L1T", 48 << 10, 24),
+            l1z: l1("L1Z", 32 << 10, 8),
+            l1c: l1("L1C", 32 << 10, 8),
             l2: CacheConfig {
                 name: "L2".to_string(),
                 size_bytes: 2 << 20,
@@ -161,7 +159,6 @@ impl GpuConfig {
                 hit_latency: 10,
                 mshrs: 64,
                 targets_per_mshr: 16,
-                write_policy: WritePolicy::WriteBackAllocate,
             },
             l2_banks: 4,
             icnt_latency: 8,
@@ -178,17 +175,17 @@ impl GpuConfig {
         let mut c = Self::case_study_1();
         c.clusters = 2;
         c.max_warps_per_core = 8;
-        c.l1d = l1("L1D", 4 << 10, 4, WritePolicy::WriteBackAllocate);
-        c.l1t = l1("L1T", 4 << 10, 4, WritePolicy::WriteBackAllocate);
-        c.l1z = l1("L1Z", 4 << 10, 4, WritePolicy::WriteBackAllocate);
-        c.l1c = l1("L1C", 4 << 10, 4, WritePolicy::WriteBackAllocate);
+        c.l1d = l1("L1D", 4 << 10, 4);
+        c.l1t = l1("L1T", 4 << 10, 4);
+        c.l1z = l1("L1Z", 4 << 10, 4);
+        c.l1c = l1("L1C", 4 << 10, 4);
         c.l2.size_bytes = 32 << 10;
         c.l2_banks = 2;
         c
     }
 
     /// Total SIMT cores.
-    pub fn total_cores(&self) -> usize {
+    pub(crate) fn total_cores(&self) -> usize {
         self.clusters * self.cores_per_cluster
     }
 }

@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 
 /// A coalesced line access waiting for an L1 port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingLine {
+pub(crate) struct PendingLine {
     /// Memory token this access contributes to (0 = untracked write).
     pub token: u64,
     /// Target surface / cache.
@@ -75,7 +75,7 @@ pub struct CoreStats {
 
 impl CoreStats {
     /// Publishes the counters into `reg` under `prefix` (e.g. `gpu.core0`).
-    pub fn publish(&self, reg: &mut emerald_obs::Registry, prefix: &str) {
+    fn publish(&self, reg: &mut emerald_obs::Registry, prefix: &str) {
         reg.set_counter(format!("{prefix}.issued"), self.issued);
         reg.set_counter(format!("{prefix}.mem_instrs"), self.mem_instrs);
         reg.set_counter(format!("{prefix}.active_cycles"), self.active_cycles);
@@ -254,7 +254,7 @@ impl SimtCore {
     /// which this is false can skip its cycle entirely — the only effect
     /// would be bumping `stats.cycles`, and the active-set scan in
     /// `Gpu::cycle` depends on that equivalence.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.occupancy() > 0
             || !self.lsu.is_empty()
             || !self.tokens.is_empty()
@@ -280,7 +280,7 @@ impl SimtCore {
 
     /// Publishes core counters plus the four L1s under `prefix` (e.g.
     /// `gpu.core0` yields `gpu.core0.issued`, `gpu.core0.l1t.hits`, …).
-    pub fn publish(&self, reg: &mut emerald_obs::Registry, prefix: &str) {
+    pub(crate) fn publish(&self, reg: &mut emerald_obs::Registry, prefix: &str) {
         self.stats.publish(reg, prefix);
         self.l1d.stats().publish(reg, &format!("{prefix}.l1d"));
         self.l1t.stats().publish(reg, &format!("{prefix}.l1t"));
@@ -289,7 +289,7 @@ impl SimtCore {
     }
 
     /// Resets cache and core statistics (between frames/experiments).
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = CoreStats::default();
         self.l1d.reset_stats();
         self.l1t.reset_stats();
@@ -308,13 +308,13 @@ impl SimtCore {
     }
 
     /// Peeks whether any miss is waiting to leave.
-    pub fn has_miss(&self) -> bool {
+    pub(crate) fn has_miss(&self) -> bool {
         !self.miss_out.is_empty()
     }
 
     /// Returns a popped miss to the head of the queue (interconnect
     /// backpressure).
-    pub fn push_miss_front(&mut self, miss: L1Miss) {
+    pub(crate) fn push_miss_front(&mut self, miss: L1Miss) {
         self.miss_out.push_front(miss);
     }
 
@@ -329,7 +329,7 @@ impl SimtCore {
     }
 
     /// One-line internal state summary (diagnostics).
-    pub fn debug_snapshot(&self) -> String {
+    pub(crate) fn debug_snapshot(&self) -> String {
         format!(
             "occ={} lsu={} lsu_head={:?} tokens={} l1d_pend={} l1t_pend={} l1z_pend={} l1c_pend={} miss_out={} warps_waiting_mem={}",
             self.occupancy(),
@@ -371,7 +371,7 @@ impl SimtCore {
     /// warp, no miss waiting to leave, an LSU that is empty or blocked on
     /// its cache's memoised stall — wakes at its next scheduled writeback
     /// or token completion; [`SimtCore::skip`] books the cycles in between.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+    pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
         if !self.miss_out.is_empty() {
             return Some(now + 1);
         }
@@ -401,7 +401,7 @@ impl SimtCore {
     /// Books `delta` cycles this core was active through without being
     /// cycled, none of them at or past its [`SimtCore::next_event`]: the
     /// cycle count, and a blocked LSU head's retries.
-    pub fn skip(&mut self, delta: Cycle) {
+    pub(crate) fn skip(&mut self, delta: Cycle) {
         self.stats.cycles += delta;
         match self.lsu.front().copied() {
             Some(p) if p.surface != Surface::Shared => {
@@ -498,18 +498,6 @@ impl SimtCore {
                         }
                         Access::MergedMiss => {
                             self.lsu.pop_front();
-                        }
-                        Access::WriteForward => {
-                            self.lsu.pop_front();
-                            self.miss_out.push_back(L1Miss {
-                                core,
-                                surface,
-                                line: p.line,
-                                kind: AccessKind::Write,
-                            });
-                            if p.token != 0 {
-                                self.token_done.push(now + hit_lat, p.token);
-                            }
                         }
                         Access::Stall(_) => {
                             // Head-of-line blocks this cycle.
@@ -1004,7 +992,7 @@ mod tests {
     fn memory_load_roundtrip() {
         let mem = SharedMem::with_capacity(1 << 20);
         mem.write_u32(0x1000, 99);
-        let mut ctx = GlobalMemCtx::new(mem);
+        let mut ctx = GlobalMemCtx::new(mem.clone());
         let mut c = core();
         launch_simple(
             &mut c,
@@ -1023,14 +1011,14 @@ mod tests {
             now += 1;
             assert!(now < 10_000);
         }
-        assert_eq!(ctx.mem().read_u32(0x1004), 100);
+        assert_eq!(mem.read_u32(0x1004), 100);
         assert_eq!(c.pop_finished(), Some(WarpTag::External(7)));
     }
 
     #[test]
     fn divergent_branch_executes_both_paths() {
         let mem = SharedMem::with_capacity(1 << 20);
-        let mut ctx = GlobalMemCtx::new(mem);
+        let mut ctx = GlobalMemCtx::new(mem.clone());
         let mut c = core();
         let src = "
             mov.b32 r0, %laneid
@@ -1057,7 +1045,6 @@ mod tests {
             now += 1;
             assert!(now < 10_000);
         }
-        let mem = ctx.mem();
         assert_eq!(mem.read_u32(0x2000), 111);
         assert_eq!(mem.read_u32(0x2004), 111);
         assert_eq!(mem.read_u32(0x2008), 222);
@@ -1100,7 +1087,7 @@ mod tests {
         for lane in 0..4 {
             mem.write_u32(0x100 + 4 * lane, 99);
         }
-        let mut ctx = GlobalMemCtx::new(mem);
+        let mut ctx = GlobalMemCtx::new(mem.clone());
         let mut c = core();
         launch_simple(
             &mut c,
@@ -1130,7 +1117,7 @@ mod tests {
         }
         assert_eq!(c.pop_finished(), Some(WarpTag::External(7)));
         for lane in 0..4 {
-            assert_eq!(ctx.mem().read_u32(0x100 + 4 * lane), 0, "lane {lane}");
+            assert_eq!(mem.read_u32(0x100 + 4 * lane), 0, "lane {lane}");
         }
     }
 

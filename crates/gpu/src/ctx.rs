@@ -33,11 +33,6 @@ impl GlobalMemCtx {
         }
     }
 
-    /// The underlying shared memory image.
-    pub fn mem(&self) -> &SharedMem {
-        &self.mem
-    }
-
     fn scratch_u32(&self, addr: Addr) -> u32 {
         scratch_read(&self.scratch, addr)
     }
@@ -269,7 +264,7 @@ mod tests {
             ctx.scratch.len()
         );
         assert!(ctx
-            .mem()
+            .mem
             .read(|m| m.read_bytes(0, 4096).iter().all(|&b| b == 0)));
     }
 

@@ -825,15 +825,15 @@ mod tests {
     use emerald_mem::system::MemorySystemConfig;
     use std::sync::Arc;
 
-    fn setup() -> (Gpu, GlobalMemCtx, SimpleMemPort) {
+    fn setup() -> (Gpu, GlobalMemCtx, SimpleMemPort, SharedMem) {
         let gpu = Gpu::new(GpuConfig::tiny());
         let mem = SharedMem::with_capacity(1 << 22);
-        let ctx = GlobalMemCtx::new(mem);
+        let ctx = GlobalMemCtx::new(mem.clone());
         let port = SimpleMemPort::new(MemorySystem::new(MemorySystemConfig::baseline(
             2,
             DramConfig::lpddr3_1600(),
         )));
-        (gpu, ctx, port)
+        (gpu, ctx, port, mem)
     }
 
     #[test]
@@ -845,13 +845,13 @@ mod tests {
 
     #[test]
     fn saxpy_kernel_end_to_end() {
-        let (mut gpu, mut ctx, mut port) = setup();
+        let (mut gpu, mut ctx, mut port, mem) = setup();
         let n = 256usize;
-        let x_base = ctx.mem().alloc((n * 4) as u64, 128);
-        let y_base = ctx.mem().alloc((n * 4) as u64, 128);
+        let x_base = mem.alloc((n * 4) as u64, 128);
+        let y_base = mem.alloc((n * 4) as u64, 128);
         for i in 0..n {
-            ctx.mem().write_f32(x_base + (i * 4) as u64, i as f32);
-            ctx.mem().write_f32(y_base + (i * 4) as u64, 1.0);
+            mem.write_f32(x_base + (i * 4) as u64, i as f32);
+            mem.write_f32(y_base + (i * 4) as u64, 1.0);
         }
         // y[i] = a*x[i] + y[i]
         let src = "
@@ -876,7 +876,7 @@ mod tests {
         gpu.run_to_idle(0, 2_000_000, &mut ctx, &mut port);
         assert!(gpu.kernel_done(id));
         for i in 0..n {
-            let y = ctx.mem().read_f32(y_base + (i * 4) as u64);
+            let y = mem.read_f32(y_base + (i * 4) as u64);
             assert_eq!(y, 2.0 * i as f32 + 1.0, "y[{i}]");
         }
         assert!(gpu.stats().mem_reads > 0);
@@ -884,8 +884,8 @@ mod tests {
 
     #[test]
     fn barrier_synchronizes_cta() {
-        let (mut gpu, mut ctx, mut port) = setup();
-        let buf = ctx.mem().alloc(4096, 128);
+        let (mut gpu, mut ctx, mut port, mem) = setup();
+        let buf = mem.alloc(4096, 128);
         // Warp 0 stores, all warps barrier, then every thread reads the
         // value written by thread 0 and copies it out.
         let src = "
@@ -902,18 +902,18 @@ mod tests {
             st.global.b32 [r5+0], r3
             exit";
         let prog = Arc::new(assemble(src).unwrap());
-        let out = ctx.mem().alloc(4096, 128);
+        let out = mem.alloc(4096, 128);
         let k = Kernel::linear(prog, 128, 128, vec![buf as u32, out as u32]);
         gpu.launch_kernel(k);
         gpu.run_to_idle(0, 2_000_000, &mut ctx, &mut port);
         for i in 0..128u64 {
-            assert_eq!(ctx.mem().read_u32(out + i * 4), 777, "thread {i}");
+            assert_eq!(mem.read_u32(out + i * 4), 777, "thread {i}");
         }
     }
 
     #[test]
     fn multiple_ctas_spread_across_cores() {
-        let (mut gpu, mut ctx, mut port) = setup();
+        let (mut gpu, mut ctx, mut port, _) = setup();
         let src = "mov.b32 r0, %input0\nexit";
         let prog = Arc::new(assemble(src).unwrap());
         let k = Kernel::linear(prog, 512, 64, vec![]);
@@ -933,7 +933,7 @@ mod tests {
         // 16 warps, five 3-warp CTAs and one warp more. A sixth CTA placed
         // on the strength of that one warp ran it, was refused the rest,
         // and later ran again in full.
-        let (_, mut ctx, mut port) = setup();
+        let (_, mut ctx, mut port, mem) = setup();
         let mut gpu = Gpu::new(GpuConfig::case_study_1());
         let src = "
             mov.b32 r63, %input0
@@ -945,19 +945,19 @@ mod tests {
             exit";
         let prog = Arc::new(assemble(src).unwrap());
         let n = 6144u64;
-        let out = ctx.mem().alloc(n * 4, 128);
+        let out = mem.alloc(n * 4, 128);
         let id = gpu.launch_kernel(Kernel::linear(prog, n as usize, 96, vec![out as u32]));
         gpu.run_to_idle(0, 10_000_000, &mut ctx, &mut port);
         assert!(gpu.kernel_done(id));
         assert_eq!(gpu.stats().warps_retired, 192);
         for i in 0..n {
-            assert_eq!(ctx.mem().read_u32(out + i * 4), 1, "thread {i}");
+            assert_eq!(mem.read_u32(out + i * 4), 1, "thread {i}");
         }
     }
 
     #[test]
     fn external_warp_completion_is_reported() {
-        let (mut gpu, mut ctx, mut port) = setup();
+        let (mut gpu, mut ctx, mut port, _) = setup();
         let prog = Arc::new(assemble("mov.b32 r0, %laneid\nexit").unwrap());
         let w = Warp::new(
             WarpRegs::new(&prog),
@@ -975,8 +975,8 @@ mod tests {
     #[test]
     fn snapshot_round_trip_preserves_warm_caches_and_ids() {
         use emerald_common::snap::{Restore as _, SnapReader, SnapWriter, Snapshot as _};
-        let (mut gpu, mut ctx_a, mut port_a) = setup();
-        let (_, mut ctx_b, mut port_b) = setup();
+        let (mut gpu, mut ctx_a, mut port_a, mem_a) = setup();
+        let (_, mut ctx_b, mut port_b, mem_b) = setup();
         // Read-only warp so the two memory images stay identical.
         let src = "
             mov.b32 r0, %laneid
@@ -985,8 +985,8 @@ mod tests {
             ld.global.b32 r2, [r1+0]
             exit";
         let prog = Arc::new(assemble(src).unwrap());
-        let base = ctx_a.mem().alloc(4096, 128);
-        let base_b = ctx_b.mem().alloc(4096, 128);
+        let base = mem_a.alloc(4096, 128);
+        let base_b = mem_b.alloc(4096, 128);
         assert_eq!(base, base_b);
         let warp = |tag: u64| {
             Warp::new(
@@ -1040,7 +1040,7 @@ mod tests {
     #[test]
     fn snapshot_restore_rejects_pending_kernel_mismatch() {
         use emerald_common::snap::{Restore as _, SnapReader, SnapWriter, Snapshot as _};
-        let (mut gpu, mut ctx, mut port) = setup();
+        let (mut gpu, mut ctx, mut port, _) = setup();
         let prog = Arc::new(assemble("mov.b32 r0, %input0\nexit").unwrap());
         let id = gpu.launch_kernel(Kernel::linear(prog, 64, 64, vec![]));
         gpu.run_to_idle(0, 1_000_000, &mut ctx, &mut port);
@@ -1059,7 +1059,7 @@ mod tests {
 
     #[test]
     fn l2_absorbs_repeated_traffic() {
-        let (mut gpu, mut ctx, mut port) = setup();
+        let (mut gpu, mut ctx, mut port, mem) = setup();
         // Two rounds of the same read-only kernel: the second round should
         // produce fewer DRAM reads thanks to the L2 (L1s flushed between
         // launches would be even stronger; we just compare totals).
@@ -1071,7 +1071,7 @@ mod tests {
             ld.global.b32 r2, [r1+0]
             exit";
         let prog = Arc::new(assemble(src).unwrap());
-        let base = ctx.mem().alloc(4096, 128);
+        let base = mem.alloc(4096, 128);
         let k1 = Kernel::linear(prog.clone(), 256, 64, vec![base as u32]);
         gpu.launch_kernel(k1);
         gpu.run_to_idle(0, 1_000_000, &mut ctx, &mut port);

@@ -51,17 +51,17 @@ impl Kernel {
         self.threads_per_cta.div_ceil(32)
     }
 
-    /// Total warps in the launch.
-    pub fn total_warps(&self) -> usize {
-        self.grid_ctas * self.warps_per_cta()
-    }
-
     /// The register file and lane count of warp `warp_in_cta` of CTA
     /// `cta`, following the input conventions: `%input0` = global thread
     /// id, `%input1` = CTA id, `%input2` = thread id within the CTA,
     /// `%input3` = this CTA's shared-memory base (slots the program never
     /// reads are not stored).
-    pub fn warp_regs(&self, cta: usize, warp_in_cta: usize, shared_base: u32) -> (WarpRegs, usize) {
+    pub(crate) fn warp_regs(
+        &self,
+        cta: usize,
+        warp_in_cta: usize,
+        shared_base: u32,
+    ) -> (WarpRegs, usize) {
         let first = warp_in_cta * 32;
         let lanes = (self.threads_per_cta - first).min(32);
         let mut regs = WarpRegs::new(&self.program);
@@ -79,7 +79,7 @@ impl Kernel {
 
 /// Dispatcher-side state of one in-flight kernel.
 #[derive(Debug)]
-pub struct KernelState {
+pub(crate) struct KernelState {
     /// The launch.
     pub kernel: Kernel,
     /// Next CTA to place.
@@ -92,7 +92,7 @@ pub struct KernelState {
 
 impl KernelState {
     /// Wraps a launch.
-    pub fn new(kernel: Kernel) -> Self {
+    pub(crate) fn new(kernel: Kernel) -> Self {
         Self {
             kernel,
             next_cta: 0,
@@ -102,7 +102,7 @@ impl KernelState {
     }
 
     /// True when every CTA is placed and every warp retired.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.next_cta >= self.kernel.grid_ctas && self.warps_outstanding == 0
     }
 }
@@ -129,7 +129,6 @@ mod tests {
         let k = Kernel::linear(prog(), 1000, 256, vec![]);
         assert_eq!(k.grid_ctas, 4);
         assert_eq!(k.warps_per_cta(), 8);
-        assert_eq!(k.total_warps(), 32);
     }
 
     #[test]

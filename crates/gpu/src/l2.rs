@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 
 /// Identifies an L1 waiting on an L2 fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct L1Target {
+pub(crate) struct L1Target {
     /// Global core index.
     pub core: usize,
     /// Which of the core's L1s is waiting.
@@ -54,7 +54,7 @@ fn unpack(id: u64) -> L1Target {
 
 /// Output of one bank-cycle.
 #[derive(Debug, Default)]
-pub struct L2Output {
+pub(crate) struct L2Output {
     /// Fills to deliver to L1s (after interconnect latency).
     pub to_cores: Vec<(L1Target, Addr)>,
     /// Line requests for external memory: `(line, kind)`. Reads are fills,
@@ -81,7 +81,7 @@ impl L2 {
     /// # Panics
     ///
     /// Panics if the size does not divide evenly into valid banks.
-    pub fn new(cfg: &CacheConfig, n_banks: usize) -> Self {
+    pub(crate) fn new(cfg: &CacheConfig, n_banks: usize) -> Self {
         let mut bank_cfg = cfg.clone();
         bank_cfg.size_bytes = cfg.size_bytes / n_banks;
         let banks = (0..n_banks)
@@ -105,25 +105,18 @@ impl L2 {
     }
 
     /// Queues an incoming L1 miss/write at its bank.
-    pub fn enqueue(&mut self, miss: L1Miss) {
+    pub(crate) fn enqueue(&mut self, miss: L1Miss) {
         let b = self.bank_of(miss.line);
         self.banks[b].queue.push_back(miss);
     }
 
     /// Total queued accesses (diagnostics).
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.banks.iter().map(|b| b.queue.len()).sum()
     }
 
-    /// True when all banks are drained and no fills are outstanding.
-    pub fn is_idle(&self) -> bool {
-        self.banks
-            .iter()
-            .all(|b| b.queue.is_empty() && b.cache.pending_lines() == 0)
-    }
-
     /// Runs one cycle: each bank services at most one access.
-    pub fn cycle(&mut self, now: Cycle) -> L2Output {
+    pub(crate) fn cycle(&mut self, now: Cycle) -> L2Output {
         let mut out = L2Output::default();
         for bank in &mut self.banks {
             let Some(m) = bank.queue.front().copied() else {
@@ -156,10 +149,6 @@ impl L2 {
                 Access::MergedMiss => {
                     bank.queue.pop_front();
                 }
-                Access::WriteForward => {
-                    bank.queue.pop_front();
-                    out.to_mem.push((m.line, AccessKind::Write));
-                }
                 Access::Stall(_) => {
                     // Bank blocked; retry next cycle.
                 }
@@ -169,7 +158,7 @@ impl L2 {
     }
 
     /// Completes a DRAM fill for `line`; yields the L1s to notify.
-    pub fn fill(&mut self, line: Addr) -> impl Iterator<Item = (L1Target, Addr)> + '_ {
+    pub(crate) fn fill(&mut self, line: Addr) -> impl Iterator<Item = (L1Target, Addr)> + '_ {
         let b = self.bank_of(line);
         let waiting = self.banks[b].cache.fill(line);
         waiting.iter().map(move |&id| (unpack(id), line))
@@ -177,7 +166,7 @@ impl L2 {
 
     /// True when some bank's next access is not its cache's memoised
     /// stall, so [`L2::cycle`] would do more than count a retry.
-    pub fn has_ready_head(&self) -> bool {
+    pub(crate) fn has_ready_head(&self) -> bool {
         self.banks.iter().any(|b| {
             b.queue
                 .front()
@@ -187,7 +176,7 @@ impl L2 {
 
     /// Books `delta` cycles in which no bank had a ready head: each
     /// blocked bank retried its memoised stall every cycle.
-    pub fn skip(&mut self, delta: Cycle) {
+    pub(crate) fn skip(&mut self, delta: Cycle) {
         for b in &mut self.banks {
             if let Some(m) = b.queue.front() {
                 b.cache.book_stalls(m.line, m.kind, delta);
@@ -211,7 +200,7 @@ impl L2 {
     }
 
     /// Resets every bank's statistics.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         for b in &mut self.banks {
             b.cache.reset_stats();
         }

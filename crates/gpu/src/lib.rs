@@ -45,5 +45,5 @@ pub use config::GpuConfig;
 pub use ctx::GlobalMemCtx;
 pub use gpu::{Gpu, MemPort, SimpleMemPort};
 pub use kernel::Kernel;
-pub use phase::{host_parallelism, CorePool, CycleCtx};
+pub use phase::{CorePool, CycleCtx};
 pub use warp::{Warp, WarpTag};

@@ -30,7 +30,7 @@ use std::thread::JoinHandle;
 /// The adaptive dispatcher consults this once: engaging a worker pool on a
 /// single-CPU host can only slow the simulation down, because the workers
 /// time-slice against the dispatcher instead of running beside it.
-pub fn host_parallelism() -> usize {
+pub(crate) fn host_parallelism() -> usize {
     static CACHED: OnceLock<usize> = OnceLock::new();
     *CACHED.get_or_init(|| {
         std::thread::available_parallelism()
@@ -200,7 +200,7 @@ impl CorePool {
     }
 
     /// Parallelism (worker count + 1 for the caller).
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.workers.len() + 1
     }
 

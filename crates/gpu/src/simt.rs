@@ -10,7 +10,7 @@ pub const NO_RECONV: usize = usize::MAX;
 
 /// One stack entry: execute at `pc` with `mask` until `pc == rpc`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StackEntry {
+pub(crate) struct StackEntry {
     /// Next instruction for this path.
     pub pc: usize,
     /// Reconvergence pc (pop when reached).
@@ -38,7 +38,7 @@ impl SimtStack {
     }
 
     /// The executing entry, or `None` when the warp has fully retired.
-    pub fn top(&self) -> Option<&StackEntry> {
+    pub(crate) fn top(&self) -> Option<&StackEntry> {
         self.entries.last()
     }
 
@@ -56,11 +56,6 @@ impl SimtStack {
     /// True when every path has retired.
     pub fn is_done(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Depth of the stack (diagnostics).
-    pub fn depth(&self) -> usize {
-        self.entries.len()
     }
 
     /// Advances past a non-branch instruction, popping any entries that
@@ -158,7 +153,7 @@ mod tests {
         s.advance();
         assert_eq!(s.pc(), 1);
         assert_eq!(s.active_mask(), 0xf);
-        assert_eq!(s.depth(), 1);
+        assert_eq!(s.entries.len(), 1);
     }
 
     #[test]
@@ -166,10 +161,10 @@ mod tests {
         let mut s = SimtStack::new(0xf);
         s.branch(0xf, 10, 20); // all taken
         assert_eq!(s.pc(), 10);
-        assert_eq!(s.depth(), 1);
+        assert_eq!(s.entries.len(), 1);
         s.branch(0x0, 3, 20); // none taken: falls through to 11
         assert_eq!(s.pc(), 11);
-        assert_eq!(s.depth(), 1);
+        assert_eq!(s.entries.len(), 1);
     }
 
     #[test]
@@ -181,7 +176,7 @@ mod tests {
         // Taken path on top.
         assert_eq!(s.pc(), 5);
         assert_eq!(s.active_mask(), 0b1100);
-        assert_eq!(s.depth(), 3);
+        assert_eq!(s.entries.len(), 3);
         s.advance(); // 6
         s.advance(); // 7 == rpc -> pop; now not-taken path at 1
         assert_eq!(s.pc(), 1);
@@ -193,7 +188,7 @@ mod tests {
         // pc hits 7 -> pop; reconverged entry resumes at 7 with full mask.
         assert_eq!(s.pc(), 7);
         assert_eq!(s.active_mask(), 0xf);
-        assert_eq!(s.depth(), 1);
+        assert_eq!(s.entries.len(), 1);
     }
 
     #[test]
@@ -203,7 +198,7 @@ mod tests {
         assert_eq!((s.pc(), s.active_mask()), (10, 0x0f));
         s.branch(0x03, 20, 25); // inner divergence within taken path
         assert_eq!((s.pc(), s.active_mask()), (20, 0x03));
-        assert_eq!(s.depth(), 5);
+        assert_eq!(s.entries.len(), 5);
         // Run inner taken path to its reconv at 25.
         for _ in 20..25 {
             s.advance();
@@ -257,6 +252,6 @@ mod tests {
                            // Fall-through entry (lane 2) at pc 2 == its rpc -> popped too;
                            // root resumes at 2 with both lanes.
         assert_eq!((s.pc(), s.active_mask()), (2, 0b11));
-        assert_eq!(s.depth(), 1);
+        assert_eq!(s.entries.len(), 1);
     }
 }

@@ -35,7 +35,7 @@ pub struct Warp {
     /// Owner bookkeeping tag.
     pub tag: WarpTag,
     /// Registers with a write in flight (bit `i` = `ri`). One bit each is
-    /// exact: [`Warp::has_hazard`] holds an instruction back while any of
+    /// exact: `Warp::has_hazard` holds an instruction back while any of
     /// its *destinations* is pending, so a register never has two
     /// producers in flight.
     pub pending_regs: u64,
@@ -98,36 +98,36 @@ impl Warp {
 
     /// Re-reads the cached decode of the next instruction; call after
     /// anything moves `stack`.
-    pub fn refresh_next(&mut self) {
+    pub(crate) fn refresh_next(&mut self) {
         self.next = self.stack.top().map(|e| self.program.decoded(e.pc));
     }
 
     /// The next instruction's decode if the warp may issue it now:
     /// [`Warp::can_issue`] and not [`Warp::has_hazard`], answered from the
     /// cached view.
-    pub fn issuable(&self) -> Option<Decoded> {
+    pub(crate) fn issuable(&self) -> Option<Decoded> {
         self.next
             .filter(|d| !self.exited && !self.at_barrier && self.pending_regs & d.hazard == 0)
     }
 
     /// True when the warp has fully retired (no paths, no pending memory).
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         self.exited && self.outstanding_mem == 0
     }
 
     /// True when the scheduler may issue this warp's next instruction.
-    pub fn can_issue(&self) -> bool {
+    pub(crate) fn can_issue(&self) -> bool {
         !self.exited && !self.at_barrier && !self.stack.is_done()
     }
 
     /// Scoreboard check: does the instruction at the current pc read or
     /// write a register still being produced?
-    pub fn has_hazard(&self) -> bool {
+    pub(crate) fn has_hazard(&self) -> bool {
         self.pending_regs & self.program.decoded(self.stack.pc()).hazard != 0
     }
 
     /// Marks the registers in `mask` as having a write in flight.
-    pub fn acquire_regs(&mut self, mask: u64) {
+    pub(crate) fn acquire_regs(&mut self, mask: u64) {
         debug_assert_eq!(
             self.pending_regs & mask,
             0,
@@ -137,7 +137,7 @@ impl Warp {
     }
 
     /// Clears the registers in `mask` (writeback).
-    pub fn release_regs(&mut self, mask: u64) {
+    pub(crate) fn release_regs(&mut self, mask: u64) {
         self.pending_regs &= !mask;
     }
 }

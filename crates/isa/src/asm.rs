@@ -55,22 +55,10 @@ enum PendingOp {
     Bra { target: String, reconv: String },
 }
 
-/// Incremental program construction with label-based control flow.
-///
-/// # Examples
-///
-/// ```
-/// use emerald_isa::{AluKind, DType, ProgramBuilder, Reg, Special};
-///
-/// let mut b = ProgramBuilder::new("double");
-/// b.mov(Reg(0), Special::Input(0));
-/// b.alu(AluKind::Mul, DType::F32, Reg(1), Reg(0), 2.0f32);
-/// b.exit();
-/// let program = b.build().unwrap();
-/// assert_eq!(program.len(), 3);
-/// ```
+/// Incremental program construction with label-based control flow: the
+/// text assembler's back end.
 #[derive(Debug, Clone)]
-pub struct ProgramBuilder {
+struct ProgramBuilder {
     name: String,
     instrs: Vec<(Option<(PReg, bool)>, PendingOp)>,
     labels: HashMap<String, usize>,
@@ -80,7 +68,7 @@ pub struct ProgramBuilder {
 
 impl ProgramBuilder {
     /// Starts a new program.
-    pub fn new(name: impl Into<String>) -> Self {
+    fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
             instrs: Vec::new(),
@@ -91,7 +79,7 @@ impl ProgramBuilder {
     }
 
     /// Defines a label at the current position.
-    pub fn label(&mut self, name: impl Into<String>) -> &mut Self {
+    fn label(&mut self, name: impl Into<String>) -> &mut Self {
         let name = name.into();
         if self
             .labels
@@ -104,25 +92,25 @@ impl ProgramBuilder {
     }
 
     /// Applies a guard (`@p` or `@!p`) to the *next* pushed instruction.
-    pub fn guard(&mut self, p: PReg, negated: bool) -> &mut Self {
+    fn guard(&mut self, p: PReg, negated: bool) -> &mut Self {
         self.pending_guard = Some((p, negated));
         self
     }
 
     /// Pushes a raw operation.
-    pub fn push(&mut self, op: Op) -> &mut Self {
+    fn push(&mut self, op: Op) -> &mut Self {
         let g = self.pending_guard.take();
         self.instrs.push((g, PendingOp::Ready(op)));
         self
     }
 
     /// `mov.b32 d, a`.
-    pub fn mov(&mut self, d: Reg, a: impl Into<Operand>) -> &mut Self {
+    fn mov(&mut self, d: Reg, a: impl Into<Operand>) -> &mut Self {
         self.push(Op::Mov { d, a: a.into() })
     }
 
     /// Two-operand ALU helper.
-    pub fn alu(
+    fn alu(
         &mut self,
         kind: AluKind,
         ty: DType,
@@ -140,13 +128,7 @@ impl ProgramBuilder {
     }
 
     /// Unary op helper.
-    pub fn unary(
-        &mut self,
-        kind: UnaryKind,
-        ty: DType,
-        d: Reg,
-        a: impl Into<Operand>,
-    ) -> &mut Self {
+    fn unary(&mut self, kind: UnaryKind, ty: DType, d: Reg, a: impl Into<Operand>) -> &mut Self {
         self.push(Op::Unary {
             kind,
             ty,
@@ -156,7 +138,7 @@ impl ProgramBuilder {
     }
 
     /// `setp.<cmp>.<ty> p, a, b`.
-    pub fn setp(
+    fn setp(
         &mut self,
         p: PReg,
         cmp: CmpOp,
@@ -174,7 +156,7 @@ impl ProgramBuilder {
     }
 
     /// `ld.<space>.b32 d, [addr+offset]`.
-    pub fn ld(&mut self, space: MemSpace, d: Reg, addr: Reg, offset: i32) -> &mut Self {
+    fn ld(&mut self, space: MemSpace, d: Reg, addr: Reg, offset: i32) -> &mut Self {
         self.push(Op::Ld {
             space,
             d,
@@ -184,13 +166,7 @@ impl ProgramBuilder {
     }
 
     /// `st.<space>.b32 [addr+offset], a`.
-    pub fn st(
-        &mut self,
-        space: MemSpace,
-        a: impl Into<Operand>,
-        addr: Reg,
-        offset: i32,
-    ) -> &mut Self {
+    fn st(&mut self, space: MemSpace, a: impl Into<Operand>, addr: Reg, offset: i32) -> &mut Self {
         self.push(Op::St {
             space,
             a: a.into(),
@@ -200,7 +176,7 @@ impl ProgramBuilder {
     }
 
     /// Branch to `target` reconverging at `reconv` (labels).
-    pub fn bra(&mut self, target: impl Into<String>, reconv: impl Into<String>) -> &mut Self {
+    fn bra(&mut self, target: impl Into<String>, reconv: impl Into<String>) -> &mut Self {
         let g = self.pending_guard.take();
         self.instrs.push((
             g,
@@ -213,37 +189,37 @@ impl ProgramBuilder {
     }
 
     /// `tex2d d..d+3, [u, v], sampler`.
-    pub fn tex2d(&mut self, d: Reg, u: Reg, v: Reg, sampler: u8) -> &mut Self {
+    fn tex2d(&mut self, d: Reg, u: Reg, v: Reg, sampler: u8) -> &mut Self {
         self.push(Op::Tex2d { d, u, v, sampler })
     }
 
     /// `ztest z` (optionally writing the depth buffer).
-    pub fn ztest(&mut self, z: Reg, write: bool) -> &mut Self {
+    fn ztest(&mut self, z: Reg, write: bool) -> &mut Self {
         self.push(Op::Ztest { z, write })
     }
 
     /// `blend c..c+3`.
-    pub fn blend(&mut self, c: Reg) -> &mut Self {
+    fn blend(&mut self, c: Reg) -> &mut Self {
         self.push(Op::Blend { c })
     }
 
     /// `fbwrite c..c+3`.
-    pub fn fbwrite(&mut self, c: Reg) -> &mut Self {
+    fn fbwrite(&mut self, c: Reg) -> &mut Self {
         self.push(Op::FbWrite { c })
     }
 
     /// `bar.sync`.
-    pub fn bar(&mut self) -> &mut Self {
+    fn bar(&mut self) -> &mut Self {
         self.push(Op::Bar)
     }
 
     /// `exit`.
-    pub fn exit(&mut self) -> &mut Self {
+    fn exit(&mut self) -> &mut Self {
         self.push(Op::Exit)
     }
 
     /// `nop`.
-    pub fn nop(&mut self) -> &mut Self {
+    fn nop(&mut self) -> &mut Self {
         self.push(Op::Nop)
     }
 
@@ -253,7 +229,7 @@ impl ProgramBuilder {
     ///
     /// Returns the first recorded builder error, an undefined-label error,
     /// or a validation error from [`Program::new`].
-    pub fn build(&self) -> Result<Program, AsmError> {
+    fn build(&self) -> Result<Program, AsmError> {
         if let Some(e) = &self.error {
             return Err(e.clone());
         }

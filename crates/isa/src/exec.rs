@@ -62,7 +62,7 @@ pub enum Outcome {
 
 /// Result of executing one instruction warp-wide.
 ///
-/// The vectors keep their capacity across [`execute_into`] calls, so a
+/// The vectors keep their capacity across [`execute_warp`] calls, so a
 /// caller that reuses one `StepResult` stops allocating once it has seen
 /// its widest instruction.
 #[derive(Debug, Clone)]
@@ -81,7 +81,7 @@ pub struct StepResult {
 
 impl StepResult {
     /// An empty fall-through result, ready to be filled by
-    /// [`execute_into`].
+    /// [`execute_warp`].
     pub fn new() -> Self {
         Self {
             accesses: Vec::new(),
@@ -532,27 +532,13 @@ pub fn execute(
     params: &[u32],
     ctx: &mut dyn ExecCtx,
 ) -> StepResult {
-    let mut res = StepResult::new();
-    execute_into(program, pc, active, threads, params, ctx, &mut res);
-    res
-}
-
-/// [`execute`] into a caller-owned result: whatever `res` held is
-/// overwritten, and its buffers are reused rather than reallocated.
-pub fn execute_into(
-    program: &Program,
-    pc: usize,
-    active: u32,
-    threads: &mut [ThreadState],
-    params: &[u32],
-    ctx: &mut dyn ExecCtx,
-    res: &mut StepResult,
-) {
     let absent = WARP_SIZE.saturating_sub(threads.len()) as u32;
     let active = active & u32::MAX.checked_shr(absent).unwrap_or(0);
     let mut regs = WarpRegs::gather(program, threads);
-    execute_warp(program, pc, active, &mut regs, params, ctx, res);
+    let mut res = StepResult::new();
+    execute_warp(program, pc, active, &mut regs, params, ctx, &mut res);
     regs.scatter(threads);
+    res
 }
 
 /// Executes the instruction at `pc` of `program` for the lanes in
@@ -567,7 +553,8 @@ pub fn execute_into(
 /// own operands alone, and no lane's value can panic (integer division by
 /// zero yields 0, integer arithmetic wraps). Unary (SFU) instructions,
 /// memory and graphics instructions run per executing lane, lowest first.
-/// Results go to `res` as in [`execute_into`].
+/// Whatever `res` held is overwritten, and its buffers are reused rather
+/// than reallocated.
 ///
 /// # Panics
 ///
@@ -790,11 +777,11 @@ mod tests {
         let mut ctx = NullCtx;
         execute(&p, 0, active, &mut threads, &[], &mut ctx);
         execute(&p, 1, active, &mut threads, &[], &mut ctx);
-        assert_eq!(threads[0].reg(Reg(1)), 10);
-        assert_eq!(threads[2].reg(Reg(1)), 12);
+        assert_eq!(threads[0].regs[1], 10);
+        assert_eq!(threads[2].regs[1], 12);
         // Inactive lanes untouched.
-        assert_eq!(threads[1].reg(Reg(1)), 0);
-        assert_eq!(threads[3].reg(Reg(1)), 0);
+        assert_eq!(threads[1].regs[1], 0);
+        assert_eq!(threads[3].regs[1], 0);
     }
 
     #[test]
@@ -832,10 +819,10 @@ mod tests {
         for pc in 0..4 {
             execute(&p, pc, 0xf, &mut threads, &[], &mut ctx);
         }
-        assert_eq!(threads[0].reg(Reg(1)), 7);
-        assert_eq!(threads[1].reg(Reg(1)), 7);
-        assert_eq!(threads[2].reg(Reg(1)), 9);
-        assert_eq!(threads[3].reg(Reg(1)), 9);
+        assert_eq!(threads[0].regs[1], 7);
+        assert_eq!(threads[1].regs[1], 7);
+        assert_eq!(threads[2].regs[1], 9);
+        assert_eq!(threads[3].regs[1], 9);
     }
 
     #[test]
@@ -902,7 +889,7 @@ mod tests {
         assert_eq!(st.accesses[3].addr, 0x100c);
         let ld = execute(&p, 4, 0xf, &mut threads, &params, &mut ctx);
         assert_eq!(ld.accesses.len(), 4);
-        assert_eq!(threads[3].reg(Reg(2)), 3);
+        assert_eq!(threads[3].regs[2], 3);
     }
 
     #[test]
@@ -965,8 +952,8 @@ mod tests {
         for pc in 0..3 {
             execute(&p, pc, 1, &mut threads, &[], &mut ctx);
         }
-        assert_eq!(threads[0].reg(Reg(1)), 0);
-        assert_eq!(threads[0].reg(Reg(2)), 0);
+        assert_eq!(threads[0].regs[1], 0);
+        assert_eq!(threads[0].regs[2], 0);
     }
 
     #[test]
@@ -983,7 +970,7 @@ mod tests {
         for pc in 0..3 {
             execute(&p, pc, 1, &mut threads, &[], &mut ctx);
         }
-        assert_eq!(threads[0].reg(Reg(1)), 3);
+        assert_eq!(threads[0].regs[1], 3);
         assert_eq!(threads[0].reg_f32(Reg(2)), 3.0);
     }
 
@@ -1001,7 +988,7 @@ mod tests {
         for pc in 0..3 {
             execute(&p, pc, 0b11, &mut threads, &[], &mut ctx);
         }
-        assert_eq!(threads[0].reg(Reg(1)), 100);
-        assert_eq!(threads[1].reg(Reg(1)), 200);
+        assert_eq!(threads[0].regs[1], 100);
+        assert_eq!(threads[1].regs[1], 200);
     }
 }

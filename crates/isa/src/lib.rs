@@ -15,8 +15,7 @@
 //! * a warp-wide functional executor ([`exec::execute_warp`]) over a
 //!   register-major warp register file ([`reg::WarpRegs`]) that returns the
 //!   per-lane memory accesses for the timing model to replay,
-//! * a [text assembler](asm::assemble) and a [builder](asm::ProgramBuilder)
-//!   for writing shaders and kernels.
+//! * a [text assembler](asm::assemble) for writing shaders and kernels.
 //!
 //! # Example
 //!
@@ -42,8 +41,8 @@ pub mod op;
 pub mod program;
 pub mod reg;
 
-pub use asm::{assemble, assemble_named, ProgramBuilder};
-pub use exec::{execute, execute_into, execute_warp, ExecCtx, MemAccess, Outcome, StepResult};
+pub use asm::{assemble, assemble_named};
+pub use exec::{execute, execute_warp, ExecCtx, Outcome, StepResult};
 pub use op::{AluKind, CmpOp, MemSpace, Op, UnaryKind};
 pub use program::Program;
 pub use reg::{DType, Operand, PReg, Reg, Special, ThreadState, WarpRegs};

@@ -272,7 +272,7 @@ pub enum LatencyClass {
 
 impl Op {
     /// The latency class used by the core's writeback model.
-    pub fn latency_class(&self) -> LatencyClass {
+    pub(crate) fn latency_class(&self) -> LatencyClass {
         match self {
             Op::Mov { .. } | Op::Sel { .. } | Op::Cvt { .. } | Op::SetP { .. } => LatencyClass::Alu,
             Op::Alu { kind, .. } => match kind {
@@ -303,7 +303,7 @@ impl Op {
     /// `None` when any register — the tail of a four-wide group included —
     /// lies at or past [`MAX_REGS`]: a mask cannot name it, and the group
     /// end is formed in `usize` so `r253..` is an answer, not an overflow.
-    pub fn reg_masks(&self) -> Option<(u64, u64)> {
+    pub(crate) fn reg_masks(&self) -> Option<(u64, u64)> {
         fn group(first: Reg, n: usize) -> Option<u64> {
             (first.0 as usize + n <= MAX_REGS).then(|| ((1u64 << n) - 1) << first.0)
         }

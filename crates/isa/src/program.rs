@@ -175,20 +175,11 @@ impl Program {
         &self.instrs[pc]
     }
 
-    /// Number of instructions.
+    /// Number of instructions: never 0, since [`Program::new`] rejects an
+    /// empty program.
+    #[allow(clippy::len_without_is_empty)] // an `is_empty` would always be false
     pub fn len(&self) -> usize {
         self.instrs.len()
-    }
-
-    /// True when the program has no instructions (never true for a
-    /// validated program).
-    pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
-    }
-
-    /// All instructions, in order.
-    pub fn instrs(&self) -> &[Instr] {
-        &self.instrs
     }
 
     /// The scoreboard masks and latency class of the instruction at `pc`.
@@ -210,7 +201,7 @@ impl Program {
     /// `%inputN` operand, and the fragment position that `ztest`, `blend`
     /// and `fbwrite` read implicitly. A warp's register file holds this
     /// many input rows; a launcher's write to a later slot is dropped.
-    pub fn inputs_used(&self) -> usize {
+    pub(crate) fn inputs_used(&self) -> usize {
         self.inputs_used
     }
 }
@@ -496,7 +487,6 @@ mod tests {
         .unwrap();
         assert_eq!(p.name(), "simple");
         assert_eq!(p.len(), 2);
-        assert!(!p.is_empty());
         assert!(p.to_string().contains("add.f32 r1"));
     }
 }

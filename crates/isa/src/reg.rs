@@ -12,10 +12,10 @@ pub const MAX_REGS: usize = 64;
 pub const NUM_PREDS: usize = 4;
 
 /// Number of per-thread launch inputs (fragment attributes, vertex index…).
-pub const NUM_INPUTS: usize = 16;
+pub(crate) const NUM_INPUTS: usize = 16;
 
 /// Number of uniform 32-bit kernel parameters.
-pub const NUM_PARAMS: usize = 24;
+pub(crate) const NUM_PARAMS: usize = 24;
 
 /// A general-purpose 32-bit register index (`r0`–`r63`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -171,11 +171,6 @@ impl ThreadState {
         }
     }
 
-    /// Reads register `r` as raw bits.
-    pub fn reg(&self, r: Reg) -> u32 {
-        self.regs[r.0 as usize]
-    }
-
     /// Reads register `r` as an `f32`.
     pub fn reg_f32(&self, r: Reg) -> f32 {
         f32::from_bits(self.regs[r.0 as usize])
@@ -281,7 +276,7 @@ mod tests {
         let mut t = ThreadState::new();
         t.regs[3] = (-1.25f32).to_bits();
         assert_eq!(t.reg_f32(Reg(3)), -1.25);
-        assert_eq!(t.reg(Reg(3)), (-1.25f32).to_bits());
+        assert_eq!(t.regs[3], (-1.25f32).to_bits());
     }
 
     #[test]

@@ -13,18 +13,8 @@ use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::stats::Ratio;
 use emerald_common::types::{AccessKind, Addr, Cycle};
 
-/// Write handling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WritePolicy {
-    /// Write-back, write-allocate: write misses fetch the line; dirty
-    /// evictions produce writebacks (used for L1D/L1Z pixel data and L2).
-    WriteBackAllocate,
-    /// Write-through, no-allocate: writes are forwarded downstream; write
-    /// misses do not fill (classic GPGPU-Sim L1 behaviour for global data).
-    WriteThroughNoAllocate,
-}
-
-/// Static cache parameters.
+/// Static cache parameters. Every cache is write-back, write-allocate:
+/// write misses fetch the line and dirty evictions produce writebacks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Name used in statistics dumps.
@@ -41,8 +31,6 @@ pub struct CacheConfig {
     pub mshrs: usize,
     /// Requests that can merge onto one missed line.
     pub targets_per_mshr: usize,
-    /// Write policy.
-    pub write_policy: WritePolicy,
 }
 
 impl CacheConfig {
@@ -56,12 +44,11 @@ impl CacheConfig {
             hit_latency: 1,
             mshrs: 8,
             targets_per_mshr: 8,
-            write_policy: WritePolicy::WriteBackAllocate,
         }
     }
 
     /// Number of sets implied by the geometry.
-    pub fn sets(&self) -> usize {
+    fn sets(&self) -> usize {
         self.size_bytes / (self.line_bytes * self.ways)
     }
 }
@@ -90,8 +77,6 @@ pub enum Access {
     },
     /// The line is already being fetched; this request was merged.
     MergedMiss,
-    /// Write-through write: forward the write downstream; no fill.
-    WriteForward,
     /// Structural hazard; retry next cycle.
     Stall(StallReason),
 }
@@ -126,8 +111,6 @@ struct Mshr {
 enum Lookup {
     /// The line is valid in this way.
     Present(usize),
-    /// A write-through write to an absent line: forwarded, never allocated.
-    WriteAround,
     /// The line is already being fetched and its MSHR has a free target.
     Merge,
     /// A new miss that takes a free MSHR and this victim way.
@@ -183,8 +166,8 @@ pub struct Cache {
     stats: CacheStats,
     /// The stall memo: the `(line, kind)` of the last access that stalled
     /// and why. A stall is decided from tag and MSHR state alone and
-    /// changes none of it, so until a non-stalled access, a fill, a flush
-    /// or a restore clears this, the same access stalls for the same
+    /// changes none of it, so until a non-stalled access, a fill or a
+    /// restore clears this, the same access stalls for the same
     /// reason and [`Cache::access`] only has to count it. Derived state:
     /// never serialized.
     last_stall: Option<(Addr, AccessKind, StallReason)>,
@@ -246,14 +229,6 @@ impl Cache {
         line / self.cfg.line_bytes as u64 / self.sets.len() as u64
     }
 
-    /// True if `addr`'s line is present and valid (no state change).
-    pub fn probe(&self, addr: Addr) -> bool {
-        let line = self.line_addr(addr);
-        let si = self.set_index(line);
-        let tag = self.tag(line);
-        self.sets[si].iter().any(|l| l.valid && l.tag == tag)
-    }
-
     /// Performs a timed access for request `id` at `addr`.
     ///
     /// The address may be unaligned; the cache operates on its line. See
@@ -272,7 +247,7 @@ impl Cache {
         if let Some((l, k, reason)) = self.last_stall {
             if (l, k) == (line, kind) {
                 debug_assert_eq!(
-                    self.lookup(self.set_index(line), self.tag(line), line, kind),
+                    self.lookup(self.set_index(line), self.tag(line), line),
                     Lookup::Stall(reason),
                     "stall memo outlived the state it was decided on"
                 );
@@ -284,7 +259,7 @@ impl Cache {
         let si = self.set_index(line);
         let tag = self.tag(line);
         let tick = self.lru_tick;
-        let found = self.lookup(si, tag, line, kind);
+        let found = self.lookup(si, tag, line);
         self.last_stall = None;
         match found {
             Lookup::Stall(reason) => {
@@ -295,21 +270,9 @@ impl Cache {
             Lookup::Present(way) => {
                 let l = &mut self.sets[si][way];
                 l.lru = tick;
+                l.dirty |= kind == AccessKind::Write;
                 self.stats.hits.record(true);
-                if kind == AccessKind::Read {
-                    return Access::Hit;
-                }
-                match self.cfg.write_policy {
-                    WritePolicy::WriteBackAllocate => {
-                        l.dirty = true;
-                        Access::Hit
-                    }
-                    WritePolicy::WriteThroughNoAllocate => Access::WriteForward,
-                }
-            }
-            Lookup::WriteAround => {
-                self.stats.hits.record(false);
-                Access::WriteForward
+                Access::Hit
             }
             Lookup::Merge => {
                 let m = self.mshrs.get_mut(&line).expect("lookup found the MSHR");
@@ -346,8 +309,8 @@ impl Cache {
 
     /// True when an access of `kind` to `addr`'s line is the memoised
     /// stall: retried, it stalls again and changes nothing but the
-    /// counters [`Cache::book_stalls`] adds, until a fill, a flush, a
-    /// restore or a different access clears the memo. An owner blocked on
+    /// counters [`Cache::book_stalls`] adds, until a fill, a restore or a
+    /// different access clears the memo. An owner blocked on
     /// such an access has no event of its own.
     pub fn is_stalled_on(&self, addr: Addr, kind: AccessKind) -> bool {
         self.last_stall
@@ -370,16 +333,12 @@ impl Cache {
         self.stats.stalls += n;
     }
 
-    /// What an access of `kind` to `line` (set `si`, tag `tag`) would do,
-    /// decided without changing anything.
-    fn lookup(&self, si: usize, tag: u64, line: Addr, kind: AccessKind) -> Lookup {
+    /// What an access to `line` (set `si`, tag `tag`) would do, decided
+    /// without changing anything.
+    fn lookup(&self, si: usize, tag: u64, line: Addr) -> Lookup {
         let set = &self.sets[si];
         if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
             return Lookup::Present(way);
-        }
-        if kind == AccessKind::Write && self.cfg.write_policy == WritePolicy::WriteThroughNoAllocate
-        {
-            return Lookup::WriteAround;
         }
         if let Some(m) = self.mshrs.get(&line) {
             return if m.targets.len() >= self.cfg.targets_per_mshr {
@@ -415,11 +374,9 @@ impl Cache {
 
     /// Completes a fill for `line` (line-aligned). Returns the ids of read
     /// requests waiting on it, in a buffer the next fill reuses. If any
-    /// merged target was a write, the line becomes dirty (write-back
-    /// caches).
+    /// merged target was a write, the line becomes dirty.
     ///
-    /// Fills for lines with no MSHR (e.g. after a flush) are ignored and
-    /// return an empty list.
+    /// Fills for lines with no MSHR are ignored and return an empty list.
     pub fn fill(&mut self, line: Addr) -> &[ReqId] {
         self.filled.clear();
         let Some(mut m) = self.mshrs.remove(&line) else {
@@ -440,18 +397,6 @@ impl Cache {
         m.targets.clear();
         self.spare_targets.push(m.targets);
         &self.filled
-    }
-
-    /// Invalidates everything (writebacks are *not* generated; used between
-    /// independent experiment runs).
-    pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for l in set {
-                *l = Line::EMPTY;
-            }
-        }
-        self.mshrs.clear();
-        self.last_stall = None;
     }
 
     /// Number of in-flight missed lines.
@@ -607,7 +552,6 @@ mod tests {
         let waiting = c.fill(0x1000);
         assert_eq!(waiting, vec![1, 2]);
         assert_eq!(c.access(0x1000, AccessKind::Read, 3, 2), Access::Hit);
-        assert!(c.probe(0x1000));
     }
 
     #[test]
@@ -633,27 +577,6 @@ mod tests {
         }
         assert_eq!(evicted_writeback, Some(0x0));
         assert_eq!(c.stats().writebacks, 1);
-    }
-
-    #[test]
-    fn write_through_forwards() {
-        let mut cfg = CacheConfig::small("wt");
-        cfg.write_policy = WritePolicy::WriteThroughNoAllocate;
-        let mut c = Cache::new(cfg);
-        assert_eq!(
-            c.access(0x40, AccessKind::Write, 1, 0),
-            Access::WriteForward
-        );
-        // No allocation happened.
-        assert!(!c.probe(0x40));
-        // Read-fill then write hit still forwards.
-        c.access(0x40, AccessKind::Read, 2, 1);
-        c.fill(0x0); // 0x40 lines to line 0x0
-        assert!(c.probe(0x40));
-        assert_eq!(
-            c.access(0x40, AccessKind::Write, 3, 2),
-            Access::WriteForward
-        );
     }
 
     #[test]
@@ -726,8 +649,11 @@ mod tests {
         // New tag evicts line 0.
         c.access(4 * set_stride, AccessKind::Read, 20, 2);
         c.fill(4 * set_stride);
-        assert!(!c.probe(0));
-        assert!(c.probe(set_stride));
+        assert_eq!(c.access(set_stride, AccessKind::Read, 21, 3), Access::Hit);
+        assert!(matches!(
+            c.access(0, AccessKind::Read, 22, 3),
+            Access::Miss { .. }
+        ));
     }
 
     #[test]
@@ -764,7 +690,7 @@ mod tests {
         assert_eq!(c.stats().misses(), 1);
     }
 
-    /// Random access / fill / flush / restore traffic on a cache small
+    /// Random access / fill / restore traffic on a cache small
     /// enough to hit all three stall reasons, with most accesses repeating
     /// the previous one the way a blocked LSU head does: the cache that
     /// keeps its stall memo and a twin that forgets it before every access
@@ -783,11 +709,6 @@ mod tests {
                 ways: 2,
                 mshrs: 3,
                 targets_per_mshr: 2,
-                write_policy: if rng.chance(0.5) {
-                    WritePolicy::WriteBackAllocate
-                } else {
-                    WritePolicy::WriteThroughNoAllocate
-                },
                 ..CacheConfig::small("p")
             };
             let mut memo = Cache::new(cfg.clone());
@@ -799,10 +720,6 @@ mod tests {
                     0..=2 => {
                         let line = rng.below(12) * 128;
                         assert_eq!(memo.fill(line), plain.fill(line));
-                    }
-                    3 if rng.chance(0.1) => {
-                        memo.flush();
-                        plain.flush();
                     }
                     4 if rng.chance(0.2) => {
                         let enc = bytes(&plain);

@@ -100,7 +100,10 @@ pub struct DashShared {
     /// interval so no intensive thread permanently outranks the others.
     shuffle_offset: usize,
     next_shuffle: Cycle,
-    /// Earliest of the three rollovers; [`DashShared::roll`] keeps it.
+    /// Earliest of the three rollovers; [`DashShared::roll`] keeps it. The
+    /// boundaries drift (each re-arms at `now + interval`) and the switch
+    /// rollover draws from the RNG, so the event-driven clock must execute
+    /// the cycle each one lands on.
     next_boundary: Cycle,
     serviced_cpu_intensive: u64,
     serviced_ip_nonurgent: u64,
@@ -216,7 +219,7 @@ impl DashShared {
 
     /// TCM shuffled rank of an intensive CPU thread (lower = preferred);
     /// rotates every shuffling interval for intra-cluster fairness.
-    pub fn shuffled_rank(&self, cpu: usize) -> usize {
+    fn shuffled_rank(&self, cpu: usize) -> usize {
         let n = self.intensive.len().max(1);
         (cpu + self.shuffle_offset) % n
     }
@@ -224,16 +227,6 @@ impl DashShared {
     /// True when the IP is currently urgent.
     pub fn is_urgent(&self, source: TrafficSource) -> bool {
         self.urgent.contains(&source)
-    }
-
-    /// The next shuffle/switch/quantum rollover. These boundaries *drift*
-    /// (each rollover re-arms at `now + interval`) and the switch rollover
-    /// draws from the RNG, so the event-driven clock must execute the
-    /// cycle each one lands on — skipping past a boundary would shift
-    /// every later boundary and desynchronize the RNG stream from the
-    /// per-cycle reference clocking.
-    pub fn next_boundary(&self) -> Cycle {
-        self.next_boundary
     }
 
     /// Marks `source` urgent or not directly.
@@ -423,8 +416,8 @@ mod tests {
         a.ip_bytes = 9000;
         a.serviced_cpu_intensive = 7;
         a.serviced_ip_nonurgent = 3;
-        a.roll(a.next_boundary());
-        a.roll(a.next_boundary());
+        a.roll(a.next_boundary);
+        a.roll(a.next_boundary);
 
         let enc = snap_bytes(&a);
         let mut b = DashShared::new(cfg);
@@ -435,13 +428,13 @@ mod tests {
         // Both must draw the same future RNG stream and agree on every
         // scheduling decision input.
         assert_eq!(a.rng.state(), b.rng.state());
-        assert_eq!(a.next_boundary(), b.next_boundary());
+        assert_eq!(a.next_boundary, b.next_boundary);
         assert_eq!(a.p_cpu, b.p_cpu);
         assert_eq!(a.window_prefers_cpu, b.window_prefers_cpu);
         assert_eq!(a.intensive, b.intensive);
         assert_eq!(a.urgent, b.urgent);
         assert_eq!(a.quanta, b.quanta);
-        let boundary = a.next_boundary();
+        let boundary = a.next_boundary;
         a.tick(boundary);
         b.tick(boundary);
         assert_eq!(a.rng.state(), b.rng.state());
@@ -718,7 +711,7 @@ mod tests {
             let mut gated = DashShared::new(cfg);
             let mut rolls = 0u64;
             for now in 0..3_100_000 {
-                if now == gated.next_boundary() {
+                if now == gated.next_boundary {
                     rolls += 1;
                 }
                 every_cycle.roll(now);

@@ -80,7 +80,7 @@ impl DramConfig {
     }
 
     /// Total banks in the channel.
-    pub fn total_banks(&self) -> usize {
+    fn total_banks(&self) -> usize {
         self.ranks * self.banks
     }
 }
@@ -105,15 +105,6 @@ pub struct ChannelStats {
 }
 
 impl ChannelStats {
-    /// Bytes transferred per row activation (Figure 11's energy proxy).
-    pub fn bytes_per_activation(&self) -> f64 {
-        if self.activations == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.activations as f64
-        }
-    }
-
     /// Mean read latency in cycles.
     pub fn avg_read_latency(&self) -> f64 {
         if self.reads_serviced == 0 {
@@ -125,7 +116,7 @@ impl ChannelStats {
 
     /// Publishes the counters into `reg` under `prefix` (e.g.
     /// `mem.dram.ch0` yields `mem.dram.ch0.row_hits`, `.activations`, …).
-    pub fn publish(&self, reg: &mut emerald_obs::Registry, prefix: &str) {
+    pub(crate) fn publish(&self, reg: &mut emerald_obs::Registry, prefix: &str) {
         reg.set_ratio(format!("{prefix}.row_hits"), self.row_hits);
         reg.set_counter(format!("{prefix}.activations"), self.activations);
         reg.set_counter(format!("{prefix}.bytes"), self.bytes);
@@ -138,7 +129,7 @@ impl ChannelStats {
     }
 
     /// Merges another channel's statistics into this one.
-    pub fn merge(&mut self, o: &ChannelStats) {
+    pub(crate) fn merge(&mut self, o: &ChannelStats) {
         self.row_hits.merge(&o.row_hits);
         self.activations += o.activations;
         self.bytes += o.bytes;
@@ -151,7 +142,7 @@ impl ChannelStats {
     }
 
     /// Encodes every counter for a snapshot.
-    pub fn snap_write(&self, w: &mut SnapWriter) {
+    fn snap_write(&self, w: &mut SnapWriter) {
         self.row_hits.snap_write(w);
         w.put_u64(self.activations);
         w.put_u64(self.bytes);
@@ -165,7 +156,7 @@ impl ChannelStats {
     }
 
     /// Decodes counters written by [`ChannelStats::snap_write`].
-    pub fn snap_read(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+    fn snap_read(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Self {
             row_hits: Ratio::snap_read(r)?,
             activations: r.get_u64()?,
@@ -215,13 +206,8 @@ impl DramChannel {
     }
 
     /// Sets the trace track (channel index) used for emitted trace events.
-    pub fn set_trace_track(&mut self, track: u32) {
+    pub(crate) fn set_trace_track(&mut self, track: u32) {
         self.track = track;
-    }
-
-    /// The channel's configuration.
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
     }
 
     /// Statistics so far.
@@ -235,7 +221,7 @@ impl DramChannel {
     }
 
     /// True when the scheduling queue cannot accept more requests.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.queue.len() >= self.cfg.queue_cap
     }
 
@@ -506,7 +492,7 @@ mod tests {
         assert_eq!(resp.len(), 4);
         assert_eq!(ch.stats().activations, 1);
         assert_eq!(ch.stats().row_hits.num, 3);
-        assert!(ch.stats().bytes_per_activation() >= 4.0 * 128.0);
+        assert_eq!(ch.stats().bytes, 4 * 128);
     }
 
     #[test]
@@ -565,7 +551,7 @@ mod tests {
     #[test]
     fn queue_backpressure() {
         let (mut ch, map) = channel();
-        let cap = ch.config().queue_cap;
+        let cap = ch.cfg.queue_cap;
         for i in 0..cap as u64 {
             ch.enqueue(req(i, i * 4096), map.decode(i * 4096), 0)
                 .unwrap();

@@ -20,16 +20,11 @@ pub struct MemImage {
 impl MemImage {
     /// Creates an image of `capacity` bytes. Allocation starts at a small
     /// non-zero offset so that address 0 stays an obvious "null".
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             data: vec![0; capacity],
             next: 256,
         }
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.data.len()
     }
 
     /// Allocates `size` bytes aligned to `align` (power of two); returns the
@@ -38,7 +33,7 @@ impl MemImage {
     /// # Panics
     ///
     /// Panics if `align` is not a power of two or the image is exhausted.
-    pub fn alloc(&mut self, size: u64, align: u64) -> Addr {
+    fn alloc(&mut self, size: u64, align: u64) -> Addr {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         let base = (self.next + align - 1) & !(align - 1);
         assert!(
@@ -67,7 +62,7 @@ impl MemImage {
     }
 
     /// Reads an `f32` stored by [`MemImage::write_f32`].
-    pub fn read_f32(&self, addr: Addr) -> f32 {
+    fn read_f32(&self, addr: Addr) -> f32 {
         f32::from_bits(self.read_u32(addr))
     }
 
@@ -76,50 +71,11 @@ impl MemImage {
         self.write_u32(addr, value.to_bits());
     }
 
-    /// Copies a byte slice into memory at `addr` (clipped to capacity).
-    pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) {
-        let i = addr as usize;
-        let end = i.saturating_add(bytes.len()).min(self.data.len());
-        if i < end {
-            self.data[i..end].copy_from_slice(&bytes[..end - i]);
-        }
-    }
-
     /// Borrows `len` bytes starting at `addr` (clipped to capacity).
     pub fn read_bytes(&self, addr: Addr, len: usize) -> &[u8] {
         let i = (addr as usize).min(self.data.len());
         let end = i.saturating_add(len).min(self.data.len());
         &self.data[i..end]
-    }
-
-    /// Compares `len` bytes at `base` against the same range of `other`,
-    /// returning at most `max` mismatches as `(addr, self_byte,
-    /// other_byte)`. A differential-testing hook: the conformance suite
-    /// diffs the timing model's memory image against the reference walk's
-    /// and wants the first divergent addresses, not a bool.
-    pub fn diff_region(
-        &self,
-        other: &MemImage,
-        base: Addr,
-        len: usize,
-        max: usize,
-    ) -> Vec<(Addr, u8, u8)> {
-        let a = self.read_bytes(base, len);
-        let b = other.read_bytes(base, len);
-        let mut out = Vec::new();
-        for i in 0..a.len().max(b.len()) {
-            if out.len() >= max {
-                break;
-            }
-            let (x, y) = (
-                a.get(i).copied().unwrap_or(0),
-                b.get(i).copied().unwrap_or(0),
-            );
-            if x != y {
-                out.push((base + i as Addr, x, y));
-            }
-        }
-        out
     }
 }
 
@@ -188,7 +144,7 @@ pub type MemReadGuard<'a> = RwLockReadGuard<'a, MemImage>;
 
 impl SharedMem {
     /// Wraps an image in a shared handle.
-    pub fn new(image: MemImage) -> Self {
+    fn new(image: MemImage) -> Self {
         Self(Arc::new(RwLock::new(image)))
     }
 
@@ -233,18 +189,6 @@ impl SharedMem {
     /// Convenience: reads an `f32`.
     pub fn read_f32(&self, addr: Addr) -> f32 {
         self.read(|m| m.read_f32(addr))
-    }
-
-    /// Convenience: diffs a byte range against another image (see
-    /// [`MemImage::diff_region`]).
-    pub fn diff_region(
-        &self,
-        other: &SharedMem,
-        base: Addr,
-        len: usize,
-        max: usize,
-    ) -> Vec<(Addr, u8, u8)> {
-        self.read(|a| other.read(|b| a.diff_region(b, base, len, max)))
     }
 
     /// Convenience: writes an `f32`.
@@ -304,7 +248,6 @@ mod tests {
         for addr in Addr::MAX - 3..=Addr::MAX {
             m.write_u32(addr, 0xdead_beef);
             m.write_f32(addr, 1.0);
-            m.write_bytes(addr, &[1, 2, 3, 4, 5]);
             assert_eq!(m.read_u32(addr), 0);
             assert_eq!(m.read_f32(addr), 0.0);
             assert!(m.read_bytes(addr, usize::MAX).is_empty());
@@ -321,31 +264,11 @@ mod tests {
     #[test]
     fn byte_slices() {
         let mut m = MemImage::new(16);
-        m.write_bytes(4, &[1, 2, 3]);
+        m.write_u32(4, 0x0003_0201);
         assert_eq!(m.read_bytes(4, 3), &[1, 2, 3]);
         // Clipped at capacity.
-        m.write_bytes(14, &[9, 9, 9]);
+        m.write_u32(12, 0x0909_0000);
         assert_eq!(m.read_bytes(14, 10), &[9, 9]);
-    }
-
-    #[test]
-    fn diff_region_finds_and_caps_mismatches() {
-        let mut a = MemImage::new(64);
-        let mut b = MemImage::new(64);
-        a.write_bytes(8, &[1, 2, 3, 4]);
-        b.write_bytes(8, &[1, 9, 3, 7]);
-        assert_eq!(a.diff_region(&b, 8, 4, 16), vec![(9, 2, 9), (11, 4, 7)]);
-        assert_eq!(a.diff_region(&b, 8, 4, 1), vec![(9, 2, 9)]);
-        assert!(a.diff_region(&b, 0, 8, 16).is_empty());
-        // Ranges past one image's capacity compare against implicit zeros.
-        let c = MemImage::new(16);
-        let mut d = MemImage::new(32);
-        d.write_bytes(20, &[5]);
-        assert_eq!(c.diff_region(&d, 16, 8, 16), vec![(20, 0, 5)]);
-        // SharedMem wrapper delegates.
-        let sa = SharedMem::new(a);
-        let sb = SharedMem::new(b);
-        assert_eq!(sa.diff_region(&sb, 8, 4, 1), vec![(9, 2, 9)]);
     }
 
     #[test]

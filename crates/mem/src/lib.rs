@@ -44,6 +44,6 @@ pub use dram::{DramChannel, DramConfig};
 pub use image::{MemImage, MemReadGuard, SharedMem};
 pub use link::Link;
 pub use mapping::{AddressMapping, MappingScheme};
-pub use req::{MemRequest, MemResponse, ReqId};
+pub use req::{MemRequest, MemResponse};
 pub use system::{MemorySystem, MemorySystemConfig, Steering};
 pub use view::{FuncMem, ImageView, StoreBuffer, WClass};

@@ -87,11 +87,6 @@ impl<T> Link<T> {
         self.in_flight.is_empty()
     }
 
-    /// Configured latency.
-    pub fn latency(&self) -> Cycle {
-        self.latency
-    }
-
     /// Serializes the link's counters. Checkpoints are taken at drained
     /// boundaries, so the payload queue must be empty — only the issue
     /// window and accept/reject accounting carry across.

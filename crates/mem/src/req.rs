@@ -6,7 +6,7 @@ use emerald_common::types::{AccessKind, Addr, Cycle, TrafficSource};
 /// A request identifier, stamped by its requester from a counter of its
 /// own: `(source, id)` identifies a request. GPU read ids are slots of the
 /// GPU's in-flight read slab; nothing outside the GPU reads an id.
-pub type ReqId = u64;
+pub(crate) type ReqId = u64;
 
 /// A cache-line-granularity memory request traveling down the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +45,7 @@ pub struct MemResponse {
 
 impl MemRequest {
     /// Builds the response corresponding to this request.
-    pub fn response(&self, finished: Cycle) -> MemResponse {
+    pub(crate) fn response(&self, finished: Cycle) -> MemResponse {
         MemResponse {
             id: self.id,
             addr: self.addr,

@@ -27,7 +27,7 @@ pub struct BankState {
 
 impl BankState {
     /// A closed, idle bank.
-    pub fn idle() -> Self {
+    pub(crate) fn idle() -> Self {
         Self {
             open_row: None,
             ready_at: 0,
@@ -36,13 +36,13 @@ impl BankState {
 }
 
 /// Flat bank index for a location, given `banks_per_rank`.
-pub fn bank_index(loc: &DramLocation, banks_per_rank: usize) -> usize {
+pub(crate) fn bank_index(loc: &DramLocation, banks_per_rank: usize) -> usize {
     loc.rank * banks_per_rank + loc.bank
 }
 
 /// True when servicing `q` would have to open a row: its bank's row buffer
 /// holds another row, or none.
-pub fn row_miss(q: &QueuedReq, banks: &[BankState], banks_per_rank: usize) -> bool {
+pub(crate) fn row_miss(q: &QueuedReq, banks: &[BankState], banks_per_rank: usize) -> bool {
     banks[bank_index(&q.loc, banks_per_rank)].open_row != Some(q.loc.row)
 }
 
@@ -93,13 +93,6 @@ pub trait DramScheduler: fmt::Debug + Send {
 #[derive(Debug, Default, Clone)]
 pub struct FrFcfs;
 
-impl FrFcfs {
-    /// Creates the scheduler.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
 impl DramScheduler for FrFcfs {
     /// The minimum of (row miss, `arrived`, queue index) in one pass.
     fn pick(
@@ -149,7 +142,7 @@ mod tests {
         let mut banks = vec![BankState::idle(); 8];
         banks[2].open_row = Some(7);
         let queue = vec![qr(1, 0, 5, 0), qr(2, 2, 7, 10)];
-        let mut s = FrFcfs::new();
+        let mut s = FrFcfs;
         assert_eq!(s.pick(&queue, &banks, 8, 20), Some(1));
     }
 
@@ -157,7 +150,7 @@ mod tests {
     fn falls_back_to_oldest() {
         let banks = vec![BankState::idle(); 8];
         let queue = vec![qr(1, 0, 5, 3), qr(2, 1, 7, 1)];
-        let mut s = FrFcfs::new();
+        let mut s = FrFcfs;
         assert_eq!(s.pick(&queue, &banks, 8, 20), Some(1));
     }
 
@@ -167,14 +160,14 @@ mod tests {
         banks[0].open_row = Some(1);
         banks[1].open_row = Some(2);
         let queue = vec![qr(1, 0, 1, 9), qr(2, 1, 2, 4)];
-        let mut s = FrFcfs::new();
+        let mut s = FrFcfs;
         assert_eq!(s.pick(&queue, &banks, 8, 20), Some(1));
     }
 
     #[test]
     fn empty_queue_idles() {
         let banks = vec![BankState::idle(); 8];
-        let mut s = FrFcfs::new();
+        let mut s = FrFcfs;
         assert_eq!(s.pick(&[], &banks, 8, 0), None);
     }
 }

@@ -89,11 +89,6 @@ impl StoreBuffer {
         self.writes.is_empty()
     }
 
-    /// Number of buffered writes.
-    pub fn len(&self) -> usize {
-        self.writes.len()
-    }
-
     /// Drains every buffered write, in program order, into `f`.
     pub fn drain(&mut self, mut f: impl FnMut(WClass, Addr, u32)) {
         for (class, addr, value) in self.writes.drain(..) {
@@ -180,7 +175,11 @@ mod tests {
         v.write_u32(64, 7);
         v.write_u32(64, 9);
         assert_eq!(v.read_u32(64), 9, "reads must see own buffered writes");
-        assert_eq!(buf.len(), 2, "program order is preserved, not coalesced");
+        assert_eq!(
+            buf.writes.len(),
+            2,
+            "program order is preserved, not coalesced"
+        );
     }
 
     #[test]

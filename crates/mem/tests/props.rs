@@ -84,7 +84,7 @@ fn cache_invariants() {
             };
             match cache.access(addr, kind, i, i) {
                 Access::Miss { .. } => pending.push(cache.line_addr(addr)),
-                Access::Hit | Access::MergedMiss | Access::WriteForward | Access::Stall(_) => {}
+                Access::Hit | Access::MergedMiss | Access::Stall(_) => {}
             }
             assert!(cache.pending_lines() <= mshr_cap);
         }

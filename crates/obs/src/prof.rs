@@ -71,7 +71,7 @@ pub enum HostPhase {
 }
 
 /// Number of [`HostPhase`] variants.
-pub const PHASE_COUNT: usize = 10;
+pub(crate) const PHASE_COUNT: usize = 10;
 
 /// 1 in `SAMPLE_STRIDE` cycles is wall-clock timed; phase totals are
 /// extrapolated by the realized sampling ratio. Prime, so the sample grid
@@ -250,7 +250,7 @@ pub fn tick() {
 
 /// Whether the current cycle is wall-clock sampled.
 #[inline]
-pub fn sampling() -> bool {
+fn sampling() -> bool {
     SAMPLING.with(|s| s.get())
 }
 

@@ -71,7 +71,7 @@ impl Value {
     /// rather than wrapping); gauges keep the later value. For summaries the
     /// windowed min/max are unknowable from endpoints, so the later
     /// summary's extremes are kept — count/sum/mean are exact.
-    pub fn delta(&self, earlier: &Value) -> Value {
+    fn delta(&self, earlier: &Value) -> Value {
         match (self, earlier) {
             (Value::Counter(a), Value::Counter(b)) => Value::Counter(a.saturating_sub(*b)),
             (Value::Gauge(a), _) => Value::Gauge(*a),
@@ -96,23 +96,6 @@ impl Value {
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     entries: BTreeMap<String, Value>,
-}
-
-impl Snapshot {
-    /// Looks up an instrument by path.
-    pub fn get(&self, path: &str) -> Option<&Value> {
-        self.entries.get(path)
-    }
-
-    /// Number of instruments captured.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// Hierarchical instrument store keyed by dotted paths.
@@ -154,7 +137,7 @@ impl Registry {
 
     /// Merges `value` into the instrument at `path`, inserting if absent.
     /// This is how per-core contributions aggregate under one path.
-    pub fn merge_value(&mut self, path: impl Into<String>, value: Value) {
+    fn merge_value(&mut self, path: impl Into<String>, value: Value) {
         match self.entries.entry(path.into()) {
             std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(&value),
             std::collections::btree_map::Entry::Vacant(e) => {
@@ -190,11 +173,6 @@ impl Registry {
         self.entries.is_empty()
     }
 
-    /// Removes every instrument.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// Captures the current values for later [`Registry::delta_since`].
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
@@ -202,7 +180,7 @@ impl Registry {
         }
     }
 
-    /// The per-instrument change since `snap` (see [`Value::delta`]).
+    /// The per-instrument change since `snap` (see `Value::delta`).
     /// Instruments that appeared after the snapshot are included verbatim;
     /// instruments that disappeared are dropped.
     pub fn delta_since(&self, snap: &Snapshot) -> Registry {

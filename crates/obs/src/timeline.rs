@@ -55,21 +55,9 @@ impl Timeline {
         &self.samples
     }
 
-    /// Closes the open window and returns all samples.
-    pub fn finish(mut self) -> Vec<(Cycle, u64)> {
-        self.samples
-            .push((self.cur_window * self.window, self.cur_amount));
-        self.samples
-    }
-
     /// Sum of all recorded amounts.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Window width in cycles.
-    pub fn window(&self) -> Cycle {
-        self.window
     }
 
     /// Encodes the full timeline state (including the open window) for a
@@ -115,8 +103,8 @@ mod tests {
         t.record(150, 128);
         t.record(420, 32);
         assert_eq!(t.total(), 288);
-        let s = t.finish();
-        assert_eq!(s, vec![(0, 128), (100, 128), (200, 0), (300, 0), (400, 32)]);
+        // The window at 400 is still open.
+        assert_eq!(t.samples(), [(0, 128), (100, 128), (200, 0), (300, 0)]);
     }
 
     #[test]
@@ -135,6 +123,6 @@ mod tests {
         t.record(420, 32);
         t2.record(420, 32);
         assert_eq!(t.total(), t2.total());
-        assert_eq!(t.finish(), t2.finish());
+        assert_eq!(t.samples(), t2.samples());
     }
 }

@@ -54,7 +54,7 @@ impl TraceCat {
     }
 
     /// Dotted category name used in exports.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             TraceCat::Warp => "gpu.warp",
             TraceCat::Draw => "gfx.draw",
@@ -139,12 +139,12 @@ pub fn set_enabled(mask: u32) {
 }
 
 /// The current enable mask.
-pub fn enabled_mask() -> u32 {
+fn enabled_mask() -> u32 {
     MASK.with(|m| m.get())
 }
 
 /// Whether `cat` is currently recorded.
-pub fn is_enabled(cat: TraceCat) -> bool {
+fn is_enabled(cat: TraceCat) -> bool {
     enabled_mask() & cat.bit() != 0
 }
 
@@ -212,11 +212,6 @@ fn record(ev: TraceEvent) {
 /// Removes and returns all buffered events in record order.
 pub fn drain() -> Vec<TraceEvent> {
     RING.with(|r| r.borrow_mut().events.drain(..).collect())
-}
-
-/// Number of buffered events.
-pub fn len() -> usize {
-    RING.with(|r| r.borrow().events.len())
 }
 
 /// Returns and clears the dropped-event counter.
@@ -320,7 +315,7 @@ mod tests {
         reset();
         instant(TraceCat::Dram, "row_conflict", 0, 100);
         span(TraceCat::Draw, "draw", 0, 0, 50);
-        assert_eq!(len(), 0);
+        assert!(drain().is_empty());
 
         set_enabled(TraceCat::Dram.bit());
         instant(TraceCat::Dram, "row_conflict", 0, 100);

@@ -44,7 +44,7 @@ impl OrbitCamera {
     }
 
     /// Eye position at `frame`.
-    pub fn eye(&self, frame: u32) -> Vec3 {
+    fn eye(&self, frame: u32) -> Vec3 {
         let a = self.phase + self.per_frame * frame as f32;
         self.target + Vec3::new(a.cos() * self.radius, self.height, a.sin() * self.radius)
     }

@@ -10,7 +10,7 @@ pub struct Mesh {
     /// Object-space vertex positions.
     pub positions: Vec<Vec3>,
     /// Per-vertex normals (unit length after
-    /// [`Mesh::compute_flat_normals`]).
+    /// `Mesh::compute_flat_normals`).
     pub normals: Vec<Vec3>,
     /// Per-vertex texture coordinates.
     pub uvs: Vec<Vec2>,
@@ -20,7 +20,7 @@ pub struct Mesh {
 
 impl Mesh {
     /// An empty mesh.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
@@ -56,7 +56,7 @@ impl Mesh {
     }
 
     /// Appends another mesh.
-    pub fn merge(&mut self, other: &Mesh) {
+    fn merge(&mut self, other: &Mesh) {
         let base = self.positions.len() as u32;
         self.positions.extend_from_slice(&other.positions);
         self.normals.extend_from_slice(&other.normals);
@@ -67,7 +67,7 @@ impl Mesh {
     /// Replaces normals with per-face flat normals (duplicating no
     /// vertices; the last face writing a vertex wins, which is fine for
     /// the lighting term the shaders use).
-    pub fn compute_flat_normals(&mut self) {
+    fn compute_flat_normals(&mut self) {
         self.normals = vec![Vec3::splat(0.0); self.positions.len()];
         for t in self.indices.chunks_exact(3) {
             let (a, b, c) = (t[0] as usize, t[1] as usize, t[2] as usize);
@@ -201,7 +201,13 @@ pub fn uv_sphere(radius: f32, stacks: usize, slices: usize) -> Mesh {
 
 /// A sphere with deterministic radial noise — the stand-in for organic
 /// models like Suzanne (W4/W5) and the mask (M3).
-pub fn bumpy_sphere(radius: f32, stacks: usize, slices: usize, bump: f32, seed: u64) -> Mesh {
+pub(crate) fn bumpy_sphere(
+    radius: f32,
+    stacks: usize,
+    slices: usize,
+    bump: f32,
+    seed: u64,
+) -> Mesh {
     let mut m = uv_sphere(radius, stacks, slices);
     let mut rng = Xorshift64::new(seed);
     // Low-frequency bump field from a few random spherical harmonics-ish
@@ -279,7 +285,7 @@ pub fn teapot_like() -> Mesh {
 }
 
 /// Reverses winding (and normals) so the back side becomes the front.
-pub fn flip(mesh: &mut Mesh) {
+fn flip(mesh: &mut Mesh) {
     mesh.indices.chunks_exact_mut(3).for_each(|t| t.swap(1, 2));
     for n in &mut mesh.normals {
         *n = -*n;
@@ -291,7 +297,7 @@ pub fn flip(mesh: &mut Mesh) {
 /// uneven screen-space load. Walls are tessellated into grids so that
 /// near-plane discards (this model culls rather than clips; see DESIGN.md)
 /// lose only a small ring of geometry around the camera.
-pub fn room_with_columns(width: f32, height: f32, depth: f32, columns: usize) -> Mesh {
+pub(crate) fn room_with_columns(width: f32, height: f32, depth: f32, columns: usize) -> Mesh {
     let mut room = Mesh::new();
     let grid = || plane_grid(8, 8); // front face is +Y
                                     // Each wall: orient the grid so its front face points inward.
@@ -358,7 +364,7 @@ pub fn room_with_columns(width: f32, height: f32, depth: f32, columns: usize) ->
 
 /// A vertical `n`-gon prism (used for columns), tessellated into 4
 /// vertical segments so near-plane discards stay local.
-pub fn prism(n: usize, radius: f32, height: f32) -> Mesh {
+fn prism(n: usize, radius: f32, height: f32) -> Mesh {
     assert!(n >= 3);
     const VSEG: usize = 4;
     let mut m = Mesh::new();
@@ -385,7 +391,7 @@ pub fn prism(n: usize, radius: f32, height: f32) -> Mesh {
 }
 
 /// A chair-like composite of boxes (M1: the heaviest Android model).
-pub fn chair() -> Mesh {
+pub(crate) fn chair() -> Mesh {
     let mut m = Mesh::new();
     let part = |scale: Vec3, at: Vec3| {
         let mut c = unit_cube();
@@ -410,7 +416,7 @@ pub fn chair() -> Mesh {
 }
 
 /// A mask-like open hemisphere with a nose ridge (M3).
-pub fn mask() -> Mesh {
+pub(crate) fn mask() -> Mesh {
     let mut m = uv_sphere(0.8, 20, 28);
     // Keep only the front-facing half (z > 0) by collapsing back vertices
     // onto the rim — cheap, keeps indexing intact.

@@ -34,6 +34,6 @@ pub mod sched;
 pub mod session;
 pub mod sweep;
 
-pub use sched::{run_sweep, FailedSession, SweepOutcome};
-pub use session::{SessionResult, StartMode};
+pub use sched::SweepOutcome;
+pub use session::StartMode;
 pub use sweep::{JobParams, SweepSpec};

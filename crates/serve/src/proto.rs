@@ -30,7 +30,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// Formats one session result as a protocol record.
-pub fn session_record(r: &SessionResult) -> String {
+fn session_record(r: &SessionResult) -> String {
     let mut w = JsonWriter::new();
     w.begin_obj();
     w.key("ok").bool(true);

@@ -298,7 +298,7 @@ pub fn run_jobs(
 }
 
 /// Expands a sweep spec and runs it (see [`run_jobs`]).
-pub fn run_sweep(
+pub(crate) fn run_sweep(
     spec: &SweepSpec,
     workers: usize,
     on_result: Option<&(dyn Fn(&SessionResult) + Sync)>,

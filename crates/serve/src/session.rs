@@ -39,7 +39,7 @@ pub enum StartMode {
 
 impl StartMode {
     /// Lowercase protocol label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             StartMode::Cold => "cold",
             StartMode::Forked => "forked",
@@ -115,7 +115,7 @@ impl Session {
     /// allocator and diverge from the cold run, whereas the snapshot
     /// already contains the prefix's deterministic uploads at the same
     /// addresses.
-    pub fn new_forked(
+    pub(crate) fn new_forked(
         spec: JobSpec,
         snapshot: &SharedSnapshot,
         binding: Arc<SceneBinding>,
@@ -139,29 +139,29 @@ impl Session {
     }
 
     /// The job this session runs.
-    pub fn spec(&self) -> &JobSpec {
+    pub(crate) fn spec(&self) -> &JobSpec {
         &self.spec
     }
 
     /// Shared scene binding (handed to fork members by prefix tasks).
-    pub fn binding(&self) -> Arc<SceneBinding> {
+    pub(crate) fn binding(&self) -> Arc<SceneBinding> {
         Arc::clone(&self.binding)
     }
 
     /// True once warmup and all measured frames have been simulated.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.warmup_done >= self.spec.params.warmup && self.measured_done >= self.spec.params.frames
     }
 
     /// True once the warmup prefix is complete (prefix tasks snapshot
     /// here).
-    pub fn warmup_complete(&self) -> bool {
+    pub(crate) fn warmup_complete(&self) -> bool {
         self.warmup_done >= self.spec.params.warmup
     }
 
     /// Checkpoints the current (inter-frame) state as a validated shared
     /// snapshot.
-    pub fn checkpoint_shared(&self) -> SharedSnapshot {
+    pub(crate) fn checkpoint_shared(&self) -> SharedSnapshot {
         SharedSnapshot::new(self.soc.checkpoint()).expect("own checkpoint validates")
     }
 

@@ -88,6 +88,11 @@ fn get_u64(v: &Json, what: &str) -> Result<u64, String> {
     Ok(n as u64)
 }
 
+fn get_u32(v: &Json, what: &str) -> Result<u32, String> {
+    let n = get_u64(v, what)?;
+    u32::try_from(n).map_err(|_| format!("{what} wants at most {}, got {n}", u32::MAX))
+}
+
 fn get_str<'a>(v: &'a Json, what: &str) -> Result<&'a str, String> {
     v.as_str().ok_or_else(|| format!("{what} wants a string"))
 }
@@ -96,17 +101,17 @@ impl JobParams {
     /// Applies one `key: value` pair from a spec's `base` object or an
     /// axis. Unknown keys are errors — a typo must not silently sweep
     /// nothing.
-    pub fn apply(&mut self, key: &str, value: &Json) -> Result<(), String> {
+    fn apply(&mut self, key: &str, value: &Json) -> Result<(), String> {
         match key {
             "model" => self.model = get_str(value, key)?.to_string(),
             "mem" => self.mem = get_str(value, key)?.to_string(),
             "dram" => self.dram = get_str(value, key)?.to_string(),
-            "width" => self.width = get_u64(value, key)? as u32,
-            "height" => self.height = get_u64(value, key)? as u32,
+            "width" => self.width = get_u32(value, key)?,
+            "height" => self.height = get_u32(value, key)?,
             "period" => self.period = get_u64(value, key)?,
-            "warmup" => self.warmup = get_u64(value, key)? as u32,
-            "frames" => self.frames = get_u64(value, key)? as u32,
-            "frame_offset" => self.frame_offset = get_u64(value, key)? as u32,
+            "warmup" => self.warmup = get_u32(value, key)?,
+            "frames" => self.frames = get_u32(value, key)?,
+            "frame_offset" => self.frame_offset = get_u32(value, key)?,
             "vsync" => self.vsync = get_u64(value, key)?,
             "seed" => self.seed = get_u64(value, key)?,
             other => return Err(format!("unknown sweep parameter {other:?}")),
@@ -115,7 +120,7 @@ impl JobParams {
     }
 
     /// Resolves the scene model, validating the id.
-    pub fn workload(&self) -> Result<WorkloadDef, String> {
+    pub(crate) fn workload(&self) -> Result<WorkloadDef, String> {
         let all = workloads::w_models()
             .into_iter()
             .chain(workloads::m_models())
@@ -151,7 +156,7 @@ impl JobParams {
     /// Builds the [`SocConfig`] for this job. The GPU simulates
     /// single-threaded (the preset's `threads = 1`): host parallelism is
     /// spent across sessions.
-    pub fn soc_config(&self) -> Result<SocConfig, String> {
+    pub(crate) fn soc_config(&self) -> Result<SocConfig, String> {
         let memsys = self.mem_kind()?.build(self.dram_config()?);
         Ok(SocConfig::case_study_1(
             memsys,
@@ -164,7 +169,7 @@ impl JobParams {
     /// Key identifying the warmed prefix this job can fork from: every
     /// parameter that shapes the `SocConfig` or the warmup frames. Jobs
     /// differing only in divergence parameters share a key.
-    pub fn prefix_key(&self) -> String {
+    pub(crate) fn prefix_key(&self) -> String {
         format!(
             "{}/{}/{}/{}x{}/p{}/w{}",
             self.model, self.mem, self.dram, self.width, self.height, self.period, self.warmup
@@ -189,7 +194,7 @@ pub struct JobSpec {
 /// One sweep axis: a parameter key and the values it takes.
 #[derive(Debug, Clone)]
 pub struct Axis {
-    /// Parameter key, as accepted by [`JobParams::apply`].
+    /// Parameter key, as accepted by `JobParams::apply`.
     pub key: String,
     /// Values swept, in spec order.
     pub values: Vec<Json>,
@@ -225,7 +230,7 @@ impl SweepSpec {
 
     /// Builds a spec from an already parsed document (the protocol embeds
     /// specs in request records).
-    pub fn from_json(doc: &Json) -> Result<SweepSpec, String> {
+    pub(crate) fn from_json(doc: &Json) -> Result<SweepSpec, String> {
         let Json::Obj(fields) = doc else {
             return Err("sweep spec wants an object".to_string());
         };
@@ -349,7 +354,7 @@ pub struct Plan {
     pub groups: Vec<ForkGroup>,
 }
 
-/// Plans fork groups: jobs with the same [`JobParams::prefix_key`] and a
+/// Plans fork groups: jobs with the same `JobParams::prefix_key` and a
 /// nonzero warmup share one prefix simulation. With `fork` false every
 /// job is cold (the `sweep_cold` baseline arm).
 pub fn plan(jobs: Vec<JobSpec>, fork: bool) -> Plan {
@@ -467,5 +472,28 @@ mod tests {
         ] {
             assert!(SweepSpec::parse(bad).is_err(), "accepted {bad}");
         }
+    }
+
+    #[test]
+    fn u32_parameters_reject_what_they_cannot_hold() {
+        let max = u32::MAX as f64;
+        for key in ["width", "height", "warmup", "frames", "frame_offset"] {
+            let mut p = JobParams::default();
+            p.apply(key, &Json::Num(max)).unwrap();
+            let err = p.apply(key, &Json::Num(max + 1.0)).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+            let held = match key {
+                "width" => p.width,
+                "height" => p.height,
+                "warmup" => p.warmup,
+                "frames" => p.frames,
+                _ => p.frame_offset,
+            };
+            assert_eq!(held, u32::MAX, "{key}");
+        }
+        // 2^32 + 48 would otherwise run a 48-pixel-wide job.
+        let err = SweepSpec::parse(r#"{"axes": [{"key": "width", "values": [4294967344]}]}"#)
+            .unwrap_err();
+        assert!(err.contains("width"), "{err}");
     }
 }

@@ -9,7 +9,7 @@
 use emerald_common::rng::Xorshift64;
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::{AccessKind, Addr, Cycle, TrafficSource};
-use emerald_mem::cache::{Access, Cache, CacheConfig, WritePolicy};
+use emerald_mem::cache::{Access, Cache, CacheConfig};
 use emerald_mem::image::SharedMem;
 use emerald_mem::req::MemRequest;
 use emerald_mem::system::MemorySystem;
@@ -128,7 +128,7 @@ pub struct CpuStats {
 
 impl CpuStats {
     /// Publishes the counters into `reg` under `prefix` (e.g. `soc.cpu0`).
-    pub fn publish(&self, reg: &mut emerald_obs::Registry, prefix: &str) {
+    pub(crate) fn publish(&self, reg: &mut emerald_obs::Registry, prefix: &str) {
         reg.set_counter(format!("{prefix}.instrs"), self.instrs);
         reg.set_counter(format!("{prefix}.mem_requests"), self.mem_requests);
         reg.set_counter(format!("{prefix}.stall_cycles"), self.stall_cycles);
@@ -179,7 +179,6 @@ fn cpu_l1() -> CacheConfig {
         hit_latency: 1,
         mshrs: 8,
         targets_per_mshr: 8,
-        write_policy: WritePolicy::WriteBackAllocate,
     }
 }
 
@@ -192,7 +191,6 @@ fn cpu_l2() -> CacheConfig {
         hit_latency: 10,
         mshrs: 16,
         targets_per_mshr: 8,
-        write_policy: WritePolicy::WriteBackAllocate,
     }
 }
 
@@ -236,7 +234,7 @@ impl CpuCoreModel {
     /// forgot to carry the stream state over. Never called outside the
     /// conformance harness.
     #[doc(hidden)]
-    pub fn debug_reset_rng(&mut self) {
+    pub(crate) fn debug_reset_rng(&mut self) {
         self.rng = Xorshift64::new(self.id as u64 ^ 0xC0DE);
     }
 
@@ -251,7 +249,7 @@ impl CpuCoreModel {
     }
 
     /// Restarts the per-frame script (the SoC's frame barrier released).
-    pub fn begin_frame(&mut self) {
+    fn begin_frame(&mut self) {
         self.phase_idx = 0;
         self.instr_in_phase = 0;
         self.issued_draw_this_frame = false;
@@ -260,7 +258,7 @@ impl CpuCoreModel {
     }
 
     /// Takes the requests generated so far (standalone drivers; the SoC
-    /// forwards them in place, see [`CpuCluster::step`]).
+    /// forwards them in place, see `CpuCluster::step`).
     pub fn drain_requests(&mut self) -> Vec<MemRequest> {
         std::mem::take(&mut self.out)
     }
@@ -281,7 +279,7 @@ impl CpuCoreModel {
             Access::Hit => {}
             Access::MergedMiss => {}
             Access::Stall(_) => {} // drop: the slot retries as a new access
-            Access::WriteForward | Access::Miss { .. } => {
+            Access::Miss { .. } => {
                 // L1 miss (or writeback) → L2.
                 match self.l2.access(line, kind, id, now) {
                     Access::Hit | Access::MergedMiss | Access::Stall(_) => {
@@ -291,7 +289,7 @@ impl CpuCoreModel {
                             self.l1.fill(line);
                         }
                     }
-                    Access::WriteForward | Access::Miss { .. } => {
+                    Access::Miss { .. } => {
                         self.l2.fill(line); // fill on response abstraction
                         self.l1.fill(line);
                         self.stats.mem_requests += 1;
@@ -316,7 +314,7 @@ impl CpuCoreModel {
     /// accepted by the memory system). Once the cycle that issued them has
     /// passed, the head was refused: its channel's queue was full, and it
     /// stays full until that channel picks.
-    pub fn has_pending_out(&self) -> bool {
+    fn has_pending_out(&self) -> bool {
         !self.out.is_empty()
     }
 
@@ -325,7 +323,7 @@ impl CpuCoreModel {
     /// cycles past the point where the frame's draw submission (and the
     /// GPU completion that follows) could flip `gpu_frame_done`: the
     /// pre-executed polls would have read a stale fence.
-    pub fn in_wait_gpu(&self) -> bool {
+    fn in_wait_gpu(&self) -> bool {
         !self.at_frame_end
             && matches!(
                 self.workload.phases.get(self.phase_idx),
@@ -338,7 +336,7 @@ impl CpuCoreModel {
     /// not fired this frame. The batch scheduler runs such cores first —
     /// their progress is a safe lower bound on the submission cycle, and
     /// therefore on how far a fence-waiting core may pre-burn polls.
-    pub fn may_issue_draw(&self) -> bool {
+    fn may_issue_draw(&self) -> bool {
         !self.at_frame_end
             && !self.issued_draw_this_frame
             && self
@@ -354,7 +352,7 @@ impl CpuCoreModel {
     /// finished this frame's rendering (for `WaitGpu`).
     ///
     /// This is the core's one execution path: per-cycle clocking is a
-    /// budget of 1 ([`CpuCluster::step`]), and a window of `n` cycles
+    /// budget of 1 (`CpuCluster::step`), and a window of `n` cycles
     /// evolves the core (RNG draw sequence, cache state, statistics,
     /// script position, fence-poll counter) exactly as `n` budget-1 calls
     /// would — `Work` instructions just retire in a tight inner loop
@@ -382,7 +380,7 @@ impl CpuCoreModel {
     /// so a request issued behind them cannot be delivered any sooner, and
     /// the batch runs on past it. Callers must end the window before that
     /// pick and must hold `gpu_frame_done` constant across it
-    /// ([`CpuCluster::run_ahead`] is the one caller that does).
+    /// (`CpuCluster::run_ahead` is the one caller that does).
     pub fn run_batch(
         &mut self,
         now: Cycle,
@@ -571,8 +569,8 @@ pub(crate) fn forward_requests(
 }
 
 /// The SoC's CPU cores and the one mechanism by which they advance: a
-/// per-cycle [`CpuCluster::step`], plus — behind the `batch` gate
-/// (`SocConfig::cpu_batch`) — [`CpuCluster::run_ahead`], which executes
+/// per-cycle `CpuCluster::step`, plus — behind the `batch` gate
+/// (`SocConfig::cpu_batch`) — `CpuCluster::run_ahead`, which executes
 /// cores through a window the SoC proved quiet and parks whatever they
 /// produce until the clock catches up.
 ///
@@ -594,7 +592,7 @@ pub(crate) fn forward_requests(
 /// With the gate off no core ever leaves due/done and the cluster is the
 /// per-cycle reference clocking.
 #[derive(Debug)]
-pub struct CpuCluster {
+pub(crate) struct CpuCluster {
     cores: Vec<CpuCoreModel>,
     batch: bool,
     /// Last cycle each core has executed.
@@ -611,7 +609,7 @@ impl CpuCluster {
     /// # Panics
     ///
     /// Panics on more than 64 cores (`run_ahead` keeps a bit per core).
-    pub fn new(cores: Vec<CpuCoreModel>, batch: bool) -> Self {
+    pub(crate) fn new(cores: Vec<CpuCoreModel>, batch: bool) -> Self {
         let n = cores.len();
         assert!(n <= 64, "CpuCluster supports at most 64 cores");
         Self {
@@ -624,18 +622,18 @@ impl CpuCluster {
     }
 
     /// The cores, in index order.
-    pub fn cores(&self) -> &[CpuCoreModel] {
+    pub(crate) fn cores(&self) -> &[CpuCoreModel] {
         &self.cores
     }
 
     /// Mutable access to the cores (response delivery).
-    pub fn cores_mut(&mut self) -> &mut [CpuCoreModel] {
+    pub(crate) fn cores_mut(&mut self) -> &mut [CpuCoreModel] {
         &mut self.cores
     }
 
     /// Releases the frame barrier at cycle `now`: every core restarts its
     /// script and is due at `now + 1`.
-    pub fn begin_frame(&mut self, now: Cycle) {
+    pub(crate) fn begin_frame(&mut self, now: Cycle) {
         for c in &mut self.cores {
             c.begin_frame();
         }
@@ -650,7 +648,7 @@ impl CpuCluster {
     /// `memsys`.
     /// Returns [`CpuEvent::IssueDraw`] if a core submitted the frame's
     /// draws at this cycle, and whether `memsys` accepted a request.
-    pub fn step(
+    pub(crate) fn step(
         &mut self,
         now: Cycle,
         gpu_done: bool,
@@ -691,7 +689,7 @@ impl CpuCluster {
     /// (`skip`) — no core is due. A due core holding a request the memory
     /// system refused runs ahead like any other: the request is retried
     /// at every step, and the window ends before its channel can pick.
-    pub fn wants_window(&self, now: Cycle, skip: bool) -> bool {
+    pub(crate) fn wants_window(&self, now: Cycle, skip: bool) -> bool {
         let due = (0..self.cores.len()).any(|i| {
             self.pending[i].is_none() && !self.cores[i].at_frame_end() && self.ran_until[i] <= now
         });
@@ -719,7 +717,7 @@ impl CpuCluster {
     /// `s` (polls are safe through `s - 1`), one parked on anything else
     /// at `p` cannot submit before `p + 1`, and one that ran to `r` without
     /// reaching `IssueDraw` cannot submit before `r + 1`.
-    pub fn run_ahead(
+    pub(crate) fn run_ahead(
         &mut self,
         now: Cycle,
         w: Cycle,
@@ -821,7 +819,7 @@ impl CpuCluster {
     /// its exact cycle, and the cycle after the last one a still-running
     /// core executed (a due core pins `now + 1`). Everything before the
     /// minimum is dead time.
-    pub fn wake(&self, now: Cycle, w: Cycle) -> Cycle {
+    pub(crate) fn wake(&self, now: Cycle, w: Cycle) -> Cycle {
         let mut wake = w;
         for (i, c) in self.cores.iter().enumerate() {
             match self.pending[i] {
@@ -838,7 +836,7 @@ impl CpuCluster {
 
     /// The frame barrier as the clock sees it at `now`: every core's
     /// frame-end flag flipped at or before this cycle.
-    pub fn all_done(&self, now: Cycle) -> bool {
+    pub(crate) fn all_done(&self, now: Cycle) -> bool {
         self.end_at.iter().all(|&t| t <= now)
     }
 }

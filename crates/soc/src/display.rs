@@ -83,11 +83,6 @@ impl DisplayController {
         self.stats
     }
 
-    /// The refresh period in cycles.
-    pub fn period(&self) -> Cycle {
-        self.period
-    }
-
     /// Progress of the current refresh (for DASH deadline feedback):
     /// `(done_fraction, elapsed_fraction)`.
     pub fn progress(&self, now: Cycle) -> (f64, f64) {

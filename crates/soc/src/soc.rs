@@ -38,7 +38,7 @@ pub struct SocConfig {
     /// Per-core CPU scripts (core 0 must be the driver).
     pub cpu_workloads: Vec<CpuWorkload>,
     /// Run-ahead gate: may CPU cores execute ahead of the clock through
-    /// windows the SoC proved quiet (see [`CpuCluster`])? Presets turn it
+    /// windows the SoC proved quiet (see `CpuCluster`)? Presets turn it
     /// on; results are bit-identical either way, and the lockstep suites
     /// in `tests/` and the conformance canary flip it off to get the
     /// per-cycle CPU clocking they compare against.

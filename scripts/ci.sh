@@ -7,11 +7,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check"
+echo "==> cargo fmt --check (workspace and the benchmark package)"
 cargo fmt --all --check
+cargo fmt --manifest-path benchmark/Cargo.toml --check
 
-echo "==> cargo clippy --workspace -D warnings"
+echo "==> cargo clippy -D warnings, workspace and the benchmark package (dead_code is the crate-internal surface check: a pub(crate) or private item that only unit tests reach fails here)"
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo doc -D warnings (every intra-doc link resolves, no public doc links a private item)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -66,7 +66,7 @@ pub mod prelude {
         DfslConfig, DfslController, FrameStats, GfxConfig, GpuRenderer, RenderTarget, TextureDesc,
     };
     pub use emerald_gpu::{Gpu, GpuConfig, Kernel, SimpleMemPort};
-    pub use emerald_isa::{assemble, Program, ProgramBuilder};
+    pub use emerald_isa::{assemble, Program};
     pub use emerald_mem::dram::DramConfig;
     pub use emerald_mem::image::{MemImage, SharedMem};
     pub use emerald_mem::system::{MemorySystem, MemorySystemConfig};

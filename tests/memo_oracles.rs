@@ -23,9 +23,7 @@ use emerald::common::types::{AccessKind, Addr};
 use emerald::gpu::simt::SimtStack;
 use emerald::gpu::GlobalMemCtx;
 use emerald::isa::op::{MemSpace, Op};
-use emerald::isa::{
-    execute, execute_into, execute_warp, ExecCtx, Outcome, StepResult, ThreadState, WarpRegs,
-};
+use emerald::isa::{execute, execute_warp, ExecCtx, Outcome, StepResult, ThreadState, WarpRegs};
 use emerald::mem::dash::{Clustering, DashConfig};
 use emerald::mem::MemRequest;
 use emerald::prelude::*;
@@ -224,41 +222,26 @@ impl ExecCtx for LogCtx {
     }
 }
 
-/// Walks one warp through `program` three times in lockstep — `execute`
-/// with a fresh result per instruction, `execute_into` with one result
-/// reused (and deliberately left dirty) throughout, both passing `stray`
-/// mask bits beyond the warp's threads, and `execute_warp`, the cores'
-/// entry point, on one `WarpRegs` carried across the walk under the
-/// warp's own lanes, with its own dirty result. The results, the context
-/// logs and the per-lane state (the register file scattered back) must
-/// agree at every pc. Returns instructions stepped.
+/// Walks one warp through `program` twice in lockstep — `execute` on
+/// per-lane `ThreadState`s, passing `stray` mask bits beyond the warp's
+/// threads, and `execute_warp`, the cores' entry point, on one `WarpRegs`
+/// carried across the walk under the warp's own lanes, with one result
+/// reused (and deliberately left dirty) throughout. The results, the
+/// context logs and the per-lane state (the register file scattered back)
+/// must agree at every pc. Returns instructions stepped.
 fn lockstep(program: &Program, threads: Vec<ThreadState>, params: &[u32], stray: u32) -> u64 {
     let lanes = (1u64 << threads.len()) - 1;
     let mut stack = SimtStack::new(lanes as u32);
     let mut regs = WarpRegs::gather(program, &threads);
     let mut scattered = threads.clone();
-    let (mut fresh_t, mut reused_t) = (threads.clone(), threads);
-    let (mut fresh_ctx, mut reused_ctx) = (LogCtx::default(), LogCtx::default());
-    let mut warp_ctx = LogCtx::default();
-    let (mut reused, mut warp_res) = (StepResult::new(), StepResult::new());
+    let mut fresh_t = threads;
+    let (mut fresh_ctx, mut warp_ctx) = (LogCtx::default(), LogCtx::default());
+    let mut warp_res = StepResult::new();
     let mut steps = 0;
     while !stack.is_done() && steps < 20_000 {
         let (pc, mask) = (stack.pc(), stack.active_mask() | stray);
         let logged = fresh_ctx.0.len();
         let fresh = execute(program, pc, mask, &mut fresh_t, params, &mut fresh_ctx);
-        reused.killed = u32::MAX;
-        reused.outcome = Outcome::Exit;
-        execute_into(
-            program,
-            pc,
-            mask,
-            &mut reused_t,
-            params,
-            &mut reused_ctx,
-            &mut reused,
-        );
-        assert_eq!(reused, fresh, "pc {pc}");
-        assert_eq!(reused_t, fresh_t, "pc {pc}");
         warp_res.killed = u32::MAX;
         warp_res.outcome = Outcome::Exit;
         let mask = stack.active_mask();
@@ -294,18 +277,17 @@ fn lockstep(program: &Program, threads: Vec<ThreadState>, params: &[u32], stray:
         }
     }
     assert!(stack.is_done(), "still running after {steps} instructions");
-    assert_eq!(reused_ctx, fresh_ctx);
     assert_eq!(warp_ctx, fresh_ctx);
     steps
 }
 
-/// `execute_into` with a reused, dirty `StepResult` is `execute`, and
-/// both are `execute_warp` on a carried register file: over random compute
-/// programs (loads, stores, divergence, barriers) on a full warp and on a
-/// 5-thread warp called with stray high mask bits, and over a fragment
-/// shader that samples, depth-tests, blends and writes.
+/// `execute` on per-lane threads is `execute_warp` on a carried register
+/// file with a reused, dirty `StepResult`: over random compute programs
+/// (loads, stores, divergence, barriers) on a full warp and on a 5-thread
+/// warp called with stray high mask bits, and over a fragment shader that
+/// samples, depth-tests, blends and writes.
 #[test]
-fn execute_into_reused_result_matches_execute() {
+fn execute_matches_execute_warp_on_a_carried_file() {
     let fragment = assemble(
         "mov.b32 r0, %input3
          mov.b32 r1, %input4
@@ -321,7 +303,7 @@ fn execute_into_reused_result_matches_execute() {
          exit",
     )
     .unwrap();
-    check("execute_into_reuse", |rng| {
+    check("execute_vs_execute_warp", |rng| {
         let gp = gen_program(rng);
         let params: Vec<u32> = (0..8).map(|_| rng.next_u32() & 0xffff).collect();
         for (n, stray) in [(32, 0), (5, 0xffff_ff00)] {

@@ -1,40 +1,45 @@
-//! The tree has no public item that nothing names.
+//! `pub` means named outside the crate.
 //!
-//! Every `pub` / `pub(crate)` `fn|struct|enum|trait|const|type` declared
-//! in `crates/*/src` before the file's `#[cfg(test)]` must be named
-//! (word-boundary match) somewhere that is not its own file's unit tests:
-//! in any other `.rs` under `crates/ src/ tests/ examples/ benchmark/src`
-//! — a `pub use` re-export does not count — or in the non-test part of its
-//! own file beyond the declaration itself. An item only its own unit
-//! tests call serves no workload, no bench, no example and no other
-//! test; it is deleted, not kept "for later".
+//! Every `pub` `fn|struct|enum|trait|const|type` declared in
+//! `crates/<c>/src` before the file's `#[cfg(test)]` must be named (word
+//! match) in some `.rs` file outside `crates/<c>/src`: its own crate's
+//! `tests/`, another crate, `src/`, `tests/`, `examples/` or
+//! `benchmark/src`. Comments and `pub use` re-exports do not count. An item
+//! nothing outside its crate names is `pub(crate)` or private instead.
 //!
-//! The scan is textual (std only), so it can only err towards leniency:
-//! a common name (`new`, `len`) is always "referenced". That is fine —
-//! it is a floor under the public surface, not a dead-code proof.
+//! One exception: a `struct|enum|trait|type` named in its crate's public
+//! signatures (a `pub` line, a signature that line opens, or an item line
+//! of a `pub enum`, a `pub trait` or a trait `impl`) stays `pub`, since
+//! rustc's `private_interfaces` lint refuses it narrower. Outside code
+//! reaches such a type without naming it: `gpu.stats().cycles`.
 //!
-//! The blind spot that follows: names are matched, not paths, so a dead
-//! method passes while any other type has a live method of the same name.
-//! `Soc::reset_stats` and the four methods only it called (memory system,
-//! DRAM channel, display, CPU core) passed this scan, uncalled, because
-//! `reset_stats` is also live on `Gpu`, `SimtCore`, `L2`, `Cache` and
-//! `GfxCtx`.
+//! `pub(crate)` and private items are the compiler's job, not this scan's:
+//! rustc's `dead_code` lint, which `scripts/ci.sh` makes fatal through
+//! `clippy -D warnings`, resolves their uses by path, and it reports an
+//! item that only unit tests call, because `cargo clippy --all-targets`
+//! also checks the crate built without `cfg(test)`. A `pub` item switches
+//! that lint off, which is why the visibility has to be earned here.
+//!
+//! The scan is textual (std only), so its blind spot is a name collision:
+//! a `pub` item passes while anything outside its crate uses the same name
+//! for another item (`new`, `len`, `publish`, `reset_stats`). To re-check
+//! the cross-crate surface by path, on a scratch copy of the tree: put
+//! `#[deprecated]` on every `pub` / `pub(crate)` function in `crates/*/src`
+//! (conformance excluded), run `cargo check --workspace --all-targets` and
+//! `cargo check --manifest-path benchmark/Cargo.toml --all-targets`, and
+//! group the deprecation warnings by the function they name. Each warning
+//! is one use site, resolved by the compiler. A `pub` function with no
+//! warning outside its own `crates/<c>/src` should be narrowed; one with no
+//! warning at all, or only warnings from unit tests, should be deleted.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::path::{Path, PathBuf};
-
-/// Items the textual scan flags that are nevertheless reached. At most
-/// 10, each with the reason a grep cannot see.
-const ALLOWED: &[(&str, &str)] = &[(
-    "write_bytes",
-    "MemImage's byte-granular writer: the image's own wrap/clip/diff_region \
-     unit tests are written against it, and ISSUE 24 scoped it out",
-)];
+use std::path::Path;
 
 const ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "type"];
 
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+/// Every `.rs` file under `dir`, as `(path relative to root, text)`.
+fn rust_files(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
@@ -42,10 +47,12 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
         let p = e.path();
         if p.is_dir() {
             if p.file_name().is_some_and(|n| n != "target") {
-                rust_files(&p, out);
+                rust_files(root, &p, out);
             }
         } else if p.extension().is_some_and(|x| x == "rs") {
-            out.push(p);
+            let rel = p.strip_prefix(root).expect("file under the repo root");
+            let text = fs::read_to_string(&p).expect("readable source file");
+            out.push((rel.to_string_lossy().replace('\\', "/"), text));
         }
     }
 }
@@ -62,14 +69,11 @@ fn words(text: &str) -> impl Iterator<Item = &str> {
         .map(|w| std::str::from_utf8(w).expect("ASCII identifier bytes"))
 }
 
-/// The name a line declares, if it opens with `pub` / `pub(crate)` and
-/// one of [`ITEM_KINDS`] (`pub const fn f`, `pub unsafe fn f` included).
-fn declared_name(line: &str) -> Option<&str> {
-    let rest = line.trim_start().strip_prefix("pub")?;
-    let rest = rest.strip_prefix("(crate)").unwrap_or(rest);
-    if !rest.starts_with(' ') {
-        return None;
-    }
+/// The kind and name a line declares, if it opens with `pub ` (not
+/// `pub(crate)`) and one of [`ITEM_KINDS`] (`pub const fn f`,
+/// `pub unsafe fn f` included).
+fn declared_pub_item(line: &str) -> Option<(&str, &str)> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
     let mut toks = words(rest);
     let mut kind = toks.next()?;
     // `const fn` / `unsafe fn`: the qualifier is not the item kind.
@@ -78,25 +82,23 @@ fn declared_name(line: &str) -> Option<&str> {
         kind = "fn";
         name = toks.next()?;
     }
-    ITEM_KINDS.contains(&kind).then_some(name)
+    ITEM_KINDS.contains(&kind).then_some((kind, name))
 }
 
-/// The lines of `text` that can name an item: comments are cut (prose is
-/// not a caller), `pub use …;` statements (single- or multi-line) dropped,
-/// and — for a file's view of itself, `own` — `impl` headers too, since a
-/// type's own `impl` block does not use it.
-fn naming_lines(text: &str, own: bool) -> String {
+/// The text of `text` that can name an item: comments are cut (prose is
+/// not a caller) and `pub use …;` statements (single- or multi-line)
+/// dropped (a re-export is not a use).
+fn naming_text(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let mut in_use = false;
     for line in text.lines() {
         let line = line.split("//").next().unwrap_or("");
-        let start = line.trim_start();
-        if !in_use && start.starts_with("pub use ") {
+        if !in_use && line.trim_start().starts_with("pub use ") {
             in_use = true;
         }
         if in_use {
             in_use = !line.contains(';');
-        } else if !(own && start.starts_with("impl")) {
+        } else {
             out.push_str(line);
             out.push('\n');
         }
@@ -104,81 +106,174 @@ fn naming_lines(text: &str, own: bool) -> String {
     out
 }
 
-fn count_words(text: &str) -> BTreeMap<&str, usize> {
-    let mut m = BTreeMap::new();
-    for w in words(text) {
-        *m.entry(w).or_insert(0) += 1;
+/// The lines of `text` (already through [`naming_text`]) that make up
+/// public signatures: `pub` lines, the item lines of `pub enum`,
+/// `pub trait` and trait `impl` blocks, and the rest of any signature one
+/// of those lines opens. Blocks are found by indentation, which
+/// `cargo fmt --check` keeps canonical.
+fn interface_text(text: &str) -> String {
+    let mut out = String::new();
+    let mut blocks: Vec<usize> = Vec::new();
+    let mut in_signature = false;
+    for line in text.lines() {
+        let t = line.trim_start();
+        if t.is_empty() {
+            continue;
+        }
+        let indent = line.len() - t.len();
+        while blocks.last().is_some_and(|&b| indent <= b) {
+            blocks.pop();
+        }
+        let item_line = blocks.last().is_some_and(|&b| indent == b + 4);
+        if in_signature || t.starts_with("pub ") || item_line {
+            out.push_str(line);
+            out.push('\n');
+            let ends = t.contains('{') || t.ends_with(';');
+            in_signature = !ends && (in_signature || words(t).any(|w| w == "fn"));
+        }
+        let opens = t.starts_with("pub enum ")
+            || t.starts_with("pub trait ")
+            || (t.starts_with("impl") && words(t).any(|w| w == "for"));
+        if opens && t.ends_with('{') {
+            blocks.push(indent);
+        }
     }
-    m
+    out
+}
+
+/// `crates/<c>/src` for a file in a crate's sources, `None` otherwise.
+fn crate_src(path: &str) -> Option<&str> {
+    let mut parts = path.splitn(4, '/');
+    let (top, krate, src) = (parts.next()?, parts.next()?, parts.next()?);
+    (top == "crates" && src == "src" && parts.next().is_some())
+        .then(|| &path[..top.len() + krate.len() + src.len() + 2])
+}
+
+/// The part of a crate source file that declares its surface: everything
+/// before its `#[cfg(test)]`.
+fn production(raw: &str) -> &str {
+    raw.find("#[cfg(test)]").map_or(raw, |at| &raw[..at])
+}
+
+/// The `pub` items of `files` (paths relative to the repository root) that
+/// nothing outside their own `crates/<c>/src` names, as `path: name`.
+fn unearned_pub_items(files: &[(String, String)]) -> Vec<String> {
+    // Who names what: for each word, the source trees it appears in
+    // (`crates/<c>/src`, or "" for everything else) ...
+    let mut named_in: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let texts: Vec<String> = files.iter().map(|(_, t)| naming_text(t)).collect();
+    for ((path, _), text) in files.iter().zip(&texts) {
+        let tree = crate_src(path).unwrap_or("");
+        for w in words(text) {
+            named_in.entry(w).or_default().insert(tree);
+        }
+    }
+    // ... and, per crate, how often each word occurs in public signatures.
+    let mut interface: BTreeMap<&str, BTreeMap<String, usize>> = BTreeMap::new();
+    for (path, raw) in files {
+        if let Some(tree) = crate_src(path) {
+            let sigs = interface_text(&naming_text(production(raw)));
+            for w in words(&sigs) {
+                *interface
+                    .entry(tree)
+                    .or_default()
+                    .entry(w.to_string())
+                    .or_default() += 1;
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (path, raw) in files {
+        let Some(tree) = crate_src(path) else {
+            continue;
+        };
+        for line in naming_text(production(raw)).lines() {
+            let Some((kind, name)) = declared_pub_item(line) else {
+                continue;
+            };
+            let outside = named_in
+                .get(name)
+                .is_some_and(|trees| trees.iter().any(|t| *t != tree));
+            // Its own declaration is one of the crate's `pub` lines.
+            let in_signatures = matches!(kind, "struct" | "enum" | "trait" | "type")
+                && interface.get(tree).and_then(|m| m.get(name)) > Some(&1);
+            if !outside && !in_signatures {
+                out.push(format!("{path}: {name}"));
+            }
+        }
+    }
+    out
 }
 
 #[test]
-fn no_public_item_is_named_only_by_its_own_unit_tests() {
+fn every_pub_item_is_named_outside_its_crate() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
-        rust_files(&root.join(dir), &mut files);
+        rust_files(root, &root.join(dir), &mut files);
     }
-    files.sort();
-
-    // Per file: the text that counts as a reference from elsewhere (all of
-    // it but re-exports) and the text that counts from inside (the part
-    // before `#[cfg(test)]`).
-    let texts: Vec<(PathBuf, String, String)> = files
-        .into_iter()
-        .map(|p| {
-            let raw = fs::read_to_string(&p).expect("readable source file");
-            let prod = raw.find("#[cfg(test)]").map_or(&raw[..], |at| &raw[..at]);
-            (p, naming_lines(&raw, false), naming_lines(prod, true))
-        })
-        .collect();
-
-    let mut everywhere: BTreeMap<&str, usize> = BTreeMap::new();
-    let per_file: Vec<BTreeMap<&str, usize>> = texts
-        .iter()
-        .map(|(_, whole, _)| {
-            let m = count_words(whole);
-            for (w, n) in &m {
-                *everywhere.entry(w).or_insert(0) += n;
-            }
-            m
-        })
-        .collect();
-
-    let mut offenders = Vec::new();
-    for (i, (path, _, prod)) in texts.iter().enumerate() {
-        let rel = path.strip_prefix(root).expect("file under the repo root");
-        let mut comps = rel.components();
-        let in_crate_src = comps.next().is_some_and(|c| c.as_os_str() == "crates")
-            && comps.nth(1).is_some_and(|c| c.as_os_str() == "src");
-        if !in_crate_src {
-            continue;
-        }
-        let mut declared: BTreeMap<&str, usize> = BTreeMap::new();
-        for line in prod.lines() {
-            if let Some(name) = declared_name(line) {
-                *declared.entry(name).or_insert(0) += 1;
-            }
-        }
-        let own_prod = count_words(prod);
-        for (name, decls) in declared {
-            let elsewhere = everywhere.get(name).copied().unwrap_or(0)
-                - per_file[i].get(name).copied().unwrap_or(0);
-            let own = own_prod.get(name).copied().unwrap_or(0) - decls;
-            if elsewhere + own == 0 && !ALLOWED.iter().any(|(n, _)| *n == name) {
-                offenders.push(format!("{}: {name}", rel.display()));
-            }
-        }
-    }
-
     assert!(
-        ALLOWED.len() <= 10,
-        "the allow-list is a list of exceptions, not a second surface"
+        files.iter().filter(|(p, _)| crate_src(p).is_some()).count() > 50,
+        "the scan found too few crate sources to mean anything"
     );
+    let offenders = unearned_pub_items(&files);
     assert!(
         offenders.is_empty(),
-        "{} public item(s) are named by nothing but their own file's unit tests:\n  {}",
+        "{} `pub` item(s) are named by nothing outside their crate's sources \
+         (make them `pub(crate)` or private):\n  {}",
         offenders.len(),
         offenders.join("\n  ")
+    );
+}
+
+/// The scan over a synthetic tree: it must flag a `pub fn` named only in
+/// its own crate, and one named outside only in a comment or a re-export;
+/// it must pass one named from its crate's `tests/` and skip `pub(crate)`.
+/// A `pub struct` that only its crate's public signatures name passes; one
+/// only a function body names does not.
+#[test]
+fn scan_flags_what_only_its_own_crate_names() {
+    let file = |p: &str, t: &str| (p.to_string(), t.to_string());
+    let tree = [
+        file(
+            "crates/a/src/lib.rs",
+            "pub mod m;\n\
+             pub fn own_only() {}\n\
+             pub fn in_comment() {}\n\
+             pub fn re_exported() {}\n\
+             pub fn from_tests() {}\n\
+             pub(crate) fn crate_vis() {}\n\
+             fn private() { own_only(); crate_vis(); }\n",
+        ),
+        file(
+            "crates/a/src/m.rs",
+            "pub struct Shown;\n\
+             pub struct Hidden;\n\
+             pub fn show() -> Shown {\n\
+             \x20   let _ = Hidden;\n\
+             \x20   crate::own_only();\n\
+             \x20   Shown\n\
+             }\n",
+        ),
+        file(
+            "crates/a/tests/t.rs",
+            "fn t() { a::from_tests(); a::m::show(); }\n",
+        ),
+        file(
+            "crates/b/src/lib.rs",
+            "// a::in_comment() is prose\n\
+             pub use a::re_exported;\n\
+             fn f() { let _ = a::m; }\n",
+        ),
+    ];
+    let got = unearned_pub_items(&tree);
+    assert_eq!(
+        got,
+        [
+            "crates/a/src/lib.rs: own_only",
+            "crates/a/src/lib.rs: in_comment",
+            "crates/a/src/lib.rs: re_exported",
+            "crates/a/src/m.rs: Hidden",
+        ]
     );
 }
