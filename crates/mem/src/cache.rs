@@ -81,10 +81,9 @@ pub enum Access {
     Stall(StallReason),
 }
 
+/// A way's state beside its packed tag (see [`Cache`]'s `tags`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
-    tag: u64,
-    valid: bool,
     dirty: bool,
     /// Reserved for an in-flight fill.
     pending: bool,
@@ -93,8 +92,6 @@ struct Line {
 
 impl Line {
     const EMPTY: Line = Line {
-        tag: 0,
-        valid: false,
         dirty: false,
         pending: false,
         lru: 0,
@@ -160,7 +157,19 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every way of every set, set after set (`sets × ways`), as
+    /// `tag << 1 | valid`: a hit is one compare per way, and an 8-way set
+    /// is one host cache line.
+    tags: Vec<u64>,
+    /// The rest of each way's state, indexed like `tags`.
+    lines: Vec<Line>,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// Number of sets minus one.
+    set_mask: usize,
+    /// `log2(line_bytes × sets)`: a line address shifted right by this is
+    /// its tag.
+    tag_shift: u32,
     mshrs: FxHashMap<Addr, Mshr>,
     lru_tick: u64,
     stats: CacheStats,
@@ -189,8 +198,18 @@ impl Cache {
         assert!(cfg.ways > 0 && cfg.size_bytes.is_multiple_of(cfg.line_bytes * cfg.ways));
         let sets = cfg.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let line_shift = cfg.line_bytes.trailing_zeros();
+        let tag_shift = line_shift + sets.trailing_zeros();
+        assert!(
+            tag_shift > 0,
+            "a one-byte, one-set cache leaves no room for the valid bit"
+        );
         Self {
-            sets: vec![vec![Line::EMPTY; cfg.ways]; sets],
+            tags: vec![0; sets * cfg.ways],
+            lines: vec![Line::EMPTY; sets * cfg.ways],
+            line_shift,
+            set_mask: sets - 1,
+            tag_shift,
             mshrs: FxHashMap::default(),
             lru_tick: 0,
             cfg,
@@ -222,11 +241,16 @@ impl Cache {
     }
 
     fn set_index(&self, line: Addr) -> usize {
-        ((line / self.cfg.line_bytes as u64) as usize) & (self.sets.len() - 1)
+        (line >> self.line_shift) as usize & self.set_mask
     }
 
     fn tag(&self, line: Addr) -> u64 {
-        line / self.cfg.line_bytes as u64 / self.sets.len() as u64
+        line >> self.tag_shift
+    }
+
+    /// Index of set `si`'s first way in `tags` and `lines`.
+    fn base(&self, si: usize) -> usize {
+        si * self.cfg.ways
     }
 
     /// Performs a timed access for request `id` at `addr`.
@@ -268,7 +292,8 @@ impl Cache {
                 Access::Stall(reason)
             }
             Lookup::Present(way) => {
-                let l = &mut self.sets[si][way];
+                let at = self.base(si) + way;
+                let l = &mut self.lines[at];
                 l.lru = tick;
                 l.dirty |= kind == AccessKind::Write;
                 self.stats.hits.record(true);
@@ -281,19 +306,17 @@ impl Cache {
                 Access::MergedMiss
             }
             Lookup::Allocate(way) => {
-                let victim = &self.sets[si][way];
-                let writeback = if victim.valid && victim.dirty {
+                let at = self.base(si) + way;
+                let victim = self.tags[at];
+                let writeback = if victim & 1 == 1 && self.lines[at].dirty {
                     self.stats.writebacks += 1;
                     // Reconstruct the victim's line address.
-                    let va = (victim.tag * self.sets.len() as u64 + si as u64)
-                        * self.cfg.line_bytes as u64;
-                    Some(va)
+                    Some(victim >> 1 << self.tag_shift | (si as u64) << self.line_shift)
                 } else {
                     None
                 };
-                self.sets[si][way] = Line {
-                    tag,
-                    valid: false,
+                self.tags[at] = tag << 1;
+                self.lines[at] = Line {
                     dirty: false,
                     pending: true,
                     lru: tick,
@@ -336,8 +359,9 @@ impl Cache {
     /// What an access to `line` (set `si`, tag `tag`) would do, decided
     /// without changing anything.
     fn lookup(&self, si: usize, tag: u64, line: Addr) -> Lookup {
-        let set = &self.sets[si];
-        if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
+        let ways = self.base(si)..self.base(si) + self.cfg.ways;
+        let tags = &self.tags[ways.clone()];
+        if let Some(way) = tags.iter().position(|&t| t == tag << 1 | 1) {
             return Lookup::Present(way);
         }
         if let Some(m) = self.mshrs.get(&line) {
@@ -351,18 +375,19 @@ impl Cache {
         if self.mshrs.len() >= self.cfg.mshrs {
             return Lookup::Stall(StallReason::MshrFull);
         }
+        let set = &self.lines[ways];
         let mut best: Option<usize> = None;
         for (i, l) in set.iter().enumerate() {
             if l.pending {
                 continue;
             }
-            if !l.valid {
+            if tags[i] & 1 == 0 {
                 best = Some(i);
                 break;
             }
             best = match best {
                 None => Some(i),
-                Some(b) if set[i].lru < set[b].lru => Some(i),
+                Some(b) if l.lru < set[b].lru => Some(i),
                 b => b,
             };
         }
@@ -387,8 +412,14 @@ impl Cache {
         let si = self.set_index(line);
         let tag = self.tag(line);
         let any_write = m.targets.iter().any(|(_, k)| *k == AccessKind::Write);
-        if let Some(l) = self.sets[si].iter_mut().find(|l| l.pending && l.tag == tag) {
-            l.valid = true;
+        let base = self.base(si);
+        let ways = base..base + self.cfg.ways;
+        if let Some(at) = ways
+            .into_iter()
+            .find(|&at| self.lines[at].pending && self.tags[at] >> 1 == tag)
+        {
+            self.tags[at] |= 1;
+            let l = &mut self.lines[at];
             l.pending = false;
             l.dirty = any_write;
         }
@@ -407,11 +438,12 @@ impl Cache {
 
 impl emerald_common::snap::Snapshot for Cache {
     fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_usize(self.sets.len());
-        for set in &self.sets {
-            w.put_seq(set.iter(), |w, line| {
-                w.put_u64(line.tag);
-                w.put_bool(line.valid);
+        let ways = self.cfg.ways;
+        w.put_usize(self.tags.len() / ways);
+        for (tags, lines) in self.tags.chunks(ways).zip(self.lines.chunks(ways)) {
+            w.put_seq(tags.iter().zip(lines), |w, (&tag, line)| {
+                w.put_u64(tag >> 1);
+                w.put_bool(tag & 1 == 1);
                 w.put_bool(line.dirty);
                 w.put_bool(line.pending);
                 w.put_u64(line.lru);
@@ -441,24 +473,33 @@ impl emerald_common::snap::Snapshot for Cache {
 impl emerald_common::snap::Restore for Cache {
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.last_stall = None;
-        if r.get_usize()? != self.sets.len() {
+        let ways = self.cfg.ways;
+        if r.get_usize()? != self.tags.len() / ways {
             return Err(SnapError::BadValue {
                 what: "cache set count mismatch",
             });
         }
-        for set in &mut self.sets {
-            let ways = r.get_len(12)?;
-            if ways != set.len() {
+        for (tags, lines) in self.tags.chunks_mut(ways).zip(self.lines.chunks_mut(ways)) {
+            if r.get_len(12)? != ways {
                 return Err(SnapError::BadValue {
                     what: "cache way count mismatch",
                 });
             }
-            for line in set.iter_mut() {
-                line.tag = r.get_u64()?;
-                line.valid = r.get_bool()?;
-                line.dirty = r.get_bool()?;
-                line.pending = r.get_bool()?;
-                line.lru = r.get_u64()?;
+            for (packed, line) in tags.iter_mut().zip(lines) {
+                let tag = r.get_u64()?;
+                // Every tag this geometry can produce leaves `tag_shift`
+                // high bits clear.
+                if tag > u64::MAX >> self.tag_shift {
+                    return Err(SnapError::BadValue {
+                        what: "cache tag too wide for the geometry",
+                    });
+                }
+                *packed = tag << 1 | r.get_bool()? as u64;
+                *line = Line {
+                    dirty: r.get_bool()?,
+                    pending: r.get_bool()?,
+                    lru: r.get_u64()?,
+                };
             }
         }
         let entries = r.get_seq(9, |r| {
@@ -690,6 +731,218 @@ mod tests {
         assert_eq!(c.stats().misses(), 1);
     }
 
+    /// The set-of-vectors cache the flat arrays replaced, as it was
+    /// written (less the stall memo, which `stall_memo_is_invisible`
+    /// covers): per-set `Vec`s of full lines, set and tag by division.
+    struct RefCache {
+        cfg: CacheConfig,
+        sets: Vec<Vec<RefLine>>,
+        mshrs: std::collections::BTreeMap<Addr, Vec<(ReqId, AccessKind)>>,
+        lru_tick: u64,
+        stats: CacheStats,
+    }
+
+    #[derive(Clone, Copy, Default)]
+    struct RefLine {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        pending: bool,
+        lru: u64,
+    }
+
+    impl RefCache {
+        fn new(cfg: CacheConfig) -> Self {
+            Self {
+                sets: vec![vec![RefLine::default(); cfg.ways]; cfg.sets()],
+                mshrs: Default::default(),
+                lru_tick: 0,
+                stats: CacheStats::default(),
+                cfg,
+            }
+        }
+
+        fn set_and_tag(&self, line: Addr) -> (usize, u64) {
+            let n = line / self.cfg.line_bytes as u64;
+            let sets = self.sets.len() as u64;
+            ((n % sets) as usize, n / sets)
+        }
+
+        fn access(&mut self, addr: Addr, kind: AccessKind, id: ReqId) -> Access {
+            let line = addr & !(self.cfg.line_bytes as u64 - 1);
+            self.lru_tick += 1;
+            match kind {
+                AccessKind::Read => self.stats.reads += 1,
+                AccessKind::Write => self.stats.writes += 1,
+            }
+            let (si, tag) = self.set_and_tag(line);
+            let tick = self.lru_tick;
+            let set = &mut self.sets[si];
+            if let Some(l) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
+                l.lru = tick;
+                l.dirty |= kind == AccessKind::Write;
+                self.stats.hits.record(true);
+                return Access::Hit;
+            }
+            let stall = |s: &mut CacheStats, reason| {
+                s.stalls += 1;
+                Access::Stall(reason)
+            };
+            if let Some(targets) = self.mshrs.get_mut(&line) {
+                if targets.len() >= self.cfg.targets_per_mshr {
+                    return stall(&mut self.stats, StallReason::MshrTargetsFull);
+                }
+                targets.push((id, kind));
+                self.stats.hits.record(false);
+                return Access::MergedMiss;
+            }
+            if self.mshrs.len() >= self.cfg.mshrs {
+                return stall(&mut self.stats, StallReason::MshrFull);
+            }
+            let free = set.iter().position(|l| !l.pending && !l.valid);
+            let lru = (0..set.len())
+                .filter(|&i| !set[i].pending)
+                .min_by_key(|&i| set[i].lru);
+            let Some(way) = free.or(lru) else {
+                return stall(&mut self.stats, StallReason::SetReserved);
+            };
+            let victim = set[way];
+            let writeback = (victim.valid && victim.dirty).then(|| {
+                self.stats.writebacks += 1;
+                (victim.tag * self.sets.len() as u64 + si as u64) * self.cfg.line_bytes as u64
+            });
+            self.sets[si][way] = RefLine {
+                tag,
+                pending: true,
+                lru: tick,
+                ..RefLine::default()
+            };
+            self.mshrs.insert(line, vec![(id, kind)]);
+            self.stats.hits.record(false);
+            Access::Miss { writeback }
+        }
+
+        fn fill(&mut self, line: Addr) -> Vec<ReqId> {
+            let Some(targets) = self.mshrs.remove(&line) else {
+                return Vec::new();
+            };
+            self.stats.fills += 1;
+            let (si, tag) = self.set_and_tag(line);
+            let any_write = targets.iter().any(|(_, k)| *k == AccessKind::Write);
+            if let Some(l) = self.sets[si].iter_mut().find(|l| l.pending && l.tag == tag) {
+                l.valid = true;
+                l.pending = false;
+                l.dirty = any_write;
+            }
+            let readers = targets.iter().filter(|(_, k)| *k == AccessKind::Read);
+            readers.map(|(id, _)| *id).collect()
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            w.put_usize(self.sets.len());
+            for set in &self.sets {
+                w.put_seq(set.iter(), |w, l| {
+                    w.put_u64(l.tag);
+                    w.put_bool(l.valid);
+                    w.put_bool(l.dirty);
+                    w.put_bool(l.pending);
+                    w.put_u64(l.lru);
+                });
+            }
+            w.put_seq(self.mshrs.iter(), |w, (&addr, targets)| {
+                w.put_u64(addr);
+                w.put_seq(targets.iter(), |w, &(id, kind)| {
+                    w.put_u64(id);
+                    kind.snap_write(w);
+                });
+            });
+            w.put_u64(self.lru_tick);
+            self.stats.hits.snap_write(&mut w);
+            for n in [
+                self.stats.reads,
+                self.stats.writes,
+                self.stats.fills,
+                self.stats.writebacks,
+                self.stats.stalls,
+            ] {
+                w.put_u64(n);
+            }
+            w.into_bytes()
+        }
+    }
+
+    fn bytes(c: &Cache) -> Vec<u8> {
+        use emerald_common::snap::Snapshot as _;
+        let mut w = SnapWriter::new();
+        c.snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    /// Random geometries and access / fill / restore streams over a few
+    /// lines that collide in few sets, some with their tag's top bits set:
+    /// the flat cache and the reference return the same outcomes and
+    /// readers, keep the same statistics and write the same snapshot
+    /// bytes.
+    #[test]
+    fn flat_sets_equal_the_set_of_vectors_reference() {
+        use emerald_common::snap::Restore as _;
+        emerald_common::check::check("cache_flat_equals_reference", |rng| {
+            let line_bytes = [32, 64, 128][rng.below(3) as usize];
+            let ways = [1, 2, 4, 8][rng.below(4) as usize];
+            let cfg = CacheConfig {
+                size_bytes: (line_bytes * ways) << rng.below(5),
+                line_bytes,
+                ways,
+                mshrs: rng.range(1, 7) as usize,
+                targets_per_mshr: rng.range(1, 5) as usize,
+                ..CacheConfig::small("flat")
+            };
+            let mut flat = Cache::new(cfg.clone());
+            let mut reference = RefCache::new(cfg);
+            let pool: Vec<Addr> = (0..rng.range(2, 24))
+                .map(|_| rng.below(1 << 16) << 7 | rng.below(4) << 62)
+                .collect();
+            for id in 0..rng.range(50, 400) {
+                let addr = pool[rng.below(pool.len() as u64) as usize] + rng.below(32);
+                match rng.below(10) {
+                    0..=2 => {
+                        let line = flat.line_addr(addr);
+                        assert_eq!(flat.fill(line), reference.fill(line), "fill {id}");
+                    }
+                    3 if rng.chance(0.2) => {
+                        flat = Cache::new(flat.cfg.clone());
+                        flat.restore(&mut SnapReader::new(&reference.bytes()))
+                            .unwrap();
+                    }
+                    _ => {
+                        let kind = if rng.chance(0.3) {
+                            AccessKind::Write
+                        } else {
+                            AccessKind::Read
+                        };
+                        let got = flat.access(addr, kind, id, id);
+                        assert_eq!(got, reference.access(addr, kind, id), "access {id}");
+                    }
+                }
+                assert_eq!(flat.stats(), &reference.stats);
+            }
+            assert_eq!(bytes(&flat), reference.bytes());
+        });
+    }
+
+    #[test]
+    fn restore_rejects_a_tag_too_wide_for_the_geometry() {
+        use emerald_common::snap::Restore as _;
+        // 8 sets of 128-byte lines: a tag has 64 - 10 bits.
+        let mut reference = RefCache::new(CacheConfig::small("t"));
+        for (tag, ok) in [(u64::MAX >> 10, true), ((u64::MAX >> 10) + 1, false)] {
+            reference.sets[3][1].tag = tag;
+            let got = cache().restore(&mut SnapReader::new(&reference.bytes()));
+            assert_eq!(got.is_ok(), ok, "tag {tag:#x}");
+        }
+    }
+
     /// Random access / fill / restore traffic on a cache small
     /// enough to hit all three stall reasons, with most accesses repeating
     /// the previous one the way a blocked LSU head does: the cache that
@@ -697,12 +950,7 @@ mod tests {
     /// return the same outcomes and end in the same bytes.
     #[test]
     fn stall_memo_is_invisible() {
-        use emerald_common::snap::{Restore as _, Snapshot as _};
-        fn bytes(c: &Cache) -> Vec<u8> {
-            let mut w = SnapWriter::new();
-            c.snapshot(&mut w);
-            w.into_bytes()
-        }
+        use emerald_common::snap::Restore as _;
         emerald_common::check::check("cache_stall_memo", |rng| {
             let cfg = CacheConfig {
                 size_bytes: 2 * 2 * 128, // 2 sets x 2 ways

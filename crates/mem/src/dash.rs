@@ -18,7 +18,7 @@
 //! show they misbehave in different ways, reproducing Figures 9 and 12–14.
 
 use crate::req::MemRequest;
-use crate::sched::{row_miss, BankState, DramScheduler, QueuedReq};
+use crate::sched::DramScheduler;
 use emerald_common::rng::Xorshift64;
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::{Cycle, TrafficSource};
@@ -110,6 +110,10 @@ pub struct DashShared {
     rng: Xorshift64,
     /// Quantum boundaries crossed (for tests/diagnostics).
     pub quanta: u64,
+    /// The rank epoch: moves at every rollover, urgency flip or restore
+    /// that may change [`DashShared::priority`] for some source. Derived
+    /// state: never serialized.
+    epoch: u64,
 }
 
 impl DashShared {
@@ -134,6 +138,7 @@ impl DashShared {
             serviced_ip_nonurgent: 0,
             rng,
             quanta: 0,
+            epoch: 0,
         };
         s.rearm();
         s
@@ -154,6 +159,10 @@ impl DashShared {
         if now >= self.next_shuffle {
             self.next_shuffle = now + self.cfg.shuffling_interval;
             self.shuffle_offset = self.shuffle_offset.wrapping_add(1);
+            // With fewer than two intensive threads every shuffled rank is 0.
+            if self.intensive.len() > 1 {
+                self.epoch += 1;
+            }
         }
         if now >= self.next_switch {
             self.next_switch = now + self.cfg.switching_unit;
@@ -165,12 +174,17 @@ impl DashShared {
             }
             self.serviced_cpu_intensive = 0;
             self.serviced_ip_nonurgent = 0;
-            self.window_prefers_cpu = self.rng.chance(self.p_cpu);
+            let prefers_cpu = self.rng.chance(self.p_cpu);
+            if prefers_cpu != self.window_prefers_cpu {
+                self.window_prefers_cpu = prefers_cpu;
+                self.epoch += 1;
+            }
         }
         if now >= self.next_quantum {
             self.next_quantum = now + self.cfg.quantum;
             self.quanta += 1;
             self.recluster();
+            self.epoch += 1;
             self.cpu_bytes.clear();
             self.ip_bytes = 0;
         }
@@ -236,8 +250,9 @@ impl DashShared {
             (Ok(at), false) => {
                 self.urgent.remove(at);
             }
-            _ => {}
+            _ => return,
         }
+        self.epoch += 1;
     }
 
     /// Deadline feedback: `done_frac` of the IP's current unit of work
@@ -302,39 +317,23 @@ impl emerald_common::snap::Restore for DashShared {
         self.rng = Xorshift64::from_state(r.get_u64()?);
         self.quanta = r.get_u64()?;
         self.rearm();
+        self.epoch += 1;
         Ok(())
     }
 }
 
 impl DramScheduler for DashShared {
-    /// The minimum of (class, shuffled rank within the intensive class,
-    /// row miss, `arrived`, queue index) in one pass: FR-FCFS among the
-    /// best-ranked requests of the best class present.
-    fn pick(
-        &mut self,
-        queue: &[QueuedReq],
-        banks: &[BankState],
-        banks_per_rank: usize,
-        _now: Cycle,
-    ) -> Option<usize> {
-        // A queue holds long runs of few sources: resolve each run once.
-        let mut run: Option<(TrafficSource, (u8, usize))> = None;
-        // `min_by_key` keeps the first of equal keys: the lowest index.
-        queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, q)| {
-                let (class, rank) = match run {
-                    Some((source, priority)) if source == q.req.source => priority,
-                    _ => {
-                        let priority = self.priority(q.req.source);
-                        run = Some((q.req.source, priority));
-                        priority
-                    }
-                };
-                (class, rank, row_miss(q, banks, banks_per_rank), q.arrived)
-            })
-            .map(|(i, _)| i)
+    /// The DASH class in the top bits, then the TCM shuffled rank, which
+    /// only distinguishes inside the memory-intensive CPU class. The
+    /// shuffled rank is below `intensive.len()`, and a `Vec<usize>` holds
+    /// fewer than 2^61 elements, so the pair fits 63 bits.
+    fn rank(&self, source: TrafficSource) -> u64 {
+        let (class, rank) = self.priority(source);
+        u64::from(class) << 61 | rank as u64
+    }
+
+    fn rank_epoch(&self) -> u64 {
+        self.epoch
     }
 
     fn on_service(&mut self, req: &MemRequest, _row_hit: bool, _now: Cycle) {
@@ -368,8 +367,9 @@ impl DramScheduler for DashShared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dram::{bank_index, BankState, DramChannel, DramConfig, QueuedReq};
     use crate::mapping::DramLocation;
-    use crate::sched::bank_index;
+    use crate::sched::FrFcfs;
     use emerald_common::snap::{Restore, Snapshot};
     use emerald_common::types::AccessKind;
 
@@ -396,6 +396,11 @@ mod tests {
 
     fn banks() -> Vec<BankState> {
         vec![BankState::idle(); 8]
+    }
+
+    /// What a channel holding `banks` and `queue` issues next under `s`.
+    fn pick(s: &DashShared, queue: Vec<QueuedReq>, banks: Vec<BankState>) -> Option<usize> {
+        DramChannel::with_state(banks, queue).pick(s)
     }
 
     fn snap_bytes(s: &DashShared) -> Vec<u8> {
@@ -450,18 +455,18 @@ mod tests {
             qreq(2, TrafficSource::Display, 5),
             qreq(3, TrafficSource::Gpu, 1),
         ];
-        assert_eq!(s.pick(&queue, &banks(), 8, 10), Some(1));
+        assert_eq!(pick(&s, queue, banks()), Some(1));
     }
 
     #[test]
     fn non_intensive_cpu_beats_non_urgent_gpu() {
-        let mut s = DashShared::new(DashConfig::paper(Clustering::CpuOnly));
+        let s = DashShared::new(DashConfig::paper(Clustering::CpuOnly));
         // No clustering has happened, so every CPU is non-intensive.
         let queue = vec![
             qreq(1, TrafficSource::Gpu, 0),
             qreq(2, TrafficSource::Cpu(1), 5),
         ];
-        assert_eq!(s.pick(&queue, &banks(), 8, 10), Some(1));
+        assert_eq!(pick(&s, queue, banks()), Some(1));
     }
 
     #[test]
@@ -576,7 +581,7 @@ mod tests {
 
     #[test]
     fn within_class_uses_frfcfs() {
-        let mut s = DashShared::new(DashConfig::paper(Clustering::CpuOnly));
+        let s = DashShared::new(DashConfig::paper(Clustering::CpuOnly));
         let mut bs = banks();
         // Two GPU requests; the one with an open-row hit should win even
         // though it arrived later.
@@ -585,19 +590,24 @@ mod tests {
         q2.loc.bank = 3;
         q2.loc.row = 42;
         bs[3].open_row = Some(42);
-        assert_eq!(s.pick(&[q1, q2], &bs, 8, 10), Some(1));
+        assert_eq!(pick(&s, vec![q1, q2], bs), Some(1));
     }
 
-    /// The selection `pick` replaced, as it was written: the best class
-    /// present, its candidate list, the best shuffled rank among them when
-    /// that class is the intensive one, then the oldest row hit or else
-    /// the oldest request.
+    /// The selection the packed pick keys replaced, as it was written: the
+    /// best class present, its candidate list, the best shuffled rank among
+    /// them when that class is the intensive one, then the oldest row hit
+    /// or else the oldest request. Without a DASH state every request is
+    /// in one class: plain FR-FCFS.
     fn pick_two_pass(
-        s: &DashShared,
+        s: Option<&DashShared>,
         queue: &[QueuedReq],
         banks: &[BankState],
         banks_per_rank: usize,
     ) -> Option<usize> {
+        let Some(s) = s else {
+            let all: Vec<usize> = (0..queue.len()).collect();
+            return oldest_hit_or_oldest(&all, queue, banks, banks_per_rank);
+        };
         let class = |source: TrafficSource| match source {
             src if src.is_ip() && s.urgent.contains(&src) => 0,
             TrafficSource::Cpu(id) if !s.intensive.contains(&id) => 1,
@@ -630,9 +640,19 @@ mod tests {
                 candidates.retain(|&i| rank_of(i) == best_rank);
             }
         }
+        oldest_hit_or_oldest(&candidates, queue, banks, banks_per_rank)
+    }
+
+    /// FR-FCFS over `candidates`: the oldest row hit, else the oldest.
+    fn oldest_hit_or_oldest(
+        candidates: &[usize],
+        queue: &[QueuedReq],
+        banks: &[BankState],
+        banks_per_rank: usize,
+    ) -> Option<usize> {
         let mut best_hit: Option<usize> = None;
         let mut best_any: Option<usize> = None;
-        for &i in &candidates {
+        for &i in candidates {
             let q = &queue[i];
             let hit = banks[bank_index(&q.loc, banks_per_rank)].open_row == Some(q.loc.row);
             if hit && best_hit.is_none_or(|j| q.arrived < queue[j].arrived) {
@@ -645,18 +665,21 @@ mod tests {
         best_hit.or(best_any)
     }
 
+    const SOURCES: [TrafficSource; 8] = [
+        TrafficSource::Cpu(0),
+        TrafficSource::Cpu(1),
+        TrafficSource::Cpu(2),
+        TrafficSource::Cpu(5),
+        TrafficSource::Gpu,
+        TrafficSource::Display,
+        TrafficSource::OtherIp(0),
+        TrafficSource::OtherIp(4),
+    ];
+
+    /// The packed keys of a freshly keyed channel, over DASH states set
+    /// field by field (states real rollovers reach rarely or never).
     #[test]
     fn single_pass_pick_equals_two_pass_selection() {
-        const SOURCES: [TrafficSource; 8] = [
-            TrafficSource::Cpu(0),
-            TrafficSource::Cpu(1),
-            TrafficSource::Cpu(2),
-            TrafficSource::Cpu(5),
-            TrafficSource::Gpu,
-            TrafficSource::Display,
-            TrafficSource::OtherIp(0),
-            TrafficSource::OtherIp(4),
-        ];
         emerald_common::check::check("dash_pick_equals_two_pass", |rng| {
             let mut s = DashShared::new(DashConfig::paper(Clustering::CpuOnly));
             for _ in 0..40 {
@@ -685,8 +708,8 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(
-                    s.pick(&queue, &banks, 8, 10),
-                    pick_two_pass(&s, &queue, &banks, 8),
+                    pick(&s, queue.clone(), banks.clone()),
+                    pick_two_pass(Some(&s), &queue, &banks, 8),
                     "prefers_cpu={} offset={} intensive={:?} urgent={:?} queue={queue:?}",
                     s.window_prefers_cpu,
                     s.shuffle_offset,
@@ -694,6 +717,84 @@ mod tests {
                     s.urgent
                 );
             }
+        });
+    }
+
+    /// Random enqueue/tick streams through one channel, under FR-FCFS or
+    /// under a DASH whose windows roll every few dozen cycles, with urgency
+    /// flips and one mid-stream snapshot/restore of channel and scheduler:
+    /// the keys the channel keeps current at enqueue, activation and epoch
+    /// change pick, at every issue, what the two-pass selection picks from
+    /// the live queue.
+    #[test]
+    fn channel_issues_what_two_pass_selection_picks() {
+        emerald_common::check::check("dram_channel_pick_equals_two_pass", |rng| {
+            let dash_cfg = DashConfig {
+                switching_unit: rng.range(5, 40),
+                shuffling_interval: rng.range(3, 30),
+                quantum: rng.range(50, 400),
+                ..DashConfig::paper(if rng.chance(0.5) {
+                    Clustering::CpuOnly
+                } else {
+                    Clustering::System
+                })
+            };
+            let cfg = DramConfig {
+                ranks: rng.range(1, 3) as usize,
+                queue_cap: rng.range(2, 33) as usize,
+                ..DramConfig::lpddr3_1333()
+            };
+            // Some cases only CPUs: the intensive class then often wins,
+            // and its shuffled ranks decide.
+            let sources = &SOURCES[..[4, 8][rng.below(2) as usize]];
+            let mut dash = rng.chance(0.5).then(|| DashShared::new(dash_cfg.clone()));
+            let mut ch = DramChannel::new(cfg.clone());
+            let cycles = rng.range(300, 1500);
+            let restore_at = rng.below(cycles);
+            let (mut issued, mut done) = (0, Vec::new());
+            for now in 0..cycles {
+                if let Some(d) = &mut dash {
+                    d.tick(now);
+                    if rng.chance(0.01) {
+                        d.set_urgent(SOURCES[rng.range(4, 8) as usize], rng.chance(0.3));
+                    }
+                }
+                for _ in 0..rng.below(3) {
+                    let source = sources[rng.below(sources.len() as u64) as usize];
+                    let mut q = qreq(now, source, now);
+                    q.loc.rank = rng.below(cfg.ranks as u64) as usize;
+                    q.loc.bank = rng.below(8) as usize;
+                    q.loc.row = rng.below(4);
+                    let _ = ch.enqueue(q.req, q.loc, now);
+                }
+                let ids =
+                    |ch: &DramChannel| ch.queue().iter().map(|q| q.req.id).collect::<Vec<_>>();
+                let before = ids(&ch);
+                let want = pick_two_pass(dash.as_ref(), ch.queue(), ch.banks(), 8);
+                match &mut dash {
+                    Some(d) => ch.tick(now, d),
+                    None => ch.tick(now, &mut FrFcfs),
+                }
+                if ch.queue_len() < before.len() {
+                    let mut expect = before;
+                    expect.swap_remove(want.expect("a request was issued"));
+                    assert_eq!(ids(&ch), expect, "cycle {now}");
+                    issued += 1;
+                }
+                ch.pop_finished(now, &mut done);
+                if now == restore_at {
+                    let mut w = SnapWriter::new();
+                    ch.snapshot(&mut w);
+                    ch = DramChannel::new(cfg.clone());
+                    ch.restore(&mut SnapReader::new(&w.into_bytes())).unwrap();
+                    if let Some(d) = &mut dash {
+                        let enc = snap_bytes(d);
+                        *d = DashShared::new(dash_cfg.clone());
+                        d.restore(&mut SnapReader::new(&enc)).unwrap();
+                    }
+                }
+            }
+            assert!(issued > 5, "only {issued} requests issued");
         });
     }
 

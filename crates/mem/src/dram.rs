@@ -9,7 +9,7 @@
 
 use crate::mapping::DramLocation;
 use crate::req::{MemRequest, MemResponse};
-use crate::sched::{bank_index, BankState, DramScheduler, QueuedReq};
+use crate::sched::DramScheduler;
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::stats::Ratio;
 use emerald_common::types::{Cycle, TrafficSource};
@@ -172,6 +172,52 @@ impl ChannelStats {
     }
 }
 
+/// A request waiting in a channel's scheduling queue.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QueuedReq {
+    /// The request itself.
+    pub req: MemRequest,
+    /// Its decoded DRAM coordinates.
+    pub loc: DramLocation,
+    /// Cycle it entered this channel's queue.
+    pub arrived: Cycle,
+}
+
+/// One bank's row-buffer state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BankState {
+    /// Currently open row, if any.
+    pub open_row: Option<u64>,
+    /// Cycle at which the bank can accept a new command.
+    pub ready_at: Cycle,
+}
+
+impl BankState {
+    /// A closed, idle bank.
+    pub(crate) fn idle() -> Self {
+        Self {
+            open_row: None,
+            ready_at: 0,
+        }
+    }
+}
+
+/// Flat bank index for a location, given `banks_per_rank`.
+pub(crate) fn bank_index(loc: &DramLocation, banks_per_rank: usize) -> usize {
+    loc.rank * banks_per_rank + loc.bank
+}
+
+/// The bit of a pick key that says the request would miss its bank's open
+/// row.
+const MISS: u128 = 1 << 64;
+
+/// A pick key: `rank`, then the row-miss bit, then `arrived`, packed so
+/// that comparing keys compares those three in that order.
+fn pick_key(rank: u64, miss: bool, arrived: Cycle) -> u128 {
+    assert!(rank < 1 << 63, "scheduler rank {rank} does not fit 63 bits");
+    u128::from(rank << 1 | miss as u64) << 64 | u128::from(arrived)
+}
+
 /// One DRAM channel. It holds no scheduler: whoever ticks it lends it one
 /// (see [`DramChannel::tick`]).
 #[derive(Debug)]
@@ -179,6 +225,16 @@ pub struct DramChannel {
     cfg: DramConfig,
     banks: Vec<BankState>,
     queue: Vec<QueuedReq>,
+    /// One pick key per `queue` entry, moved in lockstep with it (see
+    /// [`pick_key`]); the first minimum is the request to issue. The miss
+    /// bit is set at enqueue and refreshed for one bank's entries when an
+    /// activation re-opens that bank. Derived state: never serialized.
+    keys: Vec<u128>,
+    /// `keys[..ranked]` carry the ranks the scheduler gave at `epoch`; the
+    /// entries behind them arrived since the last pick and are unranked.
+    ranked: usize,
+    /// The scheduler's [`DramScheduler::rank_epoch`] at the last pick.
+    epoch: u64,
     bus_free_at: Cycle,
     /// Requests in service: (completion_cycle, request).
     in_service: Vec<(Cycle, MemRequest)>,
@@ -197,6 +253,9 @@ impl DramChannel {
             cfg,
             banks,
             queue: Vec::new(),
+            keys: Vec::new(),
+            ranked: 0,
+            epoch: 0,
             bus_free_at: 0,
             in_service: Vec::new(),
             next_done: Cycle::MAX,
@@ -235,6 +294,7 @@ impl DramChannel {
         if self.is_full() {
             return Err(req);
         }
+        self.keys.push(pick_key(0, self.row_miss(&loc), now));
         self.queue.push(QueuedReq {
             req,
             loc,
@@ -243,9 +303,10 @@ impl DramChannel {
         Ok(())
     }
 
-    /// Advances the channel one cycle: possibly issues one request, chosen
-    /// by `sched`. The caller runs the scheduler's own
-    /// [`DramScheduler::tick`] (once per cycle, however many channels
+    /// Advances the channel one cycle: possibly issues one request, the
+    /// queued request with the smallest (rank of its source under `sched`,
+    /// row miss, `arrived`, queue index). The caller runs the scheduler's
+    /// own [`DramScheduler::tick`] (once per cycle, however many channels
     /// share it) before this.
     pub fn tick(&mut self, now: Cycle, sched: &mut impl DramScheduler) {
         if self.queue.is_empty() {
@@ -256,10 +317,12 @@ impl DramChannel {
         if self.bus_free_at > now + self.cfg.burst_cycles as Cycle {
             return;
         }
-        let Some(idx) = sched.pick(&self.queue, &self.banks, self.cfg.banks, now) else {
+        let Some(idx) = self.pick(&*sched) else {
             return;
         };
         let q = self.queue.swap_remove(idx);
+        self.keys.swap_remove(idx);
+        self.ranked -= 1;
         let bi = bank_index(&q.loc, self.cfg.banks);
         let bank = &mut self.banks[bi];
 
@@ -286,6 +349,9 @@ impl DramChannel {
         let done = data_start + self.cfg.burst_cycles as Cycle;
         self.bus_free_at = done;
         bank.ready_at = data_start;
+        if !row_hit {
+            self.refresh_row_misses(bi, q.loc.row);
+        }
 
         self.stats.row_hits.record(row_hit);
         self.stats.serviced += 1;
@@ -298,6 +364,68 @@ impl DramChannel {
         sched.on_service(&q.req, row_hit, now);
         self.in_service.push((done, q.req));
         self.next_done = self.next_done.min(done);
+    }
+
+    /// The queue index to issue next: the first minimum key, once the keys
+    /// carry `sched`'s current ranks. Ranks the entries that arrived since
+    /// the last pick, or every entry when the rank epoch moved.
+    pub(crate) fn pick(&mut self, sched: &impl DramScheduler) -> Option<usize> {
+        let epoch = sched.rank_epoch();
+        if epoch != self.epoch {
+            self.epoch = epoch;
+            self.ranked = 0;
+        }
+        let fresh = self.queue[self.ranked..].iter();
+        for (q, k) in fresh.zip(&mut self.keys[self.ranked..]) {
+            *k = pick_key(sched.rank(q.req.source), *k & MISS != 0, q.arrived);
+        }
+        self.ranked = self.queue.len();
+        if cfg!(debug_assertions) {
+            self.audit_keys(sched);
+        }
+        // Strictly less keeps the first of equal keys: the lowest index.
+        let (mut at, mut best) = (0, *self.keys.first()?);
+        for (i, &k) in self.keys.iter().enumerate().skip(1) {
+            if k < best {
+                (at, best) = (i, k);
+            }
+        }
+        Some(at)
+    }
+
+    /// Re-derives the miss bit of every entry queued for bank `bi`, which
+    /// has just opened `row`.
+    fn refresh_row_misses(&mut self, bi: usize, row: u64) {
+        for (q, k) in self.queue.iter().zip(&mut self.keys) {
+            if bank_index(&q.loc, self.cfg.banks) == bi {
+                *k = *k & !MISS | u128::from(q.loc.row != row) << 64;
+            }
+        }
+    }
+
+    /// True when servicing a request at `loc` would have to open a row:
+    /// its bank's row buffer holds another row, or none.
+    fn row_miss(&self, loc: &DramLocation) -> bool {
+        self.banks[bank_index(loc, self.cfg.banks)].open_row != Some(loc.row)
+    }
+
+    /// Keys for the whole queue from the banks' open rows, every entry
+    /// unranked: the state `restore` leaves.
+    fn rebuild_keys(&mut self) {
+        self.keys = (self.queue.iter())
+            .map(|q| pick_key(0, self.row_miss(&q.loc), q.arrived))
+            .collect();
+        self.ranked = 0;
+    }
+
+    /// Panics unless every key equals one re-derived from a fresh rank and
+    /// a fresh row-miss bit. [`DramChannel::pick`] runs it in debug builds.
+    fn audit_keys(&self, sched: &impl DramScheduler) {
+        assert_eq!(self.keys.len(), self.queue.len(), "pick keys out of step");
+        for (i, (q, &k)) in self.queue.iter().zip(&self.keys).enumerate() {
+            let fresh = pick_key(sched.rank(q.req.source), self.row_miss(&q.loc), q.arrived);
+            assert_eq!(k, fresh, "stale pick key at queue index {i}: {q:?}");
+        }
     }
 
     /// Appends to `out` all accesses that completed by `now` (reads and
@@ -333,6 +461,32 @@ impl DramChannel {
             .map(|&(done, _)| done)
             .min()
             .unwrap_or(Cycle::MAX)
+    }
+}
+
+#[cfg(test)]
+impl DramChannel {
+    /// A channel of `banks.len() / 8` ranks of eight banks, holding exactly
+    /// these banks and this queue, keyed as a restore keys them.
+    pub(crate) fn with_state(banks: Vec<BankState>, queue: Vec<QueuedReq>) -> Self {
+        let mut ch = Self::new(DramConfig {
+            ranks: banks.len() / 8,
+            ..DramConfig::lpddr3_1333()
+        });
+        ch.banks = banks;
+        ch.queue = queue;
+        ch.rebuild_keys();
+        ch
+    }
+
+    /// The scheduling queue, in its physical order.
+    pub(crate) fn queue(&self) -> &[QueuedReq] {
+        &self.queue
+    }
+
+    /// The banks' row-buffer states.
+    pub(crate) fn banks(&self) -> &[BankState] {
+        &self.banks
     }
 }
 
@@ -395,8 +549,15 @@ impl emerald_common::snap::Restore for DramChannel {
                 what: "dram queue exceeds configured capacity",
             });
         }
+        let outside = |q: &QueuedReq| q.loc.rank >= self.cfg.ranks || q.loc.bank >= self.cfg.banks;
+        if queue.iter().any(outside) {
+            return Err(SnapError::BadValue {
+                what: "dram queued request's loc.rank or loc.bank outside the channel",
+            });
+        }
         self.banks = banks;
         self.queue = queue;
+        self.rebuild_keys();
         self.bus_free_at = r.get_u64()?;
         self.in_service = r.get_seq(41, |r| Ok((r.get_u64()?, MemRequest::snap_read(r)?)))?;
         self.next_done = self.earliest_done();
@@ -666,6 +827,66 @@ mod tests {
         let mut other = DramChannel::new(half_banks);
         let mut r = SnapReader::new(&enc);
         assert!(Restore::restore(&mut other, &mut r).is_err());
+    }
+
+    #[test]
+    fn snapshot_restore_rejects_a_queued_request_outside_the_banks() {
+        use emerald_common::snap::{Restore, SnapReader, SnapWriter, Snapshot};
+        let (mut ch, map) = channel();
+        ch.enqueue(req(1, 0), map.decode(0), 0).unwrap();
+        let cfg = DramConfig::lpddr3_1333();
+        for (rank, bank) in [(0, cfg.banks), (cfg.ranks, 0)] {
+            ch.queue[0].loc.rank = rank;
+            ch.queue[0].loc.bank = bank;
+            let mut w = SnapWriter::new();
+            Snapshot::snapshot(&ch, &mut w);
+            let enc = w.into_bytes();
+            let (mut other, _) = channel();
+            assert!(matches!(
+                Restore::restore(&mut other, &mut SnapReader::new(&enc)),
+                Err(SnapError::BadValue { what }) if what.contains("loc.rank or loc.bank")
+            ));
+        }
+    }
+
+    /// A scheduler with one rank for every source and an epoch that never
+    /// moves: changing the rank behind a channel's back is a missed epoch.
+    #[derive(Debug)]
+    struct OneRank(u64);
+
+    impl DramScheduler for OneRank {
+        fn rank(&self, _: TrafficSource) -> u64 {
+            self.0
+        }
+    }
+
+    /// The key audit's canaries (`pick` runs the audit in debug builds;
+    /// these call it directly, so they hold in any build): a skipped
+    /// row-miss refresh and a skipped re-rank each leave a stale key the
+    /// audit names.
+    #[test]
+    #[should_panic(expected = "stale pick key at queue index 0")]
+    fn audit_catches_a_skipped_row_miss_refresh() {
+        let (mut ch, map) = channel();
+        // Two lines of one row: both miss while the bank is closed.
+        ch.enqueue(req(1, 0), map.decode(0), 0).unwrap();
+        ch.enqueue(req(2, 128), map.decode(128), 0).unwrap();
+        assert_eq!(ch.pick(&FrFcfs), Some(0));
+        ch.audit_keys(&FrFcfs);
+        // Open the row as an activation does, without the refresh.
+        let loc = map.decode(0);
+        ch.banks[bank_index(&loc, ch.cfg.banks)].open_row = Some(loc.row);
+        ch.audit_keys(&FrFcfs);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale pick key at queue index 0")]
+    fn audit_catches_a_skipped_re_rank() {
+        let (mut ch, map) = channel();
+        ch.enqueue(req(1, 0), map.decode(0), 0).unwrap();
+        assert_eq!(ch.pick(&OneRank(3)), Some(0));
+        ch.audit_keys(&OneRank(3));
+        ch.audit_keys(&OneRank(2));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! executor, display controller and CPU model all read and write directly,
 //! while the timing half replays the same addresses through caches and DRAM.
 
+use crate::zeroed::ZeroedBytes;
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::Addr;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
@@ -13,7 +14,8 @@ use std::sync::{Arc, RwLock, RwLockReadGuard};
 /// Simulated physical memory with a bump allocator.
 #[derive(Debug, Clone)]
 pub struct MemImage {
-    data: Vec<u8>,
+    /// Only the pages written so far are resident (see [`ZeroedBytes`]).
+    data: ZeroedBytes,
     next: Addr,
 }
 
@@ -22,7 +24,7 @@ impl MemImage {
     /// non-zero offset so that address 0 stays an obvious "null".
     pub(crate) fn new(capacity: usize) -> Self {
         Self {
-            data: vec![0; capacity],
+            data: ZeroedBytes::new(capacity),
             next: 256,
         }
     }

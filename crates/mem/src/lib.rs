@@ -38,6 +38,7 @@ pub mod req;
 pub mod sched;
 pub mod system;
 pub mod view;
+mod zeroed;
 
 pub use cache::{Cache, CacheConfig};
 pub use dram::{DramChannel, DramConfig};

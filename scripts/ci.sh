@@ -34,6 +34,9 @@ cargo test --release -p emerald-gpu --test alloc -p emerald-core --test alloc -q
 echo "==> ISA executor properties on the optimised build, 1024 cases each (the workspace step runs them in the dev profile, where the warp-wide lane loops are not vectorised)"
 EMERALD_CHECK_CASES=1024 cargo test --release -p emerald-isa -q
 
+echo "==> memory-substrate properties on the optimised build, 1024 cases each (the DRAM channel's pick keys against the two-pass selection, the flat cache sets against the set-of-vectors reference; the workspace step runs them in the dev profile, where every pick also audits its keys)"
+EMERALD_CHECK_CASES=1024 cargo test --release -p emerald-mem -q
+
 echo "==> clocking-gate lockstep suites, release (16 random SoC scenarios drawing a cube and 16 drawing nothing, each in all four event_skip x cpu_batch cells, equal at every frame barrier, checkpoint bytes included, across all four cells; random-cycle restores; the 12-cell gate x thread matrix, and a restore in each of its cells; gap oracles; twin gap walks; run-ahead corner scenarios; loop-iteration and renderer-cycle bounds)"
 EMERALD_CONF_CASES=16 cargo test --release --test event_skip --test cpu_batch --test snapshot -q
 
