@@ -42,7 +42,7 @@ pub const FORMAT_VERSION: u32 = 3;
 
 /// Bytes of fixed container overhead: magic + version + config hash +
 /// trailing checksum.
-pub const CONTAINER_OVERHEAD: usize = 8 + 4 + 8 + 8;
+pub(crate) const CONTAINER_OVERHEAD: usize = 8 + 4 + 8 + 8;
 
 /// A typed decoding failure. Restore never panics; it returns one of
 /// these.

@@ -7,7 +7,7 @@ use crate::refmodel::run_reference;
 use emerald_common::check::minimize;
 use emerald_common::rng::Xorshift64;
 use emerald_gpu::config::WarpSched;
-use emerald_gpu::{GlobalMemCtx, Gpu, GpuConfig, Kernel, SimpleMemPort};
+use emerald_gpu::{GlobalMemCtx, Gpu, GpuConfig, ImageCtx, Kernel, SimpleMemPort};
 use emerald_isa::op::{AluKind, Op};
 use emerald_isa::reg::DType;
 use emerald_mem::{DramConfig, MemorySystem, MemorySystemConfig, SharedMem};
@@ -143,7 +143,7 @@ pub(crate) fn run_timing(
 pub(crate) fn run_ref(gp: &GenProgram, data_seed: u64) -> RunResult {
     let layout = init_mem(gp, data_seed);
     let mut ctx = GlobalMemCtx::new(layout.mem.clone());
-    let r = run_reference(&kernel_for(gp, &layout), &mut ctx);
+    let r = ctx.lock(|c| run_reference(&kernel_for(gp, &layout), c));
     RunResult {
         out_bytes: layout
             .mem
@@ -200,37 +200,17 @@ pub fn compare(label: &str, got: &RunResult, want: &RunResult) -> Result<(), Div
 }
 
 /// The baseline fuzzing configuration: the tiny two-core GPU as the
-/// preset ships it — single host thread, default parallel threshold — so
-/// the matrix axes below are the only thing that varies dispatch policy.
+/// preset ships it.
 pub fn base_config() -> GpuConfig {
     GpuConfig::tiny()
 }
 
 /// The deterministic metamorphic configuration matrix: functional output
-/// must be invariant across host thread counts, warp schedulers, cache
-/// geometries and parallel-dispatch policy (pool forced on every cycle
-/// vs. never engaged). Labels are stable for failure reports.
+/// must be invariant across warp schedulers, cache geometries and the
+/// event-skip gate. Labels are stable for failure reports.
 pub fn config_matrix() -> Vec<(&'static str, GpuConfig)> {
     let base = base_config();
-    let mut out = vec![("base_t1_gto", base.clone())];
-    for (label, threads) in [("threads2", 2), ("threads4", 4)] {
-        let mut c = base.clone();
-        c.threads = threads;
-        out.push((label, c));
-    }
-    // Dispatch-policy axes: threshold 0 forces the worker pool on every
-    // non-empty cycle (even on single-CPU hosts), usize::MAX forbids it.
-    // Adaptive dispatch must be invisible to results.
-    for (label, threads, thr) in [
-        ("t2_pool_forced", 2, 0usize),
-        ("t4_pool_forced", 4, 0),
-        ("t4_pool_never", 4, usize::MAX),
-    ] {
-        let mut c = base.clone();
-        c.threads = threads;
-        c.parallel_threshold = thr;
-        out.push((label, c));
-    }
+    let mut out = vec![("base_gto", base.clone())];
     let mut lrr = base.clone();
     lrr.warp_sched = WarpSched::Lrr;
     out.push(("lrr", lrr));
@@ -252,19 +232,6 @@ pub fn config_matrix() -> Vec<(&'static str, GpuConfig)> {
     out
 }
 
-/// The dispatch points the event-skip axis is crossed with in
-/// [`check_case_matrix`]: host threads 1/2/4 with the worker pool forced
-/// on every non-empty cycle and forbidden entirely.
-pub fn skip_dispatch_points() -> Vec<(&'static str, usize, usize)> {
-    vec![
-        ("t1", 1, emerald_gpu::config::DEFAULT_PARALLEL_THRESHOLD),
-        ("t2_pool_forced", 2, 0),
-        ("t2_pool_never", 2, usize::MAX),
-        ("t4_pool_forced", 4, 0),
-        ("t4_pool_never", 4, usize::MAX),
-    ]
-}
-
 /// Full differential check of one case under the baseline configuration.
 pub fn check_case(gp: &GenProgram, data_seed: u64) -> Result<(), Divergence> {
     let want = run_ref(gp, data_seed);
@@ -273,35 +240,26 @@ pub fn check_case(gp: &GenProgram, data_seed: u64) -> Result<(), Divergence> {
 }
 
 /// Metamorphic check: every configuration in the matrix must produce the
-/// reference observables, and across the event-skip axis — at every
-/// dispatch point in [`skip_dispatch_points`] — the *simulated cycle
-/// count* must additionally be bit-identical (skipping may never change
-/// time, only how the host reaches it).
+/// reference observables, and across the event-skip axis the *simulated
+/// cycle count* must additionally be bit-identical (skipping may never
+/// change time, only how the host reaches it).
 pub fn check_case_matrix(gp: &GenProgram, data_seed: u64) -> Result<(), Divergence> {
     let want = run_ref(gp, data_seed);
+    let (mut off, mut on) = (0, 0);
     for (label, cfg) in config_matrix() {
-        let (got, _) = run_timing(gp, data_seed, &cfg, label)?;
+        let (got, cycles) = run_timing(gp, data_seed, &cfg, label)?;
         compare(label, &got, &want)?;
-    }
-    for (dlabel, threads, thr) in skip_dispatch_points() {
-        let mut off = base_config();
-        off.threads = threads;
-        off.parallel_threshold = thr;
-        off.event_skip = false;
-        let mut on = off.clone();
-        on.event_skip = true;
-        let label_off = format!("skip_off_{dlabel}");
-        let label_on = format!("skip_on_{dlabel}");
-        let (got_off, cycles_off) = run_timing(gp, data_seed, &off, &label_off)?;
-        compare(&label_off, &got_off, &want)?;
-        let (got_on, cycles_on) = run_timing(gp, data_seed, &on, &label_on)?;
-        compare(&label_on, &got_on, &want)?;
-        if cycles_off != cycles_on {
-            return Err(Divergence::Mismatch {
-                label: format!("skip_axis_{dlabel}"),
-                detail: format!("  cycles: {cycles_on} (skip on) vs {cycles_off} (skip off)\n"),
-            });
+        match label {
+            "skip_off" => off = cycles,
+            "skip_on" => on = cycles,
+            _ => {}
         }
+    }
+    if off != on {
+        return Err(Divergence::Mismatch {
+            label: "skip_axis".to_string(),
+            detail: format!("  cycles: {on} (skip on) vs {off} (skip off)\n"),
+        });
     }
     Ok(())
 }

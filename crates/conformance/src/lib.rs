@@ -17,8 +17,8 @@
 //!   launch), not the lane arithmetic. The executor's own references are
 //!   the scalar oracles and lane-wise properties in `emerald-isa`.
 //! - [`isadiff`] runs the differential comparison, the metamorphic
-//!   configuration matrix (host threads, warp scheduler, cache sizes)
-//!   and the injected-ALU-bug canary.
+//!   configuration matrix (warp scheduler, cache sizes, event skip) and
+//!   the injected-ALU-bug canary.
 //! - [`drawgen`] generates random draw calls / render state and diffs
 //!   hardware frames pixel-exact against `emerald_core::reference`.
 //! - [`eventconf`] checks the `NextEvent` event-skip contract with a gap
@@ -31,8 +31,8 @@
 //!   window-overrun canary.
 //! - [`socconf`] is the one SoC lockstep harness: a scenario type, the
 //!   cube draw, the frame-barrier digest, the gate matrix (every
-//!   `event_skip × cpu_batch` cell, threads optional, agree at every
-//!   barrier) and the checkpoint/restore oracle with its injected
+//!   `event_skip × cpu_batch` cell agrees at every barrier) and the
+//!   checkpoint/restore oracle, across cells, with its injected
 //!   byte-corruption and stale-RNG-stream canaries.
 //! - [`budget`] arms SoC-running oracles with a wall-clock frame budget
 //!   (`EMERALD_CONF_FRAME_BUDGET_MS`); a case that blows it checkpoints
@@ -61,12 +61,11 @@ pub use eventconf::{
 };
 pub use isadiff::{
     base_config, bug_site, check_case, check_case_matrix, check_with_injected_bug, config_matrix,
-    skip_dispatch_points,
 };
 pub use proggen::gen_program;
 pub use socconf::{
-    cells, checkpoint_body, gate_matrix, registry_json, shrink_snap_candidates, snap_oracle,
-    Barrier, Cell, SnapBug, SnapScenario, SocScenario,
+    cells, gate_matrix, registry_json, shrink_snap_candidates, snap_oracle, Barrier, Cell, SnapBug,
+    SnapScenario, SocScenario,
 };
 
 /// Number of random ISA programs / draws the conformance tests run,

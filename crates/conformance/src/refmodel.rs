@@ -239,7 +239,7 @@ pub(crate) fn run_reference(kernel: &Kernel, ctx: &mut dyn ExecCtx) -> RefResult
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emerald_gpu::GlobalMemCtx;
+    use emerald_gpu::{GlobalMemCtx, ImageCtx};
     use emerald_isa::assemble;
     use emerald_mem::SharedMem;
     use std::sync::Arc;
@@ -259,7 +259,7 @@ mod tests {
         let base = mem.alloc(64 * 4, 128);
         let k = Kernel::linear(prog, 64, 32, vec![base as u32]);
         let mut ctx = GlobalMemCtx::new(mem.clone());
-        let r = run_reference(&k, &mut ctx);
+        let r = ctx.lock(|c| run_reference(&k, c));
         // 6 instructions × 2 warps.
         assert_eq!(r.instructions, 12);
         assert_eq!(r.warps_retired, 2);
@@ -290,7 +290,7 @@ mod tests {
         let base = mem.alloc(32 * 4, 128);
         let k = Kernel::linear(prog, 32, 32, vec![base as u32]);
         let mut ctx = GlobalMemCtx::new(mem.clone());
-        let r = run_reference(&k, &mut ctx);
+        let r = ctx.lock(|c| run_reference(&k, c));
         assert_eq!(r.warps_retired, 1);
         for gid in 0..32u64 {
             let want = if gid % 2 == 0 { gid + 10 } else { gid + 20 };
@@ -324,7 +324,7 @@ mod tests {
         let mut k = Kernel::linear(prog, 128, 64, vec![base as u32]);
         k.shared_bytes = 64 * 4;
         let mut ctx = GlobalMemCtx::new(mem.clone());
-        let r = run_reference(&k, &mut ctx);
+        let r = ctx.lock(|c| run_reference(&k, c));
         assert_eq!(r.warps_retired, 4);
         for gid in 0..128u64 {
             let cta = gid / 64;

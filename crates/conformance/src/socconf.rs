@@ -6,31 +6,30 @@
 //! checkpoint/restore must not be visible at all. Both claims are checked
 //! the same way: run a [`SocScenario`] and compare everything observable
 //! at each frame barrier — the frame record, the clock, the framebuffer,
-//! the published registry and the checkpoint body — against a twin.
+//! the published registry and the checkpoint — against a twin.
 //!
 //! - [`gate_matrix`] runs one scenario in all four `event_skip ×
-//!   cpu_batch` cells (threads are an optional third axis) and compares
-//!   every barrier across them, checkpoint bytes included: each requester
-//!   stamps its request ids from its own counter, so no schedule shows in
-//!   them.
+//!   cpu_batch` cells and compares every barrier across them, checkpoint
+//!   bytes included: each requester stamps its request ids from its own
+//!   counter, so no schedule shows in them, and the container's
+//!   configuration hash leaves the gates out.
 //! - [`snap_oracle`] runs one scenario in one cell straight while
-//!   capturing a checkpoint, revives it into a fresh SoC and compares
-//!   every later barrier. Its canary ([`SnapBug`]) aims at the two unsafe
-//!   directions of checkpointing: *silent corruption* (a damaged snapshot
-//!   restores and the run quietly diverges; a restore *error* is also a
-//!   violation, so corruption can never pass silently) and *partial
-//!   restore* (an RNG stream left at its fresh value). Both must be
-//!   caught, and [`shrink_snap_candidates`] minimizes the failing
-//!   checkpoint cycle and frame count.
+//!   capturing a checkpoint, revives it into a fresh SoC in the same or
+//!   another cell and compares every later barrier. Its canary
+//!   ([`SnapBug`]) aims at the two unsafe directions of checkpointing:
+//!   *silent corruption* (a damaged snapshot restores and the run quietly
+//!   diverges; a restore *error* is also a violation, so corruption can
+//!   never pass silently) and *partial restore* (an RNG stream left at
+//!   its fresh value). Both must be caught, and [`shrink_snap_candidates`]
+//!   minimizes the failing checkpoint cycle and frame count.
 //!
-//! The checkpoint body is the decisive part of a barrier: once the
+//! The checkpoint is the decisive part of a barrier: once the
 //! scripted CPUs' working sets sit in their warm caches a stale RNG stream
 //! changes nothing the registry can see, but it changes the bytes.
 
 use crate::budget::FrameBudget;
 use emerald_common::math::{Mat4, Vec3};
 use emerald_common::rng::Xorshift64;
-use emerald_common::snap::CONTAINER_OVERHEAD;
 use emerald_common::types::Cycle;
 use emerald_core::renderer::FrameStats;
 use emerald_core::shaders::{self, FsOptions};
@@ -127,7 +126,6 @@ impl SocScenario {
         }
         cfg.gpu.event_skip = cell.event_skip;
         cfg.cpu_batch = cell.cpu_batch;
-        cfg.gpu.threads = cell.threads;
         cfg
     }
 
@@ -141,41 +139,32 @@ impl SocScenario {
     }
 }
 
-/// One cell of the gate matrix: the two clocking gates and the GPU's host
-/// worker threads.
+/// One cell of the gate matrix: the two clocking gates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell {
     /// `GpuConfig::event_skip`.
     pub event_skip: bool,
     /// `SocConfig::cpu_batch`.
     pub cpu_batch: bool,
-    /// `GpuConfig::threads`.
-    pub threads: usize,
 }
 
 impl Cell {
-    /// What the presets run: both gates on, one thread.
+    /// What the presets run: both gates on.
     pub const PRESET: Cell = Cell {
         event_skip: true,
         cpu_batch: true,
-        threads: 1,
     };
 }
 
-/// The four `event_skip × cpu_batch` cells at each of `threads`, the
-/// per-cycle reference (both gates off) first.
-pub fn cells(threads: &[usize]) -> Vec<Cell> {
-    let mut out = Vec::new();
-    for event_skip in [false, true] {
-        for cpu_batch in [false, true] {
-            out.extend(threads.iter().map(|&threads| Cell {
-                event_skip,
-                cpu_batch,
-                threads,
-            }));
+/// The four `event_skip × cpu_batch` cells, the per-cycle reference (both
+/// gates off) first.
+pub fn cells() -> [Cell; 4] {
+    [(false, false), (false, true), (true, false), (true, true)].map(|(event_skip, cpu_batch)| {
+        Cell {
+            event_skip,
+            cpu_batch,
         }
-    }
-    out
+    })
 }
 
 /// A deterministic cube draw whose camera orbits with the frame index, so
@@ -213,12 +202,6 @@ pub fn registry_json(soc: &Soc) -> String {
     reg.to_json()
 }
 
-/// A checkpoint without the container's header and checksum: the header
-/// stamps a hash of the configuration, which differs between cells.
-pub fn checkpoint_body(bytes: &[u8]) -> &[u8] {
-    &bytes[CONTAINER_OVERHEAD - 8..bytes.len() - 8]
-}
-
 /// Everything observable at a frame barrier.
 #[derive(Debug)]
 pub struct Barrier {
@@ -238,7 +221,7 @@ impl Barrier {
             now: soc.now(),
             framebuffer: soc.rt.read_color(&soc.mem),
             registry: registry_json(soc),
-            checkpoint: checkpoint_body(&soc.checkpoint()).to_vec(),
+            checkpoint: soc.checkpoint(),
         }
     }
 
@@ -257,13 +240,13 @@ impl Barrier {
     }
 }
 
-/// Runs `sc` for `frames` frames in every cell of [`cells`]`(threads)`
-/// and checks every frame barrier, checkpoint bytes included, against the
-/// first cell's: the per-cycle reference. Returns that cell's SoC at its
-/// last barrier, for the caller's own assertions.
-pub fn gate_matrix(sc: &SocScenario, frames: u32, threads: &[usize]) -> Result<Soc, String> {
+/// Runs `sc` for `frames` frames in every cell of [`cells`] and checks
+/// every frame barrier, checkpoint bytes included, against the first
+/// cell's: the per-cycle reference. Returns that cell's SoC at its last
+/// barrier, for the caller's own assertions.
+pub fn gate_matrix(sc: &SocScenario, frames: u32) -> Result<Soc, String> {
     let mut reference: Option<(Cell, Vec<Barrier>, Soc)> = None;
-    for cell in cells(threads) {
+    for cell in cells() {
         let mut soc = Soc::new(sc.config(cell));
         let got: Vec<Barrier> = (0..frames)
             .map(|f| {
@@ -307,13 +290,16 @@ pub enum SnapBug {
 /// checkpoint is captured inside frame `at_frame`, `offset_pct` percent of
 /// a frame's span after it starts (falling back to the inter-frame
 /// checkpoint when the offset overshoots the frame's last commit
-/// boundary).
+/// boundary), and restored into a SoC clocked by `restore_cell`.
 #[derive(Debug, Clone)]
 pub struct SnapScenario {
     /// The SoC.
     pub soc: SocScenario,
-    /// Its clocking.
+    /// The straight run's clocking.
     pub cell: Cell,
+    /// The restored run's clocking: the gates pick a schedule, not a
+    /// model, so a checkpoint restores across them.
+    pub restore_cell: Cell,
     /// Total frames (more than `at_frame`).
     pub frames: u32,
     /// The frame the checkpoint is captured in.
@@ -330,8 +316,8 @@ impl SnapScenario {
     /// One-line summary for failure reports.
     pub fn describe(&self) -> String {
         format!(
-            "{} frames, checkpoint at {}% into frame {}, {:?}, bug {:?}",
-            self.frames, self.offset_pct, self.at_frame, self.cell, self.bug
+            "{} frames, checkpoint at {}% into frame {}, {:?} restored in {:?}, bug {:?}",
+            self.frames, self.offset_pct, self.at_frame, self.cell, self.restore_cell, self.bug
         )
     }
 }
@@ -354,8 +340,8 @@ pub struct SnapRun {
 }
 
 /// Runs the scenario straight while capturing its checkpoint, revives the
-/// checkpoint into a fresh SoC and compares every barrier from the
-/// checkpoint's frame to the end of the scenario.
+/// checkpoint into a fresh SoC in `restore_cell` and compares every barrier
+/// from the checkpoint's frame to the end of the scenario.
 pub fn snap_oracle(sc: &SnapScenario) -> Result<SnapRun, SnapViolation> {
     // Armed only under the deep-fuzz job (`EMERALD_CONF_FRAME_BUDGET_MS`):
     // a scenario that blows its wall-clock budget checkpoints the straight
@@ -389,7 +375,7 @@ pub fn snap_oracle(sc: &SnapScenario) -> Result<SnapRun, SnapViolation> {
         let pos = (bytes.len() - 1) * (pos_pct as usize).min(100) / 100;
         bytes[pos] ^= mask;
     }
-    let mut restored = Soc::restore(&bytes, &cfg)
+    let mut restored = Soc::restore(&bytes, &sc.soc.config(sc.restore_cell))
         .map_err(|e| violation(format!("restore rejected the snapshot: {e:?}")))?;
     if sc.bug == SnapBug::StaleRng {
         restored.debug_reset_cpu_rng(0);
@@ -466,6 +452,7 @@ mod tests {
                 cpu_batch: false,
                 ..Cell::PRESET
             },
+            restore_cell: Cell::PRESET,
             frames: 2,
             at_frame: 1,
             offset_pct: 40,

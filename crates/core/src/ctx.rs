@@ -10,11 +10,10 @@ use crate::state::{RenderTarget, TextureDesc};
 use emerald_common::math::{pack_rgba8, unpack_rgba8};
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::Addr;
-use emerald_gpu::phase::CycleCtx;
+use emerald_gpu::ctx::ImageCtx;
 use emerald_isa::op::MemSpace;
 use emerald_isa::ExecCtx;
-use emerald_mem::image::{MemReadGuard, SharedMem};
-use emerald_mem::view::{FuncMem, ImageView, StoreBuffer, WClass};
+use emerald_mem::image::{MemImage, SharedMem};
 
 /// Functional statistics from shader-side graphics operations.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -29,21 +28,20 @@ pub(crate) struct GfxCtxStats {
     pub fb_writes: u64,
 }
 
-/// The graphics [`ExecCtx`], generic over its functional memory so the
-/// same sampling/depth/blend logic runs both directly against the live
-/// [`SharedMem`] (sequential host code) and against a frozen
-/// [`ImageView`] during the parallel core phase.
+/// The pipeline state shaders run against: the memory image, the bound
+/// render target and samplers, and the functional tallies. Its
+/// [`ImageCtx::lock`] lends a [`GfxCtx`] over the locked image.
 #[derive(Debug, Clone)]
-pub(crate) struct GfxCtx<M: FuncMem = SharedMem> {
-    mem: M,
+pub(crate) struct GfxState {
+    mem: SharedMem,
     rt: RenderTarget,
     textures: [Option<TextureDesc>; 4],
     stats: GfxCtxStats,
 }
 
-impl<M: FuncMem> GfxCtx<M> {
-    /// Creates a context rendering into `rt`.
-    pub(crate) fn new(mem: M, rt: RenderTarget) -> Self {
+impl GfxState {
+    /// Creates a state rendering into `rt`.
+    pub(crate) fn new(mem: SharedMem, rt: RenderTarget) -> Self {
         Self {
             mem,
             rt,
@@ -75,19 +73,48 @@ impl<M: FuncMem> GfxCtx<M> {
     pub(crate) fn reset_stats(&mut self) {
         self.stats = GfxCtxStats::default();
     }
+}
 
+impl ImageCtx for GfxState {
+    fn lock<R>(&mut self, f: impl FnOnce(&mut dyn ExecCtx) -> R) -> R {
+        let Self {
+            mem,
+            rt,
+            textures,
+            stats,
+        } = self;
+        mem.write(|img| {
+            f(&mut GfxCtx {
+                img,
+                rt,
+                textures,
+                stats,
+            })
+        })
+    }
+}
+
+/// The graphics [`ExecCtx`]: a [`GfxState`] over its locked image.
+struct GfxCtx<'a> {
+    img: &'a mut MemImage,
+    rt: &'a RenderTarget,
+    textures: &'a [Option<TextureDesc>; 4],
+    stats: &'a mut GfxCtxStats,
+}
+
+impl GfxCtx<'_> {
     fn in_bounds(&self, x: u32, y: u32) -> bool {
         x < self.rt.width && y < self.rt.height
     }
 }
 
-impl<M: FuncMem> ExecCtx for GfxCtx<M> {
+impl ExecCtx for GfxCtx<'_> {
     fn load(&mut self, _space: MemSpace, addr: Addr) -> u32 {
-        self.mem.read_u32(addr)
+        self.img.read_u32(addr)
     }
 
     fn store(&mut self, _space: MemSpace, addr: Addr, value: u32) {
-        self.mem.write_u32(addr, value);
+        self.img.write_u32(addr, value);
     }
 
     fn tex2d(&mut self, sampler: u8, u: f32, v: f32, texel_addrs: &mut Vec<Addr>) -> [f32; 4] {
@@ -108,13 +135,13 @@ impl<M: FuncMem> ExecCtx for GfxCtx<M> {
         let y0w = wrap(y0, tex.height);
         let y1w = wrap(y0 + 1.0, tex.height);
         let mut out = [0.0f32; 4];
-        let mem = &mut self.mem;
+        let img = &*self.img;
         let mut fetch = |x: u32, y: u32, w: f32| {
             let addr = tex.texel_addr(x, y);
             if !texel_addrs.contains(&addr) {
                 texel_addrs.push(addr);
             }
-            let c = unpack_rgba8(mem.read_u32(addr));
+            let c = unpack_rgba8(img.read_u32(addr));
             for k in 0..4 {
                 out[k] += c[k] * w;
             }
@@ -132,12 +159,12 @@ impl<M: FuncMem> ExecCtx for GfxCtx<M> {
             return (false, self.rt.depth_base);
         }
         let addr = self.rt.depth_addr(x, y);
-        let stored = self.mem.read_f32(addr);
+        let stored = self.img.read_f32(addr);
         let pass = z < stored;
         if pass {
             self.stats.ztest_pass += 1;
             if write {
-                self.mem.write_f32(addr, z);
+                self.img.write_f32(addr, z);
             }
         } else {
             self.stats.ztest_fail += 1;
@@ -150,7 +177,7 @@ impl<M: FuncMem> ExecCtx for GfxCtx<M> {
             return (src, self.rt.color_base);
         }
         let addr = self.rt.color_addr(x, y);
-        let dst = unpack_rgba8(self.mem.read_u32(addr));
+        let dst = unpack_rgba8(self.img.read_u32(addr));
         let a = src[3].clamp(0.0, 1.0);
         let out = [
             src[0] * a + dst[0] * (1.0 - a),
@@ -167,13 +194,13 @@ impl<M: FuncMem> ExecCtx for GfxCtx<M> {
         }
         self.stats.fb_writes += 1;
         let addr = self.rt.color_addr(x, y);
-        self.mem
+        self.img
             .write_u32(addr, pack_rgba8(rgba[0], rgba[1], rgba[2], rgba[3]));
         addr
     }
 }
 
-impl<M: FuncMem> emerald_common::snap::Snapshot for GfxCtx<M> {
+impl emerald_common::snap::Snapshot for GfxState {
     /// Serializes the pipeline bindings (render target, samplers) and the
     /// functional counters. The backing memory image is serialized
     /// separately at the SoC level.
@@ -196,7 +223,7 @@ impl<M: FuncMem> emerald_common::snap::Snapshot for GfxCtx<M> {
     }
 }
 
-impl<M: FuncMem> emerald_common::snap::Restore for GfxCtx<M> {
+impl emerald_common::snap::Restore for GfxState {
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.rt = RenderTarget {
             width: r.get_u32()?,
@@ -223,147 +250,79 @@ impl<M: FuncMem> emerald_common::snap::Restore for GfxCtx<M> {
     }
 }
 
-/// Frozen snapshot of a [`GfxCtx`] for one parallel phase: a read guard
-/// on the image plus copies of the (small, `Copy`) pipeline bindings.
-#[derive(Debug)]
-pub(crate) struct GfxFrozen<'s> {
-    img: MemReadGuard<'s>,
-    rt: RenderTarget,
-    textures: [Option<TextureDesc>; 4],
-}
-
-impl CycleCtx for GfxCtx<SharedMem> {
-    type Frozen<'s> = GfxFrozen<'s>;
-    type Core<'a> = GfxCtx<ImageView<'a>>;
-
-    fn freeze(&self) -> GfxFrozen<'_> {
-        GfxFrozen {
-            img: self.mem.read_guard(),
-            rt: self.rt,
-            textures: self.textures,
-        }
-    }
-
-    fn core<'a, 's: 'a>(frozen: &'a GfxFrozen<'s>, buf: &'a mut StoreBuffer) -> Self::Core<'a> {
-        GfxCtx {
-            mem: ImageView::new(&frozen.img, buf),
-            rt: frozen.rt,
-            textures: frozen.textures,
-            stats: GfxCtxStats::default(),
-        }
-    }
-
-    fn finish(core: GfxCtx<ImageView<'_>>) {
-        // Stash the per-core functional counters in the buffer's aux
-        // channel; commit() merges them by summation, which is invariant
-        // to how cores were sharded across threads.
-        let stats = core.stats;
-        let mut mem = core.mem;
-        mem.buf_mut().aux = [
-            stats.ztest_pass,
-            stats.ztest_fail,
-            stats.tex_samples,
-            stats.fb_writes,
-            0,
-            0,
-            0,
-            0,
-        ];
-    }
-
-    fn commit(&mut self, bufs: &mut [StoreBuffer]) {
-        for b in bufs.iter_mut() {
-            let aux = b.take_aux();
-            self.stats.ztest_pass += aux[0];
-            self.stats.ztest_fail += aux[1];
-            self.stats.tex_samples += aux[2];
-            self.stats.fb_writes += aux[3];
-        }
-        if bufs.iter().all(StoreBuffer::is_empty) {
-            return;
-        }
-        self.mem.write(|img| {
-            for b in bufs.iter_mut() {
-                if b.is_empty() {
-                    continue;
-                }
-                b.drain(|class, addr, value| {
-                    debug_assert_eq!(class, WClass::Image, "graphics never uses scratch");
-                    img.write_u32(addr, value);
-                });
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use emerald_scene::texture::TextureData;
 
-    fn ctx() -> GfxCtx {
+    fn state() -> GfxState {
         let mem = SharedMem::with_capacity(1 << 22);
         let rt = RenderTarget::alloc(&mem, 16, 16);
         rt.clear(&mem, [0.0, 0.0, 0.0, 0.0], 1.0);
-        GfxCtx::new(mem, rt)
+        GfxState::new(mem, rt)
     }
 
     #[test]
     fn ztest_less_semantics() {
-        let mut c = ctx();
-        let (pass, addr) = c.ztest(3, 4, 0.5, true);
+        let mut s = state();
+        let (pass, addr) = s.lock(|c| c.ztest(3, 4, 0.5, true));
         assert!(pass);
-        assert_eq!(c.mem.read_f32(addr), 0.5);
-        // Farther fragment fails.
-        let (pass, _) = c.ztest(3, 4, 0.7, true);
-        assert!(!pass);
-        // Equal depth fails (strict less).
-        let (pass, _) = c.ztest(3, 4, 0.5, true);
-        assert!(!pass);
-        // Nearer passes without write when write=false.
-        let (pass, addr) = c.ztest(3, 4, 0.2, false);
-        assert!(pass);
-        assert_eq!(c.mem.read_f32(addr), 0.5);
-        assert_eq!(c.stats().ztest_pass, 2);
-        assert_eq!(c.stats().ztest_fail, 2);
+        assert_eq!(s.mem.read_f32(addr), 0.5);
+        s.lock(|c| {
+            // Farther fragment fails.
+            assert!(!c.ztest(3, 4, 0.7, true).0);
+            // Equal depth fails (strict less).
+            assert!(!c.ztest(3, 4, 0.5, true).0);
+            // Nearer passes without write when write=false.
+            assert!(c.ztest(3, 4, 0.2, false).0);
+        });
+        assert_eq!(s.mem.read_f32(addr), 0.5);
+        // The tallies are counted as the tests run, across locked calls.
+        assert_eq!(s.stats().ztest_pass, 2);
+        assert_eq!(s.stats().ztest_fail, 2);
     }
 
     #[test]
     fn ztest_out_of_bounds_kills() {
-        let mut c = ctx();
-        assert!(!c.ztest(99, 0, 0.1, true).0);
-        assert!(!c.ztest(0, 16, 0.1, true).0);
+        let mut s = state();
+        assert!(!s.lock(|c| c.ztest(99, 0, 0.1, true)).0);
+        assert!(!s.lock(|c| c.ztest(0, 16, 0.1, true)).0);
+        assert_eq!(s.stats().ztest_fail, 2);
     }
 
     #[test]
     fn fb_write_and_blend() {
-        let mut c = ctx();
-        let addr = c.fb_write(2, 2, [1.0, 0.0, 0.0, 1.0]);
-        assert_eq!(c.mem.read_u32(addr), 0xff0000ff);
-        // 50% green over red.
-        let (out, _) = c.blend(2, 2, [0.0, 1.0, 0.0, 0.5]);
+        let mut s = state();
+        let (addr, (out, _)) = s.lock(|c| {
+            let addr = c.fb_write(2, 2, [1.0, 0.0, 0.0, 1.0]);
+            // 50% green over red: the write is visible within the call.
+            (addr, c.blend(2, 2, [0.0, 1.0, 0.0, 0.5]))
+        });
+        assert_eq!(s.mem.read_u32(addr), 0xff0000ff);
         assert!((out[0] - 0.5).abs() < 0.01);
         assert!((out[1] - 0.5).abs() < 0.01);
         assert!(out[2].abs() < 0.01);
+        assert_eq!(s.stats().fb_writes, 1);
     }
 
     #[test]
     fn tex2d_center_sampling_and_addresses() {
-        let mut c = ctx();
-        let tex = TextureDesc::upload(&c.mem, &TextureData::gradient(16));
-        c.bind_texture(0, Some(tex));
+        let mut s = state();
+        let tex = TextureDesc::upload(&s.mem, &TextureData::gradient(16));
+        s.bind_texture(0, Some(tex));
         let mut addrs = Vec::new();
         // Sampling exactly at a texel center hits one texel value.
         let uv = (5.0 + 0.5) / 16.0;
-        let rgba = c.tex2d(0, uv, uv, &mut addrs);
+        let rgba = s.lock(|c| c.tex2d(0, uv, uv, &mut addrs));
         assert!((rgba[0] - 5.0 / 16.0).abs() < 0.01);
         assert!((rgba[1] - 5.0 / 16.0).abs() < 0.01);
         assert!(!addrs.is_empty() && addrs.len() <= 4);
+        assert_eq!(s.stats().tex_samples, 1);
     }
 
     #[test]
     fn tex2d_bilinear_midpoint() {
-        let mut c = ctx();
+        let mut s = state();
         // Black/white columns: sampling between them gives gray.
         let data = TextureData::from_fn(8, 8, |x, _| {
             if x % 2 == 0 {
@@ -372,11 +331,11 @@ mod tests {
                 [1.0, 1.0, 1.0, 1.0]
             }
         });
-        let tex = TextureDesc::upload(&c.mem, &data);
-        c.bind_texture(0, Some(tex));
+        let tex = TextureDesc::upload(&s.mem, &data);
+        s.bind_texture(0, Some(tex));
         let mut addrs = Vec::new();
         // u halfway between texel 0 and 1 centers.
-        let rgba = c.tex2d(0, 1.0 / 8.0, 0.5 / 8.0, &mut addrs);
+        let rgba = s.lock(|c| c.tex2d(0, 1.0 / 8.0, 0.5 / 8.0, &mut addrs));
         assert!((rgba[0] - 0.5).abs() < 0.01, "got {}", rgba[0]);
         // The full 2x2 footprint is fetched even when a row has weight 0.
         assert_eq!(addrs.len(), 4);
@@ -384,22 +343,22 @@ mod tests {
 
     #[test]
     fn unbound_sampler_is_magenta() {
-        let mut c = ctx();
+        let mut s = state();
         let mut addrs = Vec::new();
-        let rgba = c.tex2d(0, 0.5, 0.5, &mut addrs);
+        let rgba = s.lock(|c| c.tex2d(0, 0.5, 0.5, &mut addrs));
         assert_eq!(rgba, [1.0, 0.0, 1.0, 1.0]);
         assert!(addrs.is_empty());
     }
 
     #[test]
     fn texture_wraps() {
-        let mut c = ctx();
-        let tex = TextureDesc::upload(&c.mem, &TextureData::gradient(16));
-        c.bind_texture(0, Some(tex));
+        let mut s = state();
+        let tex = TextureDesc::upload(&s.mem, &TextureData::gradient(16));
+        s.bind_texture(0, Some(tex));
         let mut a1 = Vec::new();
         let mut a2 = Vec::new();
-        let c1 = c.tex2d(0, 0.25, 0.25, &mut a1);
-        let c2 = c.tex2d(0, 1.25, -0.75, &mut a2);
+        let c1 = s.lock(|c| c.tex2d(0, 0.25, 0.25, &mut a1));
+        let c2 = s.lock(|c| c.tex2d(0, 1.25, -0.75, &mut a2));
         assert_eq!(c1, c2);
         assert_eq!(a1, a2);
     }

@@ -3,15 +3,16 @@
 //!
 //! The reference mirrors the standard shaders' arithmetic instruction for
 //! instruction (same rounding behaviour: separate multiply and add, no
-//! fused operations) and reuses `GfxCtx`'s functional texture/depth/
+//! fused operations) and reuses `GfxState`'s functional texture/depth/
 //! blend operations, so a correct timing pipeline must produce
 //! **bit-identical** images.
 
-use crate::ctx::GfxCtx;
+use crate::ctx::GfxState;
 use crate::geom::{setup_prim, ClipVert, NUM_VARYINGS};
 use crate::shaders::FsOptions;
 use crate::state::{DrawCall, RenderTarget, VERTEX_STRIDE};
 use emerald_common::math::Vec4;
+use emerald_gpu::ctx::ImageCtx;
 use emerald_isa::ExecCtx;
 use emerald_mem::image::SharedMem;
 
@@ -46,7 +47,7 @@ pub fn transform_vertex(mem: &SharedMem, dc: &DrawCall, vi: u32) -> ClipVert {
 /// Renders `dc` into `rt` with the exact semantics of the standard
 /// fragment-shader variant described by `fs`, in draw order.
 pub fn render_reference(mem: &SharedMem, rt: RenderTarget, dc: &DrawCall, fs: FsOptions) {
-    let mut ctx = GfxCtx::new(mem.clone(), rt);
+    let mut ctx = GfxState::new(mem.clone(), rt);
     ctx.bind_texture(0, dc.texture);
     let mut texels = Vec::new();
     for p in 0..dc.prim_count() {
@@ -60,7 +61,7 @@ pub fn render_reference(mem: &SharedMem, rt: RenderTarget, dc: &DrawCall, fs: Fs
                 let Some((z, attrs)) = sp.sample(x, y) else {
                     continue;
                 };
-                shade_fragment(&mut ctx, &fs, x as u32, y as u32, z, &attrs, &mut texels);
+                ctx.lock(|c| shade_fragment(c, &fs, x as u32, y as u32, z, &attrs, &mut texels));
             }
         }
     }
@@ -68,7 +69,7 @@ pub fn render_reference(mem: &SharedMem, rt: RenderTarget, dc: &DrawCall, fs: Fs
 
 /// One fragment through the standard shader semantics.
 fn shade_fragment(
-    ctx: &mut GfxCtx,
+    ctx: &mut dyn ExecCtx,
     fs: &FsOptions,
     x: u32,
     y: u32,
@@ -76,7 +77,7 @@ fn shade_fragment(
     attrs: &[f32; NUM_VARYINGS],
     texels: &mut Vec<emerald_common::types::Addr>,
 ) {
-    let ztest = |ctx: &mut GfxCtx| {
+    let ztest = |ctx: &mut dyn ExecCtx| {
         if fs.depth_test {
             ctx.ztest(x, y, z, fs.depth_write).0
         } else {
@@ -193,7 +194,7 @@ mod tests {
     #[test]
     fn transform_vertex_matches_shader_semantics() {
         // Cross-check against the ISA vertex shader on one warp.
-        use crate::ctx::GfxCtx;
+        use crate::ctx::GfxState;
         use crate::shaders::abi;
         use crate::state::OVB_STRIDE;
         use emerald_isa::{execute, Outcome, ThreadState};
@@ -203,7 +204,7 @@ mod tests {
         let ovb = mem.alloc(32 * OVB_STRIDE, 128);
         let params = shaders::vs_params(dc.vb.base, ovb, &dc.mvp);
         let rt = RenderTarget::alloc(&mem, 8, 8);
-        let mut ctx = GfxCtx::new(mem.clone(), rt);
+        let mut ctx = GfxState::new(mem.clone(), rt);
         let vs = shaders::vertex_transform();
         let mut threads: Vec<ThreadState> = (0..8)
             .map(|i| {
@@ -214,7 +215,7 @@ mod tests {
             })
             .collect();
         for pc in 0..vs.len() {
-            let r = execute(&vs, pc, 0xff, &mut threads, &params, &mut ctx);
+            let r = ctx.lock(|c| execute(&vs, pc, 0xff, &mut threads, &params, c));
             if r.outcome == Outcome::Exit {
                 break;
             }

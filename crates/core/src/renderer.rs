@@ -16,7 +16,7 @@
 use crate::batch::{build_vertex_warps, CornerRef, VertexWarp};
 use crate::cluster::{ClusterPipe, ClusterStats, TcTile};
 use crate::config::GfxConfig;
-use crate::ctx::GfxCtx;
+use crate::ctx::GfxState;
 use crate::geom::ClipVert;
 use crate::shaders::{abi, vs_params};
 use crate::state::{DrawCall, RenderTarget, OVB_STRIDE};
@@ -120,7 +120,7 @@ pub struct GpuRenderer {
     pub gpu: Gpu,
     cfg: GfxConfig,
     mem: SharedMem,
-    ctx: GfxCtx,
+    ctx: GfxState,
     tcmap: TcMap,
     rt: RenderTarget,
     ovb_base: Addr,
@@ -149,21 +149,13 @@ pub struct GpuRenderer {
 }
 
 impl GpuRenderer {
-    /// Builds a renderer over a fresh GPU targeting `rt`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `gpu_cfg.cores_per_cluster == 1` (the paper's case
-    /// study configurations; TC tiles map to cores 1:1 with clusters).
+    /// Builds a renderer over a fresh GPU targeting `rt`. Every cluster
+    /// has one SIMT core, so TC tiles map to cores 1:1 with clusters.
     pub fn new(gpu_cfg: GpuConfig, cfg: GfxConfig, mem: SharedMem, rt: RenderTarget) -> Self {
-        assert_eq!(
-            gpu_cfg.cores_per_cluster, 1,
-            "renderer assumes one SIMT core per cluster"
-        );
         let n = gpu_cfg.clusters;
         let gpu = Gpu::new(gpu_cfg);
         let tcmap = TcMap::new(rt.width, rt.height, cfg.tc_tile_px(), cfg.wt_size, n);
-        let ctx = GfxCtx::new(mem.clone(), rt);
+        let ctx = GfxState::new(mem.clone(), rt);
         let ovb_slots = 4096u64;
         let ovb_base = mem.alloc(ovb_slots * OVB_STRIDE, 128);
         Self {
@@ -339,7 +331,7 @@ impl GpuRenderer {
                 self.jobs.insert(
                     id,
                     WarpJob::Vertex {
-                        cluster: self.gpu.cluster_of(core),
+                        cluster: core,
                         warp: vw.clone(),
                     },
                 );

@@ -192,9 +192,10 @@ pub fn fragment_shader(opts: FsOptions) -> Arc<Program> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::GfxCtx;
+    use crate::ctx::GfxState;
     use crate::state::{RenderTarget, TextureDesc, VertexBuffer, OVB_STRIDE};
     use emerald_common::math::Mat4;
+    use emerald_gpu::ctx::ImageCtx;
     use emerald_isa::reg::input;
     use emerald_isa::{execute, ExecCtx, Outcome, ThreadState};
     use emerald_mem::image::SharedMem;
@@ -237,7 +238,7 @@ mod tests {
         let mvp = Mat4::translate(emerald_common::math::Vec3::new(1.0, 2.0, 3.0));
         let params = vs_params(vb.base, ovb, &mvp.to_array());
         let rt = RenderTarget::alloc(&mem, 8, 8);
-        let mut ctx = GfxCtx::new(mem.clone(), rt);
+        let mut ctx = GfxState::new(mem.clone(), rt);
 
         let vs = vertex_transform();
         let mut threads: Vec<ThreadState> = (0..4)
@@ -248,7 +249,7 @@ mod tests {
                 t
             })
             .collect();
-        run_straightline(&vs, &mut threads, &params, &mut ctx);
+        ctx.lock(|c| run_straightline(&vs, &mut threads, &params, c));
 
         for i in 0..4u64 {
             let slot = ovb + i * OVB_STRIDE;
@@ -269,7 +270,7 @@ mod tests {
         let mem = SharedMem::with_capacity(1 << 22);
         let rt = RenderTarget::alloc(&mem, 8, 8);
         rt.clear(&mem, [0.0; 4], 0.4); // everything at depth ≥ 0.4 is hidden
-        let mut ctx = GfxCtx::new(mem.clone(), rt);
+        let mut ctx = GfxState::new(mem.clone(), rt);
         let fs = fragment_shader(FsOptions {
             textured: false,
             ..FsOptions::default()
@@ -289,7 +290,7 @@ mod tests {
         // Step manually, honoring kills.
         let mut mask = 0b11u32;
         for pc in 0..fs.len() {
-            let r = execute(&fs, pc, mask, &mut threads, &[], &mut ctx);
+            let r = ctx.lock(|c| execute(&fs, pc, mask, &mut threads, &[], c));
             mask &= !r.killed;
             if r.outcome == Outcome::Exit {
                 break;
@@ -308,7 +309,7 @@ mod tests {
         let mem = SharedMem::with_capacity(1 << 22);
         let rt = RenderTarget::alloc(&mem, 8, 8);
         rt.clear(&mem, [0.0; 4], 1.0);
-        let mut ctx = GfxCtx::new(mem.clone(), rt);
+        let mut ctx = GfxState::new(mem.clone(), rt);
         let tex = TextureDesc::upload(&mem, &TextureData::from_fn(8, 8, |_, _| [1.0; 4]));
         ctx.bind_texture(0, Some(tex));
         let fs = fragment_shader(FsOptions::default());
@@ -320,7 +321,7 @@ mod tests {
         t.set_input_f32(ATTR_V, 0.5);
         t.set_input_f32(ATTR_DIFFUSE, 0.5);
         let mut threads = vec![t];
-        run_straightline(&fs, &mut threads, &[], &mut ctx);
+        ctx.lock(|c| run_straightline(&fs, &mut threads, &[], c));
         let px = mem.read_u32(rt.color_addr(3, 3));
         let c = emerald_common::math::unpack_rgba8(px);
         assert!((c[0] - 0.5).abs() < 0.02, "white tex × 0.5 diffuse");
@@ -331,7 +332,7 @@ mod tests {
         let mem = SharedMem::with_capacity(1 << 22);
         let rt = RenderTarget::alloc(&mem, 8, 8);
         rt.clear(&mem, [0.0; 4], 1.0);
-        let mut ctx = GfxCtx::new(mem.clone(), rt);
+        let mut ctx = GfxState::new(mem.clone(), rt);
         let fs = fragment_shader(FsOptions {
             textured: false,
             depth_write: false,
@@ -348,10 +349,10 @@ mod tests {
             vec![t]
         };
         let mut threads = mk();
-        run_straightline(&fs, &mut threads, &[], &mut ctx);
+        ctx.lock(|c| run_straightline(&fs, &mut threads, &[], c));
         let first = emerald_common::math::unpack_rgba8(mem.read_u32(rt.color_addr(2, 2)));
         let mut threads = mk();
-        run_straightline(&fs, &mut threads, &[], &mut ctx);
+        ctx.lock(|c| run_straightline(&fs, &mut threads, &[], c));
         let second = emerald_common::math::unpack_rgba8(mem.read_u32(rt.color_addr(2, 2)));
         assert!(second[0] > first[0], "second translucent layer brightens");
         // Depth untouched (no write).

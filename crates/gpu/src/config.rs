@@ -15,11 +15,9 @@ pub enum WarpSched {
 /// Full GPU microarchitecture configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
-    /// Number of SIMT clusters (each with its own graphics fixed-function
-    /// pipeline in `emerald-core`).
+    /// Number of SIMT clusters, one SIMT core (32 lanes) each, and each
+    /// with its own graphics fixed-function pipeline in `emerald-core`.
     pub clusters: usize,
-    /// SIMT cores per cluster (32 lanes each).
-    pub cores_per_cluster: usize,
     /// Maximum resident warps per core, at most 64: a core keeps warp
     /// readiness as `u64` slot masks.
     pub max_warps_per_core: usize,
@@ -53,19 +51,12 @@ pub struct GpuConfig {
     pub icnt_latency: u64,
     /// Core↔L2 interconnect accepts this many messages per cycle.
     pub icnt_per_cycle: usize,
-    /// Host worker threads for the parallel core-execution phase; 1 runs
-    /// the phase on the calling thread. Results are bit-identical at any
-    /// value (see `Gpu::cycle`). Presets set 1; callers that want the
-    /// pool set the field.
+    /// Inert: nothing reads it. The GPU runs its cores on the calling
+    /// thread (`Gpu::cycle`); the field stays only because the benchmark
+    /// package sets it, and goes with ROADMAP item 0(a). Presets set 1.
     pub threads: usize,
-    /// Minimum number of *active* cores in a cycle before the worker pool
-    /// is engaged; below it the phase runs inline on the caller, which is
-    /// faster for lightly-loaded cycles (the per-phase dispatch handoff
-    /// costs more than the work). `0` forces the pool on every non-empty
-    /// cycle regardless of host CPU count (used by conformance to exercise
-    /// the parallel path); `usize::MAX` disables the pool entirely. Results
-    /// are bit-identical at any value. Presets set
-    /// [`DEFAULT_PARALLEL_THRESHOLD`].
+    /// Inert, like [`GpuConfig::threads`], and for the same reason.
+    /// Presets set [`DEFAULT_PARALLEL_THRESHOLD`].
     pub parallel_threshold: usize,
     /// Clock-jump gate: when true, the loops that schedule cycles
     /// (`Gpu::run_to_idle`, `GpuRenderer::run_frame` and the SoC clock)
@@ -79,8 +70,9 @@ pub struct GpuConfig {
     pub event_skip: bool,
 }
 
-/// Default [`GpuConfig::parallel_threshold`]: engage the pool once at
-/// least this many cores have work in the same cycle.
+/// The presets' [`GpuConfig::parallel_threshold`], which nothing reads.
+/// It stays only because the benchmark package names it, and goes with
+/// ROADMAP item 0(a).
 pub const DEFAULT_PARALLEL_THRESHOLD: usize = 2;
 
 fn l1(name: &str, size: usize, ways: usize) -> CacheConfig {
@@ -101,7 +93,6 @@ impl GpuConfig {
     pub fn case_study_1() -> Self {
         Self {
             clusters: 4,
-            cores_per_cluster: 1,
             max_warps_per_core: 48,
             regs_per_core: 32768,
             schedulers_per_core: 2,
@@ -138,7 +129,6 @@ impl GpuConfig {
     pub fn case_study_2() -> Self {
         Self {
             clusters: 6,
-            cores_per_cluster: 1,
             max_warps_per_core: 64,
             regs_per_core: 65536,
             schedulers_per_core: 2,
@@ -183,11 +173,6 @@ impl GpuConfig {
         c.l2_banks = 2;
         c
     }
-
-    /// Total SIMT cores.
-    pub(crate) fn total_cores(&self) -> usize {
-        self.clusters * self.cores_per_cluster
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +182,7 @@ mod tests {
     #[test]
     fn table5_shape() {
         let c = GpuConfig::case_study_1();
-        assert_eq!(c.total_cores(), 4); // 128 CUDA cores / 32 lanes
+        assert_eq!(c.clusters, 4); // 128 CUDA cores / 32 lanes
         assert_eq!(c.l1d.size_bytes, 16 << 10);
         assert_eq!(c.l1t.size_bytes, 64 << 10);
         assert_eq!(c.l1z.size_bytes, 32 << 10);

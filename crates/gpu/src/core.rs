@@ -930,7 +930,7 @@ impl emerald_common::snap::Restore for SimtCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::GlobalMemCtx;
+    use crate::ctx::{GlobalMemCtx, ImageCtx};
     use emerald_isa::{assemble, WarpRegs};
     use emerald_mem::image::SharedMem;
     use std::sync::Arc;
@@ -942,7 +942,7 @@ mod tests {
     fn run(core: &mut SimtCore, ctx: &mut GlobalMemCtx, max: Cycle) -> Cycle {
         let mut now = 0;
         while !(core.is_idle()) {
-            core.cycle(now, ctx);
+            ctx.lock(|x| core.cycle(now, x));
             now += 1;
             assert!(now < max, "core did not finish in {max} cycles");
         }
@@ -1002,7 +1002,7 @@ mod tests {
         // Pump core + manually satisfy misses as if L2 answered instantly.
         let mut now = 0;
         while !c.is_idle() {
-            c.cycle(now, &mut ctx);
+            ctx.lock(|x| c.cycle(now, x));
             while let Some(m) = c.pop_miss() {
                 if m.kind == AccessKind::Read {
                     c.fill_l1(m.surface, m.line, now + 20);
@@ -1036,7 +1036,7 @@ mod tests {
         launch_simple(&mut c, src, 4);
         let mut now = 0;
         while !c.is_idle() {
-            c.cycle(now, &mut ctx);
+            ctx.lock(|x| c.cycle(now, x));
             while let Some(m) = c.pop_miss() {
                 if m.kind == AccessKind::Read {
                     c.fill_l1(m.surface, m.line, now);
@@ -1065,7 +1065,7 @@ mod tests {
         let mut fills = 0;
         let mut now = 0;
         while !c.is_idle() {
-            c.cycle(now, &mut ctx);
+            ctx.lock(|x| c.cycle(now, x));
             while let Some(m) = c.pop_miss() {
                 if m.kind == AccessKind::Read {
                     fills += 1;
@@ -1106,7 +1106,7 @@ mod tests {
         );
         let mut now = 0;
         while !c.is_idle() {
-            c.cycle(now, &mut ctx);
+            ctx.lock(|x| c.cycle(now, x));
             while let Some(m) = c.pop_miss() {
                 if m.kind == AccessKind::Read {
                     c.fill_l1(m.surface, m.line, now);
@@ -1159,10 +1159,10 @@ mod tests {
                 32,
             );
             for now in 0..3 {
-                c.cycle(now, &mut ctx);
+                ctx.lock(|x| c.cycle(now, x));
             }
             corrupt(&mut c.masks);
-            let err = catch_unwind(AssertUnwindSafe(|| c.cycle(3, &mut ctx)))
+            let err = catch_unwind(AssertUnwindSafe(|| ctx.lock(|x| c.cycle(3, x))))
                 .expect_err("the oracle must catch a stale mask");
             let msg = err.downcast_ref::<String>().expect("a formatted message");
             assert!(msg.contains("stale slot mask on core0"), "{msg}");

@@ -4,9 +4,9 @@
 
 use crate::config::GpuConfig;
 use crate::core::{L1Miss, SimtCore};
+use crate::ctx::ImageCtx;
 use crate::kernel::{Kernel, KernelState};
 use crate::l2::{L1Target, L2};
-use crate::phase::{host_parallelism, CorePool, CycleCtx, SendPtr};
 use crate::warp::{Warp, WarpTag};
 use emerald_common::event::{earliest, next_wake};
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
@@ -14,18 +14,7 @@ use emerald_common::types::{AccessKind, Addr, CoreId, Cycle, TrafficSource};
 use emerald_mem::link::Link;
 use emerald_mem::req::{MemRequest, MemResponse};
 use emerald_mem::system::MemorySystem;
-use emerald_mem::view::StoreBuffer;
 use std::collections::VecDeque;
-
-// The parallel phase hands `&mut SimtCore` / `&mut StoreBuffer` to worker
-// threads through raw pointers, which bypasses the usual auto-trait
-// checks; assert the types really are Send so a future `Rc`/`RefCell`
-// field cannot silently reintroduce unsoundness.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<SimtCore>();
-    assert_send::<StoreBuffer>();
-};
 
 /// The GPU's connection to external memory (standalone DRAM or an SoC NoC).
 pub trait MemPort {
@@ -124,27 +113,21 @@ pub struct Gpu {
     kernels: Vec<KernelState>,
     cta_cursor: usize,
     finished_external: Vec<(CoreId, u64)>,
-    /// Per-core private store buffers for the bulk-synchronous core phase.
-    store_bufs: Vec<StoreBuffer>,
     /// Indices of cores with work this cycle (resident warps, queued line
     /// accesses, in-flight tokens or scheduled writebacks), recomputed
     /// after CTA dispatch. The core phase iterates only this set, so the
     /// per-cycle cost scales with activity, not with `num_cores`.
     active: Vec<usize>,
-    /// Persistent phase workers, built lazily the first cycle the adaptive
-    /// dispatcher decides to engage the pool.
-    pool: Option<CorePool>,
     stats: GpuStats,
 }
 
 impl Gpu {
     /// Builds a GPU from its configuration.
     pub fn new(cfg: GpuConfig) -> Self {
-        let cores = (0..cfg.total_cores())
+        let cores = (0..cfg.clusters)
             .map(|i| SimtCore::new(CoreId(i), &cfg))
             .collect();
         let l2 = L2::new(&cfg.l2, cfg.l2_banks);
-        let num_cores = cfg.total_cores();
         Self {
             core_to_l2: Link::new(cfg.icnt_latency, cfg.icnt_per_cycle, 256),
             l2_to_core: Link::new(cfg.icnt_latency, cfg.icnt_per_cycle * 2, 512),
@@ -158,9 +141,7 @@ impl Gpu {
             kernels: Vec::new(),
             cta_cursor: 0,
             finished_external: Vec::new(),
-            store_bufs: (0..num_cores).map(|_| StoreBuffer::default()).collect(),
-            active: Vec::with_capacity(num_cores),
-            pool: None,
+            active: Vec::with_capacity(cfg.clusters),
             stats: GpuStats::default(),
             cores,
             l2,
@@ -176,11 +157,6 @@ impl Gpu {
     /// Number of SIMT cores.
     pub fn num_cores(&self) -> usize {
         self.cores.len()
-    }
-
-    /// Cluster index of a core (cores are laid out cluster-major).
-    pub fn cluster_of(&self, core: usize) -> usize {
-        core / self.cfg.cores_per_cluster
     }
 
     /// Immutable core access.
@@ -313,10 +289,7 @@ impl Gpu {
         }
     }
 
-    /// Rebuilds the active-core list from simulation state. The list is a
-    /// pure function of that state, so it is identical across thread
-    /// counts and dispatch policies — which keeps everything downstream
-    /// bit-reproducible.
+    /// Rebuilds the active-core list from simulation state.
     fn collect_active(&mut self) {
         self.active.clear();
         for (i, c) in self.cores.iter().enumerate() {
@@ -326,90 +299,12 @@ impl Gpu {
         }
     }
 
-    /// Whether this cycle's core phase should run on the worker pool.
-    ///
-    /// Policy: threshold `0` forces the pool (conformance uses this to
-    /// exercise the parallel path even on single-CPU hosts); `usize::MAX`
-    /// forbids it; anything else engages the pool once enough cores are
-    /// active *and* the host actually has CPUs to run workers on —
-    /// oversubscribing a single CPU only adds handoff latency.
-    fn engage_pool(&self, n_active: usize) -> bool {
-        if self.cfg.threads < 2 || n_active == 0 {
-            return false;
-        }
-        match self.cfg.parallel_threshold {
-            0 => true,
-            usize::MAX => false,
-            thr => n_active >= thr && host_parallelism() >= 2,
-        }
-    }
-
-    /// Worker-pool width: the configured thread count, capped by host
-    /// parallelism except in forced mode (threshold 0 must exercise the
-    /// configured width regardless of host). Fixed per configuration so
-    /// the pool is built once, never rebuilt cycle-to-cycle.
-    fn pool_width(&self) -> usize {
-        if self.cfg.parallel_threshold == 0 {
-            self.cfg.threads.max(2)
-        } else {
-            self.cfg.threads.min(host_parallelism()).max(2)
-        }
-    }
-
-    /// Runs the parallel half of the bulk-synchronous core phase: every
-    /// *active* core executes one cycle against the frozen `ctx` snapshot,
-    /// storing into its private buffer. The active list is sharded across
-    /// the worker pool in contiguous chunks when the adaptive dispatcher
-    /// engages it; otherwise the same model runs inline on the calling
-    /// thread, so results never depend on the dispatch decision.
-    fn core_phase<C: CycleCtx>(&mut self, now: Cycle, ctx: &C) {
-        let n_active = self.active.len();
-        debug_assert!(n_active > 0, "caller skips cycles with no active core");
-        let frozen = ctx.freeze();
-        if !self.engage_pool(n_active) {
-            for &i in &self.active {
-                let mut cctx = C::core(&frozen, &mut self.store_bufs[i]);
-                self.cores[i].cycle(now, &mut cctx);
-                C::finish(cctx);
-            }
-            return;
-        }
-        let width = self.pool_width();
-        if self.pool.as_ref().map(|p| p.threads()) != Some(width) {
-            self.pool = Some(CorePool::new(width));
-        }
-        let pool = self.pool.as_ref().expect("pool just built");
-        let cores = SendPtr(self.cores.as_mut_ptr());
-        let bufs = SendPtr(self.store_bufs.as_mut_ptr());
-        let active = &self.active[..];
-        let chunk = n_active.div_ceil(pool.threads());
-        let frozen = &frozen;
-        pool.run(&move |shard| {
-            let lo = (shard * chunk).min(n_active);
-            let hi = ((shard + 1) * chunk).min(n_active);
-            for &ci in &active[lo..hi] {
-                // SAFETY: `active` holds strictly increasing, distinct
-                // core indices and shards cover disjoint ranges of it, so
-                // no two threads ever alias a core or buffer; `pool.run`
-                // joins all shards before the pointers' owner is touched
-                // again.
-                let core = unsafe { &mut *cores.add(ci) };
-                let buf = unsafe { &mut *bufs.add(ci) };
-                let mut cctx = C::core(frozen, buf);
-                core.cycle(now, &mut cctx);
-                C::finish(cctx);
-            }
-        });
-    }
-
     /// Advances the whole GPU one cycle.
     ///
-    /// Core execution is bulk-synchronous: the parallel phase runs every
-    /// core against a read-only `ctx` snapshot with private store buffers,
-    /// then the commit phase drains those buffers — and everything after
-    /// it (misses, fills, finished warps) — in core-index order on the
-    /// calling thread. See `crate::phase` for why this is deterministic.
-    pub fn cycle<C: CycleCtx>(&mut self, now: Cycle, ctx: &mut C, port: &mut dyn MemPort) {
+    /// The active cores run in index order against one locked `ctx`, so a
+    /// store is visible to every later access in the same cycle — by the
+    /// storing core and by every higher-indexed one.
+    pub fn cycle<C: ImageCtx>(&mut self, now: Cycle, ctx: &mut C, port: &mut dyn MemPort) {
         let mut clk = emerald_obs::prof::PhaseClock::start();
         port.tick(now);
         clk.lap(emerald_obs::prof::HostPhase::GpuDram);
@@ -420,16 +315,17 @@ impl Gpu {
         }
         clk.lap(emerald_obs::prof::HostPhase::GpuDispatch);
 
-        // 1. Active cores execute (parallel phase), then their buffered
-        // stores are committed in core-index order. A cycle with no active
-        // core skips the phase entirely — no freeze (memory lock), no
-        // buffer scan; inactive cores would be pure no-ops (their
-        // `is_active` guarantees it).
+        // 1. Active cores execute in index order under one image lock. A
+        // cycle with no active core takes no lock; inactive cores would be
+        // pure no-ops (their `is_active` guarantees it).
         if !self.active.is_empty() {
-            self.core_phase(now, &*ctx);
+            let (cores, active) = (&mut self.cores, &self.active);
+            ctx.lock(|exec| {
+                for &i in active {
+                    cores[i].cycle(now, exec);
+                }
+            });
             clk.lap(emerald_obs::prof::HostPhase::GpuExecute);
-            ctx.commit(&mut self.store_bufs);
-            clk.lap(emerald_obs::prof::HostPhase::GpuCommit);
         }
 
         // 2. Core misses → interconnect → L2 banks.
@@ -583,7 +479,7 @@ impl Gpu {
     ///
     /// Panics if the GPU fails to drain within `max_cycles` (a deadlock in
     /// the model, which tests should catch loudly).
-    pub fn run_to_idle<C: CycleCtx>(
+    pub fn run_to_idle<C: ImageCtx>(
         &mut self,
         start: Cycle,
         max_cycles: Cycle,
@@ -591,7 +487,7 @@ impl Gpu {
         port: &mut dyn MemPort,
     ) -> Cycle {
         struct Run<'a, C>(&'a mut Gpu, &'a mut C, &'a mut dyn MemPort);
-        impl<C: CycleCtx> Drain for Run<'_, C> {
+        impl<C: ImageCtx> Drain for Run<'_, C> {
             fn is_idle(&self) -> bool {
                 self.0.is_idle()
             }
@@ -708,10 +604,6 @@ impl emerald_common::snap::Snapshot for Gpu {
             self.finished_external.is_empty(),
             "finished-warp notifications must be consumed before a checkpoint"
         );
-        assert!(
-            self.store_bufs.iter().all(|b| b.is_empty()),
-            "store buffers are committed every cycle and must be empty"
-        );
         w.put_usize(self.cores.len());
         for c in &self.cores {
             w.section(1, |w| c.snapshot(w));
@@ -770,10 +662,6 @@ impl emerald_common::snap::Restore for Gpu {
         self.fill_backlog.clear();
         self.to_mem.clear();
         self.finished_external.clear();
-        for b in &mut self.store_bufs {
-            b.drain(|_, _, _| {});
-            b.take_aux();
-        }
         self.collect_active();
         Ok(())
     }
@@ -970,6 +858,71 @@ mod tests {
         gpu.run_to_idle(0, 100_000, &mut ctx, &mut port);
         let done = gpu.drain_external_finished();
         assert_eq!(done, vec![(CoreId(1), 0xBEEF)]);
+    }
+
+    /// Launches one single-thread warp of `src` with `params` on each core
+    /// of a tiny GPU, cycles it to idle and returns, per core, the cycle
+    /// its `nth` instruction issued in.
+    fn issue_cycles(
+        srcs: [&str; 2],
+        params: [&[u32]; 2],
+        nth: u64,
+        ctx: &mut GlobalMemCtx,
+    ) -> [Cycle; 2] {
+        let (mut gpu, _, mut port, _) = setup();
+        for (ci, (src, params)) in srcs.into_iter().zip(params).enumerate() {
+            let prog = Arc::new(assemble(src).unwrap());
+            let w = Warp::new(
+                WarpRegs::new(&prog),
+                1,
+                prog,
+                Arc::from(params),
+                WarpTag::External(ci as u64),
+            );
+            gpu.core_mut(ci).launch(w).unwrap();
+        }
+        let mut at = [None; 2];
+        let mut now = 0;
+        while !gpu.is_idle() {
+            gpu.cycle(now, ctx, &mut port);
+            for (ci, slot) in at.iter_mut().enumerate() {
+                if slot.is_none() && gpu.core(ci).stats().issued == nth {
+                    *slot = Some(now);
+                }
+            }
+            now += 1;
+            assert!(now < 100_000, "GPU did not drain");
+        }
+        at.map(|t| t.expect("instruction issued"))
+    }
+
+    #[test]
+    fn a_store_is_visible_to_higher_indexed_cores_in_the_same_cycle() {
+        let (_, mut ctx, _, mem) = setup();
+        let addr = mem.alloc(8, 128) as u32;
+        // Core 0 stores `addr` at `addr`; core 1 loads it back, in its own
+        // second instruction, and stores what it read next door.
+        let at = issue_cycles(
+            [
+                "mov.b32 r1, %param0\nst.global.b32 [r1+0], r1\nexit",
+                "mov.b32 r1, %param0\nld.global.b32 r2, [r1+0]\nst.global.b32 [r1+4], r2\nexit",
+            ],
+            [&[addr], &[addr]],
+            2,
+            &mut ctx,
+        );
+        assert_eq!(at[0], at[1], "the store and the load issue in one cycle");
+        assert_eq!(mem.read_u32(u64::from(addr) + 4), addr);
+    }
+
+    #[test]
+    fn the_highest_indexed_core_writes_last_within_a_cycle() {
+        let (_, mut ctx, _, mem) = setup();
+        let addr = mem.alloc(4, 128) as u32;
+        let src = "mov.b32 r1, %param0\nmov.b32 r2, %param1\nst.global.b32 [r1+0], r2\nexit";
+        let at = issue_cycles([src, src], [&[addr, 1], &[addr, 2]], 3, &mut ctx);
+        assert_eq!(at[0], at[1], "both stores issue in one cycle");
+        assert_eq!(mem.read_u32(u64::from(addr)), 2, "core 1 stores last");
     }
 
     #[test]

@@ -12,17 +12,13 @@
 //! * [`l2`] — the banked, shared GPU L2 with its atomic-operations-unit
 //!   position in the hierarchy (Fig. 4), talking to external memory
 //!   through a [`MemPort`].
-//! * [`gpu`] — the assembled GPU: clusters of cores, the intra-GPU
+//! * [`gpu`] — the assembled GPU: one core per cluster, the intra-GPU
 //!   interconnect, and warp-launch plumbing used by both the compute
 //!   dispatcher and the graphics pipeline in `emerald-core`.
 //! * [`kernel`] — CTA-based compute kernel dispatch (grids, blocks,
 //!   barriers, shared memory) — the GPGPU half of the unified model.
-//! * [`ctx`] — a global-memory [`ExecCtx`](emerald_isa::ExecCtx) for
-//!   compute workloads.
-//! * [`phase`] — the bulk-synchronous cycle model: the [`CycleCtx`]
-//!   freeze/execute/commit contract and the persistent
-//!   [`phase::CorePool`] that shards cores across worker threads with
-//!   bit-identical results at any thread count.
+//! * [`ctx`] — the [`ImageCtx`] contract `Gpu::cycle` runs its cores
+//!   against, and the global-memory one for compute workloads.
 //!
 //! Graphics fixed-function stages (rasterizer, VPO, tile coalescer…) live
 //! in `emerald-core`, which owns a [`gpu::Gpu`] and injects vertex and
@@ -37,13 +33,13 @@ mod deferred;
 pub mod gpu;
 pub mod kernel;
 pub mod l2;
-pub mod phase;
+mod pool;
 pub mod simt;
 pub mod warp;
 
 pub use config::GpuConfig;
-pub use ctx::GlobalMemCtx;
+pub use ctx::{GlobalMemCtx, ImageCtx};
 pub use gpu::{Gpu, MemPort, SimpleMemPort};
 pub use kernel::Kernel;
-pub use phase::{CorePool, CycleCtx};
+pub use pool::CorePool;
 pub use warp::{Warp, WarpTag};

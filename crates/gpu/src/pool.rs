@@ -1,96 +1,16 @@
-//! The bulk-synchronous core-execution phase.
+//! A persistent worker pool the GPU no longer uses.
 //!
-//! `Gpu::cycle` advances all SIMT cores with a two-phase protocol that
-//! makes results independent of how cores are sharded across host threads:
-//!
-//! 1. **Parallel phase** — the execution context is *frozen* (the shared
-//!    memory image is read-locked, mutable side state is snapshotted) and
-//!    every core executes one cycle against that frozen view. Stores land
-//!    in the core's private [`StoreBuffer`]; loads consult the buffer first
-//!    so a core always reads its own writes.
-//! 2. **Commit phase** — on the calling thread, store buffers are drained
-//!    into the live context in core-index order, so the merged memory state
-//!    is a pure function of per-core execution, never of thread timing.
-//!
-//! [`CycleCtx`] is the contract an execution context implements to take
-//! part in this protocol; [`CorePool`] is the persistent worker pool that
-//! runs the parallel phase (spawning threads per cycle would dominate the
-//! runtime — a simulation runs millions of cycles).
+//! `Gpu::cycle` runs its active cores in index order on the calling
+//! thread (DESIGN.md §9). [`CorePool`] stays only because the benchmark's
+//! `gpu.pool_dispatch_ns` probe names it; nothing in the simulator builds
+//! one. It goes with that probe (ROADMAP item 0(a)).
 
-use emerald_isa::exec::NullCtx;
-use emerald_isa::ExecCtx;
-use emerald_mem::view::StoreBuffer;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Number of hardware threads the host offers (cached; 1 if unknown).
-///
-/// The adaptive dispatcher consults this once: engaging a worker pool on a
-/// single-CPU host can only slow the simulation down, because the workers
-/// time-slice against the dispatcher instead of running beside it.
-pub(crate) fn host_parallelism() -> usize {
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-/// An execution context that can split itself into a frozen, thread-shared
-/// view plus per-core contexts for the parallel phase, then merge the
-/// per-core store buffers back in a deterministic order.
-pub trait CycleCtx {
-    /// The frozen, immutable snapshot shared by all worker threads for one
-    /// cycle (typically holds a read guard on the memory image).
-    type Frozen<'s>: Sync
-    where
-        Self: 's;
-
-    /// The per-core context handed to `SimtCore::cycle`; borrows the
-    /// frozen snapshot and one core's private store buffer.
-    type Core<'a>: ExecCtx
-    where
-        Self: 'a;
-
-    /// Freezes the context for a parallel phase. While the returned
-    /// snapshot lives, the live context must not be mutated.
-    fn freeze(&self) -> Self::Frozen<'_>;
-
-    /// Builds the context for one core over the frozen snapshot.
-    fn core<'a, 's: 'a>(frozen: &'a Self::Frozen<'s>, buf: &'a mut StoreBuffer) -> Self::Core<'a>
-    where
-        Self: 's;
-
-    /// Tears down a per-core context after the core's cycle, flushing any
-    /// per-core counters into its store buffer's `aux` channel.
-    fn finish(core: Self::Core<'_>);
-
-    /// Drains every core's store buffer into the live context, in
-    /// core-index (slice) order. Runs on the calling thread after all
-    /// workers have joined the phase barrier.
-    fn commit(&mut self, bufs: &mut [StoreBuffer]);
-}
-
-/// The no-op context participates trivially (nothing to freeze or commit).
-impl CycleCtx for NullCtx {
-    type Frozen<'s> = ();
-    type Core<'a> = NullCtx;
-
-    fn freeze(&self) -> Self::Frozen<'_> {}
-
-    fn core<'a, 's: 'a>(_frozen: &'a (), _buf: &'a mut StoreBuffer) -> NullCtx {
-        NullCtx
-    }
-
-    fn finish(_core: NullCtx) {}
-
-    fn commit(&mut self, _bufs: &mut [StoreBuffer]) {}
-}
-
-/// Type-erased task: runs one worker's shard of the parallel phase.
+/// Type-erased task: runs one worker's shard.
 type Task<'a> = &'a (dyn Fn(usize) + Sync);
 
 /// Pool bookkeeping guarded by [`PoolShared::state`]. Every transition a
@@ -98,9 +18,9 @@ type Task<'a> = &'a (dyn Fn(usize) + Sync);
 /// before the matching condvar notification — the standard discipline that
 /// makes untimed waits safe (no lost wakeups, so no timed-wait respin).
 struct PoolState {
-    /// Bumped once per dispatched phase; workers wait for it to change.
+    /// Bumped once per dispatched run; workers wait for it to change.
     generation: u64,
-    /// Workers that finished the current phase.
+    /// Workers that finished the current run.
     done: usize,
     shutdown: bool,
 }
@@ -112,11 +32,10 @@ struct PoolShared {
     state: Mutex<PoolState>,
     /// Signalled when a new generation is published (or shutdown).
     start: Condvar,
-    /// Signalled when the last worker of a phase finishes.
+    /// Signalled when the last worker of a run finishes.
     finish: Condvar,
     /// Lock-free mirror of `PoolState::generation` for the workers'
-    /// bounded spin fast path (phases are typically microseconds apart
-    /// while the simulator is busy).
+    /// bounded spin fast path.
     generation: AtomicU64,
     /// Lock-free mirror of `PoolState::done` for the dispatcher's bounded
     /// spin fast path.
@@ -124,17 +43,8 @@ struct PoolShared {
     /// Lock-free mirror of `PoolState::shutdown` so spinning workers can
     /// exit without taking the lock.
     shutdown: AtomicBool,
-    /// A worker panicked during the phase.
+    /// A worker panicked during the run.
     poisoned: AtomicBool,
-    /// Whether the dispatching thread is self-profiling this phase; set
-    /// before the generation bump that publishes it, like `task`.
-    timed: AtomicBool,
-    /// Per-shard busy nanoseconds of a timed phase (slot 0 unused: shard 0
-    /// is the dispatcher). A worker's relaxed store is published by its
-    /// `done` count (Release/Acquire, or the `state` mutex), after which
-    /// the dispatcher folds the slots into its own thread's profile —
-    /// workers own no profiler state.
-    busy_ns: Vec<AtomicU64>,
     /// Number of spawned workers (`threads - 1`); the `done` target.
     workers: usize,
 }
@@ -145,13 +55,13 @@ struct PoolShared {
 // has counted itself into `done`.
 unsafe impl Sync for PoolShared {}
 
-/// A persistent pool of phase workers. The calling thread participates as
+/// A persistent pool of worker threads. The calling thread participates as
 /// shard 0, so a pool built for `threads` parallelism spawns `threads - 1`
 /// OS threads.
 ///
-/// Workers spin briefly waiting for the next phase, then park on a condvar
+/// Workers spin briefly waiting for the next run, then park on a condvar
 /// until the dispatcher publishes a new generation — an idle pool burns no
-/// CPU between phases, and wakes promptly (one notify) when work arrives.
+/// CPU, and wakes promptly (one notify) when work arrives.
 pub struct CorePool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
@@ -183,8 +93,6 @@ impl CorePool {
             done: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
-            timed: AtomicBool::new(false),
-            busy_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             workers: threads - 1,
         });
         let workers = (1..threads)
@@ -193,19 +101,14 @@ impl CorePool {
                 std::thread::Builder::new()
                     .name(format!("emerald-core-{shard}"))
                     .spawn(move || worker_loop(&shared, shard))
-                    .expect("spawn phase worker")
+                    .expect("spawn pool worker")
             })
             .collect();
         Self { shared, workers }
     }
 
-    /// Parallelism (worker count + 1 for the caller).
-    pub(crate) fn threads(&self) -> usize {
-        self.workers.len() + 1
-    }
-
-    /// Runs `task(shard)` for every shard in `0..threads()`, shard 0 on
-    /// the calling thread, and returns once all shards completed.
+    /// Runs `task(shard)` for every shard in `0..threads`, shard 0 on the
+    /// calling thread, and returns once all shards completed.
     ///
     /// # Panics
     ///
@@ -218,8 +121,6 @@ impl CorePool {
         unsafe {
             *shared.task.get() = Some(std::mem::transmute::<Task<'_>, Task<'static>>(task));
         }
-        let timed = emerald_obs::prof::enabled();
-        shared.timed.store(timed, Ordering::Relaxed);
         {
             let mut st = shared.state.lock().unwrap();
             st.generation += 1;
@@ -230,13 +131,7 @@ impl CorePool {
             shared.generation.store(st.generation, Ordering::Release);
             shared.start.notify_all();
         }
-        // Shard 0 runs on the caller; when the self-profiler is on, its
-        // busy time is recorded like any worker shard's.
-        let t0 = timed.then(std::time::Instant::now);
         task(0);
-        if let Some(t0) = t0 {
-            emerald_obs::prof::pool_add_busy(0, t0.elapsed().as_nanos() as u64);
-        }
         // Wait for the workers: brief spin (they usually finish within
         // microseconds of shard 0), then park on `finish`.
         let mut spins = 0u32;
@@ -257,15 +152,9 @@ impl CorePool {
         unsafe {
             *shared.task.get() = None;
         }
-        if timed {
-            for (shard, ns) in shared.busy_ns.iter().enumerate().skip(1) {
-                emerald_obs::prof::pool_add_busy(shard, ns.load(Ordering::Relaxed));
-            }
-            emerald_obs::prof::pool_record_run(workers + 1);
-        }
         assert!(
             !shared.poisoned.swap(false, Ordering::Relaxed),
-            "a phase worker panicked"
+            "a pool worker panicked"
         );
     }
 }
@@ -287,11 +176,11 @@ impl Drop for CorePool {
 fn worker_loop(shared: &PoolShared, shard: usize) {
     let mut seen = 0u64;
     loop {
-        // Wait for the next generation: spin briefly (back-to-back phases
-        // while the simulator is busy), then park on `start`. The park is
-        // untimed — every generation bump and the shutdown flag are set
-        // under `state` immediately before `start.notify_all()`, so a
-        // wakeup can never be lost and an idle pool burns no CPU.
+        // Wait for the next generation: spin briefly, then park on
+        // `start`. The park is untimed — every generation bump and the
+        // shutdown flag are set under `state` immediately before
+        // `start.notify_all()`, so a wakeup can never be lost and an idle
+        // pool burns no CPU.
         let mut spins = 0u32;
         loop {
             let g = shared.generation.load(Ordering::Acquire);
@@ -320,17 +209,8 @@ fn worker_loop(shared: &PoolShared, shard: usize) {
             }
         }
         let task = unsafe { (*shared.task.get()).expect("task set before generation bump") };
-        // Busy-time accounting only times the task itself, never the wait
-        // for the next phase — utilization is work over wall, not liveness.
-        let t0 = shared
-            .timed
-            .load(Ordering::Relaxed)
-            .then(std::time::Instant::now);
         if catch_unwind(AssertUnwindSafe(|| task(shard))).is_err() {
             shared.poisoned.store(true, Ordering::Relaxed);
-        }
-        if let Some(t0) = t0 {
-            shared.busy_ns[shard].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
         let mut st = shared.state.lock().unwrap();
         st.done += 1;
@@ -340,35 +220,6 @@ fn worker_loop(shared: &PoolShared, shard: usize) {
         }
     }
 }
-
-/// Sends a raw pointer across the phase barrier. Each shard dereferences a
-/// disjoint range of the underlying slice, so aliasing never occurs.
-pub(crate) struct SendPtr<T>(pub *mut T);
-
-// Manual impls: the derive would wrongly require `T: Copy`.
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Pointer to element `i` of the underlying slice. Taking `self` by
-    /// value also makes closures capture the whole (Send + Sync) wrapper
-    /// rather than the raw pointer field.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be in bounds of the allocation the pointer came from.
-    pub(crate) unsafe fn add(self, i: usize) -> *mut T {
-        unsafe { self.0.add(i) }
-    }
-}
-
-// SAFETY: see type docs — shards touch disjoint elements only.
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {
@@ -390,26 +241,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_shards_work_disjointly() {
-        let pool = CorePool::new(3);
-        let mut data = vec![0u64; 12];
-        let chunk = data.len().div_ceil(pool.threads());
-        let ptr = SendPtr(data.as_mut_ptr());
-        let n = data.len();
-        pool.run(&move |shard| {
-            let lo = shard * chunk;
-            let hi = ((shard + 1) * chunk).min(n);
-            for i in lo..hi {
-                unsafe { *ptr.add(i) = (i * i) as u64 };
-            }
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, (i * i) as u64);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "phase worker panicked")]
+    #[should_panic(expected = "pool worker panicked")]
     fn worker_panic_propagates() {
         let pool = CorePool::new(2);
         pool.run(&|shard| {
@@ -425,14 +257,15 @@ mod tests {
         // neither leak workers nor wedge on shutdown (each drop joins its
         // threads promptly even if they are parked).
         for round in 0..20 {
-            let pool = CorePool::new(2 + round % 3);
+            let threads = 2 + round % 3;
+            let pool = CorePool::new(threads);
             let hits = AtomicU32::new(0);
             for _ in 0..5 {
                 pool.run(&|_| {
                     hits.fetch_add(1, Ordering::Relaxed);
                 });
             }
-            assert_eq!(hits.load(Ordering::Relaxed) as usize, 5 * pool.threads());
+            assert_eq!(hits.load(Ordering::Relaxed) as usize, 5 * threads);
         }
     }
 

@@ -8,7 +8,7 @@
 
 use emerald_common::types::{AccessKind, CoreId};
 use emerald_gpu::core::SimtCore;
-use emerald_gpu::{GlobalMemCtx, GpuConfig, Warp, WarpTag};
+use emerald_gpu::{GlobalMemCtx, GpuConfig, ImageCtx, Warp, WarpTag};
 use emerald_isa::{assemble, Program, WarpRegs};
 use emerald_mem::image::SharedMem;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -100,7 +100,7 @@ fn stalled_core() -> (SimtCore, GlobalMemCtx, Arc<Program>) {
     // Let every warp reach its load and the LSU settle; misses leave the
     // core (as `Gpu::cycle` takes them) and are never filled.
     for now in 0..2_000 {
-        core.cycle(now, &mut ctx);
+        ctx.lock(|x| core.cycle(now, x));
         while core.pop_miss().is_some() {}
     }
     assert_eq!(core.occupancy(), cfg.max_warps_per_core);
@@ -114,7 +114,7 @@ fn stalled_core_cycles_without_allocating() {
     let issued = core.stats().issued;
     let allocs = allocs_during(|| {
         for now in 2_000..3_000 {
-            core.cycle(now, &mut ctx);
+            ctx.lock(|x| core.cycle(now, x));
             while core.pop_miss().is_some() {}
         }
     });
@@ -147,7 +147,7 @@ fn pass(core: &mut SimtCore, ctx: &mut GlobalMemCtx, now: &mut u64, warps: Vec<W
         core.launch(w).unwrap();
     }
     while !core.is_idle() {
-        core.cycle(*now, ctx);
+        ctx.lock(|x| core.cycle(*now, x));
         while let Some(m) = core.pop_miss() {
             if m.kind == AccessKind::Read {
                 core.fill_l1(m.surface, m.line, *now);

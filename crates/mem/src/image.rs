@@ -9,7 +9,7 @@
 use crate::zeroed::ZeroedBytes;
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::Addr;
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock};
 
 /// Simulated physical memory with a bump allocator.
 #[derive(Debug, Clone)]
@@ -64,7 +64,7 @@ impl MemImage {
     }
 
     /// Reads an `f32` stored by [`MemImage::write_f32`].
-    fn read_f32(&self, addr: Addr) -> f32 {
+    pub fn read_f32(&self, addr: Addr) -> f32 {
         f32::from_bits(self.read_u32(addr))
     }
 
@@ -132,17 +132,13 @@ impl emerald_common::snap::Restore for MemImage {
 /// Shared handle to a [`MemImage`], cloned by every component that needs
 /// functional memory access.
 ///
-/// The handle is `Arc<RwLock<…>>` so that the bulk-synchronous parallel
-/// core phase (see `emerald-gpu`) can hold one read guard per simulated
-/// cycle while worker threads execute against the frozen image. All
-/// sequential host code keeps using the closure API below, which takes and
-/// releases the lock per call — uncontended, that is a few nanoseconds.
+/// One simulation runs on one thread; the lock (rather than a `RefCell`)
+/// is there so that a simulation is `Send` and sweep sessions can run on
+/// worker threads. The closure API below takes and releases the lock per
+/// call — uncontended, that is a few nanoseconds — and the GPU takes it
+/// once per cycle that has an active core (`emerald_gpu::ImageCtx`).
 #[derive(Debug, Clone)]
 pub struct SharedMem(Arc<RwLock<MemImage>>);
-
-/// A read guard over the shared image, held for the duration of one
-/// parallel core-execution phase. Derefs to [`MemImage`].
-pub type MemReadGuard<'a> = RwLockReadGuard<'a, MemImage>;
 
 impl SharedMem {
     /// Wraps an image in a shared handle.
@@ -163,14 +159,6 @@ impl SharedMem {
     /// Runs `f` with mutable access to the image.
     pub fn write<R>(&self, f: impl FnOnce(&mut MemImage) -> R) -> R {
         f(&mut self.0.write().unwrap())
-    }
-
-    /// Acquires a read guard that freezes the image for a whole parallel
-    /// phase. While the guard lives, `write`/`alloc`/`write_u32`/… on any
-    /// clone of this handle will block — callers must drop the guard
-    /// before the commit phase.
-    pub fn read_guard(&self) -> MemReadGuard<'_> {
-        self.0.read().unwrap()
     }
 
     /// Convenience: allocates from the shared image.

@@ -21,8 +21,6 @@
 //!   vs. HMC source-partitioned), the scheduler every channel is ticked
 //!   with, statistics.
 //! * [`link`] — fixed-latency, bounded-bandwidth links (NoC edges).
-//! * [`view`] — frozen-image views and per-core store buffers for the
-//!   bulk-synchronous parallel core phase.
 //!
 //! [`TrafficSource`]: emerald_common::types::TrafficSource
 
@@ -37,14 +35,12 @@ pub mod mapping;
 pub mod req;
 pub mod sched;
 pub mod system;
-pub mod view;
 mod zeroed;
 
 pub use cache::{Cache, CacheConfig};
 pub use dram::{DramChannel, DramConfig};
-pub use image::{MemImage, MemReadGuard, SharedMem};
+pub use image::{MemImage, SharedMem};
 pub use link::Link;
 pub use mapping::{AddressMapping, MappingScheme};
 pub use req::{MemRequest, MemResponse};
 pub use system::{MemorySystem, MemorySystemConfig, Steering};
-pub use view::{FuncMem, ImageView, StoreBuffer, WClass};

@@ -1,15 +1,13 @@
 //! Host-side self-profiling: where does the *simulator's* wall-clock go?
 //!
 //! The registry/trace/timeline pillars observe the simulated hardware;
-//! this module observes the simulation loop itself. It answers three
+//! this module observes the simulation loop itself. It answers two
 //! questions a wall-clock total alone cannot:
 //!
 //! 1. **Phase attribution** — how much host time `Gpu::cycle` spends in
 //!    dispatch / execute / commit / L2 / DRAM, and the SoC tick in CPU,
 //!    display and memory-system work ([`HostPhase`]).
-//! 2. **Pool utilization** — how busy each `CorePool` shard is, and how
-//!    imbalanced the shards are ([`HostProfile::pool_busy_ns`]).
-//! 3. **Loop iterations per simulated cycle** — how many simulated
+//! 2. **Loop iterations per simulated cycle** — how many simulated
 //!    cycles the clocking kernel covered (`gpu_cycles`, `soc_cycles`:
 //!    ticked plus jumped) against how many host loop iterations it took
 //!    (`ticks`) and how many of them cycled the GPU (`gpu_ticks`), and
@@ -32,10 +30,8 @@
 //! flag, the timestamp calibration and every accumulator are
 //! thread-locals, so simulations profiled on different threads (tests in
 //! one binary, sweep sessions) neither see nor silence each other.
-//! `CorePool` worker threads never touch this module: the dispatching
-//! thread tells them whether to time their shard and folds the shard
-//! times into its own accumulator ([`pool_add_busy`]). [`take`] drains
-//! the calling thread's state into a [`HostProfile`] snapshot.
+//! [`take`] drains the calling thread's state into a [`HostProfile`]
+//! snapshot.
 
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
@@ -50,9 +46,9 @@ use std::time::Instant;
 pub enum HostPhase {
     /// CTA dispatch and active-set rebuild in `Gpu::cycle`.
     GpuDispatch = 0,
-    /// The (possibly parallel) core-execution phase, including freeze.
+    /// The active cores' cycles, under one image lock.
     GpuExecute,
-    /// Store-buffer commit plus warp retirement.
+    /// Warp retirement.
     GpuCommit,
     /// Interconnect and L2 bank service.
     GpuL2,
@@ -165,9 +161,6 @@ struct Accum {
     soc_cycles: u64,
     cpu_batches: u64,
     cpu_batch_cycles: u64,
-    pool_width: usize,
-    pool_runs: u64,
-    pool_busy_ns: Vec<u64>,
 }
 
 impl Accum {
@@ -183,9 +176,6 @@ impl Accum {
             soc_cycles: 0,
             cpu_batches: 0,
             cpu_batch_cycles: 0,
-            pool_width: 0,
-            pool_runs: 0,
-            pool_busy_ns: Vec::new(),
         }
     }
 }
@@ -346,32 +336,6 @@ pub fn record_cpu_batch(cycles: u64) {
     });
 }
 
-/// Adds busy nanoseconds for a pool shard. Called by the *dispatching*
-/// thread after the phase barrier, once per shard, with the times the
-/// workers measured — worker threads have no profiler state of their own.
-/// Caller must check [`enabled`] first.
-#[inline]
-pub fn pool_add_busy(shard: usize, ns: u64) {
-    ACC.with(|a| {
-        let busy = &mut a.borrow_mut().pool_busy_ns;
-        if busy.len() <= shard {
-            busy.resize(shard + 1, 0);
-        }
-        busy[shard] += ns;
-    });
-}
-
-/// Records one pool dispatch at the given width. Caller must check
-/// [`enabled`] first.
-#[inline]
-pub fn pool_record_run(width: usize) {
-    ACC.with(|a| {
-        let a = &mut *a.borrow_mut();
-        a.pool_runs += 1;
-        a.pool_width = a.pool_width.max(width);
-    });
-}
-
 /// A lap timer over the phases of one sampled cycle. `start` takes a
 /// timestamp only on sampled cycles; on unsampled cycles (or with
 /// profiling disabled) every method is a no-op branch. `lap` attributes
@@ -442,12 +406,6 @@ pub struct HostProfile {
     pub cpu_batches: u64,
     /// Simulated CPU-core cycles advanced inside those batch calls.
     pub cpu_batch_cycles: u64,
-    /// Widest pool observed (0 when the pool never engaged).
-    pub pool_threads: usize,
-    /// Pool dispatches observed.
-    pub pool_runs: u64,
-    /// Per-shard busy nanoseconds, `pool_threads` entries.
-    pub pool_busy_ns: Vec<u64>,
 }
 
 impl HostProfile {
@@ -487,7 +445,7 @@ impl HostProfile {
 /// loop brackets set the denominator); without one they are
 /// extrapolated by `ticks / sampled`.
 pub fn take() -> HostProfile {
-    let mut acc = ACC.with(|a| std::mem::replace(&mut *a.borrow_mut(), Accum::new()));
+    let acc = ACC.with(|a| std::mem::replace(&mut *a.borrow_mut(), Accum::new()));
     SAMPLING.with(|s| s.set(false));
     let raw_sum: u64 = acc.phase_ns.iter().sum();
     let scale = if acc.loop_ns > 0 && raw_sum > 0 {
@@ -501,7 +459,6 @@ pub fn take() -> HostProfile {
     for (out, raw) in phase_ns.iter_mut().zip(acc.phase_ns) {
         *out = (raw as f64 * scale) as u64;
     }
-    acc.pool_busy_ns.resize(acc.pool_width, 0);
     HostProfile {
         ticks: acc.ticks,
         sampled: acc.sampled,
@@ -512,9 +469,6 @@ pub fn take() -> HostProfile {
         soc_cycles: acc.soc_cycles,
         cpu_batches: acc.cpu_batches,
         cpu_batch_cycles: acc.cpu_batch_cycles,
-        pool_threads: acc.pool_width,
-        pool_runs: acc.pool_runs,
-        pool_busy_ns: acc.pool_busy_ns,
     }
 }
 
@@ -669,22 +623,6 @@ mod tests {
         assert_eq!(p.cpu_batches, 2);
         assert_eq!(p.cpu_batch_cycles, 128);
         assert_eq!(take().cpu_batches, 0, "take() must reset");
-    }
-
-    #[test]
-    fn pool_counters_drain_and_reset() {
-        reset();
-        pool_add_busy(0, 100);
-        pool_add_busy(1, 300);
-        pool_record_run(2);
-        pool_record_run(2);
-        let p = take();
-        assert_eq!(p.pool_threads, 2);
-        assert_eq!(p.pool_runs, 2);
-        assert_eq!(p.pool_busy_ns, vec![100, 300]);
-        let p2 = take();
-        assert_eq!(p2.pool_runs, 0);
-        assert!(p2.pool_busy_ns.is_empty());
     }
 
     #[test]

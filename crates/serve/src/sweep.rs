@@ -31,7 +31,7 @@ use emerald_common::json::Json;
 use emerald_mem::DramConfig;
 use emerald_scene::workloads::{self, WorkloadDef};
 use emerald_soc::experiment::MemCfgKind;
-use emerald_soc::SocConfig;
+use emerald_soc::{Soc, SocConfig};
 
 /// Fully resolved parameters of one simulation job.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,9 +153,34 @@ impl JobParams {
         }
     }
 
-    /// Builds the [`SocConfig`] for this job. The GPU simulates
-    /// single-threaded (the preset's `threads = 1`): host parallelism is
-    /// spent across sessions.
+    /// Rejects a job no session could run: a zero-sized render target, a
+    /// zero frame period, or color and depth buffers that do not fit the
+    /// SoC's memory image. The error names the parameter.
+    fn validate(&self) -> Result<(), String> {
+        let sizes = [
+            ("width", u64::from(self.width)),
+            ("height", u64::from(self.height)),
+            ("period", self.period),
+        ];
+        if let Some((key, _)) = sizes.iter().find(|(_, v)| *v == 0) {
+            return Err(format!("{key} must be at least 1"));
+        }
+        // Color and depth, four bytes a pixel each.
+        let fb_bytes = u64::from(self.width) * u64::from(self.height) * 8;
+        if fb_bytes > Soc::IMAGE_BYTES as u64 {
+            return Err(format!(
+                "width x height {}x{} needs {fb_bytes} framebuffer bytes, more than the \
+                 {}-byte SoC memory image",
+                self.width,
+                self.height,
+                Soc::IMAGE_BYTES
+            ));
+        }
+        Ok(())
+    }
+
+    /// Builds the [`SocConfig`] for this job. Every simulation runs on one
+    /// host thread: host parallelism is spent across sessions.
     pub(crate) fn soc_config(&self) -> Result<SocConfig, String> {
         let memsys = self.mem_kind()?.build(self.dram_config()?);
         Ok(SocConfig::case_study_1(
@@ -323,6 +348,9 @@ impl SweepSpec {
             if job.label.is_empty() {
                 job.label = self.name.clone();
             }
+            job.params
+                .validate()
+                .map_err(|e| format!("job {}: {e}", job.label))?;
         }
         Ok(jobs)
     }
@@ -471,6 +499,22 @@ mod tests {
             r#"{"base": {"frames": -1}}"#,
         ] {
             assert!(SweepSpec::parse(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn specs_no_session_could_run_are_rejected_naming_the_parameter() {
+        for (bad, names) in [
+            (r#"{"base": {"width": 0}}"#, "width"),
+            (r#"{"base": {"height": 0}}"#, "height"),
+            (r#"{"base": {"period": 0}}"#, "period"),
+            (
+                r#"{"base": {"height": 16384, "frames": 1}, "axes": [{"key": "width", "values": [4, 16384]}]}"#,
+                "width x height 16384x16384",
+            ),
+        ] {
+            let err = SweepSpec::parse(bad).expect_err(bad);
+            assert!(err.contains(names), "{bad}: {err}");
         }
     }
 

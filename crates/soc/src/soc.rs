@@ -208,9 +208,13 @@ pub struct Soc {
 }
 
 impl Soc {
+    /// Capacity of the SoC's memory image, in bytes: the framebuffer, the
+    /// scene data and every CPU's working set are allocated from it.
+    pub const IMAGE_BYTES: usize = 256 << 20;
+
     /// Builds the SoC; allocates the framebuffer from a fresh image.
     pub fn new(cfg: SocConfig) -> Self {
-        let mem = SharedMem::with_capacity(256 << 20);
+        let mem = SharedMem::with_capacity(Self::IMAGE_BYTES);
         let rt = RenderTarget::alloc(&mem, cfg.width, cfg.height);
         rt.clear(&mem, [0.05, 0.05, 0.08, 1.0], 1.0);
         let renderer = GpuRenderer::new(cfg.gpu.clone(), cfg.gfx.clone(), mem.clone(), rt);
@@ -718,9 +722,17 @@ impl Soc {
 
     /// Hash of the `SocConfig` a snapshot was taken under, stamped into
     /// the container so a restore against a different topology fails with
-    /// [`SnapError::ConfigHashMismatch`] instead of corrupt state.
+    /// [`SnapError::ConfigHashMismatch`] instead of corrupt state. The
+    /// fields that pick a schedule rather than a model — the two clocking
+    /// gates and the GPU's two inert thread fields — are hashed at their
+    /// preset values, so a checkpoint restores across clocking cells.
     fn cfg_hash(cfg: &SocConfig) -> u64 {
-        emerald_common::snap::config_hash(&format!("{cfg:?}"))
+        let mut model = cfg.clone();
+        model.cpu_batch = true;
+        model.gpu.event_skip = true;
+        model.gpu.threads = 1;
+        model.gpu.parallel_threshold = emerald_gpu::config::DEFAULT_PARALLEL_THRESHOLD;
+        emerald_common::snap::config_hash(&format!("{model:?}"))
     }
 
     /// Serializes the full SoC into a snapshot container. `cursor` carries

@@ -37,7 +37,7 @@ EMERALD_CHECK_CASES=1024 cargo test --release -p emerald-isa -q
 echo "==> memory-substrate properties on the optimised build, 1024 cases each (the DRAM channel's pick keys against the two-pass selection, the flat cache sets against the set-of-vectors reference; the workspace step runs them in the dev profile, where every pick also audits its keys)"
 EMERALD_CHECK_CASES=1024 cargo test --release -p emerald-mem -q
 
-echo "==> clocking-gate lockstep suites, release (16 random SoC scenarios drawing a cube and 16 drawing nothing, each in all four event_skip x cpu_batch cells, equal at every frame barrier, checkpoint bytes included, across all four cells; random-cycle restores; the 12-cell gate x thread matrix, and a restore in each of its cells; gap oracles; twin gap walks; run-ahead corner scenarios; loop-iteration and renderer-cycle bounds)"
+echo "==> clocking-gate lockstep suites, release (16 random SoC scenarios drawing a cube and 16 drawing nothing, each in all four event_skip x cpu_batch cells, equal at every frame barrier, checkpoint bytes included, across all four cells; random-cycle restores into random cells; one checkpoint restored into each of the four cells; gap oracles; twin gap walks; run-ahead corner scenarios; loop-iteration and renderer-cycle bounds)"
 EMERALD_CONF_CASES=16 cargo test --release --test event_skip --test cpu_batch --test snapshot -q
 
 echo "==> the random gate and restore oracles again, dev profile (8 cases; every loop iteration audits the SoC's cached wake pins against fresh next_event answers; the workspace step above already ran every suite in this profile)"
@@ -75,9 +75,17 @@ grep -q '"start":"forked"' SWEEP_smoke.jsonl
 grep -q '"registry":{' SWEEP_smoke.jsonl
 grep -q '"ev":"sweep_done"' SWEEP_smoke.jsonl
 
-echo "==> checked-in sweep specs validate against the real axis tables (sweeps/*.json)"
+echo "==> checked-in sweep specs validate against the real axis tables (sweeps/*.json); a spec no session could run fails the check"
 for spec in sweeps/*.json; do
   cargo run --release --quiet --bin emerald_serve -- --spec "$spec" --check
 done
+bad_spec=$(mktemp)
+echo '{"name":"bad","base":{"width":0}}' > "$bad_spec"
+if cargo run --release --quiet --bin emerald_serve -- --spec "$bad_spec" --check 2>/dev/null; then
+  echo "emerald_serve --check accepted a zero-width spec" >&2
+  rm -f "$bad_spec"
+  exit 1
+fi
+rm -f "$bad_spec"
 
 echo "CI gate passed."

@@ -13,9 +13,9 @@ use emerald_conformance::{
     batch_oracle, check_case, check_case_matrix, check_with_injected_bug, conf_cases, gap_oracle,
     gen_draw, gen_program, gpu_gap_oracle, pin_oracle, run_draw_case, run_draw_case_timed,
     shrink_batch_candidates, shrink_draw_candidates, shrink_gap_candidates,
-    shrink_gpu_gap_candidates, shrink_pin_candidates, shrink_snap_candidates, skip_dispatch_points,
-    snap_oracle, BatchScenario, Cell, GapScenario, GpuGapScenario, PinScenario, SnapBug,
-    SnapScenario, SocScenario,
+    shrink_gpu_gap_candidates, shrink_pin_candidates, shrink_snap_candidates, snap_oracle,
+    BatchScenario, Cell, GapScenario, GpuGapScenario, PinScenario, SnapBug, SnapScenario,
+    SocScenario,
 };
 
 /// Shrink-step budget. Generated programs have < 40 instructions, so this
@@ -112,43 +112,38 @@ fn draw_metamorphic_invariance() {
     });
 }
 
-/// The event-skip axis for draws: at every dispatch point (threads 1/2/4
-/// × pool forced/never), a random draw renders pixel-identically to the
-/// reference with skipping off and on, and the two modes agree on the
-/// simulated frame cycle count bit for bit.
+/// The event-skip axis for draws: a random draw renders pixel-identically
+/// to the reference with skipping off and on, and the two modes agree on
+/// the simulated frame cycle count bit for bit.
 #[test]
 fn draw_skip_axis_is_cycle_identical() {
     let cases = (conf_cases() / 8).max(4);
     check_n("draw_skip_axis", cases, |rng| {
         let case = gen_draw(rng);
-        for (dlabel, threads, thr) in skip_dispatch_points() {
-            let mut off = isadiff::base_config();
-            off.threads = threads;
-            off.parallel_threshold = thr;
-            off.event_skip = false;
-            let mut on = off.clone();
-            on.event_skip = true;
-            let (diff_off, cycles_off) = run_draw_case_timed(&case, &off);
-            let (diff_on, cycles_on) = run_draw_case_timed(&case, &on);
-            assert_eq!(
-                diff_off,
-                0,
-                "skip-off diverges by {diff_off} pixels at {dlabel} on: {}",
-                case.describe()
-            );
-            assert_eq!(
-                diff_on,
-                0,
-                "skip-on diverges by {diff_on} pixels at {dlabel} on: {}",
-                case.describe()
-            );
-            assert_eq!(
-                cycles_off,
-                cycles_on,
-                "frame cycles differ across the skip axis at {dlabel} on: {}",
-                case.describe()
-            );
-        }
+        let mut off = isadiff::base_config();
+        off.event_skip = false;
+        let mut on = off.clone();
+        on.event_skip = true;
+        let (diff_off, cycles_off) = run_draw_case_timed(&case, &off);
+        let (diff_on, cycles_on) = run_draw_case_timed(&case, &on);
+        assert_eq!(
+            diff_off,
+            0,
+            "skip-off diverges by {diff_off} pixels on: {}",
+            case.describe()
+        );
+        assert_eq!(
+            diff_on,
+            0,
+            "skip-on diverges by {diff_on} pixels on: {}",
+            case.describe()
+        );
+        assert_eq!(
+            cycles_off,
+            cycles_on,
+            "frame cycles differ across the skip axis on: {}",
+            case.describe()
+        );
     });
 }
 
@@ -317,6 +312,7 @@ fn corrupted_or_partial_restore_is_caught_and_shrunk() {
             cpu_batch: false,
             ..Cell::PRESET
         },
+        restore_cell: Cell::PRESET,
         frames: 2,
         at_frame: 1,
         offset_pct: 40,
@@ -342,7 +338,10 @@ fn corrupted_or_partial_restore_is_caught_and_shrunk() {
             cell: Cell {
                 event_skip: rng.chance(0.5),
                 cpu_batch: rng.chance(0.5),
-                threads: 1,
+            },
+            restore_cell: Cell {
+                event_skip: rng.chance(0.5),
+                cpu_batch: rng.chance(0.5),
             },
             bug,
         };

@@ -13,8 +13,8 @@
 //! 1. **Random CPU-only frames** — seeded random scenarios with an empty
 //!    draw list, so nothing but memory and the display bounds a batch
 //!    window (the cube-drawing random lockstep is in `tests/event_skip.rs`).
-//! 2. **Full matrix** — one fixed two-core scenario across
-//!    `cpu_batch × event_skip × GPU threads {1,2,4}`, three frames.
+//! 2. **Fixed matrix** — one fixed two-core scenario across
+//!    `cpu_batch × event_skip`, three frames.
 //!
 //! Then the scenarios built to hit the run-ahead scheduler's corners, each
 //! with its own assertion:
@@ -37,7 +37,7 @@ use emerald_conformance::{gate_matrix, Cell, SocScenario};
 
 /// Runs `sc`'s first frame in every gate cell, panicking on divergence.
 fn lockstep(sc: &SocScenario) -> Soc {
-    gate_matrix(sc, 1, &[1]).unwrap_or_else(|e| panic!("{e}"))
+    gate_matrix(sc, 1).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Oracle 1: random scenarios whose frames draw nothing. The GPU idles,
@@ -54,20 +54,20 @@ fn random_soc_scenarios_are_batch_invariant() {
                 ..SocScenario::random(rng)
             };
             let frames = 1 + rng.below(2) as u32;
-            if let Err(e) = gate_matrix(&sc, frames, &[1]) {
+            if let Err(e) = gate_matrix(&sc, frames) {
                 panic!("{e}\n{sc:?}");
             }
         },
     );
 }
 
-/// Oracle 2: the full `cpu_batch × event_skip × threads` matrix runs three
-/// bit-identical frames (the restore in each cell is
+/// Oracle 2: the `cpu_batch × event_skip` matrix runs three bit-identical
+/// frames (restores across its cells are
 /// `tests/snapshot.rs::restore_matrix_is_bit_identical`).
 #[test]
-fn batch_skip_thread_matrix_is_bit_identical() {
+fn batch_skip_matrix_is_bit_identical() {
     let sc = SocScenario::two_core(MemCfgKind::Dcb.build(DramConfig::lpddr3_1600()), 10);
-    gate_matrix(&sc, 3, &[1, 2, 4]).unwrap_or_else(|e| panic!("{e}"));
+    gate_matrix(&sc, 3).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// Regression: with a baseline (non-DASH) memory system and an idle

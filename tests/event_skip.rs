@@ -41,7 +41,7 @@ fn random_soc_scenarios_are_skip_invariant() {
         |rng| {
             let sc = SocScenario::random(rng);
             let frames = 1 + rng.below(2) as u32;
-            if let Err(e) = gate_matrix(&sc, frames, &[1]) {
+            if let Err(e) = gate_matrix(&sc, frames) {
                 panic!(
                     "{e}
 {sc:?}"
@@ -367,7 +367,7 @@ fn a_waiting_soc_is_not_ticked() {
 #[test]
 fn owed_renderer_booking_is_invisible() {
     use emerald::obs::prof;
-    use emerald_conformance::{checkpoint_body, registry_json, Cell};
+    use emerald_conformance::{registry_json, Cell};
     let sc = SocScenario {
         memsys: MemCfgKind::Dcb.build(DramConfig::high_load()),
         width: 48,
@@ -386,7 +386,6 @@ fn owed_renderer_booking_is_invisible() {
         sc.config(Cell {
             event_skip,
             cpu_batch: false,
-            threads: 1,
         })
     };
     // Frame 1, captured at `at`; returns the bytes and the frame's end.
@@ -427,10 +426,7 @@ fn owed_renderer_booking_is_invisible() {
         captured_at,
         "captured at different cycles"
     );
-    assert!(
-        checkpoint_body(&on) == checkpoint_body(&off),
-        "checkpoint bytes diverged"
-    );
+    assert!(on == off, "checkpoint bytes diverged");
     assert_eq!(registry_json(&restored_on), registry_json(&restored_off));
 }
 
