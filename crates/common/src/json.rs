@@ -29,12 +29,19 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets one line of `[`
+/// overflow the stack; committed documents nest about 8 deep.
+const MAX_DEPTH: usize = 128;
+
 impl Json {
-    /// Parses a complete document; trailing garbage is an error.
+    /// Parses a complete document; trailing garbage, and arrays or
+    /// objects nested more than 128 deep, are errors.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             s: text.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.ws();
         let v = p.value()?;
@@ -349,6 +356,8 @@ impl Json {
 struct Parser<'a> {
     s: &'a [u8],
     i: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -382,8 +391,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.i
+                    ));
+                }
+                self.depth += 1;
+                let v = if c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -546,6 +569,19 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        // One line of `[` must fail cleanly, not overflow the stack.
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        let err = Json::parse(&r#"{"a":"#.repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
     }
 
     #[test]

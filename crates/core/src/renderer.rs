@@ -441,18 +441,15 @@ impl GpuRenderer {
 
     /// Advances the renderer and GPU one cycle.
     pub fn cycle(&mut self, now: Cycle, port: &mut dyn MemPort) {
-        let mut clk = emerald_obs::prof::PhaseClock::start();
         // Start the next draw if idle.
         if self.cur.is_none() {
             if let Some((dc, wt)) = self.queue.pop_front() {
                 self.start_draw(dc, wt, now);
             }
         }
-        clk.lap(emerald_obs::prof::HostPhase::GfxPipe);
 
-        // 1. GPU executes shader warps (self-attributing; don't double-count).
+        // 1. GPU executes shader warps.
         self.gpu.cycle(now, &mut self.ctx, port);
-        clk.skip();
 
         // 2. Completed warps feed the pipeline.
         for (_, payload) in self.gpu.drain_external_finished() {
@@ -480,7 +477,6 @@ impl GpuRenderer {
         }
 
         let Some(ds) = self.cur.as_ref() else {
-            clk.lap(emerald_obs::prof::HostPhase::GfxPipe);
             return;
         };
         let (width, height) = (self.rt.width, self.rt.height);
@@ -582,7 +578,6 @@ impl GpuRenderer {
                 self.draw_times.push(now.saturating_sub(ds.started_at));
             }
         }
-        clk.lap(emerald_obs::prof::HostPhase::GfxPipe);
     }
 
     /// One-line internal state summary (diagnostics).

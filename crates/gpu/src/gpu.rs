@@ -305,15 +305,10 @@ impl Gpu {
     /// store is visible to every later access in the same cycle — by the
     /// storing core and by every higher-indexed one.
     pub fn cycle<C: ImageCtx>(&mut self, now: Cycle, ctx: &mut C, port: &mut dyn MemPort) {
-        let mut clk = emerald_obs::prof::PhaseClock::start();
         port.tick(now);
-        clk.lap(emerald_obs::prof::HostPhase::GpuDram);
         self.dispatch_ctas();
         self.collect_active();
-        if emerald_obs::prof::enabled() {
-            emerald_obs::prof::record_gpu_cycle();
-        }
-        clk.lap(emerald_obs::prof::HostPhase::GpuDispatch);
+        emerald_obs::prof::record_gpu_cycle();
 
         // 1. Active cores execute in index order under one image lock. A
         // cycle with no active core takes no lock; inactive cores would be
@@ -325,7 +320,6 @@ impl Gpu {
                     cores[i].cycle(now, exec);
                 }
             });
-            clk.lap(emerald_obs::prof::HostPhase::GpuExecute);
         }
 
         // 2. Core misses → interconnect → L2 banks.
@@ -361,7 +355,6 @@ impl Gpu {
         for (line, kind) in out.to_mem {
             self.to_mem.push_back((line, kind));
         }
-        clk.lap(emerald_obs::prof::HostPhase::GpuL2);
 
         // 4. L2 ↔ DRAM. Read ids are slab slots; a write's id is the count
         // of writes sent before it, never matched against the slab
@@ -428,7 +421,6 @@ impl Gpu {
         while let Some((target, line)) = self.l2_to_core.pop(now) {
             self.cores[target.core].fill_l1(target.surface, line, now);
         }
-        clk.lap(emerald_obs::prof::HostPhase::GpuDram);
 
         // 6. Completed warps.
         for core in &mut self.cores {
@@ -444,7 +436,6 @@ impl Gpu {
                 }
             }
         }
-        clk.lap(emerald_obs::prof::HostPhase::GpuCommit);
     }
 
     /// One-line internal state summary (diagnostics).
@@ -562,7 +553,6 @@ pub fn drain_loop(
 ) -> Cycle {
     let cap = start + max_cycles;
     let mut next = start;
-    let prof_loop = emerald_obs::prof::loop_enter();
     while !sim.is_idle() {
         emerald_obs::prof::tick();
         sim.cycle(next);
@@ -583,7 +573,6 @@ pub fn drain_loop(
             }
         }
     }
-    emerald_obs::prof::loop_exit(prof_loop);
     next
 }
 

@@ -1,6 +1,7 @@
 //! Observability layer for the Emerald-rs simulator.
 //!
-//! Four pillars, shared by every simulated component:
+//! Three pillars, shared by every simulated component, plus loop
+//! accounting:
 //!
 //! * [`registry`] — a hierarchical metrics registry. Components publish
 //!   `Counter`/`Gauge`/`Ratio`/`Summary` instruments under
@@ -13,10 +14,11 @@
 //!   trace-event JSON that Perfetto renders as a frame timeline.
 //! * [`timeline`] — windowed time-series sampling: fixed-window
 //!   accumulators (the paper's bandwidth-vs-time figures).
-//! * [`prof`] — host-side self-profiling: wall-clock attribution of the
-//!   simulator's own hot loop (GPU/SoC phases), worker-pool utilization
-//!   and loop-iteration accounting. Off by default ([`prof::set_enabled`]),
-//!   zero-cost when disabled, and forbidden from touching simulated state.
+//! * [`prof`] — loop accounting: exact counts of the host loop iterations
+//!   and CPU batch calls that covered the simulated cycles. Off by default
+//!   ([`prof::set_enabled`]), one thread-local load per emit site when
+//!   disabled, and forbidden from touching simulated state. It reads no
+//!   clock: `benchmark/` times the simulator.
 //!
 //! The hot simulation loop pays nothing for any of this until a sink is
 //! enabled: components keep their plain local stats structs and are *pulled*
@@ -44,7 +46,7 @@ pub mod registry;
 pub mod timeline;
 pub mod trace;
 
-pub use prof::{HostPhase, HostProfile};
+pub use prof::HostProfile;
 pub use registry::{Registry, Snapshot, Value};
 pub use timeline::Timeline;
 pub use trace::{TraceCat, TraceEvent};

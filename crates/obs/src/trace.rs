@@ -39,14 +39,11 @@ pub enum TraceCat {
     Dfsl = 1 << 6,
     /// Whole-frame spans.
     Frame = 1 << 7,
-    /// Host-side self-profiler spans (simulator wall-clock, not simulated
-    /// time — see `crate::prof`).
-    Host = 1 << 8,
 }
 
 impl TraceCat {
     /// Every category's bits OR-ed together.
-    pub const ALL: u32 = (1 << 9) - 1;
+    pub const ALL: u32 = (1 << 8) - 1;
 
     /// This category's mask bit.
     pub fn bit(self) -> u32 {
@@ -64,12 +61,11 @@ impl TraceCat {
             TraceCat::Cpu => "soc.cpu",
             TraceCat::Dfsl => "gfx.dfsl",
             TraceCat::Frame => "soc.frame",
-            TraceCat::Host => "host.prof",
         }
     }
 
     /// All categories, in bit order.
-    pub fn all() -> [TraceCat; 9] {
+    pub fn all() -> [TraceCat; 8] {
         [
             TraceCat::Warp,
             TraceCat::Draw,
@@ -79,7 +75,6 @@ impl TraceCat {
             TraceCat::Cpu,
             TraceCat::Dfsl,
             TraceCat::Frame,
-            TraceCat::Host,
         ]
     }
 }
@@ -370,22 +365,6 @@ mod tests {
             push_ts(&mut ring, 100 + i);
         }
         assert_eq!(drain_ts(&mut ring), vec![102, 103, 104, 105]);
-    }
-
-    #[test]
-    fn host_category_exports_as_its_own_process() {
-        let events = vec![TraceEvent {
-            cat: TraceCat::Host,
-            name: "gpu.execute",
-            track: 2,
-            ts: 0,
-            dur: Some(1200),
-            args: vec![("ns", 1_200_000)],
-        }];
-        let json = export_chrome(&events);
-        assert!(json.contains("\"name\":\"host.prof\""));
-        assert!(json.contains(&format!("\"pid\":{}", TraceCat::Host.bit())));
-        assert!(json.contains("\"dur\":1200"));
     }
 
     #[test]

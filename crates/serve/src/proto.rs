@@ -135,7 +135,10 @@ fn run_sweep_streaming(
     workers: usize,
     out: &Mutex<impl Write + Send>,
 ) -> io::Result<()> {
-    let jobs = spec.job_count();
+    let jobs = match spec.job_count() {
+        Ok(n) => n,
+        Err(e) => return writeln_record(out, &error_record(&e)),
+    };
     writeln_record(
         out,
         &event_record("sweep_start", |w| {

@@ -202,6 +202,11 @@ impl JobParams {
     }
 }
 
+/// Most jobs a spec may expand to. Committed specs run at most 16; the
+/// cap stops a few hundred bytes of axes from asking for an expansion no
+/// host could allocate.
+const MAX_JOBS: usize = 4096;
+
 /// One expanded job: a stable id, a human-readable label naming its axis
 /// coordinates, and the resolved parameters.
 #[derive(Debug, Clone)]
@@ -307,6 +312,7 @@ impl SweepSpec {
             }
         }
         // Validate every coordinate now: expansion after this cannot fail.
+        spec.job_count()?;
         for job in spec.expand()? {
             job.params.workload()?;
             job.params.soc_config()?;
@@ -317,6 +323,7 @@ impl SweepSpec {
     /// Expands the axes into the full cartesian job set, rightmost axis
     /// varying fastest.
     pub fn expand(&self) -> Result<Vec<JobSpec>, String> {
+        self.job_count()?;
         let mut jobs = vec![JobSpec {
             id: 0,
             label: String::new(),
@@ -355,9 +362,23 @@ impl SweepSpec {
         Ok(jobs)
     }
 
-    /// Total number of jobs the spec expands to.
-    pub fn job_count(&self) -> usize {
-        self.axes.iter().map(|a| a.values.len()).product::<usize>()
+    /// Total number of jobs the spec expands to, or an error naming it
+    /// when it exceeds the cap of 4096.
+    pub fn job_count(&self) -> Result<usize, String> {
+        let n = self
+            .axes
+            .iter()
+            .try_fold(1usize, |n, a| n.checked_mul(a.values.len()));
+        match n {
+            Some(n) if n <= MAX_JOBS => Ok(n),
+            Some(n) => Err(format!(
+                "sweep expands to {n} jobs; at most {MAX_JOBS} allowed"
+            )),
+            None => Err(format!(
+                "sweep expands to more than {} jobs; at most {MAX_JOBS} allowed",
+                usize::MAX
+            )),
+        }
     }
 }
 
@@ -433,7 +454,7 @@ mod tests {
     #[test]
     fn expansion_is_cartesian_and_stable() {
         let spec = SweepSpec::parse(SPEC).unwrap();
-        assert_eq!(spec.job_count(), 6);
+        assert_eq!(spec.job_count(), Ok(6));
         let jobs = spec.expand().unwrap();
         assert_eq!(jobs.len(), 6);
         assert_eq!(jobs[0].label, "mem=bas,frame_offset=0");
@@ -485,6 +506,25 @@ mod tests {
             assert_eq!(dram.burst_cycles, 144, "{}", job.label);
             assert_eq!(dram, DramConfig::high_load(), "{}", job.label);
         }
+    }
+
+    #[test]
+    fn job_counts_past_the_cap_are_refused_before_expansion() {
+        let seeds = |axes: usize, n: usize| {
+            let values: Vec<String> = (0..n).map(|v| v.to_string()).collect();
+            let axis = format!(r#"{{"key": "seed", "values": [{}]}}"#, values.join(","));
+            format!(r#"{{"axes": [{}]}}"#, vec![axis; axes].join(","))
+        };
+        let mut spec = SweepSpec::parse(&seeds(1, 1)).unwrap();
+        spec.axes[0].values = vec![Json::Num(0.0); MAX_JOBS];
+        assert_eq!(spec.job_count(), Ok(MAX_JOBS));
+        spec.axes[0].values.push(Json::Num(0.0));
+        assert!(spec.expand().unwrap_err().contains("4097 jobs"));
+        let err = SweepSpec::parse(&seeds(5, 100)).unwrap_err();
+        assert!(err.contains("10000000000 jobs"), "{err}");
+        // 100^11 overflows a 64-bit product: refused, not wrapped.
+        let err = SweepSpec::parse(&seeds(11, 100)).unwrap_err();
+        assert!(err.contains("more than"), "{err}");
     }
 
     #[test]

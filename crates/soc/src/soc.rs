@@ -14,7 +14,7 @@ use emerald_gpu::GpuConfig;
 use emerald_mem::image::SharedMem;
 use emerald_mem::req::{MemRequest, MemResponse};
 use emerald_mem::system::{MemorySystem, MemorySystemConfig, SchedulerKind};
-use emerald_obs::prof::{self, HostPhase, PhaseClock};
+use emerald_obs::prof;
 use std::collections::VecDeque;
 
 /// SoC configuration.
@@ -451,13 +451,8 @@ impl Soc {
     /// display have nothing to book (their gaps are dead), the renderer
     /// owes the cycle to [`Soc::settle_renderer`]. With the clock-jump gate
     /// off every component is due every cycle: the per-cycle reference.
-    ///
-    /// Returns the step's phase clock, re-armed at its last lap, so the
-    /// loop that called it can attribute its own between-step work —
-    /// run-ahead, jump — under the same sampling decision.
-    fn step(&mut self, mut frame: Option<Frame<'_>>) -> PhaseClock {
+    fn step(&mut self, mut frame: Option<Frame<'_>>) {
         prof::tick();
-        let mut clk = prof::PhaseClock::start();
         self.now += 1;
         let now = self.now;
         let every = !self.cfg.gpu.event_skip;
@@ -473,14 +468,12 @@ impl Soc {
             renderer_due |= to_renderer || self.renderer.gpu.holds_refused();
             display_due |= to_display || self.display.holds_refused();
         }
-        clk.lap(HostPhase::SocMem);
 
         if display_due {
             self.display.tick(now);
             mem_moved |= forward_requests(self.display.requests_mut(), &mut self.memsys, now);
             self.pins.display = pin(self.display.next_event(now));
         }
-        clk.lap(HostPhase::SocDisplay);
 
         if let Some((cur, draws)) = &mut frame {
             let (ev, sent) = self.cpus.step(now, cur.gpu_done, &mut self.memsys);
@@ -495,10 +488,8 @@ impl Soc {
                     renderer_due = true;
                 }
             }
-            clk.lap(HostPhase::SocCpu);
         }
 
-        // The renderer attributes its own host time (don't double-count).
         // Between frames it is idle but must still consume straggler
         // responses from its last frame's writes.
         if renderer_due {
@@ -510,7 +501,6 @@ impl Soc {
             };
             self.renderer.cycle(now, &mut port);
             mem_moved |= port.sent;
-            clk.skip();
             self.pins.renderer = pin(self.renderer.next_event(now));
         } else {
             self.owed += 1;
@@ -539,11 +529,7 @@ impl Soc {
             self.pins.mem = pin(self.memsys.next_event(now));
         }
 
-        if prof::enabled() {
-            prof::record_soc_cycle();
-        }
-        clk.lap(HostPhase::SocOther);
-        clk
+        prof::record_soc_cycle();
     }
 
     /// The earliest cycle after `now` (at most `cap`) at which a non-CPU
@@ -636,7 +622,6 @@ impl Soc {
         let mut snap = None;
         self.pins = Pins::default();
 
-        let prof_loop = prof::loop_enter();
         loop {
             // Checkpoint capture sits at loop entry — the end-of-cycle
             // commit point of the previous iteration — so a restored SoC
@@ -652,7 +637,7 @@ impl Soc {
                     snap = Some(self.encode_checkpoint(Some((cur, draws.is_none()))));
                 }
             }
-            let mut clk = self.step(Some((cur, draws)));
+            self.step(Some((cur, draws)));
             self.audit_pins();
             let now = self.now;
             if cur.gpu_done && self.cpus.all_done(now) {
@@ -678,20 +663,16 @@ impl Soc {
                 continue;
             }
             let w = self.quiet_until(now, cap);
-            clk.lap(HostPhase::SocOther);
             if w > now + 1 {
                 let fence_open = draws.is_some() && !cur.gpu_done;
                 self.cpus
                     .run_ahead(now, w, fence_open, cur.gpu_done, &self.memsys);
-                clk.lap(HostPhase::SocCpu);
                 if skip {
                     self.jump_to(self.cpus.wake(now, w));
-                    clk.lap(HostPhase::SocOther);
                 }
             }
         }
         self.settle_renderer();
-        prof::loop_exit(prof_loop);
         snap
     }
 
@@ -853,17 +834,14 @@ impl Soc {
     pub fn idle_until(&mut self, target: Cycle) {
         let skip = self.cfg.gpu.event_skip;
         self.pins = Pins::default();
-        let prof_loop = prof::loop_enter();
         while self.now < target {
-            let mut clk = self.step(None);
+            self.step(None);
             self.audit_pins();
             if skip {
                 self.jump_to(self.quiet_until(self.now, target));
-                clk.lap(HostPhase::SocOther);
             }
         }
         self.settle_renderer();
-        prof::loop_exit(prof_loop);
     }
 }
 

@@ -59,8 +59,16 @@ for w in soc_dense soc_paced gpgpu_mix; do
   cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- one "$w" --seed 2 --seconds 0 >/dev/null
 done
 
-echo "==> examples smoke test (telemetry + host profile; checkpoint -> file -> restore == straight run)"
-cargo run --release --example trace_export >/dev/null
+echo "==> examples smoke test (telemetry twice: trace, stats and stdout byte-identical; checkpoint -> file -> restore == straight run)"
+root=$PWD telemetry=$(mktemp -d)
+for run in 1 2; do
+  mkdir "$telemetry/$run"
+  (cd "$telemetry/$run" && cargo run --release --quiet --manifest-path "$root/Cargo.toml" --example trace_export > stdout.txt)
+done
+for f in stdout.txt emerald_trace.json emerald_stats.json emerald_stats.csv; do
+  cmp "$telemetry/1/$f" "$telemetry/2/$f"
+done
+rm -rf "$telemetry"
 cargo run --release --example checkpoint_restore >/dev/null
 
 echo "==> paper figures (every table once; exits 1 naming any shape EXPERIMENTS.md claims that fails)"

@@ -48,7 +48,8 @@ fn main() {
         let spec = emerald_serve::SweepSpec::parse(&text)
             .unwrap_or_else(|e| die(format_args!("invalid sweep spec {path}: {e}")));
         if check_only {
-            println!("{path}: ok ({} jobs)", spec.job_count());
+            let jobs = spec.job_count().unwrap_or_else(|e| die(e));
+            println!("{path}: ok ({jobs} jobs)");
             return;
         }
         let request = format!(

@@ -362,10 +362,10 @@ fn corrupted_or_partial_restore_is_caught_and_shrunk() {
     });
 }
 
-/// The host self-profiler as a conformance axis: random ISA programs and
-/// draw calls must produce bit-identical observables with profiling
-/// enabled — the profiler reads the simulation and the host clock, never
-/// the other direction.
+/// The loop-accounting profiler as a conformance axis: random ISA
+/// programs and draw calls must produce bit-identical observables with
+/// profiling enabled — the profiler reads the simulation, never the other
+/// direction.
 #[test]
 fn profiling_axis_is_invisible() {
     let cases = (conf_cases() / 8).max(4);

@@ -61,10 +61,9 @@ fn standalone_render_is_bit_reproducible() {
     assert_eq!(img1, img2, "images differ");
 }
 
-/// The host self-profiler reads the simulation but must never perturb it:
-/// with profiling on, the frame matches the unprofiled reference bit for
-/// bit. It must also stay cheap: wall-clock timestamps are taken on at
-/// most one loop iteration in `SAMPLE_STRIDE`, on the real frame.
+/// The loop-accounting profiler reads the simulation but must never
+/// perturb it: with profiling on, the frame matches the unprofiled
+/// reference bit for bit.
 #[test]
 fn render_is_identical_with_profiling_enabled() {
     let reference = render_full(None);
@@ -75,12 +74,6 @@ fn render_is_identical_with_profiling_enabled() {
     assert!(
         profile.ticks > 0 && profile.gpu_cycles > 0,
         "profiler saw no cycles"
-    );
-    assert!(
-        profile.sampled <= profile.ticks / emerald::obs::prof::SAMPLE_STRIDE + 1,
-        "profiler timed {} of {} iterations",
-        profile.sampled,
-        profile.ticks
     );
     assert_eq!(
         reference.0, profiled.0,

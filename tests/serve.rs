@@ -6,6 +6,7 @@
 //! only trustworthy if "how it was scheduled" can never leak into "what
 //! it simulated".
 
+use emerald::common::json::Json;
 use emerald::common::rng::Xorshift64;
 use emerald::serve::sched::run_jobs;
 use emerald::serve::sweep::JobSpec;
@@ -181,4 +182,53 @@ fn cli_reports_bad_arguments_without_panicking() {
     let (code, stderr) = serve_cli(&["--spec", "sweeps/ci_smoke.json"]);
     assert_eq!(code, Some(0), "closed stdout: {stderr}");
     assert!(!stderr.contains("panicked"), "closed stdout: {stderr}");
+}
+
+/// Outside bytes cannot kill the server: a line nested deeper than the
+/// parser recurses, and a few hundred bytes of axes asking for 10^10 jobs,
+/// each get an error record, and the same process then answers `ping`.
+#[test]
+fn hostile_requests_get_errors_and_the_server_keeps_serving() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let seeds: Vec<String> = (0..100).map(|v| v.to_string()).collect();
+    let axis = format!(r#"{{"key":"seed","values":[{}]}}"#, seeds.join(","));
+    let spec = format!(r#"{{"axes":[{}]}}"#, vec![axis; 5].join(","));
+    let sweep = format!(r#"{{"op":"sweep","spec":{spec}}}"#);
+    let input = format!("{}\n{sweep}\n{{\"op\":\"ping\"}}\n", "[".repeat(200_000));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_emerald_serve"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn emerald_serve");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let writer = std::thread::spawn(move || stdin.write_all(input.as_bytes()));
+    let out = child.wait_with_output().expect("wait for emerald_serve");
+    writer.join().unwrap().expect("write requests");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let records: Vec<Json> = String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .map(|l| Json::parse(l).expect("response is valid JSON"))
+        .collect();
+    assert_eq!(records.len(), 3, "{records:?}");
+    for (r, says) in records[..2]
+        .iter()
+        .zip(["nesting deeper", "10000000000 jobs"])
+    {
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
+        let err = r.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(err.contains(says), "{err}");
+    }
+    assert_eq!(records[2].get("ev").and_then(Json::as_str), Some("pong"));
+
+    // `--check` refuses the same spec as a bad argument.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("huge_sweep.json");
+    std::fs::write(&path, &spec).expect("write spec");
+    let (code, stderr) = serve_cli(&["--spec", path.to_str().unwrap(), "--check"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("10000000000 jobs"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
 }
