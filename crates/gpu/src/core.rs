@@ -367,10 +367,12 @@ impl SimtCore {
     /// Earliest cycle `> now` at which [`SimtCore::cycle`] does more than
     /// count itself (the `emerald_common::event::NextEvent` contract), or
     /// `None` while only a launch or a fill can wake the core. A parked
-    /// core — no warp to issue or retire, no scheduler holding a greedy
-    /// warp, no miss waiting to leave, an LSU that is empty or blocked on
-    /// its cache's memoised stall — wakes at its next scheduled writeback
-    /// or token completion; [`SimtCore::skip`] books the cycles in between.
+    /// core — no warp to issue or retire, no miss waiting to leave, an LSU
+    /// that is empty or blocked on its cache's memoised stall — wakes at
+    /// its next scheduled writeback or token completion; [`SimtCore::skip`]
+    /// books the cycles in between. A greedy pick a scheduler still holds
+    /// does not pin: the first cycle with nothing pickable drops it, and
+    /// `skip` books exactly that.
     pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
         if !self.miss_out.is_empty() {
             return Some(now + 1);
@@ -378,11 +380,7 @@ impl SimtCore {
         if !self.is_active() {
             return None;
         }
-        if self.pickable() != 0
-            || self.masks.done != 0
-            || self.last_greedy.iter().any(Option::is_some)
-            || !self.lsu_is_parked()
-        {
+        if self.pickable() != 0 || self.masks.done != 0 || !self.lsu_is_parked() {
             return Some(now + 1);
         }
         let due = earliest(self.reg_release.next_due(), self.token_done.next_due())?;
@@ -400,15 +398,27 @@ impl SimtCore {
 
     /// Books `delta` cycles this core was active through without being
     /// cycled, none of them at or past its [`SimtCore::next_event`]: the
-    /// cycle count, and a blocked LSU head's retries.
+    /// cycle count, a blocked LSU head's retries, and the schedulers'
+    /// empty picks — nothing is pickable in such a cycle, so each
+    /// scheduler lets go of its greedy warp (GTO) or restarts its rotation
+    /// (LRR), as the first cycled one would.
     pub(crate) fn skip(&mut self, delta: Cycle) {
         self.stats.cycles += delta;
+        self.last_greedy.fill(None);
         match self.lsu.front().copied() {
             Some(p) if p.surface != Surface::Shared => {
                 self.cache_mut(p.surface).book_stalls(p.line, p.kind, delta);
             }
             _ => {}
         }
+    }
+
+    /// Cycle `now` of a core that is active but not due (its
+    /// [`SimtCore::next_event`] is later): booked by [`SimtCore::skip`],
+    /// and stamped as [`SimtCore::cycle`] would stamp it.
+    pub(crate) fn skip_cycle(&mut self, now: Cycle) {
+        self.now = now;
+        self.skip(1);
     }
 
     /// Accounts one returned line of `token`; the owning warp's slot when
@@ -1200,6 +1210,64 @@ mod tests {
                 });
         }
         assert!(refused);
+    }
+
+    /// A GTO core whose only warp waits on an SFU writeback reports that
+    /// writeback's cycle, not `now + 1` for the greedy pick its scheduler
+    /// still holds.
+    #[test]
+    fn a_held_greedy_pick_does_not_pin() {
+        let mut c = core();
+        let mut ctx = GlobalMemCtx::new(SharedMem::with_capacity(1 << 16));
+        launch_simple(&mut c, "rcp.f32 r0, 2.0\nadd.f32 r1, r0, 1.0\nexit", 32);
+        ctx.lock(|x| c.cycle(0, x));
+        assert_eq!(c.cfg.warp_sched, WarpSched::Gto);
+        assert_eq!(c.last_greedy[0], Some(0), "the rcp issued from slot 0");
+        assert_eq!(c.next_event(0), Some(c.cfg.sfu_latency as Cycle));
+    }
+
+    /// Twin GTO cores, one cycled through a gap with nothing pickable and
+    /// one booked over it by `skip`, pick the same warp when it ends. The
+    /// gap opens with the younger warp as the held greedy pick and ends
+    /// with both warps ready, so a booking that kept that pick would issue
+    /// the younger warp where the cycled twin issues the older.
+    #[test]
+    fn a_booked_gap_picks_what_a_cycled_gap_picks() {
+        let mut cfg = GpuConfig::tiny();
+        cfg.schedulers_per_core = 1;
+        cfg.sfu_latency = cfg.alu_latency + 1;
+        let mut ctx = GlobalMemCtx::new(SharedMem::with_capacity(1 << 16));
+        let twin = || {
+            let mut c = SimtCore::new(CoreId(0), &cfg);
+            // Slot 0's rcp issues at cycle 0 and slot 1's add at cycle 1:
+            // both writebacks land at cycle `alu_latency + 1`.
+            launch_simple(&mut c, "rcp.f32 r0, 2.0\nadd.f32 r1, r0, 1.0\nexit", 32);
+            launch_simple(
+                &mut c,
+                "add.f32 r0, 1.0, 2.0\nadd.f32 r1, r0, 1.0\nexit",
+                32,
+            );
+            c
+        };
+        let (mut cycled, mut booked) = (twin(), twin());
+        for c in [&mut cycled, &mut booked] {
+            ctx.lock(|x| c.cycle(0, x));
+            ctx.lock(|x| c.cycle(1, x));
+            assert_eq!(c.last_greedy, [Some(1)]);
+        }
+        let wake = booked.next_event(1).expect("writebacks are scheduled");
+        assert_eq!(wake, cfg.alu_latency as Cycle + 1);
+        for now in 2..wake {
+            ctx.lock(|x| cycled.cycle(now, x));
+        }
+        booked.skip(wake - 2);
+        for c in [&mut cycled, &mut booked] {
+            ctx.lock(|x| c.cycle(wake, x));
+        }
+        assert_eq!(cycled.last_greedy, [Some(0)], "the oldest ready warp");
+        assert_eq!(booked.last_greedy, cycled.last_greedy);
+        assert_eq!(booked.stats().cycles, cycled.stats().cycles);
+        assert_eq!(booked.stats().issued, cycled.stats().issued);
     }
 
     #[test]

@@ -115,9 +115,23 @@ pub struct Gpu {
     finished_external: Vec<(CoreId, u64)>,
     /// Indices of cores with work this cycle (resident warps, queued line
     /// accesses, in-flight tokens or scheduled writebacks), recomputed
-    /// after CTA dispatch. The core phase iterates only this set, so the
-    /// per-cycle cost scales with activity, not with `num_cores`.
+    /// after CTA dispatch, then narrowed to the due ones. The core phase
+    /// iterates only this set, so the per-cycle cost scales with activity,
+    /// not with `num_cores`.
     active: Vec<usize>,
+    /// Per core, its [`SimtCore::next_event`] answer (`Cycle::MAX` for
+    /// `None`), re-read at the end of every [`Gpu::cycle`] in which the
+    /// core was due or took a fill, and reset to 0 (due) by a CTA launch,
+    /// [`Gpu::core_mut`] and a restore. Nothing else moves a core, so an
+    /// active core whose wake is later than `now` is booked
+    /// ([`SimtCore::skip`]) instead of cycled.
+    wake: Vec<Cycle>,
+    /// Set once [`Gpu::dispatch_ctas`] has placed every CTA it can;
+    /// cleared where room can appear or a kernel can need it — a warp
+    /// retiring, [`Gpu::launch_kernel`], a restore. While it is set no
+    /// core has room for any kernel's next CTA, so nothing walks the
+    /// cores for it.
+    cta_blocked: bool,
     stats: GpuStats,
 }
 
@@ -142,6 +156,8 @@ impl Gpu {
             cta_cursor: 0,
             finished_external: Vec::new(),
             active: Vec::with_capacity(cfg.clusters),
+            wake: vec![0; cfg.clusters],
+            cta_blocked: false,
             stats: GpuStats::default(),
             cores,
             l2,
@@ -164,8 +180,10 @@ impl Gpu {
         &self.cores[i]
     }
 
-    /// Mutable core access (the graphics pipeline launches warps directly).
+    /// Mutable core access (the graphics pipeline launches warps
+    /// directly); the core is due next cycle.
     pub fn core_mut(&mut self, i: usize) -> &mut SimtCore {
+        self.wake[i] = 0;
         &mut self.cores[i]
     }
 
@@ -219,6 +237,7 @@ impl Gpu {
     /// Queues a compute kernel; returns its id.
     pub fn launch_kernel(&mut self, kernel: Kernel) -> usize {
         self.kernels.push(KernelState::new(kernel));
+        self.cta_blocked = false;
         self.kernels.len() - 1
     }
 
@@ -260,6 +279,9 @@ impl Gpu {
     }
 
     fn dispatch_ctas(&mut self) {
+        if self.cta_blocked {
+            return;
+        }
         for ki in 0..self.kernels.len() {
             while let Some(ci) = self.core_for_cta(ki) {
                 let ks = &self.kernels[ki];
@@ -281,12 +303,14 @@ impl Gpu {
                         .expect("core_for_cta found room for the whole CTA");
                     self.kernels[ki].warps_outstanding += 1;
                 }
+                self.wake[ci] = 0;
                 let ks = &mut self.kernels[ki];
                 ks.next_cta += 1;
                 ks.next_shared_base += (ks.kernel.shared_bytes + 255) & !255;
                 self.cta_cursor = (ci + 1) % self.cores.len();
             }
         }
+        self.cta_blocked = true;
     }
 
     /// Rebuilds the active-core list from simulation state.
@@ -301,18 +325,31 @@ impl Gpu {
 
     /// Advances the whole GPU one cycle.
     ///
-    /// The active cores run in index order against one locked `ctx`, so a
+    /// The due cores run in index order against one locked `ctx`, so a
     /// store is visible to every later access in the same cycle — by the
     /// storing core and by every higher-indexed one.
     pub fn cycle<C: ImageCtx>(&mut self, now: Cycle, ctx: &mut C, port: &mut dyn MemPort) {
         port.tick(now);
         self.dispatch_ctas();
+        if cfg!(debug_assertions) {
+            self.audit_memos(now.saturating_sub(1));
+        }
         self.collect_active();
-        emerald_obs::prof::record_gpu_cycle();
 
-        // 1. Active cores execute in index order under one image lock. A
-        // cycle with no active core takes no lock; inactive cores would be
-        // pure no-ops (their `is_active` guarantees it).
+        // 1. Due cores execute in index order under one image lock. An
+        // active core whose wake is later would only count the cycle, so
+        // it is booked instead; inactive cores would be pure no-ops (their
+        // `is_active` guarantees it). A cycle with no due core takes no
+        // lock.
+        let (cores, wake) = (&mut self.cores, &self.wake);
+        self.active.retain(|&i| {
+            let due = wake[i] <= now;
+            if !due {
+                cores[i].skip_cycle(now);
+            }
+            due
+        });
+        emerald_obs::prof::record_gpu_cycle(self.active.len() as u64);
         if !self.active.is_empty() {
             let (cores, active) = (&mut self.cores, &self.active);
             ctx.lock(|exec| {
@@ -417,14 +454,16 @@ impl Gpu {
             }
         }
 
-        // 5. Fills back to the cores.
+        // 5. Fills back to the cores; a filled core's wake is re-read.
         while let Some((target, line)) = self.l2_to_core.pop(now) {
             self.cores[target.core].fill_l1(target.surface, line, now);
+            self.wake[target.core] = now;
         }
 
-        // 6. Completed warps.
+        // 6. Completed warps; each frees room a CTA may fit in.
         for core in &mut self.cores {
             while let Some(tag) = core.pop_finished() {
+                self.cta_blocked = false;
                 self.stats.warps_retired += 1;
                 match tag {
                     WarpTag::Compute { kernel, .. } => {
@@ -434,6 +473,39 @@ impl Gpu {
                         self.finished_external.push((core.id, payload));
                     }
                 }
+            }
+        }
+
+        // 7. The wake of every core that was due or took a fill, now that
+        // fills and retirements are in. A booked core's wake still stands:
+        // booking moves nothing its `next_event` reads.
+        for (wake, core) in self.wake.iter_mut().zip(&self.cores) {
+            if *wake <= now {
+                *wake = core.next_event(now).unwrap_or(Cycle::MAX);
+            }
+        }
+    }
+
+    /// The memos' oracle: every cached wake is no later than a fresh
+    /// [`SimtCore::next_event`] answer — a later one is the one way the
+    /// core phase could book a cycle that had work — and while
+    /// `cta_blocked` is set, no core has room for any kernel's next CTA.
+    fn audit_memos(&self, now: Cycle) {
+        for (i, core) in self.cores.iter().enumerate() {
+            let fresh = core.next_event(now);
+            assert!(
+                self.wake[i] <= fresh.unwrap_or(Cycle::MAX),
+                "stale wake {} on {} after cycle {now}: next_event is {fresh:?}",
+                self.wake[i],
+                core.id
+            );
+        }
+        if self.cta_blocked {
+            for ki in 0..self.kernels.len() {
+                assert!(
+                    self.core_for_cta(ki).is_none(),
+                    "CTA room for kernel {ki} while the block bit is set"
+                );
             }
         }
     }
@@ -651,6 +723,8 @@ impl emerald_common::snap::Restore for Gpu {
         self.fill_backlog.clear();
         self.to_mem.clear();
         self.finished_external.clear();
+        self.wake.fill(0);
+        self.cta_blocked = false;
         self.collect_active();
         Ok(())
     }
@@ -660,35 +734,33 @@ impl emerald_common::event::NextEvent for Gpu {
     /// The minimum over everything that can act on its own. `now + 1` if
     /// anything would move next cycle: a fill waiting out interconnect
     /// backpressure, an undrained finished warp, a CTA some core has room
-    /// for, an L2 bank whose head is not its memoised stall, a core with a
-    /// warp to pick or retire, a miss to send or a ready LSU head.
-    /// Otherwise the earlier interconnect arrival and the earliest
-    /// writeback or token completion of any core. Everything else waits on
-    /// an outside event:
+    /// for, an L2 bank whose head is not its memoised stall. Otherwise the
+    /// earlier interconnect arrival and the earliest cached core wake (a
+    /// core with a warp to pick or retire, a miss to send or a ready LSU
+    /// head wakes next cycle, a parked one at its next writeback or token
+    /// completion). Everything else waits on an outside event:
     /// a request at the head of `to_mem` was refused this cycle and
     /// stays refused until the port's channel issues (the port's event),
     /// and an outstanding DRAM read returns through the port. The cycles
     /// before the answer change only what [`Gpu::skip`] books.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let pin = Some(now + 1);
+        if cfg!(debug_assertions) {
+            self.audit_memos(now);
+        }
         if !self.fill_backlog.is_empty()
             || !self.finished_external.is_empty()
-            || (0..self.kernels.len()).any(|ki| self.core_for_cta(ki).is_some())
+            || (!self.cta_blocked
+                && (0..self.kernels.len()).any(|ki| self.core_for_cta(ki).is_some()))
             || self.l2.has_ready_head()
         {
-            return pin;
+            return Some(now + 1);
         }
-        let mut wake = earliest(
+        let cores = self.wake.iter().copied().min().filter(|&t| t != Cycle::MAX);
+        let links = earliest(
             self.core_to_l2.next_arrival(),
             self.l2_to_core.next_arrival(),
         );
-        for core in &self.cores {
-            match core.next_event(now) {
-                Some(t) if t <= now + 1 => return pin,
-                t => wake = earliest(wake, t),
-            }
-        }
-        wake.map(|t| t.max(now + 1))
+        earliest(links, cores).map(|t| t.max(now + 1))
     }
 }
 
@@ -912,6 +984,105 @@ mod tests {
         let at = issue_cycles([src, src], [&[addr, 1], &[addr, 2]], 3, &mut ctx);
         assert_eq!(at[0], at[1], "both stores issue in one cycle");
         assert_eq!(mem.read_u32(u64::from(addr)), 2, "core 1 stores last");
+    }
+
+    /// Expects `f` to panic with a message containing `what`.
+    #[cfg(debug_assertions)]
+    fn expect_panic(what: &str, f: impl FnOnce()) {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the oracle must catch a stale memo");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains(what), "{msg}");
+    }
+
+    /// The wake oracle catches a wake set too late: a warp launched past
+    /// `core_mut`, which is what re-marks the core due.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_stale_wake_is_caught() {
+        let (mut gpu, mut ctx, mut port, _) = setup();
+        gpu.cycle(0, &mut ctx, &mut port);
+        assert_eq!(gpu.wake, [Cycle::MAX; 2], "idle cores never wake");
+        let prog = Arc::new(assemble("mov.b32 r0, %laneid\nexit").unwrap());
+        let w = Warp::new(
+            WarpRegs::new(&prog),
+            32,
+            prog,
+            Arc::from([]),
+            WarpTag::External(0),
+        );
+        gpu.cores[0].launch(w).unwrap();
+        expect_panic("stale wake", || {
+            emerald_common::event::NextEvent::next_event(&gpu, 0);
+        });
+    }
+
+    /// The CTA oracle catches a block bit left set after a retire, when
+    /// the freed slot has room for the kernel's next CTA.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_block_bit_left_set_after_a_retire_is_caught() {
+        let (mut gpu, mut ctx, mut port, _) = setup();
+        let prog = Arc::new(assemble("mov.b32 r0, %input0\nexit").unwrap());
+        // One-warp CTAs, more than the cores' 16 slots hold.
+        gpu.launch_kernel(Kernel::linear(prog, 32 * 64, 32, vec![]));
+        let mut now = 0;
+        while gpu.stats().warps_retired == 0 {
+            gpu.cycle(now, &mut ctx, &mut port);
+            now += 1;
+        }
+        assert!(!gpu.cta_blocked, "a retire clears the bit");
+        gpu.cta_blocked = true;
+        expect_panic("CTA room", || {
+            emerald_common::event::NextEvent::next_event(&gpu, now - 1);
+        });
+    }
+
+    /// A kernel launched after `dispatch_ctas` blocked is due next cycle:
+    /// the launch clears the block bit.
+    #[test]
+    fn a_kernel_launched_after_a_blocked_dispatch_is_due() {
+        let (mut gpu, mut ctx, mut port, _) = setup();
+        gpu.cycle(0, &mut ctx, &mut port);
+        assert!(gpu.cta_blocked, "nothing left to place");
+        let prog = Arc::new(assemble("exit").unwrap());
+        gpu.launch_kernel(Kernel::linear(prog, 32, 32, vec![]));
+        assert_eq!(
+            emerald_common::event::NextEvent::next_event(&gpu, 0),
+            Some(1)
+        );
+    }
+
+    /// A restore re-marks every core due, so a restored core's pending
+    /// writeback wakes a GPU that had cycled idle before, by its due cycle
+    /// at the latest.
+    #[test]
+    fn a_restore_re_marks_the_core_wakes() {
+        use emerald_common::event::NextEvent;
+        use emerald_common::snap::{Restore as _, SnapReader, SnapWriter, Snapshot as _};
+        let (mut gpu, mut ctx, mut port, _) = setup();
+        // `exit` retires the warp before the `mov`'s writeback lands.
+        let prog = Arc::new(assemble("mov.b32 r37, 1\nexit").unwrap());
+        let w = Warp::new(
+            WarpRegs::new(&prog),
+            32,
+            prog,
+            Arc::from([]),
+            WarpTag::External(0),
+        );
+        gpu.core_mut(0).launch(w).unwrap();
+        let end = gpu.run_to_idle(0, 1000, &mut ctx, &mut port);
+        gpu.drain_external_finished();
+        let due = gpu.next_event(end - 1).expect("the writeback is pending");
+        let mut w = SnapWriter::new();
+        gpu.snapshot(&mut w);
+        let enc = w.into_bytes();
+
+        let (mut twin, mut ctx_b, mut port_b, _) = setup();
+        twin.cycle(0, &mut ctx_b, &mut port_b);
+        assert_eq!(twin.wake, [Cycle::MAX; 2], "idle cores never wake");
+        twin.restore(&mut SnapReader::new(&enc)).unwrap();
+        assert!(twin.next_event(end - 1).is_some_and(|t| t <= due));
     }
 
     #[test]

@@ -32,6 +32,9 @@ pub struct HostProfile {
     /// `Gpu::cycle` calls executed; the rest of `gpu_cycles` was booked by
     /// `Gpu::skip`.
     pub gpu_ticks: u64,
+    /// `SimtCore::cycle` calls executed inside those `Gpu::cycle` calls;
+    /// an active core that was not due had its cycle booked instead.
+    pub core_cycles: u64,
     /// Simulated SoC cycles covered, executed or jumped.
     pub soc_cycles: u64,
     /// `CpuCoreModel::run_batch` calls observed.
@@ -45,6 +48,7 @@ impl HostProfile {
         ticks: 0,
         gpu_cycles: 0,
         gpu_ticks: 0,
+        core_cycles: 0,
         soc_cycles: 0,
         cpu_batches: 0,
         cpu_batch_cycles: 0,
@@ -86,12 +90,14 @@ pub fn tick() {
     book(|p| p.ticks += 1);
 }
 
-/// Books one executed `Gpu::cycle`.
+/// Books one executed `Gpu::cycle`, in which `cores` SIMT cores were
+/// cycled.
 #[inline]
-pub fn record_gpu_cycle() {
+pub fn record_gpu_cycle(cores: u64) {
     book(|p| {
         p.gpu_cycles += 1;
         p.gpu_ticks += 1;
+        p.core_cycles += cores;
     });
 }
 
@@ -151,7 +157,7 @@ mod tests {
         set_enabled(false);
         reset();
         tick();
-        record_gpu_cycle();
+        record_gpu_cycle(2);
         record_soc_skip(7);
         record_cpu_batch(3);
         assert_eq!(take(), HostProfile::default());
@@ -161,8 +167,8 @@ mod tests {
     fn jumped_cycles_book_what_ticked_cycles_would() {
         set_enabled(true);
         reset();
-        for _ in 0..9 {
-            record_gpu_cycle();
+        for cores in 0..9 {
+            record_gpu_cycle(cores % 2);
         }
         for _ in 0..3 {
             record_soc_cycle();
@@ -176,9 +182,11 @@ mod tests {
         set_enabled(false);
         assert_eq!((ticked.gpu_cycles, ticked.soc_cycles), (9, 3));
         assert_eq!((ticked.gpu_ticks, skipped.gpu_ticks), (9, 0));
+        assert_eq!((ticked.core_cycles, skipped.core_cycles), (4, 0));
         assert_eq!(
             HostProfile {
                 gpu_ticks: 9,
+                core_cycles: 4,
                 ..skipped
             },
             ticked

@@ -218,23 +218,32 @@ fn display_never_acts_before_next_event() {
 /// Oracle 3a: twin bare GPUs running random kernels. Every gap the GPU
 /// and its port announce is cycled on one twin and jumped-and-booked on
 /// the other; they must agree after each gap and, drained, byte for byte.
+/// Both schedulers: the booking resets GTO's greedy pick and LRR's
+/// rotation alike.
 #[test]
 fn gpu_gaps_change_only_what_skip_books() {
+    use emerald::gpu::config::WarpSched;
     use emerald_conformance::eventconf::{gpu_gap_oracle, GpuGapScenario};
     use emerald_conformance::{base_config, gen_program};
-    let mut gaps = 0;
-    check_n("gpu_gap_twins", env_cases("EMERALD_CONF_CASES", 8), |rng| {
-        let sc = GpuGapScenario {
-            data_seed: rng.next_u64(),
-            gp: gen_program(rng),
-            lag: 0,
+    for sched in [WarpSched::Gto, WarpSched::Lrr] {
+        let cfg = GpuConfig {
+            warp_sched: sched,
+            ..base_config()
         };
-        match gpu_gap_oracle(&sc, &base_config()) {
-            Ok(n) => gaps += n,
-            Err(v) => panic!("{v:?}\n{}", sc.gp.dump()),
-        }
-    });
-    assert!(gaps > 0, "no gap was ever announced");
+        let mut gaps = 0;
+        check_n("gpu_gap_twins", env_cases("EMERALD_CONF_CASES", 8), |rng| {
+            let sc = GpuGapScenario {
+                data_seed: rng.next_u64(),
+                gp: gen_program(rng),
+                lag: 0,
+            };
+            match gpu_gap_oracle(&sc, &cfg) {
+                Ok(n) => gaps += n,
+                Err(v) => panic!("{sched:?}: {v:?}\n{}", sc.gp.dump()),
+            }
+        });
+        assert!(gaps > 0, "no gap was ever announced under {sched:?}");
+    }
 }
 
 /// Oracle 3b: the same walk over twin standalone renderers drawing random
@@ -430,12 +439,11 @@ fn owed_renderer_booking_is_invisible() {
     assert_eq!(registry_json(&restored_on), registry_json(&restored_off));
 }
 
-/// The same on the bare GPU: a `gpgpu_mix`-shaped `saxpy` launch (more
-/// CTAs than the cores hold, every warp waiting on DRAM most of the time)
-/// drains in at most 0.6 `drain_loop` iterations per simulated cycle (1.0
-/// while a busy GPU pinned `now + 1`; 0.44 when written).
-#[test]
-fn a_waiting_gpu_is_not_ticked() {
+/// A `gpgpu_mix`-shaped `saxpy` launch on the bare GPU (more CTAs than
+/// the cores hold, every warp waiting on DRAM most of the time), drained
+/// with loop accounting on: the GPU, its simulated cycles, and the
+/// profile.
+fn saxpy_profile() -> (Gpu, Cycle, emerald::obs::prof::HostProfile) {
     use emerald::gpu::GlobalMemCtx;
     use emerald::obs::prof;
     let n = 1 << 13;
@@ -466,10 +474,38 @@ fn a_waiting_gpu_is_not_ticked() {
     let cycles = gpu.run_to_idle(0, 10_000_000, &mut ctx, &mut port);
     let profile = prof::take();
     prof::set_enabled(false);
+    (gpu, cycles, profile)
+}
+
+/// `a_waiting_soc_is_not_ticked` on the bare GPU: the `saxpy` launch
+/// drains in at most 0.6 `drain_loop` iterations per simulated cycle (1.0
+/// while a busy GPU pinned `now + 1`; 0.44 when written, 0.40 since a
+/// held greedy pick no longer pins).
+#[test]
+fn a_waiting_gpu_is_not_ticked() {
+    let (_, cycles, profile) = saxpy_profile();
     assert_eq!(profile.gpu_cycles, cycles);
     assert!(
         profile.ticks * 10 <= cycles * 6,
         "{} loop iterations for {cycles} simulated cycles",
         profile.ticks
+    );
+}
+
+/// Inside the cycles the GPU does execute, an active core that is not due
+/// is booked, not cycled: on the `saxpy` launch at most 0.12
+/// `SimtCore::cycle` calls per active core-cycle (the cores' `cycles`
+/// counters, which count booked cycles too) — 0.45 while every active
+/// core was cycled in every `Gpu::cycle`; 0.085 when written.
+#[test]
+fn parked_cores_are_booked_not_cycled() {
+    let (gpu, _, profile) = saxpy_profile();
+    let active: u64 = (0..gpu.num_cores())
+        .map(|i| gpu.core(i).stats().cycles)
+        .sum();
+    assert!(
+        profile.core_cycles * 100 <= active * 12,
+        "{} core cycles executed of {active} active",
+        profile.core_cycles
     );
 }
