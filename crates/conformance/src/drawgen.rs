@@ -10,12 +10,13 @@
 use emerald_common::math::{Mat4, Vec2, Vec3};
 use emerald_common::rng::Xorshift64;
 use emerald_core::reference::{diff_pixels, render_reference};
-use emerald_core::renderer::GpuRenderer;
+use emerald_core::renderer::{FrameStats, GpuRenderer};
 use emerald_core::shaders::{self, FsOptions};
 use emerald_core::state::{DrawCall, RenderTarget, TextureDesc, Topology, VertexBuffer};
 use emerald_core::GfxConfig;
 use emerald_gpu::{GpuConfig, SimpleMemPort};
 use emerald_mem::SharedMem;
+use emerald_obs::Registry;
 use emerald_scene::mesh::Mesh;
 use emerald_scene::texture::TextureData;
 
@@ -229,15 +230,18 @@ pub(crate) fn draw_rig(case: &DrawCase, gpu_cfg: &GpuConfig) -> DrawRig {
     }
 }
 
-/// Like [`run_draw_case`] but also returns the simulated frame cycle
-/// count, so the event-skip axis can assert cycle identity in addition
-/// to pixel identity.
-pub fn run_draw_case_timed(case: &DrawCase, gpu_cfg: &GpuConfig) -> (usize, u64) {
+/// Like [`run_draw_case`] but also returns what the frame shows beyond
+/// its pixels — its statistics (simulated cycles, instructions, ...) and
+/// the renderer's published registry (retired warps among it) — so the
+/// event-skip axis can assert those identical too.
+pub fn run_draw_case_timed(case: &DrawCase, gpu_cfg: &GpuConfig) -> (usize, FrameStats, String) {
     let mut rig = draw_rig(case, gpu_cfg);
     render_reference(&rig.mem, rig.ref_rt, &rig.dc, case.fso);
     let stats = rig.renderer.run_frame(&mut rig.port, MAX_FRAME_CYCLES);
     let (hw, sw) = (rig.rt.read_color(&rig.mem), rig.ref_rt.read_color(&rig.mem));
-    (diff_pixels(&hw, &sw), stats.cycles)
+    let mut reg = Registry::new();
+    rig.renderer.publish(&mut reg, "render");
+    (diff_pixels(&hw, &sw), stats, reg.to_json())
 }
 
 /// Shrink candidates for a failing draw: drop the last triangle, simplify

@@ -4,11 +4,14 @@
 //! The one unsafe direction of the contract is reporting *later* than the
 //! truth: a skip loop would jump past a cycle where the component acts,
 //! silently changing simulated time while every individual run still looks
-//! healthy. Two oracles aim at it:
+//! healthy. One oracle per component aims at it:
 //!
-//! - The **gap oracle** drives the memory system and ticks cycle by cycle
-//!   through every stretch its `next_event` declared dead; any response
-//!   completing inside such a stretch is a violation.
+//! - The **dead-gap oracles** drive a component whose announced gaps must
+//!   be no-ops and tick it cycle by cycle through each of them:
+//!   [`gap_oracle`] the memory system (random requests from four sources
+//!   trickle into any organization), [`display_gap_oracle`] the display
+//!   controller behind a memory of any latency, instant included. Inside
+//!   a gap no response may complete and no snapshot byte may change.
 //! - The **twin gap oracle** drives two identical instances of a model
 //!   whose dead stretches still move time-linear counters — a bare GPU, a
 //!   standalone renderer. After every shared cycle it asks for the next
@@ -16,125 +19,323 @@
 //!   it and books it (`skip`), and everything observable must agree at the
 //!   far side: the published registry and in-flight summary after every
 //!   gap, snapshot bytes and output memory once drained.
-//!
 //! - The **cached-pin oracle** runs a whole SoC with `Soc`'s own audit
 //!   armed: after every loop iteration each component's cached wake pin
 //!   must be no later than a fresh `next_event` answer.
 //!
-//! Each has a canary — reports artificially delayed by `lag` cycles, or a
-//! CPU request that fails to invalidate the memory system's cached pin —
-//! which the oracle must catch and the shrinker must minimize.
+//! Each has a canary, run through the same function as the random cases:
+//! reports artificially delayed by `lag` cycles, or a CPU request that
+//! fails to invalidate the memory system's cached pin — which the oracle
+//! must catch and the shrinker must minimize.
 
 use crate::drawgen::{draw_rig, DrawCase, DrawRig};
 use crate::isadiff::{init_mem, kernel_for, Layout};
 use crate::proggen::{shrink_candidates, GenProgram};
 use crate::socconf::{cube_draw, Cell, SocScenario, MAX};
 use emerald_common::event::NextEvent;
+use emerald_common::rng::Xorshift64;
 use emerald_common::snap::{SnapWriter, Snapshot};
-use emerald_common::types::{AccessKind, Cycle, TrafficSource};
+use emerald_common::types::{AccessKind, Addr, Cycle, TrafficSource};
 use emerald_gpu::gpu::{Drain, MemPort};
 use emerald_gpu::{GlobalMemCtx, Gpu, GpuConfig, SimpleMemPort};
 use emerald_mem::req::MemRequest;
-use emerald_mem::{DramConfig, MemorySystem, MemorySystemConfig};
+use emerald_mem::{DramConfig, MemorySystem};
 use emerald_obs::Registry;
+use emerald_soc::display::{DisplayController, DisplayStats};
 use emerald_soc::experiment::MemCfgKind;
 use emerald_soc::soc::Soc;
+use std::collections::VecDeque;
 
-/// A gap-oracle scenario: a burst of `reqs` read requests at `stride`-byte
-/// spacing enters the memory system at cycle 0, after which there is no
-/// external input — so every announced gap must tick as a dead stretch.
-/// `lag` is the injected bug: cycles added to every `next_event` answer
-/// before the oracle trusts it. `lag == 0` is the honest implementation
-/// and must pass.
+/// Where a gap oracle caught its component: something happened inside a
+/// gap it had been told was safe to jump.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GapViolation {
+    /// Last cycle executed before the gap.
+    pub after: Cycle,
+    /// The (lagged) wake cycle the oracle had been promised.
+    pub announced: Cycle,
+    /// What happened inside the gap (for twins: the first line of the
+    /// digests, or which final bytes, that differ).
+    pub detail: String,
+}
+
+fn violation<T>(
+    after: Cycle,
+    announced: Cycle,
+    detail: impl Into<String>,
+) -> Result<T, GapViolation> {
+    Err(GapViolation {
+        after,
+        announced,
+        detail: detail.into(),
+    })
+}
+
+/// A memory-system gap scenario: `reqs` arrive in order at a memory
+/// system of kind `mem`, a few a cycle, as its queues accept them and the
+/// `trickle_seed` stream lets them through. Once all have arrived there
+/// is no external input, so every announced gap must tick as a dead
+/// stretch. `lag` is the injected bug: cycles added to every
+/// `next_event` answer before the oracle trusts it. `lag == 0` is the
+/// honest implementation and must pass.
 #[derive(Debug, Clone)]
 pub struct GapScenario {
-    /// Read requests in the burst.
-    pub reqs: u64,
-    /// Byte stride between consecutive request addresses (line-aligned).
-    pub stride: u64,
+    /// Memory-system organization and scheduler.
+    pub mem: MemCfgKind,
+    /// DRAM preset.
+    pub dram: DramConfig,
+    /// Requests in arrival order: line address, kind, source.
+    pub reqs: Vec<(Addr, AccessKind, TrafficSource)>,
+    /// Seed of the stream that holds back 40 % of arrival attempts.
+    pub trickle_seed: u64,
     /// Injected under-report in cycles (0 = honest).
     pub lag: Cycle,
 }
 
 impl GapScenario {
+    /// A random honest scenario: any of the four memory organizations,
+    /// either LPDDR3 preset, and 20–59 line requests (30 % writes) over
+    /// 4 MiB from the GPU, two CPUs and the display.
+    pub fn random(rng: &mut Xorshift64) -> Self {
+        let sources = [
+            TrafficSource::Gpu,
+            TrafficSource::Cpu(0),
+            TrafficSource::Cpu(1),
+            TrafficSource::Display,
+        ];
+        let mem = MemCfgKind::ALL[rng.below(4) as usize];
+        let dram = if rng.chance(0.5) {
+            DramConfig::lpddr3_1333()
+        } else {
+            DramConfig::lpddr3_1600()
+        };
+        let reqs = (0..rng.range(20, 60))
+            .map(|_| {
+                let addr = rng.below(1 << 22) & !127;
+                let kind = if rng.chance(0.3) {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                (addr, kind, sources[rng.below(4) as usize])
+            })
+            .collect();
+        Self {
+            mem,
+            dram,
+            reqs,
+            trickle_seed: rng.next_u64(),
+            lag: 0,
+        }
+    }
+
+    /// Requests that write.
+    pub fn writes(&self) -> usize {
+        (self.reqs.iter())
+            .filter(|r| r.1 == AccessKind::Write)
+            .count()
+    }
+
     /// One-line summary for failure reports.
     pub fn describe(&self) -> String {
         format!(
-            "{} reqs, stride {:#x}, next_event lagged by {}",
-            self.reqs, self.stride, self.lag
+            "{}, {} reqs ({} writes), next_event lagged by {}",
+            self.mem.label(),
+            self.reqs.len(),
+            self.writes(),
+            self.lag
         )
     }
 }
 
-/// A detected contract violation: the component completed a request at
-/// `acted` although it had announced nothing before `announced`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GapViolation {
-    /// Cycle the component actually acted.
-    pub acted: Cycle,
-    /// The (lagged) wake cycle the oracle had been promised.
-    pub announced: Cycle,
+/// Cycle budget for a memory-system or display walk.
+const GAP_MAX_CYCLES: Cycle = 1_000_000;
+
+/// Everything a dead gap must leave alone: the component's snapshot
+/// bytes (for the memory system: channels, statistics, DASH state).
+fn state_bytes(s: &impl Snapshot) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    s.snapshot(&mut w);
+    w.into_bytes()
 }
 
-/// Drains `sc`'s burst through a two-channel FR-FCFS memory system,
-/// trusting `next_event + sc.lag` for dead stretches, and reports the
-/// first violation.
-pub fn gap_oracle(sc: &GapScenario) -> Result<(), GapViolation> {
-    let mut ms = MemorySystem::new(MemorySystemConfig::baseline(2, DramConfig::lpddr3_1600()));
-    for i in 0..sc.reqs {
-        let req = MemRequest {
-            id: i,
-            addr: (i * sc.stride) & !127,
-            bytes: 128,
-            kind: AccessKind::Read,
-            source: TrafficSource::Gpu,
-            issued: 0,
-        };
-        if ms.enqueue(req, 0).is_err() {
-            break; // queues full: a smaller burst is the same scenario
+/// Feeds `sc`'s requests into its memory system and drains it, trusting
+/// `next_event + sc.lag` once no input is left: each announced gap is
+/// ticked a cycle at a time and must complete no response and leave every
+/// state byte alone — statistics, bank timing, DASH's windows and RNG.
+/// A `None` answer promises the system never acts again, and is held to
+/// that for 200 cycles. Returns the number of gaps walked.
+pub fn gap_oracle(sc: &GapScenario) -> Result<u32, GapViolation> {
+    let mut ms = MemorySystem::new(sc.mem.build(sc.dram.clone()));
+    let mut trickle = Xorshift64::new(sc.trickle_seed);
+    let mut arrivals = sc.reqs.iter().zip(0..).peekable();
+    let (mut now, mut gaps) = (0, 0);
+    while arrivals.peek().is_some() || !ms.is_idle() {
+        if now >= GAP_MAX_CYCLES {
+            return violation(now, now, "did not drain within the cycle budget");
         }
-    }
-    let mut now: Cycle = 0;
-    while !ms.is_idle() && now < 1_000_000 {
+        while let Some(&(&(addr, kind, source), id)) = arrivals.peek() {
+            let req = MemRequest {
+                id,
+                addr,
+                bytes: 128,
+                kind,
+                source,
+                issued: now,
+            };
+            if !ms.can_accept(&req) || trickle.chance(0.4) {
+                break;
+            }
+            ms.enqueue(req, now).expect("can_accept said yes");
+            arrivals.next();
+        }
         ms.tick(now);
         let _ = ms.drain_finished(now);
-        let Some(truth) = NextEvent::next_event(&ms, now) else {
-            break;
-        };
-        let announced = truth + sc.lag;
-        for c in now + 1..announced {
-            ms.tick(c);
-            if !ms.drain_finished(c).is_empty() {
-                return Err(GapViolation {
-                    acted: c,
-                    announced,
-                });
-            }
+        if arrivals.peek().is_some() {
+            now += 1;
+            continue;
         }
-        now = announced;
+        let announced = ms.next_event(now).map_or(now + 200, |t| t + sc.lag);
+        if announced > now + 1 {
+            let before = state_bytes(&ms);
+            for c in now + 1..announced {
+                ms.tick(c);
+                if !ms.drain_finished(c).is_empty() {
+                    return violation(now, announced, format!("a response completed at {c}"));
+                }
+            }
+            if state_bytes(&ms) != before {
+                return violation(now, announced, "state changed");
+            }
+            gaps += 1;
+        }
+        now = announced.max(now + 1);
     }
-    Ok(())
+    Ok(gaps)
 }
 
-/// Shrink candidates for a failing [`GapScenario`]: halve the burst, the
-/// stride and the lag, one axis at a time. The minimizer keeps only
-/// candidates that still violate, so the lag never shrinks to the honest 0.
+/// Shrink candidates for a failing [`GapScenario`]: the first half of the
+/// requests, the baseline organization, half the lag — one axis at a
+/// time. The minimizer keeps only candidates that still violate, so the
+/// lag never shrinks to the honest 0.
 pub fn shrink_gap_candidates(sc: &GapScenario) -> Vec<GapScenario> {
     let mut out = Vec::new();
-    if sc.reqs > 1 {
+    if sc.reqs.len() > 1 {
         out.push(GapScenario {
-            reqs: sc.reqs / 2,
+            reqs: sc.reqs[..sc.reqs.len() / 2].to_vec(),
             ..sc.clone()
         });
     }
-    if sc.stride > 128 {
+    if sc.mem != MemCfgKind::Bas {
         out.push(GapScenario {
-            stride: (sc.stride / 2).max(128),
+            mem: MemCfgKind::Bas,
             ..sc.clone()
         });
     }
     if sc.lag > 1 {
         out.push(GapScenario {
+            lag: sc.lag / 2,
+            ..sc.clone()
+        });
+    }
+    out
+}
+
+/// A display gap scenario: a controller scanning `fb_bytes` every
+/// `period` cycles behind a memory that credits each read `latency`
+/// cycles after the cycle that issued it (0: instant, credited before
+/// the next tick), for four refresh periods. `lag` delays every
+/// `next_event` answer (0 = honest).
+#[derive(Debug, Clone)]
+pub struct DisplayGapScenario {
+    /// Framebuffer bytes scanned per refresh.
+    pub fb_bytes: u64,
+    /// Refresh period in cycles.
+    pub period: Cycle,
+    /// Read latency past the issuing cycle.
+    pub latency: Cycle,
+    /// Injected under-report in cycles (0 = honest).
+    pub lag: Cycle,
+}
+
+impl DisplayGapScenario {
+    /// A random honest scenario: a 16 or 64 KiB framebuffer, a
+    /// 4 000–39 999-cycle period, and half the time instant memory, else a
+    /// latency of 20–5 999 cycles — past what the scanout FIFO covers, so
+    /// underruns happen as well as prefetch unlocks.
+    pub fn random(rng: &mut Xorshift64) -> Self {
+        Self {
+            fb_bytes: [16 << 10, 64 << 10][rng.below(2) as usize],
+            period: rng.range(4_000, 40_000),
+            latency: if rng.chance(0.5) {
+                0
+            } else {
+                rng.range(20, 6_000)
+            },
+            lag: 0,
+        }
+    }
+}
+
+/// Walks `sc`'s display. Every stretch up to the earlier of its
+/// announced wake (delayed by `sc.lag`) and the next response is ticked a
+/// cycle at a time and must leave the controller's snapshot bytes — beam
+/// state, requests, statistics — untouched. Returns the gaps walked and
+/// the final statistics.
+pub fn display_gap_oracle(sc: &DisplayGapScenario) -> Result<(u32, DisplayStats), GapViolation> {
+    let mut d = DisplayController::new(0x1000, sc.fb_bytes, sc.period);
+    let mut in_flight: VecDeque<(Cycle, u32)> = VecDeque::new();
+    let (mut now, mut gaps) = (0, 0);
+    while now < 4 * sc.period {
+        while in_flight.front().is_some_and(|r| r.0 <= now) {
+            d.on_response(in_flight.pop_front().expect("front").1);
+        }
+        d.tick(now);
+        let due = now + 1 + sc.latency;
+        in_flight.extend(d.drain_requests().iter().map(|r| (due, r.bytes)));
+        let Some(wake) = d.next_event(now).filter(|&t| t > now) else {
+            return violation(now, now, "no period boundary announced ahead");
+        };
+        let announced = wake + sc.lag;
+        let quiet = announced.min(in_flight.front().map_or(announced, |r| r.0));
+        if quiet > now + 1 {
+            let before = state_bytes(&d);
+            (now + 1..quiet).for_each(|c| d.tick(c));
+            if state_bytes(&d) != before {
+                return violation(now, announced, format!("acted before {quiet}"));
+            }
+            gaps += 1;
+        }
+        now = quiet.max(now + 1);
+    }
+    Ok((gaps, d.stats()))
+}
+
+/// Shrink candidates for a failing [`DisplayGapScenario`]: instant
+/// memory, the small framebuffer, half the period, half the lag. The lag
+/// is never removed.
+pub fn shrink_display_gap_candidates(sc: &DisplayGapScenario) -> Vec<DisplayGapScenario> {
+    let mut out = Vec::new();
+    if sc.latency > 0 {
+        out.push(DisplayGapScenario {
+            latency: 0,
+            ..sc.clone()
+        });
+    }
+    if sc.fb_bytes > 16 << 10 {
+        out.push(DisplayGapScenario {
+            fb_bytes: 16 << 10,
+            ..sc.clone()
+        });
+    }
+    if sc.period > 4_000 {
+        out.push(DisplayGapScenario {
+            period: (sc.period / 2).max(4_000),
+            ..sc.clone()
+        });
+    }
+    if sc.lag > 1 {
+        out.push(DisplayGapScenario {
             lag: sc.lag / 2,
             ..sc.clone()
         });
@@ -155,17 +356,6 @@ pub(crate) trait GapSim: Drain {
     fn drained_bytes(&self) -> Vec<u8>;
 }
 
-/// Where the twins stopped agreeing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TwinViolation {
-    /// Last cycle both twins executed before the disagreement.
-    pub after: Cycle,
-    /// The cycle the jumping twin was told it could sleep until.
-    pub announced: Cycle,
-    /// First line of the digests (or which final bytes) that differ.
-    pub detail: String,
-}
-
 fn first_difference(a: &str, b: &str) -> String {
     a.lines().zip(b.lines()).find(|(x, y)| x != y).map_or_else(
         || "digests differ in length".into(),
@@ -184,13 +374,8 @@ pub(crate) fn twin_gap_oracle<S: GapSim>(
     jumped: &mut S,
     lag: Cycle,
     max_cycles: Cycle,
-) -> Result<u32, TwinViolation> {
+) -> Result<u32, GapViolation> {
     let (mut now, mut gaps) = (0, 0);
-    let differ = |after, announced, detail| TwinViolation {
-        after,
-        announced,
-        detail,
-    };
     while !jumped.is_idle() {
         stepped.cycle(now);
         jumped.cycle(now);
@@ -205,16 +390,16 @@ pub(crate) fn twin_gap_oracle<S: GapSim>(
             gaps += 1;
             let (a, b) = (stepped.digest(), jumped.digest());
             if a != b {
-                return Err(differ(now, wake, first_difference(&a, &b)));
+                return violation(now, wake, first_difference(&a, &b));
             }
         }
         now = wake;
         if now >= max_cycles {
-            return Err(differ(now, wake, "did not drain".into()));
+            return violation(now, wake, "did not drain");
         }
     }
     if !stepped.is_idle() || stepped.drained_bytes() != jumped.drained_bytes() {
-        return Err(differ(now, now, "drained state differs".into()));
+        return violation(now, now, "drained state differs");
     }
     Ok(gaps)
 }
@@ -362,14 +547,14 @@ pub struct GpuGapScenario {
 const TWIN_MAX_CYCLES: Cycle = 20_000_000;
 
 /// Walks `sc`'s kernel on twin GPUs built from `cfg`.
-pub fn gpu_gap_oracle(sc: &GpuGapScenario, cfg: &GpuConfig) -> Result<u32, TwinViolation> {
+pub fn gpu_gap_oracle(sc: &GpuGapScenario, cfg: &GpuConfig) -> Result<u32, GapViolation> {
     let mut stepped = GpuSim::new(&sc.gp, sc.data_seed, cfg);
     let mut jumped = GpuSim::new(&sc.gp, sc.data_seed, cfg);
     twin_gap_oracle(&mut stepped, &mut jumped, sc.lag, TWIN_MAX_CYCLES)
 }
 
 /// Walks `case` on twin standalone renderers built from `cfg`.
-pub fn renderer_gap_oracle(case: &DrawCase, cfg: &GpuConfig) -> Result<u32, TwinViolation> {
+pub fn renderer_gap_oracle(case: &DrawCase, cfg: &GpuConfig) -> Result<u32, GapViolation> {
     let mut stepped = RendererSim::new(case, cfg);
     let mut jumped = RendererSim::new(case, cfg);
     twin_gap_oracle(&mut stepped, &mut jumped, 0, TWIN_MAX_CYCLES)
@@ -471,55 +656,4 @@ pub fn shrink_pin_candidates(sc: &PinScenario) -> Vec<PinScenario> {
         });
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn honest_reports_pass_the_oracle() {
-        for reqs in [1, 8, 32] {
-            gap_oracle(&GapScenario {
-                reqs,
-                stride: 4096,
-                lag: 0,
-            })
-            .expect("honest next_event must conform");
-        }
-    }
-
-    #[test]
-    fn lagged_reports_are_violations() {
-        let v = gap_oracle(&GapScenario {
-            reqs: 16,
-            stride: 4096,
-            lag: 4,
-        })
-        .expect_err("lagged next_event must be caught");
-        assert!(v.acted < v.announced);
-    }
-
-    fn kernel(seed: u64, lag: Cycle) -> GpuGapScenario {
-        let mut rng = emerald_common::rng::Xorshift64::new(seed);
-        GpuGapScenario {
-            data_seed: rng.next_u64(),
-            gp: crate::proggen::gen_program(&mut rng),
-            lag,
-        }
-    }
-
-    #[test]
-    fn honest_gpu_twins_agree_and_walk_gaps() {
-        let cfg = crate::isadiff::base_config();
-        let gaps = gpu_gap_oracle(&kernel(7, 0), &cfg).expect("honest next_event must conform");
-        assert!(gaps > 0, "a kernel that loads from DRAM waits somewhere");
-    }
-
-    #[test]
-    fn lagged_gpu_twins_disagree() {
-        let cfg = crate::isadiff::base_config();
-        let v = gpu_gap_oracle(&kernel(7, 3), &cfg).expect_err("lagged next_event must be caught");
-        assert!(v.announced > v.after + 1, "{v:?}");
-    }
 }

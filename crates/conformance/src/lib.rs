@@ -21,26 +21,30 @@
 //!   the injected-ALU-bug canary.
 //! - [`drawgen`] generates random draw calls / render state and diffs
 //!   hardware frames pixel-exact against `emerald_core::reference`.
-//! - [`eventconf`] checks the `NextEvent` event-skip contract with a gap
-//!   oracle (memory system), a twin gap oracle (bare GPU, standalone
-//!   renderer: one twin cycled through every announced gap, the other
-//!   jumping and booking it), the SoC's cached-pin audit, and injected
-//!   under-reporting and forgotten-invalidation canaries.
+//! - [`eventconf`] checks the `NextEvent` event-skip contract, one
+//!   oracle per component: dead-gap oracles (memory system, display), a
+//!   twin gap oracle (bare GPU, standalone renderer: one twin cycled
+//!   through every announced gap, the other jumping and booking it), the
+//!   SoC's cached-pin audit, and injected under-reporting and
+//!   forgotten-invalidation canaries run through those same functions.
 //! - [`batchconf`] checks the batched CPU execution contract
-//!   (`run_batch`) with a twin-core oracle and an injected
-//!   window-overrun canary.
+//!   (`run_batch`) with a twin-core oracle over any script and window
+//!   cap, and an injected window-overrun canary.
 //! - [`socconf`] is the one SoC lockstep harness: a scenario type, the
 //!   cube draw, the frame-barrier digest, the gate matrix (every
-//!   `event_skip × cpu_batch` cell agrees at every barrier) and the
-//!   checkpoint/restore oracle, across cells, with its injected
-//!   byte-corruption and stale-RNG-stream canaries.
+//!   `event_skip × cpu_batch` cell agrees at every barrier, every cell
+//!   but the per-cycle reference profiled) and the checkpoint/restore
+//!   oracle, across cells, with its injected byte-corruption and
+//!   stale-RNG-stream canaries.
 //! - [`budget`] arms SoC-running oracles with a wall-clock frame budget
 //!   (`EMERALD_CONF_FRAME_BUDGET_MS`); a case that blows it checkpoints
 //!   its `Soc` into `EMERALD_TIMEOUT_SNAP_DIR` for CI artifact upload.
 //!
 //! Failures replay from a single case seed (see
 //! `emerald_common::check`) and are shrunk with
-//! `emerald_common::check::minimize` before being reported.
+//! `emerald_common::check::minimize` before being reported. DESIGN.md
+//! §10's coverage map names, per invisibility axis, the one oracle here,
+//! the root test that drives it on random cases and its canary.
 
 #![warn(missing_docs)]
 
@@ -56,8 +60,9 @@ pub mod socconf;
 pub use batchconf::{batch_oracle, shrink_batch_candidates, BatchScenario};
 pub use drawgen::{gen_draw, run_draw_case, run_draw_case_timed, shrink_draw_candidates};
 pub use eventconf::{
-    gap_oracle, gpu_gap_oracle, pin_oracle, renderer_gap_oracle, shrink_gap_candidates,
-    shrink_gpu_gap_candidates, shrink_pin_candidates, GapScenario, GpuGapScenario, PinScenario,
+    display_gap_oracle, gap_oracle, gpu_gap_oracle, pin_oracle, renderer_gap_oracle,
+    shrink_display_gap_candidates, shrink_gap_candidates, shrink_gpu_gap_candidates,
+    shrink_pin_candidates, DisplayGapScenario, GapScenario, GpuGapScenario, PinScenario,
 };
 pub use isadiff::{
     base_config, bug_site, check_case, check_case_matrix, check_with_injected_bug, config_matrix,

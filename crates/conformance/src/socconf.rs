@@ -12,7 +12,9 @@
 //!   cpu_batch` cells and compares every barrier across them, checkpoint
 //!   bytes included: each requester stamps its request ids from its own
 //!   counter, so no schedule shows in them, and the container's
-//!   configuration hash leaves the gates out.
+//!   configuration hash leaves the gates out. Three of the cells run with
+//!   loop accounting on, so profiling is an axis of the same matrix, and
+//!   four fresh runs agreeing is rerun determinism.
 //! - [`snap_oracle`] runs one scenario in one cell straight while
 //!   capturing a checkpoint, revives it into a fresh SoC in the same or
 //!   another cell and compares every later barrier. Its canary
@@ -36,7 +38,7 @@ use emerald_core::shaders::{self, FsOptions};
 use emerald_core::state::{DrawCall, Topology, VertexBuffer};
 use emerald_mem::dram::DramConfig;
 use emerald_mem::system::MemorySystemConfig;
-use emerald_obs::Registry;
+use emerald_obs::{prof, Registry};
 use emerald_scene::mesh::unit_cube;
 use emerald_soc::cpu::{CpuWorkload, Phase};
 use emerald_soc::experiment::MemCfgKind;
@@ -69,7 +71,8 @@ pub struct SocScenario {
 impl SocScenario {
     /// A random scenario: memory kind (BAS, DCB, HMC), DRAM preset,
     /// resolution, period, the driver plus a random subset of the other
-    /// three scripts, and the `Work` divisor.
+    /// three scripts, the `Work` divisor, and whether frames draw the cube
+    /// or leave the frame to the CPUs, memory and the display alone.
     pub fn random(rng: &mut Xorshift64) -> Self {
         let kind = [MemCfgKind::Bas, MemCfgKind::Dcb, MemCfgKind::Hmc][rng.below(3) as usize];
         let dram = if rng.chance(0.5) {
@@ -96,7 +99,7 @@ impl SocScenario {
             period,
             cpus,
             work_div: rng.range(6, 14),
-            cube: true,
+            cube: rng.chance(0.5),
         }
     }
 
@@ -242,18 +245,36 @@ impl Barrier {
 
 /// Runs `sc` for `frames` frames in every cell of [`cells`] and checks
 /// every frame barrier, checkpoint bytes included, against the first
-/// cell's: the per-cycle reference. Returns that cell's SoC at its last
-/// barrier, for the caller's own assertions.
+/// cell's: the per-cycle reference. Every other cell runs with loop
+/// accounting (`obs::prof`) on, so the profiler is on the axis too, and
+/// each of its frames must account every simulated cycle and run CPU
+/// batches exactly when the cell batches. Each cell is a fresh SoC, so
+/// agreement also shows a rerun is bit-reproducible. Returns the
+/// reference cell's SoC at its last barrier, for the caller's own
+/// assertions.
 pub fn gate_matrix(sc: &SocScenario, frames: u32) -> Result<Soc, String> {
     let mut reference: Option<(Cell, Vec<Barrier>, Soc)> = None;
     for cell in cells() {
+        let profiled = reference.is_some();
         let mut soc = Soc::new(sc.config(cell));
-        let got: Vec<Barrier> = (0..frames)
-            .map(|f| {
-                let rec = soc.run_frame(sc.draws(&soc, f), MAX);
-                Barrier::at(&soc, &rec)
-            })
-            .collect();
+        let mut got = Vec::new();
+        for f in 0..frames {
+            let d = sc.draws(&soc, f);
+            prof::set_enabled(profiled);
+            prof::reset();
+            let rec = soc.run_frame(d, MAX);
+            let p = prof::take();
+            prof::set_enabled(false);
+            if profiled
+                && (p.soc_cycles != rec.total_cycles || cell.cpu_batch != (p.cpu_batches > 0))
+            {
+                let cycles = rec.total_cycles;
+                return Err(format!(
+                    "{cell:?}: frame {f}: {p:?} accounts {cycles} cycles"
+                ));
+            }
+            got.push(Barrier::at(&soc, &rec));
+        }
         let Some((rc, want, _)) = &reference else {
             reference = Some((cell, got, soc));
             continue;

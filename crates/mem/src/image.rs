@@ -166,6 +166,12 @@ impl SharedMem {
         self.write(|m| m.alloc(size, align))
     }
 
+    /// Bytes handed out so far, alignment padding included: the
+    /// allocator's cursor.
+    pub fn allocated(&self) -> u64 {
+        self.read(|m| m.next)
+    }
+
     /// Convenience: reads a `u32`.
     pub fn read_u32(&self, addr: Addr) -> u32 {
         self.read(|m| m.read_u32(addr))

@@ -57,7 +57,7 @@ impl MemRequest {
     }
 
     /// True for reads (which need a response delivered to the requester).
-    pub fn needs_response(&self) -> bool {
+    pub(crate) fn needs_response(&self) -> bool {
         self.kind == AccessKind::Read
     }
 

@@ -110,6 +110,11 @@ impl Session {
         })
     }
 
+    /// Bytes of the SoC's memory image this session has allocated.
+    pub(crate) fn image_bytes(&self) -> u64 {
+        self.soc.mem.allocated()
+    }
+
     /// Forks a session from a warmed shared snapshot. The binding is the
     /// *prefix's* binding: re-uploading the scene would move the
     /// allocator and diverge from the cold run, whereas the snapshot

@@ -27,6 +27,7 @@
 //! warmup draws are deliberately seed-independent. Jobs with `warmup: 0`
 //! have nothing to share and always start cold.
 
+use crate::session::Session;
 use emerald_common::json::Json;
 use emerald_mem::DramConfig;
 use emerald_scene::workloads::{self, WorkloadDef};
@@ -154,9 +155,10 @@ impl JobParams {
     }
 
     /// Rejects a job no session could run: a zero-sized render target, a
-    /// zero frame period, or color and depth buffers that do not fit the
-    /// SoC's memory image. The error names the parameter.
-    fn validate(&self) -> Result<(), String> {
+    /// zero frame period, or color and depth buffers that leave the SoC's
+    /// memory image too little room for the rest of a cold session. The
+    /// error names the parameter. `reserves` memoizes that rest per model.
+    fn validate(&self, reserves: &mut Vec<(String, u64)>) -> Result<(), String> {
         let sizes = [
             ("width", u64::from(self.width)),
             ("height", u64::from(self.height)),
@@ -166,11 +168,33 @@ impl JobParams {
             return Err(format!("{key} must be at least 1"));
         }
         // Color and depth, four bytes a pixel each.
-        let fb_bytes = u64::from(self.width) * u64::from(self.height) * 8;
-        if fb_bytes > Soc::IMAGE_BYTES as u64 {
+        let fb = |w: u32, h: u32| u64::from(w) * u64::from(h) * 8;
+        let reserve = match reserves.iter().find(|(m, _)| *m == self.model) {
+            Some(&(_, bytes)) => bytes,
+            None => {
+                // What a 1x1 session allocates past its own buffers: the
+                // renderer's output vertex buffer, the CPU arenas, the
+                // scene upload and their alignment.
+                let one = JobParams {
+                    width: 1,
+                    height: 1,
+                    ..self.clone()
+                };
+                let spec = JobSpec {
+                    id: 0,
+                    label: String::new(),
+                    params: one,
+                };
+                let bytes = Session::new_cold(spec)?.image_bytes() - fb(1, 1);
+                reserves.push((self.model.clone(), bytes));
+                bytes
+            }
+        };
+        let fb_bytes = fb(self.width, self.height);
+        if fb_bytes + reserve > Soc::IMAGE_BYTES as u64 {
             return Err(format!(
-                "width x height {}x{} needs {fb_bytes} framebuffer bytes, more than the \
-                 {}-byte SoC memory image",
+                "width x height {}x{} needs {fb_bytes} framebuffer bytes, and the session \
+                 {reserve} more, past the {}-byte SoC memory image",
                 self.width,
                 self.height,
                 Soc::IMAGE_BYTES
@@ -350,13 +374,14 @@ impl SweepSpec {
             }
             jobs = next;
         }
+        let mut reserves = Vec::new();
         for (i, job) in jobs.iter_mut().enumerate() {
             job.id = i;
             if job.label.is_empty() {
                 job.label = self.name.clone();
             }
             job.params
-                .validate()
+                .validate(&mut reserves)
                 .map_err(|e| format!("job {}: {e}", job.label))?;
         }
         Ok(jobs)
@@ -551,6 +576,10 @@ mod tests {
             (
                 r#"{"base": {"height": 16384, "frames": 1}, "axes": [{"key": "width", "values": [4, 16384]}]}"#,
                 "width x height 16384x16384",
+            ),
+            (
+                r#"{"base": {"width": 5792, "height": 5792}}"#,
+                "width x height 5792x5792",
             ),
         ] {
             let err = SweepSpec::parse(bad).expect_err(bad);

@@ -1011,107 +1011,4 @@ mod tests {
         assert!(cpu.stats().stall_cycles > 5_000);
         assert!(cpu.stats().instrs < 5_000);
     }
-
-    /// Drives `single` with budget-1 `run_batch` calls (the per-cycle
-    /// clocking) and `batch` with windows of up to `budget` cycles under
-    /// identical response schedules, asserting bit-identical state
-    /// evolution: an n-cycle batch is n single-cycle ones, down to the
-    /// request ids. Responses arrive at window boundaries, crude but
-    /// deterministic.
-    fn batch_equals_single_cycles(workload: CpuWorkload, seed: u64, budget: Cycle, horizon: Cycle) {
-        // Separate images so both twins get the same arena address.
-        let (ma, mb) = (mem(), mem());
-        let mut single = CpuCoreModel::new(0, workload.clone(), &ma, seed);
-        let mut batch = CpuCoreModel::new(0, workload, &mb, seed);
-        let mut now: Cycle = 0;
-        while now < horizon && !single.at_frame_end() {
-            // Reference side: one cycle per call through the window.
-            let mut ref_reqs = Vec::new();
-            let mut ref_draws = 0;
-            let window_end = now + budget;
-            let mut t = now;
-            while t < window_end {
-                if single.run_batch(t, 1, false).1 == CpuEvent::IssueDraw {
-                    ref_draws += 1;
-                }
-                t += 1;
-                ref_reqs.extend(single.drain_requests());
-                if !ref_reqs.is_empty() {
-                    break; // the batch twin stops here; realign
-                }
-            }
-            // Batch side: one run_batch call bounded by the same window.
-            let mut got_reqs = Vec::new();
-            let mut got_draws = 0;
-            let mut b = now;
-            while b < t {
-                let (used, ev) = batch.run_batch(b, t - b, false);
-                assert!(used >= 1, "no progress at {b}");
-                b += used;
-                if ev == CpuEvent::IssueDraw {
-                    got_draws += 1;
-                }
-                got_reqs.extend(batch.drain_requests());
-            }
-            assert_eq!(ref_reqs, got_reqs, "requests diverged in window at {now}");
-            assert_eq!(ref_draws, got_draws, "draw events diverged at {now}");
-            // Unstall both sides identically at the window boundary.
-            for _ in ref_reqs.iter().filter(|q| q.needs_response()) {
-                single.on_response();
-                batch.on_response();
-            }
-            now = t;
-        }
-        let (a, b) = (single.stats(), batch.stats());
-        assert_eq!(a.instrs, b.instrs);
-        assert_eq!(a.mem_requests, b.mem_requests);
-        assert_eq!(a.stall_cycles, b.stall_cycles);
-        assert_eq!(single.at_frame_end(), batch.at_frame_end());
-        assert_eq!(single.poll_counter, batch.poll_counter);
-        assert_eq!(single.rng, batch.rng, "RNG streams diverged");
-    }
-
-    /// Over the `Work`, stall and (the driver's unsatisfied `WaitGpu`)
-    /// fence-poll paths.
-    #[test]
-    fn run_batch_matches_single_cycle_batches() {
-        for (seed, budget) in [(11u64, 1u64), (12, 7), (13, 64), (14, 1000)] {
-            batch_equals_single_cycles(CpuWorkload::driver(), seed, budget, 200_000);
-            batch_equals_single_cycles(CpuWorkload::streamer(), seed, budget, 120_000);
-            batch_equals_single_cycles(CpuWorkload::compute(), seed, budget, 120_000);
-            batch_equals_single_cycles(CpuWorkload::mixed(), seed, budget, 120_000);
-        }
-    }
-
-    #[test]
-    fn run_batch_burns_stall_cycles_identically() {
-        let wl = CpuWorkload {
-            phases: vec![Phase::Work {
-                instrs: 100_000,
-                mem_ratio: 1.0,
-                footprint: 8 << 20,
-                sequential: false,
-            }],
-        };
-        let (ma, mb) = (mem(), mem());
-        let mut single = CpuCoreModel::new(0, wl.clone(), &ma, 5);
-        let mut batch = CpuCoreModel::new(0, wl, &mb, 5);
-        // Never respond: both twins hit the outstanding limit and must burn
-        // the same stall_cycles whether run one cycle at a time or in bulk
-        // windows.
-        for now in 0..10_000 {
-            single.run_batch(now, 1, false);
-            single.drain_requests();
-        }
-        let mut b: Cycle = 0;
-        while b < 10_000 {
-            let (used, _) = batch.run_batch(b, (10_000 - b).min(333), false);
-            batch.drain_requests();
-            b += used;
-        }
-        assert!(single.stats().stall_cycles > 5_000);
-        assert_eq!(single.stats().stall_cycles, batch.stats().stall_cycles);
-        assert_eq!(single.stats().instrs, batch.stats().instrs);
-        assert_eq!(single.stats().mem_requests, batch.stats().mem_requests);
-    }
 }

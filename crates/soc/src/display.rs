@@ -91,15 +91,6 @@ impl DisplayController {
         (done.min(1.0), elapsed.min(1.0))
     }
 
-    /// True while the controller has reads in flight or requests waiting
-    /// to enter the memory system. Note the beam itself always advances —
-    /// a cycle with no pending work can still *become* busy at the next
-    /// prefetch or period boundary, so this is a point-in-time signal for
-    /// skip-opportunity accounting, not a drain guarantee.
-    pub fn has_pending(&self) -> bool {
-        self.inflight > 0 || !self.out.is_empty()
-    }
-
     /// Takes the requests generated so far (standalone drivers).
     pub fn drain_requests(&mut self) -> Vec<MemRequest> {
         std::mem::take(&mut self.out)
