@@ -79,9 +79,24 @@ impl Xorshift64 {
         lo + self.below(hi - lo)
     }
 
-    /// Bernoulli trial with probability `p` (clamped to `[0,1]`).
+    /// Bernoulli trial with probability `p` (clamped to `[0,1]`; NaN never
+    /// hits): `next_f64() < p`, decided in integers by [`Xorshift64::trial`].
     pub fn chance(&mut self, p: f64) -> bool {
-        self.next_f64() < p.clamp(0.0, 1.0)
+        self.trial(Self::threshold(p))
+    }
+
+    /// The integer form of probability `p` for [`Xorshift64::trial`]:
+    /// `⌈clamp(p)·2^53⌉`. For an integer `k < 2^53`, `k / 2^53 < p` holds
+    /// exactly when `k < ⌈p·2^53⌉`, and scaling by a power of two is exact,
+    /// so a trial draws what `next_f64() < p` would. NaN maps to 0.
+    pub fn threshold(p: f64) -> u64 {
+        (p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64
+    }
+
+    /// Bernoulli trial against a precomputed [`Xorshift64::threshold`]:
+    /// the top 53 bits of one raw draw, compared as an integer.
+    pub fn trial(&mut self, threshold: u64) -> bool {
+        self.next_u64() >> 11 < threshold
     }
 
     /// The raw internal state, for checkpointing. Feed it back through
@@ -184,6 +199,58 @@ mod tests {
         let mut r = Xorshift64::new(9);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
+    }
+
+    /// `chance` is the float comparison it replaced, `next_f64() < p`, for
+    /// every p: random ones, the ends, subnormals, the neighbours of 1 and
+    /// of the dyadic points the threshold rounds at, out-of-range values
+    /// and NaN — over random states, and at the draws that sit exactly on
+    /// a threshold.
+    #[test]
+    fn integer_trials_match_the_float_comparison() {
+        let float = |r: &mut Xorshift64, p: f64| r.next_f64() < p.clamp(0.0, 1.0);
+        let mut gen = Xorshift64::new(0xC4A7);
+        let mut ps = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            2.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            1.0 - f64::EPSILON,
+            1.0 - f64::EPSILON / 2.0,
+            0.3,
+            0.5,
+        ];
+        for _ in 0..2000 {
+            let k = gen.next_u64() >> 11;
+            let p = k as f64 / (1u64 << 53) as f64;
+            ps.extend([p, p.next_up(), p.next_down(), gen.next_f64()]);
+        }
+        for p in ps {
+            let t = Xorshift64::threshold(p);
+            assert!(t <= 1 << 53, "threshold {t} for {p}");
+            for _ in 0..8 {
+                let seed = gen.next_u64();
+                let (mut a, mut b) = (Xorshift64::new(seed), Xorshift64::new(seed));
+                assert_eq!(a.chance(p), float(&mut b, p), "p = {p:e}, seed {seed:#x}");
+                assert_eq!(a, b, "one raw draw each");
+            }
+            // The draws on either side of the threshold decide it.
+            for k in [t.saturating_sub(1), t, t + 1] {
+                let k = k.min((1 << 53) - 1);
+                assert_eq!(
+                    k < t,
+                    (k as f64 / (1u64 << 53) as f64) < p.clamp(0.0, 1.0),
+                    "k = {k}, p = {p:e}"
+                );
+            }
+        }
     }
 
     #[test]

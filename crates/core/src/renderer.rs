@@ -146,6 +146,20 @@ pub struct GpuRenderer {
     clock: Cycle,
     /// Per-draw execution times within the current frame.
     draw_times: Vec<Cycle>,
+    /// The earliest cycle at which steps 4–8 of [`GpuRenderer::cycle`]
+    /// (the VPO ticks, mask delivery, PMRB advance and credit release,
+    /// the raster pipes, fragment launches, draw retirement) can change
+    /// anything: [`GpuRenderer::ff_scan`]'s answer after the last cycle
+    /// that ran them. Reset to 0 (due) where an outside input reaches the
+    /// units: a draw starting, and any warp retiring on the GPU — a
+    /// drained vertex or fragment warp feeds them, and every retire (a
+    /// compute warp's too) frees core room a waiting tile launch may
+    /// take. The units run only with a draw current, so nothing that
+    /// happens between draws (`begin_frame`, a restore) needs a re-mark.
+    ff_wake: Cycle,
+    /// Canary hook: the warp-retire re-mark is skipped.
+    #[cfg(test)]
+    forget_retire: bool,
 }
 
 impl GpuRenderer {
@@ -183,6 +197,9 @@ impl GpuRenderer {
             vertex_warps: 0,
             clock: 0,
             draw_times: Vec::new(),
+            ff_wake: Cycle::MAX,
+            #[cfg(test)]
+            forget_retire: false,
             cfg,
         }
     }
@@ -291,6 +308,7 @@ impl GpuRenderer {
             vs_params,
             fs_params: Arc::from([]),
         });
+        self.ff_wake = 0;
     }
 
     fn dispatch_vertex_warps(&mut self) {
@@ -440,7 +458,16 @@ impl GpuRenderer {
     }
 
     /// Advances the renderer and GPU one cycle.
+    ///
+    /// Steps 1–2 (the GPU, completed warps) run every cycle and step 3
+    /// (vertex dispatch) every cycle a draw is current; steps 4–8 move
+    /// only the fixed-function units and run only once their cached wake
+    /// is due, after which the wake is re-derived (`ff_scan`). Debug
+    /// builds first check the wake against a fresh scan (`audit_wake`).
     pub fn cycle(&mut self, now: Cycle, port: &mut dyn MemPort) {
+        if cfg!(debug_assertions) {
+            self.audit_wake(now.saturating_sub(1));
+        }
         // Start the next draw if idle.
         if self.cur.is_none() {
             if let Some((dc, wt)) = self.queue.pop_front() {
@@ -448,8 +475,16 @@ impl GpuRenderer {
             }
         }
 
-        // 1. GPU executes shader warps.
+        // 1. GPU executes shader warps. Any warp retiring re-marks the
+        // fixed-function units due.
+        let retired = self.gpu.stats().warps_retired;
         self.gpu.cycle(now, &mut self.ctx, port);
+        let retired = self.gpu.stats().warps_retired != retired;
+        #[cfg(test)]
+        let retired = retired && !self.forget_retire;
+        if retired {
+            self.ff_wake = 0;
+        }
 
         // 2. Completed warps feed the pipeline.
         for (_, payload) in self.gpu.drain_external_finished() {
@@ -484,6 +519,12 @@ impl GpuRenderer {
 
         // 3. Dispatch vertex warps.
         self.dispatch_vertex_warps();
+
+        // Steps 4–8 sleep until the units' wake.
+        if self.ff_wake > now {
+            return;
+        }
+        emerald_obs::prof::record_ff_step();
 
         // 4. VPO bounding-box units.
         let completed = self.cur.as_ref().map(|d| &d.completed);
@@ -578,6 +619,60 @@ impl GpuRenderer {
                 self.draw_times.push(now.saturating_sub(ds.started_at));
             }
         }
+        self.ff_wake = self.ff_scan(now);
+    }
+
+    /// The fixed-function units' lookahead, the one derivation of
+    /// `ff_wake`: the earliest cycle `> now` at which steps 4–8 of
+    /// [`GpuRenderer::cycle`] can change anything without an outside
+    /// input (`Cycle::MAX` for never, and with no draw current). `now + 1`
+    /// while a VPO holds a warp, a PMRB can advance, a TC ready-scan is
+    /// owed, a tile being launched has core room for its next warp, or a
+    /// raster stage queue holds work; otherwise the earliest known-time
+    /// event — a mask crossing the interconnect, the setup pipe's next
+    /// completion, a TC engine's timeout.
+    fn ff_scan(&self, now: Cycle) -> Cycle {
+        let Some(ds) = self.cur.as_ref() else {
+            return Cycle::MAX;
+        };
+        let pin = now + 1;
+        let allow_ooo = self.allow_ooo();
+        if self.vpos.iter().any(|v| !v.is_idle())
+            || self.pmrbs.iter().any(|p| p.can_advance(allow_ooo))
+        {
+            return pin;
+        }
+        let flush_tc = self.geometry_done();
+        let mut wake = self.mask_link.next_arrival();
+        for (cl, pipe) in self.pipes.iter().enumerate() {
+            // `launch_fragments`: continue a tile if the core has room,
+            // else look for the next one.
+            let launch = match self.launching[cl] {
+                Some(_) => self.gpu.core(cl).can_accept(&ds.dc.fs, 1),
+                None => pipe.tc.wants_scan(),
+            };
+            if launch {
+                return pin;
+            }
+            match pipe.next_event(now, flush_tc) {
+                Some(t) if t <= pin => return pin,
+                t => wake = earliest(wake, t),
+            }
+        }
+        wake.map_or(Cycle::MAX, |t| t.max(pin))
+    }
+
+    /// The wake's oracle: the cached `ff_wake` is no later than a fresh
+    /// [`GpuRenderer::ff_scan`] — a later one is the one way `cycle` could
+    /// skip steps 4–8 in a cycle where a unit would move. Runs in debug
+    /// builds, in every `next_event` and at the start of every `cycle`.
+    fn audit_wake(&self, now: Cycle) {
+        let fresh = self.ff_scan(now);
+        assert!(
+            self.ff_wake <= fresh,
+            "stale fixed-function wake {} after cycle {now}: a fresh scan says {fresh}",
+            self.ff_wake
+        );
     }
 
     /// One-line internal state summary (diagnostics).
@@ -645,9 +740,10 @@ impl GpuRenderer {
     }
 
     /// Books `delta` cycles the clock jumped over, none of them at or past
-    /// this renderer's `next_event`. The fixed-function pipe keeps no
-    /// per-cycle counters; the time-linear ones are the GPU's
-    /// ([`Gpu::skip`]).
+    /// this renderer's `next_event`. The fixed-function units keep no
+    /// per-cycle counters, so the cycles their wake sleeps through (jumped
+    /// here, or cycled with steps 4–8 skipped) cost them nothing; the
+    /// time-linear counters are the GPU's ([`Gpu::skip`]).
     pub fn skip(&mut self, delta: Cycle) {
         self.gpu.skip(delta);
     }
@@ -800,14 +896,14 @@ impl emerald_common::event::NextEvent for GpuRenderer {
     /// Between draws the GPU's own contract decides (a queued draw starts
     /// next cycle; submission itself is an external input and the
     /// caller's event to account for). With a draw current, `now + 1` if
-    /// any step of [`GpuRenderer::cycle`] would move: a vertex warp can be
-    /// placed, a VPO holds a warp, a PMRB can advance, a raster stage
-    /// queue holds work, a TC ready-scan is owed, or a fragment warp can
-    /// launch. Otherwise the pipe is blocked on a warp retiring — the
-    /// GPU's event — or on a known-time one: the setup pipe's next
-    /// completion, a mask crossing the interconnect, a TC engine's
-    /// timeout.
+    /// a vertex warp can be placed; otherwise the earlier of the
+    /// fixed-function units' cached wake (`ff_wake`, see
+    /// [`GpuRenderer::cycle`]) and the GPU's event — a warp retiring is
+    /// what unblocks a pipe waiting on one.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        if cfg!(debug_assertions) {
+            self.audit_wake(now);
+        }
         let pin = Some(now + 1);
         let gpu = &self.gpu;
         let Some(ds) = self.cur.as_ref() else {
@@ -820,31 +916,11 @@ impl emerald_common::event::NextEvent for GpuRenderer {
         let can_place = ds.next_warp < ds.warps.len()
             && ds.credits > 0
             && (0..gpu.num_cores()).any(|c| gpu.core(c).can_accept(&ds.dc.vs, 1));
-        let allow_ooo = self.allow_ooo();
-        if can_place
-            || self.vpos.iter().any(|v| !v.is_idle())
-            || self.pmrbs.iter().any(|p| p.can_advance(allow_ooo))
-        {
+        if can_place {
             return pin;
         }
-        let flush_tc = self.geometry_done();
-        let mut wake = self.mask_link.next_arrival();
-        for (cl, pipe) in self.pipes.iter().enumerate() {
-            // `launch_fragments`: continue a tile if the core has room,
-            // else look for the next one.
-            let launch = match self.launching[cl] {
-                Some(_) => gpu.core(cl).can_accept(&ds.dc.fs, 1),
-                None => pipe.tc.wants_scan(),
-            };
-            if launch {
-                return pin;
-            }
-            match pipe.next_event(now, flush_tc) {
-                Some(t) if t <= now + 1 => return pin,
-                t => wake = earliest(wake, t),
-            }
-        }
-        earliest(wake, gpu.next_event(now)).map(|t| t.max(now + 1))
+        let ff = (self.ff_wake < Cycle::MAX).then_some(self.ff_wake);
+        earliest(ff, gpu.next_event(now)).map(|t| t.max(now + 1))
     }
 }
 
@@ -962,6 +1038,27 @@ mod tests {
             rt_b.read_color(&mem_b),
             "framebuffers must be identical"
         );
+    }
+
+    /// The wake oracle catches a forgotten re-mark: with the warp-retire
+    /// site skipped, the first vertex warp reaches its VPO while the units
+    /// sleep, and the next audit sees a fresh scan earlier than the wake.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_forgotten_re_mark_is_caught() {
+        let (mut r, mut port, mem, _) = setup();
+        let fso = FsOptions {
+            textured: false,
+            ..FsOptions::default()
+        };
+        r.draw(make_draw(&mem, &unit_cube(), cube_mvp(0), fso, None));
+        r.forget_retire = true;
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            r.run_frame(&mut port, 3_000_000);
+        }))
+        .expect_err("the oracle must catch a stale wake");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("stale fixed-function wake"), "{msg}");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! this module counts the simulation loop itself, exactly. The clocking
 //! kernel covers simulated cycles (`gpu_cycles`, `soc_cycles`: ticked
 //! plus jumped) in host loop iterations (`ticks`), of which `gpu_ticks`
-//! cycled the GPU; CPU cores advance `cpu_batch_cycles` cycles inside
+//! cycled the GPU and `ff_steps` also ran the renderer's fixed-function
+//! units; CPU cores advance `cpu_batch_cycles` cycles inside
 //! `cpu_batches` batch calls. Host *time* is not measured here:
 //! `benchmark/` is the one timer.
 //!
@@ -35,6 +36,10 @@ pub struct HostProfile {
     /// `SimtCore::cycle` calls executed inside those `Gpu::cycle` calls;
     /// an active core that was not due had its cycle booked instead.
     pub core_cycles: u64,
+    /// Renderer cycles that ran the fixed-function steps (VPO, PMRB,
+    /// raster pipes, fragment launches, draw retirement); in the rest of
+    /// the `gpu_ticks` that had a draw current, those units slept.
+    pub ff_steps: u64,
     /// Simulated SoC cycles covered, executed or jumped.
     pub soc_cycles: u64,
     /// `CpuCoreModel::run_batch` calls observed.
@@ -49,6 +54,7 @@ impl HostProfile {
         gpu_cycles: 0,
         gpu_ticks: 0,
         core_cycles: 0,
+        ff_steps: 0,
         soc_cycles: 0,
         cpu_batches: 0,
         cpu_batch_cycles: 0,
@@ -99,6 +105,12 @@ pub fn record_gpu_cycle(cores: u64) {
         p.gpu_ticks += 1;
         p.core_cycles += cores;
     });
+}
+
+/// Books one renderer cycle that ran the fixed-function steps.
+#[inline]
+pub fn record_ff_step() {
+    book(|p| p.ff_steps += 1);
 }
 
 /// Books one executed SoC step.
@@ -158,6 +170,7 @@ mod tests {
         reset();
         tick();
         record_gpu_cycle(2);
+        record_ff_step();
         record_soc_skip(7);
         record_cpu_batch(3);
         assert_eq!(take(), HostProfile::default());

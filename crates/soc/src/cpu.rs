@@ -416,19 +416,21 @@ impl CpuCoreModel {
                 footprint,
                 sequential,
             } => {
+                let (mem_hit, write_hit) =
+                    (Xorshift64::threshold(mem_ratio), Xorshift64::threshold(0.3));
                 let mut consumed: Cycle = 0;
                 while consumed < budget {
                     consumed += 1;
                     self.stats.instrs += 1;
                     self.instr_in_phase += 1;
-                    if self.rng.chance(mem_ratio) {
+                    if self.rng.trial(mem_hit) {
                         let offset = if sequential {
                             self.stream_pos = (self.stream_pos + 64) % footprint;
                             self.stream_pos
                         } else {
                             self.rng.below(footprint.max(128))
                         };
-                        let kind = if self.rng.chance(0.3) {
+                        let kind = if self.rng.trial(write_hit) {
                             AccessKind::Write
                         } else {
                             AccessKind::Read

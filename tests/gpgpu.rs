@@ -161,3 +161,83 @@ fn graphics_and_compute_share_the_same_cores() {
     let stats = r.run_frame(&mut port, 50_000_000);
     assert!(stats.fragments > 50);
 }
+
+/// A compute kernel and a draw in flight together on one renderer, sized
+/// so the kernel's one-warp CTAs hold warp slots for the whole draw:
+/// fragment tiles wait on core room that a kernel warp retiring frees.
+/// In debug builds the renderer's wake oracle audits every cycle, so a
+/// compute retire that forgot to wake the fixed-function units panics
+/// here. The draw is slower than on idle cores, yet the kernel's output
+/// and the image are exact.
+#[test]
+fn a_draw_waits_on_core_room_held_by_a_kernel() {
+    const W: u32 = 48;
+    const H: u32 = 32;
+    let render = |with_kernel: bool| {
+        let mem = SharedMem::with_capacity(1 << 26);
+        let rt = RenderTarget::alloc(&mem, W, H);
+        rt.clear(&mem, [0.0; 4], 1.0);
+        let mut r = GpuRenderer::new(
+            GpuConfig::tiny(),
+            GfxConfig::case_study_2(),
+            mem.clone(),
+            rt,
+        );
+        let mut port = SimpleMemPort::new(MemorySystem::new(MemorySystemConfig::baseline(
+            2,
+            DramConfig::lpddr3_1600(),
+        )));
+        // out[i] = 64 · in[i], one load per iteration.
+        let n = 32 * 128;
+        let buf = mem.alloc(n as u64 * 4, 128);
+        for i in 0..n as u64 {
+            mem.write_u32(buf + i * 4, i as u32);
+        }
+        let src = "
+            mov.b32 r0, %input0
+            shl.u32 r1, r0, 2
+            add.u32 r1, r1, %param0
+            mov.b32 r2, 0
+            mov.b32 r3, 0
+            LOOP:
+            ld.global.b32 r4, [r1+0]
+            add.u32 r2, r2, r4
+            add.u32 r3, r3, 1
+            setp.lt.u32 p0, r3, 64
+            @p0 bra LOOP, reconv=DONE
+            DONE:
+            st.global.b32 [r1+0], r2
+            exit";
+        let kid = with_kernel.then(|| {
+            let k = Kernel::linear(Arc::new(assemble(src).unwrap()), n, 32, vec![buf as u32]);
+            r.gpu.launch_kernel(k)
+        });
+        let wl = emerald::scene::workloads::w_models().swap_remove(2);
+        let binding = SceneBinding::new(&mem, &wl);
+        let dc = binding.draw_for_frame(0, W as f32 / H as f32, false);
+        let ref_rt = RenderTarget::alloc(&mem, W, H);
+        ref_rt.clear(&mem, [0.0; 4], 1.0);
+        emerald::core::reference::render_reference(&mem, ref_rt, &dc, binding.fs_options(false));
+        r.draw(dc);
+        let stats = r.run_frame(&mut port, 50_000_000);
+        assert!(stats.fragments > 50);
+        if let Some(kid) = kid {
+            assert!(r.gpu.kernel_done(kid), "kernel did not finish");
+            for i in 0..n as u64 {
+                assert_eq!(mem.read_u32(buf + i * 4), 64 * i as u32, "elem {i}");
+            }
+        }
+        assert_eq!(
+            emerald::core::reference::diff_pixels(&rt.read_color(&mem), &ref_rt.read_color(&mem)),
+            0,
+            "image differs from the reference"
+        );
+        (r.draw_times()[0], stats.cycles)
+    };
+    let ((alone, _), (shared, frame)) = (render(false), render(true));
+    assert!(
+        frame > shared && shared > alone,
+        "the kernel must outlive a draw it slows: frame {frame}, \
+         draw {shared} cycles beside the kernel, {alone} alone"
+    );
+}

@@ -109,3 +109,36 @@ fn late_z_image_equals_early_z() {
     }
     assert_eq!(diff_pixels(&images[0], &images[1]), 0);
 }
+
+/// A draw call with no vertices is legal and retires at once, whether it
+/// follows a draw in the same frame or opens a frame of its own — with
+/// nothing to shade, no warp retires to wake the pipeline, so it rests on
+/// the draw's own start. The image is the other draw's alone.
+#[test]
+fn an_empty_draw_retires() {
+    let mem = SharedMem::with_capacity(1 << 26);
+    let (mut r, mut port, rt) = setup(&mem);
+    let wl = emerald::scene::workloads::w_models().swap_remove(2);
+    let binding = SceneBinding::new(&mem, &wl);
+    let cube = binding.draw_for_frame(0, W as f32 / H as f32, false);
+    let empty = DrawCall {
+        vb: VertexBuffer::upload(&mem, &Mesh::default()),
+        ..cube.clone()
+    };
+    assert_eq!(empty.prim_count(), 0);
+    let ref_rt = RenderTarget::alloc(&mem, W, H);
+    ref_rt.clear(&mem, [0.0; 4], 1.0);
+    render_reference(&mem, ref_rt, &cube, binding.fs_options(false));
+
+    r.draw(cube);
+    r.draw(empty.clone());
+    r.run_frame(&mut port, 100_000_000);
+    assert_eq!(r.draw_times().len(), 2);
+    assert_eq!(
+        diff_pixels(&rt.read_color(&mem), &ref_rt.read_color(&mem)),
+        0
+    );
+    r.draw(empty);
+    let stats = r.run_frame(&mut port, 100_000_000);
+    assert_eq!((r.draw_times().len(), stats.fragments), (1, 0));
+}
