@@ -28,7 +28,7 @@
 //! fails to invalidate the memory system's cached pin — which the oracle
 //! must catch and the shrinker must minimize.
 
-use crate::drawgen::{draw_rig, DrawCase, DrawRig};
+use crate::drawgen::{draw_rig, shrink_draw_candidates, DrawCase, DrawRig};
 use crate::isadiff::{init_mem, kernel_for, Layout};
 use crate::proggen::{shrink_candidates, GenProgram};
 use crate::socconf::{cube_draw, Cell, SocScenario, MAX};
@@ -553,11 +553,38 @@ pub fn gpu_gap_oracle(sc: &GpuGapScenario, cfg: &GpuConfig) -> Result<u32, GapVi
     twin_gap_oracle(&mut stepped, &mut jumped, sc.lag, TWIN_MAX_CYCLES)
 }
 
-/// Walks `case` on twin standalone renderers built from `cfg`.
-pub fn renderer_gap_oracle(case: &DrawCase, cfg: &GpuConfig) -> Result<u32, GapViolation> {
-    let mut stepped = RendererSim::new(case, cfg);
-    let mut jumped = RendererSim::new(case, cfg);
-    twin_gap_oracle(&mut stepped, &mut jumped, 0, TWIN_MAX_CYCLES)
+/// The renderer canary's scenario: a generated draw walked by the twin
+/// oracle with every `next_event` answer delayed by `lag`.
+#[derive(Debug, Clone)]
+pub struct RendererGapScenario {
+    /// The draw.
+    pub case: DrawCase,
+    /// Injected under-report in cycles (0 = honest).
+    pub lag: Cycle,
+}
+
+/// Walks `sc`'s draw on twin standalone renderers built from `cfg`.
+pub fn renderer_gap_oracle(sc: &RendererGapScenario, cfg: &GpuConfig) -> Result<u32, GapViolation> {
+    let mut stepped = RendererSim::new(&sc.case, cfg);
+    let mut jumped = RendererSim::new(&sc.case, cfg);
+    twin_gap_oracle(&mut stepped, &mut jumped, sc.lag, TWIN_MAX_CYCLES)
+}
+
+/// Shrink candidates for a failing [`RendererGapScenario`]: a simpler
+/// draw, or half the lag. The minimizer keeps only candidates that still
+/// violate, so the lag never shrinks to the honest 0.
+pub fn shrink_renderer_gap_candidates(sc: &RendererGapScenario) -> Vec<RendererGapScenario> {
+    let mut out: Vec<_> = shrink_draw_candidates(&sc.case)
+        .into_iter()
+        .map(|case| RendererGapScenario { case, ..sc.clone() })
+        .collect();
+    if sc.lag > 1 {
+        out.push(RendererGapScenario {
+            lag: sc.lag / 2,
+            ..sc.clone()
+        });
+    }
+    out
 }
 
 /// Shrink candidates for a failing [`GpuGapScenario`]: a smaller program,

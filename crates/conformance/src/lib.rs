@@ -62,7 +62,8 @@ pub use drawgen::{gen_draw, run_draw_case, run_draw_case_timed, shrink_draw_cand
 pub use eventconf::{
     display_gap_oracle, gap_oracle, gpu_gap_oracle, pin_oracle, renderer_gap_oracle,
     shrink_display_gap_candidates, shrink_gap_candidates, shrink_gpu_gap_candidates,
-    shrink_pin_candidates, DisplayGapScenario, GapScenario, GpuGapScenario, PinScenario,
+    shrink_pin_candidates, shrink_renderer_gap_candidates, DisplayGapScenario, GapScenario,
+    GpuGapScenario, PinScenario, RendererGapScenario,
 };
 pub use isadiff::{
     base_config, bug_site, check_case, check_case_matrix, check_with_injected_bug, config_matrix,

@@ -146,20 +146,22 @@ pub struct GpuRenderer {
     clock: Cycle,
     /// Per-draw execution times within the current frame.
     draw_times: Vec<Cycle>,
-    /// The earliest cycle at which steps 4–8 of [`GpuRenderer::cycle`]
-    /// (the VPO ticks, mask delivery, PMRB advance and credit release,
-    /// the raster pipes, fragment launches, draw retirement) can change
-    /// anything: [`GpuRenderer::ff_scan`]'s answer after the last cycle
-    /// that ran them. Reset to 0 (due) where an outside input reaches the
-    /// units: a draw starting, and any warp retiring on the GPU — a
-    /// drained vertex or fragment warp feeds them, and every retire (a
-    /// compute warp's too) frees core room a waiting tile launch may
-    /// take. The units run only with a draw current, so nothing that
-    /// happens between draws (`begin_frame`, a restore) needs a re-mark.
-    ff_wake: Cycle,
+    /// The earliest cycle at which draw start or steps 3–8 of
+    /// [`GpuRenderer::cycle`] can change anything: [`GpuRenderer::scan`]'s
+    /// answer after the last cycle that ran them. Reset to 0 (due) where an
+    /// outside input arrives: a draw being queued (`draw`, `draw_with_wt`),
+    /// and any warp retiring on the GPU — a drained vertex or fragment warp
+    /// feeds the units, and every retire (a compute warp's too) frees core
+    /// room a waiting vertex warp or tile launch may take. `begin_frame`
+    /// and a restore make nothing movable.
+    wake: Cycle,
     /// Canary hook: the warp-retire re-mark is skipped.
     #[cfg(test)]
     forget_retire: bool,
+    /// Reference hook: the wake is ignored and draw start and steps 3–8
+    /// run every cycle.
+    #[cfg(test)]
+    always_due: bool,
 }
 
 impl GpuRenderer {
@@ -197,9 +199,11 @@ impl GpuRenderer {
             vertex_warps: 0,
             clock: 0,
             draw_times: Vec::new(),
-            ff_wake: Cycle::MAX,
+            wake: Cycle::MAX,
             #[cfg(test)]
             forget_retire: false,
+            #[cfg(test)]
+            always_due: false,
             cfg,
         }
     }
@@ -252,12 +256,14 @@ impl GpuRenderer {
     /// Enqueues a draw call.
     pub fn draw(&mut self, dc: DrawCall) {
         self.queue.push_back((dc, None));
+        self.wake = 0;
     }
 
     /// Enqueues a draw call that renders at its own WT granularity
     /// (draw-call-level DFSL, §6.3's suggested extension).
     pub fn draw_with_wt(&mut self, dc: DrawCall, wt: u32) {
         self.queue.push_back((dc, Some(wt)));
+        self.wake = 0;
     }
 
     /// Execution time of each draw completed this frame, in submission
@@ -308,62 +314,59 @@ impl GpuRenderer {
             vs_params,
             fs_params: Arc::from([]),
         });
-        self.ff_wake = 0;
+    }
+
+    /// The core the current draw's next vertex warp can be placed on: the
+    /// first, round-robin from the draw's cursor, with room for it. `None`
+    /// without a draw, a warp left to place, a credit or room.
+    fn vertex_core(&self) -> Option<usize> {
+        let ds = self.cur.as_ref()?;
+        if ds.next_warp >= ds.warps.len() || ds.credits == 0 {
+            return None;
+        }
+        let n_cores = self.gpu.num_cores();
+        (0..n_cores)
+            .map(|off| (ds.core_cursor + off) % n_cores)
+            .find(|&core| self.gpu.core(core).can_accept(&ds.dc.vs, 1))
     }
 
     fn dispatch_vertex_warps(&mut self) {
-        let Some(ds) = self.cur.as_mut() else {
-            return;
-        };
-        let n_cores = self.gpu.num_cores();
-        while ds.next_warp < ds.warps.len() && ds.credits > 0 {
+        while let Some(core) = self.vertex_core() {
+            let ds = self.cur.as_mut().expect("vertex_core found a draw");
             let vw = &ds.warps[ds.next_warp];
-            // Round-robin core placement with capacity probing.
-            let mut placed = false;
-            for off in 0..n_cores {
-                let core = (ds.core_cursor + off) % n_cores;
-                if !self.gpu.core(core).can_accept(&ds.dc.vs, 1) {
-                    continue;
-                }
-                // Every builder gives a warp at least one vertex
-                // (`batch.rs`), and `Warp::new` asserts it.
-                let mut regs = WarpRegs::new(&ds.dc.vs);
-                for (lane, &vi) in vw.vertex_indices.iter().enumerate() {
-                    let slot = (vw.seq as u64 * 32 + lane as u64) % self.ovb_slots;
-                    regs.set_input(abi::INPUT_VTX_INDEX, lane, vi);
-                    regs.set_input(abi::INPUT_OVB_SLOT, lane, slot as u32);
-                }
-                let id = self.next_id;
-                self.next_id += 1;
-                let warp = Warp::new(
-                    regs,
-                    vw.vertex_indices.len(),
-                    ds.dc.vs.clone(),
-                    ds.vs_params.clone(),
-                    WarpTag::External(id),
-                );
-                self.gpu
-                    .core_mut(core)
-                    .launch(warp)
-                    .expect("can_accept checked");
-                self.jobs.insert(
-                    id,
-                    WarpJob::Vertex {
-                        cluster: core,
-                        warp: vw.clone(),
-                    },
-                );
-                self.vertices_shaded += vw.vertex_indices.len() as u64;
-                self.vertex_warps += 1;
-                ds.credits -= 1;
-                ds.next_warp += 1;
-                ds.core_cursor = (core + 1) % n_cores;
-                placed = true;
-                break;
+            // Every builder gives a warp at least one vertex
+            // (`batch.rs`), and `Warp::new` asserts it.
+            let mut regs = WarpRegs::new(&ds.dc.vs);
+            for (lane, &vi) in vw.vertex_indices.iter().enumerate() {
+                let slot = ovb_slot(self.ovb_slots, (vw.seq, lane as u8));
+                regs.set_input(abi::INPUT_VTX_INDEX, lane, vi);
+                regs.set_input(abi::INPUT_OVB_SLOT, lane, slot as u32);
             }
-            if !placed {
-                break;
-            }
+            let id = self.next_id;
+            self.next_id += 1;
+            let warp = Warp::new(
+                regs,
+                vw.vertex_indices.len(),
+                ds.dc.vs.clone(),
+                ds.vs_params.clone(),
+                WarpTag::External(id),
+            );
+            self.gpu
+                .core_mut(core)
+                .launch(warp)
+                .expect("vertex_core checked room");
+            self.jobs.insert(
+                id,
+                WarpJob::Vertex {
+                    cluster: core,
+                    warp: vw.clone(),
+                },
+            );
+            self.vertices_shaded += vw.vertex_indices.len() as u64;
+            self.vertex_warps += 1;
+            ds.credits -= 1;
+            ds.next_warp += 1;
+            ds.core_cursor = (core + 1) % self.gpu.num_cores();
         }
     }
 
@@ -459,31 +462,22 @@ impl GpuRenderer {
 
     /// Advances the renderer and GPU one cycle.
     ///
-    /// Steps 1–2 (the GPU, completed warps) run every cycle and step 3
-    /// (vertex dispatch) every cycle a draw is current; steps 4–8 move
-    /// only the fixed-function units and run only once their cached wake
-    /// is due, after which the wake is re-derived (`ff_scan`). Debug
-    /// builds first check the wake against a fresh scan (`audit_wake`).
+    /// Steps 1–2 (the GPU, completed warps) run every cycle. Draw start
+    /// and steps 3–8 are the renderer's own logic and run only once its
+    /// cached wake is due, after which the wake is re-derived (`scan`).
+    /// Debug builds first check the wake against a fresh scan
+    /// (`audit_wake`).
     pub fn cycle(&mut self, now: Cycle, port: &mut dyn MemPort) {
         if cfg!(debug_assertions) {
             self.audit_wake(now.saturating_sub(1));
         }
-        // Start the next draw if idle.
-        if self.cur.is_none() {
-            if let Some((dc, wt)) = self.queue.pop_front() {
-                self.start_draw(dc, wt, now);
-            }
-        }
-
         // 1. GPU executes shader warps. Any warp retiring re-marks the
-        // fixed-function units due.
-        let retired = self.gpu.stats().warps_retired;
-        self.gpu.cycle(now, &mut self.ctx, port);
-        let retired = self.gpu.stats().warps_retired != retired;
+        // renderer due.
+        let retired = self.gpu.cycle(now, &mut self.ctx, port);
         #[cfg(test)]
         let retired = retired && !self.forget_retire;
         if retired {
-            self.ff_wake = 0;
+            self.wake = 0;
         }
 
         // 2. Completed warps feed the pipeline.
@@ -511,29 +505,37 @@ impl GpuRenderer {
             }
         }
 
+        // The rest sleeps until the renderer's wake.
+        let due = self.wake <= now;
+        #[cfg(test)]
+        let due = due || self.always_due;
+        if !due {
+            return;
+        }
+        // Start the next draw if idle.
+        if self.cur.is_none() {
+            if let Some((dc, wt)) = self.queue.pop_front() {
+                self.start_draw(dc, wt, now);
+            }
+        }
         let Some(ds) = self.cur.as_ref() else {
+            self.wake = self.scan(now);
             return;
         };
+        emerald_obs::prof::record_ff_step();
         let (width, height) = (self.rt.width, self.rt.height);
         let (depth_test, depth_write) = (ds.dc.depth_test, ds.dc.depth_write);
 
         // 3. Dispatch vertex warps.
         self.dispatch_vertex_warps();
 
-        // Steps 4–8 sleep until the units' wake.
-        if self.ff_wake > now {
-            return;
-        }
-        emerald_obs::prof::record_ff_step();
-
         // 4. VPO bounding-box units.
         let completed = self.cur.as_ref().map(|d| &d.completed);
         let mem = &self.mem;
-        let ovb_base = self.ovb_base;
-        let ovb_slots = self.ovb_slots;
+        let (ovb_base, ovb_slots) = (self.ovb_base, self.ovb_slots);
+        let ovb_addr = |c: CornerRef| ovb_base + ovb_slot(ovb_slots, c) * OVB_STRIDE;
         let read_pos = |c: CornerRef| {
-            let slot = (c.0 as u64 * 32 + c.1 as u64) % ovb_slots;
-            let addr = ovb_base + slot * OVB_STRIDE;
+            let addr = ovb_addr(c);
             Vec4::new(
                 mem.read_f32(addr),
                 mem.read_f32(addr + 4),
@@ -583,10 +585,7 @@ impl GpuRenderer {
         // 6. Cluster raster pipelines.
         let flush_tc = self.geometry_done();
         let mem = &self.mem;
-        let read_vert = |c: CornerRef| {
-            let slot = (c.0 as u64 * 32 + c.1 as u64) % ovb_slots;
-            Self::read_clip_vert(mem, ovb_base + slot * OVB_STRIDE)
-        };
+        let read_vert = |c: CornerRef| Self::read_clip_vert(mem, ovb_addr(c));
         for cl in 0..self.pipes.len() {
             self.pipes[cl].tick(
                 now,
@@ -619,25 +618,27 @@ impl GpuRenderer {
                 self.draw_times.push(now.saturating_sub(ds.started_at));
             }
         }
-        self.ff_wake = self.ff_scan(now);
+        self.wake = self.scan(now);
     }
 
-    /// The fixed-function units' lookahead, the one derivation of
-    /// `ff_wake`: the earliest cycle `> now` at which steps 4–8 of
+    /// The renderer's lookahead, the one derivation of `wake`: the
+    /// earliest cycle `> now` at which draw start or steps 3–8 of
     /// [`GpuRenderer::cycle`] can change anything without an outside
-    /// input (`Cycle::MAX` for never, and with no draw current). `now + 1`
-    /// while a VPO holds a warp, a PMRB can advance, a TC ready-scan is
+    /// input (`Cycle::MAX` for never). With no draw current, `now + 1` if
+    /// one is queued. With one, `now + 1` while a vertex warp can be
+    /// placed, a VPO holds a warp, a PMRB can advance, a TC ready-scan is
     /// owed, a tile being launched has core room for its next warp, or a
     /// raster stage queue holds work; otherwise the earliest known-time
     /// event — a mask crossing the interconnect, the setup pipe's next
     /// completion, a TC engine's timeout.
-    fn ff_scan(&self, now: Cycle) -> Cycle {
-        let Some(ds) = self.cur.as_ref() else {
-            return Cycle::MAX;
-        };
+    fn scan(&self, now: Cycle) -> Cycle {
         let pin = now + 1;
+        let Some(ds) = self.cur.as_ref() else {
+            return self.queue.front().map_or(Cycle::MAX, |_| pin);
+        };
         let allow_ooo = self.allow_ooo();
-        if self.vpos.iter().any(|v| !v.is_idle())
+        if self.vertex_core().is_some()
+            || self.vpos.iter().any(|v| !v.is_idle())
             || self.pmrbs.iter().any(|p| p.can_advance(allow_ooo))
         {
             return pin;
@@ -662,16 +663,17 @@ impl GpuRenderer {
         wake.map_or(Cycle::MAX, |t| t.max(pin))
     }
 
-    /// The wake's oracle: the cached `ff_wake` is no later than a fresh
-    /// [`GpuRenderer::ff_scan`] — a later one is the one way `cycle` could
-    /// skip steps 4–8 in a cycle where a unit would move. Runs in debug
-    /// builds, in every `next_event` and at the start of every `cycle`.
+    /// The wake's oracle: the cached `wake` is no later than a fresh
+    /// [`GpuRenderer::scan`] — a later one is the one way `cycle` could
+    /// skip draw start or steps 3–8 in a cycle where they would move. Runs
+    /// in debug builds, in every `next_event` and at the start of every
+    /// `cycle`.
     fn audit_wake(&self, now: Cycle) {
-        let fresh = self.ff_scan(now);
+        let fresh = self.scan(now);
         assert!(
-            self.ff_wake <= fresh,
-            "stale fixed-function wake {} after cycle {now}: a fresh scan says {fresh}",
-            self.ff_wake
+            self.wake <= fresh,
+            "stale renderer wake {} after cycle {now}: a fresh scan says {fresh}",
+            self.wake
         );
     }
 
@@ -893,35 +895,23 @@ impl emerald_common::snap::Restore for GpuRenderer {
 }
 
 impl emerald_common::event::NextEvent for GpuRenderer {
-    /// Between draws the GPU's own contract decides (a queued draw starts
-    /// next cycle; submission itself is an external input and the
-    /// caller's event to account for). With a draw current, `now + 1` if
-    /// a vertex warp can be placed; otherwise the earlier of the
-    /// fixed-function units' cached wake (`ff_wake`, see
+    /// The earlier of the renderer's cached wake (`wake`, see
     /// [`GpuRenderer::cycle`]) and the GPU's event — a warp retiring is
-    /// what unblocks a pipe waiting on one.
+    /// what unblocks a draw waiting on one. Queuing a draw is an external
+    /// input and the caller's event to account for.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         if cfg!(debug_assertions) {
             self.audit_wake(now);
         }
-        let pin = Some(now + 1);
-        let gpu = &self.gpu;
-        let Some(ds) = self.cur.as_ref() else {
-            return if self.queue.is_empty() {
-                gpu.next_event(now)
-            } else {
-                pin
-            };
-        };
-        let can_place = ds.next_warp < ds.warps.len()
-            && ds.credits > 0
-            && (0..gpu.num_cores()).any(|c| gpu.core(c).can_accept(&ds.dc.vs, 1));
-        if can_place {
-            return pin;
-        }
-        let ff = (self.ff_wake < Cycle::MAX).then_some(self.ff_wake);
-        earliest(ff, gpu.next_event(now)).map(|t| t.max(now + 1))
+        let wake = (self.wake < Cycle::MAX).then_some(self.wake);
+        earliest(wake, self.gpu.next_event(now)).map(|t| t.max(now + 1))
     }
+}
+
+/// The OVB slot of corner `c`: vertex warp `seq` owns 32 consecutive
+/// slots, one a lane, wrapping at `slots`.
+fn ovb_slot(slots: u64, (seq, lane): CornerRef) -> u64 {
+    (seq as u64 * 32 + lane as u64) % slots
 }
 
 #[cfg(test)]
@@ -1058,7 +1048,75 @@ mod tests {
         }))
         .expect_err("the oracle must catch a stale wake");
         let msg = err.downcast_ref::<String>().expect("a formatted message");
-        assert!(msg.contains("stale fixed-function wake"), "{msg}");
+        assert!(msg.contains("stale renderer wake"), "{msg}");
+    }
+
+    /// The wake only sleeps through cycles in which draw start and steps
+    /// 3–8 would do nothing: run every cycle instead, they render the
+    /// same frames in the same cycles. Large meshes on the six-cluster
+    /// configuration keep vertex dispatch waiting on credits.
+    #[test]
+    fn the_wake_sleeps_only_through_idle_cycles() {
+        let render = |always_due: bool| {
+            let mem = SharedMem::with_capacity(1 << 24);
+            let rt = RenderTarget::alloc(&mem, W, H);
+            rt.clear(&mem, [0.0; 4], 1.0);
+            let gpu = GpuConfig::case_study_2();
+            let mut r = GpuRenderer::new(gpu, GfxConfig::case_study_2(), mem.clone(), rt);
+            let mut port = SimpleMemPort::new(MemorySystem::new(MemorySystemConfig::baseline(
+                2,
+                DramConfig::lpddr3_1600(),
+            )));
+            r.always_due = always_due;
+            let fso = FsOptions {
+                textured: false,
+                ..FsOptions::default()
+            };
+            let frames: Vec<FrameStats> = (0..2)
+                .map(|f| {
+                    r.draw(make_draw(
+                        &mem,
+                        &uv_sphere(1.0, 24, 32),
+                        cube_mvp(f),
+                        fso,
+                        None,
+                    ));
+                    r.draw(make_draw(
+                        &mem,
+                        &plane_grid(16, 16),
+                        cube_mvp(f + 5),
+                        fso,
+                        None,
+                    ));
+                    r.run_frame(&mut port, 30_000_000)
+                })
+                .collect();
+            (frames, rt.read_color(&mem))
+        };
+        assert_eq!(render(false), render(true));
+    }
+
+    /// Queuing a draw is the outside input a drained renderer waits on:
+    /// `draw` and `draw_with_wt` each make it due next cycle.
+    #[test]
+    fn a_queued_draw_wakes_a_drained_renderer() {
+        use emerald_common::event::NextEvent;
+        let (mut r, mut port, mem, _) = setup();
+        let fso = FsOptions {
+            textured: false,
+            ..FsOptions::default()
+        };
+        let dc = make_draw(&mem, &unit_cube(), cube_mvp(0), fso, None);
+        let queue: [&dyn Fn(&mut GpuRenderer); 2] =
+            [&|r| r.draw(dc.clone()), &|r| r.draw_with_wt(dc.clone(), 2)];
+        for (i, queue_draw) in queue.iter().enumerate() {
+            r.draw(dc.clone());
+            r.run_frame(&mut port, 3_000_000);
+            let now = r.clock;
+            assert_ne!(r.next_event(now), Some(now + 1), "{i}: drained");
+            queue_draw(&mut r);
+            assert_eq!(r.next_event(now), Some(now + 1), "{i}: queued");
+        }
     }
 
     #[test]

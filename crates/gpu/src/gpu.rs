@@ -323,12 +323,13 @@ impl Gpu {
         }
     }
 
-    /// Advances the whole GPU one cycle.
+    /// Advances the whole GPU one cycle; returns whether a warp retired
+    /// in it.
     ///
     /// The due cores run in index order against one locked `ctx`, so a
     /// store is visible to every later access in the same cycle — by the
     /// storing core and by every higher-indexed one.
-    pub fn cycle<C: ImageCtx>(&mut self, now: Cycle, ctx: &mut C, port: &mut dyn MemPort) {
+    pub fn cycle<C: ImageCtx>(&mut self, now: Cycle, ctx: &mut C, port: &mut dyn MemPort) -> bool {
         port.tick(now);
         self.dispatch_ctas();
         if cfg!(debug_assertions) {
@@ -461,8 +462,10 @@ impl Gpu {
         }
 
         // 6. Completed warps; each frees room a CTA may fit in.
+        let mut retired = false;
         for core in &mut self.cores {
             while let Some(tag) = core.pop_finished() {
+                retired = true;
                 self.cta_blocked = false;
                 self.stats.warps_retired += 1;
                 match tag {
@@ -484,6 +487,7 @@ impl Gpu {
                 *wake = core.next_event(now).unwrap_or(Cycle::MAX);
             }
         }
+        retired
     }
 
     /// The memos' oracle: every cached wake is no later than a fresh
@@ -1015,6 +1019,23 @@ mod tests {
         expect_panic("stale wake", || {
             emerald_common::event::NextEvent::next_event(&gpu, 0);
         });
+    }
+
+    /// `cycle` reports exactly the cycles in which `warps_retired` moves.
+    #[test]
+    fn cycle_reports_the_cycles_a_warp_retires_in() {
+        let (mut gpu, mut ctx, mut port, _) = setup();
+        let prog = Arc::new(assemble("mov.b32 r0, %input0\nexit").unwrap());
+        gpu.launch_kernel(Kernel::linear(prog, 32 * 64, 32, vec![]));
+        let (mut now, mut reported) = (0, 0);
+        while !gpu.is_idle() {
+            let before = gpu.stats().warps_retired;
+            let retired = gpu.cycle(now, &mut ctx, &mut port);
+            assert_eq!(retired, gpu.stats().warps_retired != before, "cycle {now}");
+            reported += retired as u64;
+            now += 1;
+        }
+        assert!(reported > 0 && reported <= gpu.stats().warps_retired);
     }
 
     /// The CTA oracle catches a block bit left set after a retire, when

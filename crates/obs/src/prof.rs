@@ -5,8 +5,8 @@
 //! this module counts the simulation loop itself, exactly. The clocking
 //! kernel covers simulated cycles (`gpu_cycles`, `soc_cycles`: ticked
 //! plus jumped) in host loop iterations (`ticks`), of which `gpu_ticks`
-//! cycled the GPU and `ff_steps` also ran the renderer's fixed-function
-//! units; CPU cores advance `cpu_batch_cycles` cycles inside
+//! cycled the GPU and `ff_steps` also ran the renderer's own steps 3–8
+//! (vertex dispatch and the fixed-function units); CPU cores advance `cpu_batch_cycles` cycles inside
 //! `cpu_batches` batch calls. Host *time* is not measured here:
 //! `benchmark/` is the one timer.
 //!
@@ -36,9 +36,9 @@ pub struct HostProfile {
     /// `SimtCore::cycle` calls executed inside those `Gpu::cycle` calls;
     /// an active core that was not due had its cycle booked instead.
     pub core_cycles: u64,
-    /// Renderer cycles that ran the fixed-function steps (VPO, PMRB,
+    /// Renderer cycles that ran steps 3–8 (vertex dispatch, VPO, PMRB,
     /// raster pipes, fragment launches, draw retirement); in the rest of
-    /// the `gpu_ticks` that had a draw current, those units slept.
+    /// the `gpu_ticks`, the renderer's wake slept and only the GPU moved.
     pub ff_steps: u64,
     /// Simulated SoC cycles covered, executed or jumped.
     pub soc_cycles: u64,
@@ -107,7 +107,7 @@ pub fn record_gpu_cycle(cores: u64) {
     });
 }
 
-/// Books one renderer cycle that ran the fixed-function steps.
+/// Books one renderer cycle that ran steps 3–8.
 #[inline]
 pub fn record_ff_step() {
     book(|p| p.ff_steps += 1);

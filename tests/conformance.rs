@@ -18,11 +18,11 @@ use emerald_conformance::isadiff::{self, shrink_failing};
 use emerald_conformance::{
     batch_oracle, check_case, check_case_matrix, check_with_injected_bug, conf_cases,
     display_gap_oracle, gap_oracle, gen_draw, gen_program, gpu_gap_oracle, pin_oracle,
-    run_draw_case, run_draw_case_timed, shrink_batch_candidates, shrink_display_gap_candidates,
-    shrink_draw_candidates, shrink_gap_candidates, shrink_gpu_gap_candidates,
-    shrink_pin_candidates, shrink_snap_candidates, snap_oracle, BatchScenario, Cell,
-    DisplayGapScenario, GapScenario, GpuGapScenario, PinScenario, SnapBug, SnapScenario,
-    SocScenario,
+    renderer_gap_oracle, run_draw_case, run_draw_case_timed, shrink_batch_candidates,
+    shrink_display_gap_candidates, shrink_draw_candidates, shrink_gap_candidates,
+    shrink_gpu_gap_candidates, shrink_pin_candidates, shrink_renderer_gap_candidates,
+    shrink_snap_candidates, snap_oracle, BatchScenario, Cell, DisplayGapScenario, GapScenario,
+    GpuGapScenario, PinScenario, RendererGapScenario, SnapBug, SnapScenario, SocScenario,
 };
 
 /// Shrink-step budget. Generated programs have < 40 instructions, so this
@@ -247,6 +247,39 @@ fn under_reported_next_event_is_caught_and_shrunk() {
         assert!(small.lag >= 1, "shrinking never reaches the honest lag 0");
         assert!(small.gp.live_instrs() <= sc.gp.live_instrs() && small.lag <= sc.lag);
         gpu_gap_oracle(&small, &cfg).expect_err("shrunk scenario still fails");
+    });
+}
+
+/// The renderer's lag canary: a standalone renderer whose `next_event`
+/// answers 1–31 cycles late sleeps through a cycle in which its wake or
+/// its GPU moves, so the twin oracle the random draws in
+/// `tests/event_skip.rs` run must catch it for every seed and shrink the
+/// draw to one that still fails with the lag kept, while the honest
+/// renderer, the shrunk draw included, passes.
+#[test]
+fn renderer_under_reported_next_event_is_caught_and_shrunk() {
+    let cfg = isadiff::base_config();
+    check_n("renderer_under_report_canary", 8, |rng| {
+        let sc = RendererGapScenario {
+            case: gen_draw(rng),
+            lag: rng.range(1, 32),
+        };
+        let v = renderer_gap_oracle(&sc, &cfg).expect_err("lagged renderer must be caught");
+        assert!(
+            v.announced > v.after + 1,
+            "violation is inside a gap: {v:?}"
+        );
+        let (small, _steps) = minimize(
+            sc.clone(),
+            shrink_renderer_gap_candidates,
+            |c| renderer_gap_oracle(c, &cfg).is_err(),
+            64,
+        );
+        assert!(small.lag >= 1, "shrinking never reaches the honest lag 0");
+        assert!(small.case.prims() <= sc.case.prims() && small.lag <= sc.lag);
+        renderer_gap_oracle(&small, &cfg).expect_err("shrunk scenario still fails");
+        let honest = RendererGapScenario { lag: 0, ..small };
+        renderer_gap_oracle(&honest, &cfg).expect("honest renderer next_event reports conform");
     });
 }
 
