@@ -6,16 +6,20 @@
 //! event was due (a memory response that would unstall it, the GPU
 //! finishing the frame a fence waits on) delivers that event late,
 //! silently shifting simulated time while every individual run still
-//! looks healthy. The oracle here drives twin cores — one run a cycle per
-//! call (budget 1, the per-cycle clocking), one batched in windows of up
-//! to a cap — against the same fixed-latency memory and the same fence,
-//! and diffs everything they show: the request stream (ids, addresses,
-//! kinds and *issue cycles*) and draw submissions, then the cores'
-//! snapshot bytes (script position, caches, RNG stream, fence-poll
-//! counter, statistics). The canary re-runs the batched twin with its
-//! windows artificially extended `overrun` cycles past each response
-//! delivery — an injected overrun bug — which the oracle must catch and
-//! the shrinker must minimize.
+//! looks healthy. A request is not such an event: it leaves stamped with
+//! its issue cycle, and a response only matters to a core at its
+//! outstanding-miss limit. The oracle here drives twin cores — one run a
+//! cycle per call (budget 1, the per-cycle clocking), one batched in
+//! windows of up to a cap that run past its requests — against the same
+//! fixed-latency memory and the same fence, and diffs everything they
+//! show: the request stream (ids, addresses, kinds and *issue cycles*)
+//! and draw submissions, then the cores' snapshot bytes (script position,
+//! caches, RNG stream, fence-poll counter, statistics). Two canaries
+//! re-run the batched twin with an injected bug the oracle must catch and
+//! the shrinker must minimize: a stalled core's windows extended
+//! `overrun` cycles past the response delivery that unstalls it, and a
+//! twin blind to the limit, running on past it as if it were no
+//! interaction (`blind_limit`).
 
 use emerald_common::rng::Xorshift64;
 use emerald_common::snap::{SnapWriter, Snapshot};
@@ -27,18 +31,18 @@ use emerald_soc::cpu::{CpuCoreModel, CpuEvent, CpuWorkload, Phase};
 /// A run-ahead scenario: one core runs `workload`'s script once against a
 /// fixed-latency memory (every read completes `latency` cycles after
 /// issue), while the GPU finishes the frame at cycle `fence` (`WaitGpu`
-/// polls until then). `overrun` is the injected bug: cycles the batched
-/// twin's windows are extended *past* each response-delivery cycle before
-/// the response is applied. `overrun == 0` is the honest scheduler and
-/// must match the per-cycle reference bit for bit.
+/// polls until then). `overrun` and `blind_limit` are the injected bugs:
+/// cycles a stalled core's window is extended *past* the response delivery
+/// that unstalls it, and running a window on past the outstanding-miss
+/// limit. With neither (`overrun == 0`, `!blind_limit`) the batched twin is
+/// the honest scheduler and must match the per-cycle reference bit for bit.
 #[derive(Debug, Clone)]
 pub struct BatchScenario {
     /// The core's script.
     pub workload: CpuWorkload,
     /// The core's RNG seed.
     pub seed: u64,
-    /// Fixed read latency in cycles (≥ 2 so a delivery cycle is never
-    /// inside the window that issued it).
+    /// Fixed read latency in cycles (at least 2).
     pub latency: Cycle,
     /// Longest window the batched twin runs in one call (1 is per-cycle,
     /// `Cycle::MAX` unbounded).
@@ -47,6 +51,8 @@ pub struct BatchScenario {
     pub fence: Cycle,
     /// Injected overrun in cycles (0 = honest).
     pub overrun: Cycle,
+    /// Injected bug: the limit ends no window (`false` = honest).
+    pub blind_limit: bool,
 }
 
 impl BatchScenario {
@@ -67,18 +73,24 @@ impl BatchScenario {
             cap: [1, 7, 64, 1_000, Cycle::MAX][rng.below(5) as usize],
             fence: rng.below(20_000),
             overrun: 0,
+            blind_limit: false,
         }
     }
 
     /// One-line summary for failure reports.
     pub fn describe(&self) -> String {
         format!(
-            "{} phases, latency {}, windows ≤ {}, fence at {}, windows overrun by {}",
+            "{} phases, latency {}, windows ≤ {}, fence at {}, stalled windows overrun by {}{}",
             self.workload.phases.len(),
             self.latency,
             self.cap,
             self.fence,
-            self.overrun
+            self.overrun,
+            if self.blind_limit {
+                ", windows blind to the limit"
+            } else {
+                ""
+            }
         )
     }
 }
@@ -107,7 +119,8 @@ const HORIZON: Cycle = 2_000_000;
 
 /// Builds `sc`'s core and drives it with `step`, which executes cycles
 /// `now + 1 ..` and returns how many, until the script ends: responses
-/// due by the next executed cycle are applied first.
+/// due by the next executed cycle are applied first, and at the end every
+/// response due by the last executed cycle.
 fn run(sc: &BatchScenario, mut step: impl FnMut(&mut Twin) -> Cycle) -> Run {
     let mem = SharedMem::with_capacity(32 << 20);
     let mut t = Twin {
@@ -117,11 +130,10 @@ fn run(sc: &BatchScenario, mut step: impl FnMut(&mut Twin) -> Cycle) -> Run {
         now: 0,
     };
     while !t.core.at_frame_end() && t.now < HORIZON {
-        let due = t.inflight.iter().filter(|&&c| c <= t.now + 1).count();
-        t.inflight.retain(|&c| c > t.now + 1);
-        (0..due).for_each(|_| t.core.on_response());
+        t.deliver(t.now + 1);
         t.now += step(&mut t);
     }
+    t.deliver(t.now);
     let mut w = SnapWriter::new();
     t.core.snapshot(&mut w);
     (t.seen, w.into_bytes())
@@ -138,6 +150,13 @@ struct Twin {
 }
 
 impl Twin {
+    /// Applies every response due by cycle `by`.
+    fn deliver(&mut self, by: Cycle) {
+        let due = self.inflight.iter().filter(|&&c| c <= by).count();
+        self.inflight.retain(|&c| c > by);
+        (0..due).for_each(|_| self.core.on_response());
+    }
+
     /// Runs one `run_batch` call of up to `budget` cycles from `from`
     /// and records what it showed.
     fn batch(&mut self, sc: &BatchScenario, from: Cycle, budget: Cycle) -> Cycle {
@@ -162,28 +181,33 @@ fn run_reference(sc: &BatchScenario) -> Run {
     run(sc, |t| t.batch(sc, t.now, 1))
 }
 
-/// The batched twin. Windows end one cycle before the next response
-/// delivery (a delivery happens *before* the tick of its cycle, so that
-/// cycle's execution can depend on it) and before the fence flips, and
-/// run at most `cap` cycles — except the injected bug extends every
-/// window `sc.overrun` cycles past the delivery boundary.
+/// The batched twin. A window runs at most `cap` cycles and, before the
+/// fence flips, ends the cycle before it does. The core runs past its
+/// requests; it stops at its outstanding-miss limit, and continues only
+/// once every response due by then has been delivered (`run` delivers them
+/// before the next window). A core stalled at entry stalls through the
+/// cycle before the next delivery (a delivery happens *before* the tick of
+/// its cycle, so that cycle's execution can depend on it) — except that
+/// the injected bugs extend that window `sc.overrun` cycles past the
+/// delivery, or run on past the limit as if it were no interaction.
 fn run_batched(sc: &BatchScenario) -> Run {
     run(sc, |t| {
-        let next_stop = |inflight: &[Cycle]| {
-            (inflight.iter().min()).map_or(HORIZON, |&c| (c - 1 + sc.overrun).min(HORIZON))
-        };
         let start = t.now;
-        let mut stop = next_stop(&t.inflight).min(start.saturating_add(sc.cap));
+        let mut stop = start.saturating_add(sc.cap).min(HORIZON);
         if start + 1 < sc.fence {
             stop = stop.min(sc.fence - 1);
+        }
+        if t.core.stalled() {
+            if let Some(&c) = t.inflight.iter().min() {
+                stop = stop.min(c - 1 + sc.overrun);
+            }
         }
         let mut b = start;
         while b < stop && !t.core.at_frame_end() {
             b += t.batch(sc, b, stop - b);
-            // A request issued inside the window creates a new delivery
-            // boundary; the honest window contracts to it (its completion
-            // is strictly ahead of `b` because latency ≥ 2).
-            stop = stop.min(next_stop(&t.inflight));
+            if t.core.stalled() && !sc.blind_limit {
+                break;
+            }
         }
         (b - start).max(1)
     })
@@ -210,7 +234,7 @@ pub fn batch_oracle(sc: &BatchScenario) -> Result<(), BatchViolation> {
 /// Shrink candidates for a failing [`BatchScenario`]: halve every `Work`
 /// phase, the latency, the fence or the overrun, one at a time. The
 /// minimizer keeps only still-failing candidates, so the overrun never
-/// shrinks to the honest 0.
+/// shrinks to the honest 0, and `blind_limit` is never cleared.
 pub fn shrink_batch_candidates(sc: &BatchScenario) -> Vec<BatchScenario> {
     let mut out = Vec::new();
     let mut halved = sc.clone();

@@ -31,7 +31,7 @@
 use crate::drawgen::{draw_rig, shrink_draw_candidates, DrawCase, DrawRig};
 use crate::isadiff::{init_mem, kernel_for, Layout};
 use crate::proggen::{shrink_candidates, GenProgram};
-use crate::socconf::{cube_draw, Cell, SocScenario, MAX};
+use crate::socconf::{caught, cube_draw, Cell, SocScenario, MAX};
 use emerald_common::event::NextEvent;
 use emerald_common::rng::Xorshift64;
 use emerald_common::snap::{SnapWriter, Snapshot};
@@ -645,17 +645,11 @@ pub fn pin_oracle(sc: &PinScenario) -> Result<(), String> {
     let soc_sc = SocScenario::two_core(sc.mem.build(DramConfig::lpddr3_1600()), sc.work_div);
     let mut soc = Soc::new(soc_sc.config(Cell::PRESET));
     soc.debug_audit_pins(sc.forget_cpu_enqueues);
-    let frames = std::panic::AssertUnwindSafe(|| {
+    caught(|| {
         for f in 0..sc.frames {
             let d = cube_draw(&soc, f);
             soc.run_frame(vec![d], MAX);
         }
-    });
-    std::panic::catch_unwind(frames).map_err(|e| {
-        e.downcast_ref::<String>()
-            .cloned()
-            .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default()
     })
 }
 

@@ -29,13 +29,15 @@
 //!   forgotten-invalidation canaries run through those same functions.
 //! - [`batchconf`] checks the batched CPU execution contract
 //!   (`run_batch`) with a twin-core oracle over any script and window
-//!   cap, and an injected window-overrun canary.
+//!   cap, and two injected canaries: a stalled window overrun past its
+//!   response, and windows blind to the outstanding-miss limit.
 //! - [`socconf`] is the one SoC lockstep harness: a scenario type, the
 //!   cube draw, the frame-barrier digest, the gate matrix (every
 //!   `event_skip × cpu_batch` cell agrees at every barrier, every cell
-//!   but the per-cycle reference profiled) and the checkpoint/restore
+//!   but the per-cycle reference profiled), the checkpoint/restore
 //!   oracle, across cells, with its injected byte-corruption and
-//!   stale-RNG-stream canaries.
+//!   stale-RNG-stream canaries, and the CPU wake audit's oracle with its
+//!   forgotten-fence-flip canary.
 //! - [`budget`] arms SoC-running oracles with a wall-clock frame budget
 //!   (`EMERALD_CONF_FRAME_BUDGET_MS`); a case that blows it checkpoints
 //!   its `Soc` into `EMERALD_TIMEOUT_SNAP_DIR` for CI artifact upload.
@@ -70,8 +72,8 @@ pub use isadiff::{
 };
 pub use proggen::gen_program;
 pub use socconf::{
-    cells, gate_matrix, registry_json, shrink_snap_candidates, snap_oracle, Barrier, Cell, SnapBug,
-    SnapScenario, SocScenario,
+    cells, gate_matrix, registry_json, shrink_snap_candidates, shrink_wake_candidates, snap_oracle,
+    wake_oracle, Barrier, Cell, SnapBug, SnapScenario, SocScenario, WakeScenario,
 };
 
 /// Number of random ISA programs / draws the conformance tests run,

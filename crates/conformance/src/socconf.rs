@@ -25,6 +25,13 @@
 //!   its fresh value). Both must be caught, and [`shrink_snap_candidates`]
 //!   minimizes the failing checkpoint cycle and frame count.
 //!
+//! - [`wake_oracle`] runs one scenario with both gates on and the SoC's
+//!   wake audit armed, which checks after every step that each CPU core
+//!   the cluster left asleep owed nothing for the cycles it slept. Its
+//!   canary drops the fence-flip notice, so a core waiting on the fence
+//!   sleeps past the cycle it must leave the wait; the audit must catch
+//!   it, and [`shrink_wake_candidates`] minimizes the scenario.
+//!
 //! The checkpoint is the decisive part of a barrier: once the
 //! scripted CPUs' working sets sit in their warm caches a stale RNG stream
 //! changes nothing the registry can see, but it changes the bytes.
@@ -459,6 +466,97 @@ pub fn shrink_snap_candidates(sc: &SnapScenario) -> Vec<SnapScenario> {
             ..sc.clone()
         });
     }
+    out
+}
+
+/// Runs `f`, turning a panic into its message.
+pub(crate) fn caught(f: impl FnOnce()) -> Result<(), String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|e| {
+        e.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    })
+}
+
+/// A CPU-wake scenario: `soc` runs `frames` frames with both gates on and
+/// the SoC's wake audit armed. `forget_fence_flip` is the injected bug:
+/// the CPU cluster is never told that the frame's fence flipped.
+#[derive(Debug, Clone)]
+pub struct WakeScenario {
+    /// The SoC.
+    pub soc: SocScenario,
+    /// Frames rendered.
+    pub frames: u32,
+    /// The injected bug (`false` = honest).
+    pub forget_fence_flip: bool,
+}
+
+impl WakeScenario {
+    /// One-line summary for failure reports.
+    pub fn describe(&self) -> String {
+        format!(
+            "{} frames, {} cores, work / {}, cube {}, fence flip {}",
+            self.frames,
+            self.soc.cpus.len(),
+            self.soc.work_div,
+            self.soc.cube,
+            if self.forget_fence_flip {
+                "forgotten"
+            } else {
+                "noticed"
+            }
+        )
+    }
+}
+
+/// Runs `sc` with the SoC's wake audit armed (`Soc::debug_audit_cpu_wakes`);
+/// a core the CPU cluster skipped although it owed a cycle is the
+/// violation, reported with the audit's message.
+pub fn wake_oracle(sc: &WakeScenario) -> Result<(), String> {
+    let mut soc = Soc::new(sc.soc.config(Cell::PRESET));
+    soc.debug_audit_cpu_wakes(sc.forget_fence_flip);
+    caught(|| {
+        for f in 0..sc.frames {
+            let d = sc.soc.draws(&soc, f);
+            soc.run_frame(d, MAX);
+        }
+    })
+}
+
+/// Shrink candidates for a failing [`WakeScenario`]: one frame fewer, the
+/// last core dropped (never the driver), a quarter of the CPU work, no
+/// cube. The bug is never removed.
+pub fn shrink_wake_candidates(sc: &WakeScenario) -> Vec<WakeScenario> {
+    let mut out = Vec::new();
+    if sc.frames > 1 {
+        out.push(WakeScenario {
+            frames: sc.frames - 1,
+            ..sc.clone()
+        });
+    }
+    let mut soc = Vec::new();
+    if sc.soc.cpus.len() > 1 {
+        let mut fewer = sc.soc.clone();
+        fewer.cpus.pop();
+        soc.push(fewer);
+    }
+    if sc.soc.work_div < 256 {
+        soc.push(SocScenario {
+            work_div: sc.soc.work_div * 4,
+            ..sc.soc.clone()
+        });
+    }
+    if sc.soc.cube {
+        soc.push(SocScenario {
+            cube: false,
+            ..sc.soc.clone()
+        });
+    }
+    out.extend(
+        soc.into_iter()
+            .map(|soc| WakeScenario { soc, ..sc.clone() }),
+    );
     out
 }
 

@@ -6,8 +6,9 @@
 //! kernel covers simulated cycles (`gpu_cycles`, `soc_cycles`: ticked
 //! plus jumped) in host loop iterations (`ticks`), of which `gpu_ticks`
 //! cycled the GPU and `ff_steps` also ran the renderer's own steps 3–8
-//! (vertex dispatch and the fixed-function units); CPU cores advance `cpu_batch_cycles` cycles inside
-//! `cpu_batches` batch calls. Host *time* is not measured here:
+//! (vertex dispatch and the fixed-function units); CPU cores that sleep
+//! on their own wakes advance `cpu_batch_cycles` cycles inside
+//! `cpu_batches` run-ahead batch calls. Host *time* is not measured here:
 //! `benchmark/` is the one timer.
 //!
 //! Off by default ([`set_enabled`]). Every emit site checks the flag
@@ -42,7 +43,9 @@ pub struct HostProfile {
     pub ff_steps: u64,
     /// Simulated SoC cycles covered, executed or jumped.
     pub soc_cycles: u64,
-    /// `CpuCoreModel::run_batch` calls observed.
+    /// Run-ahead `CpuCoreModel::run_batch` calls, counted at their one
+    /// call site (`CpuCluster::run`); the per-cycle CPU clocking makes
+    /// none.
     pub cpu_batches: u64,
     /// Simulated CPU-core cycles advanced inside those batch calls.
     pub cpu_batch_cycles: u64,
@@ -134,11 +137,11 @@ pub fn record_soc_skip(n: u64) {
     book(|p| p.soc_cycles += n);
 }
 
-/// Records one `CpuCoreModel::run_batch` call that advanced a core by
-/// `cycles` simulated cycles. Batched CPU cycles are simulated inside a
-/// single host call instead of one SoC loop iteration each; this counter
-/// sizes that win (`cpu_batch_cycles / cpu_batches` = average batch
-/// length).
+/// Records one run-ahead `CpuCoreModel::run_batch` call that advanced a
+/// core by `cycles` simulated cycles. Batched CPU cycles are simulated
+/// inside a single host call instead of one SoC loop iteration each; this
+/// counter sizes that win (`cpu_batch_cycles / cpu_batches` = average
+/// batch length).
 #[inline]
 pub fn record_cpu_batch(cycles: u64) {
     book(|p| {

@@ -310,19 +310,15 @@ impl CpuCoreModel {
         }
     }
 
-    /// True while requests wait in the output buffer (issued but not yet
-    /// accepted by the memory system). Once the cycle that issued them has
-    /// passed, the head was refused: its channel's queue was full, and it
-    /// stays full until that channel picks.
-    fn has_pending_out(&self) -> bool {
-        !self.out.is_empty()
+    /// True while the core sits at its outstanding-miss limit: every cycle
+    /// it executes is a stall until a response arrives. It takes
+    /// precedence over every phase, `WaitGpu` and `IssueDraw` included.
+    pub fn stalled(&self) -> bool {
+        self.outstanding >= self.max_outstanding
     }
 
-    /// True when the core's current phase is `WaitGpu`. The SoC's batch
-    /// scheduler must not let an *unsatisfied* fence wait pre-burn poll
-    /// cycles past the point where the frame's draw submission (and the
-    /// GPU completion that follows) could flip `gpu_frame_done`: the
-    /// pre-executed polls would have read a stale fence.
+    /// True when the core's current phase is `WaitGpu`: a fence waiter,
+    /// whose cycles read `gpu_frame_done`.
     fn in_wait_gpu(&self) -> bool {
         !self.at_frame_end
             && matches!(
@@ -331,56 +327,54 @@ impl CpuCoreModel {
             )
     }
 
-    /// True while this core could still submit the frame's draws: its
-    /// script has an `IssueDraw` at or after the current phase and it has
-    /// not fired this frame. The batch scheduler runs such cores first —
-    /// their progress is a safe lower bound on the submission cycle, and
-    /// therefore on how far a fence-waiting core may pre-burn polls.
-    fn may_issue_draw(&self) -> bool {
-        !self.at_frame_end
-            && !self.issued_draw_this_frame
-            && self
-                .workload
-                .phases
-                .get(self.phase_idx..)
-                .is_some_and(|rest| rest.iter().any(|p| matches!(p, Phase::IssueDraw)))
+    /// Cycles from the core's last executed cycle to its next fence poll,
+    /// were it to wait on an unsatisfied fence (at least 1).
+    fn until_poll(&self) -> Cycle {
+        (POLL_INTERVAL - self.poll_counter) as Cycle
+    }
+
+    /// Books `n` cycles stalled at the outstanding-miss limit: what `n`
+    /// budget-1 [`CpuCoreModel::run_batch`] calls on the stalled core do.
+    fn book_stalls(&mut self, n: Cycle) {
+        debug_assert!(self.stalled() && !self.at_frame_end);
+        self.stats.stall_cycles += n;
+    }
+
+    /// Books `n` cycles of an unsatisfied fence wait that hold no poll:
+    /// what `n` budget-1 [`CpuCoreModel::run_batch`] calls do.
+    fn book_polls(&mut self, n: Cycle) {
+        debug_assert!(self.in_wait_gpu() && n < self.until_poll());
+        self.poll_counter += n as u32;
     }
 
     /// Advances the core by up to `budget` cycles in one call, executing
     /// cycles `now + 1 ..= now + consumed` and returning
     /// `(consumed, event)`. `gpu_frame_done` reports whether the GPU
-    /// finished this frame's rendering (for `WaitGpu`).
+    /// finished this frame's rendering (read by `WaitGpu` only).
     ///
     /// This is the core's one execution path: per-cycle clocking is a
-    /// budget of 1 (`CpuCluster::step`), and a window of `n` cycles
-    /// evolves the core (RNG draw sequence, cache state, statistics,
-    /// script position, fence-poll counter) exactly as `n` budget-1 calls
-    /// would — `Work` instructions just retire in a tight inner loop
-    /// instead of one SoC loop iteration each. The batch stops early at
-    /// the first *observable interaction* — anything the SoC must act on
-    /// at its exact cycle:
+    /// budget of 1 (`CpuCluster::step` with run-ahead off), and a batch of
+    /// `n` cycles evolves the core (RNG draw sequence, cache state,
+    /// statistics, script position, fence-poll counter) exactly as `n`
+    /// budget-1 calls would — `Work` instructions just retire in a tight
+    /// inner loop. A request leaves in the output buffer stamped with the
+    /// cycle that issued it (`MemRequest::issued`); the caller forwards it
+    /// once its clock reaches that cycle, so requests never end a batch.
+    /// The batch stops early only where the core's next cycle may depend
+    /// on something outside it, or where the SoC must act:
     ///
-    /// * a memory request entering an empty output buffer (delivery cycle
-    ///   matters to the memory system),
-    /// * reaching the outstanding-miss limit (the next cycle is a stall,
-    ///   which the next call burns in bulk),
+    /// * reaching the outstanding-miss limit (the next cycle is a stall
+    ///   unless a response arrives first),
     /// * `IssueDraw` (the SoC starts the GPU at that cycle),
-    /// * a phase transition (the next phase may interact differently),
+    /// * a phase transition (the next phase may read the fence),
     /// * the end-of-script cycle that raises `at_frame_end` (the SoC's
     ///   frame barrier reads the flag at that cycle).
     ///
     /// A core that is already stalled at entry burns the whole budget as
-    /// `stall_cycles` analytically — within a caller-chosen window no
-    /// response can arrive, so no cycle in it could unstall the core. A
-    /// core waiting on an unsatisfied fence replays the sparse poll loop,
-    /// stopping only when a poll misses the private caches.
-    ///
-    /// Requests already in the output buffer at entry are ones the memory
-    /// system refused: their head stays refused until its channel picks,
-    /// so a request issued behind them cannot be delivered any sooner, and
-    /// the batch runs on past it. Callers must end the window before that
-    /// pick and must hold `gpu_frame_done` constant across it
-    /// (`CpuCluster::run_ahead` is the one caller that does).
+    /// `stall_cycles`: callers must end the batch before the cycle a
+    /// response unstalls it. A core waiting on an unsatisfied fence
+    /// replays the sparse poll loop analytically; callers must hold
+    /// `gpu_frame_done` constant across the batch.
     pub fn run_batch(
         &mut self,
         now: Cycle,
@@ -394,9 +388,7 @@ impl CpuCoreModel {
             // Fully passive: every cycle of the window is a no-op.
             return (budget, CpuEvent::None);
         }
-        if self.outstanding >= self.max_outstanding {
-            // Stalled for the whole window: responses only arrive at the
-            // caller's wake cycles, never inside the batch.
+        if self.stalled() {
             self.stats.stall_cycles += budget;
             return (budget, CpuEvent::None);
         }
@@ -404,11 +396,6 @@ impl CpuCoreModel {
             self.at_frame_end = true;
             return (1, CpuEvent::None);
         };
-        // A request must stop the batch only if nothing refused is ahead
-        // of it in the output buffer.
-        let behind_refused = !self.out.is_empty();
-        let interacts =
-            |c: &Self| (!behind_refused && !c.out.is_empty()) || c.outstanding >= c.max_outstanding;
         match phase {
             Phase::Work {
                 instrs,
@@ -438,14 +425,11 @@ impl CpuCoreModel {
                         self.issue_access(self.arena + (offset & !127), kind, now + consumed);
                     }
                     if self.instr_in_phase >= instrs {
-                        // Phase transition; a request issued this same
-                        // cycle stays in `out` — the caller checks
-                        // `has_pending_out` regardless of the stop reason.
                         self.phase_idx += 1;
                         self.instr_in_phase = 0;
                         return (consumed, CpuEvent::None);
                     }
-                    if interacts(self) {
+                    if self.stalled() {
                         return (consumed, CpuEvent::None);
                     }
                 }
@@ -478,7 +462,7 @@ impl CpuCoreModel {
                     consumed += to_poll;
                     self.poll_counter = 0;
                     self.issue_access(self.arena, AccessKind::Read, now + consumed);
-                    if interacts(self) {
+                    if self.stalled() {
                         return (consumed, CpuEvent::None);
                     }
                     if consumed == budget {
@@ -551,75 +535,83 @@ impl emerald_common::snap::Restore for CpuCoreModel {
 }
 
 /// Forwards a source's output buffer to the memory system in issue order,
-/// in place. On backpressure the rejected request and everything behind it
-/// stay where they are — dropping one would lose its response forever.
+/// in place: every request issued by `now`, up to the first one the memory
+/// system refuses. The refused request and everything behind it stay where
+/// they are — dropping one would lose its response forever — and so does
+/// every request a core that ran ahead of the clock issued after `now`.
 /// Returns whether the memory system accepted anything.
 pub(crate) fn forward_requests(
     reqs: &mut Vec<MemRequest>,
     memsys: &mut MemorySystem,
     now: Cycle,
 ) -> bool {
-    if reqs.is_empty() {
-        return false;
-    }
     let sent = reqs
         .iter()
-        .position(|&req| memsys.enqueue(req, now).is_err())
+        .position(|&req| req.issued > now || memsys.enqueue(req, now).is_err())
         .unwrap_or(reqs.len());
     reqs.drain(..sent);
     sent > 0
 }
 
-/// The SoC's CPU cores and the one mechanism by which they advance: a
-/// per-cycle `CpuCluster::step`, plus — behind the `batch` gate
-/// (`SocConfig::cpu_batch`) — `CpuCluster::run_ahead`, which executes
-/// cores through a window the SoC proved quiet and parks whatever they
-/// produce until the clock catches up.
+/// The SoC's CPU cores and the one mechanism by which they advance,
+/// `CpuCluster::step`. Behind the `batch` gate (`SocConfig::cpu_batch`)
+/// each core sleeps on its own wake; with the gate off every core executes
+/// one cycle per step, the per-cycle reference clocking.
 ///
-/// Relative to the SoC clock `now` every core is in exactly one state:
+/// With the gate on, a core that is not at the frame barrier is, relative
+/// to the SoC clock `now`, in one of three states, read off its own state:
 ///
-/// * **due** — last executed cycle is `now`; `step(now + 1)` runs the
-///   next one.
-/// * **ahead** — already executed through `ran_until > now`; `step` is a
-///   no-op for it until the clock passes `ran_until`.
-/// * **parked** — ran ahead to an observable interaction (`IssueDraw`, a
-///   memory request) at cycle `s`; `pending` holds it and `step(s)`
-///   delivers it. Requests a parked core issued *at* `s` stay in its
-///   output buffer until then — draining them sooner would leak them into
-///   the memory system early (the first bug lockstep caught).
-/// * **done** — frame-end flag raised; `end_at` records the cycle it
-///   flipped, because a core that ran ahead raises the flag before the
-///   clock gets there and the frame barrier must read the clock's view.
+/// * **running** — its phase is `Work`, `IssueDraw` or the end of its
+///   script. A `Work` core's trajectory depends on the rest of the SoC
+///   only through responses, and only once it reaches its outstanding-miss
+///   limit; it counts responses as they are routed, so its view of
+///   `outstanding` is never below the true count. `step` runs it ahead,
+///   up to the frame's watchdog cycle, until its next interaction: the
+///   limit, `IssueDraw` (parked in `pending` at its exact cycle), a
+///   transition into `WaitGpu`, or the end of its script (the flag's cycle
+///   recorded in `end_at`, because the frame barrier reads the clock's
+///   view). Its requests wait in its output buffer, stamped with their
+///   cycles, until the clock reaches them.
+/// * **stalled** — at its limit. No call runs it: `on_response` books its
+///   stall cycles in bulk at the step whose routed response unstalls it.
+///   A core parked at its limit ahead of the clock continues from there at
+///   that step. The memory system's pin covers every response, so a
+///   stalled core adds nothing to the wake.
+/// * **waiting** — in an unsatisfied `WaitGpu`. It reads the fence, which
+///   flips at a cycle only the clock knows, so it never runs ahead of the
+///   clock: `step` runs it at its next poll, or at the cycle after the
+///   fence flips (the `flip` its caller passes; cycles up to the flip see
+///   the fence open).
 ///
-/// With the gate off no core ever leaves due/done and the cluster is the
-/// per-cycle reference clocking.
+/// `settle` brings the stalled and waiting cores' bookkeeping to `now`
+/// before anything reads it (a checkpoint, the frame barrier), exactly as
+/// the per-cycle reference leaves it.
 #[derive(Debug)]
 pub(crate) struct CpuCluster {
     cores: Vec<CpuCoreModel>,
     batch: bool,
     /// Last cycle each core has executed.
     ran_until: Vec<Cycle>,
-    /// Undelivered interaction of each parked core, at its exact cycle.
+    /// Undelivered `IssueDraw` of each core that ran ahead to it, at its
+    /// exact cycle.
     pending: Vec<Option<(Cycle, CpuEvent)>>,
     /// Cycle each core's frame-end flag flipped (`Cycle::MAX` = not yet).
     end_at: Vec<Cycle>,
+    /// The frame's watchdog cycle: no core runs past it.
+    cap: Cycle,
 }
 
 impl CpuCluster {
     /// Wraps `cores`; `batch` is the run-ahead gate.
-    ///
-    /// # Panics
-    ///
-    /// Panics on more than 64 cores (`run_ahead` keeps a bit per core).
     pub(crate) fn new(cores: Vec<CpuCoreModel>, batch: bool) -> Self {
         let n = cores.len();
-        assert!(n <= 64, "CpuCluster supports at most 64 cores");
         Self {
             cores,
             batch,
             ran_until: vec![0; n],
             pending: vec![None; n],
             end_at: vec![Cycle::MAX; n],
+            cap: Cycle::MAX,
         }
     }
 
@@ -628,7 +620,7 @@ impl CpuCluster {
         &self.cores
     }
 
-    /// Mutable access to the cores (response delivery).
+    /// Mutable access to the cores.
     pub(crate) fn cores_mut(&mut self) -> &mut [CpuCoreModel] {
         &mut self.cores
     }
@@ -644,196 +636,233 @@ impl CpuCluster {
         self.end_at.fill(Cycle::MAX);
     }
 
-    /// Clock cycle `now`: delivers interactions parked at `now`, executes
-    /// cycle `now` on every due core (a budget-1
-    /// [`CpuCoreModel::run_batch`]), and forwards the cores' requests to
-    /// `memsys`.
+    /// Enters the frame loop: no core runs past `cap`.
+    pub(crate) fn set_cap(&mut self, cap: Cycle) {
+        self.cap = cap;
+    }
+
+    /// Delivers a read response to core `i` at cycle `now`. A core asleep
+    /// at its limit was stalled in every cycle since the last it executed:
+    /// those are booked here, and it executes `now` itself with the
+    /// response counted.
+    pub(crate) fn on_response(&mut self, i: usize, now: Cycle) {
+        let Some(core) = self.cores.get_mut(i) else {
+            return;
+        };
+        if self.batch && core.stalled() && !core.at_frame_end() {
+            let r = self.ran_until[i];
+            if r + 1 < now {
+                core.book_stalls(now - 1 - r);
+                self.ran_until[i] = now - 1;
+            }
+        }
+        core.on_response();
+    }
+
+    /// Clock cycle `now`: executes what each core owes for it — with
+    /// run-ahead off one budget-1 [`CpuCoreModel::run_batch`] per core,
+    /// with it on whatever its wake calls for — delivers `IssueDraw`s parked
+    /// at `now`, and forwards the requests issued by `now` to `memsys`.
+    /// `flip` is the cycle the frame's fence flipped (`Cycle::MAX` while
+    /// the GPU renders): later cycles see the GPU done.
     /// Returns [`CpuEvent::IssueDraw`] if a core submitted the frame's
     /// draws at this cycle, and whether `memsys` accepted a request.
     pub(crate) fn step(
         &mut self,
         now: Cycle,
-        gpu_done: bool,
+        flip: Cycle,
         memsys: &mut MemorySystem,
     ) -> (CpuEvent, bool) {
         let (mut event, mut sent) = (CpuEvent::None, false);
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            let ev = match self.pending[i] {
-                Some((s, ev)) if s == now => {
-                    self.pending[i] = None;
-                    ev
-                }
-                _ if self.ran_until[i] >= now => CpuEvent::None,
-                _ => {
-                    let was_end = core.at_frame_end();
-                    let (_, ev) = core.run_batch(now - 1, 1, gpu_done);
-                    self.ran_until[i] = now;
-                    if !was_end && core.at_frame_end() {
-                        self.end_at[i] = now;
-                    }
-                    ev
-                }
+        for i in 0..self.cores.len() {
+            let ev = if self.batch {
+                self.advance(i, now, flip)
+            } else {
+                self.tick(i, now, flip < now)
             };
             if ev == CpuEvent::IssueDraw {
                 event = ev;
             }
-            // Still parked at a future cycle: hold its requests.
-            if self.pending[i].is_some() {
-                continue;
-            }
-            sent |= forward_requests(&mut core.out, memsys, now);
+            sent |= forward_requests(&mut self.cores[i].out, memsys, now);
         }
         (event, sent)
     }
 
-    /// Whether a quiet window past `now` is worth searching for: some core
-    /// is due and may run ahead through it, or — when the clock may jump
-    /// (`skip`) — no core is due. A due core holding a request the memory
-    /// system refused runs ahead like any other: the request is retried
-    /// at every step, and the window ends before its channel can pick.
-    pub(crate) fn wants_window(&self, now: Cycle, skip: bool) -> bool {
-        let due = (0..self.cores.len()).any(|i| {
-            self.pending[i].is_none() && !self.cores[i].at_frame_end() && self.ran_until[i] <= now
-        });
-        if due {
-            self.batch
-        } else {
-            skip
-        }
-    }
-
-    /// Runs every unparked core through the quiet window `(now, w)` —
-    /// cycles in which, per their `next_event` contracts, no non-CPU
-    /// component can act, so `gpu_done` is frozen and no response can
-    /// arrive. A core stops at its first observable interaction (parked at
-    /// that exact cycle) or at frame end. No-op with the gate off.
-    ///
-    /// `fence_open` says the frame's draws are still undelivered and the
-    /// GPU has not finished: `gpu_done` can then flip *inside* the window
-    /// (a parked `IssueDraw` submits, the GPU completes), so an
-    /// unsatisfied fence wait must not pre-burn polls past the earliest
-    /// possible submission cycle — the second bug lockstep caught, with
-    /// unbounded non-DASH windows. Cores that may still submit therefore
-    /// run first, with no fence pre-burn at all; their progress bounds
-    /// everyone else's: a submitter parked on `IssueDraw` at `s` submits at
-    /// `s` (polls are safe through `s - 1`), one parked on anything else
-    /// at `p` cannot submit before `p + 1`, and one that ran to `r` without
-    /// reaching `IssueDraw` cannot submit before `r + 1`.
-    pub(crate) fn run_ahead(
-        &mut self,
-        now: Cycle,
-        w: Cycle,
-        fence_open: bool,
-        gpu_done: bool,
-        memsys: &MemorySystem,
-    ) {
-        if !self.batch {
-            return;
-        }
-        let quiet_end = w - 1;
-        // Bit `i`: core `i` may still submit the frame's draws. A core
-        // parked on its `IssueDraw` has fired it already, but the clock
-        // has not delivered it: it bounds the fence until then.
-        let submitters = (0..self.cores.len())
-            .filter(|&i| {
-                self.cores[i].may_issue_draw()
-                    || matches!(self.pending[i], Some((_, CpuEvent::IssueDraw)))
-            })
-            .fold(0u64, |mask, i| mask | 1 << i);
-        let is_submitter = |i: &usize| submitters >> i & 1 != 0;
-        let mut fence_end = if fence_open { now } else { quiet_end };
-        for i in (0..self.cores.len()).filter(is_submitter) {
-            self.run_core_ahead(i, now, quiet_end, fence_end, gpu_done, memsys);
-        }
-        fence_end = quiet_end;
-        if fence_open {
-            for i in (0..self.cores.len()).filter(is_submitter) {
-                if !self.cores[i].at_frame_end() {
-                    fence_end = fence_end.min(match self.pending[i] {
-                        Some((s, CpuEvent::IssueDraw)) => s.saturating_sub(1),
-                        Some((p, _)) => p,
-                        None => self.ran_until[i],
-                    });
-                }
+    /// Takes core `i`'s interaction parked at `now`, if any.
+    fn take_due(&mut self, i: usize, now: Cycle) -> Option<CpuEvent> {
+        match self.pending[i] {
+            Some((s, ev)) if s == now => {
+                self.pending[i] = None;
+                Some(ev)
             }
-        }
-        for i in (0..self.cores.len()).filter(|i| !is_submitter(i)) {
-            self.run_core_ahead(i, now, quiet_end, fence_end, gpu_done, memsys);
+            _ => None,
         }
     }
 
-    /// Batches core `i` up to `quiet_end`, or only to `fence_end` while it
-    /// sits in a fence wait.
-    ///
-    /// A request refused until its channel picks is not an interaction:
-    /// the window ends before that pick, so the core runs on past it and
-    /// everything it issues queues behind it. That covers what `step` left
-    /// in the output buffer, and a request issued into a channel whose
-    /// queue is full already — enqueues only fill it.
-    fn run_core_ahead(
-        &mut self,
-        i: usize,
-        now: Cycle,
-        quiet_end: Cycle,
-        fence_end: Cycle,
-        gpu_done: bool,
-        memsys: &MemorySystem,
-    ) {
+    /// The per-cycle reference: core `i` executes cycle `now`, unless a
+    /// restored checkpoint left it ahead of the clock.
+    fn tick(&mut self, i: usize, now: Cycle, gpu_done: bool) -> CpuEvent {
+        if let Some(ev) = self.take_due(i, now) {
+            return ev;
+        }
+        if self.ran_until[i] >= now {
+            return CpuEvent::None;
+        }
         let core = &mut self.cores[i];
-        // A core at the barrier has nothing left to run; leaving its
-        // `ran_until` to `step` keeps the bookkeeping (and with it the
-        // checkpoint bytes) the same whether or not the clock jumps.
-        if self.pending[i].is_some() || core.at_frame_end() {
-            return;
+        let was_end = core.at_frame_end();
+        let (_, ev) = core.run_batch(now - 1, 1, gpu_done);
+        self.ran_until[i] = now;
+        if !was_end && core.at_frame_end() {
+            self.end_at[i] = now;
         }
-        let mut behind_refused = core.has_pending_out();
-        let mut base = self.ran_until[i].max(now);
-        loop {
-            let stop = if core.in_wait_gpu() {
-                fence_end
-            } else {
-                quiet_end
-            };
-            if base >= stop {
-                break;
-            }
-            let was_end = core.at_frame_end();
-            let (used, ev) = core.run_batch(base, stop - base, gpu_done);
-            base += used;
-            emerald_obs::prof::record_cpu_batch(used);
-            if !behind_refused && core.has_pending_out() {
-                behind_refused = !memsys.can_accept(&core.out[0]);
-            }
-            if ev != CpuEvent::None || (!behind_refused && core.has_pending_out()) {
-                self.pending[i] = Some((base, ev));
-                break;
-            }
-            if !was_end && core.at_frame_end() {
-                self.end_at[i] = base;
-                break;
-            }
-        }
-        self.ran_until[i] = base;
+        ev
     }
 
-    /// The cycle the clock must visit next, given the non-CPU wake `w`:
-    /// every parked interaction and every pre-applied frame-end flip at
-    /// its exact cycle, and the cycle after the last one a still-running
-    /// core executed (a due core pins `now + 1`). Everything before the
-    /// minimum is dead time.
-    pub(crate) fn wake(&self, now: Cycle, w: Cycle) -> Cycle {
-        let mut wake = w;
+    /// Runs core `i` as far as its state allows at cycle `now` (run-ahead
+    /// on): a running core to its next interaction, a waiting core through
+    /// `now` once its wake is due, a stalled core not at all.
+    fn advance(&mut self, i: usize, now: Cycle, flip: Cycle) -> CpuEvent {
+        let due = self.take_due(i, now);
+        loop {
+            let core = &self.cores[i];
+            if self.pending[i].is_some() || core.at_frame_end() || core.stalled() {
+                break;
+            }
+            let from = self.ran_until[i];
+            let budget = if core.in_wait_gpu() {
+                if self.fence_wake(i, flip) > now {
+                    break;
+                }
+                // Never across the flip in one call: the fence is constant
+                // within a batch.
+                if from < flip && flip < now {
+                    flip - from
+                } else {
+                    now - from
+                }
+            } else if from < self.cap {
+                self.cap - from
+            } else {
+                break;
+            };
+            self.run(i, budget, flip);
+        }
+        due.or_else(|| self.take_due(i, now))
+            .unwrap_or(CpuEvent::None)
+    }
+
+    /// The one run-ahead call site: runs core `i` for up to `budget` cycles
+    /// past `ran_until` and books what it showed.
+    fn run(&mut self, i: usize, budget: Cycle, flip: Cycle) {
+        let from = self.ran_until[i];
+        let core = &mut self.cores[i];
+        let (used, ev) = core.run_batch(from, budget, from >= flip);
+        emerald_obs::prof::record_cpu_batch(used);
+        let at = from + used;
+        self.ran_until[i] = at;
+        if ev != CpuEvent::None {
+            self.pending[i] = Some((at, ev));
+        }
+        if core.at_frame_end() {
+            self.end_at[i] = at;
+        }
+    }
+
+    /// The cycle at which waiting core `i` must run next, given the fence
+    /// flip `flip`: its next poll, or the first cycle it executes that sees
+    /// the GPU done.
+    fn fence_wake(&self, i: usize, flip: Cycle) -> Cycle {
+        let r = self.ran_until[i];
+        (r + self.cores[i].until_poll()).min(flip.saturating_add(1).max(r + 1))
+    }
+
+    /// The cycle the clock must visit next for the cores' sake: every
+    /// parked interaction and pre-applied frame-end flip at its exact
+    /// cycle, every output-buffer head whose channel has room (a full
+    /// channel is the memory system's pin), and, per core, the cycle after
+    /// the last one it executed (run-ahead off, or a running core) or its
+    /// fence wake (a waiting core). A stalled core adds nothing.
+    pub(crate) fn wake(&self, now: Cycle, flip: Cycle, memsys: &MemorySystem) -> Cycle {
+        let mut wake = Cycle::MAX;
         for (i, c) in self.cores.iter().enumerate() {
-            match self.pending[i] {
-                Some((s, _)) => wake = wake.min(s),
-                None if !c.at_frame_end() => wake = wake.min(self.ran_until[i] + 1),
-                None => {}
+            if let Some(head) = c.out.first() {
+                if memsys.can_accept(head) {
+                    wake = wake.min(head.issued.max(now + 1));
+                }
             }
             if self.end_at[i] > now {
                 wake = wake.min(self.end_at[i]);
             }
+            wake = wake.min(match self.pending[i] {
+                Some((s, _)) => s,
+                None if c.at_frame_end() => Cycle::MAX,
+                None if !self.batch => self.ran_until[i] + 1,
+                None if c.stalled() => Cycle::MAX,
+                None if c.in_wait_gpu() => self.fence_wake(i, flip),
+                None => self.ran_until[i] + 1,
+            });
         }
         wake
+    }
+
+    /// Brings every core the clock has passed to `now` (run-ahead on): a
+    /// stalled core books its stall cycles, a waiting core its poll counter,
+    /// and a core at the barrier just its `ran_until` — what the per-cycle
+    /// reference leaves. Called before anything reads the cores.
+    pub(crate) fn settle(&mut self, now: Cycle) {
+        if !self.batch {
+            return;
+        }
+        for (i, c) in self.cores.iter_mut().enumerate() {
+            let r = self.ran_until[i];
+            if r >= now {
+                continue;
+            }
+            if c.at_frame_end() {
+            } else if c.stalled() {
+                c.book_stalls(now - r);
+            } else {
+                c.book_polls(now - r);
+            }
+            self.ran_until[i] = now;
+        }
+    }
+
+    /// The wake oracle (run by `Soc::audit_pins`): after a step at `now`,
+    /// with the fence's true flip cycle `flip`, every core the step did not
+    /// run through `now` must owe nothing for the cycles it skipped — a
+    /// running core is at or past `now`, a stalled core is at its limit, a
+    /// waiting core's skipped cycles hold neither its poll nor the cycle
+    /// after the flip — and no output buffer holds a request issued by
+    /// `now` that the memory system would accept.
+    pub(crate) fn audit(&self, now: Cycle, flip: Cycle, memsys: &MemorySystem) {
+        for (i, c) in self.cores.iter().enumerate() {
+            if let Some(head) = c.out.first() {
+                assert!(
+                    head.issued > now || !memsys.can_accept(head),
+                    "CPU core {i} holds a request issued at {} that the memory system \
+                     accepts, after cycle {now}",
+                    head.issued
+                );
+            }
+            if self.pending[i].is_some() || c.at_frame_end() || c.stalled() {
+                continue;
+            }
+            let r = self.ran_until[i];
+            if c.in_wait_gpu() {
+                let wake = self.fence_wake(i, flip);
+                assert!(
+                    wake > now,
+                    "CPU core {i} waits on the fence from cycle {r} and skipped its wake \
+                     at {wake}, after cycle {now}"
+                );
+            } else {
+                assert!(
+                    r >= now,
+                    "running CPU core {i} stopped at cycle {r}, after cycle {now}"
+                );
+            }
+        }
     }
 
     /// The frame barrier as the clock sees it at `now`: every core's

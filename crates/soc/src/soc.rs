@@ -37,10 +37,11 @@ pub struct SocConfig {
     pub display_period: Cycle,
     /// Per-core CPU scripts (core 0 must be the driver).
     pub cpu_workloads: Vec<CpuWorkload>,
-    /// Run-ahead gate: may CPU cores execute ahead of the clock through
-    /// windows the SoC proved quiet (see `CpuCluster`)? Presets turn it
-    /// on; results are bit-identical either way, and the lockstep suites
-    /// in `tests/` and the conformance canary flip it off to get the
+    /// Run-ahead gate: may each CPU core sleep on its own wake — run
+    /// ahead of the clock to its next interaction, sleep through a stall
+    /// until its response, wait on the fence until its next poll (see
+    /// `CpuCluster`)? Presets turn it on; results are bit-identical either
+    /// way, and the lockstep suites in `tests/` flip it off to get the
     /// per-cycle CPU clocking they compare against.
     pub cpu_batch: bool,
 }
@@ -148,6 +149,15 @@ impl FrameCursor {
     }
 }
 
+/// The cycle a frame's fence flipped (`Cycle::MAX` while the GPU renders).
+fn flip_cycle(cur: &FrameCursor) -> Cycle {
+    if cur.gpu_done {
+        cur.gpu_start + cur.gpu_cycles
+    } else {
+        Cycle::MAX
+    }
+}
+
 /// The frame a clock step belongs to: its cursor and the draws the driver
 /// core has yet to submit (`None` once submitted).
 type Frame<'a> = (&'a mut FrameCursor, &'a mut Option<Vec<DrawCall>>);
@@ -202,6 +212,9 @@ pub struct Soc {
     /// The oracle's canary: CPU requests stop invalidating the memory
     /// system's pin.
     forget_cpu_enqueues: bool,
+    /// The CPU wake oracle's canary: the CPU cluster is never told that
+    /// the fence flipped.
+    forget_fence_flip: bool,
     /// A mid-frame checkpoint waiting for [`Soc::resume_frame`]; the bool
     /// records whether the frame's draws were already submitted.
     resume: Option<(FrameCursor, bool)>,
@@ -244,6 +257,7 @@ impl Soc {
             owed: 0,
             audit: cfg!(debug_assertions),
             forget_cpu_enqueues: false,
+            forget_fence_flip: false,
             resume: None,
             cfg,
         }
@@ -284,6 +298,17 @@ impl Soc {
         self.forget_cpu_enqueues = forget_cpu_enqueues;
     }
 
+    /// Test-only hook for the CPU wake canary: arms the cached-pin oracle
+    /// (which audits the CPU cores' wakes too) in any build, and with
+    /// `forget_fence_flip` injects the bug it must catch — the CPU cluster
+    /// is never told that the frame's fence flipped, so a core waiting on
+    /// it sleeps through the cycle it must leave the wait.
+    #[doc(hidden)]
+    pub fn debug_audit_cpu_wakes(&mut self, forget_fence_flip: bool) {
+        self.audit = true;
+        self.forget_fence_flip = forget_fence_flip;
+    }
+
     /// CPU statistics per core.
     pub fn cpu_stats(&self) -> Vec<crate::cpu::CpuStats> {
         self.cpus.cores().iter().map(|c| c.stats()).collect()
@@ -316,9 +341,7 @@ impl Soc {
                 }
                 TrafficSource::Cpu(i) => {
                     if r.kind == AccessKind::Read {
-                        if let Some(c) = self.cpus.cores_mut().get_mut(i) {
-                            c.on_response();
-                        }
+                        self.cpus.on_response(i, self.now);
                     }
                 }
                 TrafficSource::Display => {
@@ -476,7 +499,8 @@ impl Soc {
         }
 
         if let Some((cur, draws)) = &mut frame {
-            let (ev, sent) = self.cpus.step(now, cur.gpu_done, &mut self.memsys);
+            let flip = self.cpu_flip(cur);
+            let (ev, sent) = self.cpus.step(now, flip, &mut self.memsys);
             mem_moved |= sent && !self.forget_cpu_enqueues;
             if ev == CpuEvent::IssueDraw {
                 if let Some(ds) = draws.take() {
@@ -577,11 +601,24 @@ impl Soc {
         }
     }
 
+    /// The fence flip the CPU cluster is told: [`flip_cycle`], or never
+    /// under the wake canary ([`Soc::debug_audit_cpu_wakes`]).
+    fn cpu_flip(&self, cur: &FrameCursor) -> Cycle {
+        if self.forget_fence_flip {
+            Cycle::MAX
+        } else {
+            flip_cycle(cur)
+        }
+    }
+
     /// The cached-pin oracle (see the `audit` field for when it runs):
     /// after every step each cached pin must be no later than a fresh
     /// `next_event` answer — a pin that is too late is the one way the due
-    /// set or `quiet_until` could skip a component that has work.
-    fn audit_pins(&self) {
+    /// set or `quiet_until` could skip a component that has work. Inside a
+    /// frame (`frame`) it audits the CPU cores' wakes too
+    /// (`CpuCluster::audit`): skipping a core at `now` must have been a
+    /// no-op.
+    fn audit_pins(&self, frame: Option<&FrameCursor>) {
         if !self.audit {
             return;
         }
@@ -600,14 +637,18 @@ impl Soc {
                 "cached {what} pin {cached} is later than its next_event {fresh:?} after cycle {now}"
             );
         }
+        if let Some(cur) = frame {
+            self.cpus.audit(now, flip_cycle(cur), &self.memsys);
+        }
     }
 
     /// The frame loop, shared by [`Soc::run_frame`],
     /// [`Soc::run_frame_checkpoint`] and [`Soc::resume_frame`]: one body,
     /// two gates. `GpuConfig::event_skip` only decides whether the clock
-    /// may jump; `SocConfig::cpu_batch` only decides whether cores may run
-    /// ahead ([`CpuCluster::run_ahead`] is a no-op without it). With both
-    /// off this is the per-cycle reference clocking.
+    /// may jump, to the earlier of [`Soc::quiet_until`] and
+    /// [`CpuCluster::wake`]; `SocConfig::cpu_batch` only decides whether
+    /// each core sleeps on its own wake ([`CpuCluster`]). With both off
+    /// this is the per-cycle reference clocking.
     fn drive_frame(
         &mut self,
         cur: &mut FrameCursor,
@@ -621,6 +662,7 @@ impl Soc {
         let cap = cur.frame_start + max_cycles;
         let mut snap = None;
         self.pins = Pins::default();
+        self.cpus.set_cap(cap);
 
         loop {
             // Checkpoint capture sits at loop entry — the end-of-cycle
@@ -633,12 +675,13 @@ impl Soc {
                     && self.renderer.is_idle()
                     && ((draws.is_some() && !cur.gpu_active) || (draws.is_none() && cur.gpu_done))
                 {
+                    self.cpus.settle(self.now);
                     self.settle_renderer();
                     snap = Some(self.encode_checkpoint(Some((cur, draws.is_none()))));
                 }
             }
             self.step(Some((cur, draws)));
-            self.audit_pins();
+            self.audit_pins(Some(cur));
             let now = self.now;
             if cur.gpu_done && self.cpus.all_done(now) {
                 break;
@@ -659,19 +702,12 @@ impl Soc {
                     self.renderer.gpu.debug_snapshot(),
                 );
             }
-            if !self.cpus.wants_window(now, skip) {
-                continue;
-            }
-            let w = self.quiet_until(now, cap);
-            if w > now + 1 {
-                let fence_open = draws.is_some() && !cur.gpu_done;
-                self.cpus
-                    .run_ahead(now, w, fence_open, cur.gpu_done, &self.memsys);
-                if skip {
-                    self.jump_to(self.cpus.wake(now, w));
-                }
+            if skip {
+                let wake = self.cpus.wake(now, self.cpu_flip(cur), &self.memsys);
+                self.jump_to(self.quiet_until(now, cap).min(wake));
             }
         }
+        self.cpus.settle(self.now);
         self.settle_renderer();
         snap
     }
@@ -836,7 +872,7 @@ impl Soc {
         self.pins = Pins::default();
         while self.now < target {
             self.step(None);
-            self.audit_pins();
+            self.audit_pins(None);
             if skip {
                 self.jump_to(self.quiet_until(self.now, target));
             }

@@ -24,7 +24,7 @@ cargo build --release
 echo "==> cargo test (once: the clocking gates are covered by lockstep tests, not by re-runs)"
 cargo test --workspace -q
 
-echo "==> conformance suite (32 random programs/draws, differential + metamorphic; the injected-bug canaries, each through the oracle its axis's random cases run, the renderer lag canary among them)"
+echo "==> conformance suite (32 random programs/draws, differential + metamorphic; the injected-bug canaries, each through the oracle its axis's random cases run, the renderer lag canary, the forgotten-fence-wake canary through the CPU wake audit, and the overrun and limit-blind batch canaries among them)"
 EMERALD_CONF_CASES=32 cargo test --release --test conformance -q
 
 echo "==> allocation bars on the optimised build (memory system: 0 per saturated DASH / FR-FCFS cycle; SIMT core and renderer steady states, the stalled 48-warp core included)"
@@ -37,10 +37,10 @@ EMERALD_CHECK_CASES=1024 cargo test --release -p emerald-isa -q
 echo "==> memory-substrate properties on the optimised build, 1024 cases each (the DRAM channel's pick keys against the two-pass selection, the flat cache sets against the set-of-vectors reference; the workspace step runs them in the dev profile, where every pick also audits its keys)"
 EMERALD_CHECK_CASES=1024 cargo test --release -p emerald-mem -q
 
-echo "==> clocking-gate lockstep suites, release (32 random SoC scenarios, half drawing a cube and half nothing, each in all four event_skip x cpu_batch cells, three of them profiled, equal at every frame barrier, checkpoint bytes included; 16 random-cycle restores into random cells; one checkpoint restored into each of the four cells; 16 memory-system and 32 display gap walks; GPU and renderer twin gap walks; 32 random twin-core run-ahead cases; run-ahead corner scenarios; loop-iteration and renderer-cycle bounds, and renderer steps 3–8 in at most 0.2 of the renderer cycles)"
+echo "==> clocking-gate lockstep suites, release (32 random SoC scenarios, half drawing a cube and half nothing, each in all four event_skip x cpu_batch cells, three of them profiled, equal at every frame barrier, checkpoint bytes included; 16 random-cycle restores into random cells; one checkpoint restored into each of the four cells; 16 memory-system and 32 display gap walks; GPU and renderer twin gap walks; 32 random twin-core run-ahead cases; per-core wake corner scenarios; loop-iteration and renderer-cycle bounds, renderer steps 3–8 in at most 0.2 of the renderer cycles, and at most 0.25 run-ahead CPU batches per loop iteration)"
 EMERALD_CONF_CASES=16 cargo test --release --test event_skip --test cpu_batch --test snapshot -q
 
-echo "==> the random gate-matrix and restore oracles again, dev profile (16 gate-matrix scenarios, half drawing a cube and half nothing, and 8 restores; every loop iteration audits the SoC's cached wake pins against fresh next_event answers; the workspace step above already ran every suite in this profile)"
+echo "==> the random gate-matrix and restore oracles again, dev profile (16 gate-matrix scenarios, half drawing a cube and half nothing, and 8 restores; every loop iteration audits the SoC's cached wake pins against fresh next_event answers, and every CPU core left asleep against what it owed; the workspace step above already ran every suite in this profile)"
 EMERALD_CONF_CASES=8 cargo test --test event_skip --test cpu_batch --test snapshot -q -- random_soc_ random_cycle_
 
 echo "==> benchmark package: unit tests + golden gate (cycles and digests vs benchmark/golden.json)"

@@ -21,8 +21,9 @@ use emerald_conformance::{
     renderer_gap_oracle, run_draw_case, run_draw_case_timed, shrink_batch_candidates,
     shrink_display_gap_candidates, shrink_draw_candidates, shrink_gap_candidates,
     shrink_gpu_gap_candidates, shrink_pin_candidates, shrink_renderer_gap_candidates,
-    shrink_snap_candidates, snap_oracle, BatchScenario, Cell, DisplayGapScenario, GapScenario,
-    GpuGapScenario, PinScenario, RendererGapScenario, SnapBug, SnapScenario, SocScenario,
+    shrink_snap_candidates, shrink_wake_candidates, snap_oracle, wake_oracle, BatchScenario, Cell,
+    DisplayGapScenario, GapScenario, GpuGapScenario, PinScenario, RendererGapScenario, SnapBug,
+    SnapScenario, SocScenario, WakeScenario,
 };
 
 /// Shrink-step budget. Generated programs have < 40 instructions, so this
@@ -325,33 +326,41 @@ fn forgotten_pin_invalidation_is_caught_and_shrunk() {
     });
 }
 
+/// A memory-bound one-phase scenario for the batch-contract canaries: it
+/// reaches the outstanding-miss limit again and again, in unbounded
+/// windows.
+fn memory_bound_batch(rng: &mut Xorshift64) -> BatchScenario {
+    use emerald::soc::cpu::{CpuWorkload, Phase};
+    let work = Phase::Work {
+        instrs: rng.range(2_000, 8_000),
+        mem_ratio: rng.range(60, 101) as f64 / 100.0,
+        footprint: (1024 << rng.below(4)) << 10,
+        sequential: false,
+    };
+    BatchScenario {
+        workload: CpuWorkload { phases: vec![work] },
+        seed: 0xBA7C,
+        latency: rng.range(20, 200),
+        cap: Cycle::MAX,
+        fence: 0,
+        overrun: 0,
+        blind_limit: false,
+    }
+}
+
 /// The batch-contract canary: a batch scheduler that deliberately runs a
-/// core *past* a response-delivery cycle (the unsafe direction of the
-/// `run_batch` contract) must be caught by the twin-core oracle the
-/// random cases in `tests/cpu_batch.rs` run, as a diverging observation
-/// or core state, replay from its seed, and shrink to a minimal
-/// still-failing scenario that keeps the overrun alive.
+/// stalled core *past* the response-delivery cycle that unstalls it (the
+/// unsafe direction of the `run_batch` contract) must be caught by the
+/// twin-core oracle the random cases in `tests/cpu_batch.rs` run, as a
+/// diverging observation or core state, replay from its seed, and shrink
+/// to a minimal still-failing scenario that keeps the overrun alive.
 #[test]
 fn overrun_batch_window_is_caught_and_shrunk() {
-    use emerald::soc::cpu::{CpuWorkload, Phase};
     check_n("batch_overrun_canary", 8, |rng| {
-        let work = Phase::Work {
-            instrs: rng.range(2_000, 8_000),
-            mem_ratio: rng.range(60, 101) as f64 / 100.0,
-            footprint: (1024 << rng.below(4)) << 10,
-            sequential: false,
-        };
+        let honest = memory_bound_batch(rng);
         let sc = BatchScenario {
-            workload: CpuWorkload { phases: vec![work] },
-            seed: 0xBA7C,
-            latency: rng.range(20, 200),
-            cap: Cycle::MAX,
-            fence: 0,
             overrun: rng.range(1, 32),
-        };
-        let honest = BatchScenario {
-            overrun: 0,
-            ..sc.clone()
+            ..honest.clone()
         };
         batch_oracle(&honest).expect("honest batch windows conform");
         let v = batch_oracle(&sc).expect_err("overrun batch window must be caught");
@@ -365,6 +374,73 @@ fn overrun_batch_window_is_caught_and_shrunk() {
         assert!(small.overrun >= 1, "shrinking never reaches the honest 0");
         assert!(small.overrun <= sc.overrun && small.latency <= sc.latency);
         batch_oracle(&small).expect_err(&format!(
+            "shrunk scenario still fails: {}",
+            small.describe()
+        ));
+    });
+}
+
+/// The limit canary: a batch scheduler that runs a core on past its
+/// outstanding-miss limit, as if the limit were no interaction, burns as
+/// stalls the cycles in which a response would have let it run. The same
+/// twin-core oracle must catch it for every seed, and the case must shrink
+/// to one that still fails with the bug kept.
+#[test]
+fn limit_blind_batch_is_caught_and_shrunk() {
+    check_n("batch_limit_canary", 8, |rng| {
+        let honest = memory_bound_batch(rng);
+        batch_oracle(&honest).expect("honest batch windows conform");
+        let sc = BatchScenario {
+            blind_limit: true,
+            ..honest
+        };
+        let v = batch_oracle(&sc).expect_err("a window blind to the limit must be caught");
+        assert!(!v.detail.is_empty());
+        let (small, _steps) = minimize(
+            sc.clone(),
+            shrink_batch_candidates,
+            |c| batch_oracle(c).is_err(),
+            64,
+        );
+        assert!(small.blind_limit, "shrinking never removes the bug");
+        assert!(small.latency <= sc.latency);
+        batch_oracle(&small).expect_err(&format!(
+            "shrunk scenario still fails: {}",
+            small.describe()
+        ));
+    });
+}
+
+/// The CPU-wake canary: a CPU cluster never told that the frame's fence
+/// flipped lets a core waiting on the fence sleep past the cycle it must
+/// leave the wait. The SoC's wake audit (`Soc::audit_pins`, armed in any
+/// build by `Soc::debug_audit_cpu_wakes`) must catch it through
+/// `socconf::wake_oracle` for every seed, and the case must shrink to one
+/// that still fails with the bug kept; the honest SoC passes the audit.
+#[test]
+fn forgotten_fence_wake_is_caught_and_shrunk() {
+    check_n("fence_wake_canary", 4, |rng| {
+        let honest = WakeScenario {
+            soc: SocScenario::random(rng),
+            frames: rng.range(1, 3) as u32,
+            forget_fence_flip: false,
+        };
+        wake_oracle(&honest).expect("honest CPU wakes conform");
+        let sc = WakeScenario {
+            forget_fence_flip: true,
+            ..honest
+        };
+        let v = wake_oracle(&sc).expect_err("a forgotten fence flip must be caught");
+        assert!(v.contains("waits on the fence"), "caught by the audit: {v}");
+        let (small, _steps) = minimize(
+            sc.clone(),
+            shrink_wake_candidates,
+            |c| wake_oracle(c).is_err(),
+            16,
+        );
+        assert!(small.forget_fence_flip, "shrinking never removes the bug");
+        assert!(small.frames <= sc.frames && small.soc.cpus.len() <= sc.soc.cpus.len());
+        wake_oracle(&small).expect_err(&format!(
             "shrunk scenario still fails: {}",
             small.describe()
         ));

@@ -12,7 +12,7 @@
 //!    random memory latency, window cap and fence cycle: batched windows
 //!    must match single-cycle calls in every request, draw submission and
 //!    snapshot byte (`emerald_conformance::batch_oracle`, the function
-//!    the overrun canary in `tests/conformance.rs` runs).
+//!    the overrun and limit-blind canaries in `tests/conformance.rs` run).
 //!
 //! The SoC's side runs random scenarios in all four `cpu_batch ×
 //! event_skip` cells through `emerald_conformance::gate_matrix`, the
@@ -20,21 +20,25 @@
 //! drives on cube-drawing frames:
 //!
 //! 2. **Random CPU-only frames** — seeded random scenarios with an empty
-//!    draw list, so nothing but memory and the display bounds a batch
-//!    window.
+//!    draw list, so nothing but the cores, memory and the display acts.
 //! 3. **Fixed matrix** — one fixed two-core scenario, three frames.
 //!
-//! Then the scenarios built to hit the run-ahead scheduler's corners, each
+//! Then the scenarios built to hit the per-core wakes' corners, each
 //! through `gate_matrix` with its own assertion:
 //!
-//! 4. **Unbounded windows** — nothing bounds a window early in the frame,
+//! 4. **Unbounded windows** — nothing bounds a core early in the frame,
 //!    so fence polls must not pre-burn past the draw submission.
 //! 5. **Stall path** — cores saturate the outstanding-miss limit;
-//!    `stall_cycles` (bulk-burned by `run_batch` on stalled entry) must
+//!    `stall_cycles` (booked in bulk while a core sleeps on a stall) must
 //!    match and the scenario must actually stall.
 //! 6. **Refused requests** — a streamer against a one-deep channel queue
 //!    holds refused requests all frame; the clock visits the stuck core
 //!    only where its channel picks.
+//! 7. **A stall at a phase end** — cores reach their limit on a phase's
+//!    last `Work` instruction and sleep on the stall inside a fence wait.
+//! 8. **An early continuation, then a fence wait** — cores continue from
+//!    their limit before the clock reaches it, then wait on the fence with
+//!    reads in flight.
 //!
 //! Case counts scale with `EMERALD_CONF_CASES`.
 
@@ -74,8 +78,9 @@ fn random_cores_batch_like_single_cycles() {
 }
 
 /// Oracle 2: random scenarios whose frames draw nothing. The GPU idles,
-/// so each window runs up to the next memory completion, display fetch or
-/// frame-end flip; every cell must deliver them on the same cycle.
+/// so only the cores' wakes, memory completions, display fetches and
+/// frame-end flips move the clock; every cell must deliver them on the
+/// same cycle.
 #[test]
 fn random_soc_scenarios_are_batch_invariant() {
     check_n(
@@ -124,8 +129,8 @@ fn unbounded_windows_do_not_preburn_fence_polls() {
 }
 
 /// Regression: a scenario saturating the outstanding-miss limit. Stalled
-/// cycles are bulk-burned by `run_batch` when a core enters a batch window
-/// stalled; the count must match the per-cycle reference exactly (the
+/// cycles are booked in bulk while a core sleeps on its stall; the count
+/// must match the per-cycle reference exactly (the
 /// registry carries it), and the scenario must actually stall (otherwise
 /// the oracle checks nothing).
 #[test]
@@ -235,4 +240,63 @@ fn stuck_core_parks_until_its_channel_picks() {
         p2 - p1,
         c2 - c1
     );
+}
+
+/// `n` repetitions of a memory-bound `Work` phase (`instrs` random
+/// accesses over 8 MiB, so nearly every one misses both private caches)
+/// followed by a fence wait.
+fn stall_then_wait(n: usize, instrs: u64) -> CpuWorkload {
+    let work = Phase::Work {
+        instrs,
+        mem_ratio: 1.0,
+        footprint: 8 << 20,
+        sequential: false,
+    };
+    CpuWorkload {
+        phases: [work, Phase::WaitGpu].repeat(n),
+    }
+}
+
+/// A core that reaches its outstanding-miss limit on a phase's last
+/// `Work` instruction sleeps on the stall inside the next phase, a fence
+/// wait, while the clock jumps over it: its stall cycles, not fence polls,
+/// must be booked up to the response that wakes it, and it must leave
+/// the wait on that response's cycle. Short all-miss phases reach the
+/// limit on their last instruction again and again.
+#[test]
+fn a_stall_at_a_phase_end_is_booked_as_stalls() {
+    let mut sc = SocScenario::two_core(MemCfgKind::Bas.build(DramConfig::lpddr3_1333()), 1);
+    sc.cpus = vec![
+        CpuWorkload::driver(),
+        stall_then_wait(24, 64),
+        stall_then_wait(16, 96),
+    ];
+    let stalls: Vec<u64> = gate_matrix(&sc, 2)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .cpu_stats()
+        .iter()
+        .map(|s| s.stall_cycles)
+        .collect();
+    assert!(
+        stalls[1..].iter().all(|&s| s > 1_000),
+        "scenario failed to stall: {stalls:?}"
+    );
+}
+
+/// A core parked at its limit ahead of the clock continues on the step a
+/// response reaches it, before the clock gets to its parked cycle; later
+/// it waits on the fence with reads still in flight, and the responses
+/// that arrive during the wait must leave its poll counter and stall
+/// cycles as the per-cycle reference has them. Streaming and mixed cores
+/// against DASH cycle through both many times a frame.
+#[test]
+fn an_early_continuation_then_a_fence_wait_books_identically() {
+    let mut sc = SocScenario::two_core(MemCfgKind::Dcb.build(DramConfig::lpddr3_1333()), 6);
+    sc.cpus = vec![
+        CpuWorkload::driver(),
+        CpuWorkload::streamer(),
+        CpuWorkload::mixed(),
+        CpuWorkload::streamer(),
+    ];
+    lockstep(&sc);
 }

@@ -183,14 +183,21 @@ fn renderer_gaps_change_only_what_skip_books() {
 /// SoC loop runs for at most 0.40 of the simulated cycles (0.94 before the
 /// DRAM, display, GPU and renderer pins were exact; 0.24 once they were,
 /// 0.222 since a core behind a refused request parks until its channel
-/// picks). And what shows a loop iteration ticks only what is due is the
-/// renderer's share (`HostProfile::gpu_ticks`, exact: one `Gpu::cycle` per
+/// picks; 0.217 before each core slept on its own wake, 0.223 since). And
+/// what shows a loop iteration ticks only what is due is the renderer's
+/// share (`HostProfile::gpu_ticks`, exact: one `Gpu::cycle` per
 /// renderer cycle): at most 0.15 per simulated cycle (every iteration
 /// cycled it before the due set; 0.114 since). Within a renderer cycle
 /// draw start and steps 3–8 run only when the renderer's wake is due
 /// (`HostProfile::ff_steps`, exact): at most 0.2 of the renderer cycles
 /// (every one with a draw current before the wake, 15 196 of 15 198;
-/// 1 610 with steps 4–8 behind it, 1 613, 0.106, with steps 3–8).
+/// 1 610 with steps 4–8 behind it, 1 613, 0.106, with steps 3–8). And a
+/// CPU core runs ahead only to its next interaction
+/// (`HostProfile::cpu_batches`, exact: one per run-ahead `run_batch`
+/// call): at most 0.25 calls per loop iteration — 5 166 in 31 094, 0.166;
+/// 1.78 while cores ran ahead through quiet windows (53 851 window calls
+/// in 30 280 iterations), 5.13 counting the budget-1 calls of the cores
+/// due at each step as well.
 #[test]
 fn a_waiting_soc_is_not_ticked() {
     use emerald::obs::prof;
@@ -226,6 +233,12 @@ fn a_waiting_soc_is_not_ticked() {
         "steps 3–8 ran in {} of {} renderer cycles",
         profile.ff_steps,
         profile.gpu_ticks
+    );
+    assert!(
+        profile.cpu_batches * 4 <= profile.ticks,
+        "{} run-ahead CPU batches in {} loop iterations",
+        profile.cpu_batches,
+        profile.ticks
     );
 }
 
