@@ -8,7 +8,6 @@
 //! components, which keeps the hierarchy composable.
 
 use crate::req::ReqId;
-use emerald_common::hash::FxHashMap;
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::stats::Ratio;
 use emerald_common::types::{AccessKind, Addr, Cycle};
@@ -98,18 +97,14 @@ impl Line {
     };
 }
 
-#[derive(Debug, Clone)]
-struct Mshr {
-    targets: Vec<(ReqId, AccessKind)>,
-}
-
 /// What [`Cache::access`] decided, before it acts on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Lookup {
     /// The line is valid in this way.
     Present(usize),
-    /// The line is already being fetched and its MSHR has a free target.
-    Merge,
+    /// The line is already being fetched and the MSHR in this slot has a
+    /// free target.
+    Merge(usize),
     /// A new miss that takes a free MSHR and this victim way.
     Allocate(usize),
     /// Structural hazard.
@@ -170,7 +165,13 @@ pub struct Cache {
     /// `log2(line_bytes × sets)`: a line address shifted right by this is
     /// its tag.
     tag_shift: u32,
-    mshrs: FxHashMap<Addr, Mshr>,
+    /// The MSHR slot table: slot `i` tracks the missed line
+    /// `mshr_lines[i]` and the requests merged onto it, `mshr_targets[i]`.
+    /// At most `cfg.mshrs` slots, in no particular order; a lookup is a
+    /// linear search of `mshr_lines`.
+    mshr_lines: Vec<Addr>,
+    /// The targets of each slot, indexed like `mshr_lines`.
+    mshr_targets: Vec<Vec<(ReqId, AccessKind)>>,
     lru_tick: u64,
     stats: CacheStats,
     /// The stall memo: the `(line, kind)` of the last access that stalled
@@ -210,7 +211,8 @@ impl Cache {
             line_shift,
             set_mask: sets - 1,
             tag_shift,
-            mshrs: FxHashMap::default(),
+            mshr_lines: Vec::new(),
+            mshr_targets: Vec::new(),
             lru_tick: 0,
             cfg,
             stats: CacheStats::default(),
@@ -260,6 +262,25 @@ impl Cache {
     /// future latency-dependent policies; current replacement is
     /// access-order LRU.
     pub fn access(&mut self, addr: Addr, kind: AccessKind, id: ReqId, _now: Cycle) -> Access {
+        self.access_with(addr, kind, id, || false)
+    }
+
+    /// [`Cache::access`] for an owner that may answer a new miss at once.
+    ///
+    /// On a new miss, and only then, `below` is called once, after the
+    /// victim is chosen. If it returns true the line arrived in the same
+    /// call: it is installed valid (dirty for a write) and counted as a
+    /// fill, exactly as [`Cache::access`] followed by [`Cache::fill`]
+    /// leaves it, and no MSHR is taken. If it returns false the miss takes
+    /// an MSHR as [`Cache::access`]'s does. Either way the outcome is
+    /// [`Access::Miss`], with the victim's writeback.
+    pub fn access_with(
+        &mut self,
+        addr: Addr,
+        kind: AccessKind,
+        id: ReqId,
+        below: impl FnOnce() -> bool,
+    ) -> Access {
         let line = self.line_addr(addr);
         self.lru_tick += 1;
         match kind {
@@ -299,9 +320,8 @@ impl Cache {
                 self.stats.hits.record(true);
                 Access::Hit
             }
-            Lookup::Merge => {
-                let m = self.mshrs.get_mut(&line).expect("lookup found the MSHR");
-                m.targets.push((id, kind));
+            Lookup::Merge(slot) => {
+                self.mshr_targets[slot].push((id, kind));
                 self.stats.hits.record(false);
                 Access::MergedMiss
             }
@@ -315,16 +335,22 @@ impl Cache {
                 } else {
                     None
                 };
-                self.tags[at] = tag << 1;
+                self.stats.hits.record(false);
+                let filled = below();
+                self.tags[at] = tag << 1 | filled as u64;
                 self.lines[at] = Line {
-                    dirty: false,
-                    pending: true,
+                    dirty: filled && kind == AccessKind::Write,
+                    pending: !filled,
                     lru: tick,
                 };
-                let mut targets = self.spare_targets.pop().unwrap_or_default();
-                targets.push((id, kind));
-                self.mshrs.insert(line, Mshr { targets });
-                self.stats.hits.record(false);
+                if filled {
+                    self.stats.fills += 1;
+                } else {
+                    let mut targets = self.spare_targets.pop().unwrap_or_default();
+                    targets.push((id, kind));
+                    self.mshr_lines.push(line);
+                    self.mshr_targets.push(targets);
+                }
                 Access::Miss { writeback }
             }
         }
@@ -364,15 +390,15 @@ impl Cache {
         if let Some(way) = tags.iter().position(|&t| t == tag << 1 | 1) {
             return Lookup::Present(way);
         }
-        if let Some(m) = self.mshrs.get(&line) {
-            return if m.targets.len() >= self.cfg.targets_per_mshr {
+        if let Some(slot) = self.mshr_slot(line) {
+            return if self.mshr_targets[slot].len() >= self.cfg.targets_per_mshr {
                 Lookup::Stall(StallReason::MshrTargetsFull)
             } else {
-                Lookup::Merge
+                Lookup::Merge(slot)
             };
         }
         // New miss: need an MSHR and a victim way.
-        if self.mshrs.len() >= self.cfg.mshrs {
+        if self.mshr_lines.len() >= self.cfg.mshrs {
             return Lookup::Stall(StallReason::MshrFull);
         }
         let set = &self.lines[ways];
@@ -397,6 +423,11 @@ impl Cache {
         }
     }
 
+    /// The MSHR slot tracking `line`, if it is in flight.
+    fn mshr_slot(&self, line: Addr) -> Option<usize> {
+        self.mshr_lines.iter().position(|&l| l == line)
+    }
+
     /// Completes a fill for `line` (line-aligned). Returns the ids of read
     /// requests waiting on it, in a buffer the next fill reuses. If any
     /// merged target was a write, the line becomes dirty.
@@ -404,14 +435,16 @@ impl Cache {
     /// Fills for lines with no MSHR are ignored and return an empty list.
     pub fn fill(&mut self, line: Addr) -> &[ReqId] {
         self.filled.clear();
-        let Some(mut m) = self.mshrs.remove(&line) else {
+        let Some(slot) = self.mshr_slot(line) else {
             return &self.filled;
         };
+        self.mshr_lines.swap_remove(slot);
+        let mut targets = self.mshr_targets.swap_remove(slot);
         self.last_stall = None;
         self.stats.fills += 1;
         let si = self.set_index(line);
         let tag = self.tag(line);
-        let any_write = m.targets.iter().any(|(_, k)| *k == AccessKind::Write);
+        let any_write = targets.iter().any(|(_, k)| *k == AccessKind::Write);
         let base = self.base(si);
         let ways = base..base + self.cfg.ways;
         if let Some(at) = ways
@@ -423,16 +456,16 @@ impl Cache {
             l.pending = false;
             l.dirty = any_write;
         }
-        let readers = m.targets.iter().filter(|(_, k)| *k == AccessKind::Read);
+        let readers = targets.iter().filter(|(_, k)| *k == AccessKind::Read);
         self.filled.extend(readers.map(|(id, _)| *id));
-        m.targets.clear();
-        self.spare_targets.push(m.targets);
+        targets.clear();
+        self.spare_targets.push(targets);
         &self.filled
     }
 
     /// Number of in-flight missed lines.
     pub fn pending_lines(&self) -> usize {
-        self.mshrs.len()
+        self.mshr_lines.len()
     }
 }
 
@@ -449,13 +482,13 @@ impl emerald_common::snap::Snapshot for Cache {
                 w.put_u64(line.lru);
             });
         }
-        // FxHashMap iteration order is nondeterministic across builds;
-        // sort by address so identical caches produce identical bytes.
-        let mut mshrs: Vec<_> = self.mshrs.iter().collect();
-        mshrs.sort_by_key(|&(addr, _)| *addr);
-        w.put_seq(mshrs.into_iter(), |w, (addr, m)| {
-            w.put_u64(*addr);
-            w.put_seq(m.targets.iter(), |w, &(id, kind)| {
+        // Slot order depends on which fills came first; sort by address so
+        // identical caches produce identical bytes.
+        let mut slots: Vec<usize> = (0..self.mshr_lines.len()).collect();
+        slots.sort_by_key(|&i| self.mshr_lines[i]);
+        w.put_seq(slots.into_iter(), |w, i| {
+            w.put_u64(self.mshr_lines[i]);
+            w.put_seq(self.mshr_targets[i].iter(), |w, &(id, kind)| {
                 w.put_u64(id);
                 kind.snap_write(w);
             });
@@ -505,14 +538,25 @@ impl emerald_common::snap::Restore for Cache {
         let entries = r.get_seq(9, |r| {
             let addr = r.get_u64()?;
             let targets = r.get_seq(9, |r| Ok((r.get_u64()?, AccessKind::snap_read(r)?)))?;
-            Ok((addr, Mshr { targets }))
+            Ok((addr, targets))
         })?;
         if entries.len() > self.cfg.mshrs {
             return Err(SnapError::BadValue {
                 what: "more MSHRs than the cache configuration allows",
             });
         }
-        self.mshrs = entries.into_iter().collect();
+        let (lines, targets): (Vec<Addr>, Vec<_>) = entries.into_iter().unzip();
+        if lines
+            .iter()
+            .enumerate()
+            .any(|(i, l)| lines[..i].contains(l))
+        {
+            return Err(SnapError::BadValue {
+                what: "two MSHRs for one cache line",
+            });
+        }
+        self.mshr_lines = lines;
+        self.mshr_targets = targets;
         self.lru_tick = r.get_u64()?;
         self.stats.hits = Ratio::snap_read(r)?;
         self.stats.reads = r.get_u64()?;
@@ -883,7 +927,10 @@ mod tests {
     /// lines that collide in few sets, some with their tag's top bits set:
     /// the flat cache and the reference return the same outcomes and
     /// readers, keep the same statistics and write the same snapshot
-    /// bytes.
+    /// bytes. Some accesses go through [`Cache::access_with`] with a
+    /// random answer from below; the reference makes them as an access
+    /// followed, on a new miss answered true, by that line's fill, and
+    /// `below` must be called exactly on the new misses.
     #[test]
     fn flat_sets_equal_the_set_of_vectors_reference() {
         use emerald_common::snap::Restore as _;
@@ -915,14 +962,30 @@ mod tests {
                         flat.restore(&mut SnapReader::new(&reference.bytes()))
                             .unwrap();
                     }
-                    _ => {
+                    n => {
                         let kind = if rng.chance(0.3) {
                             AccessKind::Write
                         } else {
                             AccessKind::Read
                         };
-                        let got = flat.access(addr, kind, id, id);
-                        assert_eq!(got, reference.access(addr, kind, id), "access {id}");
+                        let want = reference.access(addr, kind, id);
+                        if n < 7 {
+                            let got = flat.access(addr, kind, id, id);
+                            assert_eq!(got, want, "access {id}");
+                        } else {
+                            let answer = rng.chance(0.5);
+                            let mut asked = false;
+                            let got = flat.access_with(addr, kind, id, || {
+                                asked = true;
+                                answer
+                            });
+                            assert_eq!(got, want, "access_with {id}");
+                            let missed = matches!(want, Access::Miss { .. });
+                            assert_eq!(asked, missed, "below called on {want:?}");
+                            if missed && answer {
+                                reference.fill(flat.line_addr(addr));
+                            }
+                        }
                     }
                 }
                 assert_eq!(flat.stats(), &reference.stats);
@@ -943,11 +1006,41 @@ mod tests {
         }
     }
 
+    /// A snapshot naming one line in two MSHRs describes no state an
+    /// access can reach; restore refuses it rather than merging the two.
+    #[test]
+    fn restore_rejects_two_mshrs_for_one_line() {
+        use emerald_common::snap::Restore as _;
+        let (a, b) = (0x5a5a_5a00u64, 0x6b6b_6b00u64);
+        let mut reference = RefCache::new(CacheConfig::small("t"));
+        reference.mshrs.insert(a, vec![(1, AccessKind::Read)]);
+        reference.mshrs.insert(b, vec![(2, AccessKind::Write)]);
+        let distinct = reference.bytes();
+        let mut c = cache();
+        c.restore(&mut SnapReader::new(&distinct)).unwrap();
+        assert_eq!(c.pending_lines(), 2);
+        assert_eq!(bytes(&c), distinct);
+
+        let at = distinct
+            .windows(8)
+            .position(|w| w == b.to_le_bytes())
+            .expect("the second MSHR's line is in the bytes");
+        let mut twice = distinct.clone();
+        twice[at..at + 8].copy_from_slice(&a.to_le_bytes());
+        assert_eq!(
+            cache().restore(&mut SnapReader::new(&twice)),
+            Err(SnapError::BadValue {
+                what: "two MSHRs for one cache line"
+            })
+        );
+    }
+
     /// Random access / fill / restore traffic on a cache small
     /// enough to hit all three stall reasons, with most accesses repeating
-    /// the previous one the way a blocked LSU head does: the cache that
-    /// keeps its stall memo and a twin that forgets it before every access
-    /// return the same outcomes and end in the same bytes.
+    /// the previous one the way a blocked LSU head does, some of them
+    /// through [`Cache::access_with`] with a random answer from below: the
+    /// cache that keeps its stall memo and a twin that forgets it before
+    /// every access return the same outcomes and end in the same bytes.
     #[test]
     fn stall_memo_is_invisible() {
         use emerald_common::snap::Restore as _;
@@ -983,8 +1076,17 @@ mod tests {
                             last = (rng.below(12) * 128 + rng.below(128), kind);
                         }
                         plain.last_stall = None;
-                        let got = memo.access(last.0, last.1, id, id);
-                        assert_eq!(got, plain.access(last.0, last.1, id, id), "access {id}");
+                        let got = if rng.chance(0.3) {
+                            let answer = rng.chance(0.5);
+                            let got = memo.access_with(last.0, last.1, id, || answer);
+                            let want = plain.access_with(last.0, last.1, id, || answer);
+                            assert_eq!(got, want, "access_with {id}");
+                            got
+                        } else {
+                            let got = memo.access(last.0, last.1, id, id);
+                            assert_eq!(got, plain.access(last.0, last.1, id, id), "access {id}");
+                            got
+                        };
                         match got {
                             Access::Stall(StallReason::MshrFull) => stalls[0] += 1,
                             Access::Stall(StallReason::MshrTargetsFull) => stalls[1] += 1,

@@ -270,44 +270,46 @@ impl CpuCoreModel {
         self.outstanding = self.outstanding.saturating_sub(1);
     }
 
+    /// One access through the private hierarchy, decided in one call per
+    /// level: an L1 miss looks up the L2 in place, and an L2 miss sends
+    /// the line's DRAM request and installs it in both levels at once, so
+    /// the L2 never holds an MSHR. A read that hits the L2 fills the L1 at
+    /// once too; a write that hits the L2 leaves its L1 MSHR in flight for
+    /// good (`a_write_that_hits_l2_keeps_its_l1_mshr`). An L1 stall drops
+    /// the access: the slot retries as a new access.
+    ///
     /// Ids are the core's request count before this access: the id the
     /// request gets if it leaves the private caches.
     fn issue_access(&mut self, addr: Addr, kind: AccessKind, now: Cycle) {
         let line = self.l1.line_addr(addr);
         let id = self.stats.mem_requests;
-        match self.l1.access(line, kind, id, now) {
-            Access::Hit => {}
-            Access::MergedMiss => {}
-            Access::Stall(_) => {} // drop: the slot retries as a new access
-            Access::Miss { .. } => {
-                // L1 miss (or writeback) → L2.
-                match self.l2.access(line, kind, id, now) {
-                    Access::Hit | Access::MergedMiss | Access::Stall(_) => {
-                        if kind == AccessKind::Read {
-                            // L2 hit: data returns quickly; modelled as a
-                            // short non-blocking latency (no DRAM trip).
-                            self.l1.fill(line);
-                        }
-                    }
-                    Access::Miss { .. } => {
-                        self.l2.fill(line); // fill on response abstraction
-                        self.l1.fill(line);
-                        self.stats.mem_requests += 1;
-                        self.out.push(MemRequest {
-                            id,
-                            addr: line,
-                            bytes: 128,
-                            kind,
-                            source: TrafficSource::Cpu(self.id),
-                            issued: now,
-                        });
-                        if kind == AccessKind::Read {
-                            self.outstanding += 1;
-                        }
-                    }
+        let Self {
+            id: core,
+            l1,
+            l2,
+            stats,
+            out,
+            outstanding,
+            ..
+        } = self;
+        l1.access_with(line, kind, id, || {
+            let in_l2 = l2.access_with(line, kind, id, || {
+                stats.mem_requests += 1;
+                out.push(MemRequest {
+                    id,
+                    addr: line,
+                    bytes: 128,
+                    kind,
+                    source: TrafficSource::Cpu(*core),
+                    issued: now,
+                });
+                if kind == AccessKind::Read {
+                    *outstanding += 1;
                 }
-            }
-        }
+                true
+            });
+            matches!(in_l2, Access::Miss { .. }) || kind == AccessKind::Read
+        });
     }
 
     /// True while the core sits at its outstanding-miss limit: every cycle
@@ -1016,6 +1018,174 @@ mod tests {
             heavy.stats().mem_requests,
             light.stats().mem_requests
         );
+    }
+
+    /// What one access did in [`issue_access_two_calls`], for the twin's
+    /// coverage counts.
+    #[derive(Default)]
+    struct Seen {
+        write_hits_l2: u32,
+        dirty_l2_evictions: u32,
+        l1_mshrs_full: u32,
+    }
+
+    /// The private hierarchy as it was before each level was decided in
+    /// one call: an access and a fill per level, through the MSHRs.
+    fn issue_access_two_calls(
+        cpu: &mut CpuCoreModel,
+        addr: Addr,
+        kind: AccessKind,
+        now: Cycle,
+        seen: &mut Seen,
+    ) {
+        use emerald_mem::cache::StallReason;
+        let line = cpu.l1.line_addr(addr);
+        let id = cpu.stats.mem_requests;
+        match cpu.l1.access(line, kind, id, now) {
+            Access::Hit | Access::MergedMiss => {}
+            Access::Stall(reason) => {
+                seen.l1_mshrs_full += (reason == StallReason::MshrFull) as u32;
+            }
+            Access::Miss { .. } => match cpu.l2.access(line, kind, id, now) {
+                Access::Hit | Access::MergedMiss | Access::Stall(_) => {
+                    if kind == AccessKind::Read {
+                        cpu.l1.fill(line);
+                    } else {
+                        seen.write_hits_l2 += 1;
+                    }
+                }
+                Access::Miss { writeback } => {
+                    seen.dirty_l2_evictions += writeback.is_some() as u32;
+                    cpu.l2.fill(line);
+                    cpu.l1.fill(line);
+                    cpu.stats.mem_requests += 1;
+                    cpu.out.push(MemRequest {
+                        id,
+                        addr: line,
+                        bytes: 128,
+                        kind,
+                        source: TrafficSource::Cpu(cpu.id),
+                        issued: now,
+                    });
+                    if kind == AccessKind::Read {
+                        cpu.outstanding += 1;
+                    }
+                }
+            },
+        }
+    }
+
+    /// Everything an access through the hierarchy can change.
+    fn hierarchy_state(cpu: &CpuCoreModel) -> (Vec<u8>, Vec<u8>, Vec<MemRequest>, u32, [u64; 4]) {
+        use emerald_common::snap::Snapshot as _;
+        let bytes = |c: &Cache| {
+            let mut w = SnapWriter::new();
+            c.snapshot(&mut w);
+            w.into_bytes()
+        };
+        let s = cpu.stats;
+        (
+            bytes(&cpu.l1),
+            bytes(&cpu.l2),
+            cpu.out.clone(),
+            cpu.outstanding,
+            [s.instrs, s.mem_requests, s.stall_cycles, s.frames],
+        )
+    }
+
+    /// Random `(addr, kind)` streams through tiny private caches, where
+    /// writes hit the L2, dirty L2 lines are evicted and the L1's MSHR
+    /// table fills up: `issue_access`, one call per level, and the
+    /// two-call reference leave both caches' bytes, the output requests,
+    /// `outstanding` and the statistics equal after every access.
+    #[test]
+    fn one_call_hierarchy_equals_the_two_call_reference() {
+        let tiny = |name: &str, sets: usize, ways: usize, mshrs: usize| CacheConfig {
+            name: name.into(),
+            size_bytes: sets * ways * 128,
+            line_bytes: 128,
+            ways,
+            hit_latency: 1,
+            mshrs,
+            targets_per_mshr: 2,
+        };
+        let mut seen = Seen::default();
+        emerald_common::check::check("cpu_hierarchy_one_call", |rng| {
+            let l1 = tiny(
+                "l1",
+                1 << rng.below(3),
+                1 << rng.below(3),
+                rng.range(1, 5) as usize,
+            );
+            let l2 = tiny(
+                "l2",
+                4 << rng.below(3),
+                1 << rng.below(3),
+                rng.range(1, 5) as usize,
+            );
+            // Two 64 KiB arenas per case.
+            let m = SharedMem::with_capacity(1 << 20);
+            let mut twins = [0, 1].map(|_| {
+                let mut c = CpuCoreModel::new(0, CpuWorkload::compute(), &m, 1);
+                c.l1 = Cache::new(l1.clone());
+                c.l2 = Cache::new(l2.clone());
+                c
+            });
+            let lines = rng.range(2, 64);
+            let writes = rng.range(1, 8) as f64 / 10.0;
+            for now in 0..rng.range(50, 500) {
+                let addr = rng.below(lines) * 128 + rng.below(128);
+                let kind = if rng.chance(writes) {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                let [one, two] = &mut twins;
+                one.issue_access(addr, kind, now);
+                issue_access_two_calls(two, addr, kind, now, &mut seen);
+                assert_eq!(hierarchy_state(one), hierarchy_state(two), "access {now}");
+            }
+        });
+        assert!(
+            seen.write_hits_l2 > 0 && seen.dirty_l2_evictions > 0 && seen.l1_mshrs_full > 0,
+            "writes hitting the L2 {}, dirty L2 evictions {}, L1 MSHR-full stalls {}",
+            seen.write_hits_l2,
+            seen.dirty_l2_evictions,
+            seen.l1_mshrs_full
+        );
+    }
+
+    /// Pins a known fault of the model (CHANGES.md, the `FOUND:` line on
+    /// the CPU L1's leaked MSHRs): a write that misses the L1 and hits the
+    /// L2 is never filled into the L1, so its MSHR and reserved way stay
+    /// in flight for good, and eight such writes leave the L1 MSHR-full.
+    /// Filling the L1 on those writes moves every SoC golden; the change
+    /// that makes that fix, with a re-golden, flips this test on purpose.
+    #[test]
+    fn a_write_that_hits_l2_keeps_its_l1_mshr() {
+        let m = mem();
+        let mut cpu = CpuCoreModel::new(0, CpuWorkload::compute(), &m, 1);
+        // 64 sets of 4 ways: five reads down one L1 set leave the first
+        // line in the L2 only (the L2's 1 024 sets keep all five).
+        let l1_set_stride = 64 * 128;
+        for set in 0..8u64 {
+            for k in 0..5u64 {
+                cpu.issue_access(set * 128 + k * l1_set_stride, AccessKind::Read, 0);
+            }
+        }
+        assert_eq!(cpu.stats.mem_requests, 40);
+        for set in 0..8u64 {
+            cpu.issue_access(set * 128, AccessKind::Write, 1);
+            assert_eq!(cpu.l1.pending_lines(), set as usize + 1);
+        }
+        assert_eq!(cpu.l2.pending_lines(), 0);
+        // The leaked MSHRs fill the L1's table: a line in neither cache
+        // stalls in the L1 and never reaches the L2 or DRAM.
+        let l2_reads = cpu.l2.stats().reads;
+        cpu.issue_access(1 << 20, AccessKind::Read, 2);
+        assert_eq!(cpu.l1.stats().stalls, 1);
+        assert_eq!(cpu.l2.stats().reads, l2_reads);
+        assert_eq!(cpu.stats.mem_requests, 40);
     }
 
     #[test]
