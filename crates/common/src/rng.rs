@@ -99,22 +99,17 @@ impl Xorshift64 {
         self.next_u64() >> 11 < threshold
     }
 
-    /// The raw internal state, for checkpointing. Feed it back through
-    /// [`Xorshift64::from_state`] to resume the exact stream position.
+    /// The raw internal state: the stream position a checkpoint carries
+    /// ([`Xorshift64::walk`]).
     pub fn state(&self) -> u64 {
         self.state
     }
 
-    /// Rebuilds a generator from a raw [`Xorshift64::state`] value.
-    /// Unlike [`Xorshift64::new`] this performs no zero-remapping: the
-    /// value must come from `state()` (which can never be zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state == 0` (not a reachable generator state).
-    pub fn from_state(state: u64) -> Self {
-        assert!(state != 0, "zero is not a valid xorshift state");
-        Self { state }
+    /// Walks the generator's state for a snapshot; a reader refuses the
+    /// zero state, which no generator reaches.
+    pub fn walk(&mut self, w: &mut impl crate::snap::Walk) -> Result<(), crate::snap::SnapError> {
+        w.u64(&mut self.state)?;
+        w.check(self.state != 0, "zero xorshift state")
     }
 
     /// Advances the generator by `n` draws without using the outputs.
@@ -259,10 +254,16 @@ mod tests {
         for _ in 0..17 {
             r.next_u64();
         }
-        let mut resumed = Xorshift64::from_state(r.state());
+        use crate::snap::{encode, SnapReader, Walk};
+        let bytes = encode(|w| r.walk(w));
+        let mut resumed = Xorshift64::new(1);
+        resumed.walk(&mut SnapReader::new(&bytes)).unwrap();
         for _ in 0..100 {
             assert_eq!(r.next_u64(), resumed.next_u64());
         }
+        // Zero is no generator's state: no walk may restore it.
+        let zero = encode(|w| w.u64(&mut 0));
+        assert!(resumed.walk(&mut SnapReader::new(&zero)).is_err());
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!     | trailing FxHash-64 checksum over every preceding byte
 //! ```
 //!
-//! Components implement [`Snapshot`]/[`Restore`] and write their state as
-//! one section each; sections nest (a GPU section contains per-core
-//! sections, the memory system contains per-channel sections). All
+//! Each component has one `walk(&mut self, w: &mut impl Walk)` that both
+//! writes and reads its state ([`Walk`]), normally as one section;
+//! sections nest (a GPU section contains per-core sections, the memory
+//! system contains per-channel sections). All
 //! multi-byte values are little-endian; lengths are `u64`; floats are
 //! stored as their IEEE-754 bit patterns so restore is bit-exact.
 //!
@@ -139,140 +140,311 @@ fn payload_checksum(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// A component that can write its state into a snapshot.
-pub trait Snapshot {
-    /// Appends this component's state (normally as one section).
-    fn snapshot(&self, w: &mut SnapWriter);
-}
-
-/// A component that can overwrite its state from a snapshot.
+/// One pass over a component's state that both encodes and decodes it.
 ///
-/// Restore targets are freshly constructed from the *same configuration*
-/// the snapshot was taken under; `restore` then replaces every dynamic
-/// field. Implementations must validate counts against their live
-/// structure and return [`SnapError::BadValue`] on mismatch — never
-/// panic, never index unchecked.
-pub trait Restore {
-    /// Reads this component's section and overwrites its state.
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+/// A component has a single `walk(&mut self, w: &mut impl Walk)` that
+/// hands every field, in order, to the primitives below as a `&mut`
+/// place. [`SnapWriter`] puts the value; [`SnapReader`] overwrites it
+/// from the stream. The two directions therefore cannot drift: a field
+/// added to the walk is written and read in the same position.
+///
+/// Validation lives in the walk too, on the read side only:
+/// [`Walk::expect`], [`Walk::index`] and [`Walk::check`] refuse a decoded
+/// value with [`SnapError::BadValue`] and their `what`, and pass
+/// everything on write — a writer puts the live state as it is and never
+/// fails. Restore targets are freshly constructed from the same
+/// configuration, so counts are checked against the live structure.
+///
+/// Where the encoding differs from the in-memory layout, the walk converts
+/// through a local adapter: build the encoded form from the live state,
+/// walk it, and rebuild the live state from it (a no-op rebuild on write).
+/// State derived from walked fields is rebuilt under [`Walk::reading`].
+pub trait Walk: Sized {
+    /// True for the decoder: the walk overwrites the state it is given.
+    fn reading(&self) -> bool;
+
+    /// One byte.
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapError>;
+
+    /// A little-endian `u32`.
+    fn u32(&mut self, v: &mut u32) -> Result<(), SnapError>;
+
+    /// A little-endian `u64`.
+    fn u64(&mut self, v: &mut u64) -> Result<(), SnapError>;
+
+    /// `v.len()` raw bytes, no length prefix (the caller has walked the
+    /// length).
+    fn raw(&mut self, v: &mut [u8]) -> Result<(), SnapError>;
+
+    /// A sequence length: writes `n` and returns it, or reads a length
+    /// whose elements occupy at least `elem_min` bytes each and refuses
+    /// one that cannot fit in the remaining input — so a corrupt length
+    /// can never force a huge allocation.
+    fn len(&mut self, n: usize, elem_min: usize) -> Result<usize, SnapError>;
+
+    /// A tagged, length-prefixed section holding what `f` walks. A reader
+    /// refuses a wrong tag and a section `f` does not consume exactly.
+    fn section(
+        &mut self,
+        tag: u32,
+        f: impl FnOnce(&mut Self) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError>;
+
+    /// A `usize`, stored as `u64` (portable across word sizes).
+    fn usize(&mut self, v: &mut usize) -> Result<(), SnapError> {
+        let mut x = *v as u64;
+        self.u64(&mut x)?;
+        *v = usize::try_from(x).map_err(|_| SnapError::BadValue {
+            what: "usize overflows host word",
+        })?;
+        Ok(())
+    }
+
+    /// A `bool` as one byte; a reader refuses any byte but 0 and 1.
+    fn bool(&mut self, v: &mut bool) -> Result<(), SnapError> {
+        let mut x = *v as u8;
+        self.u8(&mut x)?;
+        self.check(x < 2, "bool tag")?;
+        *v = x == 1;
+        Ok(())
+    }
+
+    /// An `f32` as its bit pattern (bit-exact round trip).
+    fn f32(&mut self, v: &mut f32) -> Result<(), SnapError> {
+        let mut x = v.to_bits();
+        self.u32(&mut x)?;
+        *v = f32::from_bits(x);
+        Ok(())
+    }
+
+    /// An `f64` as its bit pattern (bit-exact round trip).
+    fn f64(&mut self, v: &mut f64) -> Result<(), SnapError> {
+        let mut x = v.to_bits();
+        self.u64(&mut x)?;
+        *v = f64::from_bits(x);
+        Ok(())
+    }
+
+    /// A length-prefixed byte string.
+    fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), SnapError> {
+        let n = self.len(v.len(), 1)?;
+        v.resize(n, 0);
+        self.raw(v)
+    }
+
+    /// Refuses a decoded state for which `ok` is false; passes on write.
+    fn check(&self, ok: bool, what: &'static str) -> Result<(), SnapError> {
+        if ok || !self.reading() {
+            Ok(())
+        } else {
+            Err(SnapError::BadValue { what })
+        }
+    }
+
+    /// A value the live configuration already fixes (a count, a base
+    /// address): written as is, and a reader refuses any other value.
+    fn expect<T: Scalar>(&mut self, live: T, what: &'static str) -> Result<(), SnapError> {
+        let mut v = live;
+        v.walk(self)?;
+        self.check(v == live, what)
+    }
+
+    /// An index into something of `bound` entries: a reader refuses
+    /// `v >= bound`.
+    fn index(&mut self, v: &mut usize, bound: usize, what: &'static str) -> Result<(), SnapError> {
+        self.usize(v)?;
+        self.check(*v < bound, what)
+    }
+
+    /// An `Option` as a presence byte plus, if present, what `f` walks.
+    fn opt<T: Default>(
+        &mut self,
+        v: &mut Option<T>,
+        f: impl FnOnce(&mut Self, &mut T) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
+        let mut some = v.is_some();
+        self.bool(&mut some)?;
+        if !some {
+            *v = None;
+            return Ok(());
+        }
+        f(self, v.get_or_insert_with(T::default))
+    }
+
+    /// A length-prefixed sequence, each element walked by `f`. A reader
+    /// refills `v` with that many defaults before walking them.
+    fn seq<S: Seq>(
+        &mut self,
+        v: &mut S,
+        elem_min: usize,
+        mut f: impl FnMut(&mut Self, &mut S::Item) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
+        let n = self.len(v.count(), elem_min.max(1))?;
+        if self.reading() {
+            v.refill(n);
+        }
+        v.items().iter_mut().try_for_each(|x| f(self, x))
+    }
+
+    /// A map as the sequence of its entries in ascending key order.
+    fn map<M, K, V>(
+        &mut self,
+        m: &mut M,
+        elem_min: usize,
+        mut f: impl FnMut(&mut Self, &mut K, &mut V) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError>
+    where
+        M: FromIterator<(K, V)>,
+        for<'a> &'a M: IntoIterator<Item = (&'a K, &'a V)>,
+        K: Ord + Copy + Default,
+        V: Copy + Default,
+    {
+        let mut entries: Vec<(K, V)> = m.into_iter().map(|(&k, &v)| (k, v)).collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        self.seq(&mut entries, elem_min, |w, (k, v)| f(w, k, v))?;
+        if self.reading() {
+            *m = entries.into_iter().collect();
+        }
+        Ok(())
+    }
 }
 
-/// Append-only snapshot encoder.
+/// A fixed-width value [`Walk::expect`] can compare.
+pub trait Scalar: Copy + PartialEq {
+    /// Walks the value with the matching primitive.
+    fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError>;
+}
+
+impl Scalar for bool {
+    fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.bool(self)
+    }
+}
+
+impl Scalar for u32 {
+    fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.u32(self)
+    }
+}
+
+impl Scalar for u64 {
+    fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.u64(self)
+    }
+}
+
+impl Scalar for usize {
+    fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.usize(self)
+    }
+}
+
+/// A growable sequence [`Walk::seq`] can refill in place.
+pub trait Seq {
+    /// Element type.
+    type Item: Default;
+    /// Number of elements.
+    fn count(&self) -> usize;
+    /// Replaces the contents with `n` default elements.
+    fn refill(&mut self, n: usize);
+    /// The elements, in order.
+    fn items(&mut self) -> &mut [Self::Item];
+}
+
+impl<T: Default> Seq for Vec<T> {
+    type Item = T;
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn refill(&mut self, n: usize) {
+        self.clear();
+        self.resize_with(n, T::default);
+    }
+    fn items(&mut self) -> &mut [T] {
+        self
+    }
+}
+
+impl<T: Default> Seq for std::collections::VecDeque<T> {
+    type Item = T;
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn refill(&mut self, n: usize) {
+        self.clear();
+        self.resize_with(n, T::default);
+    }
+    fn items(&mut self) -> &mut [T] {
+        self.make_contiguous()
+    }
+}
+
+/// Append-only snapshot encoder: the [`Walk`] that puts values.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
-    open: Vec<usize>,
 }
 
-impl SnapWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self::default()
+impl Walk for SnapWriter {
+    fn reading(&self) -> bool {
+        false
     }
 
-    /// Appends a `u8`.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapError> {
+        self.buf.push(*v);
+        Ok(())
     }
 
-    /// Appends a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
+    fn u32(&mut self, v: &mut u32) -> Result<(), SnapError> {
         self.buf.extend_from_slice(&v.to_le_bytes());
+        Ok(())
     }
 
-    /// Appends a little-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
+    fn u64(&mut self, v: &mut u64) -> Result<(), SnapError> {
         self.buf.extend_from_slice(&v.to_le_bytes());
+        Ok(())
     }
 
-    /// Appends a `usize` as `u64` (portable across word sizes).
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Appends a `bool` as one byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
-    }
-
-    /// Appends an `f32` as its bit pattern (bit-exact round trip).
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
-    }
-
-    /// Appends an `f64` as its bit pattern (bit-exact round trip).
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Appends a length-prefixed byte slice.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_usize(v.len());
+    fn raw(&mut self, v: &mut [u8]) -> Result<(), SnapError> {
         self.buf.extend_from_slice(v);
+        Ok(())
     }
 
-    /// Appends an `Option` as a presence byte plus the value.
-    pub fn put_opt<T>(&mut self, v: &Option<T>, mut f: impl FnMut(&mut Self, &T)) {
-        match v {
-            Some(x) => {
-                self.put_bool(true);
-                f(self, x);
-            }
-            None => self.put_bool(false),
-        }
+    fn len(&mut self, n: usize, _elem_min: usize) -> Result<usize, SnapError> {
+        self.u64(&mut (n as u64))?;
+        Ok(n)
     }
 
-    /// Appends a length-prefixed sequence.
-    pub fn put_seq<T>(
+    /// Writes the tag and a placeholder length, walks `f`, then patches
+    /// the length.
+    fn section(
         &mut self,
-        items: impl ExactSizeIterator<Item = T>,
-        mut f: impl FnMut(&mut Self, T),
-    ) {
-        self.put_usize(items.len());
-        for it in items {
-            f(self, it);
-        }
-    }
-
-    /// Opens a tagged section; its length is patched on
-    /// [`SnapWriter::end_section`].
-    fn begin_section(&mut self, tag: u32) {
-        self.put_u32(tag);
-        self.open.push(self.buf.len());
-        self.put_u64(0); // placeholder length
-    }
-
-    /// Closes the innermost open section.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no section is open (an encoder bug, not a data error).
-    fn end_section(&mut self) {
-        let at = self.open.pop().expect("end_section without begin_section");
+        mut tag: u32,
+        f: impl FnOnce(&mut Self) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
+        self.u32(&mut tag)?;
+        let at = self.buf.len();
+        self.u64(&mut 0)?;
+        f(self)?;
         let len = (self.buf.len() - at - 8) as u64;
         self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
-    }
-
-    /// Writes one complete tagged section via a closure.
-    pub fn section(&mut self, tag: u32, f: impl FnOnce(&mut Self)) {
-        self.begin_section(tag);
-        f(self);
-        self.end_section();
-    }
-
-    /// Finishes encoding, returning the raw body bytes (no container
-    /// header).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a section is still open (an encoder bug).
-    pub fn into_bytes(self) -> Vec<u8> {
-        assert!(self.open.is_empty(), "unclosed snapshot section");
-        self.buf
+        Ok(())
     }
 }
 
-/// Bounds-checked snapshot decoder over a byte slice.
+/// Encodes what `f` walks as raw body bytes (no container header).
+///
+/// # Panics
+///
+/// Panics if the walk fails, which a writer's primitives never do.
+pub fn encode(f: impl FnOnce(&mut SnapWriter) -> Result<(), SnapError>) -> Vec<u8> {
+    let mut w = SnapWriter::default();
+    f(&mut w).expect("a writer's walk refuses nothing");
+    w.buf
+}
+
+/// Bounds-checked snapshot decoder over a byte slice: the [`Walk`] that
+/// gets and validates values.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
@@ -312,141 +484,8 @@ impl<'a> SnapReader<'a> {
         Ok(s)
     }
 
-    /// Reads a `u8`.
-    pub fn get_u8(&mut self) -> Result<u8, SnapError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, SnapError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Reads a `usize` stored as `u64`.
-    pub fn get_usize(&mut self) -> Result<usize, SnapError> {
-        usize::try_from(self.get_u64()?).map_err(|_| SnapError::BadValue {
-            what: "usize overflows host word",
-        })
-    }
-
-    /// Reads a `bool`; any byte other than 0/1 is invalid.
-    pub fn get_bool(&mut self) -> Result<bool, SnapError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapError::BadValue { what: "bool tag" }),
-        }
-    }
-
-    /// Reads an `f32` bit pattern.
-    pub fn get_f32(&mut self) -> Result<f32, SnapError> {
-        Ok(f32::from_bits(self.get_u32()?))
-    }
-
-    /// Reads an `f64` bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, SnapError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads a sequence length whose elements occupy at least `elem_min`
-    /// bytes each, rejecting lengths that cannot fit in the remaining
-    /// input — a corrupt length can therefore never trigger a huge
-    /// allocation.
-    pub fn get_len(&mut self, elem_min: usize) -> Result<usize, SnapError> {
-        let n = self.get_usize()?;
-        let cap = self.remaining().checked_div(elem_min).unwrap_or(usize::MAX);
-        if n > cap {
-            return Err(SnapError::BadValue {
-                what: "sequence length exceeds remaining input",
-            });
-        }
-        Ok(n)
-    }
-
-    /// Reads a length-prefixed byte slice (borrowed, zero-copy).
-    pub fn get_bytes(&mut self) -> Result<&'a [u8], SnapError> {
-        let n = self.get_len(1)?;
-        self.take(n)
-    }
-
-    /// Reads an `Option` written by [`SnapWriter::put_opt`].
-    pub fn get_opt<T>(
-        &mut self,
-        mut f: impl FnMut(&mut Self) -> Result<T, SnapError>,
-    ) -> Result<Option<T>, SnapError> {
-        if self.get_bool()? {
-            Ok(Some(f(self)?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Reads a length-prefixed sequence into a `Vec`.
-    pub fn get_seq<T>(
-        &mut self,
-        elem_min: usize,
-        mut f: impl FnMut(&mut Self) -> Result<T, SnapError>,
-    ) -> Result<Vec<T>, SnapError> {
-        let n = self.get_len(elem_min.max(1))?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(f(self)?);
-        }
-        Ok(out)
-    }
-
-    /// Enters a section, verifying its tag. Reads inside are bounded by
-    /// the section's recorded length.
-    fn begin_section(&mut self, tag: u32) -> Result<(), SnapError> {
-        let found = self.get_u32()?;
-        if found != tag {
-            return Err(SnapError::SectionMismatch {
-                expected: tag,
-                found,
-            });
-        }
-        let len = self.get_usize()?;
-        if len > self.remaining() {
-            return Err(SnapError::Truncated {
-                offset: self.pos,
-                need: len - self.remaining(),
-            });
-        }
-        self.limits.push(self.pos + len);
-        Ok(())
-    }
-
-    /// Leaves the innermost section, requiring it was consumed exactly.
-    fn end_section(&mut self) -> Result<(), SnapError> {
-        let limit = self
-            .limits
-            .pop()
-            .expect("end_section without begin_section");
-        if self.pos != limit {
-            return Err(SnapError::TrailingBytes { offset: self.pos });
-        }
-        Ok(())
-    }
-
-    /// Reads one complete tagged section via a closure.
-    pub fn section<T>(
-        &mut self,
-        tag: u32,
-        f: impl FnOnce(&mut Self) -> Result<T, SnapError>,
-    ) -> Result<T, SnapError> {
-        self.begin_section(tag)?;
-        let v = f(self)?;
-        self.end_section()?;
-        Ok(v)
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], SnapError> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
     }
 
     /// Requires the input (or current section) to be fully consumed.
@@ -458,28 +497,101 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// Encodes a full snapshot container: header, body written by `f`, and
-/// the trailing checksum.
-pub fn write_container(cfg_hash: u64, f: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.buf.extend_from_slice(&MAGIC);
-    w.put_u32(FORMAT_VERSION);
-    w.put_u64(cfg_hash);
-    f(&mut w);
-    let mut bytes = w.into_bytes();
+impl Walk for SnapReader<'_> {
+    fn reading(&self) -> bool {
+        true
+    }
+
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapError> {
+        *v = self.take(1)?[0];
+        Ok(())
+    }
+
+    fn u32(&mut self, v: &mut u32) -> Result<(), SnapError> {
+        *v = u32::from_le_bytes(self.take_array()?);
+        Ok(())
+    }
+
+    fn u64(&mut self, v: &mut u64) -> Result<(), SnapError> {
+        *v = u64::from_le_bytes(self.take_array()?);
+        Ok(())
+    }
+
+    fn raw(&mut self, v: &mut [u8]) -> Result<(), SnapError> {
+        v.copy_from_slice(self.take(v.len())?);
+        Ok(())
+    }
+
+    fn len(&mut self, _n: usize, elem_min: usize) -> Result<usize, SnapError> {
+        let mut n = 0;
+        self.usize(&mut n)?;
+        let cap = self.remaining().checked_div(elem_min).unwrap_or(usize::MAX);
+        self.check(n <= cap, "sequence length exceeds remaining input")?;
+        Ok(n)
+    }
+
+    /// Enters the section, verifying its tag; reads inside are bounded by
+    /// its recorded length, and it must be consumed exactly.
+    fn section(
+        &mut self,
+        tag: u32,
+        f: impl FnOnce(&mut Self) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
+        let mut found = 0;
+        self.u32(&mut found)?;
+        if found != tag {
+            return Err(SnapError::SectionMismatch {
+                expected: tag,
+                found,
+            });
+        }
+        let mut len = 0;
+        self.usize(&mut len)?;
+        if len > self.remaining() {
+            return Err(SnapError::Truncated {
+                offset: self.pos,
+                need: len - self.remaining(),
+            });
+        }
+        self.limits.push(self.pos + len);
+        let walked = f(self);
+        let limit = self.limits.pop().expect("the limit pushed above");
+        walked?;
+        if self.pos != limit {
+            return Err(SnapError::TrailingBytes { offset: self.pos });
+        }
+        Ok(())
+    }
+}
+
+/// Bytes before the body: magic, version and config hash.
+const HEADER: usize = MAGIC.len() + 4 + 8;
+
+/// Encodes a full snapshot container: header, body walked by `f`, and the
+/// trailing checksum.
+///
+/// # Panics
+///
+/// Panics if the walk fails, which a writer's primitives never do.
+pub fn write_container(
+    cfg_hash: u64,
+    f: impl FnOnce(&mut SnapWriter) -> Result<(), SnapError>,
+) -> Vec<u8> {
+    let mut bytes = encode(|w| {
+        w.raw(&mut { MAGIC })?;
+        w.u32(&mut { FORMAT_VERSION })?;
+        w.u64(&mut { cfg_hash })?;
+        f(w)
+    });
     let sum = payload_checksum(&bytes);
     bytes.extend_from_slice(&sum.to_le_bytes());
     bytes
 }
 
-/// Validates a container's magic, checksum, version and config hash,
-/// returning a reader positioned over the body.
-///
-/// Check order: magic first (is this a snapshot at all?), then the
-/// checksum over everything (so arbitrary corruption is reported as
-/// corruption, not as a misleading header error), then version, then
-/// config hash.
-pub fn open_container(bytes: &[u8], expected_cfg_hash: u64) -> Result<SnapReader<'_>, SnapError> {
+/// Checks a container's magic, then its checksum over everything (so
+/// arbitrary corruption is reported as corruption, not as a misleading
+/// header error), then its version, and returns the stamped config hash.
+fn validate(bytes: &[u8]) -> Result<u64, SnapError> {
     if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
         return Err(SnapError::BadMagic);
     }
@@ -494,23 +606,33 @@ pub fn open_container(bytes: &[u8], expected_cfg_hash: u64) -> Result<SnapReader
     if payload_checksum(&bytes[..body_end]) != stored {
         return Err(SnapError::ChecksumMismatch);
     }
-    let mut r = SnapReader::new(&bytes[..body_end]);
-    r.pos = MAGIC.len();
-    let version = r.get_u32()?;
+    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     if version != FORMAT_VERSION {
         return Err(SnapError::VersionSkew {
             found: version,
             expected: FORMAT_VERSION,
         });
     }
-    let found = r.get_u64()?;
-    if found != expected_cfg_hash {
-        return Err(SnapError::ConfigHashMismatch {
-            found,
-            expected: expected_cfg_hash,
-        });
+    Ok(u64::from_le_bytes(
+        bytes[12..HEADER].try_into().expect("8 bytes"),
+    ))
+}
+
+/// A reader over a validated container's body, once its stamped config
+/// hash `found` matches `expected`.
+fn body(bytes: &[u8], found: u64, expected: u64) -> Result<SnapReader<'_>, SnapError> {
+    if found != expected {
+        return Err(SnapError::ConfigHashMismatch { found, expected });
     }
+    let mut r = SnapReader::new(&bytes[..bytes.len() - 8]);
+    r.pos = HEADER;
     Ok(r)
+}
+
+/// Validates a container's magic, checksum, version and config hash, in
+/// that order, returning a reader positioned over the body.
+pub fn open_container(bytes: &[u8], expected_cfg_hash: u64) -> Result<SnapReader<'_>, SnapError> {
+    body(bytes, validate(bytes)?, expected_cfg_hash)
 }
 
 /// An immutable, checksum-validated snapshot shared between sessions.
@@ -526,7 +648,6 @@ pub fn open_container(bytes: &[u8], expected_cfg_hash: u64) -> Result<SnapReader
 pub struct SharedSnapshot {
     bytes: std::sync::Arc<[u8]>,
     cfg_hash: u64,
-    body_end: usize,
 }
 
 impl SharedSnapshot {
@@ -534,32 +655,10 @@ impl SharedSnapshot {
     /// it for sharing. The stamped config hash is recorded, not checked:
     /// [`SharedSnapshot::reader`] enforces it.
     pub fn new(bytes: Vec<u8>) -> Result<Self, SnapError> {
-        if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
-            return Err(SnapError::BadMagic);
-        }
-        if bytes.len() < CONTAINER_OVERHEAD {
-            return Err(SnapError::Truncated {
-                offset: bytes.len(),
-                need: CONTAINER_OVERHEAD - bytes.len(),
-            });
-        }
-        let body_end = bytes.len() - 8;
-        let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-        if payload_checksum(&bytes[..body_end]) != stored {
-            return Err(SnapError::ChecksumMismatch);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != FORMAT_VERSION {
-            return Err(SnapError::VersionSkew {
-                found: version,
-                expected: FORMAT_VERSION,
-            });
-        }
-        let cfg_hash = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
+        let cfg_hash = validate(&bytes)?;
         Ok(Self {
             bytes: bytes.into(),
             cfg_hash,
-            body_end,
         })
     }
 
@@ -568,15 +667,7 @@ impl SharedSnapshot {
     /// work happens here beyond that comparison — the expensive checksum
     /// ran once in [`SharedSnapshot::new`].
     pub fn reader(&self, expected_cfg_hash: u64) -> Result<SnapReader<'_>, SnapError> {
-        if self.cfg_hash != expected_cfg_hash {
-            return Err(SnapError::ConfigHashMismatch {
-                found: self.cfg_hash,
-                expected: expected_cfg_hash,
-            });
-        }
-        let mut r = SnapReader::new(&self.bytes[..self.body_end]);
-        r.pos = MAGIC.len() + 4 + 8; // skip magic, version, config hash
-        Ok(r)
+        body(&self.bytes, self.cfg_hash, expected_cfg_hash)
     }
 }
 
@@ -585,26 +676,28 @@ mod tests {
     use super::*;
     use crate::check;
     use crate::rng::Xorshift64;
+    use std::collections::{BTreeMap, VecDeque};
 
     #[test]
     fn shared_snapshot_matches_open_container() {
         let full = write_container(0xC0FFEE, |w| {
             w.section(3, |w| {
-                w.put_u64(99);
-                w.put_bytes(b"shared");
-            });
+                w.u64(&mut 99)?;
+                w.bytes(&mut b"shared".to_vec())
+            })
         });
         let shared = SharedSnapshot::new(full).unwrap();
         // Many readers off one validated container decode identically.
         for _ in 0..3 {
             let mut r = shared.reader(0xC0FFEE).unwrap();
+            let (mut n, mut s) = (0, Vec::new());
             r.section(3, |r| {
-                assert_eq!(r.get_u64()?, 99);
-                assert_eq!(r.get_bytes()?, b"shared");
-                Ok(())
+                r.u64(&mut n)?;
+                r.bytes(&mut s)
             })
             .unwrap();
             r.finish().unwrap();
+            assert_eq!((n, &s[..]), (99, &b"shared"[..]));
         }
         assert!(matches!(
             shared.reader(0xBAD),
@@ -617,7 +710,7 @@ mod tests {
 
     #[test]
     fn shared_snapshot_rejects_corruption_once_up_front() {
-        let full = write_container(1, |w| w.put_u64(5));
+        let full = write_container(1, |w| w.u64(&mut 5));
         let mut bad = full.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0xFF;
@@ -640,106 +733,143 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn scalar_round_trip_property() {
-        check::check("snap_scalar_round_trip", |rng| {
-            let u8v = rng.next_u64() as u8;
-            let u32v = rng.next_u32();
-            let u64v = rng.next_u64();
-            let usv = rng.next_u64() as usize;
-            let boolv = rng.chance(0.5);
-            let f32v = f32::from_bits(rng.next_u32());
-            let f64v = f64::from_bits(rng.next_u64());
-            let n = rng.below(64) as usize;
-            let bytes: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
-            let optv: Option<u64> = if rng.chance(0.5) {
-                Some(rng.next_u64())
-            } else {
-                None
-            };
-            let seq: Vec<u32> = (0..rng.below(17)).map(|_| rng.next_u32()).collect();
-
-            let mut w = SnapWriter::new();
-            w.put_u8(u8v);
-            w.put_u32(u32v);
-            w.put_u64(u64v);
-            w.put_usize(usv);
-            w.put_bool(boolv);
-            w.put_f32(f32v);
-            w.put_f64(f64v);
-            w.put_bytes(&bytes);
-            w.put_opt(&optv, |w, v| w.put_u64(*v));
-            w.put_seq(seq.iter(), |w, v| w.put_u32(*v));
-            let enc = w.into_bytes();
-
-            let mut r = SnapReader::new(&enc);
-            assert_eq!(r.get_u8().unwrap(), u8v);
-            assert_eq!(r.get_u32().unwrap(), u32v);
-            assert_eq!(r.get_u64().unwrap(), u64v);
-            assert_eq!(r.get_usize().unwrap(), usv);
-            assert_eq!(r.get_bool().unwrap(), boolv);
-            assert_eq!(r.get_f32().unwrap().to_bits(), f32v.to_bits());
-            assert_eq!(r.get_f64().unwrap().to_bits(), f64v.to_bits());
-            assert_eq!(r.get_bytes().unwrap(), &bytes[..]);
-            assert_eq!(r.get_opt(|r| r.get_u64()).unwrap(), optv);
-            assert_eq!(r.get_seq(4, |r| r.get_u32()).unwrap(), seq);
-            r.finish().unwrap();
-        });
+    /// One value of every shape a walk handles, walked by one function.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct Fixture {
+        a: u8,
+        b: u32,
+        c: u64,
+        d: usize,
+        e: bool,
+        f: f32,
+        g: f64,
+        bytes: Vec<u8>,
+        raw: [u8; 3],
+        opt: Option<u64>,
+        vals: Vec<u64>,
+        deque: VecDeque<u32>,
+        map: BTreeMap<u32, u64>,
+        slot: usize,
     }
 
-    /// Encodes a nested-section fixture from an RNG stream; used by the
-    /// round-trip and truncation properties below.
-    fn encode_fixture(rng: &mut Xorshift64) -> (Vec<u8>, Vec<u64>) {
-        let vals: Vec<u64> = (0..4 + rng.below(8)).map(|_| rng.next_u64()).collect();
-        let mut w = SnapWriter::new();
-        w.section(0x10, |w| {
-            w.put_u64(vals[0]);
-            w.section(0x11, |w| {
-                w.put_seq(vals.iter(), |w, v| w.put_u64(*v));
-            });
-            w.section(0x12, |w| {
-                w.put_f64(vals[1] as f64);
-                w.put_bool(true);
-            });
-        });
-        (w.into_bytes(), vals)
-    }
+    /// The fixture's live configuration: `vals` holds at least one value,
+    /// `slot` indexes one of `SLOTS`, and the section tags are fixed.
+    const SLOTS: usize = 4;
 
-    fn decode_fixture(bytes: &[u8]) -> Result<Vec<u64>, SnapError> {
-        let mut r = SnapReader::new(bytes);
-        let vals = r.section(0x10, |r| {
-            let first = r.get_u64()?;
-            let vals = r.section(0x11, |r| r.get_seq(8, |r| r.get_u64()))?;
-            r.section(0x12, |r| {
-                let _ = r.get_f64()?;
-                let _ = r.get_bool()?;
-                Ok(())
-            })?;
-            if vals.first() != Some(&first) {
-                return Err(SnapError::BadValue {
-                    what: "fixture first value",
-                });
+    impl Fixture {
+        fn random(rng: &mut Xorshift64) -> Self {
+            Self {
+                a: rng.next_u64() as u8,
+                b: rng.next_u32(),
+                c: rng.next_u64(),
+                d: rng.next_u64() as usize,
+                e: rng.chance(0.5),
+                f: f32::from_bits(rng.next_u32()),
+                g: f64::from_bits(rng.next_u64()),
+                bytes: (0..rng.below(64)).map(|_| rng.next_u64() as u8).collect(),
+                raw: [1, 2, rng.next_u64() as u8],
+                opt: rng.chance(0.5).then(|| rng.next_u64()),
+                vals: (0..1 + rng.below(8)).map(|_| rng.next_u64()).collect(),
+                deque: (0..rng.below(5)).map(|_| rng.next_u32()).collect(),
+                map: (0..rng.below(5))
+                    .map(|_| (rng.next_u32(), rng.next_u64()))
+                    .collect(),
+                slot: rng.below(SLOTS as u64) as usize,
             }
-            Ok(vals)
-        })?;
-        r.finish()?;
-        Ok(vals)
+        }
+
+        fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+            w.section(0x10, |w| {
+                w.expect(SLOTS, "fixture slot count")?;
+                w.u8(&mut self.a)?;
+                w.u32(&mut self.b)?;
+                w.u64(&mut self.c)?;
+                w.usize(&mut self.d)?;
+                w.bool(&mut self.e)?;
+                w.section(0x11, |w| {
+                    w.f32(&mut self.f)?;
+                    w.f64(&mut self.g)?;
+                    w.bytes(&mut self.bytes)?;
+                    w.raw(&mut self.raw)
+                })?;
+                w.opt(&mut self.opt, |w, v| w.u64(v))?;
+                w.seq(&mut self.vals, 8, |w, v| w.u64(v))?;
+                w.check(!self.vals.is_empty(), "fixture values")?;
+                w.seq(&mut self.deque, 4, |w, v| w.u32(v))?;
+                w.map(&mut self.map, 12, |w, k, v| {
+                    w.u32(k)?;
+                    w.u64(v)
+                })?;
+                w.index(&mut self.slot, SLOTS, "fixture slot")
+            })
+        }
+
+        fn bytes(&mut self) -> Vec<u8> {
+            encode(|w| self.walk(w))
+        }
+
+        fn decode(bytes: &[u8]) -> Result<Self, SnapError> {
+            let mut out = Fixture::default();
+            let mut r = SnapReader::new(bytes);
+            out.walk(&mut r)?;
+            r.finish()?;
+            Ok(out)
+        }
     }
 
+    /// Every primitive round-trips writer → reader, bit-exactly (floats
+    /// by pattern, NaNs included), and the reader fills a target whose
+    /// prior contents differ.
     #[test]
-    fn section_round_trip_property() {
-        check::check("snap_section_round_trip", |rng| {
-            let (bytes, vals) = encode_fixture(rng);
-            assert_eq!(decode_fixture(&bytes).unwrap(), vals);
+    fn walk_primitives_round_trip() {
+        check::check("snap_walk_round_trip", |rng| {
+            let mut fx = Fixture::random(rng);
+            let bytes = fx.bytes();
+            let mut got = Fixture::random(rng);
+            let mut r = SnapReader::new(&bytes);
+            got.walk(&mut r).unwrap();
+            r.finish().unwrap();
+            assert_eq!(got.f.to_bits(), fx.f.to_bits());
+            assert_eq!(got.g.to_bits(), fx.g.to_bits());
+            (got.f, got.g) = (fx.f, fx.g);
+            assert_eq!(got, fx);
+            assert_eq!(got.bytes(), bytes, "re-encoding is stable");
         });
+    }
+
+    /// `expect`, `index` and `check` refuse by their `what` on read and
+    /// pass everything on write.
+    #[test]
+    fn refusals_carry_their_what() {
+        fn bad<T>(what: &'static str) -> Result<T, SnapError> {
+            Err(SnapError::BadValue { what })
+        }
+        let mut fx = Fixture {
+            vals: vec![1],
+            ..Fixture::default()
+        };
+        // A slot count the live configuration does not have.
+        let other = encode(|w| w.section(0x10, |w| w.expect(SLOTS + 1, "ignored")));
+        assert_eq!(Fixture::decode(&other), bad("fixture slot count"));
+        // An index past the slots, and a check that fails: the writer
+        // puts both as they are; the reader refuses each by name.
+        fx.slot = SLOTS;
+        assert_eq!(Fixture::decode(&fx.bytes()), bad("fixture slot"));
+        fx.slot = SLOTS - 1;
+        assert!(Fixture::decode(&fx.bytes()).is_ok());
+        fx.vals.clear();
+        assert_eq!(Fixture::decode(&fx.bytes()), bad("fixture values"));
+        // A bool byte other than 0 or 1.
+        let mut r = SnapReader::new(&[2]);
+        assert_eq!(r.bool(&mut false), bad("bool tag"));
     }
 
     #[test]
     fn truncation_at_every_offset_is_typed() {
         check::check_n("snap_truncation_never_panics", 16, |rng| {
-            let (bytes, _) = encode_fixture(rng);
+            let bytes = Fixture::random(rng).bytes();
             for cut in 0..bytes.len() {
-                let r = decode_fixture(&bytes[..cut]);
+                let r = Fixture::decode(&bytes[..cut]);
                 assert!(r.is_err(), "decode of {cut}-byte prefix succeeded");
             }
         });
@@ -747,44 +877,28 @@ mod tests {
 
     #[test]
     fn container_truncation_at_every_offset_is_typed() {
-        let full = write_container(0xABCD, |w| {
-            w.section(1, |w| {
-                w.put_u64(7);
-                w.put_bytes(&[1, 2, 3]);
-            });
-        });
         let hash = 0xABCD;
+        let mut fx = Fixture::random(&mut Xorshift64::new(7));
+        let full = write_container(hash, |w| fx.walk(w));
+        let decode = |bytes| -> Result<Fixture, SnapError> {
+            let mut out = Fixture::default();
+            let mut r = open_container(bytes, hash)?;
+            out.walk(&mut r)?;
+            r.finish()?;
+            Ok(out)
+        };
         // The full container opens and decodes.
-        let mut r = open_container(&full, hash).unwrap();
-        r.section(1, |r| {
-            assert_eq!(r.get_u64()?, 7);
-            assert_eq!(r.get_bytes()?, &[1, 2, 3]);
-            Ok(())
-        })
-        .unwrap();
-        r.finish().unwrap();
+        assert_eq!(decode(&full).unwrap().bytes(), fx.bytes());
         // Every strict prefix fails with a typed error, never a panic.
         for cut in 0..full.len() {
-            let res = open_container(&full[..cut], hash).and_then(|mut r| {
-                r.section(1, |r| {
-                    let _ = r.get_u64()?;
-                    let _ = r.get_bytes()?;
-                    Ok(())
-                })?;
-                r.finish()
-            });
-            assert!(res.is_err(), "{cut}-byte prefix accepted");
+            assert!(decode(&full[..cut]).is_err(), "{cut}-byte prefix accepted");
         }
     }
 
     #[test]
     fn any_single_byte_corruption_is_caught() {
         let full = write_container(0x5EED, |w| {
-            w.section(2, |w| {
-                for i in 0..32u64 {
-                    w.put_u64(i);
-                }
-            });
+            w.section(2, |w| (0..32u64).try_for_each(|mut i| w.u64(&mut i)))
         });
         for i in 0..full.len() {
             for flip in [0xFFu8, 0x01] {
@@ -800,7 +914,7 @@ mod tests {
 
     #[test]
     fn header_errors_are_typed() {
-        let full = write_container(10, |w| w.put_u64(1));
+        let full = write_container(10, |w| w.u64(&mut 1));
         assert!(matches!(
             open_container(b"NOTASNAP", 10),
             Err(SnapError::BadMagic)
@@ -833,41 +947,54 @@ mod tests {
 
     #[test]
     fn corrupt_length_cannot_force_huge_allocation() {
-        let mut w = SnapWriter::new();
-        w.put_u64(u64::MAX); // absurd sequence length
-        let enc = w.into_bytes();
-        let mut r = SnapReader::new(&enc);
-        match r.get_seq(8, |r| r.get_u64()) {
+        let enc = encode(|w| w.u64(&mut { u64::MAX })); // absurd sequence length
+        let mut v: Vec<u64> = Vec::new();
+        match SnapReader::new(&enc).seq(&mut v, 8, |r, x| r.u64(x)) {
             Err(SnapError::BadValue { .. }) => {}
             other => panic!("expected BadValue, got {other:?}"),
         }
+        // The same through a walked struct: every length it carries, set
+        // to u64::MAX, is refused before anything is allocated.
+        let mut fx = Fixture::random(&mut Xorshift64::new(3));
+        fx.bytes = vec![0xAB; 5];
+        fx.vals = vec![0xCD; 6];
+        let bytes = fx.bytes();
+        let mut lengths = 0;
+        for n in [5u64, 6] {
+            for at in (0..bytes.len() - 7).filter(|&i| bytes[i..i + 8] == n.to_le_bytes()) {
+                let mut bad = bytes.clone();
+                bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+                assert!(Fixture::decode(&bad).is_err(), "length at {at}");
+                lengths += 1;
+            }
+        }
+        assert!(lengths >= 2, "both lengths found in the bytes");
     }
 
     #[test]
     fn section_mismatch_and_overrun_are_typed() {
-        let mut w = SnapWriter::new();
-        w.section(7, |w| w.put_u64(1));
-        let enc = w.into_bytes();
-        let mut r = SnapReader::new(&enc);
+        let enc = encode(|w| w.section(7, |w| w.u64(&mut 1)));
+        let mut x = 0;
         assert!(matches!(
-            r.begin_section(8),
+            SnapReader::new(&enc).section(8, |_| Ok(())),
             Err(SnapError::SectionMismatch {
                 expected: 8,
                 found: 7
             })
         ));
-        // Under-consuming a section is caught at end_section.
-        let mut r = SnapReader::new(&enc);
-        r.begin_section(7).unwrap();
+        // Under-consuming a section is caught when it closes.
         assert!(matches!(
-            r.end_section(),
+            SnapReader::new(&enc).section(7, |_| Ok(())),
             Err(SnapError::TrailingBytes { .. })
         ));
         // Reading past a section's limit is caught as truncation.
-        let mut r = SnapReader::new(&enc);
-        r.begin_section(7).unwrap();
-        r.get_u64().unwrap();
-        assert!(matches!(r.get_u64(), Err(SnapError::Truncated { .. })));
+        assert!(matches!(
+            SnapReader::new(&enc).section(7, |r| {
+                r.u64(&mut x)?;
+                r.u64(&mut x)
+            }),
+            Err(SnapError::Truncated { .. })
+        ));
     }
 
     #[test]

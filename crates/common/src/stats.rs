@@ -34,18 +34,10 @@ impl Ratio {
         self.den += other.den;
     }
 
-    /// Encodes both counts for a snapshot.
-    pub fn snap_write(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_u64(self.num);
-        w.put_u64(self.den);
-    }
-
-    /// Decodes counts written by [`Ratio::snap_write`].
-    pub fn snap_read(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        Ok(Self {
-            num: r.get_u64()?,
-            den: r.get_u64()?,
-        })
+    /// Walks both counts for a snapshot.
+    pub fn walk(&mut self, w: &mut impl crate::snap::Walk) -> Result<(), crate::snap::SnapError> {
+        w.u64(&mut self.num)?;
+        w.u64(&mut self.den)
     }
 }
 

@@ -1,5 +1,6 @@
 //! Core vocabulary types: cycles, addresses and component identifiers.
 
+use crate::snap::{SnapError, Walk};
 use std::fmt;
 
 /// A simulation time-stamp, measured in core clock cycles.
@@ -25,11 +26,12 @@ impl fmt::Display for CoreId {
 ///
 /// DASH and HMC (case study I) schedule DRAM accesses by source class, so
 /// every request that reaches a memory controller carries one of these tags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TrafficSource {
     /// A CPU core, by index within the CPU cluster.
     Cpu(usize),
     /// The GPU (all SIMT clusters share one tag, as in the paper).
+    #[default]
     Gpu,
     /// The display controller DMA engine.
     Display,
@@ -49,35 +51,27 @@ impl TrafficSource {
         !self.is_cpu()
     }
 
-    /// Encodes the source for a snapshot (tag byte plus optional index).
-    pub fn snap_write(self, w: &mut crate::snap::SnapWriter) {
-        match self {
-            TrafficSource::Cpu(i) => {
-                w.put_u8(0);
-                w.put_usize(i);
-            }
-            TrafficSource::Gpu => w.put_u8(1),
-            TrafficSource::Display => w.put_u8(2),
-            TrafficSource::OtherIp(i) => {
-                w.put_u8(3);
-                w.put_usize(i);
-            }
+    /// Walks the source for a snapshot: a tag byte plus, for a CPU core
+    /// or another IP block, its index.
+    pub fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        let (mut tag, mut i) = match *self {
+            TrafficSource::Cpu(i) => (0u8, i),
+            TrafficSource::Gpu => (1, 0),
+            TrafficSource::Display => (2, 0),
+            TrafficSource::OtherIp(i) => (3, i),
+        };
+        w.u8(&mut tag)?;
+        w.check(tag < 4, "traffic source tag")?;
+        if tag % 3 == 0 {
+            w.usize(&mut i)?;
         }
-    }
-
-    /// Decodes a source written by [`TrafficSource::snap_write`].
-    pub fn snap_read(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        Ok(match r.get_u8()? {
-            0 => TrafficSource::Cpu(r.get_usize()?),
+        *self = match tag {
+            0 => TrafficSource::Cpu(i),
             1 => TrafficSource::Gpu,
             2 => TrafficSource::Display,
-            3 => TrafficSource::OtherIp(r.get_usize()?),
-            _ => {
-                return Err(crate::snap::SnapError::BadValue {
-                    what: "traffic source tag",
-                })
-            }
-        })
+            _ => TrafficSource::OtherIp(i),
+        };
+        Ok(())
     }
 }
 
@@ -93,32 +87,27 @@ impl fmt::Display for TrafficSource {
 }
 
 /// Read/write direction of a memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load; the requester waits for the data.
+    #[default]
     Read,
     /// A store; modeled as posted (no response needed by the requester).
     Write,
 }
 
 impl AccessKind {
-    /// Encodes the kind for a snapshot (one tag byte).
-    pub fn snap_write(self, w: &mut crate::snap::SnapWriter) {
-        w.put_u8(match self {
-            AccessKind::Read => 0,
-            AccessKind::Write => 1,
-        });
-    }
-
-    /// Decodes a kind written by [`AccessKind::snap_write`].
-    pub fn snap_read(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        match r.get_u8()? {
-            0 => Ok(AccessKind::Read),
-            1 => Ok(AccessKind::Write),
-            _ => Err(crate::snap::SnapError::BadValue {
-                what: "access kind tag",
-            }),
-        }
+    /// Walks the kind for a snapshot (one tag byte).
+    pub fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        let mut tag = (*self == AccessKind::Write) as u8;
+        w.u8(&mut tag)?;
+        w.check(tag < 2, "access kind tag")?;
+        *self = if tag == 1 {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        Ok(())
     }
 }
 

@@ -22,7 +22,7 @@
 //! interaction (`blind_limit`).
 
 use emerald_common::rng::Xorshift64;
-use emerald_common::snap::{SnapWriter, Snapshot};
+use emerald_common::snap::encode;
 use emerald_common::types::{AccessKind, Cycle};
 use emerald_mem::image::SharedMem;
 use emerald_mem::req::MemRequest;
@@ -134,9 +134,8 @@ fn run(sc: &BatchScenario, mut step: impl FnMut(&mut Twin) -> Cycle) -> Run {
         t.now += step(&mut t);
     }
     t.deliver(t.now);
-    let mut w = SnapWriter::new();
-    t.core.snapshot(&mut w);
-    (t.seen, w.into_bytes())
+    let bytes = encode(|w| t.core.walk(w));
+    (t.seen, bytes)
 }
 
 /// One twin mid-run.

@@ -52,7 +52,7 @@ impl FrameBudget {
     /// directory named by `EMERALD_TIMEOUT_SNAP_DIR`, when set) and
     /// returns a failure message naming the dump for the CI artifact
     /// step. `Ok` while in budget.
-    pub fn check(&self, case: &str, soc: &Soc) -> Result<(), String> {
+    pub fn check(&self, case: &str, soc: &mut Soc) -> Result<(), String> {
         if !self.exceeded() {
             return Ok(());
         }
@@ -77,7 +77,7 @@ impl FrameBudget {
 pub(crate) fn dump_snapshot_to(
     dir: &std::path::Path,
     case: &str,
-    soc: &Soc,
+    soc: &mut Soc,
 ) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{case}.snap"));
@@ -119,9 +119,9 @@ mod tests {
         };
         assert!(budget.exceeded(), "zero budget is immediately spent");
         let dir = std::env::temp_dir().join(format!("emerald_timeout_snap_{}", std::process::id()));
-        let path = dump_snapshot_to(&dir, "budget_test", &soc).expect("dump snapshot");
+        let path = dump_snapshot_to(&dir, "budget_test", &mut soc).expect("dump snapshot");
         let bytes = std::fs::read(&path).expect("read dump");
-        let revived = Soc::restore(&bytes, &cfg).expect("timeout snapshot restores");
+        let mut revived = Soc::restore(&bytes, &cfg).expect("timeout snapshot restores");
         assert_eq!(revived.now(), soc.now());
         assert_eq!(
             revived.checkpoint(),

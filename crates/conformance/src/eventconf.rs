@@ -34,7 +34,7 @@ use crate::proggen::{shrink_candidates, GenProgram};
 use crate::socconf::{caught, cube_draw, Cell, SocScenario, MAX};
 use emerald_common::event::NextEvent;
 use emerald_common::rng::Xorshift64;
-use emerald_common::snap::{SnapWriter, Snapshot};
+use emerald_common::snap::encode;
 use emerald_common::types::{AccessKind, Addr, Cycle, TrafficSource};
 use emerald_gpu::gpu::{Drain, MemPort};
 use emerald_gpu::{GlobalMemCtx, Gpu, GpuConfig, SimpleMemPort};
@@ -151,14 +151,6 @@ impl GapScenario {
 /// Cycle budget for a memory-system or display walk.
 const GAP_MAX_CYCLES: Cycle = 1_000_000;
 
-/// Everything a dead gap must leave alone: the component's snapshot
-/// bytes (for the memory system: channels, statistics, DASH state).
-fn state_bytes(s: &impl Snapshot) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    s.snapshot(&mut w);
-    w.into_bytes()
-}
-
 /// Feeds `sc`'s requests into its memory system and drains it, trusting
 /// `next_event + sc.lag` once no input is left: each announced gap is
 /// ticked a cycle at a time and must complete no response and leave every
@@ -197,14 +189,14 @@ pub fn gap_oracle(sc: &GapScenario) -> Result<u32, GapViolation> {
         }
         let announced = ms.next_event(now).map_or(now + 200, |t| t + sc.lag);
         if announced > now + 1 {
-            let before = state_bytes(&ms);
+            let before = encode(|w| ms.walk(w));
             for c in now + 1..announced {
                 ms.tick(c);
                 if !ms.drain_finished(c).is_empty() {
                     return violation(now, announced, format!("a response completed at {c}"));
                 }
             }
-            if state_bytes(&ms) != before {
+            if encode(|w| ms.walk(w)) != before {
                 return violation(now, announced, "state changed");
             }
             gaps += 1;
@@ -299,9 +291,9 @@ pub fn display_gap_oracle(sc: &DisplayGapScenario) -> Result<(u32, DisplayStats)
         let announced = wake + sc.lag;
         let quiet = announced.min(in_flight.front().map_or(announced, |r| r.0));
         if quiet > now + 1 {
-            let before = state_bytes(&d);
+            let before = encode(|w| d.walk(w));
             (now + 1..quiet).for_each(|c| d.tick(c));
-            if state_bytes(&d) != before {
+            if encode(|w| d.walk(w)) != before {
                 return violation(now, announced, format!("acted before {quiet}"));
             }
             gaps += 1;
@@ -353,7 +345,7 @@ pub(crate) trait GapSim: Drain {
 
     /// Everything checkpoint-able once drained: snapshot bytes of the
     /// model and its memory system, then the output memory.
-    fn drained_bytes(&self) -> Vec<u8>;
+    fn drained_bytes(&mut self) -> Vec<u8>;
 }
 
 fn first_difference(a: &str, b: &str) -> String {
@@ -464,11 +456,11 @@ impl GapSim for GpuSim {
         )
     }
 
-    fn drained_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        self.gpu.snapshot(&mut w);
-        self.port.mem.snapshot(&mut w);
-        let mut bytes = w.into_bytes();
+    fn drained_bytes(&mut self) -> Vec<u8> {
+        let mut bytes = encode(|w| {
+            self.gpu.walk(w)?;
+            self.port.mem.walk(w)
+        });
         let out = self.layout.out_base;
         (self.layout.mem).read(|m| bytes.extend_from_slice(m.read_bytes(out, self.out_bytes)));
         bytes
@@ -518,12 +510,12 @@ impl GapSim for RendererSim {
         )
     }
 
-    fn drained_bytes(&self) -> Vec<u8> {
-        let rig = &self.0;
-        let mut w = SnapWriter::new();
-        rig.renderer.snapshot(&mut w);
-        rig.port.mem.snapshot(&mut w);
-        let mut bytes = w.into_bytes();
+    fn drained_bytes(&mut self) -> Vec<u8> {
+        let rig = &mut self.0;
+        let mut bytes = encode(|w| {
+            rig.renderer.walk(w)?;
+            rig.port.mem.walk(w)
+        });
         let pixels = rig.rt.read_color(&rig.mem);
         bytes.extend(pixels.iter().flat_map(|p| p.to_le_bytes()));
         bytes

@@ -224,7 +224,7 @@ pub struct Barrier {
 }
 
 impl Barrier {
-    fn at(soc: &Soc, rec: &SocFrameRecord) -> Self {
+    fn at(soc: &mut Soc, rec: &SocFrameRecord) -> Self {
         Self {
             record: (rec.gpu_cycles, rec.total_cycles),
             gfx: rec.gfx.clone(),
@@ -280,7 +280,7 @@ pub fn gate_matrix(sc: &SocScenario, frames: u32) -> Result<Soc, String> {
                     "{cell:?}: frame {f}: {p:?} accounts {cycles} cycles"
                 ));
             }
-            got.push(Barrier::at(&soc, &rec));
+            got.push(Barrier::at(&mut soc, &rec));
         }
         let Some((rc, want, _)) = &reference else {
             reference = Some((cell, got, soc));
@@ -382,7 +382,7 @@ pub fn snap_oracle(sc: &SnapScenario) -> Result<SnapRun, SnapViolation> {
     let mut barriers = Vec::new();
     for f in 0..sc.at_frame {
         let rec = straight.run_frame(sc.soc.draws(&straight, f), MAX);
-        barriers.push(Barrier::at(&straight, &rec));
+        barriers.push(Barrier::at(&mut straight, &rec));
     }
     let span = match barriers.last() {
         Some(b) => b.record.1,
@@ -396,7 +396,7 @@ pub fn snap_oracle(sc: &SnapScenario) -> Result<SnapRun, SnapViolation> {
     let d = sc.soc.draws(&straight, sc.at_frame);
     let at = straight.now() + span * sc.offset_pct as u64 / 100;
     let (rec, snap) = straight.run_frame_checkpoint(d.clone(), MAX, Some(at));
-    let want = Barrier::at(&straight, &rec);
+    let want = Barrier::at(&mut straight, &rec);
     let mid_frame = snap.is_some();
     let mut bytes = snap.unwrap_or_else(|| straight.checkpoint());
     if let SnapBug::FlipByte { pos_pct, mask } = sc.bug {
@@ -413,9 +413,9 @@ pub fn snap_oracle(sc: &SnapScenario) -> Result<SnapRun, SnapViolation> {
     // list is valid as-is); an inter-frame one has only state to compare.
     let got = if mid_frame {
         let r = restored.resume_frame(d, MAX);
-        Barrier::at(&restored, &r)
+        Barrier::at(&mut restored, &r)
     } else {
-        Barrier::at(&restored, &rec)
+        Barrier::at(&mut restored, &rec)
     };
     if let Some(what) = want.diff(&got) {
         return Err(violation(format!("restore barrier: {what} diverged")));
@@ -423,7 +423,7 @@ pub fn snap_oracle(sc: &SnapScenario) -> Result<SnapRun, SnapViolation> {
     barriers.push(want);
 
     for f in sc.at_frame + 1..sc.frames {
-        if let Err(msg) = budget.check("snap_oracle", &straight) {
+        if let Err(msg) = budget.check("snap_oracle", &mut straight) {
             panic!("{msg}");
         }
         let (ds, dr) = (sc.soc.draws(&straight, f), sc.soc.draws(&restored, f));
@@ -436,8 +436,8 @@ pub fn snap_oracle(sc: &SnapScenario) -> Result<SnapRun, SnapViolation> {
         }
         let rs = straight.run_frame(ds, MAX);
         let rr = restored.run_frame(dr, MAX);
-        let want = Barrier::at(&straight, &rs);
-        if let Some(what) = want.diff(&Barrier::at(&restored, &rr)) {
+        let want = Barrier::at(&mut straight, &rs);
+        if let Some(what) = want.diff(&Barrier::at(&mut restored, &rr)) {
             return Err(violation(format!("frame {f}: {what} diverged")));
         }
         barriers.push(want);

@@ -8,7 +8,7 @@ use crate::geom::{setup_prim, ClipVert, ScreenPrim, NUM_VARYINGS};
 use crate::tcmap::TcMap;
 use emerald_common::event::earliest;
 use emerald_common::hash::{FxHashMap, FxHashSet};
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::Cycle;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -374,79 +374,58 @@ impl ClusterPipe {
         earliest(setup, timeout).map(|t| t.max(now + 1))
     }
 
-    /// Serializes the persistent pipeline state. Checkpoints sit at a
-    /// drained frame boundary, so only the Hi-Z buffer, the statistics and
-    /// the TC engines' staleness clocks survive between frames; in-flight
-    /// primitives hold `Arc<ScreenPrim>` and are never serialized.
+    /// Walks the persistent pipeline state. Checkpoints sit at a drained
+    /// frame boundary, so only the Hi-Z buffer, the statistics and the TC
+    /// engines' staleness clocks survive between frames; in-flight
+    /// primitives hold `Arc<ScreenPrim>`, are never walked, and a read
+    /// clears them.
     ///
     /// # Panics
     ///
-    /// Panics if the pipe still has work in flight or TC positions are
-    /// still being shaded.
-    pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
+    /// Panics on a write if the pipe still has work in flight or TC
+    /// positions are still being shaded.
+    pub(crate) fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
         assert!(
-            self.is_drained() && self.tc.busy.is_empty(),
+            w.reading() || (self.is_drained() && self.tc.busy.is_empty()),
             "cluster pipe must be drained at a checkpoint"
         );
-        let mut hiz: Vec<((u32, u32), f32)> = self.hiz.iter().map(|(&k, &v)| (k, v)).collect();
-        hiz.sort_unstable_by_key(|&(k, _)| k);
-        w.put_seq(hiz.iter(), |w, ((x, y), z)| {
-            w.put_u32(*x);
-            w.put_u32(*y);
-            w.put_f32(*z);
-        });
-        w.put_seq(self.tc.engines.iter(), |w, e| w.put_u64(e.last_new));
-        w.put_u64(self.stats.prims_setup);
-        w.put_u64(self.stats.raster_tiles);
-        w.put_u64(self.stats.hiz_killed);
-        w.put_u64(self.stats.fragments);
-        w.put_u64(self.stats.tc_tiles);
-        w.put_u64(self.stats.tc_conflict_flushes);
-        w.put_u64(self.stats.tc_timeout_flushes);
-    }
-
-    /// Restores a [`snapshot`](Self::snapshot), clearing any transient
-    /// state left from construction.
-    pub(crate) fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let hiz = r.get_seq(12, |r| {
-            let x = r.get_u32()?;
-            let y = r.get_u32()?;
-            let z = r.get_f32()?;
-            Ok(((x, y), z))
+        w.map(&mut self.hiz, 12, |w, (x, y), z| {
+            w.u32(x)?;
+            w.u32(y)?;
+            w.f32(z)
         })?;
-        self.hiz = hiz.into_iter().collect();
-        let last_new = r.get_seq(8, |r| r.get_u64())?;
-        if last_new.len() != self.tc.engines.len() {
-            return Err(SnapError::BadValue {
-                what: "TC engine count mismatch",
-            });
+        w.expect(self.tc.engines.len(), "TC engine count mismatch")?;
+        for e in &mut self.tc.engines {
+            w.u64(&mut e.last_new)?;
         }
-        for (e, t) in self.tc.engines.iter_mut().zip(last_new) {
-            e.pos = None;
-            for s in &mut e.slots {
-                *s = None;
+        let s = &mut self.stats;
+        for n in [
+            &mut s.prims_setup,
+            &mut s.raster_tiles,
+            &mut s.hiz_killed,
+            &mut s.fragments,
+            &mut s.tc_tiles,
+            &mut s.tc_conflict_flushes,
+            &mut s.tc_timeout_flushes,
+        ] {
+            w.u64(n)?;
+        }
+        if w.reading() {
+            for e in &mut self.tc.engines {
+                e.pos = None;
+                e.slots.iter_mut().for_each(|s| *s = None);
             }
-            e.last_new = t;
+            self.setup_in.clear();
+            self.setup_wip.clear();
+            self.coarse_q.clear();
+            self.coarse = None;
+            self.hiz_q.clear();
+            self.fine_q.clear();
+            self.tc.in_q.clear();
+            self.tc.flush_q.clear();
+            self.tc.busy.clear();
+            self.tc.rescan = true;
         }
-        self.stats = ClusterStats {
-            prims_setup: r.get_u64()?,
-            raster_tiles: r.get_u64()?,
-            hiz_killed: r.get_u64()?,
-            fragments: r.get_u64()?,
-            tc_tiles: r.get_u64()?,
-            tc_conflict_flushes: r.get_u64()?,
-            tc_timeout_flushes: r.get_u64()?,
-        };
-        self.setup_in.clear();
-        self.setup_wip.clear();
-        self.coarse_q.clear();
-        self.coarse = None;
-        self.hiz_q.clear();
-        self.fine_q.clear();
-        self.tc.in_q.clear();
-        self.tc.flush_q.clear();
-        self.tc.busy.clear();
-        self.tc.rescan = true;
         Ok(())
     }
 

@@ -8,7 +8,7 @@
 
 use crate::state::{RenderTarget, TextureDesc};
 use emerald_common::math::{pack_rgba8, unpack_rgba8};
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::Addr;
 use emerald_gpu::ctx::ImageCtx;
 use emerald_isa::op::MemSpace;
@@ -200,52 +200,31 @@ impl ExecCtx for GfxCtx<'_> {
     }
 }
 
-impl emerald_common::snap::Snapshot for GfxState {
-    /// Serializes the pipeline bindings (render target, samplers) and the
-    /// functional counters. The backing memory image is serialized
-    /// separately at the SoC level.
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_u32(self.rt.width);
-        w.put_u32(self.rt.height);
-        w.put_u64(self.rt.color_base);
-        w.put_u64(self.rt.depth_base);
-        for t in &self.textures {
-            w.put_opt(t, |w, t| {
-                w.put_u64(t.base);
-                w.put_u32(t.width);
-                w.put_u32(t.height);
-            });
-        }
-        w.put_u64(self.stats.ztest_pass);
-        w.put_u64(self.stats.ztest_fail);
-        w.put_u64(self.stats.tex_samples);
-        w.put_u64(self.stats.fb_writes);
-    }
-}
-
-impl emerald_common::snap::Restore for GfxState {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.rt = RenderTarget {
-            width: r.get_u32()?,
-            height: r.get_u32()?,
-            color_base: r.get_u64()?,
-            depth_base: r.get_u64()?,
-        };
+impl GfxState {
+    /// Walks the pipeline bindings (render target, samplers) and the
+    /// functional counters. The backing memory image is walked separately
+    /// at the SoC level.
+    pub(crate) fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.u32(&mut self.rt.width)?;
+        w.u32(&mut self.rt.height)?;
+        w.u64(&mut self.rt.color_base)?;
+        w.u64(&mut self.rt.depth_base)?;
         for t in &mut self.textures {
-            *t = r.get_opt(|r| {
-                Ok(TextureDesc {
-                    base: r.get_u64()?,
-                    width: r.get_u32()?,
-                    height: r.get_u32()?,
-                })
+            w.opt(t, |w, t| {
+                w.u64(&mut t.base)?;
+                w.u32(&mut t.width)?;
+                w.u32(&mut t.height)
             })?;
         }
-        self.stats = GfxCtxStats {
-            ztest_pass: r.get_u64()?,
-            ztest_fail: r.get_u64()?,
-            tex_samples: r.get_u64()?,
-            fb_writes: r.get_u64()?,
-        };
+        let s = &mut self.stats;
+        for n in [
+            &mut s.ztest_pass,
+            &mut s.ztest_fail,
+            &mut s.tex_samples,
+            &mut s.fb_writes,
+        ] {
+            w.u64(n)?;
+        }
         Ok(())
     }
 }

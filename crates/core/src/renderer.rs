@@ -25,7 +25,7 @@ use crate::vpo::{Pmrb, PrimMask, VpoStats, VpoUnit};
 use emerald_common::event::earliest;
 use emerald_common::hash::{FxHashMap, FxHashSet};
 use emerald_common::math::Vec4;
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::{Addr, Cycle};
 use emerald_gpu::gpu::MemPort;
 use emerald_gpu::warp::{Warp, WarpTag};
@@ -802,94 +802,71 @@ impl GpuRenderer {
         fs.l2_misses = self.gpu.l2().stats().misses();
         fs
     }
-}
 
-impl emerald_common::snap::Snapshot for GpuRenderer {
-    /// Serializes the renderer at a drained checkpoint boundary: the GPU
+    /// Walks the renderer at a drained checkpoint boundary: the GPU
     /// (cores, caches, write-id stream), the functional context bindings,
     /// the WT granularity, the OVB allocation, per-cluster pipes and VPO
     /// statistics, interconnect counters, launch-id cursors, frame
     /// counters and the monotonic clock. Draw calls hold `Arc<Program>`
-    /// and are never in flight at a boundary.
+    /// and are never in flight at a boundary; a read clears them.
     ///
     /// # Panics
     ///
-    /// Panics if a draw is pending or in flight, fragments are
+    /// Panics on a write if a draw is pending or in flight, fragments are
     /// outstanding, or any warp job / TC tile is still tracked.
-    fn snapshot(&self, w: &mut SnapWriter) {
-        assert!(self.is_idle(), "renderer must be drained at a checkpoint");
+    pub fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
         assert!(
-            self.frag_outstanding == 0
-                && self.jobs.is_empty()
-                && self.tiles.is_empty()
-                && self.launching.iter().all(Option::is_none),
+            w.reading() || self.is_idle(),
+            "renderer must be drained at a checkpoint"
+        );
+        assert!(
+            w.reading()
+                || (self.frag_outstanding == 0
+                    && self.jobs.is_empty()
+                    && self.tiles.is_empty()
+                    && self.launching.iter().all(Option::is_none)),
             "no warp jobs or TC tiles may be tracked at a checkpoint"
         );
-        w.section(1, |w| self.gpu.snapshot(w));
-        w.section(2, |w| self.ctx.snapshot(w));
-        w.put_u32(self.tcmap.wt());
-        w.put_u64(self.ovb_base);
-        w.put_u64(self.ovb_slots);
-        w.put_usize(self.pipes.len());
-        for p in &self.pipes {
-            w.section(3, |w| p.snapshot(w));
-        }
-        for v in &self.vpos {
-            w.section(4, |w| v.snapshot(w));
-        }
-        self.mask_link.snapshot_drained(w);
-        w.put_seq(self.launch_tile_ids.iter(), |w, &id| w.put_u64(id));
-        w.put_u64(self.next_id);
-        w.put_seq(self.per_core_fragments.iter(), |w, &f| w.put_u64(f));
-        w.put_u64(self.vertices_shaded);
-        w.put_u64(self.vertex_warps);
-        w.put_u64(self.clock);
-        w.put_seq(self.draw_times.iter(), |w, &t| w.put_u64(t));
-    }
-}
-
-impl emerald_common::snap::Restore for GpuRenderer {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section(1, |r| self.gpu.restore(r))?;
-        r.section(2, |r| self.ctx.restore(r))?;
-        self.rt = *self.ctx.render_target();
-        let wt = r.get_u32()?;
-        self.tcmap.set_wt(wt);
-        self.cfg.wt_size = wt;
-        self.ovb_base = r.get_u64()?;
-        self.ovb_slots = r.get_u64()?;
+        w.section(1, |w| self.gpu.walk(w))?;
+        w.section(2, |w| self.ctx.walk(w))?;
+        let mut wt = self.tcmap.wt();
+        w.u32(&mut wt)?;
+        w.check(wt > 0, "zero WT size")?;
+        w.u64(&mut self.ovb_base)?;
+        w.u64(&mut self.ovb_slots)?;
+        w.check(self.ovb_slots.is_power_of_two(), "OVB slot count")?;
         let n = self.pipes.len();
-        if r.get_usize()? != n {
-            return Err(SnapError::BadValue {
-                what: "renderer cluster count mismatch",
-            });
-        }
+        w.expect(n, "renderer cluster count mismatch")?;
         for p in &mut self.pipes {
-            r.section(3, |r| p.restore(r))?;
+            w.section(3, |w| p.walk(w))?;
         }
         for v in &mut self.vpos {
-            r.section(4, |r| v.restore(r))?;
+            w.section(4, |w| v.walk(w))?;
         }
-        self.mask_link.restore_drained(r)?;
-        self.launch_tile_ids = r.get_seq(8, |r| r.get_u64())?;
-        self.next_id = r.get_u64()?;
-        self.per_core_fragments = r.get_seq(8, |r| r.get_u64())?;
-        if self.launch_tile_ids.len() != n || self.per_core_fragments.len() != n {
-            return Err(SnapError::BadValue {
-                what: "renderer per-cluster vector length mismatch",
-            });
+        self.mask_link.walk_drained(w)?;
+        w.seq(&mut self.launch_tile_ids, 8, |w, id| w.u64(id))?;
+        w.u64(&mut self.next_id)?;
+        w.seq(&mut self.per_core_fragments, 8, |w, f| w.u64(f))?;
+        w.check(
+            self.launch_tile_ids.len() == n && self.per_core_fragments.len() == n,
+            "renderer per-cluster vector length mismatch",
+        )?;
+        w.u64(&mut self.vertices_shaded)?;
+        w.u64(&mut self.vertex_warps)?;
+        w.u64(&mut self.clock)?;
+        w.seq(&mut self.draw_times, 8, |w, t| w.u64(t))?;
+        if w.reading() {
+            self.tcmap.set_wt(wt);
+            self.cfg.wt_size = wt;
+            self.rt = *self.ctx.render_target();
+            self.cur = None;
+            self.queue.clear();
+            self.jobs.clear();
+            self.tiles.clear();
+            self.launching = (0..n).map(|_| None).collect();
+            self.frag_outstanding = 0;
+            self.pmrbs = (0..n).map(|_| Pmrb::new(0)).collect();
         }
-        self.vertices_shaded = r.get_u64()?;
-        self.vertex_warps = r.get_u64()?;
-        self.clock = r.get_u64()?;
-        self.draw_times = r.get_seq(8, |r| r.get_u64())?;
-        self.cur = None;
-        self.queue.clear();
-        self.jobs.clear();
-        self.tiles.clear();
-        self.launching = (0..n).map(|_| None).collect();
-        self.frag_outstanding = 0;
-        self.pmrbs = (0..n).map(|_| Pmrb::new(0)).collect();
         Ok(())
     }
 }
@@ -977,10 +954,34 @@ mod tests {
         }
     }
 
+    /// A zero WT size would fail `TcMap::set_wt`'s assert and an OVB of
+    /// zero slots would divide by zero at the next draw: restore refuses
+    /// both by name.
+    #[test]
+    fn restore_refuses_a_zero_wt_size_and_an_empty_ovb() {
+        use emerald_common::snap::{encode, SnapReader};
+        let (mut r, ..) = setup();
+        let enc = encode(|w| r.walk(w));
+        let len_at = |at: usize| u64::from_le_bytes(enc[at..at + 8].try_into().unwrap()) as usize;
+        // Sections 1 (GPU) and 2 (context), each a tag and a length, then
+        // the WT size, the OVB base and the OVB slot count.
+        let ctx = 12 + len_at(4);
+        let wt = ctx + 12 + len_at(ctx + 4);
+        for (at, what) in [(wt, "zero WT size"), (wt + 12, "OVB slot count")] {
+            let mut bad = enc.clone();
+            bad[at..at + 4].fill(0);
+            let (mut twin, ..) = setup();
+            assert_eq!(
+                twin.walk(&mut SnapReader::new(&bad)),
+                Err(SnapError::BadValue { what })
+            );
+        }
+    }
+
     #[test]
     fn snapshot_round_trip_renders_next_frame_in_lockstep() {
-        use emerald_common::snap::{Restore as _, SnapReader, SnapWriter, Snapshot as _};
-        let (mut a, mut port_a, mem_a, rt_a) = setup();
+        use emerald_common::snap::{encode, SnapReader};
+        let (mut a, mut port_a, mut mem_a, rt_a) = setup();
         let fso = FsOptions {
             textured: false,
             ..FsOptions::default()
@@ -995,17 +996,17 @@ mod tests {
         }
         while port_a.recv(now).is_some() {}
 
-        let mut w = SnapWriter::new();
-        a.snapshot(&mut w);
-        mem_a.snapshot(&mut w);
-        port_a.mem.snapshot(&mut w);
-        let enc = w.into_bytes();
+        let enc = encode(|w| {
+            a.walk(w)?;
+            mem_a.walk(w)?;
+            port_a.mem.walk(w)
+        });
 
         let (mut b, mut port_b, mut mem_b, rt_b) = setup();
         let mut r = SnapReader::new(&enc);
-        b.restore(&mut r).unwrap();
-        mem_b.restore(&mut r).unwrap();
-        port_b.mem.restore(&mut r).unwrap();
+        b.walk(&mut r).unwrap();
+        mem_b.walk(&mut r).unwrap();
+        port_b.mem.walk(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(b.clock, a.clock, "monotonic clock must carry over");
 

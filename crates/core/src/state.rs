@@ -92,7 +92,7 @@ impl RenderTarget {
 }
 
 /// A texture bound in memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TextureDesc {
     /// Base address of the RGBA8 texel array (row-major).
     pub base: Addr,

@@ -16,7 +16,7 @@ use crate::geom::{setup_prim, ClipVert, CullReason, NUM_VARYINGS};
 use crate::tcmap::TcMap;
 use emerald_common::hash::FxHashMap;
 use emerald_common::math::Vec4;
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use std::collections::VecDeque;
 
 /// A per-destination-cluster primitive mask for one vertex warp.
@@ -161,44 +161,37 @@ impl VpoUnit {
             .collect();
         Some(out)
     }
-}
 
-impl emerald_common::snap::Snapshot for VpoUnit {
-    /// Serializes the culling statistics. Checkpoints are taken at a
-    /// drained frame boundary, so the work-in-progress queue must be
-    /// empty — `VertexWarp`s reference transient OVB slots and are never
-    /// serialized.
+    /// Walks the culling statistics. Checkpoints are taken at a drained
+    /// frame boundary, so the work-in-progress queue is empty —
+    /// `VertexWarp`s reference transient OVB slots and are never walked;
+    /// a read drops them.
     ///
     /// # Panics
     ///
-    /// Panics if a warp is still queued (the VPO is not drained).
-    fn snapshot(&self, w: &mut SnapWriter) {
+    /// Panics on a write if a warp is still queued (the VPO is not
+    /// drained).
+    pub(crate) fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
         assert!(
-            self.input.is_empty() && self.cur_prim == 0,
+            w.reading() || (self.input.is_empty() && self.cur_prim == 0),
             "VPO must be drained at a checkpoint"
         );
-        w.put_u64(self.stats.prims_in);
-        w.put_u64(self.stats.cull_near);
-        w.put_u64(self.stats.cull_frustum);
-        w.put_u64(self.stats.cull_backface);
-        w.put_u64(self.stats.cull_degenerate);
-        w.put_u64(self.stats.distributed);
-    }
-}
-
-impl emerald_common::snap::Restore for VpoUnit {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.stats = VpoStats {
-            prims_in: r.get_u64()?,
-            cull_near: r.get_u64()?,
-            cull_frustum: r.get_u64()?,
-            cull_backface: r.get_u64()?,
-            cull_degenerate: r.get_u64()?,
-            distributed: r.get_u64()?,
-        };
-        self.input.clear();
-        self.cur_prim = 0;
-        self.masks_wip = vec![0; self.n_clusters];
+        let s = &mut self.stats;
+        for n in [
+            &mut s.prims_in,
+            &mut s.cull_near,
+            &mut s.cull_frustum,
+            &mut s.cull_backface,
+            &mut s.cull_degenerate,
+            &mut s.distributed,
+        ] {
+            w.u64(n)?;
+        }
+        if w.reading() {
+            self.input.clear();
+            self.cur_prim = 0;
+            self.masks_wip = vec![0; self.n_clusters];
+        }
         Ok(())
     }
 }

@@ -12,7 +12,7 @@ use crate::deferred::Deferred;
 use crate::warp::{Warp, WarpTag};
 use emerald_common::event::earliest;
 use emerald_common::hash::FxHashMap;
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::{AccessKind, Addr, CoreId, Cycle};
 use emerald_isa::exec::Surface;
 use emerald_isa::op::{LatencyClass, Op};
@@ -36,7 +36,7 @@ pub(crate) struct PendingLine {
 }
 
 /// An L1 miss (or write) leaving the core toward the GPU L2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct L1Miss {
     /// Originating core (global index).
     pub core: usize,
@@ -746,193 +746,111 @@ impl SimtCore {
     }
 }
 
-/// Snapshot tag for a [`Surface`] (all five variants, unlike the 2-bit
-/// L2 MSHR packing which excludes shared memory).
-pub(crate) fn surface_snap_write(s: Surface, w: &mut SnapWriter) {
-    w.put_u8(match s {
-        Surface::Data => 0,
-        Surface::Texture => 1,
-        Surface::Depth => 2,
-        Surface::ConstVertex => 3,
-        Surface::Shared => 4,
-    });
-}
-
-pub(crate) fn surface_snap_read(r: &mut SnapReader<'_>) -> Result<Surface, SnapError> {
-    Ok(match r.get_u8()? {
-        0 => Surface::Data,
-        1 => Surface::Texture,
-        2 => Surface::Depth,
-        3 => Surface::ConstVertex,
-        4 => Surface::Shared,
-        _ => {
-            return Err(SnapError::BadValue {
-                what: "surface tag",
-            })
-        }
-    })
+/// Walks a [`Surface`] as a tag byte (all five variants, unlike the
+/// 2-bit L2 MSHR packing which excludes shared memory).
+fn walk_surface(s: &mut Surface, w: &mut impl Walk) -> Result<(), SnapError> {
+    const ALL: [Surface; 5] = [
+        Surface::Data,
+        Surface::Texture,
+        Surface::Depth,
+        Surface::ConstVertex,
+        Surface::Shared,
+    ];
+    let mut tag = ALL.iter().position(|x| x == s).expect("every surface") as u8;
+    w.u8(&mut tag)?;
+    *s = *ALL.get(tag as usize).ok_or(SnapError::BadValue {
+        what: "surface tag",
+    })?;
+    Ok(())
 }
 
 impl L1Miss {
-    pub(crate) fn snap_write(&self, w: &mut SnapWriter) {
-        w.put_usize(self.core);
-        surface_snap_write(self.surface, w);
-        w.put_u64(self.line);
-        self.kind.snap_write(w);
-    }
-
-    pub(crate) fn snap_read(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            core: r.get_usize()?,
-            surface: surface_snap_read(r)?,
-            line: r.get_u64()?,
-            kind: AccessKind::snap_read(r)?,
-        })
+    pub(crate) fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.usize(&mut self.core)?;
+        walk_surface(&mut self.surface, w)?;
+        w.u64(&mut self.line)?;
+        self.kind.walk(w)
     }
 }
 
-impl emerald_common::snap::Snapshot for SimtCore {
-    /// Serializes scheduler history, the four L1s, and the deferred
-    /// writeback/token queues. Checkpoints land at drained boundaries:
-    /// no warp is resident and no memory token is in flight, so warps
-    /// (which hold `Arc<Program>` handles) never need to be encoded.
-    /// `reg_release`/`token_done`/`miss_out` *can* outlive the last warp
-    /// by a few cycles — `is_active` treats them as live work — so they
-    /// are serialized rather than asserted away.
+impl SimtCore {
+    /// Walks scheduler history, the four L1s, and the deferred
+    /// writeback/token queues. Checkpoints land at drained boundaries: no
+    /// warp is resident and no memory token is in flight, so warps (which
+    /// hold `Arc<Program>` handles) are never walked and a read drops
+    /// them. `reg_release`/`token_done`/`miss_out` *can* outlive the last
+    /// warp by a few cycles — `is_active` treats them as live work — so
+    /// they are walked rather than asserted away.
     ///
     /// # Panics
     ///
-    /// Panics if a warp is resident or a token/line access is in flight
-    /// (a checkpoint-placement bug).
-    fn snapshot(&self, w: &mut SnapWriter) {
+    /// Panics on a write if a warp is resident or a token/line access is
+    /// in flight (a checkpoint-placement bug).
+    pub fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
         assert!(
-            self.occupancy() == 0 && self.tokens.is_empty() && self.lsu.is_empty(),
+            w.reading() || (self.occupancy() == 0 && self.tokens.is_empty() && self.lsu.is_empty()),
             "SIMT core must be drained at a checkpoint"
         );
         assert!(
-            self.finished.is_empty(),
+            w.reading() || self.finished.is_empty(),
             "finished-warp tags must be consumed before a checkpoint"
         );
-        w.put_seq(self.seq.iter(), |w, &s| w.put_u64(s));
-        w.put_u64(self.next_seq);
-        w.put_seq(self.last_greedy.iter(), |w, g| {
-            w.put_opt(g, |w, &slot| w.put_usize(slot));
-        });
-        w.section(1, |w| self.l1d.snapshot(w));
-        w.section(2, |w| self.l1t.snapshot(w));
-        w.section(3, |w| self.l1z.snapshot(w));
-        w.section(4, |w| self.l1c.snapshot(w));
-        w.put_u64(self.next_token);
-        w.put_seq(self.reg_release.ordered().iter(), |w, (&cycle, rels)| {
-            w.put_u64(cycle);
-            w.put_seq(rels.iter(), |w, &(slot, regs)| {
-                w.put_usize(slot);
-                // The mask as the byte string of register indices, in
-                // ascending order, that format 2 has always carried.
-                w.put_usize(regs.count_ones() as usize);
-                (0..64u8)
-                    .filter(|r| regs >> r & 1 != 0)
-                    .for_each(|r| w.put_u8(r));
-            });
-        });
-        w.put_seq(self.token_done.ordered().iter(), |w, (&cycle, toks)| {
-            w.put_u64(cycle);
-            w.put_seq(toks.iter(), |w, &t| w.put_u64(t));
-        });
-        w.put_seq(self.miss_out.iter(), |w, m| m.snap_write(w));
-        w.put_usize(self.used_regs);
-        // FxHashMap iteration order is arbitrary; sort for stable bytes.
-        let mut barriers: Vec<_> = self.barriers.iter().collect();
-        barriers.sort();
-        w.put_seq(barriers.into_iter(), |w, (&(cta, bar), &count)| {
-            w.put_usize(cta);
-            w.put_usize(bar);
-            w.put_usize(count);
-        });
-        w.put_u64(self.stats.issued);
-        w.put_u64(self.stats.mem_instrs);
-        w.put_u64(self.stats.active_cycles);
-        w.put_u64(self.stats.cycles);
-        w.put_u64(self.stats.warps_launched);
-        w.put_u64(self.stats.warps_retired);
-        w.put_u64(self.now);
-    }
-}
-
-impl emerald_common::snap::Restore for SimtCore {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let seq = r.get_seq(8, |r| r.get_u64())?;
-        if seq.len() != self.cfg.max_warps_per_core {
-            return Err(SnapError::BadValue {
-                what: "warp slot count mismatch",
-            });
-        }
-        let next_seq = r.get_u64()?;
-        let last_greedy = r.get_seq(1, |r| r.get_opt(|r| r.get_usize()))?;
-        if last_greedy.len() != self.cfg.schedulers_per_core {
-            return Err(SnapError::BadValue {
-                what: "scheduler count mismatch",
-            });
-        }
-        self.seq = seq;
-        self.next_seq = next_seq;
-        self.last_greedy = last_greedy;
-        r.section(1, |r| self.l1d.restore(r))?;
-        r.section(2, |r| self.l1t.restore(r))?;
-        r.section(3, |r| self.l1z.restore(r))?;
-        r.section(4, |r| self.l1c.restore(r))?;
-        self.next_token = r.get_u64()?;
         let slots = self.warps.len();
-        let releases = r.get_seq(9, |r| {
-            let cycle = r.get_u64()?;
-            let rels = r.get_seq(9, |r| {
-                let slot = r.get_usize()?;
-                let regs = r.get_bytes()?;
-                if slot >= slots || regs.iter().any(|&reg| reg as usize >= MAX_REGS) {
-                    return Err(SnapError::BadValue {
-                        what: "writeback slot or register out of range",
-                    });
-                }
-                Ok((slot, regs.iter().fold(0u64, |m, &reg| m | 1 << reg)))
+        w.expect(self.seq.len(), "warp slot count mismatch")?;
+        for s in &mut self.seq {
+            w.u64(s)?;
+        }
+        w.u64(&mut self.next_seq)?;
+        w.expect(self.last_greedy.len(), "scheduler count mismatch")?;
+        for g in &mut self.last_greedy {
+            w.opt(g, |w, slot| {
+                w.index(slot, slots, "greedy scheduler slot outside the warp slots")
             })?;
-            Ok((cycle, rels))
+        }
+        w.section(1, |w| self.l1d.walk(w))?;
+        w.section(2, |w| self.l1t.walk(w))?;
+        w.section(3, |w| self.l1z.walk(w))?;
+        w.section(4, |w| self.l1c.walk(w))?;
+        w.u64(&mut self.next_token)?;
+        const OUT: &str = "writeback slot or register out of range";
+        self.reg_release.walk(w, 9, |w, (slot, regs)| {
+            w.index(slot, slots, OUT)?;
+            // The mask as the byte string of register indices, in
+            // ascending order, that format 2 has always carried.
+            let mut list: Vec<u8> = (0..64).filter(|r| *regs >> r & 1 != 0).collect();
+            w.bytes(&mut list)?;
+            w.check(list.iter().all(|&r| usize::from(r) < MAX_REGS), OUT)?;
+            *regs = list.iter().fold(0, |m, &r| m | 1 << r);
+            Ok(())
         })?;
-        let completions = r.get_seq(9, |r| Ok((r.get_u64()?, r.get_seq(8, |r| r.get_u64())?)))?;
-        self.reg_release.clear();
-        for (cycle, rels) in releases {
-            rels.into_iter()
-                .for_each(|rel| self.reg_release.push(cycle, rel));
+        self.token_done.walk(w, 8, |w, t| w.u64(t))?;
+        w.seq(&mut self.miss_out, 18, |w, m| m.walk(w))?;
+        w.usize(&mut self.used_regs)?;
+        w.map(&mut self.barriers, 24, |w, (cta, bar), count| {
+            w.usize(cta)?;
+            w.usize(bar)?;
+            w.usize(count)
+        })?;
+        let s = &mut self.stats;
+        for n in [
+            &mut s.issued,
+            &mut s.mem_instrs,
+            &mut s.active_cycles,
+            &mut s.cycles,
+            &mut s.warps_launched,
+            &mut s.warps_retired,
+        ] {
+            w.u64(n)?;
         }
-        self.token_done.clear();
-        for (cycle, toks) in completions {
-            toks.into_iter()
-                .for_each(|t| self.token_done.push(cycle, t));
+        w.u64(&mut self.now)?;
+        if w.reading() {
+            self.warps.iter_mut().for_each(|w| *w = None);
+            self.resident = 0;
+            self.masks = SlotMasks::default();
+            self.tokens.clear();
+            self.lsu.clear();
+            self.finished.clear();
         }
-        self.miss_out = r.get_seq(18, L1Miss::snap_read)?.into();
-        self.used_regs = r.get_usize()?;
-        self.barriers = r
-            .get_seq(24, |r| {
-                Ok(((r.get_usize()?, r.get_usize()?), r.get_usize()?))
-            })?
-            .into_iter()
-            .collect();
-        self.stats = CoreStats {
-            issued: r.get_u64()?,
-            mem_instrs: r.get_u64()?,
-            active_cycles: r.get_u64()?,
-            cycles: r.get_u64()?,
-            warps_launched: r.get_u64()?,
-            warps_retired: r.get_u64()?,
-        };
-        self.now = r.get_u64()?;
-        // The drained invariant: no warps, tokens, or line accesses carry
-        // across a checkpoint.
-        self.warps.iter_mut().for_each(|w| *w = None);
-        self.resident = 0;
-        self.masks = SlotMasks::default();
-        self.tokens.clear();
-        self.lsu.clear();
-        self.finished.clear();
         Ok(())
     }
 }
@@ -941,6 +859,7 @@ impl emerald_common::snap::Restore for SimtCore {
 mod tests {
     use super::*;
     use crate::ctx::{GlobalMemCtx, ImageCtx};
+    use emerald_common::snap::{encode, SnapReader};
     use emerald_isa::{assemble, WarpRegs};
     use emerald_mem::image::SharedMem;
     use std::sync::Arc;
@@ -1181,7 +1100,6 @@ mod tests {
 
     #[test]
     fn restore_rejects_out_of_range_writeback_registers() {
-        use emerald_common::snap::{Restore as _, Snapshot as _};
         // Stop right after `exit` retires the warp: the core is drained
         // but the `mov`'s writeback of r37 is still scheduled.
         let mut c = core();
@@ -1191,11 +1109,9 @@ mod tests {
         run(&mut c, &mut ctx, 100);
         c.pop_finished();
         assert!(c.is_active(), "writeback still pending");
-        let mut w = SnapWriter::new();
-        c.snapshot(&mut w);
-        let enc = w.into_bytes();
+        let enc = encode(|w| c.walk(w));
         let mut twin = core();
-        twin.restore(&mut SnapReader::new(&enc)).unwrap();
+        twin.walk(&mut SnapReader::new(&enc)).unwrap();
         assert!(twin.is_active());
 
         // Corrupt each byte that could be the register index in turn: no
@@ -1204,12 +1120,34 @@ mod tests {
         for at in (0..enc.len()).filter(|&i| enc[i] == 37) {
             let mut bad = enc.clone();
             bad[at] = 64;
-            refused |= core().restore(&mut SnapReader::new(&bad))
+            refused |= core().walk(&mut SnapReader::new(&bad))
                 == Err(SnapError::BadValue {
                     what: "writeback slot or register out of range",
                 });
         }
         assert!(refused);
+    }
+
+    /// A greedy-scheduler slot past the warp slots would make the core's
+    /// first pick shift a slot mask by more than its width; restore
+    /// refuses it, and takes the last real slot.
+    #[test]
+    fn restore_rejects_a_greedy_slot_outside_the_warp_slots() {
+        let slots = GpuConfig::tiny().max_warps_per_core;
+        for (slot, ok) in [(slots - 1, true), (slots, false), (100, false)] {
+            let mut c = core();
+            c.last_greedy[0] = Some(slot);
+            let enc = encode(|w| c.walk(w));
+            let got = core().walk(&mut SnapReader::new(&enc));
+            let want = if ok {
+                Ok(())
+            } else {
+                Err(SnapError::BadValue {
+                    what: "greedy scheduler slot outside the warp slots",
+                })
+            };
+            assert_eq!(got, want, "slot {slot} of {slots}");
+        }
     }
 
     /// A GTO core whose only warp waits on an SFU writeback reports that

@@ -9,6 +9,7 @@
 //! scheduling and draining touch no allocator once the queue has seen its
 //! peak.
 
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::Cycle;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -48,19 +49,44 @@ impl<T: Copy> Deferred<T> {
         }
     }
 
-    /// Drops every event (restore).
+    /// Drops every event.
     pub(crate) fn clear(&mut self) {
         self.queue.clear();
     }
 
-    /// The pending events as the ordered map this queue stands in for
-    /// (snapshot encoding; allocates).
-    pub(crate) fn ordered(&self) -> BTreeMap<Cycle, Vec<T>> {
+    /// The pending events as the ordered map this queue stands in for.
+    fn ordered(&self) -> BTreeMap<Cycle, Vec<T>> {
         let mut out: BTreeMap<Cycle, Vec<T>> = BTreeMap::new();
         for &(due, item) in &self.queue {
             out.entry(due).or_default().push(item);
         }
         out
+    }
+
+    /// Walks the pending events in that map's encoding — a sequence of
+    /// `(due, events)` groups — each event by `f`; a read reschedules what
+    /// it decodes.
+    pub(crate) fn walk<W: Walk>(
+        &mut self,
+        w: &mut W,
+        elem_min: usize,
+        mut f: impl FnMut(&mut W, &mut T) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError>
+    where
+        T: Default,
+    {
+        let mut groups: Vec<(Cycle, Vec<T>)> = self.ordered().into_iter().collect();
+        w.seq(&mut groups, 9, |w, (due, items)| {
+            w.u64(due)?;
+            w.seq(items, elem_min, &mut f)
+        })?;
+        if w.reading() {
+            self.clear();
+            for (due, items) in groups {
+                items.into_iter().for_each(|item| self.push(due, item));
+            }
+        }
+        Ok(())
     }
 }
 

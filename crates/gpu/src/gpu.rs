@@ -9,7 +9,7 @@ use crate::kernel::{Kernel, KernelState};
 use crate::l2::{L1Target, L2};
 use crate::warp::{Warp, WarpTag};
 use emerald_common::event::{earliest, next_wake};
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::{AccessKind, Addr, CoreId, Cycle, TrafficSource};
 use emerald_mem::link::Link;
 use emerald_mem::req::{MemRequest, MemResponse};
@@ -652,84 +652,68 @@ pub fn drain_loop(
     next
 }
 
-impl emerald_common::snap::Snapshot for Gpu {
-    /// Serializes the GPU at a drained boundary: every core idle (their
-    /// L1s, scheduler history and deferred queues still carry state), the
+impl Gpu {
+    /// Walks the GPU at a drained boundary: every core idle (their L1s,
+    /// scheduler history and deferred queues still carry state), the
     /// interconnect empty, and no DRAM read outstanding. Kernel records
     /// hold `Arc<Program>` handles and cannot be encoded — all kernels
-    /// must have retired, and only their count is recorded so launch ids
+    /// must have retired, and only their count is walked so launch ids
     /// keep advancing identically after a restore.
     ///
     /// # Panics
     ///
-    /// Panics if work is still in flight (a checkpoint-placement bug).
-    fn snapshot(&self, w: &mut SnapWriter) {
-        assert!(self.is_idle(), "GPU must be drained at a checkpoint");
+    /// Panics on a write if work is still in flight (a
+    /// checkpoint-placement bug).
+    pub fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
         assert!(
-            self.finished_external.is_empty(),
+            w.reading() || self.is_idle(),
+            "GPU must be drained at a checkpoint"
+        );
+        assert!(
+            w.reading() || self.finished_external.is_empty(),
             "finished-warp notifications must be consumed before a checkpoint"
         );
-        w.put_usize(self.cores.len());
-        for c in &self.cores {
-            w.section(1, |w| c.snapshot(w));
-        }
-        w.section(2, |w| self.l2.snapshot(w));
-        self.core_to_l2.snapshot_drained(w);
-        self.l2_to_core.snapshot_drained(w);
-        // The read-slab geometry and free list steer future request ids.
-        w.put_usize(self.dram_pending.len());
-        w.put_seq(self.dram_free.iter(), |w, &id| w.put_u64(id));
-        w.put_usize(self.kernels.len());
-        w.put_usize(self.cta_cursor);
-        w.put_u64(self.stats.issued);
-        w.put_u64(self.stats.warps_retired);
-        w.put_u64(self.stats.mem_reads);
-        w.put_u64(self.stats.mem_writes);
-    }
-}
-
-impl emerald_common::snap::Restore for Gpu {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        if r.get_usize()? != self.cores.len() {
-            return Err(SnapError::BadValue {
-                what: "GPU core count mismatch",
-            });
-        }
+        w.expect(self.cores.len(), "GPU core count mismatch")?;
         for c in &mut self.cores {
-            r.section(1, |r| c.restore(r))?;
+            w.section(1, |w| c.walk(w))?;
         }
-        r.section(2, |r| self.l2.restore(r))?;
-        self.core_to_l2.restore_drained(r)?;
-        self.l2_to_core.restore_drained(r)?;
-        let slab = r.get_usize()?;
-        let free = r.get_seq(8, |r| r.get_u64())?;
-        if free.len() > slab {
-            return Err(SnapError::BadValue {
-                what: "DRAM free list larger than its slab",
-            });
+        w.section(2, |w| self.l2.walk(w))?;
+        self.core_to_l2.walk_drained(w)?;
+        self.l2_to_core.walk_drained(w)?;
+        // The read-slab geometry and free list steer future request ids.
+        // With no read outstanding, every slot of the slab is free.
+        let mut slab = self.dram_pending.len();
+        w.usize(&mut slab)?;
+        w.seq(&mut self.dram_free, 8, |w, id| w.u64(id))?;
+        let mut ids = self.dram_free.clone();
+        ids.sort_unstable();
+        w.check(
+            ids.len() == slab && ids.iter().zip(0..).all(|(&id, slot)| id == slot),
+            "DRAM free list is not every slot of its slab",
+        )?;
+        const KERNELS: &str = "restore target must hold the same retired kernels as the snapshot";
+        w.expect(self.kernels.len(), KERNELS)?;
+        w.check(self.kernels.iter().all(|k| k.is_done()), KERNELS)?;
+        w.usize(&mut self.cta_cursor)?;
+        let s = &mut self.stats;
+        for n in [
+            &mut s.issued,
+            &mut s.warps_retired,
+            &mut s.mem_reads,
+            &mut s.mem_writes,
+        ] {
+            w.u64(n)?;
         }
-        self.dram_pending = vec![None; slab];
-        self.dram_free = free;
-        self.dram_inflight = 0;
-        let kernel_count = r.get_usize()?;
-        if kernel_count != self.kernels.len() || self.kernels.iter().any(|k| !k.is_done()) {
-            return Err(SnapError::BadValue {
-                what: "restore target must hold the same retired kernels as the snapshot",
-            });
+        if w.reading() {
+            self.dram_pending = vec![None; slab];
+            self.dram_inflight = 0;
+            self.fill_backlog.clear();
+            self.to_mem.clear();
+            self.finished_external.clear();
+            self.wake.fill(0);
+            self.cta_blocked = false;
+            self.collect_active();
         }
-        self.cta_cursor = r.get_usize()?;
-        self.stats = GpuStats {
-            issued: r.get_u64()?,
-            warps_retired: r.get_u64()?,
-            mem_reads: r.get_u64()?,
-            mem_writes: r.get_u64()?,
-        };
-        self.fill_backlog.clear();
-        self.to_mem.clear();
-        self.finished_external.clear();
-        self.wake.fill(0);
-        self.cta_blocked = false;
-        self.collect_active();
         Ok(())
     }
 }
@@ -1080,7 +1064,7 @@ mod tests {
     #[test]
     fn a_restore_re_marks_the_core_wakes() {
         use emerald_common::event::NextEvent;
-        use emerald_common::snap::{Restore as _, SnapReader, SnapWriter, Snapshot as _};
+        use emerald_common::snap::{encode, SnapReader};
         let (mut gpu, mut ctx, mut port, _) = setup();
         // `exit` retires the warp before the `mov`'s writeback lands.
         let prog = Arc::new(assemble("mov.b32 r37, 1\nexit").unwrap());
@@ -1095,20 +1079,18 @@ mod tests {
         let end = gpu.run_to_idle(0, 1000, &mut ctx, &mut port);
         gpu.drain_external_finished();
         let due = gpu.next_event(end - 1).expect("the writeback is pending");
-        let mut w = SnapWriter::new();
-        gpu.snapshot(&mut w);
-        let enc = w.into_bytes();
+        let enc = encode(|w| gpu.walk(w));
 
         let (mut twin, mut ctx_b, mut port_b, _) = setup();
         twin.cycle(0, &mut ctx_b, &mut port_b);
         assert_eq!(twin.wake, [Cycle::MAX; 2], "idle cores never wake");
-        twin.restore(&mut SnapReader::new(&enc)).unwrap();
+        twin.walk(&mut SnapReader::new(&enc)).unwrap();
         assert!(twin.next_event(end - 1).is_some_and(|t| t <= due));
     }
 
     #[test]
     fn snapshot_round_trip_preserves_warm_caches_and_ids() {
-        use emerald_common::snap::{Restore as _, SnapReader, SnapWriter, Snapshot as _};
+        use emerald_common::snap::{encode, SnapReader};
         let (mut gpu, mut ctx_a, mut port_a, mem_a) = setup();
         let (_, mut ctx_b, mut port_b, mem_b) = setup();
         // Read-only warp so the two memory images stay identical.
@@ -1142,15 +1124,15 @@ mod tests {
         }
         while port_a.recv(now).is_some() {}
 
-        let mut w = SnapWriter::new();
-        gpu.snapshot(&mut w);
-        port_a.mem.snapshot(&mut w);
-        let enc = w.into_bytes();
+        let enc = encode(|w| {
+            gpu.walk(w)?;
+            port_a.mem.walk(w)
+        });
 
         let mut twin = Gpu::new(GpuConfig::tiny());
         let mut r = SnapReader::new(&enc);
-        twin.restore(&mut r).unwrap();
-        port_b.mem.restore(&mut r).unwrap();
+        twin.walk(&mut r).unwrap();
+        port_b.mem.walk(&mut r).unwrap();
         r.finish().unwrap();
 
         // Same warp again: the restored GPU has the same warm L1/L2 and
@@ -1171,22 +1153,37 @@ mod tests {
         assert_eq!(gpu.l2().stats().hits.num, twin.l2().stats().hits.num);
     }
 
+    /// A read id names a slot of the read slab, and at a drained boundary
+    /// every slot is free: a free list naming anything else is refused
+    /// before the slab it would index is sized.
+    #[test]
+    fn restore_refuses_a_free_list_that_is_not_its_slab() {
+        use emerald_common::snap::{encode, SnapReader};
+        let (mut gpu, ..) = setup();
+        gpu.dram_free.push(0);
+        let enc = encode(|w| gpu.walk(w));
+        assert_eq!(
+            Gpu::new(GpuConfig::tiny()).walk(&mut SnapReader::new(&enc)),
+            Err(SnapError::BadValue {
+                what: "DRAM free list is not every slot of its slab"
+            })
+        );
+    }
+
     #[test]
     fn snapshot_restore_rejects_pending_kernel_mismatch() {
-        use emerald_common::snap::{Restore as _, SnapReader, SnapWriter, Snapshot as _};
+        use emerald_common::snap::{encode, SnapReader};
         let (mut gpu, mut ctx, mut port, _) = setup();
         let prog = Arc::new(assemble("mov.b32 r0, %input0\nexit").unwrap());
         let id = gpu.launch_kernel(Kernel::linear(prog, 64, 64, vec![]));
         gpu.run_to_idle(0, 1_000_000, &mut ctx, &mut port);
         assert!(gpu.kernel_done(id));
-        let mut w = SnapWriter::new();
-        gpu.snapshot(&mut w);
-        let enc = w.into_bytes();
+        let enc = encode(|w| gpu.walk(w));
         // A fresh GPU never launched that kernel: the id-space would skew.
         let mut fresh = Gpu::new(GpuConfig::tiny());
         let mut r = SnapReader::new(&enc);
         assert!(matches!(
-            fresh.restore(&mut r),
+            fresh.walk(&mut r),
             Err(SnapError::BadValue { .. })
         ));
     }

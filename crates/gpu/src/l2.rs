@@ -7,7 +7,7 @@
 //! packed into the MSHR target ids.
 
 use crate::core::L1Miss;
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::{AccessKind, Addr, Cycle};
 use emerald_isa::exec::Surface;
 use emerald_mem::cache::{Access, Cache, CacheConfig, CacheStats};
@@ -205,30 +205,14 @@ impl L2 {
             b.cache.reset_stats();
         }
     }
-}
 
-impl emerald_common::snap::Snapshot for L2 {
-    /// Serializes every bank's cache (contents, MSHRs, stats) and its
-    /// input queue.
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_usize(self.banks.len());
-        for b in &self.banks {
-            w.section(1, |w| b.cache.snapshot(w));
-            w.put_seq(b.queue.iter(), |w, m| m.snap_write(w));
-        }
-    }
-}
-
-impl emerald_common::snap::Restore for L2 {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        if r.get_usize()? != self.banks.len() {
-            return Err(SnapError::BadValue {
-                what: "L2 bank count mismatch",
-            });
-        }
+    /// Walks every bank's cache (contents, MSHRs, stats) and its input
+    /// queue.
+    pub(crate) fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.expect(self.banks.len(), "L2 bank count mismatch")?;
         for b in &mut self.banks {
-            r.section(1, |r| b.cache.restore(r))?;
-            b.queue = r.get_seq(11, L1Miss::snap_read)?.into();
+            w.section(1, |w| b.cache.walk(w))?;
+            w.seq(&mut b.queue, 11, |w, m| m.walk(w))?;
         }
         Ok(())
     }

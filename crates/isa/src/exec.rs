@@ -14,9 +14,10 @@ use emerald_common::types::{AccessKind, Addr, WARP_SIZE};
 
 /// Which hardware surface/cache a memory access targets (Table 2 of the
 /// paper: L1D data/pixel, L1T texture, L1Z depth, L1C constant & vertex).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Surface {
     /// Global/GPGPU data and pixel color (L1D).
+    #[default]
     Data,
     /// Texture texels (L1T).
     Texture,

@@ -8,7 +8,7 @@
 //! components, which keeps the hierarchy composable.
 
 use crate::req::ReqId;
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::stats::Ratio;
 use emerald_common::types::{AccessKind, Addr, Cycle};
 
@@ -467,103 +467,69 @@ impl Cache {
     pub fn pending_lines(&self) -> usize {
         self.mshr_lines.len()
     }
-}
 
-impl emerald_common::snap::Snapshot for Cache {
-    fn snapshot(&self, w: &mut SnapWriter) {
+    /// Walks the tags, the MSHRs and the statistics for a snapshot. The
+    /// stall memo is derived state and a read clears it.
+    pub fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
         let ways = self.cfg.ways;
-        w.put_usize(self.tags.len() / ways);
-        for (tags, lines) in self.tags.chunks(ways).zip(self.lines.chunks(ways)) {
-            w.put_seq(tags.iter().zip(lines), |w, (&tag, line)| {
-                w.put_u64(tag >> 1);
-                w.put_bool(tag & 1 == 1);
-                w.put_bool(line.dirty);
-                w.put_bool(line.pending);
-                w.put_u64(line.lru);
-            });
-        }
-        // Slot order depends on which fills came first; sort by address so
-        // identical caches produce identical bytes.
-        let mut slots: Vec<usize> = (0..self.mshr_lines.len()).collect();
-        slots.sort_by_key(|&i| self.mshr_lines[i]);
-        w.put_seq(slots.into_iter(), |w, i| {
-            w.put_u64(self.mshr_lines[i]);
-            w.put_seq(self.mshr_targets[i].iter(), |w, &(id, kind)| {
-                w.put_u64(id);
-                kind.snap_write(w);
-            });
-        });
-        w.put_u64(self.lru_tick);
-        self.stats.hits.snap_write(w);
-        w.put_u64(self.stats.reads);
-        w.put_u64(self.stats.writes);
-        w.put_u64(self.stats.fills);
-        w.put_u64(self.stats.writebacks);
-        w.put_u64(self.stats.stalls);
-    }
-}
-
-impl emerald_common::snap::Restore for Cache {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.last_stall = None;
-        let ways = self.cfg.ways;
-        if r.get_usize()? != self.tags.len() / ways {
-            return Err(SnapError::BadValue {
-                what: "cache set count mismatch",
-            });
-        }
+        w.expect(self.tags.len() / ways, "cache set count mismatch")?;
+        // Every tag this geometry can produce leaves `tag_shift` high bits
+        // clear.
+        let widest = u64::MAX >> self.tag_shift;
         for (tags, lines) in self.tags.chunks_mut(ways).zip(self.lines.chunks_mut(ways)) {
-            if r.get_len(12)? != ways {
-                return Err(SnapError::BadValue {
-                    what: "cache way count mismatch",
-                });
-            }
+            w.expect(ways, "cache way count mismatch")?;
             for (packed, line) in tags.iter_mut().zip(lines) {
-                let tag = r.get_u64()?;
-                // Every tag this geometry can produce leaves `tag_shift`
-                // high bits clear.
-                if tag > u64::MAX >> self.tag_shift {
-                    return Err(SnapError::BadValue {
-                        what: "cache tag too wide for the geometry",
-                    });
-                }
-                *packed = tag << 1 | r.get_bool()? as u64;
-                *line = Line {
-                    dirty: r.get_bool()?,
-                    pending: r.get_bool()?,
-                    lru: r.get_u64()?,
-                };
+                let (mut tag, mut valid) = (*packed >> 1, *packed & 1 == 1);
+                w.u64(&mut tag)?;
+                w.check(tag <= widest, "cache tag too wide for the geometry")?;
+                w.bool(&mut valid)?;
+                *packed = tag << 1 | valid as u64;
+                w.bool(&mut line.dirty)?;
+                w.bool(&mut line.pending)?;
+                w.u64(&mut line.lru)?;
             }
         }
-        let entries = r.get_seq(9, |r| {
-            let addr = r.get_u64()?;
-            let targets = r.get_seq(9, |r| Ok((r.get_u64()?, AccessKind::snap_read(r)?)))?;
-            Ok((addr, targets))
+        // Slot order is never observed (a lookup searches, a fill
+        // swap-removes), so the slots go out sorted by line, which gives
+        // identical caches identical bytes, and come back in that order.
+        let lines = self.mshr_lines.drain(..);
+        let mut slots: Vec<_> = lines.zip(self.mshr_targets.drain(..)).collect();
+        slots.sort_unstable_by_key(|&(line, _)| line);
+        w.seq(&mut slots, 9, |w, (line, targets)| {
+            w.u64(line)?;
+            w.seq(targets, 9, |w, (id, kind)| {
+                w.u64(id)?;
+                kind.walk(w)
+            })
         })?;
-        if entries.len() > self.cfg.mshrs {
-            return Err(SnapError::BadValue {
-                what: "more MSHRs than the cache configuration allows",
-            });
+        slots.sort_unstable_by_key(|&(line, _)| line);
+        w.check(
+            slots.len() <= self.cfg.mshrs,
+            "more MSHRs than the cache configuration allows",
+        )?;
+        w.check(
+            slots.windows(2).all(|p| p[0].0 != p[1].0),
+            "two MSHRs for one cache line",
+        )?;
+        for (line, targets) in slots {
+            self.mshr_lines.push(line);
+            self.mshr_targets.push(targets);
         }
-        let (lines, targets): (Vec<Addr>, Vec<_>) = entries.into_iter().unzip();
-        if lines
-            .iter()
-            .enumerate()
-            .any(|(i, l)| lines[..i].contains(l))
-        {
-            return Err(SnapError::BadValue {
-                what: "two MSHRs for one cache line",
-            });
+        w.u64(&mut self.lru_tick)?;
+        let s = &mut self.stats;
+        s.hits.walk(w)?;
+        for n in [
+            &mut s.reads,
+            &mut s.writes,
+            &mut s.fills,
+            &mut s.writebacks,
+            &mut s.stalls,
+        ] {
+            w.u64(n)?;
         }
-        self.mshr_lines = lines;
-        self.mshr_targets = targets;
-        self.lru_tick = r.get_u64()?;
-        self.stats.hits = Ratio::snap_read(r)?;
-        self.stats.reads = r.get_u64()?;
-        self.stats.writes = r.get_u64()?;
-        self.stats.fills = r.get_u64()?;
-        self.stats.writebacks = r.get_u64()?;
-        self.stats.stalls = r.get_u64()?;
+        if w.reading() {
+            self.last_stall = None;
+        }
         Ok(())
     }
 }
@@ -571,6 +537,7 @@ impl emerald_common::snap::Restore for Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emerald_common::snap::{encode, SnapReader, SnapWriter};
 
     fn cache() -> Cache {
         Cache::new(CacheConfig::small("t"))
@@ -585,7 +552,6 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_preserves_contents_mshrs_and_stats() {
-        use emerald_common::snap::{Restore as _, Snapshot as _};
         let mut c = cache();
         // Populate: a filled dirty line, a pending miss with a merged
         // target, and some stat traffic.
@@ -594,12 +560,10 @@ mod tests {
         c.access(0x2000, AccessKind::Read, 2, 1);
         c.access(0x2004, AccessKind::Read, 3, 2);
 
-        let mut w = SnapWriter::new();
-        c.snapshot(&mut w);
-        let enc = w.into_bytes();
+        let enc = bytes(&mut c);
         let mut d = cache();
         let mut r = SnapReader::new(&enc);
-        d.restore(&mut r).unwrap();
+        d.walk(&mut r).unwrap();
         r.finish().unwrap();
 
         // Future behavior must match exactly: the pending fill completes
@@ -619,10 +583,7 @@ mod tests {
             ..CacheConfig::small("t")
         });
         let mut r = SnapReader::new(&enc);
-        assert!(matches!(
-            tiny.restore(&mut r),
-            Err(SnapError::BadValue { .. })
-        ));
+        assert!(matches!(tiny.walk(&mut r), Err(SnapError::BadValue { .. })));
     }
 
     #[test]
@@ -882,45 +843,50 @@ mod tests {
             readers.map(|(id, _)| *id).collect()
         }
 
+        /// The snapshot bytes, put field by field.
         fn bytes(&self) -> Vec<u8> {
-            let mut w = SnapWriter::new();
-            w.put_usize(self.sets.len());
-            for set in &self.sets {
-                w.put_seq(set.iter(), |w, l| {
-                    w.put_u64(l.tag);
-                    w.put_bool(l.valid);
-                    w.put_bool(l.dirty);
-                    w.put_bool(l.pending);
-                    w.put_u64(l.lru);
-                });
-            }
-            w.put_seq(self.mshrs.iter(), |w, (&addr, targets)| {
-                w.put_u64(addr);
-                w.put_seq(targets.iter(), |w, &(id, kind)| {
-                    w.put_u64(id);
-                    kind.snap_write(w);
-                });
-            });
-            w.put_u64(self.lru_tick);
-            self.stats.hits.snap_write(&mut w);
-            for n in [
-                self.stats.reads,
-                self.stats.writes,
-                self.stats.fills,
-                self.stats.writebacks,
-                self.stats.stalls,
-            ] {
-                w.put_u64(n);
-            }
-            w.into_bytes()
+            let put = |w: &mut SnapWriter, mut v: u64| w.u64(&mut v);
+            encode(|w| {
+                w.usize(&mut self.sets.len())?;
+                for set in &self.sets {
+                    w.usize(&mut set.len())?;
+                    for l in set {
+                        put(w, l.tag)?;
+                        for mut b in [l.valid, l.dirty, l.pending] {
+                            w.bool(&mut b)?;
+                        }
+                        put(w, l.lru)?;
+                    }
+                }
+                w.usize(&mut self.mshrs.len())?;
+                for (&addr, targets) in &self.mshrs {
+                    put(w, addr)?;
+                    w.usize(&mut targets.len())?;
+                    for &(id, mut kind) in targets {
+                        put(w, id)?;
+                        kind.walk(w)?;
+                    }
+                }
+                let s = &self.stats;
+                let (num, den) = (s.hits.num, s.hits.den);
+                [
+                    self.lru_tick,
+                    num,
+                    den,
+                    s.reads,
+                    s.writes,
+                    s.fills,
+                    s.writebacks,
+                    s.stalls,
+                ]
+                .into_iter()
+                .try_for_each(|n| put(w, n))
+            })
         }
     }
 
-    fn bytes(c: &Cache) -> Vec<u8> {
-        use emerald_common::snap::Snapshot as _;
-        let mut w = SnapWriter::new();
-        c.snapshot(&mut w);
-        w.into_bytes()
+    fn bytes(c: &mut Cache) -> Vec<u8> {
+        encode(|w| c.walk(w))
     }
 
     /// Random geometries and access / fill / restore streams over a few
@@ -933,7 +899,6 @@ mod tests {
     /// `below` must be called exactly on the new misses.
     #[test]
     fn flat_sets_equal_the_set_of_vectors_reference() {
-        use emerald_common::snap::Restore as _;
         emerald_common::check::check("cache_flat_equals_reference", |rng| {
             let line_bytes = [32, 64, 128][rng.below(3) as usize];
             let ways = [1, 2, 4, 8][rng.below(4) as usize];
@@ -959,8 +924,7 @@ mod tests {
                     }
                     3 if rng.chance(0.2) => {
                         flat = Cache::new(flat.cfg.clone());
-                        flat.restore(&mut SnapReader::new(&reference.bytes()))
-                            .unwrap();
+                        flat.walk(&mut SnapReader::new(&reference.bytes())).unwrap();
                     }
                     n => {
                         let kind = if rng.chance(0.3) {
@@ -990,18 +954,17 @@ mod tests {
                 }
                 assert_eq!(flat.stats(), &reference.stats);
             }
-            assert_eq!(bytes(&flat), reference.bytes());
+            assert_eq!(bytes(&mut flat), reference.bytes());
         });
     }
 
     #[test]
     fn restore_rejects_a_tag_too_wide_for_the_geometry() {
-        use emerald_common::snap::Restore as _;
         // 8 sets of 128-byte lines: a tag has 64 - 10 bits.
         let mut reference = RefCache::new(CacheConfig::small("t"));
         for (tag, ok) in [(u64::MAX >> 10, true), ((u64::MAX >> 10) + 1, false)] {
             reference.sets[3][1].tag = tag;
-            let got = cache().restore(&mut SnapReader::new(&reference.bytes()));
+            let got = cache().walk(&mut SnapReader::new(&reference.bytes()));
             assert_eq!(got.is_ok(), ok, "tag {tag:#x}");
         }
     }
@@ -1010,16 +973,15 @@ mod tests {
     /// access can reach; restore refuses it rather than merging the two.
     #[test]
     fn restore_rejects_two_mshrs_for_one_line() {
-        use emerald_common::snap::Restore as _;
         let (a, b) = (0x5a5a_5a00u64, 0x6b6b_6b00u64);
         let mut reference = RefCache::new(CacheConfig::small("t"));
         reference.mshrs.insert(a, vec![(1, AccessKind::Read)]);
         reference.mshrs.insert(b, vec![(2, AccessKind::Write)]);
         let distinct = reference.bytes();
         let mut c = cache();
-        c.restore(&mut SnapReader::new(&distinct)).unwrap();
+        c.walk(&mut SnapReader::new(&distinct)).unwrap();
         assert_eq!(c.pending_lines(), 2);
-        assert_eq!(bytes(&c), distinct);
+        assert_eq!(bytes(&mut c), distinct);
 
         let at = distinct
             .windows(8)
@@ -1028,7 +990,7 @@ mod tests {
         let mut twice = distinct.clone();
         twice[at..at + 8].copy_from_slice(&a.to_le_bytes());
         assert_eq!(
-            cache().restore(&mut SnapReader::new(&twice)),
+            cache().walk(&mut SnapReader::new(&twice)),
             Err(SnapError::BadValue {
                 what: "two MSHRs for one cache line"
             })
@@ -1043,7 +1005,6 @@ mod tests {
     /// every access return the same outcomes and end in the same bytes.
     #[test]
     fn stall_memo_is_invisible() {
-        use emerald_common::snap::Restore as _;
         emerald_common::check::check("cache_stall_memo", |rng| {
             let cfg = CacheConfig {
                 size_bytes: 2 * 2 * 128, // 2 sets x 2 ways
@@ -1063,8 +1024,8 @@ mod tests {
                         assert_eq!(memo.fill(line), plain.fill(line));
                     }
                     4 if rng.chance(0.2) => {
-                        let enc = bytes(&plain);
-                        memo.restore(&mut SnapReader::new(&enc)).unwrap();
+                        let enc = bytes(&mut plain);
+                        memo.walk(&mut SnapReader::new(&enc)).unwrap();
                     }
                     n => {
                         if n >= 12 {
@@ -1097,7 +1058,7 @@ mod tests {
                 }
                 assert_eq!(memo.stats(), plain.stats());
             }
-            assert_eq!(bytes(&memo), bytes(&plain));
+            assert_eq!(bytes(&mut memo), bytes(&mut plain));
             assert!(
                 stalls.iter().sum::<u32>() > 20,
                 "stalls by reason: {stalls:?}"

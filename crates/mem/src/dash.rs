@@ -20,7 +20,7 @@
 use crate::req::MemRequest;
 use crate::sched::DramScheduler;
 use emerald_common::rng::Xorshift64;
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::{Cycle, TrafficSource};
 use std::collections::BTreeMap;
 
@@ -267,57 +267,36 @@ impl DashShared {
         let urgent = elapsed_frac > 1e-9 && (done_frac / elapsed_frac) < threshold;
         self.set_urgent(source, urgent);
     }
-}
 
-impl emerald_common::snap::Snapshot for DashShared {
-    /// Serializes the whole scheduler state (clustering, windows, fairness
+    /// Walks the whole scheduler state (clustering, windows, fairness
     /// counters, and the RNG stream); the sets go out in ascending order.
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_seq(self.cpu_bytes.iter(), |w, (&id, &b)| {
-            w.put_usize(id);
-            w.put_u64(b);
-        });
-        w.put_u64(self.ip_bytes);
-        w.put_seq(self.intensive.iter(), |w, &id| w.put_usize(id));
-        w.put_seq(self.urgent.iter(), |w, &src| src.snap_write(w));
-        w.put_u64(self.next_quantum);
-        w.put_u64(self.next_switch);
-        w.put_f64(self.p_cpu);
-        w.put_bool(self.window_prefers_cpu);
-        w.put_usize(self.shuffle_offset);
-        w.put_u64(self.next_shuffle);
-        w.put_u64(self.serviced_cpu_intensive);
-        w.put_u64(self.serviced_ip_nonurgent);
-        w.put_u64(self.rng.state());
-        w.put_u64(self.quanta);
-    }
-}
-
-impl emerald_common::snap::Restore for DashShared {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cpu_bytes = r
-            .get_seq(9, |r| Ok((r.get_usize()?, r.get_u64()?)))?
-            .into_iter()
-            .collect();
-        self.ip_bytes = r.get_u64()?;
-        self.intensive = r.get_seq(1, |r| r.get_usize())?;
+    /// A read re-derives the boundary and moves the rank epoch.
+    pub(crate) fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.map(&mut self.cpu_bytes, 9, |w, id, b| {
+            w.usize(id)?;
+            w.u64(b)
+        })?;
+        w.u64(&mut self.ip_bytes)?;
+        w.seq(&mut self.intensive, 1, |w, id| w.usize(id))?;
         self.intensive.sort_unstable();
         self.intensive.dedup();
-        self.urgent = r.get_seq(1, TrafficSource::snap_read)?;
+        w.seq(&mut self.urgent, 1, |w, src| src.walk(w))?;
         self.urgent.sort_unstable();
         self.urgent.dedup();
-        self.next_quantum = r.get_u64()?;
-        self.next_switch = r.get_u64()?;
-        self.p_cpu = r.get_f64()?;
-        self.window_prefers_cpu = r.get_bool()?;
-        self.shuffle_offset = r.get_usize()?;
-        self.next_shuffle = r.get_u64()?;
-        self.serviced_cpu_intensive = r.get_u64()?;
-        self.serviced_ip_nonurgent = r.get_u64()?;
-        self.rng = Xorshift64::from_state(r.get_u64()?);
-        self.quanta = r.get_u64()?;
-        self.rearm();
-        self.epoch += 1;
+        w.u64(&mut self.next_quantum)?;
+        w.u64(&mut self.next_switch)?;
+        w.f64(&mut self.p_cpu)?;
+        w.bool(&mut self.window_prefers_cpu)?;
+        w.usize(&mut self.shuffle_offset)?;
+        w.u64(&mut self.next_shuffle)?;
+        w.u64(&mut self.serviced_cpu_intensive)?;
+        w.u64(&mut self.serviced_ip_nonurgent)?;
+        self.rng.walk(w)?;
+        w.u64(&mut self.quanta)?;
+        if w.reading() {
+            self.rearm();
+            self.epoch += 1;
+        }
         Ok(())
     }
 }
@@ -370,7 +349,7 @@ mod tests {
     use crate::dram::{bank_index, BankState, DramChannel, DramConfig, QueuedReq};
     use crate::mapping::DramLocation;
     use crate::sched::FrFcfs;
-    use emerald_common::snap::{Restore, Snapshot};
+    use emerald_common::snap::{encode, SnapReader};
     use emerald_common::types::AccessKind;
 
     fn qreq(id: u64, source: TrafficSource, arrived: Cycle) -> QueuedReq {
@@ -403,10 +382,8 @@ mod tests {
         DramChannel::with_state(banks, queue).pick(s)
     }
 
-    fn snap_bytes(s: &DashShared) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        s.snapshot(&mut w);
-        w.into_bytes()
+    fn snap_bytes(s: &mut DashShared) -> Vec<u8> {
+        encode(|w| s.walk(w))
     }
 
     #[test]
@@ -424,10 +401,10 @@ mod tests {
         a.roll(a.next_boundary);
         a.roll(a.next_boundary);
 
-        let enc = snap_bytes(&a);
+        let enc = snap_bytes(&mut a);
         let mut b = DashShared::new(cfg);
         let mut r = SnapReader::new(&enc);
-        b.restore(&mut r).unwrap();
+        b.walk(&mut r).unwrap();
         r.finish().unwrap();
 
         // Both must draw the same future RNG stream and agree on every
@@ -783,14 +760,13 @@ mod tests {
                 }
                 ch.pop_finished(now, &mut done);
                 if now == restore_at {
-                    let mut w = SnapWriter::new();
-                    ch.snapshot(&mut w);
+                    let enc = encode(|w| ch.walk(w));
                     ch = DramChannel::new(cfg.clone());
-                    ch.restore(&mut SnapReader::new(&w.into_bytes())).unwrap();
+                    ch.walk(&mut SnapReader::new(&enc)).unwrap();
                     if let Some(d) = &mut dash {
                         let enc = snap_bytes(d);
                         *d = DashShared::new(dash_cfg.clone());
-                        d.restore(&mut SnapReader::new(&enc)).unwrap();
+                        d.walk(&mut SnapReader::new(&enc)).unwrap();
                     }
                 }
             }
@@ -833,10 +809,14 @@ mod tests {
                     gated.set_urgent(TrafficSource::Display, urgent);
                 }
                 if now % 4096 == 0 {
-                    assert_eq!(snap_bytes(&gated), snap_bytes(&every_cycle), "cycle {now}");
+                    assert_eq!(
+                        snap_bytes(&mut gated),
+                        snap_bytes(&mut every_cycle),
+                        "cycle {now}"
+                    );
                 }
             }
-            assert_eq!(snap_bytes(&gated), snap_bytes(&every_cycle));
+            assert_eq!(snap_bytes(&mut gated), snap_bytes(&mut every_cycle));
             assert_eq!(gated.rng.state(), every_cycle.rng.state());
             assert_eq!(gated.quanta, 3);
             assert!(rolls > 9_000, "only {rolls} boundaries were crossed");

@@ -10,7 +10,7 @@
 use crate::mapping::DramLocation;
 use crate::req::{MemRequest, MemResponse};
 use crate::sched::DramScheduler;
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::stats::Ratio;
 use emerald_common::types::{Cycle, TrafficSource};
 use std::collections::BTreeMap;
@@ -141,39 +141,23 @@ impl ChannelStats {
         }
     }
 
-    /// Encodes every counter for a snapshot.
-    fn snap_write(&self, w: &mut SnapWriter) {
-        self.row_hits.snap_write(w);
-        w.put_u64(self.activations);
-        w.put_u64(self.bytes);
-        w.put_u64(self.serviced);
-        w.put_u64(self.read_latency_sum);
-        w.put_u64(self.reads_serviced);
-        w.put_seq(self.source_bytes.iter(), |w, (&src, &bytes)| {
-            src.snap_write(w);
-            w.put_u64(bytes);
-        });
-    }
-
-    /// Decodes counters written by [`ChannelStats::snap_write`].
-    fn snap_read(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            row_hits: Ratio::snap_read(r)?,
-            activations: r.get_u64()?,
-            bytes: r.get_u64()?,
-            serviced: r.get_u64()?,
-            read_latency_sum: r.get_u64()?,
-            reads_serviced: r.get_u64()?,
-            source_bytes: r
-                .get_seq(9, |r| Ok((TrafficSource::snap_read(r)?, r.get_u64()?)))?
-                .into_iter()
-                .collect(),
+    /// Walks every counter for a snapshot.
+    fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        self.row_hits.walk(w)?;
+        w.u64(&mut self.activations)?;
+        w.u64(&mut self.bytes)?;
+        w.u64(&mut self.serviced)?;
+        w.u64(&mut self.read_latency_sum)?;
+        w.u64(&mut self.reads_serviced)?;
+        w.map(&mut self.source_bytes, 9, |w, src, bytes| {
+            src.walk(w)?;
+            w.u64(bytes)
         })
     }
 }
 
 /// A request waiting in a channel's scheduling queue.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct QueuedReq {
     /// The request itself.
     pub req: MemRequest,
@@ -490,78 +474,43 @@ impl DramChannel {
     }
 }
 
-impl emerald_common::snap::Snapshot for DramChannel {
-    /// Serializes bank timing, the scheduling queue (in exact order —
-    /// `tick` uses `swap_remove`, so the physical order is semantic
-    /// state), the in-service slab, and statistics. Scheduler state is
-    /// the memory system's to serialize.
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_seq(self.banks.iter(), |w, b| {
-            w.put_opt(&b.open_row, |w, &row| w.put_u64(row));
-            w.put_u64(b.ready_at);
-        });
-        w.put_seq(self.queue.iter(), |w, q| {
-            q.req.snap_write(w);
-            w.put_usize(q.loc.channel);
-            w.put_usize(q.loc.rank);
-            w.put_usize(q.loc.bank);
-            w.put_u64(q.loc.row);
-            w.put_u64(q.loc.col);
-            w.put_u64(q.arrived);
-        });
-        w.put_u64(self.bus_free_at);
-        w.put_seq(self.in_service.iter(), |w, (done, req)| {
-            w.put_u64(*done);
-            req.snap_write(w);
-        });
-        self.stats.snap_write(w);
-    }
-}
-
-impl emerald_common::snap::Restore for DramChannel {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let banks = r.get_seq(10, |r| {
-            Ok(BankState {
-                open_row: r.get_opt(|r| r.get_u64())?,
-                ready_at: r.get_u64()?,
-            })
+impl DramChannel {
+    /// Walks bank timing, the scheduling queue (in exact order — `tick`
+    /// uses `swap_remove`, so the physical order is semantic state), the
+    /// in-service slab, and statistics. Scheduler state is the memory
+    /// system's to walk; the pick keys are derived and a read rebuilds
+    /// them.
+    pub fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.expect(self.banks.len(), "dram bank count mismatch")?;
+        for b in &mut self.banks {
+            w.opt(&mut b.open_row, |w, row| w.u64(row))?;
+            w.u64(&mut b.ready_at)?;
+        }
+        const OUTSIDE: &str = "dram queued request's loc.rank or loc.bank outside the channel";
+        let (ranks, banks) = (self.cfg.ranks, self.cfg.banks);
+        w.seq(&mut self.queue, 40, |w, q| {
+            q.req.walk(w)?;
+            w.usize(&mut q.loc.channel)?;
+            w.index(&mut q.loc.rank, ranks, OUTSIDE)?;
+            w.index(&mut q.loc.bank, banks, OUTSIDE)?;
+            w.u64(&mut q.loc.row)?;
+            w.u64(&mut q.loc.col)?;
+            w.u64(&mut q.arrived)
         })?;
-        if banks.len() != self.cfg.total_banks() {
-            return Err(SnapError::BadValue {
-                what: "dram bank count mismatch",
-            });
-        }
-        let queue = r.get_seq(40, |r| {
-            Ok(QueuedReq {
-                req: MemRequest::snap_read(r)?,
-                loc: DramLocation {
-                    channel: r.get_usize()?,
-                    rank: r.get_usize()?,
-                    bank: r.get_usize()?,
-                    row: r.get_u64()?,
-                    col: r.get_u64()?,
-                },
-                arrived: r.get_u64()?,
-            })
+        w.check(
+            self.queue.len() <= self.cfg.queue_cap,
+            "dram queue exceeds configured capacity",
+        )?;
+        w.u64(&mut self.bus_free_at)?;
+        w.seq(&mut self.in_service, 41, |w, (done, req)| {
+            w.u64(done)?;
+            req.walk(w)
         })?;
-        if queue.len() > self.cfg.queue_cap {
-            return Err(SnapError::BadValue {
-                what: "dram queue exceeds configured capacity",
-            });
+        self.stats.walk(w)?;
+        if w.reading() {
+            self.rebuild_keys();
+            self.next_done = self.earliest_done();
         }
-        let outside = |q: &QueuedReq| q.loc.rank >= self.cfg.ranks || q.loc.bank >= self.cfg.banks;
-        if queue.iter().any(outside) {
-            return Err(SnapError::BadValue {
-                what: "dram queued request's loc.rank or loc.bank outside the channel",
-            });
-        }
-        self.banks = banks;
-        self.queue = queue;
-        self.rebuild_keys();
-        self.bus_free_at = r.get_u64()?;
-        self.in_service = r.get_seq(41, |r| Ok((r.get_u64()?, MemRequest::snap_read(r)?)))?;
-        self.next_done = self.earliest_done();
-        self.stats = ChannelStats::snap_read(r)?;
         Ok(())
     }
 }
@@ -779,7 +728,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_resumes_mid_burst_identically() {
-        use emerald_common::snap::{Restore, SnapReader, SnapWriter, Snapshot};
+        use emerald_common::snap::{encode, SnapReader};
         let (mut ch, map) = channel();
         // Mix of row hits and a conflict so banks/queue/in-service are all
         // populated mid-flight.
@@ -793,13 +742,11 @@ mod tests {
             pop(&mut ch, c);
         }
 
-        let mut w = SnapWriter::new();
-        Snapshot::snapshot(&ch, &mut w);
-        let enc = w.into_bytes();
+        let enc = encode(|w| ch.walk(w));
 
         let (mut twin, _) = channel();
         let mut r = SnapReader::new(&enc);
-        Restore::restore(&mut twin, &mut r).unwrap();
+        twin.walk(&mut r).unwrap();
         r.finish().unwrap();
 
         // Both channels must now produce byte-identical futures.
@@ -815,35 +762,31 @@ mod tests {
 
     #[test]
     fn snapshot_restore_rejects_wrong_geometry() {
-        use emerald_common::snap::{Restore, SnapReader, SnapWriter, Snapshot};
-        let (ch, _) = channel();
-        let mut w = SnapWriter::new();
-        Snapshot::snapshot(&ch, &mut w);
-        let enc = w.into_bytes();
+        use emerald_common::snap::{encode, SnapReader};
+        let (mut ch, _) = channel();
+        let enc = encode(|w| ch.walk(w));
         let half_banks = DramConfig {
             banks: 4,
             ..DramConfig::lpddr3_1333()
         };
         let mut other = DramChannel::new(half_banks);
         let mut r = SnapReader::new(&enc);
-        assert!(Restore::restore(&mut other, &mut r).is_err());
+        assert!(other.walk(&mut r).is_err());
     }
 
     #[test]
     fn snapshot_restore_rejects_a_queued_request_outside_the_banks() {
-        use emerald_common::snap::{Restore, SnapReader, SnapWriter, Snapshot};
+        use emerald_common::snap::{encode, SnapReader};
         let (mut ch, map) = channel();
         ch.enqueue(req(1, 0), map.decode(0), 0).unwrap();
         let cfg = DramConfig::lpddr3_1333();
         for (rank, bank) in [(0, cfg.banks), (cfg.ranks, 0)] {
             ch.queue[0].loc.rank = rank;
             ch.queue[0].loc.bank = bank;
-            let mut w = SnapWriter::new();
-            Snapshot::snapshot(&ch, &mut w);
-            let enc = w.into_bytes();
+            let enc = encode(|w| ch.walk(w));
             let (mut other, _) = channel();
             assert!(matches!(
-                Restore::restore(&mut other, &mut SnapReader::new(&enc)),
+                other.walk(&mut SnapReader::new(&enc)),
                 Err(SnapError::BadValue { what }) if what.contains("loc.rank or loc.bank")
             ));
         }
@@ -920,7 +863,7 @@ mod tests {
 
     #[test]
     fn cached_earliest_completion_equals_a_scan() {
-        use emerald_common::snap::{Restore, SnapReader, SnapWriter, Snapshot};
+        use emerald_common::snap::{encode, SnapReader};
         emerald_common::check::check("dram_next_done_equals_scan", |rng| {
             let (mut ch, map) = channel();
             let mut out = Vec::new();
@@ -943,12 +886,10 @@ mod tests {
                         assert!(ch.in_service.iter().all(|e| e.0 > now));
                     }
                     _ => {
-                        let mut w = SnapWriter::new();
-                        Snapshot::snapshot(&ch, &mut w);
-                        let enc = w.into_bytes();
+                        let enc = encode(|w| ch.walk(w));
                         (ch, _) = channel();
                         let mut r = SnapReader::new(&enc);
-                        Restore::restore(&mut ch, &mut r).unwrap();
+                        ch.walk(&mut r).unwrap();
                         r.finish().unwrap();
                     }
                 }

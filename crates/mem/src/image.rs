@@ -7,7 +7,7 @@
 //! while the timing half replays the same addresses through caches and DRAM.
 
 use crate::zeroed::ZeroedBytes;
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::Addr;
 use std::sync::{Arc, RwLock};
 
@@ -79,51 +79,30 @@ impl MemImage {
         let end = i.saturating_add(len).min(self.data.len());
         &self.data[i..end]
     }
-}
 
-impl emerald_common::snap::Snapshot for MemImage {
-    /// Serializes the allocator cursor and the allocated byte range
-    /// `[0, next)`. Bytes beyond `next` are never handed out by the bump
-    /// allocator and stay zero in any run, so they are omitted; restore
-    /// re-zeroes the target's own allocated tail where the snapshot's
-    /// coverage ends.
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_usize(self.data.len());
-        w.put_u64(self.next);
-        w.put_bytes(&self.data[..self.next as usize]);
-    }
-}
-
-impl emerald_common::snap::Restore for MemImage {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let capacity = r.get_usize()?;
-        if capacity != self.data.len() {
-            return Err(SnapError::BadValue {
-                what: "memory image capacity mismatch",
-            });
+    /// Walks the allocator cursor and the allocated byte range `[0, next)`.
+    /// Bytes beyond `next` are never handed out by the bump allocator and
+    /// stay zero in any run, so they are omitted; a read re-zeroes only
+    /// the tail this image had already allocated past the snapshot's
+    /// cursor — zeroing to capacity would touch every page of a
+    /// multi-hundred-MiB image and dominate the restore.
+    fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        let capacity = self.data.len();
+        w.expect(capacity, "memory image capacity mismatch")?;
+        let mut next = self.next;
+        w.u64(&mut next)?;
+        w.check(
+            next <= capacity as u64,
+            "memory image allocator cursor beyond capacity",
+        )?;
+        w.expect(
+            next as usize,
+            "memory image byte count disagrees with cursor",
+        )?;
+        if let Some(stale) = self.data.get_mut(next as usize..self.next as usize) {
+            stale.fill(0);
         }
-        let next = r.get_u64()?;
-        if next as usize > self.data.len() {
-            return Err(SnapError::BadValue {
-                what: "memory image allocator cursor beyond capacity",
-            });
-        }
-        let bytes = r.get_bytes()?;
-        if bytes.len() != next as usize {
-            return Err(SnapError::BadValue {
-                what: "memory image byte count disagrees with cursor",
-            });
-        }
-        // Bytes past the bump cursor are zero in any image (the
-        // allocator never hands them out), so only the tail this image
-        // had already allocated needs re-zeroing — zeroing to capacity
-        // would touch every page of a multi-hundred-MiB image and
-        // dominate the restore.
-        let dirty = self.next as usize;
-        if dirty > bytes.len() {
-            self.data[bytes.len()..dirty].fill(0);
-        }
-        self.data[..bytes.len()].copy_from_slice(bytes);
+        w.raw(&mut self.data[..next as usize])?;
         self.next = next;
         Ok(())
     }
@@ -191,24 +170,17 @@ impl SharedMem {
     pub fn write_f32(&self, addr: Addr, value: f32) {
         self.write(|m| m.write_f32(addr, value));
     }
-}
 
-impl emerald_common::snap::Snapshot for SharedMem {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        self.read(|m| m.snapshot(w));
-    }
-}
-
-impl emerald_common::snap::Restore for SharedMem {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.write(|m| m.restore(r))
+    /// Walks the image under the write lock (see [`MemImage`]'s walk).
+    pub fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        self.write(|m| m.walk(w))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emerald_common::snap::{Restore, Snapshot};
+    use emerald_common::snap::{encode, SnapReader};
 
     #[test]
     fn alloc_respects_alignment() {
@@ -279,9 +251,7 @@ mod tests {
         let mut a = MemImage::new(1024);
         let base = a.alloc(64, 16);
         a.write_u32(base, 0xDEAD_BEEF);
-        let mut w = SnapWriter::new();
-        a.snapshot(&mut w);
-        let enc = w.into_bytes();
+        let enc = encode(|w| a.walk(w));
 
         let mut b = MemImage::new(1024);
         // Stale dirt in a region the target had allocated but the
@@ -289,7 +259,7 @@ mod tests {
         let dirt = b.alloc(600, 16) + 500;
         b.write_u32(dirt, 7);
         let mut r = SnapReader::new(&enc);
-        b.restore(&mut r).unwrap();
+        b.walk(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(b.read_u32(base), 0xDEAD_BEEF);
         assert_eq!(b.next, a.next);
@@ -304,7 +274,7 @@ mod tests {
         // Restoring into a different-capacity image is a typed error.
         let mut c = MemImage::new(512);
         let mut r = SnapReader::new(&enc);
-        assert!(matches!(c.restore(&mut r), Err(SnapError::BadValue { .. })));
+        assert!(matches!(c.walk(&mut r), Err(SnapError::BadValue { .. })));
     }
 
     #[test]

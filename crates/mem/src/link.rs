@@ -5,7 +5,7 @@
 //! — the abstraction level of gem5's classic (non-Ruby) interconnect, which
 //! the paper deliberately chooses for simulation speed (§2).
 
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::Cycle;
 use std::collections::VecDeque;
 
@@ -87,32 +87,24 @@ impl<T> Link<T> {
         self.in_flight.is_empty()
     }
 
-    /// Serializes the link's counters. Checkpoints are taken at drained
-    /// boundaries, so the payload queue must be empty — only the issue
-    /// window and accept/reject accounting carry across.
+    /// Walks the link's counters. Checkpoints are taken at drained
+    /// boundaries, so the payload queue is empty — only the issue window
+    /// and accept/reject accounting carry across; a read drops any
+    /// in-flight payload.
     ///
     /// # Panics
     ///
-    /// Panics if items are still in flight (a checkpoint-placement bug,
-    /// not a data error).
-    pub fn snapshot_drained(&self, w: &mut SnapWriter) {
+    /// Panics if items are still in flight at a write (a
+    /// checkpoint-placement bug, not a data error).
+    pub fn walk_drained(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
         assert!(
-            self.in_flight.is_empty(),
+            w.reading() || self.in_flight.is_empty(),
             "link must be drained at a checkpoint"
         );
-        w.put_u64(self.issued_at);
-        w.put_usize(self.issued_count);
-        w.put_u64(self.accepted);
-        w.put_u64(self.rejected);
-    }
-
-    /// Restores counters written by [`Link::snapshot_drained`] and clears
-    /// any in-flight payload.
-    pub fn restore_drained(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.issued_at = r.get_u64()?;
-        self.issued_count = r.get_usize()?;
-        self.accepted = r.get_u64()?;
-        self.rejected = r.get_u64()?;
+        w.u64(&mut self.issued_at)?;
+        w.usize(&mut self.issued_count)?;
+        w.u64(&mut self.accepted)?;
+        w.u64(&mut self.rejected)?;
         self.in_flight.clear();
         Ok(())
     }
@@ -160,13 +152,11 @@ mod tests {
         l.push(10, 1u32).unwrap();
         assert_eq!(l.push(10, 2), Err(2));
         assert_eq!(l.pop(15), Some(1));
-        let mut w = SnapWriter::new();
-        l.snapshot_drained(&mut w);
-        let enc = w.into_bytes();
+        let enc = emerald_common::snap::encode(|w| l.walk_drained(w));
 
         let mut fresh = Link::new(5, 1, 8);
-        let mut r = SnapReader::new(&enc);
-        fresh.restore_drained(&mut r).unwrap();
+        let mut r = emerald_common::snap::SnapReader::new(&enc);
+        fresh.walk_drained(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(fresh.accepted, 1);
         assert_eq!(fresh.rejected, 1);

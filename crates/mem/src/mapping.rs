@@ -10,7 +10,7 @@
 use emerald_common::types::Addr;
 
 /// Physical DRAM coordinates of an address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct DramLocation {
     /// Channel index.
     pub channel: usize,

@@ -1,6 +1,6 @@
 //! Memory requests and responses exchanged between hierarchy levels.
 
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::{AccessKind, Addr, Cycle, TrafficSource};
 
 /// A request identifier, stamped by its requester from a counter of its
@@ -9,7 +9,7 @@ use emerald_common::types::{AccessKind, Addr, Cycle, TrafficSource};
 pub(crate) type ReqId = u64;
 
 /// A cache-line-granularity memory request traveling down the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemRequest {
     /// Requester-local id; `(source, id)` identifies the request.
     pub id: ReqId,
@@ -26,7 +26,7 @@ pub struct MemRequest {
 }
 
 /// A completed memory access returning up the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemResponse {
     /// The id of the request this answers.
     pub id: ReqId,
@@ -61,50 +61,26 @@ impl MemRequest {
         self.kind == AccessKind::Read
     }
 
-    /// Encodes every field for a snapshot.
-    pub fn snap_write(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id);
-        w.put_u64(self.addr);
-        w.put_u32(self.bytes);
-        self.kind.snap_write(w);
-        self.source.snap_write(w);
-        w.put_u64(self.issued);
-    }
-
-    /// Decodes a request written by [`MemRequest::snap_write`].
-    pub fn snap_read(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            id: r.get_u64()?,
-            addr: r.get_u64()?,
-            bytes: r.get_u32()?,
-            kind: AccessKind::snap_read(r)?,
-            source: TrafficSource::snap_read(r)?,
-            issued: r.get_u64()?,
-        })
+    /// Walks every field for a snapshot.
+    pub fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.u64(&mut self.id)?;
+        w.u64(&mut self.addr)?;
+        w.u32(&mut self.bytes)?;
+        self.kind.walk(w)?;
+        self.source.walk(w)?;
+        w.u64(&mut self.issued)
     }
 }
 
 impl MemResponse {
-    /// Encodes every field for a snapshot.
-    pub fn snap_write(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id);
-        w.put_u64(self.addr);
-        w.put_u32(self.bytes);
-        self.kind.snap_write(w);
-        self.source.snap_write(w);
-        w.put_u64(self.finished);
-    }
-
-    /// Decodes a response written by [`MemResponse::snap_write`].
-    pub fn snap_read(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            id: r.get_u64()?,
-            addr: r.get_u64()?,
-            bytes: r.get_u32()?,
-            kind: AccessKind::snap_read(r)?,
-            source: TrafficSource::snap_read(r)?,
-            finished: r.get_u64()?,
-        })
+    /// Walks every field for a snapshot.
+    pub fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.u64(&mut self.id)?;
+        w.u64(&mut self.addr)?;
+        w.u32(&mut self.bytes)?;
+        self.kind.walk(w)?;
+        self.source.walk(w)?;
+        w.u64(&mut self.finished)
     }
 }
 

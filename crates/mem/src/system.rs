@@ -15,7 +15,7 @@ use crate::mapping::AddressMapping;
 use crate::req::{MemRequest, MemResponse};
 use crate::sched::{DramScheduler, FrFcfs};
 use emerald_common::event::NextEvent;
-use emerald_common::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::{Cycle, TrafficSource};
 use emerald_obs::{Registry, Timeline};
 
@@ -153,6 +153,13 @@ struct Probes {
     gpu: Timeline,
     display: Timeline,
     other: Timeline,
+}
+
+/// A restore's blank probes, before the walk reads their windows.
+impl Default for Probes {
+    fn default() -> Self {
+        Self::new(1)
+    }
 }
 
 impl Probes {
@@ -425,63 +432,27 @@ impl MemorySystem {
     pub fn config(&self) -> &MemorySystemConfig {
         &self.cfg
     }
-}
 
-impl emerald_common::snap::Snapshot for MemorySystem {
-    /// Serializes every channel (each in its own section), the DASH
-    /// shared state once, any bandwidth probes, and the request trace.
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_usize(self.channels.len());
-        for ch in &self.channels {
-            w.section(1, |w| Snapshot::snapshot(ch, w));
-        }
-        w.put_opt(&self.dash, |w, d| Snapshot::snapshot(d, w));
-        w.put_opt(&self.probes, |w, p| {
-            for class in SourceClass::ALL {
-                p.probe(class).snap_write(w);
-            }
-        });
-        w.put_opt(&self.trace, |w, t| {
-            w.put_seq(t.iter(), |w, (cycle, req)| {
-                w.put_u64(*cycle);
-                req.snap_write(w);
-            });
-        });
-    }
-}
-
-impl emerald_common::snap::Restore for MemorySystem {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.get_usize()?;
-        if n != self.channels.len() {
-            return Err(SnapError::BadValue {
-                what: "memory system channel count mismatch",
-            });
-        }
+    /// Walks every channel (each in its own section), the DASH shared
+    /// state once, any bandwidth probes, and the request trace.
+    pub fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.expect(self.channels.len(), "memory system channel count mismatch")?;
         for ch in &mut self.channels {
-            r.section(1, |r| Restore::restore(ch, r))?;
+            w.section(1, |w| ch.walk(w))?;
         }
-        let had_dash = r.get_bool()?;
-        match (&mut self.dash, had_dash) {
-            (Some(d), true) => Restore::restore(d, r)?,
-            (None, false) => {}
-            _ => {
-                return Err(SnapError::BadValue {
-                    what: "dash scheduler presence mismatch",
-                })
-            }
+        w.expect(self.dash.is_some(), "dash scheduler presence mismatch")?;
+        if let Some(d) = &mut self.dash {
+            d.walk(w)?;
         }
-        self.probes = r.get_opt(|r| {
-            Ok(Probes {
-                cpu: Timeline::snap_read(r)?,
-                gpu: Timeline::snap_read(r)?,
-                display: Timeline::snap_read(r)?,
-                other: Timeline::snap_read(r)?,
-            })
+        w.opt(&mut self.probes, |w, p| {
+            (SourceClass::ALL.into_iter()).try_for_each(|class| p.probe_mut(class).walk(w))
         })?;
-        self.trace =
-            r.get_opt(|r| r.get_seq(33, |r| Ok((r.get_u64()?, MemRequest::snap_read(r)?))))?;
-        Ok(())
+        w.opt(&mut self.trace, |w, t| {
+            w.seq(t, 33, |w, (cycle, req)| {
+                w.u64(cycle)?;
+                req.walk(w)
+            })
+        })
     }
 }
 
@@ -502,6 +473,7 @@ impl NextEvent for MemorySystem {
 mod tests {
     use super::*;
     use crate::dash::Clustering;
+    use emerald_common::snap::{encode, SnapReader};
     use emerald_common::types::AccessKind;
 
     fn read(id: u64, addr: u64, source: TrafficSource) -> MemRequest {
@@ -722,14 +694,12 @@ mod tests {
             resp_a.extend(ms.drain_finished(c));
         }
 
-        let mut w = SnapWriter::new();
-        Snapshot::snapshot(&ms, &mut w);
-        let enc = w.into_bytes();
+        let enc = encode(|w| ms.walk(w));
 
         let mut twin = MemorySystem::new(cfg);
         twin.enable_probes(64); // same window; contents come from the snapshot
         let mut r = SnapReader::new(&enc);
-        Restore::restore(&mut twin, &mut r).unwrap();
+        twin.walk(&mut r).unwrap();
         r.finish().unwrap();
 
         // Both systems must drain identically from here on.
@@ -761,7 +731,7 @@ mod tests {
             ));
             let mut r = SnapReader::new(&enc[..cut]);
             assert!(
-                Restore::restore(&mut fresh, &mut r).is_err() || r.finish().is_err(),
+                fresh.walk(&mut r).is_err() || r.finish().is_err(),
                 "truncation at {cut} went unnoticed"
             );
         }
@@ -769,18 +739,16 @@ mod tests {
 
     #[test]
     fn fr_fcfs_snapshot_rejects_dash_restore_target() {
-        let mut w = SnapWriter::new();
-        let dash = MemorySystem::new(MemorySystemConfig::dash(
+        let mut dash = MemorySystem::new(MemorySystemConfig::dash(
             1,
             DramConfig::lpddr3_1333(),
             DashConfig::paper(Clustering::CpuOnly),
         ));
-        Snapshot::snapshot(&dash, &mut w);
-        let enc = w.into_bytes();
+        let enc = encode(|w| dash.walk(w));
         let mut bas = MemorySystem::new(MemorySystemConfig::baseline(1, DramConfig::lpddr3_1333()));
         let mut r = SnapReader::new(&enc);
         assert!(matches!(
-            Restore::restore(&mut bas, &mut r),
+            bas.walk(&mut r),
             Err(SnapError::BadValue {
                 what: "dash scheduler presence mismatch"
             })

@@ -142,7 +142,7 @@ fn dram_drains_and_services_all() {
 /// cycles, same statistics, same bytes. The jumping twin must find the
 /// bus-gated stretches (a non-empty queue no longer pins `now + 1`).
 fn backlogged_channel_jumps_like_it_ticks<S: DramScheduler>(name: &str, sched: impl Fn() -> S) {
-    use emerald_common::snap::{SnapWriter, Snapshot};
+    use emerald_common::snap::encode;
     const SOURCES: [TrafficSource; 3] = [
         TrafficSource::Gpu,
         TrafficSource::Cpu(0),
@@ -203,14 +203,10 @@ fn backlogged_channel_jumps_like_it_ticks<S: DramScheduler>(name: &str, sched: i
             assert!(now < 2_000_000, "channel failed to drain");
         }
         assert!(jumped.is_idle() && fed_j == reqs.len());
-        let bytes = |ch: &DramChannel| {
-            let mut w = SnapWriter::new();
-            ch.snapshot(&mut w);
-            w.into_bytes()
-        };
+        let bytes = |ch: &mut DramChannel| encode(|w| ch.walk(w));
         assert_eq!(
-            bytes(&ticked),
-            bytes(&jumped),
+            bytes(&mut ticked),
+            bytes(&mut jumped),
             "statistics or bank state diverged"
         );
         assert_eq!(

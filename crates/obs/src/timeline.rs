@@ -5,7 +5,7 @@
 //! sample per window — the shape of the paper's bandwidth-vs-time figures
 //! (Figs. 10, 14).
 
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::Cycle;
 
 /// Accumulates an integer quantity into fixed-width cycle windows.
@@ -60,33 +60,17 @@ impl Timeline {
         self.total
     }
 
-    /// Encodes the full timeline state (including the open window) for a
-    /// snapshot.
-    pub fn snap_write(&self, w: &mut SnapWriter) {
-        w.put_u64(self.window);
-        w.put_u64(self.cur_window);
-        w.put_u64(self.cur_amount);
-        w.put_u64(self.total);
-        w.put_seq(self.samples.iter(), |w, &(c, a)| {
-            w.put_u64(c);
-            w.put_u64(a);
-        });
-    }
-
-    /// Decodes a timeline written by [`Timeline::snap_write`].
-    pub fn snap_read(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let window = r.get_u64()?;
-        if window == 0 {
-            return Err(SnapError::BadValue {
-                what: "timeline window",
-            });
-        }
-        Ok(Self {
-            window,
-            cur_window: r.get_u64()?,
-            cur_amount: r.get_u64()?,
-            total: r.get_u64()?,
-            samples: r.get_seq(16, |r| Ok((r.get_u64()?, r.get_u64()?)))?,
+    /// Walks the full timeline state (including the open window) for a
+    /// snapshot. A reader refuses a zero window.
+    pub fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.u64(&mut self.window)?;
+        w.check(self.window > 0, "timeline window")?;
+        w.u64(&mut self.cur_window)?;
+        w.u64(&mut self.cur_amount)?;
+        w.u64(&mut self.total)?;
+        w.seq(&mut self.samples, 16, |w, (c, a)| {
+            w.u64(c)?;
+            w.u64(a)
         })
     }
 }
@@ -113,11 +97,10 @@ mod tests {
         t.record(10, 64);
         t.record(150, 128);
         t.record(160, 8);
-        let mut w = SnapWriter::new();
-        t.snap_write(&mut w);
-        let enc = w.into_bytes();
-        let mut r = SnapReader::new(&enc);
-        let mut t2 = Timeline::snap_read(&mut r).unwrap();
+        let enc = emerald_common::snap::encode(|w| t.walk(w));
+        let mut r = emerald_common::snap::SnapReader::new(&enc);
+        let mut t2 = Timeline::new(7);
+        t2.walk(&mut r).unwrap();
         r.finish().unwrap();
         // Both must evolve identically after the restore point.
         t.record(420, 32);

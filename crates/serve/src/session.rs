@@ -166,7 +166,7 @@ impl Session {
 
     /// Checkpoints the current (inter-frame) state as a validated shared
     /// snapshot.
-    pub(crate) fn checkpoint_shared(&self) -> SharedSnapshot {
+    pub(crate) fn checkpoint_shared(&mut self) -> SharedSnapshot {
         SharedSnapshot::new(self.soc.checkpoint()).expect("own checkpoint validates")
     }
 

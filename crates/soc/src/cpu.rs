@@ -7,7 +7,7 @@
 //! caches (Table 5) and a bounded number of outstanding misses.
 
 use emerald_common::rng::Xorshift64;
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::{AccessKind, Addr, Cycle, TrafficSource};
 use emerald_mem::cache::{Access, Cache, CacheConfig};
 use emerald_mem::image::SharedMem;
@@ -140,9 +140,10 @@ impl CpuStats {
 const POLL_INTERVAL: u32 = 256;
 
 /// State the SoC reads after running a core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CpuEvent {
     /// Nothing notable.
+    #[default]
     None,
     /// The driver submitted the frame's draws.
     IssueDraw,
@@ -474,64 +475,38 @@ impl CpuCoreModel {
             }
         }
     }
-}
 
-impl emerald_common::snap::Snapshot for CpuCoreModel {
-    /// Serializes the script position, streaming cursor, private caches,
+    /// Walks the script position, streaming cursor, private caches,
     /// outstanding-miss count, RNG stream, fence-poll counter, statistics
     /// and any requests still waiting out memory-system backpressure. The
-    /// workload script itself is configuration and is reconstructed by
-    /// the restore target.
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_seq(self.out.iter(), |w, q| q.snap_write(w));
-        w.put_usize(self.phase_idx);
-        w.put_u64(self.instr_in_phase);
-        w.put_u64(self.stream_pos);
-        w.put_u64(self.arena);
-        w.section(1, |w| self.l1.snapshot(w));
-        w.section(2, |w| self.l2.snapshot(w));
-        w.put_u32(self.outstanding);
-        w.put_bool(self.issued_draw_this_frame);
-        w.put_bool(self.at_frame_end);
-        w.put_u64(self.rng.state());
-        w.put_u32(self.poll_counter);
-        w.put_u64(self.stats.instrs);
-        w.put_u64(self.stats.mem_requests);
-        w.put_u64(self.stats.stall_cycles);
-        w.put_u64(self.stats.frames);
-    }
-}
-
-impl emerald_common::snap::Restore for CpuCoreModel {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.out = r.get_seq(30, MemRequest::snap_read)?;
-        self.phase_idx = r.get_usize()?;
-        if self.phase_idx > self.workload.phases.len() {
-            return Err(SnapError::BadValue {
-                what: "CPU phase index beyond workload script",
-            });
+    /// workload script itself is configuration, which the restore target
+    /// was built from.
+    pub fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.seq(&mut self.out, 30, |w, q| q.walk(w))?;
+        w.usize(&mut self.phase_idx)?;
+        w.check(
+            self.phase_idx <= self.workload.phases.len(),
+            "CPU phase index beyond workload script",
+        )?;
+        w.u64(&mut self.instr_in_phase)?;
+        w.u64(&mut self.stream_pos)?;
+        w.expect(self.arena, "CPU arena address mismatch")?;
+        w.section(1, |w| self.l1.walk(w))?;
+        w.section(2, |w| self.l2.walk(w))?;
+        w.u32(&mut self.outstanding)?;
+        w.bool(&mut self.issued_draw_this_frame)?;
+        w.bool(&mut self.at_frame_end)?;
+        self.rng.walk(w)?;
+        w.u32(&mut self.poll_counter)?;
+        let s = &mut self.stats;
+        for n in [
+            &mut s.instrs,
+            &mut s.mem_requests,
+            &mut s.stall_cycles,
+            &mut s.frames,
+        ] {
+            w.u64(n)?;
         }
-        self.instr_in_phase = r.get_u64()?;
-        self.stream_pos = r.get_u64()?;
-        let arena = r.get_u64()?;
-        if arena != self.arena {
-            return Err(SnapError::BadValue {
-                what: "CPU arena address mismatch",
-            });
-        }
-        r.section(1, |r| self.l1.restore(r))?;
-        r.section(2, |r| self.l2.restore(r))?;
-        self.outstanding = r.get_u32()?;
-        self.issued_draw_this_frame = r.get_bool()?;
-        self.at_frame_end = r.get_bool()?;
-        self.rng = Xorshift64::from_state(r.get_u64()?);
-        self.poll_counter = r.get_u32()?;
-        self.stats = CpuStats {
-            instrs: r.get_u64()?,
-            mem_requests: r.get_u64()?,
-            stall_cycles: r.get_u64()?,
-            frames: r.get_u64()?,
-        };
         Ok(())
     }
 }
@@ -872,58 +847,31 @@ impl CpuCluster {
     pub(crate) fn all_done(&self, now: Cycle) -> bool {
         self.end_at.iter().all(|&t| t <= now)
     }
-}
 
-impl emerald_common::snap::Snapshot for CpuCluster {
-    /// Serializes every core plus the run-ahead bookkeeping, so a
-    /// mid-frame checkpoint resumes with cores exactly as far ahead of the
-    /// clock as they were.
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_usize(self.cores.len());
-        for c in &self.cores {
-            w.section(5, |w| c.snapshot(w));
-        }
-        w.put_seq(self.ran_until.iter(), |w, &t| w.put_u64(t));
-        w.put_seq(self.pending.iter(), |w, p| {
-            w.put_opt(p, |w, &(cycle, ev)| {
-                w.put_u64(cycle);
-                w.put_bool(ev == CpuEvent::IssueDraw);
-            });
-        });
-        w.put_seq(self.end_at.iter(), |w, &t| w.put_u64(t));
-    }
-}
-
-impl emerald_common::snap::Restore for CpuCluster {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// Walks every core plus the run-ahead bookkeeping, so a mid-frame
+    /// checkpoint resumes with cores exactly as far ahead of the clock as
+    /// they were.
+    pub(crate) fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
         let n = self.cores.len();
-        if r.get_usize()? != n {
-            return Err(SnapError::BadValue {
-                what: "CPU core count mismatch",
-            });
-        }
+        w.expect(n, "CPU core count mismatch")?;
         for c in &mut self.cores {
-            r.section(5, |r| c.restore(r))?;
+            w.section(5, |w| c.walk(w))?;
         }
-        self.ran_until = r.get_seq(8, |r| r.get_u64())?;
-        self.pending = r.get_seq(1, |r| {
-            r.get_opt(|r| {
-                let cycle = r.get_u64()?;
-                let ev = if r.get_bool()? {
-                    CpuEvent::IssueDraw
-                } else {
-                    CpuEvent::None
-                };
-                Ok((cycle, ev))
+        w.seq(&mut self.ran_until, 8, |w, t| w.u64(t))?;
+        w.seq(&mut self.pending, 1, |w, p| {
+            w.opt(p, |w, (cycle, ev)| {
+                w.u64(cycle)?;
+                let mut draw = *ev == CpuEvent::IssueDraw;
+                w.bool(&mut draw)?;
+                *ev = [CpuEvent::None, CpuEvent::IssueDraw][draw as usize];
+                Ok(())
             })
         })?;
-        self.end_at = r.get_seq(8, |r| r.get_u64())?;
-        if self.ran_until.len() != n || self.pending.len() != n || self.end_at.len() != n {
-            return Err(SnapError::BadValue {
-                what: "CPU run-ahead state core count mismatch",
-            });
-        }
-        Ok(())
+        w.seq(&mut self.end_at, 8, |w, t| w.u64(t))?;
+        w.check(
+            self.ran_until.len() == n && self.pending.len() == n && self.end_at.len() == n,
+            "CPU run-ahead state core count mismatch",
+        )
     }
 }
 
@@ -1076,17 +1024,14 @@ mod tests {
     }
 
     /// Everything an access through the hierarchy can change.
-    fn hierarchy_state(cpu: &CpuCoreModel) -> (Vec<u8>, Vec<u8>, Vec<MemRequest>, u32, [u64; 4]) {
-        use emerald_common::snap::Snapshot as _;
-        let bytes = |c: &Cache| {
-            let mut w = SnapWriter::new();
-            c.snapshot(&mut w);
-            w.into_bytes()
-        };
+    fn hierarchy_state(
+        cpu: &mut CpuCoreModel,
+    ) -> (Vec<u8>, Vec<u8>, Vec<MemRequest>, u32, [u64; 4]) {
+        let bytes = |c: &mut Cache| emerald_common::snap::encode(|w| c.walk(w));
         let s = cpu.stats;
         (
-            bytes(&cpu.l1),
-            bytes(&cpu.l2),
+            bytes(&mut cpu.l1),
+            bytes(&mut cpu.l2),
             cpu.out.clone(),
             cpu.outstanding,
             [s.instrs, s.mem_requests, s.stall_cycles, s.frames],

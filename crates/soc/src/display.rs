@@ -5,7 +5,7 @@
 //! *aborts the frame and retries* — exactly the behaviour the paper
 //! observes under DASH in the high-load scenario (§5.2.2, Fig. 14 ⑥).
 
-use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::{AccessKind, Addr, Cycle, TrafficSource};
 use emerald_mem::req::MemRequest;
 
@@ -197,53 +197,32 @@ impl DisplayController {
         self.returned = 0;
         self.inflight = 0;
     }
-}
 
-impl emerald_common::snap::Snapshot for DisplayController {
-    /// Serializes the scanout beam state (fetch position, returned bytes,
-    /// frame start, in-flight count, abort-retry point), statistics and
-    /// any requests still waiting out memory-system backpressure. The
-    /// geometry (`fb_base`/`fb_bytes`/`period`) is configuration and must
-    /// match the restore target.
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_u64(self.fb_base);
-        w.put_u64(self.fb_bytes);
-        w.put_u64(self.period);
-        w.put_u64(self.fetch_pos);
-        w.put_u64(self.returned);
-        w.put_u64(self.frame_start);
-        w.put_u64(self.inflight);
-        w.put_opt(&self.aborted_until, |w, &t| w.put_u64(t));
-        w.put_seq(self.out.iter(), |w, q| q.snap_write(w));
-        w.put_u64(self.stats.serviced_bytes);
-        w.put_u64(self.stats.frames_completed);
-        w.put_u64(self.stats.frames_aborted);
-        w.put_u64(self.stats.requests);
-    }
-}
-
-impl emerald_common::snap::Restore for DisplayController {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let fb_base = r.get_u64()?;
-        let fb_bytes = r.get_u64()?;
-        let period = r.get_u64()?;
-        if fb_base != self.fb_base || fb_bytes != self.fb_bytes || period != self.period {
-            return Err(SnapError::BadValue {
-                what: "display scanout geometry mismatch",
-            });
+    /// Walks the scanout beam state (fetch position, returned bytes, frame
+    /// start, in-flight count, abort-retry point), statistics and any
+    /// requests still waiting out memory-system backpressure. The geometry
+    /// (`fb_base`/`fb_bytes`/`period`) is configuration and must match the
+    /// restore target.
+    pub fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        const GEOMETRY: &str = "display scanout geometry mismatch";
+        w.expect(self.fb_base, GEOMETRY)?;
+        w.expect(self.fb_bytes, GEOMETRY)?;
+        w.expect(self.period, GEOMETRY)?;
+        w.u64(&mut self.fetch_pos)?;
+        w.u64(&mut self.returned)?;
+        w.u64(&mut self.frame_start)?;
+        w.u64(&mut self.inflight)?;
+        w.opt(&mut self.aborted_until, |w, t| w.u64(t))?;
+        w.seq(&mut self.out, 30, |w, q| q.walk(w))?;
+        let s = &mut self.stats;
+        for n in [
+            &mut s.serviced_bytes,
+            &mut s.frames_completed,
+            &mut s.frames_aborted,
+            &mut s.requests,
+        ] {
+            w.u64(n)?;
         }
-        self.fetch_pos = r.get_u64()?;
-        self.returned = r.get_u64()?;
-        self.frame_start = r.get_u64()?;
-        self.inflight = r.get_u64()?;
-        self.aborted_until = r.get_opt(|r| r.get_u64())?;
-        self.out = r.get_seq(30, MemRequest::snap_read)?;
-        self.stats = DisplayStats {
-            serviced_bytes: r.get_u64()?,
-            frames_completed: r.get_u64()?,
-            frames_aborted: r.get_u64()?,
-            requests: r.get_u64()?,
-        };
         Ok(())
     }
 }

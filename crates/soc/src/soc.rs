@@ -4,7 +4,7 @@
 use crate::cpu::{forward_requests, CpuCluster, CpuCoreModel, CpuEvent, CpuWorkload};
 use crate::display::DisplayController;
 use emerald_common::event::{next_wake, NextEvent};
-use emerald_common::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+use emerald_common::snap::{SnapError, Walk};
 use emerald_common::types::{AccessKind, Cycle, TrafficSource};
 use emerald_core::renderer::FrameStats;
 use emerald_core::state::{DrawCall, RenderTarget};
@@ -110,7 +110,7 @@ impl MemPort for SocPort<'_> {
 /// [`CpuCluster`]). Kept off the stack so a mid-frame checkpoint can
 /// serialize the frame's progress and a restored SoC can resume driving
 /// the same frame.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct FrameCursor {
     frame_start: Cycle,
     gpu_start: Cycle,
@@ -130,22 +130,12 @@ impl FrameCursor {
         }
     }
 
-    fn snap_write(&self, w: &mut SnapWriter) {
-        w.put_u64(self.frame_start);
-        w.put_u64(self.gpu_start);
-        w.put_u64(self.gpu_cycles);
-        w.put_bool(self.gpu_active);
-        w.put_bool(self.gpu_done);
-    }
-
-    fn snap_read(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            frame_start: r.get_u64()?,
-            gpu_start: r.get_u64()?,
-            gpu_cycles: r.get_u64()?,
-            gpu_active: r.get_bool()?,
-            gpu_done: r.get_bool()?,
-        })
+    fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.u64(&mut self.frame_start)?;
+        w.u64(&mut self.gpu_start)?;
+        w.u64(&mut self.gpu_cycles)?;
+        w.bool(&mut self.gpu_active)?;
+        w.bool(&mut self.gpu_done)
     }
 }
 
@@ -677,7 +667,9 @@ impl Soc {
                 {
                     self.cpus.settle(self.now);
                     self.settle_renderer();
-                    snap = Some(self.encode_checkpoint(Some((cur, draws.is_none()))));
+                    let pending = self.resume.replace((cur.clone(), draws.is_none()));
+                    snap = Some(self.encode_checkpoint());
+                    self.resume = pending;
                 }
             }
             self.step(Some((cur, draws)));
@@ -752,32 +744,36 @@ impl Soc {
         emerald_common::snap::config_hash(&format!("{model:?}"))
     }
 
-    /// Serializes the full SoC into a snapshot container. `cursor` carries
-    /// mid-frame progress when checkpointing from inside the frame loop.
-    fn encode_checkpoint(&self, cursor: Option<(&FrameCursor, bool)>) -> Vec<u8> {
-        emerald_common::snap::write_container(Self::cfg_hash(&self.cfg), |w| {
-            w.section(1, |w| self.mem.snapshot(w));
-            w.section(2, |w| self.memsys.snapshot(w));
-            w.section(3, |w| self.renderer.snapshot(w));
-            w.section(4, |w| self.display.snapshot(w));
-            self.cpus.snapshot(w);
-            w.put_u64(self.now);
-            w.put_u64(self.expected_frags);
-            w.put_u64(self.frames_rendered);
-            w.put_seq(self.gpu_resp.iter(), |w, resp| resp.snap_write(w));
-            w.put_u32(self.rt.width);
-            w.put_u32(self.rt.height);
-            w.put_u64(self.rt.color_base);
-            w.put_u64(self.rt.depth_base);
-            match cursor {
-                None => w.put_bool(false),
-                Some((cur, submitted)) => {
-                    w.put_bool(true);
-                    w.put_bool(submitted);
-                    cur.snap_write(w);
-                }
-            }
+    /// Walks the full SoC: each component in its own section or record,
+    /// the clock and frame counters, buffered GPU responses, the render
+    /// target layout (configuration, so checked) and the frame a restore
+    /// resumes, if any.
+    fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+        w.section(1, |w| self.mem.walk(w))?;
+        w.section(2, |w| self.memsys.walk(w))?;
+        w.section(3, |w| self.renderer.walk(w))?;
+        w.section(4, |w| self.display.walk(w))?;
+        self.cpus.walk(w)?;
+        w.u64(&mut self.now)?;
+        w.u64(&mut self.expected_frags)?;
+        w.u64(&mut self.frames_rendered)?;
+        w.seq(&mut self.gpu_resp, 41, |w, resp| resp.walk(w))?;
+        const LAYOUT: &str = "render target layout mismatch";
+        w.expect(self.rt.width, LAYOUT)?;
+        w.expect(self.rt.height, LAYOUT)?;
+        w.expect(self.rt.color_base, LAYOUT)?;
+        w.expect(self.rt.depth_base, LAYOUT)?;
+        w.opt(&mut self.resume, |w, (cur, submitted)| {
+            w.bool(submitted)?;
+            cur.walk(w)
         })
+    }
+
+    /// Encodes the SoC into a snapshot container; a mid-frame capture
+    /// has set `resume` to the frame's cursor first.
+    fn encode_checkpoint(&mut self) -> Vec<u8> {
+        let hash = Self::cfg_hash(&self.cfg);
+        emerald_common::snap::write_container(hash, |w| self.walk(w))
     }
 
     /// Captures the SoC between frames as a restorable snapshot. The
@@ -787,12 +783,12 @@ impl Soc {
     /// # Panics
     ///
     /// Panics if called while GPU work or GPU responses are in flight.
-    pub fn checkpoint(&self) -> Vec<u8> {
+    pub fn checkpoint(&mut self) -> Vec<u8> {
         assert!(
             self.renderer.is_idle() && self.gpu_resp.is_empty(),
             "Soc::checkpoint requires a drained renderer (between frames)"
         );
-        self.encode_checkpoint(None)
+        self.encode_checkpoint()
     }
 
     /// Rebuilds a SoC from a snapshot taken by [`Soc::checkpoint`] or
@@ -825,35 +821,7 @@ impl Soc {
         cfg: &SocConfig,
     ) -> Result<Soc, SnapError> {
         let mut soc = Soc::new(cfg.clone());
-        r.section(1, |r| soc.mem.restore(r))?;
-        r.section(2, |r| soc.memsys.restore(r))?;
-        r.section(3, |r| soc.renderer.restore(r))?;
-        r.section(4, |r| soc.display.restore(r))?;
-        soc.cpus.restore(&mut r)?;
-        soc.now = r.get_u64()?;
-        soc.expected_frags = r.get_u64()?;
-        soc.frames_rendered = r.get_u64()?;
-        soc.gpu_resp = r.get_seq(41, MemResponse::snap_read)?.into();
-        let rt = (r.get_u32()?, r.get_u32()?, r.get_u64()?, r.get_u64()?);
-        if rt
-            != (
-                soc.rt.width,
-                soc.rt.height,
-                soc.rt.color_base,
-                soc.rt.depth_base,
-            )
-        {
-            return Err(SnapError::BadValue {
-                what: "render target layout mismatch",
-            });
-        }
-        soc.resume = if r.get_bool()? {
-            let submitted = r.get_bool()?;
-            let cur = FrameCursor::snap_read(&mut r)?;
-            Some((cur, submitted))
-        } else {
-            None
-        };
+        soc.walk(&mut r)?;
         r.finish()?;
         Ok(soc)
     }

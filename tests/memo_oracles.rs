@@ -438,25 +438,21 @@ fn dcb_snapshot_scenario() -> MemorySystem {
 /// unchanged: the container version moved, this section did not.
 #[test]
 fn dcb_memory_system_snapshots_to_the_parents_bytes() {
-    use emerald::common::snap::{Restore, SnapReader, SnapWriter, Snapshot, FORMAT_VERSION};
+    use emerald::common::snap::{encode, SnapReader, FORMAT_VERSION};
     assert_eq!(FORMAT_VERSION, 3);
     let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
-    let snapshot = |ms: &MemorySystem| {
-        let mut w = SnapWriter::new();
-        ms.snapshot(&mut w);
-        w.into_bytes()
-    };
+    let snapshot = |ms: &mut MemorySystem| encode(|w| ms.walk(w));
 
-    let ms = dcb_snapshot_scenario();
+    let mut ms = dcb_snapshot_scenario();
     let dash = ms.dash().unwrap();
     assert!(dash.is_intensive(0) && dash.is_intensive(1) && dash.quanta == 2);
     assert!(dash.is_urgent(TrafficSource::Display) && dash.is_urgent(TrafficSource::OtherIp(3)));
-    let bytes = snapshot(&ms);
+    let bytes = snapshot(&mut ms);
     assert_eq!(hex(&bytes), PARENT_DCB_SNAPSHOT);
 
     let mut twin = MemorySystem::new(ms.config().clone());
     let mut r = SnapReader::new(&bytes);
-    twin.restore(&mut r).unwrap();
+    twin.walk(&mut r).unwrap();
     r.finish().unwrap();
-    assert_eq!(hex(&snapshot(&twin)), PARENT_DCB_SNAPSHOT);
+    assert_eq!(hex(&snapshot(&mut twin)), PARENT_DCB_SNAPSHOT);
 }

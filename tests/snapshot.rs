@@ -19,10 +19,16 @@
 //!    straight run (that the straight runs agree across cells is
 //!    `emerald_conformance::gate_matrix`'s, driven from
 //!    `tests/event_skip.rs` and `tests/cpu_batch.rs`).
+//!
+//! A third test feeds restore hostile bytes: garbage inside a correctly
+//! sealed container must come back as `Ok` or a typed error, never a
+//! panic.
 
-use emerald::common::check::{check_n, env_cases};
+use emerald::common::check::{check, check_n, env_cases};
+use emerald::common::hash::FxHasher;
 use emerald::prelude::*;
 use emerald_conformance::{cells, snap_oracle, Cell, SnapBug, SnapScenario, SocScenario};
+use std::hash::Hasher;
 
 /// Oracle 1: random scenarios, random cell, random checkpoint cycle. The
 /// capture cycle is drawn from 1.25 frame spans, which keeps most cases
@@ -84,4 +90,67 @@ fn restore_matrix_is_bit_identical() {
         let run = snap_oracle(&sc).unwrap_or_else(|v| panic!("{}: {}", sc.describe(), v.detail));
         assert!(run.mid_frame, "{}: captured between frames", sc.describe());
     }
+}
+
+/// Restore fuzz: one between-frames and one mid-frame checkpoint of a
+/// small DASH scenario, 1–8 of their body bytes overwritten at random and
+/// the trailing checksum re-sealed, so the component walks — not the
+/// checksum — meet the garbage. `Soc::restore` must return `Ok` or `Err`
+/// and never panic. Each byte lands in one of the body's five parts
+/// drawn evenly — the memory image's header, the memory system, the
+/// renderer, the display, and the CPU cluster with the SoC's own
+/// records — so the small parts are not drowned by the renderer's cache
+/// arrays. The image's raw bytes are left alone: any value there is valid
+/// state.
+#[test]
+fn restore_of_garbage_never_panics() {
+    const MAX: Cycle = 60_000_000;
+    /// Magic, format version and config hash.
+    const HEADER: usize = 8 + 4 + 8;
+    let sc = SocScenario::two_core(MemCfgKind::Dcb.build(DramConfig::lpddr3_1600()), 10);
+    let cfg = sc.config(Cell::PRESET);
+    let mut soc = Soc::new(cfg.clone());
+    let span = soc.run_frame(sc.draws(&soc, 0), MAX).total_cycles;
+    let between = soc.checkpoint();
+    let at = soc.now() + span / 5;
+    let (_, mid) = soc.run_frame_checkpoint(sc.draws(&soc, 1), MAX, Some(at));
+    let mid = mid.expect("a commit boundary a fifth into frame 1");
+    let u64_at =
+        |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    // Sections 1–4 (tag, length, body), then the records up to the
+    // checksum. Section 1's body is the image: capacity, cursor, byte
+    // count, raw bytes.
+    let parts = |bytes: &[u8]| {
+        let mut parts = Vec::new();
+        let mut at = HEADER;
+        for _ in 0..4 {
+            let end = at + 12 + u64_at(bytes, at + 4) as usize;
+            parts.push(at..end);
+            at = end;
+        }
+        parts.push(at..bytes.len() - 8);
+        parts[0].end = HEADER + 12 + 24;
+        parts
+    };
+    for bytes in [&between, &mid] {
+        Soc::restore(bytes, &cfg).expect("the untouched checkpoint restores");
+    }
+    check("restore_of_garbage", |rng| {
+        for snap in [&between, &mid] {
+            let mut bad = snap.clone();
+            let parts = parts(snap);
+            for _ in 0..rng.range(1, 9) {
+                let part = &parts[rng.below(parts.len() as u64) as usize];
+                let at = rng.range(part.start as u64, part.end as u64) as usize;
+                // Small values keep more flags and counts parseable, so
+                // the walk gets further before it meets the garbage.
+                bad[at] = [0, 1, 0xFF, rng.next_u64() as u8][rng.below(4) as usize];
+            }
+            let body_end = bad.len() - 8;
+            let mut sum = FxHasher::default();
+            sum.write(&bad[..body_end]);
+            bad[body_end..].copy_from_slice(&sum.finish().to_le_bytes());
+            let _ = Soc::restore(&bad, &cfg);
+        }
+    });
 }
