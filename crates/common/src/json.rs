@@ -39,6 +39,7 @@ impl Json {
     /// objects nested more than 128 deep, are errors.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             s: text.as_bytes(),
             i: 0,
             depth: 0,
@@ -354,6 +355,8 @@ impl Json {
 }
 
 struct Parser<'a> {
+    /// The document; `i` only ever stops on its character boundaries.
+    text: &'a str,
     s: &'a [u8],
     i: usize,
     /// Arrays and objects open around the cursor.
@@ -509,9 +512,10 @@ impl Parser<'_> {
                     return Err(format!("raw control byte {c:#x} in string"));
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input came from a &str).
-                    let rest = std::str::from_utf8(&self.s[self.i..]).map_err(|e| e.to_string())?;
-                    let ch = rest.chars().next().unwrap();
+                    // Copy one UTF-8 scalar. Slicing at a boundary is O(1);
+                    // re-validating the rest of the document for every
+                    // character made a long string quadratic.
+                    let ch = self.text[self.i..].chars().next().expect("peek saw a byte");
                     out.push(ch);
                     self.i += ch.len_utf8();
                 }
@@ -582,6 +586,15 @@ mod tests {
         assert!(err.contains("nesting deeper"), "{err}");
         let err = Json::parse(&r#"{"a":"#.repeat(200_000)).unwrap_err();
         assert!(err.contains("nesting deeper"), "{err}");
+    }
+
+    #[test]
+    fn long_strings_with_multibyte_characters_round_trip() {
+        let long = "aé€😀".repeat(50_000);
+        let doc = format!("[\"{long}\", \"x\"]");
+        let v = Json::parse(&doc).unwrap();
+        assert_eq!(v.as_arr().unwrap()[0].as_str(), Some(long.as_str()));
+        assert_eq!(v.as_arr().unwrap()[1].as_str(), Some("x"));
     }
 
     #[test]

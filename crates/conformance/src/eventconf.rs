@@ -19,20 +19,26 @@
 //!   it and books it (`skip`), and everything observable must agree at the
 //!   far side: the published registry and in-flight summary after every
 //!   gap, snapshot bytes and output memory once drained.
+//! - The **booking oracle** ([`booking_oracle`]) clocks two GPU twins on
+//!   one schedule: one books its parked cores' cycles every tick and
+//!   every jump, the other only where the library settles it, and both
+//!   must agree at random interior points and once drained.
 //! - The **cached-pin oracle** runs a whole SoC with `Soc`'s own audit
 //!   armed: after every loop iteration each component's cached wake pin
 //!   must be no later than a fresh `next_event` answer.
 //!
 //! Each has a canary, run through the same function as the random cases:
-//! reports artificially delayed by `lag` cycles, or a CPU request that
-//! fails to invalidate the memory system's cached pin — which the oracle
-//! must catch and the shrinker must minimize.
+//! reports artificially delayed by `lag` cycles, a fill that forgets to
+//! book its core first, a CPU request that fails to invalidate the memory
+//! system's cached pin, or a CPU cluster that sleeps through the tick that
+//! makes room for its refused request — which the oracle must catch and
+//! the shrinker must minimize.
 
 use crate::drawgen::{draw_rig, shrink_draw_candidates, DrawCase, DrawRig};
 use crate::isadiff::{init_mem, kernel_for, Layout};
 use crate::proggen::{shrink_candidates, GenProgram};
 use crate::socconf::{caught, cube_draw, Cell, SocScenario, MAX};
-use emerald_common::event::NextEvent;
+use emerald_common::event::{next_wake, NextEvent};
 use emerald_common::rng::Xorshift64;
 use emerald_common::snap::encode;
 use emerald_common::types::{AccessKind, Addr, Cycle, TrafficSource};
@@ -41,6 +47,7 @@ use emerald_gpu::{GlobalMemCtx, Gpu, GpuConfig, SimpleMemPort};
 use emerald_mem::req::MemRequest;
 use emerald_mem::{DramConfig, MemorySystem};
 use emerald_obs::Registry;
+use emerald_soc::cpu::CpuWorkload;
 use emerald_soc::display::{DisplayController, DisplayStats};
 use emerald_soc::experiment::MemCfgKind;
 use emerald_soc::soc::Soc;
@@ -339,13 +346,16 @@ pub fn shrink_display_gap_candidates(sc: &DisplayGapScenario) -> Vec<DisplayGapS
 /// clock — it walks exactly what `drain_loop` would. Two values built the
 /// same way must be twins: identical in every observable.
 pub(crate) trait GapSim: Drain {
-    /// Everything observable mid-run: the published registry plus the
-    /// model's in-flight summary.
-    fn digest(&self) -> String;
+    /// Everything observable mid-run, once the GPU is settled: the
+    /// published registry plus the model's in-flight summary.
+    fn digest(&mut self) -> String;
 
     /// Everything checkpoint-able once drained: snapshot bytes of the
     /// model and its memory system, then the output memory.
     fn drained_bytes(&mut self) -> Vec<u8>;
+
+    /// The model's GPU.
+    fn gpu_mut(&mut self) -> &mut Gpu;
 }
 
 fn first_difference(a: &str, b: &str) -> String {
@@ -422,9 +432,11 @@ impl GpuSim {
     }
 }
 
-fn port_json(port: &SimpleMemPort, mut reg: Registry) -> String {
+/// `reg` plus the port's memory system, one instrument field per line
+/// (so a difference names its path).
+fn registry_rows(port: &SimpleMemPort, mut reg: Registry) -> String {
     port.mem.publish(&mut reg, "mem.dram");
-    reg.to_json()
+    reg.to_csv()
 }
 
 impl Drain for GpuSim {
@@ -446,12 +458,17 @@ impl Drain for GpuSim {
 }
 
 impl GapSim for GpuSim {
-    fn digest(&self) -> String {
+    fn gpu_mut(&mut self) -> &mut Gpu {
+        &mut self.gpu
+    }
+
+    fn digest(&mut self) -> String {
+        self.gpu.settle();
         let mut reg = Registry::new();
         self.gpu.publish(&mut reg, "gpu");
         format!(
             "{}\n{}",
-            port_json(&self.port, reg),
+            registry_rows(&self.port, reg),
             self.gpu.debug_snapshot()
         )
     }
@@ -498,13 +515,18 @@ impl Drain for RendererSim {
 }
 
 impl GapSim for RendererSim {
-    fn digest(&self) -> String {
-        let rig = &self.0;
+    fn gpu_mut(&mut self) -> &mut Gpu {
+        &mut self.0.renderer.gpu
+    }
+
+    fn digest(&mut self) -> String {
+        let rig = &mut self.0;
+        rig.renderer.gpu.settle();
         let mut reg = Registry::new();
         rig.renderer.publish(&mut reg, "gfx");
         format!(
             "{}\n{}\n{}",
-            port_json(&rig.port, reg),
+            registry_rows(&rig.port, reg),
             rig.renderer.debug_snapshot(),
             rig.renderer.gpu.debug_snapshot()
         )
@@ -543,6 +565,156 @@ pub fn gpu_gap_oracle(sc: &GpuGapScenario, cfg: &GpuConfig) -> Result<u32, GapVi
     let mut stepped = GpuSim::new(&sc.gp, sc.data_seed, cfg);
     let mut jumped = GpuSim::new(&sc.gp, sc.data_seed, cfg);
     twin_gap_oracle(&mut stepped, &mut jumped, sc.lag, TWIN_MAX_CYCLES)
+}
+
+/// What a booking scenario runs: a generated kernel on a bare GPU, or a
+/// generated draw on a standalone renderer.
+#[derive(Debug, Clone)]
+pub enum BookingWork {
+    /// A kernel and the seed of its input data.
+    Kernel(GenProgram, u64),
+    /// A draw.
+    Draw(DrawCase),
+}
+
+/// The GPU booking oracle's scenario: `work` walked by twins that book
+/// their parked cores eagerly and lazily, compared at interior points
+/// drawn from `check_seed`. `forget_fill_booking` is the injected bug: the
+/// lazy twin's fills stop booking their core first.
+#[derive(Debug, Clone)]
+pub struct BookingScenario {
+    /// The kernel or draw.
+    pub work: BookingWork,
+    /// Seed of the interior comparison points.
+    pub check_seed: u64,
+    /// Every L1 gets two MSHRs of two targets each, so LSU heads stall
+    /// and park often.
+    pub tight_l1: bool,
+    /// The injected bug (`false` = honest).
+    pub forget_fill_booking: bool,
+}
+
+impl BookingScenario {
+    /// One-line summary for failure reports.
+    pub fn describe(&self) -> String {
+        let work = match &self.work {
+            BookingWork::Kernel(gp, _) => format!("kernel of {} instructions", gp.instrs.len()),
+            BookingWork::Draw(case) => case.describe(),
+        };
+        let tight = if self.tight_l1 { ", 2-MSHR L1s" } else { "" };
+        let bug = if self.forget_fill_booking {
+            ", fills forget their booking"
+        } else {
+            ""
+        };
+        format!("{work}{tight}, checks from {:#x}{bug}", self.check_seed)
+    }
+}
+
+/// Lazy booking's oracle. Twins built from `sc` and `cfg` (with
+/// `sc.tight_l1`'s L1s) are clocked on one schedule — every cycle
+/// `drain_loop` would tick, every gap it would jump, as the lazy twin's
+/// `next_events` announce them. The eager twin
+/// settles its GPU ([`Gpu::settle`]) after every cycle and every jump,
+/// which is per-tick booking; the lazy twin books only where the library
+/// does. At interior points drawn from `sc.check_seed` (after settling
+/// both) and at the drain point, the published registries, the in-flight
+/// summaries and every core's stamp must agree; once drained, so must the
+/// snapshot bytes. Returns the number of interior points compared.
+pub fn booking_oracle(sc: &BookingScenario, cfg: &GpuConfig) -> Result<u32, GapViolation> {
+    fn walk<S: GapSim>(
+        mut eager: S,
+        mut lazy: S,
+        sc: &BookingScenario,
+    ) -> Result<u32, GapViolation> {
+        if sc.forget_fill_booking {
+            lazy.gpu_mut().debug_forget_fill_booking();
+        }
+        let mut rng = Xorshift64::new(sc.check_seed);
+        let every = rng.range(1, 64);
+        let (mut now, mut checks) = (0, 0);
+        let compare = |eager: &mut S, lazy: &mut S, now: Cycle| {
+            let (a, b) = (eager.digest(), lazy.digest());
+            if a != b {
+                return violation(now, now, first_difference(&a, &b));
+            }
+            let nows = |s: &mut S| {
+                let gpu = s.gpu_mut();
+                (0..gpu.num_cores())
+                    .map(|i| gpu.core(i).now())
+                    .collect::<Vec<_>>()
+            };
+            let (a, b) = (nows(eager), nows(lazy));
+            if a != b {
+                return violation(now, now, format!("core stamps {a:?} vs {b:?}"));
+            }
+            Ok(())
+        };
+        while !lazy.is_idle() {
+            eager.cycle(now);
+            eager.gpu_mut().settle();
+            lazy.cycle(now);
+            let mut next = now + 1;
+            if !lazy.is_idle() {
+                let wake = next_wake(now, TWIN_MAX_CYCLES, lazy.next_events(now));
+                if wake > next {
+                    eager.skip(wake - next);
+                    eager.gpu_mut().settle();
+                    lazy.skip(wake - next);
+                    next = wake;
+                }
+            }
+            if rng.below(every) == 0 {
+                compare(&mut eager, &mut lazy, now)?;
+                checks += 1;
+            }
+            now = next;
+            if now >= TWIN_MAX_CYCLES {
+                return violation(now, now, "did not drain");
+            }
+        }
+        compare(&mut eager, &mut lazy, now)?;
+        if !eager.is_idle() || eager.drained_bytes() != lazy.drained_bytes() {
+            return violation(now, now, "drained state differs");
+        }
+        Ok(checks)
+    }
+    let mut cfg = cfg.clone();
+    if sc.tight_l1 {
+        for l1 in [&mut cfg.l1d, &mut cfg.l1t, &mut cfg.l1z, &mut cfg.l1c] {
+            (l1.mshrs, l1.targets_per_mshr) = (2, 2);
+        }
+    }
+    match &sc.work {
+        BookingWork::Kernel(gp, data_seed) => walk(
+            GpuSim::new(gp, *data_seed, &cfg),
+            GpuSim::new(gp, *data_seed, &cfg),
+            sc,
+        ),
+        BookingWork::Draw(case) => walk(
+            RendererSim::new(case, &cfg),
+            RendererSim::new(case, &cfg),
+            sc,
+        ),
+    }
+}
+
+/// Shrink candidates for a failing [`BookingScenario`]: a smaller program
+/// or a simpler draw. The bug is never removed.
+pub fn shrink_booking_candidates(sc: &BookingScenario) -> Vec<BookingScenario> {
+    let work: Vec<BookingWork> = match &sc.work {
+        BookingWork::Kernel(gp, seed) => shrink_candidates(gp)
+            .into_iter()
+            .map(|gp| BookingWork::Kernel(gp, *seed))
+            .collect(),
+        BookingWork::Draw(case) => shrink_draw_candidates(case)
+            .into_iter()
+            .map(BookingWork::Draw)
+            .collect(),
+    };
+    work.into_iter()
+        .map(|work| BookingScenario { work, ..sc.clone() })
+        .collect()
 }
 
 /// The renderer canary's scenario: a generated draw walked by the twin
@@ -598,9 +770,13 @@ pub fn shrink_gpu_gap_candidates(sc: &GpuGapScenario) -> Vec<GpuGapScenario> {
 
 /// A cached-pin scenario: [`SocScenario::two_core`] (`Work` phases cut to
 /// `1 / work_div`) on memory system `mem` renders `frames` cube frames
-/// with both clocking gates on.
-/// `forget_cpu_enqueues` is the injected bug: a CPU request entering the
-/// memory system no longer invalidates the memory system's cached pin.
+/// with both clocking gates on. `dense` renders at 128×96 with the
+/// streaming script in place of `mixed`: the GPU and the streamer fill the
+/// shared channels, so CPU requests are refused.
+/// `forget_cpu_enqueues` and `forget_cpu_refused` are the injected bugs:
+/// a CPU request entering the memory system no longer invalidates the
+/// memory system's cached pin; a memory-system tick no longer makes the
+/// CPU cluster due while a core holds a request it refused.
 #[derive(Debug, Clone)]
 pub struct PinScenario {
     /// Frames rendered.
@@ -609,34 +785,43 @@ pub struct PinScenario {
     pub work_div: u64,
     /// Memory-system configuration.
     pub mem: MemCfgKind,
-    /// The injected bug (`false` = honest).
+    /// 128×96 and the streamer rather than 48×32 and `mixed`.
+    pub dense: bool,
+    /// The memory-pin bug (`false` = honest).
     pub forget_cpu_enqueues: bool,
+    /// The CPU-pin bug (`false` = honest).
+    pub forget_cpu_refused: bool,
 }
 
 impl PinScenario {
     /// One-line summary for failure reports.
     pub fn describe(&self) -> String {
+        let said = |forget: bool| if forget { "forgotten" } else { "heeded" };
         format!(
-            "{} frames, work / {}, {}, CPU enqueues {}",
+            "{} frames, work / {}, {}{}, CPU enqueues {}, refused CPU heads {}",
             self.frames,
             self.work_div,
             self.mem.label(),
-            if self.forget_cpu_enqueues {
-                "forgotten"
-            } else {
-                "invalidate"
-            }
+            if self.dense { ", 128x96" } else { "" },
+            said(self.forget_cpu_enqueues),
+            said(self.forget_cpu_refused)
         )
     }
 }
 
 /// Runs `sc` with the SoC's cached-pin audit armed; a pin found later
-/// than its component's `next_event` is the violation, reported with the
+/// than its component's `next_event`, or a CPU core that owes a skipped
+/// cycle (`CpuCluster::audit`), is the violation, reported with the
 /// audit's message.
 pub fn pin_oracle(sc: &PinScenario) -> Result<(), String> {
-    let soc_sc = SocScenario::two_core(sc.mem.build(DramConfig::lpddr3_1600()), sc.work_div);
+    let mut soc_sc = SocScenario::two_core(sc.mem.build(DramConfig::lpddr3_1600()), sc.work_div);
+    if sc.dense {
+        (soc_sc.width, soc_sc.height) = (128, 96);
+        soc_sc.cpus[1] = CpuWorkload::streamer();
+    }
     let mut soc = Soc::new(soc_sc.config(Cell::PRESET));
     soc.debug_audit_pins(sc.forget_cpu_enqueues);
+    soc.debug_audit_cpu_refused(sc.forget_cpu_refused);
     caught(|| {
         for f in 0..sc.frames {
             let d = cube_draw(&soc, f);
@@ -646,8 +831,8 @@ pub fn pin_oracle(sc: &PinScenario) -> Result<(), String> {
 }
 
 /// Shrink candidates for a failing [`PinScenario`]: one frame fewer, a
-/// quarter of the CPU work, the baseline memory system. The bug is never
-/// removed.
+/// quarter of the CPU work, the baseline memory system. The bugs are
+/// never removed.
 pub fn shrink_pin_candidates(sc: &PinScenario) -> Vec<PinScenario> {
     let mut out = Vec::new();
     if sc.frames > 1 {

@@ -25,8 +25,11 @@
 //!   oracle per component: dead-gap oracles (memory system, display), a
 //!   twin gap oracle (bare GPU, standalone renderer: one twin cycled
 //!   through every announced gap, the other jumping and booking it), the
-//!   SoC's cached-pin audit, and injected under-reporting and
-//!   forgotten-invalidation canaries run through those same functions.
+//!   lazy-booking oracle (twins on one schedule, one booking its parked
+//!   cores every tick, the other only where the library settles), the
+//!   SoC's cached-pin audit, and injected under-reporting,
+//!   forgotten-booking and forgotten-invalidation canaries run through
+//!   those same functions.
 //! - [`batchconf`] checks the batched CPU execution contract
 //!   (`run_batch`) with a twin-core oracle over any script and window
 //!   cap, and two injected canaries: a stalled window overrun past its
@@ -62,9 +65,10 @@ pub mod socconf;
 pub use batchconf::{batch_oracle, shrink_batch_candidates, BatchScenario};
 pub use drawgen::{gen_draw, run_draw_case, run_draw_case_timed, shrink_draw_candidates};
 pub use eventconf::{
-    display_gap_oracle, gap_oracle, gpu_gap_oracle, pin_oracle, renderer_gap_oracle,
-    shrink_display_gap_candidates, shrink_gap_candidates, shrink_gpu_gap_candidates,
-    shrink_pin_candidates, shrink_renderer_gap_candidates, DisplayGapScenario, GapScenario,
+    booking_oracle, display_gap_oracle, gap_oracle, gpu_gap_oracle, pin_oracle,
+    renderer_gap_oracle, shrink_booking_candidates, shrink_display_gap_candidates,
+    shrink_gap_candidates, shrink_gpu_gap_candidates, shrink_pin_candidates,
+    shrink_renderer_gap_candidates, BookingScenario, BookingWork, DisplayGapScenario, GapScenario,
     GpuGapScenario, PinScenario, RendererGapScenario,
 };
 pub use isadiff::{

@@ -277,12 +277,15 @@ impl GpuRenderer {
         self.cur.is_none() && self.queue.is_empty() && self.gpu.is_idle()
     }
 
+    /// A shaded vertex's seven floats, read under one image lock.
     fn read_clip_vert(mem: &SharedMem, addr: Addr) -> ClipVert {
-        let f = |o: u64| mem.read_f32(addr + o);
-        ClipVert {
-            pos: Vec4::new(f(0), f(4), f(8), f(12)),
-            attrs: [f(16), f(20), f(24)],
-        }
+        mem.read(|m| {
+            let f = |o: u64| m.read_f32(addr + o);
+            ClipVert {
+                pos: Vec4::new(f(0), f(4), f(8), f(12)),
+                attrs: [f(16), f(20), f(24)],
+            }
+        })
     }
 
     fn start_draw(&mut self, dc: DrawCall, wt: Option<u32>, now: Cycle) {
@@ -731,6 +734,7 @@ impl GpuRenderer {
         let skip = self.gpu.config().event_skip;
         self.clock =
             emerald_gpu::gpu::drain_loop(&mut Run(self, port), "frame", start, max_cycles, skip);
+        self.gpu.settle();
         emerald_obs::trace::span(
             emerald_obs::TraceCat::Frame,
             "render_frame",

@@ -131,8 +131,8 @@ pub struct SimtCore {
     cfg: GpuConfig,
     warps: Vec<Option<Warp>>,
     /// Resident-warp count, kept in sync with `warps` so `occupancy` is
-    /// O(1) — the active-set scan in `Gpu::cycle` queries it every cycle
-    /// for every core.
+    /// O(1) — `Gpu::cycle`'s due test queries it for every core whose
+    /// wake has come.
     resident: usize,
     /// Launch sequence per slot (for greedy-then-oldest).
     seq: Vec<u64>,
@@ -158,8 +158,9 @@ pub struct SimtCore {
     used_regs: usize,
     barriers: FxHashMap<(usize, usize), usize>,
     stats: CoreStats,
-    /// Last cycle seen by [`SimtCore::cycle`]; timestamps trace events from
-    /// call sites (like launch) that have no cycle argument.
+    /// Last cycle ticked while the core was active, cycled or parked;
+    /// timestamps trace events from call sites (like launch) that have no
+    /// cycle argument.
     now: Cycle,
 }
 
@@ -252,8 +253,9 @@ impl SimtCore {
     /// is resident, a line access is queued, a memory token is in flight,
     /// or a scheduled writeback/token completion is pending. A core for
     /// which this is false can skip its cycle entirely — the only effect
-    /// would be bumping `stats.cycles`, and the active-set scan in
-    /// `Gpu::cycle` depends on that equivalence.
+    /// would be bumping `stats.cycles` — and `Gpu::cycle`'s due test and
+    /// the GPU's lazy booking depend on that equivalence. Only the core's
+    /// own cycle and a launch change it.
     pub(crate) fn is_active(&self) -> bool {
         self.occupancy() > 0
             || !self.lsu.is_empty()
@@ -413,12 +415,20 @@ impl SimtCore {
         }
     }
 
-    /// Cycle `now` of a core that is active but not due (its
-    /// [`SimtCore::next_event`] is later): booked by [`SimtCore::skip`],
-    /// and stamped as [`SimtCore::cycle`] would stamp it.
-    pub(crate) fn skip_cycle(&mut self, now: Cycle) {
-        self.now = now;
-        self.skip(1);
+    /// Books `delta` parked cycles ([`SimtCore::skip`]) at once; `stamp`
+    /// is the last of them the GPU ticked, if any, which the core's stamp
+    /// ([`SimtCore::now`]) takes as a cycled core would.
+    pub(crate) fn book(&mut self, delta: Cycle, stamp: Option<Cycle>) {
+        self.skip(delta);
+        if let Some(now) = stamp {
+            self.now = now;
+        }
+    }
+
+    /// The last cycle the GPU ticked while this core was active — the
+    /// stamp of the trace events a launch emits.
+    pub fn now(&self) -> Cycle {
+        self.now
     }
 
     /// Accounts one returned line of `token`; the owning warp's slot when

@@ -113,19 +113,30 @@ pub struct Gpu {
     kernels: Vec<KernelState>,
     cta_cursor: usize,
     finished_external: Vec<(CoreId, u64)>,
-    /// Indices of cores with work this cycle (resident warps, queued line
-    /// accesses, in-flight tokens or scheduled writebacks), recomputed
-    /// after CTA dispatch, then narrowed to the due ones. The core phase
-    /// iterates only this set, so the per-cycle cost scales with activity,
-    /// not with `num_cores`.
-    active: Vec<usize>,
+    /// The cores due this cycle; kept across cycles so the core phase
+    /// never allocates.
+    due: Vec<usize>,
     /// Per core, its [`SimtCore::next_event`] answer (`Cycle::MAX` for
     /// `None`), re-read at the end of every [`Gpu::cycle`] in which the
     /// core was due or took a fill, and reset to 0 (due) by a CTA launch,
     /// [`Gpu::core_mut`] and a restore. Nothing else moves a core, so an
-    /// active core whose wake is later than `now` is booked
-    /// ([`SimtCore::skip`]) instead of cycled.
+    /// active core whose wake is later than `now` is not cycled: its
+    /// parked cycles are booked when it is next touched ([`Gpu::book`]).
     wake: Vec<Cycle>,
+    /// Cycles this GPU has accounted, ticked or skipped. A count rather
+    /// than a clock value: callers may restart `now` between runs.
+    clock: u64,
+    /// Per core, the `clock` through which its time is booked. A core's
+    /// activity (`SimtCore::is_active`) only changes where it is touched
+    /// — its own cycle, a launch — so the cycles from here to `clock`
+    /// were all active or all idle.
+    booked: Vec<u64>,
+    /// `(clock, now)` of the last ticked cycle: the stamp
+    /// ([`SimtCore::now`]) of a core booked through it.
+    last_tick: Option<(u64, Cycle)>,
+    /// The booking canary: a fill no longer books its core first
+    /// ([`Gpu::debug_forget_fill_booking`]).
+    forget_fill_booking: bool,
     /// Set once [`Gpu::dispatch_ctas`] has placed every CTA it can;
     /// cleared where room can appear or a kernel can need it — a warp
     /// retiring, [`Gpu::launch_kernel`], a restore. While it is set no
@@ -155,8 +166,12 @@ impl Gpu {
             kernels: Vec::new(),
             cta_cursor: 0,
             finished_external: Vec::new(),
-            active: Vec::with_capacity(cfg.clusters),
+            due: Vec::with_capacity(cfg.clusters),
             wake: vec![0; cfg.clusters],
+            clock: 0,
+            booked: vec![0; cfg.clusters],
+            last_tick: None,
+            forget_fill_booking: false,
             cta_blocked: false,
             stats: GpuStats::default(),
             cores,
@@ -181,10 +196,47 @@ impl Gpu {
     }
 
     /// Mutable core access (the graphics pipeline launches warps
-    /// directly); the core is due next cycle.
+    /// directly): the core's parked cycles are booked first, and it is
+    /// due next cycle.
     pub fn core_mut(&mut self, i: usize) -> &mut SimtCore {
+        self.book(i, self.clock);
         self.wake[i] = 0;
         &mut self.cores[i]
+    }
+
+    /// Books core `i`'s parked cycles up to `clock` value `end`
+    /// (exclusive), before anything touches it: an active core that was
+    /// not cycled in them was parked in each ([`SimtCore::skip`]), and
+    /// takes the stamp of the last one that was ticked.
+    fn book(&mut self, i: usize, end: u64) {
+        let from = std::mem::replace(&mut self.booked[i], end);
+        let core = &mut self.cores[i];
+        if end > from && core.is_active() {
+            let stamp = self
+                .last_tick
+                .filter(|&(at, _)| (from..end).contains(&at))
+                .map(|(_, now)| now);
+            core.book(end - from, stamp);
+        }
+    }
+
+    /// Books every core's parked cycles, so everything a core's
+    /// statistics, stamp and caches show is up to date. The library calls
+    /// it wherever it hands out settled state: at the end of
+    /// [`Gpu::run_to_idle`], of the renderer's and the SoC's loops, and
+    /// before [`Gpu::walk`] and [`Gpu::reset_stats`].
+    pub fn settle(&mut self) {
+        for i in 0..self.cores.len() {
+            self.book(i, self.clock);
+        }
+    }
+
+    /// Test-only hook for the booking canary: an L2 fill no longer books
+    /// its core's parked cycles before it clears the L1's stall memo, so
+    /// the retries those cycles made at a stalled LSU head are lost.
+    #[doc(hidden)]
+    pub fn debug_forget_fill_booking(&mut self) {
+        self.forget_fill_booking = true;
     }
 
     /// The shared L2 (stats).
@@ -205,6 +257,11 @@ impl Gpu {
     /// under `{prefix}.coreN.*`, a cross-core merge under
     /// `{prefix}.cores.*`, and the L2 under `{prefix}.l2.*`.
     pub fn publish(&self, reg: &mut emerald_obs::Registry, prefix: &str) {
+        debug_assert!(
+            (0..self.cores.len())
+                .all(|i| !self.cores[i].is_active() || self.booked[i] == self.clock),
+            "publishing a GPU with unbooked parked cycles: settle it first"
+        );
         let stats = self.stats();
         reg.set_counter(format!("{prefix}.issued"), stats.issued);
         reg.set_counter(format!("{prefix}.warps_retired"), stats.warps_retired);
@@ -225,8 +282,10 @@ impl Gpu {
         self.l2.stats().publish(reg, &format!("{prefix}.l2"));
     }
 
-    /// Resets core/L2/GPU statistics (cache contents survive).
+    /// Resets core/L2/GPU statistics (cache contents survive); parked
+    /// cycles before the reset are booked first.
     pub fn reset_stats(&mut self) {
+        self.settle();
         self.stats = GpuStats::default();
         for c in &mut self.cores {
             c.reset_stats();
@@ -278,12 +337,15 @@ impl Gpu {
             .find(|&ci| self.cores[ci].can_accept(&kernel.program, kernel.warps_per_cta()))
     }
 
-    fn dispatch_ctas(&mut self) {
+    /// Places every CTA that fits; a core taking one is booked through
+    /// the cycle before `tick` first.
+    fn dispatch_ctas(&mut self, tick: u64) {
         if self.cta_blocked {
             return;
         }
         for ki in 0..self.kernels.len() {
             while let Some(ci) = self.core_for_cta(ki) {
+                self.book(ci, tick);
                 let ks = &self.kernels[ki];
                 let (cta, shared_base) = (ks.next_cta, ks.next_shared_base);
                 let warps_per_cta = ks.kernel.warps_per_cta();
@@ -313,16 +375,6 @@ impl Gpu {
         self.cta_blocked = true;
     }
 
-    /// Rebuilds the active-core list from simulation state.
-    fn collect_active(&mut self) {
-        self.active.clear();
-        for (i, c) in self.cores.iter().enumerate() {
-            if c.is_active() {
-                self.active.push(i);
-            }
-        }
-    }
-
     /// Advances the whole GPU one cycle; returns whether a warp retired
     /// in it.
     ///
@@ -331,30 +383,34 @@ impl Gpu {
     /// storing core and by every higher-indexed one.
     pub fn cycle<C: ImageCtx>(&mut self, now: Cycle, ctx: &mut C, port: &mut dyn MemPort) -> bool {
         port.tick(now);
-        self.dispatch_ctas();
+        let tick = self.clock;
+        self.dispatch_ctas(tick);
+        self.last_tick = Some((tick, now));
+        self.clock = tick + 1;
         if cfg!(debug_assertions) {
             self.audit_memos(now.saturating_sub(1));
         }
-        self.collect_active();
 
-        // 1. Due cores execute in index order under one image lock. An
-        // active core whose wake is later would only count the cycle, so
-        // it is booked instead; inactive cores would be pure no-ops (their
-        // `is_active` guarantees it). A cycle with no due core takes no
-        // lock.
-        let (cores, wake) = (&mut self.cores, &self.wake);
-        self.active.retain(|&i| {
-            let due = wake[i] <= now;
-            if !due {
-                cores[i].skip_cycle(now);
+        // 1. Due cores — active, with a wake no later than `now` — are
+        // booked through the cycle before and execute in index order
+        // under one image lock. An active core whose wake is later would
+        // only count the cycle: it stays parked, and its cycles are booked
+        // when it is next touched. Inactive cores would be pure no-ops
+        // (their `is_active` guarantees it). A cycle with no due core
+        // takes no lock.
+        self.due.clear();
+        for i in 0..self.cores.len() {
+            if self.wake[i] <= now && self.cores[i].is_active() {
+                self.book(i, tick);
+                self.booked[i] = tick + 1;
+                self.due.push(i);
             }
-            due
-        });
-        emerald_obs::prof::record_gpu_cycle(self.active.len() as u64);
-        if !self.active.is_empty() {
-            let (cores, active) = (&mut self.cores, &self.active);
+        }
+        emerald_obs::prof::record_gpu_cycle(self.due.len() as u64);
+        if !self.due.is_empty() {
+            let (cores, due) = (&mut self.cores, &self.due);
             ctx.lock(|exec| {
-                for &i in active {
+                for &i in due {
                     cores[i].cycle(now, exec);
                 }
             });
@@ -455,8 +511,13 @@ impl Gpu {
             }
         }
 
-        // 5. Fills back to the cores; a filled core's wake is re-read.
+        // 5. Fills back to the cores, each booked through this cycle
+        // first: a fill clears the L1 stall memo its parked retries were
+        // booked by. A filled core's wake is re-read.
         while let Some((target, line)) = self.l2_to_core.pop(now) {
+            if !self.forget_fill_booking {
+                self.book(target.core, tick + 1);
+            }
             self.cores[target.core].fill_l1(target.surface, line, now);
             self.wake[target.core] = now;
         }
@@ -480,7 +541,7 @@ impl Gpu {
         }
 
         // 7. The wake of every core that was due or took a fill, now that
-        // fills and retirements are in. A booked core's wake still stands:
+        // fills and retirements are in. A parked core's wake still stands:
         // booking moves nothing its `next_event` reads.
         for (wake, core) in self.wake.iter_mut().zip(&self.cores) {
             if *wake <= now {
@@ -572,21 +633,21 @@ impl Gpu {
             }
         }
         let skip = self.cfg.event_skip;
-        drain_loop(&mut Run(self, ctx, port), "GPU", start, max_cycles, skip) - start
+        let end = drain_loop(&mut Run(self, ctx, port), "GPU", start, max_cycles, skip);
+        self.settle();
+        end - start
     }
 
     /// Books `delta` cycles the clock jumped over, none of them at or past
     /// this GPU's `next_event`: what cycling through them would have
     /// changed is time-linear — each active core's cycle count, and one
     /// counted retry per cycle at every LSU head and L2 bank blocked on a
-    /// memoised cache stall — plus the profiler's cycle count.
-    /// The one booking site for a parked GPU; the clocking kernel calls it
-    /// where it jumps.
+    /// memoised cache stall — plus the profiler's cycle count. The L2's
+    /// share is booked here; the cores' share when each is next touched
+    /// ([`Gpu::settle`]), so the jump costs the same at any core count.
+    /// The clocking kernel calls it where it jumps.
     pub fn skip(&mut self, delta: Cycle) {
-        self.collect_active();
-        for &i in &self.active {
-            self.cores[i].skip(delta);
-        }
+        self.clock += delta;
         self.l2.skip(delta);
         emerald_obs::prof::record_gpu_skip(delta);
     }
@@ -669,6 +730,7 @@ impl Gpu {
             w.reading() || self.is_idle(),
             "GPU must be drained at a checkpoint"
         );
+        self.settle();
         assert!(
             w.reading() || self.finished_external.is_empty(),
             "finished-warp notifications must be consumed before a checkpoint"
@@ -712,7 +774,6 @@ impl Gpu {
             self.finished_external.clear();
             self.wake.fill(0);
             self.cta_blocked = false;
-            self.collect_active();
         }
         Ok(())
     }

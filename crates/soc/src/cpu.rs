@@ -842,6 +842,16 @@ impl CpuCluster {
         }
     }
 
+    /// True while a core holds a request issued by `now` at the head of
+    /// its output buffer: the memory system refused it, and only a
+    /// memory-system tick can make room (the rule the display and the GPU
+    /// follow too).
+    pub(crate) fn holds_refused(&self, now: Cycle) -> bool {
+        self.cores
+            .iter()
+            .any(|c| c.out.first().is_some_and(|head| head.issued <= now))
+    }
+
     /// The frame barrier as the clock sees it at `now`: every core's
     /// frame-end flag flipped at or before this cycle.
     pub(crate) fn all_done(&self, now: Cycle) -> bool {

@@ -152,18 +152,22 @@ fn flip_cycle(cur: &FrameCursor) -> Cycle {
 /// core has yet to submit (`None` once submitted).
 type Frame<'a> = (&'a mut FrameCursor, &'a mut Option<Vec<DrawCall>>);
 
-/// The last `next_event` answer of each non-CPU component (`Cycle::MAX`
-/// for `None`): the SoC's wake calendar. A pin is recomputed only where
-/// it can have moved — after its component ticked, or, for the memory
-/// system, after a request entered it or DASH feedback fired. Derived from
-/// the components, so not part of a snapshot: every clocking loop starts
-/// from 0, which makes every component due at its first step — the
-/// public components may have been touched since the last loop.
+/// The last `next_event` answer of each component (`Cycle::MAX` for
+/// `None`), and the CPU cluster's last [`CpuCluster::wake`]: the SoC's
+/// wake calendar. A pin is recomputed only where it can have moved —
+/// after its component ticked; for the memory system, after a request
+/// entered it or DASH feedback fired; for the CPU cluster, after it
+/// stepped, the memory system ticked or took a request (a refused head
+/// may fit now, an accepted one may fill a channel) or the fence flipped.
+/// Derived from the components, so not part of a snapshot: every clocking
+/// loop starts from 0, which makes every component due at its first step
+/// — the public components may have been touched since the last loop.
 #[derive(Debug, Clone, Copy, Default)]
 struct Pins {
     mem: Cycle,
     display: Cycle,
     renderer: Cycle,
+    cpu: Cycle,
 }
 
 fn pin(next_event: Option<Cycle>) -> Cycle {
@@ -205,6 +209,9 @@ pub struct Soc {
     /// The CPU wake oracle's canary: the CPU cluster is never told that
     /// the fence flipped.
     forget_fence_flip: bool,
+    /// The CPU pin's canary: a memory-system tick no longer makes a
+    /// cluster holding a refused request due.
+    forget_cpu_refused: bool,
     /// A mid-frame checkpoint waiting for [`Soc::resume_frame`]; the bool
     /// records whether the frame's draws were already submitted.
     resume: Option<(FrameCursor, bool)>,
@@ -248,6 +255,7 @@ impl Soc {
             audit: cfg!(debug_assertions),
             forget_cpu_enqueues: false,
             forget_fence_flip: false,
+            forget_cpu_refused: false,
             resume: None,
             cfg,
         }
@@ -299,6 +307,18 @@ impl Soc {
         self.forget_fence_flip = forget_fence_flip;
     }
 
+    /// Test-only hook for the CPU pin canary: arms the cached-pin oracle
+    /// (which audits the CPU cores too) in any build, and with
+    /// `forget_cpu_refused` injects the bug it must catch — the CPU
+    /// cluster is no longer due when the memory system ticks while a core
+    /// holds a request it refused, so that request waits for the cluster's
+    /// pin although its channel has made room.
+    #[doc(hidden)]
+    pub fn debug_audit_cpu_refused(&mut self, forget_cpu_refused: bool) {
+        self.audit = true;
+        self.forget_cpu_refused = forget_cpu_refused;
+    }
+
     /// CPU statistics per core.
     pub fn cpu_stats(&self) -> Vec<crate::cpu::CpuStats> {
         self.cpus.cores().iter().map(|c| c.stats()).collect()
@@ -318,9 +338,9 @@ impl Soc {
     }
 
     /// Hands each finished read to its requester. Returns whether the
-    /// renderer and the display received one.
-    fn route_responses(&mut self) -> (bool, bool) {
-        let mut got = (false, false);
+    /// renderer, the display and the CPU cluster received one.
+    fn route_responses(&mut self) -> (bool, bool, bool) {
+        let mut got = (false, false, false);
         for &r in self.memsys.drain_finished(self.now) {
             match r.source {
                 TrafficSource::Gpu => {
@@ -332,6 +352,7 @@ impl Soc {
                 TrafficSource::Cpu(i) => {
                     if r.kind == AccessKind::Read {
                         self.cpus.on_response(i, self.now);
+                        got.2 = true;
                     }
                 }
                 TrafficSource::Display => {
@@ -457,13 +478,15 @@ impl Soc {
     /// ([`Soc::idle_until`]).
     ///
     /// A component is due when its cached pin is `<= now`, or when an
-    /// input reached it: a routed response (renderer, display), a
-    /// submitted draw (renderer), or — while it holds a request the memory
-    /// system refused — a memory-system tick, the only thing that can make
-    /// room. Everything else skips the cycle: the memory system and the
-    /// display have nothing to book (their gaps are dead), the renderer
-    /// owes the cycle to [`Soc::settle_renderer`]. With the clock-jump gate
-    /// off every component is due every cycle: the per-cycle reference.
+    /// input reached it: a routed response (renderer, display, CPU
+    /// cluster), a submitted draw (renderer), or — while it holds a
+    /// request the memory system refused — a memory-system tick, the only
+    /// thing that can make room. Everything else skips the cycle: the
+    /// memory system, the display and the CPU cluster have nothing to book
+    /// (their gaps are dead; a core asleep books its own stalls and polls
+    /// when it next runs), the renderer owes the cycle to
+    /// [`Soc::settle_renderer`]. With the clock-jump gate off every
+    /// component is due every cycle: the per-cycle reference.
     fn step(&mut self, mut frame: Option<Frame<'_>>) {
         prof::tick();
         self.now += 1;
@@ -472,14 +495,16 @@ impl Soc {
         let mem_due = every || self.pins.mem <= now;
         let mut display_due = every || self.pins.display <= now;
         let mut renderer_due = every || self.pins.renderer <= now;
+        let mut cpu_due = every || self.pins.cpu <= now;
         // Whether the memory system's pin can have moved this cycle.
         let mut mem_moved = mem_due;
 
         if mem_due {
             self.memsys.tick(now);
-            let (to_renderer, to_display) = self.route_responses();
+            let (to_renderer, to_display, to_cpu) = self.route_responses();
             renderer_due |= to_renderer || self.renderer.gpu.holds_refused();
             display_due |= to_display || self.display.holds_refused();
+            cpu_due |= to_cpu || (!self.forget_cpu_refused && self.cpus.holds_refused(now));
         }
 
         if display_due {
@@ -488,7 +513,7 @@ impl Soc {
             self.pins.display = pin(self.display.next_event(now));
         }
 
-        if let Some((cur, draws)) = &mut frame {
+        if let Some((cur, draws)) = frame.as_mut().filter(|_| cpu_due) {
             let flip = self.cpu_flip(cur);
             let (ev, sent) = self.cpus.step(now, flip, &mut self.memsys);
             mem_moved |= sent && !self.forget_cpu_enqueues;
@@ -531,16 +556,21 @@ impl Soc {
             renderer_due || self.pins.renderer > now,
             "renderer skipped while due"
         );
-        let rendering_since = frame.and_then(|(cur, _)| {
+        let mut flipped = false;
+        let rendering_since = frame.as_mut().and_then(|(cur, _)| {
             if cur.gpu_active && !cur.gpu_done && self.renderer.is_idle() {
                 cur.gpu_done = true;
                 cur.gpu_cycles = now - cur.gpu_start;
+                flipped = true;
             }
             (cur.gpu_active && !cur.gpu_done).then_some(cur.gpu_start)
         });
         mem_moved |= self.dash_feedback(rendering_since);
         if mem_moved {
             self.pins.mem = pin(self.memsys.next_event(now));
+        }
+        if let Some((cur, _)) = frame.filter(|_| cpu_due || mem_moved || flipped) {
+            self.pins.cpu = self.cpus.wake(now, self.cpu_flip(cur), &self.memsys);
         }
 
         prof::record_soc_cycle();
@@ -581,10 +611,12 @@ impl Soc {
     }
 
     /// Books the cycles the renderer was not cycled in
-    /// (`GpuRenderer::skip` → `Gpu::skip`: its parked cores' time-linear
-    /// counters), before anything can observe them — its next cycle, a
-    /// checkpoint, the watchdog's state dump, and the end of every loop,
-    /// after which `publish`, `frame_stats` and the public fields read it.
+    /// (`GpuRenderer::skip` → `Gpu::skip`), before anything can observe
+    /// them — its next cycle, a checkpoint, the watchdog's state dump, and
+    /// the end of every loop, after which `publish`, `frame_stats` and the
+    /// public fields read it. Those last four also settle the GPU
+    /// (`Gpu::settle`), which books its parked cores' time-linear counters
+    /// lazily.
     fn settle_renderer(&mut self) {
         if self.owed > 0 {
             self.renderer.skip(std::mem::take(&mut self.owed));
@@ -606,8 +638,8 @@ impl Soc {
     /// `next_event` answer — a pin that is too late is the one way the due
     /// set or `quiet_until` could skip a component that has work. Inside a
     /// frame (`frame`) it audits the CPU cores' wakes too
-    /// (`CpuCluster::audit`): skipping a core at `now` must have been a
-    /// no-op.
+    /// (`CpuCluster::audit`: skipping a core at `now` must have been a
+    /// no-op), and the CPU pin against a fresh [`CpuCluster::wake`].
     fn audit_pins(&self, frame: Option<&FrameCursor>) {
         if !self.audit {
             return;
@@ -629,14 +661,21 @@ impl Soc {
         }
         if let Some(cur) = frame {
             self.cpus.audit(now, flip_cycle(cur), &self.memsys);
+            let fresh = self.cpus.wake(now, self.cpu_flip(cur), &self.memsys);
+            assert!(
+                self.pins.cpu <= fresh,
+                "cached CPU pin {} is later than its wake {fresh} after cycle {now}",
+                self.pins.cpu
+            );
         }
     }
 
     /// The frame loop, shared by [`Soc::run_frame`],
     /// [`Soc::run_frame_checkpoint`] and [`Soc::resume_frame`]: one body,
     /// two gates. `GpuConfig::event_skip` only decides whether the clock
-    /// may jump, to the earlier of [`Soc::quiet_until`] and
-    /// [`CpuCluster::wake`]; `SocConfig::cpu_batch` only decides whether
+    /// may jump, to the earlier of [`Soc::quiet_until`] and the CPU
+    /// cluster's pin (`pins.cpu`, its cached [`CpuCluster::wake`]);
+    /// `SocConfig::cpu_batch` only decides whether
     /// each core sleeps on its own wake ([`CpuCluster`]). With both off
     /// this is the per-cycle reference clocking.
     fn drive_frame(
@@ -667,6 +706,7 @@ impl Soc {
                 {
                     self.cpus.settle(self.now);
                     self.settle_renderer();
+                    self.renderer.gpu.settle();
                     let pending = self.resume.replace((cur.clone(), draws.is_none()));
                     snap = Some(self.encode_checkpoint());
                     self.resume = pending;
@@ -680,6 +720,7 @@ impl Soc {
             }
             if now >= cap {
                 self.settle_renderer();
+                self.renderer.gpu.settle();
                 panic!(
                     "SoC frame exceeded {max_cycles} cycles (gpu_active={} gpu_done={} \
                      cpus_done={:?}) renderer: {} gpu: {}",
@@ -695,12 +736,12 @@ impl Soc {
                 );
             }
             if skip {
-                let wake = self.cpus.wake(now, self.cpu_flip(cur), &self.memsys);
-                self.jump_to(self.quiet_until(now, cap).min(wake));
+                self.jump_to(self.quiet_until(now, cap).min(self.pins.cpu));
             }
         }
         self.cpus.settle(self.now);
         self.settle_renderer();
+        self.renderer.gpu.settle();
         snap
     }
 
@@ -846,6 +887,7 @@ impl Soc {
             }
         }
         self.settle_renderer();
+        self.renderer.gpu.settle();
     }
 }
 

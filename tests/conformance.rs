@@ -16,14 +16,15 @@ use emerald::common::rng::Xorshift64;
 use emerald::prelude::{Cycle, DramConfig, GpuConfig, MemCfgKind};
 use emerald_conformance::isadiff::{self, shrink_failing};
 use emerald_conformance::{
-    batch_oracle, check_case, check_case_matrix, check_with_injected_bug, conf_cases,
-    display_gap_oracle, gap_oracle, gen_draw, gen_program, gpu_gap_oracle, pin_oracle,
+    batch_oracle, booking_oracle, check_case, check_case_matrix, check_with_injected_bug,
+    conf_cases, display_gap_oracle, gap_oracle, gen_draw, gen_program, gpu_gap_oracle, pin_oracle,
     renderer_gap_oracle, run_draw_case, run_draw_case_timed, shrink_batch_candidates,
-    shrink_display_gap_candidates, shrink_draw_candidates, shrink_gap_candidates,
-    shrink_gpu_gap_candidates, shrink_pin_candidates, shrink_renderer_gap_candidates,
-    shrink_snap_candidates, shrink_wake_candidates, snap_oracle, wake_oracle, BatchScenario, Cell,
-    DisplayGapScenario, GapScenario, GpuGapScenario, PinScenario, RendererGapScenario, SnapBug,
-    SnapScenario, SocScenario, WakeScenario,
+    shrink_booking_candidates, shrink_display_gap_candidates, shrink_draw_candidates,
+    shrink_gap_candidates, shrink_gpu_gap_candidates, shrink_pin_candidates,
+    shrink_renderer_gap_candidates, shrink_snap_candidates, shrink_wake_candidates, snap_oracle,
+    wake_oracle, BatchScenario, BookingScenario, BookingWork, Cell, DisplayGapScenario,
+    GapScenario, GpuGapScenario, PinScenario, RendererGapScenario, SnapBug, SnapScenario,
+    SocScenario, WakeScenario,
 };
 
 /// Shrink-step budget. Generated programs have < 40 instructions, so this
@@ -295,7 +296,9 @@ fn forgotten_pin_invalidation_is_caught_and_shrunk() {
         frames: 2,
         work_div: 16,
         mem: MemCfgKind::Dcb,
+        dense: false,
         forget_cpu_enqueues: false,
+        forget_cpu_refused: false,
     };
     pin_oracle(&honest).expect("honest cached pins conform");
     // ...and the forgotten invalidation is always caught, then minimized.
@@ -307,7 +310,9 @@ fn forgotten_pin_invalidation_is_caught_and_shrunk() {
             // backlogged in these frames, so no CPU request lands before
             // the pin there and a forgotten invalidation does no harm.
             mem: MemCfgKind::ALL[rng.below(3) as usize],
+            dense: false,
             forget_cpu_enqueues: true,
+            forget_cpu_refused: false,
         };
         let v = pin_oracle(&sc).expect_err("a forgotten invalidation must be caught");
         assert!(v.contains("memory system pin"), "caught by the audit: {v}");
@@ -319,6 +324,95 @@ fn forgotten_pin_invalidation_is_caught_and_shrunk() {
         );
         assert!(small.forget_cpu_enqueues, "shrinking never removes the bug");
         assert!(small.frames <= sc.frames && small.work_div >= sc.work_div);
+        pin_oracle(&small).expect_err(&format!(
+            "shrunk scenario still fails: {}",
+            small.describe()
+        ));
+    });
+}
+
+/// The booking canary: a fill that does not book its core's parked
+/// cycles first clears the L1 stall memo those cycles' retries are booked
+/// by, so the retries (`l1*.stalls`, `reads`) are lost. The booking
+/// oracle, which `tests/event_skip.rs` runs on random kernels and draws,
+/// must catch it for every seed — with L1s of two MSHRs, whose heads stall
+/// and park often — and shrink the case to one that still fails with the
+/// bug kept, while the honest GPU passes.
+#[test]
+fn forgotten_fill_booking_is_caught_and_shrunk() {
+    let cfg = isadiff::base_config();
+    check_n("fill_booking_canary", 4, |rng| {
+        let work = if rng.chance(0.5) {
+            BookingWork::Kernel(gen_program(rng), rng.next_u64())
+        } else {
+            BookingWork::Draw(gen_draw(rng))
+        };
+        let honest = BookingScenario {
+            work,
+            check_seed: rng.next_u64(),
+            tight_l1: true,
+            forget_fill_booking: false,
+        };
+        booking_oracle(&honest, &cfg).expect("honest lazy booking conforms");
+        let sc = BookingScenario {
+            forget_fill_booking: true,
+            ..honest
+        };
+        let v = booking_oracle(&sc, &cfg).expect_err("a forgotten fill booking must be caught");
+        assert!(
+            v.detail.contains(".l1"),
+            "caught through an L1 counter: {v:?}"
+        );
+        let (small, _steps) = minimize(
+            sc.clone(),
+            shrink_booking_candidates,
+            |c| booking_oracle(c, &cfg).is_err(),
+            16,
+        );
+        assert!(small.forget_fill_booking, "shrinking never removes the bug");
+        booking_oracle(&small, &cfg).expect_err(&format!(
+            "shrunk scenario still fails: {}",
+            small.describe()
+        ));
+    });
+}
+
+/// The CPU pin canary: a CPU cluster that is not due when the memory
+/// system ticks while a core holds a request it refused keeps that
+/// request waiting for the cluster's own pin, although its channel has
+/// made room. The SoC's audit (`CpuCluster::audit`, armed in any build
+/// through `pin_oracle`) must catch it for every seed and shrink the case
+/// to one that still fails with the bug kept.
+#[test]
+fn forgotten_refused_cpu_head_is_caught_and_shrunk() {
+    check_n("cpu_refused_canary", 4, |rng| {
+        let honest = PinScenario {
+            frames: rng.range(1, 3) as u32,
+            work_div: 1 << rng.range(2, 7),
+            // Not HMC, whose CPU channel nothing else shares; and dense,
+            // where CPU requests are refused.
+            mem: MemCfgKind::ALL[rng.below(3) as usize],
+            dense: true,
+            forget_cpu_enqueues: false,
+            forget_cpu_refused: false,
+        };
+        pin_oracle(&honest).expect("honest CPU pins conform");
+        let sc = PinScenario {
+            forget_cpu_refused: true,
+            ..honest
+        };
+        let v = pin_oracle(&sc).expect_err("a forgotten refused head must be caught");
+        assert!(
+            v.contains("that the memory system accepts"),
+            "caught by the audit: {v}"
+        );
+        let (small, _steps) = minimize(
+            sc.clone(),
+            shrink_pin_candidates,
+            |c| pin_oracle(c).is_err(),
+            16,
+        );
+        assert!(small.forget_cpu_refused, "shrinking never removes the bug");
         pin_oracle(&small).expect_err(&format!(
             "shrunk scenario still fails: {}",
             small.describe()

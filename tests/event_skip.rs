@@ -19,7 +19,10 @@
 //!    announced gaps still move time-linear counters: one twin is cycled
 //!    through every gap, the other jumps it and books it, and registry,
 //!    in-flight state, snapshot bytes and output memory must agree
-//!    (`eventconf::{gpu_gap_oracle, renderer_gap_oracle}`).
+//!    (`eventconf::{gpu_gap_oracle, renderer_gap_oracle}`). The same two
+//!    models check lazy booking: twins on one schedule, one booking its
+//!    parked cores every tick, the other only where the library settles
+//!    (`eventconf::booking_oracle`).
 //!
 //! Then the loop-iteration bounds that show the clock really jumps, and
 //! the owed-renderer checkpoint regression. Case counts scale with
@@ -174,6 +177,54 @@ fn renderer_gaps_change_only_what_skip_books() {
         },
     );
     assert!(gaps > 0, "no gap was ever announced");
+}
+
+/// Oracle 3c: lazy booking. Twins on one drain schedule — one settling
+/// its GPU after every cycle and every jump (per-tick booking), the other
+/// booking its parked cores only where the library does — walk random
+/// kernels on a bare GPU and random draws on a standalone renderer under
+/// either scheduler, half of them with L1s of two MSHRs (whose LSU heads
+/// stall and park often); registry, in-flight summary and core stamps must
+/// agree at random interior points and at the drain point, snapshot bytes
+/// once drained. Scales with `EMERALD_CHECK_CASES` (default 8).
+#[test]
+fn lazy_core_booking_equals_per_tick_booking() {
+    use emerald::gpu::config::WarpSched;
+    use emerald_conformance::{
+        base_config, booking_oracle, gen_draw, gen_program, BookingScenario, BookingWork,
+    };
+    let (mut case, mut checks) = (0, [0; 2]);
+    check_n(
+        "gpu_booking_twins",
+        env_cases("EMERALD_CHECK_CASES", 8),
+        |rng| {
+            let cfg = GpuConfig {
+                warp_sched: [WarpSched::Gto, WarpSched::Lrr][rng.below(2) as usize],
+                ..base_config()
+            };
+            let kind = case % 2;
+            case += 1;
+            let work = if kind == 0 {
+                BookingWork::Kernel(gen_program(rng), rng.next_u64())
+            } else {
+                BookingWork::Draw(gen_draw(rng))
+            };
+            let sc = BookingScenario {
+                work,
+                check_seed: rng.next_u64(),
+                tight_l1: rng.chance(0.5),
+                forget_fill_booking: false,
+            };
+            match booking_oracle(&sc, &cfg) {
+                Ok(n) => checks[kind] += n,
+                Err(v) => panic!("{v:?}\n{}", sc.describe()),
+            }
+        },
+    );
+    assert!(
+        checks.iter().all(|&n| n > 0),
+        "interior points compared (kernels, draws): {checks:?}"
+    );
 }
 
 /// Lockstep passes just as well with pins that always answer `now + 1`.
