@@ -443,6 +443,106 @@ pub fn encode(f: impl FnOnce(&mut SnapWriter) -> Result<(), SnapError>) -> Vec<u
     w.buf
 }
 
+/// A [`SnapWriter`] that also records the byte range of every primitive
+/// it puts — each `u8`, `u32`, `u64` and `raw`, so each length and
+/// section header too — and the section it sits in, for a fuzz that
+/// overwrites one field at a time. Its bytes are [`encode`]'s.
+#[derive(Debug, Default)]
+pub struct FieldWriter {
+    w: SnapWriter,
+    fields: Vec<Field>,
+    /// The section being written (0: none), and the next section's id.
+    section: usize,
+    sections: usize,
+}
+
+/// Where one primitive landed in a [`FieldWriter`]'s bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Field {
+    /// Its bytes.
+    pub at: std::ops::Range<usize>,
+    /// The innermost section holding it, numbered from 1 in the order
+    /// sections open (0: outside every section); a section's own tag and
+    /// length belong to the section around it.
+    pub section: usize,
+}
+
+impl FieldWriter {
+    /// Encodes what `f` walks: the body bytes and every primitive in them,
+    /// in walk order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the walk fails, which a writer's primitives never do.
+    pub fn encode(
+        f: impl FnOnce(&mut FieldWriter) -> Result<(), SnapError>,
+    ) -> (Vec<u8>, Vec<Field>) {
+        let mut w = FieldWriter::default();
+        f(&mut w).expect("a writer's walk refuses nothing");
+        (w.w.buf, w.fields)
+    }
+
+    fn put(
+        &mut self,
+        f: impl FnOnce(&mut SnapWriter) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
+        let start = self.w.buf.len();
+        f(&mut self.w)?;
+        self.fields.push(Field {
+            at: start..self.w.buf.len(),
+            section: self.section,
+        });
+        Ok(())
+    }
+}
+
+impl Walk for FieldWriter {
+    fn reading(&self) -> bool {
+        false
+    }
+
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapError> {
+        self.put(|w| w.u8(v))
+    }
+
+    fn u32(&mut self, v: &mut u32) -> Result<(), SnapError> {
+        self.put(|w| w.u32(v))
+    }
+
+    fn u64(&mut self, v: &mut u64) -> Result<(), SnapError> {
+        self.put(|w| w.u64(v))
+    }
+
+    fn raw(&mut self, v: &mut [u8]) -> Result<(), SnapError> {
+        self.put(|w| w.raw(v))
+    }
+
+    fn len(&mut self, n: usize, _elem_min: usize) -> Result<usize, SnapError> {
+        self.u64(&mut (n as u64))?;
+        Ok(n)
+    }
+
+    /// [`SnapWriter::section`]'s bytes; the fields `f` walks are recorded
+    /// as this section's.
+    fn section(
+        &mut self,
+        mut tag: u32,
+        f: impl FnOnce(&mut Self) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
+        self.u32(&mut tag)?;
+        let at = self.w.buf.len();
+        self.u64(&mut 0)?;
+        let outer = self.section;
+        self.sections += 1;
+        self.section = self.sections;
+        f(self)?;
+        self.section = outer;
+        let len = (self.w.buf.len() - at - 8) as u64;
+        self.w.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        Ok(())
+    }
+}
+
 /// Bounds-checked snapshot decoder over a byte slice: the [`Walk`] that
 /// gets and validates values.
 #[derive(Debug)]
@@ -834,6 +934,29 @@ mod tests {
             (got.f, got.g) = (fx.f, fx.g);
             assert_eq!(got, fx);
             assert_eq!(got.bytes(), bytes, "re-encoding is stable");
+        });
+    }
+
+    /// A `FieldWriter` puts `encode`'s bytes; its fields tile them in walk
+    /// order, and each names the innermost section around it.
+    #[test]
+    fn field_writer_maps_every_byte() {
+        check::check("snap_field_writer", |rng| {
+            let mut fx = Fixture::random(rng);
+            let (bytes, fields) = FieldWriter::encode(|w| fx.walk(w));
+            assert_eq!(bytes, fx.bytes());
+            let end = fields.iter().fold(0, |at, f| {
+                assert_eq!(f.at.start, at, "{f:?} follows byte {at}");
+                f.at.end
+            });
+            assert_eq!(end, bytes.len());
+            // Section 0x10's tag and length sit outside every section;
+            // 0x11 (the second to open) holds f, g, the bytes' length and
+            // contents, and raw.
+            let in_section = |s| fields.iter().filter(|f| f.section == s).count();
+            assert_eq!(in_section(0), 2);
+            assert_eq!(in_section(2), 5);
+            assert_eq!(in_section(1), fields.len() - 7);
         });
     }
 

@@ -78,8 +78,11 @@ pub struct SocScenario {
 impl SocScenario {
     /// A random scenario: memory kind (BAS, DCB, HMC), DRAM preset,
     /// resolution, period, the driver plus a random subset of the other
-    /// three scripts, the `Work` divisor, and whether frames draw the cube
-    /// or leave the frame to the CPUs, memory and the display alone.
+    /// three scripts, the `Work` divisor, whether frames draw the cube
+    /// or leave the frame to the CPUs, memory and the display alone, and
+    /// in a quarter of the scenarios a channel queue of 2–8 requests —
+    /// at these resolutions the default 64 never fills, so without it no
+    /// CPU request would ever be refused.
     pub fn random(rng: &mut Xorshift64) -> Self {
         let kind = [MemCfgKind::Bas, MemCfgKind::Dcb, MemCfgKind::Hmc][rng.below(3) as usize];
         let dram = if rng.chance(0.5) {
@@ -99,14 +102,21 @@ impl SocScenario {
                 cpus.push(w);
             }
         }
+        let work_div = rng.range(6, 14);
+        let cube = rng.chance(0.5);
+        let mut memsys = kind.build(dram);
+        // Drawn last, so every other field keeps its value for a seed.
+        if rng.chance(0.25) {
+            memsys.dram.queue_cap = rng.range(2, 9) as usize;
+        }
         Self {
-            memsys: kind.build(dram),
+            memsys,
             width,
             height,
             period,
             cpus,
-            work_div: rng.range(6, 14),
-            cube: rng.chance(0.5),
+            work_div,
+            cube,
         }
     }
 
@@ -480,32 +490,35 @@ pub(crate) fn caught(f: impl FnOnce()) -> Result<(), String> {
 }
 
 /// A CPU-wake scenario: `soc` runs `frames` frames with both gates on and
-/// the SoC's wake audit armed. `forget_fence_flip` is the injected bug:
-/// the CPU cluster is never told that the frame's fence flipped.
+/// the SoC's wake audit armed. `forget_fence_flip` and
+/// `forget_cpu_refused` are the injected bugs: the CPU cluster is never
+/// told that the frame's fence flipped; a memory-system tick no longer
+/// makes the CPU cluster due while a core holds a request it refused.
 #[derive(Debug, Clone)]
 pub struct WakeScenario {
     /// The SoC.
     pub soc: SocScenario,
     /// Frames rendered.
     pub frames: u32,
-    /// The injected bug (`false` = honest).
+    /// The fence-flip bug (`false` = honest).
     pub forget_fence_flip: bool,
+    /// The refused-CPU-head bug (`false` = honest).
+    pub forget_cpu_refused: bool,
 }
 
 impl WakeScenario {
     /// One-line summary for failure reports.
     pub fn describe(&self) -> String {
+        let said = |forget: bool| if forget { "forgotten" } else { "heeded" };
         format!(
-            "{} frames, {} cores, work / {}, cube {}, fence flip {}",
+            "{} frames, {} cores, work / {}, cube {}, queue cap {}, fence flip {}, refused CPU heads {}",
             self.frames,
             self.soc.cpus.len(),
             self.soc.work_div,
             self.soc.cube,
-            if self.forget_fence_flip {
-                "forgotten"
-            } else {
-                "noticed"
-            }
+            self.soc.memsys.dram.queue_cap,
+            said(self.forget_fence_flip),
+            said(self.forget_cpu_refused)
         )
     }
 }
@@ -516,6 +529,7 @@ impl WakeScenario {
 pub fn wake_oracle(sc: &WakeScenario) -> Result<(), String> {
     let mut soc = Soc::new(sc.soc.config(Cell::PRESET));
     soc.debug_audit_cpu_wakes(sc.forget_fence_flip);
+    soc.debug_audit_cpu_refused(sc.forget_cpu_refused);
     caught(|| {
         for f in 0..sc.frames {
             let d = sc.soc.draws(&soc, f);
@@ -526,7 +540,7 @@ pub fn wake_oracle(sc: &WakeScenario) -> Result<(), String> {
 
 /// Shrink candidates for a failing [`WakeScenario`]: one frame fewer, the
 /// last core dropped (never the driver), a quarter of the CPU work, no
-/// cube. The bug is never removed.
+/// cube. The bugs are never removed.
 pub fn shrink_wake_candidates(sc: &WakeScenario) -> Vec<WakeScenario> {
     let mut out = Vec::new();
     if sc.frames > 1 {

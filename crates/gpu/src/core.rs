@@ -90,7 +90,16 @@ impl CoreStats {
 /// A slot's bits are a function of its warp alone; [`SlotMasks::mark`]
 /// re-reads them wherever that warp's state moves, and debug builds
 /// rebuild all three from the definitions every cycle.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+///
+/// The age view orders the resident warps by launch (`SimtCore::seq`):
+/// `by_rank[r]` is the slot of the `r`-th oldest, `rank` its inverse, and
+/// `ready_age`/`mem_age` are `ready`/`mem` with bit `r` standing for
+/// `by_rank[r]`, so GTO's oldest ready warp is one `trailing_zeros`.
+/// [`SlotMasks::launch`] ranks a new warp last, [`SlotMasks::retire`]
+/// closes its rank's gap, and `mark` keeps both spaces' bits together.
+/// The view is derived state: a checkpoint lands on a drained core, and a
+/// restore starts it empty.
+#[derive(Debug, Clone, Copy)]
 struct SlotMasks {
     /// [`Warp::issuable`] is `Some`.
     ready: u64,
@@ -98,17 +107,82 @@ struct SlotMasks {
     mem: u64,
     /// [`Warp::is_finished`].
     done: u64,
+    /// `ready` in rank space.
+    ready_age: u64,
+    /// `mem` in rank space.
+    mem_age: u64,
+    /// Slot of each rank, oldest first; `0..live` are the resident warps.
+    by_rank: [u8; 64],
+    /// Rank of each resident warp's slot (stale on an empty slot).
+    rank: [u8; 64],
+    /// Resident warps ranked.
+    live: usize,
+}
+
+impl Default for SlotMasks {
+    fn default() -> Self {
+        Self {
+            ready: 0,
+            mem: 0,
+            done: 0,
+            ready_age: 0,
+            mem_age: 0,
+            by_rank: [0; 64],
+            rank: [0; 64],
+            live: 0,
+        }
+    }
+}
+
+/// Sets or clears bit `bit` of `mask`.
+fn put(mask: &mut u64, bit: usize, on: bool) {
+    *mask = *mask & !(1 << bit) | u64::from(on) << bit;
 }
 
 impl SlotMasks {
-    /// Re-reads `slot`'s bits from `warp` (`None`: the slot is empty).
-    fn mark(&mut self, slot: usize, warp: Option<&Warp>) {
-        let bit = 1u64 << slot;
-        let set = |on: bool| if on { bit } else { 0 };
-        let next = warp.and_then(Warp::issuable);
-        self.ready = self.ready & !bit | set(next.is_some());
-        self.mem = self.mem & !bit | set(next.is_some_and(|d| d.class == LatencyClass::Mem));
-        self.done = self.done & !bit | set(warp.is_some_and(Warp::is_finished));
+    /// Re-reads the bits of the warp in `slot`.
+    fn mark(&mut self, slot: usize, warp: &Warp) {
+        let next = warp.issuable();
+        let mem = next.is_some_and(|d| d.class == LatencyClass::Mem);
+        let r = self.rank[slot] as usize;
+        put(&mut self.ready, slot, next.is_some());
+        put(&mut self.ready_age, r, next.is_some());
+        put(&mut self.mem, slot, mem);
+        put(&mut self.mem_age, r, mem);
+        put(&mut self.done, slot, warp.is_finished());
+    }
+
+    /// Ranks the warp just launched into `slot` youngest, then marks it.
+    fn launch(&mut self, slot: usize, warp: &Warp) {
+        self.rank[slot] = self.live as u8;
+        self.by_rank[self.live] = slot as u8;
+        self.live += 1;
+        self.mark(slot, warp);
+    }
+
+    /// Empties `slot`: its bits leave the slot masks, its rank's bit
+    /// leaves the rank-space masks with one shift-and-merge, and the
+    /// younger warps move up a rank.
+    fn retire(&mut self, slot: usize) {
+        let keep = !(1u64 << slot);
+        self.ready &= keep;
+        self.mem &= keep;
+        self.done &= keep;
+        let r = self.rank[slot] as usize;
+        let low = (1u64 << r) - 1;
+        self.ready_age = self.ready_age & low | self.ready_age >> 1 & !low;
+        self.mem_age = self.mem_age & low | self.mem_age >> 1 & !low;
+        for i in r + 1..self.live {
+            let s = self.by_rank[i];
+            self.by_rank[i - 1] = s;
+            self.rank[s as usize] = (i - 1) as u8;
+        }
+        self.live -= 1;
+    }
+
+    /// The slot of the oldest warp in rank-space mask `age`.
+    fn oldest(&self, age: u64) -> Option<usize> {
+        (age != 0).then(|| self.by_rank[age.trailing_zeros() as usize] as usize)
     }
 }
 
@@ -226,7 +300,8 @@ impl SimtCore {
         self.seq[slot] = self.next_seq;
         self.next_seq += 1;
         self.warps[slot] = Some(warp);
-        self.masks.mark(slot, self.warps[slot].as_ref());
+        self.masks
+            .launch(slot, self.warps[slot].as_ref().expect("just placed"));
         self.resident += 1;
         self.stats.warps_launched += 1;
         emerald_obs::trace::instant_args(
@@ -446,10 +521,9 @@ impl SimtCore {
             return None;
         }
         let tok = e.remove();
-        if let Some(w) = warps[tok.slot].as_mut() {
-            w.release_regs(tok.regs);
-            w.outstanding_mem -= 1;
-        }
+        let w = warps[tok.slot].as_mut()?;
+        w.release_regs(tok.regs);
+        w.outstanding_mem -= 1;
         Some(tok.slot)
     }
 
@@ -464,12 +538,15 @@ impl SimtCore {
         self.reg_release.drain(now, |(slot, regs)| {
             if let Some(w) = warps[slot].as_mut() {
                 w.release_regs(regs);
-                masks.mark(slot, Some(w));
+                masks.mark(slot, w);
             }
         });
         self.token_done.drain(now, |t| {
             if let Some(slot) = Self::complete_token_part(tokens, warps, t) {
-                masks.mark(slot, warps[slot].as_ref());
+                masks.mark(
+                    slot,
+                    warps[slot].as_ref().expect("a warp got its registers"),
+                );
             }
         });
 
@@ -548,7 +625,7 @@ impl SimtCore {
         // 4. Retire finished warps, in slot order.
         for slot in slots(self.masks.done) {
             let w = self.warps[slot].take().expect("a done bit marks a warp");
-            self.masks.mark(slot, None);
+            self.masks.retire(slot);
             self.resident -= 1;
             self.used_regs -= Self::reg_demand(&w.program);
             self.finished.push(w.tag);
@@ -565,29 +642,70 @@ impl SimtCore {
 
     /// The masks' oracle: all three rebuilt from the definitions the
     /// warp's cached view stands for (`can_issue`, `has_hazard`, the
-    /// decode at the pc, `is_finished`) must equal the maintained ones.
+    /// decode at the pc, `is_finished`) must equal the maintained ones,
+    /// and the age view must rank exactly the resident warps, by `seq`,
+    /// with each rank-space bit equal to its slot's. O(resident) and
+    /// allocation-free, so it runs every cycle in debug builds.
     fn assert_masks(&self) {
-        let mut slow = SlotMasks::default();
+        let (mut ready, mut mem, mut done, mut resident) = (0u64, 0u64, 0u64, 0);
         for (slot, w) in self.warps.iter().enumerate() {
             let Some(w) = w else { continue };
             let bit = 1u64 << slot;
+            resident += 1;
             if w.can_issue() && !w.has_hazard() {
-                slow.ready |= bit;
+                ready |= bit;
                 if w.program.decoded(w.stack.pc()).class == LatencyClass::Mem {
-                    slow.mem |= bit;
+                    mem |= bit;
                 }
             }
             if w.is_finished() {
-                slow.done |= bit;
+                done |= bit;
             }
         }
-        assert_eq!(self.masks, slow, "stale slot mask on {}", self.id);
+        let m = &self.masks;
+        let id = self.id;
+        assert_eq!(
+            (m.ready, m.mem, m.done),
+            (ready, mem, done),
+            "stale slot mask on {id}"
+        );
+        assert_eq!(m.live, resident, "stale slot mask on {id}: ranked warps");
+        let mut prev = None;
+        for r in 0..m.live {
+            let slot = m.by_rank[r] as usize;
+            assert!(
+                self.warps[slot].is_some() && m.rank[slot] as usize == r,
+                "stale slot mask on {id}: rank {r} names slot {slot}"
+            );
+            assert!(
+                prev < Some(self.seq[slot]),
+                "stale slot mask on {id}: rank {r} is out of launch order"
+            );
+            prev = Some(self.seq[slot]);
+            assert_eq!(
+                (m.ready_age >> r & 1, m.mem_age >> r & 1),
+                (m.ready >> slot & 1, m.mem >> slot & 1),
+                "stale slot mask on {id}: rank {r}'s bits"
+            );
+        }
+        let unranked = |age: u64| age.checked_shr(m.live as u32).unwrap_or(0);
+        assert_eq!(
+            (unranked(m.ready_age), unranked(m.mem_age)),
+            (0, 0),
+            "stale slot mask on {id}: bits past the last rank"
+        );
+    }
+
+    /// True while the LSU cannot take a memory instruction (worst case
+    /// one line/lane ×4).
+    fn lsu_full(&self) -> bool {
+        self.lsu.len() >= self.cfg.lsu_entries
     }
 
     /// Slots a scheduler may pick now: the ready ones, less memory
-    /// instructions while the LSU is full (worst case one line/lane ×4).
+    /// instructions while the LSU is full.
     fn pickable(&self) -> u64 {
-        if self.lsu.len() >= self.cfg.lsu_entries {
+        if self.lsu_full() {
             self.masks.ready & !self.masks.mem
         } else {
             self.masks.ready
@@ -597,22 +715,40 @@ impl SimtCore {
     /// Warp selection for scheduler `s` per the configured policy.
     fn pick_warp(&self, s: usize) -> Option<usize> {
         let ready = self.pickable();
-        // Not taken by an earlier scheduler this cycle.
-        let free = ready
-            & !self.last_greedy[..s]
-                .iter()
-                .flatten()
-                .fold(0u64, |m, &slot| m | 1 << slot);
+        // What the earlier schedulers picked this cycle.
+        let taken = || self.last_greedy[..s].iter().flatten();
+        let free = || ready & !taken().fold(0u64, |m, &slot| m | 1 << slot);
         match self.cfg.warp_sched {
             WarpSched::Gto => match self.last_greedy[s] {
                 // Greedy: stick with the last warp while it stays ready.
                 Some(slot) if ready >> slot & 1 != 0 => Some(slot),
-                // Fallback: the oldest free ready warp.
-                _ => slots(free).min_by_key(|&slot| self.seq[slot]),
+                // Fallback: the oldest free ready warp, the lowest rank
+                // left once the taken warps still ready — whose ranks are
+                // live — are cleared.
+                _ => {
+                    let m = &self.masks;
+                    let mut age = if self.lsu_full() {
+                        m.ready_age & !m.mem_age
+                    } else {
+                        m.ready_age
+                    };
+                    for &slot in taken().filter(|&&slot| ready >> slot & 1 != 0) {
+                        age &= !(1 << m.rank[slot]);
+                    }
+                    let pick = m.oldest(age);
+                    debug_assert_eq!(
+                        pick,
+                        slots(free()).min_by_key(|&slot| self.seq[slot]),
+                        "GTO's age view disagrees with seq on {}",
+                        self.id
+                    );
+                    pick
+                }
             },
             WarpSched::Lrr => {
                 // Rotate: first free ready slot after the last issued one.
                 let start = self.last_greedy[s].map_or(0, |x| (x + 1) % self.warps.len());
+                let free = free();
                 let after = free & u64::MAX << start;
                 slots(if after != 0 { after } else { free }).next()
             }
@@ -633,7 +769,7 @@ impl SimtCore {
         let w = self.warps[slot].as_mut().expect("warp in slot");
         let pc = w.stack.pc();
         let mask = w.stack.active_mask();
-        let decoded = w.program.decoded(pc);
+        let decoded = w.issuable().expect("a picked warp is issuable");
         let (regs, params) = (&mut w.regs, &w.params);
         execute_warp(&w.program, pc, mask, regs, params, ctx, &mut self.step);
         let res = &self.step;
@@ -672,7 +808,7 @@ impl SimtCore {
                             let Some(other) = other else { continue };
                             if other.cta_group.map(|(ok, oc, _)| (ok, oc)) == Some((k, cta)) {
                                 other.at_barrier = false;
-                                self.masks.mark(i, Some(other));
+                                self.masks.mark(i, other);
                             }
                         }
                     }
@@ -752,7 +888,7 @@ impl SimtCore {
             w.exited = true;
         }
         w.refresh_next();
-        self.masks.mark(slot, Some(w));
+        self.masks.mark(slot, w);
     }
 }
 
@@ -1081,22 +1217,29 @@ mod tests {
     }
 
     /// The mask oracle catches a mask nobody re-marked: a ready bit on an
-    /// empty slot, and a done bit on a warp still waiting on a writeback.
+    /// empty slot, a done bit on a warp still waiting on a writeback, and
+    /// an age view whose two oldest warps swapped ranks.
     #[cfg(debug_assertions)]
     #[test]
     fn stale_slot_masks_are_caught() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let corruptions: [fn(&mut SlotMasks); 2] = [|m| m.ready ^= 1 << 5, |m| m.done ^= 1];
+        let corruptions: [fn(&mut SlotMasks); 3] = [
+            |m| m.ready ^= 1 << 5,
+            |m| m.done ^= 1,
+            |m| m.by_rank.swap(0, 1),
+        ];
         for corrupt in corruptions {
             let mut c = core();
             let mut ctx = GlobalMemCtx::new(SharedMem::with_capacity(1 << 16));
-            // r0's writeback lands at cycle 4, so nothing re-marks slot 0
-            // in cycle 3.
-            launch_simple(
-                &mut c,
-                "add.f32 r0, 1.0, 2.0\nadd.f32 r1, r0, 1.0\nexit",
-                32,
-            );
+            // Each r0's writeback lands at cycle 4 or later, so nothing
+            // re-marks slots 0 and 1 in cycle 3.
+            for _ in 0..2 {
+                launch_simple(
+                    &mut c,
+                    "add.f32 r0, 1.0, 2.0\nadd.f32 r1, r0, 1.0\nexit",
+                    32,
+                );
+            }
             for now in 0..3 {
                 ctx.lock(|x| c.cycle(now, x));
             }

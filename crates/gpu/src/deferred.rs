@@ -2,8 +2,9 @@
 //! completions): a queue kept sorted by the cycle they fall due.
 //!
 //! Every event lands a small configured latency ahead of a clock that
-//! only moves forward, so a new one belongs at, or a few entries short
-//! of, the back, and the due ones are a prefix. The order is that of the
+//! only moves forward, so a new one usually belongs at the back — it is
+//! appended — or a few entries short of it, and the due ones are a
+//! prefix. The order is that of the
 //! `BTreeMap<Cycle, Vec<T>>` this replaces — ascending due cycle,
 //! insertion order within a cycle — and the storage is kept, so
 //! scheduling and draining touch no allocator once the queue has seen its
@@ -35,10 +36,15 @@ impl<T: Copy> Deferred<T> {
     }
 
     /// Schedules `item` for cycle `due`, behind everything already due
-    /// then or earlier.
+    /// then or earlier: appended when nothing pending falls due later,
+    /// the common case, else inserted after the last entry due by `due`.
     pub(crate) fn push(&mut self, due: Cycle, item: T) {
-        let at = self.queue.iter().rposition(|e| e.0 <= due);
-        self.queue.insert(at.map_or(0, |i| i + 1), (due, item));
+        if self.queue.back().is_none_or(|e| e.0 <= due) {
+            self.queue.push_back((due, item));
+        } else {
+            let at = self.queue.iter().rposition(|e| e.0 <= due);
+            self.queue.insert(at.map_or(0, |i| i + 1), (due, item));
+        }
     }
 
     /// Hands every event due at or before `now` to `f`, in order.

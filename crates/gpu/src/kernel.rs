@@ -64,15 +64,12 @@ impl Kernel {
     ) -> (WarpRegs, usize) {
         let first = warp_in_cta * 32;
         let lanes = (self.threads_per_cta - first).min(32);
+        let first_gid = cta * self.threads_per_cta + first;
         let mut regs = WarpRegs::new(&self.program);
-        for lane in 0..lanes {
-            let tid_in_cta = first + lane;
-            let gid = cta * self.threads_per_cta + tid_in_cta;
-            regs.set_input(input::ID, lane, gid as u32);
-            regs.set_input(input::CTA_ID, lane, cta as u32);
-            regs.set_input(input::TID_IN_CTA, lane, tid_in_cta as u32);
-            regs.set_input(INPUT_SHARED_BASE, lane, shared_base);
-        }
+        regs.set_input_row(input::ID, lanes, |lane| (first_gid + lane) as u32);
+        regs.set_input_row(input::CTA_ID, lanes, |_| cta as u32);
+        regs.set_input_row(input::TID_IN_CTA, lanes, |lane| (first + lane) as u32);
+        regs.set_input_row(INPUT_SHARED_BASE, lanes, |_| shared_base);
         (regs, lanes)
     }
 }

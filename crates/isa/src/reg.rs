@@ -82,7 +82,8 @@ impl fmt::Display for Special {
 /// Well-known launch-input slot assignments.
 ///
 /// The work launchers (`emerald-gpu` CTA dispatch, `emerald-core` vertex and
-/// fragment warp launchers) populate [`WarpRegs::set_input`] using these
+/// fragment warp launchers) populate [`WarpRegs::set_input`] and
+/// [`WarpRegs::set_input_row`] using these
 /// conventions; shaders read them via `%inputN`.
 pub mod input {
     /// Compute: global thread index. Vertex: vertex index within the draw.
@@ -229,6 +230,21 @@ impl WarpRegs {
         }
     }
 
+    /// Sets launch input `k` of lanes `0..lanes` to `f(lane)`, one row
+    /// at a time; dropped, like [`WarpRegs::set_input`], for a slot the
+    /// program never reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` exceeds [`WARP_SIZE`].
+    pub fn set_input_row(&mut self, k: usize, lanes: usize, mut f: impl FnMut(usize) -> u32) {
+        if let Some(row) = self.rows[self.n_regs..].get_mut(k) {
+            for (lane, v) in row[..lanes].iter_mut().enumerate() {
+                *v = f(lane);
+            }
+        }
+    }
+
     /// The register file of `threads` (lane `l` = `threads[l]`, at most
     /// [`WARP_SIZE`] of them), holding what `program` can read or write.
     pub fn gather(program: &Program, threads: &[ThreadState]) -> Self {
@@ -288,6 +304,10 @@ mod tests {
         w.set_input(5, 7, 43); // never read: dropped
         assert_eq!(w.rows[3 + 1][7], 42);
         assert_eq!(w.rows.iter().flatten().sum::<u32>(), 42);
+        w.set_input_row(0, 3, |lane| lane as u32 + 10);
+        w.set_input_row(5, 32, |_| 44); // never read: dropped
+        assert_eq!(w.rows[3][..4], [10, 11, 12, 0]);
+        assert_eq!(w.rows.iter().flatten().sum::<u32>(), 42 + 33);
     }
 
     #[test]

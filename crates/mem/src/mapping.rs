@@ -35,6 +35,29 @@ pub enum MappingScheme {
     RowColRankBankChan,
 }
 
+/// A line index whose fields are split off its low end.
+struct Fields(u64);
+
+impl Fields {
+    /// Takes the next field of `n` values (0 when `n <= 1`): by mask and
+    /// shift when `n` is a power of two, which every shipped geometry's
+    /// fields are, and by `%` and `/` otherwise (HMC over 6 channels has
+    /// 3 per class).
+    fn take(&mut self, n: u64) -> u64 {
+        if n <= 1 {
+            0
+        } else if n.is_power_of_two() {
+            let v = self.0 & (n - 1);
+            self.0 >>= n.trailing_zeros();
+            v
+        } else {
+            let v = self.0 % n;
+            self.0 /= n;
+            v
+        }
+    }
+}
+
 /// A concrete address mapping: scheme plus geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapping {
@@ -74,50 +97,44 @@ impl AddressMapping {
     }
 
     /// Decodes a byte address into DRAM coordinates.
-    ///
-    /// All geometry parameters must be powers of two.
     pub fn decode(&self, addr: Addr) -> DramLocation {
-        debug_assert!(self.line_bytes.is_power_of_two());
-        let mut x = addr / self.line_bytes;
-        let mut take = |n: u64| -> u64 {
-            if n <= 1 {
-                return 0;
-            }
-            let v = x % n;
-            x /= n;
-            v
-        };
-        match self.scheme {
+        let mut x = Fields(self.line_index(addr));
+        // LSB → MSB: channel, then column, bank, rank (page-striped) or
+        // bank, rank, column (line-striped), then row.
+        let channel = x.take(self.channels as u64) as usize;
+        let (col, bank, rank) = match self.scheme {
             MappingScheme::RowRankBankColChan => {
-                // LSB → MSB: channel, column, bank, rank, row
-                let channel = take(self.channels as u64) as usize;
-                let col = take(self.cols_per_row);
-                let bank = take(self.banks as u64) as usize;
-                let rank = take(self.ranks as u64) as usize;
-                let row = x;
-                DramLocation {
-                    channel,
-                    rank,
-                    bank,
-                    row,
-                    col,
-                }
+                let col = x.take(self.cols_per_row);
+                let bank = x.take(self.banks as u64) as usize;
+                (col, bank, x.take(self.ranks as u64) as usize)
             }
             MappingScheme::RowColRankBankChan => {
-                // LSB → MSB: channel, bank, rank, column, row
-                let channel = take(self.channels as u64) as usize;
-                let bank = take(self.banks as u64) as usize;
-                let rank = take(self.ranks as u64) as usize;
-                let col = take(self.cols_per_row);
-                let row = x;
-                DramLocation {
-                    channel,
-                    rank,
-                    bank,
-                    row,
-                    col,
-                }
+                let bank = x.take(self.banks as u64) as usize;
+                let rank = x.take(self.ranks as u64) as usize;
+                (x.take(self.cols_per_row), bank, rank)
             }
+        };
+        DramLocation {
+            channel,
+            rank,
+            bank,
+            row: x.0,
+            col,
+        }
+    }
+
+    /// The channel of `addr`, `decode(addr).channel` alone: both schemes
+    /// put the channel in the lowest field.
+    pub fn channel(&self, addr: Addr) -> usize {
+        Fields(self.line_index(addr)).take(self.channels as u64) as usize
+    }
+
+    /// The index of `addr`'s line (the mapping granule).
+    fn line_index(&self, addr: Addr) -> u64 {
+        if self.line_bytes.is_power_of_two() {
+            addr >> self.line_bytes.trailing_zeros()
+        } else {
+            addr / self.line_bytes
         }
     }
 
@@ -200,6 +217,72 @@ mod tests {
                 assert_eq!(m.encode(m.decode(aligned)), aligned);
             }
         }
+    }
+
+    /// The division-only decode the shift path replaced.
+    fn decode_by_division(m: &AddressMapping, addr: Addr) -> DramLocation {
+        let mut x = addr / m.line_bytes;
+        let mut take = |n: u64| -> u64 {
+            if n <= 1 {
+                return 0;
+            }
+            let v = x % n;
+            x /= n;
+            v
+        };
+        let channel = take(m.channels as u64) as usize;
+        let (col, bank, rank) = match m.scheme {
+            MappingScheme::RowRankBankColChan => {
+                let col = take(m.cols_per_row);
+                let bank = take(m.banks as u64) as usize;
+                (col, bank, take(m.ranks as u64) as usize)
+            }
+            MappingScheme::RowColRankBankChan => {
+                let bank = take(m.banks as u64) as usize;
+                let rank = take(m.ranks as u64) as usize;
+                (take(m.cols_per_row), bank, rank)
+            }
+        };
+        DramLocation {
+            channel,
+            rank,
+            bank,
+            row: x,
+            col,
+        }
+    }
+
+    /// Shift-and-mask decoding equals division on random addresses, over
+    /// geometries whose fields are powers of two, not, 1, or mixed; and
+    /// `channel` equals the decoded channel.
+    #[test]
+    fn shift_decode_matches_division() {
+        emerald_common::check::check("mapping_shift_vs_division", |rng| {
+            let scheme = [
+                MappingScheme::RowRankBankColChan,
+                MappingScheme::RowColRankBankChan,
+            ][rng.below(2) as usize];
+            let line_bytes = [64, 128, 96][rng.below(3) as usize];
+            let mut field = || [1, 2, 3, 4, 6, 8, 16, 32, 5][rng.below(9) as usize];
+            let m = AddressMapping {
+                scheme,
+                channels: field() as usize,
+                ranks: field() as usize,
+                banks: field() as usize,
+                cols_per_row: field(),
+                line_bytes,
+            };
+            for _ in 0..64 {
+                let addr = match rng.below(3) {
+                    0 => rng.next_u64(),
+                    1 => rng.below(1 << 32),
+                    _ => rng.below(1 << 16),
+                };
+                let want = decode_by_division(&m, addr);
+                assert_eq!(m.decode(addr), want, "{m:?} at {addr:#x}");
+                assert_eq!(m.channel(addr), want.channel, "{m:?} at {addr:#x}");
+            }
+        });
     }
 
     #[test]

@@ -291,13 +291,11 @@ impl MemorySystem {
         }
     }
 
-    /// Decodes a request's channel and partition-relative location.
-    fn route(&self, req: &MemRequest) -> (usize, crate::mapping::DramLocation) {
+    /// The mapping that decodes `req`, and the channels its channel index
+    /// counts (`None`: every channel, in order).
+    fn steer(&self, req: &MemRequest) -> (&AddressMapping, Option<&[usize]>) {
         match &self.cfg.steering {
-            Steering::Interleaved { mapping } => {
-                let loc = mapping.decode(req.addr);
-                (loc.channel, loc)
-            }
+            Steering::Interleaved { mapping } => (mapping, None),
             Steering::SourcePartitioned {
                 cpu_channels,
                 ip_channels,
@@ -305,14 +303,19 @@ impl MemorySystem {
                 ip_mapping,
             } => {
                 if req.source.is_cpu() {
-                    let loc = cpu_mapping.decode(req.addr);
-                    (cpu_channels[loc.channel], loc)
+                    (cpu_mapping, Some(cpu_channels))
                 } else {
-                    let loc = ip_mapping.decode(req.addr);
-                    (ip_channels[loc.channel], loc)
+                    (ip_mapping, Some(ip_channels))
                 }
             }
         }
+    }
+
+    /// Decodes a request's channel and partition-relative location.
+    fn route(&self, req: &MemRequest) -> (usize, crate::mapping::DramLocation) {
+        let (mapping, channels) = self.steer(req);
+        let loc = mapping.decode(req.addr);
+        (channels.map_or(loc.channel, |c| c[loc.channel]), loc)
     }
 
     /// Enqueues a request; on backpressure the request is handed back.
@@ -330,7 +333,9 @@ impl MemorySystem {
     /// The channel that serves `req`: the one [`MemorySystem::enqueue`]
     /// would put it in and [`MemorySystem::can_accept`] asks about.
     pub fn channel_of(&self, req: &MemRequest) -> usize {
-        self.route(req).0
+        let (mapping, channels) = self.steer(req);
+        let ch = mapping.channel(req.addr);
+        channels.map_or(ch, |c| c[ch])
     }
 
     /// True when the channel that would serve `req` has queue space.

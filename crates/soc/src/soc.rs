@@ -785,11 +785,13 @@ impl Soc {
         emerald_common::snap::config_hash(&format!("{model:?}"))
     }
 
-    /// Walks the full SoC: each component in its own section or record,
-    /// the clock and frame counters, buffered GPU responses, the render
-    /// target layout (configuration, so checked) and the frame a restore
-    /// resumes, if any.
-    fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
+    /// Walks the full SoC — the body of a checkpoint container: each
+    /// component in its own section or record, the clock and frame
+    /// counters, buffered GPU responses, the render target layout
+    /// (configuration, so checked) and the frame a restore resumes, if
+    /// any. A SoC restored from a checkpoint walks that checkpoint's body
+    /// bytes again.
+    pub fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapError> {
         w.section(1, |w| self.mem.walk(w))?;
         w.section(2, |w| self.memsys.walk(w))?;
         w.section(3, |w| self.renderer.walk(w))?;

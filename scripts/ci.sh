@@ -24,7 +24,7 @@ cargo build --release
 echo "==> cargo test (once: the clocking gates are covered by lockstep tests, not by re-runs)"
 cargo test --workspace -q
 
-echo "==> conformance suite (32 random programs/draws, differential + metamorphic; the injected-bug canaries, each through the oracle its axis's random cases run, the renderer lag canary, the forgotten-fence-wake canary through the CPU wake audit, the forgotten-fill-booking canary through the lazy-booking oracle, the refused-CPU-head canary through the CPU pin audit, and the overrun and limit-blind batch canaries among them)"
+echo "==> conformance suite (32 random programs/draws, differential + metamorphic; the injected-bug canaries, each through the oracle its axis's random cases run, the renderer lag canary, the forgotten-fence-wake canary through the CPU wake audit, the forgotten-fill-booking canary through the lazy-booking oracle, the refused-CPU-head canary through the CPU pin audit at 128x96 and in random 2-8 request channel queue scenarios, and the overrun and limit-blind batch canaries among them)"
 EMERALD_CONF_CASES=32 cargo test --release --test conformance -q
 
 echo "==> allocation bars on the optimised build (memory system: 0 per saturated DASH / FR-FCFS cycle; SIMT core and renderer steady states, the stalled 48-warp core included)"
@@ -34,12 +34,12 @@ cargo test --release -p emerald-gpu --test alloc -p emerald-core --test alloc -q
 echo "==> ISA executor properties on the optimised build, 1024 cases each (the workspace step runs them in the dev profile, where the warp-wide lane loops are not vectorised)"
 EMERALD_CHECK_CASES=1024 cargo test --release -p emerald-isa -q
 
-echo "==> memory-substrate and SoC properties on the optimised build, 1024 cases each (the DRAM channel's pick keys against the two-pass selection, the flat cache sets against the set-of-vectors reference with access_with's synchronous fills as an access then a fill, the CPU core's one-call L1/L2 hierarchy against its two-call access-and-fill twin, the event-driven trace replay against the per-cycle loop; the workspace step runs them in the dev profile, where every pick also audits its keys)"
+echo "==> memory-substrate and SoC properties on the optimised build, 1024 cases each (the DRAM channel's pick keys against the two-pass selection, the flat cache sets against the set-of-vectors reference with access_with's synchronous fills as an access then a fill, the CPU core's one-call L1/L2 hierarchy against its two-call access-and-fill twin, the event-driven trace replay against the per-cycle loop, the address mapping's shift-and-mask decode against division over power-of-two and other geometries; the workspace step runs them in the dev profile, where every pick also audits its keys)"
 EMERALD_CHECK_CASES=1024 cargo test --release -p emerald-mem -p emerald-soc -q
 
-echo "==> clocking-gate lockstep suites, release (32 random SoC scenarios, half drawing a cube and half nothing, each in all four event_skip x cpu_batch cells, three of them profiled, equal at every frame barrier, checkpoint bytes included; 16 random-cycle restores into random cells; one checkpoint restored into each of the four cells; 1024 restore-fuzz cases, each restoring a between-frames and a mid-frame checkpoint with 1-8 body bytes overwritten and the checksum re-sealed, never panicking; 1024 JSON-parse fuzz cases, a registry dump or a sweep spec with 1-8 bytes overwritten, never panicking and within a heap bound linear in the text; 16 memory-system and 32 display gap walks; GPU and renderer twin gap walks; 1024 lazy-booking twin walks, random kernels and draws with each parked core booked every tick on one twin and only where the GPU settles on the other; 32 random twin-core run-ahead cases; per-core wake corner scenarios; loop-iteration and renderer-cycle bounds, renderer steps 3–8 in at most 0.2 of the renderer cycles, and at most 0.25 run-ahead CPU batches per loop iteration)"
+echo "==> clocking-gate lockstep suites, release (32 random SoC scenarios, half drawing a cube and half nothing, each in all four event_skip x cpu_batch cells, three of them profiled, equal at every frame barrier, checkpoint bytes included; 16 random-cycle restores into random cells; one checkpoint restored into each of the four cells; 1024 restore-fuzz cases, each restoring a between-frames and a mid-frame checkpoint with 1-8 body bytes overwritten and the checksum re-sealed, never panicking; 1024 field-targeted restore-fuzz cases, each restoring both checkpoints twice with the bytes of one walked field overwritten, never panicking; 1024 JSON-parse fuzz cases, a registry dump or a sweep spec with 1-8 bytes overwritten, never panicking and within a heap bound linear in the text; 16 memory-system and 32 display gap walks; GPU and renderer twin gap walks; 1024 lazy-booking twin walks, random kernels and draws with each parked core booked every tick on one twin and only where the GPU settles on the other; 32 random twin-core run-ahead cases; per-core wake corner scenarios; loop-iteration and renderer-cycle bounds, renderer steps 3–8 in at most 0.2 of the renderer cycles, and at most 0.25 run-ahead CPU batches per loop iteration)"
 EMERALD_CONF_CASES=16 cargo test --release --test event_skip --test cpu_batch --test snapshot -q
-EMERALD_CHECK_CASES=1024 cargo test --release --test snapshot --test json_fuzz --test event_skip -q -- restore_of_garbage json_parse lazy_core_booking
+EMERALD_CHECK_CASES=1024 cargo test --release --test snapshot --test json_fuzz --test event_skip -q -- restore_of_garbage restore_of_one_garbage_field json_parse lazy_core_booking
 
 echo "==> the random gate-matrix and restore oracles again, dev profile (16 gate-matrix scenarios, half drawing a cube and half nothing, and 8 restores; every loop iteration audits the SoC's cached wake pins against fresh next_event answers, and every CPU core left asleep against what it owed; the workspace step above already ran every suite in this profile)"
 EMERALD_CONF_CASES=8 cargo test --test event_skip --test cpu_batch --test snapshot -q -- random_soc_ random_cycle_

@@ -518,6 +518,7 @@ fn forgotten_fence_wake_is_caught_and_shrunk() {
             soc: SocScenario::random(rng),
             frames: rng.range(1, 3) as u32,
             forget_fence_flip: false,
+            forget_cpu_refused: false,
         };
         wake_oracle(&honest).expect("honest CPU wakes conform");
         let sc = WakeScenario {
@@ -534,6 +535,51 @@ fn forgotten_fence_wake_is_caught_and_shrunk() {
         );
         assert!(small.forget_fence_flip, "shrinking never removes the bug");
         assert!(small.frames <= sc.frames && small.soc.cpus.len() <= sc.soc.cpus.len());
+        wake_oracle(&small).expect_err(&format!(
+            "shrunk scenario still fails: {}",
+            small.describe()
+        ));
+    });
+}
+
+/// The CPU pin canary at the random scenarios' sizes: a random
+/// [`SocScenario`] with a 2–8 request channel queue refuses CPU requests
+/// at 48×32 and 64×48 too, so the refused-head bug (see
+/// `forgotten_refused_cpu_head_is_caught_and_shrunk`, which needs 128×96
+/// with the default queue) must be caught through `socconf::wake_oracle`
+/// for every seed, and shrink to a case that still fails with the bug
+/// kept; the honest SoC passes the audit.
+#[test]
+fn forgotten_refused_cpu_head_is_caught_in_random_scenarios() {
+    check_n("cpu_refused_canary_random", 4, |rng| {
+        let honest = WakeScenario {
+            soc: std::iter::repeat_with(|| SocScenario::random(rng))
+                .find(|sc| sc.memsys.dram.queue_cap <= 8)
+                .expect("a quarter of the scenarios queue shallowly"),
+            frames: 2,
+            forget_fence_flip: false,
+            forget_cpu_refused: false,
+        };
+        wake_oracle(&honest).expect("honest CPU pins conform");
+        let sc = WakeScenario {
+            forget_cpu_refused: true,
+            ..honest
+        };
+        let v = wake_oracle(&sc).expect_err(&format!(
+            "a forgotten refused head must be caught: {}",
+            sc.describe()
+        ));
+        assert!(
+            v.contains("that the memory system accepts"),
+            "caught by the audit: {v}"
+        );
+        let (small, _steps) = minimize(
+            sc.clone(),
+            shrink_wake_candidates,
+            |c| wake_oracle(c).is_err(),
+            16,
+        );
+        assert!(small.forget_cpu_refused, "shrinking never removes the bug");
         wake_oracle(&small).expect_err(&format!(
             "shrunk scenario still fails: {}",
             small.describe()

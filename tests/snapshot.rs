@@ -20,15 +20,17 @@
 //!    `emerald_conformance::gate_matrix`'s, driven from
 //!    `tests/event_skip.rs` and `tests/cpu_batch.rs`).
 //!
-//! A third test feeds restore hostile bytes: garbage inside a correctly
-//! sealed container must come back as `Ok` or a typed error, never a
-//! panic.
+//! Two more tests feed restore hostile bytes — overwritten bytes, and
+//! one overwritten field at a time: garbage inside a correctly sealed
+//! container must come back as `Ok` or a typed error, never a panic.
 
 use emerald::common::check::{check, check_n, env_cases};
 use emerald::common::hash::FxHasher;
+use emerald::common::snap::{FieldWriter, SnapError};
 use emerald::prelude::*;
 use emerald_conformance::{cells, snap_oracle, Cell, SnapBug, SnapScenario, SocScenario};
 use std::hash::Hasher;
+use std::ops::Range;
 
 /// Oracle 1: random scenarios, random cell, random checkpoint cycle. The
 /// capture cycle is drawn from 1.25 frame spans, which keeps most cases
@@ -92,6 +94,36 @@ fn restore_matrix_is_bit_identical() {
     }
 }
 
+/// Magic, format version and config hash: the bytes before a
+/// checkpoint's body.
+const HEADER: usize = 8 + 4 + 8;
+
+/// A small DASH scenario's configuration, with one between-frames and
+/// one mid-frame checkpoint of it.
+fn dash_checkpoints() -> (SocConfig, Vec<u8>, Vec<u8>) {
+    const MAX: Cycle = 60_000_000;
+    let sc = SocScenario::two_core(MemCfgKind::Dcb.build(DramConfig::lpddr3_1600()), 10);
+    let cfg = sc.config(Cell::PRESET);
+    let mut soc = Soc::new(cfg.clone());
+    let span = soc.run_frame(sc.draws(&soc, 0), MAX).total_cycles;
+    let between = soc.checkpoint();
+    let at = soc.now() + span / 5;
+    let (_, mid) = soc.run_frame_checkpoint(sc.draws(&soc, 1), MAX, Some(at));
+    let mid = mid.expect("a commit boundary a fifth into frame 1");
+    for bytes in [&between, &mid] {
+        Soc::restore(bytes, &cfg).expect("the untouched checkpoint restores");
+    }
+    (cfg, between, mid)
+}
+
+/// Re-seals a checkpoint's trailing checksum over its (altered) bytes.
+fn reseal(bytes: &mut [u8]) {
+    let body_end = bytes.len() - 8;
+    let mut sum = FxHasher::default();
+    sum.write(&bytes[..body_end]);
+    bytes[body_end..].copy_from_slice(&sum.finish().to_le_bytes());
+}
+
 /// Restore fuzz: one between-frames and one mid-frame checkpoint of a
 /// small DASH scenario, 1–8 of their body bytes overwritten at random and
 /// the trailing checksum re-sealed, so the component walks — not the
@@ -104,17 +136,7 @@ fn restore_matrix_is_bit_identical() {
 /// state.
 #[test]
 fn restore_of_garbage_never_panics() {
-    const MAX: Cycle = 60_000_000;
-    /// Magic, format version and config hash.
-    const HEADER: usize = 8 + 4 + 8;
-    let sc = SocScenario::two_core(MemCfgKind::Dcb.build(DramConfig::lpddr3_1600()), 10);
-    let cfg = sc.config(Cell::PRESET);
-    let mut soc = Soc::new(cfg.clone());
-    let span = soc.run_frame(sc.draws(&soc, 0), MAX).total_cycles;
-    let between = soc.checkpoint();
-    let at = soc.now() + span / 5;
-    let (_, mid) = soc.run_frame_checkpoint(sc.draws(&soc, 1), MAX, Some(at));
-    let mid = mid.expect("a commit boundary a fifth into frame 1");
+    let (cfg, between, mid) = dash_checkpoints();
     let u64_at =
         |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
     // Sections 1–4 (tag, length, body), then the records up to the
@@ -132,9 +154,6 @@ fn restore_of_garbage_never_panics() {
         parts[0].end = HEADER + 12 + 24;
         parts
     };
-    for bytes in [&between, &mid] {
-        Soc::restore(bytes, &cfg).expect("the untouched checkpoint restores");
-    }
     check("restore_of_garbage", |rng| {
         for snap in [&between, &mid] {
             let mut bad = snap.clone();
@@ -146,11 +165,86 @@ fn restore_of_garbage_never_panics() {
                 // the walk gets further before it meets the garbage.
                 bad[at] = [0, 1, 0xFF, rng.next_u64() as u8][rng.below(4) as usize];
             }
-            let body_end = bad.len() - 8;
-            let mut sum = FxHasher::default();
-            sum.write(&bad[..body_end]);
-            bad[body_end..].copy_from_slice(&sum.finish().to_le_bytes());
+            reseal(&mut bad);
             let _ = Soc::restore(&bad, &cfg);
         }
     });
+}
+
+/// The refusals placed by hand deep inside the walk, which overwritten
+/// bytes almost never reach: a zero RNG state (a CPU core's or the
+/// memory system's), a zero WT size, a GPU read slab whose free list is
+/// not every slot.
+const DEEP_REFUSALS: [&str; 3] = [
+    "zero xorshift state",
+    "zero WT size",
+    "DRAM free list is not every slot of its slab",
+];
+
+/// Field-targeted restore fuzz: each of the two checkpoints above is
+/// restored and walked again by a `FieldWriter`, which gives back the
+/// same body bytes and where each primitive of the walk sits in them.
+/// Each case then overwrites the bytes of one primitive per restore, two
+/// restores per checkpoint — a section drawn evenly, then a field of it,
+/// so the few fields of a small component are not drowned by the cache
+/// arrays — with 0 (half the time: it is what most refusals refuse), 1,
+/// all ones, the old value ±1 or random bits, re-seals the checksum and
+/// restores. `Soc::restore` must return `Ok` or `Err`, never panic.
+/// The image's raw bytes are left alone (any value there is valid
+/// state). Which of [`DEEP_REFUSALS`] the cases reached goes to stderr
+/// (`--nocapture`).
+#[test]
+fn restore_of_one_garbage_field_never_panics() {
+    let (cfg, between, mid) = dash_checkpoints();
+    let mapped: Vec<_> = [&between, &mid]
+        .map(|snap| {
+            let mut soc = Soc::restore(snap, &cfg).expect("the untouched checkpoint restores");
+            let (body, fields) = FieldWriter::encode(|w| soc.walk(w));
+            assert_eq!(
+                body[..],
+                snap[HEADER..snap.len() - 8],
+                "a restored SoC walks its checkpoint's body again"
+            );
+            // Each section's fields, shifted past the header.
+            let mut sections: Vec<Vec<Range<usize>>> = Vec::new();
+            for f in fields.into_iter().filter(|f| f.at.len() <= 8) {
+                sections.resize(sections.len().max(f.section + 1), Vec::new());
+                sections[f.section].push(f.at.start + HEADER..f.at.end + HEADER);
+            }
+            sections.retain(|s| !s.is_empty());
+            (snap, sections)
+        })
+        .into();
+    let mut reached = [0u32; DEEP_REFUSALS.len()];
+    check("restore_of_one_garbage_field", |rng| {
+        for (snap, sections) in &mapped {
+            for _ in 0..2 {
+                let section = &sections[rng.below(sections.len() as u64) as usize];
+                let at = section[rng.below(section.len() as u64) as usize].clone();
+                let mut old = [0u8; 8];
+                old[..at.len()].copy_from_slice(&snap[at.clone()]);
+                let old = u64::from_le_bytes(old);
+                let new = match rng.below(10) {
+                    0..=4 => 0,
+                    5 => 1,
+                    6 => u64::MAX,
+                    7 => old.wrapping_add(1),
+                    8 => old.wrapping_sub(1),
+                    _ => rng.next_u64(),
+                };
+                let mut bad = snap.to_vec();
+                let width = at.len();
+                bad[at].copy_from_slice(&new.to_le_bytes()[..width]);
+                reseal(&mut bad);
+                if let Err(SnapError::BadValue { what }) = Soc::restore(&bad, &cfg) {
+                    if let Some(i) = DEEP_REFUSALS.iter().position(|&d| d == what) {
+                        reached[i] += 1;
+                    }
+                }
+            }
+        }
+    });
+    for (what, n) in DEEP_REFUSALS.iter().zip(reached) {
+        eprintln!("restore_of_one_garbage_field: \"{what}\" refused {n} times");
+    }
 }
